@@ -229,15 +229,22 @@
 // is schedules not explored. Three mechanisms carry the throughput
 // story.
 //
-// Direct handoff. The runtime keeps exactly one goroutine runnable at a
-// time, but control is not routed through a central engine loop: a
-// machine reaching a scheduling point runs the next scheduling-loop
-// iteration on its own goroutine and hands control straight to the
-// chosen successor through a one-token parking primitive, so a step
-// costs one goroutine wake plus one park (and nothing at all when the
-// scheduler picks the same machine again) instead of the two channel
-// round-trips of an engine-mediated yield/resume. Decisions are recorded
-// into a packed word arena and materialized as trace structs once per
+// Coroutine hub. Every machine body runs on its own stack, a coroutine
+// pulled with iter.Pull, and the goroutine exploring the execution is
+// the hub that resumes them. A machine reaching a scheduling point runs
+// the next scheduling-loop iteration on its own stack; when the
+// scheduler picks it again nothing else happens, otherwise it yields to
+// the hub, which resumes the chosen machine: two runtime coroutine
+// switches per step and no pass through the Go scheduler
+// (BenchmarkHandoffPrimitives in internal/core compares it with the
+// channel wake + park it replaced). Coroutine switches are synchronous
+// calls, so exactly one stack of a runtime runs at any instant and the
+// worker free list, crash reaping and shutdown need no ordering
+// argument. One side effect: handoffs no longer yield to the Go
+// scheduler, so exploration workers that outnumber Ps interleave by
+// preemption rather than at every step; results are
+// position-deterministic either way. Decisions are recorded into a
+// packed word arena and materialized as trace structs once per
 // execution, only for executions somebody will look at.
 //
 // Incremental enabled set. The schedulable set the scheduler picks from
@@ -250,20 +257,22 @@
 // `enabledcheck` build tag compiles in a per-step cross-check against a
 // from-scratch rebuild that panics on any divergence.
 //
-// Together these put a scheduling step at ~266ns on the reference box
-// (BenchmarkRuntimeSteps; 834ns before the handoff rewrite, ~289ns
-// before the incremental enabled set — see BENCH_pr4.json through
-// BENCH_pr8.json for the trajectory, including the 1/2/4/8-worker
-// scaling matrix and per-harness executions/sec). What remains is
-// mostly the Go runtime's own park/wake cost (~190ns of the ~266).
+// Together these put a scheduling step at ~226ns on the 2-vCPU build
+// box (core.ns_per_step in the repository benchmark, see BENCHMARK.json
+// and bench/README.md; ~200ns of it is the switch floor,
+// core.step_floor_ns). The trajectory: 834ns with an engine-mediated
+// yield/resume, ~289ns with machine-to-machine channel handoff, ~266ns
+// with the incremental enabled set (BENCH_pr4.json through
+// BENCH_pr8.json, taken on a 1-CPU box), ~320ns → ~226ns on the build
+// box when the coroutine hub replaced the channel wake + park.
 //
 // Pooling. Each exploration worker recycles its execution state through
 // a runtime pool instead of rebuilding it per iteration — runtimes reset
 // in place (machines scrub themselves at death, so a reset is O(1) in
 // the machine count), machine structs and inboxes are recycled, machine
-// goroutines park between assignments, the decision arena is pre-sized
-// to the step bound, and log arguments are only materialized when a log
-// is collected (Context.Logging lets harnesses guard their own
+// coroutines idle on a free list between assignments, the decision arena
+// is pre-sized to the step bound, and log arguments are only materialized
+// when a log is collected (Context.Logging lets harnesses guard their own
 // expensive descriptions the same way).
 //
 // The reuse contract: pooling is semantically invisible. For a fixed

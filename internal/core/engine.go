@@ -524,9 +524,9 @@ func runParallel(t Test, o Options, f SchedulerFactory, workers int, st runState
 		bugIndex  atomic.Int64 // lowest buggy iteration so far (Iterations = none)
 		completed atomic.Int64 // executions run to completion
 
-		// steps[i] is written by the one worker that ran iteration i (and
-		// only read after the pool drains), so it needs no lock.
-		steps = make([]int64, o.Iterations)
+		// logs[w] is written by worker w alone (and only read after the
+		// pool drains), so it needs no lock.
+		logs = make(stepLogs, workers)
 
 		mu        sync.Mutex // guards the fields below, plus Progress calls
 		bugReport *BugReport
@@ -534,9 +534,6 @@ func runParallel(t Test, o Options, f SchedulerFactory, workers int, st runState
 	)
 	next.Store(int64(st.first))
 	completed.Store(int64(st.execs))
-	if st.first > 0 {
-		steps[st.first-1] = st.steps // calibration ran iteration 0
-	}
 	bugIndex.Store(int64(o.Iterations))
 
 	var wg sync.WaitGroup
@@ -577,7 +574,7 @@ func runParallel(t Test, o Options, f SchedulerFactory, workers int, st runState
 					// partial execution contributes nothing.
 					continue
 				}
-				steps[i] = int64(r.steps)
+				logs[w] = append(logs[w], stepEntry{i, int64(r.steps)})
 				if o.Progress == nil {
 					completed.Add(1)
 				} else {
@@ -611,9 +608,7 @@ func runParallel(t Test, o Options, f SchedulerFactory, workers int, st runState
 		res.Report = bugReport
 		res.Choices = len(bugReport.Trace.Decisions)
 		res.Executions = win + 1
-		for _, s := range steps[:win+1] {
-			res.TotalSteps += s
-		}
+		res.TotalSteps = st.steps + logs.sum(win)
 		res.Elapsed = time.Since(start)
 		if !o.NoReplayLog {
 			// The confirmation replay stays single-threaded: it must
@@ -623,11 +618,35 @@ func runParallel(t Test, o Options, f SchedulerFactory, workers int, st runState
 		return res
 	}
 	res.Executions = int(completed.Load())
-	for _, s := range steps {
-		res.TotalSteps += s
-	}
+	res.TotalSteps = st.steps + logs.sum(o.Iterations)
 	res.Elapsed = time.Since(start)
 	return res
+}
+
+// stepEntry records that iteration iter ran to completion in steps
+// scheduling steps. Each exploration worker appends one per execution it
+// completes, so a run's bookkeeping is proportional to the executions
+// done, not to the iteration budget requested.
+type stepEntry struct {
+	iter  int
+	steps int64
+}
+
+// stepLogs holds one append-only log per exploration worker.
+type stepLogs [][]stepEntry
+
+// sum totals the steps of the logged iterations up to and including win —
+// the iterations a sequential run stopping at win would have performed.
+func (l stepLogs) sum(win int) int64 {
+	var total int64
+	for _, log := range l {
+		for _, e := range log {
+			if e.iter <= win {
+				total += e.steps
+			}
+		}
+	}
+	return total
 }
 
 // attachReplayLog re-runs the buggy schedule with log collection to give

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // cleanChoiceTest makes a few choices and always passes — a minimal
@@ -186,6 +188,36 @@ func TestSchedulerFactoryInstancesAreIndependent(t *testing.T) {
 		}
 		if ai, bi := a.NextInt(10), b.NextInt(10); ai != bi {
 			t.Fatalf("step %d: NextInt diverged: %d vs %d", i, ai, bi)
+		}
+	}
+}
+
+// TestHugeBudgetMemoryIsProportionalToWork: "run for 50 ms" written as an
+// enormous iteration count plus StopAfter must cost memory in proportion to
+// the executions actually done. The parallel loops used to allocate one
+// step counter per *requested* iteration — 8 GiB here — which ran the
+// deadline out before the first execution and OOM-killed -race runs.
+func TestHugeBudgetMemoryIsProportionalToWork(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, sched := range []string{"random", "mutational"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		res := MustExplore(pingPongTest(50, false), Options{
+			Scheduler: sched, Iterations: 1 << 30, StopAfter: 50 * time.Millisecond, Seed: 1, Workers: 2,
+		})
+		wall := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if res.BugFound || res.Executions < 1 || res.Executions == 1<<30 {
+			t.Fatalf("%s: %+v, want a clean time-bounded run of at least one execution", sched, res)
+		}
+		if wall > time.Second {
+			t.Errorf("%s: a 50 ms budget took %v", sched, wall)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d executions in %v, %d KiB allocated", sched, res.Executions, wall, alloc>>10)
+		if alloc > 64<<20 {
+			t.Errorf("%s: allocated %d MiB for %d executions", sched, alloc>>20, res.Executions)
 		}
 	}
 }

@@ -56,18 +56,15 @@ func runFeedback(t Test, o Options, f SchedulerFactory, workers int, st runState
 		bugIndex  atomic.Int64 // lowest buggy iteration so far (Iterations = none)
 		completed atomic.Int64 // executions run to completion
 
-		// steps[i] is written by the one worker that ran iteration i (and
-		// only read after its round drains), so it needs no lock.
-		steps = make([]int64, o.Iterations)
+		// logs[w] is written by worker w alone (and only read after its
+		// round drains), so it needs no lock.
+		logs = make(stepLogs, workers)
 
 		mu        sync.Mutex // guards the fields below, plus Progress calls
 		bugReport *BugReport
 		exhausted bool
 	)
 	completed.Store(int64(st.execs))
-	if st.first > 0 {
-		steps[st.first-1] = st.steps // calibration ran iteration 0
-	}
 	bugIndex.Store(int64(o.Iterations))
 
 	for base := st.first; base < o.Iterations; {
@@ -115,7 +112,7 @@ func runFeedback(t Test, o Options, f SchedulerFactory, workers int, st runState
 						// Superseded mid-flight by a bug at a lower index.
 						continue
 					}
-					steps[i] = int64(r.steps)
+					logs[w] = append(logs[w], stepEntry{i, int64(r.steps)})
 					if o.Progress == nil {
 						completed.Add(1)
 					} else {
@@ -172,9 +169,7 @@ func runFeedback(t Test, o Options, f SchedulerFactory, workers int, st runState
 		res.Report = bugReport
 		res.Choices = len(bugReport.Trace.Decisions)
 		res.Executions = win + 1
-		for _, s := range steps[:win+1] {
-			res.TotalSteps += s
-		}
+		res.TotalSteps = st.steps + logs.sum(win)
 		res.Elapsed = time.Since(start)
 		if !o.NoReplayLog {
 			attachReplayLog(t, o, bugReport)
@@ -182,9 +177,7 @@ func runFeedback(t Test, o Options, f SchedulerFactory, workers int, st runState
 		return res
 	}
 	res.Executions = int(completed.Load())
-	for _, s := range steps {
-		res.TotalSteps += s
-	}
+	res.TotalSteps = st.steps + logs.sum(o.Iterations)
 	res.Elapsed = time.Since(start)
 	return res
 }

@@ -1,0 +1,372 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"iter"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// parkStressTest is a workload built to exercise every control-transfer
+// path of the coroutine hub in one execution: ordinary scheduling
+// handoffs, timer machines, CrashPoint reaping (a machine unwinding a
+// peer's stack mid-step through a nested next()), Restart re-arming a
+// recycled machine slot, and — because the timer keeps the system busy
+// until the step bound — shutdown reaping of suspended machines at the end.
+func parkStressTest() Test {
+	return Test{
+		Name:   "park-stress",
+		Faults: Faults{MaxCrashes: 2},
+		Entry: func(ctx *Context) {
+			nodes := make([]MachineID, 3)
+			for i := range nodes {
+				nodes[i] = ctx.CreateMachine(&echoMachine{}, fmt.Sprintf("n%d", i))
+			}
+			ctx.StartTimer("tick", nodes[0], Signal("tick"))
+			for round := 0; round < 8; round++ {
+				for _, n := range nodes {
+					ctx.Send(n, pingEvent{From: ctx.ID()})
+				}
+				if v := ctx.CrashPoint(nodes...); v != NoMachine {
+					ctx.Restart(v, &echoMachine{})
+				}
+			}
+		},
+	}
+}
+
+// TestParkingStressCrashRestartRelease makes pool.go's claim that the
+// free list needs no synchronization an executable one: NumCPU concurrent
+// workers, each with its own pool, hammer crash/restart-heavy executions
+// while periodically releasing and rebuilding their pools (the path that
+// stops idle worker coroutines). The race detector is the primary
+// assertion — any switch missing a happens-before edge shows up here —
+// and on top of it every worker must produce bit-identical decision
+// sequences for identical seeds, pinning that the handoff never leaks
+// schedule state across goroutines, executions, or pools.
+func TestParkingStressCrashRestartRelease(t *testing.T) {
+	workers := runtime.NumCPU()
+	if workers < 4 {
+		workers = 4
+	}
+	iters := 200
+	if testing.Short() {
+		iters = 40
+	}
+	o := Options{Iterations: 1, MaxSteps: 500}.withDefaults()
+	digests := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			test := parkStressTest()
+			cfg := o.runtimeConfig(test, false)
+			sched := NewRandomScheduler()
+			pool := newExecPool(o)
+			for i := 0; i < iters; i++ {
+				if i%16 == 15 {
+					// Hammer the release path: all idle worker
+					// coroutines exit, the next execution rebuilds from
+					// scratch.
+					pool.release()
+					pool = newExecPool(o)
+				}
+				if !sched.Prepare(int64(i+1), o.MaxSteps) {
+					t.Errorf("worker %d: Prepare refused execution %d", w, i)
+					return
+				}
+				r := pool.runtime(sched, cfg)
+				if rep := r.execute(test); rep != nil {
+					t.Errorf("worker %d: unexpected bug at seed %d: %v", w, i+1, rep.Error())
+					return
+				}
+				h := fnv.New64a()
+				var buf [8]byte
+				for _, word := range r.dec.words {
+					binary.LittleEndian.PutUint64(buf[:], word)
+					h.Write(buf[:])
+				}
+				digests[w] = append(digests[w], h.Sum64())
+			}
+			pool.release()
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for w := 1; w < workers; w++ {
+		if len(digests[w]) != len(digests[0]) {
+			t.Fatalf("worker %d ran %d executions, worker 0 ran %d", w, len(digests[w]), len(digests[0]))
+		}
+		for i := range digests[w] {
+			if digests[w][i] != digests[0][i] {
+				t.Fatalf("worker %d diverged from worker 0 at seed %d: decision digest %x vs %x",
+					w, i+1, digests[w][i], digests[0][i])
+			}
+		}
+	}
+}
+
+// reapedPeersTest ends by quiescence after the entry machine reaped two
+// peers whose coroutines were already live: a crashed node (it answered a
+// ping first) and a stopped timer (it ticked first).
+func reapedPeersTest() Test {
+	return Test{
+		Name: "reaped-peers",
+		Entry: func(ctx *Context) {
+			n := ctx.CreateMachine(&echoMachine{}, "n")
+			ctx.Send(n, pingEvent{From: ctx.ID()})
+			ctx.Receive("echo")
+			tm := ctx.StartTimer("tick", ctx.ID(), Signal("tick"))
+			ctx.Receive("tick")
+			ctx.Crash(n)
+			ctx.StopTimer(tm)
+		},
+	}
+}
+
+// TestNoCoroutineLeaks: a pulled sequence that is never run to completion
+// is a leaked goroutine, so every way an execution can leave a machine
+// suspended — the step bound hit with machines still live, a crash- and a
+// StopTimer-reaped peer — must end with the goroutine count back at the
+// baseline: right after execute on an unpooled runtime, after release on a
+// pooled one. Coroutine exit is synchronous, so the count is exact.
+func TestNoCoroutineLeaks(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		test     Test
+		maxSteps int
+		atBound  bool
+	}{
+		{"step bound with live machines", parkStressTest(), 60, true},
+		{"crash- and StopTimer-reaped peers", reapedPeersTest(), 1000, false},
+	} {
+		for _, noReuse := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/NoReuse=%v", c.name, noReuse), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				o := Options{Iterations: 1, MaxSteps: c.maxSteps, NoReuse: noReuse}.withDefaults()
+				cfg := o.runtimeConfig(c.test, false)
+				sched := NewRandomScheduler()
+				pool := newExecPool(o)
+				for seed := int64(1); seed <= 20; seed++ {
+					sched.Prepare(seed, o.MaxSteps)
+					r := pool.runtime(sched, cfg)
+					if rep := r.execute(c.test); rep != nil {
+						t.Fatalf("seed %d: unexpected bug: %v", seed, rep.Error())
+					}
+					if (r.steps == c.maxSteps) != c.atBound {
+						t.Fatalf("seed %d: execution ended after %d steps (bound %d)", seed, r.steps, c.maxSteps)
+					}
+					if n := runtime.NumGoroutine(); noReuse && n > base {
+						t.Fatalf("seed %d: %d goroutines after an unpooled execution, %d before", seed, n, base)
+					}
+				}
+				pool.release()
+				if n := runtime.NumGoroutine(); n > base {
+					t.Fatalf("%d goroutines after release, %d before", n, base)
+				}
+			})
+		}
+	}
+}
+
+// TestDyingMachineReapsThenSuccessorStarts: one handler crashes a live
+// peer (nested next() from a machine's stack), creates a machine and
+// halts, so its final step hands the hub a successor to arm while two
+// workers have just gone idle. Which worker hosts the successor must be
+// invisible: the winning trace is byte-identical pooled and unpooled, on
+// one exploration worker and on four.
+func TestDyingMachineReapsThenSuccessorStarts(t *testing.T) {
+	test := Test{
+		Name: "dying-reaper",
+		Entry: func(ctx *Context) {
+			peer := ctx.CreateMachine(&echoMachine{}, "peer")
+			ctx.Send(peer, pingEvent{From: ctx.ID()})
+			ctx.Receive("echo")
+			ctx.CreateMachine(&FuncMachine{OnInit: func(ctx *Context) {
+				ctx.Crash(peer)
+				ctx.CreateMachine(&FuncMachine{OnInit: func(ctx *Context) {
+					ctx.Assert(ctx.RandomInt(16) != 0, "successor drew the buggy choice")
+				}}, "successor")
+				ctx.Halt()
+			}}, "reaper")
+		},
+	}
+	var want []byte
+	var first Result
+	for _, noReuse := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			res := MustExplore(test, Options{Iterations: 500, Seed: 3, Workers: workers, NoReuse: noReuse, NoReplayLog: true})
+			if !res.BugFound {
+				t.Fatalf("NoReuse=%v workers=%d: bug not found", noReuse, workers)
+			}
+			got, err := res.Report.Trace.Encode()
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if want == nil {
+				want, first = got, res
+				if res.Report.Iteration == 0 {
+					t.Fatal("bug at iteration 0: the seed no longer exercises recycled workers")
+				}
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("NoReuse=%v workers=%d: trace bytes differ from pooled/1-worker run", noReuse, workers)
+			}
+			if res.Executions != first.Executions || res.TotalSteps != first.TotalSteps {
+				t.Fatalf("NoReuse=%v workers=%d: (%d executions, %d steps), want (%d, %d)",
+					noReuse, workers, res.Executions, res.TotalSteps, first.Executions, first.TotalSteps)
+			}
+		}
+	}
+}
+
+// TestPanicMidHandlerIsSafetyBug: a user panic on a machine stack that
+// has already yielded and been resumed surfaces as a BugReport, pooled or
+// not — never as a panic out of the hub's next().
+func TestPanicMidHandlerIsSafetyBug(t *testing.T) {
+	test := Test{
+		Name: "panic-mid-handler",
+		Entry: func(ctx *Context) {
+			m := ctx.CreateMachine(&FuncMachine{OnEvent: func(ctx *Context, ev Event) {
+				ctx.Send(ctx.ID(), Signal("again"))
+				panic("boom")
+			}}, "crasher")
+			ctx.Send(m, Signal("go"))
+		},
+	}
+	for _, noReuse := range []bool{false, true} {
+		res := MustExplore(test, Options{Iterations: 3, Seed: 1, Workers: 1, NoReuse: noReuse})
+		if !res.BugFound || res.Report.Kind != SafetyBug || !strings.Contains(res.Report.Message, "panic in crasher") {
+			t.Fatalf("NoReuse=%v: want a safety bug attributed to crasher, got %+v", noReuse, res)
+		}
+	}
+}
+
+// TestDivergenceInFinalStepIsAnError: the trace ends right where a halting
+// machine's final step asks the scheduler for a successor, so the replay
+// scheduler raises its divergence on the dying stack, inside runMachine's
+// deferred cleanup. It must come back as Replay's error.
+func TestDivergenceInFinalStepIsAnError(t *testing.T) {
+	test := Test{
+		Name: "halt-then-diverge",
+		Entry: func(ctx *Context) {
+			ctx.CreateMachine(&echoMachine{}, "b")
+			ctx.Halt()
+		},
+	}
+	tr := newTrace(test.Name, "replay", 0, Faults{}, []Decision{
+		{Kind: DecisionSchedule, Machine: 0},
+		{Kind: DecisionSchedule, Machine: 0},
+	})
+	rep, err := Replay(test, tr, Options{})
+	if rep != nil || err == nil || !strings.Contains(err.Error(), "beyond the 2 recorded") {
+		t.Fatalf("Replay = (%v, %v), want a divergence past the recorded decisions", rep, err)
+	}
+}
+
+// BenchmarkHandoffPrimitives is the shoot-out behind the engine's choice
+// of control-transfer primitive. The engine's step cost is what it takes
+// to stop one machine stack and continue another:
+//
+//   - chan-ring-8: one op = one wake + one park on buffered channels
+//     around a ring of 8 goroutines — what a step cost when machines
+//     handed off to each other through the Go scheduler;
+//   - chan-pingpong: one op = a round trip between two goroutines (two
+//     such handoffs), the classic figure;
+//   - pull-hub-8: one op = one next() round trip from a hub over 8
+//     iter.Pull sequences (two runtime coroutine switches, no scheduler
+//     pass) — what a step costs now;
+//   - go-spawn / pull-spawn: one op = create a stack, switch to it once
+//     and tear it down — the per-machine cost of an unpooled execution.
+func BenchmarkHandoffPrimitives(b *testing.B) {
+	b.Run("chan-pingpong", func(b *testing.B) {
+		ping, pong := make(chan struct{}, 1), make(chan struct{}, 1)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for range ping {
+				pong <- struct{}{}
+			}
+		}()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ping <- struct{}{}
+			<-pong
+		}
+		b.StopTimer()
+		close(ping)
+		<-done
+	})
+	b.Run("chan-ring-8", func(b *testing.B) {
+		const n = 8
+		var ring [n]chan int
+		for i := range ring {
+			ring[i] = make(chan int, 1)
+		}
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for left := range ring[i] {
+					if left == 0 {
+						close(done)
+						continue
+					}
+					ring[(i+1)%n] <- left - 1
+				}
+			}()
+		}
+		b.ResetTimer()
+		ring[0] <- b.N
+		<-done
+		b.StopTimer()
+		for _, c := range ring {
+			close(c)
+		}
+		wg.Wait()
+	})
+	b.Run("pull-hub-8", func(b *testing.B) {
+		const n = 8
+		var next [n]func() (struct{}, bool)
+		var stop [n]func()
+		for i := range next {
+			next[i], stop[i] = iter.Pull(func(yield func(struct{}) bool) {
+				for yield(struct{}{}) {
+				}
+			})
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			next[i%n]()
+		}
+		b.StopTimer()
+		for _, s := range stop {
+			s()
+		}
+	})
+	b.Run("go-spawn", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c := make(chan struct{}, 1)
+			go func() { c <- struct{}{} }()
+			<-c
+		}
+	})
+	b.Run("pull-spawn", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			next, stop := iter.Pull(func(yield func(struct{}) bool) { yield(struct{}{}) })
+			next()
+			stop()
+		}
+	})
+}

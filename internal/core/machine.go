@@ -50,7 +50,7 @@ type machineStatus int8
 
 const (
 	// statusCreated: CreateMachine ran but the machine has not been
-	// scheduled yet; its goroutine does not exist. Always enabled (its
+	// scheduled yet; no coroutine hosts it. Always enabled (its
 	// first step runs Init).
 	statusCreated machineStatus = iota
 	// statusRunning: mid-handler, parked at a scheduling point. Always
@@ -133,18 +133,18 @@ func (q *inbox) clear() {
 }
 
 // machine is the runtime's per-machine bookkeeping. The structs (and their
-// inbox buffers and hosting goroutines) are recycled across executions by
+// inbox buffers and hosting coroutines) are recycled across executions by
 // the pooled engine; createMachine re-arms every field that carries
 // per-execution state.
 // The field order clusters everything a scheduling step touches — status,
-// crash/enabled bits, the wait parker, the deferrer and the inbox — into
-// the struct's first cache lines. A goroutine handoff reenters this struct
+// crash/enabled bits, the hosting worker, the deferrer and the inbox — into
+// the struct's first cache lines. A coroutine switch reenters this struct
 // cold, and the hot-loop profile shows the resulting misses directly, so
 // the cold tail (name, ctx, recvPred) deliberately sits last.
 type machine struct {
 	status machineStatus
-	// crashed is set by the engine's crash reaper just before resuming
-	// the machine so its goroutine unwinds via killSignal.
+	// crashed is set by the crash reaper just before resuming the machine
+	// so its stack unwinds via killSignal.
 	crashed bool
 	// timer records whether impl is the fault plane's timerMachine. It is
 	// set at createMachine/Restart and survives the machine's death, so
@@ -157,12 +157,10 @@ type machine struct {
 	// writes it.
 	epos int32
 	id   MachineID
-	// wait is the parker the machine's goroutine blocks on between
-	// scheduling steps; whoever schedules the machine wakes it. It is
-	// assigned at the machine's first scheduling step: the hosting
-	// machineWorker's parker when the runtime pools goroutines, a fresh
-	// one otherwise.
-	wait  parker
+	// w is the worker whose coroutine hosts the machine's body, assigned
+	// at the machine's first scheduling step: the machine yields through
+	// it, and the hub (or a reaper) resumes the machine through it.
+	w     *machineWorker
 	defr  Deferrer // impl.(Deferrer), or nil
 	queue inbox
 	impl  Machine

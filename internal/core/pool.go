@@ -1,12 +1,14 @@
 package core
 
+import "iter"
+
 // This file is the pooled execution engine: the machinery that makes
 // *repeated* execution — the unit systematic testing is made of — the fast
-// path. A fresh Runtime per execution spends its time on setup: a goroutine
-// and resume channel per machine, a new decisions slice, inbox slices,
-// monitor tables. The pool recycles all of it per exploration worker, so a
-// steady-state execution performs near-zero heap allocations outside the
-// user's own machine code:
+// path. A fresh Runtime per execution spends its time on setup: a coroutine
+// per machine, a new decisions slice, inbox slices, monitor tables. The
+// pool recycles all of it per exploration worker, so a steady-state
+// execution performs near-zero heap allocations outside the user's own
+// machine code:
 //
 //   - the Runtime itself is reset in place (Runtime.reset) instead of
 //     reallocated: the decision arena, enabled buffer, pending-crash list,
@@ -14,11 +16,10 @@ package core
 //     rewind;
 //   - machine structs and their inbox buffers are recycled through
 //     Runtime.machineCache;
-//   - machine goroutines are recycled through machineWorker: when a machine
-//     terminates, its hosting goroutine parks on the worker's parker
-//     instead of exiting, and the next first-step arming re-uses it with a
-//     new machine — within the same execution or the next one — instead of
-//     spawning a new goroutine.
+//   - machine coroutines are recycled through machineWorker: when a machine
+//     terminates, its hosting coroutine goes idle on the free list instead
+//     of exiting, and the next first-step arming re-uses it with a new
+//     machine — within the same execution or the next one.
 //
 // Pools never cross exploration workers: the exploration paths build one
 // execPool per worker goroutine, exactly like scheduler instances, so the
@@ -27,33 +28,11 @@ package core
 // hatch); the pooling determinism tests enforce it trace-byte for
 // trace-byte.
 //
-// Free-list ordering argument. The free list (Runtime.freeWorkers) is
-// plain unsynchronized storage, yet it is touched by worker goroutines
-// (putWorker in runMachine's defer) and by whichever goroutine arms a
-// machine's first step (getWorker inside advance). This is race-free
-// because every access happens while holding the runtime's control token,
-// and the token's movement is a chain of parker wake→park edges, each a
-// channel send→receive pair that the memory model orders:
-//
-//   - A reaped worker (crash reaping, shutdown) runs putWorker and then
-//     wakes reapSem; the reaper's park on reapSem returns only after, so
-//     putWorker happens-before any later getWorker on the reaper's side.
-//   - A voluntarily dying worker runs putWorker and then — still on its
-//     own goroutine — the next scheduling iteration (finalStep→advance),
-//     so a getWorker there is ordered by program order; if advance instead
-//     hands off or ends the loop, the wake it issues carries the edge to
-//     the successor.
-//   - Arming (getWorker, then writing w.r/w.m, then w.sem.wake) publishes
-//     the assignment to the worker through the wake→park edge of the
-//     worker's own parker.
-//
-// One consequence of running the iteration on the dying goroutine: it can
-// pop its *own* worker off the free list while arming the successor
-// machine. The worker's parker token is buffered, so this self-handoff
-// just deposits the token and finishes unwinding; the worker's loop
-// consumes it on its next park and picks up the new assignment. (This is
-// also why parker must be buffered — an unbuffered self-send would
-// deadlock; see park.go.)
+// The free list (Runtime.freeWorkers) is plain unsynchronized storage,
+// like everything else on the Runtime. That needs no ordering argument:
+// machine bodies are coroutines resumed by synchronous next() calls from
+// the hub (Runtime.runLoop) or a reaper, so exactly one stack of a runtime
+// runs at any instant and every access is in program order.
 
 // execPool recycles one exploration worker's execution state. The zero
 // value is not useful — use newExecPool; a nil pool means "no reuse" and
@@ -86,75 +65,70 @@ func (p *execPool) runtime(sched Scheduler, cfg runtimeConfig) *Runtime {
 	return p.rt
 }
 
-// release parks the pool: every pooled machine goroutine is told to exit.
-// After release the pool's runtime owns no goroutines; the worker must not
-// use the pool again. Safe on a nil or unused pool.
+// release stops every pooled machine coroutine. After release the pool's
+// runtime owns no goroutines; the worker must not use the pool again. Safe
+// on a nil or unused pool.
 func (p *execPool) release() {
 	if p == nil || p.rt == nil {
 		return
 	}
 	for _, w := range p.rt.freeWorkers {
-		w.r = nil
-		w.sem.wake()
+		w.stop()
 	}
 	p.rt.freeWorkers = nil
 	p.rt = nil
 }
 
-// machineWorker is a pooled goroutine that hosts machine bodies, one at a
-// time. Arming sets (r, m) and wakes the worker's parker; the machine's
-// wait field aliases that same parker, so every subsequent scheduling
-// wake for the machine lands on the worker's park — the handoff protocol
-// is exactly the unpooled one. When the machine terminates, the worker
-// returns itself to the runtime's free list *before* the final token
-// handoff; see the ordering argument at the top of this file.
+// machineWorker is a coroutine that hosts machine bodies, one at a time:
+// a sequence pulled with iter.Pull whose next() resumes the body and whose
+// yield suspends it, both plain runtime coroutine switches. The hub arms
+// it by setting (r, m) and calling next(); the machine yields from its
+// scheduling points (Runtime.yieldPoint). On a pooled runtime the body
+// loops — after the machine terminates it yields once more, idle on the
+// free list, until re-armed or stopped — otherwise it returns with its
+// machine and the coroutine exits.
 type machineWorker struct {
-	sem parker
-	// r and m are the worker's current assignment, written by the arming
-	// goroutine before the wake and read by the worker after its park
-	// returns. A nil r tells the parked worker to exit (pool release).
-	r *Runtime
-	m *machine
+	r     *Runtime
+	m     *machine
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
-// loop parks until armed, runs the assigned machine body to termination,
-// and parks again. Exits when released with a nil runtime.
-func (w *machineWorker) loop() {
+func (w *machineWorker) body(yield func(struct{}) bool) {
+	w.yield = yield
 	for {
-		w.sem.park()
-		if w.r == nil {
+		w.r.runMachine(w.m)
+		if !w.r.reuse || !yield(struct{}{}) {
 			return
 		}
-		w.r.runMachine(w.m, w)
 	}
 }
 
-// getWorker returns a parked worker, spawning a new goroutine only when
-// the free list is empty (first execution, or more simultaneously-live
-// machines than any previous execution had).
+// getWorker returns an idle worker, creating a coroutine only when the free
+// list is empty (unpooled runtime, first execution, or more simultaneously
+// live machines than any previous execution had).
 func (r *Runtime) getWorker() *machineWorker {
 	if n := len(r.freeWorkers); n > 0 {
 		w := r.freeWorkers[n-1]
 		r.freeWorkers = r.freeWorkers[:n-1]
 		return w
 	}
-	w := &machineWorker{sem: newParker()}
-	go w.loop()
+	w := &machineWorker{}
+	w.next, w.stop = iter.Pull(w.body)
 	return w
 }
 
-// putWorker returns a worker to the free list. Called by the worker's own
-// goroutine in runMachine's defer, before the final token handoff; the
-// ordering argument at the top of this file covers why no other goroutine
-// can be touching the list at that moment.
+// putWorker returns a worker to the free list. Called on the worker's own
+// stack in runMachine's defer; it becomes idle when that stack yields.
 func (r *Runtime) putWorker(w *machineWorker) {
 	r.freeWorkers = append(r.freeWorkers, w)
 }
 
 // reset rewinds the runtime for its next execution, recycling every piece
 // of per-execution storage. It must only run after execute returned: at
-// that point shutdown has reaped every machine goroutine (each parking its
-// worker on the free list), so no goroutine of the previous execution can
+// that point shutdown has reaped every machine (each leaving its worker
+// idle on the free list), so no stack of the previous execution can
 // observe the rewind.
 func (r *Runtime) reset(sched Scheduler, cfg runtimeConfig) {
 	r.next = sched
@@ -163,7 +137,7 @@ func (r *Runtime) reset(sched Scheduler, cfg runtimeConfig) {
 	// machines scrub themselves (runMachine's defer; reapCrashes and
 	// shutdown do the same for never-started ones), so by the time
 	// execute has returned, each struct holds only status (Halted),
-	// epos (-1), and recyclable storage (inbox buffer, parker, name).
+	// epos (-1), and recyclable storage (inbox buffer, name).
 	// createMachine re-arms the rest when the struct is handed out again.
 	if enabledCrossCheckBuild {
 		for _, m := range r.machines {

@@ -24,17 +24,18 @@ func effectiveLogCap(cap int) int {
 // exploration worker through an execPool (see pool.go), resetting it
 // between executions so repeated execution allocates almost nothing.
 //
-// Concurrency model: every machine runs on its own goroutine, but the
-// runtime enforces that exactly one goroutine — the engine, a machine, or
-// the crash reaper — is runnable at a time; whoever is runnable holds the
-// control token. Control moves by direct handoff: a machine reaching a
-// scheduling point runs the next scheduling-loop iteration itself
-// (advance) and wakes the chosen successor's parker before parking its
-// own, so one step costs one goroutine switch instead of the two the old
-// engine-mediated yield/resume handshake paid. The engine goroutine only
-// runs at the start and end of an execution; crash reaping briefly makes
-// the reaping machine a third party (see reapCrashes). Every Context
-// operation is a deterministic scheduling point.
+// Concurrency model: every machine body runs on its own stack, a coroutine
+// pulled with iter.Pull (machineWorker, pool.go), and the goroutine that
+// called execute is the hub that resumes them. A coroutine switch is a
+// synchronous call — next() returns when the callee yields — so exactly one
+// stack runs at any instant and no runtime state needs synchronization. A
+// machine reaching a scheduling point runs the next scheduling-loop
+// iteration on its own stack (advance); being picked again costs nothing,
+// otherwise it records the verdict in pending and yields to the hub, which
+// resumes the chosen machine: two runtime coroutine switches per step and
+// no pass through the Go scheduler. Crash reaping and shutdown resume the
+// victim with a nested next() (see reapCrashes). Every Context operation is
+// a deterministic scheduling point.
 type Runtime struct {
 	// The leading fields are the per-step hot set — everything advance
 	// reads on its way to the next scheduling decision — clustered so a
@@ -58,7 +59,10 @@ type Runtime struct {
 	// before the first). Kept as an ID, not a pointer: the hot loop
 	// stores it every step, and an integer store dodges the write
 	// barrier a pointer field would pay.
-	current  MachineID
+	current MachineID
+	// pending is the verdict of the advance a machine ran before yielding
+	// to the hub (advHandoff: resume machines[current]; advDone: stop).
+	pending  advAction
 	steps    int
 	maxSteps int
 	// temperature, when positive, flags a liveness violation as soon as a
@@ -87,25 +91,18 @@ type Runtime struct {
 	abort   func() bool
 	aborted bool
 
-	// engineSem parks the engine goroutine for the duration of an
-	// execution's machine-to-machine handoff chain; whichever machine
-	// ends the loop (advance returning advDone) wakes it. reapSem parks a
-	// machine that is reaping a doomed peer (crash, stopped timer, or
-	// shutdown) until the victim's goroutine has finished unwinding.
-	engineSem parker
-	reapSem   parker
-	monitors  []*monitorEntry
+	monitors []*monitorEntry
 
 	// faults is the execution's fault budget; crashes/drops/dups count
 	// the injections charged against it so far. pendingCrash holds
 	// machines doomed by Crash/CrashPoint/StopTimer, reaped at the next
-	// scheduling-loop iteration by whichever goroutine runs it (usually
-	// the machine that issued the crash, via advance): the reaper wakes
-	// each victim so it unwinds via killSignal, and parks on reapSem
-	// until the victim's defer hands control back. A machine is never in
-	// its own pendingCrash list — Crash(self) takes the Halt path before
-	// the list is touched, and a dying machine is statusHalted before its
-	// defer reaps — so the reaper cannot deadlock on itself.
+	// scheduling-loop iteration on whichever stack runs it (usually the
+	// machine that issued the crash, via advance): the reaper resumes
+	// each victim with a nested next() so it unwinds via killSignal and
+	// yields straight back. A machine is never in its own pendingCrash
+	// list — Crash(self) takes the Halt path before the list is touched,
+	// and a dying machine is statusHalted before its defer reaps — so
+	// the reaper never resumes the stack it is running on.
 	faults       Faults
 	crashes      int
 	drops        int
@@ -127,8 +124,8 @@ type Runtime struct {
 
 	enabledScratch []MachineID
 
-	// reuse marks a pooled runtime: machine goroutines park on their
-	// machineWorker between assignments instead of exiting, and the caches
+	// reuse marks a pooled runtime: machineWorker coroutines idle on the
+	// free list between assignments instead of exiting, and the caches
 	// below recycle per-execution storage across resets (see pool.go).
 	reuse        bool
 	machineCache []*machine
@@ -157,8 +154,6 @@ func newRuntime(sched Scheduler, cfg runtimeConfig) *Runtime {
 		next:              sched,
 		sched:             asFaultScheduler(sched),
 		current:           NoMachine,
-		engineSem:         newParker(),
-		reapSem:           newParker(),
 		cov:               covBasis,
 		maxSteps:          cfg.maxSteps,
 		temperature:       cfg.temperature,
@@ -175,9 +170,9 @@ func newRuntime(sched Scheduler, cfg runtimeConfig) *Runtime {
 }
 
 // execute runs the test to completion and returns the violation found, or
-// nil for a clean execution. It always reaps all machine goroutines before
-// returning (pooled runtimes park them on their workers; unpooled ones let
-// them exit).
+// nil for a clean execution. It always reaps all machine coroutines before
+// returning (pooled runtimes leave them idle on the free list; unpooled
+// ones let them exit).
 func (r *Runtime) execute(t Test) (rep *BugReport) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -203,14 +198,15 @@ func (r *Runtime) execute(t Test) (rep *BugReport) {
 	return r.bug
 }
 
-// runLoop drives the scheduling loop from the engine goroutine's point of
-// view: kick off the first iteration, then park until some machine ends
-// the loop. Every later iteration runs inline on whichever machine
-// reached a scheduling point (yieldPoint) or terminated (finalStep) —
-// the engine is not involved in steady-state handoffs at all.
+// runLoop is the hub: it runs the first scheduling iteration, then keeps
+// resuming whichever machine the latest iteration picked. Every later
+// iteration runs inline on the machine that reached a scheduling point
+// (yieldPoint) or terminated (finalStep) and comes back here as pending.
 func (r *Runtime) runLoop() {
-	if r.advance(nil) == advHandoff {
-		r.engineSem.park()
+	act := r.advance(nil)
+	for act == advHandoff {
+		r.switchTo(r.machines[r.current])
+		act = r.pending
 	}
 }
 
@@ -221,21 +217,20 @@ const (
 	// advContinue: the caller's own machine was scheduled again — keep
 	// running, no handoff needed.
 	advContinue advAction = iota
-	// advHandoff: control was handed to another machine; the caller must
-	// park (or, for the engine/a dying goroutine, simply step aside).
+	// advHandoff: machines[current] runs next; the hub must switch to it.
 	advHandoff
 	// advDone: the execution is over (bug, divergence, abort, bound, or
-	// quiescence); whoever holds the token must wake the engine.
+	// quiescence); the hub must leave its loop.
 	advDone
 )
 
-// advance runs one scheduling-loop iteration on the calling goroutine:
-// finish the bookkeeping of the step that just ended, then pick and wake
-// the next machine. from is the caller's machine (nil when called from
-// the engine at loop start or from a dying machine's finalStep). The
-// check order — temperature, loop condition, crash reaping, abort, step
-// bound, quiescence, scheduling — is exactly the old engine loop's and is
-// observable through traces, so don't reorder it.
+// advance runs one scheduling-loop iteration on the calling stack: finish
+// the bookkeeping of the step that just ended, then pick the next machine.
+// from is the caller's machine (nil when called from the hub at loop start
+// or from a dying machine's finalStep). The check order — temperature,
+// loop condition, crash reaping, abort, step bound, quiescence,
+// scheduling — is exactly the old engine loop's and is observable through
+// traces, so don't reorder it.
 func (r *Runtime) advance(from *machine) advAction {
 	if r.temperature > 0 && r.steps > 0 && r.bug == nil {
 		r.checkTemperature()
@@ -272,47 +267,37 @@ func (r *Runtime) advance(from *machine) advAction {
 	if m == from {
 		return advContinue
 	}
-	r.startOrWake(m)
 	return advHandoff
 }
 
-// startOrWake transfers control to m: a machine's first scheduling step
-// arms its goroutine (a recycled machineWorker on a pooled runtime, a
-// fresh goroutine otherwise); later steps just deposit its wake token.
-func (r *Runtime) startOrWake(m *machine) {
+// switchTo resumes m from the hub and returns when it yields back. A
+// machine's first scheduling step arms a worker for it (an idle one off a
+// pooled runtime's free list, a fresh coroutine otherwise); only the hub
+// arms, so the free list never hands out a worker whose stack is live.
+func (r *Runtime) switchTo(m *machine) {
 	if m.status == statusCreated {
 		m.status = statusRunning
-		if r.reuse {
-			w := r.getWorker()
-			w.r, w.m = r, m
-			m.wait = w.sem
-			w.sem.wake()
-		} else {
-			m.wait = newParker()
-			go r.runMachine(m, nil)
-		}
-		return
+		w := r.getWorker()
+		w.r, w.m = r, m
+		m.w = w
 	}
-	m.wait.wake()
+	m.w.next()
 }
 
-// runMachine is the body of a machine's goroutine: Init, then the event
-// loop. It unwinds via panic signals (halt, kill, bug) and passes the
-// control token on exactly once on exit: a reaped machine (killSignal)
-// hands it back to the reaper parked on reapSem; every other termination
-// still holds the token and runs the next scheduling iteration itself
-// (finalStep). When hosted by a pooled machineWorker, the worker is
-// returned to the free list before either handoff — see pool.go for why
-// that ordering is race-free.
-func (r *Runtime) runMachine(m *machine, w *machineWorker) {
+// runMachine is the body of a machine: Init, then the event loop, on the
+// stack of its worker m.w. It unwinds via panic signals (halt, kill, bug) and
+// returns to whoever resumed it: a reaped machine (killSignal) to the
+// reaper's nested next(), every other termination to the hub — after
+// running the next scheduling iteration itself (finalStep).
+func (r *Runtime) runMachine(m *machine) {
 	defer func() {
 		reaped := false
 		switch p := recover().(type) {
 		case nil, haltSignal:
 			// Voluntary terminations.
 		case killSignal:
-			// Unwound by a reaper (crash reaping or shutdown) that is
-			// parked on reapSem waiting for this goroutine to finish.
+			// Unwound by a reaper (crash reaping or shutdown) whose
+			// next() returns once this stack has finished unwinding.
 			reaped = true
 		case bugSignal:
 			// Violation already recorded on the runtime.
@@ -348,14 +333,12 @@ func (r *Runtime) runMachine(m *machine, w *machineWorker) {
 		m.impl = nil
 		m.defr = nil
 		r.removeEnabled(m)
-		if w != nil {
-			r.putWorker(w)
+		if r.reuse {
+			r.putWorker(m.w)
 		}
-		if reaped {
-			r.reapSem.wake()
-			return
+		if !reaped {
+			r.finalStep()
 		}
-		r.finalStep()
 	}()
 	m.ctx = Context{r: r, m: m}
 	m.impl.Init(&m.ctx)
@@ -403,41 +386,33 @@ func covString(s string) uint64 {
 func (r *Runtime) Fingerprint() uint64 { return r.cov }
 
 // finalStep runs the scheduling iteration that follows a machine's death,
-// on the dying goroutine itself, and routes the control token to whoever
-// advance picked (or to the engine when the loop is over). It runs after
-// the machine's cleanup, so advance observes it as halted. The scheduler
-// may detect a replay divergence while picking the successor; since this
-// frame is itself inside a deferred recover, that panic must be caught
-// here — letting it propagate would kill the process.
+// on the dying stack itself, and leaves the verdict for the hub. It runs
+// after the machine's cleanup, so advance observes it as halted. The
+// scheduler may detect a replay divergence while picking the successor;
+// that ends the execution like any other divergence instead of escaping
+// through the hub's next().
 func (r *Runtime) finalStep() {
 	defer func() {
 		switch p := recover().(type) {
 		case nil:
 		case replayDivergence:
 			r.divergence = p
-			r.engineSem.wake()
+			r.pending = advDone
 		default:
 			panic(p)
 		}
 	}()
-	if r.advance(nil) == advDone {
-		r.engineSem.wake()
-	}
+	r.pending = r.advance(nil)
 }
 
 // yieldPoint is a machine's scheduling point: run the next loop iteration
-// right here, hand control to whoever was picked, and park until this
-// machine is picked again. Must be called with m == the goroutine's own
-// machine. The advContinue fast path — the scheduler picked m again — is
-// free: no park, no wake, no goroutine switch.
+// right here and, unless the scheduler picked m again — the free
+// advContinue path: no switch at all — yield to the hub until m is resumed.
+// Must be called on m's own stack.
 func (r *Runtime) yieldPoint(m *machine) {
-	switch r.advance(m) {
-	case advContinue:
-	case advHandoff:
-		m.wait.park()
-	case advDone:
-		r.engineSem.wake()
-		m.wait.park()
+	if act := r.advance(m); act != advContinue {
+		r.pending = act
+		m.w.yield(struct{}{})
 	}
 	m.status = statusRunning
 	if r.killed || m.crashed {
@@ -445,14 +420,12 @@ func (r *Runtime) yieldPoint(m *machine) {
 	}
 }
 
-// reapCrashes unwinds the goroutines of machines doomed by the fault plane
+// reapCrashes unwinds the stacks of machines doomed by the fault plane
 // (Crash, a taken CrashPoint, StopTimer). It runs inside advance on
-// whatever goroutine holds the control token — usually the machine whose
-// Crash call queued the victim. Waking a victim so it can panic out of
-// its handler momentarily makes two goroutines runnable; the reaper
-// immediately parks on reapSem, which the victim's defer wakes after its
-// cleanup, restoring single-runnability and ordering every write the
-// victim made (free list, machine state) before the reaper continues.
+// whatever stack that runs on — usually the machine whose Crash call
+// queued the victim. The victim is resumed with a nested next(): it wakes
+// in yieldPoint, sees crashed, panics out of its handler, cleans up in
+// runMachine's defer and yields back here.
 func (r *Runtime) reapCrashes() {
 	for len(r.pendingCrash) > 0 {
 		m := r.machines[r.pendingCrash[0]]
@@ -472,11 +445,10 @@ func (r *Runtime) reapCrashes() {
 			r.settleCrashedStorage(m)
 		default:
 			m.crashed = true
-			m.wait.wake()
-			r.reapSem.park()
+			m.w.next()
 			// The victim has finished unwinding; its staged writes (left
 			// in place by the defer for exactly this) meet their crash
-			// state now, while the reaper still holds the control token.
+			// state now.
 			r.settleCrashedStorage(m)
 		}
 	}
@@ -490,7 +462,7 @@ func (r *Runtime) reapCrashes() {
 // default is deterministic: every un-synced write is lost, no choice
 // point is presented and no decision recorded, so persist-free workloads
 // and zero-budget runs trace identically to a build without the plane.
-// Runs on the reaping goroutine inside reapCrashes, after the victim
+// Runs on the reaping stack inside reapCrashes, after the victim
 // unwound, which pins the decision's position in the trace: right after
 // the crash that doomed the machine, before the next schedule decision.
 func (r *Runtime) settleCrashedStorage(m *machine) {
@@ -530,7 +502,7 @@ func (r *Runtime) schedulingPoint(m *machine) {
 	r.yieldPoint(m)
 }
 
-// createMachine registers a machine; its goroutine starts lazily on its
+// createMachine registers a machine; its coroutine is armed lazily on its
 // first scheduling step. Pooled runtimes recycle the machine struct (and
 // its inbox buffer) from a previous execution when one is available.
 func (r *Runtime) createMachine(impl Machine, name string) MachineID {
@@ -594,10 +566,10 @@ func (r *Runtime) findMonitor(name string) *monitorEntry {
 	return nil
 }
 
-// shutdown reaps every live machine goroutine, from the engine goroutine
-// after the loop ended. After it returns no goroutine of this runtime
-// remains runnable: unpooled goroutines have exited, pooled ones are
-// parked on their workers in the free list.
+// shutdown reaps every live machine from the hub after the loop ended,
+// resuming each so it unwinds via killSignal. After it returns no machine
+// stack is live: unpooled coroutines have exited, pooled ones are idle on
+// the free list.
 func (r *Runtime) shutdown() {
 	r.killed = true
 	for _, m := range r.machines {
@@ -613,8 +585,7 @@ func (r *Runtime) shutdown() {
 			m.defr = nil
 			r.removeEnabled(m)
 		default:
-			m.wait.wake()
-			r.reapSem.park()
+			m.w.next()
 		}
 		// The execution is over, so durable storage dies with it —
 		// mid-execution deaths deliberately preserve it (that is the

@@ -1,6 +1,9 @@
 package core
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // delayScheduler implements randomized delay-bounded scheduling (Emmi,
 // Qadeer, Rakamarić, POPL 2011), a third exploration strategy beyond the
@@ -13,10 +16,14 @@ type delayScheduler struct {
 	budget int
 	rng    *rand.Rand
 
-	delays  map[int]bool
-	step    int
-	last    MachineID
-	delayed map[MachineID]bool
+	// delays holds the budget step numbers at which the baseline choice
+	// is delayed (duplicates are harmless).
+	delays []int
+	step   int
+	last   MachineID
+	// delayed is indexed by MachineID and grown when a machine is first
+	// delayed; IDs beyond its length are not delayed.
+	delayed []bool
 	// prevSteps is the previous execution's observed length; delay points
 	// are sampled within it so they actually land inside the execution
 	// (the same program-length adaptation as the PCT scheduler).
@@ -47,21 +54,13 @@ func (s *delayScheduler) Prepare(seed int64, maxSteps int) bool {
 	if bound < 10 {
 		bound = maxSteps
 	}
-	if s.delays == nil {
-		s.delays = make(map[int]bool, s.budget)
-	} else {
-		clear(s.delays)
-	}
+	s.delays = s.delays[:0]
 	for i := 0; i < s.budget; i++ {
-		s.delays[1+s.rng.Intn(bound)] = true
+		s.delays = append(s.delays, 1+s.rng.Intn(bound))
 	}
 	s.step = 0
 	s.last = NoMachine
-	if s.delayed == nil {
-		s.delayed = make(map[MachineID]bool)
-	} else {
-		clear(s.delayed)
-	}
+	s.delayed = s.delayed[:0]
 	return true
 }
 
@@ -75,7 +74,7 @@ func (s *delayScheduler) SetLengthHint(steps int) { s.lengthHint = steps }
 func (s *delayScheduler) pickBaseline(enabled []MachineID) MachineID {
 	candidate := NoMachine
 	for _, id := range enabled {
-		if !s.delayed[id] {
+		if int(id) >= len(s.delayed) || !s.delayed[id] {
 			if id > s.last && (candidate == NoMachine || candidate <= s.last) {
 				candidate = id
 			} else if candidate == NoMachine || (candidate <= s.last && id < candidate) ||
@@ -85,7 +84,7 @@ func (s *delayScheduler) pickBaseline(enabled []MachineID) MachineID {
 		}
 	}
 	if candidate == NoMachine {
-		s.delayed = make(map[MachineID]bool)
+		s.delayed = s.delayed[:0]
 		return s.pickBaseline(enabled)
 	}
 	return candidate
@@ -94,13 +93,18 @@ func (s *delayScheduler) pickBaseline(enabled []MachineID) MachineID {
 func (s *delayScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
 	s.step++
 	choice := s.pickBaseline(enabled)
-	if s.delays[s.step] {
+	if slices.Contains(s.delays, s.step) {
 		// Delay the machine that would have run and advance past it.
+		for int(choice) >= len(s.delayed) {
+			s.delayed = append(s.delayed, false)
+		}
 		s.delayed[choice] = true
 		choice = s.pickBaseline(enabled)
 	}
 	s.last = choice
-	delete(s.delayed, choice)
+	if int(choice) < len(s.delayed) {
+		s.delayed[choice] = false
+	}
 	return choice
 }
 
@@ -118,7 +122,7 @@ func (s *delayScheduler) NextInt(n int) int {
 // uniform.
 func (s *delayScheduler) NextFault(c FaultChoice) int {
 	s.step++
-	if s.delays[s.step] {
+	if slices.Contains(s.delays, s.step) {
 		return 1 + s.rng.Intn(c.N-1)
 	}
 	return s.rng.Intn(c.N)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -347,10 +349,14 @@ type pctScheduler struct {
 	depth int
 	rng   *rand.Rand
 
-	prio         map[MachineID]int
-	nextPrio     int // decreasing: later machines get lower priority
-	lowest       int
-	changePoints map[int]bool
+	// prio is indexed by MachineID and grown on first sight of a machine;
+	// pctUnset marks IDs below the highest seen that have no priority yet.
+	prio     []int
+	nextPrio int // decreasing: later machines get lower priority
+	lowest   int
+	// changePoints holds the depth step numbers at which the running
+	// machine is demoted (duplicates are harmless).
+	changePoints []int
 	step         int
 	// prevSteps is the observed length of the previous execution: PCT
 	// needs the program length k to place its change points; sampling
@@ -363,6 +369,10 @@ type pctScheduler struct {
 	lengthHint int
 }
 
+// pctUnset is the prio entry of a machine not seen yet; real priorities are
+// draws from [0, 1<<20) or small negative demotion ranks.
+const pctUnset = math.MinInt
+
 // NewPCTScheduler returns a PCT scheduler with the given number of priority
 // change points per execution.
 func NewPCTScheduler(depth int) Scheduler {
@@ -373,20 +383,12 @@ func (s *pctScheduler) Name() string { return "pct" }
 
 func (s *pctScheduler) Prepare(seed int64, maxSteps int) bool {
 	s.rng = reseed(s.rng, seed)
-	if s.prio == nil {
-		s.prio = make(map[MachineID]int)
-	} else {
-		clear(s.prio)
-	}
+	s.prio = s.prio[:0]
 	s.nextPrio = 0
 	s.lowest = 0
 	s.prevSteps = s.step
 	s.step = 0
-	if s.changePoints == nil {
-		s.changePoints = make(map[int]bool, s.depth)
-	} else {
-		clear(s.changePoints)
-	}
+	s.changePoints = s.changePoints[:0]
 	if maxSteps <= 0 {
 		maxSteps = 10000
 	}
@@ -401,7 +403,7 @@ func (s *pctScheduler) Prepare(seed int64, maxSteps int) bool {
 		bound = maxSteps
 	}
 	for i := 0; i < s.depth; i++ {
-		s.changePoints[1+s.rng.Intn(bound)] = true
+		s.changePoints = append(s.changePoints, 1+s.rng.Intn(bound))
 	}
 	return true
 }
@@ -414,12 +416,15 @@ func (s *pctScheduler) SetLengthHint(steps int) { s.lengthHint = steps }
 // New machines are inserted at a random rank among values seen so far by
 // drawing from the RNG, keeping assignment deterministic per seed.
 func (s *pctScheduler) priorityOf(id MachineID) int {
-	if p, ok := s.prio[id]; ok {
-		return p
+	if int(id) < len(s.prio) && s.prio[id] != pctUnset {
+		return s.prio[id]
 	}
 	// Draw a random base priority; ties broken by machine ID in the
 	// selection loop, so collisions are harmless.
 	p := s.rng.Intn(1 << 20)
+	for int(id) >= len(s.prio) {
+		s.prio = append(s.prio, pctUnset)
+	}
 	s.prio[id] = p
 	if p < s.lowest {
 		s.lowest = p
@@ -436,7 +441,7 @@ func (s *pctScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
 			best, bestP = id, p
 		}
 	}
-	if s.changePoints[s.step] {
+	if slices.Contains(s.changePoints, s.step) {
 		// Demote the machine that would have run; then re-select.
 		s.lowest--
 		s.prio[best] = s.lowest
@@ -467,7 +472,7 @@ func (s *pctScheduler) NextInt(n int) int {
 // RandomBool-based injection the harnesses used before the fault plane.
 func (s *pctScheduler) NextFault(c FaultChoice) int {
 	s.step++
-	if s.changePoints[s.step] {
+	if slices.Contains(s.changePoints, s.step) {
 		return 1 + s.rng.Intn(c.N-1)
 	}
 	return s.rng.Intn(c.N)
