@@ -63,6 +63,17 @@
 //   - Pooling (see below) is semantically invisible, and every reported
 //     trace replays exactly, single-threaded.
 //
+// A seed's decision stream is math/rand's. Every built-in scheduler draws
+// from the generator NewRand returns, whose output after Seed(s) equals
+// rand.New(rand.NewSource(s))'s bit for bit — a differential test and a
+// fuzz target hold it to the standard library. Only the seeding differs:
+// the generator's 607-word state is produced as it is first read instead
+// of being filled up front, which takes math/rand's ~11µs Seed out of
+// every execution. Because the stream is the same, nothing recorded
+// under the stdlib source moved: a seed finds the same bug at the same
+// iteration, and traces of versions 0–2, which store decisions and no
+// generator state, replay as before.
+//
 // # Scheduler extension surface
 //
 // Exploration strategies are an open registry, not a hardcoded switch:
@@ -74,7 +85,9 @@
 // implementation accepts LengthHinted — calibrated by the engine exactly
 // like pct and delay. Implement FaultScheduler to resolve fault choice
 // points with strategy; otherwise they are answered uniformly through
-// the scheduler's NextInt stream.
+// the scheduler's NextInt stream. A scheduler that draws from a seeded
+// generator should build it once with NewRand and call Seed in Prepare,
+// which runs before every execution.
 //
 // # Coverage-guided exploration
 //
@@ -226,7 +239,7 @@
 //
 // Repeated execution is the engine's fast path: bug probability is a
 // function of schedules explored per unit time, so per-execution setup
-// is schedules not explored. Three mechanisms carry the throughput
+// is schedules not explored. Four mechanisms carry the throughput
 // story.
 //
 // Coroutine hub. Every machine body runs on its own stack, a coroutine
@@ -265,6 +278,16 @@
 // with the incremental enabled set (BENCH_pr4.json through
 // BENCH_pr8.json, taken on a 1-CPU box), ~320ns → ~226ns on the build
 // box when the coroutine hub replaced the channel wake + park.
+//
+// O(1) reseed. Every scheduler's Prepare reseeds its generator, and
+// math/rand's Seed fills 607 state words through 1,841 sequential steps
+// of a Lehmer chain, ~11µs where a short execution takes a few. The
+// schedulers' generator (NewRand) keeps the stream and makes the seeding
+// lazy: the chain jumps ahead, so any word is three independent modular
+// multiplications, and the generator first touches its words in a fixed
+// order, so Seed stores the seed and the first 334 draws each produce the
+// one or two words they are about to read (BenchmarkSchedulerPrepare in
+// internal/core: Prepare + 32 decisions, ~11µs → ~0.5µs).
 //
 // Pooling. Each exploration worker recycles its execution state through
 // a runtime pool instead of rebuilding it per iteration — runtimes reset

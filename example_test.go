@@ -123,11 +123,7 @@ type newestFirst struct{ rng *rand.Rand }
 func (s *newestFirst) Name() string { return "newest-first" }
 
 func (s *newestFirst) Prepare(seed int64, _ int) bool {
-	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(seed))
-	} else {
-		s.rng.Seed(seed)
-	}
+	s.rng.Seed(seed)
 	return true
 }
 
@@ -143,7 +139,7 @@ func (s *newestFirst) NextInt(n int) int { return s.rng.Intn(n) }
 // the built-ins — no engine changes required.
 func ExampleRegisterScheduler() {
 	err := gostorm.RegisterScheduler("newest-first", gostorm.SchedulerSpec{
-		New: func(depth int) gostorm.Scheduler { return &newestFirst{} },
+		New: func(depth int) gostorm.Scheduler { return &newestFirst{rng: gostorm.NewRand()} },
 	})
 	fmt.Println("registered:", err == nil)
 	fmt.Println("conformant:", gostorm.VerifyScheduler("newest-first") == nil)

@@ -126,3 +126,36 @@ func TestPCTChangePointsRespectBudget(t *testing.T) {
 		t.Fatalf("change points = %d, want <= 3", len(s.changePoints))
 	}
 }
+
+// BenchmarkSchedulerPrepare measures the per-execution fixed cost every
+// scheduler adds before the first step: Prepare (which reseeds) and the
+// first 32 decisions (24 scheduling points, 8 data choices), roughly what a
+// short crash-enumeration execution draws. Steady state must not allocate.
+func BenchmarkSchedulerPrepare(b *testing.B) {
+	enabled := []MachineID{0, 1, 2, 3}
+	for _, name := range SchedulerNames() {
+		f, err := NewSchedulerFactory(name, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if f.Sequential() {
+			continue
+		}
+		b.Run(name, func(b *testing.B) {
+			s := f.New()
+			s.Prepare(0, 1000) // first Prepare builds the generator
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Prepare(int64(i), 1000)
+				cur := NoMachine
+				for k := 0; k < 8; k++ {
+					cur = s.NextMachine(enabled, cur)
+					cur = s.NextMachine(enabled, cur)
+					cur = s.NextMachine(enabled, cur)
+					s.NextInt(5)
+				}
+			}
+		})
+	}
+}

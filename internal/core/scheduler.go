@@ -289,17 +289,19 @@ func checkIntBound(sched string, n int) {
 	}
 }
 
-// reseed returns a generator seeded with seed, reusing rng when non-nil.
-// math/rand's Seed fully re-initializes the generator state, so the
-// resulting stream is bit-identical to a freshly constructed
-// rand.New(rand.NewSource(seed)) — the determinism contract (execution i's
-// schedule is a pure function of its seed) depends on that equivalence.
-// Reuse matters because Prepare runs once per execution: on the pooled
-// fast path the two rand.New allocations were among the last remaining
-// per-execution allocations in the engine.
+// reseed returns a generator seeded with seed, reusing rng when non-nil. It
+// is the one place a scheduler's generator is constructed. The contract:
+// the stream that follows equals rand.New(rand.NewSource(seed))'s bit for
+// bit, whatever rng drew before — execution i's schedule is a pure function
+// of its seed, and every trace and fixture recorded under math/rand's own
+// source keeps replaying. The generator is a lazySource (lazyrand.go), so
+// the reseed is O(1) rather than math/rand's 607-word fill;
+// TestLazySourceMatchesMathRand, TestLazySourceReseedLeavesNoStaleWords and
+// FuzzLazySourceMatchesMathRand pin the contract. Reuse matters because
+// Prepare runs once per execution and must not allocate.
 func reseed(rng *rand.Rand, seed int64) *rand.Rand {
 	if rng == nil {
-		return rand.New(rand.NewSource(seed))
+		rng = NewRand()
 	}
 	rng.Seed(seed)
 	return rng

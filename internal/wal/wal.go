@@ -15,13 +15,13 @@
 // paper's testing methodology exists to catch.
 package wal
 
-import "fmt"
+import "strconv"
 
 // hdrKey and valKey name a record's two durable writes. Records are
 // recovered by dense index scan, so recovery never iterates the durable
 // map — map order is hidden nondeterminism the engine cannot replay.
-func hdrKey(i int) string { return fmt.Sprintf("h/%d", i) }
-func valKey(i int) string { return fmt.Sprintf("v/%d", i) }
+func hdrKey(i int) string { return "h/" + strconv.Itoa(i) }
+func valKey(i int) string { return "v/" + strconv.Itoa(i) }
 
 // Recover rebuilds the record values from a durable map handed back by
 // Context.Recover. With fixTornTail set it implements the correct

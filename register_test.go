@@ -22,11 +22,7 @@ type lifoScheduler struct {
 func (s *lifoScheduler) Name() string { return "lifo" }
 
 func (s *lifoScheduler) Prepare(seed int64, _ int) bool {
-	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(seed))
-	} else {
-		s.rng.Seed(seed)
-	}
+	s.rng.Seed(seed)
 	return true
 }
 
@@ -41,7 +37,7 @@ func (s *lifoScheduler) NextInt(n int) int { return s.rng.Intn(n) }
 // registerLIFO registers the scheduler once for this test binary.
 var registerLIFO = func() error {
 	return gostorm.RegisterScheduler("lifo", gostorm.SchedulerSpec{
-		New: func(int) gostorm.Scheduler { return &lifoScheduler{} },
+		New: func(int) gostorm.Scheduler { return &lifoScheduler{rng: gostorm.NewRand()} },
 	})
 }()
 

@@ -1,6 +1,10 @@
 package gostorm
 
-import "github.com/gostorm/gostorm/internal/core"
+import (
+	"math/rand"
+
+	"github.com/gostorm/gostorm/internal/core"
+)
 
 // RegisterScheduler adds a user-defined exploration strategy under name,
 // making it a first-class citizen of the engine: valid for WithScheduler,
@@ -18,6 +22,11 @@ import "github.com/gostorm/gostorm/internal/core"
 // uniformly through the scheduler's NextInt stream). Run VerifyScheduler
 // after registering to hold the implementation to the contract.
 //
+// Prepare runs before every execution, so a scheduler that draws from a
+// seeded generator should build it once with NewRand and call its Seed in
+// Prepare: math/rand's own Seed costs about 11 µs, more than a short
+// execution.
+//
 // Registration is typically done from an init function or at the top of
 // a test. The name must be non-empty, must not contain commas or
 // whitespace, must not be "portfolio", and must not already be
@@ -25,6 +34,16 @@ import "github.com/gostorm/gostorm/internal/core"
 func RegisterScheduler(name string, spec SchedulerSpec) error {
 	return core.RegisterScheduler(name, spec)
 }
+
+// NewRand returns the generator the built-in schedulers draw from, for
+// registered schedulers to reseed in Prepare. After Seed(seed) its stream
+// is bit-identical to rand.New(rand.NewSource(seed))'s, but Seed is O(1)
+// (the state is produced as it is first read) instead of math/rand's
+// 607-word fill. Until the first Seed it behaves as if seeded with 1. Like
+// any *rand.Rand over a private source it is not safe for concurrent use;
+// a Scheduler instance is owned by one exploration worker, so it need not
+// be.
+func NewRand() *rand.Rand { return core.NewRand() }
 
 // SchedulerNames returns every registered scheduler name, sorted — the
 // valid values for WithScheduler and WithPortfolio.
