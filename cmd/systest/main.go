@@ -223,12 +223,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if len(cfg.Portfolio) > 0 {
-		// The engine gives every member at least one worker, so the true
-		// fleet size is in the per-member lines below; the banner reports
-		// the requested budget.
-		fmt.Fprintf(stdout, "racing a %s portfolio on %s (up to %d executions of %d steps per member, seed %d, %d-worker budget across %d members, faults %s)\n",
+		fmt.Fprintf(stdout, "racing a %s portfolio on %s (up to %d executions of %d steps per member, seed %d, %d members on one pool of %s, faults %s)\n",
 			strings.Join(cfg.Portfolio, "+"), sc.Name,
-			cfg.Iterations, cfg.MaxSteps, cfg.Seed, cfg.Workers, len(cfg.Portfolio), cfg.Faults)
+			cfg.Iterations, cfg.MaxSteps, cfg.Seed, len(cfg.Portfolio), describeWorkers(cfg), cfg.Faults)
 	} else {
 		fmt.Fprintf(stdout, "exploring %s with the %s scheduler (up to %d executions of %d steps, seed %d, %s, faults %s)\n",
 			sc.Name, cfg.Scheduler, cfg.Iterations, cfg.MaxSteps, cfg.Seed,
@@ -244,8 +241,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if ms.Winner {
 			marker = "*"
 		}
-		fmt.Fprintf(stdout, "%s member %d %-8s workers=%d executions=%d steps=%d elapsed=%.2fs\n",
-			marker, m, ms.Scheduler, ms.Workers, ms.Executions, ms.TotalSteps, ms.Elapsed.Seconds())
+		fmt.Fprintf(stdout, "%s member %d %-8s executions=%d steps=%d elapsed=%.2fs\n",
+			marker, m, ms.Scheduler, ms.Executions, ms.TotalSteps, ms.Elapsed.Seconds())
 	}
 	fmt.Fprintln(stdout, res.String())
 	if !res.BugFound {

@@ -44,24 +44,56 @@
 // import only this package — they are the proof that the API boundary
 // is real.
 //
+// # The exploration loop
+//
+// The engine is one idea — run the harness again under the next schedule
+// until a violation or the budget — and it is written once. A run's
+// schedule plan is PlanSize(opts) global positions: with nm members (one
+// for WithScheduler, len(members) for WithPortfolio), member m's
+// iteration i sits at position i*nm + m, so a portfolio interleaves its
+// members round-robin. The schedule explored at a position is a pure
+// function of (seed, m, i). Explore drains the range [0, PlanSize) and
+// ExploreShard any sub-range of it, through the same loop:
+//
+//   - Claiming. One pool of WithWorkers goroutines claims positions from
+//     one counter; every worker serves every member, with its own
+//     scheduler instance per member and its own execution pool. A
+//     sequential scheduler (dfs) backtracks through its previous
+//     execution, so its positions are walked in order by one goroutine of
+//     its own — the same code whether dfs is the whole run or one member
+//     of a portfolio.
+//   - First bug wins. The pruning bound is the lowest buggy position seen
+//     so far. Workers refuse to start, and abort in flight, positions at
+//     or beyond it and always finish lower ones, so the reported bug is
+//     the first in plan order — lowest iteration, ties broken by member
+//     order — at any worker count.
+//   - Calibration. Adaptive schedulers (pct, delay) place their probes
+//     within an estimate of the program length. Their iteration 0 runs
+//     first, alone, and its observed step count is pinned on every
+//     instance of the member, so their decision streams are pure
+//     functions of the iteration seed too.
+//   - Windows. With a feedback member (mutational) the range is drained
+//     in fixed-size generation windows with the corpus frozen inside a
+//     window and merged, in position order, at the barrier between two;
+//     without one the whole range is a single window.
+//   - Statistics. Each worker logs (position, steps) for what it ran —
+//     memory grows with the executions done, never with the budget asked
+//     for — and Executions, TotalSteps, the per-member Portfolio
+//     statistics and exhaustion are derived afterwards from the entries
+//     at or below the winning position: exactly what a one-worker run
+//     performs before it stops.
+//   - WithStopAfter. The first position always executes; the deadline is
+//     checked before every later claim.
+//
 // # Determinism contract
 //
 // A run is reproducible down to the bit, at any worker count, from its
-// seed and option set:
-//
-//   - Execution i's schedule is a pure function of (seed, i); which
-//     goroutine runs an execution is irrelevant to what it explores.
-//   - Portfolio member m's execution i is seeded purely from
-//     (seed, m, i); "first bug wins" is resolved on the canonical global
-//     order that interleaves members round-robin, ties broken by member
-//     order, so the winning (member, iteration, trace) and all canonical
-//     statistics are worker-count-independent.
-//   - Adaptive schedulers (pct, delay) are calibrated: iteration 0 runs
-//     first and its observed step count is pinned on every scheduler
-//     instance as the shared program-length estimate, so their decision
-//     streams are pure functions of the iteration seed too.
-//   - Pooling (see below) is semantically invisible, and every reported
-//     trace replays exactly, single-threaded.
+// seed and option set. The loop above is why: which goroutine runs a
+// position is irrelevant to what it explores, the winning (member,
+// iteration, trace) is decided by plan order, and the statistics count
+// only positions a sequential run would have reached. Pooling (see
+// below) is semantically invisible, and every reported trace replays
+// exactly, single-threaded.
 //
 // A seed's decision stream is math/rand's. Every built-in scheduler draws
 // from the generator NewRand returns, whose output after Seed(s) equals
@@ -119,7 +151,7 @@
 // can change which schedule a given iteration explores; reproduce a
 // feedback run with the same seed AND the same budget. Reported traces
 // replay exactly regardless, as for every scheduler. In a portfolio, one
-// feedback member moves the fleet onto the generation loop and all
+// feedback member gives the whole run generation windows and all
 // members share one corpus: a random member that stumbles into a novel
 // behavior seeds the prefixes the mutational member splices. Custom
 // schedulers opt in by declaring Feedback in their SchedulerSpec and

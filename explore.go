@@ -79,8 +79,8 @@ type Config struct {
 	Iterations int
 	// MaxSteps bounds each execution.
 	MaxSteps int
-	// Workers is the parallel exploration worker count (1 for
-	// sequential schedulers; split across members for a portfolio).
+	// Workers is the size of the exploration worker pool (1 for
+	// sequential schedulers; shared by all members of a portfolio).
 	Workers int
 	// Temperature is the liveness temperature threshold (0 = bound
 	// check only).

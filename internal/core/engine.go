@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -35,12 +33,14 @@ type Options struct {
 	// added via RegisterScheduler). Ignored when Portfolio is non-empty.
 	Scheduler string
 	// Portfolio, when non-empty, races the named schedulers against the
-	// test instead of running the single Scheduler: the worker budget is
-	// split across the members, the fleet stops on the first confirmed
-	// bug, and Result.Portfolio/Winner attribute the win. Duplicates are
-	// allowed and useful: each member derives an independent base seed
-	// from its index, so two "random" members explore disjoint
-	// pseudo-random schedule spaces.
+	// test instead of running the single Scheduler: the members'
+	// iterations interleave round-robin into one plan that the worker pool
+	// drains, the run stops on the first confirmed bug in plan order, and
+	// Result.Portfolio/Winner attribute the win. Iterations and MaxSteps
+	// apply to each member individually. Duplicates are allowed and
+	// useful: each member derives an independent base seed from its index,
+	// so two "random" members explore disjoint pseudo-random schedule
+	// spaces.
 	Portfolio []string
 	// PCTDepth is the number of priority change points for "pct"
 	// (default 2, the paper's configuration).
@@ -60,11 +60,13 @@ type Options struct {
 	// decision sequences recorded for mutation (default 64). Ignored by
 	// schedulers that declare no feedback.
 	CorpusSize int
-	// Workers is the number of parallel exploration workers (default
-	// runtime.NumCPU()). Each worker owns an independent Scheduler built
-	// by the run's SchedulerFactory, so no mutable scheduler state is
-	// shared. Sequential schedulers (dfs) and trace replay always run on
-	// a single worker regardless of this setting.
+	// Workers is the size of the run's one pool of exploration workers
+	// (default runtime.NumCPU()). Every worker serves every member of a
+	// portfolio — a three-member portfolio at Workers: 1 runs on one
+	// worker — and owns an independent Scheduler instance per member, so
+	// no mutable scheduler state is shared. A sequential scheduler (dfs)
+	// is walked in order by one goroutine of its own, outside the pool,
+	// and trace replay is single-threaded, whatever this setting.
 	//
 	// For every non-sequential scheduler the Result — including which bug
 	// is found, its trace, Executions and TotalSteps — is identical for
@@ -81,9 +83,11 @@ type Options struct {
 	// waiting for the full bound.
 	Temperature int
 	// StopAfter, when positive, bounds the total wall-clock time. The
-	// deadline is checked at execution granularity — before each worker
-	// starts its next execution — so a run can overshoot by the length of
-	// the executions in flight (at most MaxSteps scheduling steps each).
+	// run's first position (iteration 0; for ExploreShard, Shard.From)
+	// always executes, and the deadline is checked before every later
+	// claim — so a run performs at least one execution at any worker
+	// count, and can overshoot by the length of the executions in flight
+	// (at most MaxSteps scheduling steps each).
 	StopAfter time.Duration
 	// NoDeadlockDetection disables reporting machines stuck in Receive.
 	NoDeadlockDetection bool
@@ -120,8 +124,8 @@ type Options struct {
 	// including the buggy final one — with the number completed so far.
 	// Parallel workers serialize the calls under a lock, so the callback
 	// need not be goroutine-safe; counts are strictly increasing. When a
-	// parallel run finds a bug, executions already in flight at higher
-	// iteration indices still complete and are counted, so the final
+	// parallel run finds a bug, executions that completed at higher
+	// positions before it surfaced were counted too, so the final
 	// Progress count can exceed the canonical Executions of the Result.
 	Progress func(executions int)
 
@@ -133,11 +137,13 @@ type Options struct {
 	debugCheckEnabled bool
 }
 
-// validate rejects option values that used to be silently reinterpreted
-// (negative bounds fell back to defaults, masking caller bugs) with
-// typed ConfigErrors. Explore and Replay return the error before any
-// execution starts.
-func (o Options) validate() *ConfigError {
+// Validate checks the options without running anything, returning the
+// same *ConfigError Explore would: negative bounds (which used to be
+// silently reinterpreted as defaults, masking caller bugs), unknown
+// portfolio members, invalid fault budgets. The scheduler name is
+// validated when the run builds its factory (Explore's first act), so
+// configuration viewers should check both.
+func (o Options) Validate() error {
 	for _, c := range []struct {
 		name string
 		v    int
@@ -168,17 +174,20 @@ func (o Options) validate() *ConfigError {
 	return o.Faults.validate("Options.Faults")
 }
 
-// validateTest rejects invalid test declarations (negative fault budgets
+// ValidateTest checks a test declaration without running it, returning
+// the same *ConfigError Explore would: a negative declared fault budget
 // would otherwise silently disable the fault plane — a harness typo must
-// fail loudly, exactly like a bad Options field).
-func validateTest(t Test) *ConfigError {
+// fail loudly, exactly like a bad Options field.
+func ValidateTest(t Test) error {
 	return t.Faults.validate("Test.Faults")
 }
 
-// effectiveFaults resolves the fault budget of a run: disabled when
-// NoFaults is set, else Options.Faults when any field is set, else the
-// test's own declared budget.
-func effectiveFaults(t Test, o Options) Faults {
+// EffectiveFaults reports the fault budget a run of t under these options
+// uses: disabled when NoFaults is set, else Options.Faults when any field
+// is set, else the test's own declared budget. It is the single resolution
+// the engine applies, exported so callers surfacing the budget (CLI
+// banners, reports) cannot drift from it.
+func (o Options) EffectiveFaults(t Test) Faults {
 	if o.NoFaults {
 		return Faults{}
 	}
@@ -188,42 +197,12 @@ func effectiveFaults(t Test, o Options) Faults {
 	return t.Faults
 }
 
-// EffectiveFaults reports the fault budget a run of t under these options
-// uses — the single resolution (NoFaults over Options.Faults over
-// Test.Faults) the engine applies, exported so callers surfacing the
-// budget (CLI banners, reports) cannot drift from it.
-func (o Options) EffectiveFaults(t Test) Faults { return effectiveFaults(t, o) }
-
-// ValidateTest checks a test declaration without running it, returning
-// the same *ConfigError Explore would (a negative declared fault budget
-// must fail loudly, not silently disable the fault plane).
-func ValidateTest(t Test) error {
-	if err := validateTest(t); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Validate checks the options without running anything, returning the
-// same *ConfigError Explore would: negative bounds, unknown portfolio
-// members, invalid fault budgets. The scheduler name is validated by
-// NewSchedulerFactory (Explore's first act), so configuration viewers
-// should check both.
-func (o Options) Validate() error {
-	if err := o.validate(); err != nil {
-		return err
-	}
-	return nil
-}
-
 // WithDefaults returns the options with every unset field resolved to the
 // engine default (scheduler "random", 10,000 iterations of 10,000 steps,
 // PCT depth 2, one worker per CPU, the default log cap). Explore applies
 // it internally; it is exported so configuration viewers — the public
 // package's Resolve, CLI banners — report exactly what a run will use.
-func (o Options) WithDefaults() Options { return o.withDefaults() }
-
-func (o Options) withDefaults() Options {
+func (o Options) WithDefaults() Options {
 	if o.Scheduler == "" {
 		o.Scheduler = "random"
 	}
@@ -248,12 +227,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// execSeed derives execution i's seed from the base seed. The derivation
-// depends only on (Seed, i) — never on which worker runs the iteration —
-// which is what makes the explored schedule set a deterministic partition
-// of the iteration space.
-func (o Options) execSeed(i int) int64 {
-	return int64(splitmix64(uint64(o.Seed) + uint64(i)*0x9E3779B97F4A7C15))
+// resolved validates the options and the test and applies the defaults —
+// the common first act of Explore, ExploreShard and Replay.
+func (o Options) resolved(t Test) (Options, error) {
+	if err := o.Validate(); err != nil {
+		return o, err
+	}
+	if err := ValidateTest(t); err != nil {
+		return o, err
+	}
+	return o.WithDefaults(), nil
+}
+
+// execSeed derives execution i's seed from a base seed (the run's, or a
+// portfolio member's). The derivation depends only on (seed, i) — never on
+// which worker runs the iteration — which is what makes the explored
+// schedule set a deterministic partition of the iteration space.
+func execSeed(seed int64, i int) int64 {
+	return int64(splitmix64(uint64(seed) + uint64(i)*0x9E3779B97F4A7C15))
 }
 
 func (o Options) runtimeConfig(t Test, collectLog bool) runtimeConfig {
@@ -264,7 +255,7 @@ func (o Options) runtimeConfig(t Test, collectLog bool) runtimeConfig {
 		deadlockDetection: !o.NoDeadlockDetection,
 		collectLog:        collectLog,
 		logCap:            o.LogCap,
-		faults:            effectiveFaults(t, o),
+		faults:            o.EffectiveFaults(t),
 		checkEnabled:      o.debugCheckEnabled,
 	}
 }
@@ -330,33 +321,66 @@ func (res Result) String() string {
 // automatic, no false positives (assuming an accurate harness), every bug
 // witnessed by a replayable trace. It is the engine's single entry point:
 // Options.Scheduler selects a single strategy, Options.Portfolio races
-// several (see explorePortfolio for the portfolio determinism
-// contract), and both paths report the one Result shape.
+// several, and both report the one Result shape.
 //
 // A configuration error — a negative bound, an unknown scheduler or
 // portfolio member, an invalid fault budget — is returned as a typed
 // *ConfigError before any execution starts; Explore never panics on
 // configuration.
 //
-// Exploration fans out across Options.Workers goroutines, each owning an
-// independent scheduler instance; execution i's schedule depends only on
-// (Seed, i) — and, for portfolios, member m's execution i only on
-// (Seed, m, i). When a violation is found the engine cancels every
-// in-flight execution at a higher canonical position, finishes the lower
-// ones, and reports the bug at the lowest position — exactly the bug a
-// single-worker run of the same seed reports first.
+// Explore is the exploration loop (exploreRange, loop.go) over the whole
+// plan [0, PlanSize): member m's execution i sits at global position
+// i*len(members)+m and its schedule depends only on (Seed, m, i) — for a
+// single scheduler, only on (Seed, i). Positions are claimed by
+// Options.Workers goroutines; when a violation is found the loop cancels
+// every in-flight execution at a higher position, finishes the lower ones,
+// and reports the bug at the lowest position — the one a single-worker run
+// of the same seed reaches first. The statistics count exactly the
+// executions at or below that position, so for a fixed seed the Result —
+// winning member, iteration, trace, Executions, TotalSteps, per-member
+// attribution — is bit-identical at any worker count (absent a StopAfter
+// deadline).
 func Explore(t Test, o Options) (Result, error) {
-	if err := o.validate(); err != nil {
+	o, err := o.resolved(t)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := validateTest(t); err != nil {
+	portfolio := len(o.Portfolio) > 0
+	ex, err := exploreRange(t, o, Shard{To: PlanSize(o)}, portfolio)
+	if err != nil {
 		return Result{}, err
 	}
-	o = o.withDefaults()
-	if len(o.Portfolio) > 0 {
-		return explorePortfolio(t, o)
+	limit := ex.total
+	if ex.bug != nil {
+		limit = ex.bugPos + 1
 	}
-	return exploreSingle(t, o)
+	members := ex.tally(limit)
+	res := Result{BugFound: ex.bug != nil, Report: ex.bug, Exhausted: true}
+	for _, ms := range members {
+		res.Executions += ms.Executions
+		res.TotalSteps += ms.TotalSteps
+		res.Exhausted = res.Exhausted && ms.Exhausted
+	}
+	if portfolio {
+		res.Portfolio, res.Winner = members, -1
+	}
+	if ex.corpus != nil {
+		res.Corpus = ex.corpus.Fingerprints()
+	}
+	if ex.bug != nil {
+		res.Choices = len(ex.bug.Trace.Decisions)
+		if portfolio {
+			res.Winner = int(ex.bugPos % int64(len(members)))
+			members[res.Winner].Winner = true
+		}
+	}
+	res.Elapsed = time.Since(ex.start)
+	if ex.bug != nil && !o.NoReplayLog {
+		// The confirmation replay is single-threaded: it must reproduce
+		// the violation decision for decision.
+		attachReplayLog(t, o, ex.bug)
+	}
+	return res, nil
 }
 
 // MustExplore is Explore for callers whose configuration is statically
@@ -369,284 +393,6 @@ func MustExplore(t Test, o Options) Result {
 		panic(err)
 	}
 	return res
-}
-
-// exploreSingle is the single-scheduler exploration path. Options have
-// been validated and defaulted.
-func exploreSingle(t Test, o Options) (Result, error) {
-	f, err := NewSchedulerFactory(o.Scheduler, o.PCTDepth)
-	if err != nil {
-		return Result{}, err
-	}
-	workers := o.Workers
-	if f.Sequential() {
-		// The scheduler enumerates its space statefully across executions
-		// (dfs backtracking); partitioning iterations would skip branches.
-		workers = 1
-	}
-	if workers > o.Iterations {
-		workers = o.Iterations
-	}
-	st := runState{start: time.Now()}
-	if f.Adaptive() {
-		if res, done := calibrate(t, o, &f, &st); done {
-			return res, nil
-		}
-	}
-	if f.Feedback() {
-		// Feedback schedulers need the generation-barrier loop whatever the
-		// worker count: the corpus evolves between rounds. (A calibration
-		// execution, if any, ran corpus-less — iteration 0 has no corpus to
-		// mutate anyway — and contributes no candidate.)
-		return runFeedback(t, o, f, workers, st), nil
-	}
-	if workers <= 1 {
-		return runSequential(t, o, f.New(), st), nil
-	}
-	return runParallel(t, o, f, workers, st), nil
-}
-
-// runState carries exploration progress made before the main loop starts:
-// the adaptive schedulers' calibration execution at iteration 0.
-type runState struct {
-	start time.Time
-	first int   // first iteration index the main loop runs
-	execs int   // executions already performed
-	steps int64 // scheduling steps already performed
-}
-
-// calibrate performs iteration 0 with a fresh scheduler and pins the
-// observed step count on the factory as the shared program-length estimate
-// (see SchedulerFactory.WithLengthHint). Iteration 0 itself is already
-// deterministic — an adaptive scheduler's first execution has no history
-// to adapt to — so the estimate, and with it every later iteration's
-// decision stream, is a pure function of the seed and independent of
-// worker count. Returns done=true when the run is over (bug at iteration
-// 0, a single-iteration budget, or the deadline).
-func calibrate(t Test, o Options, f *SchedulerFactory, st *runState) (Result, bool) {
-	sched := f.New()
-	seed := o.execSeed(0)
-	if !sched.Prepare(seed, o.MaxSteps) {
-		return Result{Exhausted: true, Elapsed: time.Since(st.start)}, true
-	}
-	r := newRuntime(sched, o.runtimeConfig(t, false))
-	rep := r.execute(t)
-	st.first, st.execs, st.steps = 1, 1, int64(r.steps)
-	if o.Progress != nil {
-		o.Progress(1)
-	}
-	if rep != nil {
-		rep.Trace = newTrace(t.Name, sched.Name(), seed, effectiveFaults(t, o), r.dec.decode())
-		rep.Iteration = 0
-		res := Result{
-			BugFound:   true,
-			Report:     rep,
-			Executions: 1,
-			TotalSteps: int64(r.steps),
-			Choices:    r.dec.len(),
-			Elapsed:    time.Since(st.start),
-		}
-		if !o.NoReplayLog {
-			attachReplayLog(t, o, rep)
-		}
-		return res, true
-	}
-	*f = f.WithLengthHint(r.steps)
-	if o.Iterations <= 1 || (o.StopAfter > 0 && time.Since(st.start) > o.StopAfter) {
-		return Result{Executions: 1, TotalSteps: int64(r.steps), Elapsed: time.Since(st.start)}, true
-	}
-	return Result{}, false
-}
-
-// runSequential is the single-worker engine loop, also used for sequential
-// schedulers where iteration order is part of the exploration strategy.
-func runSequential(t Test, o Options, sched Scheduler, st runState) Result {
-	start := st.start
-	pool := newExecPool(o)
-	defer pool.release()
-	cfg := o.runtimeConfig(t, false)
-	res := Result{Executions: st.execs, TotalSteps: st.steps}
-	for i := st.first; i < o.Iterations; i++ {
-		seed := o.execSeed(i)
-		if !sched.Prepare(seed, o.MaxSteps) {
-			res.Exhausted = true
-			break
-		}
-		r := pool.runtime(sched, cfg)
-		rep := r.execute(t)
-		res.Executions++
-		res.TotalSteps += int64(r.steps)
-		if o.Progress != nil {
-			o.Progress(res.Executions)
-		}
-		if rep != nil {
-			rep.Trace = newTrace(t.Name, sched.Name(), seed, effectiveFaults(t, o), r.dec.decode())
-			rep.Iteration = i
-			res.BugFound = true
-			res.Report = rep
-			res.Choices = r.dec.len()
-			res.Elapsed = time.Since(start)
-			if !o.NoReplayLog {
-				attachReplayLog(t, o, rep)
-			}
-			return res
-		}
-		if o.StopAfter > 0 && time.Since(start) > o.StopAfter {
-			break
-		}
-	}
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// runParallel explores the iteration space with a pool of workers. Workers
-// claim iteration indices from a shared counter; each runs its executions
-// on a private scheduler instance, so the only shared mutable state is the
-// aggregation below.
-//
-// First-bug-wins, deterministically: bugIndex holds the lowest buggy
-// iteration seen so far. Workers refuse to start — and abort in-flight —
-// executions at or beyond it (those can only be superseded), but always
-// finish executions at lower indices, which may lower it further. When the
-// pool drains, every iteration below the final bugIndex has completed
-// cleanly, so the reported bug is the first one in iteration order and the
-// canonical statistics (Executions, TotalSteps, Choices) match what a
-// Workers:1 run of a per-iteration-deterministic scheduler reports.
-func runParallel(t Test, o Options, f SchedulerFactory, workers int, st runState) Result {
-	start := st.start
-	var deadline time.Time
-	if o.StopAfter > 0 {
-		deadline = start.Add(o.StopAfter)
-	}
-
-	var (
-		next      atomic.Int64 // next unclaimed iteration index
-		bugIndex  atomic.Int64 // lowest buggy iteration so far (Iterations = none)
-		completed atomic.Int64 // executions run to completion
-
-		// logs[w] is written by worker w alone (and only read after the
-		// pool drains), so it needs no lock.
-		logs = make(stepLogs, workers)
-
-		mu        sync.Mutex // guards the fields below, plus Progress calls
-		bugReport *BugReport
-		exhausted bool
-	)
-	next.Store(int64(st.first))
-	completed.Store(int64(st.execs))
-	bugIndex.Store(int64(o.Iterations))
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sched := f.New()
-			pool := newExecPool(o)
-			defer pool.release()
-			// The abort predicate is hoisted out of the loop: it reads the
-			// worker-local current iteration, written only by this goroutine
-			// between executions, so one closure serves every execution
-			// instead of allocating one per iteration.
-			var cur int64
-			cfg := o.runtimeConfig(t, false)
-			cfg.abort = func() bool { return cur >= bugIndex.Load() }
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= o.Iterations || int64(i) >= bugIndex.Load() {
-					return
-				}
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					return
-				}
-				seed := o.execSeed(i)
-				if !sched.Prepare(seed, o.MaxSteps) {
-					mu.Lock()
-					exhausted = true
-					mu.Unlock()
-					return
-				}
-				cur = int64(i)
-				r := pool.runtime(sched, cfg)
-				rep := r.execute(t)
-				if r.aborted {
-					// Superseded mid-flight by a bug at a lower index; the
-					// partial execution contributes nothing.
-					continue
-				}
-				logs[w] = append(logs[w], stepEntry{i, int64(r.steps)})
-				if o.Progress == nil {
-					completed.Add(1)
-				} else {
-					// Increment under the lock so Progress counts stay
-					// strictly increasing across workers.
-					mu.Lock()
-					o.Progress(int(completed.Add(1)))
-					mu.Unlock()
-				}
-				if rep != nil {
-					mu.Lock()
-					if int64(i) < bugIndex.Load() {
-						bugIndex.Store(int64(i))
-						rep.Trace = newTrace(t.Name, sched.Name(), seed, effectiveFaults(t, o), r.dec.decode())
-						rep.Iteration = i
-						bugReport = rep
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	res := Result{Exhausted: exhausted}
-	if bugReport != nil {
-		// Canonical, worker-count-independent statistics: only the
-		// iterations a sequential run would have performed count.
-		win := int(bugIndex.Load())
-		res.BugFound = true
-		res.Report = bugReport
-		res.Choices = len(bugReport.Trace.Decisions)
-		res.Executions = win + 1
-		res.TotalSteps = st.steps + logs.sum(win)
-		res.Elapsed = time.Since(start)
-		if !o.NoReplayLog {
-			// The confirmation replay stays single-threaded: it must
-			// reproduce the violation decision for decision.
-			attachReplayLog(t, o, bugReport)
-		}
-		return res
-	}
-	res.Executions = int(completed.Load())
-	res.TotalSteps = st.steps + logs.sum(o.Iterations)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// stepEntry records that iteration iter ran to completion in steps
-// scheduling steps. Each exploration worker appends one per execution it
-// completes, so a run's bookkeeping is proportional to the executions
-// done, not to the iteration budget requested.
-type stepEntry struct {
-	iter  int
-	steps int64
-}
-
-// stepLogs holds one append-only log per exploration worker.
-type stepLogs [][]stepEntry
-
-// sum totals the steps of the logged iterations up to and including win —
-// the iterations a sequential run stopping at win would have performed.
-func (l stepLogs) sum(win int) int64 {
-	var total int64
-	for _, log := range l {
-		for _, e := range log {
-			if e.iter <= win {
-				total += e.steps
-			}
-		}
-	}
-	return total
 }
 
 // attachReplayLog re-runs the buggy schedule with log collection to give
@@ -681,13 +427,10 @@ func Replay(t Test, tr *Trace, o Options) (*BugReport, error) {
 		// error beats the nil dereference it would otherwise hit.
 		return nil, &ConfigError{Field: "Trace", Reason: "must be non-nil (did DecodeTrace fail?)"}
 	}
-	if err := o.validate(); err != nil {
+	o, err := o.resolved(t)
+	if err != nil {
 		return nil, err
 	}
-	if err := validateTest(t); err != nil {
-		return nil, err
-	}
-	o = o.withDefaults()
 	sched := newReplayScheduler(tr)
 	sched.Prepare(0, o.MaxSteps)
 	cfg := o.runtimeConfig(t, true)

@@ -192,32 +192,84 @@ func TestSchedulerFactoryInstancesAreIndependent(t *testing.T) {
 	}
 }
 
+// hugeBudgetRuns are the adapter-level shapes of the one exploration loop —
+// single scheduler, feedback windows, portfolios with an adaptive and with
+// a feedback member, and a shard spanning the whole plan — each returning
+// the executions it counted.
+var hugeBudgetRuns = []struct {
+	name string
+	run  func(Test, Options) int
+}{
+	{"random", func(t Test, o Options) int {
+		o.Scheduler = "random"
+		return MustExplore(t, o).Executions
+	}},
+	{"mutational", func(t Test, o Options) int {
+		o.Scheduler = "mutational"
+		return MustExplore(t, o).Executions
+	}},
+	{"random,pct", func(t Test, o Options) int {
+		return MustExplore(t, withMembers(o, "random", "pct")).Executions
+	}},
+	{"random,mutational", func(t Test, o Options) int {
+		return MustExplore(t, withMembers(o, "random", "mutational")).Executions
+	}},
+	{"shard", func(t Test, o Options) int {
+		o = withMembers(o, "random", "pct")
+		res, err := ExploreShard(t, o, Shard{From: 0, To: PlanSize(o)})
+		if err != nil {
+			panic(err)
+		}
+		return res.Executions
+	}},
+}
+
 // TestHugeBudgetMemoryIsProportionalToWork: "run for 50 ms" written as an
 // enormous iteration count plus StopAfter must cost memory in proportion to
-// the executions actually done. The parallel loops used to allocate one
-// step counter per *requested* iteration — 8 GiB here — which ran the
-// deadline out before the first execution and OOM-killed -race runs.
+// the executions actually done. The loops used to allocate bookkeeping per
+// *requested* iteration — 8 GiB a member here — which ran the deadline out
+// before the first execution and OOM-killed -race runs.
 func TestHugeBudgetMemoryIsProportionalToWork(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, sched := range []string{"random", "mutational"} {
+	for _, c := range hugeBudgetRuns {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		res := MustExplore(pingPongTest(50, false), Options{
-			Scheduler: sched, Iterations: 1 << 30, StopAfter: 50 * time.Millisecond, Seed: 1, Workers: 2,
+		execs := c.run(pingPongTest(50, false), Options{
+			Iterations: 1 << 30, StopAfter: 50 * time.Millisecond, Seed: 1, Workers: 2,
 		})
 		wall := time.Since(start)
 		runtime.ReadMemStats(&after)
-		if res.BugFound || res.Executions < 1 || res.Executions == 1<<30 {
-			t.Fatalf("%s: %+v, want a clean time-bounded run of at least one execution", sched, res)
+		if execs < 1 || execs == 1<<30 {
+			t.Fatalf("%s: %d executions, want a time-bounded run of at least one", c.name, execs)
 		}
 		if wall > time.Second {
-			t.Errorf("%s: a 50 ms budget took %v", sched, wall)
+			t.Errorf("%s: a 50 ms budget took %v", c.name, wall)
 		}
 		alloc := after.TotalAlloc - before.TotalAlloc
-		t.Logf("%s: %d executions in %v, %d KiB allocated", sched, res.Executions, wall, alloc>>10)
+		t.Logf("%s: %d executions in %v, %d KiB allocated", c.name, execs, wall, alloc>>10)
 		if alloc > 64<<20 {
-			t.Errorf("%s: allocated %d MiB for %d executions", sched, alloc>>20, res.Executions)
+			t.Errorf("%s: allocated %d MiB for %d executions", c.name, alloc>>20, execs)
+		}
+	}
+}
+
+// TestStopAfterFirstPositionAlwaysExecutes pins the one meaning of
+// StopAfter: the range's first position always executes and the deadline
+// is checked before every later claim — so a deadline that has passed
+// before the run starts yields exactly one execution, whatever the shape
+// of the run or the worker count. (The loops used to disagree: one worker
+// ran an execution before looking at the clock, several looked first and
+// ran none.)
+func TestStopAfterFirstPositionAlwaysExecutes(t *testing.T) {
+	for _, c := range hugeBudgetRuns {
+		for _, workers := range []int{1, 4} {
+			execs := c.run(cleanChoiceTest(), Options{
+				Iterations: 1000, StopAfter: time.Nanosecond, Seed: 1, Workers: workers,
+			})
+			if execs != 1 {
+				t.Errorf("%s, %d workers: %d executions under an expired deadline, want 1", c.name, workers, execs)
+			}
 		}
 	}
 }

@@ -137,7 +137,7 @@ func TestOptionsValidationAcceptsZeroAndPositive(t *testing.T) {
 			Faults: Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3}},
 		{Portfolio: []string{"random", "pct", "random"}},
 	} {
-		if err := o.validate(); err != nil {
+		if err := o.Validate(); err != nil {
 			t.Fatalf("valid options rejected: %v", err)
 		}
 	}

@@ -115,16 +115,13 @@ func ParseFaultsSpec(spec string) (Faults, error) {
 // Field carries the offending sub-field ("Faults.MaxCrashes"). The
 // public package's WithFaults pre-validates through it, so the checked
 // field set can never drift from the engine's own validation.
-func (f Faults) Validate() error {
-	if err := f.validate("Faults"); err != nil {
-		return err
-	}
-	return nil
-}
+func (f Faults) Validate() error { return f.validate("Faults") }
 
 // validate rejects negative budgets with typed ConfigErrors; what names
-// the budget's origin ("Options.Faults" or "Test.Faults").
-func (f Faults) validate(what string) *ConfigError {
+// the budget's origin ("Options.Faults" or "Test.Faults"). It returns
+// error, not *ConfigError, so a clean result is an untyped nil whoever
+// passes it on.
+func (f Faults) validate(what string) error {
 	for _, c := range []struct {
 		name string
 		v    int

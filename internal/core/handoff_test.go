@@ -58,7 +58,7 @@ func TestParkingStressCrashRestartRelease(t *testing.T) {
 	if testing.Short() {
 		iters = 40
 	}
-	o := Options{Iterations: 1, MaxSteps: 500}.withDefaults()
+	o := Options{Iterations: 1, MaxSteps: 500}.WithDefaults()
 	digests := make([][]uint64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -151,7 +151,7 @@ func TestNoCoroutineLeaks(t *testing.T) {
 		for _, noReuse := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/NoReuse=%v", c.name, noReuse), func(t *testing.T) {
 				base := runtime.NumGoroutine()
-				o := Options{Iterations: 1, MaxSteps: c.maxSteps, NoReuse: noReuse}.withDefaults()
+				o := Options{Iterations: 1, MaxSteps: c.maxSteps, NoReuse: noReuse}.WithDefaults()
 				cfg := o.runtimeConfig(c.test, false)
 				sched := NewRandomScheduler()
 				pool := newExecPool(o)

@@ -193,7 +193,7 @@ func TestPooledTraceReplays(t *testing.T) {
 // the mechanics the benchmarks measure: one Runtime per pool, recycled
 // machine structs, and parked goroutines re-armed instead of respawned.
 func TestPoolReusesRuntimeAndWorkers(t *testing.T) {
-	o := Options{Iterations: 1, MaxSteps: 1000}.withDefaults()
+	o := Options{Iterations: 1, MaxSteps: 1000}.WithDefaults()
 	pool := newExecPool(o)
 	defer pool.release()
 	sched := NewRandomScheduler()
@@ -245,7 +245,7 @@ func TestPoolReleaseStopsWorkers(t *testing.T) {
 // resetting the runtime that recorded a trace must not clobber the
 // trace's decision sequence.
 func TestTraceOwnsItsDecisions(t *testing.T) {
-	o := Options{Iterations: 1, MaxSteps: 1000}.withDefaults()
+	o := Options{Iterations: 1, MaxSteps: 1000}.WithDefaults()
 	pool := newExecPool(o)
 	defer pool.release()
 	sched := NewRandomScheduler()

@@ -3,19 +3,18 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// MemberStats describes one portfolio member's share of a portfolio run.
-// All fields except Elapsed are canonical — identical for a fixed seed at
-// any worker count (absent a StopAfter deadline).
+// MemberStats describes one portfolio member's share of a portfolio run —
+// the paper's observation operationalized: no single exploration strategy
+// finds all bugs, so practitioners race several and take the first hit.
+// Every field except Elapsed is canonical: derived from the executions at
+// or below the winning position of the plan, and so identical for a fixed
+// seed at any worker count (absent a StopAfter deadline).
 type MemberStats struct {
 	// Scheduler is the member's scheduler name.
 	Scheduler string
-	// Workers is the number of exploration workers the member received.
-	Workers int
 	// Executions is the number of executions attributed to the member.
 	// When a bug wins the race, only iterations at or below the winning
 	// position in the canonical global order count (the executions a
@@ -24,8 +23,9 @@ type MemberStats struct {
 	// TotalSteps is the scheduling steps across the counted executions.
 	TotalSteps int64
 	// Elapsed is the cumulative wall-clock time spent inside the member's
-	// executions. Members run concurrently, so these sum to more than
-	// Result.Elapsed; unlike the other fields it is not deterministic.
+	// executions, wherever in the worker pool they ran. Executions run
+	// concurrently, so these can sum to more than Result.Elapsed; it is
+	// the one field that is a measurement, not a function of the seed.
 	Elapsed time.Duration
 	// Winner reports that this member found the winning bug.
 	Winner bool
@@ -58,293 +58,8 @@ func ParsePortfolioSpec(spec string) ([]string, error) {
 
 // memberSeed derives portfolio member m's base seed from the run seed.
 // It is a pure function of (seed, m), so each member's execution i gets
-// seed derived purely from (Seed, m, i) via Options.execSeed — never from
-// worker scheduling — which is what makes portfolio results reproducible.
+// seed derived purely from (Seed, m, i) via execSeed — never from worker
+// scheduling — which is what makes portfolio results reproducible.
 func memberSeed(seed int64, m int) int64 {
 	return int64(splitmix64(uint64(seed) ^ splitmix64(0xD1B54A32D192ED03+uint64(m))))
-}
-
-// portfolioWorkerSplit divides the run's worker budget across members:
-// an even split with the remainder going to the earliest members, at
-// least one worker each, and sequential members (dfs) capped at one.
-func portfolioWorkerSplit(workers int, factories []SchedulerFactory) []int {
-	nm := len(factories)
-	split := make([]int, nm)
-	for m := range split {
-		split[m] = workers / nm
-	}
-	for m := 0; m < workers%nm; m++ {
-		split[m]++
-	}
-	for m := range split {
-		if split[m] < 1 {
-			split[m] = 1
-		}
-		if factories[m].Sequential() {
-			split[m] = 1
-		}
-	}
-	return split
-}
-
-// explorePortfolio races a portfolio of schedulers against one test — the
-// paper's observation operationalized: no single exploration strategy
-// finds all bugs, so practitioners run several and take the first hit.
-// The fleet stops on the first confirmed bug; Result reports which member
-// won (Winner, Portfolio[Winner]), at which of its iterations, with a
-// trace that replays exactly. Options have been validated and defaulted;
-// Options.Scheduler is ignored, Iterations and MaxSteps apply to each
-// member individually, and Workers are divided across the members (each
-// member receives at least one worker).
-//
-// Determinism contract. Member m's execution i is seeded purely from
-// (Seed, m, i), and adaptive members are calibrated exactly as in the
-// single-scheduler path, so every execution's outcome is a pure function
-// of the portfolio spec and seed. "First bug wins" is resolved on the
-// canonical global order that interleaves members round-robin — global
-// position of (member m, iteration i) is i*len(Members)+m — so the
-// winning bug is the one at the lowest iteration, ties between members at
-// the same iteration broken by the fixed member order. Workers abandon
-// executions at or beyond the current best position but always finish
-// lower ones, so for a fixed seed the winning (member, iteration, trace)
-// and all canonical statistics are bit-identical at any worker count
-// (absent a StopAfter deadline).
-func explorePortfolio(t Test, o Options) (Result, error) {
-	factories := make([]SchedulerFactory, len(o.Portfolio))
-	for m, name := range o.Portfolio {
-		// Unknown members were already rejected by Options.validate; this
-		// error path only fires if the registry shrank mid-run, which it
-		// cannot (registration is add-only).
-		f, err := NewSchedulerFactory(name, o.PCTDepth)
-		if err != nil {
-			return Result{}, err
-		}
-		factories[m] = f
-	}
-	for _, f := range factories {
-		if f.Feedback() {
-			// Any feedback member moves the whole fleet onto the
-			// generation-barrier loop: the shared corpus must evolve on a
-			// schedule every member agrees on.
-			return explorePortfolioFeedback(t, o, factories)
-		}
-	}
-	nm := len(o.Portfolio)
-	split := portfolioWorkerSplit(o.Workers, factories)
-
-	start := time.Now()
-	var deadline time.Time
-	if o.StopAfter > 0 {
-		deadline = start.Add(o.StopAfter)
-	}
-
-	none := int64(nm) * int64(o.Iterations)
-	var (
-		// bestGlobal is the lowest global position of a confirmed bug so
-		// far ("none" when no bug). It only ever decreases.
-		bestGlobal atomic.Int64
-		completed  atomic.Int64 // executions run to completion, for Progress
-
-		mu        sync.Mutex // guards bugReport/winner, plus Progress calls
-		bugReport *BugReport
-		winner    = -1
-	)
-	bestGlobal.Store(none)
-
-	type memberRun struct {
-		next    atomic.Int64 // next unclaimed member-local iteration
-		elapsed atomic.Int64 // cumulative execution nanoseconds
-		// exhaustAt is the lowest member-local iteration whose Prepare
-		// refused (o.Iterations = never). Whether a member *reaches* its
-		// exhaustion point before the fleet stops is timing-dependent, so
-		// the final stats only count it when it lies inside the canonical
-		// window — where the drain rule guarantees it is always reached.
-		exhaustAt atomic.Int64
-		// ran[i]/steps[i] are written by the one worker that completed
-		// iteration i and only read after the fleet drains.
-		ran   []bool
-		steps []int64
-	}
-	members := make([]*memberRun, nm)
-	for m := range members {
-		members[m] = &memberRun{
-			ran:   make([]bool, o.Iterations),
-			steps: make([]int64, o.Iterations),
-		}
-		members[m].exhaustAt.Store(int64(o.Iterations))
-	}
-
-	var wg sync.WaitGroup
-	for m := 0; m < nm; m++ {
-		m := m
-		mr := members[m]
-		mo := o
-		mo.Seed = memberSeed(o.Seed, m)
-		f := factories[m]
-
-		globalPos := func(i int) int64 { return int64(i)*int64(nm) + int64(m) }
-
-		// runIteration executes member iteration i on sched, drawing the
-		// runtime from the calling worker's pool (nil = unpooled). cfg must
-		// carry an abort predicate reading *curG, which runIteration sets
-		// to the iteration's global position before executing — the closure
-		// is built once per worker instead of once per execution. Returns
-		// false when the member must stop claiming work (exhaustion or a
-		// winning bug that prunes everything the member has left).
-		runIteration := func(sched Scheduler, pool *execPool, cfg runtimeConfig, curG *int64, i int) bool {
-			g := globalPos(i)
-			seed := mo.execSeed(i)
-			if !sched.Prepare(seed, o.MaxSteps) {
-				for {
-					prev := mr.exhaustAt.Load()
-					if int64(i) >= prev || mr.exhaustAt.CompareAndSwap(prev, int64(i)) {
-						break
-					}
-				}
-				return false
-			}
-			*curG = g
-			r := pool.runtime(sched, cfg)
-			t0 := time.Now()
-			rep := r.execute(t)
-			mr.elapsed.Add(int64(time.Since(t0)))
-			if r.aborted {
-				// Superseded mid-flight by a bug at a lower global
-				// position; the partial execution contributes nothing.
-				return true
-			}
-			mr.ran[i] = true
-			mr.steps[i] = int64(r.steps)
-			if o.Progress == nil {
-				completed.Add(1)
-			} else {
-				mu.Lock()
-				o.Progress(int(completed.Add(1)))
-				mu.Unlock()
-			}
-			if rep != nil {
-				mu.Lock()
-				if g < bestGlobal.Load() {
-					bestGlobal.Store(g)
-					rep.Trace = newTrace(t.Name, sched.Name(), seed, effectiveFaults(t, o), r.dec.decode())
-					rep.Iteration = i
-					bugReport = rep
-					winner = m
-				}
-				mu.Unlock()
-			}
-			return true
-		}
-
-		work := func(sched Scheduler) {
-			pool := newExecPool(o)
-			defer pool.release()
-			var curG int64
-			cfg := o.runtimeConfig(t, false)
-			cfg.abort = func() bool { return curG >= bestGlobal.Load() }
-			for {
-				i := int(mr.next.Add(1) - 1)
-				if i >= o.Iterations || globalPos(i) >= bestGlobal.Load() {
-					return
-				}
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					return
-				}
-				if !runIteration(sched, pool, cfg, &curG, i) {
-					return
-				}
-			}
-		}
-
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if f.Adaptive() {
-				// Calibration, exactly as in Run: the member's iteration 0
-				// runs alone, and its observed length is pinned on every
-				// instance the member's workers use. If it surfaces a bug
-				// (or is pruned), nothing the member has left can beat it.
-				if globalPos(0) >= bestGlobal.Load() {
-					return
-				}
-				sched := f.New()
-				var calG int64
-				calCfg := o.runtimeConfig(t, false)
-				calCfg.abort = func() bool { return calG >= bestGlobal.Load() }
-				if !runIteration(sched, nil, calCfg, &calG, 0) || bestGlobal.Load() <= globalPos(0) {
-					return
-				}
-				hint := int(mr.steps[0])
-				if mr.ran[0] {
-					f = f.WithLengthHint(hint)
-				}
-				mr.next.Store(1)
-			}
-			var mwg sync.WaitGroup
-			for w := 0; w < split[m]; w++ {
-				mwg.Add(1)
-				go func() {
-					defer mwg.Done()
-					work(f.New())
-				}()
-			}
-			mwg.Wait()
-		}()
-	}
-	wg.Wait()
-
-	// Canonical, worker-count-independent statistics: only iterations at
-	// or below the winning global position count — exactly the executions
-	// a round-robin interleaving of the members performs before the bug.
-	best := bestGlobal.Load()
-	res := Result{Winner: -1, Portfolio: make([]MemberStats, nm)}
-	allExhausted := true
-	for m, mr := range members {
-		limit := o.Iterations
-		if best < none {
-			if int64(m) > best {
-				limit = 0
-			} else {
-				limit = int((best-int64(m))/int64(nm)) + 1
-			}
-			if limit > o.Iterations {
-				limit = o.Iterations
-			}
-		}
-		ms := MemberStats{
-			Scheduler: o.Portfolio[m],
-			Workers:   split[m],
-			Elapsed:   time.Duration(mr.elapsed.Load()),
-			Exhausted: mr.exhaustAt.Load() < int64(limit),
-		}
-		for i := 0; i < limit; i++ {
-			if mr.ran[i] {
-				ms.Executions++
-				ms.TotalSteps += mr.steps[i]
-			}
-		}
-		res.Portfolio[m] = ms
-		res.Executions += ms.Executions
-		res.TotalSteps += ms.TotalSteps
-		if !ms.Exhausted {
-			allExhausted = false
-		}
-	}
-	res.Exhausted = allExhausted
-	if bugReport != nil {
-		res.BugFound = true
-		res.Report = bugReport
-		res.Choices = len(bugReport.Trace.Decisions)
-		res.Winner = winner
-		res.Portfolio[winner].Winner = true
-		res.Elapsed = time.Since(start)
-		if !o.NoReplayLog {
-			// The confirmation replay stays single-threaded: it must
-			// reproduce the violation decision for decision.
-			attachReplayLog(t, o, bugReport)
-		}
-		return res, nil
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
 }

@@ -178,9 +178,6 @@ func TestPortfolioCleanRunCoversAllMembers(t *testing.T) {
 		if ms.Executions != 200 {
 			t.Fatalf("member %d executions = %d, want 200", m, ms.Executions)
 		}
-		if ms.Workers < 1 {
-			t.Fatalf("member %d received no workers", m)
-		}
 		total += ms.Executions
 	}
 	if res.Executions != total {
@@ -252,30 +249,6 @@ func TestPortfolioProgressMonotonic(t *testing.T) {
 		if n != i+1 {
 			t.Fatalf("progress call %d reported %d, want %d", i, n, i+1)
 		}
-	}
-}
-
-// TestPortfolioWorkerSplit: the worker budget is divided evenly, earliest
-// members take the remainder, everyone gets at least one, and sequential
-// members are capped at one.
-func TestPortfolioWorkerSplit(t *testing.T) {
-	mustFactory := func(name string) SchedulerFactory {
-		f, err := NewSchedulerFactory(name, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	fs := []SchedulerFactory{mustFactory("random"), mustFactory("pct"), mustFactory("delay")}
-	if got := portfolioWorkerSplit(8, fs); got[0] != 3 || got[1] != 3 || got[2] != 2 {
-		t.Fatalf("split(8, 3 members) = %v, want [3 3 2]", got)
-	}
-	if got := portfolioWorkerSplit(1, fs); got[0] != 1 || got[1] != 1 || got[2] != 1 {
-		t.Fatalf("split(1, 3 members) = %v, want [1 1 1] (every member explores)", got)
-	}
-	withDFS := []SchedulerFactory{mustFactory("random"), mustFactory("dfs")}
-	if got := portfolioWorkerSplit(8, withDFS); got[1] != 1 {
-		t.Fatalf("split gave the sequential dfs member %d workers, want 1", got[1])
 	}
 }
 

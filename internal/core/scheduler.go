@@ -79,7 +79,8 @@ func (f SchedulerFactory) New() Scheduler {
 // every execution of a run in order on a single instance — the exhaustive
 // dfs scheduler backtracks through the decision tree of the *previous*
 // execution, so its schedule space cannot be partitioned across workers.
-// The engine forces Workers to 1 for sequential schedulers.
+// The engine walks a sequential scheduler's iterations in order on one
+// goroutine with one instance, outside the worker pool.
 func (f SchedulerFactory) Sequential() bool { return f.sequential }
 
 // Adaptive reports that the scheduler places its probes (priority change
@@ -101,10 +102,11 @@ func (f SchedulerFactory) WithLengthHint(steps int) SchedulerFactory {
 }
 
 // Feedback reports that the scheduler consumes execution feedback — a
-// corpus of coverage-novel trace prefixes — and therefore needs the
-// engine's generation-barrier exploration paths: the corpus must be
-// attached to every instance (WithCorpus) and may only grow at canonical
-// round boundaries, or results would depend on worker interleaving.
+// corpus of coverage-novel trace prefixes — and therefore makes the
+// exploration loop drain its range in generation windows: the corpus must
+// be attached to every instance (WithCorpus) and may only grow at the
+// barriers between windows, or results would depend on worker
+// interleaving.
 func (f SchedulerFactory) Feedback() bool { return f.feedback }
 
 // WithCorpus returns a copy of the factory whose instances all share the
@@ -481,9 +483,10 @@ func (s *pctScheduler) NextFault(c FaultChoice) int {
 }
 
 // rrScheduler is a deterministic round-robin baseline: it cycles through
-// machines in ID order. Useful as a control in scheduler ablations; it
-// explores exactly one schedule, so Prepare reports exhaustion after the
-// first execution unless choices remain random-free.
+// machines in ID order. Useful as a control in scheduler ablations. The
+// machine order is the same in every execution — only RandomBool/RandomInt
+// and fault outcomes vary with the seed — but Prepare never reports
+// exhaustion: a run spends its whole budget on that one machine order.
 type rrScheduler struct {
 	rng  *rand.Rand
 	last MachineID

@@ -1,25 +1,17 @@
 package core
 
 // This file is the engine-side hook of the distributed exploration control
-// plane (internal/dist): ExploreShard runs a test over an explicit
-// sub-range of the run's global schedule plan.
-//
-// The plan. A run of Explore with nm portfolio members (nm = 1 for a
-// single-scheduler run) and I iterations spans nm*I global positions; the
-// position of member m's iteration i is g = i*nm + m — the iteration-major,
-// member-minor round-robin order that already resolves first-bug-wins in
-// explorePortfolio. Every execution's schedule is a pure function of
-// (Seed, m, i) via memberSeed and Options.execSeed, so the plan can be cut
-// into arbitrary position ranges and the ranges explored by different
-// processes, on different machines, in any order — and the union of the
-// shard results is the single-process result. That is the determinism
-// contract the distributed coordinator builds on: the winning bug is the
-// one at the lowest global position, wherever it was found.
+// plane (internal/dist): ExploreShard runs the exploration loop (loop.go)
+// over an explicit sub-range of the run's global schedule plan. Every
+// position's schedule is a pure function of the plan, so the ranges can be
+// explored by different processes, on different machines, in any order —
+// and the union of the shard results is the single-process result. That is
+// the determinism contract the distributed coordinator builds on: the
+// winning bug is the one at the lowest global position, wherever it was
+// found.
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -111,18 +103,15 @@ type ShardResult struct {
 // a run under these options — len(Portfolio) (or 1) times Iterations,
 // after defaulting. Shards partition [0, PlanSize).
 func PlanSize(o Options) int64 {
-	o = o.withDefaults()
-	nm := len(o.Portfolio)
-	if nm == 0 {
-		nm = 1
-	}
-	return int64(nm) * int64(o.Iterations)
+	o = o.WithDefaults()
+	return int64(max(len(o.Portfolio), 1)) * int64(o.Iterations)
 }
 
 // ExploreShard explores the global positions [sh.From, sh.To) of the
 // schedule plan Explore(t, o) would run — the engine hook distributed
 // exploration is built on. The options carry the full plan (seed, budget,
-// portfolio); the shard selects the owned slice of it.
+// portfolio); the shard selects the owned slice of it, and the same loop
+// Explore runs over [0, PlanSize) drains it.
 //
 // Determinism contract: for a fixed plan the outcome of every position is
 // a pure function of the position, so for any partition of [0, PlanSize)
@@ -137,25 +126,15 @@ func PlanSize(o Options) int64 {
 // same corpus schedule — e.g. a single full-range shard.)
 //
 // Sequential schedulers (dfs) enumerate their space statefully across
-// executions and cannot be partitioned; they are rejected with a
-// ConfigError.
+// executions and cannot be partitioned; a proper sub-range of a plan with
+// a sequential member is rejected with a ConfigError.
 func ExploreShard(t Test, o Options, sh Shard) (ShardResult, error) {
-	if err := o.validate(); err != nil {
+	o, err := o.resolved(t)
+	if err != nil {
 		return ShardResult{}, err
 	}
-	if err := validateTest(t); err != nil {
-		return ShardResult{}, err
-	}
-	o = o.withDefaults()
-
-	members := o.Portfolio
-	portfolio := len(members) > 0
-	if !portfolio {
-		members = []string{o.Scheduler}
-	}
-	nm := len(members)
-	total := int64(nm) * int64(o.Iterations)
-	if sh.From < 0 || sh.To > total || sh.From >= sh.To {
+	nm := max(len(o.Portfolio), 1)
+	if total := PlanSize(o); sh.From < 0 || sh.To > total || sh.From >= sh.To {
 		return ShardResult{}, &ConfigError{
 			Field:  "Shard",
 			Reason: fmt.Sprintf("position range [%d, %d) must be a non-empty sub-range of the plan [0, %d)", sh.From, sh.To, total),
@@ -167,354 +146,43 @@ func ExploreShard(t Test, o Options, sh Shard) (ShardResult, error) {
 			Reason: fmt.Sprintf("got %d hints for %d members", len(sh.LengthHints), nm),
 		}
 	}
-
-	factories := make([]SchedulerFactory, nm)
-	feedback := false
-	for m, name := range members {
-		f, err := NewSchedulerFactory(name, o.PCTDepth)
-		if err != nil {
-			return ShardResult{}, err
-		}
-		if f.Sequential() {
-			return ShardResult{}, &ConfigError{
-				Field:  "Shard",
-				Reason: fmt.Sprintf("scheduler %q enumerates its schedule space statefully and cannot explore a sub-range", name),
-			}
-		}
-		if f.Feedback() {
-			feedback = true
-		}
-		factories[m] = f
+	ex, err := exploreRange(t, o, sh, false)
+	if err != nil {
+		return ShardResult{}, err
 	}
 
-	// Member m's options differ from the run's only in the seed — and only
-	// for portfolio runs; a single-scheduler plan uses o.Seed directly,
-	// matching exploreSingle.
-	mopts := make([]Options, nm)
-	for m := range mopts {
-		mo := o
-		if portfolio {
-			mo.Seed = memberSeed(o.Seed, m)
-		}
-		mopts[m] = mo
+	// Canonical, worker-count-independent accounting: a bug caps the
+	// counted prefix at its own position — executions that raced past it
+	// contribute nothing — so for a fixed plan and shard the statistics
+	// are identical at any Workers count.
+	limit := sh.To
+	if ex.bug != nil {
+		limit = max(sh.From, min(limit, ex.bugPos+1))
 	}
-
-	corpus := sh.Corpus
-	if feedback && corpus == nil {
-		corpus = newCorpus(o.CorpusSize)
-	}
-
-	start := time.Now()
-	var deadline time.Time
-	if o.StopAfter > 0 {
-		deadline = start.Add(o.StopAfter)
-	}
-
-	n := sh.To - sh.From
-	var (
-		bugIndex  atomic.Int64 // lowest buggy global position so far (total = none)
-		completed atomic.Int64 // executions run to completion, for Progress
-
-		// done[g-From]/ran[g-From]/steps[g-From] are written by the one
-		// goroutine that resolved position g and read after the pool
-		// drains, so they need no lock. done means the position needs no
-		// re-run (completed or refused); ran means an execution actually
-		// happened there.
-		done  = make([]bool, n)
-		ran   = make([]bool, n)
-		steps = make([]int64, n)
-
-		mu        sync.Mutex // guards bugReport/bugMember, plus Progress calls
-		bugReport *BugReport
-		bugMember int
-		exhausted atomic.Bool
-
-		// Calibration executions for positions the shard does not own are
-		// real work but outside [From, To); they are tallied separately.
-		extraExecs int
-		extraSteps int64
-	)
-	bugIndex.Store(total)
-
-	// bound is the pruning frontier: positions at or beyond it are
-	// abandoned. It only ever decreases (bugIndex is lowered under mu,
-	// Stop is contractually non-increasing).
-	bound := func() int64 {
-		b := bugIndex.Load()
-		if sh.Stop != nil {
-			if s := sh.Stop(); s < b {
-				b = s
-			}
-		}
-		return b
-	}
-
-	noteBug := func(g int64, m, i int, schedName string, seed int64, r *Runtime, rep *BugReport) {
-		mu.Lock()
-		if g < bugIndex.Load() {
-			bugIndex.Store(g)
-			rep.Trace = newTrace(t.Name, schedName, seed, effectiveFaults(t, o), r.dec.decode())
-			rep.Iteration = i
-			bugReport = rep
-			bugMember = m
-		}
-		mu.Unlock()
-	}
-
-	countProgress := func() {
-		if o.Progress == nil {
-			completed.Add(1)
-			return
-		}
-		mu.Lock()
-		o.Progress(int(completed.Add(1)))
-		mu.Unlock()
-	}
-
-	// Calibration. An adaptive member's iteration 0 always runs on a
-	// fresh, un-hinted scheduler instance — exactly as in calibrate — so
-	// its decision stream is a pure function of the member seed whichever
-	// shard executes it. The observed step count is pinned as the member's
-	// length hint before the claim loop builds any shared instances; a
-	// shard that does not own position m can reuse a cached hint from a
-	// previous ShardResult of the same plan instead of re-deriving it.
-	hints := make([]int, nm)
-	for m := range factories {
-		if !factories[m].Adaptive() {
-			continue
-		}
-		g := int64(m) // global position of (member m, iteration 0)
-		owned := g >= sh.From && g < sh.To
-		if g >= bound() {
-			// Everything the member could contribute is already pruned.
-			continue
-		}
-		if !owned {
-			if sh.LengthHints != nil && sh.LengthHints[m] > 0 {
-				hints[m] = sh.LengthHints[m]
-				factories[m] = factories[m].WithLengthHint(hints[m])
-				continue
-			}
-			if firstPosOfMember(m, nm, sh.From) >= sh.To {
-				// The shard owns no position of this member at all.
-				continue
-			}
-		}
-		sched := factories[m].New()
-		seed := mopts[m].execSeed(0)
-		if !sched.Prepare(seed, o.MaxSteps) {
-			exhausted.Store(true)
-			if owned {
-				done[g-sh.From] = true
-			}
-			continue
-		}
-		r := newRuntime(sched, o.runtimeConfig(t, false))
-		rep := r.execute(t)
-		if owned {
-			done[g-sh.From] = true
-			ran[g-sh.From] = true
-			steps[g-sh.From] = int64(r.steps)
-		} else {
-			extraExecs++
-			extraSteps += int64(r.steps)
-		}
-		countProgress()
-		if rep != nil {
-			noteBug(g, m, 0, sched.Name(), seed, r, rep)
-			continue
-		}
-		hints[m] = r.steps
-		factories[m] = factories[m].WithLengthHint(r.steps)
-	}
-
-	// The corpus attaches after length-hint pinning so feedback members
-	// get fully configured factories (as in explorePortfolioFeedback).
-	for m := range factories {
-		if factories[m].Feedback() {
-			factories[m] = factories[m].WithCorpus(corpus)
-		}
-	}
-
-	workers := o.Workers
-	if int64(workers) > n {
-		workers = int(n)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Scheduler instances and pools persist across generation windows.
-	scheds := make([][]Scheduler, workers)
-	pools := make([]*execPool, workers)
-	for w := range scheds {
-		scheds[w] = make([]Scheduler, nm)
-		for m := range scheds[w] {
-			scheds[w][m] = factories[m].New()
-		}
-		pools[w] = newExecPool(o)
-		defer pools[w].release()
-	}
-
-	// runWindow drains global positions [wf, wt) with the worker pool —
-	// runParallel's claim loop, generalized to interleave members.
-	// candRow, when non-nil, records corpus candidates indexed by g-wf.
-	runWindow := func(wf, wt int64, candRow []feedbackCandidate) {
-		var next atomic.Int64
-		next.Store(wf)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var cur int64
-				cfg := o.runtimeConfig(t, false)
-				cfg.abort = func() bool { return cur >= bound() }
-				for {
-					g := next.Add(1) - 1
-					if g >= wt || g >= bound() {
-						return
-					}
-					if !deadline.IsZero() && time.Now().After(deadline) {
-						return
-					}
-					if done[g-sh.From] {
-						// Already resolved by calibration.
-						continue
-					}
-					m := int(g % int64(nm))
-					i := int(g / int64(nm))
-					sched := scheds[w][m]
-					seed := mopts[m].execSeed(i)
-					if !sched.Prepare(seed, o.MaxSteps) {
-						exhausted.Store(true)
-						done[g-sh.From] = true
-						continue
-					}
-					cur = g
-					r := pools[w].runtime(sched, cfg)
-					rep := r.execute(t)
-					if r.aborted {
-						// Superseded mid-flight by a bug (or stop bound) at a
-						// lower position; the partial execution contributes
-						// nothing.
-						continue
-					}
-					done[g-sh.From] = true
-					ran[g-sh.From] = true
-					steps[g-sh.From] = int64(r.steps)
-					countProgress()
-					if rep != nil {
-						noteBug(g, m, i, sched.Name(), seed, r, rep)
-						continue
-					}
-					if candRow != nil {
-						// The corpus is frozen during the window; duplicates
-						// within it are resolved at the merge (lowest position
-						// wins), exactly as in runFeedback.
-						if fp := r.Fingerprint(); !corpus.has(fp) && !corpus.full() {
-							candRow[g-wf] = feedbackCandidate{fp: fp, decisions: r.dec.decode(), ok: true}
-						}
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
-	var candidates []CorpusCandidate
-	if !feedback {
-		runWindow(sh.From, sh.To, nil)
-	} else {
-		// Generation windows sit at multiples of feedbackRoundSize in
-		// iteration space — i.e. feedbackRoundSize*nm in position space —
-		// regardless of where the shard starts, mirroring runFeedback and
-		// explorePortfolioFeedback: the corpus any position observes is a
-		// function of its generation, not of the shard cut.
-		genPositions := int64(feedbackRoundSize) * int64(nm)
-		for wf := sh.From; wf < sh.To; {
-			wt := (wf/genPositions + 1) * genPositions
-			if wt > sh.To {
-				wt = sh.To
-			}
-			cand := make([]feedbackCandidate, wt-wf)
-			runWindow(wf, wt, cand)
-
-			mu.Lock()
-			buggy := bugReport != nil
-			mu.Unlock()
-			if buggy {
-				// A generation that ends with a bug does not merge: its
-				// later positions are non-canonical.
-				break
-			}
-			for j := range cand {
-				if cand[j].ok && corpus.add(cand[j].fp, int(wf+int64(j)), cand[j].decisions) {
-					candidates = append(candidates, CorpusCandidate{
-						Fingerprint: cand[j].fp,
-						Position:    wf + int64(j),
-						Decisions:   cand[j].decisions,
-					})
-				}
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				break
-			}
-			wf = wt
-		}
-	}
-
-	// The pool has drained: aggregation state is quiescent.
 	res := ShardResult{
 		From:        sh.From,
 		To:          sh.To,
-		Exhausted:   exhausted.Load(),
-		Candidates:  candidates,
-		LengthHints: hints,
+		ResolvedTo:  ex.resolvedTo(sh.From, limit),
+		Candidates:  ex.candidates,
+		LengthHints: ex.hints,
 	}
-	// Canonical, worker-count-independent accounting: a bug caps the
-	// counted prefix at its own position — executions that raced past it
-	// contribute nothing, exactly as in runParallel — so for a fixed plan
-	// and shard the statistics are identical at any Workers count.
-	capPos := n
-	if bugReport != nil {
-		b := bugIndex.Load()
-		if b < sh.From {
-			capPos = 0
-		} else if b+1-sh.From < capPos {
-			capPos = b + 1 - sh.From
-		}
+	// Calibration executions at unowned positions (all below From) are
+	// real work and count too.
+	for _, ms := range ex.tally(res.ResolvedTo) {
+		res.Executions += ms.Executions
+		res.TotalSteps += ms.TotalSteps
+		res.Exhausted = res.Exhausted || ms.Exhausted
 	}
-	resolved := int64(0)
-	for resolved < capPos && done[resolved] {
-		resolved++
-	}
-	res.ResolvedTo = sh.From + resolved
-	res.Executions = extraExecs
-	res.TotalSteps = extraSteps
-	for j := int64(0); j < resolved; j++ {
-		if ran[j] {
-			res.Executions++
-			res.TotalSteps += steps[j]
-		}
-	}
-	if bugReport != nil {
+	if ex.bug != nil {
 		res.BugFound = true
-		res.BugPos = bugIndex.Load()
-		res.Member = bugMember
-		res.Report = bugReport
-		res.Choices = len(bugReport.Trace.Decisions)
+		res.BugPos = ex.bugPos
+		res.Member = int(ex.bugPos % int64(nm))
+		res.Report = ex.bug
+		res.Choices = len(ex.bug.Trace.Decisions)
 		if !o.NoReplayLog {
-			attachReplayLog(t, o, bugReport)
+			attachReplayLog(t, o, ex.bug)
 		}
 	}
-	res.Elapsed = time.Since(start)
+	res.Elapsed = time.Since(ex.start)
 	return res, nil
-}
-
-// firstPosOfMember returns the lowest global position >= from that belongs
-// to member m in an nm-member plan.
-func firstPosOfMember(m, nm int, from int64) int64 {
-	r := from % int64(nm)
-	d := (int64(m) - r + int64(nm)) % int64(nm)
-	return from + d
 }

@@ -330,7 +330,7 @@ func (co *Coordinator) ingestBugLocked(agent string, b *WireBug) {
 
 // mergeCorpusLocked merges buffered candidates into the fleet corpus in
 // canonical position order, up to the contiguous resolved frontier — the
-// distributed analogue of runFeedback's generation barrier.
+// distributed analogue of the exploration loop's generation barrier.
 func (co *Coordinator) mergeCorpusLocked() {
 	if !co.feedback || len(co.pendCands) == 0 {
 		return

@@ -70,9 +70,10 @@ func WithScheduler(name string) Option {
 
 // WithPortfolio races the named schedulers against the test instead of
 // running a single strategy — the paper's observation that no single
-// exploration strategy finds every bug, made operational. The worker
-// budget is split across the members, the fleet stops on the first
-// confirmed bug, and Result.Portfolio/Result.Winner attribute the win.
+// exploration strategy finds every bug, made operational. The members'
+// iterations interleave round-robin into one plan drained by the one
+// worker pool, the run stops on the first confirmed bug in plan order,
+// and Result.Portfolio/Result.Winner attribute the win.
 // Duplicate members are allowed and useful: each member derives an
 // independent base seed from its index. It overrides an earlier
 // WithScheduler: the run races the portfolio.
@@ -136,12 +137,12 @@ func WithMaxSteps(n int) Option {
 	}
 }
 
-// WithWorkers sets the number of parallel exploration workers (default:
-// one per CPU; in a portfolio the budget is split across members, each
-// receiving at least one). Results are bit-identical at every worker
-// count — the engine's determinism contract — so this is purely a
-// throughput knob. Sequential schedulers (dfs) and replay always run on a
-// single worker regardless.
+// WithWorkers sets the size of the run's one pool of exploration workers
+// (default: one per CPU). In a portfolio every worker serves every member,
+// so WithWorkers(1) really is one worker. Results are bit-identical at
+// every worker count — the engine's determinism contract — so this is
+// purely a throughput knob. A sequential scheduler (dfs) is walked by one
+// goroutine of its own and replay is single-threaded, regardless.
 func WithWorkers(n int) Option {
 	return func(c *config) {
 		if n <= 0 {
@@ -165,9 +166,10 @@ func WithTemperature(steps int) Option {
 	}
 }
 
-// WithStopAfter bounds the total wall-clock time of the run. The deadline
-// is checked at execution granularity, so a run can overshoot by the
-// length of the executions in flight.
+// WithStopAfter bounds the total wall-clock time of the run. The run's
+// first position always executes and the deadline is checked before every
+// later one is claimed, so a run performs at least one execution and can
+// overshoot by the length of the executions in flight.
 func WithStopAfter(d time.Duration) Option {
 	return func(c *config) {
 		if d <= 0 {

@@ -64,8 +64,8 @@ func PlanSize(opts ...Option) (int64, error) {
 // when shards observe the same corpus schedule. Any bug they report is
 // still real and its trace replays exactly.)
 //
-// Sequential schedulers (dfs) enumerate their space statefully and are
-// rejected with a *ConfigError.
+// Sequential schedulers (dfs) enumerate their space statefully; a proper
+// sub-range of a plan that has one is rejected with a *ConfigError.
 func ExploreShard(t Test, sh Shard, opts ...Option) (ShardResult, error) {
 	c, err := resolve(opts)
 	if err != nil {
