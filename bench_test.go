@@ -671,19 +671,21 @@ func BenchmarkAblationLivenessDetection(b *testing.B) {
 	}
 }
 
-// BenchmarkMTableCleanExecution measures the cost of one clean
-// MigratingTable execution (the unit the 100,000-execution budget is made
-// of).
+// BenchmarkMTableCleanExecution measures the cost of one clean, pooled
+// MigratingTable execution — the unit the 100,000-execution budget is made
+// of: one Explore of b.N iterations on one worker, so ns/op, B/op and
+// allocs/op are per execution and the pool and coroutine spawn are paid
+// once, as in a real run. Invariant: allocs/op and B/op stay within the
+// bounds of TestCleanExecutionAllocBudget (internal/mtable/harness), which
+// gates the same figure in tier-1.
 func BenchmarkMTableCleanExecution(b *testing.B) {
 	b.ReportAllocs()
-	test := mharness.Test(mharness.HarnessConfig{})
-	for i := 0; i < b.N; i++ {
-		res := core.MustExplore(test, core.Options{
-			Scheduler: "random", Iterations: 1, MaxSteps: 30000,
-			Seed: int64(i + 1), NoReplayLog: true,
-		})
-		if res.BugFound {
-			b.Fatalf("unexpected bug: %v", res.Report.Error())
-		}
+	res := core.MustExplore(mharness.Test(mharness.HarnessConfig{}), core.Options{
+		Scheduler: "random", Iterations: b.N, MaxSteps: 30000,
+		Seed: 1, Workers: 1, NoReplayLog: true,
+	})
+	if res.BugFound {
+		b.Fatalf("unexpected bug: %v", res.Report.Error())
 	}
+	b.ReportMetric(float64(res.TotalSteps)/float64(b.N), "steps/op")
 }

@@ -67,7 +67,7 @@ func TestVTBatchAtomicFailureAcrossMigration(t *testing.T) {
 		if err != nil || len(rows) != 1 {
 			t.Fatalf("steps=%d: r1 query: %v %v", steps, rows, err)
 		}
-		if rows[0].Props["v"] == 100 {
+		if val(rows[0].Props, "v") == 100 {
 			t.Fatalf("steps=%d: failed batch leaked a write", steps)
 		}
 	}
@@ -110,7 +110,7 @@ func TestVTLargeBatchWithinLimit(t *testing.T) {
 		ops = append(ops, Operation{
 			Kind:  OpInsert,
 			Key:   Key{"P", string(rune('a' + i))},
-			Props: Properties{"v": int64(i)},
+			Props: Props(Prop{"v", int64(i)}),
 		})
 	}
 	if _, err := e.mt.ExecuteBatch(ops); err != nil {

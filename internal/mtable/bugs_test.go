@@ -80,14 +80,14 @@ func TestBugTombstoneOutputETagManifests(t *testing.T) {
 	// The delete was against an old-resident row: tombstone inserted. A
 	// second delete+insert cycle on a new-table resident exercises the
 	// replace-tombstone path.
-	res, err := e.mt.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{"P", "r1"}, Props: Properties{"v": 5}}})
+	res, err := e.mt.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{"P", "r1"}, Props: Props(Prop{"v", 5})}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	staleETag := res[0].ETag
 	// Using the returned etag must work; with the bug it is the
 	// tombstone's stale backend etag, so the conditional op fails.
-	_, err = e.mt.ExecuteBatch([]Operation{{Kind: OpReplace, Key: Key{"P", "r1"}, Props: Properties{"v": 6}, ETag: staleETag}})
+	_, err = e.mt.ExecuteBatch([]Operation{{Kind: OpReplace, Key: Key{"P", "r1"}, Props: Props(Prop{"v", 6}), ETag: staleETag}})
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("expected stale-etag conflict under the bug, got %v", err)
 	}
@@ -99,11 +99,11 @@ func TestTombstoneOutputETagFixedIsClean(t *testing.T) {
 	if _, err := e.mt.ExecuteBatch([]Operation{buildOp(opSpec{kind: OpDelete, row: "r1", etag: "any"}, e.vtETags)}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.mt.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{"P", "r1"}, Props: Properties{"v": 5}}})
+	res, err := e.mt.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{"P", "r1"}, Props: Props(Prop{"v", 5})}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.mt.ExecuteBatch([]Operation{{Kind: OpReplace, Key: Key{"P", "r1"}, Props: Properties{"v": 6}, ETag: res[0].ETag}}); err != nil {
+	if _, err := e.mt.ExecuteBatch([]Operation{{Kind: OpReplace, Key: Key{"P", "r1"}, Props: Props(Prop{"v", 6}), ETag: res[0].ETag}}); err != nil {
 		t.Fatalf("returned etag rejected on fixed code: %v", err)
 	}
 }
@@ -120,7 +120,7 @@ func TestBugQueryAtomicFilterShadowingManifests(t *testing.T) {
 	}
 	for _, r := range rows {
 		if r.Key.Row == "r1" {
-			if r.Props["v"] != 10 {
+			if val(r.Props, "v") != 10 {
 				t.Fatalf("unexpected r1 contents: %v", r.Props)
 			}
 			return // stale shadowed row leaked: bug manifested
@@ -150,7 +150,7 @@ func TestBugEnsurePartitionSwitchedManifests(t *testing.T) {
 	}
 	// The stale-cached client writes without the guard: the write lands in
 	// the old table after the copy pass and is lost.
-	if _, err := e.mt.ExecuteBatch([]Operation{{Kind: OpReplace, Key: Key{"P", "r1"}, Props: Properties{"v": 777}, ETag: ETagAny}}); err != nil {
+	if _, err := e.mt.ExecuteBatch([]Operation{{Kind: OpReplace, Key: Key{"P", "r1"}, Props: Props(Prop{"v", 777}), ETag: ETagAny}}); err != nil {
 		t.Fatalf("stale write failed outright: %v", err)
 	}
 	fresh := NewMigratingTable(e.old, e.new, e.guard, 3, 0, NopReporter)
@@ -159,7 +159,7 @@ func TestBugEnsurePartitionSwitchedManifests(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if r.Key.Row == "r1" && r.Props["v"] == 777 {
+		if r.Key.Row == "r1" && val(r.Props, "v") == 777 {
 			t.Fatal("write survived — the seeded bug did not manifest")
 		}
 	}
@@ -187,7 +187,7 @@ func TestBugMigrateSkipPreferOldManifests(t *testing.T) {
 	e.step(6)
 	// Correct client code, stale cache: its guard still passes, so the
 	// write lands in the old table and disappears.
-	if _, err := e.mt.ExecuteBatch([]Operation{{Kind: OpReplace, Key: Key{"P", "r1"}, Props: Properties{"v": 888}, ETag: ETagAny}}); err != nil {
+	if _, err := e.mt.ExecuteBatch([]Operation{{Kind: OpReplace, Key: Key{"P", "r1"}, Props: Props(Prop{"v", 888}), ETag: ETagAny}}); err != nil {
 		t.Fatalf("stale write failed outright: %v", err)
 	}
 	fresh := NewMigratingTable(e.old, e.new, e.guard, 3, 0, NopReporter)
@@ -196,7 +196,7 @@ func TestBugMigrateSkipPreferOldManifests(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if r.Key.Row == "r1" && r.Props["v"] == 888 {
+		if r.Key.Row == "r1" && val(r.Props, "v") == 888 {
 			t.Fatal("write survived — the seeded bug did not manifest")
 		}
 	}
@@ -217,7 +217,7 @@ func TestBugMigrateSkipUseNewWithTombstonesManifests(t *testing.T) {
 // falls beyond the new pager's prefetched window.
 func resurrectionEnv(t *testing.T, bugs Bugs) (*seqEnv, RowStream) {
 	t.Helper()
-	e := newSeqEnv(t, bugs, map[string]Properties{
+	e := newSeqEnv(t, bugs, map[string]map[string]int64{
 		"a": {"v": 1}, "c": {"v": 3}, "e": {"v": 5},
 	})
 	e.step(2) // PreferNew
@@ -304,7 +304,7 @@ func TestCleanupWaitsForStreamsWhenFixed(t *testing.T) {
 }
 
 func TestBugQueryStreamedBackUpNewStreamManifests(t *testing.T) {
-	e := newSeqEnv(t, BugQueryStreamedBackUpNewStream, map[string]Properties{
+	e := newSeqEnv(t, BugQueryStreamedBackUpNewStream, map[string]map[string]int64{
 		"a": {"v": 1}, "b": {"v": 2}, "c": {"v": 3}, "d": {"v": 4}, "e": {"v": 5}, "f": {"v": 6},
 	})
 	e.step(2) // PreferNew
@@ -340,7 +340,7 @@ func TestBugQueryStreamedBackUpNewStreamManifests(t *testing.T) {
 }
 
 func TestBackUpNewStreamFixedLosesNothing(t *testing.T) {
-	e := newSeqEnv(t, 0, map[string]Properties{
+	e := newSeqEnv(t, 0, map[string]map[string]int64{
 		"a": {"v": 1}, "b": {"v": 2}, "c": {"v": 3}, "d": {"v": 4}, "e": {"v": 5}, "f": {"v": 6},
 	})
 	e.step(2)
@@ -414,7 +414,7 @@ func TestBugDeleteNoLeaveTombstonesEtagTranslation(t *testing.T) {
 	// The wildcard-etag defect is only observable under a racing write;
 	// here we pin the translated backend operation itself.
 	mt := NewMigratingTable(NewRefTable(), NewRefTable(), NewStreamGuard(), 1, BugDeleteNoLeaveTombstonesEtag, NopReporter)
-	op, _ := mt.translateNew(
+	op, _, _ := mt.translateNew(
 		Operation{Kind: OpDelete, Key: Key{"P", "r"}, ETag: ETagAny},
 		resident{inNew: true, vetag: 5, backend: 42},
 		PhaseUseNewWithTombstones,
@@ -423,7 +423,7 @@ func TestBugDeleteNoLeaveTombstonesEtagTranslation(t *testing.T) {
 		t.Fatalf("buggy translation: %+v", op)
 	}
 	mtFixed := NewMigratingTable(NewRefTable(), NewRefTable(), NewStreamGuard(), 1, 0, NopReporter)
-	op, _ = mtFixed.translateNew(
+	op, _, _ = mtFixed.translateNew(
 		Operation{Kind: OpDelete, Key: Key{"P", "r"}, ETag: ETagAny},
 		resident{inNew: true, vetag: 5, backend: 42},
 		PhaseUseNewWithTombstones,

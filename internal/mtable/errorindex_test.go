@@ -38,8 +38,8 @@ func failingBatches(cur map[string]int64) []struct {
 		{
 			name: "two conflicts report the first",
 			batch: []Operation{
-				{Kind: OpReplace, Key: key("k0"), Props: Properties{"v": int64(9)}, ETag: stale},
-				{Kind: OpReplace, Key: key("k1"), Props: Properties{"v": int64(9)}, ETag: stale},
+				{Kind: OpReplace, Key: key("k0"), Props: Props(Prop{"v", int64(9)}), ETag: stale},
+				{Kind: OpReplace, Key: key("k1"), Props: Props(Prop{"v", int64(9)}), ETag: stale},
 			},
 			index: 0, err: ErrConflict,
 		},
@@ -55,24 +55,24 @@ func failingBatches(cur map[string]int64) []struct {
 		{
 			name: "notfound before conflict",
 			batch: []Operation{
-				{Kind: OpMerge, Key: key("k9"), Props: Properties{"v": int64(9)}, ETag: ETagAny},
-				{Kind: OpMerge, Key: key("k2"), Props: Properties{"v": int64(9)}, ETag: stale},
+				{Kind: OpMerge, Key: key("k9"), Props: Props(Prop{"v", int64(9)}), ETag: ETagAny},
+				{Kind: OpMerge, Key: key("k2"), Props: Props(Prop{"v", int64(9)}), ETag: stale},
 			},
 			index: 0, err: ErrNotFound,
 		},
 		{
 			name: "conflict before notfound",
 			batch: []Operation{
-				{Kind: OpMerge, Key: key("k2"), Props: Properties{"v": int64(9)}, ETag: stale},
-				{Kind: OpMerge, Key: key("k9"), Props: Properties{"v": int64(9)}, ETag: ETagAny},
+				{Kind: OpMerge, Key: key("k2"), Props: Props(Prop{"v", int64(9)}), ETag: stale},
+				{Kind: OpMerge, Key: key("k9"), Props: Props(Prop{"v", int64(9)}), ETag: ETagAny},
 			},
 			index: 0, err: ErrConflict,
 		},
 		{
 			name: "exists before conflict",
 			batch: []Operation{
-				{Kind: OpInsert, Key: key("k1"), Props: Properties{"v": int64(9)}},
-				{Kind: OpReplace, Key: key("k2"), Props: Properties{"v": int64(9)}, ETag: stale},
+				{Kind: OpInsert, Key: key("k1"), Props: Props(Prop{"v", int64(9)})},
+				{Kind: OpReplace, Key: key("k2"), Props: Props(Prop{"v", int64(9)}), ETag: stale},
 			},
 			index: 0, err: ErrExists,
 		},
@@ -96,7 +96,7 @@ func TestRefTableReportsLowestFailingIndex(t *testing.T) {
 	rt := NewRefTable()
 	cur := map[string]int64{}
 	for _, row := range []string{"k0", "k1", "k2"} {
-		res, err := rt.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{"P", row}, Props: Properties{"v": int64(1)}}})
+		res, err := rt.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{"P", row}, Props: Props(Prop{"v", int64(1)})}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestVTReportsLowestFailingIndex(t *testing.T) {
 	}
 	for _, stage := range stages {
 		t.Run(stage.name, func(t *testing.T) {
-			e := newSeqEnv(t, 0, map[string]Properties{
+			e := newSeqEnv(t, 0, map[string]map[string]int64{
 				"k0": {"v": int64(1)}, "k1": {"v": int64(1)}, "k2": {"v": int64(1)},
 			})
 			e.step(stage.steps)
@@ -143,7 +143,7 @@ func TestVTReportsLowestFailingIndex(t *testing.T) {
 // in the new one, clients with both fresh and stale caches must converge
 // (no retry exhaustion) and stay equivalent to the oracle.
 func TestVTHandOverWindow(t *testing.T) {
-	e := newSeqEnv(t, 0, map[string]Properties{
+	e := newSeqEnv(t, 0, map[string]map[string]int64{
 		"k0": {"v": int64(1)}, "k1": {"v": int64(2)},
 	})
 	// Warm the client cache in PhasePreferOld, then freeze the old table.

@@ -61,27 +61,15 @@ func Test(hc HarnessConfig) core.Test {
 	if hc.CrashMigrator {
 		name += "-crash"
 	}
+	names := serviceNames(hc.Services)
 	t := core.Test{
 		Name: name,
 		Entry: func(ctx *core.Context) {
-			tables := &tablesMachine{
-				old:  mtable.NewRefTable(),
-				new:  mtable.NewRefTable(),
-				rt:   mtable.NewRefTable(),
-				hist: mtable.NewHistory(),
-			}
-			if err := mtable.InitializeMigration(tables.old, tables.new, Partition); err != nil {
-				ctx.Assert(false, "initializing migration: %v", err)
-			}
-			seeded := seedData(ctx, tables, hc.SeedRows)
-			tablesID := ctx.CreateMachine(tables, "Tables")
-
-			guard := mtable.NewStreamGuard()
-			var serviceIDs []core.MachineID
-			for i := 0; i < hc.Services; i++ {
-				name := fmt.Sprintf("Service%d", i)
+			tablesID, guard, seeded := startTables(ctx, hc.SeedRows)
+			serviceIDs := make([]core.MachineID, len(names))
+			for i, name := range names {
 				svc := newServiceMachine(name, tablesID, guard, int64(i+1), hc.Bugs, hc.OpsPerService, seeded)
-				serviceIDs = append(serviceIDs, ctx.CreateMachine(svc, name))
+				serviceIDs[i] = ctx.CreateMachine(svc, name)
 			}
 			migM := newMigratorMachine(tablesID, guard, hc.Bugs, hc.TimerPacedMigrator)
 			migID := ctx.CreateMachine(migM, "Migrator")
@@ -103,25 +91,66 @@ func Test(hc HarnessConfig) core.Test {
 	return t
 }
 
+// serviceNames returns the labels of n service machines.
+func serviceNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("Service%d", i)
+	}
+	return names
+}
+
+// startTables builds this execution's tables — initialized for migration
+// and seeded with the first seedRows rows of the pre-migration data set —
+// and creates the Tables machine that owns them. It returns the machine,
+// a fresh stream guard, and the etag pairs services start from.
+func startTables(ctx *core.Context, seedRows int) (core.MachineID, *mtable.StreamGuard, etagTable) {
+	tables := newTablesMachine()
+	if err := mtable.InitializeMigration(tables.old, tables.new, Partition); err != nil {
+		ctx.Assert(false, "initializing migration: %v", err)
+	}
+	seeded := seedData(ctx, tables, seedRows)
+	return ctx.CreateMachine(tables, "Tables"), mtable.NewStreamGuard(), seeded
+}
+
+// seedRow is one row of the pre-migration data set: rowPool[i] holding
+// {"v": i}, under virtual etag 7<<32|i+1 in the old table.
+type seedRow struct {
+	key     mtable.Key
+	vetag   int64
+	props   mtable.Properties // as users (and the reference table) see it
+	backend mtable.Properties // as the old table stores it
+}
+
+// seedRows is the data set; immutable, so every execution shares it.
+var seedRows = func() (out [len(rowPool)]seedRow) {
+	for i, row := range rowPool {
+		r := seedRow{
+			key:   mtable.Key{Partition: Partition, Row: row},
+			vetag: int64(7)<<32 | int64(i+1),
+			props: vProps(int64(i)),
+		}
+		r.backend = mtable.SeedBackendRow(r.props, r.vetag)
+		out[i] = r
+	}
+	return out
+}()
+
 // seedData populates the old table (with virtual etags), the reference
-// table, and the history with the pre-migration data set, and returns the
+// table, and the history with the first n seed rows, and returns the
 // initial etag pairs services start from.
-func seedData(ctx *core.Context, tables *tablesMachine, n int) map[string]etagPair {
-	seeded := make(map[string]etagPair, n)
-	for i := 0; i < n; i++ {
-		row := rowPool[i]
-		key := mtable.Key{Partition: Partition, Row: row}
-		vetag := int64(7)<<32 | int64(i+1)
-		backendProps := mtable.SeedBackendRow(mtable.Properties{"v": int64(i)}, vetag)
-		if _, err := tables.old.ExecuteBatch([]mtable.Operation{{Kind: mtable.OpInsert, Key: key, Props: backendProps}}); err != nil {
+func seedData(ctx *core.Context, tables *tablesMachine, n int) etagTable {
+	var seeded etagTable
+	for i, r := range seedRows[:n] {
+		if _, err := tables.old.ExecuteBatch([]mtable.Operation{{Kind: mtable.OpInsert, Key: r.key, Props: r.backend}}); err != nil {
 			ctx.Assert(false, "seeding old table: %v", err)
 		}
-		res, err := tables.rt.ExecuteBatch([]mtable.Operation{{Kind: mtable.OpInsert, Key: key, Props: mtable.Properties{"v": int64(i)}}})
+		res, err := tables.rt.ExecuteBatch([]mtable.Operation{{Kind: mtable.OpInsert, Key: r.key, Props: r.props}})
 		if err != nil {
 			ctx.Assert(false, "seeding reference table: %v", err)
 		}
-		tables.hist.Record(0, key, mtable.Properties{"v": int64(i)})
-		seeded[row] = etagPair{vt: vetag, rt: res[0].ETag}
+		tables.hist.Record(0, r.key, r.props)
+		seeded[i].etagPair, seeded[i].ok = etagPair{vt: r.vetag, rt: res[0].ETag}, true
 	}
 	return seeded
 }

@@ -37,7 +37,7 @@ func customTest(scenario, bugs mtable.Bugs) core.Test {
 		// before the stream runs — an interleaving for the scheduler.
 		scripts = [][]scriptStep{
 			{
-				{write: &mtable.Operation{Kind: mtable.OpReplace, Key: mtable.Key{Row: "k1"}, Props: mtable.Properties{"v": 50}, ETag: mtable.ETagAny}},
+				{write: &mtable.Operation{Kind: mtable.OpReplace, Key: mtable.Key{Row: "k1"}, Props: vProps(50), ETag: mtable.ETagAny}},
 			},
 			{
 				{stream: true, filter: lowFilter},
@@ -51,7 +51,7 @@ func customTest(scenario, bugs mtable.Bugs) core.Test {
 		// the migrator runs.
 		scripts = [][]scriptStep{
 			{
-				{write: &mtable.Operation{Kind: mtable.OpInsert, Key: mtable.Key{Row: "k3"}, Props: mtable.Properties{"v": 3}}},
+				{write: &mtable.Operation{Kind: mtable.OpInsert, Key: mtable.Key{Row: "k3"}, Props: vProps(3)}},
 				{write: &mtable.Operation{Kind: mtable.OpDelete, Key: mtable.Key{Row: "k2"}, ETag: mtable.ETagAny}},
 			},
 			{
@@ -66,7 +66,7 @@ func customTest(scenario, bugs mtable.Bugs) core.Test {
 		scripts = [][]scriptStep{
 			{
 				{query: true}, // warm the phase cache
-				{write: &mtable.Operation{Kind: mtable.OpReplace, Key: mtable.Key{Row: "k1"}, Props: mtable.Properties{"v": 40}, ETag: mtable.ETagAny}},
+				{write: &mtable.Operation{Kind: mtable.OpReplace, Key: mtable.Key{Row: "k1"}, Props: vProps(40), ETag: mtable.ETagAny}},
 				{query: true},
 			},
 			{
@@ -79,11 +79,11 @@ func customTest(scenario, bugs mtable.Bugs) core.Test {
 		// upsert silently overwrites the loser.
 		scripts = [][]scriptStep{
 			{
-				{write: &mtable.Operation{Kind: mtable.OpInsert, Key: mtable.Key{Row: "k4"}, Props: mtable.Properties{"v": 1}}},
+				{write: &mtable.Operation{Kind: mtable.OpInsert, Key: mtable.Key{Row: "k4"}, Props: vProps(1)}},
 				{query: true},
 			},
 			{
-				{write: &mtable.Operation{Kind: mtable.OpInsert, Key: mtable.Key{Row: "k4"}, Props: mtable.Properties{"v": 2}}},
+				{write: &mtable.Operation{Kind: mtable.OpInsert, Key: mtable.Key{Row: "k4"}, Props: vProps(2)}},
 				{query: true},
 			},
 		}
@@ -92,28 +92,16 @@ func customTest(scenario, bugs mtable.Bugs) core.Test {
 		return Test(HarnessConfig{Bugs: bugs})
 	}
 
+	names := serviceNames(len(scripts))
 	return core.Test{
 		Name: fmt.Sprintf("mtable-custom-%s", scenario),
 		Entry: func(ctx *core.Context) {
-			tables := &tablesMachine{
-				old:  mtable.NewRefTable(),
-				new:  mtable.NewRefTable(),
-				rt:   mtable.NewRefTable(),
-				hist: mtable.NewHistory(),
-			}
-			if err := mtable.InitializeMigration(tables.old, tables.new, Partition); err != nil {
-				ctx.Assert(false, "initializing migration: %v", err)
-			}
-			seeded := seedData(ctx, tables, 3)
-			tablesID := ctx.CreateMachine(tables, "Tables")
-
-			guard := mtable.NewStreamGuard()
-			var serviceIDs []core.MachineID
+			tablesID, guard, seeded := startTables(ctx, 3)
+			serviceIDs := make([]core.MachineID, len(scripts))
 			for i, script := range scripts {
-				name := fmt.Sprintf("Service%d", i)
-				svc := newServiceMachine(name, tablesID, guard, int64(i+1), bugs, 0, seeded)
+				svc := newServiceMachine(names[i], tablesID, guard, int64(i+1), bugs, 0, seeded)
 				svc.script = script
-				serviceIDs = append(serviceIDs, ctx.CreateMachine(svc, name))
+				serviceIDs[i] = ctx.CreateMachine(svc, names[i])
 			}
 			migID := ctx.CreateMachine(newMigratorMachine(tablesID, guard, bugs, false), "Migrator")
 			for _, id := range serviceIDs {

@@ -12,6 +12,14 @@
 // result is handed back for comparison. Streamed reads are validated
 // against the RT's recorded history over the stream's window. Any output
 // divergence is a safety violation.
+//
+// The harness is built to be cheap per execution, because executions per
+// second is the bug-finding budget: rows are immutable values shared
+// between the three tables (package mtable), the protocol's events are
+// recycled records governed by one ownership rule (see "events" below),
+// and diagnostics are formatted only when an assertion fails. No state
+// crosses executions: every Entry builds its machines and tables afresh;
+// only immutable values (seed payloads, service names) are built once.
 package harness
 
 import (
@@ -31,16 +39,46 @@ const (
 )
 
 // --- events ---
+//
+// The request/response/decision protocol runs on every backend operation
+// (about a hundred round trips per execution), so its events are records
+// that are recycled, sent by pointer:
+// every stubClient owns one backendReq and one lpDecision, the Tables
+// machine owns one backendResp. Exactly one of each is live at a time — a
+// client is synchronous (it waits for the response before it can decide or
+// ask again) and the Tables machine serves one request at a time, blocked
+// on that request's decision — and the engine runs one machine at a time,
+// so a record is only rewritten after its one reader is done with it,
+// PROVIDED the reader obeys the ownership rule:
+//
+//	A receiver copies what it needs from a peer-owned record before its
+//	next scheduling point (Send, Receive, a random choice).
+//
+// The Tables machine reads a request's ID and From before it sends the
+// response: once that Send yields, the client may run, settle, and refill
+// the same record for its next request. TestStubRecordsSurviveReuse holds
+// the rule under two clients queued behind a blocked Tables machine.
+// Everything else (rtResult, the stream events) is sent fresh.
+
+// reqKind selects a backendReq's payload.
+type reqKind uint8
+
+const (
+	reqBatch reqKind = iota + 1
+	reqQuery
+	reqPage
+)
 
 // backendReq asks the Tables machine to execute one backend operation.
+// Owned by the sending stubClient.
 type backendReq struct {
 	ID    int64
 	From  core.MachineID
 	Table int
-	// Exactly one of the request payloads is set.
+	Kind  reqKind
 	Batch []mtable.Operation
-	Query *mtable.Query
-	Page  *pageReq
+	Query mtable.Query
+	Page  pageReq
 }
 
 type pageReq struct {
@@ -50,9 +88,10 @@ type pageReq struct {
 	Limit     int
 }
 
-func (backendReq) Name() string { return "BackendReq" }
+func (*backendReq) Name() string { return "BackendReq" }
 
-// backendResp returns the backend operation's outcome.
+// backendResp returns the backend operation's outcome. Owned by the
+// Tables machine.
 type backendResp struct {
 	ID      int64
 	Results []mtable.OpResult
@@ -60,17 +99,20 @@ type backendResp struct {
 	Err     error
 }
 
-func (backendResp) Name() string { return "BackendResp" }
+func (*backendResp) Name() string { return "BackendResp" }
 
 // lpDecision reports whether the identified backend operation was the
-// linearization point of the logical operation in progress.
+// linearization point of the logical operation in progress. Owned by the
+// sending stubClient. Request ids are per-client counters (every client's
+// first request is 1), so a decision is identified by (From, ID).
 type lpDecision struct {
 	ID      int64
+	From    core.MachineID
 	IsLP    bool
 	Logical *logicalOp
 }
 
-func (lpDecision) Name() string { return "LPDecision" }
+func (*lpDecision) Name() string { return "LPDecision" }
 
 // rtResult carries the reference table's outcome of a logical operation
 // applied at its linearization point.
@@ -81,7 +123,7 @@ type rtResult struct {
 	ErrCode string
 }
 
-func (rtResult) Name() string { return "RTResult" }
+func (*rtResult) Name() string { return "RTResult" }
 
 // streamOpenReq asks for the current history sequence number (the stream
 // window's start).
@@ -102,7 +144,7 @@ type streamValidate struct {
 	Service   string
 }
 
-func (streamValidate) Name() string { return "StreamValidate" }
+func (*streamValidate) Name() string { return "StreamValidate" }
 
 // logicalOp describes a logical operation in reference-table terms (RT
 // etags), so the Tables machine can apply it at the linearization point.
@@ -134,57 +176,81 @@ type tablesMachine struct {
 	rt   *mtable.RefTable
 	hist *mtable.History
 	seq  int64
+
+	// resp is the one response record (see the ownership rule above).
+	resp backendResp
+	// awaitID/awaitFrom identify the decision isDecision accepts.
+	awaitID    int64
+	awaitFrom  core.MachineID
+	isDecision func(core.Event) bool
+}
+
+func newTablesMachine() *tablesMachine {
+	t := &tablesMachine{
+		old:  mtable.NewRefTable(),
+		new:  mtable.NewRefTable(),
+		rt:   mtable.NewRefTable(),
+		hist: mtable.NewHistory(),
+	}
+	t.isDecision = func(ev core.Event) bool {
+		d, ok := ev.(*lpDecision)
+		return ok && d.ID == t.awaitID && d.From == t.awaitFrom
+	}
+	return t
 }
 
 func (t *tablesMachine) Init(*core.Context) {}
 
 func (t *tablesMachine) Handle(ctx *core.Context, ev core.Event) {
 	switch e := ev.(type) {
-	case backendReq:
+	case *backendReq:
 		t.handleBackendReq(ctx, e)
 	case streamOpenReq:
 		ctx.Send(e.From, streamOpenResp{Seq: t.seq})
-	case streamValidate:
-		err := t.hist.CheckStream(e.Partition, e.Filter, e.FromSeq, t.seq, e.Rows)
-		ctx.Assert(err == nil, "stream output of %s violates the chain-table specification: %v", e.Service, err)
+	case *streamValidate:
+		if err := t.hist.CheckStream(e.Partition, e.Filter, e.FromSeq, t.seq, e.Rows); err != nil {
+			ctx.Assert(false, "stream output of %s violates the chain-table specification: %v", e.Service, err)
+		}
 	}
 }
 
 // handleBackendReq executes the backend operation, then blocks until the
 // caller reports the linearization-point decision — the serialization
 // protocol of §4.
-func (t *tablesMachine) handleBackendReq(ctx *core.Context, req backendReq) {
+func (t *tablesMachine) handleBackendReq(ctx *core.Context, req *backendReq) {
+	// req is the client's record: once the response is sent the client may
+	// refill it, so the identity of the request is copied out first.
+	id, from := req.ID, req.From
 	table := t.old
 	if req.Table == tableNew {
 		table = t.new
 	}
-	resp := backendResp{ID: req.ID}
-	switch {
-	case req.Batch != nil:
+	resp := &t.resp
+	*resp = backendResp{ID: id}
+	switch req.Kind {
+	case reqBatch:
 		resp.Results, resp.Err = table.ExecuteBatch(req.Batch)
-	case req.Query != nil:
-		resp.Rows, resp.Err = table.QueryAtomic(*req.Query)
-	case req.Page != nil:
+	case reqQuery:
+		resp.Rows, resp.Err = table.QueryAtomic(req.Query)
+	case reqPage:
 		resp.Rows, resp.Err = table.FetchPage(req.Page.Partition, req.Page.After, req.Page.Filter, req.Page.Limit)
 	default:
-		ctx.Assert(false, "malformed backend request %+v", req)
+		ctx.Assert(false, "malformed backend request %+v", *req)
 	}
 	t.seq++
 	seq := t.seq
-	ctx.Send(req.From, resp)
+	ctx.Send(from, resp)
 
 	desc := ""
 	if ctx.Logging() {
-		desc = fmt.Sprintf("LPDecision(%d)", req.ID)
+		desc = fmt.Sprintf("LPDecision(%d)", id)
 	}
-	dec := ctx.ReceiveWhere(desc, func(ev core.Event) bool {
-		d, ok := ev.(lpDecision)
-		return ok && d.ID == req.ID
-	}).(lpDecision)
+	t.awaitID, t.awaitFrom = id, from
+	dec := ctx.ReceiveWhere(desc, t.isDecision).(*lpDecision)
 	if !dec.IsLP {
 		return
 	}
-	out := rtResult{ID: req.ID}
+	out := &rtResult{ID: id}
 	if dec.Logical.IsQuery {
 		rows, err := t.rt.QueryAtomic(dec.Logical.Query)
 		out.Rows, out.ErrCode = rows, mtable.ErrorCode(err)
@@ -199,12 +265,12 @@ func (t *tablesMachine) handleBackendReq(ctx *core.Context, req backendReq) {
 				if row, ok := t.rt.Get(op.Key); ok {
 					t.hist.Record(seq, op.Key, row.Props)
 				} else {
-					t.hist.Record(seq, op.Key, nil)
+					t.hist.RecordAbsent(seq, op.Key)
 				}
 			}
 		}
 	}
-	ctx.Send(req.From, out)
+	ctx.Send(from, out)
 }
 
 // --- stub backends ---
@@ -212,7 +278,8 @@ func (t *tablesMachine) handleBackendReq(ctx *core.Context, req backendReq) {
 // stubClient is the machine-side endpoint of the backend protocol: it
 // relays every backend call through the Tables machine (turning each into
 // a scheduling point) and carries the linearization-point bookkeeping. It
-// implements mtable.Reporter.
+// implements mtable.Reporter. A stubClient lives inside its machine and
+// must not be copied after init.
 type stubClient struct {
 	ctx      *core.Context
 	tablesID core.MachineID
@@ -220,36 +287,80 @@ type stubClient struct {
 	// pending is the request id awaiting a linearization-point decision
 	// (0 = none): the Tables machine is blocked until we send it.
 	pending int64
-	// logical describes the in-flight logical operation in RT terms.
-	logical *logicalOp
+	// logical describes the in-flight logical operation in RT terms;
+	// inLogical says there is one.
+	logical   logicalOp
+	inLogical bool
 	// lastRT is the RT outcome captured at the linearization point.
 	lastRT *rtResult
+
+	// req and dec are the client's request and decision records (see the
+	// ownership rule above); old and new are its two table sides.
+	req      backendReq
+	dec      lpDecision
+	old, new stubBackend
+	// awaitID is the request id the two reply predicates accept. Replies
+	// arrive in this client's own inbox and only the Tables machine sends
+	// them, so the id alone identifies one.
+	awaitID int64
+	isResp  func(core.Event) bool
+	isRT    func(core.Event) bool
 }
 
-// call performs one backend request/response round trip.
-func (c *stubClient) call(req backendReq) backendResp {
+// init wires the client to the Tables machine and builds its predicates.
+func (c *stubClient) init(tablesID core.MachineID) {
+	c.tablesID = tablesID
+	c.old = stubBackend{c: c, table: tableOld}
+	c.new = stubBackend{c: c, table: tableNew}
+	c.isResp = func(ev core.Event) bool {
+		r, ok := ev.(*backendResp)
+		return ok && r.ID == c.awaitID
+	}
+	c.isRT = func(ev core.Event) bool {
+		r, ok := ev.(*rtResult)
+		return ok && r.ID == c.awaitID
+	}
+}
+
+// request settles the previous request and readies the record for the
+// next one; the caller fills in the payload and calls roundTrip.
+func (c *stubClient) request(table int, kind reqKind) *backendReq {
 	c.settle()
 	c.nextID++
-	req.ID = c.nextID
-	req.From = c.ctx.ID()
-	c.ctx.Send(c.tablesID, req)
+	c.req = backendReq{ID: c.nextID, From: c.ctx.ID(), Table: table, Kind: kind}
+	return &c.req
+}
+
+// roundTrip sends the request record and waits for its response. The
+// response record is the Tables machine's: its fields are returned, not
+// the record.
+func (c *stubClient) roundTrip() ([]mtable.OpResult, []mtable.Row, error) {
+	id := c.req.ID
+	c.ctx.Send(c.tablesID, &c.req)
 	desc := ""
 	if c.ctx.Logging() {
-		desc = fmt.Sprintf("BackendResp(%d)", req.ID)
+		desc = fmt.Sprintf("BackendResp(%d)", id)
 	}
-	resp := c.ctx.ReceiveWhere(desc, func(ev core.Event) bool {
-		r, ok := ev.(backendResp)
-		return ok && r.ID == req.ID
-	}).(backendResp)
-	c.pending = req.ID
-	return resp
+	c.awaitID = id
+	resp := c.ctx.ReceiveWhere(desc, c.isResp).(*backendResp)
+	c.pending = id
+	return resp.Results, resp.Rows, resp.Err
+}
+
+// decide sends the decision record for request id.
+func (c *stubClient) decide(id int64, isLP bool) {
+	c.dec = lpDecision{ID: id, From: c.ctx.ID(), IsLP: isLP}
+	if isLP {
+		c.dec.Logical = &c.logical
+	}
+	c.ctx.Send(c.tablesID, &c.dec)
 }
 
 // settle resolves an outstanding decision as "not the linearization
 // point", unblocking the Tables machine.
 func (c *stubClient) settle() {
 	if c.pending != 0 {
-		c.ctx.Send(c.tablesID, lpDecision{ID: c.pending, IsLP: false})
+		c.decide(c.pending, false)
 		c.pending = 0
 	}
 }
@@ -258,27 +369,24 @@ func (c *stubClient) settle() {
 // linearization point; apply the logical operation to the RT now and
 // capture its outcome.
 func (c *stubClient) LP() {
-	if c.pending == 0 || c.logical == nil {
+	if c.pending == 0 || !c.inLogical {
 		return
 	}
 	id := c.pending
 	c.pending = 0
-	c.ctx.Send(c.tablesID, lpDecision{ID: id, IsLP: true, Logical: c.logical})
+	c.decide(id, true)
 	desc := ""
 	if c.ctx.Logging() {
 		desc = fmt.Sprintf("RTResult(%d)", id)
 	}
-	res := c.ctx.ReceiveWhere(desc, func(ev core.Event) bool {
-		r, ok := ev.(rtResult)
-		return ok && r.ID == id
-	}).(rtResult)
-	c.lastRT = &res
+	c.awaitID = id
+	c.lastRT = c.ctx.ReceiveWhere(desc, c.isRT).(*rtResult)
 }
 
 // begin arms the client for a new logical operation.
-func (c *stubClient) begin(l *logicalOp) {
+func (c *stubClient) begin(l logicalOp) {
 	c.settle()
-	c.logical = l
+	c.logical, c.inLogical = l, true
 	c.lastRT = nil
 }
 
@@ -287,7 +395,7 @@ func (c *stubClient) begin(l *logicalOp) {
 func (c *stubClient) finish() *rtResult {
 	c.settle()
 	out := c.lastRT
-	c.logical = nil
+	c.logical, c.inLogical = logicalOp{}, false
 	c.lastRT = nil
 	return out
 }
@@ -299,18 +407,21 @@ type stubBackend struct {
 }
 
 func (b *stubBackend) ExecuteBatch(batch []mtable.Operation) ([]mtable.OpResult, error) {
-	resp := b.c.call(backendReq{Table: b.table, Batch: batch})
-	return resp.Results, resp.Err
+	b.c.request(b.table, reqBatch).Batch = batch
+	results, _, err := b.c.roundTrip()
+	return results, err
 }
 
 func (b *stubBackend) QueryAtomic(q mtable.Query) ([]mtable.Row, error) {
-	resp := b.c.call(backendReq{Table: b.table, Query: &q})
-	return resp.Rows, resp.Err
+	b.c.request(b.table, reqQuery).Query = q
+	_, rows, err := b.c.roundTrip()
+	return rows, err
 }
 
 func (b *stubBackend) FetchPage(partition, after string, filter *mtable.Filter, limit int) ([]mtable.Row, error) {
-	resp := b.c.call(backendReq{Table: b.table, Page: &pageReq{Partition: partition, After: after, Filter: filter, Limit: limit}})
-	return resp.Rows, resp.Err
+	b.c.request(b.table, reqPage).Page = pageReq{Partition: partition, After: after, Filter: filter, Limit: limit}
+	_, rows, err := b.c.roundTrip()
+	return rows, err
 }
 
 // --- Migrator machine ---
@@ -325,10 +436,8 @@ func (b *stubBackend) FetchPage(partition, after string, filter *mtable.Filter, 
 // DecisionTimer. The timer is stopped on completion so finished
 // executions still quiesce.
 type migratorMachine struct {
-	stub  *stubClient
+	stub  stubClient
 	mig   *mtable.Migrator
-	guard *mtable.StreamGuard
-	bugs  mtable.Bugs
 	paced bool
 	timer core.TimerID
 	done  bool
@@ -340,8 +449,9 @@ type migratorMachine struct {
 }
 
 func newMigratorMachine(tablesID core.MachineID, guard *mtable.StreamGuard, bugs mtable.Bugs, paced bool) *migratorMachine {
-	m := &migratorMachine{guard: guard, bugs: bugs, paced: paced}
-	m.stub = &stubClient{tablesID: tablesID}
+	m := &migratorMachine{paced: paced}
+	m.stub.init(tablesID)
+	m.mig = mtable.NewMigrator(&m.stub.old, &m.stub.new, guard, Partition, bugs)
 	return m
 }
 
@@ -370,14 +480,11 @@ func (m *migratorMachine) Handle(ctx *core.Context, ev core.Event) {
 // pacing timer.
 func (m *migratorMachine) step(ctx *core.Context) {
 	m.stub.ctx = ctx
-	if m.mig == nil {
-		old := &stubBackend{c: m.stub, table: tableOld}
-		new := &stubBackend{c: m.stub, table: tableNew}
-		m.mig = mtable.NewMigrator(old, new, m.guard, Partition, m.bugs)
-	}
 	done, err := m.mig.Step()
 	m.stub.settle()
-	ctx.Assert(err == nil, "migrator failed: %v", err)
+	if err != nil {
+		ctx.Assert(false, "migrator failed: %v", err)
+	}
 	if done {
 		if m.crashable {
 			// Checkpoint completion before exposing it: the marker must be

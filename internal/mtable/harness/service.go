@@ -9,7 +9,17 @@ import (
 
 // rowPool is the workload's key space: small, so operations collide and
 // races on the same key are frequent.
-var rowPool = []string{"k0", "k1", "k2", "k3", "k4"}
+var rowPool = [...]string{"k0", "k1", "k2", "k3", "k4"}
+
+// rowIndex returns row's position in rowPool.
+func rowIndex(row string) int {
+	for i, r := range rowPool {
+		if r == row {
+			return i
+		}
+	}
+	panic("harness: row " + row + " is outside the workload's key space")
+}
 
 // etagPair carries the corresponding etags a row has on the virtual table
 // and on the reference table (they are incomparable across sides, so both
@@ -18,18 +28,23 @@ type etagPair struct {
 	vt, rt int64
 }
 
+// etagTable holds one etag pair per rowPool entry (ok = the row has one).
+type etagTable [len(rowPool)]struct {
+	etagPair
+	ok bool
+}
+
 // serviceMachine issues nondeterministically generated logical operations
 // through its own MigratingTable instance and asserts that every outcome
 // matches the reference table's outcome at the linearization point.
 type serviceMachine struct {
-	name  string
-	stub  *stubClient
-	mt    *mtable.MigratingTable
-	ops   int
-	cur   map[string]etagPair
-	prev  map[string]etagPair
-	bugs  mtable.Bugs
-	guard *mtable.StreamGuard
+	name string
+	stub stubClient
+	mt   *mtable.MigratingTable
+	ops  int
+	// cur and prev are each row's latest and previous etags as this
+	// service knows them.
+	cur, prev etagTable
 	// script, when non-nil, replaces the random workload with a fixed
 	// action sequence (the paper's custom test cases for rare-input bugs).
 	script []scriptStep
@@ -44,22 +59,10 @@ type scriptStep struct {
 	filter *mtable.Filter
 }
 
-func newServiceMachine(name string, tablesID core.MachineID, guard *mtable.StreamGuard, instance int64, bugs mtable.Bugs, ops int, seeded map[string]etagPair) *serviceMachine {
-	s := &serviceMachine{
-		name:  name,
-		ops:   ops,
-		cur:   make(map[string]etagPair, len(seeded)),
-		prev:  make(map[string]etagPair),
-		bugs:  bugs,
-		guard: guard,
-	}
-	for k, v := range seeded {
-		s.cur[k] = v
-	}
-	s.stub = &stubClient{tablesID: tablesID}
-	old := &stubBackend{c: s.stub, table: tableOld}
-	new := &stubBackend{c: s.stub, table: tableNew}
-	s.mt = mtable.NewMigratingTable(old, new, guard, instance, bugs, s.stub)
+func newServiceMachine(name string, tablesID core.MachineID, guard *mtable.StreamGuard, instance int64, bugs mtable.Bugs, ops int, seeded etagTable) *serviceMachine {
+	s := &serviceMachine{name: name, ops: ops, cur: seeded}
+	s.stub.init(tablesID)
+	s.mt = mtable.NewMigratingTable(&s.stub.old, &s.stub.new, guard, instance, bugs, &s.stub)
 	return s
 }
 
@@ -112,17 +115,17 @@ func (s *serviceMachine) runOne(ctx *core.Context) {
 }
 
 // pickETags chooses an etag mode and renders it for both sides.
-func (s *serviceMachine) pickETags(ctx *core.Context, row string) (vt, rt int64) {
+func (s *serviceMachine) pickETags(ctx *core.Context, row int) (vt, rt int64) {
 	switch ctx.RandomInt(3) {
 	case 0:
 		return mtable.ETagAny, mtable.ETagAny
 	case 1:
-		if p, ok := s.cur[row]; ok {
+		if p := s.cur[row]; p.ok {
 			return p.vt, p.rt
 		}
 		return mtable.ETagAny, mtable.ETagAny
 	default:
-		if p, ok := s.prev[row]; ok {
+		if p := s.prev[row]; p.ok {
 			return p.vt, p.rt
 		}
 		// A bogus-but-nonzero etag: both sides must reject it alike.
@@ -131,38 +134,44 @@ func (s *serviceMachine) pickETags(ctx *core.Context, row string) (vt, rt int64)
 }
 
 // buildWriteOps generates n distinct-row operations of the given kind,
-// rendered for both sides.
+// rendered for both sides (which share the payloads: they are immutable).
 func (s *serviceMachine) buildWriteOps(ctx *core.Context, kind mtable.OpKind, n int) (vtOps, rtOps []mtable.Operation) {
-	used := map[string]bool{}
+	vtOps, rtOps = make([]mtable.Operation, n), make([]mtable.Operation, n)
+	used := 0 // bit i: rowPool[i] already taken by this batch
 	for i := 0; i < n; i++ {
-		row := rowPool[ctx.RandomInt(len(rowPool))]
-		for used[row] {
-			row = rowPool[(indexOf(row)+1)%len(rowPool)]
+		row := ctx.RandomInt(len(rowPool))
+		for used&(1<<row) != 0 {
+			row = (row + 1) % len(rowPool)
 		}
-		used[row] = true
-		key := mtable.Key{Partition: Partition, Row: row}
+		used |= 1 << row
+		key := mtable.Key{Partition: Partition, Row: rowPool[row]}
 		var props mtable.Properties
 		if kind != mtable.OpDelete && kind != mtable.OpCheck {
-			props = mtable.Properties{"v": int64(ctx.RandomInt(6))}
+			props = valueProps[ctx.RandomInt(len(valueProps))]
 		}
 		vtETag, rtETag := int64(0), int64(0)
 		if kind == mtable.OpReplace || kind == mtable.OpMerge || kind == mtable.OpDelete || kind == mtable.OpCheck {
 			vtETag, rtETag = s.pickETags(ctx, row)
 		}
-		vtOps = append(vtOps, mtable.Operation{Kind: kind, Key: key, Props: props.Clone(), ETag: vtETag})
-		rtOps = append(rtOps, mtable.Operation{Kind: kind, Key: key, Props: props.Clone(), ETag: rtETag})
+		vtOps[i] = mtable.Operation{Kind: kind, Key: key, Props: props, ETag: vtETag}
+		rtOps[i] = mtable.Operation{Kind: kind, Key: key, Props: props, ETag: rtETag}
 	}
 	return vtOps, rtOps
 }
 
-func indexOf(row string) int {
-	for i, r := range rowPool {
-		if r == row {
-			return i
-		}
-	}
-	return 0
+// vProps is the payload {"v": v}.
+func vProps(v int64) mtable.Properties {
+	return mtable.Props(mtable.Prop{Name: "v", Value: v})
 }
+
+// valueProps are the payloads the random workload writes: {"v": 0} …
+// {"v": 5}, built once and shared by every row that holds one.
+var valueProps = func() (out [6]mtable.Properties) {
+	for v := range out {
+		out[v] = vProps(int64(v))
+	}
+	return out
+}()
 
 // runWrite executes a randomly generated write batch.
 func (s *serviceMachine) runWrite(ctx *core.Context, kind mtable.OpKind, n int) {
@@ -172,11 +181,15 @@ func (s *serviceMachine) runWrite(ctx *core.Context, kind mtable.OpKind, n int) 
 
 // runBatch executes a write batch on the virtual table and compares its
 // outcome with the reference outcome captured at the linearization point.
+// (Every diagnostic below is formatted on failure only: this runs once per
+// logical operation.)
 func (s *serviceMachine) runBatch(ctx *core.Context, vtOps, rtOps []mtable.Operation) {
-	s.stub.begin(&logicalOp{Batch: rtOps})
+	s.stub.begin(logicalOp{Batch: rtOps})
 	vtRes, vtErr := s.mt.ExecuteBatch(vtOps)
 	rt := s.stub.finish()
-	ctx.Assert(rt != nil, "%s: no linearization point reported for %v", s.name, vtOps)
+	if rt == nil {
+		ctx.Assert(false, "%s: no linearization point reported for %v", s.name, vtOps)
+	}
 
 	// The chain-table spec pins batch failures to the LOWEST failing index
 	// (preconditions evaluated in operation order against the pre-batch
@@ -188,31 +201,31 @@ func (s *serviceMachine) runBatch(ctx *core.Context, vtOps, rtOps []mtable.Opera
 	vtCode := mtable.ErrorCode(vtErr)
 	vtBase, vtIdx := splitCode(vtCode)
 	rtBase, rtIdx := splitCode(rt.ErrCode)
-	ctx.Assert(vtBase == rtBase,
-		"%s: outcome diverged for batch %v: virtual table %q vs reference %q",
-		s.name, describeOps(vtOps), orOK(vtCode), orOK(rt.ErrCode))
-	ctx.Assert(vtIdx == rtIdx,
-		"%s: batch %v failed with %q on both sides but at different indices: virtual table %s vs reference %s (lowest failing index is the agreed semantics)",
-		s.name, describeOps(vtOps), vtBase, vtIdx, rtIdx)
+	if vtBase != rtBase {
+		ctx.Assert(false, "%s: outcome diverged for batch %v: virtual table %q vs reference %q",
+			s.name, describeOps(vtOps), orOK(vtCode), orOK(rt.ErrCode))
+	}
+	if vtIdx != rtIdx {
+		ctx.Assert(false, "%s: batch %v failed with %q on both sides but at different indices: virtual table %s vs reference %s (lowest failing index is the agreed semantics)",
+			s.name, describeOps(vtOps), vtBase, vtIdx, rtIdx)
+	}
 	if vtErr != nil {
 		return
 	}
-	ctx.Assert(len(vtRes) == len(rt.Results), "%s: result arity diverged", s.name)
+	if len(vtRes) != len(rt.Results) {
+		ctx.Assert(false, "%s: result arity diverged", s.name)
+	}
 	for i, op := range vtOps {
-		row := op.Key.Row
-		switch op.Kind {
-		case mtable.OpDelete:
-			if p, ok := s.cur[row]; ok {
-				s.prev[row] = p
-			}
-			delete(s.cur, row)
-		case mtable.OpCheck:
-			// No state change.
-		default:
-			if p, ok := s.cur[row]; ok {
-				s.prev[row] = p
-			}
-			s.cur[row] = etagPair{vt: vtRes[i].ETag, rt: rt.Results[i].ETag}
+		if op.Kind == mtable.OpCheck {
+			continue // no state change
+		}
+		row := rowIndex(op.Key.Row)
+		if s.cur[row].ok {
+			s.prev[row] = s.cur[row]
+		}
+		s.cur[row].ok = op.Kind != mtable.OpDelete
+		if s.cur[row].ok {
+			s.cur[row].etagPair = etagPair{vt: vtRes[i].ETag, rt: rt.Results[i].ETag}
 		}
 	}
 }
@@ -230,15 +243,22 @@ func (s *serviceMachine) runQuery(ctx *core.Context) {
 // runQueryWith executes an atomic query on both sides and compares rows.
 func (s *serviceMachine) runQueryWith(ctx *core.Context, filter *mtable.Filter) {
 	q := mtable.Query{Partition: Partition, Filter: filter}
-	s.stub.begin(&logicalOp{IsQuery: true, Query: q})
+	s.stub.begin(logicalOp{IsQuery: true, Query: q})
 	vtRows, err := s.mt.QueryAtomic(q)
 	rt := s.stub.finish()
-	ctx.Assert(err == nil, "%s: query failed: %v", s.name, err)
-	ctx.Assert(rt != nil, "%s: no linearization point reported for query", s.name)
-	ctx.Assert(rt.ErrCode == "", "%s: reference query failed: %s", s.name, rt.ErrCode)
-	diff := compareRows(vtRows, rt.Rows)
-	ctx.Assert(diff == "", "%s: atomic query diverged (filter=%v): %s\nvt=%v\nrt=%v",
-		s.name, q.Filter, diff, describeRows(vtRows), describeRows(rt.Rows))
+	if err != nil {
+		ctx.Assert(false, "%s: query failed: %v", s.name, err)
+	}
+	if rt == nil {
+		ctx.Assert(false, "%s: no linearization point reported for query", s.name)
+	}
+	if rt.ErrCode != "" {
+		ctx.Assert(false, "%s: reference query failed: %s", s.name, rt.ErrCode)
+	}
+	if diff := compareRows(vtRows, rt.Rows); diff != "" {
+		ctx.Assert(false, "%s: atomic query diverged (filter=%v): %s\nvt=%v\nrt=%v",
+			s.name, q.Filter, diff, describeRows(vtRows), describeRows(rt.Rows))
+	}
 }
 
 // runStream executes a streamed query with a randomly chosen filter.
@@ -260,11 +280,15 @@ func (s *serviceMachine) runStreamWith(ctx *core.Context, filter *mtable.Filter)
 	open := ctx.Receive("StreamOpenResp").(streamOpenResp)
 
 	stream, err := s.mt.QueryStream(q)
-	ctx.Assert(err == nil, "%s: stream open failed: %v", s.name, err)
+	if err != nil {
+		ctx.Assert(false, "%s: stream open failed: %v", s.name, err)
+	}
 	var rows []mtable.Row
 	for {
 		row, ok, err := stream.Next()
-		ctx.Assert(err == nil, "%s: stream read failed: %v", s.name, err)
+		if err != nil {
+			ctx.Assert(false, "%s: stream read failed: %v", s.name, err)
+		}
 		if !ok {
 			break
 		}
@@ -272,7 +296,7 @@ func (s *serviceMachine) runStreamWith(ctx *core.Context, filter *mtable.Filter)
 	}
 	stream.Close()
 	s.stub.settle()
-	ctx.Send(s.stub.tablesID, streamValidate{
+	ctx.Send(s.stub.tablesID, &streamValidate{
 		Partition: Partition,
 		Filter:    q.Filter,
 		FromSeq:   open.Seq,
@@ -315,7 +339,8 @@ func describeRows(rows []mtable.Row) string {
 		if i > 0 {
 			out += " "
 		}
-		out += fmt.Sprintf("%s=%v", r.Key.Row, r.Props["v"])
+		v, _ := r.Props.Get("v")
+		out += fmt.Sprintf("%s=%v", r.Key.Row, v)
 	}
 	if out == "" {
 		return "(empty)"

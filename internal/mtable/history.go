@@ -2,7 +2,7 @@ package mtable
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // History records every state a reference-table key has held, indexed by a
@@ -13,60 +13,76 @@ import (
 // that existed unchanged (and matched the filter) throughout the window
 // must not be missing from the output.
 type History struct {
-	// versions[key] is ascending in seq.
-	versions map[Key][]version
+	keys []keyHistory // ascending key
+}
+
+// keyHistory is one key's states, ascending in seq.
+type keyHistory struct {
+	key      Key
+	versions []version
 }
 
 type version struct {
-	seq   int64
-	props Properties // nil = absent
+	seq     int64
+	props   Properties // shared with the table that reported it
+	present bool       // false = the key was absent
 }
 
 // NewHistory returns an empty history.
-func NewHistory() *History {
-	return &History{versions: make(map[Key][]version)}
+func NewHistory() *History { return &History{} }
+
+func (h *History) find(key Key) (int, bool) {
+	return slices.BinarySearchFunc(h.keys, key, func(e keyHistory, key Key) int { return e.key.Compare(key) })
 }
 
-// Record appends a state change for key at sequence seq (props nil for
-// deletion). Calls must use non-decreasing seq.
+// versions returns key's recorded states.
+func (h *History) versions(key Key) []version {
+	if i, ok := h.find(key); ok {
+		return h.keys[i].versions
+	}
+	return nil
+}
+
+func (h *History) record(key Key, v version) {
+	i, ok := h.find(key)
+	if !ok {
+		h.keys = slices.Insert(h.keys, i, keyHistory{key: key})
+	}
+	h.keys[i].versions = append(h.keys[i].versions, v)
+}
+
+// Record appends a state change for key at sequence seq. Calls must use
+// non-decreasing seq.
 func (h *History) Record(seq int64, key Key, props Properties) {
-	h.versions[key] = append(h.versions[key], version{seq: seq, props: props.Clone()})
+	h.record(key, version{seq: seq, props: props, present: true})
 }
 
-// At returns key's properties as of seq (nil if absent).
-func (h *History) At(key Key, seq int64) Properties {
-	vs := h.versions[key]
-	// Last version with v.seq <= seq.
-	idx := sort.Search(len(vs), func(i int) bool { return vs[i].seq > seq }) - 1
-	if idx < 0 {
-		return nil
-	}
-	return vs[idx].props
+// RecordAbsent appends key's deletion at sequence seq.
+func (h *History) RecordAbsent(seq int64, key Key) {
+	h.record(key, version{seq: seq})
 }
 
-// statesIn returns every distinct state key held inside [from, to]: the
-// state at `from` plus each recorded change in (from, to].
-func (h *History) statesIn(key Key, from, to int64) []Properties {
-	out := []Properties{h.At(key, from)}
-	for _, v := range h.versions[key] {
-		if v.seq > from && v.seq <= to {
-			out = append(out, v.props)
-		}
-	}
-	return out
+// At returns key's properties as of seq (ok is false if it was absent).
+func (h *History) At(key Key, seq int64) (props Properties, ok bool) {
+	base, _ := window(h.versions(key), seq, seq)
+	return base.props, base.present
 }
 
-// keysIn returns every key with any recorded state (callers intersect with
-// partition as needed).
-func (h *History) keys(partition string) []Key {
-	var out []Key
-	for k := range h.versions {
-		if k.Partition == partition {
-			out = append(out, k)
-		}
+// window returns the state vs held at `from` and every change recorded in
+// (from, to] — together, every state the key held inside the window.
+func window(vs []version, from, to int64) (base version, changes []version) {
+	lo := 0
+	for lo < len(vs) && vs[lo].seq <= from {
+		lo++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	hi := lo
+	for hi < len(vs) && vs[hi].seq <= to {
+		hi++
+	}
+	if lo > 0 {
+		base = vs[lo-1]
+	}
+	return base, vs[lo:hi]
 }
 
 // CheckStream validates a streamed read's output against the history.
@@ -79,7 +95,6 @@ func (h *History) keys(partition string) []Key {
 //   - a key that existed with one stable, filter-matching value throughout
 //     the window but does not appear in the output (a lost row).
 func (h *History) CheckStream(partition string, filter *Filter, from, to int64, rows []Row) error {
-	emitted := make(map[string]Properties, len(rows))
 	prev := ""
 	for i, r := range rows {
 		if r.Key.Partition != partition {
@@ -92,39 +107,39 @@ func (h *History) CheckStream(partition string, filter *Filter, from, to int64, 
 		if !filter.Matches(r.Props) {
 			return fmt.Errorf("stream emitted row %q that fails the filter: %v", r.Key.Row, r.Props)
 		}
-		valid := false
-		for _, st := range h.statesIn(r.Key, from, to) {
-			if st != nil && st.Equal(r.Props) {
-				valid = true
-				break
-			}
+		base, changes := window(h.versions(r.Key), from, to)
+		valid := base.present && base.props.Equal(r.Props)
+		for _, v := range changes {
+			valid = valid || v.present && v.props.Equal(r.Props)
 		}
 		if !valid {
 			return fmt.Errorf("stream emitted row %q with properties %v matching no state in window [%d,%d]",
 				r.Key.Row, r.Props, from, to)
 		}
-		emitted[r.Key.Row] = r.Props
 	}
-	// Completeness: stable, matching keys must appear.
-	for _, k := range h.keys(partition) {
-		states := h.statesIn(k, from, to)
-		stable := true
-		base := states[0]
-		if base == nil {
+	// Completeness: stable, matching keys must appear. (rows is ascending
+	// by row key — checked above — so membership is a search.)
+	for _, e := range h.keys {
+		if e.key.Partition != partition {
 			continue
 		}
-		for _, st := range states[1:] {
-			if st == nil || !st.Equal(base) {
+		base, changes := window(e.versions, from, to)
+		if !base.present {
+			continue
+		}
+		stable := true
+		for _, v := range changes {
+			if !v.present || !v.props.Equal(base.props) {
 				stable = false
 				break
 			}
 		}
-		if !stable || !filter.Matches(base) {
+		if !stable || !filter.Matches(base.props) {
 			continue
 		}
-		if _, ok := emitted[k.Row]; !ok {
+		if _, ok := findRow(rows, e.key.Row); !ok {
 			return fmt.Errorf("stream lost row %q: it held %v throughout window [%d,%d] and matches the filter",
-				k.Row, base, from, to)
+				e.key.Row, base.props, from, to)
 		}
 	}
 	return nil

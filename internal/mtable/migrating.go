@@ -3,7 +3,6 @@ package mtable
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // MigratingTable is the virtual table (VT): it presents the chain-table
@@ -39,12 +38,7 @@ const vetagProp = "_vetag"
 // test fixtures) seeding the old table directly must use it so rows carry
 // virtual etags from the start.
 func SeedBackendRow(props Properties, vetag int64) Properties {
-	out := props.Clone()
-	if out == nil {
-		out = Properties{}
-	}
-	out[vetagProp] = vetag
-	return out
+	return props.With(vetagProp, vetag)
 }
 
 // maxAttempts bounds the internal retry loop that absorbs benign races
@@ -147,7 +141,6 @@ func validateUserBatch(batch []Operation) error {
 		return &BatchError{Index: 0, Err: fmt.Errorf("%w: batch too large", ErrBadRequest)}
 	}
 	part := batch[0].Key.Partition
-	seen := make(map[string]bool, len(batch))
 	for i, op := range batch {
 		if err := ValidateUserRow(op.Key, op.Props); err != nil {
 			return &BatchError{Index: i, Err: err}
@@ -155,10 +148,12 @@ func validateUserBatch(batch []Operation) error {
 		if op.Key.Partition != part {
 			return &BatchError{Index: i, Err: fmt.Errorf("%w: cross-partition batch", ErrBadRequest)}
 		}
-		if seen[op.Key.Row] {
-			return &BatchError{Index: i, Err: fmt.Errorf("%w: duplicate row %q", ErrBadRequest, op.Key.Row)}
+		// Linear duplicate scan, as in RefTable.validateBatch.
+		for _, prev := range batch[:i] {
+			if prev.Key.Row == op.Key.Row {
+				return &BatchError{Index: i, Err: fmt.Errorf("%w: duplicate row %q", ErrBadRequest, op.Key.Row)}
+			}
 		}
-		seen[op.Key.Row] = true
 		if op.Kind.needsETag() && op.ETag == 0 {
 			return &BatchError{Index: i, Err: fmt.Errorf("%w: %s requires an etag", ErrBadRequest, op.Kind)}
 		}
@@ -201,38 +196,48 @@ type resident struct {
 	inNew     bool // live row in the new table
 	inOld     bool // live row in the old table (and nothing in new)
 	tombstone bool // tombstone in the new table
-	props     Properties
-	vetag     int64
-	backend   int64 // backend etag of the resident (or tombstone) row
+	// stored is the resident backend row's payload, protocol columns and
+	// all; only the operations that build on it (merge into, or promote,
+	// an old-table resident) pay for stripping them.
+	stored  Properties
+	vetag   int64
+	backend int64 // backend etag of the resident (or tombstone) row
 }
 
 // userProps strips protocol properties from a backend row's payload.
 func userProps(props Properties) Properties {
-	out := make(Properties, len(props))
-	for k, v := range props {
-		if k == vetagProp || k == tombstoneProp {
-			continue
-		}
-		out[k] = v
-	}
-	return out
+	return props.Without(vetagProp).Without(tombstoneProp)
 }
 
 // vetagOf extracts a backend row's virtual etag.
-func vetagOf(row Row) int64 { return row.Props[vetagProp] }
+func vetagOf(row Row) int64 {
+	v, _ := row.Props.Get(vetagProp)
+	return v
+}
 
-// residentOf resolves a key's residency from pre-read snapshots. oldRows
-// may be nil for phases past PhasePreferNew.
-func residentOf(key Key, newRows, oldRows map[string]Row, phase Phase) resident {
-	if nr, ok := newRows[key.Row]; ok {
+// liveResident describes a live backend row.
+func liveResident(row Row) resident {
+	return resident{stored: row.Props, vetag: vetagOf(row), backend: row.ETag}
+}
+
+// residentOf resolves a key's residency from pre-read snapshots (sorted by
+// row key, as the backends return them). oldRows may be nil for phases
+// past PhasePreferNew.
+func residentOf(key Key, newRows, oldRows []Row, phase Phase) resident {
+	if i, ok := findRow(newRows, key.Row); ok {
+		nr := newRows[i]
 		if isTombstone(nr.Props) {
 			return resident{tombstone: true, backend: nr.ETag}
 		}
-		return resident{inNew: true, props: userProps(nr.Props), vetag: vetagOf(nr), backend: nr.ETag}
+		r := liveResident(nr)
+		r.inNew = true
+		return r
 	}
 	if phase <= PhasePreferNew {
-		if or, ok := oldRows[key.Row]; ok {
-			return resident{inOld: true, props: userProps(or.Props), vetag: vetagOf(or), backend: or.ETag}
+		if i, ok := findRow(oldRows, key.Row); ok {
+			r := liveResident(oldRows[i])
+			r.inOld = true
+			return r
 		}
 	}
 	return resident{}
@@ -260,19 +265,13 @@ func checkUserCondition(op Operation, r resident) error {
 	return nil
 }
 
-// snapshot turns a full-partition query result into a row map, separating
-// out the metadata row.
-func snapshot(rows []Row) (data map[string]Row, meta *Row) {
-	data = make(map[string]Row, len(rows))
-	for i := range rows {
-		r := rows[i]
-		if r.Key.Row == metaRowKey {
-			meta = &r
-			continue
-		}
-		data[r.Key.Row] = r
+// metaOf finds the metadata row in a partition snapshot (sorted by row
+// key); nil if the snapshot has none.
+func metaOf(rows []Row) *Row {
+	if i, ok := findRow(rows, metaRowKey); ok {
+		return &rows[i]
 	}
-	return data, meta
+	return nil
 }
 
 // executeOld applies a batch in PhasePreferOld: pre-read the old table,
@@ -283,7 +282,7 @@ func (mt *MigratingTable) executeOld(partition string, batch []Operation, c *par
 	if err != nil {
 		return nil, nil, false, err
 	}
-	data, meta := snapshot(rows)
+	meta := metaOf(rows)
 	if meta == nil {
 		return nil, nil, false, fmt.Errorf("%w: missing old-table metadata", ErrBadRequest)
 	}
@@ -317,16 +316,17 @@ func (mt *MigratingTable) executeOld(partition string, batch []Operation, c *par
 	}
 	for i, op := range batch {
 		r := resident{}
-		if br, ok := data[op.Key.Row]; ok {
-			r = resident{inOld: true, props: userProps(br.Props), vetag: vetagOf(br), backend: br.ETag}
+		if ri, ok := findRow(rows, op.Key.Row); ok {
+			r = liveResident(rows[ri])
+			r.inOld = true
 		}
 		if condErr := checkUserCondition(op, r); condErr != nil {
 			mt.rep.LP()
 			return nil, &BatchError{Index: i, Err: condErr}, false, nil
 		}
-		bop, vetag := mt.translateOld(op, r)
-		if bop != nil {
-			backendOps = append(backendOps, *bop)
+		bop, vetag, ok := mt.translateOld(op, r)
+		if ok {
+			backendOps = append(backendOps, bop)
 		}
 		results[i] = OpResult{ETag: vetag}
 	}
@@ -341,43 +341,32 @@ func (mt *MigratingTable) executeOld(partition string, batch []Operation, c *par
 	return results, nil, false, nil
 }
 
+// stamp mints a fresh virtual etag and returns props carrying it.
+func (mt *MigratingTable) stamp(props Properties) (Properties, int64) {
+	vetag := mt.freshVETag()
+	return props.With(vetagProp, vetag), vetag
+}
+
 // translateOld maps a user operation to its old-table backend operation,
-// returning the operation (nil for pure checks) and the resulting virtual
-// etag (0 for deletes/checks).
-func (mt *MigratingTable) translateOld(op Operation, r resident) (*Operation, int64) {
+// returning the operation (ok is false for an unknown kind) and the
+// resulting virtual etag (0 for deletes/checks).
+func (mt *MigratingTable) translateOld(op Operation, r resident) (bop Operation, vetag int64, ok bool) {
 	switch op.Kind {
 	case OpInsert, OpInsertOrReplace:
-		vetag := mt.freshVETag()
-		props := op.Props.Clone()
-		if props == nil {
-			props = Properties{}
-		}
-		props[vetagProp] = vetag
-		kind := OpInsert
+		props, vetag := mt.stamp(op.Props)
 		if r.exists() {
-			kind = OpReplace
+			return Operation{Kind: OpReplace, Key: op.Key, Props: props, ETag: r.backend}, vetag, true
 		}
-		bop := Operation{Kind: kind, Key: op.Key, Props: props, ETag: r.backend}
-		if kind == OpInsert {
-			bop.ETag = 0
-		}
-		return &bop, vetag
+		return Operation{Kind: OpInsert, Key: op.Key, Props: props}, vetag, true
 	case OpReplace:
-		vetag := mt.freshVETag()
-		props := op.Props.Clone()
-		props[vetagProp] = vetag
-		return &Operation{Kind: OpReplace, Key: op.Key, Props: props, ETag: r.backend}, vetag
+		props, vetag := mt.stamp(op.Props)
+		return Operation{Kind: OpReplace, Key: op.Key, Props: props, ETag: r.backend}, vetag, true
 	case OpMerge, OpInsertOrMerge:
-		vetag := mt.freshVETag()
-		props := op.Props.Clone()
-		if props == nil {
-			props = Properties{}
-		}
-		props[vetagProp] = vetag
+		props, vetag := mt.stamp(op.Props)
 		if !r.exists() {
-			return &Operation{Kind: OpInsert, Key: op.Key, Props: props}, vetag
+			return Operation{Kind: OpInsert, Key: op.Key, Props: props}, vetag, true
 		}
-		return &Operation{Kind: OpMerge, Key: op.Key, Props: props, ETag: r.backend}, vetag
+		return Operation{Kind: OpMerge, Key: op.Key, Props: props, ETag: r.backend}, vetag, true
 	case OpDelete:
 		etag := r.backend
 		if mt.bugs.Has(BugDeleteNoLeaveTombstonesEtag) {
@@ -385,13 +374,13 @@ func (mt *MigratingTable) translateOld(op Operation, r resident) (*Operation, in
 			// wildcard, losing updates that race the delete.
 			etag = ETagAny
 		}
-		return &Operation{Kind: OpDelete, Key: op.Key, ETag: etag}, 0
+		return Operation{Kind: OpDelete, Key: op.Key, ETag: etag}, 0, true
 	case OpCheck:
 		// The check must hold at commit time, not just at the pre-read:
 		// guard it with a backend check on the row's current version.
-		return &Operation{Kind: OpCheck, Key: op.Key, ETag: r.backend}, 0
+		return Operation{Kind: OpCheck, Key: op.Key, ETag: r.backend}, 0, true
 	default:
-		return nil, 0
+		return Operation{}, 0, false
 	}
 }
 
@@ -400,26 +389,20 @@ func (mt *MigratingTable) translateOld(op Operation, r resident) (*Operation, in
 // guarded backend batch to the new table, using tombstones while the old
 // table may still hold rows.
 func (mt *MigratingTable) executeNew(partition string, batch []Operation, c *partitionCache) ([]OpResult, error, bool, error) {
-	var oldData map[string]Row
+	var oldRows []Row
 	oldAnnounced := PhasePreferOld
 	if c.phase == PhasePreferNew {
-		oldRows, err := mt.old.QueryAtomic(Query{Partition: partition})
-		if err != nil {
+		var err error
+		if oldRows, err = mt.old.QueryAtomic(Query{Partition: partition}); err != nil {
 			return nil, nil, false, err
 		}
-		var oldMeta *Row
-		oldData, oldMeta = snapshot(oldRows)
-		if oldMeta != nil {
-			if p, _, err := parseMeta(oldMeta.Props); err == nil {
-				oldAnnounced = p
-			}
-		}
+		oldAnnounced = announcedPhase(oldRows)
 	}
 	newRows, err := mt.new.QueryAtomic(Query{Partition: partition})
 	if err != nil {
 		return nil, nil, false, err
 	}
-	newData, meta := snapshot(newRows)
+	meta := metaOf(newRows)
 	if meta == nil {
 		return nil, nil, false, fmt.Errorf("%w: missing new-table metadata", ErrBadRequest)
 	}
@@ -445,20 +428,24 @@ func (mt *MigratingTable) executeNew(partition string, batch []Operation, c *par
 	}
 
 	results := make([]OpResult, len(batch))
-	tombstoneETags := make(map[int]int64) // op index -> tombstone backend etag (for BugTombstoneOutputETag)
-	backendOps := []Operation{{Kind: OpCheck, Key: metaKeyFor(partition), ETag: meta.ETag}}
+	var tombstoneETags map[int]int64 // op index -> tombstone backend etag; BugTombstoneOutputETag only
+	if mt.bugs.Has(BugTombstoneOutputETag) {
+		tombstoneETags = make(map[int]int64)
+	}
+	backendOps := make([]Operation, 1, len(batch)+1)
+	backendOps[0] = Operation{Kind: OpCheck, Key: metaKeyFor(partition), ETag: meta.ETag}
 	for i, op := range batch {
-		r := residentOf(op.Key, newData, oldData, c.phase)
+		r := residentOf(op.Key, newRows, oldRows, c.phase)
 		if condErr := checkUserCondition(op, r); condErr != nil {
 			mt.rep.LP()
 			return nil, &BatchError{Index: i, Err: condErr}, false, nil
 		}
-		bop, vetag := mt.translateNew(op, r, c.phase)
-		if bop != nil {
-			backendOps = append(backendOps, *bop)
+		bop, vetag, ok := mt.translateNew(op, r, c.phase)
+		if ok {
+			backendOps = append(backendOps, bop)
 		}
 		results[i] = OpResult{ETag: vetag}
-		if r.tombstone {
+		if r.tombstone && tombstoneETags != nil {
 			tombstoneETags[i] = r.backend
 		}
 	}
@@ -481,33 +468,19 @@ func (mt *MigratingTable) executeNew(partition string, batch []Operation, c *par
 	return results, nil, false, nil
 }
 
+// tombstoneProps is the payload of every tombstone.
+var tombstoneProps = Props(Prop{tombstoneProp, 1})
+
 // translateNew maps a user operation to its new-table backend operation
-// for phases at or past PhasePreferNew.
-func (mt *MigratingTable) translateNew(op Operation, r resident, phase Phase) (*Operation, int64) {
-	fresh := func(props Properties) (Properties, int64) {
-		vetag := mt.freshVETag()
-		out := props.Clone()
-		if out == nil {
-			out = Properties{}
-		}
-		out[vetagProp] = vetag
-		return out, vetag
-	}
-	mergedProps := func() Properties {
-		props := r.props.Clone()
-		if props == nil {
-			props = Properties{}
-		}
-		for k, v := range op.Props {
-			props[k] = v
-		}
-		return props
-	}
+// for phases at or past PhasePreferNew (ok is false for an unknown kind).
+func (mt *MigratingTable) translateNew(op Operation, r resident, phase Phase) (bop Operation, vetag int64, ok bool) {
+	// merged is the write's payload on top of an old-table resident's.
+	merged := func() Properties { return userProps(r.stored).Merge(op.Props) }
 	switch op.Kind {
 	case OpInsert:
-		props, vetag := fresh(op.Props)
+		props, vetag := mt.stamp(op.Props)
 		if r.tombstone {
-			return &Operation{Kind: OpReplace, Key: op.Key, Props: props, ETag: r.backend}, vetag
+			return Operation{Kind: OpReplace, Key: op.Key, Props: props, ETag: r.backend}, vetag, true
 		}
 		kind := OpInsert
 		if mt.bugs.Has(BugInsertBehindMigrator) {
@@ -515,42 +488,38 @@ func (mt *MigratingTable) translateNew(op Operation, r resident, phase Phase) (*
 			// migrator copies behind our pre-reads gets overwritten.
 			kind = OpInsertOrReplace
 		}
-		return &Operation{Kind: kind, Key: op.Key, Props: props}, vetag
+		return Operation{Kind: kind, Key: op.Key, Props: props}, vetag, true
 	case OpReplace:
-		props, vetag := fresh(op.Props)
+		props, vetag := mt.stamp(op.Props)
 		if r.inNew {
-			return &Operation{Kind: OpReplace, Key: op.Key, Props: props, ETag: r.backend}, vetag
+			return Operation{Kind: OpReplace, Key: op.Key, Props: props, ETag: r.backend}, vetag, true
 		}
 		// Promotion of an old-table resident: first writer wins.
-		return &Operation{Kind: OpInsert, Key: op.Key, Props: props}, vetag
+		return Operation{Kind: OpInsert, Key: op.Key, Props: props}, vetag, true
 	case OpMerge:
 		if r.inNew {
-			props, vetag := fresh(op.Props)
-			return &Operation{Kind: OpMerge, Key: op.Key, Props: props, ETag: r.backend}, vetag
+			props, vetag := mt.stamp(op.Props)
+			return Operation{Kind: OpMerge, Key: op.Key, Props: props, ETag: r.backend}, vetag, true
 		}
-		props, vetag := fresh(mergedProps())
-		return &Operation{Kind: OpInsert, Key: op.Key, Props: props}, vetag
+		props, vetag := mt.stamp(merged())
+		return Operation{Kind: OpInsert, Key: op.Key, Props: props}, vetag, true
 	case OpInsertOrReplace:
-		props, vetag := fresh(op.Props)
-		switch {
-		case r.tombstone, r.inNew:
-			return &Operation{Kind: OpReplace, Key: op.Key, Props: props, ETag: r.backend}, vetag
-		case r.inOld:
-			return &Operation{Kind: OpInsert, Key: op.Key, Props: props}, vetag
-		default:
-			return &Operation{Kind: OpInsert, Key: op.Key, Props: props}, vetag
+		props, vetag := mt.stamp(op.Props)
+		if r.tombstone || r.inNew {
+			return Operation{Kind: OpReplace, Key: op.Key, Props: props, ETag: r.backend}, vetag, true
 		}
+		return Operation{Kind: OpInsert, Key: op.Key, Props: props}, vetag, true
 	case OpInsertOrMerge:
 		switch {
 		case r.tombstone:
-			props, vetag := fresh(op.Props)
-			return &Operation{Kind: OpReplace, Key: op.Key, Props: props, ETag: r.backend}, vetag
+			props, vetag := mt.stamp(op.Props)
+			return Operation{Kind: OpReplace, Key: op.Key, Props: props, ETag: r.backend}, vetag, true
 		case r.inNew:
-			props, vetag := fresh(op.Props)
-			return &Operation{Kind: OpMerge, Key: op.Key, Props: props, ETag: r.backend}, vetag
+			props, vetag := mt.stamp(op.Props)
+			return Operation{Kind: OpMerge, Key: op.Key, Props: props, ETag: r.backend}, vetag, true
 		default:
-			props, vetag := fresh(mergedProps())
-			return &Operation{Kind: OpInsert, Key: op.Key, Props: props}, vetag
+			props, vetag := mt.stamp(merged())
+			return Operation{Kind: OpInsert, Key: op.Key, Props: props}, vetag, true
 		}
 	case OpDelete:
 		if phase >= PhaseUseNewWithTombstones {
@@ -559,10 +528,10 @@ func (mt *MigratingTable) translateNew(op Operation, r resident, phase Phase) (*
 			if mt.bugs.Has(BugDeleteNoLeaveTombstonesEtag) {
 				etag = ETagAny
 			}
-			return &Operation{Kind: OpDelete, Key: op.Key, ETag: etag}, 0
+			return Operation{Kind: OpDelete, Key: op.Key, ETag: etag}, 0, true
 		}
 		if r.inNew {
-			return &Operation{Kind: OpReplace, Key: op.Key, Props: Properties{tombstoneProp: 1}, ETag: r.backend}, 0
+			return Operation{Kind: OpReplace, Key: op.Key, Props: tombstoneProps, ETag: r.backend}, 0, true
 		}
 		// Old-table resident: a tombstone must shadow it.
 		key := op.Key
@@ -571,24 +540,20 @@ func (mt *MigratingTable) translateNew(op Operation, r resident, phase Phase) (*
 			// key, so the old row stays visible.
 			key.Row += "~"
 		}
-		return &Operation{Kind: OpInsert, Key: key, Props: Properties{tombstoneProp: 1}}, 0
+		return Operation{Kind: OpInsert, Key: key, Props: tombstoneProps}, 0, true
 	case OpCheck:
 		if r.inNew {
-			return &Operation{Kind: OpCheck, Key: op.Key, ETag: r.backend}, 0
+			return Operation{Kind: OpCheck, Key: op.Key, ETag: r.backend}, 0, true
 		}
 		// Old-table resident: the new table has no row to check, so
 		// promote the row unchanged (same properties, same virtual etag)
 		// with an insert-if-not-exists. Any concurrent mutation of the
 		// key creates a new-table row first and fails this insert,
 		// forcing a retry — which makes the check valid at commit time.
-		props := r.props.Clone()
-		if props == nil {
-			props = Properties{}
-		}
-		props[vetagProp] = r.vetag
-		return &Operation{Kind: OpInsert, Key: op.Key, Props: props}, 0
+		props := userProps(r.stored).With(vetagProp, r.vetag)
+		return Operation{Kind: OpInsert, Key: op.Key, Props: props}, 0, true
 	default:
-		return nil, 0
+		return Operation{}, 0, false
 	}
 }
 
@@ -641,24 +606,17 @@ func (mt *MigratingTable) queryOnce(q Query, c *partitionCache) ([]Row, bool, er
 			return nil, retry, err
 		}
 		mt.rep.LP()
-		data, _ := snapshot(rows)
-		return assembleRows(data, nil, q, pushdown), false, nil
+		return assembleRows(rows, nil, q, pushdown), false, nil
 	}
 
-	var oldData map[string]Row
+	var oldRows []Row
 	oldAnnounced := PhasePreferOld
 	if c.phase == PhasePreferNew {
-		oldRows, err := mt.old.QueryAtomic(backendQuery)
-		if err != nil {
+		var err error
+		if oldRows, err = mt.old.QueryAtomic(backendQuery); err != nil {
 			return nil, false, err
 		}
-		var oldMeta *Row
-		oldData, oldMeta = snapshot(oldRows)
-		if oldMeta != nil {
-			if p, _, err := parseMeta(oldMeta.Props); err == nil {
-				oldAnnounced = p
-			}
-		}
+		oldAnnounced = announcedPhase(oldRows)
 	}
 	newRows, err := mt.new.QueryAtomic(backendQuery)
 	if err != nil {
@@ -669,8 +627,18 @@ func (mt *MigratingTable) queryOnce(q Query, c *partitionCache) ([]Row, bool, er
 		return nil, retry, err
 	}
 	mt.rep.LP()
-	newData, _ := snapshot(newRows)
-	return assembleRows(newData, oldData, q, pushdown), false, nil
+	return assembleRows(newRows, oldRows, q, pushdown), false, nil
+}
+
+// announcedPhase is the phase the old table's meta row announces in a
+// pre-read snapshot (PhasePreferOld when it has none or it is malformed).
+func announcedPhase(oldRows []Row) Phase {
+	if meta := metaOf(oldRows); meta != nil {
+		if p, _, err := parseMeta(meta.Props); err == nil {
+			return p
+		}
+	}
+	return PhasePreferOld
 }
 
 // validateMetaForQuery confirms the cached phase is still current, using
@@ -691,7 +659,7 @@ func (mt *MigratingTable) validateMetaForQuery(backend Backend, partition string
 			meta = &metaRows[0]
 		}
 	} else {
-		_, meta = snapshot(rows)
+		meta = metaOf(rows)
 	}
 	if meta == nil {
 		return nil, false, fmt.Errorf("%w: missing migration metadata", ErrBadRequest)
@@ -724,35 +692,32 @@ func (mt *MigratingTable) validateMetaForQuery(backend Backend, partition string
 	return meta, false, nil
 }
 
-// assembleRows merges backend snapshots into the virtual result: new rows
-// shadow old rows, tombstones hide them, reserved rows are stripped, and
-// (unless the pushdown bug is active) the range and filter apply to the
-// merged view.
-func assembleRows(newData, oldData map[string]Row, q Query, pushdown bool) []Row {
-	merged := make(map[string]Row, len(newData)+len(oldData))
-	for k, r := range oldData {
-		merged[k] = r
-	}
-	for k, r := range newData {
-		merged[k] = r
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// assembleRows merges backend snapshots (each sorted by row key) into the
+// virtual result: new rows shadow old rows, tombstones hide them, reserved
+// rows are stripped, and (unless the pushdown bug is active) the range and
+// filter apply to the merged view.
+func assembleRows(newRows, oldRows []Row, q Query, pushdown bool) []Row {
 	var out []Row
-	for _, k := range keys {
-		r := merged[k]
-		if isReservedRow(k) || isTombstone(r.Props) {
+	for len(newRows)+len(oldRows) > 0 {
+		var r Row
+		switch {
+		case len(oldRows) == 0 || len(newRows) > 0 && newRows[0].Key.Row < oldRows[0].Key.Row:
+			r, newRows = newRows[0], newRows[1:]
+		case len(newRows) == 0 || oldRows[0].Key.Row < newRows[0].Key.Row:
+			r, oldRows = oldRows[0], oldRows[1:]
+		default: // same key on both sides: the new table shadows
+			r, newRows, oldRows = newRows[0], newRows[1:], oldRows[1:]
+		}
+		k := r.Key.Row
+		if isReservedRow(k) || isTombstone(r.Props) || !q.inRange(k) {
 			continue
 		}
 		props := userProps(r.Props)
-		if !q.inRange(k) {
-			continue
-		}
 		if !pushdown && !q.Filter.Matches(props) {
 			continue
+		}
+		if out == nil {
+			out = make([]Row, 0, 1+len(newRows)+len(oldRows))
 		}
 		out = append(out, Row{Key: r.Key, Props: props, ETag: vetagOf(r)})
 	}

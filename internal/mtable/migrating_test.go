@@ -23,7 +23,7 @@ type seqEnv struct {
 	partition string
 }
 
-func newSeqEnv(t *testing.T, bugs Bugs, seed map[string]Properties) *seqEnv {
+func newSeqEnv(t *testing.T, bugs Bugs, seed map[string]map[string]int64) *seqEnv {
 	t.Helper()
 	e := &seqEnv{
 		t:         t,
@@ -41,11 +41,11 @@ func newSeqEnv(t *testing.T, bugs Bugs, seed map[string]Properties) *seqEnv {
 	// Seed pre-migration data into the old table (with virtual etags, as
 	// production data would carry) and into the oracle.
 	i := int64(0)
-	for row, p := range seed {
+	for row, cols := range seed {
 		i++
 		vetag := int64(7)<<32 | i
-		backend := p.Clone()
-		backend[vetagProp] = vetag
+		p := PropsFromMap(cols)
+		backend := SeedBackendRow(p, vetag)
 		if _, err := e.old.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{e.partition, row}, Props: backend}}); err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ type opSpec struct {
 func buildOp(s opSpec, etags map[string]int64) Operation {
 	op := Operation{Kind: s.kind, Key: Key{"P", s.row}}
 	if s.kind != OpDelete && s.kind != OpCheck {
-		op.Props = Properties{"v": s.val}
+		op.Props = Props(Prop{"v", s.val})
 	}
 	switch s.etag {
 	case "any":
@@ -166,8 +166,8 @@ func sameRows(a, b []Row) error {
 	return nil
 }
 
-func seedRows() map[string]Properties {
-	return map[string]Properties{
+func seedRows() map[string]map[string]int64 {
+	return map[string]map[string]int64{
 		"r1": {"v": 10},
 		"r2": {"v": 20},
 		"r3": {"v": 30},
@@ -290,7 +290,7 @@ func TestVTStreamMatchesOracleWhenQuiescent(t *testing.T) {
 // between stream reads: migration must be invisible to the stream.
 func TestVTStreamSurvivesConcurrentMigration(t *testing.T) {
 	for lag := 0; lag <= 4; lag++ {
-		e := newSeqEnv(t, 0, map[string]Properties{
+		e := newSeqEnv(t, 0, map[string]map[string]int64{
 			"a": {"v": 1}, "b": {"v": 2}, "c": {"v": 3}, "d": {"v": 4}, "e": {"v": 5}, "f": {"v": 6},
 		})
 		s, err := e.mt.QueryStream(Query{Partition: "P"})
@@ -358,7 +358,7 @@ func TestVTRejectsReservedNames(t *testing.T) {
 	if !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("reserved row accepted: %v", err)
 	}
-	_, err = e.mt.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{"P", "r9"}, Props: Properties{"_tombstone": 1}}})
+	_, err = e.mt.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{"P", "r9"}, Props: Props(Prop{"_tombstone", 1})}})
 	if !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("reserved prop accepted: %v", err)
 	}

@@ -16,7 +16,7 @@ func newTwoPartitionEnv(t *testing.T) (*MigratingTable, *Migrator, *RefTable, *R
 		}
 	}
 	for i, part := range []string{"P", "Q"} {
-		props := SeedBackendRow(Properties{"v": int64(i + 1)}, int64(100+i))
+		props := SeedBackendRow(Props(Prop{"v", int64(i + 1)}), int64(100+i))
 		if _, err := old.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{part, "r1"}, Props: props}}); err != nil {
 			t.Fatal(err)
 		}
@@ -50,15 +50,15 @@ func TestMigrationIsPerPartition(t *testing.T) {
 	}
 	// Q's data remains readable and writable on the old path.
 	rows, err := mt.QueryAtomic(Query{Partition: "Q"})
-	if err != nil || len(rows) != 1 || rows[0].Props["v"] != 2 {
+	if err != nil || len(rows) != 1 || val(rows[0].Props, "v") != 2 {
 		t.Fatalf("Q query: %v %v", rows, err)
 	}
-	if _, err := mt.ExecuteBatch([]Operation{{Kind: OpReplace, Key: Key{"Q", "r1"}, Props: Properties{"v": 9}, ETag: ETagAny}}); err != nil {
+	if _, err := mt.ExecuteBatch([]Operation{{Kind: OpReplace, Key: Key{"Q", "r1"}, Props: Props(Prop{"v", 9}), ETag: ETagAny}}); err != nil {
 		t.Fatalf("Q write: %v", err)
 	}
 	// P's data is in the new table.
 	rows, err = mt.QueryAtomic(Query{Partition: "P"})
-	if err != nil || len(rows) != 1 || rows[0].Props["v"] != 1 {
+	if err != nil || len(rows) != 1 || val(rows[0].Props, "v") != 1 {
 		t.Fatalf("P query: %v %v", rows, err)
 	}
 }
@@ -66,8 +66,8 @@ func TestMigrationIsPerPartition(t *testing.T) {
 func TestCrossPartitionBatchRejected(t *testing.T) {
 	mt, _, _, _ := newTwoPartitionEnv(t)
 	_, err := mt.ExecuteBatch([]Operation{
-		{Kind: OpInsert, Key: Key{"P", "x"}, Props: Properties{"v": 1}},
-		{Kind: OpInsert, Key: Key{"Q", "x"}, Props: Properties{"v": 1}},
+		{Kind: OpInsert, Key: Key{"P", "x"}, Props: Props(Prop{"v", 1})},
+		{Kind: OpInsert, Key: Key{"Q", "x"}, Props: Props(Prop{"v", 1})},
 	})
 	if !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("cross-partition batch accepted: %v", err)

@@ -49,13 +49,13 @@ func metaKeyFor(partition string) Key {
 
 // metaProps encodes a phase into metadata-row properties.
 func metaProps(phase Phase, version int64) Properties {
-	return Properties{phaseProp: int64(phase), versionProp: version}
+	return Props(Prop{phaseProp, int64(phase)}, Prop{versionProp, version})
 }
 
 // parseMeta decodes a metadata row.
 func parseMeta(props Properties) (Phase, int64, error) {
-	p, okP := props[phaseProp]
-	v, okV := props[versionProp]
+	p, okP := props.Get(phaseProp)
+	v, okV := props.Get(versionProp)
 	if !okP || !okV {
 		return 0, 0, fmt.Errorf("%w: malformed migration metadata", ErrBadRequest)
 	}

@@ -3,7 +3,6 @@ package mtable
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -13,16 +12,25 @@ import (
 // implementation twice — as the two backend tables under the
 // MigratingTable, and as the oracle the virtual table's outputs are
 // compared against — and so does this one.
+//
+// Partitions and their rows are kept as sorted slices: a partition holds a
+// handful of rows, reads hand them out in row-key order without sorting,
+// and nothing about the table depends on a map's iteration order. Rows are
+// stored as given and handed out as stored (see the package comment).
 type RefTable struct {
 	mu    sync.Mutex
-	parts map[string]map[string]Row
+	parts []partition // ascending name
 	etag  int64
 }
 
-// NewRefTable returns an empty table.
-func NewRefTable() *RefTable {
-	return &RefTable{parts: make(map[string]map[string]Row)}
+// partition is one partition's rows, ascending by row key.
+type partition struct {
+	name string
+	rows []Row
 }
+
+// NewRefTable returns an empty table.
+func NewRefTable() *RefTable { return &RefTable{} }
 
 var _ Backend = (*RefTable)(nil)
 
@@ -30,6 +38,24 @@ var _ Backend = (*RefTable)(nil)
 func (t *RefTable) nextETag() int64 {
 	t.etag++
 	return t.etag
+}
+
+// rows returns the partition's rows (nil if the partition is empty).
+func (t *RefTable) rows(name string) []Row {
+	if i, ok := t.findPartition(name); ok {
+		return t.parts[i].rows
+	}
+	return nil
+}
+
+func (t *RefTable) findPartition(name string) (int, bool) {
+	return slices.BinarySearchFunc(t.parts, name, func(p partition, name string) int { return strings.Compare(p.name, name) })
+}
+
+// findRow returns the position of the row key in rows (ascending by row
+// key), or where it would be inserted.
+func findRow(rows []Row, rowKey string) (int, bool) {
+	return slices.BinarySearchFunc(rows, rowKey, func(r Row, rowKey string) int { return strings.Compare(r.Key.Row, rowKey) })
 }
 
 // validateBatch enforces the chain-table batch rules: 1..100 operations,
@@ -95,47 +121,51 @@ func (t *RefTable) ExecuteBatch(batch []Operation) ([]OpResult, error) {
 	if err := t.validateBatch(batch); err != nil {
 		return nil, err
 	}
-	part := t.parts[batch[0].Key.Partition]
+	name := batch[0].Key.Partition
+	pi, havePart := t.findPartition(name)
+	var rows []Row
+	if havePart {
+		rows = t.parts[pi].rows
+	}
 	for i, op := range batch {
 		cur, exists := Row{}, false
-		if part != nil {
-			cur, exists = part[op.Key.Row]
+		if ri, ok := findRow(rows, op.Key.Row); ok {
+			cur, exists = rows[ri], true
 		}
 		if err := check(op, cur, exists); err != nil {
 			return nil, &BatchError{Index: i, Err: err}
 		}
 	}
-	// All preconditions hold; apply.
-	if part == nil {
-		part = make(map[string]Row)
-		t.parts[batch[0].Key.Partition] = part
+	// All preconditions hold; apply. (Row keys are distinct within a batch,
+	// so applying in order is applying at once.)
+	if !havePart {
+		t.parts = slices.Insert(t.parts, pi, partition{name: name})
+		rows = make([]Row, 0, 8)
 	}
 	results := make([]OpResult, len(batch))
 	for i, op := range batch {
-		cur, exists := part[op.Key.Row]
+		ri, exists := findRow(rows, op.Key.Row)
+		props := op.Props
 		switch op.Kind {
-		case OpInsert, OpInsertOrReplace:
-			part[op.Key.Row] = Row{Key: op.Key, Props: op.Props.Clone(), ETag: t.nextETag()}
-		case OpReplace:
-			part[op.Key.Row] = Row{Key: op.Key, Props: op.Props.Clone(), ETag: t.nextETag()}
-		case OpMerge, OpInsertOrMerge:
-			props := Properties{}
-			if exists {
-				props = cur.Props.Clone()
-			}
-			for k, v := range op.Props {
-				props[k] = v
-			}
-			part[op.Key.Row] = Row{Key: op.Key, Props: props, ETag: t.nextETag()}
 		case OpDelete:
-			delete(part, op.Key.Row)
+			rows = slices.Delete(rows, ri, ri+1)
+			continue
 		case OpCheck:
-			// Guard only.
+			continue // guard only
+		case OpMerge, OpInsertOrMerge:
+			if exists {
+				props = rows[ri].Props.Merge(op.Props)
+			}
 		}
-		if op.Kind != OpDelete && op.Kind != OpCheck {
-			results[i] = OpResult{ETag: part[op.Key.Row].ETag}
+		row := Row{Key: op.Key, Props: props, ETag: t.nextETag()}
+		if exists {
+			rows[ri] = row
+		} else {
+			rows = slices.Insert(rows, ri, row)
 		}
+		results[i] = OpResult{ETag: row.ETag}
 	}
+	t.parts[pi].rows = rows
 	return results, nil
 }
 
@@ -144,22 +174,18 @@ func (t *RefTable) ExecuteBatch(batch []Operation) ([]OpResult, error) {
 func (t *RefTable) QueryAtomic(q Query) ([]Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	rows := t.rows(q.Partition)
 	var out []Row
-	for rowKey, row := range t.parts[q.Partition] {
-		if !q.inRange(rowKey) || !q.Filter.Matches(row.Props) {
+	for i, row := range rows {
+		if !q.inRange(row.Key.Row) || !q.Filter.Matches(row.Props) {
 			continue
 		}
-		out = append(out, row.Clone())
+		if out == nil {
+			out = make([]Row, 0, len(rows)-i)
+		}
+		out = append(out, row)
 	}
-	sortRows(out)
 	return out, nil
-}
-
-// sortRows orders rows by row key. slices.SortFunc instead of sort.Slice:
-// the reflection-based swapper sort.Slice builds was a measurable
-// allocation on the query path, which every harness operation hits.
-func sortRows(rows []Row) {
-	slices.SortFunc(rows, func(a, b Row) int { return strings.Compare(a.Key.Row, b.Key.Row) })
 }
 
 // FetchPage returns up to limit rows with key strictly greater than after,
@@ -171,21 +197,20 @@ func (t *RefTable) FetchPage(partition, after string, filter *Filter, limit int)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Collect the candidate window, then sort rows directly — one slice
-	// instead of a key slice plus per-key map lookups.
-	candidates := make([]Row, 0, len(t.parts[partition]))
-	for rowKey, row := range t.parts[partition] {
-		if rowKey > after {
-			candidates = append(candidates, row)
-		}
+	rows := t.rows(partition)
+	from, found := findRow(rows, after)
+	if found {
+		from++
 	}
-	sortRows(candidates)
 	var out []Row
-	for _, row := range candidates {
+	for _, row := range rows[from:] {
 		if !filter.Matches(row.Props) {
 			continue
 		}
-		out = append(out, row.Clone())
+		if out == nil {
+			out = make([]Row, 0, min(limit, len(rows)-from))
+		}
+		out = append(out, row)
 		if len(out) == limit {
 			break
 		}
@@ -249,18 +274,18 @@ func (s *refStream) Close() { s.closed = true }
 func (t *RefTable) Get(key Key) (Row, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	row, ok := t.parts[key.Partition][key.Row]
-	if !ok {
-		return Row{}, false
+	rows := t.rows(key.Partition)
+	if i, ok := findRow(rows, key.Row); ok {
+		return rows[i], true
 	}
-	return row.Clone(), true
+	return Row{}, false
 }
 
 // Len returns the number of rows in the partition.
 func (t *RefTable) Len(partition string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.parts[partition])
+	return len(t.rows(partition))
 }
 
 // Partitions returns the partition keys in sorted order.
@@ -268,9 +293,8 @@ func (t *RefTable) Partitions() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []string
-	for p := range t.parts {
-		out = append(out, p)
+	for _, p := range t.parts {
+		out = append(out, p.name)
 	}
-	sort.Strings(out)
 	return out
 }

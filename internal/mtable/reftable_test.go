@@ -10,12 +10,18 @@ import (
 func key(row string) Key { return Key{Partition: "P", Row: row} }
 
 func props(kv ...int64) Properties {
-	p := Properties{}
+	var p Properties
 	names := []string{"a", "b", "c"}
 	for i, v := range kv {
-		p[names[i]] = v
+		p = p.With(names[i], v)
 	}
 	return p
+}
+
+// val reads one column (0 when absent).
+func val(p Properties, name string) int64 {
+	v, _ := p.Get(name)
+	return v
 }
 
 func mustBatch(t *testing.T, tbl *RefTable, ops ...Operation) []OpResult {
@@ -34,7 +40,7 @@ func TestRefTableInsertAndGet(t *testing.T) {
 		t.Fatal("insert returned zero etag")
 	}
 	row, ok := tbl.Get(key("r1"))
-	if !ok || row.Props["a"] != 1 {
+	if !ok || val(row.Props, "a") != 1 {
 		t.Fatalf("get: %+v %v", row, ok)
 	}
 	_, err := tbl.ExecuteBatch([]Operation{{Kind: OpInsert, Key: key("r1"), Props: props(2)}})
@@ -66,10 +72,10 @@ func TestRefTableReplaceETagSemantics(t *testing.T) {
 
 func TestRefTableMergeKeepsOtherProps(t *testing.T) {
 	tbl := NewRefTable()
-	mustBatch(t, tbl, Operation{Kind: OpInsert, Key: key("r1"), Props: Properties{"a": 1, "b": 2}})
-	mustBatch(t, tbl, Operation{Kind: OpMerge, Key: key("r1"), Props: Properties{"b": 9, "c": 3}, ETag: ETagAny})
+	mustBatch(t, tbl, Operation{Kind: OpInsert, Key: key("r1"), Props: Props(Prop{"a", 1}, Prop{"b", 2})})
+	mustBatch(t, tbl, Operation{Kind: OpMerge, Key: key("r1"), Props: Props(Prop{"b", 9}, Prop{"c", 3}), ETag: ETagAny})
 	row, _ := tbl.Get(key("r1"))
-	want := Properties{"a": 1, "b": 9, "c": 3}
+	want := Props(Prop{"a", 1}, Prop{"b", 9}, Prop{"c", 3})
 	if !row.Props.Equal(want) {
 		t.Fatalf("merged: %v want %v", row.Props, want)
 	}
@@ -138,7 +144,7 @@ func TestRefTableBatchValidation(t *testing.T) {
 func TestRefTableQueryRangeAndFilter(t *testing.T) {
 	tbl := NewRefTable()
 	for i, r := range []string{"a", "b", "c", "d"} {
-		mustBatch(t, tbl, Operation{Kind: OpInsert, Key: key(r), Props: Properties{"v": int64(i)}})
+		mustBatch(t, tbl, Operation{Kind: OpInsert, Key: key(r), Props: Props(Prop{"v", int64(i)})})
 	}
 	rows, err := tbl.QueryAtomic(Query{Partition: "P", RowFrom: "b", RowTo: "c"})
 	if err != nil || len(rows) != 2 || rows[0].Key.Row != "b" || rows[1].Key.Row != "c" {
@@ -243,22 +249,22 @@ func TestHistoryAtAndStates(t *testing.T) {
 	k := key("r1")
 	h.Record(0, k, props(1))
 	h.Record(5, k, props(2))
-	h.Record(9, k, nil)
-	if got := h.At(k, 0); !got.Equal(props(1)) {
+	h.RecordAbsent(9, k)
+	if got, ok := h.At(k, 0); !ok || !got.Equal(props(1)) {
 		t.Fatalf("at 0: %v", got)
 	}
-	if got := h.At(k, 4); !got.Equal(props(1)) {
+	if got, ok := h.At(k, 4); !ok || !got.Equal(props(1)) {
 		t.Fatalf("at 4: %v", got)
 	}
-	if got := h.At(k, 7); !got.Equal(props(2)) {
+	if got, ok := h.At(k, 7); !ok || !got.Equal(props(2)) {
 		t.Fatalf("at 7: %v", got)
 	}
-	if got := h.At(k, 9); got != nil {
+	if got, ok := h.At(k, 9); ok {
 		t.Fatalf("at 9: %v", got)
 	}
-	states := h.statesIn(k, 4, 9)
-	if len(states) != 3 {
-		t.Fatalf("states: %v", states)
+	base, changes := window(h.versions(k), 4, 9)
+	if !base.present || !base.props.Equal(props(1)) || len(changes) != 2 {
+		t.Fatalf("window [4,9]: base %+v, changes %+v", base, changes)
 	}
 }
 
@@ -266,7 +272,7 @@ func TestHistoryCheckStream(t *testing.T) {
 	h := NewHistory()
 	h.Record(0, key("a"), props(1))
 	h.Record(0, key("b"), props(2))
-	h.Record(5, key("b"), nil)      // b deleted at 5
+	h.RecordAbsent(5, key("b"))     // b deleted at 5
 	h.Record(0, key("c"), props(3)) // stable throughout
 
 	// Valid: a and c emitted; b legally omitted (deleted mid-window).

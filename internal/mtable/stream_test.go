@@ -25,7 +25,7 @@ func collect(t *testing.T, s RowStream) []Row {
 
 func TestVTStreamRange(t *testing.T) {
 	for steps := 0; steps <= 20; steps += 5 {
-		e := newSeqEnv(t, 0, map[string]Properties{
+		e := newSeqEnv(t, 0, map[string]map[string]int64{
 			"a": {"v": 1}, "b": {"v": 2}, "c": {"v": 3}, "d": {"v": 4},
 		})
 		e.step(steps)
@@ -42,7 +42,7 @@ func TestVTStreamRange(t *testing.T) {
 }
 
 func TestVTStreamFilter(t *testing.T) {
-	e := newSeqEnv(t, 0, map[string]Properties{
+	e := newSeqEnv(t, 0, map[string]map[string]int64{
 		"a": {"v": 1}, "b": {"v": 5}, "c": {"v": 2},
 	})
 	e.step(2)
@@ -125,7 +125,7 @@ func TestVTStreamSeesOwnPriorWrites(t *testing.T) {
 		s.Close()
 		found := false
 		for _, r := range rows {
-			if r.Key.Row == "zz" && r.Props["v"] == 99 {
+			if r.Key.Row == "zz" && val(r.Props, "v") == 99 {
 				found = true
 			}
 		}

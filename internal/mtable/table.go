@@ -19,11 +19,25 @@
 //
 // The eleven bugs of the paper's Table 2 are seeded behind the Bugs flags
 // (bugs.go); each re-introduces one incorrect code path.
+//
+// Rows are values. A Row's Properties is immutable (see Properties), so
+// nothing in this package copies a row defensively: RefTable stores the
+// rows it is given and QueryAtomic, FetchPage and Get hand the stored rows
+// out; History keeps the payloads it is shown; MigratingTable passes
+// backend rows through and strips or stamps protocol columns by building a
+// new payload. A caller may keep, share and compare whatever it receives
+// for as long as it likes — the harness runs the same reference table
+// three times per execution (old backend, new backend, oracle) and the
+// three hold the same payloads. Only the slices a query returns are the
+// caller's own to reorder or truncate.
 package mtable
 
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -36,57 +50,196 @@ type Key struct {
 
 func (k Key) String() string { return k.Partition + "/" + k.Row }
 
-// Less orders keys by (partition, row).
-func (k Key) Less(o Key) bool {
-	if k.Partition != o.Partition {
-		return k.Partition < o.Partition
+// Compare orders keys by (partition, row).
+func (k Key) Compare(o Key) int {
+	if c := strings.Compare(k.Partition, o.Partition); c != 0 {
+		return c
 	}
-	return k.Row < o.Row
+	return strings.Compare(k.Row, o.Row)
+}
+
+// Prop is one named integer column of a row.
+type Prop struct {
+	Name  string
+	Value int64
 }
 
 // Properties is a row's payload: named integer columns. (The real service
 // supports more types; integers keep comparison and generation simple
 // without losing any concurrency behavior.)
-type Properties map[string]int64
-
-// Clone returns a deep copy.
-func (p Properties) Clone() Properties {
-	if p == nil {
-		return nil
-	}
-	c := make(Properties, len(p))
-	for k, v := range p {
-		c[k] = v
-	}
-	return c
+//
+// A Properties is an immutable value: the columns sorted by name, behind
+// constructors that copy what they are given and methods that return a new
+// value instead of changing the receiver. Nothing outside this file can
+// reach the backing array, so a Properties may be stored, handed out and
+// shared between any number of rows, tables, histories and machines
+// without a copy — the aliasing is safe by construction, not by audit —
+// and iteration order is the name order, never a map's. The zero value is
+// the empty payload.
+type Properties struct {
+	ps []Prop // ascending, distinct names; never written after construction
 }
 
-// Equal reports whether two property maps hold the same entries.
-func (p Properties) Equal(o Properties) bool {
-	if len(p) != len(o) {
-		return false
+// Props builds a payload from pairs (copied; a later pair wins over an
+// earlier one of the same name).
+func Props(pairs ...Prop) Properties {
+	if len(pairs) == 0 {
+		return Properties{}
 	}
-	for k, v := range p {
-		ov, ok := o[k]
-		if !ok || ov != v {
-			return false
+	ps := slices.Clone(pairs)
+	slices.SortStableFunc(ps, func(a, b Prop) int { return strings.Compare(a.Name, b.Name) })
+	out := ps[:1]
+	for _, p := range ps[1:] {
+		if last := &out[len(out)-1]; last.Name == p.Name {
+			last.Value = p.Value
+		} else {
+			out = append(out, p)
 		}
 	}
-	return true
+	return Properties{ps: out}
+}
+
+// PropsFromMap builds a payload from a map (copied).
+func PropsFromMap(m map[string]int64) Properties {
+	if len(m) == 0 {
+		return Properties{}
+	}
+	ps := make([]Prop, 0, len(m))
+	for name, v := range m {
+		ps = append(ps, Prop{name, v})
+	}
+	slices.SortFunc(ps, func(a, b Prop) int { return strings.Compare(a.Name, b.Name) })
+	return Properties{ps: ps}
+}
+
+// search returns the position of name, or where it would be inserted. A
+// row holds a handful of columns, so the scan is linear.
+func (p Properties) search(name string) (int, bool) {
+	for i, e := range p.ps {
+		if e.Name >= name {
+			return i, e.Name == name
+		}
+	}
+	return len(p.ps), false
+}
+
+// Len returns the number of columns.
+func (p Properties) Len() int { return len(p.ps) }
+
+// Get returns the named column.
+func (p Properties) Get(name string) (int64, bool) {
+	if i, ok := p.search(name); ok {
+		return p.ps[i].Value, true
+	}
+	return 0, false
+}
+
+// All iterates the columns in name order.
+func (p Properties) All() iter.Seq2[string, int64] {
+	return func(yield func(string, int64) bool) {
+		for _, e := range p.ps {
+			if !yield(e.Name, e.Value) {
+				return
+			}
+		}
+	}
+}
+
+// With returns the payload with the named column set to value.
+func (p Properties) With(name string, value int64) Properties {
+	i, ok := p.search(name)
+	if ok && p.ps[i].Value == value {
+		return p
+	}
+	n := len(p.ps)
+	if !ok {
+		n++
+	}
+	ps := make([]Prop, 0, n)
+	ps = append(ps, p.ps[:i]...)
+	ps = append(ps, Prop{name, value})
+	if ok {
+		i++
+	}
+	return Properties{ps: append(ps, p.ps[i:]...)}
+}
+
+// Without returns the payload less the named column. Dropping the first
+// or last column shares the receiver's backing array — sound because no
+// payload is ever written after construction.
+func (p Properties) Without(name string) Properties {
+	i, ok := p.search(name)
+	switch {
+	case !ok:
+		return p
+	case i == 0:
+		return Properties{ps: p.ps[1:]}
+	case i == len(p.ps)-1:
+		return Properties{ps: p.ps[:i]}
+	}
+	ps := make([]Prop, 0, len(p.ps)-1)
+	ps = append(ps, p.ps[:i]...)
+	return Properties{ps: append(ps, p.ps[i+1:]...)}
+}
+
+// Merge returns the payload overlaid with o's columns: the upsert of the
+// chain-table merge operations.
+func (p Properties) Merge(o Properties) Properties {
+	switch {
+	case len(o.ps) == 0:
+		return p
+	case len(p.ps) == 0:
+		return o
+	}
+	ps := make([]Prop, 0, len(p.ps)+len(o.ps))
+	i, j := 0, 0
+	for i < len(p.ps) && j < len(o.ps) {
+		switch c := strings.Compare(p.ps[i].Name, o.ps[j].Name); {
+		case c < 0:
+			ps = append(ps, p.ps[i])
+			i++
+		case c > 0:
+			ps = append(ps, o.ps[j])
+			j++
+		default:
+			ps = append(ps, o.ps[j])
+			i++
+			j++
+		}
+	}
+	ps = append(ps, p.ps[i:]...)
+	return Properties{ps: append(ps, o.ps[j:]...)}
+}
+
+// Equal reports whether two payloads hold the same columns.
+func (p Properties) Equal(o Properties) bool { return slices.Equal(p.ps, o.ps) }
+
+// String renders the payload the way fmt renders the map it models,
+// "map[a:1 b:2]" — violation messages quote payloads, and the schedule
+// goldens pin those messages.
+func (p Properties) String() string {
+	var b strings.Builder
+	b.WriteString("map[")
+	for i, e := range p.ps {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(e.Name)
+		b.WriteByte(':')
+		b.WriteString(strconv.FormatInt(e.Value, 10))
+	}
+	b.WriteByte(']')
+	return b.String()
 }
 
 // Row is one stored row. ETag is a server-assigned version used for
-// optimistic concurrency: it changes on every mutation.
+// optimistic concurrency: it changes on every mutation. A Row is a value
+// all the way down (see Properties): tables store the rows they are given
+// and hand the stored rows out.
 type Row struct {
 	Key   Key
 	Props Properties
 	ETag  int64
-}
-
-// Clone returns a deep copy.
-func (r Row) Clone() Row {
-	r.Props = r.Props.Clone()
-	return r
 }
 
 // ETagAny is the wildcard etag condition ("*"): the operation applies to
@@ -212,7 +365,7 @@ func ErrorCode(err error) string {
 		code = "badrequest"
 	}
 	if idx >= 0 {
-		return fmt.Sprintf("%s@%d", code, idx)
+		return code + "@" + strconv.Itoa(idx)
 	}
 	return code
 }
@@ -230,7 +383,7 @@ func (f *Filter) Matches(props Properties) bool {
 	if f == nil {
 		return true
 	}
-	v, ok := props[f.Prop]
+	v, ok := props.Get(f.Prop)
 	return ok && v >= f.Min && v <= f.Max
 }
 
@@ -304,7 +457,7 @@ func isReservedRow(row string) bool { return strings.HasPrefix(row, "!") }
 
 // isTombstone reports whether the properties mark a tombstone.
 func isTombstone(props Properties) bool {
-	_, ok := props[tombstoneProp]
+	_, ok := props.search(tombstoneProp)
 	return ok
 }
 
@@ -317,9 +470,9 @@ func ValidateUserRow(key Key, props Properties) error {
 	if isReservedRow(key.Row) {
 		return fmt.Errorf("%w: row key %q is reserved", ErrBadRequest, key.Row)
 	}
-	for p := range props {
-		if p == "" || strings.HasPrefix(p, "_") {
-			return fmt.Errorf("%w: property %q is reserved", ErrBadRequest, p)
+	for _, p := range props.ps {
+		if p.Name == "" || strings.HasPrefix(p.Name, "_") {
+			return fmt.Errorf("%w: property %q is reserved", ErrBadRequest, p.Name)
 		}
 	}
 	return nil
