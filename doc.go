@@ -167,7 +167,11 @@
 //   - Timers: Context.StartTimer creates a nondeterministically firing
 //     timer (the P# timer model); at every opportunity the scheduler
 //     decides whether it fires, recorded as a DecisionTimer.
-//     Context.StopTimer silences it.
+//     Context.StopTimer silences it. A timer is a machine to the
+//     scheduler and the trace — it has a MachineID and is always enabled
+//     — but it costs a scheduling step, not a stack: its step runs
+//     inline on whichever stack reached the scheduling point that picked
+//     it, so timer-driven harnesses pay no coroutine switch for it.
 //   - Crash/restart: Context.CrashPoint offers the scheduler a crash of
 //     one of the candidate machines (DecisionCrash); Context.Crash and
 //     Context.Restart are the deterministic commands — an abrupt halt

@@ -29,7 +29,7 @@ func (c *Context) Send(target MachineID, ev Event) {
 	if target < 0 || int(target) >= len(r.machines) {
 		c.Assert(false, "send of %s to unknown machine %d", ev.Name(), target)
 	}
-	c.enqueue(r.machines[target], ev)
+	r.enqueue(c.m, r.machines[target], ev)
 	r.schedulingPoint(c.m)
 }
 
@@ -163,13 +163,14 @@ func (c *Context) Logf(format string, args ...any) {
 // to target — the P# timer model every harness used to hand-roll. The
 // timer is a runtime machine: whenever the scheduler picks it, a
 // FaultTimer choice (recorded as DecisionTimer) decides whether the tick
-// fires, and the timer re-arms either way until StopTimer halts it.
+// fires, and the timer re-arms either way until StopTimer halts it. It
+// costs scheduling steps, not a stack (see timerMachine).
 func (c *Context) StartTimer(name string, target MachineID, tick Event) TimerID {
 	r := c.r
 	if target < 0 || int(target) >= len(r.machines) {
 		c.Assert(false, "StartTimer targeting unknown machine %d", target)
 	}
-	id := r.createMachine(&timerMachine{target: target, tick: tick}, name)
+	id := r.createTimer(name, target, tick)
 	if r.logging() {
 		r.logf("%s started timer %s(%d) -> %s", c.m.label(), name, id, r.machines[target].label())
 	}
@@ -193,22 +194,6 @@ func (c *Context) StopTimer(id TimerID) {
 	}
 	r.pendingCrash = append(r.pendingCrash, id)
 	r.schedulingPoint(c.m)
-}
-
-// fireTimer resolves one timer-firing choice on behalf of the executing
-// timer machine.
-func (c *Context) fireTimer() bool {
-	r := c.r
-	out := r.sched.NextFault(FaultChoice{Kind: FaultTimer, N: 2, Machine: c.m.id})
-	if out < 0 || out > 1 {
-		panic(fmt.Sprintf("core: %s scheduler: timer fault outcome %d out of [0, 2)", r.sched.Name(), out))
-	}
-	fired := out == 1
-	r.dec.addTimer(c.m.id, fired)
-	if fired && r.logging() {
-		r.logf("%s fired", c.m.label())
-	}
-	return fired
 }
 
 // CrashPoint offers the scheduler the opportunity to crash one of the
@@ -307,7 +292,7 @@ func (c *Context) Restart(id MachineID, impl Machine) {
 	} else {
 		m.defr = nil
 	}
-	_, m.timer = impl.(*timerMachine)
+	m.timer, m.tm = false, timerMachine{}
 	m.queue.clear()
 	m.recvPred = nil
 	m.crashed = false
@@ -447,27 +432,13 @@ func (c *Context) SendUnreliable(target MachineID, ev Event) {
 		}
 	case Duplicate:
 		r.dups++
-		c.enqueue(t, ev)
-		c.enqueue(t, ev)
+		r.enqueue(c.m, t, ev)
+		r.enqueue(c.m, t, ev)
 		if r.logging() {
 			r.logf("%s send %s -> %s (duplicated: fault plane)", c.m.label(), ev.Name(), t.label())
 		}
 	default:
-		c.enqueue(t, ev)
+		r.enqueue(c.m, t, ev)
 	}
 	r.schedulingPoint(c.m)
-}
-
-// enqueue appends ev to t's inbox (dropping it when t has halted) without
-// yielding; Send and SendUnreliable share it.
-func (c *Context) enqueue(t *machine, ev Event) {
-	if t.status != statusHalted {
-		t.queue.push(ev)
-		c.r.noteEnqueue(t, ev)
-		if c.r.logging() {
-			c.r.logf("%s send %s -> %s", c.m.label(), ev.Name(), t.label())
-		}
-	} else if c.r.logging() {
-		c.r.logf("%s send %s -> %s (dropped: target halted)", c.m.label(), ev.Name(), t.label())
-	}
 }

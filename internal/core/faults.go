@@ -275,20 +275,120 @@ type TimerID = MachineID
 // timer model, Figure 9 of the paper): every time the scheduler picks the
 // timer, a FaultTimer choice decides whether the tick is delivered to the
 // target, and the timer re-arms either way. StopTimer halts it.
+//
+// As a machine it would read
+//
+//	Init:   Send(self, armed)
+//	Handle: if fireTimer() { Send(target, tick) }; Send(self, armed)
+//
+// and to the scheduler, the trace, the fingerprint and the log it is exactly
+// that machine: it has a MachineID, an inbox, a status, a place in the
+// enabled set, and every Send above is a scheduling point. But it is always
+// enabled — on the timer-driven harnesses most scheduling steps pick a
+// timer — and its body is engine code that can never block mid-handler, so
+// it owns no stack. The body is cut at its scheduling points into five
+// phases, and a scheduling step that picks the timer runs the one piece
+// between two of them (stepTimer) on whatever stack reached the scheduling
+// point: the hub, or the machine whose yieldPoint picked it. A timer step
+// therefore costs no coroutine switch at all.
 type timerMachine struct {
+	phase  timerPhase
 	target MachineID
 	tick   Event
 }
 
-func (t *timerMachine) Init(ctx *Context) {
-	ctx.Send(ctx.ID(), Signal("core.timer.armed"))
+// timerPhase names the scheduling point a timer is parked at — where its
+// coroutine would be suspended if it had one.
+type timerPhase int8
+
+const (
+	// timerCreated: never scheduled (statusCreated). The first step runs
+	// Init up to its Send's scheduling point.
+	timerCreated timerPhase = iota
+	// timerInitSent: Init's self-send is queued; the next step returns from
+	// Init to the top of the event loop.
+	timerInitSent
+	// timerLoopTop: waiting to dequeue (statusWaitDequeue, an armed event
+	// queued). The next step dequeues, resolves the fire choice and performs
+	// the first Send of Handle.
+	timerLoopTop
+	// timerTickSent: fired, tick queued at the target; the next step
+	// performs the re-arming self-send.
+	timerTickSent
+	// timerRearmed: the re-arming self-send is queued; the next step
+	// returns from Handle to the top of the event loop.
+	timerRearmed
+)
+
+// timerArmed is the event a timer sends itself to keep its loop going,
+// boxed once instead of once per arm.
+var timerArmed = Signal("core.timer.armed")
+
+// createTimer registers a stackless timer machine delivering tick to target.
+func (r *Runtime) createTimer(name string, target MachineID, tick Event) MachineID {
+	id := r.createMachine(nil, name)
+	m := r.machines[id]
+	m.timer = true
+	m.tm = timerMachine{target: target, tick: tick}
+	return id
 }
 
-func (t *timerMachine) Handle(ctx *Context, ev Event) {
-	if ctx.fireTimer() {
-		ctx.Send(t.target, t.tick)
+// stepTimer runs one scheduling step of timer m on the calling stack: what
+// the timer's coroutine would do between being resumed at the scheduling
+// point it is parked at (m.tm.phase) and reaching the next one — status
+// writes, enabled-set maintenance, fingerprint mix, decision and log lines
+// included, in the same order. The caller has just recorded the step that
+// picked m (advance) and runs the next scheduling iteration right after,
+// exactly as the timer's own yieldPoint would have.
+func (r *Runtime) stepTimer(m *machine) {
+	t := &m.tm
+	switch t.phase {
+	case timerCreated:
+		m.status = statusRunning
+		r.enqueue(m, m, timerArmed)
+		t.phase = timerInitSent
+	case timerInitSent, timerRearmed:
+		m.status = statusWaitDequeue
+		r.blockDequeue(m)
+		t.phase = timerLoopTop
+	case timerLoopTop:
+		m.status = statusRunning
+		// The timer never looks at what it dequeues, so an event a user
+		// machine sent to its ID costs one fire choice like an armed one.
+		ev := m.popDequeuable()
+		r.covMix(uint64(m.id)<<32 ^ covString(ev.Name()))
+		if r.logging() {
+			r.logf("%s dequeued %s", m.label(), ev.Name())
+		}
+		out := r.sched.NextFault(FaultChoice{Kind: FaultTimer, N: 2, Machine: m.id})
+		if out < 0 || out > 1 {
+			// The step runs on a borrowed stack, so a panic here would be
+			// blamed on the lender; name the timer and the scheduler. The
+			// next scheduling iteration sees the bug and ends the execution.
+			r.setBug(&BugReport{
+				Kind:    SafetyBug,
+				Message: fmt.Sprintf("core: %s scheduler: timer fault outcome %d out of [0, 2)", r.sched.Name(), out),
+				Machine: m.label(),
+				Step:    r.steps,
+			})
+			return
+		}
+		fired := out == 1
+		r.dec.addTimer(m.id, fired)
+		if fired {
+			if r.logging() {
+				r.logf("%s fired", m.label())
+			}
+			r.enqueue(m, r.machines[t.target], t.tick)
+			t.phase = timerTickSent
+		} else {
+			r.enqueue(m, m, timerArmed)
+			t.phase = timerRearmed
+		}
+	case timerTickSent:
+		r.enqueue(m, m, timerArmed)
+		t.phase = timerRearmed
 	}
-	ctx.Send(ctx.ID(), Signal("core.timer.armed"))
 }
 
 // FaultInjector is the shared crash-injection machine (the paper's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -385,4 +386,142 @@ func TestReplayCrashResolvesRecordedVictim(t *testing.T) {
 	}()
 	s.NextFault(FaultChoice{Kind: FaultCrash, N: 3, Candidates: []MachineID{2, 7}})
 	t.Fatal("missing victim did not diverge")
+}
+
+// TestReaperAllocatesNothingInSteadyState: every execution stops a timer
+// and crashes a started peer, so the pending-crash list is used twice per
+// execution (whether the victims have started, and which phase the timer
+// is in, is up to the schedule). On a pooled runtime that list must be the
+// same backing array every time — a reaper that slices the head off per
+// victim walks the capacity away and re-allocates it every execution — and
+// with a workload that allocates nothing itself, a steady-state execution
+// must not allocate at all.
+func TestReaperAllocatesNothingInSteadyState(t *testing.T) {
+	tick, poke := Signal("tick"), Signal("poke")
+	idle := &FuncMachine{}
+	test := Test{
+		Name: "crash-per-execution",
+		Entry: func(ctx *Context) {
+			peer := ctx.CreateMachine(idle, "peer")
+			tid := ctx.StartTimer("T", peer, tick)
+			ctx.Send(peer, poke)
+			ctx.Send(peer, poke)
+			ctx.StopTimer(tid)
+			ctx.Crash(peer)
+		},
+	}
+	o := Options{Iterations: 1, MaxSteps: 1000}.WithDefaults()
+	cfg := o.runtimeConfig(test, false)
+	sched := NewRandomScheduler()
+	pool := newExecPool(o)
+	defer pool.release()
+	seed := int64(0)
+	exec := func() {
+		seed++
+		sched.Prepare(seed, o.MaxSteps)
+		r := pool.runtime(sched, cfg)
+		if rep := r.execute(test); rep != nil {
+			t.Fatalf("seed %d: unexpected bug: %v", seed, rep.Error())
+		}
+		if r.steps == o.MaxSteps || len(r.pendingCrash) != 0 {
+			t.Fatalf("seed %d: ended after %d steps with %d crashes pending", seed, r.steps, len(r.pendingCrash))
+		}
+	}
+	for i := 0; i < 5; i++ {
+		exec()
+	}
+	// head is the list's first slot, nil once its capacity has leaked away.
+	head := func() *MachineID {
+		if l := pool.rt.pendingCrash; cap(l) > 0 {
+			return &l[:1][0]
+		}
+		return nil
+	}
+	first := head()
+	for i := 0; i < 20; i++ {
+		exec()
+		if got := head(); got == nil || got != first {
+			t.Fatalf("execution %d: the pending-crash list was re-allocated", i)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, exec); allocs != 0 {
+		t.Fatalf("a steady-state crash-per-execution run allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// stackSpy wraps a scheduler and records, for every timer fire choice, the
+// decision index it resolves and whether the step asking ran on a machine's
+// coroutine (runMachine is on the stack) or on the hub.
+type stackSpy struct {
+	*replayScheduler
+	onHost map[int]bool
+}
+
+func (s *stackSpy) NextFault(c FaultChoice) int {
+	if c.Kind == FaultTimer {
+		buf := make([]byte, 16<<10)
+		buf = buf[:runtime.Stack(buf, false)]
+		s.onHost[s.pos] = strings.Contains(string(buf), "(*Runtime).runMachine")
+	}
+	return s.replayScheduler.NextFault(c)
+}
+
+// TestTimerDivergenceOnHubAndOnHost perturbs a recorded trace at a
+// DecisionTimer, so the replay scheduler raises its divergence inside the
+// timer's fire choice — once where the timer step runs on the hub (the
+// steps that follow a machine's death) and once where it runs on a host
+// machine's lent stack, from which the panic unwinds through the host's
+// handler. Either way the execution ends with the divergence error a timer
+// on a coroutine of its own produced (the texts are the parent's, see
+// testdata/timer_lifecycle.json), never with a bug blamed on the host or a
+// panic out of execute.
+func TestTimerDivergenceOnHubAndOnHost(t *testing.T) {
+	var c lifecycleCase
+	for _, lc := range lifecycleCases() {
+		if lc.name == "tick-to-halted-target" {
+			c = lc
+		}
+	}
+	o := Options{MaxSteps: c.maxSteps}.WithDefaults()
+	sched := c.script
+	sched.Prepare(0, o.MaxSteps)
+	r := newRuntime(&sched, o.runtimeConfig(c.test, false))
+	if rep := r.execute(c.test); rep != nil || sched.bad != "" {
+		t.Fatalf("recording: bug %v, script error %q", rep, sched.bad)
+	}
+	decisions := r.dec.decode()
+	for _, leg := range []struct {
+		decision int
+		onHost   bool
+		want     string
+	}{
+		{6, false, "core: replay divergence: decision 6: timer choice for machine 2, trace holds timer(102 fired)"},
+		{14, true, "core: replay divergence: decision 14: timer choice for machine 2, trace holds timer(102 fired)"},
+	} {
+		bent := append([]Decision(nil), decisions...)
+		if bent[leg.decision].Kind != DecisionTimer {
+			t.Fatalf("decision %d is %s, not a timer choice", leg.decision, bent[leg.decision])
+		}
+		bent[leg.decision].Machine += 100
+		spy := &stackSpy{
+			replayScheduler: newReplayScheduler(newTrace(c.test.Name, "script", 0, Faults{}, bent)),
+			onHost:          map[int]bool{},
+		}
+		rr := newRuntime(spy, o.runtimeConfig(c.test, true))
+		rep := rr.execute(c.test)
+		if rep != nil || rr.divergence == nil || rr.divergence.Error() != leg.want {
+			t.Fatalf("decision %d: replay = (bug %v, divergence %v), want divergence %q", leg.decision, rep, rr.divergence, leg.want)
+		}
+		if host, asked := spy.onHost[leg.decision]; !asked || host != leg.onHost {
+			t.Fatalf("decision %d: fire choice asked=%v on a machine's stack=%v, want on a machine's stack=%v",
+				leg.decision, asked, host, leg.onHost)
+		}
+		// The same through the public path.
+		if rep, err := Replay(c.test, newTrace(c.test.Name, "script", 0, Faults{}, bent), Options{MaxSteps: c.maxSteps}); rep != nil || err == nil || err.Error() != leg.want {
+			t.Fatalf("decision %d: Replay = (%v, %v), want %q", leg.decision, rep, err, leg.want)
+		}
+	}
 }

@@ -177,6 +177,112 @@ func TestNoCoroutineLeaks(t *testing.T) {
 	}
 }
 
+// timerFleetTest is k timers ticking the entry machine plus n-1 echo
+// machines it pings; the entry machine waits for one tick of every timer
+// (so each has stepped through its whole loop at least once), hands the
+// live goroutine count to probe, and either stops the timers or leaves them
+// running into the step bound.
+func timerFleetTest(k, n int, stop bool, probe func(goroutines int)) Test {
+	ticks := make([]Event, k)
+	for i := range ticks {
+		ticks[i] = Signal(fmt.Sprintf("tick%d", i))
+	}
+	return Test{
+		Name: "timer-fleet",
+		Entry: func(ctx *Context) {
+			peers := make([]MachineID, n-1)
+			for i := range peers {
+				peers[i] = ctx.CreateMachine(&echoMachine{}, fmt.Sprintf("n%d", i))
+			}
+			timers := make([]TimerID, k)
+			for i := range timers {
+				timers[i] = ctx.StartTimer(fmt.Sprintf("t%d", i), ctx.ID(), ticks[i])
+			}
+			for _, p := range peers {
+				ctx.Send(p, pingEvent{From: ctx.ID()})
+				ctx.Receive("echo")
+			}
+			for i := range timers {
+				ctx.Receive(ticks[i].Name())
+			}
+			probe(runtime.NumGoroutine())
+			if stop {
+				for _, id := range timers {
+					ctx.StopTimer(id)
+				}
+			}
+		},
+	}
+}
+
+// TestTimersOwnNoCoroutine makes the stackless timer's saving structural:
+// with k timers and n ordinary machines, no more than n coroutines are ever
+// live — observed from inside the execution once every timer has been
+// through its whole loop —, a pooled runtime's free list never holds more
+// than n workers, no timer machine was ever handed one, and the goroutine
+// count is back at the baseline after an unpooled execution and after
+// release — whether the timers were stopped (reaped mid-phase) or ran into
+// the step bound (reaped by shutdown).
+func TestTimersOwnNoCoroutine(t *testing.T) {
+	const k, n = 5, 3
+	for _, stop := range []bool{true, false} {
+		for _, noReuse := range []bool{false, true} {
+			t.Run(fmt.Sprintf("stop=%v/NoReuse=%v", stop, noReuse), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				probed, peak := 0, 0
+				test := timerFleetTest(k, n, stop, func(g int) {
+					probed++
+					peak = max(peak, g)
+				})
+				o := Options{Iterations: 1, MaxSteps: 600, NoReuse: noReuse}.WithDefaults()
+				cfg := o.runtimeConfig(test, false)
+				sched := NewRandomScheduler()
+				pool := newExecPool(o)
+				for seed := int64(1); seed <= 20; seed++ {
+					sched.Prepare(seed, o.MaxSteps)
+					r := pool.runtime(sched, cfg)
+					if rep := r.execute(test); rep != nil {
+						t.Fatalf("seed %d: unexpected bug: %v", seed, rep.Error())
+					}
+					if stop == (r.steps == o.MaxSteps) {
+						t.Fatalf("seed %d: execution ended after %d steps (bound %d), stop=%v", seed, r.steps, o.MaxSteps, stop)
+					}
+					timers := 0
+					for _, m := range r.machines {
+						if m.timer {
+							timers++
+							if m.w != nil {
+								t.Fatalf("seed %d: timer %s was handed a worker", seed, m.label())
+							}
+						}
+					}
+					if timers != k {
+						t.Fatalf("seed %d: %d timer machines, want %d", seed, timers, k)
+					}
+					if len(r.freeWorkers) > n {
+						t.Fatalf("seed %d: %d idle workers for %d ordinary machines", seed, len(r.freeWorkers), n)
+					}
+					if g := runtime.NumGoroutine(); noReuse && g > base {
+						t.Fatalf("seed %d: %d goroutines after an unpooled execution, %d before", seed, g, base)
+					}
+				}
+				pool.release()
+				if g := runtime.NumGoroutine(); g > base {
+					t.Fatalf("%d goroutines after release, %d before", g, base)
+				}
+				// stop=false executions may hit the bound before the probe.
+				if stop && probed != 20 {
+					t.Fatalf("probe ran in %d of 20 executions", probed)
+				}
+				if probed == 0 || peak > base+n {
+					t.Fatalf("peak of %d goroutines inside %d probed executions, want at most %d (baseline) + %d (ordinary machines)",
+						peak, probed, base, n)
+				}
+			})
+		}
+	}
+}
+
 // TestDyingMachineReapsThenSuccessorStarts: one handler crashes a live
 // peer (nested next() from a machine's stack), creates a machine and
 // halts, so its final step hands the hub a successor to arm while two
@@ -369,4 +475,60 @@ func BenchmarkHandoffPrimitives(b *testing.B) {
 			stop()
 		}
 	})
+}
+
+// idleTimerScheduler rotates over the enabled machines and never lets a
+// timer fire: under it a harness whose ordinary machines are all waiting
+// for ticks is timers only.
+type idleTimerScheduler struct{ i int }
+
+func (s *idleTimerScheduler) Name() string              { return "idle-timers" }
+func (s *idleTimerScheduler) Prepare(int64, int) bool   { s.i = 0; return true }
+func (s *idleTimerScheduler) NextBool() bool            { return false }
+func (s *idleTimerScheduler) NextInt(int) int           { return 0 }
+func (s *idleTimerScheduler) NextFault(FaultChoice) int { return 0 }
+func (s *idleTimerScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
+	s.i++
+	return enabled[s.i%len(enabled)]
+}
+
+// BenchmarkTimerStep measures the stackless timer's step: three timers that
+// never fire and an entry machine that is never runnable again, so every
+// step but an execution's first four is one advance plus one stepTimer on
+// the entry machine's lent stack — no coroutine switch. One op is one
+// scheduling step (executions of 8000 steps on a pooled runtime, like
+// steps-replsys). Invariant: 0 allocs/op and well under the repository
+// benchmark's core.step_floor_ns (a step that does switch, ~100 ns) — a
+// timer step that costs a switch, or boxes its re-arm event again, shows up
+// here first.
+func BenchmarkTimerStep(b *testing.B) {
+	tick := Signal("tick")
+	test := Test{
+		Name: "timer-step",
+		Entry: func(ctx *Context) {
+			for _, name := range []string{"t0", "t1", "t2"} {
+				ctx.StartTimer(name, ctx.ID(), tick)
+			}
+		},
+	}
+	const execSteps = 8000
+	o := Options{Iterations: 1, MaxSteps: execSteps, NoLivenessBoundCheck: true}.WithDefaults()
+	cfg := o.runtimeConfig(test, false)
+	sched := &idleTimerScheduler{}
+	pool := newExecPool(o)
+	defer pool.release()
+	run := func(steps int) {
+		cfg.maxSteps = steps
+		sched.Prepare(0, steps)
+		r := pool.runtime(sched, cfg)
+		if rep := r.execute(test); rep != nil || r.steps != steps {
+			b.Fatalf("execution ended after %d of %d steps: %v", r.steps, steps, rep)
+		}
+	}
+	run(execSteps) // spawn the entry machine's coroutine, size the arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; left -= execSteps {
+		run(min(left, execSteps))
+	}
 }

@@ -53,8 +53,9 @@ const (
 	// scheduled yet; no coroutine hosts it. Always enabled (its
 	// first step runs Init).
 	statusCreated machineStatus = iota
-	// statusRunning: mid-handler, parked at a scheduling point. Always
-	// enabled (the continuation can run).
+	// statusRunning: mid-handler, parked at a scheduling point (a timer:
+	// between two phases of its step, see stepTimer). Always enabled (the
+	// continuation can run).
 	statusRunning
 	// statusWaitDequeue: the event loop is waiting for the next event.
 	// Enabled iff the inbox holds a non-deferred event.
@@ -135,7 +136,8 @@ func (q *inbox) clear() {
 // machine is the runtime's per-machine bookkeeping. The structs (and their
 // inbox buffers and hosting coroutines) are recycled across executions by
 // the pooled engine; createMachine re-arms every field that carries
-// per-execution state.
+// per-execution state, and scrub releases at death what must not outlive
+// the machine.
 // The field order clusters everything a scheduling step touches — status,
 // crash/enabled bits, the hosting worker, the deferrer and the inbox — into
 // the struct's first cache lines. A coroutine switch reenters this struct
@@ -146,10 +148,12 @@ type machine struct {
 	// crashed is set by the crash reaper just before resuming the machine
 	// so its stack unwinds via killSignal.
 	crashed bool
-	// timer records whether impl is the fault plane's timerMachine. It is
-	// set at createMachine/Restart and survives the machine's death, so
-	// StopTimer can keep validating its target after the timer halted
-	// (impl itself is released at death for the pool's sake).
+	// timer records that the machine is a fault-plane timer: stackless — it
+	// has no impl and never gets a worker; whoever reaches a scheduling
+	// point that picks it runs stepTimer on tm. It is set at
+	// createTimer/createMachine/Restart and survives the machine's death,
+	// so StopTimer can keep validating its target after the timer halted;
+	// a *live* stackless timer is timer && status != statusHalted.
 	timer bool
 	// epos is the machine's index in the runtime's incrementally
 	// maintained enabled slice, or -1 while the machine is not enabled.
@@ -159,11 +163,12 @@ type machine struct {
 	id   MachineID
 	// w is the worker whose coroutine hosts the machine's body, assigned
 	// at the machine's first scheduling step: the machine yields through
-	// it, and the hub (or a reaper) resumes the machine through it.
+	// it, and the hub (or a reaper) resumes the machine through it. Never
+	// assigned to a timer (a recycled struct may still hold a stale one).
 	w     *machineWorker
 	defr  Deferrer // impl.(Deferrer), or nil
 	queue inbox
-	impl  Machine
+	impl  Machine // nil for a timer
 	name  string
 	// ctx is the Context handed to impl's Init/Handle, embedded here so a
 	// machine start allocates nothing.
@@ -183,6 +188,12 @@ type machine struct {
 	// loop pays nothing for the plane's existence.
 	durable map[string][]byte
 	staged  []stagedWrite
+
+	// tm is a timer's resumable state, the zero value on every other
+	// machine. It sits behind the cold tail, away from every field an
+	// ordinary machine's step touches; a timer step pays one more cache
+	// line for it and saves two coroutine switches.
+	tm timerMachine
 }
 
 // stagedWrite is one Persist call awaiting Sync: an ordered (key, value)
@@ -225,6 +236,27 @@ func (m *machine) clearDurable() {
 // state at all; the death/reset scrub assertions use it.
 func (m *machine) persistState() bool {
 	return len(m.durable) > 0 || len(m.staged) > 0
+}
+
+// scrub is the death cleanup every machine gets exactly once per life,
+// whoever performs it — the machine's own unwinding stack (runMachine's
+// defer), or the reaper and shutdown for machines with no stack to unwind
+// (never started, or a stackless timer): status, inbox, predicate, crash
+// flag, enabled-set membership, and the user's values (implementation,
+// timer tick), released for the garbage collector's sake — the struct
+// itself is recycled through machineCache. This is what lets the pooled
+// reset skip the per-machine rewind loop entirely: by the time reset runs,
+// every machine is already clean. Crash-consistency state is deliberately
+// not touched here (see runMachine and shutdown).
+func (r *Runtime) scrub(m *machine) {
+	m.status = statusHalted
+	m.queue.clear()
+	m.recvPred = nil
+	m.crashed = false
+	m.impl = nil
+	m.defr = nil
+	m.tm.tick = nil
+	r.removeEnabled(m)
 }
 
 func (m *machine) label() string {

@@ -135,7 +135,7 @@ func (r *Runtime) reset(sched Scheduler, cfg runtimeConfig) {
 	r.sched = asFaultScheduler(sched)
 	// No per-machine rewind: every machine is already clean — dying
 	// machines scrub themselves (runMachine's defer; reapCrashes and
-	// shutdown do the same for never-started ones), so by the time
+	// shutdown do the same for never-started ones and timers), so by the time
 	// execute has returned, each struct holds only status (Halted),
 	// epos (-1), and recyclable storage (inbox buffer, name).
 	// createMachine re-arms the rest when the struct is handed out again.
@@ -143,7 +143,7 @@ func (r *Runtime) reset(sched Scheduler, cfg runtimeConfig) {
 		for _, m := range r.machines {
 			if m.status != statusHalted || m.queue.size() != 0 ||
 				m.recvPred != nil || m.crashed || m.impl != nil ||
-				m.defr != nil || m.epos != -1 || m.persistState() {
+				m.defr != nil || m.tm.tick != nil || m.epos != -1 || m.persistState() {
 				panic("core: reset found a machine not scrubbed at death: " + m.label())
 			}
 		}

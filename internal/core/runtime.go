@@ -24,18 +24,30 @@ func effectiveLogCap(cap int) int {
 // exploration worker through an execPool (see pool.go), resetting it
 // between executions so repeated execution allocates almost nothing.
 //
-// Concurrency model: every machine body runs on its own stack, a coroutine
-// pulled with iter.Pull (machineWorker, pool.go), and the goroutine that
-// called execute is the hub that resumes them. A coroutine switch is a
-// synchronous call — next() returns when the callee yields — so exactly one
-// stack runs at any instant and no runtime state needs synchronization. A
-// machine reaching a scheduling point runs the next scheduling-loop
-// iteration on its own stack (advance); being picked again costs nothing,
-// otherwise it records the verdict in pending and yields to the hub, which
-// resumes the chosen machine: two runtime coroutine switches per step and
-// no pass through the Go scheduler. Crash reaping and shutdown resume the
-// victim with a nested next() (see reapCrashes). Every Context operation is
-// a deterministic scheduling point.
+// Concurrency model: every user machine body runs on its own stack, a
+// coroutine pulled with iter.Pull (machineWorker, pool.go), and the
+// goroutine that called execute is the hub that resumes them. A coroutine
+// switch is a synchronous call — next() returns when the callee yields — so
+// exactly one stack runs at any instant and no runtime state needs
+// synchronization. A machine reaching a scheduling point runs the next
+// scheduling-loop iteration on its own stack (advance); being picked again
+// costs nothing, otherwise it records the verdict in pending and yields to
+// the hub, which resumes the chosen machine: two runtime coroutine switches
+// per step and no pass through the Go scheduler. Crash reaping and shutdown
+// resume the victim with a nested next() (see reapCrashes). Every Context
+// operation is a deterministic scheduling point.
+//
+// The fault plane's timers are the exception: stackless machines (see
+// timerMachine, faults.go) whose step runs inline on whoever reached the
+// scheduling point that picked them — (a) the hub, in runLoop, which steps
+// the timer and runs the next iteration itself instead of switching; (b) a
+// machine inside yieldPoint, which steps the timer on its own stack and
+// runs the next iteration again, still as itself (advance's from stays the
+// host, never the timer): if the scheduler then picks the host it simply
+// carries on, never having yielded, and only a different ordinary machine
+// costs the two switches. A timer has no worker to resume, so reapCrashes
+// and shutdown give it the no-stack death cleanup of a never-started
+// machine.
 type Runtime struct {
 	// The leading fields are the per-step hot set — everything advance
 	// reads on its way to the next scheduling decision — clustered so a
@@ -201,12 +213,20 @@ func (r *Runtime) execute(t Test) (rep *BugReport) {
 // runLoop is the hub: it runs the first scheduling iteration, then keeps
 // resuming whichever machine the latest iteration picked. Every later
 // iteration runs inline on the machine that reached a scheduling point
-// (yieldPoint) or terminated (finalStep) and comes back here as pending.
+// (yieldPoint) or terminated (finalStep) and comes back here as pending —
+// unless the pick is a timer, whose step and following iteration the hub
+// runs itself. A replay divergence raised inside such a step unwinds to
+// execute's recover.
 func (r *Runtime) runLoop() {
 	act := r.advance(nil)
 	for act == advHandoff {
-		r.switchTo(r.machines[r.current])
-		act = r.pending
+		if m := r.machines[r.current]; m.timer {
+			r.stepTimer(m)
+			act = r.advance(nil)
+		} else {
+			r.switchTo(m)
+			act = r.pending
+		}
 	}
 }
 
@@ -217,7 +237,8 @@ const (
 	// advContinue: the caller's own machine was scheduled again — keep
 	// running, no handoff needed.
 	advContinue advAction = iota
-	// advHandoff: machines[current] runs next; the hub must switch to it.
+	// advHandoff: machines[current] runs next; the hub must switch to it
+	// — or, for a timer, the caller steps it inline and advances again.
 	advHandoff
 	// advDone: the execution is over (bug, divergence, abort, bound, or
 	// quiescence); the hub must leave its loop.
@@ -274,6 +295,7 @@ func (r *Runtime) advance(from *machine) advAction {
 // machine's first scheduling step arms a worker for it (an idle one off a
 // pooled runtime's free list, a fresh coroutine otherwise); only the hub
 // arms, so the free list never hands out a worker whose stack is live.
+// Never called for a timer.
 func (r *Runtime) switchTo(m *machine) {
 	if m.status == statusCreated {
 		m.status = statusRunning
@@ -311,12 +333,7 @@ func (r *Runtime) runMachine(m *machine) {
 				Step:    r.steps,
 			})
 		}
-		// A machine cleans up after itself at death — status, inbox,
-		// predicate, crash flag, enabled-set membership, and the user
-		// implementation (released for the garbage collector's sake; the
-		// struct itself is recycled through machineCache). This is what
-		// lets the pooled reset skip the per-machine rewind loop entirely:
-		// by the time reset runs, every machine is already clean.
+		// A machine cleans up after itself at death (scrub).
 		// Crash-consistency state is the exception: durable survives every
 		// mid-execution death by design (shutdown scrubs it at the end),
 		// and a crashed machine's staged writes are left for the reaper,
@@ -326,13 +343,7 @@ func (r *Runtime) runMachine(m *machine) {
 		if !reaped {
 			m.clearStaged()
 		}
-		m.status = statusHalted
-		m.queue.clear()
-		m.recvPred = nil
-		m.crashed = false
-		m.impl = nil
-		m.defr = nil
-		r.removeEnabled(m)
+		r.scrub(m)
 		if r.reuse {
 			r.putWorker(m.w)
 		}
@@ -408,9 +419,20 @@ func (r *Runtime) finalStep() {
 // yieldPoint is a machine's scheduling point: run the next loop iteration
 // right here and, unless the scheduler picked m again — the free
 // advContinue path: no switch at all — yield to the hub until m is resumed.
-// Must be called on m's own stack.
+// A picked timer is stepped right here too, m lending its stack, and the
+// iteration after it is m's again: a run of timer steps that ends with m
+// being picked is all advContinue. m keeps the status it entered with
+// throughout, exactly as if it were parked, so a tick a hosted timer sends
+// it is accounted like any other enqueue. A replay divergence raised inside
+// a hosted step unwinds through m's handler into runMachine's defer, which
+// records it. Must be called on m's own stack.
 func (r *Runtime) yieldPoint(m *machine) {
-	if act := r.advance(m); act != advContinue {
+	act := r.advance(m)
+	for act == advHandoff && r.machines[r.current].timer {
+		r.stepTimer(r.machines[r.current])
+		act = r.advance(m)
+	}
+	if act != advContinue {
 		r.pending = act
 		m.w.yield(struct{}{})
 	}
@@ -425,23 +447,20 @@ func (r *Runtime) yieldPoint(m *machine) {
 // whatever stack that runs on — usually the machine whose Crash call
 // queued the victim. The victim is resumed with a nested next(): it wakes
 // in yieldPoint, sees crashed, panics out of its handler, cleans up in
-// runMachine's defer and yields back here.
+// runMachine's defer and yields back here. The list is walked by index and
+// truncated once: slicing the head off per victim would walk the header
+// forward and leave a pooled runtime re-allocating it every execution.
 func (r *Runtime) reapCrashes() {
-	for len(r.pendingCrash) > 0 {
-		m := r.machines[r.pendingCrash[0]]
-		r.pendingCrash = r.pendingCrash[1:]
-		switch m.status {
-		case statusHalted:
+	for i := 0; i < len(r.pendingCrash); i++ {
+		m := r.machines[r.pendingCrash[i]]
+		switch {
+		case m.status == statusHalted:
 			// Already gone (self-halted, or crashed twice).
-		case statusCreated:
-			// The goroutine never started; no unwinding needed, but the
-			// same death cleanup runMachine's defer would do applies.
-			m.status = statusHalted
-			m.queue.clear()
-			m.recvPred = nil
-			m.impl = nil
-			m.defr = nil
-			r.removeEnabled(m)
+		case m.status == statusCreated || m.timer:
+			// No stack to unwind — the machine never started, or is a
+			// stackless timer (whatever its phase) — but the same death
+			// cleanup runMachine's defer would do applies.
+			r.scrub(m)
 			r.settleCrashedStorage(m)
 		default:
 			m.crashed = true
@@ -452,6 +471,7 @@ func (r *Runtime) reapCrashes() {
 			r.settleCrashedStorage(m)
 		}
 	}
+	r.pendingCrash = r.pendingCrash[:0]
 }
 
 // settleCrashedStorage resolves the fate of a crashed machine's staged
@@ -502,9 +522,26 @@ func (r *Runtime) schedulingPoint(m *machine) {
 	r.yieldPoint(m)
 }
 
+// enqueue appends ev, sent by from, to t's inbox (dropping it when t has
+// halted) without yielding; Send, SendUnreliable and the timer step share
+// it.
+func (r *Runtime) enqueue(from, t *machine, ev Event) {
+	if t.status != statusHalted {
+		t.queue.push(ev)
+		r.noteEnqueue(t, ev)
+		if r.logging() {
+			r.logf("%s send %s -> %s", from.label(), ev.Name(), t.label())
+		}
+	} else if r.logging() {
+		r.logf("%s send %s -> %s (dropped: target halted)", from.label(), ev.Name(), t.label())
+	}
+}
+
 // createMachine registers a machine; its coroutine is armed lazily on its
 // first scheduling step. Pooled runtimes recycle the machine struct (and
-// its inbox buffer) from a previous execution when one is available.
+// its inbox buffer) from a previous execution when one is available, so
+// the timer state is re-armed here too (createTimer, its only caller with
+// a nil impl, then fills it in).
 func (r *Runtime) createMachine(impl Machine, name string) MachineID {
 	id := MachineID(len(r.machines))
 	var m *machine
@@ -518,12 +555,16 @@ func (r *Runtime) createMachine(impl Machine, name string) MachineID {
 	m.name = name
 	m.impl = impl
 	m.status = statusCreated
+	// No worker until the hub arms one at the first step (never, for a
+	// timer): a recycled struct must not keep its previous life's, which
+	// by now hosts somebody else.
+	m.w = nil
 	if d, ok := impl.(Deferrer); ok {
 		m.defr = d
 	} else {
 		m.defr = nil
 	}
-	_, m.timer = impl.(*timerMachine)
+	m.timer, m.tm = false, timerMachine{}
 	r.machines = append(r.machines, m)
 	// A Created machine is always enabled, and its ID is the largest so
 	// far, so the sorted insert is a plain append.
@@ -573,17 +614,13 @@ func (r *Runtime) findMonitor(name string) *monitorEntry {
 func (r *Runtime) shutdown() {
 	r.killed = true
 	for _, m := range r.machines {
-		switch m.status {
-		case statusCreated, statusHalted:
-			// Never-started machines get the death cleanup here; halted
-			// ones already cleaned up in their own defer (removeEnabled
-			// and queue.clear are no-ops for them).
-			m.status = statusHalted
-			m.queue.clear()
-			m.recvPred = nil
-			m.impl = nil
-			m.defr = nil
-			r.removeEnabled(m)
+		switch {
+		case m.status == statusHalted:
+			// Already scrubbed at its death.
+		case m.status == statusCreated || m.timer:
+			// Never-started machines and timers have no stack to unwind
+			// and get the death cleanup here.
+			r.scrub(m)
 		default:
 			m.w.next()
 		}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,10 +53,8 @@ func (s *scriptScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineI
 	if s.pi < len(s.picks) {
 		want := s.picks[s.pi]
 		s.pi++
-		for _, id := range enabled {
-			if id == want {
-				return id
-			}
+		if slices.Contains(enabled, want) {
+			return want
 		}
 		if s.bad == "" {
 			s.bad = fmt.Sprintf("scripted pick %d: machine %d is not enabled (enabled %v)", s.pi-1, want, enabled)
@@ -95,23 +94,6 @@ type lifecycleCase struct {
 	scriptedOnly bool
 }
 
-// repeatPick returns n copies of id — n consecutive steps of one machine.
-func repeatPick(id MachineID, n int) []MachineID {
-	out := make([]MachineID, n)
-	for i := range out {
-		out[i] = id
-	}
-	return out
-}
-
-func concatPicks(parts ...[]MachineID) []MachineID {
-	var out []MachineID
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
 // stopAfterTest: the entry machine (0) creates a sink (1), starts a timer
 // (2) on it, exchanges one ping/echo with the sink and stops the timer.
 // Which phase of its loop the timer is in when StopTimer lands is up to the
@@ -134,7 +116,7 @@ func stopAfterTest() Test {
 // entry function: entry Init (CreateMachine yields), entry again (StartTimer
 // yields), the timer k times, then the fallback.
 func stopAfter(k int, fires ...bool) scriptScheduler {
-	return scriptScheduler{picks: concatPicks([]MachineID{0, 0}, repeatPick(2, k)), fires: fires}
+	return scriptScheduler{picks: slices.Concat([]MachineID{0, 0}, slices.Repeat([]MachineID{2}, k)), fires: fires}
 }
 
 func lifecycleCases() []lifecycleCase {
@@ -188,7 +170,7 @@ func lifecycleCases() []lifecycleCase {
 				},
 			},
 			maxSteps: 80,
-			script:   scriptScheduler{picks: concatPicks([]MachineID{0, 0}, repeatPick(2, 2)), crashes: []int{2}},
+			script:   scriptScheduler{picks: slices.Concat([]MachineID{0, 0}, slices.Repeat([]MachineID{2}, 2)), crashes: []int{2}},
 		},
 		{
 			// The target halts in Init, so every tick is dropped. The
@@ -207,7 +189,7 @@ func lifecycleCases() []lifecycleCase {
 			},
 			maxSteps: 80,
 			script: scriptScheduler{
-				picks: concatPicks([]MachineID{0, 0, 1}, repeatPick(2, 6), []MachineID{0, 2, 2}),
+				picks: slices.Concat([]MachineID{0, 0, 1}, slices.Repeat([]MachineID{2}, 6), []MachineID{0, 2, 2}),
 				fires: []bool{true, false, true},
 			},
 		},
@@ -227,7 +209,7 @@ func lifecycleCases() []lifecycleCase {
 			},
 			maxSteps: 80,
 			script: scriptScheduler{
-				picks: concatPicks([]MachineID{0, 1, 0, 0}, repeatPick(1, 9)),
+				picks: slices.Concat([]MachineID{0, 1, 0, 0}, slices.Repeat([]MachineID{1}, 9)),
 				fires: []bool{false, false, false, true},
 			},
 		},
@@ -246,7 +228,7 @@ func lifecycleCases() []lifecycleCase {
 			},
 			maxSteps: 120,
 			script: scriptScheduler{
-				picks: concatPicks([]MachineID{0, 0, 0}, []MachineID{1, 2, 2, 1, 1, 2, 2, 1, 2, 1}),
+				picks: slices.Concat([]MachineID{0, 0, 0}, []MachineID{1, 2, 2, 1, 1, 2, 2, 1, 2, 1}),
 				fires: []bool{true, false, true},
 			},
 		},
@@ -268,7 +250,7 @@ func lifecycleCases() []lifecycleCase {
 			},
 			maxSteps: 80,
 			script: scriptScheduler{
-				picks: concatPicks([]MachineID{0, 0}, repeatPick(1, 4)),
+				picks: slices.Concat([]MachineID{0, 0}, slices.Repeat([]MachineID{1}, 4)),
 				fires: []bool{true},
 			},
 		},
@@ -286,7 +268,7 @@ func lifecycleCases() []lifecycleCase {
 			},
 			maxSteps: 60,
 			script: scriptScheduler{
-				picks: concatPicks([]MachineID{0, 0, 0}, []MachineID{2, 3, 3, 2, 2, 3, 1, 3, 2, 2, 0, 3, 3, 2}),
+				picks: slices.Concat([]MachineID{0, 0, 0}, []MachineID{2, 3, 3, 2, 2, 3, 1, 3, 2, 2, 0, 3, 3, 2}),
 				fires: []bool{true, true, false, true, true},
 			},
 		},
@@ -310,7 +292,7 @@ func lifecycleCases() []lifecycleCase {
 			},
 			maxSteps: 200,
 			script: scriptScheduler{
-				picks: concatPicks([]MachineID{0, 0, 0, 0}, []MachineID{3, 2, 3, 2, 3, 2, 3, 3, 0, 3, 0, 3, 3}),
+				picks: slices.Concat([]MachineID{0, 0, 0, 0}, []MachineID{3, 2, 3, 2, 3, 2, 3, 3, 0, 3, 0, 3, 3}),
 				fires: []bool{false, true, true, true},
 			},
 		},

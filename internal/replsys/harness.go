@@ -138,8 +138,12 @@ func (sn *storageNodeMachine) Handle(ctx *core.Context, ev core.Event) {
 			}
 		}
 	case timerTick:
-		logCopy := append([]int(nil), sn.log...)
-		ctx.Send(sn.serverID, msgEvent{Msg: Sync{Node: sn.node, Log: logCopy}})
+		// Share, don't clone: the log is append-only (recovery installs a
+		// fresh slice, it never rewrites this one) and the server only
+		// reads it, so the report is a capped view — the sender never
+		// writes below n, and an append past n cannot reach the view.
+		n := len(sn.log)
+		ctx.Send(sn.serverID, msgEvent{Msg: Sync{Node: sn.node, Log: sn.log[:n:n]}})
 	}
 }
 

@@ -118,6 +118,75 @@ func TestRegisteredSchedulerIsFirstClass(t *testing.T) {
 	}
 }
 
+// timerLiar is a misbehaving user scheduler: it always runs the oldest
+// enabled machine and answers 2 to a timer's two-outcome fire choice.
+type timerLiar struct{}
+
+func (timerLiar) Name() string            { return "timer-liar" }
+func (timerLiar) Prepare(int64, int) bool { return true }
+func (timerLiar) NextBool() bool          { return false }
+func (timerLiar) NextInt(int) int         { return 0 }
+func (timerLiar) NextMachine(enabled []gostorm.MachineID, _ gostorm.MachineID) gostorm.MachineID {
+	return enabled[0]
+}
+
+func (timerLiar) NextFault(c gostorm.FaultChoice) int {
+	if c.Kind == gostorm.FaultTimer {
+		return 2
+	}
+	return 0
+}
+
+var registerTimerLiar = gostorm.RegisterScheduler("timer-liar", gostorm.SchedulerSpec{
+	New: func(int) gostorm.Scheduler { return timerLiar{} },
+})
+
+// TestOutOfRangeTimerAnswerIsAttributedToTheTimer: a timer's step runs on
+// whatever stack reached the scheduling point that picked it, so a
+// scheduler's out-of-range answer to its fire choice must not surface as a
+// panic of the machine that lent the stack (the entry machine, blocked in
+// Receive) nor re-panic out of the engine when the hub ran the step (the
+// entry machine has halted): it is a safety violation naming the timer and
+// the scheduler.
+func TestOutOfRangeTimerAnswerIsAttributedToTheTimer(t *testing.T) {
+	if registerTimerLiar != nil {
+		t.Fatalf("RegisterScheduler: %v", registerTimerLiar)
+	}
+	for _, c := range []struct {
+		name  string
+		after func(ctx *gostorm.Context)
+	}{
+		{"on a host machine's stack", func(ctx *gostorm.Context) { ctx.Receive("tick") }},
+		{"on the hub", func(ctx *gostorm.Context) { ctx.Halt() }},
+	} {
+		test := gostorm.Test{
+			Name: "timer-liar",
+			Entry: func(ctx *gostorm.Context) {
+				ctx.StartTimer("Timer0", ctx.ID(), gostorm.Signal("tick"))
+				c.after(ctx)
+			},
+		}
+		for _, pooled := range []bool{true, false} {
+			opts := []gostorm.Option{
+				gostorm.WithScheduler("timer-liar"), gostorm.WithIterations(3), gostorm.WithMaxSteps(100),
+				gostorm.WithWorkers(1), gostorm.WithNoReplayLog(),
+			}
+			if !pooled {
+				opts = append(opts, gostorm.WithNoReuse())
+			}
+			res, err := gostorm.Explore(test, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			const want = "core: timer-liar scheduler: timer fault outcome 2 out of [0, 2)"
+			if !res.BugFound || res.Report.Kind != gostorm.SafetyBug ||
+				res.Report.Machine != "Timer0(1)" || res.Report.Message != want {
+				t.Fatalf("%s (pooled=%v): got %+v, want a safety violation in Timer0(1): %s", c.name, pooled, res.Report, want)
+			}
+		}
+	}
+}
+
 // TestConfigErrors: the public entry points report configuration
 // mistakes as typed *ConfigError values naming the option at fault.
 func TestConfigErrors(t *testing.T) {
