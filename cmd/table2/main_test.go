@@ -1,13 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/gostorm/gostorm/internal/mtable"
 )
 
 // table2Binary compiles the command once per test binary via the go
@@ -41,20 +46,22 @@ func buildTable2(t *testing.T) string {
 	return b.path
 }
 
-// runTable2 invokes the compiled CLI and returns combined output plus
-// the exit code.
-func runTable2(t *testing.T, args ...string) (string, int) {
+// runTable2 invokes the compiled CLI and returns stdout, stderr and the
+// exit code.
+func runTable2(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
+	var stdout, stderr bytes.Buffer
 	cmd := exec.Command(buildTable2(t), args...)
-	out, err := cmd.CombinedOutput()
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
 	if err == nil {
-		return string(out), 0
+		return stdout.String(), stderr.String(), 0
 	}
 	if ee, ok := err.(*exec.ExitError); ok {
-		return string(out), ee.ExitCode()
+		return stdout.String(), stderr.String(), ee.ExitCode()
 	}
-	t.Fatalf("table2 failed to start: %v\n%s", err, out)
-	return "", -1
+	t.Fatalf("table2 failed to start: %v\n%s", err, stderr.String())
+	return "", "", -1
 }
 
 // TestCLISmoke drives the compiled binary on a small budget: the table
@@ -65,9 +72,9 @@ func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the real binary")
 	}
-	out, code := runTable2(t, "-iterations", "100", "-seed", "1", "-portfolio", "random,pct,delay")
+	out, errOut, code := runTable2(t, "-iterations", "100", "-seed", "1", "-portfolio", "random,pct,delay")
 	if code != 0 {
-		t.Fatalf("exit = %d:\n%s", code, out)
+		t.Fatalf("exit = %d:\n%s%s", code, out, errOut)
 	}
 	for _, want := range []string{
 		"Table 2:",
@@ -100,15 +107,64 @@ func TestCLISmoke(t *testing.T) {
 	}
 }
 
+// wallTime matches the Time(s) fields, the only bytes of the table that
+// are not a function of the flags.
+var wallTime = regexp.MustCompile(`[0-9]+\.[0-9]{2}`)
+
+// TestCLIMatchesGolden holds the whole table — BF?, #NDC, the faults
+// column, the (c) and * markers, the portfolio winner of every row — to
+// testdata/table2_seed1_300.golden, wall times masked. The file was
+// recorded while table2 still built its harnesses by hand; a change to how
+// the rows are produced must reproduce it, not regenerate it.
+func TestCLIMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs the real binary")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "table2_seed1_300.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, errOut, code := runTable2(t, "-iterations", "300", "-seed", "1", "-workers", "1", "-portfolio", "random,pct,delay")
+	if code != 0 {
+		t.Fatalf("exit = %d:\n%s%s", code, out, errOut)
+	}
+	if got := wallTime.ReplaceAllString(out, "T"); got != string(want) {
+		t.Fatalf("table differs from the golden\n--- got\n%s--- want\n%s", got, want)
+	}
+}
+
+// TestCLIRowsCoverEverySeededBug: the table is the vNext row plus every
+// bug mtable seeds, each exactly once, so a newly seeded bug cannot be left
+// off it silently.
+func TestCLIRowsCoverEverySeededBug(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs the real binary")
+	}
+	out, errOut, code := runTable2(t, "-iterations", "1", "-workers", "1", "-portfolio", "")
+	if code != 0 {
+		t.Fatalf("exit = %d:\n%s%s", code, out, errOut)
+	}
+	var got []string
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && (f[0] == "1" || f[0] == "2") {
+			got = append(got, strings.TrimPrefix(f[1], "*"))
+		}
+	}
+	want := append([]string{"ExtentNodeLivenessViolation"}, mtable.AllBugs()...)
+	if !slices.Equal(got, want) {
+		t.Fatalf("table rows = %q\nwant the vNext row and mtable.AllBugs(): %q", got, want)
+	}
+}
+
 // TestCLIOmitsPortfolioColumn: an empty -portfolio drops the third
 // column, matching the documented flag semantics.
 func TestCLIOmitsPortfolioColumn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the real binary")
 	}
-	out, code := runTable2(t, "-iterations", "20", "-seed", "1", "-portfolio", "")
+	out, errOut, code := runTable2(t, "-iterations", "20", "-seed", "1", "-portfolio", "")
 	if code != 0 {
-		t.Fatalf("exit = %d:\n%s", code, out)
+		t.Fatalf("exit = %d:\n%s%s", code, out, errOut)
 	}
 	// The fixed header sentence still mentions portfolios; the column
 	// itself is identified by its "winner" header and member list.
@@ -123,15 +179,15 @@ func TestCLIValidatesFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the real binary")
 	}
-	out, code := runTable2(t, "-portfolio", "random,quantum")
+	_, errOut, code := runTable2(t, "-portfolio", "random,quantum")
 	if code != 2 {
-		t.Fatalf("exit = %d, want 2:\n%s", code, out)
+		t.Fatalf("exit = %d, want 2:\n%s", code, errOut)
 	}
-	if !strings.Contains(out, "unknown scheduler") {
-		t.Fatalf("error output lacks the unknown-scheduler message:\n%s", out)
+	if !strings.Contains(errOut, "unknown scheduler") {
+		t.Fatalf("error output lacks the unknown-scheduler message:\n%s", errOut)
 	}
-	out, code = runTable2(t, "-workers", "-4")
-	if code != 2 || !strings.Contains(out, "-workers must be non-negative") {
-		t.Fatalf("negative -workers not rejected (exit %d):\n%s", code, out)
+	_, errOut, code = runTable2(t, "-workers", "-4")
+	if code != 2 || !strings.Contains(errOut, "-workers must be non-negative") {
+		t.Fatalf("negative -workers not rejected (exit %d):\n%s", code, errOut)
 	}
 }
