@@ -205,15 +205,17 @@ func TestAPISurfaceLocked(t *testing.T) {
 }
 
 // TestExamplesUsePublicAPIOnly enforces the public-only import rule on
-// the examples: every examples/ program must compile against nothing but
-// the public package (plus the standard library) — no internal/ imports,
-// which is what makes the examples proof that the API boundary is real.
+// the examples and on the two CLIs the README calls pure consumers of the
+// public API (cmd/systest, cmd/table2; their tests may reach internal/):
+// every such program must compile against nothing but the public package
+// (plus the standard library) — no internal/ imports, which is what makes
+// them proof that the API boundary is real.
 func TestExamplesUsePublicAPIOnly(t *testing.T) {
 	const module = "github.com/gostorm/gostorm"
 	fset := token.NewFileSet()
 	found := 0
-	err := filepath.WalkDir("examples", func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+	check := func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return err
 		}
 		found++
@@ -227,7 +229,7 @@ func TestExamplesUsePublicAPIOnly(t *testing.T) {
 				continue
 			}
 			if strings.HasPrefix(p, module+"/") {
-				return fmt.Errorf("%s imports %s — examples must import only %s", path, p, module)
+				return fmt.Errorf("%s imports %s — it must import only %s", path, p, module)
 			}
 			if strings.Contains(p, "internal") {
 				return fmt.Errorf("%s imports internal package %s", path, p)
@@ -239,11 +241,13 @@ func TestExamplesUsePublicAPIOnly(t *testing.T) {
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if found < 4 {
-		t.Fatalf("only %d example files checked; expected the four example programs", found)
+	for _, root := range []string{"examples", "cmd/systest", "cmd/table2"} {
+		if err := filepath.WalkDir(root, check); err != nil {
+			t.Error(err)
+		}
+	}
+	if found < 6 {
+		t.Fatalf("only %d files checked; expected the four example programs and the two CLIs", found)
 	}
 }

@@ -71,6 +71,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "gostormd: -test is required (use -list to see scenarios)")
 		return 2
 	}
+	if *leaseSize < 0 {
+		fmt.Fprintf(stderr, "gostormd: -lease must be non-negative, got %d\n", *leaseSize)
+		return 2
+	}
 	if *portfolio != "" && *scheduler != "" {
 		fmt.Fprintf(stderr, "gostormd: -portfolio conflicts with -scheduler %s (drop one, or add %s to the member list)\n", *scheduler, *scheduler)
 		return 2
@@ -83,7 +87,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Layer CLI overrides on the scenario's recommended options — the same
 	// resolution systest performs, minus the machine-local knobs (Workers)
-	// that belong to each agent.
+	// that belong to each agent. 0 means "default"; a negative value is
+	// passed on for dist.New to reject.
 	opts := entry.Options
 	opts.Seed = *seed
 	opts.PCTDepth = *pctDepth
@@ -99,16 +104,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Scheduler = *scheduler
 		opts.Portfolio = nil
 	}
-	if *iterations > 0 {
+	if *iterations != 0 {
 		opts.Iterations = *iterations
 	}
-	if *maxSteps > 0 {
+	if *maxSteps != 0 {
 		opts.MaxSteps = *maxSteps
 	}
-	if *corpusSize > 0 {
+	if *corpusSize != 0 {
 		opts.CorpusSize = *corpusSize
 	}
-	if *temperature > 0 {
+	if *temperature != 0 {
 		opts.Temperature = *temperature
 	}
 	if strings.TrimSpace(*faults) != "" {

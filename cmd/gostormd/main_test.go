@@ -185,6 +185,11 @@ func TestCoordinatorConfigErrors(t *testing.T) {
 		{"unknown scenario", []string{"-test", "nope"}, "unknown scenario"},
 		{"sequential scheduler", []string{"-test", "wal-torn-tail", "-scheduler", "dfs"}, "cannot be sharded"},
 		{"conflicting flags", []string{"-test", "wal-torn-tail", "-scheduler", "pct", "-portfolio", "random,pct"}, "-portfolio conflicts"},
+		{"negative iterations", []string{"-test", "wal-torn-tail", "-iterations", "-5"}, "Options.Iterations: must be non-negative"},
+		{"negative max-steps", []string{"-test", "wal-torn-tail", "-max-steps", "-3"}, "Options.MaxSteps: must be non-negative"},
+		{"negative corpus-size", []string{"-test", "wal-torn-tail", "-corpus-size", "-1"}, "Options.CorpusSize: must be non-negative"},
+		{"negative temperature", []string{"-test", "wal-torn-tail", "-temperature", "-1"}, "Options.Temperature: must be non-negative"},
+		{"negative lease", []string{"-test", "wal-torn-tail", "-lease", "-1"}, "-lease must be non-negative"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := exec.Command(coordBin, tc.args...).CombinedOutput()

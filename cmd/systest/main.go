@@ -125,7 +125,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Layer CLI overrides over the scenario's recommended options; later
-	// options win, so only explicitly set flags are appended.
+	// options win, so only explicitly set flags are appended. 0 means
+	// "scenario default"; a negative value is passed on for Resolve to reject.
 	opts := sc.Options()
 	opts = append(opts, gostorm.WithPCTDepth(*pctDepth), gostorm.WithSeed(*seed))
 	if len(members) > 0 {
@@ -133,16 +134,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		opts = append(opts, gostorm.WithScheduler(*scheduler))
 	}
-	if *iterations > 0 {
+	if *iterations != 0 {
 		opts = append(opts, gostorm.WithIterations(*iterations))
 	}
-	if *maxSteps > 0 {
+	if *maxSteps != 0 {
 		opts = append(opts, gostorm.WithMaxSteps(*maxSteps))
 	}
-	if *workers > 0 {
+	if *workers != 0 {
 		opts = append(opts, gostorm.WithWorkers(*workers))
 	}
-	if *temperature > 0 {
+	if *temperature != 0 {
 		opts = append(opts, gostorm.WithTemperature(*temperature))
 	}
 	if faultsOverride != nil {

@@ -230,6 +230,10 @@ func TestCLIValidatesFlagsUpFront(t *testing.T) {
 		{"bad faults value", []string{"-test", "replsys", "-faults", "crashes=x"}, "non-negative integer"},
 		{"negative max-crashes", []string{"-test", "replsys", "-max-crashes", "-3"}, "-max-crashes must be non-negative"},
 		{"negative max-torn-crashes", []string{"-test", "replsys", "-max-torn-crashes", "-1"}, "-max-torn-crashes must be non-negative"},
+		{"negative iterations", []string{"-test", "wal-fixed", "-iterations", "-5"}, "WithIterations: must be positive"},
+		{"negative max-steps", []string{"-test", "wal-fixed", "-max-steps", "-3"}, "WithMaxSteps: must be positive"},
+		{"negative workers", []string{"-test", "wal-fixed", "-workers", "-2"}, "WithWorkers: must be positive"},
+		{"negative temperature", []string{"-test", "wal-fixed", "-temperature", "-1"}, "WithTemperature: must be positive"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

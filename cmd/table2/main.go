@@ -17,23 +17,33 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"github.com/gostorm/gostorm"
-	"github.com/gostorm/gostorm/internal/mtable"
-	mharness "github.com/gostorm/gostorm/internal/mtable/harness"
-	vharness "github.com/gostorm/gostorm/internal/vnext/harness"
 )
 
-// tableRow is one Table 2 line.
-type tableRow struct {
-	cs     string
-	name   string
-	custom bool // run as a custom test case (the paper's ◐ rows)
-	star   bool // notional bug (the paper's ∗ rows)
-	build  func() gostorm.Test
-	// maxSteps bounds each execution (liveness rows need long ones).
-	maxSteps int
+// rows are the table's lines in the paper's order, each a scenario of the
+// catalog (`systest -list`): the scenario carries the harness, the step
+// bound and the fault budget, and a "-custom" name is the custom test case
+// of that bug.
+var rows = []struct {
+	cs       string
+	scenario string
+	star     bool // notional bug (the paper's ∗ rows)
+}{
+	{cs: "1", scenario: "ExtentNodeLivenessViolation"},
+	{cs: "2", scenario: "QueryAtomicFilterShadowing"},
+	{cs: "2", scenario: "QueryStreamedLock"},
+	{cs: "2", scenario: "QueryStreamedBackUpNewStream"},
+	{cs: "2", scenario: "DeleteNoLeaveTombstonesEtag"},
+	{cs: "2", scenario: "DeletePrimaryKey"},
+	{cs: "2", scenario: "EnsurePartitionSwitchedFromPopulated"},
+	{cs: "2", scenario: "TombstoneOutputETag"},
+	{cs: "2", scenario: "QueryStreamedFilterShadowing-custom"},
+	{cs: "2", scenario: "MigrateSkipPreferOld-custom", star: true},
+	{cs: "2", scenario: "MigrateSkipUseNewWithTombstones-custom", star: true},
+	{cs: "2", scenario: "InsertBehindMigrator-custom", star: true},
 }
 
 func main() {
@@ -47,53 +57,46 @@ func main() {
 	flag.Parse()
 
 	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "table2: -workers must be non-negative, got %d\n", *workers)
-		os.Exit(2)
+		fail(fmt.Errorf("-workers must be non-negative, got %d", *workers))
 	}
 
 	var members []string
 	if *portfolio != "" {
 		var err error
 		if members, err = gostorm.ParsePortfolioSpec(*portfolio); err != nil {
-			fmt.Fprintln(os.Stderr, "table2:", err)
-			os.Exit(2)
+			fail(err)
 		}
 	}
 
-	rows := []tableRow{{
-		cs:   "1",
-		name: "ExtentNodeLivenessViolation",
-		build: func() gostorm.Test {
-			return vharness.Test(vharness.HarnessConfig{Scenario: vharness.ScenarioFailAndRepair})
-		},
-		maxSteps: 3000,
-	}}
-	customOnly := map[string]bool{
-		"QueryStreamedFilterShadowing":    true,
-		"MigrateSkipPreferOld":            true,
-		"MigrateSkipUseNewWithTombstones": true,
-		"InsertBehindMigrator":            true,
+	// What every cell shares, layered over each scenario's own options the
+	// way systest layers its flags.
+	shared := []gostorm.Option{gostorm.WithPCTDepth(*pctDepth), gostorm.WithIterations(*iterations), gostorm.WithSeed(*seed), gostorm.WithNoReplayLog()}
+	if *workers > 0 {
+		shared = append(shared, gostorm.WithWorkers(*workers))
 	}
-	notional := map[string]bool{
-		"MigrateSkipPreferOld":            true,
-		"MigrateSkipUseNewWithTombstones": true,
-		"InsertBehindMigrator":            true,
-	}
-	for _, name := range mtable.AllBugs() {
-		bug, _ := mtable.BugByName(name)
-		r := tableRow{
-			cs:       "2",
-			name:     name,
-			custom:   customOnly[name],
-			star:     notional[name],
-			maxSteps: 30000,
+
+	// Resolve every row before the first byte of output: a bad flag fails
+	// here, not from inside the first cell with the header already printed.
+	lines := make([]line, len(rows))
+	for i, r := range rows {
+		sc, err := gostorm.ScenarioByName(r.scenario)
+		if err != nil {
+			fail(err)
 		}
-		if r.custom {
-			r.build = func() gostorm.Test { return mharness.CustomTest(bug) }
-		} else {
-			r.build = func() gostorm.Test { return mharness.Test(mharness.HarnessConfig{Bugs: bug}) }
+		// Clipped, so each column's append copies instead of sharing.
+		opts := slices.Clip(append(sc.Options(), shared...))
+		cfg, err := gostorm.Resolve(sc.Test(), opts...)
+		if err != nil {
+			fail(err)
 		}
-		rows = append(rows, r)
+		label, custom := strings.CutSuffix(r.scenario, "-custom")
+		if r.star {
+			label = "*" + label
+		}
+		if custom {
+			label += " (c)"
+		}
+		lines[i] = line{cs: r.cs, label: label, faults: cfg.Faults.String(), sc: sc, opts: opts}
 	}
 
 	fmt.Printf("Table 2: random, priority-based and portfolio schedulers, up to %d executions per cell\n", *iterations)
@@ -110,67 +113,48 @@ func main() {
 		fmt.Printf(" | %35s", "portfolio "+strings.Join(members, "+"))
 	}
 	fmt.Println()
-	for _, r := range rows {
-		label := r.name
-		if r.star {
-			label = "*" + label
-		}
-		if r.custom {
-			label += " (c)"
-		}
-		faults := r.build().Faults.String()
-		randCell := runCell(r, "random", *iterations, *seed, *pctDepth, *workers)
-		pctCell := runCell(r, "pct", *iterations, *seed, *pctDepth, *workers)
-		fmt.Printf("%-2s %-38s %-10s | %s | %s", r.cs, label, faults, randCell, pctCell)
+	for _, l := range lines {
+		fmt.Printf("%-2s %-38s %-10s | %s | %s", l.cs, l.label, l.faults,
+			l.cell(gostorm.WithScheduler("random")), l.cell(gostorm.WithScheduler("pct")))
 		if members != nil {
-			fmt.Printf(" | %s", runPortfolioCell(r, members, *iterations, *seed, *pctDepth, *workers))
+			fmt.Printf(" | %s", l.cell(gostorm.WithPortfolio(members...)))
 		}
 		fmt.Println()
 	}
 }
 
-// cellOptions is the shared option set of one table cell.
-func cellOptions(r tableRow, iterations int, seed int64, pctDepth, workers int) []gostorm.Option {
-	opts := []gostorm.Option{
-		gostorm.WithPCTDepth(pctDepth),
-		gostorm.WithIterations(iterations),
-		gostorm.WithMaxSteps(r.maxSteps),
-		gostorm.WithSeed(seed),
-		gostorm.WithNoReplayLog(),
-	}
-	if workers > 0 {
-		opts = append(opts, gostorm.WithWorkers(workers))
-	}
-	return opts
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "table2:", err)
+	os.Exit(2)
 }
 
-// runCell runs one (bug, scheduler) cell and formats it. Cells explore in
+// line is one row resolved: its three leading columns as printed, and the
+// scenario and options every cell of the row runs.
+type line struct {
+	cs, label, faults string
+	sc                gostorm.Scenario
+	opts              []gostorm.Option
+}
+
+// cell runs the row under one column's scheduler or portfolio and formats
+// it; a portfolio column also names the member that won. Cells explore in
 // parallel; time-to-bug therefore reflects the machine's core count, while
 // #NDC stays a property of the (deterministically chosen) buggy execution.
-func runCell(r tableRow, scheduler string, iterations int, seed int64, pctDepth, workers int) string {
-	opts := append(cellOptions(r, iterations, seed, pctDepth, workers), gostorm.WithScheduler(scheduler))
-	res, err := gostorm.Explore(r.build(), opts...)
+func (l line) cell(column gostorm.Option) string {
+	res, err := gostorm.Explore(l.sc.Test(), append(l.opts, column)...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "table2:", err)
-		os.Exit(2)
+		fail(err)
 	}
-	if !res.BugFound {
-		return fmt.Sprintf("%-3s %12s %8s", "no", "-", "-")
+	found, secs, ndc, winner := "no", "-", "-", "-"
+	if res.BugFound {
+		found, secs, ndc = "yes", fmt.Sprintf("%.2f", res.Elapsed.Seconds()), fmt.Sprint(res.Choices)
+		if res.Portfolio != nil {
+			winner = res.Portfolio[res.Winner].Scheduler
+		}
 	}
-	return fmt.Sprintf("%-3s %12.2f %8d", "yes", res.Elapsed.Seconds(), res.Choices)
-}
-
-// runPortfolioCell races the portfolio on one bug and reports the winning
-// member alongside the usual columns.
-func runPortfolioCell(r tableRow, members []string, iterations int, seed int64, pctDepth, workers int) string {
-	opts := append(cellOptions(r, iterations, seed, pctDepth, workers), gostorm.WithPortfolio(members...))
-	res, err := gostorm.Explore(r.build(), opts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "table2:", err)
-		os.Exit(2)
+	out := fmt.Sprintf("%-3s %12s %8s", found, secs, ndc)
+	if res.Portfolio != nil {
+		out += fmt.Sprintf(" %-8s", winner)
 	}
-	if !res.BugFound {
-		return fmt.Sprintf("%-3s %12s %8s %-8s", "no", "-", "-", "-")
-	}
-	return fmt.Sprintf("%-3s %12.2f %8d %-8s", "yes", res.Elapsed.Seconds(), res.Choices, res.Portfolio[res.Winner].Scheduler)
+	return out
 }

@@ -64,49 +64,6 @@ func runTable2(t *testing.T, args ...string) (string, string, int) {
 	return "", "", -1
 }
 
-// TestCLISmoke drives the compiled binary on a small budget: the table
-// renders with the header, the scheduler columns, every Table 2 row
-// family, and the portfolio column naming a winning member for the
-// quick-surfacing rows.
-func TestCLISmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles and runs the real binary")
-	}
-	out, errOut, code := runTable2(t, "-iterations", "100", "-seed", "1", "-portfolio", "random,pct,delay")
-	if code != 0 {
-		t.Fatalf("exit = %d:\n%s%s", code, out, errOut)
-	}
-	for _, want := range []string{
-		"Table 2:",
-		"random scheduler",
-		"priority-based scheduler",
-		"portfolio random+pct+delay",
-		"ExtentNodeLivenessViolation",
-		"DeletePrimaryKey",
-		"MigrateSkipPreferOld (c)", // custom rows keep the paper's ◐ marker
-		"crashes=1",                // the vNext row shows its declared fault budget
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output lacks %q:\n%s", want, out)
-		}
-	}
-	// The vNext liveness bug surfaces in ~1 execution at seed 1, so its
-	// row must report a find under every column — including a named
-	// portfolio winner rather than the no-bug "-" placeholder.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "ExtentNodeLivenessViolation") {
-			if strings.Count(line, "yes") < 3 {
-				t.Fatalf("vNext row does not report the bug under all three columns:\n%s", line)
-			}
-			fields := strings.Fields(line)
-			winner := fields[len(fields)-1]
-			if winner != "random" && winner != "pct" && winner != "delay" {
-				t.Fatalf("portfolio winner %q is not a member:\n%s", winner, line)
-			}
-		}
-	}
-}
-
 // wallTime matches the Time(s) fields, the only bytes of the table that
 // are not a function of the flags.
 var wallTime = regexp.MustCompile(`[0-9]+\.[0-9]{2}`)
@@ -133,22 +90,13 @@ func TestCLIMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestCLIRowsCoverEverySeededBug: the table is the vNext row plus every
-// bug mtable seeds, each exactly once, so a newly seeded bug cannot be left
-// off it silently.
-func TestCLIRowsCoverEverySeededBug(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles and runs the real binary")
-	}
-	out, errOut, code := runTable2(t, "-iterations", "1", "-workers", "1", "-portfolio", "")
-	if code != 0 {
-		t.Fatalf("exit = %d:\n%s%s", code, out, errOut)
-	}
+// TestRowsCoverEverySeededBug: the table is the vNext row plus every bug
+// mtable seeds, each exactly once, so a newly seeded bug cannot be left off
+// it silently.
+func TestRowsCoverEverySeededBug(t *testing.T) {
 	var got []string
-	for _, line := range strings.Split(out, "\n") {
-		if f := strings.Fields(line); len(f) > 1 && (f[0] == "1" || f[0] == "2") {
-			got = append(got, strings.TrimPrefix(f[1], "*"))
-		}
+	for _, r := range rows {
+		got = append(got, strings.TrimSuffix(r.scenario, "-custom"))
 	}
 	want := append([]string{"ExtentNodeLivenessViolation"}, mtable.AllBugs()...)
 	if !slices.Equal(got, want) {
@@ -173,21 +121,28 @@ func TestCLIOmitsPortfolioColumn(t *testing.T) {
 	}
 }
 
-// TestCLIValidatesFlags: a bad portfolio spec fails up front with exit
-// code 2 and a pointed message, like the other CLIs.
+// TestCLIValidatesFlags: a bad flag fails up front with exit code 2 and a
+// pointed message, like the other CLIs — before the first byte of the
+// table, so a failed run leaves no half-written header behind.
 func TestCLIValidatesFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the real binary")
 	}
-	_, errOut, code := runTable2(t, "-portfolio", "random,quantum")
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2:\n%s", code, errOut)
-	}
-	if !strings.Contains(errOut, "unknown scheduler") {
-		t.Fatalf("error output lacks the unknown-scheduler message:\n%s", errOut)
-	}
-	_, errOut, code = runTable2(t, "-workers", "-4")
-	if code != 2 || !strings.Contains(errOut, "-workers must be non-negative") {
-		t.Fatalf("negative -workers not rejected (exit %d):\n%s", code, errOut)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-portfolio", "random,quantum"}, "unknown scheduler"},
+		{[]string{"-workers", "-4"}, "-workers must be non-negative"},
+		{[]string{"-iterations", "0"}, "WithIterations: must be positive"},
+		{[]string{"-pct-depth", "0"}, "WithPCTDepth: must be positive"},
+	} {
+		out, errOut, code := runTable2(t, tc.args...)
+		if code != 2 || !strings.Contains(errOut, tc.want) {
+			t.Errorf("%v: exit = %d, want 2 and %q on stderr:\n%s", tc.args, code, tc.want, errOut)
+		}
+		if out != "" {
+			t.Errorf("%v: wrote to stdout before failing:\n%s", tc.args, out)
+		}
 	}
 }

@@ -301,19 +301,19 @@
 // receive, halt, crash or restart actually changes a machine's
 // schedulability — instead of being recomputed by scanning every
 // machine at every step, so step bookkeeping is O(changes) and machines
-// blocked in Receive cost nothing per step (BenchmarkEnabledSet pins
-// this: ns/step no longer grows with the blocked-machine count). The
-// `enabledcheck` build tag compiles in a per-step cross-check against a
-// from-scratch rebuild that panics on any divergence.
+// blocked in Receive cost nothing per step (BenchmarkEnabledSet in
+// internal/core pins this: ns/step does not grow with the blocked-machine
+// count). The `enabledcheck` build tag compiles in a per-step cross-check
+// against a from-scratch rebuild that panics on any divergence.
 //
 // Together these put a scheduling step at ~226ns on the 2-vCPU build
 // box (core.ns_per_step in the repository benchmark, see BENCHMARK.json
 // and bench/README.md; ~200ns of it is the switch floor,
 // core.step_floor_ns). The trajectory: 834ns with an engine-mediated
 // yield/resume, ~289ns with machine-to-machine channel handoff, ~266ns
-// with the incremental enabled set (BENCH_pr4.json through
-// BENCH_pr8.json, taken on a 1-CPU box), ~320ns → ~226ns on the build
-// box when the coroutine hub replaced the channel wake + park.
+// with the incremental enabled set (all three on a 1-CPU box), ~320ns →
+// ~226ns on the build box when the coroutine hub replaced the channel
+// wake + park.
 //
 // O(1) reseed. Every scheduler's Prepare reseeds its generator, and
 // math/rand's Seed fills 607 state words through 1,841 sequential steps
@@ -344,7 +344,6 @@
 // # API stability
 //
 // The exported surface of this package is locked by a golden file
-// (api.txt) checked in CI; see README.md for the package tour and the
-// migration table from the pre-redesign engine options, and ROADMAP.md
-// for open items.
+// (api.txt) checked in CI; see README.md for the package tour and
+// ROADMAP.md for open items.
 package gostorm

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // These tests run workloads that hit every transition the incremental
 // enabled-set maintenance has to handle — blocking dequeues, deferral,
@@ -136,5 +139,77 @@ func TestEnabledSetCrossCheckParallel(t *testing.T) {
 		if _, err := Explore(faultWorkloadTest(), o); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+	}
+}
+
+// blockedPingPongTest is an endless ping-pong pair surrounded by `blocked`
+// machines parked in ReceiveWhere on a predicate nothing ever satisfies.
+// The blocked machines take one step each to reach their Receive and then
+// never become schedulable again, so the steady-state stepping cost is the
+// two ping-pongers' — *if* the engine's per-step bookkeeping is independent
+// of how many disabled machines exist. An engine that rescans every machine
+// (and its inbox) at every step grows linearly with the blocked count; the
+// incremental enabled set never touches a machine whose schedulability did
+// not change. Events, the bystander impl, its predicate and the machine
+// names are hoisted out of the entry (events are immutable and the impl is
+// stateless, so sharing is safe): per-send boxing and per-execution
+// allocation are workload cost, and would smear across the ns/step metric.
+func blockedPingPongTest(blocked int) Test {
+	pong := Event(Signal("pong"))
+	bystander := &FuncMachine{
+		OnInit: func(ctx *Context) {
+			ctx.ReceiveWhere("never", func(Event) bool { return false })
+		},
+	}
+	names := make([]string, blocked)
+	for i := range names {
+		names[i] = fmt.Sprintf("blocked%d", i)
+	}
+	return Test{
+		Name: fmt.Sprintf("bench-enabled-%d", blocked),
+		Entry: func(ctx *Context) {
+			for _, name := range names {
+				ctx.CreateMachine(bystander, name)
+			}
+			ponger := ctx.CreateMachine(&FuncMachine{
+				OnEvent: func(ctx *Context, ev Event) {
+					ctx.Send(ev.(pingEv).From, pong)
+				},
+			}, "ponger")
+			var ping Event
+			ctx.CreateMachine(&FuncMachine{
+				OnInit: func(ctx *Context) {
+					ping = pingEv{From: ctx.ID()}
+					ctx.Send(ponger, ping)
+				},
+				OnEvent: func(ctx *Context, ev Event) {
+					ctx.Send(ponger, ping)
+				},
+			}, "pinger")
+		},
+	}
+}
+
+// BenchmarkEnabledSet measures scheduling throughput as dead weight grows:
+// the ping-pong workload with 32 and 128 permanently blocked bystanders.
+// Invariant: ns/step must not scale with the blocked-machine count — read
+// the *ratio* between the cells. Each op explores several pooled iterations
+// so one-time engine setup (a coroutine per live machine) amortizes away
+// and the metric isolates steady-state stepping.
+func BenchmarkEnabledSet(b *testing.B) {
+	for _, blocked := range []int{32, 128} {
+		b.Run(fmt.Sprintf("blocked=%d", blocked), func(b *testing.B) {
+			b.ReportAllocs()
+			test := blockedPingPongTest(blocked)
+			opts := Options{Scheduler: "rr", Iterations: 10, MaxSteps: 10000, Seed: 1, NoLivenessBoundCheck: true}
+			b.ResetTimer()
+			totalSteps := int64(0)
+			for i := 0; i < b.N; i++ {
+				res := MustExplore(test, opts)
+				totalSteps += res.TotalSteps
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalSteps), "ns/step")
+		})
 	}
 }

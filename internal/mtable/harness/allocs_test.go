@@ -17,6 +17,20 @@ const (
 	maxBytesPerExecution   = 20 << 10
 )
 
+// cleanExecutions is one Explore of n clean executions on one worker, so
+// the pool and the coroutine spawn are paid once, as in a real run, and
+// every per-n figure is per execution.
+func cleanExecutions(tb testing.TB, n int) gostorm.Result {
+	tb.Helper()
+	res := exploreScenario(tb, "mtable",
+		gostorm.WithScheduler("random"), gostorm.WithWorkers(1),
+		gostorm.WithSeed(scheduleSeed), gostorm.WithIterations(n), gostorm.WithNoReplayLog())
+	if res.BugFound || res.Executions != n {
+		tb.Fatalf("expected %d clean executions, got %v", n, res)
+	}
+	return res
+}
+
 // TestCleanExecutionAllocBudget is the regression gate on the model's
 // garbage: the MigratingTable harness is two of the benchmark's four
 // workloads, and what it allocates per execution — not the exploration
@@ -28,13 +42,8 @@ func TestCleanExecutionAllocBudget(t *testing.T) {
 	const iterations = 2000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res := exploreScenario(t, "mtable",
-		gostorm.WithScheduler("random"), gostorm.WithWorkers(1),
-		gostorm.WithSeed(scheduleSeed), gostorm.WithIterations(iterations), gostorm.WithNoReplayLog())
+	res := cleanExecutions(t, iterations)
 	runtime.ReadMemStats(&after)
-	if res.BugFound || res.Executions != iterations {
-		t.Fatalf("expected %d clean executions, got %v", iterations, res)
-	}
 	mallocs := float64(after.Mallocs-before.Mallocs) / iterations
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / iterations
 	t.Logf("%.0f mallocs and %.0f B per clean execution (%.0f steps)", mallocs, bytes, float64(res.TotalSteps)/iterations)
@@ -44,4 +53,15 @@ func TestCleanExecutionAllocBudget(t *testing.T) {
 	if bytes > maxBytesPerExecution {
 		t.Errorf("%.0f bytes per execution, budget %d", bytes, maxBytesPerExecution)
 	}
+}
+
+// BenchmarkMTableCleanExecution prints what the budget gates — allocs/op
+// and B/op are per execution — next to the time and steps of one clean
+// execution, the unit the paper's 100,000-execution budgets are made of.
+// Invariant: at -benchtime 2000x allocs/op and B/op stay within
+// maxMallocsPerExecution and maxBytesPerExecution.
+func BenchmarkMTableCleanExecution(b *testing.B) {
+	b.ReportAllocs()
+	res := cleanExecutions(b, b.N)
+	b.ReportMetric(float64(res.TotalSteps)/float64(b.N), "steps/op")
 }

@@ -69,7 +69,7 @@ const (
 	huntBudget   = 2000
 )
 
-func exploreScenario(t *testing.T, name string, extra ...gostorm.Option) gostorm.Result {
+func exploreScenario(t testing.TB, name string, extra ...gostorm.Option) gostorm.Result {
 	t.Helper()
 	sc, err := gostorm.ScenarioByName(name)
 	if err != nil {
@@ -173,5 +173,33 @@ func TestMTableSchedulesMatchGoldens(t *testing.T) {
 		if !reflect.DeepEqual(got.Clean, want.Clean) {
 			t.Errorf("workers=%d: clean statistics moved\n got %+v\nwant %+v", workers, got.Clean, want.Clean)
 		}
+	}
+}
+
+// TestMutationalBeatsRandomAndPCTOnTombstoneOutputETag holds the
+// coverage-guided claim on a real harness: on TombstoneOutputETag — the
+// rarest of the default-workload bugs, deep enough that the corpus is in
+// active use before the bug lands — the mutational scheduler reaches the
+// violation in fewer iterations than random and pct at the same seed and
+// budget. Every number is deterministic, so all three are pinned. The
+// margin is seed-dependent (the harness's event stream hashes novel almost
+// every execution, so the coverage gradient is weak here); the
+// workload-robust guided win across seeds is
+// TestMutationalBeatsRandomOnStagedRatchet in internal/core.
+func TestMutationalBeatsRandomAndPCTOnTombstoneOutputETag(t *testing.T) {
+	firstBug := func(sched string) int {
+		res := exploreScenario(t, "TombstoneOutputETag",
+			gostorm.WithScheduler(sched), gostorm.WithSeed(2), gostorm.WithIterations(6000), gostorm.WithNoReplayLog())
+		if !res.BugFound {
+			t.Fatalf("%s did not find the seeded bug within the budget", sched)
+		}
+		return res.Report.Iteration
+	}
+	random, pct, mutational := firstBug("random"), firstBug("pct"), firstBug("mutational")
+	if random != 874 || pct != 4014 || mutational != 197 {
+		t.Errorf("first buggy iteration: random %d, pct %d, mutational %d; recorded 874, 4014, 197", random, pct, mutational)
+	}
+	if mutational >= random || mutational >= pct {
+		t.Errorf("mutational (iteration %d) did not beat random (%d) and pct (%d)", mutational, random, pct)
 	}
 }
