@@ -26,24 +26,26 @@ var updateTimerLifecycle = flag.Bool("update-timer-lifecycle", false, "rewrite t
 
 // scriptScheduler drives one execution along a hand-written prefix — which
 // machine runs at each step, whether each timer choice fires, which
-// CrashPoint outcome is taken — and then falls back to the lowest enabled
-// machine and the benign outcome, under which every lifecycle case below
-// winds down. That is what lets a case put StopTimer (or a crash) at an
+// CrashPoint outcome is taken, how many staged writes survive each crash —
+// and then falls back to the lowest enabled machine and the benign outcome,
+// under which every lifecycle case below winds down. That is what lets a case put StopTimer (or a crash) at an
 // exact point of the timer's loop. A scripted pick that is not enabled is a
 // mistake in the case; it is recorded in bad and fails the test.
 type scriptScheduler struct {
-	picks   []MachineID
-	fires   []bool
-	crashes []int
-	pi      int
-	fi      int
-	ci      int
-	bad     string
+	picks    []MachineID
+	fires    []bool
+	crashes  []int
+	persists []int
+	pi       int
+	fi       int
+	ci       int
+	xi       int
+	bad      string
 }
 
 func (s *scriptScheduler) Name() string { return "script" }
 func (s *scriptScheduler) Prepare(int64, int) bool {
-	s.pi, s.fi, s.ci, s.bad = 0, 0, 0, ""
+	s.pi, s.fi, s.ci, s.xi, s.bad = 0, 0, 0, 0, ""
 	return true
 }
 func (s *scriptScheduler) NextBool() bool  { return false }
@@ -77,11 +79,17 @@ func (s *scriptScheduler) NextFault(c FaultChoice) int {
 			s.ci++
 			return s.crashes[s.ci-1]
 		}
+	case FaultPersist:
+		if s.xi < len(s.persists) {
+			s.xi++
+			return s.persists[s.xi-1]
+		}
 	}
 	return 0
 }
 
-// lifecycleCase is one walk through the timer's state space: a deterministic
+// lifecycleCase is one walk through a lifecycle's state space (the timer's
+// here, an ordinary machine's in machine_lifecycle_test.go): a deterministic
 // entry function, the scripted execution whose full replay log is pinned,
 // and the step bound both that execution and the exploration legs run under.
 type lifecycleCase struct {
@@ -92,6 +100,36 @@ type lifecycleCase struct {
 	// scriptedOnly skips the exploration legs: the case shares its test
 	// program with an earlier one that already ran them.
 	scriptedOnly bool
+	// bends returns the perturbed copies of the scripted execution's
+	// decisions whose Replay divergence errors are pinned. Nil bends the
+	// machine of the first and of the last DecisionTimer.
+	bends func(ds []Decision) [][]Decision
+	// pinBugSite also pins the violation's Machine and Step.
+	pinBugSite bool
+}
+
+// bendTimers perturbs the machine of the first and of the last DecisionTimer:
+// the replay scheduler raises the divergence inside the timer's fire choice.
+func bendTimers(ds []Decision) [][]Decision {
+	first, last := -1, -1
+	for i, d := range ds {
+		if d.Kind == DecisionTimer {
+			if first < 0 {
+				first = i
+			}
+			last = i
+		}
+	}
+	if first < 0 {
+		return nil
+	}
+	var out [][]Decision
+	for _, i := range []int{first, last} {
+		bent := slices.Clone(ds)
+		bent[i].Machine += 100
+		out = append(out, bent)
+	}
+	return out
 }
 
 // stopAfterTest: the entry machine (0) creates a sink (1), starts a timer
@@ -306,9 +344,10 @@ type pinnedExecution struct {
 	Choices     int    `json:"choices"`
 	Fingerprint string `json:"fingerprint"`
 	Bug         string `json:"bug,omitempty"`
-	// Divergences are the errors Replay returns when the machine of the
-	// first and of the last DecisionTimer of the trace is perturbed: the
-	// replay scheduler raises them inside the timer's fire choice.
+	BugMachine  string `json:"bugMachine,omitempty"`
+	BugStep     int    `json:"bugStep,omitempty"`
+	// Divergences are the errors Replay returns for each perturbed copy of
+	// the trace (lifecycleCase.bends).
 	Divergences []string `json:"divergences,omitempty"`
 	Log         []string `json:"log"`
 }
@@ -388,9 +427,9 @@ func runScripted(t *testing.T, c lifecycleCase, pool *execPool, warm int) pinned
 	if sched.bad != "" {
 		t.Fatalf("%s: %s", c.name, sched.bad)
 	}
-	if sched.pi < len(sched.picks) || sched.fi < len(sched.fires) || sched.ci < len(sched.crashes) {
-		t.Fatalf("%s: execution ended with the script unconsumed (%d/%d picks, %d/%d fires, %d/%d crashes)",
-			c.name, sched.pi, len(sched.picks), sched.fi, len(sched.fires), sched.ci, len(sched.crashes))
+	if sched.pi < len(sched.picks) || sched.fi < len(sched.fires) || sched.ci < len(sched.crashes) || sched.xi < len(sched.persists) {
+		t.Fatalf("%s: execution ended with the script unconsumed (%d/%d picks, %d/%d fires, %d/%d crashes, %d/%d persists)",
+			c.name, sched.pi, len(sched.picks), sched.fi, len(sched.fires), sched.ci, len(sched.crashes), sched.xi, len(sched.persists))
 	}
 	tr := newTrace(c.test.Name, sched.Name(), 0, o.EffectiveFaults(c.test), r.dec.decode())
 	data, err := tr.Encode()
@@ -405,6 +444,9 @@ func runScripted(t *testing.T, c lifecycleCase, pool *execPool, warm int) pinned
 	}
 	if rep != nil {
 		p.Bug = firstLine(rep.Message)
+		if c.pinBugSite {
+			p.BugMachine, p.BugStep = rep.Machine, rep.Step
+		}
 	}
 
 	decoded, err := DecodeTrace(data)
@@ -421,26 +463,18 @@ func runScripted(t *testing.T, c lifecycleCase, pool *execPool, warm int) pinned
 	}
 	p.Log = append([]string{}, rr.log...)
 
-	first, last := -1, -1
-	for i, d := range tr.Decisions {
-		if d.Kind == DecisionTimer {
-			if first < 0 {
-				first = i
-			}
-			last = i
-		}
+	bends := c.bends
+	if bends == nil {
+		bends = bendTimers
 	}
-	if first >= 0 {
-		for _, i := range []int{first, last} {
-			bent := *decoded
-			bent.Decisions = append([]Decision(nil), decoded.Decisions...)
-			bent.Decisions[i].Machine += 100
-			rep, err := Replay(c.test, &bent, Options{MaxSteps: c.maxSteps})
-			if rep != nil || err == nil {
-				t.Fatalf("%s: replay of a trace perturbed at decision %d = (%v, %v), want a divergence", c.name, i, rep, err)
-			}
-			p.Divergences = append(p.Divergences, err.Error())
+	for i, ds := range bends(decoded.Decisions) {
+		bent := *decoded
+		bent.Decisions = ds
+		rep, err := Replay(c.test, &bent, Options{MaxSteps: c.maxSteps})
+		if rep != nil || err == nil {
+			t.Fatalf("%s: replay of perturbed trace %d = (%v, %v), want a divergence", c.name, i, rep, err)
 		}
+		p.Divergences = append(p.Divergences, err.Error())
 	}
 	return p
 }
@@ -515,9 +549,15 @@ func runExplorations(t *testing.T, c lifecycleCase, workers int, noReuse bool) [
 // exploration worker and on four, with the per-step enabled-set
 // cross-check on.
 func TestTimerLifecycleMatchesGolden(t *testing.T) {
-	path := filepath.Join("testdata", "timer_lifecycle.json")
-	cases := lifecycleCases()
-	if *updateTimerLifecycle {
+	matchLifecycleGolden(t, filepath.Join("testdata", "timer_lifecycle.json"), *updateTimerLifecycle, lifecycleCases())
+}
+
+// matchLifecycleGolden holds cases to the golden file at path: the scripted
+// execution and the exploration legs of each, reproduced pooled and
+// unpooled, on one exploration worker and on four. update first rewrites the
+// file from this tree (one unpooled pass).
+func matchLifecycleGolden(t *testing.T, path string, update bool, cases []lifecycleCase) {
+	if update {
 		var golden []pinnedCase
 		for _, c := range cases {
 			golden = append(golden, pinnedCase{
@@ -533,7 +573,7 @@ func TestTimerLifecycleMatchesGolden(t *testing.T) {
 		if err := enc.Encode(golden); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -542,7 +582,7 @@ func TestTimerLifecycleMatchesGolden(t *testing.T) {
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("goldens missing (record them with -update-timer-lifecycle): %v", err)
+		t.Fatalf("goldens missing (record them with the test's -update flag): %v", err)
 	}
 	var golden []pinnedCase
 	if err := json.Unmarshal(data, &golden); err != nil {
