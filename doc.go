@@ -278,20 +278,34 @@
 // is schedules not explored. Four mechanisms carry the throughput
 // story.
 //
-// Coroutine hub. Every machine body runs on its own stack, a coroutine
-// pulled with iter.Pull, and the goroutine exploring the execution is
-// the hub that resumes them. A machine reaching a scheduling point runs
-// the next scheduling-loop iteration on its own stack; when the
-// scheduler picks it again nothing else happens, otherwise it yields to
-// the hub, which resumes the chosen machine: two runtime coroutine
-// switches per step and no pass through the Go scheduler
-// (BenchmarkHandoffPrimitives in internal/core compares it with the
-// channel wake + park it replaced). Coroutine switches are synchronous
-// calls, so exactly one stack of a runtime runs at any instant and the
-// worker free list, crash reaping and shutdown need no ordering
-// argument. One side effect: handoffs no longer yield to the Go
-// scheduler, so exploration workers that outnumber Ps interleave by
-// preemption rather than at every step; results are
+// A stack exists while a handler is live. A machine's body is cut at its
+// scheduling points, and the cuts are of two kinds. Inside a handler the
+// machine holds user frames, so the handler runs on a coroutine pulled
+// with iter.Pull, bound to the machine from the scheduling step that
+// starts its Init or dequeues an event until the handler returns, halts
+// or is unwound. Between handlers — never started, or waiting at the top
+// of its event loop — it holds no frame and owns no stack. The goroutine
+// exploring the execution is the hub. Whoever reaches a scheduling point
+// runs the next scheduling-loop iteration on its own stack: a machine
+// mid-handler that is picked again just carries on, and otherwise yields
+// to the hub, which resumes the pick's coroutine or arms an idle one with
+// it — two runtime coroutine switches and no pass through the Go
+// scheduler (BenchmarkHandoffPrimitives in internal/core compares it with
+// the channel wake + park it replaced). A stack whose handler just
+// returned, or whose machine just died, is free: it runs the next
+// iteration itself and, when the pick is also between handlers, runs its
+// handler inline at no switch at all; only a pick suspended mid-handler
+// sends it idle to the free list and back to the hub. Only a machine
+// mid-handler has frames to unwind when it is crashed or the execution
+// ends (its defers run); the others are scrubbed in place. The
+// fault-plane timer is the special case whose handlers are engine code
+// cut into phases: it never holds a frame, so it never gets a coroutine,
+// and its step runs inline on whichever stack picked it. Coroutine
+// switches are synchronous calls, so exactly one stack of a runtime runs
+// at any instant and the worker free list, crash reaping and shutdown
+// need no ordering argument. One side effect: handoffs do not yield to
+// the Go scheduler, so exploration workers that outnumber Ps interleave
+// by preemption rather than at every step; results are
 // position-deterministic either way. Decisions are recorded into a
 // packed word arena and materialized as trace structs once per
 // execution, only for executions somebody will look at.
@@ -323,13 +337,16 @@
 // multiplications, and the generator first touches its words in a fixed
 // order, so Seed stores the seed and the first 334 draws each produce the
 // one or two words they are about to read (BenchmarkSchedulerPrepare in
-// internal/core: Prepare + 32 decisions, ~11µs → ~0.5µs).
+// internal/core: Prepare + 32 decisions, ~11µs → ~0.5µs). The built-in
+// schedulers draw through the source's own Intn — the same values without
+// the interface call; NewRand wraps the same source in a *rand.Rand for
+// registered schedulers.
 //
 // Pooling. Each exploration worker recycles its execution state through
 // a runtime pool instead of rebuilding it per iteration — runtimes reset
 // in place (machines scrub themselves at death, so a reset is O(1) in
-// the machine count), machine structs and inboxes are recycled, machine
-// coroutines idle on a free list between assignments, the decision arena
+// the machine count), machine structs and inboxes are recycled,
+// coroutines idle on a free list between handlers, the decision arena
 // is pre-sized to the step bound, and log arguments are only materialized
 // when a log is collected (Context.Logging lets harnesses guard their own
 // expensive descriptions the same way).

@@ -320,9 +320,17 @@ const (
 	timerRearmed
 )
 
-// timerArmed is the event a timer sends itself to keep its loop going,
-// boxed once instead of once per arm.
-var timerArmed = Signal("core.timer.armed")
+// timerArmed is the event a timer sends itself to keep its loop going: a
+// type of its own, so a timer's dequeue recognises it by type and mixes its
+// name's hash, taken once, into the fingerprint.
+type timerArmedEvent struct{}
+
+func (timerArmedEvent) Name() string { return "core.timer.armed" }
+
+var (
+	timerArmed     Event = timerArmedEvent{}
+	timerArmedHash       = covString(timerArmed.Name())
+)
 
 // createTimer registers a stackless timer machine delivering tick to target.
 func (r *Runtime) createTimer(name string, target MachineID, tick Event) MachineID {
@@ -356,7 +364,11 @@ func (r *Runtime) stepTimer(m *machine) {
 		// The timer never looks at what it dequeues, so an event a user
 		// machine sent to its ID costs one fire choice like an armed one.
 		ev := m.popDequeuable()
-		r.covMix(uint64(m.id)<<32 ^ covString(ev.Name()))
+		h := timerArmedHash
+		if _, armed := ev.(timerArmedEvent); !armed {
+			h = r.covNames.hash(ev.Name())
+		}
+		r.covMix(uint64(m.id)<<32 ^ h)
 		if r.logging() {
 			r.logf("%s dequeued %s", m.label(), ev.Name())
 		}

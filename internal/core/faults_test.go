@@ -454,8 +454,9 @@ func TestReaperAllocatesNothingInSteadyState(t *testing.T) {
 }
 
 // stackSpy wraps a scheduler and records, for every timer fire choice, the
-// decision index it resolves and whether the step asking ran on a machine's
-// coroutine (runMachine is on the stack) or on the hub.
+// decision index it resolves and whether the step asking ran under a live
+// handler (yieldPoint is on the stack) or on a stack that hosts none: the
+// hub's, or a worker's between handlers.
 type stackSpy struct {
 	*replayScheduler
 	onHost map[int]bool
@@ -465,17 +466,17 @@ func (s *stackSpy) NextFault(c FaultChoice) int {
 	if c.Kind == FaultTimer {
 		buf := make([]byte, 16<<10)
 		buf = buf[:runtime.Stack(buf, false)]
-		s.onHost[s.pos] = strings.Contains(string(buf), "(*Runtime).runMachine")
+		s.onHost[s.pos] = strings.Contains(string(buf), "(*Runtime).yieldPoint")
 	}
 	return s.replayScheduler.NextFault(c)
 }
 
 // TestTimerDivergenceOnHubAndOnHost perturbs a recorded trace at a
 // DecisionTimer, so the replay scheduler raises its divergence inside the
-// timer's fire choice — once where the timer step runs on the hub (the
-// steps that follow a machine's death) and once where it runs on a host
-// machine's lent stack, from which the panic unwinds through the host's
-// handler. Either way the execution ends with the divergence error a timer
+// timer's fire choice — once where the timer step runs on a stack that
+// hosts no handler (the steps that follow a machine's death) and once where
+// it runs on a host machine's lent stack, from which the panic unwinds
+// through the host's handler. Either way the execution ends with the divergence error a timer
 // on a coroutine of its own produced (the texts are the parent's, see
 // testdata/timer_lifecycle.json), never with a bug blamed on the host or a
 // panic out of execute.
@@ -517,7 +518,7 @@ func TestTimerDivergenceOnHubAndOnHost(t *testing.T) {
 			t.Fatalf("decision %d: replay = (bug %v, divergence %v), want divergence %q", leg.decision, rep, rr.divergence, leg.want)
 		}
 		if host, asked := spy.onHost[leg.decision]; !asked || host != leg.onHost {
-			t.Fatalf("decision %d: fire choice asked=%v on a machine's stack=%v, want on a machine's stack=%v",
+			t.Fatalf("decision %d: fire choice asked=%v under a live handler=%v, want under a live handler=%v",
 				leg.decision, asked, host, leg.onHost)
 		}
 		// The same through the public path.

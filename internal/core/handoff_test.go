@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"iter"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -137,16 +138,19 @@ func reapedPeersTest() Test {
 // suspended — the step bound hit with machines still live, a crash- and a
 // StopTimer-reaped peer — must end with the goroutine count back at the
 // baseline: right after execute on an unpooled runtime, after release on a
-// pooled one. Coroutine exit is synchronous, so the count is exact.
+// pooled one. Coroutine exit is synchronous, so the count is exact. A
+// pooled runtime keeps no more coroutines than handlers were ever suspended
+// at once (workers), an unpooled one none.
 func TestNoCoroutineLeaks(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		test     Test
 		maxSteps int
 		atBound  bool
+		workers  int
 	}{
-		{"step bound with live machines", parkStressTest(), 60, true},
-		{"crash- and StopTimer-reaped peers", reapedPeersTest(), 1000, false},
+		{"step bound with live machines", parkStressTest(), 60, true, 4},
+		{"crash- and StopTimer-reaped peers", reapedPeersTest(), 1000, false, 2},
 	} {
 		for _, noReuse := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/NoReuse=%v", c.name, noReuse), func(t *testing.T) {
@@ -167,12 +171,155 @@ func TestNoCoroutineLeaks(t *testing.T) {
 					if n := runtime.NumGoroutine(); noReuse && n > base {
 						t.Fatalf("seed %d: %d goroutines after an unpooled execution, %d before", seed, n, base)
 					}
+					if n := len(r.freeWorkers); n > c.workers || noReuse && n > 0 {
+						t.Fatalf("seed %d: %d idle workers after the execution, want at most %d (none unpooled)", seed, n, c.workers)
+					}
 				}
 				pool.release()
 				if n := runtime.NumGoroutine(); n > base {
 					t.Fatalf("%d goroutines after release, %d before", n, base)
 				}
 			})
+		}
+	}
+}
+
+// fanOutTest is one sender and n sinks whose handlers contain no scheduling
+// point: the entry machine creates them and sends each two events.
+func fanOutTest(n int) Test {
+	return Test{
+		Name: "fan-out",
+		Entry: func(ctx *Context) {
+			sinks := make([]MachineID, n)
+			for i := range sinks {
+				sinks[i] = ctx.CreateMachine(quietMachine(), fmt.Sprintf("sink%d", i))
+			}
+			for round := 0; round < 2; round++ {
+				for _, id := range sinks {
+					ctx.Send(id, Signal("go"))
+				}
+			}
+		},
+	}
+}
+
+// TestMachinesBetweenHandlersOwnNoCoroutine makes the rule structural: one
+// sender and 64 sinks whose handlers never yield need two coroutines — the
+// sender's, suspended at its scheduling points, and one that runs every
+// sink's Init and handlers back to back — where a coroutine per machine
+// would be 65; and at no scheduling step of any execution does a machine
+// between handlers hold a worker (the per-step cross-check, verifyEnabledSet,
+// is on: it panics on a worker owned outside a handler or shared).
+func TestMachinesBetweenHandlersOwnNoCoroutine(t *testing.T) {
+	const sinks = 64
+	test := fanOutTest(sinks)
+	for _, noReuse := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		o := Options{Iterations: 1, MaxSteps: 2000, NoReuse: noReuse}.WithDefaults()
+		cfg := o.runtimeConfig(test, false)
+		cfg.checkEnabled = true
+		sched := NewRandomScheduler()
+		pool := newExecPool(o)
+		for seed := int64(1); seed <= 20; seed++ {
+			sched.Prepare(seed, o.MaxSteps)
+			r := pool.runtime(sched, cfg)
+			if rep := r.execute(test); rep != nil {
+				t.Fatalf("NoReuse=%v seed %d: unexpected bug: %v", noReuse, seed, rep.Error())
+			}
+			if len(r.machines) != sinks+1 || r.steps >= o.MaxSteps {
+				t.Fatalf("NoReuse=%v seed %d: %d machines, %d steps: the run did not finish", noReuse, seed, len(r.machines), r.steps)
+			}
+			// Every worker ever created is idle on the free list by now.
+			if n := len(r.freeWorkers); !noReuse && (n == 0 || n > 2) {
+				t.Fatalf("seed %d: %d workers for %d machines, want 1 or 2", seed, n, sinks+1)
+			}
+			if g := runtime.NumGoroutine(); g > base+2 {
+				t.Fatalf("NoReuse=%v seed %d: %d goroutines above the baseline, want at most 2", noReuse, seed, g-base)
+			}
+		}
+		pool.release()
+	}
+}
+
+// unwindCount runs c's scripted execution on a warm pooled runtime and
+// counts the nested next() calls of the crash reaper and of shutdown — each
+// one resumes a suspended handler so that it unwinds — returning them with
+// the execution's log.
+func unwindCount(t *testing.T, c lifecycleCase) (reaped, shutdown int, log []string) {
+	t.Helper()
+	o := Options{MaxSteps: c.maxSteps}.WithDefaults()
+	cfg := o.runtimeConfig(c.test, true)
+	cfg.checkEnabled = true
+	pool := newExecPool(o)
+	defer pool.release()
+	var r *Runtime
+	for _, measured := range []bool{false, true} {
+		sched := c.script
+		sched.Prepare(0, o.MaxSteps)
+		r = pool.runtime(&sched, cfg)
+		workers := len(r.freeWorkers)
+		if measured {
+			// The warm execution left every worker this one will use on the
+			// free list. The hub only resumes a worker after an iteration
+			// that emptied the pending-crash list, and never once killed
+			// is set, so those two tell the callers of next() apart.
+			for _, w := range r.freeWorkers {
+				next := w.next
+				w.next = func() (struct{}, bool) {
+					if r.killed {
+						shutdown++
+					} else if len(r.pendingCrash) > 0 {
+						reaped++
+					}
+					return next()
+				}
+			}
+		}
+		if rep := r.execute(c.test); rep != nil || sched.bad != "" {
+			t.Fatalf("%s: bug %v, script error %q", c.name, rep, sched.bad)
+		}
+		if measured && len(r.freeWorkers) != workers {
+			t.Fatalf("%s: %d workers after the measured execution, %d before: some were not counted", c.name, len(r.freeWorkers), workers)
+		}
+	}
+	return reaped, shutdown, r.log
+}
+
+// TestLoopTopDeathUnwindsNothing: a machine waiting at the top of its event
+// loop holds no frame, so killing it — by Crash or at the end of the
+// execution — resumes no coroutine and raises no killSignal, whether the
+// execution ends by quiescence or at the step bound. A victim that is
+// mid-handler or blocked in Receive is still unwound, exactly once, and its
+// handler's deferred calls run before its staged writes are settled.
+func TestLoopTopDeathUnwindsNothing(t *testing.T) {
+	cases := map[string]lifecycleCase{}
+	for _, c := range machineLifecycleCases() {
+		cases[c.name] = c
+	}
+	for _, leg := range []struct {
+		name   string
+		reaped int
+	}{
+		{"crash-at-loop-top-with-staged-writes", 0},
+		{"restart-after-loop-top-death", 0},
+		{"bound-with-every-machine-at-its-loop-top", 0},
+		{"crash-mid-handler-with-staged-writes", 1},
+		{"crash-inside-receive-with-staged-writes", 1},
+	} {
+		c, ok := cases[leg.name]
+		if !ok {
+			t.Fatalf("no lifecycle case %q", leg.name)
+		}
+		reaped, shutdown, log := unwindCount(t, c)
+		if reaped != leg.reaped || shutdown != 0 {
+			t.Errorf("%s: the reaper resumed %d handlers and shutdown %d, want %d and 0", leg.name, reaped, shutdown, leg.reaped)
+		}
+		if leg.reaped == 0 {
+			continue
+		}
+		crashed := slices.IndexFunc(log, func(l string) bool { return strings.HasSuffix(l, "harness(0) crashed store(1)") })
+		if crashed < 0 || crashed+2 >= len(log) || !strings.HasSuffix(log[crashed+1], "write handler left") || !strings.Contains(log[crashed+2], "crash persisted") {
+			t.Errorf("%s: the victim's deferred call did not run between the crash and its storage settlement:\n%s", leg.name, strings.Join(log, "\n"))
 		}
 	}
 }
@@ -284,11 +431,13 @@ func TestTimersOwnNoCoroutine(t *testing.T) {
 }
 
 // TestDyingMachineReapsThenSuccessorStarts: one handler crashes a live
-// peer (nested next() from a machine's stack), creates a machine and
-// halts, so its final step hands the hub a successor to arm while two
-// workers have just gone idle. Which worker hosts the successor must be
-// invisible: the winning trace is byte-identical pooled and unpooled, on
-// one exploration worker and on four.
+// peer, creates a machine and halts, so the iteration after its death, on
+// the stack it died on, picks a successor that never started and runs its
+// Init right there — after the peer (scrubbed in place if it was back at its
+// loop top, unwound through a nested next() if the schedule caught it
+// mid-handler) left a second worker idle. Which stack hosts the successor
+// must be invisible: the winning trace is byte-identical pooled and
+// unpooled, on one exploration worker and on four.
 func TestDyingMachineReapsThenSuccessorStarts(t *testing.T) {
 	test := Test{
 		Name: "dying-reaper",
@@ -357,10 +506,11 @@ func TestPanicMidHandlerIsSafetyBug(t *testing.T) {
 	}
 }
 
-// TestDivergenceInFinalStepIsAnError: the trace ends right where a halting
-// machine's final step asks the scheduler for a successor, so the replay
-// scheduler raises its divergence on the dying stack, inside runMachine's
-// deferred cleanup. It must come back as Replay's error.
+// TestDivergenceInFinalStepIsAnError: the trace ends right where the
+// iteration after a halting machine's death asks the scheduler for a
+// successor, so the replay scheduler raises its divergence on the stack the
+// machine died on, with no machine bound to it (unwound). It must come back
+// as Replay's error.
 func TestDivergenceInFinalStepIsAnError(t *testing.T) {
 	test := Test{
 		Name: "halt-then-diverge",
@@ -495,7 +645,7 @@ func (s *idleTimerScheduler) NextMachine(enabled []MachineID, _ MachineID) Machi
 // BenchmarkTimerStep measures the stackless timer's step: three timers that
 // never fire and an entry machine that is never runnable again, so every
 // step but an execution's first four is one advance plus one stepTimer on
-// the entry machine's lent stack — no coroutine switch. One op is one
+// the stack the entry machine's Init returned on — no coroutine switch. One op is one
 // scheduling step (executions of 8000 steps on a pooled runtime, like
 // steps-replsys). Invariant: 0 allocs/op and well under the repository
 // benchmark's core.step_floor_ns (a step that does switch, ~100 ns) — a
@@ -525,7 +675,7 @@ func BenchmarkTimerStep(b *testing.B) {
 			b.Fatalf("execution ended after %d of %d steps: %v", r.steps, steps, rep)
 		}
 	}
-	run(execSteps) // spawn the entry machine's coroutine, size the arena
+	run(execSteps) // spawn the one coroutine, size the arena
 	b.ReportAllocs()
 	b.ResetTimer()
 	for left := b.N; left > 0; left -= execSteps {

@@ -50,18 +50,20 @@ type machineStatus int8
 
 const (
 	// statusCreated: CreateMachine ran but the machine has not been
-	// scheduled yet; no coroutine hosts it. Always enabled (its
-	// first step runs Init).
+	// scheduled yet. Between handlers: it owns no stack. Always enabled
+	// (its first step runs Init).
 	statusCreated machineStatus = iota
-	// statusRunning: mid-handler, parked at a scheduling point (a timer:
-	// between two phases of its step, see stepTimer). Always enabled (the
-	// continuation can run).
+	// statusRunning: mid-handler, parked at a scheduling point on its
+	// worker's stack (a timer: between two phases of its step, on no stack
+	// at all, see stepTimer). Always enabled (the continuation can run).
 	statusRunning
 	// statusWaitDequeue: the event loop is waiting for the next event.
-	// Enabled iff the inbox holds a non-deferred event.
+	// Between handlers: it owns no stack. Enabled iff the inbox holds a
+	// non-deferred event.
 	statusWaitDequeue
-	// statusWaitReceive: blocked in Receive. Enabled iff the inbox holds an
-	// event matching the receive predicate.
+	// statusWaitReceive: mid-handler, blocked in Receive on its worker's
+	// stack. Enabled iff the inbox holds an event matching the receive
+	// predicate.
 	statusWaitReceive
 	// statusHalted: the machine is gone; events sent to it are dropped.
 	statusHalted
@@ -145,8 +147,8 @@ func (q *inbox) clear() {
 // the cold tail (name, ctx, recvPred) deliberately sits last.
 type machine struct {
 	status machineStatus
-	// crashed is set by the crash reaper just before resuming the machine
-	// so its stack unwinds via killSignal.
+	// crashed is set by the crash reaper just before resuming a machine
+	// that is mid-handler so its stack unwinds via killSignal.
 	crashed bool
 	// timer records that the machine is a fault-plane timer: stackless — it
 	// has no impl and never gets a worker; whoever reaches a scheduling
@@ -161,10 +163,12 @@ type machine struct {
 	// writes it.
 	epos int32
 	id   MachineID
-	// w is the worker whose coroutine hosts the machine's body, assigned
-	// at the machine's first scheduling step: the machine yields through
-	// it, and the hub (or a reaper) resumes the machine through it. Never
-	// assigned to a timer (a recycled struct may still hold a stale one).
+	// w is the worker whose coroutine holds the machine's live handler,
+	// from the scheduling step that starts the handler until it returns,
+	// halts or is unwound: the machine yields through it, and the hub (or
+	// a reaper) resumes the machine through it. Nil whenever the machine
+	// holds no frame — statusCreated, statusWaitDequeue, statusHalted — and
+	// always on a timer; no two machines share one (w.m points back).
 	w     *machineWorker
 	defr  Deferrer // impl.(Deferrer), or nil
 	queue inbox
@@ -239,17 +243,18 @@ func (m *machine) persistState() bool {
 }
 
 // scrub is the death cleanup every machine gets exactly once per life,
-// whoever performs it — the machine's own unwinding stack (runMachine's
-// defer), or the reaper and shutdown for machines with no stack to unwind
-// (never started, or a stackless timer): status, inbox, predicate, crash
+// whoever performs it — the stack its handler unwound on (unwound), or the
+// reaper and shutdown for machines with no stack to unwind (between
+// handlers, or a stackless timer): status, worker, inbox, predicate, crash
 // flag, enabled-set membership, and the user's values (implementation,
 // timer tick), released for the garbage collector's sake — the struct
 // itself is recycled through machineCache. This is what lets the pooled
 // reset skip the per-machine rewind loop entirely: by the time reset runs,
 // every machine is already clean. Crash-consistency state is deliberately
-// not touched here (see runMachine and shutdown).
+// not touched here (see unwound and shutdown).
 func (r *Runtime) scrub(m *machine) {
 	m.status = statusHalted
+	m.w = nil
 	m.queue.clear()
 	m.recvPred = nil
 	m.crashed = false

@@ -45,7 +45,7 @@ func (mc *MonitorContext) Hot(reason string) {
 		// A monitor-state transition: part of the coverage fingerprint
 		// (the step number deliberately is not — it would make every
 		// interleaving look novel).
-		mc.r.covMix(1 ^ covString(reason))
+		mc.r.covMix(1 ^ mc.r.covNames.hash(reason))
 	}
 	mc.hotName = reason
 }
@@ -102,9 +102,11 @@ func (m *MonitorSM) Handle(mc *MonitorContext, ev Event) {
 
 // monitorEntry pairs a monitor with its context inside one runtime. name
 // caches mon.Name() so the runtime's by-name lookup (findMonitor) scans
-// entries without virtual calls.
+// entries without virtual calls; nameHash is covString(name), mixed into the
+// fingerprint at every notification.
 type monitorEntry struct {
-	mon  Monitor
-	name string
-	mc   *MonitorContext
+	mon      Monitor
+	name     string
+	nameHash uint64
+	mc       *MonitorContext
 }

@@ -16,23 +16,24 @@ import "iter"
 //     rewind;
 //   - machine structs and their inbox buffers are recycled through
 //     Runtime.machineCache;
-//   - machine coroutines are recycled through machineWorker: when a machine
-//     terminates, its hosting coroutine goes idle on the free list instead
-//     of exiting, and the next first-step arming re-uses it with a new
-//     machine — within the same execution or the next one.
+//   - coroutines are recycled through machineWorker: a stack is needed only
+//     while a handler is live (see Runtime), so a worker whose handler
+//     returned hosts whatever is picked next and, when that needs no new
+//     stack, goes idle on the free list instead of exiting; the next
+//     arming re-uses it — within the same execution or the next one.
 //
 // Pools never cross exploration workers: the exploration paths build one
 // execPool per worker goroutine, exactly like scheduler instances, so the
 // race detector can keep proving no execution state is shared. Results are
 // bit-identical with pooling on and off (Options.NoReuse is the escape
-// hatch); the pooling determinism tests enforce it trace-byte for
-// trace-byte.
+// hatch: no coroutine survives the execution); the pooling determinism
+// tests enforce it trace-byte for trace-byte.
 //
 // The free list (Runtime.freeWorkers) is plain unsynchronized storage,
 // like everything else on the Runtime. That needs no ordering argument:
-// machine bodies are coroutines resumed by synchronous next() calls from
-// the hub (Runtime.runLoop) or a reaper, so exactly one stack of a runtime
-// runs at any instant and every access is in program order.
+// workers are coroutines resumed by synchronous next() calls from the hub
+// (Runtime.runLoop) or a reaper, so exactly one stack of a runtime runs at
+// any instant and every access is in program order.
 
 // execPool recycles one exploration worker's execution state. The zero
 // value is not useful — use newExecPool; a nil pool means "no reuse" and
@@ -58,7 +59,7 @@ func (p *execPool) runtime(sched Scheduler, cfg runtimeConfig) *Runtime {
 	}
 	if p.rt == nil {
 		p.rt = newRuntime(sched, cfg)
-		p.rt.reuse = true
+		p.rt.reuse, p.rt.covNames = true, new(covNames)
 		return p.rt
 	}
 	p.rt.reset(sched, cfg)
@@ -72,21 +73,18 @@ func (p *execPool) release() {
 	if p == nil || p.rt == nil {
 		return
 	}
-	for _, w := range p.rt.freeWorkers {
-		w.stop()
-	}
-	p.rt.freeWorkers = nil
+	p.rt.stopWorkers()
 	p.rt = nil
 }
 
-// machineWorker is a coroutine that hosts machine bodies, one at a time:
-// a sequence pulled with iter.Pull whose next() resumes the body and whose
-// yield suspends it, both plain runtime coroutine switches. The hub arms
-// it by setting (r, m) and calling next(); the machine yields from its
-// scheduling points (Runtime.yieldPoint). On a pooled runtime the body
-// loops — after the machine terminates it yields once more, idle on the
-// free list, until re-armed or stopped — otherwise it returns with its
-// machine and the coroutine exits.
+// machineWorker is a coroutine that hosts handlers, one at a time: a
+// sequence pulled with iter.Pull whose next() resumes the body and whose
+// yield suspends it, both plain runtime coroutine switches. m is the machine
+// whose handler the stack holds (m.w points back), nil between handlers.
+// The hub arms an idle worker by setting m and calling next(); a handler
+// yields from its scheduling points (Runtime.yieldPoint); a worker with
+// nothing left to host (Runtime.host) yields idle, on the free list, until
+// re-armed or stopped.
 type machineWorker struct {
 	r     *Runtime
 	m     *machine
@@ -98,51 +96,62 @@ type machineWorker struct {
 func (w *machineWorker) body(yield func(struct{}) bool) {
 	w.yield = yield
 	for {
-		w.r.runMachine(w.m)
-		if !w.r.reuse || !yield(struct{}{}) {
+		for w.r.host(w) {
+		}
+		if !yield(struct{}{}) {
 			return
 		}
 	}
 }
 
 // getWorker returns an idle worker, creating a coroutine only when the free
-// list is empty (unpooled runtime, first execution, or more simultaneously
-// live machines than any previous execution had).
+// list is empty: more handlers are suspended at once than ever before on
+// this runtime.
 func (r *Runtime) getWorker() *machineWorker {
 	if n := len(r.freeWorkers); n > 0 {
 		w := r.freeWorkers[n-1]
 		r.freeWorkers = r.freeWorkers[:n-1]
 		return w
 	}
-	w := &machineWorker{}
+	w := &machineWorker{r: r}
 	w.next, w.stop = iter.Pull(w.body)
 	return w
 }
 
 // putWorker returns a worker to the free list. Called on the worker's own
-// stack in runMachine's defer; it becomes idle when that stack yields.
+// stack when it has nothing left to host; it is idle once that stack yields,
+// which is the very next thing it does.
 func (r *Runtime) putWorker(w *machineWorker) {
 	r.freeWorkers = append(r.freeWorkers, w)
 }
 
+// stopWorkers ends every idle coroutine. Only called from the hub after
+// shutdown, when every worker is idle.
+func (r *Runtime) stopWorkers() {
+	for _, w := range r.freeWorkers {
+		w.stop()
+	}
+	r.freeWorkers = nil
+}
+
 // reset rewinds the runtime for its next execution, recycling every piece
 // of per-execution storage. It must only run after execute returned: at
-// that point shutdown has reaped every machine (each leaving its worker
-// idle on the free list), so no stack of the previous execution can
-// observe the rewind.
+// that point shutdown has reaped every machine and every worker is idle on
+// the free list, so no stack of the previous execution can observe the
+// rewind.
 func (r *Runtime) reset(sched Scheduler, cfg runtimeConfig) {
 	r.next = sched
 	r.sched = asFaultScheduler(sched)
-	// No per-machine rewind: every machine is already clean — dying
-	// machines scrub themselves (runMachine's defer; reapCrashes and
-	// shutdown do the same for never-started ones and timers), so by the time
+	// No per-machine rewind: every machine is already clean — a machine
+	// dying mid-handler is scrubbed as it unwinds (unwound), reapCrashes
+	// and shutdown do the same for those with no stack, so by the time
 	// execute has returned, each struct holds only status (Halted),
 	// epos (-1), and recyclable storage (inbox buffer, name).
 	// createMachine re-arms the rest when the struct is handed out again.
 	if enabledCrossCheckBuild {
 		for _, m := range r.machines {
 			if m.status != statusHalted || m.queue.size() != 0 ||
-				m.recvPred != nil || m.crashed || m.impl != nil ||
+				m.recvPred != nil || m.crashed || m.impl != nil || m.w != nil ||
 				m.defr != nil || m.tm.tick != nil || m.epos != -1 || m.persistState() {
 				panic("core: reset found a machine not scrubbed at death: " + m.label())
 			}

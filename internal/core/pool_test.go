@@ -191,13 +191,15 @@ func TestPooledTraceReplays(t *testing.T) {
 
 // TestPoolReusesRuntimeAndWorkers drives an execPool directly and asserts
 // the mechanics the benchmarks measure: one Runtime per pool, recycled
-// machine structs, and parked goroutines re-armed instead of respawned.
+// machine structs, and idle coroutines re-armed instead of respawned — as
+// many as handlers were ever suspended at once, never more than machines.
 func TestPoolReusesRuntimeAndWorkers(t *testing.T) {
 	o := Options{Iterations: 1, MaxSteps: 1000}.WithDefaults()
 	pool := newExecPool(o)
 	defer pool.release()
 	sched := NewRandomScheduler()
 	test := pingPongTest(5, false)
+	const machines = 3 // harness, ponger, pinger
 
 	sched.Prepare(1, o.MaxSteps)
 	r1 := pool.runtime(sched, o.runtimeConfig(test, false))
@@ -206,37 +208,45 @@ func TestPoolReusesRuntimeAndWorkers(t *testing.T) {
 	}
 	machinesBefore := len(r1.machineCache) + len(r1.machines)
 	workersBefore := len(r1.freeWorkers)
-	if workersBefore == 0 {
-		t.Fatal("no workers parked after the first pooled execution")
+	if workersBefore == 0 || workersBefore > machines {
+		t.Fatalf("%d workers idle after the first pooled execution, want 1..%d", workersBefore, machines)
 	}
 
-	sched.Prepare(2, o.MaxSteps)
-	r2 := pool.runtime(sched, o.runtimeConfig(test, false))
-	if r2 != r1 {
-		t.Fatal("pool handed out a different Runtime on reuse")
-	}
-	if rep := r2.execute(test); rep != nil {
-		t.Fatalf("unexpected bug: %v", rep.Error())
-	}
-	if got := len(r2.machineCache) + len(r2.machines); got != machinesBefore {
-		t.Fatalf("machine structs not recycled: %d before, %d after", machinesBefore, got)
-	}
-	if got := len(r2.freeWorkers); got != workersBefore {
-		t.Fatalf("goroutines not recycled: %d workers before, %d after", workersBefore, got)
+	// The same schedule again suspends as many handlers at once: every
+	// arming must find an idle worker.
+	for _, seed := range []int64{1, 2} {
+		sched.Prepare(seed, o.MaxSteps)
+		r2 := pool.runtime(sched, o.runtimeConfig(test, false))
+		if r2 != r1 {
+			t.Fatal("pool handed out a different Runtime on reuse")
+		}
+		if rep := r2.execute(test); rep != nil {
+			t.Fatalf("unexpected bug: %v", rep.Error())
+		}
+		if got := len(r2.machineCache) + len(r2.machines); got != machinesBefore {
+			t.Fatalf("machine structs not recycled: %d before, %d after", machinesBefore, got)
+		}
+		if got := len(r2.freeWorkers); seed == 1 && got != workersBefore || got < workersBefore || got > machines {
+			t.Fatalf("coroutines not recycled: %d workers before, %d after seed %d (%d machines)", workersBefore, got, seed, machines)
+		}
 	}
 }
 
-// TestPoolReleaseStopsWorkers: after Run returns, the pooled machine
-// goroutines must be gone — pooling trades spawns for parking, not leaks.
+// TestPoolReleaseStopsWorkers: after Explore returns, the pooled coroutines
+// must be gone — pooling trades spawns for idling, not leaks. Coroutine exit
+// is synchronous; the grace period is for the exploration workers' own
+// goroutines, which may still be on their way out.
 func TestPoolReleaseStopsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {
 		res := MustExplore(faultHeavyTest(), Options{Scheduler: "random", Iterations: 20, Seed: int64(i), Workers: 4, NoReplayLog: true})
 		_ = res
 	}
-	time.Sleep(50 * time.Millisecond)
 	after := runtime.NumGoroutine()
-	if after > before+5 {
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
 		t.Fatalf("goroutine leak with pooling: before=%d after=%d", before, after)
 	}
 }

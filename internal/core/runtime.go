@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime/debug"
+	"unsafe"
 )
 
 // defaultLogCap bounds the replay log when Options.LogCap is left zero.
@@ -24,30 +25,33 @@ func effectiveLogCap(cap int) int {
 // exploration worker through an execPool (see pool.go), resetting it
 // between executions so repeated execution allocates almost nothing.
 //
-// Concurrency model: every user machine body runs on its own stack, a
-// coroutine pulled with iter.Pull (machineWorker, pool.go), and the
-// goroutine that called execute is the hub that resumes them. A coroutine
-// switch is a synchronous call — next() returns when the callee yields — so
-// exactly one stack runs at any instant and no runtime state needs
-// synchronization. A machine reaching a scheduling point runs the next
-// scheduling-loop iteration on its own stack (advance); being picked again
-// costs nothing, otherwise it records the verdict in pending and yields to
-// the hub, which resumes the chosen machine: two runtime coroutine switches
-// per step and no pass through the Go scheduler. Crash reaping and shutdown
-// resume the victim with a nested next() (see reapCrashes). Every Context
-// operation is a deterministic scheduling point.
+// Concurrency model — a stack exists while a handler is live. A machine's
+// body is cut at its scheduling points. Inside a handler (Init or Handle:
+// after a Send, in a Receive, ...) the machine holds user frames, so the
+// handler runs on a coroutine pulled with iter.Pull (machineWorker, pool.go)
+// that is bound to the machine from the scheduling step that starts the
+// handler until it returns, halts or is unwound. Between handlers — never
+// started, or waiting at the top of its event loop — a machine holds no
+// frame and owns no stack (m.w == nil). The fault plane's timer
+// (timerMachine, faults.go) is the special case whose handlers are engine
+// code cut into phases: it never holds a frame and never gets a worker.
 //
-// The fault plane's timers are the exception: stackless machines (see
-// timerMachine, faults.go) whose step runs inline on whoever reached the
-// scheduling point that picked them — (a) the hub, in runLoop, which steps
-// the timer and runs the next iteration itself instead of switching; (b) a
-// machine inside yieldPoint, which steps the timer on its own stack and
-// runs the next iteration again, still as itself (advance's from stays the
-// host, never the timer): if the scheduler then picks the host it simply
-// carries on, never having yielded, and only a different ordinary machine
-// costs the two switches. A timer has no worker to resume, so reapCrashes
-// and shutdown give it the no-stack death cleanup of a never-started
-// machine.
+// The goroutine that called execute is the hub. A coroutine switch is a
+// synchronous call — next() returns when the callee yields — so exactly one
+// stack runs at any instant and no runtime state needs synchronization.
+// Whoever reaches a scheduling point runs the next scheduling-loop iteration
+// on its own stack (advance) and steps a picked timer right there. A machine
+// mid-handler (yieldPoint) that is picked again simply carries on; otherwise
+// it yields to the hub, which resumes the pick's worker or arms an idle one
+// with it: two coroutine switches. A worker whose handler just returned or
+// whose machine just died (host) has a free stack: a pick that is between
+// handlers it binds and runs inline — no switch at all — and only a pick
+// suspended mid-handler sends it idle to the free list and back to the hub.
+// So the hub is the only stack that resumes a suspended machine, a reaper's
+// nested next() excepted (reapCrashes, shutdown), and never hosts a handler;
+// and only a machine mid-handler has frames to unwind when it dies. Every
+// Context operation is a deterministic scheduling point, and nothing
+// observable depends on which stack ran a step.
 type Runtime struct {
 	// The leading fields are the per-step hot set — everything advance
 	// reads on its way to the next scheduling decision — clustered so a
@@ -72,8 +76,9 @@ type Runtime struct {
 	// stores it every step, and an integer store dodges the write
 	// barrier a pointer field would pay.
 	current MachineID
-	// pending is the verdict of the advance a machine ran before yielding
-	// to the hub (advHandoff: resume machines[current]; advDone: stop).
+	// pending is the verdict of the iteration a worker ran before yielding
+	// to the hub (advHandoff: resume machines[current], an ordinary machine
+	// mid-handler or between handlers; advDone: stop).
 	pending  advAction
 	steps    int
 	maxSteps int
@@ -109,12 +114,11 @@ type Runtime struct {
 	// the injections charged against it so far. pendingCrash holds
 	// machines doomed by Crash/CrashPoint/StopTimer, reaped at the next
 	// scheduling-loop iteration on whichever stack runs it (usually the
-	// machine that issued the crash, via advance): the reaper resumes
-	// each victim with a nested next() so it unwinds via killSignal and
-	// yields straight back. A machine is never in its own pendingCrash
-	// list — Crash(self) takes the Halt path before the list is touched,
-	// and a dying machine is statusHalted before its defer reaps — so
-	// the reaper never resumes the stack it is running on.
+	// machine that issued the crash, via advance): the reaper resumes a
+	// victim that is mid-handler with a nested next() so it unwinds via
+	// killSignal and yields straight back. A machine is never in its own
+	// pendingCrash list — Crash(self) takes the Halt path before the list
+	// is touched — so the reaper never resumes the stack it is running on.
 	faults       Faults
 	crashes      int
 	drops        int
@@ -146,6 +150,9 @@ type Runtime struct {
 	// entry hosts the test's entry function so starting an execution does
 	// not allocate an entryMachine.
 	entry entryMachine
+	// covNames memoises event-name hashes on a pooled runtime (nil
+	// otherwise: 8 KB is not worth zeroing for one execution).
+	covNames *covNames
 }
 
 // runtimeConfig carries the per-execution knobs from Options to newRuntime.
@@ -182,9 +189,9 @@ func newRuntime(sched Scheduler, cfg runtimeConfig) *Runtime {
 }
 
 // execute runs the test to completion and returns the violation found, or
-// nil for a clean execution. It always reaps all machine coroutines before
-// returning (pooled runtimes leave them idle on the free list; unpooled
-// ones let them exit).
+// nil for a clean execution. It always reaps every live handler before
+// returning (pooled runtimes keep the coroutines idle on the free list;
+// unpooled ones stop them).
 func (r *Runtime) execute(t Test) (rep *BugReport) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -211,23 +218,28 @@ func (r *Runtime) execute(t Test) (rep *BugReport) {
 }
 
 // runLoop is the hub: it runs the first scheduling iteration, then keeps
-// resuming whichever machine the latest iteration picked. Every later
-// iteration runs inline on the machine that reached a scheduling point
-// (yieldPoint) or terminated (finalStep) and comes back here as pending —
-// unless the pick is a timer, whose step and following iteration the hub
-// runs itself. A replay divergence raised inside such a step unwinds to
-// execute's recover.
+// resuming (or arming a worker for) whichever ordinary machine the latest
+// iteration picked. Every later iteration runs on a worker's stack — a
+// machine's at a scheduling point (yieldPoint), or a free one's between
+// handlers (host) — and comes back here as pending. A replay divergence
+// raised inside the first iteration unwinds to execute's recover.
 func (r *Runtime) runLoop() {
-	act := r.advance(nil)
-	for act == advHandoff {
-		if m := r.machines[r.current]; m.timer {
-			r.stepTimer(m)
-			act = r.advance(nil)
-		} else {
-			r.switchTo(m)
-			act = r.pending
-		}
+	for act := r.pick(); act == advHandoff; act = r.pending {
+		r.switchTo(r.machines[r.current])
 	}
+}
+
+// pick runs scheduling-loop iterations on a stack that hosts no handler —
+// the hub's, or a worker's between handlers — until the verdict concerns an
+// ordinary machine or ends the execution: a picked timer is stepped right
+// here (stepTimer) and the next iteration follows.
+func (r *Runtime) pick() advAction {
+	act := r.advance(nil)
+	for act == advHandoff && r.machines[r.current].timer {
+		r.stepTimer(r.machines[r.current])
+		act = r.advance(nil)
+	}
+	return act
 }
 
 // advAction is advance's verdict on who runs next.
@@ -237,8 +249,9 @@ const (
 	// advContinue: the caller's own machine was scheduled again — keep
 	// running, no handoff needed.
 	advContinue advAction = iota
-	// advHandoff: machines[current] runs next; the hub must switch to it
-	// — or, for a timer, the caller steps it inline and advances again.
+	// advHandoff: machines[current] runs next. A timer is stepped inline by
+	// the caller (pick); a machine between handlers is hosted by a caller
+	// whose stack is free (host); everything else goes through the hub.
 	advHandoff
 	// advDone: the execution is over (bug, divergence, abort, bound, or
 	// quiescence); the hub must leave its loop.
@@ -248,7 +261,7 @@ const (
 // advance runs one scheduling-loop iteration on the calling stack: finish
 // the bookkeeping of the step that just ended, then pick the next machine.
 // from is the caller's machine (nil when called from the hub at loop start
-// or from a dying machine's finalStep). The check order — temperature,
+// or from a worker between handlers). The check order — temperature,
 // loop condition, crash reaping, abort, step bound, quiescence,
 // scheduling — is exactly the old engine loop's and is observable through
 // traces, so don't reorder it.
@@ -291,79 +304,118 @@ func (r *Runtime) advance(from *machine) advAction {
 	return advHandoff
 }
 
-// switchTo resumes m from the hub and returns when it yields back. A
-// machine's first scheduling step arms a worker for it (an idle one off a
-// pooled runtime's free list, a fresh coroutine otherwise); only the hub
-// arms, so the free list never hands out a worker whose stack is live.
-// Never called for a timer.
+// switchTo resumes m from the hub and returns when the stack it ran on
+// yields back. A machine between handlers is handed an idle worker (off the
+// free list, or a fresh coroutine); only the hub arms, and a worker enters
+// the free list only on its way to yielding, so the list never hands out a
+// live stack. Never called for a timer.
 func (r *Runtime) switchTo(m *machine) {
-	if m.status == statusCreated {
-		m.status = statusRunning
-		w := r.getWorker()
-		w.r, w.m = r, m
-		m.w = w
+	w := m.w
+	if w == nil {
+		w = r.getWorker()
+		w.m = m
 	}
-	m.w.next()
+	w.next()
 }
 
-// runMachine is the body of a machine: Init, then the event loop, on the
-// stack of its worker m.w. It unwinds via panic signals (halt, kill, bug) and
-// returns to whoever resumed it: a reaped machine (killSignal) to the
-// reaper's nested next(), every other termination to the hub — after
-// running the next scheduling iteration itself (finalStep).
-func (r *Runtime) runMachine(m *machine) {
+// host is one activation of worker w, under one recover frame: it runs the
+// handler of w.m, the machine the hub armed it with, and then — the stack
+// being free once a handler has returned — the next scheduling iteration
+// and, inline, the handler of every pick that is itself between handlers.
+// A pick suspended mid-handler, or the end of the execution, sends w idle to
+// the free list and back to the hub with the verdict in pending. A panic
+// (halt, kill, bug, divergence, user panic) ends the activation through
+// unwound; true asks for another, which starts with the iteration that
+// follows the death.
+func (r *Runtime) host(w *machineWorker) (again bool) {
 	defer func() {
-		reaped := false
-		switch p := recover().(type) {
-		case nil, haltSignal:
-			// Voluntary terminations.
-		case killSignal:
-			// Unwound by a reaper (crash reaping or shutdown) whose
-			// next() returns once this stack has finished unwinding.
-			reaped = true
-		case bugSignal:
-			// Violation already recorded on the runtime.
-		case replayDivergence:
-			r.divergence = p
-		default:
-			r.setBug(&BugReport{
-				Kind:    SafetyBug,
-				Message: fmt.Sprintf("panic in %s: %v\n%s", m.label(), p, debug.Stack()),
-				Machine: m.label(),
-				Step:    r.steps,
-			})
-		}
-		// A machine cleans up after itself at death (scrub).
-		// Crash-consistency state is the exception: durable survives every
-		// mid-execution death by design (shutdown scrubs it at the end),
-		// and a crashed machine's staged writes are left for the reaper,
-		// whose FaultPersist choice decides their fate (reapCrashes). A
-		// voluntary death discards them here — a process that exits
-		// without fsync loses its un-synced writes, deterministically.
-		if !reaped {
-			m.clearStaged()
-		}
-		r.scrub(m)
-		if r.reuse {
-			r.putWorker(m.w)
-		}
-		if !reaped {
-			r.finalStep()
+		if p := recover(); p != nil {
+			again = r.unwound(w, p)
 		}
 	}()
-	m.ctx = Context{r: r, m: m}
-	m.impl.Init(&m.ctx)
 	for {
-		m.status = statusWaitDequeue
-		r.blockDequeue(m)
-		r.yieldPoint(m)
-		ev := m.popDequeuable()
-		r.covMix(uint64(m.id)<<32 ^ covString(ev.Name()))
-		if r.logging() {
-			r.logf("%s dequeued %s", m.label(), ev.Name())
+		if m := w.m; m != nil {
+			m.w = w
+			if m.status == statusCreated {
+				m.status = statusRunning
+				m.ctx = Context{r: r, m: m}
+				m.impl.Init(&m.ctx)
+			} else {
+				m.status = statusRunning
+				ev := m.popDequeuable()
+				r.covMix(uint64(m.id)<<32 ^ r.covNames.hash(ev.Name()))
+				if r.logging() {
+					r.logf("%s dequeued %s", m.label(), ev.Name())
+				}
+				m.impl.Handle(&m.ctx, ev)
+			}
+			m.status = statusWaitDequeue
+			r.blockDequeue(m)
+			m.w, w.m = nil, nil
 		}
-		m.impl.Handle(&m.ctx, ev)
+		act := r.pick()
+		if act == advHandoff {
+			if next := r.machines[r.current]; next.w == nil {
+				w.m = next
+				continue
+			}
+		}
+		r.pending = act
+		r.putWorker(w)
+		return false
 	}
+}
+
+// unwound ends an activation of w that panic p cut short and reports
+// whether w should start another. With a machine bound, p is its death:
+// after a reaper's killSignal w goes idle and yields straight back to the
+// reaper's nested next(); every other death is followed by a scheduling
+// iteration on the now free stack. With none, the scheduler raised p
+// between handlers: a replay divergence ends the execution at the next
+// iteration like any other, anything else is re-raised.
+func (r *Runtime) unwound(w *machineWorker, p any) (again bool) {
+	m := w.m
+	if m == nil {
+		d, ok := p.(replayDivergence)
+		if !ok {
+			panic(p)
+		}
+		r.divergence = d
+		return true
+	}
+	reaped := false
+	switch p := p.(type) {
+	case haltSignal:
+		// Voluntary termination.
+	case killSignal:
+		reaped = true
+	case bugSignal:
+		// Violation already recorded on the runtime.
+	case replayDivergence:
+		r.divergence = p
+	default:
+		r.setBug(&BugReport{
+			Kind:    SafetyBug,
+			Message: fmt.Sprintf("panic in %s: %v\n%s", m.label(), p, debug.Stack()),
+			Machine: m.label(),
+			Step:    r.steps,
+		})
+	}
+	// Crash-consistency state is not scrub's: durable survives every
+	// mid-execution death by design (shutdown scrubs it at the end), and a
+	// crashed machine's staged writes are left for the reaper, whose
+	// FaultPersist choice decides their fate (reapCrashes). A voluntary
+	// death discards them here — a process that exits without fsync loses
+	// its un-synced writes, deterministically.
+	if !reaped {
+		m.clearStaged()
+	}
+	r.scrub(m)
+	w.m = nil
+	if reaped {
+		r.putWorker(w)
+	}
+	return !reaped
 }
 
 // Coverage fingerprinting (see the cov field). The mix is FNV-1a over
@@ -380,9 +432,7 @@ func (r *Runtime) covMix(x uint64) {
 	r.cov = (r.cov ^ x) * covPrime
 }
 
-// covString hashes a short identifier (event name, monitor state). Names
-// come from a small fixed vocabulary per harness, so this stays a few
-// nanoseconds on the hot path.
+// covString hashes a short identifier (event name, monitor state).
 func covString(s string) uint64 {
 	h := uint64(covBasis)
 	for i := 0; i < len(s); i++ {
@@ -391,41 +441,57 @@ func covString(s string) uint64 {
 	return h
 }
 
+// covNames memoises covString for one runtime. Names come from a small fixed
+// vocabulary per harness — constants, mostly — so the hot path finds a
+// name's hash by the string's address and length instead of re-hashing it at
+// every dequeue. The table keeps no reference to the string, so an address
+// may come back with other content: what makes a hit is the bytes, compared
+// with the copy the hash was taken over. Two names that map to one slot
+// share it and its neighbour, the later pushing the earlier over, so a
+// harness's hot names do not evict each other. Longer names are hashed every
+// time, so is the empty one, which an unused slot would match, and so is
+// every name on a nil table.
+type covNames [256]struct {
+	h    uint64
+	n    uint8
+	text [23]byte
+}
+
+func (t *covNames) hash(s string) uint64 {
+	if t == nil || len(s) == 0 || len(s) > len(t[0].text) {
+		return covString(s)
+	}
+	at := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	i := uint64(at^uintptr(len(s))) * 0x9E3779B97F4A7C15 >> 56
+	e, alt := &t[i], &t[i^1]
+	if string(e.text[:e.n]) == s {
+		return e.h
+	}
+	if string(alt.text[:alt.n]) == s {
+		return alt.h
+	}
+	*alt = *e
+	e.h, e.n = covString(s), uint8(len(s))
+	copy(e.text[:], s)
+	return e.h
+}
+
 // Fingerprint returns the execution's coverage fingerprint. Only valid
 // after execute returned; a pure function of the decision sequence for a
 // deterministic system under test.
 func (r *Runtime) Fingerprint() uint64 { return r.cov }
 
-// finalStep runs the scheduling iteration that follows a machine's death,
-// on the dying stack itself, and leaves the verdict for the hub. It runs
-// after the machine's cleanup, so advance observes it as halted. The
-// scheduler may detect a replay divergence while picking the successor;
-// that ends the execution like any other divergence instead of escaping
-// through the hub's next().
-func (r *Runtime) finalStep() {
-	defer func() {
-		switch p := recover().(type) {
-		case nil:
-		case replayDivergence:
-			r.divergence = p
-			r.pending = advDone
-		default:
-			panic(p)
-		}
-	}()
-	r.pending = r.advance(nil)
-}
-
-// yieldPoint is a machine's scheduling point: run the next loop iteration
-// right here and, unless the scheduler picked m again — the free
+// yieldPoint is a scheduling point inside a handler: run the next loop
+// iteration right here and, unless the scheduler picked m again — the free
 // advContinue path: no switch at all — yield to the hub until m is resumed.
-// A picked timer is stepped right here too, m lending its stack, and the
-// iteration after it is m's again: a run of timer steps that ends with m
-// being picked is all advContinue. m keeps the status it entered with
-// throughout, exactly as if it were parked, so a tick a hosted timer sends
-// it is accounted like any other enqueue. A replay divergence raised inside
-// a hosted step unwinds through m's handler into runMachine's defer, which
-// records it. Must be called on m's own stack.
+// A picked timer is stepped right here too (pick's loop, inline: a machine
+// the scheduler keeps re-picking spends most of its step here), m lending
+// its stack, and the iteration after it is m's again: a run of timer steps
+// that ends with m being picked is all advContinue. m keeps the status it
+// entered with throughout, exactly as if it were parked, so a tick a hosted
+// timer sends it is accounted like any other enqueue. A replay divergence
+// raised inside the iteration unwinds through m's handler into host's
+// recover. Must be called on m's own stack.
 func (r *Runtime) yieldPoint(m *machine) {
 	act := r.advance(m)
 	for act == advHandoff && r.machines[r.current].timer {
@@ -442,34 +508,30 @@ func (r *Runtime) yieldPoint(m *machine) {
 	}
 }
 
-// reapCrashes unwinds the stacks of machines doomed by the fault plane
-// (Crash, a taken CrashPoint, StopTimer). It runs inside advance on
-// whatever stack that runs on — usually the machine whose Crash call
-// queued the victim. The victim is resumed with a nested next(): it wakes
-// in yieldPoint, sees crashed, panics out of its handler, cleans up in
-// runMachine's defer and yields back here. The list is walked by index and
-// truncated once: slicing the head off per victim would walk the header
-// forward and leave a pooled runtime re-allocating it every execution.
+// reapCrashes kills the machines doomed by the fault plane (Crash, a taken
+// CrashPoint, StopTimer). It runs inside advance on whatever stack that
+// runs on — usually the machine whose Crash call queued the victim. A
+// victim mid-handler is resumed with a nested next(): it wakes in
+// yieldPoint, sees crashed, panics out of its handler, cleans up in unwound
+// and yields back here. Any other — never started, between handlers, a
+// timer in whatever phase — has no stack and gets the same cleanup right
+// here. Its staged writes meet their crash state next. The list is walked
+// by index and truncated once: slicing the head off per victim would walk
+// the header forward and leave a pooled runtime re-allocating it every
+// execution.
 func (r *Runtime) reapCrashes() {
 	for i := 0; i < len(r.pendingCrash); i++ {
 		m := r.machines[r.pendingCrash[i]]
-		switch {
-		case m.status == statusHalted:
-			// Already gone (self-halted, or crashed twice).
-		case m.status == statusCreated || m.timer:
-			// No stack to unwind — the machine never started, or is a
-			// stackless timer (whatever its phase) — but the same death
-			// cleanup runMachine's defer would do applies.
-			r.scrub(m)
-			r.settleCrashedStorage(m)
-		default:
+		if m.status == statusHalted {
+			continue // already gone (self-halted, or crashed twice)
+		}
+		if m.w != nil {
 			m.crashed = true
 			m.w.next()
-			// The victim has finished unwinding; its staged writes (left
-			// in place by the defer for exactly this) meet their crash
-			// state now.
-			r.settleCrashedStorage(m)
+		} else {
+			r.scrub(m)
 		}
+		r.settleCrashedStorage(m)
 	}
 	r.pendingCrash = r.pendingCrash[:0]
 }
@@ -482,9 +544,9 @@ func (r *Runtime) reapCrashes() {
 // default is deterministic: every un-synced write is lost, no choice
 // point is presented and no decision recorded, so persist-free workloads
 // and zero-budget runs trace identically to a build without the plane.
-// Runs on the reaping stack inside reapCrashes, after the victim
-// unwound, which pins the decision's position in the trace: right after
-// the crash that doomed the machine, before the next schedule decision.
+// Runs on the reaping stack inside reapCrashes, after the victim is gone,
+// which pins the decision's position in the trace: right after the crash
+// that doomed the machine, before the next schedule decision.
 func (r *Runtime) settleCrashedStorage(m *machine) {
 	n := len(m.staged)
 	if n == 0 {
@@ -537,8 +599,8 @@ func (r *Runtime) enqueue(from, t *machine, ev Event) {
 	}
 }
 
-// createMachine registers a machine; its coroutine is armed lazily on its
-// first scheduling step. Pooled runtimes recycle the machine struct (and
+// createMachine registers a machine; it owns no stack until a scheduling
+// step starts its Init. Pooled runtimes recycle the machine struct (and
 // its inbox buffer) from a previous execution when one is available, so
 // the timer state is re-armed here too (createTimer, its only caller with
 // a nil impl, then fills it in).
@@ -555,10 +617,6 @@ func (r *Runtime) createMachine(impl Machine, name string) MachineID {
 	m.name = name
 	m.impl = impl
 	m.status = statusCreated
-	// No worker until the hub arms one at the first step (never, for a
-	// timer): a recycled struct must not keep its previous life's, which
-	// by now hosts somebody else.
-	m.w = nil
 	if d, ok := impl.(Deferrer); ok {
 		m.defr = d
 	} else {
@@ -592,7 +650,7 @@ func (r *Runtime) addMonitor(mon Monitor) {
 	} else {
 		e = &monitorEntry{mon: mon, mc: &MonitorContext{r: r, mon: mon}}
 	}
-	e.name = name
+	e.name, e.nameHash = name, covString(name)
 	r.monitors = append(r.monitors, e)
 	mon.Init(e.mc)
 }
@@ -607,22 +665,20 @@ func (r *Runtime) findMonitor(name string) *monitorEntry {
 	return nil
 }
 
-// shutdown reaps every live machine from the hub after the loop ended,
-// resuming each so it unwinds via killSignal. After it returns no machine
-// stack is live: unpooled coroutines have exited, pooled ones are idle on
-// the free list.
+// shutdown reaps every live machine from the hub after the loop ended: one
+// suspended mid-handler is resumed so it unwinds via killSignal, the others
+// have no stack and get the death cleanup here. After it returns no handler
+// is live: every coroutine is idle on the free list — or, on an unpooled
+// runtime, stopped.
 func (r *Runtime) shutdown() {
 	r.killed = true
 	for _, m := range r.machines {
-		switch {
-		case m.status == statusHalted:
-			// Already scrubbed at its death.
-		case m.status == statusCreated || m.timer:
-			// Never-started machines and timers have no stack to unwind
-			// and get the death cleanup here.
-			r.scrub(m)
-		default:
-			m.w.next()
+		if m.status != statusHalted {
+			if m.w != nil {
+				m.w.next()
+			} else {
+				r.scrub(m)
+			}
 		}
 		// The execution is over, so durable storage dies with it —
 		// mid-execution deaths deliberately preserve it (that is the
@@ -639,6 +695,9 @@ func (r *Runtime) shutdown() {
 		if m.staged != nil {
 			m.clearStaged()
 		}
+	}
+	if !r.reuse {
+		r.stopWorkers()
 	}
 }
 

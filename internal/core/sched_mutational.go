@@ -1,7 +1,5 @@
 package core
 
-import "math/rand"
-
 // mutationalScheduler is the coverage-guided exploration strategy: it
 // replays a prefix of a corpus entry (an execution that reached a novel
 // coverage fingerprint, see Corpus) and re-randomizes everything after
@@ -23,7 +21,7 @@ import "math/rand"
 // determinism and replay contracts hold — the corpus snapshot itself is
 // kept deterministic by the engine's generation barriers (see corpus.go).
 type mutationalScheduler struct {
-	rng    *rand.Rand
+	rng    *lazySource
 	corpus *Corpus
 
 	// prefix is the decision slice being replayed this execution (nil
@@ -53,17 +51,17 @@ func (s *mutationalScheduler) Prepare(seed int64, _ int) bool {
 	// One execution in four explores from scratch even with a corpus
 	// available: pure mutation would only ever refine behaviors already
 	// seen, never discover ones no recorded prefix reaches.
-	if s.rng.Intn(4) == 0 {
+	if s.rng.intn(4) == 0 {
 		return true
 	}
-	_, decisions := s.corpus.Entry(s.rng.Intn(s.corpus.Len()))
+	_, decisions := s.corpus.Entry(s.rng.intn(s.corpus.Len()))
 	if len(decisions) == 0 {
 		return true
 	}
 	// Cut uniformly: short prefixes barely constrain the execution, long
 	// ones replay almost all of it and perturb only the tail; both ends
 	// are useful and neither dominates.
-	s.prefix = decisions[:1+s.rng.Intn(len(decisions))]
+	s.prefix = decisions[:1+s.rng.intn(len(decisions))]
 	return true
 }
 
@@ -96,14 +94,14 @@ func (s *mutationalScheduler) NextMachine(enabled []MachineID, _ MachineID) Mach
 		}
 		s.prefix = nil
 	}
-	return enabled[s.rng.Intn(len(enabled))]
+	return enabled[s.rng.intn(len(enabled))]
 }
 
 func (s *mutationalScheduler) NextBool() bool {
 	if d, ok := s.replayNext(DecisionBool); ok {
 		return d.Bool
 	}
-	return s.rng.Intn(2) == 0
+	return s.rng.intn(2) == 0
 }
 
 func (s *mutationalScheduler) NextInt(n int) int {
@@ -114,7 +112,7 @@ func (s *mutationalScheduler) NextInt(n int) int {
 		}
 		s.prefix = nil
 	}
-	return s.rng.Intn(n)
+	return s.rng.intn(n)
 }
 
 // NextFault implements FaultScheduler by splicing the recorded fault
@@ -132,7 +130,7 @@ func (s *mutationalScheduler) NextFault(c FaultChoice) int {
 	case FaultPersist:
 		kind = DecisionPersist
 	default:
-		return s.rng.Intn(c.N)
+		return s.rng.intn(c.N)
 	}
 	if d, ok := s.replayNext(kind); ok {
 		switch c.Kind {
@@ -167,5 +165,5 @@ func (s *mutationalScheduler) NextFault(c FaultChoice) int {
 		}
 		s.prefix = nil
 	}
-	return s.rng.Intn(c.N)
+	return s.rng.intn(c.N)
 }

@@ -3,7 +3,7 @@ package core
 import "fmt"
 
 // replayDivergence is panicked (on whichever stack consulted the
-// scheduler; execute and runMachine recover it) when a recorded trace
+// scheduler; execute and host recover it) when a recorded trace
 // cannot be replayed against the current program, which indicates the
 // program is not deterministic or the trace belongs to a different test.
 type replayDivergence struct{ msg string }
