@@ -337,10 +337,7 @@
 // multiplications, and the generator first touches its words in a fixed
 // order, so Seed stores the seed and the first 334 draws each produce the
 // one or two words they are about to read (BenchmarkSchedulerPrepare in
-// internal/core: Prepare + 32 decisions, ~11µs → ~0.5µs). The built-in
-// schedulers draw through the source's own Intn — the same values without
-// the interface call; NewRand wraps the same source in a *rand.Rand for
-// registered schedulers.
+// internal/core: Prepare + 32 decisions, ~11µs → ~0.5µs).
 //
 // Pooling. Each exploration worker recycles its execution state through
 // a runtime pool instead of rebuilding it per iteration — runtimes reset

@@ -127,7 +127,7 @@ func (c *Context) Monitor(name string, ev Event) {
 	if e == nil {
 		c.Assert(false, "notify of unknown monitor %q", name)
 	}
-	c.r.covMix(e.nameHash ^ c.r.covNames.hash(ev.Name()))
+	c.r.covMix(e.nameHash ^ covString(ev.Name()))
 	if c.r.logging() {
 		c.r.logf("%s notify %s: %s", c.m.label(), name, ev.Name())
 	}

@@ -366,7 +366,7 @@ func (r *Runtime) stepTimer(m *machine) {
 		ev := m.popDequeuable()
 		h := timerArmedHash
 		if _, armed := ev.(timerArmedEvent); !armed {
-			h = r.covNames.hash(ev.Name())
+			h = covString(ev.Name())
 		}
 		r.covMix(uint64(m.id)<<32 ^ h)
 		if r.logging() {

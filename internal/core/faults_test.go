@@ -95,7 +95,7 @@ func hasDecisionKind(tr *Trace, kind DecisionKind) bool {
 
 // assertFaultTraceReplays encodes, decodes and replays a fault trace and
 // checks the replay reproduces the identical violation (a panic's message
-// carries its stack, so messages are compared by their first line).
+// carries its stack, so that one is compared by its first line).
 func assertFaultTraceReplays(t *testing.T, test Test, res Result, o Options) {
 	t.Helper()
 	data, err := res.Report.Trace.Encode()
@@ -116,7 +116,11 @@ func assertFaultTraceReplays(t *testing.T, test Test, res Result, o Options) {
 	if rep == nil {
 		t.Fatal("replay reproduced no violation")
 	}
-	if firstLine(rep.Message) != firstLine(res.Report.Message) || rep.Kind != res.Report.Kind {
+	got, want := rep.Message, res.Report.Message
+	if strings.HasPrefix(want, "panic in ") {
+		got, want = firstLine(got), firstLine(want)
+	}
+	if got != want || rep.Kind != res.Report.Kind {
 		t.Fatalf("replay reproduced (%v, %q), recorded (%v, %q)",
 			rep.Kind, rep.Message, res.Report.Kind, res.Report.Message)
 	}
@@ -525,5 +529,70 @@ func TestTimerDivergenceOnHubAndOnHost(t *testing.T) {
 		if rep, err := Replay(c.test, newTrace(c.test.Name, "script", 0, Faults{}, bent), Options{MaxSteps: c.maxSteps}); rep != nil || err == nil || err.Error() != leg.want {
 			t.Fatalf("decision %d: Replay = (%v, %v), want %q", leg.decision, rep, err, leg.want)
 		}
+	}
+}
+
+// hotFromInit is a monitor that is hot from its first moment to the last.
+type hotFromInit struct{}
+
+func (hotFromInit) Name() string                  { return "HotFromInit" }
+func (hotFromInit) Init(mc *MonitorContext)       { mc.Hot("waiting") }
+func (hotFromInit) Handle(*MonitorContext, Event) {}
+
+// TestDivergenceBetweenHandlersRecordsNoLivenessBug: a replay divergence
+// raised in a timer step that no handler hosts ends the execution where it
+// is. The diverging decision's schedule step is already counted, so one more
+// scheduling iteration would run the temperature check at a step count no
+// completed step ever reached — here exactly the threshold — and report a
+// liveness bug beside the divergence.
+func TestDivergenceBetweenHandlersRecordsNoLivenessBug(t *testing.T) {
+	var c lifecycleCase
+	for _, lc := range lifecycleCases() {
+		if lc.name == "tick-to-halted-target" {
+			c = lc
+		}
+	}
+	test := c.test
+	test.Monitors = []func() Monitor{func() Monitor { return hotFromInit{} }}
+	o := Options{MaxSteps: c.maxSteps}.WithDefaults()
+	sched := c.script
+	sched.Prepare(0, o.MaxSteps)
+	r := newRuntime(&sched, o.runtimeConfig(test, false))
+	if r.execute(test); sched.bad != "" { // ends hot at quiescence; the trace is what matters
+		t.Fatalf("recording: script error %q", sched.bad)
+	}
+	const at = 6 // the timer choice that follows a machine's death
+	bent := r.dec.decode()
+	if bent[at].Kind != DecisionTimer {
+		t.Fatalf("decision %d is %s, not a timer choice", at, bent[at])
+	}
+	bent[at].Machine += 100
+	steps := 0
+	for _, d := range bent[:at] {
+		if d.Kind == DecisionSchedule {
+			steps++
+		}
+	}
+	for _, pooled := range []bool{false, true} {
+		cfg := o.runtimeConfig(test, true)
+		cfg.temperature = steps
+		pool := newExecPool(Options{NoReuse: !pooled})
+		for round := 0; round < 2; round++ {
+			rr := pool.runtime(newReplayScheduler(newTrace(test.Name, "script", 0, Faults{}, bent)), cfg)
+			if rep := rr.execute(test); rep != nil || rr.divergence == nil {
+				t.Fatalf("pooled=%v round %d: replay = (bug %v, divergence %v), want the divergence alone", pooled, round, rep, rr.divergence)
+			}
+			if rr.steps != steps {
+				t.Fatalf("pooled=%v round %d: diverged at step %d, want %d", pooled, round, rr.steps, steps)
+			}
+			// One step earlier the threshold is real.
+			cfg.temperature = steps - 1
+			rr = pool.runtime(newReplayScheduler(newTrace(test.Name, "script", 0, Faults{}, bent)), cfg)
+			if rep := rr.execute(test); rep == nil || rep.Kind != LivenessBug {
+				t.Fatalf("pooled=%v round %d: temperature %d: bug %v, want a liveness bug", pooled, round, steps-1, rep)
+			}
+			cfg.temperature = steps
+		}
+		pool.release()
 	}
 }

@@ -173,58 +173,11 @@ func (s *lazySource) fill() {
 	}
 }
 
-// intn is rand.(*Rand).Intn over this source, bit for bit — Int31n's mask
-// for a power of two, its rejection loop otherwise, Int63n's above 2³¹−1 —
-// minus what made it 7–10 % of a scheduling step: the call goes to the
-// concrete source instead of through rand.Source64, and the rejection bound,
-// a division by n, comes from a table for the small n a scheduler draws
-// below (the enabled set's size, a fault choice's outcomes). The built-in
-// schedulers draw through it; lazyrand_test.go holds it to math/rand.
-func (s *lazySource) intn(n int) int {
-	if n <= 0 {
-		panic("invalid argument to intn")
-	}
-	if n > 1<<31-1 {
-		if n&(n-1) == 0 {
-			return int(s.Int63() & int64(n-1))
-		}
-		max := int64(1<<63 - 1 - (1<<63)%uint64(n))
-		v := s.Int63()
-		for v > max {
-			v = s.Int63()
-		}
-		return int(v % int64(n))
-	}
-	if n&(n-1) == 0 {
-		return int(int32(s.Int63()>>32) & int32(n-1))
-	}
-	var max int32
-	if n < len(int31nMax) {
-		max = int31nMax[n]
-	} else {
-		max = int32(1<<31 - 1 - (1<<31)%uint32(n))
-	}
-	v := int32(s.Int63() >> 32)
-	for v > max {
-		v = int32(s.Int63() >> 32)
-	}
-	return int(v % int32(n))
-}
-
-// int31nMax[n] is Int31n's rejection bound for n: the largest draw below
-// the last incomplete run of n values in [0, 2³¹).
-var int31nMax = func() (t [64]int32) {
-	for n := 1; n < len(t); n++ {
-		t[n] = int32(1<<31 - 1 - (1<<31)%uint32(n))
-	}
-	return t
-}()
-
 // NewRand returns a generator whose stream after Seed(seed) is bit-identical
 // to rand.New(rand.NewSource(seed))'s, and whose Seed is O(1) where
-// math/rand's costs ≈ 11 µs — the built-in schedulers' source behind the
-// standard interface, for registered schedulers that reseed in Prepare.
-// Until the first Seed it behaves as if seeded with 1.
+// math/rand's costs ≈ 11 µs — the generator every built-in scheduler draws
+// from, for registered schedulers that reseed in Prepare. Until the first
+// Seed it behaves as if seeded with 1.
 func NewRand() *rand.Rand {
 	s := &lazySource{}
 	s.Seed(1)

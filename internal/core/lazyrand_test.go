@@ -54,58 +54,12 @@ func matchDraws(t *testing.T, got *rand.Rand, seed int64, n int) {
 	}
 }
 
-// intnBounds are the shapes of intn's argument: 1, powers of two (masked),
-// small bounds (rejection bound from the table), large ones (computed), the
-// largest Int31n takes and the first Int63n does, below and at a power of two.
-var intnBounds = []int{1, 2, 3, 7, 63, 64, 65, 1000, 1 << 20, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1 << 40, 1<<62 + 1}
-
-// matchIntn fails t unless the next n draws of src — the schedulers' own
-// intn, interleaved with raw Int63 draws — equal rand.(*Rand).Intn and Int63
-// over a fresh math/rand generator seeded with seed.
-func matchIntn(t *testing.T, src *lazySource, seed int64, n int) {
-	t.Helper()
-	want := rand.New(rand.NewSource(seed))
-	for k := 0; k < n; k++ {
-		var g, w int64
-		if k%5 == 4 {
-			g, w = src.Int63(), want.Int63()
-		} else {
-			bound := intnBounds[(k+k/len(intnBounds))%len(intnBounds)]
-			g, w = int64(src.intn(bound)), int64(want.Intn(bound))
-		}
-		if g != w {
-			t.Fatalf("seed %d, draw %d of %d: got %#x, math/rand gives %#x", seed, k+1, n, g, w)
-		}
-	}
-}
-
 func TestLazySourceMatchesMathRand(t *testing.T) {
 	for _, seed := range lazyTestSeeds() {
 		for _, n := range lazyDrawCounts {
 			rng := NewRand()
 			rng.Seed(seed)
 			matchDraws(t, rng, seed, n)
-			matchIntn(t, reseed(nil, seed), seed, n)
-		}
-	}
-}
-
-// TestIntnRejectsLikeMathRand: the redraw loop runs about once in 2³¹/n
-// draws for a small n, so the sweep above never enters it below 1<<31−1. A
-// bound just above 2³⁰ rejects every other draw, and every table entry is
-// checked against the division it replaces.
-func TestIntnRejectsLikeMathRand(t *testing.T) {
-	const seed = 42
-	src, want := reseed(nil, seed), rand.New(rand.NewSource(seed))
-	for k := 0; k < 4000; k++ {
-		bound := 1<<30 + 1 + k
-		if g, w := src.intn(bound), want.Intn(bound); g != w {
-			t.Fatalf("draw %d: intn(%d) = %d, math/rand gives %d", k, bound, g, w)
-		}
-	}
-	for n := 1; n < len(int31nMax); n++ {
-		if got, want := int31nMax[n], int32(1<<31-1-(1<<31)%uint32(n)); got != want {
-			t.Fatalf("int31nMax[%d] = %d, want %d", n, got, want)
 		}
 	}
 }
@@ -145,12 +99,9 @@ func FuzzLazySourceMatchesMathRand(f *testing.F) {
 		rng := NewRand()
 		rng.Seed(seed)
 		matchDraws(t, rng, seed, int(draws))
-		src := reseed(nil, seed)
-		matchIntn(t, src, seed, int(draws))
-		// The same generators, reseeded from wherever those draws left them.
+		// The same generator, reseeded from wherever those draws left it.
 		next := seed ^ int64(draws)<<31
 		rng.Seed(next)
 		matchDraws(t, rng, next, 700)
-		matchIntn(t, reseed(src, next), next, 700)
 	})
 }

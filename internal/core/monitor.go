@@ -45,7 +45,7 @@ func (mc *MonitorContext) Hot(reason string) {
 		// A monitor-state transition: part of the coverage fingerprint
 		// (the step number deliberately is not — it would make every
 		// interleaving look novel).
-		mc.r.covMix(1 ^ mc.r.covNames.hash(reason))
+		mc.r.covMix(1 ^ covString(reason))
 	}
 	mc.hotName = reason
 }

@@ -59,7 +59,7 @@ func (p *execPool) runtime(sched Scheduler, cfg runtimeConfig) *Runtime {
 	}
 	if p.rt == nil {
 		p.rt = newRuntime(sched, cfg)
-		p.rt.reuse, p.rt.covNames = true, new(covNames)
+		p.rt.reuse = true
 		return p.rt
 	}
 	p.rt.reset(sched, cfg)

@@ -192,42 +192,38 @@ func TestPooledTraceReplays(t *testing.T) {
 // TestPoolReusesRuntimeAndWorkers drives an execPool directly and asserts
 // the mechanics the benchmarks measure: one Runtime per pool, recycled
 // machine structs, and idle coroutines re-armed instead of respawned — as
-// many as handlers were ever suspended at once, never more than machines.
+// many as handlers were ever suspended at once on this runtime (seed 2 of
+// the three-machine ping-pong suspends two, seed 1 all three).
 func TestPoolReusesRuntimeAndWorkers(t *testing.T) {
 	o := Options{Iterations: 1, MaxSteps: 1000}.WithDefaults()
 	pool := newExecPool(o)
 	defer pool.release()
 	sched := NewRandomScheduler()
 	test := pingPongTest(5, false)
-	const machines = 3 // harness, ponger, pinger
 
-	sched.Prepare(1, o.MaxSteps)
-	r1 := pool.runtime(sched, o.runtimeConfig(test, false))
-	if rep := r1.execute(test); rep != nil {
-		t.Fatalf("unexpected bug: %v", rep.Error())
-	}
-	machinesBefore := len(r1.machineCache) + len(r1.machines)
-	workersBefore := len(r1.freeWorkers)
-	if workersBefore == 0 || workersBefore > machines {
-		t.Fatalf("%d workers idle after the first pooled execution, want 1..%d", workersBefore, machines)
-	}
-
-	// The same schedule again suspends as many handlers at once: every
-	// arming must find an idle worker.
-	for _, seed := range []int64{1, 2} {
-		sched.Prepare(seed, o.MaxSteps)
-		r2 := pool.runtime(sched, o.runtimeConfig(test, false))
-		if r2 != r1 {
+	var r1 *Runtime
+	machines := 0
+	for i, leg := range []struct {
+		seed    int64
+		workers int
+	}{{2, 2}, {2, 2}, {1, 3}, {2, 3}} {
+		sched.Prepare(leg.seed, o.MaxSteps)
+		r := pool.runtime(sched, o.runtimeConfig(test, false))
+		if i == 0 {
+			r1 = r
+		} else if r != r1 {
 			t.Fatal("pool handed out a different Runtime on reuse")
 		}
-		if rep := r2.execute(test); rep != nil {
+		if rep := r.execute(test); rep != nil {
 			t.Fatalf("unexpected bug: %v", rep.Error())
 		}
-		if got := len(r2.machineCache) + len(r2.machines); got != machinesBefore {
-			t.Fatalf("machine structs not recycled: %d before, %d after", machinesBefore, got)
+		if got := len(r.machineCache) + len(r.machines); i == 0 {
+			machines = got
+		} else if got != machines {
+			t.Fatalf("machine structs not recycled: %d after the first execution, %d after execution %d", machines, got, i)
 		}
-		if got := len(r2.freeWorkers); seed == 1 && got != workersBefore || got < workersBefore || got > machines {
-			t.Fatalf("coroutines not recycled: %d workers before, %d after seed %d (%d machines)", workersBefore, got, seed, machines)
+		if got := len(r.freeWorkers); got != leg.workers {
+			t.Fatalf("execution %d (seed %d): %d idle workers, want %d", i, leg.seed, got, leg.workers)
 		}
 	}
 }

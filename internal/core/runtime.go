@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime/debug"
-	"unsafe"
 )
 
 // defaultLogCap bounds the replay log when Options.LogCap is left zero.
@@ -150,9 +149,6 @@ type Runtime struct {
 	// entry hosts the test's entry function so starting an execution does
 	// not allocate an entryMachine.
 	entry entryMachine
-	// covNames memoises event-name hashes on a pooled runtime (nil
-	// otherwise: 8 KB is not worth zeroing for one execution).
-	covNames *covNames
 }
 
 // runtimeConfig carries the per-execution knobs from Options to newRuntime.
@@ -343,7 +339,7 @@ func (r *Runtime) host(w *machineWorker) (again bool) {
 			} else {
 				m.status = statusRunning
 				ev := m.popDequeuable()
-				r.covMix(uint64(m.id)<<32 ^ r.covNames.hash(ev.Name()))
+				r.covMix(uint64(m.id)<<32 ^ covString(ev.Name()))
 				if r.logging() {
 					r.logf("%s dequeued %s", m.label(), ev.Name())
 				}
@@ -371,8 +367,10 @@ func (r *Runtime) host(w *machineWorker) (again bool) {
 // after a reaper's killSignal w goes idle and yields straight back to the
 // reaper's nested next(); every other death is followed by a scheduling
 // iteration on the now free stack. With none, the scheduler raised p
-// between handlers: a replay divergence ends the execution at the next
-// iteration like any other, anything else is re-raised.
+// between handlers: a replay divergence ends the execution right there — no
+// further iteration, whose temperature check could add a liveness bug at the
+// step the diverging decision had already counted — and anything else is
+// re-raised to the hub, as if the hub's own iteration had panicked.
 func (r *Runtime) unwound(w *machineWorker, p any) (again bool) {
 	m := w.m
 	if m == nil {
@@ -381,7 +379,9 @@ func (r *Runtime) unwound(w *machineWorker, p any) (again bool) {
 			panic(p)
 		}
 		r.divergence = d
-		return true
+		r.pending = advDone
+		r.putWorker(w)
+		return false
 	}
 	reaped := false
 	switch p := p.(type) {
@@ -439,41 +439,6 @@ func covString(s string) uint64 {
 		h = (h ^ uint64(s[i])) * covPrime
 	}
 	return h
-}
-
-// covNames memoises covString for one runtime. Names come from a small fixed
-// vocabulary per harness — constants, mostly — so the hot path finds a
-// name's hash by the string's address and length instead of re-hashing it at
-// every dequeue. The table keeps no reference to the string, so an address
-// may come back with other content: what makes a hit is the bytes, compared
-// with the copy the hash was taken over. Two names that map to one slot
-// share it and its neighbour, the later pushing the earlier over, so a
-// harness's hot names do not evict each other. Longer names are hashed every
-// time, so is the empty one, which an unused slot would match, and so is
-// every name on a nil table.
-type covNames [256]struct {
-	h    uint64
-	n    uint8
-	text [23]byte
-}
-
-func (t *covNames) hash(s string) uint64 {
-	if t == nil || len(s) == 0 || len(s) > len(t[0].text) {
-		return covString(s)
-	}
-	at := uintptr(unsafe.Pointer(unsafe.StringData(s)))
-	i := uint64(at^uintptr(len(s))) * 0x9E3779B97F4A7C15 >> 56
-	e, alt := &t[i], &t[i^1]
-	if string(e.text[:e.n]) == s {
-		return e.h
-	}
-	if string(alt.text[:alt.n]) == s {
-		return alt.h
-	}
-	*alt = *e
-	e.h, e.n = covString(s), uint8(len(s))
-	copy(e.text[:], s)
-	return e.h
 }
 
 // Fingerprint returns the execution's coverage fingerprint. Only valid

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 )
 
 // --- shared test events ---
@@ -382,44 +380,5 @@ func TestStopAfterBudget(t *testing.T) {
 	}
 	if res.Executions == 0 || res.Executions == 1<<30 {
 		t.Fatalf("executions = %d, want a time-bounded count", res.Executions)
-	}
-}
-
-// TestCovStringMemoMatchesHash: the per-runtime name memo is invisible —
-// equal names at different addresses, different names of one length at one
-// address (a buffer rewritten between lookups, so only the content check can
-// tell), names longer than a slot's copy and the empty name all hash as the
-// plain loop does, on first sight and on every later one.
-func TestCovStringMemoMatchesHash(t *testing.T) {
-	memo := new(covNames)
-	if got, want := (*covNames)(nil).hash("tick"), covString("tick"); got != want {
-		t.Fatalf("nil memo: %#x, covString %#x", got, want)
-	}
-	check := func(s string) {
-		t.Helper()
-		for i := 0; i < 3; i++ {
-			if got, want := memo.hash(s), covString(s); got != want {
-				t.Fatalf("lookup %d of %q: memo %#x, covString %#x", i, s, got, want)
-			}
-		}
-	}
-	names := []string{"", "a", "tick", "core.timer.armed", strings.Repeat("x", 23), strings.Repeat("y", 24), strings.Repeat("z", 300)}
-	for _, s := range names {
-		check(s)
-		check(strings.Clone(s))
-		check(string(append([]byte("pad:"), s...))[4:])
-	}
-	buf := []byte("first-content")
-	for _, content := range []string{"other-content", "first-content", "third-content"} {
-		check(unsafe.String(&buf[0], len(buf)))
-		copy(buf, content)
-		check(unsafe.String(&buf[0], len(buf)))
-	}
-	// A vocabulary far larger than the table: evictions, demotions to the
-	// neighbouring slot and re-insertions must stay exact too.
-	for round := 0; round < 2; round++ {
-		for i := 0; i < 10000; i++ {
-			check(fmt.Sprintf("event-%d", i))
-		}
 	}
 }

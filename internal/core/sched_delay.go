@@ -1,6 +1,9 @@
 package core
 
-import "slices"
+import (
+	"math/rand"
+	"slices"
+)
 
 // delayScheduler implements randomized delay-bounded scheduling (Emmi,
 // Qadeer, Rakamarić, POPL 2011), a third exploration strategy beyond the
@@ -11,7 +14,7 @@ import "slices"
 // only a few out-of-order steps.
 type delayScheduler struct {
 	budget int
-	rng    *lazySource
+	rng    *rand.Rand
 
 	// delays holds the budget step numbers at which the baseline choice
 	// is delayed (duplicates are harmless).
@@ -53,7 +56,7 @@ func (s *delayScheduler) Prepare(seed int64, maxSteps int) bool {
 	}
 	s.delays = s.delays[:0]
 	for i := 0; i < s.budget; i++ {
-		s.delays = append(s.delays, 1+s.rng.intn(bound))
+		s.delays = append(s.delays, 1+s.rng.Intn(bound))
 	}
 	s.step = 0
 	s.last = NoMachine
@@ -105,11 +108,11 @@ func (s *delayScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID
 	return choice
 }
 
-func (s *delayScheduler) NextBool() bool { return s.rng.intn(2) == 0 }
+func (s *delayScheduler) NextBool() bool { return s.rng.Intn(2) == 0 }
 
 func (s *delayScheduler) NextInt(n int) int {
 	checkIntBound("delay", n)
-	return s.rng.intn(n)
+	return s.rng.Intn(n)
 }
 
 // NextFault implements FaultScheduler. Like pct, the delay scheduler
@@ -120,7 +123,7 @@ func (s *delayScheduler) NextInt(n int) int {
 func (s *delayScheduler) NextFault(c FaultChoice) int {
 	s.step++
 	if slices.Contains(s.delays, s.step) {
-		return 1 + s.rng.intn(c.N-1)
+		return 1 + s.rng.Intn(c.N-1)
 	}
-	return s.rng.intn(c.N)
+	return s.rng.Intn(c.N)
 }

@@ -1,5 +1,7 @@
 package core
 
+import "math/rand"
+
 // mutationalScheduler is the coverage-guided exploration strategy: it
 // replays a prefix of a corpus entry (an execution that reached a novel
 // coverage fingerprint, see Corpus) and re-randomizes everything after
@@ -21,7 +23,7 @@ package core
 // determinism and replay contracts hold — the corpus snapshot itself is
 // kept deterministic by the engine's generation barriers (see corpus.go).
 type mutationalScheduler struct {
-	rng    *lazySource
+	rng    *rand.Rand
 	corpus *Corpus
 
 	// prefix is the decision slice being replayed this execution (nil
@@ -51,17 +53,17 @@ func (s *mutationalScheduler) Prepare(seed int64, _ int) bool {
 	// One execution in four explores from scratch even with a corpus
 	// available: pure mutation would only ever refine behaviors already
 	// seen, never discover ones no recorded prefix reaches.
-	if s.rng.intn(4) == 0 {
+	if s.rng.Intn(4) == 0 {
 		return true
 	}
-	_, decisions := s.corpus.Entry(s.rng.intn(s.corpus.Len()))
+	_, decisions := s.corpus.Entry(s.rng.Intn(s.corpus.Len()))
 	if len(decisions) == 0 {
 		return true
 	}
 	// Cut uniformly: short prefixes barely constrain the execution, long
 	// ones replay almost all of it and perturb only the tail; both ends
 	// are useful and neither dominates.
-	s.prefix = decisions[:1+s.rng.intn(len(decisions))]
+	s.prefix = decisions[:1+s.rng.Intn(len(decisions))]
 	return true
 }
 
@@ -94,14 +96,14 @@ func (s *mutationalScheduler) NextMachine(enabled []MachineID, _ MachineID) Mach
 		}
 		s.prefix = nil
 	}
-	return enabled[s.rng.intn(len(enabled))]
+	return enabled[s.rng.Intn(len(enabled))]
 }
 
 func (s *mutationalScheduler) NextBool() bool {
 	if d, ok := s.replayNext(DecisionBool); ok {
 		return d.Bool
 	}
-	return s.rng.intn(2) == 0
+	return s.rng.Intn(2) == 0
 }
 
 func (s *mutationalScheduler) NextInt(n int) int {
@@ -112,7 +114,7 @@ func (s *mutationalScheduler) NextInt(n int) int {
 		}
 		s.prefix = nil
 	}
-	return s.rng.intn(n)
+	return s.rng.Intn(n)
 }
 
 // NextFault implements FaultScheduler by splicing the recorded fault
@@ -130,7 +132,7 @@ func (s *mutationalScheduler) NextFault(c FaultChoice) int {
 	case FaultPersist:
 		kind = DecisionPersist
 	default:
-		return s.rng.intn(c.N)
+		return s.rng.Intn(c.N)
 	}
 	if d, ok := s.replayNext(kind); ok {
 		switch c.Kind {
@@ -165,5 +167,5 @@ func (s *mutationalScheduler) NextFault(c FaultChoice) int {
 		}
 		s.prefix = nil
 	}
-	return s.rng.intn(c.N)
+	return s.rng.Intn(c.N)
 }

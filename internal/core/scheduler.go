@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -296,15 +297,13 @@ func checkIntBound(sched string, n int) {
 // bit, whatever rng drew before — execution i's schedule is a pure function
 // of its seed, and every trace and fixture recorded under math/rand's own
 // source keeps replaying. The generator is a lazySource (lazyrand.go), so
-// the reseed is O(1) rather than math/rand's 607-word fill, and the
-// schedulers draw through its intn, which is rand.(*Rand).Intn without the
-// interface call; TestLazySourceMatchesMathRand,
-// TestLazySourceReseedLeavesNoStaleWords and FuzzLazySourceMatchesMathRand
-// pin the contract. Reuse matters because Prepare runs once per execution
-// and must not allocate.
-func reseed(rng *lazySource, seed int64) *lazySource {
+// the reseed is O(1) rather than math/rand's 607-word fill;
+// TestLazySourceMatchesMathRand, TestLazySourceReseedLeavesNoStaleWords and
+// FuzzLazySourceMatchesMathRand pin the contract. Reuse matters because
+// Prepare runs once per execution and must not allocate.
+func reseed(rng *rand.Rand, seed int64) *rand.Rand {
 	if rng == nil {
-		rng = &lazySource{}
+		rng = NewRand()
 	}
 	rng.Seed(seed)
 	return rng
@@ -315,7 +314,7 @@ func reseed(rng *lazySource, seed int64) *lazySource {
 // scheduling is simple but has proven effective at finding concurrency
 // bugs (Thomson et al., PPoPP 2014).
 type randomScheduler struct {
-	rng *lazySource
+	rng *rand.Rand
 }
 
 // NewRandomScheduler returns the uniform random scheduler.
@@ -329,19 +328,19 @@ func (s *randomScheduler) Prepare(seed int64, _ int) bool {
 }
 
 func (s *randomScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
-	return enabled[s.rng.intn(len(enabled))]
+	return enabled[s.rng.Intn(len(enabled))]
 }
 
-func (s *randomScheduler) NextBool() bool { return s.rng.intn(2) == 0 }
+func (s *randomScheduler) NextBool() bool { return s.rng.Intn(2) == 0 }
 
 func (s *randomScheduler) NextInt(n int) int {
 	checkIntBound("random", n)
-	return s.rng.intn(n)
+	return s.rng.Intn(n)
 }
 
 // NextFault implements FaultScheduler: uniform over the outcomes, the
 // fault-plane analog of uniform random scheduling.
-func (s *randomScheduler) NextFault(c FaultChoice) int { return s.rng.intn(c.N) }
+func (s *randomScheduler) NextFault(c FaultChoice) int { return s.rng.Intn(c.N) }
 
 // pctScheduler implements the randomized priority-based scheduler of
 // Burckhardt et al. (ASPLOS 2010), the paper's second scheduler. Every
@@ -352,7 +351,7 @@ func (s *randomScheduler) NextFault(c FaultChoice) int { return s.rng.intn(c.N) 
 // thread to stall at a specific moment.
 type pctScheduler struct {
 	depth int
-	rng   *lazySource
+	rng   *rand.Rand
 
 	// prio is indexed by MachineID and grown on first sight of a machine;
 	// pctUnset marks IDs below the highest seen that have no priority yet.
@@ -408,7 +407,7 @@ func (s *pctScheduler) Prepare(seed int64, maxSteps int) bool {
 		bound = maxSteps
 	}
 	for i := 0; i < s.depth; i++ {
-		s.changePoints = append(s.changePoints, 1+s.rng.intn(bound))
+		s.changePoints = append(s.changePoints, 1+s.rng.Intn(bound))
 	}
 	return true
 }
@@ -426,7 +425,7 @@ func (s *pctScheduler) priorityOf(id MachineID) int {
 	}
 	// Draw a random base priority; ties broken by machine ID in the
 	// selection loop, so collisions are harmless.
-	p := s.rng.intn(1 << 20)
+	p := s.rng.Intn(1 << 20)
 	for int(id) >= len(s.prio) {
 		s.prio = append(s.prio, pctUnset)
 	}
@@ -461,11 +460,11 @@ func (s *pctScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
 	return best
 }
 
-func (s *pctScheduler) NextBool() bool { return s.rng.intn(2) == 0 }
+func (s *pctScheduler) NextBool() bool { return s.rng.Intn(2) == 0 }
 
 func (s *pctScheduler) NextInt(n int) int {
 	checkIntBound("pct", n)
-	return s.rng.intn(n)
+	return s.rng.Intn(n)
 }
 
 // NextFault implements FaultScheduler. Fault choice points advance the
@@ -478,9 +477,9 @@ func (s *pctScheduler) NextInt(n int) int {
 func (s *pctScheduler) NextFault(c FaultChoice) int {
 	s.step++
 	if slices.Contains(s.changePoints, s.step) {
-		return 1 + s.rng.intn(c.N-1)
+		return 1 + s.rng.Intn(c.N-1)
 	}
-	return s.rng.intn(c.N)
+	return s.rng.Intn(c.N)
 }
 
 // rrScheduler is a deterministic round-robin baseline: it cycles through
@@ -489,7 +488,7 @@ func (s *pctScheduler) NextFault(c FaultChoice) int {
 // and fault outcomes vary with the seed — but Prepare never reports
 // exhaustion: a run spends its whole budget on that one machine order.
 type rrScheduler struct {
-	rng  *lazySource
+	rng  *rand.Rand
 	last MachineID
 }
 
@@ -521,14 +520,14 @@ func (s *rrScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
 	return s.last
 }
 
-func (s *rrScheduler) NextBool() bool { return s.rng.intn(2) == 0 }
+func (s *rrScheduler) NextBool() bool { return s.rng.Intn(2) == 0 }
 
 func (s *rrScheduler) NextInt(n int) int {
 	checkIntBound("rr", n)
-	return s.rng.intn(n)
+	return s.rng.Intn(n)
 }
 
 // NextFault implements FaultScheduler: like RandomBool/RandomInt, fault
 // outcomes come uniformly from the seed's RNG so fault scenarios remain
 // runnable under the deterministic-schedule baseline.
-func (s *rrScheduler) NextFault(c FaultChoice) int { return s.rng.intn(c.N) }
+func (s *rrScheduler) NextFault(c FaultChoice) int { return s.rng.Intn(c.N) }

@@ -19,17 +19,17 @@ type msgEvent struct{ Msg Message }
 func (e msgEvent) Name() string { return e.Msg.Kind() }
 
 // syncReport is a storage node's tick reply on its way to the server: a
-// Sync that travels by pointer — as an event and, through &r.Sync, as a
-// message — so neither hop boxes it. The tick is most of what a replsys
+// Sync that travels by pointer as an event and reaches the server's handler
+// by value, so neither hop boxes it. The tick is most of what a replsys
 // execution does (~1 000 an execution), and boxing the Sync into Message and
 // the msgEvent into Event was 97 % of the execution's allocations.
 //
 // Ownership: a node takes a record from the execution's syncReports, fills
 // it and sends it; from then on it belongs to the server's inbox and then to
-// serverMachine.Handle, which hands it back once Server.HandleMessage has
-// returned (the server keeps no reference to a Sync past the call). Several
-// reports of one node can be queued at once, each with its own Log view,
-// which is why the records are pooled and not one per node.
+// serverMachine.Handle, which hands it back once Server.handleSync has
+// returned (the server keeps no reference to a Sync's Log past the call).
+// Several reports of one node can be queued at once, each with its own Log
+// view, which is why the records are pooled and not one per node.
 type syncReport struct{ Sync }
 
 func (*syncReport) Name() string { return Sync{}.Kind() }
@@ -128,7 +128,7 @@ func (s *serverMachine) Init(*core.Context) {}
 func (s *serverMachine) Handle(ctx *core.Context, ev core.Event) {
 	s.ctx = ctx
 	if r, ok := ev.(*syncReport); ok {
-		s.server.HandleMessage(&r.Sync)
+		s.server.handleSync(r.Sync)
 		s.reports.put(r)
 		return
 	}

@@ -114,18 +114,13 @@ func NewServer(cfg Config, net Network, nodes []NodeID) *Server {
 	}
 }
 
-// HandleMessage dispatches one inbound message. A Sync may arrive by
-// pointer — a transport that recycles its receive buffers hands it over that
-// way — and the server keeps no reference to it, or to its Log, past the
-// call.
+// HandleMessage dispatches one inbound message.
 func (s *Server) HandleMessage(msg Message) {
 	switch m := msg.(type) {
 	case ClientReq:
 		s.handleClientReq(m)
 	case Sync:
 		s.handleSync(m)
-	case *Sync:
-		s.handleSync(*m)
 	}
 }
 
