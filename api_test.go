@@ -162,7 +162,9 @@ func exportedFieldsOnly(st *ast.StructType) *ast.StructType {
 // surface must match the committed api.txt byte for byte. An intended
 // API change is a deliberate act — regenerate the golden file with
 // `go test -run TestAPISurfaceLocked -update .` and commit the diff; an
-// unintended one fails the build here.
+// unintended one fails the build here. Together with
+// TestExamplesUsePublicAPIOnly and the examples building under
+// `go build ./...` this is the proof the public API boundary is real.
 func TestAPISurfaceLocked(t *testing.T) {
 	got := strings.Join(publicAPISurface(t), "\n") + "\n"
 	if *updateAPI {

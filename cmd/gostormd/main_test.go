@@ -58,7 +58,9 @@ var listenRE = regexp.MustCompile(`on (http://[^\s]+)`)
 // TestDistributedSmoke runs the real control plane end to end: gostormd
 // plus two gostorm-agent processes shard a buggy scenario on localhost,
 // and the fleet's winner must be byte-identical to a single-process
-// Explore of the same plan.
+// Explore of the same plan. The in-process twin, with an agent killed
+// mid-lease, is internal/dist's TestChaosDeterministicAttribution; the
+// by-hand sharding surface is cmd/systest's TestCLIShard.
 func TestDistributedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the real binaries")

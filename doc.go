@@ -251,12 +251,20 @@
 // candidates), GET /v1/status, plus /healthz and Prometheus-style
 // /metrics — and never executes the scenario itself. Agents are thin
 // and stateless: join, pull a lease, run it through ExploreShard, report,
-// repeat. A lease not reported within its TTL is re-issued, so agents
-// may be killed at any moment; when a bug is reported the coordinator
-// pushes a stop bound through lease grants and status polls so the
-// fleet abandons positions above it, but the bug only wins once every
-// position below it has been resolved — first-bug-wins is "lowest
-// global position", not "first report to arrive". The coordinator
+// repeat. The coordinator stores the resolved positions (one coalesced
+// interval set), the live leases and the limit a reported bug lowers;
+// what is pending is derived from those when an agent asks — the lowest
+// positions below the limit neither resolved nor leased, cut at the next
+// multiple of the lease size — so its cost follows the work resolved,
+// never the size of the plan. The plan it publishes at join is the
+// engine's options struct, whose JSON tags mark each field as travelling
+// or machine-local, and a report the plan cannot have produced is
+// rejected before it changes anything. A lease not reported within its
+// TTL is re-issued, so agents may be killed at any moment; when a bug is
+// reported the coordinator pushes a stop bound through lease grants and
+// status polls so the fleet abandons positions above it, but the bug only
+// wins once every position below it has been resolved — first-bug-wins
+// is "lowest global position", not "first report to arrive". The coordinator
 // cross-checks duplicate reports for the same position byte-for-byte
 // and counts any divergence as a determinism violation.
 //

@@ -7,8 +7,11 @@ import (
 )
 
 // TestCatalogFaultScenarios drives every catalog scenario that declares a
-// fault budget (crashes, drops, duplicates) — the CI fault pass runs this
-// under the race detector. Buggy scenarios must find their seeded bug at
+// fault budget (crashes, drops, duplicates, timer pacing). The fault
+// plane's crash reaping hands goroutine unwinding to the engine between
+// steps; this test under the race detector (CI's `go test -race ./...`) is
+// the enforcement that no fault path breaks the serialization or the replay
+// contract. Buggy scenarios must find their seeded bug at
 // the fixed seed with a trace that replays (including the new fault
 // decision kinds); clean scenarios must stay clean under a modest budget.
 func TestCatalogFaultScenarios(t *testing.T) {

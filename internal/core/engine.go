@@ -27,11 +27,17 @@ type Test struct {
 // Options bounds and configures an engine run. The zero value is usable:
 // random scheduler, 10,000 executions of up to 10,000 steps each, one
 // exploration worker per CPU.
+//
+// The JSON form is the plan a distributed coordinator publishes to its
+// agents (internal/dist): a field that shapes the schedule space or a
+// verdict carries a wire name, a field that only says how this machine runs
+// the plan is `json:"-"`. A new field must take one side or the other —
+// dist's TestPlanOnTheWireIsOptions fails on an untagged one.
 type Options struct {
 	// Scheduler names the exploration strategy: any registered scheduler
 	// ("random" — the default —, "pct", "rr", "delay", "dfs", or a name
 	// added via RegisterScheduler). Ignored when Portfolio is non-empty.
-	Scheduler string
+	Scheduler string `json:"scheduler,omitempty"`
 	// Portfolio, when non-empty, races the named schedulers against the
 	// test instead of running the single Scheduler: the members'
 	// iterations interleave round-robin into one plan that the worker pool
@@ -41,25 +47,25 @@ type Options struct {
 	// useful: each member derives an independent base seed from its index,
 	// so two "random" members explore disjoint pseudo-random schedule
 	// spaces.
-	Portfolio []string
+	Portfolio []string `json:"portfolio,omitempty"`
 	// PCTDepth is the number of priority change points for "pct"
 	// (default 2, the paper's configuration).
-	PCTDepth int
+	PCTDepth int `json:"pct_depth,omitempty"`
 	// Seed selects the pseudo-random schedule sequence. Each execution i
 	// derives its own sub-seed purely from (Seed, i), so runs are
 	// reproducible end to end and independent of worker count.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Iterations is the maximum number of executions (default 10,000).
-	Iterations int
+	Iterations int `json:"iterations"`
 	// MaxSteps bounds each execution; reaching it treats the execution as
 	// infinite for liveness checking (default 10,000).
-	MaxSteps int
+	MaxSteps int `json:"max_steps"`
 	// CorpusSize bounds the exploration corpus of a feedback (coverage-
 	// guided) scheduler such as "mutational": the first CorpusSize novel
 	// coverage fingerprints, in canonical iteration order, have their
 	// decision sequences recorded for mutation (default 64). Ignored by
 	// schedulers that declare no feedback.
-	CorpusSize int
+	CorpusSize int `json:"corpus_size,omitempty"`
 	// Workers is the size of the run's one pool of exploration workers
 	// (default runtime.NumCPU()). Every worker serves every member of a
 	// portfolio — a three-member portfolio at Workers: 1 runs on one
@@ -77,31 +83,31 @@ type Options struct {
 	// a shared program-length estimate on every scheduler instance, so
 	// their decision streams become pure functions of the iteration seed
 	// too (see SchedulerFactory.WithLengthHint).
-	Workers int
+	Workers int `json:"-"`
 	// Temperature, when positive, reports a liveness violation as soon as
 	// a monitor stays hot for that many consecutive steps, instead of
 	// waiting for the full bound.
-	Temperature int
+	Temperature int `json:"temperature,omitempty"`
 	// StopAfter, when positive, bounds the total wall-clock time. The
 	// run's first position (iteration 0; for ExploreShard, Shard.From)
 	// always executes, and the deadline is checked before every later
 	// claim — so a run performs at least one execution at any worker
 	// count, and can overshoot by the length of the executions in flight
 	// (at most MaxSteps scheduling steps each).
-	StopAfter time.Duration
+	StopAfter time.Duration `json:"-"`
 	// NoDeadlockDetection disables reporting machines stuck in Receive.
-	NoDeadlockDetection bool
+	NoDeadlockDetection bool `json:"no_deadlock_detection,omitempty"`
 	// NoLivenessBoundCheck disables the treat-bound-as-infinite liveness
 	// heuristic (hot-at-termination is still checked).
-	NoLivenessBoundCheck bool
+	NoLivenessBoundCheck bool `json:"no_liveness_bound_check,omitempty"`
 	// NoReplayLog skips the confirmation replay that re-runs a buggy
 	// schedule to collect the detailed execution log.
-	NoReplayLog bool
+	NoReplayLog bool `json:"-"`
 	// LogCap bounds the number of lines the replay log may collect per
 	// execution; 0 means the default (100,000 lines). Negative values are
 	// rejected up front. Exploration executions collect no log, so the cap
 	// only shapes replays and confirmation replays.
-	LogCap int
+	LogCap int `json:"-"`
 	// NoReuse disables the pooled execution engine: every execution gets
 	// a freshly allocated Runtime with fresh machine goroutines, inboxes
 	// and buffers, as in the pre-pooling engine. Pooling is semantically
@@ -109,17 +115,17 @@ type Options struct {
 	// bit-identical with pooling on and off (the pooling determinism tests
 	// enforce it) — so this is an escape hatch for debugging and for
 	// benchmarking the pool itself, not a correctness knob.
-	NoReuse bool
+	NoReuse bool `json:"-"`
 	// Faults overrides the test's fault budget (Test.Faults) when any
 	// field is set; the zero value defers to the test. Budgets bound the
 	// faults the scheduler may inject per execution — see Faults and the
 	// Context fault primitives (CrashPoint, SendUnreliable).
-	Faults Faults
+	Faults Faults `json:"faults,omitempty"`
 	// NoFaults disables the fault plane outright, overriding both Faults
 	// and the test's declared budget — the way to run a fault-budgeted
 	// scenario crash-free (an all-zero Faults cannot express this, since
 	// the zero value defers to the test).
-	NoFaults bool
+	NoFaults bool `json:"no_faults,omitempty"`
 	// Progress, if non-nil, is called after every completed execution —
 	// including the buggy final one — with the number completed so far.
 	// Parallel workers serialize the calls under a lock, so the callback
@@ -127,7 +133,7 @@ type Options struct {
 	// parallel run finds a bug, executions that completed at higher
 	// positions before it surfaced were counted too, so the final
 	// Progress count can exceed the canonical Executions of the Result.
-	Progress func(executions int)
+	Progress func(executions int) `json:"-"`
 
 	// debugCheckEnabled turns on the per-step enabled-set cross-check for
 	// every runtime of the run: the incrementally maintained set is

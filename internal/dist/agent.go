@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -68,13 +69,30 @@ func (a *Agent) logf(format string, args ...any) {
 	}
 }
 
-// postJSON posts req and decodes the response into resp.
-func (a *Agent) postJSON(path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
+// statusError is the coordinator answering with anything but 200.
+type statusError struct {
+	path, body string
+	code       int
+}
+
+func (e *statusError) Error() string {
+	return fmt.Sprintf("dist: %s: %d %s: %s", e.path, e.code, http.StatusText(e.code), e.body)
+}
+
+// call is the agent's one HTTP exchange: req posted as JSON, or a GET when
+// req is nil, and the 200 answer decoded into resp.
+func (a *Agent) call(path string, req, resp any) error {
+	var r *http.Response
+	var err error
+	if req == nil {
+		r, err = a.hc.Get(a.cfg.Coordinator + path)
+	} else {
+		var body []byte
+		if body, err = json.Marshal(req); err != nil {
+			return err
+		}
+		r, err = a.hc.Post(a.cfg.Coordinator+path, "application/json", bytes.NewReader(body))
 	}
-	r, err := a.hc.Post(a.cfg.Coordinator+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -84,27 +102,20 @@ func (a *Agent) postJSON(path string, req, resp any) error {
 		return err
 	}
 	if r.StatusCode != http.StatusOK {
-		return fmt.Errorf("dist: %s: %s: %s", path, r.Status, bytes.TrimSpace(data))
+		return &statusError{path: path, code: r.StatusCode, body: string(bytes.TrimSpace(data))}
 	}
 	return json.Unmarshal(data, resp)
 }
 
-// getStatus fetches the coordinator snapshot.
-func (a *Agent) getStatus() (StatusResponse, error) {
-	var st StatusResponse
-	r, err := a.hc.Get(a.cfg.Coordinator + "/v1/status")
-	if err != nil {
-		return st, err
-	}
-	defer r.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		return st, err
-	}
-	if r.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("dist: /v1/status: %s", r.Status)
-	}
-	return st, json.Unmarshal(data, &st)
+// localOptions are the engine options an agent runs the plan's leases
+// with: the plan, plus the machine-local fields the wire leaves out.
+// workers is the agent's local parallelism; replay logs stay off — the
+// coordinator replays the winner centrally if asked to.
+func localOptions(plan PlanConfig, workers int) core.Options {
+	o := plan.Options
+	o.Workers = workers
+	o.NoReplayLog = true
+	return o
 }
 
 // sleep waits d or until ctx is cancelled.
@@ -133,7 +144,7 @@ func (a *Agent) Run(ctx context.Context) error {
 		return fmt.Errorf("dist: building scenario %q: %w", a.plan.Scenario, err)
 	}
 	a.test = test
-	a.opts = a.plan.Options(a.cfg.Workers)
+	a.opts = localOptions(a.plan, a.cfg.Workers)
 	if total := core.PlanSize(a.opts); total != a.plan.Total {
 		return fmt.Errorf("dist: plan size mismatch: coordinator says %d, local derivation %d", a.plan.Total, total)
 	}
@@ -143,7 +154,7 @@ func (a *Agent) Run(ctx context.Context) error {
 		}
 		var lr LeaseResponse
 		if err := a.withRetry(ctx, func() error {
-			return a.postJSON("/v1/lease", LeaseRequest{Agent: a.cfg.Name}, &lr)
+			return a.call("/v1/lease", LeaseRequest{Agent: a.cfg.Name}, &lr)
 		}); err != nil {
 			return err
 		}
@@ -167,7 +178,7 @@ func (a *Agent) Run(ctx context.Context) error {
 func (a *Agent) join(ctx context.Context) error {
 	return a.withRetry(ctx, func() error {
 		var jr JoinResponse
-		if err := a.postJSON("/v1/join", JoinRequest{Protocol: ProtocolVersion, Agent: a.cfg.Name}, &jr); err != nil {
+		if err := a.call("/v1/join", JoinRequest{Protocol: ProtocolVersion, Agent: a.cfg.Name}, &jr); err != nil {
 			return err
 		}
 		a.plan = jr.Plan
@@ -177,8 +188,9 @@ func (a *Agent) join(ctx context.Context) error {
 }
 
 // withRetry runs fn with capped exponential backoff until it succeeds, the
-// context dies, or the attempts run out. Protocol rejections (HTTP 4xx,
-// reported as non-transient by their message) fail immediately.
+// context dies, or the attempts run out. A request the coordinator rejects
+// (400: wrong protocol version, a report off the plan) fails immediately —
+// no retry will fix it.
 func (a *Agent) withRetry(ctx context.Context, fn func() error) error {
 	backoff := 100 * time.Millisecond
 	var err error
@@ -189,7 +201,8 @@ func (a *Agent) withRetry(ctx context.Context, fn func() error) error {
 		if err = fn(); err == nil {
 			return nil
 		}
-		if isProtocolError(err) {
+		var rejected *statusError
+		if errors.As(err, &rejected) && rejected.code == http.StatusBadRequest {
 			return err
 		}
 		a.logf("transient control-plane error (attempt %d): %v", attempt+1, err)
@@ -201,13 +214,6 @@ func (a *Agent) withRetry(ctx context.Context, fn func() error) error {
 		}
 	}
 	return err
-}
-
-// isProtocolError recognizes coordinator rejections (carried as HTTP
-// status errors from postJSON) that no retry will fix.
-func isProtocolError(err error) bool {
-	s := err.Error()
-	return bytes.Contains([]byte(s), []byte("400 Bad Request"))
 }
 
 // runLease explores one leased range. A background poller tracks the
@@ -235,8 +241,8 @@ func (a *Agent) runLease(ctx context.Context, lr LeaseResponse) error {
 				}
 				return
 			}
-			st, err := a.getStatus()
-			if err != nil {
+			var st StatusResponse
+			if a.call("/v1/status", nil, &st) != nil {
 				continue
 			}
 			if st.Stop < stop.Load() {
@@ -317,7 +323,7 @@ func (a *Agent) runLease(ctx context.Context, lr LeaseResponse) error {
 	}
 	var ack ReportResponse
 	if err := a.withRetry(ctx, func() error {
-		return a.postJSON("/v1/report", report, &ack)
+		return a.call("/v1/report", report, &ack)
 	}); err != nil {
 		return err
 	}

@@ -71,14 +71,13 @@ type Result struct {
 type Coordinator struct {
 	cfg      Config
 	plan     PlanConfig
-	total    int64
 	feedback bool
 	start    time.Time
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// lt.limit doubles as the stop bound pushed to agents: the winning
+	// bug's position, plan.Total while there is none.
 	lt         *leaseTable
-	resolved   intervals
-	bugPos     int64 // total = no bug yet
 	bug        *WireBug
 	executions int64
 	steps      int64
@@ -129,21 +128,16 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RetryMs <= 0 {
 		cfg.RetryMs = 200
 	}
-	cfg.Options = o
 	total := core.PlanSize(o)
-	co := &Coordinator{
+	return &Coordinator{
 		cfg:      cfg,
-		plan:     planConfigFor(cfg.Scenario, o),
-		total:    total,
+		plan:     PlanConfig{Scenario: cfg.Scenario, Options: o, Total: total},
 		feedback: feedback,
 		start:    time.Now(),
 		lt:       newLeaseTable(total, cfg.LeaseSize, cfg.LeaseTTL),
-		bugPos:   total,
 		agents:   make(map[string]time.Time),
-		corpus:   nil,
 		doneCh:   make(chan struct{}),
-	}
-	return co, nil
+	}, nil
 }
 
 // Plan returns the wire plan the coordinator publishes.
@@ -254,14 +248,41 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	l, ok := co.lt.grant(req.Agent, now)
 	if !ok {
-		writeJSON(w, LeaseResponse{None: true, RetryMs: co.cfg.RetryMs, Stop: co.bugPos})
+		writeJSON(w, LeaseResponse{None: true, RetryMs: co.cfg.RetryMs, Stop: co.lt.limit})
 		return
 	}
-	resp := LeaseResponse{Lease: l.id, From: l.span.from, To: l.span.to, Stop: co.bugPos}
+	resp := LeaseResponse{Lease: l.id, From: l.span.from, To: l.span.to, Stop: co.lt.limit}
 	if co.feedback {
 		resp.Corpus = co.corpusSnapshotLocked()
 	}
 	writeJSON(w, resp)
+}
+
+// validate rejects a report the plan cannot have produced. Reports arrive
+// from the network, and an accepted one decides the verdict: a span beyond
+// the plan would resolve work nobody ran, a bug off the plan would win it.
+// A bug may lie below From — a calibration execution for an unowned member
+// iteration 0 reports there.
+func (co *Coordinator) validate(req *ReportRequest) error {
+	if !(0 <= req.From && req.From <= req.ResolvedTo && req.ResolvedTo <= req.To && req.To <= co.plan.Total) {
+		return fmt.Errorf("report [%d, %d) resolved to %d is not a prefix of a span of the plan [0, %d)",
+			req.From, req.To, req.ResolvedTo, co.plan.Total)
+	}
+	b := req.Bug
+	if b == nil {
+		return nil
+	}
+	if b.Pos < 0 || b.Pos >= co.plan.Total {
+		return fmt.Errorf("bug position %d is outside the plan [0, %d)", b.Pos, co.plan.Total)
+	}
+	if nm := int64(max(len(co.plan.Portfolio), 1)); int64(b.Member) != b.Pos%nm || int64(b.Iteration) != b.Pos/nm {
+		return fmt.Errorf("bug at position %d of a %d-member plan attributed to member %d, iteration %d",
+			b.Pos, nm, b.Member, b.Iteration)
+	}
+	if _, err := core.DecodeTrace(b.Trace); err != nil {
+		return fmt.Errorf("bug trace: %v", err)
+	}
+	return nil
 }
 
 func (co *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -269,28 +290,23 @@ func (co *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
+	if err := co.validate(&req); err != nil {
+		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+		return
+	}
 	now := time.Now()
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	co.agents[req.Agent] = now
 
-	resolvedTo := req.ResolvedTo
-	if resolvedTo > req.To {
-		resolvedTo = req.To
-	}
 	// Duplicate reports (an expired lease re-issued, both agents finishing)
 	// carry identical deterministic data; only the first contributes to the
 	// statistics.
-	before := co.resolved.total()
-	co.resolved.add(req.From, resolvedTo)
-	fresh := co.resolved.total() > before
+	fresh := co.lt.report(req.Lease, req.From, req.ResolvedTo)
 	if fresh {
 		co.executions += int64(req.Executions)
 		co.steps += req.TotalSteps
 	}
-	co.lt.complete(req.Lease, resolvedTo)
-	co.lt.resolve(req.From, resolvedTo)
-
 	if req.Bug != nil {
 		co.ingestBugLocked(req.Agent, req.Bug)
 	}
@@ -302,7 +318,7 @@ func (co *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	co.mergeCorpusLocked()
 	co.checkDoneLocked()
-	writeJSON(w, ReportResponse{Done: co.done, Stop: co.bugPos})
+	writeJSON(w, ReportResponse{Done: co.done, Stop: co.lt.limit})
 }
 
 // ingestBugLocked applies first-bug-wins: the lowest position wins; two
@@ -310,13 +326,12 @@ func (co *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 // test is nondeterministic.
 func (co *Coordinator) ingestBugLocked(agent string, b *WireBug) {
 	switch {
-	case b.Pos < co.bugPos:
-		co.bugPos = b.Pos
+	case b.Pos < co.lt.limit:
 		co.bug = b
 		co.lt.prune(b.Pos)
 		co.logf("agent %s reported bug at position %d (member %d, iteration %d): %s",
 			agent, b.Pos, b.Member, b.Iteration, b.Message)
-	case b.Pos == co.bugPos && co.bug != nil:
+	case b.Pos == co.lt.limit && co.bug != nil:
 		if !bytes.Equal(b.Trace, co.bug.Trace) {
 			co.mismatches++
 			if co.mismatch == "" {
@@ -336,9 +351,9 @@ func (co *Coordinator) mergeCorpusLocked() {
 		return
 	}
 	if co.corpus == nil {
-		co.corpus = core.NewCorpus(co.cfg.Options.CorpusSize)
+		co.corpus = core.NewCorpus(co.plan.CorpusSize)
 	}
-	frontier := co.resolved.frontier()
+	frontier := co.lt.resolved.frontier()
 	merged := 0
 	for merged < len(co.pendCands) && co.pendCands[merged].Position < frontier {
 		c := co.pendCands[merged]
@@ -373,20 +388,17 @@ func (co *Coordinator) checkDoneLocked() {
 	if co.done {
 		return
 	}
-	target := co.total
+	target := co.plan.Total
 	if co.bug != nil {
-		target = co.bugPos + 1
-		if target > co.total {
-			target = co.total
-		}
+		target = co.bug.Pos + 1
 	}
-	if !co.resolved.covered(target) {
+	if !co.lt.resolved.covered(target) {
 		return
 	}
 	co.done = true
 	close(co.doneCh)
 	if co.bug != nil {
-		co.logf("done: bug confirmed at position %d after %d execution(s)", co.bugPos, co.executions)
+		co.logf("done: bug confirmed at position %d after %d execution(s)", co.bug.Pos, co.executions)
 	} else {
 		co.logf("done: no bug in %d execution(s)", co.executions)
 	}
@@ -404,10 +416,10 @@ func (co *Coordinator) statusLocked(now time.Time) StatusResponse {
 	}
 	st := StatusResponse{
 		Done:        co.done,
-		Total:       co.total,
-		Resolved:    co.resolved.total(),
-		Frontier:    co.resolved.frontier(),
-		Stop:        co.bugPos,
+		Total:       co.plan.Total,
+		Resolved:    co.lt.resolved.total(),
+		Frontier:    co.lt.resolved.frontier(),
+		Stop:        co.lt.limit,
 		BugFound:    co.bug != nil,
 		Executions:  co.executions,
 		TotalSteps:  co.steps,
@@ -416,7 +428,7 @@ func (co *Coordinator) statusLocked(now time.Time) StatusResponse {
 		ElapsedSecs: elapsed,
 	}
 	if co.bug != nil {
-		st.BugPos = co.bugPos
+		st.BugPos = co.bug.Pos
 	}
 	if co.corpus != nil {
 		st.CorpusLen = co.corpus.Len()

@@ -8,6 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -155,7 +158,8 @@ func waitDone(t *testing.T, co *Coordinator, wg *sync.WaitGroup) Result {
 // contract: the same seed and shard plan run with 1, 2, and 4 agents —
 // one of which is killed mid-run so its leases expire and are re-issued —
 // must attribute the identical winner (member, iteration, trace bytes) as
-// a single-process Explore of the same plan.
+// a single-process Explore of the same plan. It matters most under the race
+// detector: the agents explore with real worker pools.
 func TestChaosDeterministicAttribution(t *testing.T) {
 	test := rareOrderTest(4)
 	opts := core.Options{Scheduler: "random", Iterations: 3000, Seed: 11, MaxSteps: 500, NoReplayLog: true}
@@ -478,5 +482,311 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, metrics)
 		}
+	}
+}
+
+// wire is a reusable in-memory http.ResponseWriter and request source: the
+// allocation budget below is the coordinator's, so the harness around it
+// keeps one header map, one body buffer and one request per path for the
+// whole test.
+type wire struct {
+	header http.Header
+	code   int
+	body   bytes.Buffer
+	reqs   map[string]*http.Request
+}
+
+func (w *wire) Header() http.Header         { return w.header }
+func (w *wire) WriteHeader(code int)        { w.code = code }
+func (w *wire) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+// post sends one JSON request straight into a handler and decodes a 200
+// answer into resp; it returns the status code and, for anything else, the
+// body.
+func (w *wire) post(t *testing.T, h http.Handler, path string, req, resp any) (int, string) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if w.header == nil {
+		w.header, w.reqs = make(http.Header), make(map[string]*http.Request)
+	}
+	r := w.reqs[path]
+	if r == nil {
+		if r, err = http.NewRequest(http.MethodPost, path, nil); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		w.reqs[path] = r
+	}
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	w.code = http.StatusOK
+	w.body.Reset()
+	h.ServeHTTP(w, r)
+	if w.code != http.StatusOK {
+		return w.code, w.body.String()
+	}
+	if err := json.Unmarshal(w.body.Bytes(), resp); err != nil {
+		t.Fatalf("%s: decoding %q: %v", path, w.body.Bytes(), err)
+	}
+	return w.code, ""
+}
+
+// TestHugePlanCostsWhatItResolves is the fleet's twin of core's
+// TestHugeBudgetMemoryIsProportionalToWork: a coordinator for "run until I
+// say stop", written as an enormous iteration count, must cost time and
+// memory in proportion to the leases it has handed out. The lease table
+// used to hold a span per lease slot of the whole plan — 4 194 304 of them
+// here, 322 MiB to build — and copy the list under the coordinator's mutex
+// on every report.
+func TestHugePlanCostsWhatItResolves(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	co, err := New(Config{Scenario: "choices", Options: core.Options{Iterations: 1 << 30}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	h := co.Handler()
+	var w wire
+	const rounds = 2000
+	for i := int64(0); i < rounds; i++ {
+		var lr LeaseResponse
+		w.post(t, h, "/v1/lease", LeaseRequest{Agent: "a"}, &lr)
+		if lr.From != i*256 || lr.To != lr.From+256 {
+			t.Fatalf("lease %d = [%d, %d), want the aligned span from %d", i, lr.From, lr.To, i*256)
+		}
+		var ack ReportResponse
+		if code, body := w.post(t, h, "/v1/report", ReportRequest{
+			Agent: "a", Lease: lr.Lease, From: lr.From, To: lr.To, ResolvedTo: lr.To, Executions: 256,
+		}, &ack); code != http.StatusOK {
+			t.Fatalf("report %d: status %d: %s", i, code, body)
+		}
+	}
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if res := co.Result(); res.Executions != rounds*256 {
+		t.Fatalf("coordinator counted %d executions, want %d", res.Executions, rounds*256)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d lease/report round trips on a %d-position plan: %v, %d KiB allocated", rounds, co.Plan().Total, wall, alloc>>10)
+	if wall > time.Second {
+		t.Errorf("%d round trips took %v", rounds, wall)
+	}
+	if alloc > 8<<20 {
+		t.Errorf("allocated %d MiB for %d round trips", alloc>>20, rounds)
+	}
+}
+
+// TestReportsOffThePlanAreRejected: /v1/report is fed from the network and
+// an accepted report decides the verdict, so one the plan cannot have
+// produced is a 400 that changes nothing. The handler used to trust the
+// wire: a single forged {"from":0,"to":1<<40,"resolved_to":1<<40} ended a
+// run "clean" with no execution, and {"bug":{"pos":-3}} ended it with a
+// winning bug at position -3.
+func TestReportsOffThePlanAreRejected(t *testing.T) {
+	co, err := New(Config{Scenario: "choices", Options: core.Options{Portfolio: []string{"pct", "random"}, Iterations: 2500}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	h := co.Handler()
+	const total = 5000
+	state := func() StatusResponse {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		st := co.statusLocked(time.Now())
+		st.ElapsedSecs, st.PerSecond = 0, 0
+		return st
+	}
+	var w wire
+	var lr LeaseResponse
+	w.post(t, h, "/v1/lease", LeaseRequest{Agent: "honest"}, &lr)
+	if lr.From != 0 || lr.To != 256 {
+		t.Fatalf("first lease = [%d, %d), want [0, 256)", lr.From, lr.To)
+	}
+	trace := []byte(`{}`)
+	bug := func(pos int64, member, iteration int, trace []byte) *WireBug {
+		return &WireBug{Pos: pos, Member: member, Iteration: iteration, Message: "forged", Trace: trace}
+	}
+	for _, tc := range []struct {
+		name string
+		req  ReportRequest
+		want int
+	}{
+		{"negative from", ReportRequest{From: -1, To: 10, ResolvedTo: 10}, 400},
+		{"to below from", ReportRequest{From: 10, To: 5, ResolvedTo: 7}, 400},
+		{"resolved below from", ReportRequest{From: 10, To: 20, ResolvedTo: 5}, 400},
+		{"resolved beyond to", ReportRequest{From: 0, To: 10, ResolvedTo: 11}, 400},
+		{"to beyond the plan", ReportRequest{From: 0, To: total + 1, ResolvedTo: total}, 400},
+		{"the whole plan and more", ReportRequest{From: 0, To: 1 << 40, ResolvedTo: 1 << 40}, 400},
+		{"bug below the plan", ReportRequest{Bug: bug(-3, 1, -1, trace)}, 400},
+		{"bug beyond the plan", ReportRequest{Bug: bug(total, 0, total/2, trace)}, 400},
+		{"bug on the wrong member", ReportRequest{Bug: bug(101, 0, 50, trace)}, 400},
+		{"bug on the wrong iteration", ReportRequest{Bug: bug(101, 1, 7, trace)}, 400},
+		{"bug without a trace", ReportRequest{Bug: bug(101, 1, 50, nil)}, 400},
+		{"bug with an undecodable trace", ReportRequest{Bug: bug(101, 1, 50, []byte(`{"version":99}`))}, 400},
+		// What honest agents send must keep passing: nothing resolved, a
+		// bug from a calibration execution below From, exactly the lease,
+		// and the same report again.
+		{"nothing resolved", ReportRequest{From: 256, To: 512, ResolvedTo: 256}, 200},
+		{"bug below from", ReportRequest{From: 256, To: 512, ResolvedTo: 300, Bug: bug(1, 1, 0, trace)}, 200},
+		{"exactly the lease", ReportRequest{Lease: lr.Lease, From: lr.From, To: lr.To, ResolvedTo: lr.To, Executions: 256}, 200},
+		{"the same again", ReportRequest{Lease: lr.Lease, From: lr.From, To: lr.To, ResolvedTo: lr.To, Executions: 256}, 200},
+	} {
+		before := state()
+		tc.req.Agent = "a-" + tc.name
+		var ack ReportResponse
+		code, body := w.post(t, h, "/v1/report", tc.req, &ack)
+		if code != tc.want {
+			t.Errorf("%s: status %d %s, want %d", tc.name, code, body, tc.want)
+		}
+		if after := state(); tc.want != 200 && after != before {
+			t.Errorf("%s: a rejected report changed the coordinator:\n before %+v\n after  %+v", tc.name, before, after)
+		}
+	}
+	res := co.Result()
+	if !res.BugFound || res.BugPos != 1 || res.Executions != 256 {
+		t.Fatalf("result = bug %v at %d after %d executions, want the bug at 1 after 256", res.BugFound, res.BugPos, res.Executions)
+	}
+}
+
+// machineLocal lists the core.Options fields that say how one machine runs
+// a plan, not what the plan is; they stay off the wire and each agent sets
+// its own (localOptions).
+var machineLocal = map[string]bool{
+	"Workers": true, "StopAfter": true, "NoReplayLog": true, "LogCap": true, "NoReuse": true, "Progress": true,
+}
+
+// fill sets v — a field of core.Options or of a struct inside it — to a
+// value that is not its zero.
+func fill(t *testing.T, name string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString("x-" + name)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(7 + len(name)))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fill(t, fmt.Sprint(name, i), v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(t, name+"."+v.Type().Field(i).Name, v.Field(i))
+		}
+	default:
+		t.Fatalf("core.Options.%s has kind %s: teach this test to fill it, then decide whether it travels", name, v.Kind())
+	}
+}
+
+// TestPlanOnTheWireIsOptions: the plan an agent runs is the coordinator's
+// core.Options, field for field. Every exported field either carries a wire
+// name and survives JoinResponse -> JSON -> localOptions, or is listed as
+// machine-local and tagged off the wire — so a field added to core.Options
+// without that decision fails here instead of silently diverging a fleet.
+// The goldens are join bodies recorded before PlanConfig embedded
+// core.Options: same keys, same values, so ProtocolVersion stays 1.
+func TestPlanOnTheWireIsOptions(t *testing.T) {
+	var sent core.Options
+	typ := reflect.TypeOf(sent)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch {
+		case machineLocal[f.Name] && name != "-":
+			t.Errorf("core.Options.%s is machine-local but tagged json:%q, want \"-\"", f.Name, f.Tag.Get("json"))
+		case !machineLocal[f.Name] && (name == "" || name == "-"):
+			t.Errorf("core.Options.%s has no wire name (json:%q): tag it, or list it in machineLocal and tag it \"-\"", f.Name, f.Tag.Get("json"))
+		case !machineLocal[f.Name]:
+			fill(t, f.Name, reflect.ValueOf(&sent).Elem().Field(i))
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	sent.Workers, sent.LogCap, sent.NoReuse, sent.StopAfter = 9, 9, true, time.Hour
+	data, err := json.Marshal(JoinResponse{Plan: PlanConfig{Scenario: "s", Options: sent, Total: 1}})
+	if err != nil {
+		t.Fatalf("encoding the join response: %v", err)
+	}
+	var jr JoinResponse
+	if err := json.Unmarshal(data, &jr); err != nil {
+		t.Fatalf("decoding %s: %v", data, err)
+	}
+	want := sent
+	want.Workers, want.NoReplayLog, want.LogCap, want.NoReuse, want.StopAfter = 3, true, 0, false, 0
+	if got := localOptions(jr.Plan, 3); !reflect.DeepEqual(got, want) {
+		t.Errorf("options after the wire:\n got %+v\nwant %+v\nwire %s", got, want, data)
+	}
+
+	if ProtocolVersion != 1 {
+		t.Fatalf("ProtocolVersion = %d: re-record the goldens with the bump", ProtocolVersion)
+	}
+	for name, o := range map[string]core.Options{
+		"full": {
+			Portfolio: []string{"pct", "random", "delay"}, PCTDepth: 3, Seed: -42, Iterations: 1234, MaxSteps: 567,
+			CorpusSize: 9, Temperature: 77, NoDeadlockDetection: true, NoLivenessBoundCheck: true, NoFaults: true,
+			Faults:  core.Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3, MaxTornCrashes: 4},
+			Workers: 5, StopAfter: time.Second, NoReplayLog: true, LogCap: 11, NoReuse: true, Progress: func(int) {},
+		},
+		"defaults": {},
+	} {
+		co, err := New(Config{Scenario: "golden-" + name, Options: o})
+		if err != nil {
+			t.Fatalf("%s: New: %v", name, err)
+		}
+		var w wire
+		var got, want any
+		w.post(t, co.Handler(), "/v1/join", JoinRequest{Protocol: ProtocolVersion, Agent: "golden"}, &got)
+		golden, err := os.ReadFile("testdata/join_v1_" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(golden, &want); err != nil {
+			t.Fatalf("%s: decoding the golden: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: join body differs from the one recorded under protocol 1:\n got %s want %s", name, w.body.Bytes(), golden)
+		}
+	}
+}
+
+// TestAgentRunReturnsTheBareCancellation: callers tell "I cancelled it"
+// from a failure by comparing Run's error with context.Canceled, so it must
+// be that value, not a wrapper — before the join, and while backing off
+// because every lease is out.
+func TestAgentRunReturnsTheBareCancellation(t *testing.T) {
+	co, srv := startCoordinator(t, Config{
+		Scenario:  "choices",
+		Options:   core.Options{Iterations: 10},
+		LeaseSize: 10,
+		RetryMs:   5,
+	}, nil)
+	a, err := NewAgent(AgentConfig{
+		Coordinator: srv.URL,
+		Name:        "a",
+		BuildTest:   func(string) (core.Test, error) { return choiceTest(), nil },
+	})
+	if err != nil {
+		t.Fatalf("NewAgent: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := a.Run(ctx); err != context.Canceled {
+		t.Fatalf("Run under a cancelled context = %v, want context.Canceled itself", err)
+	}
+
+	var w wire
+	var hog LeaseResponse
+	w.post(t, co.Handler(), "/v1/lease", LeaseRequest{Agent: "hog"}, &hog)
+	ctx, cancel = context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	if err := a.Run(ctx); err != context.Canceled {
+		t.Fatalf("Run cancelled between leases = %v, want context.Canceled itself", err)
 	}
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -18,177 +19,118 @@ type lease struct {
 	expires time.Time
 }
 
-// leaseTable owns the undone portion of the plan: pending spans (sorted by
-// from, disjoint, never overlapping an outstanding lease) and outstanding
-// leases with expiry. All methods require external locking — the
-// coordinator serializes access under its own mutex.
+// leaseTable owns the undone portion of the plan. It stores three facts —
+// the resolved positions, the live leases (sorted by from, disjoint) and
+// the limit at or beyond which work is superseded — and nothing per
+// position or per lease slot not yet handed out: what is pending is derived
+// from those three when an agent asks. All methods require external
+// locking — the coordinator serializes access under its own mutex.
 //
-// Work-stealing is pull-model and lowest-first: grant pops the lowest
-// pending span, so the positions that decide first-bug-wins resolve
+// Work-stealing is pull-model and lowest-first: grant hands out the lowest
+// pending positions, so the positions that decide first-bug-wins resolve
 // earliest and straggler re-issues converge on the frontier.
 type leaseTable struct {
-	ttl     time.Duration
-	nextID  int64
-	pending []span
-	out     map[int64]*lease
+	size     int64
+	ttl      time.Duration
+	nextID   int64
+	limit    int64
+	resolved intervals
+	out      []lease
 }
 
-// newLeaseTable cuts [0, total) into leaseSize-position spans.
+// newLeaseTable covers [0, total) with leases of at most leaseSize
+// positions.
 func newLeaseTable(total, leaseSize int64, ttl time.Duration) *leaseTable {
-	lt := &leaseTable{ttl: ttl, nextID: 1, out: make(map[int64]*lease)}
-	for from := int64(0); from < total; from += leaseSize {
-		to := from + leaseSize
-		if to > total {
-			to = total
-		}
-		lt.pending = append(lt.pending, span{from, to})
-	}
-	return lt
+	return &leaseTable{size: leaseSize, ttl: ttl, nextID: 1, limit: total}
 }
 
-// grant leases the lowest pending span to the agent; ok is false when
-// nothing is pending (outstanding leases may still be in flight).
-func (lt *leaseTable) grant(agent string, now time.Time) (*lease, bool) {
-	if len(lt.pending) == 0 {
-		return nil, false
+// grant leases the lowest run of positions below the limit that is neither
+// resolved nor leased, cut at the next multiple of the lease size — so an
+// undisturbed plan is handed out in aligned spans, and no lease is longer
+// than the size the TTL was chosen for or reaches the limit, whatever
+// expired or was half-reported before. ok is false when nothing is pending
+// (outstanding leases may still be in flight).
+func (lt *leaseTable) grant(agent string, now time.Time) (lease, bool) {
+	var from int64
+	r, o := lt.resolved.spans, lt.out
+	for {
+		if len(r) > 0 && r[0].from <= from {
+			from, r = max(from, r[0].to), r[1:]
+		} else if len(o) > 0 && o[0].span.from <= from {
+			from, o = max(from, o[0].span.to), o[1:]
+		} else {
+			break
+		}
 	}
-	l := &lease{id: lt.nextID, span: lt.pending[0], agent: agent, expires: now.Add(lt.ttl)}
+	if from >= lt.limit {
+		return lease{}, false
+	}
+	to := min(from-from%lt.size+lt.size, lt.limit)
+	if len(r) > 0 {
+		to = min(to, r[0].from)
+	}
+	if len(o) > 0 {
+		to = min(to, o[0].span.from)
+	}
+	l := lease{id: lt.nextID, span: span{from, to}, agent: agent, expires: now.Add(lt.ttl)}
 	lt.nextID++
-	lt.pending = lt.pending[1:]
-	lt.out[l.id] = l
+	lt.out = slices.Insert(lt.out, len(lt.out)-len(o), l)
 	return l, true
 }
 
-// expire re-queues every lease past its TTL, returning how many. A late
-// report for an expired lease is still ingested (results are
-// deterministic, so duplicates are identical); resolve() then removes the
-// re-queued overlap so the work is not run a third time.
+// expire drops every lease past its TTL, returning how many; their
+// positions are pending again by derivation. A late report for an expired
+// lease is still ingested (results are deterministic, so duplicates are
+// identical), and what it resolves is not run again.
 func (lt *leaseTable) expire(now time.Time) int {
-	n := 0
-	for id, l := range lt.out {
-		if now.After(l.expires) {
-			delete(lt.out, id)
-			lt.requeue(l.span)
-			n++
-		}
-	}
-	return n
+	n := len(lt.out)
+	lt.out = slices.DeleteFunc(lt.out, func(l lease) bool { return now.After(l.expires) })
+	return n - len(lt.out)
 }
 
-// complete drops a lease after its report. Unresolved tail [resolvedTo,
-// to) is re-queued. Unknown ids (already expired and re-issued) are fine.
-func (lt *leaseTable) complete(id int64, resolvedTo int64) {
-	l, ok := lt.out[id]
-	if !ok {
-		return
-	}
-	delete(lt.out, id)
-	if resolvedTo < l.span.to {
-		from := resolvedTo
-		if from < l.span.from {
-			from = l.span.from
-		}
-		lt.requeue(span{from, l.span.to})
-	}
+// report ends a lease and marks [from, resolvedTo) resolved, reporting
+// whether that covered anything new; the lease's unresolved tail is pending
+// again. Unknown ids (already expired and re-issued) are fine.
+func (lt *leaseTable) report(id, from, resolvedTo int64) bool {
+	lt.out = slices.DeleteFunc(lt.out, func(l lease) bool { return l.id == id })
+	return lt.resolved.add(from, resolvedTo)
 }
 
-// resolve removes [from, to) from the pending set — positions another
-// lease's (possibly duplicate) report already covered.
-func (lt *leaseTable) resolve(from, to int64) {
-	var next []span
-	for _, s := range lt.pending {
-		if s.to <= from || s.from >= to {
-			next = append(next, s)
-			continue
-		}
-		if s.from < from {
-			next = append(next, span{s.from, from})
-		}
-		if s.to > to {
-			next = append(next, span{to, s.to})
-		}
-	}
-	lt.pending = next
-}
-
-// prune drops pending spans at or beyond limit and trims straddlers — work
-// a winning bug made irrelevant. Outstanding leases are left alone; their
-// agents see the lowered stop bound and abandon the tail themselves.
+// prune lowers the limit: positions at or beyond it are work a winning bug
+// made irrelevant. Outstanding leases are left alone; their agents see the
+// lowered stop bound and abandon the tail themselves.
 func (lt *leaseTable) prune(limit int64) {
-	var next []span
-	for _, s := range lt.pending {
-		if s.from >= limit {
-			continue
-		}
-		if s.to > limit {
-			s.to = limit
-		}
-		next = append(next, s)
-	}
-	lt.pending = next
-}
-
-// requeue inserts a span keeping pending sorted by from and coalesced.
-func (lt *leaseTable) requeue(s span) {
-	if s.from >= s.to {
-		return
-	}
-	i := sort.Search(len(lt.pending), func(i int) bool { return lt.pending[i].from >= s.from })
-	lt.pending = append(lt.pending, span{})
-	copy(lt.pending[i+1:], lt.pending[i:])
-	lt.pending[i] = s
-	// Coalesce with neighbors (adjacent or overlapping).
-	var next []span
-	for _, cur := range lt.pending {
-		if n := len(next); n > 0 && next[n-1].to >= cur.from {
-			if cur.to > next[n-1].to {
-				next[n-1].to = cur.to
-			}
-			continue
-		}
-		next = append(next, cur)
-	}
-	lt.pending = next
+	lt.limit = min(lt.limit, limit)
 }
 
 // outstanding is the number of live leases.
 func (lt *leaseTable) outstanding() int { return len(lt.out) }
 
-// pendingPositions sums the positions waiting to be leased.
-func (lt *leaseTable) pendingPositions() int64 {
-	var n int64
-	for _, s := range lt.pending {
-		n += s.to - s.from
-	}
-	return n
-}
-
-// intervals is a sorted, disjoint, coalesced set of resolved spans, used
-// by the coordinator to track global coverage and the contiguous frontier.
+// intervals is a sorted, disjoint, coalesced set of spans: the resolved
+// positions, from which coverage and the contiguous frontier are read.
 type intervals struct {
 	spans []span
 }
 
-// add merges [from, to) into the set.
-func (iv *intervals) add(from, to int64) {
+// add merges [from, to) into the set and reports whether coverage grew.
+func (iv *intervals) add(from, to int64) bool {
 	if from >= to {
-		return
+		return false
 	}
-	i := sort.Search(len(iv.spans), func(i int) bool { return iv.spans[i].from > from })
-	iv.spans = append(iv.spans, span{})
-	copy(iv.spans[i+1:], iv.spans[i:])
-	iv.spans[i] = span{from, to}
-	var next []span
-	for _, cur := range iv.spans {
-		if n := len(next); n > 0 && next[n-1].to >= cur.from {
-			if cur.to > next[n-1].to {
-				next[n-1].to = cur.to
-			}
-			continue
-		}
-		next = append(next, cur)
+	// spans[i:j] are the ones [from, to) overlaps or touches.
+	i := sort.Search(len(iv.spans), func(i int) bool { return iv.spans[i].to >= from })
+	j := i
+	for j < len(iv.spans) && iv.spans[j].from <= to {
+		j++
 	}
-	iv.spans = next
+	if j == i+1 && iv.spans[i].from <= from && to <= iv.spans[i].to {
+		return false
+	}
+	if i < j {
+		from, to = min(from, iv.spans[i].from), max(to, iv.spans[j-1].to)
+	}
+	iv.spans = slices.Replace(iv.spans, i, j, span{from, to})
+	return true
 }
 
 // frontier is the end of contiguous coverage from 0.

@@ -11,7 +11,10 @@
 // not reported back within its TTL is re-issued, so a dead or wedged agent
 // cannot strand its range. Agents run each lease with core.ExploreShard
 // and report the resolved prefix, statistics, any bug, and any corpus
-// candidates.
+// candidates. The coordinator stores what has happened — the resolved
+// positions, the live leases, the limit a reported bug lowers — and derives
+// what is still to do from it (lease.go), so its cost follows the work
+// resolved, never the size of the plan.
 //
 // First-bug-wins is deterministic by construction: the fleet's winner is
 // the bug with the lowest global position, and since every position's
@@ -41,70 +44,17 @@ import (
 // fails loudly instead of diverging.
 const ProtocolVersion = 1
 
-// PlanConfig is the full determinism-relevant configuration of the
-// exploration plan, published by the coordinator at join time so every
-// agent derives the identical schedule space. Agents add only
-// local-machine knobs (Workers, NoReplayLog) on top.
+// PlanConfig is the exploration plan, published by the coordinator at join
+// time so every agent derives the identical schedule space. The plan on
+// the wire is core.Options itself: its JSON tags decide, field by field,
+// what is determinism-relevant and travels and what is machine-local
+// (`json:"-"`) and is set by each agent (see localOptions).
 type PlanConfig struct {
-	Scenario             string      `json:"scenario"`
-	Scheduler            string      `json:"scheduler,omitempty"`
-	Portfolio            []string    `json:"portfolio,omitempty"`
-	PCTDepth             int         `json:"pct_depth,omitempty"`
-	Seed                 int64       `json:"seed"`
-	Iterations           int         `json:"iterations"`
-	MaxSteps             int         `json:"max_steps"`
-	CorpusSize           int         `json:"corpus_size,omitempty"`
-	Temperature          int         `json:"temperature,omitempty"`
-	NoDeadlockDetection  bool        `json:"no_deadlock_detection,omitempty"`
-	NoLivenessBoundCheck bool        `json:"no_liveness_bound_check,omitempty"`
-	NoFaults             bool        `json:"no_faults,omitempty"`
-	Faults               core.Faults `json:"faults,omitempty"`
+	Scenario string `json:"scenario"`
+	core.Options
 	// Total is the plan's position count (PlanSize of the options above),
 	// published so agents can sanity-check their derivation.
 	Total int64 `json:"total"`
-}
-
-// planConfigFor captures the determinism-relevant fields of resolved
-// options into the wire form.
-func planConfigFor(scenario string, o core.Options) PlanConfig {
-	return PlanConfig{
-		Scenario:             scenario,
-		Scheduler:            o.Scheduler,
-		Portfolio:            o.Portfolio,
-		PCTDepth:             o.PCTDepth,
-		Seed:                 o.Seed,
-		Iterations:           o.Iterations,
-		MaxSteps:             o.MaxSteps,
-		CorpusSize:           o.CorpusSize,
-		Temperature:          o.Temperature,
-		NoDeadlockDetection:  o.NoDeadlockDetection,
-		NoLivenessBoundCheck: o.NoLivenessBoundCheck,
-		NoFaults:             o.NoFaults,
-		Faults:               o.Faults,
-		Total:                core.PlanSize(o),
-	}
-}
-
-// Options reconstructs the engine options an agent must run leases of this
-// plan with. workers is the agent's local parallelism; replay logs stay
-// off — the coordinator replays the winner centrally if asked to.
-func (p PlanConfig) Options(workers int) core.Options {
-	return core.Options{
-		Scheduler:            p.Scheduler,
-		Portfolio:            p.Portfolio,
-		PCTDepth:             p.PCTDepth,
-		Seed:                 p.Seed,
-		Iterations:           p.Iterations,
-		MaxSteps:             p.MaxSteps,
-		CorpusSize:           p.CorpusSize,
-		Temperature:          p.Temperature,
-		NoDeadlockDetection:  p.NoDeadlockDetection,
-		NoLivenessBoundCheck: p.NoLivenessBoundCheck,
-		NoFaults:             p.NoFaults,
-		Faults:               p.Faults,
-		Workers:              workers,
-		NoReplayLog:          true,
-	}
 }
 
 // JoinRequest introduces an agent to the coordinator.
@@ -162,7 +112,9 @@ type WireCandidate struct {
 }
 
 // ReportRequest returns a lease's results. ResolvedTo < To means the tail
-// was pruned or unfinished; the coordinator re-queues it if still needed.
+// was pruned or unfinished; it is pending again if still needed. The
+// coordinator rejects a report the plan cannot have produced (see
+// Coordinator.validate).
 type ReportRequest struct {
 	Agent      string          `json:"agent"`
 	Lease      int64           `json:"lease"`

@@ -28,8 +28,10 @@ import (
 // clients treat the frozen old meta as an authoritative transition
 // signal so they converge during the hand-over window.
 //
-// These seeds must stay green forever; a regression here means the
-// hand-over ordering or the client-side window handling broke.
+// These seeds (pct 1/5/6 x 400 iterations) were skipped until that fix
+// and are now its regression gate: they must stay green forever, under
+// every build CI runs the tree with; a regression here means the hand-over
+// ordering or the client-side window handling broke.
 func TestLatentFixedSystemDivergenceSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps 400 executions of a 30k-step harness per seed")

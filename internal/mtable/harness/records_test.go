@@ -18,7 +18,9 @@ import (
 // scheduling point would read the next request's identity and the run
 // would deadlock ("Tables waiting to receive LPDecision(2)") or diverge
 // from the reference table. Four workers, so the race detector sees the
-// records of concurrent executions side by side.
+// records of concurrent executions side by side; under the enabledcheck
+// tag every receive predicate over a recycled record is cross-checked
+// against a from-scratch enabled set at every step.
 func TestStubRecordsSurviveReuse(t *testing.T) {
 	test := mharness.Test(mharness.HarnessConfig{Services: 4, OpsPerService: 8, TimerPacedMigrator: true})
 	for _, sched := range []string{"random", "pct", "delay"} {

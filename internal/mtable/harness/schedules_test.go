@@ -132,7 +132,9 @@ func recordSchedules(t *testing.T, workers int) scheduleGoldens {
 // and at four (four only under the race detector). The goldens were recorded before the model's rows became
 // immutable values and the stub protocol started recycling its records;
 // that change, and any later one that claims not to move a scheduling
-// point or a random draw, is held to them.
+// point or a random draw, is held to them — so a moved point fails here,
+// by name, and not as a drifted execs_to_verdict in the benchmark (the
+// harness is two of its four workloads).
 func TestMTableSchedulesMatchGoldens(t *testing.T) {
 	path := filepath.Join("testdata", "schedules.json")
 	if *updateSchedules {

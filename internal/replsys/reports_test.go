@@ -66,7 +66,9 @@ const maxMallocsPerExecution = 150
 
 // TestReplsysCleanExecutionAllocBudget is the regression gate on the
 // harness's garbage: steps-replsys, the benchmark's step workload, is this
-// execution, and a tick reply that boxes again shows up here first.
+// execution, and a tick reply that boxes again shows up here first. It
+// skips under -race, so of CI's whole-tree runs the plain `go test ./...`
+// is the one that holds it.
 func TestReplsysCleanExecutionAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on the test's behalf")

@@ -66,7 +66,11 @@ func walOptions(sched string, seed int64) core.Options {
 // TestTornTailBugFound: the seeded recovery bug — trusting an un-synced
 // tail — is found deterministically at a pinned seed by the pct,
 // mutational and random schedulers; the buggy trace carries a torn
-// DecisionPersist and replays to the identical violation.
+// DecisionPersist and replays to the identical violation. With
+// TestFixedSurvivesSeedSweep and the harness-level oracles (replsys durable
+// nodes, mtable completion checkpoint) it is the crash-consistency gate,
+// and it matters most under the race detector: crash settlement and restart
+// recovery run on the engine's reaping path.
 func TestTornTailBugFound(t *testing.T) {
 	for _, sched := range []string{"pct", "mutational", "random"} {
 		t.Run(sched, func(t *testing.T) {
