@@ -206,6 +206,31 @@ func TestAPISurfaceLocked(t *testing.T) {
 		strings.Join(diff, "\n"))
 }
 
+// TestDocsStateTheDesignOnce keeps the prose the way the API lock keeps the
+// surface. doc.go is the one narrative of how the engine works now and
+// README.md is a front page that points at it: the README has a line budget
+// — a section that wants more belongs in doc.go or bench/README.md — and
+// neither file carries per-PR history, which lives in CHANGES.md.
+func TestDocsStateTheDesignOnce(t *testing.T) {
+	const readmeBudget = 250
+	perPR := regexp.MustCompile(`\bPR[ -]?#?[0-9]`)
+	for _, name := range []string{"README.md", "doc.go"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+		if name == "README.md" && len(lines) > readmeBudget {
+			t.Errorf("README.md is %d lines, budget %d: move the design to doc.go and the figures to bench/ or CHANGES.md", len(lines), readmeBudget)
+		}
+		for i, l := range lines {
+			if perPR.MatchString(l) {
+				t.Errorf("%s:%d names a PR; history belongs in CHANGES.md: %s", name, i+1, strings.TrimSpace(l))
+			}
+		}
+	}
+}
+
 // TestExamplesUsePublicAPIOnly enforces the public-only import rule on
 // the examples and on the two CLIs the README calls pure consumers of the
 // public API (cmd/systest, cmd/table2; their tests may reach internal/):

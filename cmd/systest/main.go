@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		iterations  = fs.Int("iterations", 0, "maximum executions (0 = scenario default); per member for a portfolio")
 		maxSteps    = fs.Int("max-steps", 0, "scheduling steps per execution (0 = scenario default)")
 		seed        = fs.Int64("seed", 0, "base random seed")
-		workers     = fs.Int("workers", 0, "parallel exploration workers (0 = one per CPU; dfs and replay always use 1); split across portfolio members")
+		workers     = fs.Int("workers", 0, "size of the one pool of exploration workers, shared by all portfolio members (0 = one per CPU; dfs and replay always use 1)")
 		temperature = fs.Int("temperature", 0, "liveness temperature threshold (0 = bound check only)")
 		faults      = fs.String("faults", "", "fault budget override, e.g. crashes=1,drops=2,dups=1 (empty = scenario default; all zeros = disable)")
 		maxCrashes  = fs.Int("max-crashes", 0, "adjust the crashes component of the fault budget, keeping the scenario's other allowances (0 = scenario default)")
@@ -392,9 +392,6 @@ func parseFaults(spec string, maxCrashes, maxTorn int) (*gostorm.Faults, error) 
 // describeWorkers renders the resolved worker count, which Resolve has
 // already clamped to 1 for sequential schedulers.
 func describeWorkers(cfg gostorm.Config) string {
-	if cfg.Sequential {
-		return "1 worker (sequential scheduler)"
-	}
 	if cfg.Workers == 1 {
 		return "1 worker"
 	}

@@ -86,6 +86,13 @@ func TestCLISmoke(t *testing.T) {
 	if code != 0 || !strings.Contains(out, "replay reproduced:") {
 		t.Fatalf("replay failed (exit %d):\n%s", code, out)
 	}
+
+	// A replay cut off by a lowered step bound stopped short of the trace: it
+	// must say so and fail, not report a clean run.
+	out, code = runSystest(t, "-test", "replsys-safety", "-replay", trace, "-max-steps", "5")
+	if code != 1 || !strings.Contains(out, "replay diverged:") || !strings.Contains(out, "recorded decisions") {
+		t.Fatalf("replay under -max-steps 5 exit = %d, want 1 with a divergence naming the unconsumed decisions:\n%s", code, out)
+	}
 }
 
 // TestCLIFaultPlaneRoundTrip drives a fault-budgeted scenario end to end:

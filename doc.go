@@ -34,8 +34,7 @@
 // WithScheduler picks a strategy ("random", "pct", "rr", "delay",
 // "dfs"), WithPortfolio races several at once, WithFaults sets the
 // fault-injection budget, WithWorkers the parallelism, and so on; a bad
-// value comes back as a typed *ConfigError, never a panic. Resolve
-// reports the fully defaulted configuration without running anything.
+// value comes back as a typed *ConfigError, never a panic.
 //
 // The bundled case studies are reachable through the same surface:
 // Scenarios lists them, ScenarioByName builds one, and a scenario's
@@ -43,6 +42,20 @@
 // (append(sc.Options(), gostorm.WithSeed(7))). The examples/ programs
 // import only this package — they are the proof that the API boundary
 // is real.
+//
+// # Configuration
+//
+// What a run can be told is listed once: the engine's options struct,
+// which Config names publicly. Each With* option sets one of its fields;
+// one engine function — the first act of Explore, ExploreShard and Replay,
+// and all there is to Resolve and PlanSize — checks the bounds, the fault
+// budgets and every scheduler name against the registry, and fills in the
+// defaults (random scheduler, 10,000 executions of up to 10,000 steps,
+// depth 2, one worker per CPU; one worker when every scheduler of the plan
+// is sequential). Resolve returns the result without running anything, so
+// a banner or a dashboard shows what Explore will do by construction. The
+// same struct, through its JSON tags, is the plan a distributed
+// coordinator publishes to its agents.
 //
 // # The exploration loop
 //
@@ -100,11 +113,10 @@
 // rand.New(rand.NewSource(s))'s bit for bit — a differential test and a
 // fuzz target hold it to the standard library. Only the seeding differs:
 // the generator's 607-word state is produced as it is first read instead
-// of being filled up front, which takes math/rand's ~11µs Seed out of
-// every execution. Because the stream is the same, nothing recorded
-// under the stdlib source moved: a seed finds the same bug at the same
-// iteration, and traces of versions 0–2, which store decisions and no
-// generator state, replay as before.
+// of being filled up front, so reseeding — once per execution — is O(1).
+// Because the stream is the same, a seed means what it means under the
+// stdlib source, and traces of versions 0–2, which store decisions and no
+// generator state, replay under it.
 //
 // # Scheduler extension surface
 //
@@ -132,8 +144,8 @@
 // abstracts "which behavior happened" away from "exactly when". An
 // execution whose fingerprint was never seen before witnessed a
 // behaviorally new schedule, and its decision sequence (the same
-// versioned format traces carry) enters a bounded corpus — the first
-// WithCorpusSize novel behaviors, in canonical iteration order, win. The
+// versioned format traces carry) enters a bounded corpus — the first 64
+// novel behaviors, in canonical iteration order, win. The
 // mutational scheduler replays a random prefix of a random corpus entry
 // and re-randomizes everything after the cut (splicing is lenient: any
 // mismatch with the live execution abandons the prefix), so an
@@ -193,11 +205,15 @@
 // injectors halt). Every fault outcome is a typed Decision in the trace,
 // so buggy executions replay bit-exactly — replay validates kind,
 // subject and outcome and reports a divergence otherwise — and traces
-// are versioned (TraceVersion): traces from before the fault plane still
-// decode and replay, while unknown versions or decision kinds are strict
-// decode errors. The adaptive schedulers treat fault points as
-// change-point candidates, spending a change point that lands on one to
-// force a faulty outcome.
+// are versioned (TraceVersion): version-0 traces, which carry no fault
+// decisions, still decode and replay, while unknown versions or decision
+// kinds are strict decode errors (the decoder is fuzzed). The trace also
+// records the budget it ran under, so Replay needs no budget from the
+// caller; a replay that ends clean with recorded decisions left over — a
+// lowered step bound, another test's trace — is a divergence, not a clean
+// run. The adaptive schedulers treat fault points as change-point
+// candidates, spending a change point that lands on one to force a faulty
+// outcome.
 //
 // # Crash-consistency plane
 //
@@ -214,13 +230,13 @@
 // staged writes in Persist order — a bounded, prefix-based enumeration
 // of crash states rather than the exponential subset space. The choice
 // is a FaultPersist fault (FaultScheduler.NextFault), recorded as
-// DecisionPersist so torn crash states replay bit-exactly; recording it
-// bumped TraceVersion to 2. Outcome 0 (all staged writes lost) is always
+// DecisionPersist so torn crash states replay bit-exactly; a trace that
+// carries one is version 2. Outcome 0 (all staged writes lost) is always
 // free; outcomes keeping a torn suffix are budgeted by
 // Faults.MaxTornCrashes. Synced writes always survive, voluntary halts
 // keep durable state but discard staged writes, and a workload that
-// never calls Persist pays nothing and produces traces byte-identical to
-// the pre-plane engine.
+// never calls Persist pays nothing and records no persist decisions,
+// whatever the torn budget.
 //
 // The recovery-oracle pattern: a monitor tracks write intents and
 // commits (notified around Persist and after Sync) and checks every
@@ -259,8 +275,10 @@
 // never the size of the plan. The plan it publishes at join is the
 // engine's options struct, whose JSON tags mark each field as travelling
 // or machine-local, and a report the plan cannot have produced is
-// rejected before it changes anything. A lease not reported within its
-// TTL is re-issued, so agents may be killed at any moment; when a bug is
+// rejected before it changes anything. A report resolves the prefix the
+// agent actually finished and the rest of its lease is pending again; a
+// lease not reported within its TTL is re-issued, so agents may be killed
+// at any moment. When a bug is
 // reported the coordinator pushes a stop bound through lease grants and
 // status polls so the fleet abandons positions above it, but the bug only
 // wins once every position below it has been resolved — first-bug-wins
@@ -283,8 +301,10 @@
 //
 // Repeated execution is the engine's fast path: bug probability is a
 // function of schedules explored per unit time, so per-execution setup
-// is schedules not explored. Four mechanisms carry the throughput
-// story.
+// is schedules not explored. Four mechanisms carry the throughput; what
+// each is worth is measured by the repository benchmark (BENCHMARK.json,
+// bench/README.md), whose core.ns_per_step and core.step_floor_ns are the
+// scheduling step and the switch floor under it.
 //
 // A stack exists while a handler is live. A machine's body is cut at its
 // scheduling points, and the cuts are of two kinds. Inside a handler the
@@ -299,7 +319,7 @@
 // to the hub, which resumes the pick's coroutine or arms an idle one with
 // it — two runtime coroutine switches and no pass through the Go
 // scheduler (BenchmarkHandoffPrimitives in internal/core compares it with
-// the channel wake + park it replaced). A stack whose handler just
+// a channel wake + park). A stack whose handler just
 // returned, or whose machine just died, is free: it runs the next
 // iteration itself and, when the pick is also between handlers, runs its
 // handler inline at no switch at all; only a pick suspended mid-handler
@@ -328,24 +348,15 @@
 // count). The `enabledcheck` build tag compiles in a per-step cross-check
 // against a from-scratch rebuild that panics on any divergence.
 //
-// Together these put a scheduling step at ~226ns on the 2-vCPU build
-// box (core.ns_per_step in the repository benchmark, see BENCHMARK.json
-// and bench/README.md; ~200ns of it is the switch floor,
-// core.step_floor_ns). The trajectory: 834ns with an engine-mediated
-// yield/resume, ~289ns with machine-to-machine channel handoff, ~266ns
-// with the incremental enabled set (all three on a 1-CPU box), ~320ns →
-// ~226ns on the build box when the coroutine hub replaced the channel
-// wake + park.
-//
 // O(1) reseed. Every scheduler's Prepare reseeds its generator, and
 // math/rand's Seed fills 607 state words through 1,841 sequential steps
-// of a Lehmer chain, ~11µs where a short execution takes a few. The
-// schedulers' generator (NewRand) keeps the stream and makes the seeding
-// lazy: the chain jumps ahead, so any word is three independent modular
+// of a Lehmer chain — longer than a short execution. The schedulers'
+// generator (NewRand) keeps the stream and makes the seeding lazy: the
+// chain jumps ahead, so any word is three independent modular
 // multiplications, and the generator first touches its words in a fixed
 // order, so Seed stores the seed and the first 334 draws each produce the
 // one or two words they are about to read (BenchmarkSchedulerPrepare in
-// internal/core: Prepare + 32 decisions, ~11µs → ~0.5µs).
+// internal/core times Prepare + 32 decisions per scheduler).
 //
 // Pooling. Each exploration worker recycles its execution state through
 // a runtime pool instead of rebuilding it per iteration — runtimes reset
@@ -366,6 +377,6 @@
 // # API stability
 //
 // The exported surface of this package is locked by a golden file
-// (api.txt) checked in CI; see README.md for the package tour and
-// ROADMAP.md for open items.
+// (api.txt) checked in CI. README.md has the package tour and the CLIs,
+// CHANGES.md the measured history, ROADMAP.md the open items.
 package gostorm

@@ -1,8 +1,6 @@
 package gostorm
 
 import (
-	"time"
-
 	"github.com/gostorm/gostorm/internal/core"
 )
 
@@ -55,90 +53,31 @@ func Replay(t Test, tr *Trace, opts ...Option) (*BugReport, error) {
 	return core.Replay(t, tr, c.opts)
 }
 
-// Config is the fully resolved configuration of a prospective run: every
-// default applied, the fault budget resolved against the test's
-// declaration. Resolve returns it so tools — CLI banners, dashboards —
-// report exactly what Explore will do without duplicating the engine's
-// defaulting rules.
-type Config struct {
-	// Scheduler is the single exploration strategy ("" for a portfolio
-	// run).
-	Scheduler string
-	// Portfolio lists the racing members (nil for a single-scheduler
-	// run).
-	Portfolio []string
-	// Sequential reports that the resolved scheduler enumerates its
-	// schedule space statefully (dfs) and therefore runs on one worker.
-	Sequential bool
-	// PCTDepth is the exploration depth of the depth-budgeted
-	// schedulers.
-	PCTDepth int
-	// Seed is the base random seed.
-	Seed int64
-	// Iterations is the execution budget (per member for a portfolio).
-	Iterations int
-	// MaxSteps bounds each execution.
-	MaxSteps int
-	// Workers is the size of the exploration worker pool (1 for
-	// sequential schedulers; shared by all members of a portfolio).
-	Workers int
-	// Temperature is the liveness temperature threshold (0 = bound
-	// check only).
-	Temperature int
-	// StopAfter is the wall-clock bound (0 = none).
-	StopAfter time.Duration
-	// LogCap bounds the replay log.
-	LogCap int
-	// CorpusSize bounds the exploration corpus of feedback schedulers.
-	CorpusSize int
-	// Faults is the effective fault budget of the run: the test's
-	// declared budget, a WithFaults override, or the zero budget under
-	// WithNoFaults.
-	Faults Faults
-}
+// Config is the resolved configuration of a prospective run, as Resolve
+// returns it: the engine's own option set with every default applied — the
+// one list of what a run can be told, not a copy of it.
+type Config = core.Options
 
 // Resolve reports the configuration a run of t under the given options
-// would use, without executing anything: defaults applied, worker count
-// clamped for sequential schedulers, and the fault budget resolved
-// exactly as the engine resolves it (WithNoFaults over WithFaults over
-// the test's declared budget). Invalid options are reported as the same
-// *ConfigError Explore would return.
+// would use, without executing anything, so tools — CLI banners,
+// dashboards — report exactly what Explore will do: the engine's own
+// validation and defaults (Workers is 1 when every scheduler of the plan is
+// sequential), Scheduler "" for a portfolio run, and Faults the effective
+// budget (WithNoFaults over WithFaults over the test's declared one).
+// Invalid options are reported as the same *ConfigError Explore would
+// return.
 func Resolve(t Test, opts ...Option) (Config, error) {
 	c, err := resolve(opts)
 	if err != nil {
 		return Config{}, err
 	}
-	if err := c.opts.Validate(); err != nil {
-		return Config{}, err
-	}
-	if err := core.ValidateTest(t); err != nil {
-		return Config{}, err
-	}
-	o := c.opts.WithDefaults()
-	cfg := Config{
-		PCTDepth:    o.PCTDepth,
-		Seed:        o.Seed,
-		Iterations:  o.Iterations,
-		MaxSteps:    o.MaxSteps,
-		Workers:     o.Workers,
-		Temperature: o.Temperature,
-		StopAfter:   o.StopAfter,
-		LogCap:      o.LogCap,
-		CorpusSize:  o.CorpusSize,
-		Faults:      o.EffectiveFaults(t),
-	}
-	if len(o.Portfolio) > 0 {
-		cfg.Portfolio = append([]string(nil), o.Portfolio...)
-		return cfg, nil
-	}
-	f, err := core.NewSchedulerFactory(o.Scheduler, o.PCTDepth)
+	o, err := c.opts.Resolve(t)
 	if err != nil {
 		return Config{}, err
 	}
-	cfg.Scheduler = o.Scheduler
-	cfg.Sequential = f.Sequential()
-	if f.Sequential() {
-		cfg.Workers = 1
+	o.Faults = o.EffectiveFaults(t)
+	if len(o.Portfolio) > 0 {
+		o.Scheduler = ""
 	}
-	return cfg, nil
+	return o, nil
 }

@@ -119,7 +119,7 @@ type (
 	// scheduler must treat as read-only.
 	FeedbackScheduler = core.FeedbackScheduler
 	// Corpus is the bounded, deterministically evolved set of interesting
-	// trace prefixes a feedback scheduler mutates (see WithCorpusSize).
+	// trace prefixes a feedback scheduler mutates.
 	Corpus = core.Corpus
 )
 

@@ -143,13 +143,26 @@ type Options struct {
 	debugCheckEnabled bool
 }
 
-// Validate checks the options without running anything, returning the
-// same *ConfigError Explore would: negative bounds (which used to be
-// silently reinterpreted as defaults, masking caller bugs), unknown
-// portfolio members, invalid fault budgets. The scheduler name is
-// validated when the run builds its factory (Explore's first act), so
-// configuration viewers should check both.
-func (o Options) Validate() error {
+// Engine defaults, applied by Resolve and stated nowhere else.
+const (
+	defaultScheduler  = "random"
+	defaultIterations = 10000
+	defaultMaxSteps   = 10000
+	defaultPCTDepth   = 2 // the paper's configuration
+)
+
+// Resolve is the one place a run's configuration is checked and completed:
+// it validates o (negative bounds, the scheduler and every portfolio member
+// against the registry, the fault budgets of o and of t), applies the engine
+// defaults (scheduler "random", 10,000 iterations of 10,000 steps, depth 2,
+// one worker per CPU, the default log cap and corpus size) and clamps
+// Workers to 1 when every member is sequential. Explore, ExploreShard and
+// Replay start with it; the public package's Resolve and PlanSize and the
+// distributed coordinator call it too, so what a viewer reports is what a
+// run uses. A caller with no test at hand passes the zero Test. Errors are
+// *ConfigError values naming the field at fault; the result of a successful
+// call resolves to itself.
+func (o Options) Resolve(t Test) (Options, error) {
 	for _, c := range []struct {
 		name string
 		v    int
@@ -163,29 +176,66 @@ func (o Options) Validate() error {
 		{"CorpusSize", o.CorpusSize},
 	} {
 		if c.v < 0 {
-			return &ConfigError{
+			return o, &ConfigError{
 				Field:  "Options." + c.name,
 				Reason: fmt.Sprintf("must be non-negative, got %d", c.v),
 			}
 		}
 	}
-	for m, name := range o.Portfolio {
-		if _, err := lookupScheduler(name); err != nil {
-			return &ConfigError{
-				Field:  fmt.Sprintf("Options.Portfolio[%d]", m),
-				Reason: err.Reason,
-			}
-		}
+	if err := o.Faults.validate("Options.Faults"); err != nil {
+		return o, err
 	}
-	return o.Faults.validate("Options.Faults")
+	if err := t.Faults.validate("Test.Faults"); err != nil {
+		return o, err
+	}
+
+	if o.Scheduler == "" {
+		o.Scheduler = defaultScheduler
+	}
+	if o.Iterations == 0 {
+		o.Iterations = defaultIterations
+	}
+	if o.MaxSteps == 0 {
+		o.MaxSteps = defaultMaxSteps
+	}
+	if o.PCTDepth == 0 {
+		o.PCTDepth = defaultPCTDepth
+	}
+	if o.Workers == 0 {
+		o.Workers = runtime.NumCPU()
+	}
+	if o.LogCap == 0 {
+		o.LogCap = defaultLogCap
+	}
+	if o.CorpusSize == 0 {
+		o.CorpusSize = defaultCorpusSize
+	}
+
+	sequential := true
+	for m, name := range o.Members() {
+		spec, err := lookupScheduler(name)
+		if err != nil {
+			if len(o.Portfolio) > 0 {
+				err.Field = fmt.Sprintf("Options.Portfolio[%d]", m)
+			}
+			return o, err
+		}
+		sequential = sequential && spec.Sequential
+	}
+	if sequential {
+		o.Workers = 1
+	}
+	return o, nil
 }
 
-// ValidateTest checks a test declaration without running it, returning
-// the same *ConfigError Explore would: a negative declared fault budget
-// would otherwise silently disable the fault plane — a harness typo must
-// fail loudly, exactly like a bad Options field.
-func ValidateTest(t Test) error {
-	return t.Faults.validate("Test.Faults")
+// Members returns the schedulers a run of o races: the portfolio, or the
+// single scheduler as a portfolio of one. Member m owns the global
+// positions g with g % len(Members()) == m.
+func (o Options) Members() []string {
+	if len(o.Portfolio) > 0 {
+		return o.Portfolio
+	}
+	return []string{o.Scheduler}
 }
 
 // EffectiveFaults reports the fault budget a run of t under these options
@@ -201,48 +251,6 @@ func (o Options) EffectiveFaults(t Test) Faults {
 		return o.Faults
 	}
 	return t.Faults
-}
-
-// WithDefaults returns the options with every unset field resolved to the
-// engine default (scheduler "random", 10,000 iterations of 10,000 steps,
-// PCT depth 2, one worker per CPU, the default log cap). Explore applies
-// it internally; it is exported so configuration viewers — the public
-// package's Resolve, CLI banners — report exactly what a run will use.
-func (o Options) WithDefaults() Options {
-	if o.Scheduler == "" {
-		o.Scheduler = "random"
-	}
-	if o.Iterations <= 0 {
-		o.Iterations = 10000
-	}
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = 10000
-	}
-	if o.PCTDepth <= 0 {
-		o.PCTDepth = 2
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.NumCPU()
-	}
-	if o.LogCap <= 0 {
-		o.LogCap = defaultLogCap
-	}
-	if o.CorpusSize <= 0 {
-		o.CorpusSize = defaultCorpusSize
-	}
-	return o
-}
-
-// resolved validates the options and the test and applies the defaults —
-// the common first act of Explore, ExploreShard and Replay.
-func (o Options) resolved(t Test) (Options, error) {
-	if err := o.Validate(); err != nil {
-		return o, err
-	}
-	if err := ValidateTest(t); err != nil {
-		return o, err
-	}
-	return o.WithDefaults(), nil
 }
 
 // execSeed derives execution i's seed from a base seed (the run's, or a
@@ -347,7 +355,7 @@ func (res Result) String() string {
 // attribution — is bit-identical at any worker count (absent a StopAfter
 // deadline).
 func Explore(t Test, o Options) (Result, error) {
-	o, err := o.resolved(t)
+	o, err := o.Resolve(t)
 	if err != nil {
 		return Result{}, err
 	}
@@ -418,22 +426,24 @@ func attachReplayLog(t Test, o Options, rep *BugReport) {
 }
 
 // Replay re-executes a recorded trace and returns the violation it
-// reproduces (nil if the execution completes cleanly — which for a trace
-// recorded from a bug indicates nondeterminism in the system-under-test).
-// The Options must match the recording run's bounds. The fault budget is
-// taken from the trace itself — it shaped which fault choice points the
-// recording run presented, so the trace is authoritative; Options.Faults
-// and the test's declared budget are ignored here.
+// reproduces (nil if the execution consumes the whole trace and completes
+// cleanly — which for a trace recorded from a bug indicates nondeterminism
+// in the system-under-test). The Options must match the recording run's
+// bounds. The fault budget is taken from the trace itself — it shaped which
+// fault choice points the recording run presented, so the trace is
+// authoritative; Options.Faults and the test's declared budget are ignored
+// here.
 //
 // The returned error is a *ConfigError for configuration mistakes and a
-// divergence error when the system under test did not follow the trace.
+// divergence error when the system under test did not follow the trace —
+// including an execution that ends clean with recorded decisions left over.
 func Replay(t Test, tr *Trace, o Options) (*BugReport, error) {
 	if tr == nil {
 		// A caller that ignored DecodeTrace's error lands here; a typed
 		// error beats the nil dereference it would otherwise hit.
 		return nil, &ConfigError{Field: "Trace", Reason: "must be non-nil (did DecodeTrace fail?)"}
 	}
-	o, err := o.resolved(t)
+	o, err := o.Resolve(t)
 	if err != nil {
 		return nil, err
 	}
@@ -446,10 +456,14 @@ func Replay(t Test, tr *Trace, o Options) (*BugReport, error) {
 	if r.divergence != nil {
 		return nil, r.divergence
 	}
-	if rep != nil {
-		rep.Log = r.log
-		rep.Trace = tr
+	if rep == nil {
+		if n := len(tr.Decisions); sched.pos < n {
+			return nil, replayDivergence{msg: fmt.Sprintf("the execution ended without a violation after %d of the %d recorded decisions (is MaxSteps, %d here, below the recording run's, or is the trace from another test?)", sched.pos, n, o.MaxSteps)}
+		}
+		return nil, nil
 	}
+	rep.Log = r.log
+	rep.Trace = tr
 	return rep, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,15 @@ func assertConfigError(t *testing.T, err error, field, want string) {
 	}
 }
 
+// resolved is Options.Resolve for tests whose options are statically valid.
+func resolved(o Options) Options {
+	o, err := o.Resolve(Test{})
+	if err != nil {
+		panic(err)
+	}
+	return o
+}
+
 // TestOptionsValidation: negative bounds and budgets are rejected up
 // front with typed, field-attributed ConfigErrors instead of being
 // silently reinterpreted as defaults (which used to mask caller bugs) or
@@ -46,6 +56,7 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative drop budget", Options{Faults: Faults{MaxDrops: -4}}, "Options.Faults.MaxDrops", "must be non-negative, got -4"},
 		{"negative duplicate budget", Options{Faults: Faults{MaxDuplicates: -9}}, "Options.Faults.MaxDuplicates", "must be non-negative, got -9"},
 		{"unknown portfolio member", Options{Portfolio: []string{"random", "quantum"}}, "Options.Portfolio[1]", `unknown scheduler "quantum"`},
+		{"unknown scheduler", Options{Scheduler: "quantum"}, "Options.Scheduler", `unknown scheduler "quantum"`},
 	}
 	for _, c := range cases {
 		c := c
@@ -56,10 +67,20 @@ func TestOptionsValidation(t *testing.T) {
 			})
 			t.Run("Explore/portfolio", func(t *testing.T) {
 				o := c.o
+				if o.Scheduler != "" {
+					t.Skip("a portfolio run ignores Options.Scheduler")
+				}
 				if len(o.Portfolio) == 0 {
 					o.Portfolio = []string{"random"}
 				}
 				_, err := Explore(fixtureTest(), o)
+				assertConfigError(t, err, c.field, c.want)
+			})
+			t.Run("Resolve", func(t *testing.T) {
+				// The one validate-and-default step rejects it itself — the
+				// scheduler name included — so a configuration viewer and a
+				// run cannot disagree.
+				_, err := c.o.Resolve(Test{})
 				assertConfigError(t, err, c.field, c.want)
 			})
 			t.Run("Replay", func(t *testing.T) {
@@ -128,17 +149,34 @@ func TestMustExplorePanicsOnConfigError(t *testing.T) {
 	MustExplore(fixtureTest(), Options{Iterations: -1})
 }
 
-// TestOptionsValidationAcceptsZeroAndPositive: the zero value and
-// ordinary positive configurations still pass.
-func TestOptionsValidationAcceptsZeroAndPositive(t *testing.T) {
+// TestResolveAcceptsZeroAndPositive: the zero value and ordinary positive
+// configurations pass, come back complete, and resolve to themselves.
+func TestResolveAcceptsZeroAndPositive(t *testing.T) {
 	for _, o := range []Options{
 		{},
 		{Iterations: 5, MaxSteps: 100, Workers: 2, PCTDepth: 3, Temperature: 50, LogCap: 500,
 			Faults: Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3}},
 		{Portfolio: []string{"random", "pct", "random"}},
+		{Scheduler: "dfs", Workers: 8},
+		{Portfolio: []string{"dfs", "random"}, Workers: 8},
 	} {
-		if err := o.Validate(); err != nil {
+		r, err := o.Resolve(Test{})
+		if err != nil {
 			t.Fatalf("valid options rejected: %v", err)
+		}
+		if r.Scheduler == "" || r.Iterations <= 0 || r.MaxSteps <= 0 || r.PCTDepth <= 0 ||
+			r.Workers <= 0 || r.LogCap <= 0 || r.CorpusSize <= 0 {
+			t.Fatalf("Resolve(%+v) left a default unapplied: %+v", o, r)
+		}
+		want := o.Workers
+		if o.Scheduler == "dfs" {
+			want = 1
+		}
+		if o.Workers > 0 && r.Workers != want {
+			t.Fatalf("Resolve(%+v).Workers = %d, want %d: only an all-sequential plan is clamped to 1", o, r.Workers, want)
+		}
+		if again, err := r.Resolve(Test{}); err != nil || !reflect.DeepEqual(again, r) {
+			t.Fatalf("resolved options do not resolve to themselves: %+v -> %+v, %v", r, again, err)
 		}
 	}
 }

@@ -415,7 +415,7 @@ func TestReaperAllocatesNothingInSteadyState(t *testing.T) {
 			ctx.Crash(peer)
 		},
 	}
-	o := Options{Iterations: 1, MaxSteps: 1000}.WithDefaults()
+	o := resolved(Options{Iterations: 1, MaxSteps: 1000})
 	cfg := o.runtimeConfig(test, false)
 	sched := NewRandomScheduler()
 	pool := newExecPool(o)
@@ -491,7 +491,7 @@ func TestTimerDivergenceOnHubAndOnHost(t *testing.T) {
 			c = lc
 		}
 	}
-	o := Options{MaxSteps: c.maxSteps}.WithDefaults()
+	o := resolved(Options{MaxSteps: c.maxSteps})
 	sched := c.script
 	sched.Prepare(0, o.MaxSteps)
 	r := newRuntime(&sched, o.runtimeConfig(c.test, false))
@@ -554,7 +554,7 @@ func TestDivergenceBetweenHandlersRecordsNoLivenessBug(t *testing.T) {
 	}
 	test := c.test
 	test.Monitors = []func() Monitor{func() Monitor { return hotFromInit{} }}
-	o := Options{MaxSteps: c.maxSteps}.WithDefaults()
+	o := resolved(Options{MaxSteps: c.maxSteps})
 	sched := c.script
 	sched.Prepare(0, o.MaxSteps)
 	r := newRuntime(&sched, o.runtimeConfig(test, false))

@@ -59,7 +59,7 @@ func TestParkingStressCrashRestartRelease(t *testing.T) {
 	if testing.Short() {
 		iters = 40
 	}
-	o := Options{Iterations: 1, MaxSteps: 500}.WithDefaults()
+	o := resolved(Options{Iterations: 1, MaxSteps: 500})
 	digests := make([][]uint64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -155,7 +155,7 @@ func TestNoCoroutineLeaks(t *testing.T) {
 		for _, noReuse := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/NoReuse=%v", c.name, noReuse), func(t *testing.T) {
 				base := runtime.NumGoroutine()
-				o := Options{Iterations: 1, MaxSteps: c.maxSteps, NoReuse: noReuse}.WithDefaults()
+				o := resolved(Options{Iterations: 1, MaxSteps: c.maxSteps, NoReuse: noReuse})
 				cfg := o.runtimeConfig(c.test, false)
 				sched := NewRandomScheduler()
 				pool := newExecPool(o)
@@ -215,7 +215,7 @@ func TestMachinesBetweenHandlersOwnNoCoroutine(t *testing.T) {
 	test := fanOutTest(sinks)
 	for _, noReuse := range []bool{false, true} {
 		base := runtime.NumGoroutine()
-		o := Options{Iterations: 1, MaxSteps: 2000, NoReuse: noReuse}.WithDefaults()
+		o := resolved(Options{Iterations: 1, MaxSteps: 2000, NoReuse: noReuse})
 		cfg := o.runtimeConfig(test, false)
 		cfg.checkEnabled = true
 		sched := NewRandomScheduler()
@@ -247,7 +247,7 @@ func TestMachinesBetweenHandlersOwnNoCoroutine(t *testing.T) {
 // the execution's log.
 func unwindCount(t *testing.T, c lifecycleCase) (reaped, shutdown int, log []string) {
 	t.Helper()
-	o := Options{MaxSteps: c.maxSteps}.WithDefaults()
+	o := resolved(Options{MaxSteps: c.maxSteps})
 	cfg := o.runtimeConfig(c.test, true)
 	cfg.checkEnabled = true
 	pool := newExecPool(o)
@@ -381,7 +381,7 @@ func TestTimersOwnNoCoroutine(t *testing.T) {
 					probed++
 					peak = max(peak, g)
 				})
-				o := Options{Iterations: 1, MaxSteps: 600, NoReuse: noReuse}.WithDefaults()
+				o := resolved(Options{Iterations: 1, MaxSteps: 600, NoReuse: noReuse})
 				cfg := o.runtimeConfig(test, false)
 				sched := NewRandomScheduler()
 				pool := newExecPool(o)
@@ -662,7 +662,7 @@ func BenchmarkTimerStep(b *testing.B) {
 		},
 	}
 	const execSteps = 8000
-	o := Options{Iterations: 1, MaxSteps: execSteps, NoLivenessBoundCheck: true}.WithDefaults()
+	o := resolved(Options{Iterations: 1, MaxSteps: execSteps, NoLivenessBoundCheck: true})
 	cfg := o.runtimeConfig(test, false)
 	sched := &idleTimerScheduler{}
 	pool := newExecPool(o)

@@ -113,15 +113,11 @@ type explored struct {
 }
 
 // exploreRange drains the positions [sh.From, sh.To) of the plan of o and
-// reports the raw outcome. o is validated and defaulted and the range lies
-// within the plan; timed asks for per-member execution time.
+// reports the raw outcome. o is resolved (Options.Resolve) and the range
+// lies within the plan; timed asks for per-member execution time.
 func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
-	ex := &explored{start: time.Now(), members: o.Portfolio}
-	if len(o.Portfolio) == 0 {
-		ex.members = []string{o.Scheduler}
-	}
+	ex := &explored{start: time.Now(), members: o.Members(), total: PlanSize(o)}
 	nm := int64(len(ex.members))
-	ex.total = nm * int64(o.Iterations)
 
 	factories := make([]SchedulerFactory, nm)
 	seeds := make([]int64, nm)

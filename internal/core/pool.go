@@ -134,11 +134,12 @@ func (r *Runtime) stopWorkers() {
 	r.freeWorkers = nil
 }
 
-// reset rewinds the runtime for its next execution, recycling every piece
-// of per-execution storage. It must only run after execute returned: at
-// that point shutdown has reaped every machine and every worker is idle on
-// the free list, so no stack of the previous execution can observe the
-// rewind.
+// reset readies the runtime for an execution under sched/cfg: a zero
+// Runtime's first (newRuntime), or a pooled one's next, recycling every
+// piece of per-execution storage. On a used runtime it must only run after
+// execute returned: at that point shutdown has reaped every machine and
+// every worker is idle on the free list, so no stack of the previous
+// execution can observe the rewind.
 func (r *Runtime) reset(sched Scheduler, cfg runtimeConfig) {
 	r.next = sched
 	r.sched = asFaultScheduler(sched)
@@ -165,24 +166,16 @@ func (r *Runtime) reset(sched Scheduler, cfg runtimeConfig) {
 	r.monitors = r.monitors[:0]
 	r.enabled = r.enabled[:0]
 
+	r.runtimeConfig = cfg
 	r.current = NoMachine
 	r.killed = false
 	r.steps = 0
-	r.maxSteps = cfg.maxSteps
 	r.dec.reset()
 	r.cov = covBasis
 	r.bug = nil
-	r.faults = cfg.faults
 	r.crashes, r.drops, r.dups, r.tornCrashes = 0, 0, 0, 0
 	r.pendingCrash = r.pendingCrash[:0]
 	r.divergence = nil
-	r.temperature = cfg.temperature
-	r.livenessAtBound = cfg.livenessAtBound
-	r.deadlockDetection = cfg.deadlockDetection
-	r.collectLog = cfg.collectLog
 	r.log = r.log[:0]
-	r.logCap = effectiveLogCap(cfg.logCap)
-	r.abort = cfg.abort
 	r.aborted = false
-	r.checkEnabled = cfg.checkEnabled
 }

@@ -195,7 +195,7 @@ func TestPooledTraceReplays(t *testing.T) {
 // many as handlers were ever suspended at once on this runtime (seed 2 of
 // the three-machine ping-pong suspends two, seed 1 all three).
 func TestPoolReusesRuntimeAndWorkers(t *testing.T) {
-	o := Options{Iterations: 1, MaxSteps: 1000}.WithDefaults()
+	o := resolved(Options{Iterations: 1, MaxSteps: 1000})
 	pool := newExecPool(o)
 	defer pool.release()
 	sched := NewRandomScheduler()
@@ -251,7 +251,7 @@ func TestPoolReleaseStopsWorkers(t *testing.T) {
 // resetting the runtime that recorded a trace must not clobber the
 // trace's decision sequence.
 func TestTraceOwnsItsDecisions(t *testing.T) {
-	o := Options{Iterations: 1, MaxSteps: 1000}.WithDefaults()
+	o := resolved(Options{Iterations: 1, MaxSteps: 1000})
 	pool := newExecPool(o)
 	defer pool.release()
 	sched := NewRandomScheduler()

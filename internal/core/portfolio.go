@@ -48,7 +48,7 @@ func ParsePortfolioSpec(spec string) ([]string, error) {
 			return nil, fmt.Errorf("core: portfolio spec %q has an empty member (known schedulers: %s)",
 				spec, strings.Join(SchedulerNames(), ", "))
 		}
-		if _, err := NewSchedulerFactory(name, 2); err != nil {
+		if _, err := lookupScheduler(name); err != nil {
 			return nil, fmt.Errorf("core: portfolio member %q: %v", name, err)
 		}
 		members = append(members, name)

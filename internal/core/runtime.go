@@ -8,15 +8,6 @@ import (
 // defaultLogCap bounds the replay log when Options.LogCap is left zero.
 const defaultLogCap = 100000
 
-// effectiveLogCap resolves a runtimeConfig logCap to the cap actually
-// enforced (<= 0 — direct newRuntime callers in tests — means the default).
-func effectiveLogCap(cap int) int {
-	if cap <= 0 {
-		return defaultLogCap
-	}
-	return cap
-}
-
 // Runtime executes one test run from start to completion under the control
 // of a Scheduler. It owns the machines, the monitors, the decision trace,
 // and the bug report (if any). The engine either builds a fresh Runtime per
@@ -78,18 +69,12 @@ type Runtime struct {
 	// pending is the verdict of the iteration a worker ran before yielding
 	// to the hub (advHandoff: resume machines[current], an ordinary machine
 	// mid-handler or between handlers; advDone: stop).
-	pending  advAction
-	steps    int
-	maxSteps int
-	// temperature, when positive, flags a liveness violation as soon as a
-	// monitor has been hot for that many consecutive scheduling steps.
-	temperature int
-	collectLog  bool
-	killed      bool
-	// checkEnabled turns the per-step enabled-set cross-check on for this
-	// runtime (the enabledcheck build tag turns it on binary-wide); see
-	// verifyEnabledSet. enabledScratch is its rebuild buffer (cold).
-	checkEnabled bool
+	pending advAction
+	steps   int
+	// The execution's knobs, installed as one value by reset; the ones
+	// advance reads lead the struct.
+	runtimeConfig
+	killed bool
 	// cov is the execution's coverage fingerprint, mixed incrementally at
 	// every abstract event right next to the decision arena: event
 	// dequeues (machine identity and event name), monitor notifications,
@@ -100,25 +85,21 @@ type Runtime struct {
 	// new executions, which is what feedback exploration feeds on.
 	cov uint64
 	bug *BugReport
-	// abort, when non-nil, is polled at every scheduling step; a true
-	// return cancels the execution (parallel exploration uses it to stop
-	// executions superseded by a bug at a lower iteration index). aborted
-	// records that the execution was cut short and its results are partial.
-	abort   func() bool
+	// aborted records that abort cut the execution short and its results
+	// are partial.
 	aborted bool
 
 	monitors []*monitorEntry
 
-	// faults is the execution's fault budget; crashes/drops/dups count
-	// the injections charged against it so far. pendingCrash holds
-	// machines doomed by Crash/CrashPoint/StopTimer, reaped at the next
-	// scheduling-loop iteration on whichever stack runs it (usually the
-	// machine that issued the crash, via advance): the reaper resumes a
-	// victim that is mid-handler with a nested next() so it unwinds via
-	// killSignal and yields straight back. A machine is never in its own
-	// pendingCrash list — Crash(self) takes the Halt path before the list
-	// is touched — so the reaper never resumes the stack it is running on.
-	faults       Faults
+	// crashes/drops/dups count the injections charged against the fault
+	// budget (faults) so far. pendingCrash holds machines doomed by
+	// Crash/CrashPoint/StopTimer, reaped at the next scheduling-loop
+	// iteration on whichever stack runs it (usually the machine that issued
+	// the crash, via advance): the reaper resumes a victim that is
+	// mid-handler with a nested next() so it unwinds via killSignal and
+	// yields straight back. A machine is never in its own pendingCrash list
+	// — Crash(self) takes the Halt path before the list is touched — so the
+	// reaper never resumes the stack it is running on.
 	crashes      int
 	drops        int
 	dups         int
@@ -128,15 +109,10 @@ type Runtime struct {
 	// departed from the recorded trace; it aborts the execution.
 	divergence error
 
-	// livenessAtBound treats an execution that reaches maxSteps as an
-	// infinite execution and checks hot monitors (§2.5 heuristic).
-	livenessAtBound bool
-	// deadlockDetection reports machines stuck in Receive at quiescence.
-	deadlockDetection bool
+	log []string
 
-	log    []string
-	logCap int
-
+	// enabledScratch is the rebuild buffer of the enabled-set cross-check
+	// (checkEnabled; see verifyEnabledSet).
 	enabledScratch []MachineID
 
 	// reuse marks a pooled runtime: machineWorker coroutines idle on the
@@ -151,36 +127,38 @@ type Runtime struct {
 	entry entryMachine
 }
 
-// runtimeConfig carries the per-execution knobs from Options to newRuntime.
+// runtimeConfig is the per-execution knobs of a Runtime, derived from the
+// resolved Options (Options.runtimeConfig). The Runtime embeds it, so reset
+// installs a configuration with one assignment.
 type runtimeConfig struct {
-	maxSteps          int
-	temperature       int
-	livenessAtBound   bool
+	maxSteps int
+	// temperature, when positive, flags a liveness violation as soon as a
+	// monitor has been hot for that many consecutive scheduling steps.
+	temperature int
+	// abort, when non-nil, is polled at every scheduling step; a true
+	// return cancels the execution (parallel exploration uses it to stop
+	// executions superseded by a bug at a lower position).
+	abort      func() bool
+	collectLog bool
+	// checkEnabled turns the per-step enabled-set cross-check on for this
+	// runtime (the enabledcheck build tag turns it on binary-wide).
+	checkEnabled bool
+	// livenessAtBound treats an execution that reaches maxSteps as an
+	// infinite execution and checks hot monitors (§2.5 heuristic).
+	livenessAtBound bool
+	// deadlockDetection reports machines stuck in Receive at quiescence.
 	deadlockDetection bool
-	collectLog        bool
-	logCap            int
-	faults            Faults
-	abort             func() bool
-	checkEnabled      bool
+	// logCap bounds the lines collectLog may collect.
+	logCap int
+	// faults is the execution's fault budget.
+	faults Faults
 }
 
+// newRuntime returns a fresh Runtime ready to execute under sched/cfg.
 func newRuntime(sched Scheduler, cfg runtimeConfig) *Runtime {
-	r := &Runtime{
-		next:              sched,
-		sched:             asFaultScheduler(sched),
-		current:           NoMachine,
-		cov:               covBasis,
-		maxSteps:          cfg.maxSteps,
-		temperature:       cfg.temperature,
-		livenessAtBound:   cfg.livenessAtBound,
-		deadlockDetection: cfg.deadlockDetection,
-		collectLog:        cfg.collectLog,
-		faults:            cfg.faults,
-		abort:             cfg.abort,
-		checkEnabled:      cfg.checkEnabled,
-		logCap:            effectiveLogCap(cfg.logCap),
-	}
+	r := &Runtime{}
 	r.dec.presize(cfg.maxSteps)
+	r.reset(sched, cfg)
 	return r
 }
 

@@ -43,9 +43,6 @@ func (s *delayScheduler) Name() string { return "delay" }
 
 func (s *delayScheduler) Prepare(seed int64, maxSteps int) bool {
 	s.rng = reseed(s.rng, seed)
-	if maxSteps <= 0 {
-		maxSteps = 10000
-	}
 	s.prevSteps = s.step
 	bound := s.lengthHint
 	if bound <= 0 {

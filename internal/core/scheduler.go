@@ -257,7 +257,7 @@ func lookupScheduler(name string) (SchedulerSpec, *ConfigError) {
 // reported as a *ConfigError.
 func NewSchedulerFactory(name string, depth int) (SchedulerFactory, error) {
 	if depth <= 0 {
-		depth = 2
+		depth = defaultPCTDepth
 	}
 	spec, cerr := lookupScheduler(name)
 	if cerr != nil {
@@ -393,9 +393,6 @@ func (s *pctScheduler) Prepare(seed int64, maxSteps int) bool {
 	s.prevSteps = s.step
 	s.step = 0
 	s.changePoints = s.changePoints[:0]
-	if maxSteps <= 0 {
-		maxSteps = 10000
-	}
 	// Estimate the program length: prefer the engine-shared hint, then the
 	// previous execution on this instance; the first execution (or a
 	// degenerately short estimate) falls back to the step bound.

@@ -100,11 +100,10 @@ type ShardResult struct {
 }
 
 // PlanSize returns the number of global positions in the schedule plan of
-// a run under these options — len(Portfolio) (or 1) times Iterations,
-// after defaulting. Shards partition [0, PlanSize).
+// a run under resolved options (Options.Resolve): members times Iterations.
+// Shards partition [0, PlanSize).
 func PlanSize(o Options) int64 {
-	o = o.WithDefaults()
-	return int64(max(len(o.Portfolio), 1)) * int64(o.Iterations)
+	return int64(len(o.Members())) * int64(o.Iterations)
 }
 
 // ExploreShard explores the global positions [sh.From, sh.To) of the
@@ -129,11 +128,11 @@ func PlanSize(o Options) int64 {
 // executions and cannot be partitioned; a proper sub-range of a plan with
 // a sequential member is rejected with a ConfigError.
 func ExploreShard(t Test, o Options, sh Shard) (ShardResult, error) {
-	o, err := o.resolved(t)
+	o, err := o.Resolve(t)
 	if err != nil {
 		return ShardResult{}, err
 	}
-	nm := max(len(o.Portfolio), 1)
+	nm := len(o.Members())
 	if total := PlanSize(o); sh.From < 0 || sh.To > total || sh.From >= sh.To {
 		return ShardResult{}, &ConfigError{
 			Field:  "Shard",

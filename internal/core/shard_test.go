@@ -377,7 +377,7 @@ func TestPlanSize(t *testing.T) {
 	if got := PlanSize(Options{Portfolio: []string{"random", "pct", "rr"}, Iterations: 100}); got != 300 {
 		t.Fatalf("portfolio plan = %d, want 300", got)
 	}
-	if got := PlanSize(Options{}); got != 10000 {
+	if got := PlanSize(resolved(Options{})); got != 10000 {
 		t.Fatalf("defaulted plan = %d, want 10000", got)
 	}
 }

@@ -397,7 +397,7 @@ func firstLine(s string) string {
 // execution, the step count and the fingerprint are observables too.
 func replayWithLog(t *testing.T, test Test, tr *Trace, maxSteps int) *Runtime {
 	t.Helper()
-	o := Options{MaxSteps: maxSteps}.WithDefaults()
+	o := resolved(Options{MaxSteps: maxSteps})
 	sched := newReplayScheduler(tr)
 	sched.Prepare(0, o.MaxSteps)
 	cfg := o.runtimeConfig(test, true)
@@ -412,7 +412,7 @@ func replayWithLog(t *testing.T, test Test, tr *Trace, maxSteps int) *Runtime {
 // pins the execution through a decoded copy of its own trace.
 func runScripted(t *testing.T, c lifecycleCase, pool *execPool, warm int) pinnedExecution {
 	t.Helper()
-	o := Options{MaxSteps: c.maxSteps}.WithDefaults()
+	o := resolved(Options{MaxSteps: c.maxSteps})
 	cfg := o.runtimeConfig(c.test, false)
 	cfg.checkEnabled = true
 	rnd := NewRandomScheduler()
@@ -508,7 +508,7 @@ func runExplorations(t *testing.T, c lifecycleCase, workers int, noReuse bool) [
 		if err != nil {
 			t.Fatal(err)
 		}
-		o = o.WithDefaults()
+		o = resolved(o)
 		cfg := o.runtimeConfig(c.test, false)
 		sched := f.New()
 		pool := newExecPool(o)

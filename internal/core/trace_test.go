@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -176,6 +177,36 @@ func TestReplayDivergenceDetected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "divergence") {
 		t.Fatalf("error %q does not mention divergence", err)
+	}
+}
+
+// TestReplayThatStopsShortIsADivergence: a replay that ends clean with
+// recorded decisions left over did not replay the trace — the step bound was
+// lowered, or the trace is another test's — and must say so instead of
+// reporting "no violation".
+func TestReplayThatStopsShortIsADivergence(t *testing.T) {
+	opts := Options{Scheduler: "random", Iterations: 2000, Seed: 5, NoReplayLog: true}
+	res := MustExplore(raceTest(), opts)
+	if !res.BugFound {
+		t.Fatal("setup: bug not found")
+	}
+	n := len(res.Report.Trace.Decisions)
+	short := opts
+	short.MaxSteps = 2
+	rep, err := Replay(raceTest(), res.Report.Trace, short)
+	if rep != nil || err == nil {
+		t.Fatalf("replay under MaxSteps 2 of a %d-decision trace = (%v, %v), want a divergence error", n, rep, err)
+	}
+	for _, want := range []string{"divergence", fmt.Sprintf("of the %d recorded decisions", n), "MaxSteps"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q lacks %q", err, want)
+		}
+	}
+	// The same trace with a decision appended: the program finishes first.
+	long := *res.Report.Trace
+	long.Decisions = append(append([]Decision(nil), long.Decisions...), Decision{Kind: DecisionBool})
+	if rep, err := Replay(raceTest(), &long, opts); err != nil || rep == nil {
+		t.Fatalf("a reproduced violation must win over leftover decisions: (%v, %v)", rep, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -215,4 +216,61 @@ func TestFaultDecisionJSONRoundTrip(t *testing.T) {
 			t.Fatalf("decision %d: %s != %s", i, got.Decisions[i], tr.Decisions[i])
 		}
 	}
+}
+
+// FuzzDecodeTrace holds the decoder every replay rests on to two promises,
+// whatever bytes it is handed: it never panics, and a trace it accepts is one
+// this build fully understands — its decision kinds are admissible at the
+// version it declares, and it re-encodes (at the current version) and decodes
+// again to the same trace.
+func FuzzDecodeTrace(f *testing.F) {
+	f.Add([]byte(legacyTraceFixture))
+	f.Add([]byte(faultEraTraceFixture))
+	fresh, err := newTrace("x", "random", 42, Faults{MaxCrashes: 1, MaxDrops: 1, MaxDuplicates: 1, MaxTornCrashes: 1}, []Decision{
+		{Kind: DecisionSchedule, Machine: 3},
+		{Kind: DecisionBool, Bool: true},
+		{Kind: DecisionInt, Int: 2, N: 3},
+		{Kind: DecisionTimer, Machine: 5, Bool: true},
+		{Kind: DecisionCrash, Machine: NoMachine, Int: 0, N: 4},
+		{Kind: DecisionDeliver, Machine: 7, Int: int(Duplicate), N: 3},
+		{Kind: DecisionPersist, Machine: 4, Int: 2, N: 3},
+	}).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fresh)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeTrace(data)
+		if err != nil {
+			return
+		}
+		if tr.Version < 0 || tr.Version > TraceVersion {
+			t.Fatalf("accepted version %d outside 0..%d", tr.Version, TraceVersion)
+		}
+		for i, d := range tr.Decisions {
+			need := 0
+			switch {
+			case d.Kind.persistKind():
+				need = 2
+			case d.Kind.faultKind():
+				need = 1
+			}
+			if tr.Version < need {
+				t.Fatalf("decision %d: kind %q accepted in a version-%d trace, needs >= %d", i, string(d.Kind), tr.Version, need)
+			}
+		}
+		enc, err := tr.Encode()
+		if err != nil {
+			t.Fatalf("accepted trace does not re-encode: %v\n%s", err, data)
+		}
+		again, err := DecodeTrace(enc)
+		if err != nil {
+			t.Fatalf("re-encoded trace does not decode: %v\n%s", err, enc)
+		}
+		want := *tr
+		want.Version = TraceVersion
+		if !reflect.DeepEqual(*again, want) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", *again, want)
+		}
+	})
 }

@@ -18,7 +18,7 @@ type Config struct {
 	// coordinator never runs the test itself — it only owns the plan.
 	Scenario string
 	// Options is the exploration plan (seed, budget, scheduler/portfolio,
-	// bounds). Validated and defaulted by New.
+	// bounds). Resolved (core.Options.Resolve) by New.
 	Options core.Options
 	// LeaseSize is the number of global positions per lease (default 256).
 	LeaseSize int64
@@ -98,16 +98,12 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Scenario == "" {
 		return nil, fmt.Errorf("dist: Config.Scenario is required")
 	}
-	if err := cfg.Options.Validate(); err != nil {
+	o, err := cfg.Options.Resolve(core.Test{})
+	if err != nil {
 		return nil, err
 	}
-	o := cfg.Options.WithDefaults()
-	members := o.Portfolio
-	if len(members) == 0 {
-		members = []string{o.Scheduler}
-	}
 	feedback := false
-	for _, name := range members {
+	for _, name := range o.Members() {
 		f, err := core.NewSchedulerFactory(name, o.PCTDepth)
 		if err != nil {
 			return nil, err
@@ -115,9 +111,7 @@ func New(cfg Config) (*Coordinator, error) {
 		if f.Sequential() {
 			return nil, fmt.Errorf("dist: scheduler %q is sequential and cannot be sharded across agents", name)
 		}
-		if f.Feedback() {
-			feedback = true
-		}
+		feedback = feedback || f.Feedback()
 	}
 	if cfg.LeaseSize <= 0 {
 		cfg.LeaseSize = 256
@@ -275,7 +269,7 @@ func (co *Coordinator) validate(req *ReportRequest) error {
 	if b.Pos < 0 || b.Pos >= co.plan.Total {
 		return fmt.Errorf("bug position %d is outside the plan [0, %d)", b.Pos, co.plan.Total)
 	}
-	if nm := int64(max(len(co.plan.Portfolio), 1)); int64(b.Member) != b.Pos%nm || int64(b.Iteration) != b.Pos/nm {
+	if nm := int64(len(co.plan.Members())); int64(b.Member) != b.Pos%nm || int64(b.Iteration) != b.Pos/nm {
 		return fmt.Errorf("bug at position %d of a %d-member plan attributed to member %d, iteration %d",
 			b.Pos, nm, b.Member, b.Iteration)
 	}

@@ -53,6 +53,18 @@ func resolve(opts []Option) (*config, error) {
 	return c, nil
 }
 
+// positive is the body the must-be-positive options share: it stores the
+// value with set, or records that option was handed a non-positive one.
+func positive[T int | time.Duration](option string, v T, set func(*core.Options)) Option {
+	return func(c *config) {
+		if v <= 0 {
+			c.fail(option, fmt.Sprintf("must be positive, got %v", v))
+			return
+		}
+		set(&c.opts)
+	}
+}
+
 // WithScheduler selects the exploration strategy by registered name:
 // "random" (the default), "pct", "rr", "delay", "dfs", or any name added
 // via RegisterScheduler. It overrides an earlier WithPortfolio: the run
@@ -94,13 +106,7 @@ func WithPortfolio(members ...string) Option {
 // to every registered scheduler's constructor; schedulers without a depth
 // notion ignore it.
 func WithPCTDepth(depth int) Option {
-	return func(c *config) {
-		if depth <= 0 {
-			c.fail("WithPCTDepth", fmt.Sprintf("must be positive, got %d", depth))
-			return
-		}
-		c.opts.PCTDepth = depth
-	}
+	return positive("WithPCTDepth", depth, func(o *core.Options) { o.PCTDepth = depth })
 }
 
 // WithSeed selects the pseudo-random schedule sequence. Each execution i
@@ -115,26 +121,14 @@ func WithSeed(seed int64) Option {
 // WithIterations bounds the number of executions (default 10,000); in a
 // portfolio run the budget applies to each member individually.
 func WithIterations(n int) Option {
-	return func(c *config) {
-		if n <= 0 {
-			c.fail("WithIterations", fmt.Sprintf("must be positive, got %d", n))
-			return
-		}
-		c.opts.Iterations = n
-	}
+	return positive("WithIterations", n, func(o *core.Options) { o.Iterations = n })
 }
 
 // WithMaxSteps bounds each execution's scheduling steps (default 10,000);
 // reaching the bound treats the execution as infinite for liveness
 // checking.
 func WithMaxSteps(n int) Option {
-	return func(c *config) {
-		if n <= 0 {
-			c.fail("WithMaxSteps", fmt.Sprintf("must be positive, got %d", n))
-			return
-		}
-		c.opts.MaxSteps = n
-	}
+	return positive("WithMaxSteps", n, func(o *core.Options) { o.MaxSteps = n })
 }
 
 // WithWorkers sets the size of the run's one pool of exploration workers
@@ -144,26 +138,14 @@ func WithMaxSteps(n int) Option {
 // purely a throughput knob. A sequential scheduler (dfs) is walked by one
 // goroutine of its own and replay is single-threaded, regardless.
 func WithWorkers(n int) Option {
-	return func(c *config) {
-		if n <= 0 {
-			c.fail("WithWorkers", fmt.Sprintf("must be positive, got %d", n))
-			return
-		}
-		c.opts.Workers = n
-	}
+	return positive("WithWorkers", n, func(o *core.Options) { o.Workers = n })
 }
 
 // WithTemperature reports a liveness violation as soon as a monitor stays
 // hot for the given number of consecutive steps, instead of waiting for
 // the full step bound.
 func WithTemperature(steps int) Option {
-	return func(c *config) {
-		if steps <= 0 {
-			c.fail("WithTemperature", fmt.Sprintf("must be positive, got %d", steps))
-			return
-		}
-		c.opts.Temperature = steps
-	}
+	return positive("WithTemperature", steps, func(o *core.Options) { o.Temperature = steps })
 }
 
 // WithStopAfter bounds the total wall-clock time of the run. The run's
@@ -171,13 +153,7 @@ func WithTemperature(steps int) Option {
 // later one is claimed, so a run performs at least one execution and can
 // overshoot by the length of the executions in flight.
 func WithStopAfter(d time.Duration) Option {
-	return func(c *config) {
-		if d <= 0 {
-			c.fail("WithStopAfter", fmt.Sprintf("must be positive, got %v", d))
-			return
-		}
-		c.opts.StopAfter = d
-	}
+	return positive("WithStopAfter", d, func(o *core.Options) { o.StopAfter = d })
 }
 
 // WithFaults overrides the test's declared fault budget wholesale for
@@ -222,28 +198,7 @@ func WithNoFaults() Option {
 // execution (default 100,000). Exploration executions collect no log, so
 // the cap only shapes replays and confirmation replays.
 func WithLogCap(lines int) Option {
-	return func(c *config) {
-		if lines <= 0 {
-			c.fail("WithLogCap", fmt.Sprintf("must be positive, got %d", lines))
-			return
-		}
-		c.opts.LogCap = lines
-	}
-}
-
-// WithCorpusSize bounds the exploration corpus of a feedback
-// (coverage-guided) scheduler such as "mutational" (default 64): the
-// first n novel coverage fingerprints, in canonical iteration order,
-// have their decision sequences recorded for mutation. Ignored by
-// schedulers that declare no feedback.
-func WithCorpusSize(n int) Option {
-	return func(c *config) {
-		if n <= 0 {
-			c.fail("WithCorpusSize", fmt.Sprintf("must be positive, got %d", n))
-			return
-		}
-		c.opts.CorpusSize = n
-	}
+	return positive("WithLogCap", lines, func(o *core.Options) { o.LogCap = lines })
 }
 
 // WithNoReuse disables the pooled execution engine: every execution gets
@@ -261,11 +216,6 @@ func WithNoReuse() Option {
 // Result statistics or the raw trace are needed.
 func WithNoReplayLog() Option {
 	return func(c *config) { c.opts.NoReplayLog = true }
-}
-
-// WithNoDeadlockDetection disables reporting machines stuck in Receive.
-func WithNoDeadlockDetection() Option {
-	return func(c *config) { c.opts.NoDeadlockDetection = true }
 }
 
 // WithNoLivenessBoundCheck disables the treat-bound-as-infinite liveness

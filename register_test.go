@@ -256,8 +256,11 @@ func TestResolveReportsEffectiveConfig(t *testing.T) {
 	if cfg.Faults != (gostorm.Faults{}) {
 		t.Fatalf("WithNoFaults not resolved: %+v", cfg.Faults)
 	}
-	if !cfg.Sequential || cfg.Workers != 1 {
+	if cfg.Workers != 1 {
 		t.Fatalf("sequential scheduler not clamped to one worker: %+v", cfg)
+	}
+	if cfg, err = gostorm.Resolve(test, gostorm.WithPortfolio("dfs", "random"), gostorm.WithWorkers(8)); err != nil || cfg.Workers != 8 {
+		t.Fatalf("a plan with a non-sequential member keeps its pool: %+v, %v", cfg, err)
 	}
 
 	cfg, err = gostorm.Resolve(test, gostorm.WithPortfolio("random", "pct"),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/gostorm/gostorm/internal/catalog"
-	"github.com/gostorm/gostorm/internal/core"
 )
 
 // Scenario is one of the repository's registered case-study scenarios:
@@ -33,65 +32,14 @@ func (s Scenario) Test() Test { return s.entry.Build() }
 //
 //	res, err := gostorm.Explore(sc.Test(), append(sc.Options(), gostorm.WithSeed(7))...)
 func (s Scenario) Options() []Option {
-	return optionsFromCore(s.entry.Options)
-}
-
-// optionsFromCore translates a core.Options value, field by field, into
-// the equivalent public option list. It must cover every core.Options
-// field a catalog entry could recommend — a recommended setting that is
-// not translated would silently diverge between the public consumers
-// (Scenario.Options) and the engine-level ones, which
-// TestScenarioOptionsCoverCatalog guards against.
-func optionsFromCore(o core.Options) []Option {
+	// The catalog recommends exactly these two (TestScenarioOptionsCoverCatalog
+	// fails on an entry that sets anything else).
 	var out []Option
-	if len(o.Portfolio) > 0 {
-		out = append(out, WithPortfolio(o.Portfolio...))
-	} else if o.Scheduler != "" {
-		out = append(out, WithScheduler(o.Scheduler))
+	if n := s.entry.Options.Iterations; n > 0 {
+		out = append(out, WithIterations(n))
 	}
-	if o.PCTDepth > 0 {
-		out = append(out, WithPCTDepth(o.PCTDepth))
-	}
-	if o.Seed != 0 {
-		out = append(out, WithSeed(o.Seed))
-	}
-	if o.Iterations > 0 {
-		out = append(out, WithIterations(o.Iterations))
-	}
-	if o.MaxSteps > 0 {
-		out = append(out, WithMaxSteps(o.MaxSteps))
-	}
-	if o.Workers > 0 {
-		out = append(out, WithWorkers(o.Workers))
-	}
-	if o.Temperature > 0 {
-		out = append(out, WithTemperature(o.Temperature))
-	}
-	if o.StopAfter > 0 {
-		out = append(out, WithStopAfter(o.StopAfter))
-	}
-	if o.LogCap > 0 {
-		out = append(out, WithLogCap(o.LogCap))
-	}
-	if o.NoFaults {
-		out = append(out, WithNoFaults())
-	} else if o.Faults != (core.Faults{}) {
-		out = append(out, WithFaults(o.Faults))
-	}
-	if o.NoReuse {
-		out = append(out, WithNoReuse())
-	}
-	if o.NoReplayLog {
-		out = append(out, WithNoReplayLog())
-	}
-	if o.NoDeadlockDetection {
-		out = append(out, WithNoDeadlockDetection())
-	}
-	if o.NoLivenessBoundCheck {
-		out = append(out, WithNoLivenessBoundCheck())
-	}
-	if o.Progress != nil {
-		out = append(out, WithProgress(o.Progress))
+	if n := s.entry.Options.MaxSteps; n > 0 {
+		out = append(out, WithMaxSteps(n))
 	}
 	return out
 }

@@ -42,10 +42,11 @@ func PlanSize(opts ...Option) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := c.opts.Validate(); err != nil {
+	o, err := c.opts.Resolve(Test{})
+	if err != nil {
 		return 0, err
 	}
-	return core.PlanSize(c.opts), nil
+	return core.PlanSize(o), nil
 }
 
 // ExploreShard explores the global positions [sh.From, sh.To) of the
