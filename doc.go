@@ -128,10 +128,29 @@
 // the built-ins), and — when its SchedulerSpec declares Adaptive and the
 // implementation accepts LengthHinted — calibrated by the engine exactly
 // like pct and delay. Implement FaultScheduler to resolve fault choice
-// points with strategy; otherwise they are answered uniformly through
-// the scheduler's NextInt stream. A scheduler that draws from a seeded
-// generator should build it once with NewRand and call Seed in Prepare,
-// which runs before every execution.
+// points with strategy; a scheduler that does not is wrapped, once, where
+// its instance is built, in an adapter that answers them uniformly
+// through its NextInt stream, so the runtime holds one scheduler. A
+// scheduler that draws from a seeded generator should build it once with
+// NewRand and call Seed in Prepare, which runs before every execution.
+//
+// The contract of a choice is the same for every kind. The runtime asks
+// — NextMachine over the enabled set, NextBool, NextInt below n,
+// NextFault over a FaultChoice's N outcomes — and checks the answer
+// against what it offered before acting on it. An answer outside the
+// range (or a machine that is not enabled) ends the execution with one
+// safety violation that names the scheduler ("core: <name> scheduler:
+// <what> outcome <v> out of [0, <n>)") and is attributed to the machine
+// that presented the choice, never to the system under test; nothing is
+// recorded after it. An answer in range is recorded as a Decision, and
+// the Decision holds what the answer meant rather than its index: the
+// crash victim, the DeliveryOutcome, the number of staged writes that
+// survive. One mapping turns a live choice and an answer into the
+// Decision and back, and both consumers of recorded decisions go through
+// it: Replay treats a Decision that does not fit the live choice (another
+// kind, another machine, a value outside the range now on offer) as a
+// divergence; the mutational scheduler's splice abandons its prefix there
+// and draws from its generator instead.
 //
 // # Coverage-guided exploration
 //
@@ -202,18 +221,22 @@
 // declares the budget its scenario is built for, WithFaults overrides it
 // wholesale, and WithNoFaults (or the zero budget) disables the fault
 // plane entirely (SendUnreliable becomes Send, CrashPoint declines,
-// injectors halt). Every fault outcome is a typed Decision in the trace,
-// so buggy executions replay bit-exactly — replay validates kind,
-// subject and outcome and reports a divergence otherwise — and traces
-// are versioned (TraceVersion): version-0 traces, which carry no fault
-// decisions, still decode and replay, while unknown versions or decision
-// kinds are strict decode errors (the decoder is fuzzed). The trace also
-// records the budget it ran under, so Replay needs no budget from the
-// caller; a replay that ends clean with recorded decisions left over — a
-// lowered step bound, another test's trace — is a divergence, not a clean
-// run. The adaptive schedulers treat fault points as change-point
-// candidates, spending a change point that lands on one to force a faulty
-// outcome.
+// injectors halt). Every fault choice point builds a FaultChoice and
+// passes it through one door of the runtime, which asks the scheduler,
+// checks the answer and records a typed Decision (the contract under
+// "Scheduler extension surface"), so buggy executions replay bit-exactly.
+// Traces are versioned (TraceVersion) and each decision kind knows the
+// version that introduced it: version-0 traces, which carry no fault
+// decisions, still decode and replay, while an unknown version, an
+// unknown kind or a kind newer than the trace declares is a strict decode
+// error (the decoder is fuzzed, and so is the splice behind the corpus
+// decoder). The trace also records the budget it ran under, so Replay
+// needs no budget from the caller; a replay that ends clean with recorded
+// decisions left over — a lowered step bound, another test's trace — is a
+// divergence, not a clean run. The adaptive schedulers count fault points
+// as steps, so a probe (pct's change point, delay's delay point) that
+// lands on one is spent forcing a non-benign outcome; everywhere else,
+// and under the other randomized schedulers, a fault outcome is uniform.
 //
 // # Crash-consistency plane
 //

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the scheduler conformance checker: the executable contract
 // every registered scheduler — built-in or user-registered — must satisfy
@@ -10,13 +13,24 @@ import "fmt"
 // so extension authors can hold their strategies to the same contract
 // without touching core.
 
+// conformanceChoices is the fault-choice part of conformanceDrive's workload:
+// every kind, in more than one shape.
+var conformanceChoices = []FaultChoice{
+	{Kind: FaultTimer, N: 2, Machine: 4},
+	{Kind: FaultCrash, N: 3, Machine: NoMachine, Candidates: []MachineID{1, 5}},
+	{Kind: FaultCrash, N: 5, Machine: NoMachine, Candidates: []MachineID{0, 2, 4, 6}},
+	{Kind: FaultDeliver, N: 3, Machine: 2, Outcomes: []DeliveryOutcome{Deliver, Drop, Duplicate}},
+	{Kind: FaultDeliver, N: 2, Machine: 6, Outcomes: []DeliveryOutcome{Deliver, Duplicate}},
+	{Kind: FaultPersist, N: 3, Machine: 5, Keys: []string{"wal/0", "wal/1"}},
+	{Kind: FaultPersist, N: 2, Machine: 1, Keys: []string{"meta"}},
+}
+
 // conformanceDrive pushes a scheduler through a fixed synthetic workload —
 // a mix of NextMachine calls over varied (sorted, possibly non-contiguous)
 // enabled sets, NextBool, NextInt over several bounds, and NextFault over
 // every fault kind — validating every answer and returning the decision
 // stream as comparable strings.
-func conformanceDrive(name string, s Scheduler) ([]string, error) {
-	fs := asFaultScheduler(s)
+func conformanceDrive(name string, s FaultScheduler) ([]string, error) {
 	enabledSets := [][]MachineID{
 		{0},
 		{0, 1},
@@ -27,27 +41,12 @@ func conformanceDrive(name string, s Scheduler) ([]string, error) {
 		{4},
 		{3, 9},
 	}
-	faultChoices := []FaultChoice{
-		{Kind: FaultTimer, N: 2, Machine: 4},
-		{Kind: FaultCrash, N: 3, Machine: NoMachine, Candidates: []MachineID{1, 5}},
-		{Kind: FaultCrash, N: 5, Machine: NoMachine, Candidates: []MachineID{0, 2, 4, 6}},
-		{Kind: FaultDeliver, N: 3, Machine: 2, Outcomes: []DeliveryOutcome{Deliver, Drop, Duplicate}},
-		{Kind: FaultDeliver, N: 2, Machine: 6, Outcomes: []DeliveryOutcome{Deliver, Duplicate}},
-		{Kind: FaultPersist, N: 3, Machine: 5, Keys: []string{"wal/0", "wal/1"}},
-		{Kind: FaultPersist, N: 2, Machine: 1, Keys: []string{"meta"}},
-	}
 	var stream []string
 	current := NoMachine
 	for step := 0; step < 64; step++ {
 		enabled := enabledSets[step%len(enabledSets)]
 		got := s.NextMachine(enabled, current)
-		member := false
-		for _, id := range enabled {
-			if id == got {
-				member = true
-			}
-		}
-		if !member {
+		if !slices.Contains(enabled, got) {
 			return nil, fmt.Errorf("%s: NextMachine(%v) = %d, not a member of the enabled set", name, enabled, got)
 		}
 		current = got
@@ -60,8 +59,8 @@ func conformanceDrive(name string, s Scheduler) ([]string, error) {
 			}
 			stream = append(stream, fmt.Sprintf("i%d/%d", v, n))
 		}
-		c := faultChoices[step%len(faultChoices)]
-		f := fs.NextFault(c)
+		c := conformanceChoices[step%len(conformanceChoices)]
+		f := s.NextFault(c)
 		if f < 0 || f >= c.N {
 			return nil, fmt.Errorf("%s: NextFault(%v/%d) = %d, out of [0, %d)", name, c.Kind, c.N, f, c.N)
 		}

@@ -49,7 +49,7 @@ func (c *Context) CreateMachine(impl Machine, name string) MachineID {
 // not, and workload choices. Every outcome is recorded in the trace.
 func (c *Context) RandomBool() bool {
 	b := c.r.sched.NextBool()
-	c.r.dec.addBool(b)
+	c.r.dec.add(DecisionBool, 0, b, 0, 0)
 	return b
 }
 
@@ -59,7 +59,11 @@ func (c *Context) RandomInt(n int) int {
 		c.Assert(false, "RandomInt bound must be positive, got %d", n)
 	}
 	v := c.r.sched.NextInt(n)
-	c.r.dec.addInt(v, n)
+	if v < 0 || v >= n {
+		c.r.lied(c.m, "int", v, n)
+		panic(bugSignal{})
+	}
+	c.r.dec.add(DecisionInt, 0, false, v, n)
 	return v
 }
 
@@ -219,19 +223,14 @@ func (c *Context) CrashPoint(candidates ...MachineID) MachineID {
 	if len(live) == 0 {
 		return NoMachine
 	}
-	n := len(live) + 1
-	out := r.sched.NextFault(FaultChoice{Kind: FaultCrash, N: n, Machine: NoMachine, Candidates: live})
-	if out < 0 || out >= n {
-		panic(fmt.Sprintf("core: %s scheduler: crash fault outcome %d out of [0, %d)", r.sched.Name(), out, n))
+	out, ok := r.choose(FaultChoice{Kind: FaultCrash, N: len(live) + 1, Machine: NoMachine, Candidates: live}, c.m)
+	if !ok {
+		panic(bugSignal{})
 	}
-	victim := NoMachine
-	if out > 0 {
-		victim = live[out-1]
-	}
-	r.dec.addCrash(victim, out, n)
-	if victim == NoMachine {
+	if out == 0 {
 		return NoMachine
 	}
+	victim := live[out-1]
 	r.crashes++
 	c.Crash(victim)
 	return victim
@@ -417,14 +416,12 @@ func (c *Context) SendUnreliable(target MachineID, ev Event) {
 		c.Send(target, ev)
 		return
 	}
-	idx := r.sched.NextFault(FaultChoice{Kind: FaultDeliver, N: len(outcomes), Machine: target, Outcomes: outcomes})
-	if idx < 0 || idx >= len(outcomes) {
-		panic(fmt.Sprintf("core: %s scheduler: delivery fault outcome %d out of [0, %d)", r.sched.Name(), idx, len(outcomes)))
+	idx, ok := r.choose(FaultChoice{Kind: FaultDeliver, N: len(outcomes), Machine: target, Outcomes: outcomes}, c.m)
+	if !ok {
+		panic(bugSignal{})
 	}
-	outcome := outcomes[idx]
-	r.dec.addDeliver(target, int(outcome), deliveryOutcomes)
 	t := r.machines[target]
-	switch outcome {
+	switch outcomes[idx] {
 	case Drop:
 		r.drops++
 		if r.logging() {

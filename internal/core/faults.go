@@ -165,18 +165,10 @@ const (
 )
 
 func (k FaultKind) String() string {
-	switch k {
-	case FaultTimer:
-		return "timer"
-	case FaultCrash:
-		return "crash"
-	case FaultDeliver:
-		return "deliver"
-	case FaultPersist:
-		return "persist"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(k))
+	if int(k) < len(faultKinds) {
+		return faultKinds[k].name
 	}
+	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
 
 // FaultChoice describes one fault choice point presented to a scheduler.
@@ -228,23 +220,18 @@ const (
 )
 
 func (o DeliveryOutcome) String() string {
-	switch o {
-	case Deliver:
-		return "deliver"
-	case Drop:
-		return "drop"
-	case Duplicate:
-		return "duplicate"
-	default:
-		return fmt.Sprintf("DeliveryOutcome(%d)", int(o))
+	if o >= 0 && o < deliveryOutcomes {
+		return [...]string{"deliver", "drop", "duplicate"}[o]
 	}
+	return fmt.Sprintf("DeliveryOutcome(%d)", int(o))
 }
 
 // FaultScheduler extends Scheduler with typed fault-choice resolution.
 // Every registry scheduler implements it natively (the adaptive ones treat
-// fault points as change-point candidates); a foreign Scheduler is adapted
-// by the engine with a default that answers uniformly through NextInt, so
-// existing scheduler implementations keep working unchanged.
+// fault points as probe-point candidates); a foreign Scheduler is adapted
+// once, where its instance is built, with a default that answers uniformly
+// through NextInt, so existing scheduler implementations keep working
+// unchanged.
 type FaultScheduler interface {
 	Scheduler
 	// NextFault resolves one fault choice point, returning an outcome in
@@ -253,18 +240,11 @@ type FaultScheduler interface {
 }
 
 // defaultFaults adapts a plain Scheduler to FaultScheduler by answering
-// fault choices uniformly through the scheduler's own NextInt stream.
+// fault choices uniformly through the scheduler's own NextInt stream
+// (SchedulerFactory.New wraps a foreign scheduler in it).
 type defaultFaults struct{ Scheduler }
 
 func (s defaultFaults) NextFault(c FaultChoice) int { return s.NextInt(c.N) }
-
-// asFaultScheduler returns sched's fault-choice view, adapting if needed.
-func asFaultScheduler(sched Scheduler) FaultScheduler {
-	if fs, ok := sched.(FaultScheduler); ok {
-		return fs
-	}
-	return defaultFaults{sched}
-}
 
 // TimerID identifies a timer started with Context.StartTimer. Timers are
 // runtime machines, so the ID doubles as the timer's MachineID (which is
@@ -372,22 +352,14 @@ func (r *Runtime) stepTimer(m *machine) {
 		if r.logging() {
 			r.logf("%s dequeued %s", m.label(), ev.Name())
 		}
-		out := r.sched.NextFault(FaultChoice{Kind: FaultTimer, N: 2, Machine: m.id})
-		if out < 0 || out > 1 {
-			// The step runs on a borrowed stack, so a panic here would be
-			// blamed on the lender; name the timer and the scheduler. The
-			// next scheduling iteration sees the bug and ends the execution.
-			r.setBug(&BugReport{
-				Kind:    SafetyBug,
-				Message: fmt.Sprintf("core: %s scheduler: timer fault outcome %d out of [0, 2)", r.sched.Name(), out),
-				Machine: m.label(),
-				Step:    r.steps,
-			})
+		// The step runs on a borrowed stack: on an out-of-range answer
+		// choose has named the timer and the scheduler, and the next
+		// scheduling iteration ends the execution.
+		out, ok := r.choose(FaultChoice{Kind: FaultTimer, N: 2, Machine: m.id}, m)
+		if !ok {
 			return
 		}
-		fired := out == 1
-		r.dec.addTimer(m.id, fired)
-		if fired {
+		if out == 1 {
 			if r.logging() {
 				r.logf("%s fired", m.label())
 			}

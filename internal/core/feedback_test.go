@@ -269,3 +269,46 @@ func TestMutationalTraceReplays(t *testing.T) {
 		t.Fatalf("replay reproduced a different bug kind: %v vs %v", rep.Kind, res.Report.Kind)
 	}
 }
+
+// negativeIntCorpus is a corpus DecodeCorpus accepts whose one entry answers
+// the conformance workload's first NextInt with a value below its range.
+const negativeIntCorpus = `{"version":1,"cap":4,"entries":[{"fp":1,"it":0,"d":[{"k":"s"},{"k":"b"},{"k":"i","v":-1,"n":1}]}]}`
+
+// FuzzSpliceAnyCorpus holds the lenient splice to the same promise as the
+// strict decoder in front of it: whatever bytes DecodeCorpus accepts, a
+// mutational instance with that corpus attached goes through the conformance
+// workload without a panic and with every answer in range — a recorded
+// decision that does not fit the live choice is abandoned, never passed on.
+func FuzzSpliceAnyCorpus(f *testing.F) {
+	res, err := ExploreShard(fpDiverseTest(), Options{Scheduler: "mutational", Iterations: 300, Seed: 1, Workers: 1}, Shard{To: 300})
+	if err != nil || len(res.Candidates) < 2 {
+		f.Fatalf("seed run: %d corpus candidates, error %v", len(res.Candidates), err)
+	}
+	run := newCorpus(0)
+	for _, c := range res.Candidates {
+		run.add(c.Fingerprint, int(c.Position), c.Decisions)
+	}
+	enc, err := run.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Add([]byte(negativeIntCorpus))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeCorpus(data)
+		if err != nil {
+			return
+		}
+		fac, err := NewSchedulerFactory("mutational", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := fac.WithCorpus(c).New()
+		for seed := int64(0); seed < 16; seed++ {
+			s.Prepare(seed, 1000)
+			if _, err := conformanceDrive("mutational", s); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+	})
+}

@@ -82,8 +82,8 @@ type candidate struct {
 type claimer struct {
 	next   *atomic.Int64
 	stride int64
-	lane   int         // the sequential member a lane walks; -1 for a pool worker
-	scheds []Scheduler // by member; nil where another claimer serves it
+	lane   int              // the sequential member a lane walks; -1 for a pool worker
+	scheds []FaultScheduler // by member; nil where another claimer serves it
 	pool   *execPool
 	cfg    runtimeConfig
 	cur    int64 // position in flight, read by cfg.abort
@@ -187,7 +187,7 @@ func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
 	// stays nil.
 	pruning := workers+lanes > 1 || sh.Stop != nil
 	newClaimer := func(next *atomic.Int64, lane int, pool *execPool) *claimer {
-		c := &claimer{next: next, stride: 1, lane: lane, pool: pool, scheds: make([]Scheduler, nm)}
+		c := &claimer{next: next, stride: 1, lane: lane, pool: pool, scheds: make([]FaultScheduler, nm)}
 		if lane >= 0 {
 			c.stride = nm
 		}
@@ -207,7 +207,7 @@ func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
 	// execution's decisions if its coverage is novel against the window's
 	// frozen corpus. An execution aborted in flight was superseded by a
 	// lower bound and contributes nothing.
-	run := func(c *claimer, sched Scheduler, g int64, cand *candidate) (int64, bool) {
+	run := func(c *claimer, sched FaultScheduler, g int64, cand *candidate) (int64, bool) {
 		m, i := int(g%nm), int(g/nm)
 		seed := execSeed(seeds[m], i)
 		if !sched.Prepare(seed, o.MaxSteps) {

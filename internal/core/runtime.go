@@ -46,14 +46,13 @@ type Runtime struct {
 	// The leading fields are the per-step hot set — everything advance
 	// reads on its way to the next scheduling decision — clustered so a
 	// step touches as few cache lines of this (large) struct as possible.
-	// next is the scheduler as handed in, used for the per-step
-	// NextMachine call; sched is its fault-choice view, which for
-	// schedulers without native fault support is a forwarding adapter —
-	// calling NextMachine through it would pay a second indirect call
-	// every step.
-	next     Scheduler
-	sched    FaultScheduler
-	machines []*machine
+	//
+	// divergence is set when a replay scheduler detects that the program
+	// departed from the recorded trace; it aborts the execution. advance
+	// tests it every step.
+	divergence error
+	sched      FaultScheduler
+	machines   []*machine
 	// enabled is the incrementally maintained schedulable set, sorted by
 	// MachineID; machine.epos back-points into it. Patched at the status
 	// transitions enumerated in enabled.go instead of being rebuilt every
@@ -105,9 +104,6 @@ type Runtime struct {
 	dups         int
 	tornCrashes  int
 	pendingCrash []MachineID
-	// divergence is set when a replay scheduler detects that the program
-	// departed from the recorded trace; it aborts the execution.
-	divergence error
 
 	log []string
 
@@ -155,7 +151,7 @@ type runtimeConfig struct {
 }
 
 // newRuntime returns a fresh Runtime ready to execute under sched/cfg.
-func newRuntime(sched Scheduler, cfg runtimeConfig) *Runtime {
+func newRuntime(sched FaultScheduler, cfg runtimeConfig) *Runtime {
 	r := &Runtime{}
 	r.dec.presize(cfg.maxSteps)
 	r.reset(sched, cfg)
@@ -248,6 +244,9 @@ func (r *Runtime) advance(from *machine) advAction {
 	}
 	if len(r.pendingCrash) > 0 {
 		r.reapCrashes()
+		if r.bug != nil {
+			return advDone // a persist choice was answered out of range
+		}
 	}
 	if r.abort != nil && r.abort() {
 		r.aborted = true
@@ -267,10 +266,18 @@ func (r *Runtime) advance(from *machine) advAction {
 		r.checkTermination()
 		return advDone
 	}
-	next := r.next.NextMachine(enabled, r.current)
-	r.dec.addSchedule(next)
-	r.steps++
+	next := r.sched.NextMachine(enabled, r.current)
+	if uint(next) >= uint(len(r.machines)) {
+		r.lied(nil, "machine", int(next), len(r.machines))
+		return advDone
+	}
 	m := r.machines[next]
+	if m.epos < 0 {
+		r.lied(nil, "machine (not enabled)", int(next), len(r.machines))
+		return advDone
+	}
+	r.dec.add(DecisionSchedule, next, false, 0, 0)
+	r.steps++
 	r.current = next
 	if m == from {
 		return advContinue
@@ -372,12 +379,7 @@ func (r *Runtime) unwound(w *machineWorker, p any) (again bool) {
 	case replayDivergence:
 		r.divergence = p
 	default:
-		r.setBug(&BugReport{
-			Kind:    SafetyBug,
-			Message: fmt.Sprintf("panic in %s: %v\n%s", m.label(), p, debug.Stack()),
-			Machine: m.label(),
-			Step:    r.steps,
-		})
+		r.safetyBug(m.label(), fmt.Sprintf("panic in %s: %v\n%s", m.label(), p, debug.Stack()))
 	}
 	// Crash-consistency state is not scrub's: durable survives every
 	// mid-execution death by design (shutdown scrubs it at the end), and a
@@ -501,23 +503,50 @@ func (r *Runtime) settleCrashedStorage(m *machine) {
 		for i := range m.staged {
 			keys[i] = m.staged[i].key
 		}
-		out := r.sched.NextFault(FaultChoice{Kind: FaultPersist, N: n + 1, Machine: m.id, Keys: keys})
-		if out < 0 || out > n {
-			panic(fmt.Sprintf("core: %s scheduler: persist fault outcome %d out of [0, %d)", r.sched.Name(), out, n+1))
-		}
-		r.dec.addPersist(m.id, out, n+1)
-		if out > 0 {
-			// Only a non-benign outcome — un-synced data surviving — is a
-			// torn crash; the benign "all lost" outcome stays free, like a
-			// declined CrashPoint.
-			r.tornCrashes++
-		}
-		k = out
-		if r.logging() {
-			r.logf("%s crash persisted %d of %d staged writes", m.label(), out, n)
+		// An out-of-range answer loses every write; advance ends the
+		// execution once the reaper is done.
+		if out, ok := r.choose(FaultChoice{Kind: FaultPersist, N: n + 1, Machine: m.id, Keys: keys}, m); ok {
+			if out > 0 {
+				// Only a non-benign outcome — un-synced data surviving — is a
+				// torn crash; the benign "all lost" outcome stays free, like a
+				// declined CrashPoint.
+				r.tornCrashes++
+			}
+			k = out
+			if r.logging() {
+				r.logf("%s crash persisted %d of %d staged writes", m.label(), out, n)
+			}
 		}
 	}
 	m.applyStaged(k)
+}
+
+// choose is the one door every fault choice point goes through: it asks the
+// scheduler, checks the answer against [0, c.N), records the decision and
+// returns the outcome. asker is the machine presenting the choice. ok is
+// false when the answer was out of range: lied has ended the execution and
+// nothing is recorded; a caller mid-handler unwinds with bugSignal, one on a
+// borrowed stack returns to the scheduling iteration that follows.
+func (r *Runtime) choose(c FaultChoice, asker *machine) (out int, ok bool) {
+	out = r.sched.NextFault(c)
+	if out < 0 || out >= c.N {
+		r.lied(asker, faultKinds[c.Kind].noun+" fault", out, c.N)
+		return 0, false
+	}
+	r.dec.add(c.decision(out))
+	return out, true
+}
+
+// lied ends the execution on a scheduler's answer v outside the [0, n) it
+// was offered: a safety violation that names the scheduler — never the
+// system under test, never a panic on whichever stack ran the step —
+// attributed to asker (nil for the scheduling choice itself).
+func (r *Runtime) lied(asker *machine, what string, v, n int) {
+	label := ""
+	if asker != nil {
+		label = asker.label()
+	}
+	r.safetyBug(label, fmt.Sprintf("core: %s scheduler: %s outcome %d out of [0, %d)", r.sched.Name(), what, v, n))
 }
 
 // schedulingPoint is a voluntary yield mid-handler (after Send, Create...).
@@ -651,6 +680,12 @@ func (r *Runtime) setBug(b *BugReport) {
 	}
 }
 
+// safetyBug records a safety violation at the current step, attributed to the
+// machine labelled label ("" for none).
+func (r *Runtime) safetyBug(label, msg string) {
+	r.setBug(&BugReport{Kind: SafetyBug, Message: msg, Machine: label, Step: r.steps})
+}
+
 // failSafety records a safety violation attributed to the currently
 // executing machine and unwinds the calling goroutine.
 func (r *Runtime) failSafety(msg string) {
@@ -658,7 +693,7 @@ func (r *Runtime) failSafety(msg string) {
 	if r.current != NoMachine {
 		label = r.machines[r.current].label()
 	}
-	r.setBug(&BugReport{Kind: SafetyBug, Message: msg, Machine: label, Step: r.steps})
+	r.safetyBug(label, msg)
 	panic(bugSignal{})
 }
 

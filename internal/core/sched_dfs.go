@@ -26,7 +26,7 @@ type dfsNode struct {
 }
 
 // NewDFSScheduler returns the exhaustive depth-first scheduler.
-func NewDFSScheduler() Scheduler { return &dfsScheduler{} }
+func NewDFSScheduler() FaultScheduler { return &dfsScheduler{} }
 
 func (s *dfsScheduler) Name() string { return "dfs" }
 

@@ -1,7 +1,5 @@
 package core
 
-import "math/rand"
-
 // mutationalScheduler is the coverage-guided exploration strategy: it
 // replays a prefix of a corpus entry (an execution that reached a novel
 // coverage fingerprint, see Corpus) and re-randomizes everything after
@@ -23,7 +21,7 @@ import "math/rand"
 // determinism and replay contracts hold — the corpus snapshot itself is
 // kept deterministic by the engine's generation barriers (see corpus.go).
 type mutationalScheduler struct {
-	rng    *rand.Rand
+	draws
 	corpus *Corpus
 
 	// prefix is the decision slice being replayed this execution (nil
@@ -36,15 +34,15 @@ type mutationalScheduler struct {
 // scheduler. It only becomes more than a random scheduler when the
 // engine attaches a corpus (which it does for every factory whose spec
 // declares Feedback).
-func NewMutationalScheduler() Scheduler { return &mutationalScheduler{} }
-
-func (s *mutationalScheduler) Name() string { return "mutational" }
+func NewMutationalScheduler() FaultScheduler {
+	return &mutationalScheduler{draws: draws{name: "mutational"}}
+}
 
 // AttachCorpus implements FeedbackScheduler.
 func (s *mutationalScheduler) AttachCorpus(c *Corpus) { s.corpus = c }
 
 func (s *mutationalScheduler) Prepare(seed int64, _ int) bool {
-	s.rng = reseed(s.rng, seed)
+	s.reseed(seed)
 	s.prefix = nil
 	s.pos = 0
 	if s.corpus == nil || s.corpus.Len() == 0 {
@@ -67,105 +65,60 @@ func (s *mutationalScheduler) Prepare(seed int64, _ int) bool {
 	return true
 }
 
-// replayNext returns the next recorded decision if the replay is still
-// live and the decision has the kind the program is asking for; any
-// mismatch abandons the prefix for the rest of the execution.
-func (s *mutationalScheduler) replayNext(kind DecisionKind) (Decision, bool) {
-	if s.prefix == nil {
-		return Decision{}, false
-	}
+// next consumes the prefix's next decision; ok is false once the prefix is
+// used up or abandoned.
+func (s *mutationalScheduler) next() (d Decision, ok bool) {
 	if s.pos >= len(s.prefix) {
 		s.prefix = nil
 		return Decision{}, false
 	}
-	d := s.prefix[s.pos]
-	if d.Kind != kind {
-		s.prefix = nil
-		return Decision{}, false
-	}
 	s.pos++
-	return d, true
+	return s.prefix[s.pos-1], true
+}
+
+// fits reports whether the decision just consumed answered the live choice;
+// a misfit (decision.go) abandons the prefix for the rest of the execution.
+func (s *mutationalScheduler) fits(misfit string) bool {
+	if misfit != "" {
+		s.prefix = nil
+	}
+	return misfit == ""
 }
 
 func (s *mutationalScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
-	if d, ok := s.replayNext(DecisionSchedule); ok {
-		for _, id := range enabled {
-			if id == d.Machine {
-				return id
-			}
+	if d, ok := s.next(); ok {
+		if id, misfit := d.machine(enabled); s.fits(misfit) {
+			return id
 		}
-		s.prefix = nil
 	}
 	return enabled[s.rng.Intn(len(enabled))]
 }
 
 func (s *mutationalScheduler) NextBool() bool {
-	if d, ok := s.replayNext(DecisionBool); ok {
-		return d.Bool
+	if d, ok := s.next(); ok {
+		if b, misfit := d.boolean(); s.fits(misfit) {
+			return b
+		}
 	}
-	return s.rng.Intn(2) == 0
+	return s.draws.NextBool()
 }
 
 func (s *mutationalScheduler) NextInt(n int) int {
-	checkIntBound("mutational", n)
-	if d, ok := s.replayNext(DecisionInt); ok {
-		if d.Int < n {
-			return d.Int
+	if d, ok := s.next(); ok {
+		if v, misfit := d.integer(n); s.fits(misfit) {
+			return v
 		}
-		s.prefix = nil
 	}
-	return s.rng.Intn(n)
+	return s.draws.NextInt(n)
 }
 
 // NextFault implements FaultScheduler by splicing the recorded fault
-// decisions with the same leniency as the data kinds: a recorded outcome
-// that no longer fits the live fault choice abandons the prefix.
+// decisions with the same leniency as the data kinds.
 func (s *mutationalScheduler) NextFault(c FaultChoice) int {
-	var kind DecisionKind
-	switch c.Kind {
-	case FaultTimer:
-		kind = DecisionTimer
-	case FaultCrash:
-		kind = DecisionCrash
-	case FaultDeliver:
-		kind = DecisionDeliver
-	case FaultPersist:
-		kind = DecisionPersist
-	default:
-		return s.rng.Intn(c.N)
-	}
-	if d, ok := s.replayNext(kind); ok {
-		switch c.Kind {
-		case FaultTimer:
-			if d.Machine == c.Machine {
-				if d.Bool {
-					return 1
-				}
-				return 0
-			}
-		case FaultCrash:
-			if d.Machine == NoMachine {
-				return 0
-			}
-			for i, id := range c.Candidates {
-				if id == d.Machine {
-					return i + 1
-				}
-			}
-		case FaultDeliver:
-			if d.Machine == c.Machine {
-				for i, o := range c.Outcomes {
-					if int(o) == d.Int {
-						return i
-					}
-				}
-			}
-		case FaultPersist:
-			if d.Machine == c.Machine && d.Int >= 0 && d.Int < c.N {
-				return d.Int
-			}
+	if d, ok := s.next(); ok {
+		if out, misfit := c.outcome(d); s.fits(misfit) {
+			return out
 		}
-		s.prefix = nil
 	}
-	return s.rng.Intn(c.N)
+	return s.draws.NextFault(c)
 }

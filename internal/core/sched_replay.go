@@ -24,45 +24,44 @@ func newReplayScheduler(t *Trace) *replayScheduler {
 
 func (s *replayScheduler) Name() string { return "replay" }
 
-func (s *replayScheduler) Prepare(_ int64, _ int) bool {
-	// A replay scheduler runs exactly one execution.
-	if s.pos > 0 {
-		return false
+// Prepare accepts exactly one execution.
+func (s *replayScheduler) Prepare(_ int64, _ int) bool { return s.pos == 0 }
+
+// next consumes the recorded decision that answers the choice the program
+// presents now, a want-kind one.
+func (s *replayScheduler) next(want DecisionKind) Decision {
+	if s.pos >= len(s.decisions) {
+		panic(replayDivergence{msg: fmt.Sprintf("program asked for a %q decision beyond the %d recorded", byte(want), len(s.decisions))})
 	}
-	return true
+	s.pos++
+	return s.decisions[s.pos-1]
 }
 
-func (s *replayScheduler) next(kind DecisionKind) Decision {
-	if s.pos >= len(s.decisions) {
-		panic(replayDivergence{msg: fmt.Sprintf("program asked for a %q decision beyond the %d recorded", byte(kind), len(s.decisions))})
+// fits turns a misfit between the decision just consumed and the live choice
+// (decision.go) into a divergence: replay is strict.
+func (s *replayScheduler) fits(misfit string) {
+	if misfit != "" {
+		panic(replayDivergence{msg: fmt.Sprintf("decision %d: %s", s.pos-1, misfit)})
 	}
-	d := s.decisions[s.pos]
-	s.pos++
-	if d.Kind != kind {
-		panic(replayDivergence{msg: fmt.Sprintf("decision %d: program asked for %q, trace holds %s", s.pos-1, byte(kind), d)})
-	}
-	return d
 }
 
 func (s *replayScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
-	d := s.next(DecisionSchedule)
-	for _, id := range enabled {
-		if id == d.Machine {
-			return id
-		}
-	}
-	panic(replayDivergence{msg: fmt.Sprintf("decision %d: machine %d not enabled (enabled: %v)", s.pos-1, d.Machine, enabled)})
+	id, misfit := s.next(DecisionSchedule).machine(enabled)
+	s.fits(misfit)
+	return id
 }
 
-func (s *replayScheduler) NextBool() bool { return s.next(DecisionBool).Bool }
+func (s *replayScheduler) NextBool() bool {
+	b, misfit := s.next(DecisionBool).boolean()
+	s.fits(misfit)
+	return b
+}
 
 func (s *replayScheduler) NextInt(n int) int {
 	checkIntBound("replay", n)
-	d := s.next(DecisionInt)
-	if d.Int >= n {
-		panic(replayDivergence{msg: fmt.Sprintf("decision %d: int choice %d out of range %d", s.pos-1, d.Int, n)})
-	}
-	return d.Int
+	v, misfit := s.next(DecisionInt).integer(n)
+	s.fits(misfit)
+	return v
 }
 
 // NextFault implements FaultScheduler by feeding back the recorded fault
@@ -70,51 +69,7 @@ func (s *replayScheduler) NextInt(n int) int {
 // the program presents must match the recorded kind, subject and outcome
 // space, or the replay diverges.
 func (s *replayScheduler) NextFault(c FaultChoice) int {
-	switch c.Kind {
-	case FaultTimer:
-		d := s.next(DecisionTimer)
-		if d.Machine != c.Machine {
-			panic(replayDivergence{msg: fmt.Sprintf("decision %d: timer choice for machine %d, trace holds %s", s.pos-1, c.Machine, d)})
-		}
-		if d.Bool {
-			return 1
-		}
-		return 0
-	case FaultCrash:
-		d := s.next(DecisionCrash)
-		if d.Machine == NoMachine {
-			return 0
-		}
-		// Resolve the recorded victim, not its recorded index: a replay
-		// must crash the machine the trace names or diverge loudly, even
-		// if the candidate set shifted under system nondeterminism.
-		for i, id := range c.Candidates {
-			if id == d.Machine {
-				return i + 1
-			}
-		}
-		panic(replayDivergence{msg: fmt.Sprintf("decision %d: recorded crash victim %d is not a live candidate (candidates %v)", s.pos-1, d.Machine, c.Candidates)})
-	case FaultPersist:
-		d := s.next(DecisionPersist)
-		if d.Machine != c.Machine {
-			panic(replayDivergence{msg: fmt.Sprintf("decision %d: persist choice for machine %d, trace holds %s", s.pos-1, c.Machine, d)})
-		}
-		if d.Int < 0 || d.Int >= c.N {
-			panic(replayDivergence{msg: fmt.Sprintf("decision %d: recorded persist outcome %d out of range %d (staged-write count changed)", s.pos-1, d.Int, c.N)})
-		}
-		return d.Int
-	case FaultDeliver:
-		d := s.next(DecisionDeliver)
-		if d.Machine != c.Machine {
-			panic(replayDivergence{msg: fmt.Sprintf("decision %d: delivery choice for machine %d, trace holds %s", s.pos-1, c.Machine, d)})
-		}
-		for i, o := range c.Outcomes {
-			if int(o) == d.Int {
-				return i
-			}
-		}
-		panic(replayDivergence{msg: fmt.Sprintf("decision %d: recorded delivery outcome %s not affordable here (outcomes %v)", s.pos-1, DeliveryOutcome(d.Int), c.Outcomes)})
-	default:
-		panic(replayDivergence{msg: fmt.Sprintf("decision %d: unknown fault kind %v", s.pos, c.Kind)})
-	}
+	out, misfit := c.outcome(s.next(faultKinds[c.Kind].decision))
+	s.fits(misfit)
+	return out
 }

@@ -122,8 +122,8 @@ func TestSeedReproducibility(t *testing.T) {
 func TestPCTChangePointsRespectBudget(t *testing.T) {
 	s := NewPCTScheduler(3).(*pctScheduler)
 	s.Prepare(99, 1000)
-	if len(s.changePoints) > 3 {
-		t.Fatalf("change points = %d, want <= 3", len(s.changePoints))
+	if len(s.points) > 3 {
+		t.Fatalf("change points = %d, want <= 3", len(s.points))
 	}
 }
 

@@ -45,12 +45,10 @@ type Scheduler interface {
 // executions fan out across goroutines without sharing mutable state.
 type SchedulerFactory struct {
 	name       string
-	sequential bool
-	adaptive   bool
-	feedback   bool
+	spec       SchedulerSpec
+	depth      int
 	lengthHint int
 	corpus     *Corpus
-	build      func() Scheduler
 }
 
 // Name returns the scheduler name the factory builds ("random", "pct", ...).
@@ -59,9 +57,10 @@ func (f SchedulerFactory) Name() string { return f.name }
 // New returns a fresh Scheduler instance owned by the caller. If the
 // factory carries a program-length hint (WithLengthHint) or a corpus
 // (WithCorpus), the instance is pre-seeded with them before it is handed
-// out.
-func (f SchedulerFactory) New() Scheduler {
-	s := f.build()
+// out. A scheduler that does not resolve fault choices itself is adapted
+// here, once, so the runtime holds a single scheduler.
+func (f SchedulerFactory) New() FaultScheduler {
+	s := f.spec.New(f.depth)
 	if f.lengthHint > 0 {
 		if h, ok := s.(LengthHinted); ok {
 			h.SetLengthHint(f.lengthHint)
@@ -72,7 +71,10 @@ func (f SchedulerFactory) New() Scheduler {
 			fs.AttachCorpus(f.corpus)
 		}
 	}
-	return s
+	if fs, ok := s.(FaultScheduler); ok {
+		return fs
+	}
+	return defaultFaults{s}
 }
 
 // Sequential reports that the scheduler's correctness depends on seeing
@@ -81,7 +83,7 @@ func (f SchedulerFactory) New() Scheduler {
 // execution, so its schedule space cannot be partitioned across workers.
 // The engine walks a sequential scheduler's iterations in order on one
 // goroutine with one instance, outside the worker pool.
-func (f SchedulerFactory) Sequential() bool { return f.sequential }
+func (f SchedulerFactory) Sequential() bool { return f.spec.Sequential }
 
 // Adaptive reports that the scheduler places its probes (priority change
 // points, delay points) within an estimate of the program length. Without
@@ -90,7 +92,7 @@ func (f SchedulerFactory) Sequential() bool { return f.sequential }
 // engine's workers interleave. The engine therefore calibrates adaptive
 // factories: it measures iteration 0 once and pins the estimate on every
 // instance via WithLengthHint, restoring worker-count independence.
-func (f SchedulerFactory) Adaptive() bool { return f.adaptive }
+func (f SchedulerFactory) Adaptive() bool { return f.spec.Adaptive }
 
 // WithLengthHint returns a copy of the factory whose instances all use the
 // given program-length estimate (in scheduling steps) instead of adapting
@@ -107,7 +109,7 @@ func (f SchedulerFactory) WithLengthHint(steps int) SchedulerFactory {
 // be attached to every instance (WithCorpus) and may only grow at the
 // barriers between windows, or results would depend on worker
 // interleaving.
-func (f SchedulerFactory) Feedback() bool { return f.feedback }
+func (f SchedulerFactory) Feedback() bool { return f.spec.Feedback }
 
 // WithCorpus returns a copy of the factory whose instances all share the
 // given corpus (attached via FeedbackScheduler.AttachCorpus when the
@@ -263,13 +265,7 @@ func NewSchedulerFactory(name string, depth int) (SchedulerFactory, error) {
 	if cerr != nil {
 		return SchedulerFactory{}, cerr
 	}
-	return SchedulerFactory{
-		name:       name,
-		sequential: spec.Sequential,
-		adaptive:   spec.Adaptive,
-		feedback:   spec.Feedback,
-		build:      func() Scheduler { return spec.New(depth) },
-	}, nil
+	return SchedulerFactory{name: name, spec: spec, depth: depth}, nil
 }
 
 // NewScheduler constructs a single scheduler instance by name; see
@@ -291,39 +287,112 @@ func checkIntBound(sched string, n int) {
 	}
 }
 
-// reseed returns a generator seeded with seed, reusing rng when non-nil. It
-// is the one place a scheduler's generator is constructed. The contract:
-// the stream that follows equals rand.New(rand.NewSource(seed))'s bit for
-// bit, whatever rng drew before — execution i's schedule is a pure function
-// of its seed, and every trace and fixture recorded under math/rand's own
-// source keeps replaying. The generator is a lazySource (lazyrand.go), so
-// the reseed is O(1) rather than math/rand's 607-word fill;
-// TestLazySourceMatchesMathRand, TestLazySourceReseedLeavesNoStaleWords and
-// FuzzLazySourceMatchesMathRand pin the contract. Reuse matters because
-// Prepare runs once per execution and must not allocate.
-func reseed(rng *rand.Rand, seed int64) *rand.Rand {
-	if rng == nil {
-		rng = NewRand()
+// draws is the seeded generator every randomized built-in scheduler embeds:
+// it answers the data choices (NextBool, NextInt) and, uniformly over the
+// outcomes, the fault choices; a scheduler with a strategy of its own for
+// faults shadows NextFault. The generator is built on the first reseed.
+type draws struct {
+	name string
+	rng  *rand.Rand
+}
+
+func (d *draws) Name() string { return d.name }
+
+// reseed restarts the stream for an execution: after it the draws equal
+// rand.New(rand.NewSource(seed))'s bit for bit, whatever was drawn before —
+// execution i's schedule is a pure function of its seed, and every trace and
+// fixture recorded under math/rand's own source keeps replaying. The
+// generator is a lazySource (lazyrand.go), so this is O(1) rather than
+// math/rand's 607-word fill, and it is reused because Prepare runs once per
+// execution and must not allocate; TestLazySourceMatchesMathRand,
+// TestLazySourceReseedLeavesNoStaleWords and FuzzLazySourceMatchesMathRand
+// pin the contract.
+func (d *draws) reseed(seed int64) {
+	if d.rng == nil {
+		d.rng = NewRand()
 	}
-	rng.Seed(seed)
-	return rng
+	d.rng.Seed(seed)
+}
+
+func (d *draws) NextBool() bool { return d.rng.Intn(2) == 0 }
+
+func (d *draws) NextInt(n int) int {
+	checkIntBound(d.name, n)
+	return d.rng.Intn(n)
+}
+
+func (d *draws) NextFault(c FaultChoice) int { return d.rng.Intn(c.N) }
+
+// probes is what the two adaptive schedulers share: depth probe points (pct's
+// priority change points, delay's delay points) drawn per execution within an
+// estimate of the program length, and a step counter that fault choice points
+// advance like scheduling points — so a probe that lands on a fault point is
+// spent forcing a non-benign outcome there, the fault-plane analog of
+// demoting or delaying a machine. Everywhere else a fault outcome is uniform.
+type probes struct {
+	draws
+	depth int
+	// points holds the step numbers probed this execution (duplicates are
+	// harmless); step counts the choices answered so far, and between
+	// executions is the length of the previous one.
+	points []int
+	step   int
+	// lengthHint, when positive, is the engine-shared length estimate that
+	// makes place a pure function of (seed, maxSteps) — the property the
+	// parallel engine and portfolio attribution rely on.
+	lengthHint int
+}
+
+// place reseeds and draws the execution's probe points. The program length
+// is estimated by the engine-shared hint, else by the previous execution on
+// this instance; sampling over the (often much larger) step bound would push
+// most points beyond the end of the execution and waste the budget, so the
+// bound is only the fallback for a first or degenerately short estimate.
+func (p *probes) place(seed int64, maxSteps int) {
+	p.reseed(seed)
+	bound := p.lengthHint
+	if bound <= 0 {
+		bound = p.step
+	}
+	if bound < 10 {
+		bound = maxSteps
+	}
+	p.step = 0
+	p.points = p.points[:0]
+	for i := 0; i < p.depth; i++ {
+		p.points = append(p.points, 1+p.rng.Intn(bound))
+	}
+}
+
+// SetLengthHint implements LengthHinted: it pins the program-length estimate,
+// detaching the scheduler from its own execution history.
+func (p *probes) SetLengthHint(steps int) { p.lengthHint = steps }
+
+// probe counts one choice point and reports whether a probe landed on it.
+func (p *probes) probe() bool {
+	p.step++
+	return slices.Contains(p.points, p.step)
+}
+
+// NextFault implements FaultScheduler.
+func (p *probes) NextFault(c FaultChoice) int {
+	if p.probe() {
+		return 1 + p.rng.Intn(c.N-1)
+	}
+	return p.rng.Intn(c.N)
 }
 
 // randomScheduler implements the paper's "random scheduler": at every
 // scheduling point it picks uniformly among the enabled machines. Random
 // scheduling is simple but has proven effective at finding concurrency
 // bugs (Thomson et al., PPoPP 2014).
-type randomScheduler struct {
-	rng *rand.Rand
-}
+type randomScheduler struct{ draws }
 
 // NewRandomScheduler returns the uniform random scheduler.
-func NewRandomScheduler() Scheduler { return &randomScheduler{} }
-
-func (s *randomScheduler) Name() string { return "random" }
+func NewRandomScheduler() FaultScheduler { return &randomScheduler{draws{name: "random"}} }
 
 func (s *randomScheduler) Prepare(seed int64, _ int) bool {
-	s.rng = reseed(s.rng, seed)
+	s.reseed(seed)
 	return true
 }
 
@@ -331,46 +400,20 @@ func (s *randomScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineI
 	return enabled[s.rng.Intn(len(enabled))]
 }
 
-func (s *randomScheduler) NextBool() bool { return s.rng.Intn(2) == 0 }
-
-func (s *randomScheduler) NextInt(n int) int {
-	checkIntBound("random", n)
-	return s.rng.Intn(n)
-}
-
-// NextFault implements FaultScheduler: uniform over the outcomes, the
-// fault-plane analog of uniform random scheduling.
-func (s *randomScheduler) NextFault(c FaultChoice) int { return s.rng.Intn(c.N) }
-
 // pctScheduler implements the randomized priority-based scheduler of
 // Burckhardt et al. (ASPLOS 2010), the paper's second scheduler. Every
 // machine gets a random priority; at each scheduling point the
 // highest-priority enabled machine runs. At `depth` randomly chosen steps
-// per execution the scheduler demotes the machine it is about to run to the
-// lowest priority, which is what lets it dig out bugs that need a specific
-// thread to stall at a specific moment.
+// per execution (probes) the scheduler demotes the machine it is about to
+// run to the lowest priority, which is what lets it dig out bugs that need a
+// specific thread to stall at a specific moment.
 type pctScheduler struct {
-	depth int
-	rng   *rand.Rand
+	probes
 
 	// prio is indexed by MachineID and grown on first sight of a machine;
 	// pctUnset marks IDs below the highest seen that have no priority yet.
-	prio     []int
-	nextPrio int // decreasing: later machines get lower priority
-	lowest   int
-	// changePoints holds the depth step numbers at which the running
-	// machine is demoted (duplicates are harmless).
-	changePoints []int
-	step         int
-	// prevSteps is the observed length of the previous execution: PCT
-	// needs the program length k to place its change points; sampling
-	// them over the (often much larger) step bound would push most
-	// beyond the end of the execution and waste the budget.
-	prevSteps int
-	// lengthHint, when positive, replaces prevSteps with an engine-shared
-	// estimate, making Prepare a pure function of (seed, maxSteps) — the
-	// property the parallel engine and portfolio attribution rely on.
-	lengthHint int
+	prio   []int
+	lowest int
 }
 
 // pctUnset is the prio entry of a machine not seen yet; real priorities are
@@ -379,39 +422,16 @@ const pctUnset = math.MinInt
 
 // NewPCTScheduler returns a PCT scheduler with the given number of priority
 // change points per execution.
-func NewPCTScheduler(depth int) Scheduler {
-	return &pctScheduler{depth: depth}
+func NewPCTScheduler(depth int) FaultScheduler {
+	return &pctScheduler{probes: probes{draws: draws{name: "pct"}, depth: depth}}
 }
-
-func (s *pctScheduler) Name() string { return "pct" }
 
 func (s *pctScheduler) Prepare(seed int64, maxSteps int) bool {
-	s.rng = reseed(s.rng, seed)
+	s.place(seed, maxSteps)
 	s.prio = s.prio[:0]
-	s.nextPrio = 0
 	s.lowest = 0
-	s.prevSteps = s.step
-	s.step = 0
-	s.changePoints = s.changePoints[:0]
-	// Estimate the program length: prefer the engine-shared hint, then the
-	// previous execution on this instance; the first execution (or a
-	// degenerately short estimate) falls back to the step bound.
-	bound := s.lengthHint
-	if bound <= 0 {
-		bound = s.prevSteps
-	}
-	if bound < 10 {
-		bound = maxSteps
-	}
-	for i := 0; i < s.depth; i++ {
-		s.changePoints = append(s.changePoints, 1+s.rng.Intn(bound))
-	}
 	return true
 }
-
-// SetLengthHint pins the program-length estimate used to place priority
-// change points, detaching the scheduler from its own execution history.
-func (s *pctScheduler) SetLengthHint(steps int) { s.lengthHint = steps }
 
 // priorityOf assigns a random-ish priority on first sight of a machine.
 // New machines are inserted at a random rank among values seen so far by
@@ -433,50 +453,25 @@ func (s *pctScheduler) priorityOf(id MachineID) int {
 	return p
 }
 
+// NextMachine runs the enabled machine of highest priority, the lowest ID
+// winning a tie; on a probe it first demotes that machine below every other
+// and selects again. One scan serves both passes, in the body itself: it runs
+// on every step, and a helper for it would cost pct a call per step.
 func (s *pctScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
-	s.step++
-	best := enabled[0]
-	bestP := s.priorityOf(best)
-	for _, id := range enabled[1:] {
-		if p := s.priorityOf(id); p > bestP {
-			best, bestP = id, p
-		}
-	}
-	if slices.Contains(s.changePoints, s.step) {
-		// Demote the machine that would have run; then re-select.
-		s.lowest--
-		s.prio[best] = s.lowest
-		best = enabled[0]
-		bestP = s.priorityOf(best)
+	for demote := s.probe(); ; demote = false {
+		best := enabled[0]
+		bestP := s.priorityOf(best)
 		for _, id := range enabled[1:] {
 			if p := s.priorityOf(id); p > bestP {
 				best, bestP = id, p
 			}
 		}
+		if !demote {
+			return best
+		}
+		s.lowest--
+		s.prio[best] = s.lowest
 	}
-	return best
-}
-
-func (s *pctScheduler) NextBool() bool { return s.rng.Intn(2) == 0 }
-
-func (s *pctScheduler) NextInt(n int) int {
-	checkIntBound("pct", n)
-	return s.rng.Intn(n)
-}
-
-// NextFault implements FaultScheduler. Fault choice points advance the
-// same step counter as scheduling points, which makes them priority-change
-// candidates: when one of the execution's depth change points lands on a
-// fault point, the scheduler spends it forcing a faulty outcome (the
-// fault-plane analog of demoting the running machine) instead of a
-// demotion. Everywhere else the outcome is uniform, matching the
-// RandomBool-based injection the harnesses used before the fault plane.
-func (s *pctScheduler) NextFault(c FaultChoice) int {
-	s.step++
-	if slices.Contains(s.changePoints, s.step) {
-		return 1 + s.rng.Intn(c.N-1)
-	}
-	return s.rng.Intn(c.N)
 }
 
 // rrScheduler is a deterministic round-robin baseline: it cycles through
@@ -485,19 +480,17 @@ func (s *pctScheduler) NextFault(c FaultChoice) int {
 // and fault outcomes vary with the seed — but Prepare never reports
 // exhaustion: a run spends its whole budget on that one machine order.
 type rrScheduler struct {
-	rng  *rand.Rand
+	draws
 	last MachineID
 }
 
 // NewRoundRobinScheduler returns the round-robin baseline scheduler.
-// RandomBool/RandomInt still come from the seed's RNG so harnesses that use
-// choices remain runnable.
-func NewRoundRobinScheduler() Scheduler { return &rrScheduler{} }
-
-func (s *rrScheduler) Name() string { return "rr" }
+// RandomBool/RandomInt and fault outcomes still come uniformly from the
+// seed's RNG so harnesses that use choices remain runnable.
+func NewRoundRobinScheduler() FaultScheduler { return &rrScheduler{draws: draws{name: "rr"}} }
 
 func (s *rrScheduler) Prepare(seed int64, _ int) bool {
-	s.rng = reseed(s.rng, seed)
+	s.reseed(seed)
 	s.last = NoMachine
 	return true
 }
@@ -516,15 +509,3 @@ func (s *rrScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
 	s.last = enabled[0]
 	return s.last
 }
-
-func (s *rrScheduler) NextBool() bool { return s.rng.Intn(2) == 0 }
-
-func (s *rrScheduler) NextInt(n int) int {
-	checkIntBound("rr", n)
-	return s.rng.Intn(n)
-}
-
-// NextFault implements FaultScheduler: like RandomBool/RandomInt, fault
-// outcomes come uniformly from the seed's RNG so fault scenarios remain
-// runnable under the deterministic-schedule baseline.
-func (s *rrScheduler) NextFault(c FaultChoice) int { return s.rng.Intn(c.N) }

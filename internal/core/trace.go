@@ -5,90 +5,6 @@ import (
 	"fmt"
 )
 
-// DecisionKind distinguishes the kinds of nondeterministic choices an
-// execution makes. The schedule/bool/int kinds date from trace version 0;
-// the typed fault kinds (timer, crash, deliver) were introduced with
-// version 1 and the crash-consistency persist kind with version 2, which
-// is why decoding a kind out of a trace version that predates it is a
-// strict error.
-type DecisionKind byte
-
-const (
-	// DecisionSchedule records which machine was scheduled at a step.
-	DecisionSchedule DecisionKind = 's'
-	// DecisionBool records the outcome of a RandomBool.
-	DecisionBool DecisionKind = 'b'
-	// DecisionInt records the outcome of a RandomInt.
-	DecisionInt DecisionKind = 'i'
-	// DecisionTimer records whether a runtime timer fired when it was
-	// scheduled (Machine is the timer machine, Bool the firing outcome).
-	DecisionTimer DecisionKind = 't'
-	// DecisionCrash records the outcome of a CrashPoint: Int/N are the
-	// scheduler's choice among the candidates (0 = no crash), Machine the
-	// crashed machine (NoMachine when the scheduler declined).
-	DecisionCrash DecisionKind = 'c'
-	// DecisionDeliver records the delivery fate of a SendUnreliable:
-	// Int is a DeliveryOutcome, N the outcome-space size, Machine the
-	// target machine.
-	DecisionDeliver DecisionKind = 'd'
-	// DecisionPersist records the crash state chosen for a crashing
-	// machine's un-synced staged writes: Machine is the crashed machine,
-	// Int the number of staged writes that survived (a prefix in Persist
-	// order), N the outcome-space size (staged count + 1).
-	DecisionPersist DecisionKind = 'p'
-)
-
-// faultKind reports whether k is one of the version-1 fault kinds.
-func (k DecisionKind) faultKind() bool {
-	return k == DecisionTimer || k == DecisionCrash || k == DecisionDeliver
-}
-
-// persistKind reports whether k is the version-2 crash-consistency kind.
-func (k DecisionKind) persistKind() bool { return k == DecisionPersist }
-
-// Decision is one resolved nondeterministic choice. The paper's "#NDC"
-// column (nondeterministic choices in the first buggy execution) counts
-// exactly these.
-type Decision struct {
-	Kind DecisionKind
-	// Machine is set for DecisionSchedule, DecisionTimer, DecisionCrash
-	// and DecisionDeliver.
-	Machine MachineID
-	// Bool is set for DecisionBool and DecisionTimer.
-	Bool bool
-	// Int and N (the exclusive bound) are set for DecisionInt,
-	// DecisionCrash and DecisionDeliver.
-	Int int
-	N   int
-}
-
-func (d Decision) String() string {
-	switch d.Kind {
-	case DecisionSchedule:
-		return fmt.Sprintf("sched(%d)", d.Machine)
-	case DecisionBool:
-		return fmt.Sprintf("bool(%t)", d.Bool)
-	case DecisionInt:
-		return fmt.Sprintf("int(%d/%d)", d.Int, d.N)
-	case DecisionTimer:
-		if d.Bool {
-			return fmt.Sprintf("timer(%d fired)", d.Machine)
-		}
-		return fmt.Sprintf("timer(%d idle)", d.Machine)
-	case DecisionCrash:
-		if d.Machine == NoMachine {
-			return fmt.Sprintf("crash(declined/%d)", d.N)
-		}
-		return fmt.Sprintf("crash(%d, choice %d/%d)", d.Machine, d.Int, d.N)
-	case DecisionDeliver:
-		return fmt.Sprintf("deliver(%d, %s)", d.Machine, DeliveryOutcome(d.Int))
-	case DecisionPersist:
-		return fmt.Sprintf("persist(%d, %d of %d staged survive)", d.Machine, d.Int, d.N-1)
-	default:
-		return fmt.Sprintf("decision(%q)", byte(d.Kind))
-	}
-}
-
 // TraceVersion is the trace format version this build writes. Version 0
 // (PR-2 era, no version field) carried only schedule/bool/int decisions;
 // version 1 added the typed fault kinds; version 2 added the persist kind
@@ -186,43 +102,17 @@ func (a *decArena) presize(maxSteps int) {
 	}
 }
 
-func (a *decArena) addSchedule(m MachineID) {
-	a.words = append(a.words, decHeader(DecisionSchedule, m, false))
-	a.n++
-}
-
-// addBool records a RandomBool outcome. The machine field is the Decision
-// zero value (0, not NoMachine): bool decisions have always been recorded
-// machine-less, and decode must reproduce that bit pattern exactly for
-// struct comparisons and trace bytes to stay identical.
-func (a *decArena) addBool(b bool) {
-	a.words = append(a.words, decHeader(DecisionBool, 0, b))
-	a.n++
-}
-
-// addInt records a RandomInt outcome (machine-less, like addBool).
-func (a *decArena) addInt(v, n int) {
-	a.words = append(a.words, decHeader(DecisionInt, 0, false), uint64(v), uint64(n))
-	a.n++
-}
-
-func (a *decArena) addTimer(m MachineID, fired bool) {
-	a.words = append(a.words, decHeader(DecisionTimer, m, fired))
-	a.n++
-}
-
-func (a *decArena) addCrash(victim MachineID, out, n int) {
-	a.words = append(a.words, decHeader(DecisionCrash, victim, false), uint64(out), uint64(n))
-	a.n++
-}
-
-func (a *decArena) addDeliver(target MachineID, outcome, n int) {
-	a.words = append(a.words, decHeader(DecisionDeliver, target, false), uint64(outcome), uint64(n))
-	a.n++
-}
-
-func (a *decArena) addPersist(victim MachineID, survivors, n int) {
-	a.words = append(a.words, decHeader(DecisionPersist, victim, false), uint64(survivors), uint64(n))
+// add records one decision, given as the Decision's five fields (scalars,
+// because a Decision passed by value is built in memory and copied on every
+// step): its header word and, for the kinds that carry Int and N, two more. A
+// kind that carries no machine records the Decision zero value there (0, not
+// NoMachine), which decode must reproduce exactly for struct comparisons and
+// trace bytes to stay identical.
+func (a *decArena) add(k DecisionKind, m MachineID, b bool, v, n int) {
+	a.words = append(a.words, decHeader(k, m, b))
+	if decisionKinds[k].integer {
+		a.words = append(a.words, uint64(v), uint64(n))
+	}
 	a.n++
 }
 
@@ -244,78 +134,13 @@ func (a *decArena) decode() []Decision {
 		d.Machine = MachineID(int32(uint32(h >> 32)))
 		d.Bool = h&decBoolBit != 0
 		i++
-		switch d.Kind {
-		case DecisionInt, DecisionCrash, DecisionDeliver, DecisionPersist:
+		if decisionKinds[d.Kind].integer {
 			d.Int = int(int64(w[i]))
 			d.N = int(int64(w[i+1]))
 			i += 2
 		}
 	}
 	return out
-}
-
-// traceDecisionJSON is the compact wire form of a Decision.
-type traceDecisionJSON struct {
-	K string `json:"k"`
-	M int32  `json:"m,omitempty"`
-	B bool   `json:"b,omitempty"`
-	V int    `json:"v,omitempty"`
-	N int    `json:"n,omitempty"`
-}
-
-// MarshalJSON encodes the decision compactly.
-func (d Decision) MarshalJSON() ([]byte, error) {
-	j := traceDecisionJSON{K: string(d.Kind)}
-	switch d.Kind {
-	case DecisionSchedule:
-		j.M = int32(d.Machine)
-	case DecisionBool:
-		j.B = d.Bool
-	case DecisionInt:
-		j.V = d.Int
-		j.N = d.N
-	case DecisionTimer:
-		j.M = int32(d.Machine)
-		j.B = d.Bool
-	case DecisionCrash, DecisionDeliver, DecisionPersist:
-		j.M = int32(d.Machine)
-		j.V = d.Int
-		j.N = d.N
-	default:
-		return nil, fmt.Errorf("core: cannot marshal decision kind %q", byte(d.Kind))
-	}
-	return json.Marshal(j)
-}
-
-// UnmarshalJSON decodes the compact wire form.
-func (d *Decision) UnmarshalJSON(b []byte) error {
-	var j traceDecisionJSON
-	if err := json.Unmarshal(b, &j); err != nil {
-		return err
-	}
-	if len(j.K) != 1 {
-		return fmt.Errorf("core: bad decision kind %q", j.K)
-	}
-	d.Kind = DecisionKind(j.K[0])
-	switch d.Kind {
-	case DecisionSchedule:
-		d.Machine = MachineID(j.M)
-	case DecisionBool:
-		d.Bool = j.B
-	case DecisionInt:
-		d.Int = j.V
-		d.N = j.N
-	case DecisionTimer:
-		d.Machine = MachineID(j.M)
-		d.Bool = j.B
-	case DecisionCrash, DecisionDeliver, DecisionPersist:
-		d.Machine = MachineID(j.M)
-		d.Int = j.V
-		d.N = j.N
-	default:
-		return fmt.Errorf("core: bad decision kind %q", j.K)
-	}
-	return nil
 }
 
 // Encode serializes the trace to JSON.
@@ -344,16 +169,11 @@ func DecodeTrace(data []byte) (*Trace, error) {
 			t.Version, TraceVersion)
 	}
 	// Unknown kinds were already rejected by Decision.UnmarshalJSON; what
-	// remains is version gating: fault kinds need a version-1 trace, the
-	// persist kind a version-2 one.
+	// remains is version gating: a kind needs the version that introduced it.
 	for i, d := range t.Decisions {
-		if t.Version < 1 && d.Kind.faultKind() {
-			return nil, fmt.Errorf("core: decoding trace: decision %d kind %q requires trace version >= 1, trace declares %d",
-				i, string(d.Kind), t.Version)
-		}
-		if t.Version < 2 && d.Kind.persistKind() {
-			return nil, fmt.Errorf("core: decoding trace: decision %d kind %q requires trace version >= 2, trace declares %d",
-				i, string(d.Kind), t.Version)
+		if need := int(decisionKinds[d.Kind].version); t.Version < need {
+			return nil, fmt.Errorf("core: decoding trace: decision %d kind %q requires trace version >= %d, trace declares %d",
+				i, string(d.Kind), need, t.Version)
 		}
 	}
 	return &t, nil

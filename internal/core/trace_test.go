@@ -45,16 +45,16 @@ func TestTraceRoundTrip(t *testing.T) {
 // reset and negative or large int payloads.
 func TestDecArenaRoundTrip(t *testing.T) {
 	var a decArena
-	a.addSchedule(3)
-	a.addBool(true)
-	a.addBool(false)
-	a.addInt(7, 10)
-	a.addTimer(5, true)
-	a.addTimer(6, false)
-	a.addCrash(NoMachine, 0, 4)
-	a.addCrash(2, 3, 4)
-	a.addDeliver(1, 2, 3)
-	a.addInt(-9, 1<<40)
+	a.add(DecisionSchedule, 3, false, 0, 0)
+	a.add(DecisionBool, 0, true, 0, 0)
+	a.add(DecisionBool, 0, false, 0, 0)
+	a.add(DecisionInt, 0, false, 7, 10)
+	a.add(DecisionTimer, 5, true, 0, 0)
+	a.add(DecisionTimer, 6, false, 0, 0)
+	a.add(DecisionCrash, NoMachine, false, 0, 4)
+	a.add(DecisionCrash, 2, false, 3, 4)
+	a.add(DecisionDeliver, 1, false, 2, 3)
+	a.add(DecisionInt, 0, false, -9, 1<<40)
 	want := []Decision{
 		{Kind: DecisionSchedule, Machine: 3},
 		{Kind: DecisionBool, Bool: true},
@@ -84,7 +84,7 @@ func TestDecArenaRoundTrip(t *testing.T) {
 	if a.len() != 0 || a.decode() != nil {
 		t.Fatalf("reset arena not empty: len=%d", a.len())
 	}
-	a.addSchedule(1)
+	a.add(DecisionSchedule, 1, false, 0, 0)
 	if d := a.decode(); len(d) != 1 || d[0] != (Decision{Kind: DecisionSchedule, Machine: 1}) {
 		t.Fatalf("arena after reset decodes wrong: %v", d)
 	}
@@ -207,6 +207,46 @@ func TestReplayThatStopsShortIsADivergence(t *testing.T) {
 	long.Decisions = append(append([]Decision(nil), long.Decisions...), Decision{Kind: DecisionBool})
 	if rep, err := Replay(raceTest(), &long, opts); err != nil || rep == nil {
 		t.Fatalf("a reproduced violation must win over leftover decisions: (%v, %v)", rep, err)
+	}
+}
+
+// negativeIntTrace is a trace DecodeTrace accepts whose int decision holds a
+// value below its range.
+const negativeIntTrace = `{"version":2,"test":"neg","scheduler":"random","seed":1,"faults":{},"decisions":[{"k":"s"},{"k":"i","v":-1,"n":3}]}`
+
+// TestRecordedNegativeValueNeverReachesTheHarness: RandomInt(3) under a
+// decoded trace or a corpus entry that records -1 for it returns nothing
+// outside [0, 3) to user code — the replay diverges, the splice abandons the
+// prefix and draws.
+func TestRecordedNegativeValueNeverReachesTheHarness(t *testing.T) {
+	tr, err := DecodeTrace([]byte(negativeIntTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	test := Test{Name: "neg", Entry: func(ctx *Context) { got = append(got, ctx.RandomInt(3)) }}
+	const want = "core: replay divergence: decision 1: int choice -1 out of range 3"
+	if rep, err := Replay(test, tr, Options{}); rep != nil || err == nil || err.Error() != want || len(got) != 0 {
+		t.Fatalf("Replay = (%v, %v) with RandomInt returning %v, want the divergence %q", rep, err, got, want)
+	}
+
+	corpus := newCorpus(1)
+	corpus.add(1, 0, tr.Decisions)
+	s := NewMutationalScheduler().(*mutationalScheduler)
+	s.AttachCorpus(corpus)
+	whole := 0
+	for seed := int64(0); seed < 40; seed++ {
+		s.Prepare(seed, 100)
+		if len(s.prefix) == len(tr.Decisions) {
+			whole++
+		}
+		s.NextMachine([]MachineID{0}, NoMachine)
+		if v := s.NextInt(3); v < 0 || v >= 3 {
+			t.Fatalf("seed %d: the splice answered NextInt(3) with %d", seed, v)
+		}
+	}
+	if whole == 0 {
+		t.Fatal("no seed spliced the whole entry: the negative value was never reached")
 	}
 }
 

@@ -239,6 +239,7 @@ func FuzzDecodeTrace(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(fresh)
+	f.Add([]byte(negativeIntTrace))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeTrace(data)
 		if err != nil {
@@ -250,9 +251,9 @@ func FuzzDecodeTrace(f *testing.F) {
 		for i, d := range tr.Decisions {
 			need := 0
 			switch {
-			case d.Kind.persistKind():
+			case d.Kind == DecisionPersist:
 				need = 2
-			case d.Kind.faultKind():
+			case d.Kind == DecisionTimer || d.Kind == DecisionCrash || d.Kind == DecisionDeliver:
 				need = 1
 			}
 			if tr.Version < need {

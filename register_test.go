@@ -118,72 +118,158 @@ func TestRegisteredSchedulerIsFirstClass(t *testing.T) {
 	}
 }
 
-// timerLiar is a misbehaving user scheduler: it always runs the oldest
-// enabled machine and answers 2 to a timer's two-outcome fire choice.
-type timerLiar struct{}
+// liar is a misbehaving user scheduler: it always runs the oldest enabled
+// machine and answers one kind of choice out of range — a fault choice of
+// kind fault with c.N+over, NextInt with n+5, or its at-th NextMachine call
+// of an execution with machine.
+type liar struct {
+	name    string
+	fault   gostorm.FaultKind
+	over    int // 0: fault choices are answered honestly (benign)
+	ints    bool
+	at      int // -1: NextMachine is answered honestly
+	machine gostorm.MachineID
 
-func (timerLiar) Name() string            { return "timer-liar" }
-func (timerLiar) Prepare(int64, int) bool { return true }
-func (timerLiar) NextBool() bool          { return false }
-func (timerLiar) NextInt(int) int         { return 0 }
-func (timerLiar) NextMachine(enabled []gostorm.MachineID, _ gostorm.MachineID) gostorm.MachineID {
-	return enabled[0]
+	calls int
 }
 
-func (timerLiar) NextFault(c gostorm.FaultChoice) int {
-	if c.Kind == gostorm.FaultTimer {
-		return 2
+func (s *liar) Name() string   { return s.name }
+func (s *liar) NextBool() bool { return false }
+
+func (s *liar) Prepare(int64, int) bool {
+	s.calls = 0
+	return true
+}
+
+func (s *liar) NextInt(n int) int {
+	if s.ints {
+		return n + 5
 	}
 	return 0
 }
 
-var registerTimerLiar = gostorm.RegisterScheduler("timer-liar", gostorm.SchedulerSpec{
-	New: func(int) gostorm.Scheduler { return timerLiar{} },
-})
-
-// TestOutOfRangeTimerAnswerIsAttributedToTheTimer: a timer's step runs on
-// whatever stack reached the scheduling point that picked it, so a
-// scheduler's out-of-range answer to its fire choice must not surface as a
-// panic of the machine that lent the stack (the entry machine, blocked in
-// Receive) nor re-panic out of the engine when the hub ran the step (the
-// entry machine has halted): it is a safety violation naming the timer and
-// the scheduler.
-func TestOutOfRangeTimerAnswerIsAttributedToTheTimer(t *testing.T) {
-	if registerTimerLiar != nil {
-		t.Fatalf("RegisterScheduler: %v", registerTimerLiar)
+func (s *liar) NextMachine(enabled []gostorm.MachineID, _ gostorm.MachineID) gostorm.MachineID {
+	s.calls++
+	if s.calls-1 == s.at {
+		return s.machine
 	}
+	return enabled[0]
+}
+
+func (s *liar) NextFault(c gostorm.FaultChoice) int {
+	if s.over > 0 && c.Kind == s.fault {
+		return c.N - 1 + s.over
+	}
+	return 0
+}
+
+// liars holds one liar per kind of choice (the scheduling choice three
+// times: it is asked on the hub, on a handler's stack and on a stack between
+// handlers). Each is registered once for this test binary.
+var liars = []liar{
+	{name: "timer-liar", fault: gostorm.FaultTimer, over: 1, at: -1},
+	{name: "crash-liar", fault: gostorm.FaultCrash, over: 1, at: -1},
+	{name: "deliver-liar", fault: gostorm.FaultDeliver, over: 2, at: -1},
+	{name: "persist-liar", fault: gostorm.FaultPersist, over: 1, at: -1},
+	{name: "int-liar", ints: true, at: -1},
+	{name: "machine-liar-hub", at: 0, machine: 99},
+	{name: "machine-liar-handler", at: 2, machine: 0},
+	{name: "machine-liar-host", at: 2, machine: -7},
+}
+
+var registerLiars = func() error {
+	for _, l := range liars {
+		err := gostorm.RegisterScheduler(l.name, gostorm.SchedulerSpec{
+			New: func(int) gostorm.Scheduler { s := l; return &s },
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}()
+
+// TestOutOfRangeTimerAnswerIsAttributedToTheTimer: a scheduler's
+// out-of-range answer — to any kind of choice, on whichever stack the
+// choice point runs — is one safety violation naming the scheduler and
+// attributed to the machine that presented the choice, never a panic of the
+// machine that lent its stack (with a goroutine dump for a message), a false
+// bug in the system under test, or a panic out of the engine. A timer's step
+// runs on whatever stack reached the scheduling point that picked it: the
+// entry machine's, blocked in Receive, or — the entry machine has halted —
+// the hub's. The trace ends with the last honest decision.
+func TestOutOfRangeTimerAnswerIsAttributedToTheTimer(t *testing.T) {
+	if registerLiars != nil {
+		t.Fatalf("RegisterScheduler: %v", registerLiars)
+	}
+	idle := func() gostorm.Machine { return &gostorm.FuncMachine{} }
 	for _, c := range []struct {
-		name  string
-		after func(ctx *gostorm.Context)
+		name, sched string
+		faults      gostorm.Faults
+		entry       func(ctx *gostorm.Context)
+		machine     string // the machine the violation is attributed to
+		want        string
+		decisions   int // recorded before the offending answer
 	}{
-		{"on a host machine's stack", func(ctx *gostorm.Context) { ctx.Receive("tick") }},
-		{"on the hub", func(ctx *gostorm.Context) { ctx.Halt() }},
+		{"timer, on a host machine's stack", "timer-liar", gostorm.Faults{}, func(ctx *gostorm.Context) {
+			ctx.StartTimer("Timer0", ctx.ID(), gostorm.Signal("tick"))
+			ctx.Receive("tick")
+		}, "Timer0(1)", "core: timer-liar scheduler: timer fault outcome 2 out of [0, 2)", 5},
+		{"timer, on the hub", "timer-liar", gostorm.Faults{}, func(ctx *gostorm.Context) {
+			ctx.StartTimer("Timer0", ctx.ID(), gostorm.Signal("tick"))
+			ctx.Halt()
+		}, "Timer0(1)", "core: timer-liar scheduler: timer fault outcome 2 out of [0, 2)", 5},
+		{"crash", "crash-liar", gostorm.Faults{MaxCrashes: 1}, func(ctx *gostorm.Context) {
+			ctx.CrashPoint(ctx.CreateMachine(idle(), "peer"))
+		}, "harness(0)", "core: crash-liar scheduler: crash fault outcome 2 out of [0, 2)", 2},
+		{"delivery", "deliver-liar", gostorm.Faults{MaxDrops: 1}, func(ctx *gostorm.Context) {
+			ctx.SendUnreliable(ctx.CreateMachine(idle(), "peer"), gostorm.Signal("ping"))
+		}, "harness(0)", "core: deliver-liar scheduler: delivery fault outcome 3 out of [0, 2)", 2},
+		{"persist, in the reaper", "persist-liar", gostorm.Faults{MaxTornCrashes: 1}, func(ctx *gostorm.Context) {
+			self := ctx.ID()
+			peer := ctx.CreateMachine(&gostorm.FuncMachine{OnInit: func(ctx *gostorm.Context) {
+				ctx.Persist("k", []byte("v"))
+				ctx.Send(self, gostorm.Signal("staged"))
+			}}, "peer")
+			ctx.Receive("staged")
+			ctx.Crash(peer)
+		}, "peer(1)", "core: persist-liar scheduler: persist fault outcome 2 out of [0, 2)", 5},
+		{"int", "int-liar", gostorm.Faults{}, func(ctx *gostorm.Context) {
+			ctx.RandomInt(3)
+		}, "harness(0)", "core: int-liar scheduler: int outcome 8 out of [0, 3)", 1},
+		{"machine out of range, on the hub", "machine-liar-hub", gostorm.Faults{}, func(ctx *gostorm.Context) {
+		}, "", "core: machine-liar-hub scheduler: machine outcome 99 out of [0, 1)", 0},
+		{"machine not enabled, on a handler's stack", "machine-liar-handler", gostorm.Faults{}, func(ctx *gostorm.Context) {
+			ctx.CreateMachine(idle(), "peer")
+			ctx.Receive("never")
+		}, "", "core: machine-liar-handler scheduler: machine (not enabled) outcome 0 out of [0, 2)", 2},
+		{"machine out of range, between handlers", "machine-liar-host", gostorm.Faults{}, func(ctx *gostorm.Context) {
+			ctx.CreateMachine(idle(), "peer")
+		}, "", "core: machine-liar-host scheduler: machine outcome -7 out of [0, 2)", 2},
 	} {
-		test := gostorm.Test{
-			Name: "timer-liar",
-			Entry: func(ctx *gostorm.Context) {
-				ctx.StartTimer("Timer0", ctx.ID(), gostorm.Signal("tick"))
-				c.after(ctx)
-			},
-		}
-		for _, pooled := range []bool{true, false} {
-			opts := []gostorm.Option{
-				gostorm.WithScheduler("timer-liar"), gostorm.WithIterations(3), gostorm.WithMaxSteps(100),
-				gostorm.WithWorkers(1), gostorm.WithNoReplayLog(),
+		t.Run(c.name, func(t *testing.T) {
+			test := gostorm.Test{Name: "liar", Entry: c.entry}
+			for _, pooled := range []bool{true, false} {
+				opts := []gostorm.Option{
+					gostorm.WithScheduler(c.sched), gostorm.WithIterations(3), gostorm.WithMaxSteps(100),
+					gostorm.WithWorkers(1), gostorm.WithNoReplayLog(), gostorm.WithFaults(c.faults),
+				}
+				if !pooled {
+					opts = append(opts, gostorm.WithNoReuse())
+				}
+				res, err := gostorm.Explore(test, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.BugFound || res.Report.Kind != gostorm.SafetyBug ||
+					res.Report.Machine != c.machine || res.Report.Message != c.want {
+					t.Fatalf("pooled=%v: got %+v, want a safety violation in %q: %s", pooled, res.Report, c.machine, c.want)
+				}
+				if got := len(res.Report.Trace.Decisions); got != c.decisions {
+					t.Fatalf("pooled=%v: %d decisions recorded, want %d: %v", pooled, got, c.decisions, res.Report.Trace.Decisions)
+				}
 			}
-			if !pooled {
-				opts = append(opts, gostorm.WithNoReuse())
-			}
-			res, err := gostorm.Explore(test, opts...)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			const want = "core: timer-liar scheduler: timer fault outcome 2 out of [0, 2)"
-			if !res.BugFound || res.Report.Kind != gostorm.SafetyBug ||
-				res.Report.Machine != "Timer0(1)" || res.Report.Message != want {
-				t.Fatalf("%s (pooled=%v): got %+v, want a safety violation in Timer0(1): %s", c.name, pooled, res.Report, want)
-			}
-		}
+		})
 	}
 }
 
