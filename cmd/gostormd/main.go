@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxSteps    = fs.Int("max-steps", 0, "scheduling steps per execution (0 = scenario default)")
 		corpusSize  = fs.Int("corpus-size", 0, "exploration corpus capacity for feedback schedulers (0 = default)")
 		temperature = fs.Int("temperature", 0, "liveness temperature threshold (0 = bound check only)")
-		faults      = fs.String("faults", "", "fault budget override, e.g. crashes=1,drops=2 (empty = scenario default)")
+		faults      = fs.String("faults", "", "fault budget override, e.g. crashes=1,drops=2 (empty = scenario default; all zeros = disable)")
 		addr        = fs.String("addr", "127.0.0.1:7077", "control-plane listen address (use :0 for an ephemeral port)")
 		leaseSize   = fs.Int64("lease", 256, "global positions per lease")
 		leaseTTL    = fs.Duration("lease-ttl", 10*time.Second, "lease expiry; an unreported lease is re-issued after this")
@@ -122,7 +122,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "gostormd: -faults:", err)
 			return 2
 		}
-		opts.Faults = f
+		// A zero Options.Faults defers to the scenario's budget, so the
+		// all-zero spec is spelled NoFaults — what systest's WithFaults does.
+		opts.Faults, opts.NoFaults = f, f == core.Faults{}
 	}
 
 	cfg := dist.Config{

@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,6 +17,7 @@ import (
 
 	"github.com/gostorm/gostorm/internal/catalog"
 	"github.com/gostorm/gostorm/internal/core"
+	"github.com/gostorm/gostorm/internal/dist"
 )
 
 // distBinaries compiles gostormd and gostorm-agent once per test binary.
@@ -55,6 +58,46 @@ func buildBinaries(t *testing.T) (coord, agent string) {
 
 var listenRE = regexp.MustCompile(`on (http://[^\s]+)`)
 
+// startGostormd starts the coordinator on an ephemeral port and returns the
+// process, the address its banner carries, and its output, complete once
+// drained closes. The process is killed when the test ends.
+func startGostormd(t *testing.T, bin string, args ...string) (coord *exec.Cmd, url string, out *bytes.Buffer, drained chan struct{}) {
+	t.Helper()
+	coord = exec.Command(bin, append(args, "-addr", "127.0.0.1:0")...)
+	stdout, err := coord.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Stderr = coord.Stdout
+	if err := coord.Start(); err != nil {
+		t.Fatalf("starting gostormd: %v", err)
+	}
+	t.Cleanup(func() { coord.Process.Kill() })
+
+	out = new(bytes.Buffer)
+	sc := bufio.NewScanner(stdout)
+	for sc.Scan() {
+		line := sc.Text()
+		out.WriteString(line + "\n")
+		if m := listenRE.FindStringSubmatch(line); m != nil {
+			url = m[1]
+			break
+		}
+	}
+	if url == "" {
+		t.Fatalf("gostormd printed no listen address:\n%s", out.String())
+	}
+	// Keep draining so the pipe never blocks the coordinator.
+	drained = make(chan struct{})
+	go func() {
+		defer close(drained)
+		for sc.Scan() {
+			out.WriteString(sc.Text() + "\n")
+		}
+	}()
+	return coord, url, out, drained
+}
+
 // TestDistributedSmoke runs the real control plane end to end: gostormd
 // plus two gostorm-agent processes shard a buggy scenario on localhost,
 // and the fleet's winner must be byte-identical to a single-process
@@ -87,44 +130,11 @@ func TestDistributedSmoke(t *testing.T) {
 	}
 
 	trace := filepath.Join(t.TempDir(), "winner.trace")
-	coord := exec.Command(coordBin,
+	coord, url, coordOut, drained := startGostormd(t, coordBin,
 		"-test", "wal-torn-tail", "-scheduler", "random",
 		"-seed", "1", "-iterations", "400",
-		"-addr", "127.0.0.1:0", "-lease", "8", "-linger", "3s",
+		"-lease", "8", "-linger", "3s",
 		"-trace-out", trace)
-	stdout, err := coord.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.Stderr = coord.Stdout
-	if err := coord.Start(); err != nil {
-		t.Fatalf("starting gostormd: %v", err)
-	}
-	defer coord.Process.Kill()
-
-	// The banner carries the ephemeral address.
-	var coordOut bytes.Buffer
-	sc := bufio.NewScanner(stdout)
-	var url string
-	for sc.Scan() {
-		line := sc.Text()
-		coordOut.WriteString(line + "\n")
-		if m := listenRE.FindStringSubmatch(line); m != nil {
-			url = m[1]
-			break
-		}
-	}
-	if url == "" {
-		t.Fatalf("gostormd printed no listen address:\n%s", coordOut.String())
-	}
-	// Keep draining so the pipe never blocks the coordinator.
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for sc.Scan() {
-			coordOut.WriteString(sc.Text() + "\n")
-		}
-	}()
 
 	agents := make([]*exec.Cmd, 2)
 	agentOut := make([]bytes.Buffer, 2)
@@ -168,6 +178,35 @@ func TestDistributedSmoke(t *testing.T) {
 	}
 	if !bytes.Equal(got, wantTrace) {
 		t.Fatalf("fleet trace diverges from single-process run:\n got %s\nwant %s", got, wantTrace)
+	}
+}
+
+// TestAllZeroFaultsSpecDisablesTheFaultPlane: -faults crashes=0 means on a
+// fleet what it means to systest — no faults — and not "the scenario's own
+// budget", which is what an all-zero Options.Faults says. The plan agents
+// are handed must carry it.
+func TestAllZeroFaultsSpecDisablesTheFaultPlane(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs the real binary")
+	}
+	coordBin, _ := buildBinaries(t)
+	_, url, _, _ := startGostormd(t, coordBin, "-test", "ExtentNodeLivenessViolation", "-faults", "crashes=0")
+	resp, err := http.Post(url+"/v1/join", "application/json", strings.NewReader(`{"protocol":1,"agent":"t"}`))
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	defer resp.Body.Close()
+	var jr dist.JoinResponse
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		t.Fatalf("decoding the join response: %v", err)
+	}
+	entry, err := catalog.Get(jr.Plan.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := jr.Plan.EffectiveFaults(entry.Build()); !jr.Plan.NoFaults || got != (core.Faults{}) {
+		t.Fatalf("published plan has no_faults %v and runs %s under budget %v, want the fault plane off",
+			jr.Plan.NoFaults, jr.Plan.Scenario, got)
 	}
 }
 

@@ -309,6 +309,22 @@
 // cross-checks duplicate reports for the same position byte-for-byte
 // and counts any divergence as a determinism violation.
 //
+// internal/dist keeps those jobs in three files. coordinator.go is the
+// state machine: join, lease, report and status are methods that take the
+// time and a request and return a response or an error, so everything the
+// coordinator decides — admission, expiry, grants, what a report may claim,
+// which report's statistics count, when the winner is final — runs from a
+// test or a harness with a fabricated clock and no socket. protocol.go is
+// the wire: the message types and one declaration per exchange of its
+// method, path and framing, of which the coordinator mounts the serving
+// half and the agent calls the other; /metrics renders the same snapshot
+// /v1/status returns. agent.go is the agent's loop: leases, the retry
+// policy, the poller that follows the stop bound. A shard's statistics
+// cover its own range — a calibration execution re-run below From for its
+// length hint belongs to the shard that owns the position — so the sums
+// over first reports are Explore's Executions and TotalSteps at any fleet
+// size.
+//
 // The resulting contract mirrors the worker-count contract: for a fixed
 // seed and plan, the winning (member, iteration, trace bytes) — and, on
 // clean runs, the canonical execution statistics — are bit-identical

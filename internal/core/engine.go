@@ -368,7 +368,7 @@ func Explore(t Test, o Options) (Result, error) {
 	if ex.bug != nil {
 		limit = ex.bugPos + 1
 	}
-	members := ex.tally(limit)
+	members := ex.tally(0, limit)
 	res := Result{BugFound: ex.bug != nil, Report: ex.bug, Exhausted: true}
 	for _, ms := range members {
 		res.Executions += ms.Executions

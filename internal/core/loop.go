@@ -423,10 +423,10 @@ func firstPosOfMember(m int, nm, from int64) int64 {
 }
 
 // tally derives the canonical per-member statistics from the logs: the
-// executions at positions below limit — what a round-robin interleaving of
-// the members performs before reaching it — and whether the member's
-// scheduler ran out of schedules there.
-func (ex *explored) tally(limit int64) []MemberStats {
+// executions at positions in [from, limit) — what a round-robin
+// interleaving of the members performs between the two — and whether the
+// member's scheduler ran out of schedules there.
+func (ex *explored) tally(from, limit int64) []MemberStats {
 	nm := int64(len(ex.members))
 	stats := make([]MemberStats, nm)
 	for m := range stats {
@@ -437,7 +437,7 @@ func (ex *explored) tally(limit int64) []MemberStats {
 	}
 	for _, log := range ex.logs {
 		for _, e := range log {
-			if e.pos >= limit {
+			if e.pos < from || e.pos >= limit {
 				continue
 			}
 			if ms := &stats[e.pos%nm]; e.steps == refused {

@@ -44,13 +44,16 @@ type Shard struct {
 
 // CorpusCandidate is one corpus entry a shard merged locally, exported so
 // a coordinator can merge it into the fleet-wide corpus in canonical
-// global-position order.
+// global-position order. The JSON tags are its names on the fleet's wire
+// (internal/dist reports candidates as this type).
 type CorpusCandidate struct {
-	Fingerprint uint64
+	Fingerprint uint64 `json:"fp"`
 	// Position is the global position of the execution that recorded the
 	// candidate.
-	Position  int64
-	Decisions []Decision
+	Position int64 `json:"pos"`
+	// Decisions is the execution's decision sequence; on the wire, the trace
+	// JSON decision encoding.
+	Decisions []Decision `json:"d"`
 }
 
 // ShardResult summarizes an ExploreShard call.
@@ -67,7 +70,9 @@ type ShardResult struct {
 	BugFound bool
 	// BugPos is the winning bug's global position (meaningful only when
 	// BugFound). It can be below From: a calibration execution for an
-	// unowned member iteration 0 can surface a bug at position m < From.
+	// unowned member iteration 0 can surface a bug at position m < From,
+	// and it is reported — it prunes a fleet early — although the shard's
+	// statistics leave that execution out.
 	BugPos int64
 	// Member is the portfolio member index of the winning bug (0 for
 	// single-scheduler runs).
@@ -78,13 +83,14 @@ type ShardResult struct {
 	// Choices is the number of nondeterministic choices in the winning
 	// execution.
 	Choices int
-	// Executions and TotalSteps count the work performed: the contiguous
-	// completed prefix plus any calibration executions run for unowned
-	// positions.
+	// Executions and TotalSteps count the shard's own range: the executions
+	// at positions in [From, ResolvedTo). A calibration execution re-run for
+	// an unowned position below From belongs to the shard that owns the
+	// position, so the sums over any partition of a plan equal Explore's.
 	Executions int
 	TotalSteps int64
-	// Exhausted reports that some scheduler refused a position in the
-	// completed prefix (its schedule space ran out); the position counts
+	// Exhausted reports that some scheduler refused a position in
+	// [From, ResolvedTo) (its schedule space ran out); the position counts
 	// as resolved with no execution.
 	Exhausted bool
 	// Candidates holds the corpus entries the shard merged locally at its
@@ -165,9 +171,7 @@ func ExploreShard(t Test, o Options, sh Shard) (ShardResult, error) {
 		Candidates:  ex.candidates,
 		LengthHints: ex.hints,
 	}
-	// Calibration executions at unowned positions (all below From) are
-	// real work and count too.
-	for _, ms := range ex.tally(res.ResolvedTo) {
+	for _, ms := range ex.tally(sh.From, res.ResolvedTo) {
 		res.Executions += ms.Executions
 		res.TotalSteps += ms.TotalSteps
 		res.Exhausted = res.Exhausted || ms.Exhausted

@@ -201,10 +201,17 @@ func TestShardLengthHintsReplaceCalibration(t *testing.T) {
 	if from < 1 {
 		t.Fatalf("bug at position %d leaves no later sub-shard", full.BugPos)
 	}
+	// A shard's statistics cover its own range, so the skipped execution
+	// shows in what ran (Options.Progress), not in Executions — on one
+	// worker, where nothing races past the bug and completes uncounted.
+	var coldRan, warmRan int
+	o.Workers = 1
+	o.Progress = func(int) { coldRan++ }
 	cold, err := ExploreShard(raceTest(), o, Shard{From: from, To: total})
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.Progress = func(int) { warmRan++ }
 	warm, err := ExploreShard(raceTest(), o, Shard{From: from, To: total, LengthHints: full.LengthHints})
 	if err != nil {
 		t.Fatal(err)
@@ -216,9 +223,12 @@ func TestShardLengthHintsReplaceCalibration(t *testing.T) {
 	if !bytes.Equal(encodeTrace(t, cold.Report.Trace), encodeTrace(t, warm.Report.Trace)) {
 		t.Fatal("hinted and unhinted sub-shards disagree on the trace")
 	}
-	if warm.Executions != cold.Executions-1 {
-		t.Fatalf("hint did not skip the calibration execution: cold=%d warm=%d",
-			cold.Executions, warm.Executions)
+	if warmRan != coldRan-1 {
+		t.Fatalf("hint did not skip the calibration execution: cold ran %d, warm ran %d", coldRan, warmRan)
+	}
+	if warm.Executions != cold.Executions || warm.TotalSteps != cold.TotalSteps {
+		t.Fatalf("the calibration execution below From leaked into the shard's statistics: cold=%d/%d warm=%d/%d",
+			cold.Executions, cold.TotalSteps, warm.Executions, warm.TotalSteps)
 	}
 }
 

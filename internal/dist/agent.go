@@ -1,12 +1,9 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -69,44 +66,6 @@ func (a *Agent) logf(format string, args ...any) {
 	}
 }
 
-// statusError is the coordinator answering with anything but 200.
-type statusError struct {
-	path, body string
-	code       int
-}
-
-func (e *statusError) Error() string {
-	return fmt.Sprintf("dist: %s: %d %s: %s", e.path, e.code, http.StatusText(e.code), e.body)
-}
-
-// call is the agent's one HTTP exchange: req posted as JSON, or a GET when
-// req is nil, and the 200 answer decoded into resp.
-func (a *Agent) call(path string, req, resp any) error {
-	var r *http.Response
-	var err error
-	if req == nil {
-		r, err = a.hc.Get(a.cfg.Coordinator + path)
-	} else {
-		var body []byte
-		if body, err = json.Marshal(req); err != nil {
-			return err
-		}
-		r, err = a.hc.Post(a.cfg.Coordinator+path, "application/json", bytes.NewReader(body))
-	}
-	if err != nil {
-		return err
-	}
-	defer r.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-	if err != nil {
-		return err
-	}
-	if r.StatusCode != http.StatusOK {
-		return &statusError{path: path, code: r.StatusCode, body: string(bytes.TrimSpace(data))}
-	}
-	return json.Unmarshal(data, resp)
-}
-
 // localOptions are the engine options an agent runs the plan's leases
 // with: the plan, plus the machine-local fields the wire leaves out.
 // workers is the agent's local parallelism; replay logs stay off — the
@@ -136,9 +95,12 @@ func sleep(ctx context.Context, d time.Duration) error {
 // lease expires and the coordinator re-issues it, which is exactly the
 // chaos the determinism contract is tested under.
 func (a *Agent) Run(ctx context.Context) error {
-	if err := a.join(ctx); err != nil {
+	jr, err := exchange(ctx, a, joinEndpoint, JoinRequest{Protocol: ProtocolVersion, Agent: a.cfg.Name})
+	if err != nil {
 		return err
 	}
+	a.plan = jr.Plan
+	a.logf("joined: scenario %q, plan of %d position(s)", a.plan.Scenario, a.plan.Total)
 	test, err := a.cfg.BuildTest(a.plan.Scenario)
 	if err != nil {
 		return fmt.Errorf("dist: building scenario %q: %w", a.plan.Scenario, err)
@@ -149,71 +111,51 @@ func (a *Agent) Run(ctx context.Context) error {
 		return fmt.Errorf("dist: plan size mismatch: coordinator says %d, local derivation %d", a.plan.Total, total)
 	}
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var lr LeaseResponse
-		if err := a.withRetry(ctx, func() error {
-			return a.call("/v1/lease", LeaseRequest{Agent: a.cfg.Name}, &lr)
-		}); err != nil {
-			return err
-		}
+		lr, err := exchange(ctx, a, leaseEndpoint, LeaseRequest{Agent: a.cfg.Name})
 		switch {
+		case err != nil:
+			return err
 		case lr.Done:
 			a.logf("run complete")
 			return nil
 		case lr.None:
-			if err := sleep(ctx, time.Duration(lr.RetryMs)*time.Millisecond); err != nil {
-				return err
-			}
-			continue
+			err = sleep(ctx, time.Duration(lr.RetryMs)*time.Millisecond)
+		default:
+			err = a.runLease(ctx, lr)
 		}
-		if err := a.runLease(ctx, lr); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 }
 
-// join introduces the agent, retrying while the coordinator comes up.
-func (a *Agent) join(ctx context.Context) error {
-	return a.withRetry(ctx, func() error {
-		var jr JoinResponse
-		if err := a.call("/v1/join", JoinRequest{Protocol: ProtocolVersion, Agent: a.cfg.Name}, &jr); err != nil {
-			return err
-		}
-		a.plan = jr.Plan
-		a.logf("joined: scenario %q, plan of %d position(s)", a.plan.Scenario, a.plan.Total)
-		return nil
-	})
-}
-
-// withRetry runs fn with capped exponential backoff until it succeeds, the
-// context dies, or the attempts run out. A request the coordinator rejects
-// (400: wrong protocol version, a report off the plan) fails immediately —
-// no retry will fix it.
-func (a *Agent) withRetry(ctx context.Context, fn func() error) error {
+// exchange performs e with the agent's coordinator, retrying with capped
+// exponential backoff until it succeeds, the context dies, or the attempts
+// run out — a join waits for the coordinator to come up this way. A request
+// the coordinator rejects (400: wrong protocol version, a report off the
+// plan) fails immediately — no retry will fix it.
+func exchange[Req, Resp any](ctx context.Context, a *Agent, e endpoint[Req, Resp], req Req) (resp Resp, err error) {
 	backoff := 100 * time.Millisecond
-	var err error
 	for attempt := 0; attempt < 8; attempt++ {
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return resp, ctx.Err()
 		}
-		if err = fn(); err == nil {
-			return nil
+		if resp, err = e.call(a.hc, a.cfg.Coordinator, req); err == nil {
+			return resp, nil
 		}
 		var rejected *statusError
 		if errors.As(err, &rejected) && rejected.code == http.StatusBadRequest {
-			return err
+			return resp, err
 		}
 		a.logf("transient control-plane error (attempt %d): %v", attempt+1, err)
 		if serr := sleep(ctx, backoff); serr != nil {
-			return serr
+			return resp, serr
 		}
 		if backoff < 2*time.Second {
 			backoff *= 2
 		}
 	}
-	return err
+	return resp, err
 }
 
 // runLease explores one leased range. A background poller tracks the
@@ -241,30 +183,20 @@ func (a *Agent) runLease(ctx context.Context, lr LeaseResponse) error {
 				}
 				return
 			}
-			var st StatusResponse
-			if a.call("/v1/status", nil, &st) != nil {
-				continue
-			}
-			if st.Stop < stop.Load() {
+			st, err := statusEndpoint.call(a.hc, a.cfg.Coordinator, struct{}{})
+			if err == nil && st.Stop < stop.Load() {
 				stop.Store(st.Stop)
 			}
 		}
 	}()
 
-	sh := core.Shard{
-		From: lr.From,
-		To:   lr.To,
-		Stop: stop.Load,
-	}
+	sh := core.Shard{From: lr.From, To: lr.To, Stop: stop.Load, LengthHints: a.hints}
 	if len(lr.Corpus) > 0 {
 		c, err := core.DecodeCorpus(lr.Corpus)
 		if err != nil {
 			return fmt.Errorf("dist: lease %d corpus: %w", lr.Lease, err)
 		}
 		sh.Corpus = c
-	}
-	if a.hints != nil {
-		sh.LengthHints = a.hints
 	}
 	res, err := core.ExploreShard(a.test, a.opts, sh)
 	cancelPoll()
@@ -295,6 +227,7 @@ func (a *Agent) runLease(ctx context.Context, lr LeaseResponse) error {
 		ResolvedTo: res.ResolvedTo,
 		Executions: res.Executions,
 		TotalSteps: res.TotalSteps,
+		Candidates: res.Candidates,
 	}
 	if res.BugFound {
 		data, err := res.Report.Trace.Encode()
@@ -314,17 +247,7 @@ func (a *Agent) runLease(ctx context.Context, lr LeaseResponse) error {
 		a.logf("lease %d: bug at position %d (member %d, iteration %d)",
 			lr.Lease, res.BugPos, res.Member, res.Report.Iteration)
 	}
-	for _, c := range res.Candidates {
-		report.Candidates = append(report.Candidates, WireCandidate{
-			Fingerprint: c.Fingerprint,
-			Position:    c.Position,
-			Decisions:   c.Decisions,
-		})
-	}
-	var ack ReportResponse
-	if err := a.withRetry(ctx, func() error {
-		return a.call("/v1/report", report, &ack)
-	}); err != nil {
+	if _, err := exchange(ctx, a, reportEndpoint, report); err != nil {
 		return err
 	}
 	a.logf("lease %d: reported [%d, %d) resolved to %d", lr.Lease, res.From, res.To, res.ResolvedTo)

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -60,14 +59,10 @@ type Result struct {
 	FirstMismatch string
 }
 
-// Coordinator owns one exploration plan and serves the control-plane API:
-//
-//	POST /v1/join    JoinRequest    -> JoinResponse
-//	POST /v1/lease   LeaseRequest   -> LeaseResponse
-//	POST /v1/report  ReportRequest  -> ReportResponse
-//	GET  /v1/status                 -> StatusResponse
-//	GET  /healthz                   -> "ok"
-//	GET  /metrics                   -> Prometheus-style text
+// Coordinator owns one exploration plan: a state machine whose transitions
+// — join, lease, report, status — take the time and a request and answer
+// with a response or an error. Handler puts them behind the protocol's
+// endpoints, next to /healthz ("ok") and /metrics (Prometheus-style text).
 type Coordinator struct {
 	cfg      Config
 	plan     PlanConfig
@@ -84,7 +79,7 @@ type Coordinator struct {
 	agents     map[string]time.Time
 	corpus     *core.Corpus
 	corpusEnc  []byte // cached Encode of corpus; nil = stale
-	pendCands  []WireCandidate
+	pendCands  []core.CorpusCandidate
 	mismatches int
 	mismatch   string
 	done       bool
@@ -172,84 +167,70 @@ func (co *Coordinator) Result() Result {
 		res.Machine = co.bug.Machine
 		res.Step = co.bug.Step
 		res.TraceBytes = co.bug.Trace
-		if tr, err := core.DecodeTrace(co.bug.Trace); err == nil {
-			res.Trace = tr
-		}
+		res.Trace, _ = core.DecodeTrace(co.bug.Trace) // validate accepted it
 	}
 	return res
 }
 
-// Handler returns the control-plane HTTP handler.
+// Handler returns the control-plane HTTP handler: the transitions behind
+// their endpoints, on the wall clock, plus the operational pages.
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/join", co.handleJoin)
-	mux.HandleFunc("POST /v1/lease", co.handleLease)
-	mux.HandleFunc("POST /v1/report", co.handleReport)
-	mux.HandleFunc("GET /v1/status", co.handleStatus)
+	joinEndpoint.serve(mux, time.Now, co.join)
+	leaseEndpoint.serve(mux, time.Now, co.lease)
+	reportEndpoint.serve(mux, time.Now, co.report)
+	statusEndpoint.serve(mux, time.Now, co.status)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
-	mux.HandleFunc("GET /metrics", co.handleMetrics)
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		st, _ := co.status(time.Now(), struct{}{})
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		writeMetrics(w, st)
+	})
 	return mux
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req JoinRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if req.Protocol != ProtocolVersion {
-		http.Error(w, fmt.Sprintf("protocol version %d not supported (coordinator speaks %d)",
-			req.Protocol, ProtocolVersion), http.StatusBadRequest)
-		return
-	}
+// lock takes the mutex for a transition agent asked for at now — the last
+// the coordinator has seen of that agent, which status counts the live by.
+func (co *Coordinator) lock(agent string, now time.Time) {
 	co.mu.Lock()
-	co.agents[req.Agent] = time.Now()
+	co.agents[agent] = now
+}
+
+// join admits an agent that speaks the coordinator's protocol version and
+// hands it the plan.
+func (co *Coordinator) join(now time.Time, req JoinRequest) (JoinResponse, error) {
+	if req.Protocol != ProtocolVersion {
+		return JoinResponse{}, fmt.Errorf("protocol version %d not supported (coordinator speaks %d)",
+			req.Protocol, ProtocolVersion)
+	}
+	co.lock(req.Agent, now)
 	co.mu.Unlock()
 	co.logf("agent %s joined", req.Agent)
-	writeJSON(w, JoinResponse{Plan: co.plan})
+	return JoinResponse{Plan: co.plan}, nil
 }
 
-func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	now := time.Now()
-	co.mu.Lock()
+// lease re-queues what expired by now and grants the agent the lowest
+// pending span, or tells it to come back, or that the run is done.
+func (co *Coordinator) lease(now time.Time, req LeaseRequest) (LeaseResponse, error) {
+	co.lock(req.Agent, now)
 	defer co.mu.Unlock()
-	co.agents[req.Agent] = now
 	if co.done {
-		writeJSON(w, LeaseResponse{Done: true})
-		return
+		return LeaseResponse{Done: true}, nil
 	}
 	if n := co.lt.expire(now); n > 0 {
 		co.logf("re-issued %d expired lease(s)", n)
 	}
 	l, ok := co.lt.grant(req.Agent, now)
 	if !ok {
-		writeJSON(w, LeaseResponse{None: true, RetryMs: co.cfg.RetryMs, Stop: co.lt.limit})
-		return
+		return LeaseResponse{None: true, RetryMs: co.cfg.RetryMs, Stop: co.lt.limit}, nil
 	}
 	resp := LeaseResponse{Lease: l.id, From: l.span.from, To: l.span.to, Stop: co.lt.limit}
 	if co.feedback {
 		resp.Corpus = co.corpusSnapshotLocked()
 	}
-	writeJSON(w, resp)
+	return resp, nil
 }
 
 // validate rejects a report the plan cannot have produced. Reports arrive
@@ -279,19 +260,14 @@ func (co *Coordinator) validate(req *ReportRequest) error {
 	return nil
 }
 
-func (co *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
-	var req ReportRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
+// report ingests a lease's results: the resolved prefix, the statistics,
+// a bug, corpus candidates — and closes the run when that settles it.
+func (co *Coordinator) report(now time.Time, req ReportRequest) (ReportResponse, error) {
 	if err := co.validate(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return
+		return ReportResponse{}, fmt.Errorf("bad request: %v", err)
 	}
-	now := time.Now()
-	co.mu.Lock()
+	co.lock(req.Agent, now)
 	defer co.mu.Unlock()
-	co.agents[req.Agent] = now
 
 	// Duplicate reports (an expired lease re-issued, both agents finishing)
 	// carry identical deterministic data; only the first contributes to the
@@ -312,7 +288,7 @@ func (co *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	co.mergeCorpusLocked()
 	co.checkDoneLocked()
-	writeJSON(w, ReportResponse{Done: co.done, Stop: co.lt.limit})
+	return ReportResponse{Done: co.done, Stop: co.lt.limit}, nil
 }
 
 // ingestBugLocked applies first-bug-wins: the lowest position wins; two
@@ -398,8 +374,11 @@ func (co *Coordinator) checkDoneLocked() {
 	}
 }
 
-// statusLocked builds the shared snapshot for /v1/status and /metrics.
-func (co *Coordinator) statusLocked(now time.Time) StatusResponse {
+// status is the coordinator's state at now: what /v1/status answers and
+// /metrics renders.
+func (co *Coordinator) status(now time.Time, _ struct{}) (StatusResponse, error) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
 	elapsed := now.Sub(co.start).Seconds()
 	live := 0
 	window := 3 * co.cfg.LeaseTTL
@@ -430,41 +409,5 @@ func (co *Coordinator) statusLocked(now time.Time) StatusResponse {
 	if elapsed > 0 {
 		st.PerSecond = float64(co.executions) / elapsed
 	}
-	return st
-}
-
-func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	co.mu.Lock()
-	st := co.statusLocked(time.Now())
-	co.mu.Unlock()
-	writeJSON(w, st)
-}
-
-func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	co.mu.Lock()
-	st := co.statusLocked(time.Now())
-	co.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "# HELP gostorm_leases_outstanding Leases currently held by agents.\n")
-	fmt.Fprintf(w, "# TYPE gostorm_leases_outstanding gauge\n")
-	fmt.Fprintf(w, "gostorm_leases_outstanding %d\n", st.Leases)
-	fmt.Fprintf(w, "# HELP gostorm_agents_live Agents seen within three lease TTLs.\n")
-	fmt.Fprintf(w, "# TYPE gostorm_agents_live gauge\n")
-	fmt.Fprintf(w, "gostorm_agents_live %d\n", st.AgentsLive)
-	fmt.Fprintf(w, "# HELP gostorm_iterations_total Executions reported by the fleet.\n")
-	fmt.Fprintf(w, "# TYPE gostorm_iterations_total counter\n")
-	fmt.Fprintf(w, "gostorm_iterations_total %d\n", st.Executions)
-	fmt.Fprintf(w, "# HELP gostorm_iterations_per_second Fleet execution rate since start.\n")
-	fmt.Fprintf(w, "# TYPE gostorm_iterations_per_second gauge\n")
-	fmt.Fprintf(w, "gostorm_iterations_per_second %g\n", st.PerSecond)
-	fmt.Fprintf(w, "# HELP gostorm_positions_resolved Global positions resolved.\n")
-	fmt.Fprintf(w, "# TYPE gostorm_positions_resolved gauge\n")
-	fmt.Fprintf(w, "gostorm_positions_resolved %d\n", st.Resolved)
-	fmt.Fprintf(w, "# HELP gostorm_bug_found Whether a winning bug has been reported.\n")
-	fmt.Fprintf(w, "# TYPE gostorm_bug_found gauge\n")
-	if st.BugFound {
-		fmt.Fprintf(w, "gostorm_bug_found 1\n")
-	} else {
-		fmt.Fprintf(w, "gostorm_bug_found 0\n")
-	}
+	return st, nil
 }

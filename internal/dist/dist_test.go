@@ -10,7 +10,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -275,33 +277,44 @@ func TestPortfolioDistributedMatchesExplore(t *testing.T) {
 }
 
 // TestCleanRunCompletes: a plan with no bug resolves every position and
-// reports a clean fleet result with exact canonical statistics.
+// the fleet's statistics are Explore's, whatever the scheduler and however
+// many agents joined. An adaptive member (pct, delay) is the case that
+// matters: every agent whose first lease does not hold the member's
+// position 0 re-runs it for the length hint, and that execution belongs to
+// the shard that owns the position, not to every shard that needed the hint.
 func TestCleanRunCompletes(t *testing.T) {
 	test := choiceTest()
-	opts := core.Options{Scheduler: "random", Iterations: 200, Seed: 5, MaxSteps: 100, NoReplayLog: true}
-	ref := core.MustExplore(test, opts)
-	if ref.BugFound {
-		t.Fatal("reference run unexpectedly found a bug")
-	}
-
-	co, srv := startCoordinator(t, Config{
-		Scenario:  "choices",
-		Options:   opts,
-		LeaseSize: 64,
-		LeaseTTL:  time.Second,
-		RetryMs:   10,
-	}, nil)
-	wg := runAgents(t, srv.URL, test, []string{"a1", "a2"})
-	res := waitDone(t, co, wg)
-
-	if res.BugFound {
-		t.Fatal("clean plan reported a bug")
-	}
-	if res.Executions != int64(ref.Executions) {
-		t.Fatalf("fleet executions = %d, want %d", res.Executions, ref.Executions)
-	}
-	if res.TotalSteps != ref.TotalSteps {
-		t.Fatalf("fleet total steps = %d, want %d", res.TotalSteps, ref.TotalSteps)
+	for _, plan := range []core.Options{
+		{Scheduler: "random"},
+		{Scheduler: "pct"},
+		{Scheduler: "delay"},
+		{Portfolio: []string{"pct", "random"}},
+	} {
+		opts := plan
+		opts.Iterations, opts.Seed, opts.MaxSteps, opts.NoReplayLog = 400, 5, 100, true
+		ref := core.MustExplore(test, opts)
+		if ref.BugFound {
+			t.Fatal("reference run unexpectedly found a bug")
+		}
+		for _, agents := range [][]string{{"a1", "a2"}, {"a1", "a2", "a3"}} {
+			t.Run(fmt.Sprintf("%s/%dagents", strings.Join(opts.Members(), ","), len(agents)), func(t *testing.T) {
+				co, srv := startCoordinator(t, Config{
+					Scenario:  "choices",
+					Options:   opts,
+					LeaseSize: 32,
+					LeaseTTL:  time.Second,
+					RetryMs:   10,
+				}, nil)
+				res := waitDone(t, co, runAgents(t, srv.URL, test, agents))
+				if res.BugFound {
+					t.Fatal("clean plan reported a bug")
+				}
+				if res.Executions != int64(ref.Executions) || res.TotalSteps != ref.TotalSteps {
+					t.Fatalf("fleet ran %d executions of %d steps in all, Explore %d of %d",
+						res.Executions, res.TotalSteps, ref.Executions, ref.TotalSteps)
+				}
+			})
+		}
 	}
 }
 
@@ -334,28 +347,49 @@ func TestCorpusShipping(t *testing.T) {
 	}
 }
 
+// TestCandidatesKeepTheirWireNames: corpus candidates travel as
+// core.CorpusCandidate, whose JSON tags are therefore protocol 1's; the
+// bytes below are a report as a coordinator of that protocol has always
+// read it.
+func TestCandidatesKeepTheirWireNames(t *testing.T) {
+	const golden = `{"agent":"a","lease":1,"from":0,"to":2,"resolved_to":2,"executions":2,"total_steps":9,` +
+		`"candidates":[{"fp":9223372036854775808,"pos":1,"d":[{"k":"s","m":3},{"k":"b","b":true},{"k":"i","v":2,"n":4}]}]}`
+	want := ReportRequest{Agent: "a", Lease: 1, To: 2, ResolvedTo: 2, Executions: 2, TotalSteps: 9,
+		Candidates: []core.CorpusCandidate{{Fingerprint: 1 << 63, Position: 1, Decisions: []core.Decision{
+			{Kind: core.DecisionSchedule, Machine: 3}, {Kind: core.DecisionBool, Bool: true}, {Kind: core.DecisionInt, Int: 2, N: 4}}}}}
+	if data, err := json.Marshal(want); err != nil || string(data) != golden {
+		t.Errorf("report on the wire (error %v):\n got %s\nwant %s", err, data, golden)
+	}
+	var got ReportRequest
+	if err := json.Unmarshal([]byte(golden), &got); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("report off the wire (error %v):\n got %+v\nwant %+v", err, got, want)
+	}
+}
+
 // TestLeaseExpiryOverHTTP: a granted lease that is never reported expires
 // and is re-issued to the next asker; a late report for the expired lease
-// is still accepted.
+// is still accepted. The exchanges go through the endpoints' server half;
+// the time they happen at is the test's, so expiry takes no waiting.
 func TestLeaseExpiryOverHTTP(t *testing.T) {
-	_, srv := startCoordinator(t, Config{
+	co, err := New(Config{
 		Scenario: "choices",
 		Options:  core.Options{Scheduler: "random", Iterations: 100, NoReplayLog: true},
 		LeaseTTL: 50 * time.Millisecond,
-		RetryMs:  10,
-	}, nil)
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	now := time.Now()
+	clock := func() time.Time { return now }
+	h := http.NewServeMux()
+	leaseEndpoint.serve(h, clock, co.lease)
+	reportEndpoint.serve(h, clock, co.report)
 
-	lease := func(agent string) LeaseResponse {
+	var w wire
+	lease := func(agent string) (lr LeaseResponse) {
 		t.Helper()
-		body, _ := json.Marshal(LeaseRequest{Agent: agent})
-		resp, err := http.Post(srv.URL+"/v1/lease", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("lease: %v", err)
-		}
-		defer resp.Body.Close()
-		var lr LeaseResponse
-		if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-			t.Fatalf("decoding lease: %v", err)
+		if code, body := w.post(t, h, leaseEndpoint.path, LeaseRequest{Agent: agent}, &lr); code != http.StatusOK {
+			t.Fatalf("lease: status %d: %s", code, body)
 		}
 		return lr
 	}
@@ -364,7 +398,11 @@ func TestLeaseExpiryOverHTTP(t *testing.T) {
 	if l1.None || l1.Done || l1.From != 0 {
 		t.Fatalf("first lease = %+v, want a grant from 0", l1)
 	}
-	time.Sleep(120 * time.Millisecond)
+	now = now.Add(50 * time.Millisecond)
+	if l := lease("early"); !l.None {
+		t.Fatalf("the plan's one lease was re-issued at its TTL, not past it: %+v", l)
+	}
+	now = now.Add(time.Millisecond)
 	l2 := lease("fast")
 	if l2.None || l2.Done {
 		t.Fatalf("expired lease was not re-issued: %+v", l2)
@@ -375,14 +413,11 @@ func TestLeaseExpiryOverHTTP(t *testing.T) {
 
 	// The slow agent's late report is still accepted (results are
 	// deterministic, duplicates identical).
-	body, _ := json.Marshal(ReportRequest{Agent: "slow", Lease: l1.Lease, From: l1.From, To: l1.To, ResolvedTo: l1.To})
-	resp, err := http.Post(srv.URL+"/v1/report", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("late report: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("late report status = %s, want 200", resp.Status)
+	var ack ReportResponse
+	if code, body := w.post(t, h, reportEndpoint.path, ReportRequest{
+		Agent: "slow", Lease: l1.Lease, From: l1.From, To: l1.To, ResolvedTo: l1.To,
+	}, &ack); code != http.StatusOK {
+		t.Fatalf("late report: status %d: %s", code, body)
 	}
 }
 
@@ -465,6 +500,10 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatal("status reports zero executions after a full run")
 	}
 
+	// Scrape /metrics and parse the exposition line by line: every sample
+	// follows its own HELP and TYPE, no name repeats, and each value is the
+	// /v1/status field it is a reading of — the run is over, so the two
+	// snapshots differ only in what the clock moves.
 	resp, err = http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
@@ -472,16 +511,39 @@ func TestHealthzAndMetrics(t *testing.T) {
 	buf.Reset()
 	buf.ReadFrom(resp.Body)
 	resp.Body.Close()
-	metrics := buf.String()
-	for _, want := range []string{
-		"gostorm_iterations_total 50",
-		"gostorm_positions_resolved 50",
-		"gostorm_bug_found 0",
-		"# TYPE gostorm_iterations_per_second gauge",
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Fatalf("metrics output missing %q:\n%s", want, metrics)
+	want := map[string]float64{
+		"gostorm_leases_outstanding": float64(st.Leases),
+		"gostorm_agents_live":        float64(st.AgentsLive),
+		"gostorm_iterations_total":   float64(st.Executions),
+		"gostorm_positions_resolved": float64(st.Resolved),
+		"gostorm_bug_found":          0,
+	}
+	sampleName := regexp.MustCompile(`^[a-z_]+$`)
+	got := make(map[string]float64)
+	var help, typ string
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) >= 4 && f[0] == "#" && f[1] == "HELP":
+			help = f[2]
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && (f[3] == "gauge" || f[3] == "counter"):
+			typ = f[2]
+		case len(f) == 2 && sampleName.MatchString(f[0]):
+			v, err := strconv.ParseFloat(f[1], 64)
+			if _, dup := got[f[0]]; err != nil || dup || help != f[0] || typ != f[0] {
+				t.Fatalf("sample %q: parse error %v, duplicate %v, preceded by HELP %q and TYPE %q", line, err, dup, help, typ)
+			}
+			got[f[0]] = v
+		default:
+			t.Fatalf("unparseable exposition line %q in:\n%s", line, buf.String())
 		}
+	}
+	if rate, ok := got["gostorm_iterations_per_second"]; !ok || rate <= 0 || rate > st.PerSecond {
+		t.Errorf("gostorm_iterations_per_second = %v (present %v), want within (0, %v]: the same executions over a later clock", rate, ok, st.PerSecond)
+	}
+	delete(got, "gostorm_iterations_per_second")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("metrics disagree with /v1/status:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -592,9 +654,7 @@ func TestReportsOffThePlanAreRejected(t *testing.T) {
 	h := co.Handler()
 	const total = 5000
 	state := func() StatusResponse {
-		co.mu.Lock()
-		defer co.mu.Unlock()
-		st := co.statusLocked(time.Now())
+		st, _ := co.status(time.Now(), struct{}{})
 		st.ElapsedSecs, st.PerSecond = 0, 0
 		return st
 	}

@@ -22,6 +22,21 @@ func (lt *leaseTable) pendingPositions() int64 {
 	}
 }
 
+// lowestPendingRun is what a grant must be, found position by position: the
+// lowest position below limit that is not busy (resolved or leased), up to
+// the next busy position, multiple of size or the limit. Empty at or beyond
+// limit when nothing is pending.
+func lowestPendingRun(limit, size int64, busy func(int64) bool) span {
+	var want span
+	for want.from < limit && busy(want.from) {
+		want.from++
+	}
+	for want.to = want.from; want.to < limit && !busy(want.to) && (want.to == want.from || want.to%size != 0); {
+		want.to++
+	}
+	return want
+}
+
 func TestLeaseTableGrantLowestFirst(t *testing.T) {
 	now := time.Now()
 	lt := newLeaseTable(100, 32, time.Second)
@@ -138,18 +153,11 @@ func TestNoLeaseOutgrowsItsSizeOrTheLimit(t *testing.T) {
 		switch op := rng.Intn(10); {
 		case op < 4:
 			l, ok := lt.grant("a", now)
-			var want span
-			busy := func(p int64) bool {
+			want := lowestPendingRun(lt.limit, size, func(p int64) bool {
 				return resolved[p] || slices.ContainsFunc(lt.out, func(o lease) bool {
 					return o.id != l.id && o.span.from <= p && p < o.span.to
 				})
-			}
-			for want.from < lt.limit && busy(want.from) {
-				want.from++
-			}
-			for want.to = want.from; want.to < lt.limit && !busy(want.to) && (want.to == want.from || want.to%size != 0); {
-				want.to++
-			}
+			})
 			if ok != (want.from < lt.limit) || ok && l.span != want {
 				t.Fatalf("step %d: grant = %+v, %v with limit %d; want %+v", step, l.span, ok, lt.limit, want)
 			}

@@ -33,9 +33,26 @@
 // advances, and the merged snapshot ships with every lease — distributed
 // corpus sharing is a best-effort accelerator (see the ExploreShard
 // determinism caveat), the winner attribution above never depends on it.
+//
+// Three files, three jobs. coordinator.go is the state machine: join, lease,
+// report and status take the time and a request and return a response or an
+// error — no socket, no JSON, no clock but the one passed in — so a test or a
+// harness drives them, lease expiry included, with a fabricated time. This
+// file is the wire: the message types and, once for both ends, how an
+// exchange is framed (endpoint). agent.go is the agent's loop: leases, retry
+// policy, the stop-bound poller. A shard's statistics cover its own range
+// (core.ShardResult), so the fleet's sum over first reports is Explore's
+// count at any fleet size.
 package dist
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"time"
+
 	"github.com/gostorm/gostorm/internal/core"
 )
 
@@ -102,29 +119,20 @@ type WireBug struct {
 	Trace     []byte `json:"trace"`
 }
 
-// WireCandidate is one corpus candidate in transit.
-type WireCandidate struct {
-	Fingerprint uint64 `json:"fp"`
-	Position    int64  `json:"pos"`
-	// Decisions is the candidate's decision sequence in the trace JSON
-	// decision encoding.
-	Decisions []core.Decision `json:"d"`
-}
-
 // ReportRequest returns a lease's results. ResolvedTo < To means the tail
-// was pruned or unfinished; it is pending again if still needed. The
-// coordinator rejects a report the plan cannot have produced (see
-// Coordinator.validate).
+// was pruned or unfinished; it is pending again if still needed. Candidates
+// travel as the engine's own type. The coordinator rejects a report the plan
+// cannot have produced (see Coordinator.validate).
 type ReportRequest struct {
-	Agent      string          `json:"agent"`
-	Lease      int64           `json:"lease"`
-	From       int64           `json:"from"`
-	To         int64           `json:"to"`
-	ResolvedTo int64           `json:"resolved_to"`
-	Executions int             `json:"executions"`
-	TotalSteps int64           `json:"total_steps"`
-	Bug        *WireBug        `json:"bug,omitempty"`
-	Candidates []WireCandidate `json:"candidates,omitempty"`
+	Agent      string                 `json:"agent"`
+	Lease      int64                  `json:"lease"`
+	From       int64                  `json:"from"`
+	To         int64                  `json:"to"`
+	ResolvedTo int64                  `json:"resolved_to"`
+	Executions int                    `json:"executions"`
+	TotalSteps int64                  `json:"total_steps"`
+	Bug        *WireBug               `json:"bug,omitempty"`
+	Candidates []core.CorpusCandidate `json:"candidates,omitempty"`
 }
 
 // ReportResponse acknowledges a report and pushes the latest bounds.
@@ -149,4 +157,115 @@ type StatusResponse struct {
 	AgentsLive  int     `json:"agents_live"`
 	CorpusLen   int     `json:"corpus_len"`
 	ElapsedSecs float64 `json:"elapsed_seconds"`
+}
+
+// endpoint is one exchange of the protocol, stated once: serve is the
+// coordinator's half, call the agent's, so the framing (JSON bodies, the
+// size cap, 200 or an error text) cannot differ between the ends. A GET
+// carries no request body.
+type endpoint[Req, Resp any] struct {
+	method, path string
+}
+
+var (
+	joinEndpoint   = endpoint[JoinRequest, JoinResponse]{http.MethodPost, "/v1/join"}
+	leaseEndpoint  = endpoint[LeaseRequest, LeaseResponse]{http.MethodPost, "/v1/lease"}
+	reportEndpoint = endpoint[ReportRequest, ReportResponse]{http.MethodPost, "/v1/report"}
+	statusEndpoint = endpoint[struct{}, StatusResponse]{http.MethodGet, "/v1/status"}
+)
+
+const (
+	contentType = "application/json"
+	// maxBody caps a message in either direction; a winning trace or a
+	// corpus snapshot is the bulk of the largest.
+	maxBody = 64 << 20
+)
+
+// serve mounts the exchange on mux: the body decoded into a Req, handled at
+// the time clock reads, and the Resp written as JSON. A body that does not
+// decode, or an error from handle, is a 400 carrying the text.
+func (e endpoint[Req, Resp]) serve(mux *http.ServeMux, clock func() time.Time, handle func(time.Time, Req) (Resp, error)) {
+	mux.HandleFunc(e.method+" "+e.path, func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if e.method == http.MethodPost {
+			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+				http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+				return
+			}
+		}
+		resp, err := handle(clock(), req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", contentType)
+		json.NewEncoder(w).Encode(resp)
+	})
+}
+
+// call performs the exchange against the coordinator at base and returns
+// its decoded 200 answer; any other status is a *statusError.
+func (e endpoint[Req, Resp]) call(hc *http.Client, base string, req Req) (resp Resp, err error) {
+	var body io.Reader
+	if e.method == http.MethodPost {
+		data, err := json.Marshal(req)
+		if err != nil {
+			return resp, err
+		}
+		body = bytes.NewReader(data)
+	}
+	hr, err := http.NewRequest(e.method, base+e.path, body)
+	if err != nil {
+		return resp, err
+	}
+	if body != nil {
+		hr.Header.Set("Content-Type", contentType)
+	}
+	r, err := hc.Do(hr)
+	if err != nil {
+		return resp, err
+	}
+	defer r.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
+	if err != nil {
+		return resp, err
+	}
+	if r.StatusCode != http.StatusOK {
+		return resp, &statusError{path: e.path, code: r.StatusCode, body: string(bytes.TrimSpace(data))}
+	}
+	err = json.Unmarshal(data, &resp)
+	return resp, err
+}
+
+// statusError is the coordinator answering with anything but 200.
+type statusError struct {
+	path, body string
+	code       int
+}
+
+func (e *statusError) Error() string {
+	return fmt.Sprintf("dist: %s: %d %s: %s", e.path, e.code, http.StatusText(e.code), e.body)
+}
+
+// writeMetrics renders st in the Prometheus text exposition format. Every
+// sample is a reading of the status snapshot, so /metrics and /v1/status
+// cannot disagree.
+func writeMetrics(w io.Writer, st StatusResponse) {
+	bugFound := 0
+	if st.BugFound {
+		bugFound = 1
+	}
+	for _, m := range []struct {
+		name, typ, help string
+		value           any // an integer or a float64
+	}{
+		{"gostorm_leases_outstanding", "gauge", "Leases currently held by agents.", st.Leases},
+		{"gostorm_agents_live", "gauge", "Agents seen within three lease TTLs.", st.AgentsLive},
+		{"gostorm_iterations_total", "counter", "Executions reported by the fleet.", st.Executions},
+		{"gostorm_iterations_per_second", "gauge", "Fleet execution rate since start.", st.PerSecond},
+		{"gostorm_positions_resolved", "gauge", "Global positions resolved.", st.Resolved},
+		{"gostorm_bug_found", "gauge", "Whether a winning bug has been reported.", bugFound},
+	} {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", m.name, m.help, m.name, m.typ, m.name, m.value)
+	}
 }
