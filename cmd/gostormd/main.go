@@ -75,6 +75,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gostormd: -lease must be non-negative, got %d\n", *leaseSize)
 		return 2
 	}
+	// Options.PCTDepth reads 0 as "default", so the flag's 0 is rejected
+	// here, as systest does, rather than silently running depth 2.
+	if *pctDepth <= 0 {
+		fmt.Fprintf(stderr, "gostormd: -pct-depth must be positive, got %d\n", *pctDepth)
+		return 2
+	}
 	if *portfolio != "" && *scheduler != "" {
 		fmt.Fprintf(stderr, "gostormd: -portfolio conflicts with -scheduler %s (drop one, or add %s to the member list)\n", *scheduler, *scheduler)
 		return 2

@@ -231,6 +231,7 @@ func TestCoordinatorConfigErrors(t *testing.T) {
 		{"negative corpus-size", []string{"-test", "wal-torn-tail", "-corpus-size", "-1"}, "Options.CorpusSize: must be non-negative"},
 		{"negative temperature", []string{"-test", "wal-torn-tail", "-temperature", "-1"}, "Options.Temperature: must be non-negative"},
 		{"negative lease", []string{"-test", "wal-torn-tail", "-lease", "-1"}, "-lease must be non-negative"},
+		{"zero pct-depth", []string{"-test", "wal-torn-tail", "-pct-depth", "0"}, "-pct-depth must be positive, got 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := exec.Command(coordBin, tc.args...).CombinedOutput()

@@ -225,6 +225,13 @@
 // passes it through one door of the runtime, which asks the scheduler,
 // checks the answer and records a typed Decision (the contract under
 // "Scheduler extension surface"), so buggy executions replay bit-exactly.
+// A FaultChoice's Candidates, Outcomes and Keys are the runtime's scratch
+// storage, reused by the next choice point: like NextMachine's enabled
+// set, they are read-only and must not be retained past NextFault.
+// Neither they nor the crash-consistency plane's staged writes allocate on
+// a pooled runtime, and a Signal is a string, so a constant one — an
+// injector's "offer", a timer's tick — boxes into an Event for free: a
+// clean crash-plane execution makes garbage only where the harness does.
 // Traces are versioned (TraceVersion) and each decision kind knows the
 // version that introduced it: version-0 traces, which carry no fault
 // decisions, still decode and replay, while an unknown version, an

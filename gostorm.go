@@ -34,6 +34,10 @@ type (
 	// Event is a message exchanged between machines or delivered to
 	// monitors.
 	Event = core.Event
+	// Signal is an Event carrying nothing but its name — handy for simple
+	// triggers and timer ticks: Signal("tick"). A constant Signal boxes
+	// into an Event without allocating.
+	Signal = core.Signal
 	// MachineID identifies a machine within one execution.
 	MachineID = core.MachineID
 	// TimerID identifies a timer started with Context.StartTimer.
@@ -161,10 +165,6 @@ const (
 
 // TraceVersion is the trace format version this build writes.
 const TraceVersion = core.TraceVersion
-
-// Signal returns an Event with the given name and no payload — handy for
-// simple triggers and timer ticks.
-func Signal(name string) Event { return core.Signal(name) }
 
 // NewStateMachine builds a state machine that starts in initial. The
 // context type parameter C is *Context for ordinary machines and

@@ -211,7 +211,7 @@ func (c *Context) CrashPoint(candidates ...MachineID) MachineID {
 	if r.crashes >= r.faults.MaxCrashes {
 		return NoMachine
 	}
-	live := make([]MachineID, 0, len(candidates))
+	live := r.crashScratch[:0]
 	for _, id := range candidates {
 		if id < 0 || int(id) >= len(r.machines) {
 			c.Assert(false, "CrashPoint over unknown machine %d", id)
@@ -220,6 +220,7 @@ func (c *Context) CrashPoint(candidates ...MachineID) MachineID {
 			live = append(live, id)
 		}
 	}
+	r.crashScratch = live
 	if len(live) == 0 {
 		return NoMachine
 	}
@@ -332,8 +333,11 @@ func (c *Context) Restart(id MachineID, impl Machine) {
 // self-Crash, which is equivalent) discards staged writes deterministically,
 // like a process exiting without fsync.
 func (c *Context) Persist(key string, value []byte) {
-	m := c.m
-	m.staged = append(m.staged, stagedWrite{key: key, val: append([]byte(nil), value...)})
+	m, r := c.m, c.r
+	// The copy lands in the runtime's persist arena, which reset rewinds.
+	r.persistArena = append(r.persistArena, value...)
+	end := len(r.persistArena)
+	m.staged = append(m.staged, stagedWrite{key: key, val: r.persistArena[end-len(value) : end : end]})
 	if c.r.logging() {
 		c.r.logf("%s persist %q (%d bytes staged)", m.label(), key, len(value))
 	}
@@ -367,9 +371,22 @@ func (c *Context) Recover() map[string][]byte {
 	if len(m.durable) == 0 {
 		return nil
 	}
+	// One map and one value buffer: each value is a capacity-capped window
+	// of the buffer, so writing or appending to one reaches neither the
+	// store nor a neighbour. An empty value recovers as nil.
+	size := 0
+	for _, v := range m.durable {
+		size += len(v)
+	}
+	buf := make([]byte, 0, size)
 	out := make(map[string][]byte, len(m.durable))
 	for k, v := range m.durable {
-		out[k] = append([]byte(nil), v...)
+		var cp []byte
+		if len(v) > 0 {
+			buf = append(buf, v...)
+			cp = buf[len(buf)-len(v) : len(buf) : len(buf)]
+		}
+		out[k] = cp
 	}
 	if c.r.logging() {
 		c.r.logf("%s recovered %d durable keys", m.label(), len(out))
@@ -405,13 +422,14 @@ func (c *Context) SendUnreliable(target MachineID, ev Event) {
 		c.Send(target, ev)
 		return
 	}
-	outcomes := []DeliveryOutcome{Deliver}
+	outcomes := append(r.deliverScratch[:0], Deliver)
 	if r.drops < r.faults.MaxDrops {
 		outcomes = append(outcomes, Drop)
 	}
 	if r.dups < r.faults.MaxDuplicates {
 		outcomes = append(outcomes, Duplicate)
 	}
+	r.deliverScratch = outcomes
 	if len(outcomes) == 1 {
 		c.Send(target, ev)
 		return

@@ -4,13 +4,15 @@
 //
 // A system under test is expressed as a set of Machines that exchange
 // Events through FIFO inboxes. During testing the runtime serializes the
-// whole system: machines run on dedicated goroutines, but exactly one is
-// runnable at any instant, and control passes through explicit handoff
-// points. Every source of nondeterminism — which machine runs next, the
-// outcome of RandomBool/RandomInt choices, and the fault plane's timer
-// firings, crash injections and delivery faults (see faults.go) — is
-// resolved by a pluggable Scheduler and recorded in a Trace, which makes
-// every execution exactly reproducible with the replay scheduler.
+// whole system: exactly one machine runs at any instant, and control
+// passes only at scheduling points — every Context operation. A machine
+// holds a coroutine only while one of its handlers is live; between
+// handlers it owns no stack (see Runtime). Every source of nondeterminism
+// — which machine runs next, the outcome of RandomBool/RandomInt choices,
+// and the fault plane's timer firings, crash injections and delivery
+// faults (see faults.go) — is resolved by a pluggable Scheduler and
+// recorded in a Trace, which makes every execution exactly reproducible
+// with the replay scheduler (Replay).
 //
 // Correctness criteria are expressed as safety monitors (global assertions
 // over notification events) and liveness monitors (hot/cold states; an
@@ -18,9 +20,10 @@
 // a liveness violation — the bounded-infinite-execution heuristic of the
 // paper's §2.5).
 //
-// The Engine (see Run) repeatedly executes a Test from start to completion,
-// each time exploring a potentially different schedule, until it finds a
-// violation or exhausts its budget.
+// Explore (and ExploreShard, for one range of the plan) repeatedly executes
+// a Test from start to completion, each time exploring a potentially
+// different schedule, until it finds a violation or exhausts its budget;
+// every shape of run goes through the one exploration loop in loop.go.
 package core
 
 // Event is a message exchanged between machines, delivered to monitors, or
@@ -31,11 +34,10 @@ type Event interface {
 	Name() string
 }
 
-// namedEvent is a convenience event carrying nothing but its name. It is
-// useful for simple signals (timer ticks, triggers) in tests and harnesses.
-type namedEvent struct{ name string }
+// Signal is an Event carrying nothing but its name — a trigger, a timer
+// tick: Signal("tick"). Being a string, a constant Signal boxes into an
+// Event without allocating.
+type Signal string
 
-func (e namedEvent) Name() string { return e.name }
-
-// Signal returns an Event with the given name and no payload.
-func Signal(name string) Event { return namedEvent{name: name} }
+// Name implements Event.
+func (s Signal) Name() string { return string(s) }

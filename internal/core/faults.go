@@ -175,6 +175,11 @@ func (k FaultKind) String() string {
 // Outcome 0 is always the benign choice (timer idle, no crash, normal
 // delivery), so strategies that inject sparingly can default to 0 and
 // spend their fault budget only at selected points.
+//
+// Candidates, Outcomes and Keys are runtime scratch storage, reused by the
+// next choice point: like NextMachine's enabled set, a scheduler must treat
+// them as read-only and must not retain them past NextFault (copy if
+// needed).
 type FaultChoice struct {
 	Kind FaultKind
 	// N is the number of outcomes; the scheduler answers in [0, N).
@@ -199,9 +204,7 @@ type FaultChoice struct {
 	// narrowed the outcome space.
 	Outcomes []DeliveryOutcome
 	// Keys, for FaultPersist, lists the crashing machine's staged keys in
-	// Persist order (len == N-1); outcome k makes Keys[:k] durable. The
-	// slice is the engine's staging order view — schedulers must treat it
-	// as read-only.
+	// Persist order (len == N-1); outcome k makes Keys[:k] durable.
 	Keys []string
 }
 

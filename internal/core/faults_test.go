@@ -404,15 +404,15 @@ func TestReplayCrashResolvesRecordedVictim(t *testing.T) {
 // one, whose fault adapter is built once with the instance rather than boxed
 // again by every reset.
 func TestReaperAllocatesNothingInSteadyState(t *testing.T) {
-	tick, poke := Signal("tick"), Signal("poke")
 	idle := &FuncMachine{}
 	test := Test{
 		Name: "crash-per-execution",
 		Entry: func(ctx *Context) {
 			peer := ctx.CreateMachine(idle, "peer")
-			tid := ctx.StartTimer("T", peer, tick)
-			ctx.Send(peer, poke)
-			ctx.Send(peer, poke)
+			// Constant signals box into an Event for free.
+			tid := ctx.StartTimer("T", peer, Signal("tick"))
+			ctx.Send(peer, Signal("poke"))
+			ctx.Send(peer, Signal("poke"))
 			ctx.StopTimer(tid)
 			ctx.Crash(peer)
 		},

@@ -652,12 +652,11 @@ func (s *idleTimerScheduler) NextMachine(enabled []MachineID, _ MachineID) Machi
 // timer step that costs a switch, or boxes its re-arm event again, shows up
 // here first.
 func BenchmarkTimerStep(b *testing.B) {
-	tick := Signal("tick")
 	test := Test{
 		Name: "timer-step",
 		Entry: func(ctx *Context) {
 			for _, name := range []string{"t0", "t1", "t2"} {
-				ctx.StartTimer(name, ctx.ID(), tick)
+				ctx.StartTimer(name, ctx.ID(), Signal("tick"))
 			}
 		},
 	}

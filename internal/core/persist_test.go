@@ -245,3 +245,110 @@ func TestPersistPooledReuseLeaksNothing(t *testing.T) {
 		t.Fatal("torn bug not found; leak check exercised nothing")
 	}
 }
+
+// --- the storage contracts behind recycled crash-plane storage ---
+
+var contractKeys = [...]string{"a", "b", "c"}
+
+// contractStore persists one value per contract key through a single
+// buffer it scribbles over after every Persist, syncs, and reports
+// readiness.
+type contractStore struct {
+	parent MachineID
+	vals   [len(contractKeys)]string
+}
+
+func (s *contractStore) Init(ctx *Context) {
+	buf := make([]byte, 2)
+	for i, k := range contractKeys {
+		copy(buf, s.vals[i])
+		ctx.Persist(k, buf)
+		copy(buf, "!!")
+	}
+	ctx.Sync()
+	ctx.Send(s.parent, Signal("ready"))
+}
+
+func (s *contractStore) Handle(*Context, Event) {}
+
+// contractRecover checks what the restarted incarnation reads back: the
+// values as they were when persisted, snapshots whose values can be
+// written and appended to without reaching a neighbour or the store. It
+// hands its last snapshot to the test through keep.
+type contractRecover struct {
+	vals [len(contractKeys)]string
+	keep *map[string][]byte
+}
+
+func (s *contractRecover) Init(ctx *Context) {
+	for i, k := range contractKeys {
+		snap := ctx.Recover()
+		ctx.Assert(string(snap[k]) == s.vals[i], "recovered %s = %q, want %q: Persist kept the caller's buffer", k, snap[k], s.vals[i])
+		v := snap[k]
+		for j := range v {
+			v[j] = '?'
+		}
+		snap[k] = append(v, '?')
+		for j, other := range contractKeys {
+			if j != i {
+				ctx.Assert(string(snap[other]) == s.vals[j], "writing recovered %s reached %s: %q, want %q", k, other, snap[other], s.vals[j])
+			}
+		}
+	}
+	snap := ctx.Recover()
+	for i, k := range contractKeys {
+		ctx.Assert(string(snap[k]) == s.vals[i], "writing a snapshot reached the store: %s = %q, want %q", k, snap[k], s.vals[i])
+	}
+	*s.keep = snap
+}
+
+func (s *contractRecover) Handle(*Context, Event) {}
+
+// TestPersistAndRecoverOwnTheirBytes holds the recycled storage to the
+// contracts Persist and Recover state: Persist copies the caller's bytes
+// (into the runtime's arena), every Recover snapshot is the caller's own
+// (one buffer, each value a capacity-capped window of it), and a snapshot
+// kept past its execution survives the pooled runtime rewinding the arena
+// and persisting different bytes into it.
+func TestPersistAndRecoverOwnTheirBytes(t *testing.T) {
+	build := func(n int, keep *map[string][]byte) (Test, [len(contractKeys)]string) {
+		var vals [len(contractKeys)]string
+		for i, k := range contractKeys {
+			vals[i] = fmt.Sprintf("%s%d", k, n%10)
+		}
+		return Test{
+			Name: "persist-contracts",
+			Entry: func(ctx *Context) {
+				store := ctx.CreateMachine(&contractStore{parent: ctx.ID(), vals: vals}, "store")
+				ctx.Receive("ready")
+				ctx.Crash(store)
+				ctx.Restart(store, &contractRecover{vals: vals, keep: keep})
+			},
+		}, vals
+	}
+	o := resolved(Options{Iterations: 1, MaxSteps: 200})
+	sched := NewRandomScheduler()
+	pool := newExecPool(o)
+	defer pool.release()
+	var kept []map[string][]byte
+	var want [][len(contractKeys)]string
+	for n := 0; n < 30; n++ {
+		var snap map[string][]byte
+		test, vals := build(n, &snap)
+		sched.Prepare(int64(n), o.MaxSteps)
+		if rep := pool.runtime(sched, o.runtimeConfig(test, false)).execute(test); rep != nil {
+			t.Fatalf("execution %d: %v", n, rep.Error())
+		}
+		if snap == nil {
+			t.Fatalf("execution %d: the restarted store recovered nothing", n)
+		}
+		kept, want = append(kept, snap), append(want, vals)
+		for e, s := range kept {
+			for i, k := range contractKeys {
+				if string(s[k]) != want[e][i] {
+					t.Fatalf("after execution %d, the snapshot of execution %d reads %s = %q, want %q", n, e, k, s[k], want[e][i])
+				}
+			}
+		}
+	}
+}

@@ -12,8 +12,8 @@ import "iter"
 //
 //   - the Runtime itself is reset in place (Runtime.reset) instead of
 //     reallocated: the decision arena, enabled buffer, pending-crash list,
-//     log and monitor tables keep their storage, fault counters and flags
-//     rewind;
+//     fault-choice scratch, persist arena, log and monitor tables keep
+//     their storage, fault counters and flags rewind;
 //   - machine structs and their inbox buffers are recycled through
 //     Runtime.machineCache;
 //   - coroutines are recycled through machineWorker: a stack is needed only
@@ -174,6 +174,7 @@ func (r *Runtime) reset(sched FaultScheduler, cfg runtimeConfig) {
 	r.bug = nil
 	r.crashes, r.drops, r.dups, r.tornCrashes = 0, 0, 0, 0
 	r.pendingCrash = r.pendingCrash[:0]
+	r.persistArena = r.persistArena[:0]
 	r.divergence = nil
 	r.log = r.log[:0]
 	r.aborted = false

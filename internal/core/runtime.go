@@ -121,6 +121,20 @@ type Runtime struct {
 	// entry hosts the test's entry function so starting an execution does
 	// not allocate an entryMachine.
 	entry entryMachine
+
+	// Scratch storage of the fault and crash-consistency planes, kept
+	// across choice points and executions so a crash-plane execution makes
+	// no garbage. crashScratch, deliverScratch and persistScratch back a
+	// FaultChoice's Candidates, Outcomes and Keys: the scheduler reads them
+	// during NextFault and must not keep them (see FaultChoice).
+	// persistArena holds the bytes Persist copied this execution; staged
+	// and durable values are windows into it, and reset rewinds it once
+	// shutdown has dropped them all (Recover hands out copies, never
+	// windows).
+	crashScratch   []MachineID
+	deliverScratch []DeliveryOutcome
+	persistScratch []string
+	persistArena   []byte
 }
 
 // runtimeConfig is the per-execution knobs of a Runtime, derived from the
@@ -499,13 +513,16 @@ func (r *Runtime) settleCrashedStorage(m *machine) {
 	}
 	k := 0
 	if r.tornCrashes < r.faults.MaxTornCrashes {
-		keys := make([]string, n)
+		keys := r.persistScratch[:0]
 		for i := range m.staged {
-			keys[i] = m.staged[i].key
+			keys = append(keys, m.staged[i].key)
 		}
+		r.persistScratch = keys
 		// An out-of-range answer loses every write; advance ends the
 		// execution once the reaper is done.
-		if out, ok := r.choose(FaultChoice{Kind: FaultPersist, N: n + 1, Machine: m.id, Keys: keys}, m); ok {
+		out, ok := r.choose(FaultChoice{Kind: FaultPersist, N: n + 1, Machine: m.id, Keys: keys}, m)
+		clear(keys) // user keys do not outlive the choice
+		if ok {
 			if out > 0 {
 				// Only a non-benign outcome — un-synced data surviving — is a
 				// torn crash; the benign "all lost" outcome stays free, like a

@@ -23,9 +23,11 @@ type Shard struct {
 	// portfolio member g % nm, member-local iteration g / nm (nm = 1 for
 	// single-scheduler runs, where the only member is Options.Scheduler).
 	From, To int64
-	// Stop, when non-nil, is polled between executions and aborts work at
-	// positions >= its value — the coordinator's cancel-on-first-bug
-	// signal. It must be monotonically non-increasing and safe for
+	// Stop, when non-nil, is the coordinator's cancel-on-first-bug signal:
+	// positions >= its value are not started, and an execution in flight at
+	// such a position is aborted — it is polled before every claim and at
+	// every scheduling step (through the runtime's abort predicate), so it
+	// must be cheap. It must be monotonically non-increasing and safe for
 	// concurrent use. Every position below the final bound that lies in
 	// [From, To) is still completed, preserving lowest-position-wins.
 	Stop func() int64

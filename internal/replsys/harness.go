@@ -2,6 +2,7 @@ package replsys
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/gostorm/gostorm/internal/core"
 	"github.com/gostorm/gostorm/internal/det"
@@ -191,7 +192,7 @@ func (sn *storageNodeMachine) Handle(ctx *core.Context, ev core.Event) {
 
 // logKey names a durable node's i-th log slot. Recovery scans densely
 // from zero, never iterating the durable map.
-func logKey(i int) string { return fmt.Sprintf("log/%d", i) }
+func logKey(i int) string { return "log/" + strconv.Itoa(i) }
 
 // Durability-oracle notification events (DurableNodes scenarios only).
 

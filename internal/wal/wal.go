@@ -20,8 +20,28 @@ import "strconv"
 // hdrKey and valKey name a record's two durable writes. Records are
 // recovered by dense index scan, so recovery never iterates the durable
 // map — map order is hidden nondeterminism the engine cannot replay.
-func hdrKey(i int) string { return "h/" + strconv.Itoa(i) }
-func valKey(i int) string { return "v/" + strconv.Itoa(i) }
+func hdrKey(i int) string { return recordKey(hdrKeys, "h/", i) }
+func valKey(i int) string { return recordKey(valKeys, "v/", i) }
+
+// hdrKeys and valKeys are the names of the first records' writes, built
+// once, so neither an append nor recovery's scan builds a key string.
+var hdrKeys, valKeys = keyTable("h/"), keyTable("v/")
+
+func keyTable(prefix string) []string {
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = recordKey(nil, prefix, i)
+	}
+	return keys
+}
+
+// recordKey is prefix+i, looked up in table when it covers i.
+func recordKey(table []string, prefix string, i int) string {
+	if i < len(table) {
+		return table[i]
+	}
+	return prefix + strconv.Itoa(i)
+}
 
 // Recover rebuilds the record values from a durable map handed back by
 // Context.Recover. With fixTornTail set it implements the correct

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/gostorm/gostorm/internal/core"
@@ -156,5 +157,41 @@ func TestWalPoolingWorkerInvariance(t *testing.T) {
 				t.Fatalf("encoded traces differ:\npooled: %s\nfresh: %s", ea, eb)
 			}
 		})
+	}
+}
+
+// maxMallocsPerExecution is the allocation budget of one clean wal-fixed
+// execution (pooled, one worker, random scheduler, the scenario's own fault
+// budget): the injector, the monitor and the restarted incarnation with its
+// recovered log. Signals, staged writes, fault choices and recovery
+// snapshots all reuse runtime storage, and the oracle formats nothing
+// unless a check fails.
+const maxMallocsPerExecution = 10
+
+// TestWalCleanExecutionAllocBudget is the regression gate on the crash
+// plane's garbage: short-wal, the benchmark's per-execution workload, is
+// this execution, so a choice point or snapshot that allocates again shows
+// up here first. It skips under -race, so of CI's whole-tree runs the plain
+// `go test ./...` is the one that holds it.
+func TestWalCleanExecutionAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on the test's behalf")
+	}
+	const iterations = 2000
+	test := Scenario(Config{FixTornTail: true})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := core.MustExplore(test, core.Options{
+		Scheduler: "random", Workers: 1, Seed: 1, Iterations: iterations, MaxSteps: 2000, NoReplayLog: true,
+	})
+	runtime.ReadMemStats(&after)
+	if res.BugFound || res.Executions != iterations {
+		t.Fatalf("expected %d clean executions, got %v", iterations, res)
+	}
+	mallocs := float64(after.Mallocs-before.Mallocs) / iterations
+	allocBytes := float64(after.TotalAlloc-before.TotalAlloc) / iterations
+	t.Logf("%.1f mallocs, %.0f B per clean execution (%.1f steps)", mallocs, allocBytes, float64(res.TotalSteps)/iterations)
+	if mallocs > maxMallocsPerExecution {
+		t.Errorf("%.1f mallocs per execution, budget %d", mallocs, maxMallocsPerExecution)
 	}
 }
