@@ -89,14 +89,18 @@
 //     in fixed-size generation windows with the corpus frozen inside a
 //     window and merged, in position order, at the barrier between two;
 //     without one the whole range is a single window.
-//   - Statistics. Each worker logs (position, steps) for what it ran —
-//     memory grows with the executions done, never with the budget asked
-//     for — and Executions, TotalSteps, the per-member Portfolio
-//     statistics and exhaustion are derived afterwards from the entries
-//     at or below the winning position: exactly what a one-worker run
-//     performs before it stops.
+//   - Statistics. Executions, TotalSteps, the per-member Portfolio
+//     statistics and exhaustion are folded in position order as positions
+//     resolve, over the contiguous resolved prefix up to the winning
+//     position: exactly what a one-worker run performs before it stops.
+//     A position resolved ahead of the prefix waits until the gap below it
+//     closes, so bookkeeping grows with that out-of-order span, not with
+//     the executions done: nothing on one worker, at most a window with a
+//     feedback member, but up to the whole run when a dfs lane lags the
+//     worker pool.
 //   - WithStopAfter. The first position always executes; the deadline is
-//     checked before every later claim.
+//     checked before every later claim, and the statistics count the
+//     resolved prefix, leaving out executions above a claim it refused.
 //
 // # Determinism contract
 //

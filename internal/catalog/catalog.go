@@ -18,11 +18,24 @@ import (
 	"github.com/gostorm/gostorm/internal/wal"
 )
 
+// Verdict is what exploring an entry under a fair scheduler concludes.
+type Verdict string
+
+const (
+	// Clean: no schedule violates the entry's monitors.
+	Clean Verdict = "clean"
+	// SeededBug: the system under test carries a seeded bug.
+	SeededBug Verdict = "seeded bug"
+)
+
 // Entry is one registered scenario.
 type Entry struct {
 	Name string
-	// About is a one-line description shown by `systest -list`.
+	// About is a one-line description shown by `systest -list`; All
+	// appends "(expected clean)" to a clean entry's.
 	About string
+	// Expect is the entry's verdict, stated here and nowhere else.
+	Expect Verdict
 	// Build constructs the systematic test.
 	Build func() core.Test
 	// Options are recommended engine options (callers may override).
@@ -45,28 +58,32 @@ func All() []Entry {
 		{
 			Name:    "replsys",
 			About:   "§2 example replication system with both seeded bugs and both monitors",
+			Expect:  SeededBug,
 			Build:   func() core.Test { return replsys.Scenario(replsys.ScenarioConfig{}) },
 			Options: core.Options{MaxSteps: 3000},
 		},
 		{
-			Name:  "replsys-safety",
-			About: "§2 example, safety monitor only (duplicate replica counting bug)",
+			Name:   "replsys-safety",
+			About:  "§2 example, safety monitor only (duplicate replica counting bug)",
+			Expect: SeededBug,
 			Build: func() core.Test {
 				return replsys.Scenario(replsys.ScenarioConfig{Monitors: replsys.WithSafety})
 			},
 			Options: core.Options{MaxSteps: 2000},
 		},
 		{
-			Name:  "replsys-liveness",
-			About: "§2 example, liveness monitor only (counter never reset bug)",
+			Name:   "replsys-liveness",
+			About:  "§2 example, liveness monitor only (counter never reset bug)",
+			Expect: SeededBug,
 			Build: func() core.Test {
 				return replsys.Scenario(replsys.ScenarioConfig{Monitors: replsys.WithLiveness})
 			},
 			Options: core.Options{MaxSteps: 3000, Iterations: 100},
 		},
 		{
-			Name:  "replsys-fixed",
-			About: "§2 example with both fixes applied (expected clean)",
+			Name:   "replsys-fixed",
+			About:  "§2 example with both fixes applied",
+			Expect: Clean,
 			Build: func() core.Test {
 				return replsys.Scenario(replsys.ScenarioConfig{
 					Server: replsys.Config{FixUniqueReplicas: true, FixCounterReset: true},
@@ -75,8 +92,9 @@ func All() []Entry {
 			Options: core.Options{MaxSteps: 8000, Iterations: 100},
 		},
 		{
-			Name:  "replsys-durable",
-			About: "§2 example, fixed, with write-ahead durable storage nodes under crash injection (expected clean)",
+			Name:   "replsys-durable",
+			About:  "§2 example, fixed, with write-ahead durable storage nodes under crash injection",
+			Expect: Clean,
 			Build: func() core.Test {
 				return replsys.Scenario(replsys.ScenarioConfig{
 					Server:       replsys.Config{FixUniqueReplicas: true, FixCounterReset: true},
@@ -87,8 +105,9 @@ func All() []Entry {
 			Options: core.Options{MaxSteps: 3000, Iterations: 300},
 		},
 		{
-			Name:  "vnext-repair",
-			About: "§3 extent repair scenario, fixed manager (expected clean)",
+			Name:   "vnext-repair",
+			About:  "§3 extent repair scenario, fixed manager",
+			Expect: Clean,
 			Build: func() core.Test {
 				return vharness.Test(vharness.HarnessConfig{
 					Scenario: vharness.ScenarioFailAndRepair,
@@ -98,8 +117,9 @@ func All() []Entry {
 			Options: core.Options{MaxSteps: 5000, Iterations: 100},
 		},
 		{
-			Name:  "vnext-replicate",
-			About: "§3 scenario 1: replicate a single extent to three extent nodes",
+			Name:   "vnext-replicate",
+			About:  "§3 scenario 1: replicate a single extent to three extent nodes",
+			Expect: Clean,
 			Build: func() core.Test {
 				return vharness.Test(vharness.HarnessConfig{
 					Scenario: vharness.ScenarioReplicate,
@@ -109,8 +129,9 @@ func All() []Entry {
 			Options: core.Options{MaxSteps: 4000, Iterations: 100},
 		},
 		{
-			Name:  "ExtentNodeLivenessViolation",
-			About: "§3.6 vNext liveness bug: stale sync report resurrects an expired EN's replicas",
+			Name:   "ExtentNodeLivenessViolation",
+			About:  "§3.6 vNext liveness bug: stale sync report resurrects an expired EN's replicas",
+			Expect: SeededBug,
 			Build: func() core.Test {
 				return vharness.Test(vharness.HarnessConfig{Scenario: vharness.ScenarioFailAndRepair})
 			},
@@ -118,13 +139,15 @@ func All() []Entry {
 		},
 		{
 			Name:    "mtable",
-			About:   "§4 MigratingTable specification check, fixed system (expected clean)",
+			About:   "§4 MigratingTable specification check, fixed system",
+			Expect:  Clean,
 			Build:   func() core.Test { return mharness.Test(mharness.HarnessConfig{}) },
 			Options: core.Options{MaxSteps: 30000, Iterations: 300},
 		},
 		{
-			Name:  "mtable-paced",
-			About: "§4 MigratingTable with the migrator gated by a fault-plane timer (expected clean)",
+			Name:   "mtable-paced",
+			About:  "§4 MigratingTable with the migrator gated by a fault-plane timer",
+			Expect: Clean,
 			Build: func() core.Test {
 				return mharness.Test(mharness.HarnessConfig{TimerPacedMigrator: true})
 			},
@@ -133,16 +156,18 @@ func All() []Entry {
 			Options: core.Options{MaxSteps: 30000, Iterations: 60},
 		},
 		{
-			Name:  "mtable-crash",
-			About: "§4 MigratingTable, migrator completion durably checkpointed under crash injection (expected clean)",
+			Name:   "mtable-crash",
+			About:  "§4 MigratingTable, migrator completion durably checkpointed under crash injection",
+			Expect: Clean,
 			Build: func() core.Test {
 				return mharness.Test(mharness.HarnessConfig{CrashMigrator: true})
 			},
 			Options: core.Options{MaxSteps: 30000, Iterations: 120},
 		},
 		{
-			Name:  "vnext-repair-lossy",
-			About: "§3 fail-and-repair under budgeted message loss/duplication (expected clean)",
+			Name:   "vnext-repair-lossy",
+			About:  "§3 fail-and-repair under budgeted message loss/duplication",
+			Expect: Clean,
 			Build: func() core.Test {
 				return vharness.Test(vharness.HarnessConfig{
 					Scenario:     vharness.ScenarioFailAndRepair,
@@ -153,16 +178,18 @@ func All() []Entry {
 			Options: core.Options{MaxSteps: 6000, Iterations: 100},
 		},
 		{
-			Name:  "fabric-failover",
-			About: "§5 counter service on the fabric model, fixed (expected clean)",
+			Name:   "fabric-failover",
+			About:  "§5 counter service on the fabric model, fixed",
+			Expect: Clean,
 			Build: func() core.Test {
 				return fabric.FailoverScenario(fabric.FailoverConfig{FailPrimary: true})
 			},
 			Options: core.Options{MaxSteps: 20000, Iterations: 300},
 		},
 		{
-			Name:  "fabric-promotion-bug",
-			About: "§5 bug: promotion of a replica already elected primary trips the model assertion",
+			Name:   "fabric-promotion-bug",
+			About:  "§5 bug: promotion of a replica already elected primary trips the model assertion",
+			Expect: SeededBug,
 			Build: func() core.Test {
 				return fabric.FailoverScenario(fabric.FailoverConfig{
 					Fabric:      fabric.Config{BugUncheckedPromotion: true},
@@ -173,13 +200,15 @@ func All() []Entry {
 		},
 		{
 			Name:    "fabric-pipeline",
-			About:   "§5 CScale-analog pipeline, fixed (expected clean)",
+			About:   "§5 CScale-analog pipeline, fixed",
+			Expect:  Clean,
 			Build:   func() core.Test { return fabric.PipelineScenario(fabric.PipelineConfig{}) },
 			Options: core.Options{MaxSteps: 5000, Iterations: 300},
 		},
 		{
-			Name:  "fabric-pipeline-crash",
-			About: "§5 CScale-analog NullReferenceException: data racing the open control message",
+			Name:   "fabric-pipeline-crash",
+			About:  "§5 CScale-analog NullReferenceException: data racing the open control message",
+			Expect: SeededBug,
 			Build: func() core.Test {
 				return fabric.PipelineScenario(fabric.PipelineConfig{BugNilState: true})
 			},
@@ -188,12 +217,14 @@ func All() []Entry {
 		{
 			Name:    "wal-torn-tail",
 			About:   "crash-consistency bug: WAL recovery trusts an un-synced torn tail",
+			Expect:  SeededBug,
 			Build:   func() core.Test { return wal.Scenario(wal.Config{}) },
 			Options: core.Options{MaxSteps: 2000},
 		},
 		{
 			Name:    "wal-fixed",
-			About:   "WAL recovery truncating the torn tail (expected clean)",
+			About:   "WAL recovery truncating the torn tail",
+			Expect:  Clean,
 			Build:   func() core.Test { return wal.Scenario(wal.Config{FixTornTail: true}) },
 			Options: core.Options{MaxSteps: 2000, Iterations: 400},
 		},
@@ -204,6 +235,7 @@ func All() []Entry {
 		entries = append(entries, Entry{
 			Name:    name,
 			About:   fmt.Sprintf("Table 2 MigratingTable bug %s (default workload)", name),
+			Expect:  SeededBug,
 			Build:   func() core.Test { return mharness.Test(mharness.HarnessConfig{Bugs: bug}) },
 			Options: core.Options{MaxSteps: 30000},
 		})
@@ -211,9 +243,15 @@ func All() []Entry {
 		entries = append(entries, Entry{
 			Name:    name + "-custom",
 			About:   fmt.Sprintf("Table 2 MigratingTable bug %s (custom test case)", name),
+			Expect:  SeededBug,
 			Build:   func() core.Test { return mharness.CustomTest(bug) },
 			Options: core.Options{MaxSteps: 30000},
 		})
+	}
+	for i := range entries {
+		if entries[i].Expect == Clean {
+			entries[i].About += " (expected clean)"
+		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	return entries

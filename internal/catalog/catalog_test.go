@@ -20,6 +20,9 @@ func TestCatalogNamesUnique(t *testing.T) {
 		if e.Build == nil {
 			t.Fatalf("scenario %q lacks a builder", e.Name)
 		}
+		if e.Expect != Clean && e.Expect != SeededBug {
+			t.Fatalf("scenario %q states no expected verdict", e.Name)
+		}
 	}
 }
 
@@ -59,12 +62,11 @@ func TestCatalogGet(t *testing.T) {
 }
 
 func TestCleanScenariosAreClean(t *testing.T) {
-	// The scenarios documented as "expected clean" must not report bugs
-	// under a modest budget.
-	for _, name := range []string{"replsys-fixed", "vnext-repair", "vnext-replicate", "mtable", "fabric-failover", "fabric-pipeline"} {
-		e, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
+	// Every entry expected clean must not report bugs under a modest
+	// budget. One that declares a fault budget is TestCatalogFaultScenarios'.
+	for _, e := range All() {
+		if e.Expect != Clean || e.Build().Faults != (core.Faults{}) {
+			continue
 		}
 		opts := e.Options
 		opts.Scheduler = "random"
@@ -73,7 +75,7 @@ func TestCleanScenariosAreClean(t *testing.T) {
 		opts.NoReplayLog = true
 		res := core.MustExplore(e.Build(), opts)
 		if res.BugFound {
-			t.Fatalf("%s reported a bug: %v", name, res.Report.Error())
+			t.Fatalf("%s reported a bug: %v", e.Name, res.Report.Error())
 		}
 	}
 }

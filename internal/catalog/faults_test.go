@@ -32,8 +32,8 @@ func TestCatalogFaultScenarios(t *testing.T) {
 				opts.Iterations = 3000
 			}
 			res := core.MustExplore(e.Build(), opts)
-			switch e.Name {
-			case "ExtentNodeLivenessViolation", "fabric-promotion-bug", "wal-torn-tail":
+			switch e.Expect {
+			case SeededBug:
 				if !res.BugFound {
 					t.Fatalf("%s: seeded bug not found at seed 1 within %d executions", e.Name, opts.Iterations)
 				}

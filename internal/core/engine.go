@@ -93,7 +93,10 @@ type Options struct {
 	// always executes, and the deadline is checked before every later
 	// claim — so a run performs at least one execution at any worker
 	// count, and can overshoot by the length of the executions in flight
-	// (at most MaxSteps scheduling steps each).
+	// (at most MaxSteps scheduling steps each). The statistics count the
+	// resolved prefix of the plan: with several workers a claim the
+	// deadline refused can leave a gap below executions that still ran,
+	// and those are not counted — in Explore as in ExploreShard.
 	StopAfter time.Duration `json:"-"`
 	// NoDeadlockDetection disables reporting machines stuck in Receive.
 	NoDeadlockDetection bool `json:"no_deadlock_detection,omitempty"`
@@ -283,7 +286,9 @@ type Result struct {
 	// replay.
 	Report *BugReport
 	// Executions is the number of executions performed (including the
-	// buggy one).
+	// buggy one) in the resolved prefix of the plan: all of them, unless a
+	// StopAfter deadline left a gap below some that still ran (see
+	// Options.StopAfter).
 	Executions int
 	// TotalSteps is the number of scheduling steps across all executions.
 	TotalSteps int64
@@ -364,19 +369,14 @@ func Explore(t Test, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	limit := ex.total
-	if ex.bug != nil {
-		limit = ex.bugPos + 1
-	}
-	members := ex.tally(0, limit)
 	res := Result{BugFound: ex.bug != nil, Report: ex.bug, Exhausted: true}
-	for _, ms := range members {
+	for _, ms := range ex.stats {
 		res.Executions += ms.Executions
 		res.TotalSteps += ms.TotalSteps
 		res.Exhausted = res.Exhausted && ms.Exhausted
 	}
 	if portfolio {
-		res.Portfolio, res.Winner = members, -1
+		res.Portfolio, res.Winner = ex.stats, -1
 	}
 	if ex.corpus != nil {
 		res.Corpus = ex.corpus.Fingerprints()
@@ -384,8 +384,8 @@ func Explore(t Test, o Options) (Result, error) {
 	if ex.bug != nil {
 		res.Choices = len(ex.bug.Trace.Decisions)
 		if portfolio {
-			res.Winner = int(ex.bugPos % int64(len(members)))
-			members[res.Winner].Winner = true
+			res.Winner = int(ex.bugPos.Load() % ex.nm)
+			ex.stats[res.Winner].Winner = true
 		}
 	}
 	res.Elapsed = time.Since(ex.start)

@@ -273,3 +273,43 @@ func TestStopAfterFirstPositionAlwaysExecutes(t *testing.T) {
 		}
 	}
 }
+
+// TestExplorationBookkeepingIsConstant: the loop folds its statistics as
+// positions resolve, so what a run keeps does not grow with the executions
+// it has done. A pooled one-choice execution allocates nothing, so between
+// execution 1 000 and execution 200 000 the live heap stays flat and the
+// whole run allocates next to nothing per execution.
+func TestExplorationBookkeepingIsConstant(t *testing.T) {
+	const iterations = 200000
+	test := Test{Name: "one-bool", Entry: func(ctx *Context) { ctx.RandomBool() }}
+	var early, late, before, after runtime.MemStats
+	live := func(ms *runtime.MemStats) {
+		runtime.GC()
+		runtime.ReadMemStats(ms)
+	}
+	runtime.ReadMemStats(&before)
+	res := MustExplore(test, Options{
+		Iterations: iterations, Seed: 1, Workers: 1, NoReplayLog: true,
+		Progress: func(n int) {
+			switch n {
+			case 1000:
+				live(&early)
+			case iterations:
+				live(&late)
+			}
+		},
+	})
+	runtime.ReadMemStats(&after)
+	if res.BugFound || res.Executions != iterations {
+		t.Fatalf("got %d executions (bug %v), want a clean run of %d", res.Executions, res.BugFound, iterations)
+	}
+	if growth := int64(late.HeapAlloc) - int64(early.HeapAlloc); growth >= 64<<10 {
+		t.Errorf("live heap grew by %d B between execution 1000 and execution %d", growth, iterations)
+	}
+	if raceEnabled {
+		return // the race runtime allocates on the test's behalf
+	}
+	if perExec := float64(after.TotalAlloc-before.TotalAlloc) / iterations; perExec >= 8 {
+		t.Errorf("allocated %.1f B per execution, want < 8", perExec)
+	}
+}

@@ -42,11 +42,18 @@ package core
 // corpus a position observes is a function of its generation alone.
 // Without one the whole range is a single window.
 //
-// Statistics. Each claimer appends (position, steps) to a private log, so
-// bookkeeping is proportional to the executions done, never to the budget
-// requested; Executions, TotalSteps, per-member statistics, exhaustion
-// and a shard's resolved prefix are all derived from the logs after the
-// drain (tally, resolvedTo).
+// Statistics. Every resolution of a position — an execution, or the
+// member's scheduler refusing it — passes through one critical section,
+// which folds the range's contiguous resolved prefix in position order:
+// each position the frontier passes is added to its member's Executions,
+// TotalSteps and Exhausted, up to and including the lowest buggy position.
+// The positions of a lane that stopped at a refusal count as resolved with
+// nothing run. A resolution ahead of the frontier waits in a pending set
+// until the gap below it closes, so the bookkeeping is proportional to the
+// out-of-order span, not to the executions done: empty on one worker,
+// bounded by the window with a feedback member, but as large as the run
+// when a sequential lane lags the pool. Every statistic the adapters
+// report, a shard's ResolvedTo included, is the fold after the drain.
 
 import (
 	"fmt"
@@ -55,14 +62,8 @@ import (
 	"time"
 )
 
-// logEntry records that a claimer resolved position pos: with an execution
-// of steps scheduling steps, or — steps == refused — with the member's
-// scheduler declining it because its schedule space ran out.
-type logEntry struct {
-	pos   int64
-	steps int64
-}
-
+// refused is the step count a position resolves with when its member's
+// scheduler declines it because its schedule space ran out.
 const refused = -1
 
 // candidate is one window-local novel-fingerprint recording, indexed by
@@ -78,7 +79,7 @@ type candidate struct {
 // (stride 1 on the shared counter, an instance of every non-sequential
 // member) or a sequential member's lane (stride nm on its own counter,
 // that member's one instance). Nothing here is shared, so it needs no
-// lock; the logs are read only after the claimers drain.
+// lock.
 type claimer struct {
 	next   *atomic.Int64
 	stride int64
@@ -87,24 +88,36 @@ type claimer struct {
 	pool   *execPool
 	cfg    runtimeConfig
 	cur    int64 // position in flight, read by cfg.abort
-	log    []logEntry
-	busy   []time.Duration // by member: time inside executions, when timed
-	spent  bool            // a lane whose scheduler exhausted its space
+	spent  bool  // a lane whose scheduler exhausted its space
 }
 
-// explored is what exploreRange hands its adapters: the raw outcome of
-// draining a position range, from which Result and ShardResult are shaped.
+// explored is one drain of a position range: the plan it runs, the state
+// its claimers share, and the outcome its adapters shape into a Result or a
+// ShardResult.
 type explored struct {
-	start   time.Time
-	members []string
-	total   int64 // size of the whole plan
-	// logs holds the calibration log and one log per claimer, each in
-	// increasing position order.
-	logs   [][]logEntry
-	busy   []time.Duration // by member; nil unless timed
-	bug    *BugReport
-	bugPos int64 // lowest buggy position (total when bug is nil)
-	hints  []int // adaptive length hints in effect, by member
+	t         Test
+	o         Options // resolved
+	sh        Shard
+	timed     bool // measure per-member execution time
+	nm        int64
+	factories []SchedulerFactory // by member
+	seeds     []int64            // by member
+	feedback  bool
+	workers   int // pool workers, besides the lanes
+	lanes     int
+
+	bugPos atomic.Int64 // lowest buggy position so far (the plan size when none); lowered under mu
+
+	mu         sync.Mutex // guards this group and the Progress calls
+	completed  int
+	bug        *BugReport
+	stats      []MemberStats   // by member, folded over [sh.From, frontier)
+	frontier   int64           // end of the range's contiguous resolved prefix
+	pending    map[int64]int64 // positions resolved above the frontier: steps, or refused
+	spentLanes int64           // lanes whose refusal the fold has passed
+
+	start time.Time
+	hints []int // adaptive length hints in effect, by member
 	// corpus is the final exploration corpus and candidates the entries
 	// this call merged into it, in position order; nil without a feedback
 	// member.
@@ -113,203 +126,254 @@ type explored struct {
 }
 
 // exploreRange drains the positions [sh.From, sh.To) of the plan of o and
-// reports the raw outcome. o is resolved (Options.Resolve) and the range
-// lies within the plan; timed asks for per-member execution time.
+// reports the outcome. o is resolved (Options.Resolve) and the range lies
+// within the plan; timed asks for per-member execution time.
 func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
-	ex := &explored{start: time.Now(), members: o.Members(), total: PlanSize(o)}
-	nm := int64(len(ex.members))
-
-	factories := make([]SchedulerFactory, nm)
-	seeds := make([]int64, nm)
-	feedback, lanes := false, 0
-	for m, name := range ex.members {
+	members := o.Members()
+	ex := &explored{
+		t: t, o: o, sh: sh, timed: timed, nm: int64(len(members)),
+		factories: make([]SchedulerFactory, len(members)), seeds: make([]int64, len(members)),
+		stats: make([]MemberStats, len(members)), frontier: sh.From,
+		start: time.Now(), hints: make([]int, len(members)),
+	}
+	total := PlanSize(o)
+	ex.bugPos.Store(total)
+	for m, name := range members {
 		f, err := NewSchedulerFactory(name, o.PCTDepth)
 		if err != nil {
 			return nil, err
 		}
 		if f.Sequential() {
-			if sh.From != 0 || sh.To != ex.total {
+			if sh.From != 0 || sh.To != total {
 				return nil, &ConfigError{
 					Field:  "Shard",
 					Reason: fmt.Sprintf("scheduler %q enumerates its schedule space statefully and cannot explore a sub-range", name),
 				}
 			}
-			lanes++
+			ex.lanes++
 		}
-		feedback = feedback || f.Feedback()
-		factories[m] = f
+		ex.feedback = ex.feedback || f.Feedback()
+		ex.factories[m] = f
+		ex.stats[m].Scheduler = name
 		// A single-scheduler plan uses the run seed directly; portfolio
 		// members derive independent base seeds from their index.
-		seeds[m] = o.Seed
+		ex.seeds[m] = o.Seed
 		if len(o.Portfolio) > 0 {
-			seeds[m] = memberSeed(o.Seed, m)
+			ex.seeds[m] = memberSeed(o.Seed, m)
 		}
 	}
-	if feedback {
+	if ex.feedback {
 		ex.corpus = sh.Corpus
 		if ex.corpus == nil {
 			ex.corpus = newCorpus(o.CorpusSize)
 		}
 	}
-
-	workers := int(min(int64(o.Workers), sh.To-sh.From))
-	if lanes == len(factories) {
-		workers = 0
+	if ex.lanes < len(members) {
+		ex.workers = int(min(int64(o.Workers), sh.To-sh.From))
 	}
 
-	var (
-		bugPos atomic.Int64 // lowest buggy position so far (total = none)
+	ex.calibrate()
+	ex.drain()
+	return ex, nil
+}
 
-		mu        sync.Mutex // guards ex.bug and completed, plus Progress calls
-		completed int
-	)
-	bugPos.Store(ex.total)
-
-	// bound is the pruning frontier. It only ever decreases: bugPos is
-	// lowered under mu, Stop is contractually non-increasing.
-	bound := func() int64 {
-		b := bugPos.Load()
-		if sh.Stop != nil {
-			b = min(b, sh.Stop())
-		}
-		return b
+// bound is the pruning bound. It only ever decreases: bugPos is lowered
+// under mu, Stop is contractually non-increasing.
+func (ex *explored) bound() int64 {
+	b := ex.bugPos.Load()
+	if ex.sh.Stop != nil {
+		b = min(b, ex.sh.Stop())
 	}
-	// StopAfter: the range's first position always executes (with its
-	// member's calibration); every other one is claimed only before the
-	// deadline.
-	pastDeadline := func() bool {
-		return o.StopAfter > 0 && time.Since(ex.start) > o.StopAfter
-	}
+	return b
+}
 
+// pastDeadline reports that StopAfter has run out: the range's first
+// position always executes (with its member's calibration); every other
+// one is claimed only before the deadline.
+func (ex *explored) pastDeadline() bool {
+	return ex.o.StopAfter > 0 && time.Since(ex.start) > ex.o.StopAfter
+}
+
+// newClaimer builds a pool worker (lane -1) or the lane of sequential
+// member lane.
+func (ex *explored) newClaimer(next *atomic.Int64, lane int, pool *execPool) *claimer {
+	c := &claimer{next: next, stride: 1, lane: lane, pool: pool, scheds: make([]FaultScheduler, ex.nm)}
+	if lane >= 0 {
+		c.stride = ex.nm
+	}
+	c.cfg = ex.o.runtimeConfig(ex.t, false)
 	// With one claimer and no external Stop, positions are visited in
 	// increasing order and nothing can lower the bound below the one in
 	// flight, so the abort predicate — polled at every scheduling step —
 	// stays nil.
-	pruning := workers+lanes > 1 || sh.Stop != nil
-	newClaimer := func(next *atomic.Int64, lane int, pool *execPool) *claimer {
-		c := &claimer{next: next, stride: 1, lane: lane, pool: pool, scheds: make([]FaultScheduler, nm)}
-		if lane >= 0 {
-			c.stride = nm
-		}
-		c.cfg = o.runtimeConfig(t, false)
-		if pruning {
-			c.cfg.abort = func() bool { return c.cur >= bound() }
-		}
-		if timed {
-			c.busy = make([]time.Duration, nm)
-		}
-		return c
+	if ex.workers+ex.lanes > 1 || ex.sh.Stop != nil {
+		c.cfg.abort = func() bool { return c.cur >= ex.bound() }
 	}
+	return c
+}
 
-	// run resolves position g on c with sched and returns what it logged —
-	// the execution's step count, or refused — and whether the execution
-	// completed without a violation. cand, when non-nil, receives the
-	// execution's decisions if its coverage is novel against the window's
-	// frozen corpus. An execution aborted in flight was superseded by a
-	// lower bound and contributes nothing.
-	run := func(c *claimer, sched FaultScheduler, g int64, cand *candidate) (int64, bool) {
-		m, i := int(g%nm), int(g/nm)
-		seed := execSeed(seeds[m], i)
-		if !sched.Prepare(seed, o.MaxSteps) {
-			c.log = append(c.log, logEntry{g, refused})
-			return refused, false
-		}
-		c.cur = g
-		r := c.pool.runtime(sched, c.cfg)
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		rep := r.execute(t)
-		if timed {
-			c.busy[m] += time.Since(t0)
-		}
-		if r.aborted {
-			return 0, false
-		}
-		steps := int64(r.steps)
-		c.log = append(c.log, logEntry{g, steps})
-		if o.Progress != nil {
+// run resolves position g on c with sched and returns its step count —
+// or refused — and whether the execution completed without a violation.
+// cand, when non-nil, receives the execution's decisions if its coverage
+// is novel against the window's frozen corpus. An execution aborted in
+// flight was superseded by a lower bound and contributes nothing.
+func (ex *explored) run(c *claimer, sched FaultScheduler, g int64, cand *candidate) (int64, bool) {
+	m, i := int(g%ex.nm), int(g/ex.nm)
+	seed := execSeed(ex.seeds[m], i)
+	if !sched.Prepare(seed, ex.o.MaxSteps) {
+		ex.mu.Lock()
+		ex.fold(g, refused)
+		ex.mu.Unlock()
+		return refused, false
+	}
+	c.cur = g
+	r := c.pool.runtime(sched, c.cfg)
+	var t0 time.Time
+	if ex.timed {
+		t0 = time.Now()
+	}
+	rep := r.execute(ex.t)
+	var busy time.Duration
+	if ex.timed {
+		busy = time.Since(t0)
+	}
+	steps := int64(r.steps)
+
+	ex.mu.Lock()
+	ex.stats[m].Elapsed += busy
+	if !r.aborted {
+		if ex.o.Progress != nil {
 			// Counted under the lock so Progress sees strictly increasing
 			// counts across claimers.
-			mu.Lock()
-			completed++
-			o.Progress(completed)
-			mu.Unlock()
+			ex.completed++
+			ex.o.Progress(ex.completed)
 		}
-		if rep != nil {
-			mu.Lock()
-			if g < bugPos.Load() {
-				bugPos.Store(g)
-				rep.Trace = newTrace(t.Name, sched.Name(), seed, o.EffectiveFaults(t), r.dec.decode())
-				rep.Iteration = i
-				ex.bug = rep
-			}
-			mu.Unlock()
-			return steps, false
+		if rep != nil && g < ex.bugPos.Load() {
+			ex.bugPos.Store(g)
+			rep.Trace = newTrace(ex.t.Name, sched.Name(), seed, ex.o.EffectiveFaults(ex.t), r.dec.decode())
+			rep.Iteration = i
+			ex.bug = rep
 		}
-		// has() reads the window's frozen snapshot; duplicates within one
-		// window are resolved at the merge (lowest position wins). full()
-		// is a cheap pre-filter — the merge re-checks capacity.
-		if cand != nil {
-			if fp := r.Fingerprint(); !ex.corpus.has(fp) && !ex.corpus.full() {
-				*cand = candidate{fp: fp, decisions: r.dec.decode(), ok: true}
-			}
-		}
-		return steps, true
+		ex.fold(g, steps)
 	}
+	ex.mu.Unlock()
+	if r.aborted || rep != nil {
+		return steps, false
+	}
+	// has() reads the window's frozen snapshot; duplicates within one
+	// window are resolved at the merge (lowest position wins). full() is a
+	// cheap pre-filter — the merge re-checks capacity.
+	if cand != nil {
+		if fp := r.Fingerprint(); !ex.corpus.has(fp) && !ex.corpus.full() {
+			*cand = candidate{fp: fp, decisions: r.dec.decode(), ok: true}
+		}
+	}
+	return steps, true
+}
 
-	// Calibration. Position m (member m, iteration 0) of each adaptive
-	// member runs here, owned or not; it runs corpus-less and records no
-	// candidate — iteration 0 has no corpus to mutate anyway. A shard that
-	// does not own it can take the hint from an earlier result of the same
-	// plan instead: the hint is a pure function of the plan.
-	cal := newClaimer(nil, -1, nil)
-	ex.hints = make([]int, nm)
-	for m := range factories {
+// fold records that position g resolved with steps (or refused) and
+// advances the frontier over the contiguous resolved prefix of the range,
+// adding each position it passes to its member's statistics. It never
+// passes the lowest buggy position; what lies beyond it, or below the
+// range (a calibration re-run for a position another shard owns), is
+// dropped. Called under mu.
+func (ex *explored) fold(g, steps int64) {
+	end := min(ex.sh.To, ex.bugPos.Load()+1)
+	if g < ex.frontier || g >= end {
+		return
+	}
+	if g > ex.frontier {
+		if ex.pending == nil {
+			ex.pending = make(map[int64]int64)
+		}
+		ex.pending[g] = steps
+		return
+	}
+	for {
+		m := g % ex.nm
+		if ms := &ex.stats[m]; steps != refused {
+			ms.Executions++
+			ms.TotalSteps += steps
+		} else if !ms.Exhausted {
+			ms.Exhausted = true
+			if ex.factories[m].Sequential() {
+				ex.spentLanes++
+			}
+		}
+		g++
+		if ex.spentLanes == ex.nm {
+			g = end // every member is a lane that stopped: nothing is left to run
+		}
+		ex.frontier = g
+		if g >= end {
+			return
+		}
+		var ok bool
+		if steps, ok = ex.pending[g]; ok {
+			delete(ex.pending, g)
+		} else if n := g % ex.nm; ex.stats[n].Exhausted && ex.factories[n].Sequential() {
+			steps = refused // a lane that stopped at a refusal would refuse g too
+		} else {
+			return
+		}
+	}
+}
+
+// calibrate runs position m (member m, iteration 0) of each adaptive
+// member, owned or not, and pins its step count as the member's length
+// hint. It runs corpus-less and records no candidate — iteration 0 has no
+// corpus to mutate anyway. A shard that does not own the position can take
+// the hint from an earlier result of the same plan instead: the hint is a
+// pure function of the plan.
+func (ex *explored) calibrate() {
+	cal := ex.newClaimer(nil, -1, nil)
+	for m := range ex.factories {
 		g := int64(m)
-		if !factories[m].Adaptive() || g >= bound() {
+		if !ex.factories[m].Adaptive() || g >= ex.bound() {
 			continue
 		}
-		if g < sh.From || g >= sh.To {
-			if sh.LengthHints != nil && sh.LengthHints[m] > 0 {
-				ex.hints[m] = sh.LengthHints[m]
-				factories[m] = factories[m].WithLengthHint(ex.hints[m])
+		if g < ex.sh.From || g >= ex.sh.To {
+			if hints := ex.sh.LengthHints; hints != nil && hints[m] > 0 {
+				ex.hints[m] = hints[m]
+				ex.factories[m] = ex.factories[m].WithLengthHint(hints[m])
 				continue
 			}
-			if firstPosOfMember(m, nm, sh.From) >= sh.To {
+			if firstPosOfMember(m, ex.nm, ex.sh.From) >= ex.sh.To {
 				continue // the range holds no position of this member
 			}
 		}
-		if g != sh.From%nm && pastDeadline() {
+		if g != ex.sh.From%ex.nm && ex.pastDeadline() {
 			continue // not the first position's member: the deadline applies
 		}
-		if steps, ok := run(cal, factories[m].New(), g, nil); ok {
+		if steps, ok := ex.run(cal, ex.factories[m].New(), g, nil); ok {
 			ex.hints[m] = int(steps)
-			factories[m] = factories[m].WithLengthHint(int(steps))
+			ex.factories[m] = ex.factories[m].WithLengthHint(int(steps))
 		}
 	}
+}
 
-	// Claimers are built after the hints are pinned (and the corpus
-	// attached) so their instances come fully configured; instances and
-	// execution pools persist across windows.
+// drain builds the claimers and runs them over the range, one generation
+// window at a time. Claimers are built after the hints are pinned (and the
+// corpus attached) so their instances come fully configured; instances and
+// execution pools persist across windows.
+func (ex *explored) drain() {
 	var next atomic.Int64
-	claimers := make([]*claimer, 0, workers+lanes)
-	for m := range factories {
-		if factories[m].Feedback() {
-			factories[m] = factories[m].WithCorpus(ex.corpus)
+	claimers := make([]*claimer, 0, ex.workers+ex.lanes)
+	for m := range ex.factories {
+		if ex.factories[m].Feedback() {
+			ex.factories[m] = ex.factories[m].WithCorpus(ex.corpus)
 		}
-		if factories[m].Sequential() {
-			lane := newClaimer(new(atomic.Int64), m, newExecPool(o))
-			lane.scheds[m] = factories[m].New()
+		if ex.factories[m].Sequential() {
+			lane := ex.newClaimer(new(atomic.Int64), m, newExecPool(ex.o))
+			lane.scheds[m] = ex.factories[m].New()
 			claimers = append(claimers, lane)
 		}
 	}
-	for w := 0; w < workers; w++ {
-		c := newClaimer(&next, -1, newExecPool(o))
-		for m := range factories {
-			if !factories[m].Sequential() {
-				c.scheds[m] = factories[m].New()
+	for range ex.workers {
+		c := ex.newClaimer(&next, -1, newExecPool(ex.o))
+		for m := range ex.factories {
+			if !ex.factories[m].Sequential() {
+				c.scheds[m] = ex.factories[m].New()
 			}
 		}
 		claimers = append(claimers, c)
@@ -320,55 +384,31 @@ func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
 		}
 	}()
 
-	gen := int64(feedbackRoundSize) * nm
+	gen := int64(feedbackRoundSize) * ex.nm
 	var cands []candidate
-	if feedback {
+	if ex.feedback {
 		cands = make([]candidate, gen)
 	}
-	for wf := sh.From; wf < sh.To && wf < bound(); {
-		wt := sh.To
-		if feedback {
+	for wf := ex.sh.From; wf < ex.sh.To && wf < ex.bound(); {
+		wt := ex.sh.To
+		if ex.feedback {
 			wt = min(wt, (wf/gen+1)*gen)
 			clear(cands)
 		}
 		next.Store(wf)
-		for _, lane := range claimers[:lanes] {
-			lane.next.Store(firstPosOfMember(lane.lane, nm, wf))
-		}
-
-		// claim drains the window on c. This is the loop.
-		claim := func(c *claimer) {
-			for !c.spent {
-				g := c.next.Add(c.stride) - c.stride
-				if g >= wt || g >= bound() {
-					return
-				}
-				if g != sh.From && pastDeadline() {
-					return
-				}
-				m := g % nm
-				if c.scheds[m] == nil || (g < nm && factories[m].Adaptive()) {
-					continue // a lane's position, or resolved by calibration
-				}
-				var cand *candidate
-				if feedback {
-					cand = &cands[g-wf]
-				}
-				if steps, _ := run(c, c.scheds[m], g, cand); steps == refused && c.lane >= 0 {
-					c.spent = true
-				}
-			}
+		for _, lane := range claimers[:ex.lanes] {
+			lane.next.Store(firstPosOfMember(lane.lane, ex.nm, wf))
 		}
 		if len(claimers) == 1 {
 			// The lone claimer runs on the calling goroutine.
-			claim(claimers[0])
+			ex.claim(claimers[0], wf, wt, cands)
 		} else {
 			var wg sync.WaitGroup
 			for _, c := range claimers {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					claim(c)
+					ex.claim(c, wf, wt, cands)
 				}()
 			}
 			wg.Wait()
@@ -379,9 +419,9 @@ func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
 		// later positions are non-canonical — so the corpus stays the last
 		// fully merged snapshot.
 		if ex.bug != nil {
-			break
+			return
 		}
-		if feedback {
+		if ex.feedback {
 			for j, cd := range cands[:wt-wf] {
 				if cd.ok && ex.corpus.add(cd.fp, int(wf)+j, cd.decisions) {
 					ex.candidates = append(ex.candidates, CorpusCandidate{
@@ -392,98 +432,43 @@ func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
 				}
 			}
 		}
-		idle := workers == 0
-		for _, lane := range claimers[:lanes] {
+		idle := ex.workers == 0
+		for _, lane := range claimers[:ex.lanes] {
 			idle = idle && lane.spent
 		}
-		if idle || pastDeadline() {
-			break
+		if idle || ex.pastDeadline() {
+			return
 		}
 		wf = wt
 	}
+}
 
-	ex.bugPos = bugPos.Load()
-	ex.logs = append(ex.logs, cal.log)
-	if timed {
-		ex.busy = cal.busy
-	}
-	for _, c := range claimers {
-		ex.logs = append(ex.logs, c.log)
-		for m := range ex.busy {
-			ex.busy[m] += c.busy[m]
+// claim drains the window [wf, wt) on c. This is the loop.
+func (ex *explored) claim(c *claimer, wf, wt int64, cands []candidate) {
+	for !c.spent {
+		g := c.next.Add(c.stride) - c.stride
+		if g >= wt || g >= ex.bound() {
+			return
+		}
+		if g != ex.sh.From && ex.pastDeadline() {
+			return
+		}
+		m := g % ex.nm
+		if c.scheds[m] == nil || (g < ex.nm && ex.factories[m].Adaptive()) {
+			continue // a lane's position, or resolved by calibration
+		}
+		var cand *candidate
+		if ex.feedback {
+			cand = &cands[g-wf]
+		}
+		if steps, _ := ex.run(c, c.scheds[m], g, cand); steps == refused && c.lane >= 0 {
+			c.spent = true
 		}
 	}
-	return ex, nil
 }
 
 // firstPosOfMember returns the lowest global position >= from that belongs
 // to member m in an nm-member plan.
 func firstPosOfMember(m int, nm, from int64) int64 {
 	return from + (int64(m)-from%nm+nm)%nm
-}
-
-// tally derives the canonical per-member statistics from the logs: the
-// executions at positions in [from, limit) — what a round-robin
-// interleaving of the members performs between the two — and whether the
-// member's scheduler ran out of schedules there.
-func (ex *explored) tally(from, limit int64) []MemberStats {
-	nm := int64(len(ex.members))
-	stats := make([]MemberStats, nm)
-	for m := range stats {
-		stats[m].Scheduler = ex.members[m]
-		if ex.busy != nil {
-			stats[m].Elapsed = ex.busy[m]
-		}
-	}
-	for _, log := range ex.logs {
-		for _, e := range log {
-			if e.pos < from || e.pos >= limit {
-				continue
-			}
-			if ms := &stats[e.pos%nm]; e.steps == refused {
-				ms.Exhausted = true
-			} else {
-				ms.Executions++
-				ms.TotalSteps += e.steps
-			}
-		}
-	}
-	return stats
-}
-
-// resolvedTo returns the end of the contiguous resolved prefix of
-// [from, limit): every position below it was logged — executed or refused —
-// or belongs to a member whose scheduler had already run out of schedules.
-func (ex *explored) resolvedTo(from, limit int64) int64 {
-	nm := int64(len(ex.members))
-	spentAt := make([]int64, nm)
-	for m := range spentAt {
-		spentAt[m] = ex.total
-	}
-	for _, log := range ex.logs {
-		for _, e := range log {
-			if e.steps == refused {
-				spentAt[e.pos%nm] = min(spentAt[e.pos%nm], e.pos)
-			}
-		}
-	}
-	// Each log is in increasing position order, so one cursor per log
-	// finds every position in a single pass.
-	heads := make([]int, len(ex.logs))
-	g := from
-walk:
-	for ; g < limit; g++ {
-		for w, log := range ex.logs {
-			for heads[w] < len(log) && log[heads[w]].pos < g {
-				heads[w]++
-			}
-			if heads[w] < len(log) && log[heads[w]].pos == g {
-				continue walk
-			}
-		}
-		if g < spentAt[g%nm] {
-			break
-		}
-	}
-	return g
 }

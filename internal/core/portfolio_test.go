@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // portfolioMembers is the portfolio raced throughout these tests: the
@@ -265,7 +266,9 @@ func TestPortfolioRejectsBadSpecs(t *testing.T) {
 // TestPortfolioExhaustionIsCanonical: a dfs member that covers its whole
 // schedule space reports Exhausted, and the member's executions stop at
 // the space's size — deterministically, with a non-exhausting member
-// racing alongside.
+// racing alongside. A full-range shard resolves the positions the stopped
+// dfs lane never runs, so it resolves the whole plan and counts what
+// Explore counts, at any worker count.
 func TestPortfolioExhaustionIsCanonical(t *testing.T) {
 	clean := Test{
 		Name: "bools-clean",
@@ -274,8 +277,8 @@ func TestPortfolioExhaustionIsCanonical(t *testing.T) {
 			ctx.RandomBool()
 		},
 	}
-	res := MustExplore(clean, withMembers(
-		Options{Iterations: 50, Seed: 1, Workers: 4, NoReplayLog: true}, "dfs", "random"))
+	o := withMembers(Options{Iterations: 50, Seed: 1, Workers: 4, NoReplayLog: true}, "dfs", "random")
+	res := MustExplore(clean, o)
 	if res.BugFound {
 		t.Fatalf("unexpected bug: %v", res.Report.Error())
 	}
@@ -286,11 +289,42 @@ func TestPortfolioExhaustionIsCanonical(t *testing.T) {
 	if dfs.Executions != 4 {
 		t.Fatalf("dfs executions = %d, want 4 (2^2 schedules)", dfs.Executions)
 	}
-	if random.Exhausted {
-		t.Fatal("random member reported exhaustion")
+	if random.Exhausted || random.Executions != 50 {
+		t.Fatalf("random member: Exhausted %v after %d executions, want false after 50", random.Exhausted, random.Executions)
 	}
 	if res.Exhausted {
 		t.Fatal("run reported exhaustion with a non-exhausted member")
+	}
+	for _, workers := range []int{1, 4} {
+		o.Workers = workers
+		sr, err := ExploreShard(clean, o, Shard{To: PlanSize(o)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sr.Exhausted || sr.ResolvedTo != PlanSize(o) {
+			t.Errorf("%d workers: shard Exhausted %v, ResolvedTo %d, want true and %d",
+				workers, sr.Exhausted, sr.ResolvedTo, PlanSize(o))
+		}
+		if sr.Executions != res.Executions || sr.TotalSteps != res.TotalSteps {
+			t.Errorf("%d workers: shard counted %d executions / %d steps, Explore %d / %d",
+				workers, sr.Executions, sr.TotalSteps, res.Executions, res.TotalSteps)
+		}
+	}
+
+	// Once every member is a stopped lane the rest of the plan resolves at
+	// once: the cost is the executions run, not the budget asked for.
+	start := time.Now()
+	o = Options{Scheduler: "dfs", Iterations: 1 << 30, NoReplayLog: true}
+	sr, err := ExploreShard(clean, o, Shard{To: PlanSize(o)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sr.Exhausted || sr.Executions != 4 || sr.ResolvedTo != PlanSize(o) {
+		t.Errorf("dfs alone: Exhausted %v, %d executions, ResolvedTo %d; want true, 4, %d",
+			sr.Exhausted, sr.Executions, sr.ResolvedTo, PlanSize(o))
+	}
+	if wall := time.Since(start); wall > time.Second {
+		t.Errorf("dfs alone: an exhausted 2^30 budget took %v", wall)
 	}
 }
 

@@ -157,31 +157,22 @@ func ExploreShard(t Test, o Options, sh Shard) (ShardResult, error) {
 	if err != nil {
 		return ShardResult{}, err
 	}
-
-	// Canonical, worker-count-independent accounting: a bug caps the
-	// counted prefix at its own position — executions that raced past it
-	// contribute nothing — so for a fixed plan and shard the statistics
-	// are identical at any Workers count.
-	limit := sh.To
-	if ex.bug != nil {
-		limit = max(sh.From, min(limit, ex.bugPos+1))
-	}
 	res := ShardResult{
 		From:        sh.From,
 		To:          sh.To,
-		ResolvedTo:  ex.resolvedTo(sh.From, limit),
+		ResolvedTo:  ex.frontier,
 		Candidates:  ex.candidates,
 		LengthHints: ex.hints,
 	}
-	for _, ms := range ex.tally(sh.From, res.ResolvedTo) {
+	for _, ms := range ex.stats {
 		res.Executions += ms.Executions
 		res.TotalSteps += ms.TotalSteps
 		res.Exhausted = res.Exhausted || ms.Exhausted
 	}
 	if ex.bug != nil {
 		res.BugFound = true
-		res.BugPos = ex.bugPos
-		res.Member = int(ex.bugPos % int64(nm))
+		res.BugPos = ex.bugPos.Load()
+		res.Member = int(res.BugPos % ex.nm)
 		res.Report = ex.bug
 		res.Choices = len(ex.bug.Trace.Decisions)
 		if !o.NoReplayLog {
