@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -232,49 +233,58 @@ func TestDocsStateTheDesignOnce(t *testing.T) {
 }
 
 // TestExamplesUsePublicAPIOnly enforces the public-only import rule on
-// the examples and on the two CLIs the README calls pure consumers of the
-// public API (cmd/systest, cmd/table2; their tests may reach internal/):
-// every such program must compile against nothing but the public package
-// (plus the standard library) — no internal/ imports, which is what makes
-// them proof that the API boundary is real.
+// the examples and the CLIs (their tests may reach internal/): every such
+// program must compile against nothing but the public package, the
+// standard library and the module packages listed for it — which is what
+// makes them proof that the API boundary is real. The plan flags systest
+// and gostormd share (cmd/internal/runflags) obey the rule themselves, and
+// the fleet binaries add only the control plane, internal/dist.
 func TestExamplesUsePublicAPIOnly(t *testing.T) {
-	const module = "github.com/gostorm/gostorm"
+	const (
+		module   = "github.com/gostorm/gostorm"
+		runflags = module + "/cmd/internal/runflags"
+		dist     = module + "/internal/dist"
+	)
 	fset := token.NewFileSet()
 	found := 0
-	check := func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		found++
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+	for root, allowed := range map[string][]string{
+		"examples":              nil,
+		"cmd/table2":            nil,
+		"cmd/internal/runflags": nil,
+		"cmd/systest":           {runflags},
+		"cmd/gostormd":          {runflags, dist},
+		"cmd/gostorm-agent":     {dist},
+	} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			found++
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, imp := range f.Imports {
+				p := strings.Trim(imp.Path.Value, `"`)
+				if p == module || slices.Contains(allowed, p) {
+					continue
+				}
+				if strings.HasPrefix(p, module+"/") {
+					return fmt.Errorf("%s imports %s — it may import only %s and %v", path, p, module, allowed)
+				}
+				// Anything else must be the standard library: no dots in the
+				// first path element.
+				if first := strings.SplitN(p, "/", 2)[0]; strings.Contains(first, ".") {
+					return fmt.Errorf("%s imports non-stdlib package %s", path, p)
+				}
+			}
+			return nil
+		})
 		if err != nil {
-			return err
-		}
-		for _, imp := range f.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			if p == module {
-				continue
-			}
-			if strings.HasPrefix(p, module+"/") {
-				return fmt.Errorf("%s imports %s — it must import only %s", path, p, module)
-			}
-			if strings.Contains(p, "internal") {
-				return fmt.Errorf("%s imports internal package %s", path, p)
-			}
-			// Anything else must be the standard library: no dots in the
-			// first path element.
-			if first := strings.SplitN(p, "/", 2)[0]; strings.Contains(first, ".") {
-				return fmt.Errorf("%s imports non-stdlib package %s", path, p)
-			}
-		}
-		return nil
-	}
-	for _, root := range []string{"examples", "cmd/systest", "cmd/table2"} {
-		if err := filepath.WalkDir(root, check); err != nil {
 			t.Error(err)
 		}
 	}
-	if found < 6 {
-		t.Fatalf("only %d files checked; expected the four example programs and the two CLIs", found)
+	if found < 9 {
+		t.Fatalf("only %d files checked; expected the four example programs, the four CLIs and the plan flags", found)
 	}
 }

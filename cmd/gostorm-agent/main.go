@@ -26,8 +26,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/gostorm/gostorm/internal/catalog"
-	"github.com/gostorm/gostorm/internal/core"
+	"github.com/gostorm/gostorm"
 	"github.com/gostorm/gostorm/internal/dist"
 )
 
@@ -48,6 +47,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Checked before the join: a bad value must not take a lease it would
+	// then strand until the lease expires.
+	switch {
+	case *workers < 0:
+		fmt.Fprintf(stderr, "gostorm-agent: -workers must be non-negative, got %d\n", *workers)
+		return 2
+	case *poll < 0:
+		fmt.Fprintf(stderr, "gostorm-agent: -poll must be non-negative, got %v\n", *poll)
+		return 2
+	}
 	if *name == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -61,12 +70,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Name:        *name,
 		Workers:     *workers,
 		Poll:        *poll,
-		BuildTest: func(scenario string) (core.Test, error) {
-			entry, err := catalog.Get(scenario)
+		BuildTest: func(scenario string) (gostorm.Test, error) {
+			sc, err := gostorm.ScenarioByName(scenario)
 			if err != nil {
-				return core.Test{}, err
+				return gostorm.Test{}, err
 			}
-			return entry.Build(), nil
+			return sc.Test(), nil
 		},
 	}
 	if *verbose {

@@ -7,7 +7,9 @@
 // The coordinator never executes the scenario itself — it only cuts the
 // global schedule plan into leases and merges what agents report. For a
 // fixed -seed and plan, the winning bug (member, iteration, trace bytes)
-// is bit-identical whatever the fleet size or agent churn.
+// is bit-identical whatever the fleet size or agent churn. The plan flags
+// are systest's own (cmd/internal/runflags), so `systest` with the same
+// flags explores the same plan in one process.
 //
 // Usage:
 //
@@ -29,8 +31,8 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/gostorm/gostorm/internal/catalog"
-	"github.com/gostorm/gostorm/internal/core"
+	"github.com/gostorm/gostorm"
+	"github.com/gostorm/gostorm/cmd/internal/runflags"
 	"github.com/gostorm/gostorm/internal/dist"
 )
 
@@ -41,101 +43,52 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gostormd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	planFlags := runflags.Register(fs)
 	var (
-		list        = fs.Bool("list", false, "list registered scenarios and exit")
-		test        = fs.String("test", "", "scenario name (see -list)")
-		scheduler   = fs.String("scheduler", "", "scheduler (default: scenario recommendation, else random)")
-		portfolio   = fs.String("portfolio", "", "comma-separated scheduler portfolio to race instead of -scheduler")
-		pctDepth    = fs.Int("pct-depth", 2, "priority change points for the pct/delay schedulers")
-		seed        = fs.Int64("seed", 0, "base random seed (determines the plan's winner)")
-		iterations  = fs.Int("iterations", 0, "maximum executions (0 = scenario default); per member for a portfolio")
-		maxSteps    = fs.Int("max-steps", 0, "scheduling steps per execution (0 = scenario default)")
-		corpusSize  = fs.Int("corpus-size", 0, "exploration corpus capacity for feedback schedulers (0 = default)")
-		temperature = fs.Int("temperature", 0, "liveness temperature threshold (0 = bound check only)")
-		faults      = fs.String("faults", "", "fault budget override, e.g. crashes=1,drops=2 (empty = scenario default; all zeros = disable)")
-		addr        = fs.String("addr", "127.0.0.1:7077", "control-plane listen address (use :0 for an ephemeral port)")
-		leaseSize   = fs.Int64("lease", 256, "global positions per lease")
-		leaseTTL    = fs.Duration("lease-ttl", 10*time.Second, "lease expiry; an unreported lease is re-issued after this")
-		linger      = fs.Duration("linger", 2*time.Second, "how long to keep serving after the verdict so agents learn the run is done")
-		traceOut    = fs.String("trace-out", "", "write the winning bug's trace to this file")
-		verbose     = fs.Bool("v", false, "log control-plane events to stderr")
+		addr      = fs.String("addr", "127.0.0.1:7077", "control-plane listen address (use :0 for an ephemeral port)")
+		leaseSize = fs.Int64("lease", 256, "global positions per lease (0 = default)")
+		leaseTTL  = fs.Duration("lease-ttl", 10*time.Second, "lease expiry; an unreported lease is re-issued after this (0 = default)")
+		linger    = fs.Duration("linger", 2*time.Second, "how long to keep serving after the verdict so agents learn the run is done")
+		traceOut  = fs.String("trace-out", "", "write the winning bug's trace to this file")
+		verbose   = fs.Bool("v", false, "log control-plane events to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *list {
-		fmt.Fprint(stdout, catalog.Describe())
+	if planFlags.List {
+		fmt.Fprint(stdout, gostorm.DescribeScenarios())
 		return 0
 	}
-	if *test == "" {
-		fmt.Fprintln(stderr, "gostormd: -test is required (use -list to see scenarios)")
-		return 2
-	}
-	if *leaseSize < 0 {
+	// dist.New reads a non-positive lease size or TTL as its default, so a
+	// negative one is rejected here rather than silently replaced.
+	switch {
+	case *leaseSize < 0:
 		fmt.Fprintf(stderr, "gostormd: -lease must be non-negative, got %d\n", *leaseSize)
 		return 2
-	}
-	// Options.PCTDepth reads 0 as "default", so the flag's 0 is rejected
-	// here, as systest does, rather than silently running depth 2.
-	if *pctDepth <= 0 {
-		fmt.Fprintf(stderr, "gostormd: -pct-depth must be positive, got %d\n", *pctDepth)
+	case *leaseTTL < 0:
+		fmt.Fprintf(stderr, "gostormd: -lease-ttl must be non-negative, got %v\n", *leaseTTL)
+		return 2
+	case *linger < 0:
+		fmt.Fprintf(stderr, "gostormd: -linger must be non-negative, got %v\n", *linger)
 		return 2
 	}
-	if *portfolio != "" && *scheduler != "" {
-		fmt.Fprintf(stderr, "gostormd: -portfolio conflicts with -scheduler %s (drop one, or add %s to the member list)\n", *scheduler, *scheduler)
+	// The plan is resolved exactly as systest resolves it; the resolved
+	// gostorm.Config is the engine's own option set, so it is the plan
+	// dist.New publishes (Workers is machine-local and stays off the wire).
+	sc, opts, err := planFlags.Plan()
+	if err != nil {
+		fmt.Fprintln(stderr, "gostormd:", err)
 		return 2
 	}
-	entry, err := catalog.Get(*test)
+	resolved, err := gostorm.Resolve(sc.Test(), opts...)
 	if err != nil {
 		fmt.Fprintln(stderr, "gostormd:", err)
 		return 2
 	}
 
-	// Layer CLI overrides on the scenario's recommended options — the same
-	// resolution systest performs, minus the machine-local knobs (Workers)
-	// that belong to each agent. 0 means "default"; a negative value is
-	// passed on for dist.New to reject.
-	opts := entry.Options
-	opts.Seed = *seed
-	opts.PCTDepth = *pctDepth
-	if *portfolio != "" {
-		members, err := core.ParsePortfolioSpec(*portfolio)
-		if err != nil {
-			fmt.Fprintln(stderr, "gostormd: -portfolio:", err)
-			return 2
-		}
-		opts.Portfolio = members
-		opts.Scheduler = ""
-	} else if *scheduler != "" {
-		opts.Scheduler = *scheduler
-		opts.Portfolio = nil
-	}
-	if *iterations != 0 {
-		opts.Iterations = *iterations
-	}
-	if *maxSteps != 0 {
-		opts.MaxSteps = *maxSteps
-	}
-	if *corpusSize != 0 {
-		opts.CorpusSize = *corpusSize
-	}
-	if *temperature != 0 {
-		opts.Temperature = *temperature
-	}
-	if strings.TrimSpace(*faults) != "" {
-		f, err := core.ParseFaultsSpec(*faults)
-		if err != nil {
-			fmt.Fprintln(stderr, "gostormd: -faults:", err)
-			return 2
-		}
-		// A zero Options.Faults defers to the scenario's budget, so the
-		// all-zero spec is spelled NoFaults — what systest's WithFaults does.
-		opts.Faults, opts.NoFaults = f, f == core.Faults{}
-	}
-
 	cfg := dist.Config{
-		Scenario:  *test,
-		Options:   opts,
+		Scenario:  sc.Name,
+		Options:   resolved,
 		LeaseSize: *leaseSize,
 		LeaseTTL:  *leaseTTL,
 	}

@@ -4,17 +4,21 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/gostorm/gostorm"
+	"github.com/gostorm/gostorm/cmd/internal/runflags"
 	"github.com/gostorm/gostorm/internal/catalog"
 	"github.com/gostorm/gostorm/internal/core"
 	"github.com/gostorm/gostorm/internal/dist"
@@ -191,15 +195,7 @@ func TestAllZeroFaultsSpecDisablesTheFaultPlane(t *testing.T) {
 	}
 	coordBin, _ := buildBinaries(t)
 	_, url, _, _ := startGostormd(t, coordBin, "-test", "ExtentNodeLivenessViolation", "-faults", "crashes=0")
-	resp, err := http.Post(url+"/v1/join", "application/json", strings.NewReader(`{"protocol":1,"agent":"t"}`))
-	if err != nil {
-		t.Fatalf("join: %v", err)
-	}
-	defer resp.Body.Close()
-	var jr dist.JoinResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-		t.Fatalf("decoding the join response: %v", err)
-	}
+	jr := join(t, url)
 	entry, err := catalog.Get(jr.Plan.Scenario)
 	if err != nil {
 		t.Fatal(err)
@@ -210,31 +206,116 @@ func TestAllZeroFaultsSpecDisablesTheFaultPlane(t *testing.T) {
 	}
 }
 
-// TestCoordinatorConfigErrors: flag and plan validation fails fast with
-// exit 2 before any control plane comes up.
-func TestCoordinatorConfigErrors(t *testing.T) {
+// join joins the coordinator at url as an agent would and returns the plan
+// it publishes.
+func join(t *testing.T, url string) dist.JoinResponse {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/join", "application/json", strings.NewReader(`{"protocol":1,"agent":"t"}`))
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	defer resp.Body.Close()
+	var jr dist.JoinResponse
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		t.Fatalf("decoding the join response: %v", err)
+	}
+	return jr
+}
+
+// TestFleetPlanIsASystestPlan: a bug the fleet finds is reproduced by
+// systest with the same flags, so the plan gostormd publishes must be the
+// one systest resolves — every field that travels on the wire. Scheduler is
+// compared only without a portfolio, which it does not take part in.
+func TestFleetPlanIsASystestPlan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the real binary")
+	}
+	coordBin, _ := buildBinaries(t)
+	for _, args := range [][]string{
+		{"-test", "wal-torn-tail", "-seed", "7", "-iterations", "300", "-max-steps", "900"},
+		{"-test", "vnext-repair-lossy", "-max-crashes", "2"},
+		{"-test", "wal-torn-tail", "-max-torn-crashes", "1", "-temperature", "50"},
+		{"-test", "ExtentNodeLivenessViolation", "-faults", "crashes=0"},
+		{"-test", "replsys-safety", "-portfolio", "random,pct"},
+		{"-test", "replsys-safety", "-scheduler", "portfolio", "-portfolio", "pct,delay", "-pct-depth", "3"},
+		{"-test", "mtable", "-scheduler", "mutational"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			fs := flag.NewFlagSet("systest", flag.ContinueOnError)
+			planFlags := runflags.Register(fs)
+			if err := fs.Parse(args); err != nil {
+				t.Fatal(err)
+			}
+			sc, opts, err := planFlags.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := gostorm.Resolve(sc.Test(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total, err := gostorm.PlanSize(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			_, url, _, _ := startGostormd(t, coordBin, args...)
+			got := join(t, url).Plan
+			if got.Scenario != sc.Name || got.Total != total {
+				t.Fatalf("fleet plans %s over %d positions, systest %s over %d", got.Scenario, got.Total, sc.Name, total)
+			}
+			if g, w := wireFields(t, got.Options), wireFields(t, want); !reflect.DeepEqual(g, w) {
+				t.Fatalf("fleet plan differs from systest's:\n got %v\nwant %v", g, w)
+			}
+		})
+	}
+}
+
+// wireFields is the wire form of a plan as a field map.
+func wireFields(t *testing.T, o gostorm.Config) map[string]any {
+	t.Helper()
+	data, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(o.Portfolio) > 0 {
+		delete(m, "scheduler")
+	}
+	return m
+}
+
+// TestCoordinatorConfigErrors: the fleet binaries check their flags and
+// plan before anything runs — gostormd before the control plane comes up,
+// the agent before it joins and takes a lease. The plan flags' own table is
+// runflags' TestPlanFlagsFailUpFront; one of them shows the wiring here.
+func TestCoordinatorConfigErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs the real binaries")
 	}
 	coordBin, agentBin := buildBinaries(t)
 	for _, tc := range []struct {
 		name string
+		bin  string
 		args []string
 		want string
 	}{
-		{"missing test", nil, "-test is required"},
-		{"unknown scenario", []string{"-test", "nope"}, "unknown scenario"},
-		{"sequential scheduler", []string{"-test", "wal-torn-tail", "-scheduler", "dfs"}, "cannot be sharded"},
-		{"conflicting flags", []string{"-test", "wal-torn-tail", "-scheduler", "pct", "-portfolio", "random,pct"}, "-portfolio conflicts"},
-		{"negative iterations", []string{"-test", "wal-torn-tail", "-iterations", "-5"}, "Options.Iterations: must be non-negative"},
-		{"negative max-steps", []string{"-test", "wal-torn-tail", "-max-steps", "-3"}, "Options.MaxSteps: must be non-negative"},
-		{"negative corpus-size", []string{"-test", "wal-torn-tail", "-corpus-size", "-1"}, "Options.CorpusSize: must be non-negative"},
-		{"negative temperature", []string{"-test", "wal-torn-tail", "-temperature", "-1"}, "Options.Temperature: must be non-negative"},
-		{"negative lease", []string{"-test", "wal-torn-tail", "-lease", "-1"}, "-lease must be non-negative"},
-		{"zero pct-depth", []string{"-test", "wal-torn-tail", "-pct-depth", "0"}, "-pct-depth must be positive, got 0"},
+		{"plan flag", coordBin, []string{"-test", "wal-torn-tail", "-iterations", "-5"}, "gostormd: gostorm: WithIterations: must be positive, got -5"},
+		{"sequential scheduler", coordBin, []string{"-test", "wal-torn-tail", "-scheduler", "dfs"}, "cannot be sharded"},
+		{"negative lease", coordBin, []string{"-test", "wal-torn-tail", "-lease", "-1"}, "-lease must be non-negative"},
+		{"negative lease-ttl", coordBin, []string{"-test", "wal-torn-tail", "-lease-ttl", "-1s"}, "-lease-ttl must be non-negative, got -1s"},
+		{"negative linger", coordBin, []string{"-test", "wal-torn-tail", "-linger", "-2s"}, "-linger must be non-negative, got -2s"},
+		{"agent without coordinator", agentBin, []string{"-coordinator", ""}, "Coordinator is required"},
+		// An unreachable coordinator: a check that passed would fail on the
+		// join instead, with exit 1.
+		{"agent negative workers", agentBin, []string{"-coordinator", "http://127.0.0.1:1", "-workers", "-2"}, "-workers must be non-negative, got -2"},
+		{"agent negative poll", agentBin, []string{"-coordinator", "http://127.0.0.1:1", "-poll", "-1s"}, "-poll must be non-negative, got -1s"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := exec.Command(coordBin, tc.args...).CombinedOutput()
+			out, err := exec.Command(tc.bin, tc.args...).CombinedOutput()
 			if code := exitCode(err); code != 2 {
 				t.Fatalf("exit = %d, want 2:\n%s", code, out)
 			}
@@ -242,14 +323,6 @@ func TestCoordinatorConfigErrors(t *testing.T) {
 				t.Fatalf("output %q does not mention %q", out, tc.want)
 			}
 		})
-	}
-	// The agent validates its flags the same way.
-	out, err := exec.Command(agentBin, "-coordinator", "").CombinedOutput()
-	if code := exitCode(err); code != 2 {
-		t.Fatalf("agent exit = %d, want 2:\n%s", code, out)
-	}
-	if !strings.Contains(string(out), "Coordinator is required") {
-		t.Fatalf("agent output %q lacks the config error", out)
 	}
 }
 

@@ -1,0 +1,141 @@
+// Package runflags states an exploration plan at the command line once, for
+// every command that runs one: systest explores the plan in one process and
+// gostormd shards it across a fleet, and because both parse the same flags
+// into the same public options, a bug one of them finds the other
+// reproduces from the same flags.
+//
+// The flags here are the ones that shape the schedule space or a verdict —
+// scenario, schedulers, seed, budgets, fault plane. Flags that only say how
+// one machine runs the plan (-workers, -shard, -trace-out, -addr, ...) stay
+// with each command.
+package runflags
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"strings"
+
+	"github.com/gostorm/gostorm"
+)
+
+// Flags holds the plan flags registered on a flag set.
+type Flags struct {
+	// List is -list: print the scenario catalog instead of running.
+	List bool
+
+	test, scheduler, portfolio, faults      string
+	pctDepth, iterations, maxSteps          int
+	temperature, maxCrashes, maxTornCrashes int
+	seed                                    int64
+}
+
+// Register declares the plan flags on fs.
+func Register(fs *flag.FlagSet) *Flags {
+	f := new(Flags)
+	fs.BoolVar(&f.List, "list", false, "list registered scenarios and exit")
+	fs.StringVar(&f.test, "test", "", "scenario name (see -list)")
+	fs.StringVar(&f.scheduler, "scheduler", "", "scheduler: "+strings.Join(gostorm.SchedulerNames(), ", ")+", or portfolio (see -portfolio); empty = random")
+	fs.StringVar(&f.portfolio, "portfolio", "", "comma-separated scheduler portfolio to race (implies -scheduler portfolio)")
+	fs.IntVar(&f.pctDepth, "pct-depth", 2, "priority change points for the pct/delay schedulers")
+	fs.Int64Var(&f.seed, "seed", 0, "base random seed")
+	fs.IntVar(&f.iterations, "iterations", 0, "maximum executions (0 = scenario default); per member for a portfolio")
+	fs.IntVar(&f.maxSteps, "max-steps", 0, "scheduling steps per execution (0 = scenario default)")
+	fs.IntVar(&f.temperature, "temperature", 0, "liveness temperature threshold (0 = bound check only)")
+	fs.StringVar(&f.faults, "faults", "", "fault budget override, e.g. crashes=1,drops=2,dups=1 (empty = scenario default; all zeros = disable)")
+	fs.IntVar(&f.maxCrashes, "max-crashes", 0, "adjust the crashes component of the fault budget, keeping the scenario's other allowances (0 = scenario default)")
+	fs.IntVar(&f.maxTornCrashes, "max-torn-crashes", 0, "adjust the torn-crash component of the fault budget: crashes that may keep un-synced persisted writes (0 = scenario default)")
+	return f
+}
+
+// Plan checks the flags and returns the scenario they name with the options
+// they state, layered over the scenario's recommended ones. Only a set flag
+// adds an option; 0 means "scenario default", and a negative budget is
+// passed on for gostorm.Resolve to reject. The checks here are the rules
+// the option set cannot see.
+func (f *Flags) Plan() (gostorm.Scenario, []gostorm.Option, error) {
+	var sc gostorm.Scenario
+	if f.pctDepth <= 0 {
+		return sc, nil, fmt.Errorf("-pct-depth must be positive, got %d", f.pctDepth)
+	}
+	members, err := f.members()
+	if err != nil {
+		return sc, nil, err
+	}
+	if f.maxCrashes < 0 {
+		return sc, nil, fmt.Errorf("-max-crashes must be non-negative, got %d", f.maxCrashes)
+	}
+	if f.maxTornCrashes < 0 {
+		return sc, nil, fmt.Errorf("-max-torn-crashes must be non-negative, got %d", f.maxTornCrashes)
+	}
+	var budget *gostorm.Faults
+	if strings.TrimSpace(f.faults) != "" {
+		b, err := gostorm.ParseFaultsSpec(f.faults)
+		if err != nil {
+			return sc, nil, fmt.Errorf("-faults: %w", err)
+		}
+		budget = &b
+	}
+	if f.test == "" {
+		return sc, nil, errors.New("-test is required (use -list to see scenarios)")
+	}
+	if sc, err = gostorm.ScenarioByName(f.test); err != nil {
+		return sc, nil, fmt.Errorf("unknown scenario %s (use -list)", f.test)
+	}
+
+	opts := append(sc.Options(), gostorm.WithPCTDepth(f.pctDepth), gostorm.WithSeed(f.seed))
+	switch {
+	case len(members) > 0:
+		opts = append(opts, gostorm.WithPortfolio(members...))
+	case f.scheduler != "":
+		opts = append(opts, gostorm.WithScheduler(f.scheduler))
+	}
+	if f.iterations != 0 {
+		opts = append(opts, gostorm.WithIterations(f.iterations))
+	}
+	if f.maxSteps != 0 {
+		opts = append(opts, gostorm.WithMaxSteps(f.maxSteps))
+	}
+	if f.temperature != 0 {
+		opts = append(opts, gostorm.WithTemperature(f.temperature))
+	}
+	// A -faults spec replaces the scenario's budget wholesale (all zeros
+	// disables the fault plane); without one, -max-crashes and
+	// -max-torn-crashes adjust only their own component of the scenario's
+	// budget. Either way an explicit -max-* wins over its component.
+	if budget == nil && (f.maxCrashes > 0 || f.maxTornCrashes > 0) {
+		b := sc.Test().Faults
+		budget = &b
+	}
+	if budget != nil {
+		if f.maxCrashes > 0 {
+			budget.MaxCrashes = f.maxCrashes
+		}
+		if f.maxTornCrashes > 0 {
+			budget.MaxTornCrashes = f.maxTornCrashes
+		}
+		opts = append(opts, gostorm.WithFaults(*budget))
+	}
+	return sc, opts, nil
+}
+
+// members resolves the -portfolio/-scheduler pair into a validated member
+// list (nil for a single-scheduler run). Any set -scheduler other than
+// "portfolio" conflicts with -portfolio — even "random", the default — so a
+// member the user meant to add is never silently dropped.
+func (f *Flags) members() ([]string, error) {
+	if f.portfolio == "" {
+		if f.scheduler == "portfolio" {
+			return nil, errors.New("-scheduler portfolio needs -portfolio with a comma-separated member list (e.g. -portfolio random,pct,delay)")
+		}
+		return nil, nil
+	}
+	if f.scheduler != "" && f.scheduler != "portfolio" {
+		return nil, fmt.Errorf("-portfolio conflicts with -scheduler %s (drop one, or add %s to the member list)", f.scheduler, f.scheduler)
+	}
+	members, err := gostorm.ParsePortfolioSpec(f.portfolio)
+	if err != nil {
+		return nil, fmt.Errorf("-portfolio: %w", err)
+	}
+	return members, nil
+}

@@ -1,0 +1,91 @@
+package runflags
+
+import (
+	"flag"
+	"io"
+	"slices"
+	"strings"
+	"testing"
+
+	"github.com/gostorm/gostorm"
+)
+
+// resolve parses args as systest and gostormd do and resolves the plan the
+// flags state — the first error either step reports, or the Config.
+func resolve(t *testing.T, args ...string) (gostorm.Config, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("runflags", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := Register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	sc, opts, err := f.Plan()
+	if err != nil {
+		return gostorm.Config{}, err
+	}
+	return gostorm.Resolve(sc.Test(), opts...)
+}
+
+// TestPlanFlagsFailUpFront pins every plan-flag error both CLIs print: a bad
+// flag fails before anything runs, with a message naming the flag or the
+// option it became.
+func TestPlanFlagsFailUpFront(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"negative pct-depth", []string{"-test", "replsys", "-pct-depth", "-1"}, "-pct-depth must be positive, got -1"},
+		{"zero pct-depth", []string{"-test", "wal-torn-tail", "-pct-depth", "0"}, "-pct-depth must be positive, got 0"},
+		{"unknown scheduler", []string{"-test", "replsys", "-scheduler", "quantum"}, "unknown scheduler"},
+		{"unknown portfolio member", []string{"-test", "replsys", "-portfolio", "random,quantum"}, "unknown scheduler"},
+		{"empty portfolio member", []string{"-test", "replsys", "-portfolio", "random,,pct"}, "empty member"},
+		{"portfolio without members", []string{"-test", "replsys", "-scheduler", "portfolio"}, "needs -portfolio"},
+		{"portfolio vs scheduler conflict", []string{"-test", "replsys", "-scheduler", "dfs", "-portfolio", "random"}, "-portfolio conflicts with -scheduler dfs"},
+		{"explicit default scheduler still conflicts", []string{"-test", "replsys", "-scheduler", "random", "-portfolio", "pct,delay"}, "-portfolio conflicts with -scheduler random"},
+		{"missing test", []string{"-scheduler", "random"}, "-test is required"},
+		{"unknown scenario", []string{"-test", "nope"}, "unknown scenario nope"},
+		{"bad faults key", []string{"-test", "replsys", "-faults", "bogus=1"}, "unknown key"},
+		{"bad faults value", []string{"-test", "replsys", "-faults", "crashes=x"}, "non-negative integer"},
+		{"negative max-crashes", []string{"-test", "replsys", "-max-crashes", "-3"}, "-max-crashes must be non-negative, got -3"},
+		{"negative max-torn-crashes", []string{"-test", "replsys", "-max-torn-crashes", "-1"}, "-max-torn-crashes must be non-negative, got -1"},
+		{"negative iterations", []string{"-test", "wal-fixed", "-iterations", "-5"}, "WithIterations: must be positive, got -5"},
+		{"negative max-steps", []string{"-test", "wal-fixed", "-max-steps", "-3"}, "WithMaxSteps: must be positive, got -3"},
+		{"negative temperature", []string{"-test", "wal-fixed", "-temperature", "-1"}, "WithTemperature: must be positive, got -1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := resolve(t, c.args...)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error = %v, want one containing %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestPlanFlagsLayerOverTheScenario: an unset flag keeps the scenario's
+// default, an explicit -max-* wins over its component of a -faults spec, and
+// -scheduler portfolio is only a spelling of -portfolio. systest's
+// TestCLIFaultPlaneRoundTrip holds the other fault-flag rules to its banner.
+func TestPlanFlagsLayerOverTheScenario(t *testing.T) {
+	for _, c := range []struct {
+		args      []string
+		scheduler string
+		portfolio []string
+		faults    string
+	}{
+		{[]string{"-test", "vnext-repair-lossy"}, "random", nil, "crashes=1 drops=3 dups=2"},
+		{[]string{"-test", "vnext-repair", "-faults", "drops=2", "-max-crashes", "3"}, "random", nil, "crashes=3 drops=2"},
+		{[]string{"-test", "replsys", "-portfolio", "random,pct"}, "", []string{"random", "pct"}, "-"},
+		{[]string{"-test", "replsys", "-scheduler", "portfolio", "-portfolio", "pct,delay"}, "", []string{"pct", "delay"}, "-"},
+	} {
+		cfg, err := resolve(t, c.args...)
+		if err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if cfg.Scheduler != c.scheduler || !slices.Equal(cfg.Portfolio, c.portfolio) || cfg.Faults.String() != c.faults {
+			t.Errorf("%v resolves to scheduler %q portfolio %v faults %s, want %q %v %s",
+				c.args, cfg.Scheduler, cfg.Portfolio, cfg.Faults, c.scheduler, c.portfolio, c.faults)
+		}
+	}
+}

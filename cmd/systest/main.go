@@ -4,8 +4,9 @@
 // reproduce a bug exactly.
 //
 // The command is a pure consumer of the public gostorm API: scenarios
-// come from gostorm.Scenarios, flags translate into functional options
-// layered over each scenario's recommendations, and runs go through
+// come from gostorm.Scenarios, the plan flags (shared with gostormd, in
+// cmd/internal/runflags) translate into functional options layered over
+// each scenario's recommendations, and runs go through
 // gostorm.Explore/Replay — the same surface user harnesses call.
 //
 // Usage:
@@ -28,6 +29,7 @@ import (
 	"strings"
 
 	"github.com/gostorm/gostorm"
+	"github.com/gostorm/gostorm/cmd/internal/runflags"
 )
 
 func main() {
@@ -39,55 +41,26 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("systest", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	planFlags := runflags.Register(fs)
 	var (
-		list        = fs.Bool("list", false, "list registered scenarios and exit")
-		test        = fs.String("test", "", "scenario name (see -list)")
-		scheduler   = fs.String("scheduler", "random", "scheduler: "+strings.Join(gostorm.SchedulerNames(), ", ")+", or portfolio (see -portfolio)")
-		portfolio   = fs.String("portfolio", "", "comma-separated scheduler portfolio to race (implies -scheduler portfolio)")
-		pctDepth    = fs.Int("pct-depth", 2, "priority change points for the pct/delay schedulers")
-		iterations  = fs.Int("iterations", 0, "maximum executions (0 = scenario default); per member for a portfolio")
-		maxSteps    = fs.Int("max-steps", 0, "scheduling steps per execution (0 = scenario default)")
-		seed        = fs.Int64("seed", 0, "base random seed")
-		workers     = fs.Int("workers", 0, "size of the one pool of exploration workers, shared by all portfolio members (0 = one per CPU; dfs and replay always use 1)")
-		temperature = fs.Int("temperature", 0, "liveness temperature threshold (0 = bound check only)")
-		faults      = fs.String("faults", "", "fault budget override, e.g. crashes=1,drops=2,dups=1 (empty = scenario default; all zeros = disable)")
-		maxCrashes  = fs.Int("max-crashes", 0, "adjust the crashes component of the fault budget, keeping the scenario's other allowances (0 = scenario default)")
-		maxTorn     = fs.Int("max-torn-crashes", 0, "adjust the torn-crash component of the fault budget: crashes that may keep un-synced persisted writes (0 = scenario default)")
-		shard       = fs.String("shard", "", "explore only shard i/n of the schedule plan (e.g. 0/4); the union of all n shards covers the full run")
-		traceOut    = fs.String("trace-out", "", "write the buggy trace to this file")
-		replay      = fs.String("replay", "", "replay a trace file instead of exploring")
-		verbose     = fs.Bool("v", false, "print the detailed execution log of the violation")
-		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memprofile  = fs.String("memprofile", "", "write a heap profile at exit to this file")
+		workers    = fs.Int("workers", 0, "size of the one pool of exploration workers, shared by all portfolio members (0 = one per CPU; dfs and replay always use 1)")
+		shard      = fs.String("shard", "", "explore only shard i/n of the schedule plan (e.g. 0/4); the union of all n shards covers the full run")
+		traceOut   = fs.String("trace-out", "", "write the buggy trace to this file")
+		replay     = fs.String("replay", "", "replay a trace file instead of exploring")
+		verbose    = fs.Bool("v", false, "print the detailed execution log of the violation")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	schedulerSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "scheduler" {
-			schedulerSet = true
-		}
-	})
-
-	if *list {
+	if planFlags.List {
 		fmt.Fprint(stdout, gostorm.DescribeScenarios())
 		return 0
 	}
 	// Validate everything up front: a bad flag must fail here with a clear
-	// message, not thousands of executions in. The heavy lifting is the
-	// public API's own validation (typed ConfigErrors); the CLI only adds
-	// the flag-level rules the option set cannot see.
-	if *pctDepth <= 0 {
-		fmt.Fprintf(stderr, "systest: -pct-depth must be positive, got %d\n", *pctDepth)
-		return 2
-	}
-	members, err := parsePortfolio(*portfolio, *scheduler, schedulerSet)
-	if err != nil {
-		fmt.Fprintln(stderr, "systest:", err)
-		return 2
-	}
-	faultsOverride, err := parseFaults(*faults, *maxCrashes, *maxTorn)
+	// message, not thousands of executions in.
+	sc, opts, err := planFlags.Plan()
 	if err != nil {
 		fmt.Fprintln(stderr, "systest:", err)
 		return 2
@@ -101,53 +74,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "systest: -shard selects a slice of the exploration plan and conflicts with -replay")
 		return 2
 	}
-	if *test == "" {
-		fmt.Fprintln(stderr, "systest: -test is required (use -list to see scenarios)")
-		return 2
-	}
-	sc, err := gostorm.ScenarioByName(*test)
-	if err != nil {
-		fmt.Fprintln(stderr, "systest: unknown scenario", *test, "(use -list)")
-		return 2
-	}
-	if faultsOverride == nil && (*maxCrashes > 0 || *maxTorn > 0) {
-		// -max-crashes / -max-torn-crashes without -faults adjust only
-		// their own component of the scenario's declared budget, keeping
-		// the other allowances intact.
-		f := sc.Test().Faults
-		if *maxCrashes > 0 {
-			f.MaxCrashes = *maxCrashes
-		}
-		if *maxTorn > 0 {
-			f.MaxTornCrashes = *maxTorn
-		}
-		faultsOverride = &f
-	}
-
-	// Layer CLI overrides over the scenario's recommended options; later
-	// options win, so only explicitly set flags are appended. 0 means
-	// "scenario default"; a negative value is passed on for Resolve to reject.
-	opts := sc.Options()
-	opts = append(opts, gostorm.WithPCTDepth(*pctDepth), gostorm.WithSeed(*seed))
-	if len(members) > 0 {
-		opts = append(opts, gostorm.WithPortfolio(members...))
-	} else {
-		opts = append(opts, gostorm.WithScheduler(*scheduler))
-	}
-	if *iterations != 0 {
-		opts = append(opts, gostorm.WithIterations(*iterations))
-	}
-	if *maxSteps != 0 {
-		opts = append(opts, gostorm.WithMaxSteps(*maxSteps))
-	}
 	if *workers != 0 {
 		opts = append(opts, gostorm.WithWorkers(*workers))
-	}
-	if *temperature != 0 {
-		opts = append(opts, gostorm.WithTemperature(*temperature))
-	}
-	if faultsOverride != nil {
-		opts = append(opts, gostorm.WithFaults(*faultsOverride))
 	}
 
 	target := sc.Test()
@@ -249,19 +177,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !res.BugFound {
 		return 0
 	}
-	if *verbose {
-		fmt.Fprintln(stdout, res.Report.FormatLog())
+	return reportBug(stdout, stderr, res.Report, *traceOut, *verbose)
+}
+
+// reportBug prints the violation's execution log under -v and writes its
+// trace to -trace-out, then returns the bug-found exit code.
+func reportBug(stdout, stderr io.Writer, rep *gostorm.BugReport, traceOut string, verbose bool) int {
+	if verbose {
+		fmt.Fprintln(stdout, rep.FormatLog())
 	}
-	if *traceOut != "" {
-		data, err := res.Report.Trace.Encode()
+	if traceOut != "" {
+		data, err := rep.Trace.Encode()
 		if err == nil {
-			err = os.WriteFile(*traceOut, data, 0o644)
+			err = os.WriteFile(traceOut, data, 0o644)
 		}
 		if err != nil {
 			fmt.Fprintln(stderr, "systest: writing trace:", err)
 			return 1
 		}
-		fmt.Fprintln(stdout, "trace written to", *traceOut)
+		fmt.Fprintln(stdout, "trace written to", traceOut)
 	}
 	return 1
 }
@@ -319,74 +253,7 @@ func runShard(stdout, stderr io.Writer, target gostorm.Test, scenario string, cf
 	}
 	fmt.Fprintf(stdout, "bug found at global position %d (member %d, iteration %d): %s\n",
 		res.BugPos, res.Member, res.Report.Iteration, res.Report.Error())
-	if verbose {
-		fmt.Fprintln(stdout, res.Report.FormatLog())
-	}
-	if traceOut != "" {
-		data, err := res.Report.Trace.Encode()
-		if err == nil {
-			err = os.WriteFile(traceOut, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "systest: writing trace:", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "trace written to", traceOut)
-	}
-	return 1
-}
-
-// parsePortfolio resolves the -portfolio/-scheduler flag pair into a
-// validated member list (nil for a single-scheduler run). Any explicitly
-// set -scheduler other than "portfolio" conflicts with -portfolio — even
-// "random", which happens to be the flag's default — so a member the user
-// meant to add is never silently dropped.
-func parsePortfolio(spec, scheduler string, schedulerSet bool) ([]string, error) {
-	if spec == "" {
-		if scheduler == "portfolio" {
-			return nil, fmt.Errorf("-scheduler portfolio needs -portfolio with a comma-separated member list (e.g. -portfolio %s)",
-				strings.Join([]string{"random", "pct", "delay"}, ","))
-		}
-		return nil, nil
-	}
-	if schedulerSet && scheduler != "portfolio" {
-		return nil, fmt.Errorf("-portfolio conflicts with -scheduler %s (drop one, or add %s to the member list)", scheduler, scheduler)
-	}
-	members, err := gostorm.ParsePortfolioSpec(spec)
-	if err != nil {
-		return nil, fmt.Errorf("-portfolio: %v", err)
-	}
-	return members, nil
-}
-
-// parseFaults turns the -faults spec into an optional wholesale budget
-// override (nil = no spec given). A non-empty spec always overrides —
-// "-faults crashes=0" (all zeros) disables the scenario's fault plane
-// entirely (gostorm.WithFaults treats the zero budget as WithNoFaults).
-// An explicit -max-crashes / -max-torn-crashes wins over the spec's
-// matching component; with no spec each instead adjusts only its own
-// component of the scenario's declared budget (see run).
-func parseFaults(spec string, maxCrashes, maxTorn int) (*gostorm.Faults, error) {
-	if maxCrashes < 0 {
-		return nil, fmt.Errorf("-max-crashes must be non-negative, got %d", maxCrashes)
-	}
-	if maxTorn < 0 {
-		return nil, fmt.Errorf("-max-torn-crashes must be non-negative, got %d", maxTorn)
-	}
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	f, err := gostorm.ParseFaultsSpec(spec)
-	if err != nil {
-		return nil, fmt.Errorf("-faults: %v", err)
-	}
-	if maxCrashes > 0 {
-		f.MaxCrashes = maxCrashes
-	}
-	if maxTorn > 0 {
-		f.MaxTornCrashes = maxTorn
-	}
-	return &f, nil
+	return reportBug(stdout, stderr, res.Report, traceOut, verbose)
 }
 
 // describeWorkers renders the resolved worker count, which Resolve has

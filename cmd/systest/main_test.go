@@ -177,9 +177,6 @@ func TestCLIFaultPlaneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCLIValidatesFlagsUpFront pins the fix for deferred validation: bad
-// flags fail immediately with a pointed message and exit code 2, never as
-// an engine panic mid-run.
 // TestCLIProfileFlags runs a short exploration with both profiling flags
 // and checks the profile files materialize non-empty; a bad profile path
 // must fail up front like any other flag error.
@@ -215,6 +212,10 @@ func TestCLIProfileFlags(t *testing.T) {
 	}
 }
 
+// TestCLIValidatesFlagsUpFront: bad flags fail immediately with a pointed
+// message and exit code 2, never as an engine panic mid-run. The plan flags'
+// whole table is runflags' TestPlanFlagsFailUpFront; here one of them shows
+// the wiring, next to the machine-local -workers.
 func TestCLIValidatesFlagsUpFront(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the real binary")
@@ -224,23 +225,8 @@ func TestCLIValidatesFlagsUpFront(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"negative pct-depth", []string{"-test", "replsys", "-pct-depth", "-1"}, "-pct-depth must be positive"},
-		{"unknown scheduler", []string{"-test", "replsys", "-scheduler", "quantum"}, "unknown scheduler"},
-		{"unknown portfolio member", []string{"-test", "replsys", "-portfolio", "random,quantum"}, "unknown scheduler"},
-		{"empty portfolio member", []string{"-test", "replsys", "-portfolio", "random,,pct"}, "empty member"},
-		{"portfolio without members", []string{"-test", "replsys", "-scheduler", "portfolio"}, "needs -portfolio"},
-		{"portfolio vs scheduler conflict", []string{"-test", "replsys", "-scheduler", "dfs", "-portfolio", "random"}, "conflicts"},
-		{"explicit default scheduler still conflicts", []string{"-test", "replsys", "-scheduler", "random", "-portfolio", "pct,delay"}, "conflicts"},
-		{"missing test", []string{"-scheduler", "random"}, "-test is required"},
-		{"unknown scenario", []string{"-test", "nope"}, "unknown scenario"},
-		{"bad faults key", []string{"-test", "replsys", "-faults", "bogus=1"}, "unknown key"},
-		{"bad faults value", []string{"-test", "replsys", "-faults", "crashes=x"}, "non-negative integer"},
-		{"negative max-crashes", []string{"-test", "replsys", "-max-crashes", "-3"}, "-max-crashes must be non-negative"},
-		{"negative max-torn-crashes", []string{"-test", "replsys", "-max-torn-crashes", "-1"}, "-max-torn-crashes must be non-negative"},
-		{"negative iterations", []string{"-test", "wal-fixed", "-iterations", "-5"}, "WithIterations: must be positive"},
-		{"negative max-steps", []string{"-test", "wal-fixed", "-max-steps", "-3"}, "WithMaxSteps: must be positive"},
+		{"portfolio without members", []string{"-test", "replsys", "-scheduler", "portfolio"}, "systest: -scheduler portfolio needs -portfolio"},
 		{"negative workers", []string{"-test", "wal-fixed", "-workers", "-2"}, "WithWorkers: must be positive"},
-		{"negative temperature", []string{"-test", "wal-fixed", "-temperature", "-1"}, "WithTemperature: must be positive"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -308,7 +308,9 @@
 // multiple of the lease size — so its cost follows the work resolved,
 // never the size of the plan. The plan it publishes at join is the
 // engine's options struct, whose JSON tags mark each field as travelling
-// or machine-local, and a report the plan cannot have produced is
+// or machine-local; gostormd builds it from systest's own plan flags
+// through Resolve, so `systest` with the same flags explores the same
+// plan in one process. A report the plan cannot have produced is
 // rejected before it changes anything. A report resolves the prefix the
 // agent actually finished and the rest of its lease is pending again; a
 // lease not reported within its TTL is re-issued, so agents may be killed
