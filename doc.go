@@ -84,7 +84,9 @@
 //     within an estimate of the program length. Their iteration 0 runs
 //     first, alone, and its observed step count is pinned on every
 //     instance of the member, so their decision streams are pure
-//     functions of the iteration seed too.
+//     functions of the iteration seed too. Between probes, pct reuses its
+//     pick while the runtime's enabled set is unchanged, which makes the
+//     same choices as scanning the set every step.
 //   - Windows. With a feedback member (mutational) the range is drained
 //     in fixed-size generation windows with the corpus frozen inside a
 //     window and merged, in position order, at the barrier between two;

@@ -135,6 +135,11 @@ type Runtime struct {
 	deliverScratch []DeliveryOutcome
 	persistScratch []string
 	persistArena   []byte
+
+	// enabledChanges counts the changes to enabled, across executions; a
+	// scheduler that implements enabledWatcher reads it to tell whether the
+	// set it last picked from is still the one it is handed.
+	enabledChanges uint64
 }
 
 // runtimeConfig is the per-execution knobs of a Runtime, derived from the
@@ -617,6 +622,7 @@ func (r *Runtime) createMachine(impl Machine, name string) MachineID {
 	// far, so the sorted insert is a plain append.
 	m.epos = int32(len(r.enabled))
 	r.enabled = append(r.enabled, id)
+	r.enabledChanges++
 	return id
 }
 

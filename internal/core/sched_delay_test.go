@@ -72,7 +72,7 @@ func TestPCTAdaptiveChangePoints(t *testing.T) {
 		s.NextMachine(enabled, NoMachine)
 	}
 	s.Prepare(2, 100000)
-	for cp := range s.points {
+	for _, cp := range s.points {
 		if cp > 50 {
 			t.Fatalf("change point %d beyond the observed execution length 50", cp)
 		}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -125,6 +128,133 @@ func TestPCTChangePointsRespectBudget(t *testing.T) {
 	if len(s.points) > 3 {
 		t.Fatalf("change points = %d, want <= 3", len(s.points))
 	}
+}
+
+// TestProbeCursorMatchesContains holds probe's cursor over the sorted points
+// to the membership test over the points in draw order that it replaced, for
+// both adaptive schedulers: depths 1–4 over bounds of 6 to 13 steps force
+// duplicate points, a zero hint takes the previous execution's length, and
+// every third choice point is a fault point, which shares the step counter
+// with the scheduling points (probe, as NextMachine calls it). The reference
+// mirrors the scheduler's generator, so a fault answer also says whether the
+// probe fired there.
+func TestProbeCursorMatchesContains(t *testing.T) {
+	const maxSteps = 6
+	faultAt := FaultChoice{Kind: FaultCrash, N: 4, Machine: NoMachine, Candidates: []MachineID{1, 2, 3}}
+	duplicates := 0
+	for _, name := range []string{"pct", "delay"} {
+		for depth := 1; depth <= 4; depth++ {
+			for _, hint := range []int{0, 10, 13} {
+				f, err := NewSchedulerFactory(name, depth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := f.New()
+				var p *probes
+				switch s := s.(type) {
+				case *pctScheduler:
+					p = &s.probes
+				case *delayScheduler:
+					p = &s.probes
+				}
+				p.SetLengthHint(hint)
+				last := 0
+				for seed := int64(0); seed < 200; seed++ {
+					bound := hint
+					if bound <= 0 {
+						bound = last
+					}
+					if bound < 10 {
+						bound = maxSteps
+					}
+					ref := rand.New(rand.NewSource(seed))
+					var points []int
+					for i := 0; i < depth; i++ {
+						points = append(points, 1+ref.Intn(bound))
+					}
+					if len(slices.Compact(slices.Sorted(slices.Values(points)))) < depth {
+						duplicates++
+					}
+					s.Prepare(seed, maxSteps)
+					last = 7 + int(seed%7) // some points lie beyond the end
+					for step := 1; step <= last; step++ {
+						fires := slices.Contains(points, step)
+						at := func() string {
+							return fmt.Sprintf("%s depth %d hint %d seed %d step %d (points %v)", name, depth, hint, seed, step, points)
+						}
+						if step%3 != 0 {
+							if got := p.probe(); got != fires {
+								t.Fatalf("%s: probe() = %v, want %v", at(), got, fires)
+							}
+							continue
+						}
+						var want int
+						if fires {
+							want = 1 + ref.Intn(faultAt.N-1)
+						} else {
+							want = ref.Intn(faultAt.N)
+						}
+						if got := s.NextFault(faultAt); got != want {
+							t.Fatalf("%s: NextFault = %d, want %d", at(), got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if duplicates == 0 {
+		t.Fatal("no execution drew a duplicate point")
+	}
+}
+
+// spinTest is the pattern that dominates pct's Table 2 cells: a machine that
+// keeps sending itself an event stays enabled and, at top priority, is picked
+// again at every Send, beside two machines parked in Receive on an event
+// nothing sends. The machines, the event and the predicate are hoisted, so an
+// execution allocates nothing of its own.
+func spinTest() Test {
+	step := Event(Signal("step"))
+	never := func(Event) bool { return false }
+	parked := &FuncMachine{OnInit: func(ctx *Context) { ctx.ReceiveWhere("never", never) }}
+	spinner := &FuncMachine{
+		OnInit:  func(ctx *Context) { ctx.Send(ctx.ID(), step) },
+		OnEvent: func(ctx *Context, _ Event) { ctx.Send(ctx.ID(), step) },
+	}
+	return Test{
+		Name: "pct-spin",
+		Entry: func(ctx *Context) {
+			ctx.CreateMachine(parked, "parked0")
+			ctx.CreateMachine(parked, "parked1")
+			ctx.CreateMachine(spinner, "spinner")
+		},
+	}
+}
+
+// BenchmarkPCTSpin measures pct's step on spinTest: one pooled runtime, one
+// 4096-step execution per op, at the engine's calibrated length. Run it at
+// GOMAXPROCS=1. Invariant: 0 allocs/op; ns/step is the cost of a re-pick of
+// the spinning machine, which reuses the pick while the enabled set stands.
+func BenchmarkPCTSpin(b *testing.B) {
+	const steps = 4096
+	test := spinTest()
+	s := NewPCTScheduler(defaultPCTDepth)
+	s.(LengthHinted).SetLengthHint(steps)
+	pool := newExecPool(Options{})
+	defer pool.release()
+	run := func(seed int64) int {
+		s.Prepare(seed, steps)
+		r := pool.runtime(s, runtimeConfig{maxSteps: steps})
+		r.execute(test)
+		return r.steps
+	}
+	run(0) // builds the runtime, its coroutines and the scheduler's storage
+	b.ReportAllocs()
+	b.ResetTimer()
+	total := 0
+	for i := 0; i < b.N; i++ {
+		total += run(int64(i) + 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/step")
 }
 
 // BenchmarkSchedulerPrepare measures the per-execution fixed cost every

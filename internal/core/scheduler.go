@@ -332,10 +332,12 @@ func (d *draws) NextFault(c FaultChoice) int { return d.rng.Intn(c.N) }
 type probes struct {
 	draws
 	depth int
-	// points holds the step numbers probed this execution (duplicates are
-	// harmless); step counts the choices answered so far, and between
-	// executions is the length of the previous one.
+	// points holds the distinct step numbers probed this execution, sorted,
+	// and next indexes the first not yet reached; step counts the choices
+	// answered so far, and between executions is the length of the previous
+	// one.
 	points []int
+	next   int
 	step   int
 	// lengthHint, when positive, is the engine-shared length estimate that
 	// makes place a pure function of (seed, maxSteps) — the property the
@@ -347,7 +349,9 @@ type probes struct {
 // is estimated by the engine-shared hint, else by the previous execution on
 // this instance; sampling over the (often much larger) step bound would push
 // most points beyond the end of the execution and waste the budget, so the
-// bound is only the fallback for a first or degenerately short estimate.
+// bound is only the fallback for a first or degenerately short estimate. The
+// points are drawn first and sorted after, so the draws do not depend on how
+// probe walks them, and points drawn twice probe their step once.
 func (p *probes) place(seed int64, maxSteps int) {
 	p.reseed(seed)
 	bound := p.lengthHint
@@ -357,11 +361,13 @@ func (p *probes) place(seed int64, maxSteps int) {
 	if bound < 10 {
 		bound = maxSteps
 	}
-	p.step = 0
+	p.step, p.next = 0, 0
 	p.points = p.points[:0]
 	for i := 0; i < p.depth; i++ {
 		p.points = append(p.points, 1+p.rng.Intn(bound))
 	}
+	slices.Sort(p.points)
+	p.points = slices.Compact(p.points)
 }
 
 // SetLengthHint implements LengthHinted: it pins the program-length estimate,
@@ -369,9 +375,14 @@ func (p *probes) place(seed int64, maxSteps int) {
 func (p *probes) SetLengthHint(steps int) { p.lengthHint = steps }
 
 // probe counts one choice point and reports whether a probe landed on it.
+// Steps go up by one, so the cursor passes each point as its step comes.
 func (p *probes) probe() bool {
 	p.step++
-	return slices.Contains(p.points, p.step)
+	if p.next < len(p.points) && p.points[p.next] == p.step {
+		p.next++
+		return true
+	}
+	return false
 }
 
 // NextFault implements FaultScheduler.
@@ -410,15 +421,32 @@ func (s *randomScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineI
 type pctScheduler struct {
 	probes
 
-	// prio is indexed by MachineID and grown on first sight of a machine;
-	// pctUnset marks IDs below the highest seen that have no priority yet.
+	// prio is indexed by MachineID and grown to the largest enabled ID;
+	// pctUnset marks a machine not seen yet.
 	prio   []int
 	lowest int
+
+	// watch is the enabled-set change counter of the runtime driving this
+	// execution (nil when none is: a direct caller), and pick the last
+	// answer, computed when the counter read seen. A priority changes only
+	// on first sight, which takes a change of the set, or on a probe, so an
+	// unchanged counter and no probe mean pick is still the maximum.
+	watch *uint64
+	seen  uint64
+	pick  MachineID
 }
 
 // pctUnset is the prio entry of a machine not seen yet; real priorities are
 // draws from [0, 1<<20) or small negative demotion ranks.
 const pctUnset = math.MinInt
+
+// enabledWatcher is implemented by a scheduler that reuses its pick while the
+// enabled set is unchanged. Runtime.reset hands it the runtime's change
+// counter for the execution; its Prepare must drop it, so an instance driven
+// by anything but a runtime sees every change.
+type enabledWatcher interface {
+	watchEnabled(changes *uint64)
+}
 
 // NewPCTScheduler returns a PCT scheduler with the given number of priority
 // change points per execution.
@@ -430,48 +458,66 @@ func (s *pctScheduler) Prepare(seed int64, maxSteps int) bool {
 	s.place(seed, maxSteps)
 	s.prio = s.prio[:0]
 	s.lowest = 0
+	s.watch = nil
 	return true
 }
 
-// priorityOf assigns a random-ish priority on first sight of a machine.
-// New machines are inserted at a random rank among values seen so far by
-// drawing from the RNG, keeping assignment deterministic per seed.
-func (s *pctScheduler) priorityOf(id MachineID) int {
-	if int(id) < len(s.prio) && s.prio[id] != pctUnset {
-		return s.prio[id]
-	}
-	// Draw a random base priority; ties broken by machine ID in the
-	// selection loop, so collisions are harmless.
-	p := s.rng.Intn(1 << 20)
-	for int(id) >= len(s.prio) {
-		s.prio = append(s.prio, pctUnset)
-	}
-	s.prio[id] = p
-	if p < s.lowest {
-		s.lowest = p
-	}
-	return p
+// watchEnabled implements enabledWatcher. seen starts at a count the
+// counter has already passed, so the first step scans.
+func (s *pctScheduler) watchEnabled(changes *uint64) {
+	s.watch, s.seen = changes, *changes-1
 }
 
 // NextMachine runs the enabled machine of highest priority, the lowest ID
 // winning a tie; on a probe it first demotes that machine below every other
-// and selects again. One scan serves both passes, in the body itself: it runs
-// on every step, and a helper for it would cost pct a call per step.
+// and selects again. A machine seen for the first time draws its priority,
+// in enabled order, and so ranks at random among those seen before it. With
+// the enabledcheck tag every reused pick is checked against the scan, which
+// on an unchanged set must draw nothing.
 func (s *pctScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
-	for demote := s.probe(); ; demote = false {
-		best := enabled[0]
-		bestP := s.priorityOf(best)
-		for _, id := range enabled[1:] {
-			if p := s.priorityOf(id); p > bestP {
+	demote := s.probe()
+	reuse := !demote && s.watch != nil && *s.watch == s.seen
+	if reuse && !enabledCrossCheckBuild {
+		return s.pick
+	}
+	for top := int(enabled[len(enabled)-1]); top >= len(s.prio); {
+		s.prio = append(s.prio, pctUnset)
+	}
+	for ; ; demote = false {
+		best, bestP := NoMachine, pctUnset
+		for _, id := range enabled {
+			p := s.prio[id]
+			if p == pctUnset {
+				if enabledCrossCheckBuild && reuse {
+					panic(fmt.Sprintf("core: pct scheduler: machine %d enabled without a change to the enabled set", id))
+				}
+				p = s.firstSight(id)
+			}
+			if p > bestP {
 				best, bestP = id, p
 			}
 		}
 		if !demote {
+			if enabledCrossCheckBuild && reuse && best != s.pick {
+				panic(fmt.Sprintf("core: pct scheduler: reused pick %d, but the scan of %v picks %d", s.pick, enabled, best))
+			}
+			s.pick = best
+			if s.watch != nil {
+				s.seen = *s.watch
+			}
 			return best
 		}
 		s.lowest--
 		s.prio[best] = s.lowest
 	}
+}
+
+// firstSight draws the priority of a machine seen for the first time. Ties
+// go to the lower ID in the scan, so collisions are harmless.
+func (s *pctScheduler) firstSight(id MachineID) int {
+	p := s.rng.Intn(1 << 20)
+	s.prio[id] = p
+	return p
 }
 
 // rrScheduler is a deterministic round-robin baseline: it cycles through
