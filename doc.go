@@ -370,14 +370,19 @@
 // exploring the execution is the hub. Whoever reaches a scheduling point
 // runs the next scheduling-loop iteration on its own stack: a machine
 // mid-handler that is picked again just carries on, and otherwise yields
-// to the hub, which resumes the pick's coroutine or arms an idle one with
-// it — two runtime coroutine switches and no pass through the Go
+// to the stack that resumed it. A stack whose handler just returned, or
+// whose machine just died, is free: it runs the next iteration itself and,
+// when the pick is also between handlers, runs its handler inline at no
+// switch at all. A pick suspended mid-handler it resumes itself if the hub
+// resumed it — it is then the trampoline, and the pick yields back to it —
+// and otherwise it goes idle to the free list and yields up, so at most
+// one trampoline is active and nesting stops at hub → trampoline →
+// machine. The hub resumes the pick's coroutine, or arms an idle one with
+// it, after a handler hands off mid-handler. Each resume is a next() round
+// trip — two runtime coroutine switches and no pass through the Go
 // scheduler (BenchmarkHandoffPrimitives in internal/core compares it with
-// a channel wake + park). A stack whose handler just
-// returned, or whose machine just died, is free: it runs the next
-// iteration itself and, when the pick is also between handlers, runs its
-// handler inline at no switch at all; only a pick suspended mid-handler
-// sends it idle to the free list and back to the hub. Only a machine
+// a channel wake + park; BenchmarkSenderLoop counts them per step), and a
+// handoff costs at most one. Only a machine
 // mid-handler has frames to unwind when it is crashed or the execution
 // ends (its defers run); the others are scrubbed in place. The
 // fault-plane timer is the special case whose handlers are engine code

@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // Doors for the external tests of this package (package core_test), which
 // drive the catalog — a package core itself cannot import.
 
@@ -11,4 +13,49 @@ type EnabledWatcher = enabledWatcher
 // the engine does after s.Prepare.
 func ExecuteOnce(s FaultScheduler, t Test, maxSteps int) *BugReport {
 	return newRuntime(s, runtimeConfig{maxSteps: maxSteps}).execute(t)
+}
+
+// CountResumes runs the first n executions of the one-worker plan of o —
+// seeded, and calibrated for an adaptive scheduler, as Explore does — twice
+// on one pooled runtime: the first pass leaves on the free list every
+// worker the second will use, and the second counts their resumes by
+// caller (countResumes). It returns them with the second pass's scheduling
+// steps. An execution that finds a bug is counted like any other.
+func CountResumes(t Test, o Options, n int) (counts ResumeCounts, steps int, err error) {
+	o = resolved(o)
+	f, err := NewSchedulerFactory(o.Scheduler, o.PCTDepth)
+	if err != nil {
+		return counts, 0, err
+	}
+	cfg := o.runtimeConfig(t, false)
+	if f.Adaptive() {
+		s := f.New()
+		s.Prepare(execSeed(o.Seed, 0), o.MaxSteps)
+		r := newRuntime(s, cfg)
+		if r.execute(t) == nil {
+			f = f.WithLengthHint(r.steps)
+		}
+	}
+	s := f.New()
+	pool := newExecPool(o)
+	defer pool.release()
+	workers := 0
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			s.Prepare(execSeed(o.Seed, i), o.MaxSteps)
+			r := pool.runtime(s, cfg)
+			if pass == 1 && i == 0 {
+				workers = len(r.freeWorkers)
+				countResumes(r, &counts)
+			}
+			r.execute(t)
+			if pass == 1 {
+				steps += r.steps
+			}
+		}
+	}
+	if got := len(pool.rt.freeWorkers); got != workers {
+		return counts, steps, fmt.Errorf("%d workers after the counted pass, %d before: some were not counted", got, workers)
+	}
+	return counts, steps, nil
 }

@@ -272,8 +272,9 @@ type TimerID = MachineID
 // it owns no stack. The body is cut at its scheduling points into five
 // phases, and a scheduling step that picks the timer runs the one piece
 // between two of them (stepTimer) on whatever stack reached the scheduling
-// point: the hub, or the machine whose yieldPoint picked it. A timer step
-// therefore costs no coroutine switch at all.
+// point: the hub, the machine whose yieldPoint picked it, or a worker whose
+// handler just returned. A timer step therefore costs no coroutine switch
+// at all.
 type timerMachine struct {
 	phase  timerPhase
 	target MachineID

@@ -139,8 +139,9 @@ func reapedPeersTest() Test {
 // StopTimer-reaped peer — must end with the goroutine count back at the
 // baseline: right after execute on an unpooled runtime, after release on a
 // pooled one. Coroutine exit is synchronous, so the count is exact. A
-// pooled runtime keeps no more coroutines than handlers were ever suspended
-// at once (workers), an unpooled one none.
+// pooled runtime keeps no more coroutines than handlers were ever live at
+// once (workers) — a trampoline is a stack whose handler returned, never
+// one more — and an unpooled one none.
 func TestNoCoroutineLeaks(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -185,16 +186,20 @@ func TestNoCoroutineLeaks(t *testing.T) {
 }
 
 // fanOutTest is one sender and n sinks whose handlers contain no scheduling
-// point: the entry machine creates them and sends each two events.
-func fanOutTest(n int) Test {
+// point: the entry machine creates them and sends each an event per round,
+// for rounds rounds, or until the step bound when rounds is negative. The
+// sink and the ID slice are hoisted, so an execution allocates nothing of
+// its own; the test runs one execution at a time.
+func fanOutTest(n, rounds int) Test {
+	sink := quietMachine()
+	sinks := make([]MachineID, n)
 	return Test{
 		Name: "fan-out",
 		Entry: func(ctx *Context) {
-			sinks := make([]MachineID, n)
 			for i := range sinks {
-				sinks[i] = ctx.CreateMachine(quietMachine(), fmt.Sprintf("sink%d", i))
+				sinks[i] = ctx.CreateMachine(sink, "sink")
 			}
-			for round := 0; round < 2; round++ {
+			for round := 0; rounds < 0 || round < rounds; round++ {
 				for _, id := range sinks {
 					ctx.Send(id, Signal("go"))
 				}
@@ -212,7 +217,7 @@ func fanOutTest(n int) Test {
 // is on: it panics on a worker owned outside a handler or shared).
 func TestMachinesBetweenHandlersOwnNoCoroutine(t *testing.T) {
 	const sinks = 64
-	test := fanOutTest(sinks)
+	test := fanOutTest(sinks, 2)
 	for _, noReuse := range []bool{false, true} {
 		base := runtime.NumGoroutine()
 		o := resolved(Options{Iterations: 1, MaxSteps: 2000, NoReuse: noReuse})
@@ -241,11 +246,63 @@ func TestMachinesBetweenHandlersOwnNoCoroutine(t *testing.T) {
 	}
 }
 
-// unwindCount runs c's scripted execution on a warm pooled runtime and
-// counts the nested next() calls of the crash reaper and of shutdown — each
-// one resumes a suspended handler so that it unwinds — returning them with
-// the execution's log.
-func unwindCount(t *testing.T, c lifecycleCase) (reaped, shutdown int, log []string) {
+// ResumeCounts counts the next() calls that resume a machine coroutine, by
+// caller: the hub arming an idle worker with a machine between handlers
+// (HubArm) or resuming one suspended mid-handler (HubResume), a trampoline
+// resuming one (Trampoline), and the crash reaper and shutdown resuming one
+// so that it unwinds.
+type ResumeCounts struct {
+	HubArm, HubResume, Trampoline, Reaper, Shutdown int
+}
+
+// Total is every resume, whoever made it.
+func (c ResumeCounts) Total() int {
+	return c.HubArm + c.HubResume + c.Trampoline + c.Reaper + c.Shutdown
+}
+
+// countResumes makes every worker on r's free list add each next() that
+// resumes it to c, and returns what undoes that. Run on a warm pooled
+// runtime, whose free list already holds every worker the execution will
+// use, it counts them all. Coroutine switches nest, so the wrapped calls in
+// progress are the stacks between the hub and the caller: none for the hub,
+// one for a trampoline. Neither the hub nor a trampoline resumes a worker
+// before the iteration that picked it emptied the pending-crash list, nor
+// once killed is set, so those two single out the reaper and shutdown; and
+// a worker the hub arms is not yet its machine's.
+func countResumes(r *Runtime, c *ResumeCounts) (restore func()) {
+	ws := slices.Clone(r.freeWorkers)
+	nexts := make([]func() (struct{}, bool), len(ws))
+	depth := 0
+	for i, w := range ws {
+		nexts[i] = w.next
+		w.next = func() (struct{}, bool) {
+			switch {
+			case r.killed:
+				c.Shutdown++
+			case len(r.pendingCrash) > 0:
+				c.Reaper++
+			case depth > 0:
+				c.Trampoline++
+			case w.m.w == nil:
+				c.HubArm++
+			default:
+				c.HubResume++
+			}
+			depth++
+			defer func() { depth-- }()
+			return nexts[i]()
+		}
+	}
+	return func() {
+		for i, w := range ws {
+			w.next = nexts[i]
+		}
+	}
+}
+
+// resumeCount runs c's scripted execution on a warm pooled runtime and
+// counts its resumes by caller, returning them with the execution's log.
+func resumeCount(t *testing.T, c lifecycleCase) (ResumeCounts, []string) {
 	t.Helper()
 	o := resolved(Options{MaxSteps: c.maxSteps})
 	cfg := o.runtimeConfig(c.test, true)
@@ -253,27 +310,14 @@ func unwindCount(t *testing.T, c lifecycleCase) (reaped, shutdown int, log []str
 	pool := newExecPool(o)
 	defer pool.release()
 	var r *Runtime
+	var counts ResumeCounts
 	for _, measured := range []bool{false, true} {
 		sched := c.script
 		sched.Prepare(0, o.MaxSteps)
 		r = pool.runtime(&sched, cfg)
 		workers := len(r.freeWorkers)
 		if measured {
-			// The warm execution left every worker this one will use on the
-			// free list. The hub only resumes a worker after an iteration
-			// that emptied the pending-crash list, and never once killed
-			// is set, so those two tell the callers of next() apart.
-			for _, w := range r.freeWorkers {
-				next := w.next
-				w.next = func() (struct{}, bool) {
-					if r.killed {
-						shutdown++
-					} else if len(r.pendingCrash) > 0 {
-						reaped++
-					}
-					return next()
-				}
-			}
+			countResumes(r, &counts)
 		}
 		if rep := r.execute(c.test); rep != nil || sched.bad != "" {
 			t.Fatalf("%s: bug %v, script error %q", c.name, rep, sched.bad)
@@ -282,7 +326,7 @@ func unwindCount(t *testing.T, c lifecycleCase) (reaped, shutdown int, log []str
 			t.Fatalf("%s: %d workers after the measured execution, %d before: some were not counted", c.name, len(r.freeWorkers), workers)
 		}
 	}
-	return reaped, shutdown, r.log
+	return counts, r.log
 }
 
 // TestLoopTopDeathUnwindsNothing: a machine waiting at the top of its event
@@ -310,9 +354,9 @@ func TestLoopTopDeathUnwindsNothing(t *testing.T) {
 		if !ok {
 			t.Fatalf("no lifecycle case %q", leg.name)
 		}
-		reaped, shutdown, log := unwindCount(t, c)
-		if reaped != leg.reaped || shutdown != 0 {
-			t.Errorf("%s: the reaper resumed %d handlers and shutdown %d, want %d and 0", leg.name, reaped, shutdown, leg.reaped)
+		counts, log := resumeCount(t, c)
+		if counts.Reaper != leg.reaped || counts.Shutdown != 0 {
+			t.Errorf("%s: the reaper resumed %d handlers and shutdown %d, want %d and 0", leg.name, counts.Reaper, counts.Shutdown, leg.reaped)
 		}
 		if leg.reaped == 0 {
 			continue
@@ -320,6 +364,40 @@ func TestLoopTopDeathUnwindsNothing(t *testing.T) {
 		crashed := slices.IndexFunc(log, func(l string) bool { return strings.HasSuffix(l, "harness(0) crashed store(1)") })
 		if crashed < 0 || crashed+2 >= len(log) || !strings.HasSuffix(log[crashed+1], "write handler left") || !strings.Contains(log[crashed+2], "crash persisted") {
 			t.Errorf("%s: the victim's deferred call did not run between the crash and its storage settlement:\n%s", leg.name, strings.Join(log, "\n"))
+		}
+	}
+}
+
+// fanOutPicks scripts fanOutTest(n, rounds) so that the sender and the sinks
+// alternate: the sender starts, and each of its Creates and Sends is followed
+// by a visit to the sink concerned — its Init, then its handler — and by the
+// sender again.
+func fanOutPicks(n, rounds int) []MachineID {
+	picks := []MachineID{0}
+	for v := 0; v < n*(rounds+1); v++ {
+		picks = append(picks, MachineID(v%n+1), 0)
+	}
+	return picks
+}
+
+// TestResumeCountFanOut: a sender mid-handler alternates with n sinks whose
+// handlers return at once. The hub arms a worker for the sender and one for
+// the first sink visit; from then on that second worker, its stack free
+// after every sink handler, is the trampoline: it resumes the sender itself
+// and hosts every later sink inline. So a visit costs one resume, where
+// relaying each one through the hub costs two: arming a worker for the sink
+// and resuming the sender.
+func TestResumeCountFanOut(t *testing.T) {
+	const rounds = 2
+	for _, n := range []int{1, 3, 8} {
+		c := lifecycleCase{
+			name: fmt.Sprintf("fan-out-%d", n), test: fanOutTest(n, rounds), maxSteps: 1000,
+			script: scriptScheduler{picks: fanOutPicks(n, rounds)},
+		}
+		visits := n * (rounds + 1)
+		want := ResumeCounts{HubArm: 2, Trampoline: visits}
+		if got, _ := resumeCount(t, c); got != want {
+			t.Errorf("%s: %d sink visits took %+v, want %+v", c.name, visits, got, want)
 		}
 	}
 }
@@ -486,7 +564,7 @@ func TestDyingMachineReapsThenSuccessorStarts(t *testing.T) {
 
 // TestPanicMidHandlerIsSafetyBug: a user panic on a machine stack that
 // has already yielded and been resumed surfaces as a BugReport, pooled or
-// not — never as a panic out of the hub's next().
+// not — never as a panic out of the next() that resumed it.
 func TestPanicMidHandlerIsSafetyBug(t *testing.T) {
 	test := Test{
 		Name: "panic-mid-handler",
@@ -540,7 +618,10 @@ func TestDivergenceInFinalStepIsAnError(t *testing.T) {
 //     such handoffs), the classic figure;
 //   - pull-hub-8: one op = one next() round trip from a hub over 8
 //     iter.Pull sequences (two runtime coroutine switches, no scheduler
-//     pass) — what a step costs now;
+//     pass) — what resuming a suspended machine costs, from the hub or
+//     from a trampoline; a step that hosts its pick inline costs none, and
+//     BenchmarkSenderLoop counts how many resumes a sender loop makes per
+//     step;
 //   - go-spawn / pull-spawn: one op = create a stack, switch to it once
 //     and tear it down — the per-machine cost of an unpooled execution.
 func BenchmarkHandoffPrimitives(b *testing.B) {
@@ -680,4 +761,56 @@ func BenchmarkTimerStep(b *testing.B) {
 	for left := b.N; left > 0; left -= execSteps {
 		run(min(left, execSteps))
 	}
+}
+
+// alternateScheduler picks the lowest enabled machine other than the one it
+// just picked, if there is one: under it a sender (machine 0) looping Send
+// alternates with the sink it just sent to.
+type alternateScheduler struct{}
+
+func (alternateScheduler) Name() string              { return "alternate" }
+func (alternateScheduler) Prepare(int64, int) bool   { return true }
+func (alternateScheduler) NextBool() bool            { return false }
+func (alternateScheduler) NextInt(int) int           { return 0 }
+func (alternateScheduler) NextFault(FaultChoice) int { return 0 }
+func (alternateScheduler) NextMachine(enabled []MachineID, current MachineID) MachineID {
+	if enabled[0] == current && len(enabled) > 1 {
+		return enabled[1]
+	}
+	return enabled[0]
+}
+
+// BenchmarkSenderLoop is the replsys pattern: a sender loops Send
+// mid-handler over four sinks whose handlers return at once, alternating
+// with the sink it just sent to. One op is one 8000-step execution on a
+// pooled runtime, like steps-replsys; ns/step and resumes/step are per
+// scheduling step. Invariant: resumes/step 0.5 — the stack a sink's handler
+// returned on resumes the sender itself, one resume per two-step visit,
+// where relaying through the hub reads 1.0 — and 0 allocs/op.
+func BenchmarkSenderLoop(b *testing.B) {
+	const steps = 8000
+	test := fanOutTest(4, -1)
+	cfg := resolved(Options{MaxSteps: steps, NoLivenessBoundCheck: true}).runtimeConfig(test, false)
+	pool := newExecPool(Options{})
+	defer pool.release()
+	run := func() *Runtime {
+		r := pool.runtime(alternateScheduler{}, cfg)
+		if rep := r.execute(test); rep != nil || r.steps != steps {
+			b.Fatalf("execution ended after %d of %d steps: %v", r.steps, steps, rep)
+		}
+		return r
+	}
+	// The first execution spawns the coroutines and sizes the arena; the
+	// second, identical, counts its resumes through wrapped workers.
+	var counts ResumeCounts
+	restore := countResumes(run(), &counts)
+	run()
+	restore()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
+	b.ReportMetric(float64(counts.Total())/steps, "resumes/step")
 }

@@ -165,8 +165,9 @@ type machine struct {
 	id   MachineID
 	// w is the worker whose coroutine holds the machine's live handler,
 	// from the scheduling step that starts the handler until it returns,
-	// halts or is unwound: the machine yields through it, and the hub (or
-	// a reaper) resumes the machine through it. Nil whenever the machine
+	// halts or is unwound: the machine yields through it to whichever stack
+	// resumed it — the hub, the trampoline (a free worker the hub resumed)
+	// or a reaper, the three that resume it. Nil whenever the machine
 	// holds no frame — statusCreated, statusWaitDequeue, statusHalted — and
 	// always on a timer; no two machines share one (w.m points back).
 	w     *machineWorker

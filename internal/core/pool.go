@@ -18,9 +18,10 @@ import "iter"
 //     Runtime.machineCache;
 //   - coroutines are recycled through machineWorker: a stack is needed only
 //     while a handler is live (see Runtime), so a worker whose handler
-//     returned hosts whatever is picked next and, when that needs no new
-//     stack, goes idle on the free list instead of exiting; the next
-//     arming re-uses it — within the same execution or the next one.
+//     returned hosts whatever is picked next, resumes a pick suspended
+//     mid-handler itself when the hub resumed it, and otherwise goes idle
+//     on the free list instead of exiting; the next arming re-uses it —
+//     within the same execution or the next one.
 //
 // Pools never cross exploration workers: the exploration paths build one
 // execPool per worker goroutine, exactly like scheduler instances, so the
@@ -31,9 +32,10 @@ import "iter"
 //
 // The free list (Runtime.freeWorkers) is plain unsynchronized storage,
 // like everything else on the Runtime. That needs no ordering argument:
-// workers are coroutines resumed by synchronous next() calls from the hub
-// (Runtime.runLoop) or a reaper, so exactly one stack of a runtime runs at
-// any instant and every access is in program order.
+// workers are coroutines resumed by synchronous next() calls — from the hub
+// (Runtime.runLoop), from a free worker the hub resumed (the trampoline,
+// Runtime.host) or from a reaper — so exactly one stack of a runtime runs
+// at any instant and every access is in program order.
 
 // execPool recycles one exploration worker's execution state. The zero
 // value is not useful — use newExecPool; a nil pool means "no reuse" and
@@ -82,15 +84,18 @@ func (p *execPool) release() {
 // yield suspends it, both plain runtime coroutine switches. m is the machine
 // whose handler the stack holds (m.w points back), nil between handlers.
 // The hub arms an idle worker by setting m and calling next(); a handler
-// yields from its scheduling points (Runtime.yieldPoint); a worker with
-// nothing left to host (Runtime.host) yields idle, on the free list, until
-// re-armed or stopped.
+// yields from its scheduling points (Runtime.yieldPoint) to whichever stack
+// resumed it; a worker with nothing left to host (Runtime.host) yields idle,
+// on the free list, until re-armed or stopped. top records that the hub made
+// the latest resume (switchTo sets it, a trampoline clears it on the worker
+// it resumes): only such a worker may trampoline once its stack is free.
 type machineWorker struct {
 	r     *Runtime
 	m     *machine
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
+	top   bool
 }
 
 func (w *machineWorker) body(yield func(struct{}) bool) {
@@ -126,7 +131,8 @@ func (r *Runtime) putWorker(w *machineWorker) {
 }
 
 // stopWorkers ends every idle coroutine. Only called from the hub after
-// shutdown, when every worker is idle.
+// shutdown, when every worker is idle: a trampoline leaves its loop before
+// the hub regains control, so none is left inside one.
 func (r *Runtime) stopWorkers() {
 	for _, w := range r.freeWorkers {
 		w.stop()

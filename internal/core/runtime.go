@@ -32,16 +32,23 @@ const defaultLogCap = 100000
 // Whoever reaches a scheduling point runs the next scheduling-loop iteration
 // on its own stack (advance) and steps a picked timer right there. A machine
 // mid-handler (yieldPoint) that is picked again simply carries on; otherwise
-// it yields to the hub, which resumes the pick's worker or arms an idle one
-// with it: two coroutine switches. A worker whose handler just returned or
-// whose machine just died (host) has a free stack: a pick that is between
-// handlers it binds and runs inline — no switch at all — and only a pick
-// suspended mid-handler sends it idle to the free list and back to the hub.
-// So the hub is the only stack that resumes a suspended machine, a reaper's
-// nested next() excepted (reapCrashes, shutdown), and never hosts a handler;
-// and only a machine mid-handler has frames to unwind when it dies. Every
-// Context operation is a deterministic scheduling point, and nothing
-// observable depends on which stack ran a step.
+// it yields to the stack that resumed it. A worker whose handler just
+// returned or whose machine just died (host) has a free stack: a pick that
+// is between handlers it binds and runs inline — no switch at all. A pick
+// suspended mid-handler it resumes itself with a nested next() if the hub
+// resumed it (w.top): it is then the trampoline, the pick yields back to it,
+// and it carries on with the verdict — one resume, where relaying through
+// the hub would take two. A worker a trampoline resumed is nested: with such
+// a pick it goes idle to the free list and yields up, so nesting stops at
+// hub → trampoline → machine and at most one trampoline is active. The hub
+// runs the first iteration and, after a handler handed off mid-handler,
+// resumes the pick's worker or arms an idle one with it; it alone arms a
+// worker, and it never hosts a handler. A suspended machine is resumed to
+// carry on by the hub or the trampoline, and to unwind by a reaper's nested
+// next() (reapCrashes, shutdown). Only a machine mid-handler has frames to
+// unwind when it dies. Every Context operation is a deterministic
+// scheduling point, and nothing observable depends on which stack ran a
+// step.
 type Runtime struct {
 	// The leading fields are the per-step hot set — everything advance
 	// reads on its way to the next scheduling decision — clustered so a
@@ -66,8 +73,9 @@ type Runtime struct {
 	// barrier a pointer field would pay.
 	current MachineID
 	// pending is the verdict of the iteration a worker ran before yielding
-	// to the hub (advHandoff: resume machines[current], an ordinary machine
-	// mid-handler or between handlers; advDone: stop).
+	// to the stack that resumed it, the hub or a trampoline (advHandoff:
+	// resume machines[current], an ordinary machine mid-handler or between
+	// handlers; advDone: stop).
 	pending advAction
 	steps   int
 	// The execution's knobs, installed as one value by reset; the ones
@@ -140,6 +148,9 @@ type Runtime struct {
 	// scheduler that implements enabledWatcher reads it to tell whether the
 	// set it last picked from is still the one it is handed.
 	enabledChanges uint64
+	// trampolining is set while a trampoline's nested next() runs; only the
+	// cross-check build's nesting check (trampoline) keeps it.
+	trampolining bool
 }
 
 // runtimeConfig is the per-execution knobs of a Runtime, derived from the
@@ -210,8 +221,10 @@ func (r *Runtime) execute(t Test) (rep *BugReport) {
 // resuming (or arming a worker for) whichever ordinary machine the latest
 // iteration picked. Every later iteration runs on a worker's stack — a
 // machine's at a scheduling point (yieldPoint), or a free one's between
-// handlers (host) — and comes back here as pending. A replay divergence
-// raised inside the first iteration unwinds to execute's recover.
+// handlers (host) — and comes back here as pending only when the stack the
+// hub resumed yields: its handler handed off mid-handler, or the execution
+// is over. A replay divergence raised inside the first iteration unwinds to
+// execute's recover.
 func (r *Runtime) runLoop() {
 	for act := r.pick(); act == advHandoff; act = r.pending {
 		r.switchTo(r.machines[r.current])
@@ -240,10 +253,12 @@ const (
 	advContinue advAction = iota
 	// advHandoff: machines[current] runs next. A timer is stepped inline by
 	// the caller (pick); a machine between handlers is hosted by a caller
-	// whose stack is free (host); everything else goes through the hub.
+	// whose stack is free (host), and one suspended mid-handler is resumed
+	// by such a caller if it is the trampoline; everything else goes up to
+	// the stack that resumed the caller.
 	advHandoff
 	// advDone: the execution is over (bug, divergence, abort, bound, or
-	// quiescence); the hub must leave its loop.
+	// quiescence); a trampoline, then the hub, must leave its loop.
 	advDone
 )
 
@@ -308,31 +323,36 @@ func (r *Runtime) advance(from *machine) advAction {
 // yields back. A machine between handlers is handed an idle worker (off the
 // free list, or a fresh coroutine); only the hub arms, and a worker enters
 // the free list only on its way to yielding, so the list never hands out a
-// live stack. Never called for a timer.
+// live stack. The worker is marked top: once its stack is free it may
+// trampoline. Never called for a timer.
 func (r *Runtime) switchTo(m *machine) {
 	w := m.w
 	if w == nil {
 		w = r.getWorker()
 		w.m = m
 	}
+	w.top = true
 	w.next()
 }
 
 // host is one activation of worker w, under one recover frame: it runs the
-// handler of w.m, the machine the hub armed it with, and then — the stack
-// being free once a handler has returned — the next scheduling iteration
-// and, inline, the handler of every pick that is itself between handlers.
-// A pick suspended mid-handler, or the end of the execution, sends w idle to
-// the free list and back to the hub with the verdict in pending. A panic
-// (halt, kill, bug, divergence, user panic) ends the activation through
-// unwound; true asks for another, which starts with the iteration that
-// follows the death.
+// handler of w.m, the machine it was armed with, and then — the stack being
+// free once a handler has returned — the next scheduling iteration and,
+// inline, the handler of every pick that is itself between handlers. A pick
+// suspended mid-handler a top worker resumes itself (trampoline) and
+// carries on with the verdict that pick yields back. The end of the
+// execution, or such a pick on a nested worker, sends w idle to the free
+// list and up to the stack that resumed it with the verdict in pending. A
+// panic (halt, kill, bug, divergence, user panic) ends the activation
+// through unwound; true asks for another, which starts with the iteration
+// that follows the death.
 func (r *Runtime) host(w *machineWorker) (again bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			again = r.unwound(w, p)
 		}
 	}()
+hosting:
 	for {
 		if m := w.m; m != nil {
 			m.w = w
@@ -355,14 +375,46 @@ func (r *Runtime) host(w *machineWorker) (again bool) {
 		}
 		act := r.pick()
 		if act == advHandoff {
-			if next := r.machines[r.current]; next.w == nil {
+			next := r.machines[r.current]
+			if next.w == nil {
 				w.m = next
 				continue
+			}
+			if w.top {
+				for {
+					r.trampoline(w, next.w)
+					if act = r.pending; act != advHandoff {
+						break
+					}
+					if next = r.machines[r.current]; next.w == nil {
+						w.m = next
+						continue hosting
+					}
+				}
 			}
 		}
 		r.pending = act
 		r.putWorker(w)
 		return false
+	}
+}
+
+// trampoline resumes nw, the worker of a machine suspended mid-handler, from
+// w's free stack and returns when nw's stack yields back. nw is nested: when
+// its own stack frees up with such a pick it yields back here instead, so
+// one trampoline is active at a time, and w, bound to no machine, is never a
+// crash victim. The cross-check build panics if that nesting rule breaks.
+func (r *Runtime) trampoline(w, nw *machineWorker) {
+	if enabledCrossCheckBuild {
+		if r.trampolining || w.m != nil {
+			panic(fmt.Sprintf("core: trampoline nested at step %d: another active %v, bound to a machine %v", r.steps, r.trampolining, w.m != nil))
+		}
+		r.trampolining = true
+	}
+	nw.top = false
+	nw.next()
+	if enabledCrossCheckBuild {
+		r.trampolining = false
 	}
 }
 
@@ -374,7 +426,8 @@ func (r *Runtime) host(w *machineWorker) (again bool) {
 // between handlers: a replay divergence ends the execution right there — no
 // further iteration, whose temperature check could add a liveness bug at the
 // step the diverging decision had already counted — and anything else is
-// re-raised to the hub, as if the hub's own iteration had panicked.
+// re-raised to the stack that resumed w (through a trampoline, on to the
+// hub), as if the hub's own iteration had panicked.
 func (r *Runtime) unwound(w *machineWorker, p any) (again bool) {
 	m := w.m
 	if m == nil {
@@ -447,7 +500,8 @@ func (r *Runtime) Fingerprint() uint64 { return r.cov }
 
 // yieldPoint is a scheduling point inside a handler: run the next loop
 // iteration right here and, unless the scheduler picked m again — the free
-// advContinue path: no switch at all — yield to the hub until m is resumed.
+// advContinue path: no switch at all — yield to the stack that resumed m,
+// the hub or a trampoline, until either resumes it again.
 // A picked timer is stepped right here too (pick's loop, inline: a machine
 // the scheduler keeps re-picking spends most of its step here), m lending
 // its stack, and the iteration after it is m's again: a run of timer steps

@@ -212,7 +212,8 @@ func lifecycleCases() []lifecycleCase {
 		},
 		{
 			// The target halts in Init, so every tick is dropped. The
-			// victim's death hands the scripted timer steps to the hub.
+			// scripted timer steps run on the stack the victim died on,
+			// which then resumes the entry machine itself.
 			name: "tick-to-halted-target",
 			test: Test{
 				Name: "timer-halted-target",
