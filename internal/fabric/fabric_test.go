@@ -151,16 +151,6 @@ func TestPipelineNilStateBugFound(t *testing.T) {
 	}
 }
 
-func TestHarnessDeterministicPerSeed(t *testing.T) {
-	cfg := FailoverConfig{Fabric: Config{BugUncheckedPromotion: true}, FailPrimary: true}
-	opts := core.Options{Scheduler: "random", Iterations: 150, MaxSteps: 20000, Seed: 9, NoReplayLog: true}
-	a := core.MustExplore(FailoverScenario(cfg), opts)
-	b := core.MustExplore(FailoverScenario(cfg), opts)
-	if a.BugFound != b.BugFound || a.Executions != b.Executions || a.Choices != b.Choices {
-		t.Fatalf("nondeterministic harness: %+v vs %+v", a, b)
-	}
-}
-
 func TestMetadataShape(t *testing.T) {
 	if len(Metadata()) != 7 {
 		t.Fatalf("machine types = %d, want 7", len(Metadata()))

@@ -23,19 +23,3 @@ func TestCrashMigratorCheckpointSurvives(t *testing.T) {
 		t.Fatalf("crash-migrator system failed: %v", res.Report.Error())
 	}
 }
-
-// TestCrashMigratorDeterminism: the crash-migrator scenario upholds the
-// pooling contract — identical results with machine reuse on and off.
-func TestCrashMigratorDeterminism(t *testing.T) {
-	opts := core.Options{
-		Scheduler: "random", Iterations: 60, MaxSteps: 30000, Seed: 7, NoReplayLog: true,
-	}
-	fresh := opts
-	fresh.NoReuse = true
-	a := core.MustExplore(Test(HarnessConfig{CrashMigrator: true}), opts)
-	b := core.MustExplore(Test(HarnessConfig{CrashMigrator: true}), fresh)
-	if a.BugFound != b.BugFound || a.Executions != b.Executions ||
-		a.TotalSteps != b.TotalSteps || a.Choices != b.Choices {
-		t.Fatalf("pooled vs fresh diverge:\npooled: %+v\nfresh: %+v", a, b)
-	}
-}

@@ -177,31 +177,6 @@ func TestCustomCasesCleanOnFixedSystem(t *testing.T) {
 	}
 }
 
-func TestHarnessDeterministicPerSeed(t *testing.T) {
-	opts := core.Options{Scheduler: "random", Iterations: 60, MaxSteps: 30000, Seed: 11, NoReplayLog: true}
-	a := core.MustExplore(Test(HarnessConfig{Bugs: mtable.BugDeletePrimaryKey}), opts)
-	b := core.MustExplore(Test(HarnessConfig{Bugs: mtable.BugDeletePrimaryKey}), opts)
-	if a.BugFound != b.BugFound || a.Executions != b.Executions || a.Choices != b.Choices {
-		t.Fatalf("nondeterministic harness: %+v vs %+v", a, b)
-	}
-}
-
-func TestBugReplays(t *testing.T) {
-	opts := core.Options{Scheduler: "random", Iterations: 4000, MaxSteps: 30000, Seed: 1, NoReplayLog: true}
-	test := Test(HarnessConfig{Bugs: mtable.BugDeletePrimaryKey})
-	res := core.MustExplore(test, opts)
-	if !res.BugFound {
-		t.Skip("bug not found under this seed; replay exercised elsewhere")
-	}
-	rep, err := core.Replay(test, res.Report.Trace, opts)
-	if err != nil {
-		t.Fatalf("replay error: %v", err)
-	}
-	if rep == nil || rep.Message != res.Report.Message {
-		t.Fatalf("replay mismatch")
-	}
-}
-
 func TestMetadataShape(t *testing.T) {
 	meta := Metadata()
 	if len(meta) != 3 {

@@ -94,16 +94,6 @@ func TestHarnessBugReplays(t *testing.T) {
 	}
 }
 
-func TestHarnessDeterministicPerSeed(t *testing.T) {
-	test := Scenario(ScenarioConfig{Monitors: WithSafety})
-	opts := core.Options{Scheduler: "random", Iterations: 200, MaxSteps: 1500, Seed: 11, NoReplayLog: true}
-	a := core.MustExplore(test, opts)
-	b := core.MustExplore(test, opts)
-	if a.BugFound != b.BugFound || a.Executions != b.Executions || a.Choices != b.Choices {
-		t.Fatalf("nondeterministic harness: %+v vs %+v", a, b)
-	}
-}
-
 func TestScenarioDefaults(t *testing.T) {
 	sc := ScenarioConfig{}.withDefaults()
 	if sc.Requests != 2 || sc.Nodes != 3 || sc.Monitors != WithSafety|WithLiveness {

@@ -127,12 +127,3 @@ func TestMetadataShape(t *testing.T) {
 		t.Fatal("no handlers counted")
 	}
 }
-
-func TestHarnessDeterministicPerSeed(t *testing.T) {
-	opts := core.Options{Scheduler: "random", Iterations: 100, MaxSteps: 2000, Seed: 9, NoReplayLog: true}
-	a := core.MustExplore(Test(buggy(ScenarioFailAndRepair)), opts)
-	b := core.MustExplore(Test(buggy(ScenarioFailAndRepair)), opts)
-	if a.BugFound != b.BugFound || a.Executions != b.Executions || a.Choices != b.Choices {
-		t.Fatalf("nondeterministic harness: %+v vs %+v", a, b)
-	}
-}

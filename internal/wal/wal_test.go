@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"bytes"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -123,40 +121,6 @@ func TestZeroTornBudgetHidesTheBug(t *testing.T) {
 	res := core.MustExplore(test, walOptions("random", 1))
 	if res.BugFound {
 		t.Fatalf("bug found without a torn budget: %v", res.Report.Error())
-	}
-}
-
-// TestWalPoolingWorkerInvariance: the crash-consistency plane upholds
-// the engine's pooling contract — bit-identical encoded traces with
-// pooling on and off at 1..8 workers.
-func TestWalPoolingWorkerInvariance(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			opts := walOptions("random", 3)
-			opts.Workers = workers
-			fresh := opts
-			fresh.NoReuse = true
-			a := core.MustExplore(Scenario(Config{}), opts)
-			b := core.MustExplore(Scenario(Config{}), fresh)
-			if a.BugFound != b.BugFound || a.Executions != b.Executions ||
-				a.TotalSteps != b.TotalSteps || a.Choices != b.Choices {
-				t.Fatalf("pooled vs fresh diverge:\npooled: %+v\nfresh: %+v", a, b)
-			}
-			if !a.BugFound {
-				t.Fatal("torn-tail bug not found; invariance exercised nothing")
-			}
-			ea, err := a.Report.Trace.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			eb, err := b.Report.Trace.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(ea, eb) {
-				t.Fatalf("encoded traces differ:\npooled: %s\nfresh: %s", ea, eb)
-			}
-		})
 	}
 }
 
