@@ -86,7 +86,14 @@
 //     instance of the member, so their decision streams are pure
 //     functions of the iteration seed too. Between probes, pct reuses its
 //     pick while the runtime's enabled set is unchanged, which makes the
-//     same choices as scanning the set every step.
+//     same choices as scanning the set every step. Neither is fair, so an
+//     execution is an unfair prefix and a fair suffix (P#'s FairPCT): once
+//     it outlives eight pinned estimates, every scheduling choice is
+//     uniform over the enabled machines, drawn from the same seeded
+//     stream. Across the catalog no execution that ended before the step
+//     bound ran past 3.41 estimates (fault choices counted as steps), so
+//     the tail touches only executions that spin; an entry whose
+//     iteration 0 reaches the bound has no tail.
 //   - Windows. With a feedback member (mutational) the range is drained
 //     in fixed-size generation windows with the corpus frozen inside a
 //     window and merged, in position order, at the barrier between two;

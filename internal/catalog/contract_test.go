@@ -17,16 +17,16 @@ import (
 
 // boundReports is the ledger of (clean entry, row) pairs that report a
 // liveness bug at the step bound within the contract's budget: a scheduler
-// that is not fair (pct, delay, dfs, and a portfolio holding pct and delay)
-// can starve a clean system until the bound, which the engine then treats
-// as an infinite execution. Each pair is a false report a fair-tail
-// liveness verdict is to remove. The ledger must match exactly, so the
-// change that removes a report deletes its line here.
+// that is not fair can starve a clean system until the bound, which the
+// engine then treats as an infinite execution. pct and delay end an
+// execution in a fair tail after eight length estimates, but an entry whose
+// calibration run itself reaches the bound has no estimate short of the
+// bound, and dfs has no tail. Each pair is a false report a liveness verdict
+// at the bound is to remove. The ledger must match exactly, so the change
+// that removes a report deletes its line here.
 var boundReports = map[string]bool{
 	"fabric-failover/dfs":          true,
 	"fabric-pipeline/dfs":          true,
-	"fabric-pipeline/pct":          true,
-	"fabric-pipeline/portfolio":    true,
 	"replsys-fixed/pct":            true,
 	"replsys-fixed/portfolio":      true,
 	"vnext-repair/delay":           true,
@@ -44,7 +44,7 @@ var boundReports = map[string]bool{
 // minSeededFound is the number of seeded-bug rows the table finds at seed
 // 1, measured; it keeps the round-trip and invariance checks from passing
 // vacuously. Raise it when a change finds more.
-const minSeededFound = 71
+const minSeededFound = 73
 
 // column is one configuration every row runs in.
 type column struct {

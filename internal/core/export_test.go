@@ -9,6 +9,20 @@ import "fmt"
 // runtime.
 type EnabledWatcher = enabledWatcher
 
+// WithoutFairTail wraps a pct or delay instance so that no execution it
+// prepares has a fair tail: the reference the tail is held to.
+func WithoutFairTail(s FaultScheduler) FaultScheduler { return untailed{s} }
+
+type untailed struct{ FaultScheduler }
+
+func (u untailed) Prepare(seed int64, maxSteps int) bool {
+	ok := u.FaultScheduler.Prepare(seed, maxSteps)
+	u.FaultScheduler.(interface{ dropTail() }).dropTail()
+	return ok
+}
+
+func (p *probes) dropTail() { p.tailAt = 0 }
+
 // ExecuteOnce runs one execution of t under s on a runtime of its own, as
 // the engine does after s.Prepare.
 func ExecuteOnce(s FaultScheduler, t Test, maxSteps int) *BugReport {

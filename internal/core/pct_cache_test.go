@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -11,10 +12,13 @@ import (
 )
 
 // The pct scheduler reuses its pick while the runtime's enabled set is
-// unchanged. These tests hold it to the full scan it skips, through the
-// engine, on every catalog entry: "pct-watched" is pct as the runtime sees it,
-// "pct-scan" hides the watch so every pick is a scan, and both record each
-// execution's answers.
+// unchanged, and pct and delay end an execution that outlives eight length
+// estimates in a fair tail. These tests hold both to what they skip, through
+// the engine, on every catalog entry, with recording schedulers: each wraps
+// a fresh pct or delay instance and records each execution's answers.
+// "pct-watched" is pct as the runtime sees it, "pct-scan" hides the watch so
+// every pick is a scan, "delay-tailed" is delay as it is, and the
+// "-untailed" ones switch the fair tail off.
 
 // answerLog holds, per execution seed, a hash and a count of the answers a
 // recorder gave during that execution.
@@ -26,40 +30,76 @@ type answerLog struct {
 type answers struct {
 	hash uint64
 	n    int
+	// steps counts the scheduling and fault answers, the choices pct and
+	// delay count toward their tail; prefix is the hash of the first cut
+	// answers, if there were that many.
+	steps  int
+	cut    int
+	prefix uint64
 }
 
 func (a *answers) add(v int) {
 	a.hash = (a.hash ^ uint64(v)) * 0x100000001b3
 	a.n++
+	if a.n == a.cut {
+		a.prefix = a.hash
+	}
 }
 
-// start opens the record of the execution seeded with seed; a re-run of a
-// position overwrites it.
-func (l *answerLog) start(seed int64) *answers {
-	a := &answers{hash: 0xcbf29ce484222325}
+// step adds a scheduling or fault answer.
+func (a *answers) step(v int) {
+	a.add(v)
+	a.steps++
+}
+
+// fairTailFactor is how many length estimates pct and delay run before their
+// fair tail. It is stated here rather than read from core, so a tail that
+// starts sooner fails TestFairTailKeepsNaturalExecutions.
+const fairTailFactor = 8
+
+// tailCut is the step count past which an execution under a length hint of
+// hint is in its fair tail; every step answers once, so its first tailCut
+// answers precede the tail. An instance with no hint has no tail.
+func tailCut(hint int) int {
+	if hint == 0 {
+		return math.MaxInt
+	}
+	return fairTailFactor * hint
+}
+
+// start opens the record of the execution seeded with seed, whose prefix is
+// cut answers long; a re-run of a position overwrites it.
+func (l *answerLog) start(seed int64, cut int) *answers {
+	a := &answers{hash: 0xcbf29ce484222325, cut: cut}
 	l.mu.Lock()
 	l.execs[seed] = a
 	l.mu.Unlock()
 	return a
 }
 
-// recorder answers as the pct instance it wraps and logs every answer. It
-// hides the instance's watch; watchedRecorder passes it on.
+// recorder answers as the instance it wraps and logs every answer. It hides
+// the instance's watch; watchedRecorder passes it on.
 type recorder struct {
 	core.FaultScheduler
 	core.LengthHinted
-	log *answerLog
-	cur *answers
+	log  *answerLog
+	cur  *answers
+	hint int
+}
+
+func (r *recorder) SetLengthHint(steps int) {
+	r.hint = steps
+	r.LengthHinted.SetLengthHint(steps)
 }
 
 func (r *recorder) Prepare(seed int64, maxSteps int) bool {
-	r.cur = r.log.start(seed)
+	r.cur = r.log.start(seed, tailCut(r.hint))
 	return r.FaultScheduler.Prepare(seed, maxSteps)
 }
 
 func (r *recorder) NextMachine(enabled []core.MachineID, current core.MachineID) core.MachineID {
 	m := r.FaultScheduler.NextMachine(enabled, current)
-	r.cur.add(int(m))
+	r.cur.step(int(m))
 	return m
 }
 
@@ -81,7 +121,7 @@ func (r *recorder) NextInt(n int) int {
 
 func (r *recorder) NextFault(c core.FaultChoice) int {
 	v := r.FaultScheduler.NextFault(c)
-	r.cur.add(v)
+	r.cur.step(v)
 	return v
 }
 
@@ -90,21 +130,41 @@ type watchedRecorder struct {
 	core.EnabledWatcher
 }
 
+// recording is how a recorder is built: the instance it wraps, whether the
+// runtime may watch it, and whether its fair tail is off.
+type recording struct {
+	base              func(depth int) core.FaultScheduler
+	watched, untailed bool
+}
+
 var (
 	registerRecorders sync.Once
-	recorderLogs      = map[string]*answerLog{"pct-watched": {}, "pct-scan": {}}
+	recordings        = map[string]recording{
+		"pct-watched":    {base: core.NewPCTScheduler, watched: true},
+		"pct-scan":       {base: core.NewPCTScheduler},
+		"pct-untailed":   {base: core.NewPCTScheduler, watched: true, untailed: true},
+		"delay-tailed":   {base: core.NewDelayScheduler},
+		"delay-untailed": {base: core.NewDelayScheduler, untailed: true},
+	}
+	recorderLogs = map[string]*answerLog{}
 )
 
-// recordingPlan registers the two recorders once and empties their logs.
+// recordingPlan registers the recorders once, Adaptive so the engine
+// calibrates each like the instance it wraps, and empties their logs.
 func recordingPlan(t *testing.T) {
 	t.Helper()
 	registerRecorders.Do(func() {
-		for name, log := range recorderLogs {
+		for name, how := range recordings {
+			log := &answerLog{}
+			recorderLogs[name] = log
 			err := core.RegisterScheduler(name, core.SchedulerSpec{Adaptive: true, New: func(depth int) core.Scheduler {
-				pct := core.NewPCTScheduler(depth)
-				r := &recorder{FaultScheduler: pct, LengthHinted: pct.(core.LengthHinted), log: log}
-				if name == "pct-watched" {
-					return watchedRecorder{r, pct.(core.EnabledWatcher)}
+				s := how.base(depth)
+				r := &recorder{FaultScheduler: s, LengthHinted: s.(core.LengthHinted), log: log}
+				if how.untailed {
+					r.FaultScheduler = core.WithoutFairTail(s)
+				}
+				if how.watched {
+					return watchedRecorder{r, s.(core.EnabledWatcher)}
 				}
 				return r
 			}})
@@ -232,5 +292,49 @@ func TestPCTCachedPickMatchesScan(t *testing.T) {
 		if got, want := s.NextMachine(enabled, core.NoMachine), ref.NextMachine(enabled, core.NoMachine); got != want {
 			t.Fatalf("step %d: NextMachine(%v) = %d after a watched execution, the scan picks %d", step, enabled, got, want)
 		}
+	}
+}
+
+// TestFairTailKeepsNaturalExecutions explores every catalog entry with pct
+// and delay as they are and with their fair tail off, calibrated alike, and
+// compares every execution both ran: one that ends within eight length
+// estimates without the tail must answer exactly as it does with it, and a
+// longer one must give the same first eight estimates' worth of answers.
+// Some execution of the clean mtable entry under pct must run past them and
+// end differently, or the comparison holds nothing.
+func TestFairTailKeepsNaturalExecutions(t *testing.T) {
+	for _, e := range catalog.All() {
+		t.Run(e.Name, func(t *testing.T) {
+			crossed := 0
+			for _, pair := range [][2]string{{"pct-watched", "pct-untailed"}, {"delay-tailed", "delay-untailed"}} {
+				sched := pair[0]
+				o := e.Options
+				o.Iterations, o.Seed, o.NoReplayLog = 60, 1, true
+				o.Workers, o.Portfolio = 1, nil
+				o.Scheduler = pair[1]
+				_, ref := explore(t, e.Build(), o)
+				o.Scheduler = sched
+				_, got := explore(t, e.Build(), o)
+				for seed, r := range ref {
+					g, ok := got[seed]
+					switch {
+					case !ok:
+						// A bug ended the tailed run first.
+					case r.steps <= r.cut:
+						if *g != *r {
+							t.Errorf("%s: execution seeded %d ended after %d steps, within the %d before its tail, yet answered %d (hash %x) with the tail and %d (hash %x) without",
+								sched, seed, r.steps, r.cut, g.n, g.hash, r.n, r.hash)
+						}
+					case g.cut != r.cut || g.prefix != r.prefix:
+						t.Errorf("%s: execution seeded %d ran %d steps: its first %d answers differ with the tail", sched, seed, r.steps, r.cut)
+					case sched == "pct-watched" && *g != *r:
+						crossed++
+					}
+				}
+			}
+			if e.Name == "mtable" && crossed == 0 {
+				t.Error("no execution under pct outlived eight length estimates and ended in a fair tail")
+			}
+		})
 	}
 }

@@ -14,7 +14,10 @@ import (
 // instead of yielding to the hub to have it do so, which is what keeps them
 // under; relaying through the hub they read 12.23, 0.1469, 233.75 and
 // 138.35. What is left is mostly one resume per handoff between two
-// machines suspended mid-handler.
+// machines suspended mid-handler. The pct row's executions that spin (the
+// migrator re-picking itself, hardly a resume a step) end in pct's fair
+// tail, so the mean per execution rose from 120.25 to 132.92 while its
+// steps fell from 656 585 to 73 266.
 func TestResumeCountCatalog(t *testing.T) {
 	for _, c := range []struct {
 		name, scheduler string
@@ -25,7 +28,7 @@ func TestResumeCountCatalog(t *testing.T) {
 		{"wal-fixed", "random", 1000, false, 10.4},
 		{"replsys-fixed", "random", 90, true, 0.097},
 		{"mtable", "random", 100, false, 206},
-		{"TombstoneOutputETag", "pct", 100, false, 121},
+		{"TombstoneOutputETag", "pct", 100, false, 134},
 	} {
 		e, err := catalog.Get(c.name)
 		if err != nil {
