@@ -24,11 +24,14 @@ var updateAPI = flag.Bool("update", false, "rewrite api.txt with the current pub
 
 // publicAPISurface renders every exported top-level identifier of the
 // root package (non-test files), one canonical line each, sorted. Struct
-// types include their exported field lists, so a changed field breaks
-// the lock exactly like a changed function signature.
+// types include their exported field lists, and an alias of an
+// internal/core struct adds one "field" line per exported field of the
+// aliased type, so a changed field breaks the lock exactly like a changed
+// function signature.
 func publicAPISurface(t *testing.T) []string {
 	t.Helper()
 	fset := token.NewFileSet()
+	structs := coreStructs(t, fset)
 	entries, err := os.ReadDir(".")
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +83,20 @@ func publicAPISurface(t *testing.T) []string {
 							ts.Type = exportedFieldsOnly(st)
 						}
 						lines = append(lines, "type "+render(&ts))
+						if st := structs[coreAliasTarget(ts.Type)]; ts.Assign.IsValid() && st != nil {
+							for _, f := range st.Fields.List {
+								field := render(f.Type)
+								if f.Tag != nil {
+									field += " " + f.Tag.Value
+								}
+								if len(f.Names) == 0 { // embedded
+									lines = append(lines, "field "+sp.Name.Name+"."+field)
+								}
+								for _, n := range f.Names {
+									lines = append(lines, "field "+sp.Name.Name+"."+n.Name+" "+field)
+								}
+							}
+						}
 					case *ast.ValueSpec:
 						exported := false
 						for _, n := range sp.Names {
@@ -101,6 +118,58 @@ func publicAPISurface(t *testing.T) []string {
 	}
 	sort.Strings(lines)
 	return lines
+}
+
+// coreStructs parses internal/core's non-test files and returns its
+// exported struct types by name, reduced to their exported fields.
+func coreStructs(t *testing.T, fset *token.FileSet) map[string]*ast.StructType {
+	t.Helper()
+	dir := filepath.Join("internal", "core")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	structs := map[string]*ast.StructType{}
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok || d.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range d.Specs {
+				ts := spec.(*ast.TypeSpec)
+				if st, ok := ts.Type.(*ast.StructType); ok && ts.Name.IsExported() {
+					structs[ts.Name.Name] = exportedFieldsOnly(st)
+				}
+			}
+		}
+	}
+	return structs
+}
+
+// coreAliasTarget returns the internal/core type name an alias's right-hand
+// side names (core.X or core.X[...]), or "" for anything else.
+func coreAliasTarget(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.IndexExpr:
+		e = x.X
+	case *ast.IndexListExpr:
+		e = x.X
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "core" {
+			return sel.Sel.Name
+		}
+	}
+	return ""
 }
 
 // exportedReceiver reports whether a method receiver's base type name is
