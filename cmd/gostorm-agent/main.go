@@ -3,7 +3,8 @@
 // plan, explores them with the engine's sub-range hook, and reports
 // resolved prefixes, bugs, and corpus candidates back.
 //
-// The agent is deliberately thin — it holds no fleet state and makes no
+// The agent is deliberately thin — it holds no fleet state, carries
+// nothing from one lease to the next but the plan it joined, and makes no
 // attribution decisions. It can be killed at any moment: an unreported
 // lease expires at the coordinator and is re-issued, and the fleet's
 // verdict is unchanged by the churn.

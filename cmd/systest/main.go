@@ -257,7 +257,7 @@ func runShard(stdout, stderr io.Writer, target gostorm.Test, scenario string, cf
 }
 
 // describeWorkers renders the resolved worker count, which Resolve has
-// already clamped to 1 for sequential schedulers.
+// already clamped to 1 for a plan with a sequential scheduler.
 func describeWorkers(cfg gostorm.Config) string {
 	if cfg.Workers == 1 {
 		return "1 worker"

@@ -51,7 +51,7 @@
 // and all there is to Resolve and PlanSize — checks the bounds, the fault
 // budgets and every scheduler name against the registry, and fills in the
 // defaults (random scheduler, 10,000 executions of up to 10,000 steps,
-// depth 2, one worker per CPU; one worker when every scheduler of the plan
+// depth 2, one worker per CPU; one worker when any scheduler of the plan
 // is sequential). Resolve returns the result without running anything, so
 // a banner or a dashboard shows what Explore will do by construction. The
 // same struct, through its JSON tags, is the plan a distributed
@@ -72,8 +72,8 @@
 //     one counter; every worker serves every member, with its own
 //     scheduler instance per member and its own execution pool. A
 //     sequential scheduler (dfs) backtracks through its previous
-//     execution, so its positions are walked in order by one goroutine of
-//     its own — the same code whether dfs is the whole run or one member
+//     execution, so a plan with one runs on a single worker, which visits
+//     the positions in order — whether dfs is the whole run or one member
 //     of a portfolio.
 //   - First bug wins. The pruning bound is the lowest buggy position seen
 //     so far. Workers refuse to start, and abort in flight, positions at
@@ -104,9 +104,9 @@
 //     position: exactly what a one-worker run performs before it stops.
 //     A position resolved ahead of the prefix waits until the gap below it
 //     closes, so bookkeeping grows with that out-of-order span, not with
-//     the executions done: nothing on one worker, at most a window with a
-//     feedback member, but up to the whole run when a dfs lane lags the
-//     worker pool.
+//     the executions done: nothing on one worker, a few positions per
+//     worker in flight on several, at most a window with a feedback
+//     member.
 //   - WithStopAfter. The first position always executes; the deadline is
 //     checked before every later claim, and the statistics count the
 //     resolved prefix, leaving out executions above a claim it refused.
@@ -442,7 +442,8 @@
 //
 // # API stability
 //
-// The exported surface of this package is locked by a golden file
-// (api.txt) checked in CI. README.md has the package tour and the CLIs,
+// The exported surface of this package, down to the fields of the structs
+// it aliases from the engine, is locked by a golden file (api.txt) checked
+// in CI. README.md has the package tour and the CLIs,
 // CHANGES.md the measured history, ROADMAP.md the open items.
 package gostorm

@@ -61,7 +61,7 @@ type Config = core.Options
 // Resolve reports the configuration a run of t under the given options
 // would use, without executing anything, so tools — CLI banners,
 // dashboards — report exactly what Explore will do: the engine's own
-// validation and defaults (Workers is 1 when every scheduler of the plan is
+// validation and defaults (Workers is 1 when any scheduler of the plan is
 // sequential), Scheduler "" for a portfolio run, and Faults the effective
 // budget (WithNoFaults over WithFaults over the test's declared one).
 // Invalid options are reported as the same *ConfigError Explore would

@@ -129,18 +129,18 @@ func VerifySchedulerConformance(name string, depth int) error {
 		// the synthetic workload with ones that diverge immediately, so
 		// both the replay path and the abandon-and-randomize path are
 		// under the determinism check.
-		synth := newCorpus(4)
-		synth.add(0x1001, 0, []Decision{
+		synth := NewCorpus(4)
+		synth.Add(0x1001, 0, []Decision{
 			{Kind: DecisionSchedule, Machine: 0},
 			{Kind: DecisionBool, Bool: true},
 			{Kind: DecisionInt, Int: 0, N: 1},
 			{Kind: DecisionInt, Int: 1, N: 2},
 			{Kind: DecisionSchedule, Machine: 1},
 		})
-		synth.add(0x1002, 1, []Decision{
+		synth.Add(0x1002, 1, []Decision{
 			{Kind: DecisionSchedule, Machine: 99}, // never enabled: instant divergence
 		})
-		synth.add(0x1003, 2, []Decision{
+		synth.Add(0x1003, 2, []Decision{
 			{Kind: DecisionBool, Bool: false}, // wrong kind at the first call
 		})
 		if err := verifyFactoryDeterminism(name+" (with corpus)", f.WithCorpus(synth)); err != nil {

@@ -96,7 +96,7 @@ func TestSchedulerConformanceFaultPlane(t *testing.T) {
 				t.Fatal("Prepare refused the first execution")
 			}
 			r := newRuntime(sched, runtimeConfig{
-				maxSteps: 300, deadlockDetection: true, faults: probeFaults,
+				maxSteps: 300, faults: probeFaults,
 			})
 			rep := r.execute(faultProbeTest())
 			decisions := r.dec.decode()

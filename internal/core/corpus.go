@@ -23,7 +23,9 @@ import (
 // observes is thus a pure function of (seed, iteration), never of how the
 // engine's workers happened to interleave.
 
-// defaultCorpusSize is the corpus capacity when Options.CorpusSize is 0.
+// defaultCorpusSize is the capacity of an exploration corpus: the first 64
+// novel coverage fingerprints, in canonical iteration order, have their
+// decision sequences recorded for mutation.
 const defaultCorpusSize = 64
 
 // feedbackRoundSize is the number of iterations per corpus generation.
@@ -54,9 +56,10 @@ type Corpus struct {
 	seen    map[uint64]bool
 }
 
-// newCorpus returns an empty corpus with the given capacity (<= 0 means
-// the default).
-func newCorpus(cap int) *Corpus {
+// NewCorpus returns an empty corpus with the given capacity (<= 0 means
+// the default) — the engine's, and the one a distributed coordinator
+// rebuilds a fleet-wide corpus from shard candidates in.
+func NewCorpus(cap int) *Corpus {
 	if cap <= 0 {
 		cap = defaultCorpusSize
 	}
@@ -93,28 +96,17 @@ func (c *Corpus) has(fp uint64) bool { return c.seen[fp] }
 // order) win, which keeps eviction trivially deterministic.
 func (c *Corpus) full() bool { return len(c.entries) >= c.cap }
 
-// add records a new entry; it refuses duplicates and respects capacity.
-// Only the engine calls it, and only at a generation barrier.
-func (c *Corpus) add(fp uint64, iteration int, decisions []Decision) bool {
+// Add records an entry, refusing duplicates, empty decision sequences and
+// capacity overflow, and reports whether it was admitted. Within the engine
+// only generation barriers call it; a distributed coordinator calls it for
+// its canonical-order merge.
+func (c *Corpus) Add(fp uint64, iteration int, decisions []Decision) bool {
 	if c.full() || c.seen[fp] || len(decisions) == 0 {
 		return false
 	}
 	c.seen[fp] = true
 	c.entries = append(c.entries, corpusEntry{fingerprint: fp, iteration: iteration, decisions: decisions})
 	return true
-}
-
-// NewCorpus returns an empty corpus with the given capacity (<= 0 means
-// the default) — the constructor a distributed coordinator uses to rebuild
-// a fleet-wide corpus from shard candidates.
-func NewCorpus(cap int) *Corpus { return newCorpus(cap) }
-
-// Add records an entry, refusing duplicates, empty decision sequences and
-// capacity overflow, and reports whether it was admitted. Exported for the
-// distributed coordinator's canonical-order merge; within the engine only
-// generation barriers call it (via add).
-func (c *Corpus) Add(fp uint64, iteration int, decisions []Decision) bool {
-	return c.add(fp, iteration, decisions)
 }
 
 // CorpusVersion is the corpus serialization format version written by
@@ -168,7 +160,7 @@ func DecodeCorpus(data []byte) (*Corpus, error) {
 	if len(in.Entries) > cap {
 		return nil, fmt.Errorf("core: decoding corpus: %d entries exceed declared capacity %d", len(in.Entries), cap)
 	}
-	c := newCorpus(cap)
+	c := NewCorpus(cap)
 	for i, e := range in.Entries {
 		if len(e.Decisions) == 0 {
 			return nil, fmt.Errorf("core: decoding corpus: entry %d has no decisions", i)
@@ -176,7 +168,7 @@ func DecodeCorpus(data []byte) (*Corpus, error) {
 		if c.seen[e.Fingerprint] {
 			return nil, fmt.Errorf("core: decoding corpus: duplicate fingerprint %#x at entry %d", e.Fingerprint, i)
 		}
-		c.add(e.Fingerprint, e.Iteration, e.Decisions)
+		c.Add(e.Fingerprint, e.Iteration, e.Decisions)
 	}
 	return c, nil
 }

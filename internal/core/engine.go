@@ -60,19 +60,13 @@ type Options struct {
 	// MaxSteps bounds each execution; reaching it treats the execution as
 	// infinite for liveness checking (default 10,000).
 	MaxSteps int `json:"max_steps"`
-	// CorpusSize bounds the exploration corpus of a feedback (coverage-
-	// guided) scheduler such as "mutational": the first CorpusSize novel
-	// coverage fingerprints, in canonical iteration order, have their
-	// decision sequences recorded for mutation (default 64). Ignored by
-	// schedulers that declare no feedback.
-	CorpusSize int `json:"corpus_size,omitempty"`
 	// Workers is the size of the run's one pool of exploration workers
 	// (default runtime.NumCPU()). Every worker serves every member of a
 	// portfolio — a three-member portfolio at Workers: 1 runs on one
 	// worker — and owns an independent Scheduler instance per member, so
-	// no mutable scheduler state is shared. A sequential scheduler (dfs)
-	// is walked in order by one goroutine of its own, outside the pool,
-	// and trace replay is single-threaded, whatever this setting.
+	// no mutable scheduler state is shared. A plan with a sequential
+	// member (dfs) runs on one worker, which visits the positions in
+	// order, and trace replay is single-threaded, whatever this setting.
 	//
 	// For every non-sequential scheduler the Result — including which bug
 	// is found, its trace, Executions and TotalSteps — is identical for
@@ -98,8 +92,6 @@ type Options struct {
 	// deadline refused can leave a gap below executions that still ran,
 	// and those are not counted — in Explore as in ExploreShard.
 	StopAfter time.Duration `json:"-"`
-	// NoDeadlockDetection disables reporting machines stuck in Receive.
-	NoDeadlockDetection bool `json:"no_deadlock_detection,omitempty"`
 	// NoLivenessBoundCheck disables the treat-bound-as-infinite liveness
 	// heuristic (hot-at-termination is still checked).
 	NoLivenessBoundCheck bool `json:"no_liveness_bound_check,omitempty"`
@@ -158,11 +150,10 @@ const (
 // it validates o (negative bounds, the scheduler and every portfolio member
 // against the registry, the fault budgets of o and of t), applies the engine
 // defaults (scheduler "random", 10,000 iterations of 10,000 steps, depth 2,
-// one worker per CPU, the default log cap and corpus size) and clamps
-// Workers to 1 when every member is sequential. Explore, ExploreShard and
-// Replay start with it; the public package's Resolve and PlanSize and the
-// distributed coordinator call it too, so what a viewer reports is what a
-// run uses. A caller with no test at hand passes the zero Test. Errors are
+// one worker per CPU, the default log cap) and clamps Workers to 1 when any
+// member is sequential. Explore, ExploreShard and Replay start with it; the
+// public package's Resolve and PlanSize and the distributed coordinator
+// call it too, so what a viewer reports is what a run uses. A caller with no test at hand passes the zero Test. Errors are
 // *ConfigError values naming the field at fault; the result of a successful
 // call resolves to itself.
 func (o Options) Resolve(t Test) (Options, error) {
@@ -176,7 +167,6 @@ func (o Options) Resolve(t Test) (Options, error) {
 		{"PCTDepth", o.PCTDepth},
 		{"Temperature", o.Temperature},
 		{"LogCap", o.LogCap},
-		{"CorpusSize", o.CorpusSize},
 	} {
 		if c.v < 0 {
 			return o, &ConfigError{
@@ -210,11 +200,7 @@ func (o Options) Resolve(t Test) (Options, error) {
 	if o.LogCap == 0 {
 		o.LogCap = defaultLogCap
 	}
-	if o.CorpusSize == 0 {
-		o.CorpusSize = defaultCorpusSize
-	}
 
-	sequential := true
 	for m, name := range o.Members() {
 		spec, err := lookupScheduler(name)
 		if err != nil {
@@ -223,10 +209,9 @@ func (o Options) Resolve(t Test) (Options, error) {
 			}
 			return o, err
 		}
-		sequential = sequential && spec.Sequential
-	}
-	if sequential {
-		o.Workers = 1
+		if spec.Sequential {
+			o.Workers = 1
+		}
 	}
 	return o, nil
 }
@@ -266,14 +251,13 @@ func execSeed(seed int64, i int) int64 {
 
 func (o Options) runtimeConfig(t Test, collectLog bool) runtimeConfig {
 	return runtimeConfig{
-		maxSteps:          o.MaxSteps,
-		temperature:       o.Temperature,
-		livenessAtBound:   !o.NoLivenessBoundCheck,
-		deadlockDetection: !o.NoDeadlockDetection,
-		collectLog:        collectLog,
-		logCap:            o.LogCap,
-		faults:            o.EffectiveFaults(t),
-		checkEnabled:      o.debugCheckEnabled,
+		maxSteps:        o.MaxSteps,
+		temperature:     o.Temperature,
+		livenessAtBound: !o.NoLivenessBoundCheck,
+		collectLog:      collectLog,
+		logCap:          o.LogCap,
+		faults:          o.EffectiveFaults(t),
+		checkEnabled:    o.debugCheckEnabled,
 	}
 }
 

@@ -276,40 +276,60 @@ func TestStopAfterFirstPositionAlwaysExecutes(t *testing.T) {
 
 // TestExplorationBookkeepingIsConstant: the loop folds its statistics as
 // positions resolve, so what a run keeps does not grow with the executions
-// it has done. A pooled one-choice execution allocates nothing, so between
-// execution 1 000 and execution 200 000 the live heap stays flat and the
-// whole run allocates next to nothing per execution.
+// it has done. A pooled execution of a few choices allocates nothing, so
+// between execution 1 000 and the last one the live heap stays flat and the
+// whole run allocates next to nothing per execution. The second case puts a
+// dfs member, whose 2^18-leaf tree outlasts the run, beside a request for
+// four workers: a sequential member must not leave the fold waiting on it
+// while the other member's resolutions pile up above the frontier.
 func TestExplorationBookkeepingIsConstant(t *testing.T) {
-	const iterations = 200000
-	test := Test{Name: "one-bool", Entry: func(ctx *Context) { ctx.RandomBool() }}
-	var early, late, before, after runtime.MemStats
-	live := func(ms *runtime.MemStats) {
-		runtime.GC()
-		runtime.ReadMemStats(ms)
-	}
-	runtime.ReadMemStats(&before)
-	res := MustExplore(test, Options{
-		Iterations: iterations, Seed: 1, Workers: 1, NoReplayLog: true,
-		Progress: func(n int) {
-			switch n {
-			case 1000:
-				live(&early)
-			case iterations:
-				live(&late)
+	bools := func(n int) Test {
+		return Test{Name: "bools", Entry: func(ctx *Context) {
+			for range n {
+				ctx.RandomBool()
 			}
-		},
-	})
-	runtime.ReadMemStats(&after)
-	if res.BugFound || res.Executions != iterations {
-		t.Fatalf("got %d executions (bug %v), want a clean run of %d", res.Executions, res.BugFound, iterations)
+		}}
 	}
-	if growth := int64(late.HeapAlloc) - int64(early.HeapAlloc); growth >= 64<<10 {
-		t.Errorf("live heap grew by %d B between execution 1000 and execution %d", growth, iterations)
-	}
-	if raceEnabled {
-		return // the race runtime allocates on the test's behalf
-	}
-	if perExec := float64(after.TotalAlloc-before.TotalAlloc) / iterations; perExec >= 8 {
-		t.Errorf("allocated %.1f B per execution, want < 8", perExec)
+	for _, c := range []struct {
+		name string
+		test Test
+		o    Options
+	}{
+		{"random", bools(1), Options{Iterations: 200000, Workers: 1}},
+		{"dfs,random", bools(18), Options{Portfolio: []string{"dfs", "random"}, Iterations: 50000, Workers: 4}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			total := len(c.o.Members()) * c.o.Iterations
+			var early, late, before, after runtime.MemStats
+			live := func(ms *runtime.MemStats) {
+				runtime.GC()
+				runtime.ReadMemStats(ms)
+			}
+			o := c.o
+			o.Seed, o.NoReplayLog = 1, true
+			o.Progress = func(n int) {
+				switch n {
+				case 1000:
+					live(&early)
+				case total:
+					live(&late)
+				}
+			}
+			runtime.ReadMemStats(&before)
+			res := MustExplore(c.test, o)
+			runtime.ReadMemStats(&after)
+			if res.BugFound || res.Executions != total {
+				t.Fatalf("got %d executions (bug %v), want a clean run of %d", res.Executions, res.BugFound, total)
+			}
+			if growth := int64(late.HeapAlloc) - int64(early.HeapAlloc); growth >= 64<<10 {
+				t.Errorf("live heap grew by %d B between execution 1000 and execution %d", growth, total)
+			}
+			if raceEnabled {
+				return // the race runtime allocates on the test's behalf
+			}
+			if perExec := float64(after.TotalAlloc-before.TotalAlloc) / float64(total); perExec >= 8 {
+				t.Errorf("allocated %.1f B per execution, want < 8", perExec)
+			}
+		})
 	}
 }

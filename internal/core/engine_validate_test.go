@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -165,15 +166,15 @@ func TestResolveAcceptsZeroAndPositive(t *testing.T) {
 			t.Fatalf("valid options rejected: %v", err)
 		}
 		if r.Scheduler == "" || r.Iterations <= 0 || r.MaxSteps <= 0 || r.PCTDepth <= 0 ||
-			r.Workers <= 0 || r.LogCap <= 0 || r.CorpusSize <= 0 {
+			r.Workers <= 0 || r.LogCap <= 0 {
 			t.Fatalf("Resolve(%+v) left a default unapplied: %+v", o, r)
 		}
 		want := o.Workers
-		if o.Scheduler == "dfs" {
+		if slices.Contains(o.Members(), "dfs") {
 			want = 1
 		}
 		if o.Workers > 0 && r.Workers != want {
-			t.Fatalf("Resolve(%+v).Workers = %d, want %d: only an all-sequential plan is clamped to 1", o, r.Workers, want)
+			t.Fatalf("Resolve(%+v).Workers = %d, want %d: any sequential member clamps Workers to 1", o, r.Workers, want)
 		}
 		if again, err := r.Resolve(Test{}); err != nil || !reflect.DeepEqual(again, r) {
 			t.Fatalf("resolved options do not resolve to themselves: %+v -> %+v, %v", r, again, err)

@@ -284,9 +284,9 @@ func FuzzSpliceAnyCorpus(f *testing.F) {
 	if err != nil || len(res.Candidates) < 2 {
 		f.Fatalf("seed run: %d corpus candidates, error %v", len(res.Candidates), err)
 	}
-	run := newCorpus(0)
+	run := NewCorpus(0)
 	for _, c := range res.Candidates {
-		run.add(c.Fingerprint, int(c.Position), c.Decisions)
+		run.Add(c.Fingerprint, int(c.Position), c.Decisions)
 	}
 	enc, err := run.Encode()
 	if err != nil {

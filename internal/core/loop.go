@@ -18,9 +18,8 @@ package core
 // Claiming. One pool of Options.Workers goroutines claims positions from
 // one shared counter; each worker owns a scheduler instance per member and
 // one execution pool. A sequential member (dfs) backtracks through its own
-// previous execution, so its positions are walked in order by a lane: one
-// more claimer with a private counter that strides nm. Whether the lane is
-// the whole run or one member of a portfolio is the same code.
+// previous execution, so a plan with one runs on a single worker
+// (Options.Resolve clamps Workers), which claims the positions in order.
 //
 // Pruning. The bound is the lowest buggy position seen so far (and the
 // shard's external Stop bound). Claimers refuse to start — and abort in
@@ -47,12 +46,12 @@ package core
 // which folds the range's contiguous resolved prefix in position order:
 // each position the frontier passes is added to its member's Executions,
 // TotalSteps and Exhausted, up to and including the lowest buggy position.
-// The positions of a lane that stopped at a refusal count as resolved with
-// nothing run. A resolution ahead of the frontier waits in a pending set
-// until the gap below it closes, so the bookkeeping is proportional to the
-// out-of-order span, not to the executions done: empty on one worker,
-// bounded by the window with a feedback member, but as large as the run
-// when a sequential lane lags the pool. Every statistic the adapters
+// Once every member is sequential and has refused, the rest of the range
+// counts as resolved with nothing run. A resolution ahead of the frontier
+// waits in a pending set until the gap below it closes, so the bookkeeping
+// is proportional to the out-of-order span, not to the executions done:
+// empty on one worker, bounded by the workers' executions in flight, and
+// by the window with a feedback member. Every statistic the adapters
 // report, a shard's ResolvedTo included, is the fold after the drain.
 
 import (
@@ -75,20 +74,14 @@ type candidate struct {
 	ok        bool
 }
 
-// claimer is the private state of one claiming goroutine: a pool worker
-// (stride 1 on the shared counter, an instance of every non-sequential
-// member) or a sequential member's lane (stride nm on its own counter,
-// that member's one instance). Nothing here is shared, so it needs no
-// lock.
+// claimer is the private state of one pool worker: an instance of every
+// member's scheduler and an execution pool. Nothing here is shared, so it
+// needs no lock.
 type claimer struct {
-	next   *atomic.Int64
-	stride int64
-	lane   int              // the sequential member a lane walks; -1 for a pool worker
-	scheds []FaultScheduler // by member; nil where another claimer serves it
+	scheds []FaultScheduler // by member
 	pool   *execPool
 	cfg    runtimeConfig
 	cur    int64 // position in flight, read by cfg.abort
-	spent  bool  // a lane whose scheduler exhausted its space
 }
 
 // explored is one drain of a position range: the plan it runs, the state
@@ -103,21 +96,20 @@ type explored struct {
 	factories []SchedulerFactory // by member
 	seeds     []int64            // by member
 	feedback  bool
-	workers   int // pool workers, besides the lanes
-	lanes     int
+	workers   int
 
+	next   atomic.Int64 // the window's next unclaimed position
 	bugPos atomic.Int64 // lowest buggy position so far (the plan size when none); lowered under mu
 
-	mu         sync.Mutex // guards this group and the Progress calls
-	completed  int
-	bug        *BugReport
-	stats      []MemberStats   // by member, folded over [sh.From, frontier)
-	frontier   int64           // end of the range's contiguous resolved prefix
-	pending    map[int64]int64 // positions resolved above the frontier: steps, or refused
-	spentLanes int64           // lanes whose refusal the fold has passed
+	mu        sync.Mutex // guards this group and the Progress calls
+	completed int
+	bug       *BugReport
+	stats     []MemberStats   // by member, folded over [sh.From, frontier)
+	frontier  int64           // end of the range's contiguous resolved prefix
+	pending   map[int64]int64 // positions resolved above the frontier: steps, or refused
+	spent     int64           // sequential members whose refusal the fold has passed
 
 	start time.Time
-	hints []int // adaptive length hints in effect, by member
 	// corpus is the final exploration corpus and candidates the entries
 	// this call merged into it, in position order; nil without a feedback
 	// member.
@@ -134,7 +126,7 @@ func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
 		t: t, o: o, sh: sh, timed: timed, nm: int64(len(members)),
 		factories: make([]SchedulerFactory, len(members)), seeds: make([]int64, len(members)),
 		stats: make([]MemberStats, len(members)), frontier: sh.From,
-		start: time.Now(), hints: make([]int, len(members)),
+		start: time.Now(),
 	}
 	total := PlanSize(o)
 	ex.bugPos.Store(total)
@@ -143,14 +135,11 @@ func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
 		if err != nil {
 			return nil, err
 		}
-		if f.Sequential() {
-			if sh.From != 0 || sh.To != total {
-				return nil, &ConfigError{
-					Field:  "Shard",
-					Reason: fmt.Sprintf("scheduler %q enumerates its schedule space statefully and cannot explore a sub-range", name),
-				}
+		if f.Sequential() && (sh.From != 0 || sh.To != total) {
+			return nil, &ConfigError{
+				Field:  "Shard",
+				Reason: fmt.Sprintf("scheduler %q enumerates its schedule space statefully and cannot explore a sub-range", name),
 			}
-			ex.lanes++
 		}
 		ex.feedback = ex.feedback || f.Feedback()
 		ex.factories[m] = f
@@ -165,12 +154,10 @@ func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
 	if ex.feedback {
 		ex.corpus = sh.Corpus
 		if ex.corpus == nil {
-			ex.corpus = newCorpus(o.CorpusSize)
+			ex.corpus = NewCorpus(0)
 		}
 	}
-	if ex.lanes < len(members) {
-		ex.workers = int(min(int64(o.Workers), sh.To-sh.From))
-	}
+	ex.workers = int(min(int64(o.Workers), sh.To-sh.From))
 
 	ex.calibrate()
 	ex.drain()
@@ -194,19 +181,16 @@ func (ex *explored) pastDeadline() bool {
 	return ex.o.StopAfter > 0 && time.Since(ex.start) > ex.o.StopAfter
 }
 
-// newClaimer builds a pool worker (lane -1) or the lane of sequential
-// member lane.
-func (ex *explored) newClaimer(next *atomic.Int64, lane int, pool *execPool) *claimer {
-	c := &claimer{next: next, stride: 1, lane: lane, pool: pool, scheds: make([]FaultScheduler, ex.nm)}
-	if lane >= 0 {
-		c.stride = ex.nm
-	}
+// newClaimer builds a claimer on pool; its instances are the caller's to
+// fill in.
+func (ex *explored) newClaimer(pool *execPool) *claimer {
+	c := &claimer{pool: pool, scheds: make([]FaultScheduler, ex.nm)}
 	c.cfg = ex.o.runtimeConfig(ex.t, false)
 	// With one claimer and no external Stop, positions are visited in
 	// increasing order and nothing can lower the bound below the one in
 	// flight, so the abort predicate — polled at every scheduling step —
 	// stays nil.
-	if ex.workers+ex.lanes > 1 || ex.sh.Stop != nil {
+	if ex.workers > 1 || ex.sh.Stop != nil {
 		c.cfg.abort = func() bool { return c.cur >= ex.bound() }
 	}
 	return c
@@ -297,56 +281,45 @@ func (ex *explored) fold(g, steps int64) {
 		} else if !ms.Exhausted {
 			ms.Exhausted = true
 			if ex.factories[m].Sequential() {
-				ex.spentLanes++
+				ex.spent++
 			}
 		}
 		g++
-		if ex.spentLanes == ex.nm {
-			g = end // every member is a lane that stopped: nothing is left to run
+		if ex.spent == ex.nm {
+			g = end // every member is sequential and refused: nothing is left to run
 		}
 		ex.frontier = g
 		if g >= end {
 			return
 		}
 		var ok bool
-		if steps, ok = ex.pending[g]; ok {
-			delete(ex.pending, g)
-		} else if n := g % ex.nm; ex.stats[n].Exhausted && ex.factories[n].Sequential() {
-			steps = refused // a lane that stopped at a refusal would refuse g too
-		} else {
+		if steps, ok = ex.pending[g]; !ok {
 			return
 		}
+		delete(ex.pending, g)
 	}
 }
 
 // calibrate runs position m (member m, iteration 0) of each adaptive
 // member, owned or not, and pins its step count as the member's length
 // hint. It runs corpus-less and records no candidate — iteration 0 has no
-// corpus to mutate anyway. A shard that does not own the position can take
-// the hint from an earlier result of the same plan instead: the hint is a
-// pure function of the plan.
+// corpus to mutate anyway. A shard that does not own the position but holds
+// one of the member's re-runs it: the hint is a pure function of the plan,
+// so every shard pins the same one.
 func (ex *explored) calibrate() {
-	cal := ex.newClaimer(nil, -1, nil)
+	cal := ex.newClaimer(nil)
 	for m := range ex.factories {
 		g := int64(m)
 		if !ex.factories[m].Adaptive() || g >= ex.bound() {
 			continue
 		}
-		if g < ex.sh.From || g >= ex.sh.To {
-			if hints := ex.sh.LengthHints; hints != nil && hints[m] > 0 {
-				ex.hints[m] = hints[m]
-				ex.factories[m] = ex.factories[m].WithLengthHint(hints[m])
-				continue
-			}
-			if firstPosOfMember(m, ex.nm, ex.sh.From) >= ex.sh.To {
-				continue // the range holds no position of this member
-			}
+		if (g < ex.sh.From || g >= ex.sh.To) && firstPosOfMember(m, ex.nm, ex.sh.From) >= ex.sh.To {
+			continue // the range holds no position of this member
 		}
 		if g != ex.sh.From%ex.nm && ex.pastDeadline() {
 			continue // not the first position's member: the deadline applies
 		}
 		if steps, ok := ex.run(cal, ex.factories[m].New(), g, nil); ok {
-			ex.hints[m] = int(steps)
 			ex.factories[m] = ex.factories[m].WithLengthHint(int(steps))
 		}
 	}
@@ -357,26 +330,18 @@ func (ex *explored) calibrate() {
 // corpus attached) so their instances come fully configured; instances and
 // execution pools persist across windows.
 func (ex *explored) drain() {
-	var next atomic.Int64
-	claimers := make([]*claimer, 0, ex.workers+ex.lanes)
 	for m := range ex.factories {
 		if ex.factories[m].Feedback() {
 			ex.factories[m] = ex.factories[m].WithCorpus(ex.corpus)
 		}
-		if ex.factories[m].Sequential() {
-			lane := ex.newClaimer(new(atomic.Int64), m, newExecPool(ex.o))
-			lane.scheds[m] = ex.factories[m].New()
-			claimers = append(claimers, lane)
-		}
 	}
-	for range ex.workers {
-		c := ex.newClaimer(&next, -1, newExecPool(ex.o))
+	claimers := make([]*claimer, ex.workers)
+	for w := range claimers {
+		c := ex.newClaimer(newExecPool(ex.o))
 		for m := range ex.factories {
-			if !ex.factories[m].Sequential() {
-				c.scheds[m] = ex.factories[m].New()
-			}
+			c.scheds[m] = ex.factories[m].New()
 		}
-		claimers = append(claimers, c)
+		claimers[w] = c
 	}
 	defer func() {
 		for _, c := range claimers {
@@ -395,10 +360,7 @@ func (ex *explored) drain() {
 			wt = min(wt, (wf/gen+1)*gen)
 			clear(cands)
 		}
-		next.Store(wf)
-		for _, lane := range claimers[:ex.lanes] {
-			lane.next.Store(firstPosOfMember(lane.lane, ex.nm, wf))
-		}
+		ex.next.Store(wf)
 		if len(claimers) == 1 {
 			// The lone claimer runs on the calling goroutine.
 			ex.claim(claimers[0], wf, wt, cands)
@@ -423,7 +385,7 @@ func (ex *explored) drain() {
 		}
 		if ex.feedback {
 			for j, cd := range cands[:wt-wf] {
-				if cd.ok && ex.corpus.add(cd.fp, int(wf)+j, cd.decisions) {
+				if cd.ok && ex.corpus.Add(cd.fp, int(wf)+j, cd.decisions) {
 					ex.candidates = append(ex.candidates, CorpusCandidate{
 						Fingerprint: cd.fp,
 						Position:    wf + int64(j),
@@ -432,11 +394,7 @@ func (ex *explored) drain() {
 				}
 			}
 		}
-		idle := ex.workers == 0
-		for _, lane := range claimers[:ex.lanes] {
-			idle = idle && lane.spent
-		}
-		if idle || ex.pastDeadline() {
+		if ex.pastDeadline() {
 			return
 		}
 		wf = wt
@@ -445,8 +403,8 @@ func (ex *explored) drain() {
 
 // claim drains the window [wf, wt) on c. This is the loop.
 func (ex *explored) claim(c *claimer, wf, wt int64, cands []candidate) {
-	for !c.spent {
-		g := c.next.Add(c.stride) - c.stride
+	for {
+		g := ex.next.Add(1) - 1
 		if g >= wt || g >= ex.bound() {
 			return
 		}
@@ -454,17 +412,25 @@ func (ex *explored) claim(c *claimer, wf, wt int64, cands []candidate) {
 			return
 		}
 		m := g % ex.nm
-		if c.scheds[m] == nil || (g < ex.nm && ex.factories[m].Adaptive()) {
-			continue // a lane's position, or resolved by calibration
+		if g < ex.nm && ex.factories[m].Adaptive() {
+			continue // resolved by calibration
 		}
 		var cand *candidate
 		if ex.feedback {
 			cand = &cands[g-wf]
 		}
-		if steps, _ := ex.run(c, c.scheds[m], g, cand); steps == refused && c.lane >= 0 {
-			c.spent = true
+		if steps, _ := ex.run(c, c.scheds[m], g, cand); steps == refused && ex.allSpent() {
+			return
 		}
 	}
+}
+
+// allSpent reports that every member is sequential and has refused, so
+// nothing is left to run.
+func (ex *explored) allSpent() bool {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	return ex.spent == ex.nm
 }
 
 // firstPosOfMember returns the lowest global position >= from that belongs

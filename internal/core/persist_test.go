@@ -79,7 +79,7 @@ func TestZeroTornBudgetRecordsNoPersistDecisions(t *testing.T) {
 		if !sched.Prepare(seed, 200) {
 			t.Fatal("Prepare refused")
 		}
-		r := newRuntime(sched, runtimeConfig{maxSteps: 200, deadlockDetection: true})
+		r := newRuntime(sched, runtimeConfig{maxSteps: 200})
 		if rep := r.execute(syncedSurvivalTest(true)); rep != nil {
 			t.Fatalf("seed %d: unexpected bug: %v", seed, rep.Error())
 		}
@@ -205,7 +205,7 @@ func TestTornBudgetCharged(t *testing.T) {
 			t.Fatal("Prepare refused")
 		}
 		r := newRuntime(sched, runtimeConfig{
-			maxSteps: 300, deadlockDetection: true, faults: Faults{MaxTornCrashes: 1},
+			maxSteps: 300, faults: Faults{MaxTornCrashes: 1},
 		})
 		if rep := r.execute(twoCrashTest()); rep != nil {
 			t.Fatalf("seed %d: unexpected bug: %v", seed, rep.Error())

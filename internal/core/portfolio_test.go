@@ -266,9 +266,9 @@ func TestPortfolioRejectsBadSpecs(t *testing.T) {
 // TestPortfolioExhaustionIsCanonical: a dfs member that covers its whole
 // schedule space reports Exhausted, and the member's executions stop at
 // the space's size — deterministically, with a non-exhausting member
-// racing alongside. A full-range shard resolves the positions the stopped
-// dfs lane never runs, so it resolves the whole plan and counts what
-// Explore counts, at any worker count.
+// racing alongside. A full-range shard resolves the positions the
+// exhausted dfs member refuses, so it resolves the whole plan and counts
+// what Explore counts, at any worker count.
 func TestPortfolioExhaustionIsCanonical(t *testing.T) {
 	clean := Test{
 		Name: "bools-clean",
@@ -311,8 +311,9 @@ func TestPortfolioExhaustionIsCanonical(t *testing.T) {
 		}
 	}
 
-	// Once every member is a stopped lane the rest of the plan resolves at
-	// once: the cost is the executions run, not the budget asked for.
+	// Once every member is sequential and has refused, the rest of the plan
+	// resolves at once: the cost is the executions run, not the budget asked
+	// for.
 	start := time.Now()
 	o = Options{Scheduler: "dfs", Iterations: 1 << 30, NoReplayLog: true}
 	sr, err := ExploreShard(clean, o, Shard{To: PlanSize(o)})

@@ -172,8 +172,6 @@ type runtimeConfig struct {
 	// livenessAtBound treats an execution that reaches maxSteps as an
 	// infinite execution and checks hot monitors (§2.5 heuristic).
 	livenessAtBound bool
-	// deadlockDetection reports machines stuck in Receive at quiescence.
-	deadlockDetection bool
 	// logCap bounds the lines collectLog may collect.
 	logCap int
 	// faults is the execution's fault budget.
@@ -775,27 +773,25 @@ func (r *Runtime) failSafety(msg string) {
 }
 
 // checkTermination runs when no machine is enabled: either a clean
-// quiescent termination, a deadlock, or a liveness violation (terminating
-// while a monitor is hot).
+// quiescent termination, a deadlock (machines stuck in Receive), or a
+// liveness violation (terminating while a monitor is hot).
 func (r *Runtime) checkTermination() {
-	if r.deadlockDetection {
-		blocked := ""
-		for _, m := range r.machines {
-			if m.status == statusWaitReceive {
-				if blocked != "" {
-					blocked += ", "
-				}
-				blocked += m.label()
+	blocked := ""
+	for _, m := range r.machines {
+		if m.status == statusWaitReceive {
+			if blocked != "" {
+				blocked += ", "
 			}
+			blocked += m.label()
 		}
-		if blocked != "" {
-			r.setBug(&BugReport{
-				Kind:    DeadlockBug,
-				Message: "deadlock: machines blocked in Receive with no pending matching event: " + blocked,
-				Step:    r.steps,
-			})
-			return
-		}
+	}
+	if blocked != "" {
+		r.setBug(&BugReport{
+			Kind:    DeadlockBug,
+			Message: "deadlock: machines blocked in Receive with no pending matching event: " + blocked,
+			Step:    r.steps,
+		})
+		return
 	}
 	r.checkLiveness("execution terminated")
 }

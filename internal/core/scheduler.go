@@ -81,8 +81,9 @@ func (f SchedulerFactory) New() FaultScheduler {
 // every execution of a run in order on a single instance — the exhaustive
 // dfs scheduler backtracks through the decision tree of the *previous*
 // execution, so its schedule space cannot be partitioned across workers.
-// The engine walks a sequential scheduler's iterations in order on one
-// goroutine with one instance, outside the worker pool.
+// A plan with a sequential member runs on one worker (Options.Resolve
+// clamps Workers), which walks the member's iterations in order on one
+// instance.
 func (f SchedulerFactory) Sequential() bool { return f.spec.Sequential }
 
 // Adaptive reports that the scheduler places its probes (priority change

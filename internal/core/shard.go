@@ -36,12 +36,6 @@ type Shard struct {
 	// DecodeCorpus of the coordinator's merged snapshot. Ignored when no
 	// member declares feedback.
 	Corpus *Corpus
-	// LengthHints, when non-nil, must have one entry per member and
-	// carries cached adaptive length hints from a previous ShardResult of
-	// the *same plan* (0 = not cached). A member's hint is a pure function
-	// of the plan, so reusing it skips the calibration execution a shard
-	// that does not own position (m, iteration 0) would otherwise repeat.
-	LengthHints []int
 }
 
 // CorpusCandidate is one corpus entry a shard merged locally, exported so
@@ -99,10 +93,6 @@ type ShardResult struct {
 	// generation barriers, in canonical position order, when a feedback
 	// member ran; nil otherwise.
 	Candidates []CorpusCandidate
-	// LengthHints holds the adaptive length hints in effect per member
-	// (0 where none), suitable for Shard.LengthHints on a later shard of
-	// the same plan.
-	LengthHints []int
 	// Elapsed is the wall-clock time of the call.
 	Elapsed time.Duration
 }
@@ -132,25 +122,22 @@ func PlanSize(o Options) int64 {
 // bit-identity for feedback members holds only when shards run with the
 // same corpus schedule — e.g. a single full-range shard.)
 //
-// Sequential schedulers (dfs) enumerate their space statefully across
-// executions and cannot be partitioned; a proper sub-range of a plan with
-// a sequential member is rejected with a ConfigError.
+// An adaptive member's length hint is pinned by its iteration 0 (see
+// calibrate in loop.go); a shard that holds positions of the member but
+// not that one re-runs it, so every shard of a plan pins the same hint and
+// carries nothing from an earlier one. Sequential schedulers (dfs)
+// enumerate their space statefully across executions and cannot be
+// partitioned; a proper sub-range of a plan with a sequential member is
+// rejected with a ConfigError.
 func ExploreShard(t Test, o Options, sh Shard) (ShardResult, error) {
 	o, err := o.Resolve(t)
 	if err != nil {
 		return ShardResult{}, err
 	}
-	nm := len(o.Members())
 	if total := PlanSize(o); sh.From < 0 || sh.To > total || sh.From >= sh.To {
 		return ShardResult{}, &ConfigError{
 			Field:  "Shard",
 			Reason: fmt.Sprintf("position range [%d, %d) must be a non-empty sub-range of the plan [0, %d)", sh.From, sh.To, total),
-		}
-	}
-	if sh.LengthHints != nil && len(sh.LengthHints) != nm {
-		return ShardResult{}, &ConfigError{
-			Field:  "Shard.LengthHints",
-			Reason: fmt.Sprintf("got %d hints for %d members", len(sh.LengthHints), nm),
 		}
 	}
 	ex, err := exploreRange(t, o, sh, false)
@@ -158,11 +145,10 @@ func ExploreShard(t Test, o Options, sh Shard) (ShardResult, error) {
 		return ShardResult{}, err
 	}
 	res := ShardResult{
-		From:        sh.From,
-		To:          sh.To,
-		ResolvedTo:  ex.frontier,
-		Candidates:  ex.candidates,
-		LengthHints: ex.hints,
+		From:       sh.From,
+		To:         sh.To,
+		ResolvedTo: ex.frontier,
+		Candidates: ex.candidates,
 	}
 	for _, ms := range ex.stats {
 		res.Executions += ms.Executions

@@ -181,57 +181,6 @@ func TestShardStopBoundPrunes(t *testing.T) {
 	}
 }
 
-// TestShardLengthHintsReplaceCalibration: a shard that does not own an
-// adaptive member's iteration 0 re-runs it purely for the length hint;
-// passing the hint from a previous result of the same plan skips that
-// execution without changing the outcome.
-func TestShardLengthHintsReplaceCalibration(t *testing.T) {
-	// Seed 4 puts the pct bug at iteration 6, leaving room for a later
-	// sub-shard that does not own the calibration position.
-	o := Options{Scheduler: "pct", Iterations: 1000, Seed: 4, Workers: 2, NoReplayLog: true}
-	total := PlanSize(o)
-	full, err := ExploreShard(raceTest(), o, Shard{From: 0, To: total})
-	if err != nil || !full.BugFound {
-		t.Fatalf("full shard: err=%v bug=%v", err, full.BugFound)
-	}
-	if full.LengthHints[0] == 0 {
-		t.Fatal("full shard pinned no length hint")
-	}
-	from := full.BugPos - 2
-	if from < 1 {
-		t.Fatalf("bug at position %d leaves no later sub-shard", full.BugPos)
-	}
-	// A shard's statistics cover its own range, so the skipped execution
-	// shows in what ran (Options.Progress), not in Executions — on one
-	// worker, where nothing races past the bug and completes uncounted.
-	var coldRan, warmRan int
-	o.Workers = 1
-	o.Progress = func(int) { coldRan++ }
-	cold, err := ExploreShard(raceTest(), o, Shard{From: from, To: total})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Progress = func(int) { warmRan++ }
-	warm, err := ExploreShard(raceTest(), o, Shard{From: from, To: total, LengthHints: full.LengthHints})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cold.BugFound || !warm.BugFound || cold.BugPos != full.BugPos || warm.BugPos != full.BugPos {
-		t.Fatalf("sub-shard winners diverge: cold=(%v,%d) warm=(%v,%d) want pos %d",
-			cold.BugFound, cold.BugPos, warm.BugFound, warm.BugPos, full.BugPos)
-	}
-	if !bytes.Equal(encodeTrace(t, cold.Report.Trace), encodeTrace(t, warm.Report.Trace)) {
-		t.Fatal("hinted and unhinted sub-shards disagree on the trace")
-	}
-	if warmRan != coldRan-1 {
-		t.Fatalf("hint did not skip the calibration execution: cold ran %d, warm ran %d", coldRan, warmRan)
-	}
-	if warm.Executions != cold.Executions || warm.TotalSteps != cold.TotalSteps {
-		t.Fatalf("the calibration execution below From leaked into the shard's statistics: cold=%d/%d warm=%d/%d",
-			cold.Executions, cold.TotalSteps, warm.Executions, warm.TotalSteps)
-	}
-}
-
 // TestShardRejectsBadConfig: sequential schedulers and malformed ranges
 // fail up front with typed ConfigErrors.
 func TestShardRejectsBadConfig(t *testing.T) {
@@ -246,7 +195,6 @@ func TestShardRejectsBadConfig(t *testing.T) {
 		{"empty range", o, Shard{From: 5, To: 5}, "non-empty sub-range"},
 		{"negative from", o, Shard{From: -1, To: 10}, "non-empty sub-range"},
 		{"beyond plan", o, Shard{From: 0, To: 101}, "non-empty sub-range"},
-		{"bad hints", o, Shard{From: 0, To: 10, LengthHints: []int{1, 2}}, "hints"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -267,10 +215,10 @@ func TestShardRejectsBadConfig(t *testing.T) {
 // TestCorpusCodecRoundTrip: Encode/DecodeCorpus preserve capacity, order,
 // fingerprints and decision sequences exactly.
 func TestCorpusCodecRoundTrip(t *testing.T) {
-	c := newCorpus(8)
-	c.add(0xdead, 3, []Decision{{Kind: DecisionSchedule, Machine: 2}, {Kind: DecisionBool, Bool: true}})
-	c.add(0xbeef, 7, []Decision{{Kind: DecisionInt, Int: 2, N: 4}})
-	c.add(0xf00d, 9, []Decision{{Kind: DecisionCrash, Machine: 1, Int: 0, N: 3}})
+	c := NewCorpus(8)
+	c.Add(0xdead, 3, []Decision{{Kind: DecisionSchedule, Machine: 2}, {Kind: DecisionBool, Bool: true}})
+	c.Add(0xbeef, 7, []Decision{{Kind: DecisionInt, Int: 2, N: 4}})
+	c.Add(0xf00d, 9, []Decision{{Kind: DecisionCrash, Machine: 1, Int: 0, N: 3}})
 	data, err := c.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +246,7 @@ func TestCorpusCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// A decoded corpus keeps deduplicating.
-	if got.add(0xbeef, 1, []Decision{{Kind: DecisionBool}}) {
+	if got.Add(0xbeef, 1, []Decision{{Kind: DecisionBool}}) {
 		t.Fatal("decoded corpus accepted a duplicate fingerprint")
 	}
 }
@@ -344,9 +292,9 @@ func TestShardSeededCorpusRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rebuild the corpus the first shard ended with from its candidates.
-	live := newCorpus(o.CorpusSize)
+	live := NewCorpus(0)
 	for _, cand := range first.Candidates {
-		live.add(cand.Fingerprint, int(cand.Position), cand.Decisions)
+		live.Add(cand.Fingerprint, int(cand.Position), cand.Decisions)
 	}
 	snap, err := live.Encode()
 	if err != nil {
@@ -356,9 +304,9 @@ func TestShardSeededCorpusRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt := newCorpus(o.CorpusSize)
+	rebuilt := NewCorpus(0)
 	for _, cand := range first.Candidates {
-		rebuilt.add(cand.Fingerprint, int(cand.Position), cand.Decisions)
+		rebuilt.Add(cand.Fingerprint, int(cand.Position), cand.Decisions)
 	}
 	a, err := ExploreShard(cleanChoiceTest(), o, Shard{From: 64, To: 128, Corpus: rebuilt})
 	if err != nil {

@@ -230,8 +230,8 @@ func TestRecordedNegativeValueNeverReachesTheHarness(t *testing.T) {
 		t.Fatalf("Replay = (%v, %v) with RandomInt returning %v, want the divergence %q", rep, err, got, want)
 	}
 
-	corpus := newCorpus(1)
-	corpus.add(1, 0, tr.Decisions)
+	corpus := NewCorpus(1)
+	corpus.Add(1, 0, tr.Decisions)
 	s := NewMutationalScheduler().(*mutationalScheduler)
 	s.AttachCorpus(corpus)
 	whole := 0

@@ -33,14 +33,14 @@ type AgentConfig struct {
 
 // Agent pulls leases from a coordinator and runs them with
 // core.ExploreShard. It is deliberately thin: all determinism lives in the
-// engine, all fleet state in the coordinator.
+// engine, all fleet state in the coordinator, and nothing carries over from
+// one lease to the next but the plan it joined.
 type Agent struct {
-	cfg   AgentConfig
-	hc    *http.Client
-	plan  PlanConfig
-	test  core.Test
-	opts  core.Options
-	hints []int
+	cfg  AgentConfig
+	hc   *http.Client
+	plan PlanConfig
+	test core.Test
+	opts core.Options
 }
 
 // NewAgent validates the configuration.
@@ -190,7 +190,7 @@ func (a *Agent) runLease(ctx context.Context, lr LeaseResponse) error {
 		}
 	}()
 
-	sh := core.Shard{From: lr.From, To: lr.To, Stop: stop.Load, LengthHints: a.hints}
+	sh := core.Shard{From: lr.From, To: lr.To, Stop: stop.Load}
 	if len(lr.Corpus) > 0 {
 		c, err := core.DecodeCorpus(lr.Corpus)
 		if err != nil {
@@ -203,16 +203,6 @@ func (a *Agent) runLease(ctx context.Context, lr LeaseResponse) error {
 	<-pollDone
 	if err != nil {
 		return err
-	}
-	// Cache adaptive length hints across leases of the same plan.
-	if a.hints == nil {
-		a.hints = res.LengthHints
-	} else {
-		for m, h := range res.LengthHints {
-			if h > 0 {
-				a.hints[m] = h
-			}
-		}
 	}
 	if ctx.Err() != nil {
 		// Killed mid-lease: die silently, the lease will expire.

@@ -321,7 +321,7 @@ func (co *Coordinator) mergeCorpusLocked() {
 		return
 	}
 	if co.corpus == nil {
-		co.corpus = core.NewCorpus(co.plan.CorpusSize)
+		co.corpus = core.NewCorpus(0)
 	}
 	frontier := co.lt.resolved.frontier()
 	merged := 0

@@ -323,7 +323,7 @@ func TestCleanRunCompletes(t *testing.T) {
 // fail loudly on an undecodable snapshot).
 func TestCorpusShipping(t *testing.T) {
 	test := choiceTest()
-	opts := core.Options{Scheduler: "mutational", Iterations: 400, Seed: 3, MaxSteps: 100, CorpusSize: 16, NoReplayLog: true}
+	opts := core.Options{Scheduler: "mutational", Iterations: 400, Seed: 3, MaxSteps: 100, NoReplayLog: true}
 
 	co, srv := startCoordinator(t, Config{
 		Scenario:  "choices",
@@ -747,7 +747,10 @@ func fill(t *testing.T, name string, v reflect.Value) {
 // machine-local and tagged off the wire — so a field added to core.Options
 // without that decision fails here instead of silently diverging a fleet.
 // The goldens are join bodies recorded before PlanConfig embedded
-// core.Options: same keys, same values, so ProtocolVersion stays 1.
+// core.Options, less corpus_size and no_deadlock_detection. Dropping those
+// two keys needs no ProtocolVersion bump: every plan gostormd can publish
+// carries 64 and false, which is what the other end resolves when the key
+// is absent or ignored.
 func TestPlanOnTheWireIsOptions(t *testing.T) {
 	var sent core.Options
 	typ := reflect.TypeOf(sent)
@@ -785,12 +788,12 @@ func TestPlanOnTheWireIsOptions(t *testing.T) {
 	}
 
 	if ProtocolVersion != 1 {
-		t.Fatalf("ProtocolVersion = %d: re-record the goldens with the bump", ProtocolVersion)
+		t.Fatalf("ProtocolVersion = %d, but the goldens are protocol 1's join bodies", ProtocolVersion)
 	}
 	for name, o := range map[string]core.Options{
 		"full": {
 			Portfolio: []string{"pct", "random", "delay"}, PCTDepth: 3, Seed: -42, Iterations: 1234, MaxSteps: 567,
-			CorpusSize: 9, Temperature: 77, NoDeadlockDetection: true, NoLivenessBoundCheck: true, NoFaults: true,
+			Temperature: 77, NoLivenessBoundCheck: true, NoFaults: true,
 			Faults:  core.Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3, MaxTornCrashes: 4},
 			Workers: 5, StopAfter: time.Second, NoReplayLog: true, LogCap: 11, NoReuse: true, Progress: func(int) {},
 		},

@@ -40,9 +40,10 @@
 // harness drives them, lease expiry included, with a fabricated time. This
 // file is the wire: the message types and, once for both ends, how an
 // exchange is framed (endpoint). agent.go is the agent's loop: leases, retry
-// policy, the stop-bound poller. A shard's statistics cover its own range
-// (core.ShardResult), so the fleet's sum over first reports is Explore's
-// count at any fleet size.
+// policy, the stop-bound poller; an agent keeps nothing between leases but
+// the plan, so every lease is explored as a fresh process would explore
+// it. A shard's statistics cover its own range (core.ShardResult), so the
+// fleet's sum over first reports is Explore's count at any fleet size.
 package dist
 
 import (

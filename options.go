@@ -135,8 +135,9 @@ func WithMaxSteps(n int) Option {
 // (default: one per CPU). In a portfolio every worker serves every member,
 // so WithWorkers(1) really is one worker. Results are bit-identical at
 // every worker count — the engine's determinism contract — so this is
-// purely a throughput knob. A sequential scheduler (dfs) is walked by one
-// goroutine of its own and replay is single-threaded, regardless.
+// purely a throughput knob. A plan with a sequential scheduler (dfs) runs
+// on one worker, which visits its positions in order, and replay is
+// single-threaded, regardless.
 func WithWorkers(n int) Option {
 	return positive("WithWorkers", n, func(o *core.Options) { o.Workers = n })
 }

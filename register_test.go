@@ -345,8 +345,8 @@ func TestResolveReportsEffectiveConfig(t *testing.T) {
 	if cfg.Workers != 1 {
 		t.Fatalf("sequential scheduler not clamped to one worker: %+v", cfg)
 	}
-	if cfg, err = gostorm.Resolve(test, gostorm.WithPortfolio("dfs", "random"), gostorm.WithWorkers(8)); err != nil || cfg.Workers != 8 {
-		t.Fatalf("a plan with a non-sequential member keeps its pool: %+v, %v", cfg, err)
+	if cfg, err = gostorm.Resolve(test, gostorm.WithPortfolio("dfs", "random"), gostorm.WithWorkers(8)); err != nil || cfg.Workers != 1 {
+		t.Fatalf("any sequential member clamps the pool to one worker: %+v, %v", cfg, err)
 	}
 
 	cfg, err = gostorm.Resolve(test, gostorm.WithPortfolio("random", "pct"),

@@ -65,8 +65,12 @@ func PlanSize(opts ...Option) (int64, error) {
 // when shards observe the same corpus schedule. Any bug they report is
 // still real and its trace replays exactly.)
 //
-// Sequential schedulers (dfs) enumerate their space statefully; a proper
-// sub-range of a plan that has one is rejected with a *ConfigError.
+// A shard that holds positions of an adaptive member (pct, delay) but not
+// its iteration 0 re-runs that execution first, for the member's length
+// estimate; the execution counts in the statistics of the shard that owns
+// it, so the sums over a partition are Explore's. Sequential schedulers
+// (dfs) enumerate their space statefully; a proper sub-range of a plan
+// that has one is rejected with a *ConfigError.
 func ExploreShard(t Test, sh Shard, opts ...Option) (ShardResult, error) {
 	c, err := resolve(opts)
 	if err != nil {
