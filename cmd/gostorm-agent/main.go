@@ -1,7 +1,7 @@
 // Command gostorm-agent is the distributed exploration worker: it joins a
 // gostormd coordinator, pulls position leases from the shared schedule
 // plan, explores them with the engine's sub-range hook, and reports
-// resolved prefixes, bugs, and corpus candidates back.
+// resolved prefixes, statistics and bugs back.
 //
 // The agent is deliberately thin — it holds no fleet state, carries
 // nothing from one lease to the next but the plan it joined, and makes no

@@ -1,15 +1,17 @@
 // Command gostormd is the distributed exploration coordinator: it owns
 // one exploration plan over a registered scenario, serves the control
-// plane (lease grants, bug reports, corpus merging, /v1/status, /healthz,
-// /metrics) to a fleet of gostorm-agent processes, and exits with the
-// run's verdict once the deterministic winner is confirmed.
+// plane (lease grants, bug reports, /v1/status, /healthz, /metrics) to a
+// fleet of gostorm-agent processes, and exits with the run's verdict once
+// the deterministic winner is confirmed.
 //
 // The coordinator never executes the scenario itself — it only cuts the
 // global schedule plan into leases and merges what agents report. For a
 // fixed -seed and plan, the winning bug (member, iteration, trace bytes)
 // is bit-identical whatever the fleet size or agent churn. The plan flags
 // are systest's own (cmd/internal/runflags), so `systest` with the same
-// flags explores the same plan in one process.
+// flags explores the same plan in one process. A plan with a dfs or
+// mutational member runs whole and is refused here, as `systest -shard`
+// refuses it.
 //
 // Usage:
 //

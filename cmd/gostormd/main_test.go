@@ -152,11 +152,15 @@ func TestDistributedSmoke(t *testing.T) {
 		}
 	}
 
+	// Wait closes the output pipe, so it must not run before the drain has
+	// read everything the coordinator wrote.
 	coordErr := make(chan error, 1)
-	go func() { coordErr <- coord.Wait() }()
+	go func() {
+		<-drained
+		coordErr <- coord.Wait()
+	}()
 	select {
 	case err := <-coordErr:
-		<-drained
 		if code := exitCode(err); code != 1 {
 			t.Fatalf("gostormd exit = %d, want 1 (bug found):\n%s", code, coordOut.String())
 		}
@@ -238,7 +242,7 @@ func TestFleetPlanIsASystestPlan(t *testing.T) {
 		{"-test", "ExtentNodeLivenessViolation", "-faults", "crashes=0"},
 		{"-test", "replsys-safety", "-portfolio", "random,pct"},
 		{"-test", "replsys-safety", "-scheduler", "portfolio", "-portfolio", "pct,delay", "-pct-depth", "3"},
-		{"-test", "mtable", "-scheduler", "mutational"},
+		{"-test", "mtable", "-scheduler", "delay"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			fs := flag.NewFlagSet("systest", flag.ContinueOnError)
@@ -304,7 +308,8 @@ func TestCoordinatorConfigErrors(t *testing.T) {
 		want string
 	}{
 		{"plan flag", coordBin, []string{"-test", "wal-torn-tail", "-iterations", "-5"}, "gostormd: gostorm: WithIterations: must be positive, got -5"},
-		{"sequential scheduler", coordBin, []string{"-test", "wal-torn-tail", "-scheduler", "dfs"}, "cannot be sharded"},
+		{"sequential scheduler", coordBin, []string{"-test", "wal-torn-tail", "-scheduler", "dfs"}, "cannot explore a sub-range"},
+		{"feedback scheduler", coordBin, []string{"-test", "wal-torn-tail", "-portfolio", "random,mutational"}, "cannot explore a sub-range"},
 		{"negative lease", coordBin, []string{"-test", "wal-torn-tail", "-lease", "-1"}, "-lease must be non-negative"},
 		{"negative lease-ttl", coordBin, []string{"-test", "wal-torn-tail", "-lease-ttl", "-1s"}, "-lease-ttl must be non-negative, got -1s"},
 		{"negative linger", coordBin, []string{"-test", "wal-torn-tail", "-linger", "-2s"}, "-linger must be non-negative, got -2s"},

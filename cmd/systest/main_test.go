@@ -319,6 +319,7 @@ func TestCLIShardFlagValidation(t *testing.T) {
 		{[]string{"-test", "wal-torn-tail", "-shard", "0/0"}, "shard count must be positive"},
 		{[]string{"-test", "wal-torn-tail", "-shard", "0/2", "-replay", "x.trace"}, "conflicts with -replay"},
 		{[]string{"-test", "wal-torn-tail", "-shard", "0/2", "-scheduler", "dfs"}, "cannot explore a sub-range"},
+		{[]string{"-test", "wal-torn-tail", "-shard", "0/2", "-scheduler", "mutational"}, "cannot explore a sub-range"},
 	} {
 		out, code := runSystest(t, tc.args...)
 		if code != 2 {

@@ -98,6 +98,11 @@
 //     in fixed-size generation windows with the corpus frozen inside a
 //     window and merged, in position order, at the barrier between two;
 //     without one the whole range is a single window.
+//   - Whole plans. A sequential member ties each position to the
+//     execution before it, and a feedback member to the corpus every
+//     earlier position built, so a plan with either runs whole:
+//     ExploreShard refuses a proper sub-range of it, and the distributed
+//     coordinator refuses the plan.
 //   - Statistics. Executions, TotalSteps, the per-member Portfolio
 //     statistics and exhaustion are folded in position order as positions
 //     resolve, over the contiguous resolved prefix up to the winning
@@ -107,9 +112,6 @@
 //     the executions done: nothing on one worker, a few positions per
 //     worker in flight on several, at most a window with a feedback
 //     member.
-//   - WithStopAfter. The first position always executes; the deadline is
-//     checked before every later claim, and the statistics count the
-//     resolved prefix, leaving out executions above a claim it refused.
 //
 // # Determinism contract
 //
@@ -117,7 +119,10 @@
 // seed and option set. The loop above is why: which goroutine runs a
 // position is irrelevant to what it explores, the winning (member,
 // iteration, trace) is decided by plan order, and the statistics count
-// only positions a sequential run would have reached. Pooling (see
+// only positions a sequential run would have reached. The loop reads the
+// wall clock only to report elapsed time and takes no callback, so the
+// outcome is a function of the plan, the range and a shard's Stop bound
+// alone; a caller that must cut a run short lowers Stop. Pooling (see
 // below) is semantically invisible, and every reported trace replays
 // exactly, single-threaded.
 //
@@ -184,23 +189,22 @@
 // interleaving that drove the system into a rare state is reused as the
 // starting point for finding the bug behind that state.
 //
-// Determinism is preserved, with one caveat worth knowing. The corpus
-// evolves in fixed-size generations (a constant number of iterations,
-// independent of worker count): frozen within a generation, merged at
-// the barrier in canonical iteration order. Results — including
-// Result.Corpus, the fingerprints of the final corpus — therefore stay
-// bit-identical at every worker count for a fixed seed and budget. The
-// caveat: unlike random or pct, an execution's schedule is a function of
-// (seed, iteration, corpus snapshot), so truncating the iteration budget
-// can change which schedule a given iteration explores; reproduce a
-// feedback run with the same seed AND the same budget. Reported traces
-// replay exactly regardless, as for every scheduler. In a portfolio, one
-// feedback member gives the whole run generation windows and all
-// members share one corpus: a random member that stumbles into a novel
-// behavior seeds the prefixes the mutational member splices. Custom
-// schedulers opt in by declaring Feedback in their SchedulerSpec and
-// implementing FeedbackScheduler; the conformance matrix then also
-// checks them with a synthetic corpus attached.
+// Determinism is preserved. The corpus evolves in fixed-size generations
+// (a constant number of iterations, independent of worker count, aligned
+// to the plan rather than the budget): frozen within a generation, merged
+// at the barrier in canonical iteration order. An execution's schedule is
+// a function of (seed, iteration, corpus snapshot), and the snapshot one
+// of the positions before it, so results — including Result.Corpus, the
+// fingerprints of the final corpus — are bit-identical at every worker
+// count, and a smaller budget explores the same schedules at the
+// positions it reaches. The price is that such a plan runs whole (see
+// the loop above). Reported traces replay exactly, as for every
+// scheduler. In a portfolio, one feedback member gives the whole run
+// generation windows and all members share one corpus: a random member
+// that stumbles into a novel behavior seeds the prefixes the mutational
+// member splices. Custom schedulers opt in by declaring Feedback in their
+// SchedulerSpec and implementing FeedbackScheduler; the conformance
+// matrix then also checks them with a synthetic corpus attached.
 //
 // # Fault plane
 //
@@ -306,8 +310,8 @@
 // surface. The coordinator owns the plan and serves a versioned
 // HTTP+JSON protocol — POST /v1/join (protocol/scenario handshake),
 // POST /v1/lease (pull-model work stealing: bounded position spans
-// granted lowest-first), POST /v1/report (resolved prefix, bug, corpus
-// candidates), GET /v1/status, plus /healthz and Prometheus-style
+// granted lowest-first), POST /v1/report (resolved prefix, statistics,
+// bug), GET /v1/status, plus /healthz and Prometheus-style
 // /metrics — and never executes the scenario itself. Agents are thin
 // and stateless: join, pull a lease, run it through ExploreShard, report,
 // repeat. The coordinator stores the resolved positions (one coalesced
@@ -347,16 +351,13 @@
 // over first reports are Explore's Executions and TotalSteps at any fleet
 // size.
 //
-// The resulting contract mirrors the worker-count contract: for a fixed
-// seed and plan, the winning (member, iteration, trace bytes) — and, on
-// clean runs, the canonical execution statistics — are bit-identical
-// whatever the fleet size, lease size, agent arrival order, or agent
-// churn. Feedback schedulers carry the one caveat documented on
-// ExploreShard: their schedules depend on the corpus snapshot each
-// generation observes, so cross-partition bit-identity holds only when
-// shards observe the same corpus schedule; corpus merging over the wire
-// is best-effort (canonical order up to the resolved frontier), and any
-// bug reported is still real with a trace that replays exactly.
+// The resulting contract mirrors the worker-count contract, with no
+// exception: for a fixed seed and plan, the winning (member, iteration,
+// trace bytes) — and, on clean runs, the canonical execution statistics —
+// are bit-identical whatever the fleet size, lease size, agent arrival
+// order, or agent churn. A plan with a sequential or feedback member is
+// refused, by the rule ExploreShard applies to a sub-range, because its
+// positions cannot be explored a lease at a time.
 //
 // # Performance and pooling
 //

@@ -57,8 +57,8 @@ type Corpus struct {
 }
 
 // NewCorpus returns an empty corpus with the given capacity (<= 0 means
-// the default) — the engine's, and the one a distributed coordinator
-// rebuilds a fleet-wide corpus from shard candidates in.
+// the default) — the engine's, and the one a caller rebuilds a shard's
+// corpus from its candidates in.
 func NewCorpus(cap int) *Corpus {
 	if cap <= 0 {
 		cap = defaultCorpusSize
@@ -98,8 +98,7 @@ func (c *Corpus) full() bool { return len(c.entries) >= c.cap }
 
 // Add records an entry, refusing duplicates, empty decision sequences and
 // capacity overflow, and reports whether it was admitted. Within the engine
-// only generation barriers call it; a distributed coordinator calls it for
-// its canonical-order merge.
+// only generation barriers call it.
 func (c *Corpus) Add(fp uint64, iteration int, decisions []Decision) bool {
 	if c.full() || c.seen[fp] || len(decisions) == 0 {
 		return false
@@ -110,8 +109,8 @@ func (c *Corpus) Add(fp uint64, iteration int, decisions []Decision) bool {
 }
 
 // CorpusVersion is the corpus serialization format version written by
-// Encode. Like traces, corpora are versioned so a coordinator and its
-// agents fail loudly on a format they do not share.
+// Encode. Like traces, corpora are versioned so a reader fails loudly on a
+// format it does not share.
 const CorpusVersion = 1
 
 // corpusJSON is the wire form of a corpus; entries reuse the versioned
@@ -130,7 +129,7 @@ type corpusEntryJSON struct {
 
 // Encode serializes the corpus — capacity, entries in canonical insertion
 // order, each with its fingerprint, recording iteration, and full decision
-// sequence — so a coordinator can ship interesting prefixes to agents.
+// sequence.
 func (c *Corpus) Encode() ([]byte, error) {
 	out := corpusJSON{Version: CorpusVersion, Cap: c.cap, Entries: make([]corpusEntryJSON, len(c.entries))}
 	for i, e := range c.entries {

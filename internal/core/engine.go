@@ -82,16 +82,6 @@ type Options struct {
 	// a monitor stays hot for that many consecutive steps, instead of
 	// waiting for the full bound.
 	Temperature int `json:"temperature,omitempty"`
-	// StopAfter, when positive, bounds the total wall-clock time. The
-	// run's first position (iteration 0; for ExploreShard, Shard.From)
-	// always executes, and the deadline is checked before every later
-	// claim — so a run performs at least one execution at any worker
-	// count, and can overshoot by the length of the executions in flight
-	// (at most MaxSteps scheduling steps each). The statistics count the
-	// resolved prefix of the plan: with several workers a claim the
-	// deadline refused can leave a gap below executions that still ran,
-	// and those are not counted — in Explore as in ExploreShard.
-	StopAfter time.Duration `json:"-"`
 	// NoLivenessBoundCheck disables the treat-bound-as-infinite liveness
 	// heuristic (hot-at-termination is still checked).
 	NoLivenessBoundCheck bool `json:"no_liveness_bound_check,omitempty"`
@@ -121,14 +111,6 @@ type Options struct {
 	// scenario crash-free (an all-zero Faults cannot express this, since
 	// the zero value defers to the test).
 	NoFaults bool `json:"no_faults,omitempty"`
-	// Progress, if non-nil, is called after every completed execution —
-	// including the buggy final one — with the number completed so far.
-	// Parallel workers serialize the calls under a lock, so the callback
-	// need not be goroutine-safe; counts are strictly increasing. When a
-	// parallel run finds a bug, executions that completed at higher
-	// positions before it surfaced were counted too, so the final
-	// Progress count can exceed the canonical Executions of the Result.
-	Progress func(executions int) `json:"-"`
 
 	// debugCheckEnabled turns on the per-step enabled-set cross-check for
 	// every runtime of the run: the incrementally maintained set is
@@ -269,10 +251,8 @@ type Result struct {
 	// it; Report.Log holds the detailed event log from the confirmation
 	// replay.
 	Report *BugReport
-	// Executions is the number of executions performed (including the
-	// buggy one) in the resolved prefix of the plan: all of them, unless a
-	// StopAfter deadline left a gap below some that still ran (see
-	// Options.StopAfter).
+	// Executions is the number of executions performed, including the
+	// buggy one.
 	Executions int
 	// TotalSteps is the number of scheduling steps across all executions.
 	TotalSteps int64
@@ -319,7 +299,7 @@ func (res Result) String() string {
 
 // Explore systematically tests t: it executes the harness repeatedly, each
 // time under a different schedule, until a safety or liveness violation is
-// found, the iteration/time budget is exhausted, or the schedule space is
+// found, the iteration budget is exhausted, or the schedule space is
 // fully covered. This is the testing process of the paper's §2: fully
 // automatic, no false positives (assuming an accurate harness), every bug
 // witnessed by a replayable trace. It is the engine's single entry point:
@@ -341,8 +321,7 @@ func (res Result) String() string {
 // of the same seed reaches first. The statistics count exactly the
 // executions at or below that position, so for a fixed seed the Result —
 // winning member, iteration, trace, Executions, TotalSteps, per-member
-// attribution — is bit-identical at any worker count (absent a StopAfter
-// deadline).
+// attribution — is bit-identical at any worker count.
 func Explore(t Test, o Options) (Result, error) {
 	o, err := o.Resolve(t)
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -100,47 +101,6 @@ func TestParallelForcesSequentialDFS(t *testing.T) {
 	}
 }
 
-// TestProgressIncludesBuggyExecution pins the bookkeeping fix: Progress
-// fires for every completed execution, including the final buggy one.
-func TestProgressIncludesBuggyExecution(t *testing.T) {
-	var calls []int
-	res := MustExplore(raceTest(), Options{
-		Scheduler: "random", Iterations: 2000, Seed: 7, Workers: 1, NoReplayLog: true,
-		Progress: func(n int) { calls = append(calls, n) },
-	})
-	if !res.BugFound {
-		t.Fatal("bug not found")
-	}
-	if len(calls) != res.Executions {
-		t.Fatalf("progress calls = %d, want %d (one per execution, buggy one included)",
-			len(calls), res.Executions)
-	}
-	if calls[len(calls)-1] != res.Executions {
-		t.Fatalf("last progress count = %d, want %d", calls[len(calls)-1], res.Executions)
-	}
-}
-
-// TestParallelProgressMonotonic: worker-pool progress counts are
-// serialized and strictly increasing.
-func TestParallelProgressMonotonic(t *testing.T) {
-	var calls []int
-	res := MustExplore(cleanChoiceTest(), Options{
-		Scheduler: "random", Iterations: 200, Seed: 5, Workers: 4, NoReplayLog: true,
-		Progress: func(n int) { calls = append(calls, n) },
-	})
-	if res.BugFound {
-		t.Fatalf("unexpected bug: %v", res.Report.Error())
-	}
-	if len(calls) != 200 {
-		t.Fatalf("progress calls = %d, want 200", len(calls))
-	}
-	for i, n := range calls {
-		if n != i+1 {
-			t.Fatalf("progress call %d reported %d, want %d", i, n, i+1)
-		}
-	}
-}
-
 // TestSchedulerNextIntBoundGuard: a non-positive RandomInt range fails
 // with an engine-attributed message, not an opaque rand.Intn panic.
 func TestSchedulerNextIntBoundGuard(t *testing.T) {
@@ -192,84 +152,43 @@ func TestSchedulerFactoryInstancesAreIndependent(t *testing.T) {
 	}
 }
 
-// hugeBudgetRuns are the adapter-level shapes of the one exploration loop —
-// single scheduler, feedback windows, portfolios with an adaptive and with
-// a feedback member, and a shard spanning the whole plan — each returning
-// the executions it counted.
-var hugeBudgetRuns = []struct {
-	name string
-	run  func(Test, Options) int
-}{
-	{"random", func(t Test, o Options) int {
-		o.Scheduler = "random"
-		return MustExplore(t, o).Executions
-	}},
-	{"mutational", func(t Test, o Options) int {
-		o.Scheduler = "mutational"
-		return MustExplore(t, o).Executions
-	}},
-	{"random,pct", func(t Test, o Options) int {
-		return MustExplore(t, withMembers(o, "random", "pct")).Executions
-	}},
-	{"random,mutational", func(t Test, o Options) int {
-		return MustExplore(t, withMembers(o, "random", "mutational")).Executions
-	}},
-	{"shard", func(t Test, o Options) int {
-		o = withMembers(o, "random", "pct")
-		res, err := ExploreShard(t, o, Shard{From: 0, To: PlanSize(o)})
-		if err != nil {
-			panic(err)
-		}
-		return res.Executions
-	}},
-}
-
 // TestHugeBudgetMemoryIsProportionalToWork: "run for 50 ms" written as an
-// enormous iteration count plus StopAfter must cost memory in proportion to
-// the executions actually done. The loops used to allocate bookkeeping per
-// *requested* iteration — 8 GiB a member here — which ran the deadline out
+// enormous iteration count cut short by the shard's Stop bound — dropped to
+// 0 after 50 ms, the way an agent aborts a lease — must cost memory in
+// proportion to the executions actually done, for every shape of the loop:
+// a single scheduler, feedback windows, and portfolios with an adaptive and
+// with a feedback member. The loops used to allocate bookkeeping per
+// *requested* iteration — 8 GiB a member here — which ran out the time
 // before the first execution and OOM-killed -race runs.
 func TestHugeBudgetMemoryIsProportionalToWork(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, c := range hugeBudgetRuns {
+	huge := Options{Iterations: 1 << 30, Seed: 1, Workers: 2}
+	random, mutational := huge, huge
+	random.Scheduler, mutational.Scheduler = "random", "mutational"
+	for _, o := range []Options{random, mutational, withMembers(huge, "random", "pct"), withMembers(huge, "random", "mutational")} {
+		name := strings.Join(o.Members(), ",")
+		var stop atomic.Int64
+		stop.Store(PlanSize(o))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		execs := c.run(pingPongTest(50, false), Options{
-			Iterations: 1 << 30, StopAfter: 50 * time.Millisecond, Seed: 1, Workers: 2,
-		})
+		time.AfterFunc(50*time.Millisecond, func() { stop.Store(0) })
+		res, err := ExploreShard(pingPongTest(50, false), o, Shard{From: 0, To: PlanSize(o), Stop: stop.Load})
 		wall := time.Since(start)
 		runtime.ReadMemStats(&after)
-		if execs < 1 || execs == 1<<30 {
-			t.Fatalf("%s: %d executions, want a time-bounded run of at least one", c.name, execs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if execs := res.Executions; execs < 1 || int64(execs) == PlanSize(o) {
+			t.Fatalf("%s: %d executions, want a time-bounded run of at least one", name, execs)
 		}
 		if wall > time.Second {
-			t.Errorf("%s: a 50 ms budget took %v", c.name, wall)
+			t.Errorf("%s: a 50 ms budget took %v", name, wall)
 		}
 		alloc := after.TotalAlloc - before.TotalAlloc
-		t.Logf("%s: %d executions in %v, %d KiB allocated", c.name, execs, wall, alloc>>10)
+		t.Logf("%s: %d executions in %v, %d KiB allocated", name, res.Executions, wall, alloc>>10)
 		if alloc > 64<<20 {
-			t.Errorf("%s: allocated %d MiB for %d executions", c.name, alloc>>20, execs)
-		}
-	}
-}
-
-// TestStopAfterFirstPositionAlwaysExecutes pins the one meaning of
-// StopAfter: the range's first position always executes and the deadline
-// is checked before every later claim — so a deadline that has passed
-// before the run starts yields exactly one execution, whatever the shape
-// of the run or the worker count. (The loops used to disagree: one worker
-// ran an execution before looking at the clock, several looked first and
-// ran none.)
-func TestStopAfterFirstPositionAlwaysExecutes(t *testing.T) {
-	for _, c := range hugeBudgetRuns {
-		for _, workers := range []int{1, 4} {
-			execs := c.run(cleanChoiceTest(), Options{
-				Iterations: 1000, StopAfter: time.Nanosecond, Seed: 1, Workers: workers,
-			})
-			if execs != 1 {
-				t.Errorf("%s, %d workers: %d executions under an expired deadline, want 1", c.name, workers, execs)
-			}
+			t.Errorf("%s: allocated %d MiB for %d executions", name, alloc>>20, res.Executions)
 		}
 	}
 }
@@ -307,16 +226,19 @@ func TestExplorationBookkeepingIsConstant(t *testing.T) {
 			}
 			o := c.o
 			o.Seed, o.NoReplayLog = 1, true
-			o.Progress = func(n int) {
-				switch n {
+			// The plan runs on one worker, so the executions start in turn.
+			test, started := c.test, 0
+			test.Entry = func(ctx *Context) {
+				switch started++; started {
 				case 1000:
 					live(&early)
 				case total:
 					live(&late)
 				}
+				c.test.Entry(ctx)
 			}
 			runtime.ReadMemStats(&before)
-			res := MustExplore(c.test, o)
+			res := MustExplore(test, o)
 			runtime.ReadMemStats(&after)
 			if res.BugFound || res.Executions != total {
 				t.Fatalf("got %d executions (bug %v), want a clean run of %d", res.Executions, res.BugFound, total)

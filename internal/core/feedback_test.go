@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -28,6 +31,27 @@ func fpDiverseTest() Test {
 				ctx.CreateMachine(&FuncMachine{
 					OnInit: func(ctx *Context) { ctx.Send(collector, Signal(name)) },
 				}, name+"-sender")
+			}
+		},
+	}
+}
+
+// fanInTest is a clean workload with n! coverage fingerprints: n senders
+// race to a collector, and the order it dequeues them in is the
+// fingerprint. At n = 5 a feedback run keeps finding novel ones for
+// hundreds of executions.
+func fanInTest(n int) Test {
+	return Test{
+		Name: "fan-in",
+		Entry: func(ctx *Context) {
+			collector := ctx.CreateMachine(&FuncMachine{
+				OnEvent: func(ctx *Context, ev Event) {},
+			}, "collector")
+			for i := range n {
+				name := Signal(fmt.Sprint("s", i))
+				ctx.CreateMachine(&FuncMachine{
+					OnInit: func(ctx *Context) { ctx.Send(collector, name) },
+				}, string(name)+"-sender")
 			}
 		},
 	}
@@ -169,6 +193,59 @@ func TestMutationalBugDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 		assertSameCorpus(t, label, ref, res)
+	}
+}
+
+// TestFeedbackScheduleIgnoresBudget: generation windows are aligned to the
+// plan, not to the budget, so a budget that ends mid-window changes no
+// schedule below it. A clean run's corpus candidates at a smaller budget are
+// those of a larger one recorded below the smaller plan's end, and a bug is
+// found at the same iteration, with the same trace bytes, under any budget
+// that reaches it — here the staged bug at iteration 266, with budgets
+// ending before, mid-way through and after the window [256, 320) it is in.
+func TestFeedbackScheduleIgnoresBudget(t *testing.T) {
+	for _, o := range []Options{{Scheduler: "mutational"}, withMembers(Options{}, "random", "mutational")} {
+		o.Seed, o.Workers, o.NoReplayLog = 13, 4, true
+		name := strings.Join(o.Members(), ",")
+		var ref []CorpusCandidate
+		for _, iterations := range []int{300, 100, 150, 231} { // the reference first; each of the rest ends mid-window
+			o.Iterations = iterations
+			res, err := ExploreShard(fanInTest(5), o, Shard{To: PlanSize(o)})
+			if err != nil || res.BugFound {
+				t.Fatalf("%s, %d iterations: error %v, bug %v", name, iterations, err, res.BugFound)
+			}
+			if ref == nil {
+				ref = res.Candidates
+				continue
+			}
+			var want []CorpusCandidate
+			for _, c := range ref {
+				if c.Position < PlanSize(o) {
+					want = append(want, c)
+				}
+			}
+			if len(want) < 2 || len(want) == len(ref) {
+				t.Fatalf("%s, %d iterations: %d of the reference's %d candidates lie below the plan's end; the comparison means nothing",
+					name, iterations, len(want), len(ref))
+			}
+			if !reflect.DeepEqual(res.Candidates, want) {
+				t.Fatalf("%s, %d iterations: candidates\n got %v\nwant %v", name, iterations, res.Candidates, want)
+			}
+		}
+	}
+
+	var want []byte
+	for _, iterations := range []int{5000, 3000, 300, 267} {
+		res := MustExplore(stagedBugTest(), Options{Scheduler: "mutational", Iterations: iterations, Seed: 3, Workers: 4, NoReplayLog: true})
+		if !res.BugFound || res.Report.Iteration != 266 {
+			t.Fatalf("%d iterations: bug %v, want the staged bug at iteration 266", iterations, res.BugFound)
+		}
+		got := encodeTrace(t, res.Report.Trace)
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("%d iterations: the trace differs from the %d-iteration run's", iterations, 5000)
+		}
 	}
 }
 

@@ -36,10 +36,12 @@ package core
 //
 // Windows. With a feedback member the range is drained in generation
 // windows of feedbackRoundSize iterations (feedbackRoundSize*nm
-// positions, aligned to the plan, not to the range): the corpus is frozen
-// within a window and grows only at the barrier, in position order, so the
-// corpus a position observes is a function of its generation alone.
-// Without one the whole range is a single window.
+// positions, aligned to the plan): the corpus is frozen within a window
+// and grows only at the barrier, in position order, so the corpus a
+// position observes is a function of its generation alone — that is, of
+// every position in the generations before it. Such a plan, like one with
+// a sequential member, is therefore only ever drained whole
+// (CheckSubRange). Without one the whole range is a single window.
 //
 // Statistics. Every resolution of a position — an execution, or the
 // member's scheduler refusing it — passes through one critical section,
@@ -55,7 +57,6 @@ package core
 // report, a shard's ResolvedTo included, is the fold after the drain.
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,13 +102,12 @@ type explored struct {
 	next   atomic.Int64 // the window's next unclaimed position
 	bugPos atomic.Int64 // lowest buggy position so far (the plan size when none); lowered under mu
 
-	mu        sync.Mutex // guards this group and the Progress calls
-	completed int
-	bug       *BugReport
-	stats     []MemberStats   // by member, folded over [sh.From, frontier)
-	frontier  int64           // end of the range's contiguous resolved prefix
-	pending   map[int64]int64 // positions resolved above the frontier: steps, or refused
-	spent     int64           // sequential members whose refusal the fold has passed
+	mu       sync.Mutex // guards this group
+	bug      *BugReport
+	stats    []MemberStats   // by member, folded over [sh.From, frontier)
+	frontier int64           // end of the range's contiguous resolved prefix
+	pending  map[int64]int64 // positions resolved above the frontier: steps, or refused
+	spent    int64           // sequential members whose refusal the fold has passed
 
 	start time.Time
 	// corpus is the final exploration corpus and candidates the entries
@@ -121,6 +121,12 @@ type explored struct {
 // reports the outcome. o is resolved (Options.Resolve) and the range lies
 // within the plan; timed asks for per-member execution time.
 func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
+	total := PlanSize(o)
+	if sh.From != 0 || sh.To != total {
+		if err := CheckSubRange(o); err != nil {
+			return nil, err
+		}
+	}
 	members := o.Members()
 	ex := &explored{
 		t: t, o: o, sh: sh, timed: timed, nm: int64(len(members)),
@@ -128,18 +134,11 @@ func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
 		stats: make([]MemberStats, len(members)), frontier: sh.From,
 		start: time.Now(),
 	}
-	total := PlanSize(o)
 	ex.bugPos.Store(total)
 	for m, name := range members {
 		f, err := NewSchedulerFactory(name, o.PCTDepth)
 		if err != nil {
 			return nil, err
-		}
-		if f.Sequential() && (sh.From != 0 || sh.To != total) {
-			return nil, &ConfigError{
-				Field:  "Shard",
-				Reason: fmt.Sprintf("scheduler %q enumerates its schedule space statefully and cannot explore a sub-range", name),
-			}
 		}
 		ex.feedback = ex.feedback || f.Feedback()
 		ex.factories[m] = f
@@ -152,10 +151,7 @@ func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
 		}
 	}
 	if ex.feedback {
-		ex.corpus = sh.Corpus
-		if ex.corpus == nil {
-			ex.corpus = NewCorpus(0)
-		}
+		ex.corpus = NewCorpus(0)
 	}
 	ex.workers = int(min(int64(o.Workers), sh.To-sh.From))
 
@@ -172,13 +168,6 @@ func (ex *explored) bound() int64 {
 		b = min(b, ex.sh.Stop())
 	}
 	return b
-}
-
-// pastDeadline reports that StopAfter has run out: the range's first
-// position always executes (with its member's calibration); every other
-// one is claimed only before the deadline.
-func (ex *explored) pastDeadline() bool {
-	return ex.o.StopAfter > 0 && time.Since(ex.start) > ex.o.StopAfter
 }
 
 // newClaimer builds a claimer on pool; its instances are the caller's to
@@ -226,12 +215,6 @@ func (ex *explored) run(c *claimer, sched FaultScheduler, g int64, cand *candida
 	ex.mu.Lock()
 	ex.stats[m].Elapsed += busy
 	if !r.aborted {
-		if ex.o.Progress != nil {
-			// Counted under the lock so Progress sees strictly increasing
-			// counts across claimers.
-			ex.completed++
-			ex.o.Progress(ex.completed)
-		}
 		if rep != nil && g < ex.bugPos.Load() {
 			ex.bugPos.Store(g)
 			rep.Trace = newTrace(ex.t.Name, sched.Name(), seed, ex.o.EffectiveFaults(ex.t), r.dec.decode())
@@ -316,9 +299,6 @@ func (ex *explored) calibrate() {
 		if (g < ex.sh.From || g >= ex.sh.To) && firstPosOfMember(m, ex.nm, ex.sh.From) >= ex.sh.To {
 			continue // the range holds no position of this member
 		}
-		if g != ex.sh.From%ex.nm && ex.pastDeadline() {
-			continue // not the first position's member: the deadline applies
-		}
 		if steps, ok := ex.run(cal, ex.factories[m].New(), g, nil); ok {
 			ex.factories[m] = ex.factories[m].WithLengthHint(int(steps))
 		}
@@ -394,9 +374,6 @@ func (ex *explored) drain() {
 				}
 			}
 		}
-		if ex.pastDeadline() {
-			return
-		}
 		wf = wt
 	}
 }
@@ -406,9 +383,6 @@ func (ex *explored) claim(c *claimer, wf, wt int64, cands []candidate) {
 	for {
 		g := ex.next.Add(1) - 1
 		if g >= wt || g >= ex.bound() {
-			return
-		}
-		if g != ex.sh.From && ex.pastDeadline() {
 			return
 		}
 		m := g % ex.nm

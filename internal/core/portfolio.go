@@ -11,8 +11,7 @@ import (
 // finds all bugs, so practitioners race several and take the first hit.
 // Every field except Elapsed is canonical: derived from the executions at
 // or below the winning position of the plan, and so identical for a fixed
-// seed at any worker count (absent a StopAfter deadline, under which they
-// count the plan's contiguous resolved prefix — see Options.StopAfter).
+// seed at any worker count.
 type MemberStats struct {
 	// Scheduler is the member's scheduler name.
 	Scheduler string

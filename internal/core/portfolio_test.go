@@ -232,27 +232,6 @@ func TestPortfolioMemberSeedsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestPortfolioProgressMonotonic: the shared Progress callback stays
-// strictly increasing across the whole fleet.
-func TestPortfolioProgressMonotonic(t *testing.T) {
-	var calls []int
-	res := MustExplore(cleanChoiceTest(), withMembers(Options{
-		Iterations: 50, Seed: 5, Workers: 4, NoReplayLog: true,
-		Progress: func(n int) { calls = append(calls, n) },
-	}, portfolioMembers...))
-	if res.BugFound {
-		t.Fatalf("unexpected bug: %v", res.Report.Error())
-	}
-	if len(calls) != 150 {
-		t.Fatalf("progress calls = %d, want 150 (50 per member)", len(calls))
-	}
-	for i, n := range calls {
-		if n != i+1 {
-			t.Fatalf("progress call %d reported %d, want %d", i, n, i+1)
-		}
-	}
-}
-
 // TestPortfolioRejectsBadSpecs: an unknown member fails loudly — as a
 // typed ConfigError naming the member — before any execution starts.
 // (An empty member list is not an error at this layer: Options with no

@@ -69,17 +69,6 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestProgressCallback(t *testing.T) {
-	calls := 0
-	MustExplore(pingPongTest(3, false), Options{
-		Iterations: 5, Seed: 1,
-		Progress: func(n int) { calls++ },
-	})
-	if calls != 5 {
-		t.Fatalf("progress called %d times, want 5", calls)
-	}
-}
-
 func TestMachineIDString(t *testing.T) {
 	if MachineID(4).String() != "#4" {
 		t.Fatalf("machine id renders %q", MachineID(4).String())

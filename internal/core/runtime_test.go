@@ -366,14 +366,3 @@ func TestRandomChoicesAreRecorded(t *testing.T) {
 		t.Fatalf("Choices=%d, trace has %d", res.Choices, len(res.Report.Trace.Decisions))
 	}
 }
-
-func TestStopAfterBudget(t *testing.T) {
-	test := pingPongTest(50, false)
-	res := MustExplore(test, Options{Iterations: 1 << 30, StopAfter: 50 * time.Millisecond, Seed: 1})
-	if res.BugFound {
-		t.Fatalf("unexpected bug: %v", res.Report.Error())
-	}
-	if res.Executions == 0 || res.Executions == 1<<30 {
-		t.Fatalf("executions = %d, want a time-bounded count", res.Executions)
-	}
-}

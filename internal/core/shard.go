@@ -16,7 +16,7 @@ import (
 )
 
 // Shard selects the sub-range of the global schedule plan an ExploreShard
-// call owns, plus the cross-shard coordination inputs.
+// call owns, plus the cross-shard stop bound.
 type Shard struct {
 	// From and To bound the owned global positions: [From, To), with
 	// 0 <= From < To <= PlanSize(options). Global position g maps to
@@ -29,26 +29,22 @@ type Shard struct {
 	// every scheduling step (through the runtime's abort predicate), so it
 	// must be cheap. It must be monotonically non-increasing and safe for
 	// concurrent use. Every position below the final bound that lies in
-	// [From, To) is still completed, preserving lowest-position-wins.
+	// [From, To) is still completed, preserving lowest-position-wins. It is
+	// also the one way to cut a run short: lowered to From, it stops the
+	// shard at the next scheduling step, and ResolvedTo says how far it got.
 	Stop func() int64
-	// Corpus, when non-nil, seeds the shard-local exploration corpus of
-	// feedback schedulers (ownership transfers to the engine). Typically a
-	// DecodeCorpus of the coordinator's merged snapshot. Ignored when no
-	// member declares feedback.
-	Corpus *Corpus
 }
 
-// CorpusCandidate is one corpus entry a shard merged locally, exported so
-// a coordinator can merge it into the fleet-wide corpus in canonical
-// global-position order. The JSON tags are its names on the fleet's wire
-// (internal/dist reports candidates as this type).
+// CorpusCandidate is one corpus entry a shard merged at a generation
+// barrier, in canonical global-position order; Corpus.Add of the candidates
+// in order rebuilds the shard's corpus. Its JSON form uses the trace's
+// decision encoding.
 type CorpusCandidate struct {
 	Fingerprint uint64 `json:"fp"`
 	// Position is the global position of the execution that recorded the
 	// candidate.
 	Position int64 `json:"pos"`
-	// Decisions is the execution's decision sequence; on the wire, the trace
-	// JSON decision encoding.
+	// Decisions is the execution's decision sequence.
 	Decisions []Decision `json:"d"`
 }
 
@@ -58,9 +54,9 @@ type ShardResult struct {
 	From, To int64
 	// ResolvedTo is the end of the contiguous completed prefix: every
 	// position in [From, ResolvedTo) ran to completion (or was refused by
-	// an exhausted scheduler). Positions beyond it were pruned by a bug,
-	// an external Stop bound, or a StopAfter deadline — a coordinator
-	// re-issues [ResolvedTo, To) if it still needs them.
+	// an exhausted scheduler). Positions beyond it were pruned by a bug or
+	// an external Stop bound — a coordinator re-issues [ResolvedTo, To) if
+	// it still needs them.
 	ResolvedTo int64
 	// BugFound reports a violation at the lowest completed position.
 	BugFound bool
@@ -89,9 +85,10 @@ type ShardResult struct {
 	// [From, ResolvedTo) (its schedule space ran out); the position counts
 	// as resolved with no execution.
 	Exhausted bool
-	// Candidates holds the corpus entries the shard merged locally at its
+	// Candidates holds the corpus entries the shard merged at its
 	// generation barriers, in canonical position order, when a feedback
-	// member ran; nil otherwise.
+	// member ran; nil otherwise. Such a shard spans the whole plan, so they
+	// are Result.Corpus with the decisions attached.
 	Candidates []CorpusCandidate
 	// Elapsed is the wall-clock time of the call.
 	Elapsed time.Duration
@@ -102,6 +99,36 @@ type ShardResult struct {
 // Shards partition [0, PlanSize).
 func PlanSize(o Options) int64 {
 	return int64(len(o.Members())) * int64(o.Iterations)
+}
+
+// CheckSubRange returns a *ConfigError naming the first member of o that
+// ties a position's schedule to the positions before it, so a proper
+// sub-range of the plan cannot be explored on its own: a sequential member
+// (dfs) backtracks through the previous execution, and a feedback member
+// (mutational) splices the corpus the plan's earlier positions built.
+// ExploreShard applies it to every proper sub-range, and a distributed
+// coordinator, which hands out nothing else, to its plan.
+func CheckSubRange(o Options) error {
+	for m, name := range o.Members() {
+		spec, err := lookupScheduler(name)
+		var why string
+		switch {
+		case err != nil:
+			return err
+		case spec.Sequential:
+			why = "enumerates its schedule space statefully"
+		case spec.Feedback:
+			why = "splices the corpus the plan's earlier positions built"
+		default:
+			continue
+		}
+		field := "Options.Scheduler"
+		if len(o.Portfolio) > 0 {
+			field = fmt.Sprintf("Options.Portfolio[%d]", m)
+		}
+		return &ConfigError{Field: field, Reason: fmt.Sprintf("scheduler %q %s and cannot explore a sub-range", name, why)}
+	}
+	return nil
 }
 
 // ExploreShard explores the global positions [sh.From, sh.To) of the
@@ -115,20 +142,14 @@ func PlanSize(o Options) int64 {
 // into shards, the lowest BugPos across the shard results — member,
 // member-local iteration, and encoded trace bytes — is bit-identical to
 // the bug Explore reports, however the shards are assigned to processes
-// and whatever Workers count each uses. (One caveat: a feedback member's
-// positions depend on the corpus its generation observes, which under
-// distributed merging is a best-effort snapshot; any bug it reports is
-// still real and its trace replays exactly, but cross-partition
-// bit-identity for feedback members holds only when shards run with the
-// same corpus schedule — e.g. a single full-range shard.)
+// and whatever Workers count each uses.
 //
 // An adaptive member's length hint is pinned by its iteration 0 (see
 // calibrate in loop.go); a shard that holds positions of the member but
 // not that one re-runs it, so every shard of a plan pins the same hint and
-// carries nothing from an earlier one. Sequential schedulers (dfs)
-// enumerate their space statefully across executions and cannot be
-// partitioned; a proper sub-range of a plan with a sequential member is
-// rejected with a ConfigError.
+// carries nothing from an earlier one. A plan with a sequential or a
+// feedback member runs whole: a proper sub-range of it is rejected with
+// the ConfigError of CheckSubRange.
 func ExploreShard(t Test, o Options, sh Shard) (ShardResult, error) {
 	o, err := o.Resolve(t)
 	if err != nil {

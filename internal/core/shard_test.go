@@ -181,8 +181,9 @@ func TestShardStopBoundPrunes(t *testing.T) {
 	}
 }
 
-// TestShardRejectsBadConfig: sequential schedulers and malformed ranges
-// fail up front with typed ConfigErrors.
+// TestShardRejectsBadConfig: a proper sub-range of a plan with a sequential
+// or a feedback member, and malformed ranges, fail up front with typed
+// ConfigErrors.
 func TestShardRejectsBadConfig(t *testing.T) {
 	o := Options{Scheduler: "random", Iterations: 100, Seed: 1}
 	cases := []struct {
@@ -192,6 +193,8 @@ func TestShardRejectsBadConfig(t *testing.T) {
 		want string
 	}{
 		{"sequential", Options{Scheduler: "dfs", Iterations: 100}, Shard{From: 0, To: 10}, "cannot explore a sub-range"},
+		{"feedback", Options{Scheduler: "mutational", Iterations: 100}, Shard{From: 0, To: 10}, "cannot explore a sub-range"},
+		{"feedback member", withMembers(Options{Iterations: 100}, "random", "mutational"), Shard{From: 10, To: 200}, `Options.Portfolio[1]: scheduler "mutational"`},
 		{"empty range", o, Shard{From: 5, To: 5}, "non-empty sub-range"},
 		{"negative from", o, Shard{From: -1, To: 10}, "non-empty sub-range"},
 		{"beyond plan", o, Shard{From: 0, To: 101}, "non-empty sub-range"},
@@ -279,51 +282,6 @@ func TestCorpusCodecStrict(t *testing.T) {
 				t.Fatalf("error %q lacks %q", err, c.want)
 			}
 		})
-	}
-}
-
-// TestShardSeededCorpusRoundTrips: seeding a feedback shard with a decoded
-// snapshot of a previous shard's corpus state is equivalent to handing it
-// the live corpus — the wire hop is invisible.
-func TestShardSeededCorpusRoundTrips(t *testing.T) {
-	o := Options{Scheduler: "mutational", Iterations: 128, Seed: 13, Workers: 2, NoReplayLog: true}
-	first, err := ExploreShard(cleanChoiceTest(), o, Shard{From: 0, To: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild the corpus the first shard ended with from its candidates.
-	live := NewCorpus(0)
-	for _, cand := range first.Candidates {
-		live.Add(cand.Fingerprint, int(cand.Position), cand.Decisions)
-	}
-	snap, err := live.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeCorpus(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt := NewCorpus(0)
-	for _, cand := range first.Candidates {
-		rebuilt.Add(cand.Fingerprint, int(cand.Position), cand.Decisions)
-	}
-	a, err := ExploreShard(cleanChoiceTest(), o, Shard{From: 64, To: 128, Corpus: rebuilt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ExploreShard(cleanChoiceTest(), o, Shard{From: 64, To: 128, Corpus: decoded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Executions != b.Executions || a.TotalSteps != b.TotalSteps || len(a.Candidates) != len(b.Candidates) {
-		t.Fatalf("decoded corpus changed the outcome: %+v vs %+v", a, b)
-	}
-	for i := range a.Candidates {
-		if a.Candidates[i].Fingerprint != b.Candidates[i].Fingerprint {
-			t.Fatalf("candidate %d fingerprint diverges: %#x vs %#x",
-				i, a.Candidates[i].Fingerprint, b.Candidates[i].Fingerprint)
-		}
 	}
 }
 

@@ -190,15 +190,7 @@ func (a *Agent) runLease(ctx context.Context, lr LeaseResponse) error {
 		}
 	}()
 
-	sh := core.Shard{From: lr.From, To: lr.To, Stop: stop.Load}
-	if len(lr.Corpus) > 0 {
-		c, err := core.DecodeCorpus(lr.Corpus)
-		if err != nil {
-			return fmt.Errorf("dist: lease %d corpus: %w", lr.Lease, err)
-		}
-		sh.Corpus = c
-	}
-	res, err := core.ExploreShard(a.test, a.opts, sh)
+	res, err := core.ExploreShard(a.test, a.opts, core.Shard{From: lr.From, To: lr.To, Stop: stop.Load})
 	cancelPoll()
 	<-pollDone
 	if err != nil {
@@ -217,7 +209,6 @@ func (a *Agent) runLease(ctx context.Context, lr LeaseResponse) error {
 		ResolvedTo: res.ResolvedTo,
 		Executions: res.Executions,
 		TotalSteps: res.TotalSteps,
-		Candidates: res.Candidates,
 	}
 	if res.BugFound {
 		data, err := res.Report.Trace.Encode()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -50,8 +49,6 @@ type Result struct {
 	Executions int64
 	TotalSteps int64
 	Elapsed    time.Duration
-	// Corpus is the fleet-merged corpus fingerprints in canonical order.
-	Corpus []uint64
 	// Mismatches counts determinism-contract violations (two reports for
 	// one position with different trace bytes); FirstMismatch describes
 	// the first. Always zero for a deterministic system under test.
@@ -64,10 +61,9 @@ type Result struct {
 // with a response or an error. Handler puts them behind the protocol's
 // endpoints, next to /healthz ("ok") and /metrics (Prometheus-style text).
 type Coordinator struct {
-	cfg      Config
-	plan     PlanConfig
-	feedback bool
-	start    time.Time
+	cfg   Config
+	plan  PlanConfig
+	start time.Time
 
 	mu sync.Mutex
 	// lt.limit doubles as the stop bound pushed to agents: the winning
@@ -77,18 +73,16 @@ type Coordinator struct {
 	executions int64
 	steps      int64
 	agents     map[string]time.Time
-	corpus     *core.Corpus
-	corpusEnc  []byte // cached Encode of corpus; nil = stale
-	pendCands  []core.CorpusCandidate
 	mismatches int
 	mismatch   string
 	done       bool
 	doneCh     chan struct{}
 }
 
-// New validates the plan and builds a coordinator. The same rules as
-// core.ExploreShard apply: every member must be a registered,
-// non-sequential scheduler.
+// New validates the plan and builds a coordinator. The plan is only ever
+// explored a lease at a time, so it must be one whose every sub-range can
+// be (core.CheckSubRange): no member may be sequential (dfs) or feedback
+// (mutational).
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Scenario == "" {
 		return nil, fmt.Errorf("dist: Config.Scenario is required")
@@ -97,16 +91,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	feedback := false
-	for _, name := range o.Members() {
-		f, err := core.NewSchedulerFactory(name, o.PCTDepth)
-		if err != nil {
-			return nil, err
-		}
-		if f.Sequential() {
-			return nil, fmt.Errorf("dist: scheduler %q is sequential and cannot be sharded across agents", name)
-		}
-		feedback = feedback || f.Feedback()
+	if err := core.CheckSubRange(o); err != nil {
+		return nil, err
 	}
 	if cfg.LeaseSize <= 0 {
 		cfg.LeaseSize = 256
@@ -119,13 +105,12 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	total := core.PlanSize(o)
 	return &Coordinator{
-		cfg:      cfg,
-		plan:     PlanConfig{Scenario: cfg.Scenario, Options: o, Total: total},
-		feedback: feedback,
-		start:    time.Now(),
-		lt:       newLeaseTable(total, cfg.LeaseSize, cfg.LeaseTTL),
-		agents:   make(map[string]time.Time),
-		doneCh:   make(chan struct{}),
+		cfg:    cfg,
+		plan:   PlanConfig{Scenario: cfg.Scenario, Options: o, Total: total},
+		start:  time.Now(),
+		lt:     newLeaseTable(total, cfg.LeaseSize, cfg.LeaseTTL),
+		agents: make(map[string]time.Time),
+		doneCh: make(chan struct{}),
 	}, nil
 }
 
@@ -153,9 +138,6 @@ func (co *Coordinator) Result() Result {
 		Elapsed:       time.Since(co.start),
 		Mismatches:    co.mismatches,
 		FirstMismatch: co.mismatch,
-	}
-	if co.corpus != nil {
-		res.Corpus = co.corpus.Fingerprints()
 	}
 	if co.bug != nil {
 		res.BugFound = true
@@ -226,11 +208,7 @@ func (co *Coordinator) lease(now time.Time, req LeaseRequest) (LeaseResponse, er
 	if !ok {
 		return LeaseResponse{None: true, RetryMs: co.cfg.RetryMs, Stop: co.lt.limit}, nil
 	}
-	resp := LeaseResponse{Lease: l.id, From: l.span.from, To: l.span.to, Stop: co.lt.limit}
-	if co.feedback {
-		resp.Corpus = co.corpusSnapshotLocked()
-	}
-	return resp, nil
+	return LeaseResponse{Lease: l.id, From: l.span.from, To: l.span.to, Stop: co.lt.limit}, nil
 }
 
 // validate rejects a report the plan cannot have produced. Reports arrive
@@ -261,7 +239,7 @@ func (co *Coordinator) validate(req *ReportRequest) error {
 }
 
 // report ingests a lease's results: the resolved prefix, the statistics,
-// a bug, corpus candidates — and closes the run when that settles it.
+// a bug — and closes the run when that settles it.
 func (co *Coordinator) report(now time.Time, req ReportRequest) (ReportResponse, error) {
 	if err := co.validate(&req); err != nil {
 		return ReportResponse{}, fmt.Errorf("bad request: %v", err)
@@ -272,21 +250,13 @@ func (co *Coordinator) report(now time.Time, req ReportRequest) (ReportResponse,
 	// Duplicate reports (an expired lease re-issued, both agents finishing)
 	// carry identical deterministic data; only the first contributes to the
 	// statistics.
-	fresh := co.lt.report(req.Lease, req.From, req.ResolvedTo)
-	if fresh {
+	if co.lt.report(req.Lease, req.From, req.ResolvedTo) {
 		co.executions += int64(req.Executions)
 		co.steps += req.TotalSteps
 	}
 	if req.Bug != nil {
 		co.ingestBugLocked(req.Agent, req.Bug)
 	}
-	if co.feedback && len(req.Candidates) > 0 && fresh {
-		co.pendCands = append(co.pendCands, req.Candidates...)
-		sort.SliceStable(co.pendCands, func(i, j int) bool {
-			return co.pendCands[i].Position < co.pendCands[j].Position
-		})
-	}
-	co.mergeCorpusLocked()
 	co.checkDoneLocked()
 	return ReportResponse{Done: co.done, Stop: co.lt.limit}, nil
 }
@@ -311,44 +281,6 @@ func (co *Coordinator) ingestBugLocked(agent string, b *WireBug) {
 			co.logf("determinism violation: %s", co.mismatch)
 		}
 	}
-}
-
-// mergeCorpusLocked merges buffered candidates into the fleet corpus in
-// canonical position order, up to the contiguous resolved frontier — the
-// distributed analogue of the exploration loop's generation barrier.
-func (co *Coordinator) mergeCorpusLocked() {
-	if !co.feedback || len(co.pendCands) == 0 {
-		return
-	}
-	if co.corpus == nil {
-		co.corpus = core.NewCorpus(0)
-	}
-	frontier := co.lt.resolved.frontier()
-	merged := 0
-	for merged < len(co.pendCands) && co.pendCands[merged].Position < frontier {
-		c := co.pendCands[merged]
-		if co.corpus.Add(c.Fingerprint, int(c.Position), c.Decisions) {
-			co.corpusEnc = nil
-		}
-		merged++
-	}
-	co.pendCands = co.pendCands[merged:]
-}
-
-// corpusSnapshotLocked returns the cached encoded corpus (nil when empty).
-func (co *Coordinator) corpusSnapshotLocked() []byte {
-	if co.corpus == nil || co.corpus.Len() == 0 {
-		return nil
-	}
-	if co.corpusEnc == nil {
-		data, err := co.corpus.Encode()
-		if err != nil {
-			co.logf("corpus encode failed: %v", err)
-			return nil
-		}
-		co.corpusEnc = data
-	}
-	return co.corpusEnc
 }
 
 // checkDoneLocked closes doneCh once the winner is confirmed: a bug wins
@@ -402,9 +334,6 @@ func (co *Coordinator) status(now time.Time, _ struct{}) (StatusResponse, error)
 	}
 	if co.bug != nil {
 		st.BugPos = co.bug.Pos
-	}
-	if co.corpus != nil {
-		st.CorpusLen = co.corpus.Len()
 	}
 	if elapsed > 0 {
 		st.PerSecond = float64(co.executions) / elapsed

@@ -57,8 +57,7 @@ func rareOrderTest(n int) core.Test {
 	}
 }
 
-// choiceTest is bug-free but branches on nondeterministic choices, giving
-// a feedback scheduler novel coverage fingerprints to put in the corpus.
+// choiceTest is bug-free but branches on nondeterministic choices.
 func choiceTest() core.Test {
 	return core.Test{
 		Name: "choices",
@@ -318,54 +317,6 @@ func TestCleanRunCompletes(t *testing.T) {
 	}
 }
 
-// TestCorpusShipping: a feedback plan merges shard candidates into a
-// fleet corpus and ships the snapshot with later leases (the agent would
-// fail loudly on an undecodable snapshot).
-func TestCorpusShipping(t *testing.T) {
-	test := choiceTest()
-	opts := core.Options{Scheduler: "mutational", Iterations: 400, Seed: 3, MaxSteps: 100, NoReplayLog: true}
-
-	co, srv := startCoordinator(t, Config{
-		Scenario:  "choices",
-		Options:   opts,
-		LeaseSize: 100,
-		LeaseTTL:  time.Second,
-		RetryMs:   10,
-	}, nil)
-	wg := runAgents(t, srv.URL, test, []string{"a1"})
-	res := waitDone(t, co, wg)
-
-	if res.BugFound {
-		t.Fatal("clean feedback plan reported a bug")
-	}
-	if len(res.Corpus) == 0 {
-		t.Fatal("fleet corpus is empty; candidates were not merged")
-	}
-	// choiceTest has exactly 2*4 distinct decision paths.
-	if len(res.Corpus) > 8 {
-		t.Fatalf("fleet corpus has %d entries, want <= 8", len(res.Corpus))
-	}
-}
-
-// TestCandidatesKeepTheirWireNames: corpus candidates travel as
-// core.CorpusCandidate, whose JSON tags are therefore protocol 1's; the
-// bytes below are a report as a coordinator of that protocol has always
-// read it.
-func TestCandidatesKeepTheirWireNames(t *testing.T) {
-	const golden = `{"agent":"a","lease":1,"from":0,"to":2,"resolved_to":2,"executions":2,"total_steps":9,` +
-		`"candidates":[{"fp":9223372036854775808,"pos":1,"d":[{"k":"s","m":3},{"k":"b","b":true},{"k":"i","v":2,"n":4}]}]}`
-	want := ReportRequest{Agent: "a", Lease: 1, To: 2, ResolvedTo: 2, Executions: 2, TotalSteps: 9,
-		Candidates: []core.CorpusCandidate{{Fingerprint: 1 << 63, Position: 1, Decisions: []core.Decision{
-			{Kind: core.DecisionSchedule, Machine: 3}, {Kind: core.DecisionBool, Bool: true}, {Kind: core.DecisionInt, Int: 2, N: 4}}}}}
-	if data, err := json.Marshal(want); err != nil || string(data) != golden {
-		t.Errorf("report on the wire (error %v):\n got %s\nwant %s", err, data, golden)
-	}
-	var got ReportRequest
-	if err := json.Unmarshal([]byte(golden), &got); err != nil || !reflect.DeepEqual(got, want) {
-		t.Errorf("report off the wire (error %v):\n got %+v\nwant %+v", err, got, want)
-	}
-}
-
 // TestLeaseExpiryOverHTTP: a granted lease that is never reported expires
 // and is re-issued to the next asker; a late report for the expired lease
 // is still accepted. The exchanges go through the endpoints' server half;
@@ -444,15 +395,20 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestSequentialSchedulerRejected: dfs enumerates statefully and cannot be
-// sharded across agents.
-func TestSequentialSchedulerRejected(t *testing.T) {
-	_, err := New(Config{
-		Scenario: "choices",
-		Options:  core.Options{Scheduler: "dfs", Iterations: 10},
-	})
-	if err == nil || !strings.Contains(err.Error(), "cannot be sharded") {
-		t.Fatalf("New(dfs) error = %v, want a sharding rejection", err)
+// TestWholePlanSchedulersRejected: a fleet explores nothing but sub-ranges,
+// so a plan with a member that cannot explore one — dfs enumerates
+// statefully, mutational splices the corpus of the positions before — is
+// refused up front, by the rule ExploreShard applies.
+func TestWholePlanSchedulersRejected(t *testing.T) {
+	for _, o := range []core.Options{
+		{Scheduler: "dfs"},
+		{Scheduler: "mutational"},
+		{Portfolio: []string{"random", "mutational"}},
+	} {
+		_, err := New(Config{Scenario: "choices", Options: o})
+		if _, ok := err.(*core.ConfigError); !ok || !strings.Contains(err.Error(), "cannot explore a sub-range") {
+			t.Errorf("New(%v) error = %v, want a *core.ConfigError refusing the sub-ranges", o.Members(), err)
+		}
 	}
 }
 
@@ -714,7 +670,7 @@ func TestReportsOffThePlanAreRejected(t *testing.T) {
 // a plan, not what the plan is; they stay off the wire and each agent sets
 // its own (localOptions).
 var machineLocal = map[string]bool{
-	"Workers": true, "StopAfter": true, "NoReplayLog": true, "LogCap": true, "NoReuse": true, "Progress": true,
+	"Workers": true, "NoReplayLog": true, "LogCap": true, "NoReuse": true,
 }
 
 // fill sets v — a field of core.Options or of a struct inside it — to a
@@ -772,7 +728,7 @@ func TestPlanOnTheWireIsOptions(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	sent.Workers, sent.LogCap, sent.NoReuse, sent.StopAfter = 9, 9, true, time.Hour
+	sent.Workers, sent.LogCap, sent.NoReuse = 9, 9, true
 	data, err := json.Marshal(JoinResponse{Plan: PlanConfig{Scenario: "s", Options: sent, Total: 1}})
 	if err != nil {
 		t.Fatalf("encoding the join response: %v", err)
@@ -782,7 +738,7 @@ func TestPlanOnTheWireIsOptions(t *testing.T) {
 		t.Fatalf("decoding %s: %v", data, err)
 	}
 	want := sent
-	want.Workers, want.NoReplayLog, want.LogCap, want.NoReuse, want.StopAfter = 3, true, 0, false, 0
+	want.Workers, want.NoReplayLog, want.LogCap, want.NoReuse = 3, true, 0, false
 	if got := localOptions(jr.Plan, 3); !reflect.DeepEqual(got, want) {
 		t.Errorf("options after the wire:\n got %+v\nwant %+v\nwire %s", got, want, data)
 	}
@@ -795,7 +751,7 @@ func TestPlanOnTheWireIsOptions(t *testing.T) {
 			Portfolio: []string{"pct", "random", "delay"}, PCTDepth: 3, Seed: -42, Iterations: 1234, MaxSteps: 567,
 			Temperature: 77, NoLivenessBoundCheck: true, NoFaults: true,
 			Faults:  core.Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3, MaxTornCrashes: 4},
-			Workers: 5, StopAfter: time.Second, NoReplayLog: true, LogCap: 11, NoReuse: true, Progress: func(int) {},
+			Workers: 5, NoReplayLog: true, LogCap: 11, NoReuse: true,
 		},
 		"defaults": {},
 	} {

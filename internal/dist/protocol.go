@@ -10,11 +10,11 @@
 // lowest-first as agents ask (pull-model work stealing); a lease that is
 // not reported back within its TTL is re-issued, so a dead or wedged agent
 // cannot strand its range. Agents run each lease with core.ExploreShard
-// and report the resolved prefix, statistics, any bug, and any corpus
-// candidates. The coordinator stores what has happened — the resolved
-// positions, the live leases, the limit a reported bug lowers — and derives
-// what is still to do from it (lease.go), so its cost follows the work
-// resolved, never the size of the plan.
+// and report the resolved prefix, statistics and any bug. The coordinator
+// stores what has happened — the resolved positions, the live leases, the
+// limit a reported bug lowers — and derives what is still to do from it
+// (lease.go), so its cost follows the work resolved, never the size of the
+// plan.
 //
 // First-bug-wins is deterministic by construction: the fleet's winner is
 // the bug with the lowest global position, and since every position's
@@ -28,11 +28,10 @@
 // agents via lease/report/status responses) prunes everything at or above
 // the best bug.
 //
-// Corpus entries reported by feedback-scheduler shards are merged into a
-// fleet-wide corpus in canonical position order as the resolved frontier
-// advances, and the merged snapshot ships with every lease — distributed
-// corpus sharing is a best-effort accelerator (see the ExploreShard
-// determinism caveat), the winner attribution above never depends on it.
+// The coordinator accepts only a plan whose every sub-range an agent can
+// explore on its own (core.CheckSubRange): a sequential (dfs) or feedback
+// (mutational) member ties each position to the ones before it, so a plan
+// with one runs whole, in one process.
 //
 // Three files, three jobs. coordinator.go is the state machine: join, lease,
 // report and status take the time and a request and return a response or an
@@ -93,17 +92,15 @@ type LeaseRequest struct {
 
 // LeaseResponse grants a position range, tells the agent to retry later,
 // or reports the run done. Stop is the current pruning bound (positions >=
-// Stop are already superseded); Corpus, when non-empty, is the encoded
-// fleet corpus snapshot for feedback schedulers.
+// Stop are already superseded).
 type LeaseResponse struct {
-	Done    bool   `json:"done,omitempty"`
-	None    bool   `json:"none,omitempty"`
-	RetryMs int    `json:"retry_ms,omitempty"`
-	Lease   int64  `json:"lease,omitempty"`
-	From    int64  `json:"from,omitempty"`
-	To      int64  `json:"to,omitempty"`
-	Stop    int64  `json:"stop,omitempty"`
-	Corpus  []byte `json:"corpus,omitempty"`
+	Done    bool  `json:"done,omitempty"`
+	None    bool  `json:"none,omitempty"`
+	RetryMs int   `json:"retry_ms,omitempty"`
+	Lease   int64 `json:"lease,omitempty"`
+	From    int64 `json:"from,omitempty"`
+	To      int64 `json:"to,omitempty"`
+	Stop    int64 `json:"stop,omitempty"`
 }
 
 // WireBug is a bug report in transit: the attribution triple plus the
@@ -121,19 +118,18 @@ type WireBug struct {
 }
 
 // ReportRequest returns a lease's results. ResolvedTo < To means the tail
-// was pruned or unfinished; it is pending again if still needed. Candidates
-// travel as the engine's own type. The coordinator rejects a report the plan
-// cannot have produced (see Coordinator.validate).
+// was pruned or unfinished; it is pending again if still needed. The
+// coordinator rejects a report the plan cannot have produced (see
+// Coordinator.validate).
 type ReportRequest struct {
-	Agent      string                 `json:"agent"`
-	Lease      int64                  `json:"lease"`
-	From       int64                  `json:"from"`
-	To         int64                  `json:"to"`
-	ResolvedTo int64                  `json:"resolved_to"`
-	Executions int                    `json:"executions"`
-	TotalSteps int64                  `json:"total_steps"`
-	Bug        *WireBug               `json:"bug,omitempty"`
-	Candidates []core.CorpusCandidate `json:"candidates,omitempty"`
+	Agent      string   `json:"agent"`
+	Lease      int64    `json:"lease"`
+	From       int64    `json:"from"`
+	To         int64    `json:"to"`
+	ResolvedTo int64    `json:"resolved_to"`
+	Executions int      `json:"executions"`
+	TotalSteps int64    `json:"total_steps"`
+	Bug        *WireBug `json:"bug,omitempty"`
 }
 
 // ReportResponse acknowledges a report and pushes the latest bounds.
@@ -156,7 +152,6 @@ type StatusResponse struct {
 	PerSecond   float64 `json:"iterations_per_second"`
 	Leases      int     `json:"leases_outstanding"`
 	AgentsLive  int     `json:"agents_live"`
-	CorpusLen   int     `json:"corpus_len"`
 	ElapsedSecs float64 `json:"elapsed_seconds"`
 }
 
@@ -177,8 +172,8 @@ var (
 
 const (
 	contentType = "application/json"
-	// maxBody caps a message in either direction; a winning trace or a
-	// corpus snapshot is the bulk of the largest.
+	// maxBody caps a message in either direction; a winning trace is the
+	// bulk of the largest.
 	maxBody = 64 << 20
 )
 

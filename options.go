@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/gostorm/gostorm/internal/core"
 )
@@ -55,10 +54,10 @@ func resolve(opts []Option) (*config, error) {
 
 // positive is the body the must-be-positive options share: it stores the
 // value with set, or records that option was handed a non-positive one.
-func positive[T int | time.Duration](option string, v T, set func(*core.Options)) Option {
+func positive(option string, v int, set func(*core.Options)) Option {
 	return func(c *config) {
 		if v <= 0 {
-			c.fail(option, fmt.Sprintf("must be positive, got %v", v))
+			c.fail(option, fmt.Sprintf("must be positive, got %d", v))
 			return
 		}
 		set(&c.opts)
@@ -149,14 +148,6 @@ func WithTemperature(steps int) Option {
 	return positive("WithTemperature", steps, func(o *core.Options) { o.Temperature = steps })
 }
 
-// WithStopAfter bounds the total wall-clock time of the run. The run's
-// first position always executes and the deadline is checked before every
-// later one is claimed, so a run performs at least one execution and can
-// overshoot by the length of the executions in flight.
-func WithStopAfter(d time.Duration) Option {
-	return positive("WithStopAfter", d, func(o *core.Options) { o.StopAfter = d })
-}
-
 // WithFaults overrides the test's declared fault budget wholesale for
 // this run. The zero budget disables the fault plane entirely (equivalent
 // to WithNoFaults): CrashPoint declines, SendUnreliable behaves like
@@ -223,18 +214,4 @@ func WithNoReplayLog() Option {
 // heuristic (hot-at-termination is still checked).
 func WithNoLivenessBoundCheck() Option {
 	return func(c *config) { c.opts.NoLivenessBoundCheck = true }
-}
-
-// WithProgress registers a callback invoked after every completed
-// execution — including the buggy final one — with the number completed
-// so far. Parallel workers serialize the calls, so the callback need not
-// be goroutine-safe; counts are strictly increasing.
-func WithProgress(fn func(executions int)) Option {
-	return func(c *config) {
-		if fn == nil {
-			c.fail("WithProgress", "callback must be non-nil")
-			return
-		}
-		c.opts.Progress = fn
-	}
 }

@@ -291,10 +291,8 @@ func TestConfigErrors(t *testing.T) {
 		{"empty portfolio", []gostorm.Option{gostorm.WithPortfolio()}, "WithPortfolio"},
 		{"unknown member", []gostorm.Option{gostorm.WithPortfolio("random", "quantum")}, "Options.Portfolio[1]"},
 		{"negative fault budget", []gostorm.Option{gostorm.WithFaults(gostorm.Faults{MaxCrashes: -1})}, "WithFaults"},
-		{"nil progress", []gostorm.Option{gostorm.WithProgress(nil)}, "WithProgress"},
 		{"zero log cap", []gostorm.Option{gostorm.WithLogCap(0)}, "WithLogCap"},
 		{"zero temperature", []gostorm.Option{gostorm.WithTemperature(0)}, "WithTemperature"},
-		{"zero stop after", []gostorm.Option{gostorm.WithStopAfter(0)}, "WithStopAfter"},
 		{"zero pct depth", []gostorm.Option{gostorm.WithPCTDepth(0)}, "WithPCTDepth"},
 		{"empty scheduler name", []gostorm.Option{gostorm.WithScheduler("")}, "WithScheduler"},
 	}

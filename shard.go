@@ -6,7 +6,7 @@ import (
 
 // This file is the public sharding surface of distributed exploration:
 // the engine hook (ExploreShard) that runs a sub-range of a run's global
-// schedule plan, plus the versioned corpus codec shards exchange. The
+// schedule plan, plus the versioned codec of a feedback run's corpus. The
 // gostormd coordinator and gostorm-agent fleet are built on exactly this
 // surface; `systest -shard i/n` exposes it for by-hand sharding.
 
@@ -14,22 +14,21 @@ import (
 // for why aliases).
 type (
 	// Shard selects the sub-range [From, To) of the global schedule plan
-	// an ExploreShard call owns, plus the cross-shard coordination inputs
-	// (a Stop bound and an optional seeded Corpus). See core.Shard for
-	// field documentation.
+	// an ExploreShard call owns, plus the cross-shard Stop bound. See
+	// core.Shard for field documentation.
 	Shard = core.Shard
 	// ShardResult summarizes an ExploreShard call: the resolved prefix,
 	// the winning bug (if any) with its global position, canonical
-	// statistics, and corpus candidates for a coordinator to merge.
+	// statistics, and the corpus candidates a feedback member recorded.
 	ShardResult = core.ShardResult
-	// CorpusCandidate is one corpus entry a shard merged locally, keyed by
-	// the global position that recorded it.
+	// CorpusCandidate is one corpus entry a shard merged, keyed by the
+	// global position that recorded it.
 	CorpusCandidate = core.CorpusCandidate
 )
 
 // CorpusVersion is the corpus serialization format version written by
-// Corpus.Encode. Like traces, corpora are versioned so the two sides of a
-// distributed run fail loudly on a format they do not share.
+// Corpus.Encode. Like traces, corpora are versioned so a reader fails
+// loudly on a format it does not share.
 const CorpusVersion = core.CorpusVersion
 
 // PlanSize returns the number of global positions in the schedule plan a
@@ -59,18 +58,16 @@ func PlanSize(opts ...Option) (int64, error) {
 // in any order, in any mix of processes and worker counts — the lowest
 // ShardResult.BugPos across the partition identifies a winner whose
 // member, iteration, and encoded trace bytes are bit-identical to the
-// bug Explore reports. (Feedback schedulers carry one caveat, documented
-// on core.ExploreShard: their schedules depend on the corpus snapshot
-// each generation observes, so cross-partition bit-identity holds only
-// when shards observe the same corpus schedule. Any bug they report is
-// still real and its trace replays exactly.)
+// bug Explore reports.
 //
 // A shard that holds positions of an adaptive member (pct, delay) but not
 // its iteration 0 re-runs that execution first, for the member's length
 // estimate; the execution counts in the statistics of the shard that owns
-// it, so the sums over a partition are Explore's. Sequential schedulers
-// (dfs) enumerate their space statefully; a proper sub-range of a plan
-// that has one is rejected with a *ConfigError.
+// it, so the sums over a partition are Explore's. A sequential scheduler
+// (dfs) enumerates its space statefully, and a feedback scheduler
+// (mutational) splices the corpus the plan's earlier positions built, so a
+// plan with either runs whole: a proper sub-range of it is rejected with a
+// *ConfigError.
 func ExploreShard(t Test, sh Shard, opts ...Option) (ShardResult, error) {
 	c, err := resolve(opts)
 	if err != nil {
