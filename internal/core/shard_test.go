@@ -20,7 +20,8 @@ func encodeTrace(t *testing.T, tr *Trace) []byte {
 // TestShardFullRangeMatchesExplore: a single shard covering the whole plan
 // must reproduce Explore bit for bit — winner position, trace bytes, and
 // the canonical statistics — for every scheduler family (pure, adaptive,
-// feedback) and for a portfolio.
+// feedback, sequential) and for portfolios, including those with a member
+// that runs whole.
 func TestShardFullRangeMatchesExplore(t *testing.T) {
 	cases := []struct {
 		name string
@@ -29,7 +30,10 @@ func TestShardFullRangeMatchesExplore(t *testing.T) {
 		{"random", Options{Scheduler: "random", Iterations: 2000, Seed: 7}},
 		{"pct", Options{Scheduler: "pct", Iterations: 1000, Seed: 42}},
 		{"mutational", Options{Scheduler: "mutational", Iterations: 300, Seed: 13}},
+		{"dfs", Options{Scheduler: "dfs", Iterations: 1000}},
 		{"portfolio", Options{Portfolio: []string{"random", "pct"}, Iterations: 1000, Seed: 42}},
+		{"portfolio-feedback", Options{Portfolio: []string{"random", "mutational"}, Iterations: 300, Seed: 13}},
+		{"portfolio-sequential", Options{Portfolio: []string{"dfs", "random"}, Iterations: 1000, Seed: 42}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -73,8 +77,8 @@ func TestShardFullRangeMatchesExplore(t *testing.T) {
 
 // TestShardFullRangeCorpusMatchesExplore: the candidates a full-range
 // feedback shard merges are exactly Result.Corpus — same fingerprints, same
-// canonical order — so a coordinator rebuilding a corpus from shard
-// candidates converges to the single-process corpus.
+// canonical order — so Corpus.Add of the candidates in order rebuilds the
+// single-process corpus.
 func TestShardFullRangeCorpusMatchesExplore(t *testing.T) {
 	o := Options{Scheduler: "mutational", Iterations: 300, Seed: 13, Workers: 4, NoReplayLog: true}
 	ref := MustExplore(cleanChoiceTest(), o)
@@ -210,6 +214,48 @@ func TestShardRejectsBadConfig(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %q lacks %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestCheckSubRange: the rule ExploreShard and a coordinator share refuses
+// a plan exactly when one of its members is sequential or feedback, and
+// ExploreShard applies it to proper sub-ranges only: the whole plan runs
+// under any member.
+func TestCheckSubRange(t *testing.T) {
+	for _, c := range []struct {
+		members []string
+		whole   bool // the plan cannot be explored a sub-range at a time
+	}{
+		{[]string{"random"}, false},
+		{[]string{"pct"}, false},
+		{[]string{"delay"}, false},
+		{[]string{"dfs"}, true},
+		{[]string{"mutational"}, true},
+		{[]string{"random", "pct", "delay"}, false},
+		{[]string{"pct", "dfs"}, true},
+		{[]string{"random", "mutational"}, true},
+	} {
+		t.Run(strings.Join(c.members, ","), func(t *testing.T) {
+			o := withMembers(Options{Iterations: 20, Seed: 1, NoReplayLog: true}, c.members...)
+			total := PlanSize(o)
+			if _, err := ExploreShard(cleanChoiceTest(), o, Shard{To: total}); err != nil {
+				t.Fatalf("whole plan: %v", err)
+			}
+			rule := CheckSubRange(o)
+			_, err := ExploreShard(cleanChoiceTest(), o, Shard{From: 1, To: total})
+			if !c.whole {
+				if rule != nil || err != nil {
+					t.Fatalf("CheckSubRange = %v, sub-range error = %v; want both nil", rule, err)
+				}
+				return
+			}
+			if _, ok := rule.(*ConfigError); !ok || !strings.Contains(rule.Error(), "cannot explore a sub-range") {
+				t.Fatalf("CheckSubRange = %v, want a *ConfigError refusing the sub-ranges", rule)
+			}
+			if err == nil || err.Error() != rule.Error() {
+				t.Fatalf("sub-range error = %v, want CheckSubRange's %v", err, rule)
 			}
 		})
 	}
