@@ -40,7 +40,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.pctDepth, "pct-depth", 2, "priority change points for the pct/delay schedulers")
 	fs.Int64Var(&f.seed, "seed", 0, "base random seed")
 	fs.IntVar(&f.iterations, "iterations", 0, "maximum executions (0 = scenario default); per member for a portfolio")
-	fs.IntVar(&f.maxSteps, "max-steps", 0, "scheduling steps per execution (0 = scenario default)")
+	fs.IntVar(&f.maxSteps, "max-steps", 0, "scheduling steps per execution (0 = scenario default); one that reaches it with a monitor hot runs on in a fair tail, to at most twice it")
 	fs.IntVar(&f.temperature, "temperature", 0, "liveness temperature threshold (0 = bound check only)")
 	fs.StringVar(&f.faults, "faults", "", "fault budget override, e.g. crashes=1,drops=2,dups=1 (empty = scenario default; all zeros = disable)")
 	fs.IntVar(&f.maxCrashes, "max-crashes", 0, "adjust the crashes component of the fault budget, keeping the scenario's other allowances (0 = scenario default)")

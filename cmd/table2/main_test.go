@@ -72,7 +72,9 @@ var wallTime = regexp.MustCompile(`[0-9]+\.[0-9]{2}`)
 // column, the (c) and * markers, the portfolio winner of every row — to
 // testdata/table2_seed1_300.golden, wall times masked. The file was
 // recorded while table2 still built its harnesses by hand; a change to how
-// the rows are produced must reproduce it, not regenerate it.
+// the rows are produced must reproduce it, not regenerate it. Row 1 alone
+// was re-recorded when the runtime took over pct's and delay's fair tail:
+// its random column kept its count, pct's and the portfolio's moved.
 func TestCLIMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the real binary")

@@ -52,8 +52,9 @@
 // budgets and every scheduler name against the registry, and fills in the
 // defaults (random scheduler, 10,000 executions of up to 10,000 steps,
 // depth 2, one worker per CPU; one worker when any scheduler of the plan
-// is sequential). Resolve returns the result without running anything, so
-// a banner or a dashboard shows what Explore will do by construction. The
+// is sequential; a hot execution may run to twice the bound, see
+// Liveness). Resolve returns the result without running anything, so a
+// banner or a dashboard shows what Explore will do by construction. The
 // same struct, through its JSON tags, is the plan a distributed
 // coordinator publishes to its agents.
 //
@@ -86,14 +87,8 @@
 //     instance of the member, so their decision streams are pure
 //     functions of the iteration seed too. Between probes, pct reuses its
 //     pick while the runtime's enabled set is unchanged, which makes the
-//     same choices as scanning the set every step. Neither is fair, so an
-//     execution is an unfair prefix and a fair suffix (P#'s FairPCT): once
-//     it outlives eight pinned estimates, every scheduling choice is
-//     uniform over the enabled machines, drawn from the same seeded
-//     stream. Across the catalog no execution that ended before the step
-//     bound ran past 3.41 estimates (fault choices counted as steps), so
-//     the tail touches only executions that spin; an entry whose
-//     iteration 0 reaches the bound has no tail.
+//     same choices as scanning the set every step. The pinned estimate
+//     also starts the runtime's fair tail (see Liveness).
 //   - Windows. With a feedback member (mutational) the range is drained
 //     in fixed-size generation windows with the corpus frozen inside a
 //     window and merged, in position order, at the barrier between two;
@@ -112,6 +107,20 @@
 //     the executions done: nothing on one worker, a few positions per
 //     worker in flight on several, at most a window with a feedback
 //     member.
+//
+// # Liveness
+//
+// An execution that ends with a monitor hot is a liveness bug, and so, by
+// the paper's heuristic, is one still hot after the step bound: it is
+// treated as infinite. That holds only under a fair schedule, which pct,
+// delay and dfs are not. So the runtime, whatever the scheduler, ends an
+// execution in a uniform tail (P#'s unfair prefix, fair suffix) once it
+// outlives eight pinned length estimates, fault choices counted as steps,
+// or reaches the bound with a monitor hot. Tail choices are recorded like
+// any other and drawn from the member's own seeded stream, else from one
+// seeded by the execution (so dfs takes the tail for a leaf). Past the
+// bound the execution ends clean the first step no monitor is hot and
+// reports if one still is at twice the bound, which none runs past.
 //
 // # Determinism contract
 //

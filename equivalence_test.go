@@ -24,7 +24,10 @@ import (
 // workloads — including the adaptive calibration path and the fault
 // plane — after verifying the legacy engine's own worker-count
 // invariance on each. Explore must reproduce every fixture, at one
-// worker and at several, down to the encoded trace bytes.
+// worker and at several, down to the encoded trace bytes. One fixture has
+// since been re-recorded from the engine itself: vnext-liveness-pct, when
+// the runtime's fair tail moved a liveness verdict at the step bound to
+// twice the bound.
 
 // equivalenceFixture mirrors the JSON written by the pre-redesign
 // fixture generator.

@@ -135,7 +135,9 @@ func All() []Entry {
 			Build: func() core.Test {
 				return vharness.Test(vharness.HarnessConfig{Scenario: vharness.ScenarioFailAndRepair})
 			},
-			Options: core.Options{MaxSteps: 3000},
+			// A liveness report comes at twice the bound: the repair must
+			// finish within 3000 steps.
+			Options: core.Options{MaxSteps: 1500},
 		},
 		{
 			Name:    "mtable",

@@ -57,8 +57,9 @@ type Options struct {
 	Seed int64 `json:"seed"`
 	// Iterations is the maximum number of executions (default 10,000).
 	Iterations int `json:"iterations"`
-	// MaxSteps bounds each execution; reaching it treats the execution as
-	// infinite for liveness checking (default 10,000).
+	// MaxSteps bounds each execution (default 10,000). A monitor hot at the
+	// bound gets a uniform tail: a liveness bug if still hot at twice the
+	// bound, which no execution runs past.
 	MaxSteps int `json:"max_steps"`
 	// Workers is the size of the run's one pool of exploration workers
 	// (default runtime.NumCPU()). Every worker serves every member of a
@@ -83,7 +84,8 @@ type Options struct {
 	// waiting for the full bound.
 	Temperature int `json:"temperature,omitempty"`
 	// NoLivenessBoundCheck disables the treat-bound-as-infinite liveness
-	// heuristic (hot-at-termination is still checked).
+	// heuristic: an execution ends clean at MaxSteps, with no tail past it
+	// (hot-at-termination is still checked).
 	NoLivenessBoundCheck bool `json:"no_liveness_bound_check,omitempty"`
 	// NoReplayLog skips the confirmation replay that re-runs a buggy
 	// schedule to collect the detailed execution log.

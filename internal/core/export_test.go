@@ -9,19 +9,32 @@ import "fmt"
 // runtime.
 type EnabledWatcher = enabledWatcher
 
-// WithoutFairTail wraps a pct or delay instance so that no execution it
-// prepares has a fair tail: the reference the tail is held to.
-func WithoutFairTail(s FaultScheduler) FaultScheduler { return untailed{s} }
-
-type untailed struct{ FaultScheduler }
-
-func (u untailed) Prepare(seed int64, maxSteps int) bool {
-	ok := u.FaultScheduler.Prepare(seed, maxSteps)
-	u.FaultScheduler.(interface{ dropTail() }).dropTail()
-	return ok
+// ExploreWithoutFairTail runs the one-worker plan of o's single scheduler
+// as Explore does — seeded per position, calibrated if adaptive, stopping at
+// the first bug — except that no runtime is told the length estimate, so no
+// execution enters the fair tail before the step bound: the reference that
+// tail is held to.
+func ExploreWithoutFairTail(t Test, o Options) error {
+	o = resolved(o)
+	f, err := NewSchedulerFactory(o.Scheduler, o.PCTDepth)
+	if err != nil {
+		return err
+	}
+	cfg := o.runtimeConfig(t, false)
+	s := f.New()
+	for i := 0; i < o.Iterations; i++ {
+		cfg.seed = execSeed(o.Seed, i)
+		s.Prepare(cfg.seed, o.MaxSteps)
+		r := newRuntime(s, cfg)
+		if r.execute(t) != nil {
+			return nil
+		}
+		if i == 0 && f.Adaptive() {
+			s = f.WithLengthHint(min(r.steps, o.MaxSteps)).New()
+		}
+	}
+	return nil
 }
-
-func (p *probes) dropTail() { p.tailAt = 0 }
 
 // ExecuteOnce runs one execution of t under s on a runtime of its own, as
 // the engine does after s.Prepare.
@@ -47,7 +60,8 @@ func CountResumes(t Test, o Options, n int) (counts ResumeCounts, steps int, err
 		s.Prepare(execSeed(o.Seed, 0), o.MaxSteps)
 		r := newRuntime(s, cfg)
 		if r.execute(t) == nil {
-			f = f.WithLengthHint(r.steps)
+			cfg.lengthHint = min(r.steps, o.MaxSteps)
+			f = f.WithLengthHint(cfg.lengthHint)
 		}
 	}
 	s := f.New()
@@ -56,7 +70,8 @@ func CountResumes(t Test, o Options, n int) (counts ResumeCounts, steps int, err
 	workers := 0
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < n; i++ {
-			s.Prepare(execSeed(o.Seed, i), o.MaxSteps)
+			cfg.seed = execSeed(o.Seed, i)
+			s.Prepare(cfg.seed, o.MaxSteps)
 			r := pool.runtime(s, cfg)
 			if pass == 1 && i == 0 {
 				workers = len(r.freeWorkers)

@@ -200,7 +200,9 @@ func (ex *explored) run(c *claimer, sched FaultScheduler, g int64, cand *candida
 		return refused, false
 	}
 	c.cur = g
-	r := c.pool.runtime(sched, c.cfg)
+	cfg := c.cfg
+	cfg.seed, cfg.lengthHint = seed, ex.factories[m].lengthHint
+	r := c.pool.runtime(sched, cfg)
 	var t0 time.Time
 	if ex.timed {
 		t0 = time.Now()
@@ -300,7 +302,8 @@ func (ex *explored) calibrate() {
 			continue // the range holds no position of this member
 		}
 		if steps, ok := ex.run(cal, ex.factories[m].New(), g, nil); ok {
-			ex.factories[m] = ex.factories[m].WithLengthHint(int(steps))
+			// A run that cooled in the tail past the bound estimates the bound.
+			ex.factories[m] = ex.factories[m].WithLengthHint(min(int(steps), ex.o.MaxSteps))
 		}
 	}
 }

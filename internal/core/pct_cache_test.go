@@ -12,13 +12,13 @@ import (
 )
 
 // The pct scheduler reuses its pick while the runtime's enabled set is
-// unchanged, and pct and delay end an execution that outlives eight length
+// unchanged, and the runtime ends an execution that outlives eight length
 // estimates in a fair tail. These tests hold both to what they skip, through
 // the engine, on every catalog entry, with recording schedulers: each wraps
-// a fresh pct or delay instance and records each execution's answers.
-// "pct-watched" is pct as the runtime sees it, "pct-scan" hides the watch so
-// every pick is a scan, "delay-tailed" is delay as it is, and the
-// "-untailed" ones switch the fair tail off.
+// a fresh pct or delay instance and records each execution's answers until
+// the tail, whose answers the runtime gives. "pct-watched" is pct as the
+// runtime sees it, "pct-scan" hides the watch so every pick is a scan, and
+// "delay-recorded" is delay as it is.
 
 // answerLog holds, per execution seed, a hash and a count of the answers a
 // recorder gave during that execution.
@@ -30,12 +30,13 @@ type answerLog struct {
 type answers struct {
 	hash uint64
 	n    int
-	// steps counts the scheduling and fault answers, the choices pct and
-	// delay count toward their tail; prefix is the hash of the first cut
-	// answers, if there were that many.
-	steps  int
-	cut    int
-	prefix uint64
+	// steps counts the scheduling and fault answers, the choices the
+	// runtime counts toward the tail, and picked is steps at the last
+	// scheduling answer; prefix is the hash of the first cut answers, if
+	// there were that many.
+	steps, picked int
+	cut           int
+	prefix        uint64
 }
 
 func (a *answers) add(v int) {
@@ -52,7 +53,7 @@ func (a *answers) step(v int) {
 	a.steps++
 }
 
-// fairTailFactor is how many length estimates pct and delay run before their
+// fairTailFactor is how many length estimates an execution runs before its
 // fair tail. It is stated here rather than read from core, so a tail that
 // starts sooner fails TestFairTailKeepsNaturalExecutions.
 const fairTailFactor = 8
@@ -100,6 +101,7 @@ func (r *recorder) Prepare(seed int64, maxSteps int) bool {
 func (r *recorder) NextMachine(enabled []core.MachineID, current core.MachineID) core.MachineID {
 	m := r.FaultScheduler.NextMachine(enabled, current)
 	r.cur.step(int(m))
+	r.cur.picked = r.cur.steps
 	return m
 }
 
@@ -130,11 +132,11 @@ type watchedRecorder struct {
 	core.EnabledWatcher
 }
 
-// recording is how a recorder is built: the instance it wraps, whether the
-// runtime may watch it, and whether its fair tail is off.
+// recording is how a recorder is built: the instance it wraps and whether
+// the runtime may watch it.
 type recording struct {
-	base              func(depth int) core.FaultScheduler
-	watched, untailed bool
+	base    func(depth int) core.FaultScheduler
+	watched bool
 }
 
 var (
@@ -142,9 +144,7 @@ var (
 	recordings        = map[string]recording{
 		"pct-watched":    {base: core.NewPCTScheduler, watched: true},
 		"pct-scan":       {base: core.NewPCTScheduler},
-		"pct-untailed":   {base: core.NewPCTScheduler, watched: true, untailed: true},
-		"delay-tailed":   {base: core.NewDelayScheduler},
-		"delay-untailed": {base: core.NewDelayScheduler, untailed: true},
+		"delay-recorded": {base: core.NewDelayScheduler},
 	}
 	recorderLogs = map[string]*answerLog{}
 )
@@ -160,9 +160,6 @@ func recordingPlan(t *testing.T) {
 			err := core.RegisterScheduler(name, core.SchedulerSpec{Adaptive: true, New: func(depth int) core.Scheduler {
 				s := how.base(depth)
 				r := &recorder{FaultScheduler: s, LengthHinted: s.(core.LengthHinted), log: log}
-				if how.untailed {
-					r.FaultScheduler = core.WithoutFairTail(s)
-				}
 				if how.watched {
 					return watchedRecorder{r, s.(core.EnabledWatcher)}
 				}
@@ -296,24 +293,27 @@ func TestPCTCachedPickMatchesScan(t *testing.T) {
 }
 
 // TestFairTailKeepsNaturalExecutions explores every catalog entry with pct
-// and delay as they are and with their fair tail off, calibrated alike, and
-// compares every execution both ran: one that ends within eight length
-// estimates without the tail must answer exactly as it does with it, and a
-// longer one must give the same first eight estimates' worth of answers.
-// Some execution of the clean mtable entry under pct must run past them and
-// end differently, or the comparison holds nothing.
+// and delay, with the runtime's fair tail past eight length estimates and
+// without it, calibrated alike, and compares every execution both ran: one
+// that ends within eight length estimates without the tail must answer
+// exactly as it does with it, and a longer one must give the same first
+// eight estimates' worth of answers and then no pick: the runtime answers
+// the rest. Some execution of the clean mtable entry under pct must run past
+// them, or the comparison holds nothing.
 func TestFairTailKeepsNaturalExecutions(t *testing.T) {
 	for _, e := range catalog.All() {
 		t.Run(e.Name, func(t *testing.T) {
 			crossed := 0
-			for _, pair := range [][2]string{{"pct-watched", "pct-untailed"}, {"delay-tailed", "delay-untailed"}} {
-				sched := pair[0]
+			for _, sched := range []string{"pct-watched", "delay-recorded"} {
 				o := e.Options
 				o.Iterations, o.Seed, o.NoReplayLog = 60, 1, true
 				o.Workers, o.Portfolio = 1, nil
-				o.Scheduler = pair[1]
-				_, ref := explore(t, e.Build(), o)
 				o.Scheduler = sched
+				recordingPlan(t)
+				if err := core.ExploreWithoutFairTail(e.Build(), o); err != nil {
+					t.Fatal(err)
+				}
+				ref := recorderLogs[sched].execs
 				_, got := explore(t, e.Build(), o)
 				for seed, r := range ref {
 					g, ok := got[seed]
@@ -327,7 +327,12 @@ func TestFairTailKeepsNaturalExecutions(t *testing.T) {
 						}
 					case g.cut != r.cut || g.prefix != r.prefix:
 						t.Errorf("%s: execution seeded %d ran %d steps: its first %d answers differ with the tail", sched, seed, r.steps, r.cut)
-					case sched == "pct-watched" && *g != *r:
+					case g.picked > g.cut || g.steps < g.cut:
+						// The fault choices of the step that reaches the cut
+						// still reach the recorder; the next pick is the tail's.
+						t.Errorf("%s: execution seeded %d ran %d steps without the tail, yet with it the recorder gave %d answers, the last pick at %d, across the %d before the tail",
+							sched, seed, r.steps, g.steps, g.picked, g.cut)
+					case sched == "pct-watched":
 						crossed++
 					}
 				}

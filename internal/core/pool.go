@@ -178,6 +178,11 @@ func (r *Runtime) reset(sched FaultScheduler, cfg runtimeConfig) {
 	r.current = NoMachine
 	r.killed = false
 	r.steps = 0
+	r.tailAt, r.limit = 0, cfg.maxSteps
+	if cfg.lengthHint >= minEstimate {
+		r.tailAt = fairTailFactor * cfg.lengthHint
+		r.limit = min(r.limit, r.tailAt)
+	}
 	r.dec.reset()
 	r.cov = covBasis
 	r.bug = nil

@@ -78,6 +78,9 @@ type Runtime struct {
 	// handlers; advDone: stop).
 	pending advAction
 	steps   int
+	// limit is the step count at which advance calls atLimit: the one
+	// compare a step makes for the fair tail and the step bound.
+	limit int
 	// The execution's knobs, installed as one value by reset; the ones
 	// advance reads lead the struct.
 	runtimeConfig
@@ -151,6 +154,12 @@ type Runtime struct {
 	// trampolining is set while a trampoline's nested next() runs; only the
 	// cross-check build's nesting check (trampoline) keeps it.
 	trampolining bool
+
+	// tailAt is the step the fair tail begins at (0: none), lowered per
+	// fault choice (choose); own is tail's stream for a scheduler with none.
+	tailAt int
+	tail   randomScheduler
+	own    draws
 }
 
 // runtimeConfig is the per-execution knobs of a Runtime, derived from the
@@ -176,6 +185,9 @@ type runtimeConfig struct {
 	logCap int
 	// faults is the execution's fault budget.
 	faults Faults
+	// lengthHint (the member's pinned estimate) and seed shape the tail.
+	lengthHint int
+	seed       int64
 }
 
 // newRuntime returns a fresh Runtime ready to execute under sched/cfg.
@@ -284,10 +296,7 @@ func (r *Runtime) advance(from *machine) advAction {
 		r.aborted = true
 		return advDone
 	}
-	if r.steps >= r.maxSteps {
-		if r.livenessAtBound {
-			r.checkLiveness("execution exceeded the step bound and is treated as infinite")
-		}
+	if r.steps >= r.limit && r.atLimit() {
 		return advDone
 	}
 	if enabledCrossCheckBuild || r.checkEnabled {
@@ -608,6 +617,11 @@ func (r *Runtime) choose(c FaultChoice, asker *machine) (out int, ok bool) {
 		return 0, false
 	}
 	r.dec.add(c.decision(out))
+	if r.tailAt > r.steps {
+		// A fault choice counts toward the fair tail like a scheduling step.
+		r.tailAt--
+		r.limit = min(r.limit, r.tailAt)
+	}
 	return out, true
 }
 
@@ -809,6 +823,45 @@ func (r *Runtime) checkLiveness(when string) {
 			return
 		}
 	}
+}
+
+// fairTailFactor is how many length estimates an execution runs before its
+// fair tail; no catalog execution that ends before the bound runs past 3.41.
+const fairTailFactor = 8
+
+// atLimit runs when the steps reach limit, enters the fair tail stated in
+// the gostorm package documentation (Liveness) and reports whether the
+// execution ends here. A replay keeps answering from the trace.
+func (r *Runtime) atLimit() bool {
+	r.tailAt, r.limit = 0, r.maxSteps
+	if r.steps >= r.maxSteps {
+		hot := false
+		for _, e := range r.monitors {
+			hot = hot || e.mc.hot
+		}
+		if !r.livenessAtBound || !hot {
+			return true
+		}
+		if r.steps >= 2*r.maxSteps {
+			r.checkLiveness("execution exceeded the step bound and is treated as infinite")
+			return true
+		}
+		r.limit = r.steps + 1 // past the bound, every step checks the monitors
+	}
+	if r.steps > r.maxSteps || r.sched == &r.tail {
+		return false // in the tail already
+	}
+	switch s := r.sched.(type) {
+	case *replayScheduler:
+	case interface{ stream() *draws }:
+		r.tail.draws = *s.stream()
+		r.sched = &r.tail
+	default:
+		r.own.name = s.Name()
+		r.own.reseed(r.seed)
+		r.tail.draws, r.sched = r.own, &r.tail
+	}
+	return false
 }
 
 // checkTemperature flags monitors that stayed hot beyond the threshold.

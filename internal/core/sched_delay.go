@@ -6,10 +6,7 @@ package core
 // machine ID) except at d randomly chosen steps (probes), where the machine
 // that would run is "delayed" and the baseline continues without it. Small
 // delay budgets cover a surprising number of bugs because many bugs need
-// only a few out-of-order steps. Round-robin starves nothing, but a delayed
-// machine can stay delayed while a spinning one runs; past its fair tail (see
-// probes) an execution picks uniformly instead, the unfair prefix, fair
-// suffix of P#'s FairPCT.
+// only a few out-of-order steps.
 type delayScheduler struct {
 	probes
 	last MachineID
@@ -54,9 +51,6 @@ func (s *delayScheduler) pickBaseline(enabled []MachineID) MachineID {
 }
 
 func (s *delayScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
-	if s.fair() {
-		return enabled[s.rng.Intn(len(enabled))]
-	}
 	choice := s.pickBaseline(enabled)
 	if s.probe() {
 		// Delay the machine that would have run and advance past it.

@@ -324,20 +324,16 @@ func (d *draws) NextInt(n int) int {
 
 func (d *draws) NextFault(c FaultChoice) int { return d.rng.Intn(c.N) }
 
+// stream is how the runtime finds the generator of a scheduler that embeds
+// draws: the fair tail answers from it (Runtime.atLimit).
+func (d *draws) stream() *draws { return d }
+
 // probes is what the two adaptive schedulers share: depth probe points (pct's
 // priority change points, delay's delay points) drawn per execution within an
 // estimate of the program length, and a step counter that fault choice points
 // advance like scheduling points — so a probe that lands on a fault point is
 // spent forcing a non-benign outcome there, the fault-plane analog of
 // demoting or delaying a machine. Everywhere else a fault outcome is uniform.
-//
-// Neither strategy is fair: pct's strict priorities can starve the machine a
-// spinning one waits for until the step bound, where the liveness heuristic
-// is unsound. So an execution is an unfair prefix and a fair suffix (P#'s
-// FairPCT): once it outlives fairTailFactor engine-pinned length estimates,
-// every scheduling choice is uniform over the enabled machines, drawn from
-// the same seeded stream. No probe lies past the estimate, so the fault
-// choices there are uniform already.
 type probes struct {
 	draws
 	depth int
@@ -348,22 +344,11 @@ type probes struct {
 	points []int
 	next   int
 	step   int
-	// tailAt is the step count after which the execution is in its fair
-	// tail; 0 means never.
-	tailAt int
 	// lengthHint, when positive, is the engine-shared length estimate that
 	// makes place a pure function of (seed, maxSteps) — the property the
 	// parallel engine and portfolio attribution rely on.
 	lengthHint int
 }
-
-// fairTailFactor is how many length estimates an execution runs before its
-// fair tail. Across the catalog under pct and delay, 300 executions an
-// entry at seed 1, no execution that ended before the step bound ran longer
-// than 3.41 estimates, counting fault choices as steps the way the tail does
-// (delay on wal-fixed; 2.65 on MigratingTable), so the tail changes only
-// executions that spin.
-const fairTailFactor = 8
 
 // place reseeds and draws the execution's probe points. The program length
 // is estimated by the engine-shared hint, else by the previous execution on
@@ -371,22 +356,15 @@ const fairTailFactor = 8
 // most points beyond the end of the execution and waste the budget, so the
 // bound is only the fallback for a first or degenerately short estimate. The
 // points are drawn first and sorted after, so the draws do not depend on how
-// probe walks them, and points drawn twice probe their step once. Only an
-// execution placed within the engine-pinned hint gets a fair tail: an
-// instance's own history would make the tail depend on which executions it
-// happened to run.
+// probe walks them, and points drawn twice probe their step once.
 func (p *probes) place(seed int64, maxSteps int) {
 	p.reseed(seed)
 	bound := p.lengthHint
 	if bound <= 0 {
 		bound = p.step
 	}
-	if bound < 10 {
+	if bound < minEstimate {
 		bound = maxSteps
-	}
-	p.tailAt = 0
-	if bound == p.lengthHint {
-		p.tailAt = fairTailFactor * bound
 	}
 	p.step, p.next = 0, 0
 	p.points = p.points[:0]
@@ -396,6 +374,10 @@ func (p *probes) place(seed int64, maxSteps int) {
 	slices.Sort(p.points)
 	p.points = slices.Compact(p.points)
 }
+
+// minEstimate is the shortest length estimate that places probes or starts a
+// fair tail.
+const minEstimate = 10
 
 // SetLengthHint implements LengthHinted: it pins the program-length estimate,
 // detaching the scheduler from its own execution history.
@@ -407,16 +389,6 @@ func (p *probes) probe() bool {
 	p.step++
 	if p.next < len(p.points) && p.points[p.next] == p.step {
 		p.next++
-		return true
-	}
-	return false
-}
-
-// fair reports whether the execution is in its fair tail, and counts the
-// step when it is: the tail's steps do not go through probe.
-func (p *probes) fair() bool {
-	if p.tailAt > 0 && p.step >= p.tailAt {
-		p.step++
 		return true
 	}
 	return false
@@ -454,9 +426,7 @@ func (s *randomScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineI
 // highest-priority enabled machine runs. At `depth` randomly chosen steps
 // per execution (probes) the scheduler demotes the machine it is about to
 // run to the lowest priority, which is what lets it dig out bugs that need a
-// specific thread to stall at a specific moment. Past its fair tail (see
-// probes) an execution picks uniformly instead: the unfair prefix, fair
-// suffix of P#'s FairPCT.
+// specific thread to stall at a specific moment.
 type pctScheduler struct {
 	probes
 
@@ -514,9 +484,6 @@ func (s *pctScheduler) watchEnabled(changes *uint64) {
 // the enabledcheck tag every reused pick is checked against the scan, which
 // on an unchanged set must draw nothing.
 func (s *pctScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
-	if s.fair() {
-		return enabled[s.rng.Intn(len(enabled))]
-	}
 	demote := s.probe()
 	reuse := !demote && s.watch != nil && *s.watch == s.seen
 	if reuse && !enabledCrossCheckBuild {

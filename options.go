@@ -123,9 +123,9 @@ func WithIterations(n int) Option {
 	return positive("WithIterations", n, func(o *core.Options) { o.Iterations = n })
 }
 
-// WithMaxSteps bounds each execution's scheduling steps (default 10,000);
-// reaching the bound treats the execution as infinite for liveness
-// checking.
+// WithMaxSteps bounds each execution's scheduling steps (default 10,000).
+// A monitor hot at the bound gets a uniform tail, and is a liveness bug if
+// still hot at 2 × n steps, which no execution runs past.
 func WithMaxSteps(n int) Option {
 	return positive("WithMaxSteps", n, func(o *core.Options) { o.MaxSteps = n })
 }
@@ -211,7 +211,8 @@ func WithNoReplayLog() Option {
 }
 
 // WithNoLivenessBoundCheck disables the treat-bound-as-infinite liveness
-// heuristic (hot-at-termination is still checked).
+// heuristic: an execution ends clean at the step bound, with no tail past
+// it (hot-at-termination is still checked).
 func WithNoLivenessBoundCheck() Option {
 	return func(c *config) { c.opts.NoLivenessBoundCheck = true }
 }
