@@ -84,11 +84,10 @@
 //   - Calibration. Adaptive schedulers (pct, delay) place their probes
 //     within an estimate of the program length. Their iteration 0 runs
 //     first, alone, and its observed step count is pinned on every
-//     instance of the member, so their decision streams are pure
-//     functions of the iteration seed too. Between probes, pct reuses its
-//     pick while the runtime's enabled set is unchanged, which makes the
-//     same choices as scanning the set every step. The pinned estimate
-//     also starts the runtime's fair tail (see Liveness).
+//     instance of the member; an instance carries nothing from one
+//     execution to the next, so its decisions are pure functions of the
+//     iteration seed and the pinned estimate. The pinned estimate also
+//     starts the runtime's fair tail (see Liveness).
 //   - Windows. With a feedback member (mutational) the range is drained
 //     in fixed-size generation windows with the corpus frozen inside a
 //     window and merged, in position order, at the barrier between two;
@@ -447,8 +446,8 @@
 // seed the results, encoded traces, winner attribution and statistics
 // are bit-identical with pooling on and off, at every worker count —
 // enforced by the pooling determinism tests. WithNoReuse disables reuse
-// as a debugging escape hatch, and WithLogCap bounds the replay log
-// (default 100,000 lines).
+// as a debugging escape hatch. The replay log is bounded at 100,000 lines
+// an execution.
 //
 // # API stability
 //

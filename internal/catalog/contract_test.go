@@ -156,11 +156,9 @@ func rowOptions(sc gostorm.Scenario, e catalog.Entry, row string) []gostorm.Opti
 }
 
 // options layers a strategy, seed 1 and a budget over the scenario's own
-// options. The checks read verdicts, not logs, so a replay's log is capped
-// at one line: uncapped, replaying a run to the step bound formats a line
-// per step.
+// options.
 func options(sc gostorm.Scenario, strategy gostorm.Option, budget int) []gostorm.Option {
-	return append(sc.Options(), strategy, gostorm.WithSeed(1), gostorm.WithIterations(budget), gostorm.WithLogCap(1))
+	return append(sc.Options(), strategy, gostorm.WithSeed(1), gostorm.WithIterations(budget))
 }
 
 // runColumns runs a row in every column, fails unless all agree, and

@@ -47,10 +47,6 @@ import "fmt"
 // enabled IDs above it — cost bounded by the number of *enabled* machines,
 // not by the machine count, and typically zero or one on harnesses where
 // most machines are blocked.
-//
-// Every change to the set — an insert here or in createMachine, a remove —
-// bumps r.enabledChanges, which is how a scheduler that keeps its last pick
-// (pct, see enabledWatcher) learns the set it was computed over is gone.
 
 // insertEnabled adds m to the enabled set, keeping it sorted by ID.
 // No-op when m is already present.
@@ -69,7 +65,6 @@ func (r *Runtime) insertEnabled(m *machine) {
 	e[i] = m.id
 	m.epos = int32(i)
 	r.enabled = e
-	r.enabledChanges++
 }
 
 // removeEnabled deletes m from the enabled set, shifting the tail left.
@@ -88,7 +83,6 @@ func (r *Runtime) removeEnabled(m *machine) {
 	}
 	r.enabled = e[:last]
 	m.epos = -1
-	r.enabledChanges++
 }
 
 // blockDequeue re-evaluates m's bit as it enters statusWaitDequeue from

@@ -90,11 +90,6 @@ type Options struct {
 	// NoReplayLog skips the confirmation replay that re-runs a buggy
 	// schedule to collect the detailed execution log.
 	NoReplayLog bool `json:"-"`
-	// LogCap bounds the number of lines the replay log may collect per
-	// execution; 0 means the default (100,000 lines). Negative values are
-	// rejected up front. Exploration executions collect no log, so the cap
-	// only shapes replays and confirmation replays.
-	LogCap int `json:"-"`
 	// NoReuse disables the pooled execution engine: every execution gets
 	// a freshly allocated Runtime with fresh machine goroutines, inboxes
 	// and buffers, as in the pre-pooling engine. Pooling is semantically
@@ -150,7 +145,6 @@ func (o Options) Resolve(t Test) (Options, error) {
 		{"Workers", o.Workers},
 		{"PCTDepth", o.PCTDepth},
 		{"Temperature", o.Temperature},
-		{"LogCap", o.LogCap},
 	} {
 		if c.v < 0 {
 			return o, &ConfigError{
@@ -180,9 +174,6 @@ func (o Options) Resolve(t Test) (Options, error) {
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.NumCPU()
-	}
-	if o.LogCap == 0 {
-		o.LogCap = defaultLogCap
 	}
 
 	for m, name := range o.Members() {
@@ -239,7 +230,7 @@ func (o Options) runtimeConfig(t Test, collectLog bool) runtimeConfig {
 		temperature:     o.Temperature,
 		livenessAtBound: !o.NoLivenessBoundCheck,
 		collectLog:      collectLog,
-		logCap:          o.LogCap,
+		logCap:          defaultLogCap,
 		faults:          o.EffectiveFaults(t),
 		checkEnabled:    o.debugCheckEnabled,
 	}

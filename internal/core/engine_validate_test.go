@@ -52,10 +52,10 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative workers", Options{Workers: -2}, "Options.Workers", "must be non-negative, got -2"},
 		{"negative pct depth", Options{PCTDepth: -3}, "Options.PCTDepth", "must be non-negative, got -3"},
 		{"negative temperature", Options{Temperature: -7}, "Options.Temperature", "must be non-negative, got -7"},
-		{"negative log cap", Options{LogCap: -10}, "Options.LogCap", "must be non-negative, got -10"},
 		{"negative crash budget", Options{Faults: Faults{MaxCrashes: -1}}, "Options.Faults.MaxCrashes", "must be non-negative, got -1"},
 		{"negative drop budget", Options{Faults: Faults{MaxDrops: -4}}, "Options.Faults.MaxDrops", "must be non-negative, got -4"},
 		{"negative duplicate budget", Options{Faults: Faults{MaxDuplicates: -9}}, "Options.Faults.MaxDuplicates", "must be non-negative, got -9"},
+		{"negative torn crash budget", Options{Faults: Faults{MaxTornCrashes: -2}}, "Options.Faults.MaxTornCrashes", "must be non-negative, got -2"},
 		{"unknown portfolio member", Options{Portfolio: []string{"random", "quantum"}}, "Options.Portfolio[1]", `unknown scheduler "quantum"`},
 		{"unknown scheduler", Options{Scheduler: "quantum"}, "Options.Scheduler", `unknown scheduler "quantum"`},
 	}
@@ -155,7 +155,7 @@ func TestMustExplorePanicsOnConfigError(t *testing.T) {
 func TestResolveAcceptsZeroAndPositive(t *testing.T) {
 	for _, o := range []Options{
 		{},
-		{Iterations: 5, MaxSteps: 100, Workers: 2, PCTDepth: 3, Temperature: 50, LogCap: 500,
+		{Iterations: 5, MaxSteps: 100, Workers: 2, PCTDepth: 3, Temperature: 50,
 			Faults: Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3}},
 		{Portfolio: []string{"random", "pct", "random"}},
 		{Scheduler: "dfs", Workers: 8},
@@ -166,7 +166,7 @@ func TestResolveAcceptsZeroAndPositive(t *testing.T) {
 			t.Fatalf("valid options rejected: %v", err)
 		}
 		if r.Scheduler == "" || r.Iterations <= 0 || r.MaxSteps <= 0 || r.PCTDepth <= 0 ||
-			r.Workers <= 0 || r.LogCap <= 0 {
+			r.Workers <= 0 {
 			t.Fatalf("Resolve(%+v) left a default unapplied: %+v", o, r)
 		}
 		want := o.Workers

@@ -5,10 +5,6 @@ import "fmt"
 // Doors for the external tests of this package (package core_test), which
 // drive the catalog — a package core itself cannot import.
 
-// EnabledWatcher lets a test scheduler that wraps pct stay watchable by the
-// runtime.
-type EnabledWatcher = enabledWatcher
-
 // ExploreWithoutFairTail runs the one-worker plan of o's single scheduler
 // as Explore does — seeded per position, calibrated if adaptive, stopping at
 // the first bug — except that no runtime is told the length estimate, so no
@@ -36,10 +32,16 @@ func ExploreWithoutFairTail(t Test, o Options) error {
 	return nil
 }
 
-// ExecuteOnce runs one execution of t under s on a runtime of its own, as
-// the engine does after s.Prepare.
-func ExecuteOnce(s FaultScheduler, t Test, maxSteps int) *BugReport {
-	return newRuntime(s, runtimeConfig{maxSteps: maxSteps}).execute(t)
+// replayLog replays tr as Replay does, on a runtime from pool (nil:
+// unpooled) whose replay log is capped at logCap lines, and returns the log.
+func replayLog(pool *execPool, t Test, tr *Trace, o Options, logCap int) []string {
+	sched := newReplayScheduler(tr)
+	sched.Prepare(0, o.MaxSteps)
+	cfg := o.runtimeConfig(t, true)
+	cfg.faults, cfg.logCap = tr.Faults, logCap
+	r := pool.runtime(sched, cfg)
+	r.execute(t)
+	return r.log
 }
 
 // CountResumes runs the first n executions of the one-worker plan of o —

@@ -148,9 +148,6 @@ func (r *Runtime) stopWorkers() {
 // execution can observe the rewind.
 func (r *Runtime) reset(sched FaultScheduler, cfg runtimeConfig) {
 	r.sched = sched
-	if w, ok := sched.(enabledWatcher); ok {
-		w.watchEnabled(&r.enabledChanges)
-	}
 	// No per-machine rewind: every machine is already clean — a machine
 	// dying mid-handler is scrubbed as it unwinds (unwound), reapCrashes
 	// and shutdown do the same for those with no stack, so by the time

@@ -277,27 +277,28 @@ func TestTraceOwnsItsDecisions(t *testing.T) {
 	}
 }
 
-// --- Options.LogCap: the formerly hardcoded replay-log bound ---
+// --- runtimeConfig.logCap: the replay-log bound ---
 
-// TestLogCapBoundsReplayLog: a small LogCap truncates the confirmation
-// replay's log, and the cap is re-applied (not accumulated) when the
-// pooled runtime is reused.
+// TestLogCapBoundsReplayLog: a small cap truncates a replay's log, and the
+// cap is re-applied (not accumulated) when the pooled runtime is reused: the
+// confirmation replay under the default cap brings the full log back.
 func TestLogCapBoundsReplayLog(t *testing.T) {
-	opts := Options{Scheduler: "random", Iterations: 1000, Seed: 42, LogCap: 5}
-	res := MustExplore(raceTest(), opts)
+	o := Options{Scheduler: "random", Iterations: 1000, Seed: 42}
+	res := MustExplore(raceTest(), o)
 	if !res.BugFound {
 		t.Fatal("bug not found")
 	}
-	if len(res.Report.Log) == 0 || len(res.Report.Log) > 5 {
-		t.Fatalf("replay log has %d lines, want 1..5", len(res.Report.Log))
+	full := len(res.Report.Log)
+	if full <= 5 {
+		t.Fatalf("default-cap replay log has only %d lines", full)
 	}
-
-	// Unset cap: the default applies and the full log comes back.
-	res = MustExplore(raceTest(), Options{Scheduler: "random", Iterations: 1000, Seed: 42})
-	if !res.BugFound {
-		t.Fatal("bug not found")
+	pool := newExecPool(o)
+	defer pool.release()
+	o = resolved(o)
+	if n := len(replayLog(pool, raceTest(), res.Report.Trace, o, 5)); n == 0 || n > 5 {
+		t.Fatalf("replay log has %d lines, want 1..5", n)
 	}
-	if len(res.Report.Log) <= 5 {
-		t.Fatalf("default-cap replay log has only %d lines", len(res.Report.Log))
+	if n := len(replayLog(pool, raceTest(), res.Report.Trace, o, defaultLogCap)); n != full {
+		t.Fatalf("replay on the reused runtime logged %d lines, the confirmation replay %d", n, full)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"runtime/debug"
 )
 
-// defaultLogCap bounds the replay log when Options.LogCap is left zero.
+// defaultLogCap bounds the lines the replay log collects per execution.
 const defaultLogCap = 100000
 
 // Runtime executes one test run from start to completion under the control
@@ -147,10 +147,6 @@ type Runtime struct {
 	persistScratch []string
 	persistArena   []byte
 
-	// enabledChanges counts the changes to enabled, across executions; a
-	// scheduler that implements enabledWatcher reads it to tell whether the
-	// set it last picked from is still the one it is handed.
-	enabledChanges uint64
 	// trampolining is set while a trampoline's nested next() runs; only the
 	// cross-check build's nesting check (trampoline) keeps it.
 	trampolining bool
@@ -688,7 +684,6 @@ func (r *Runtime) createMachine(impl Machine, name string) MachineID {
 	// far, so the sorted insert is a plain append.
 	m.epos = int32(len(r.enabled))
 	r.enabled = append(r.enabled, id)
-	r.enabledChanges++
 	return id
 }
 

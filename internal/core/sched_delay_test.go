@@ -61,20 +61,33 @@ func TestNewSchedulerKnowsDelay(t *testing.T) {
 	}
 }
 
-// TestPCTAdaptiveChangePoints checks that after a short execution, the
-// next execution's change points fall within the observed length.
+// TestPCTAdaptiveChangePoints checks that the change points fall within the
+// length hint, and within the step bound when there is none: a short
+// execution before does not narrow them.
 func TestPCTAdaptiveChangePoints(t *testing.T) {
-	s := NewPCTScheduler(3).(*pctScheduler)
-	s.Prepare(1, 100000)
-	// Simulate a short execution of 50 steps.
-	enabled := []MachineID{0, 1}
-	for i := 0; i < 50; i++ {
-		s.NextMachine(enabled, NoMachine)
-	}
-	s.Prepare(2, 100000)
-	for _, cp := range s.points {
-		if cp > 50 {
-			t.Fatalf("change point %d beyond the observed execution length 50", cp)
+	const maxSteps = 100000
+	for _, hint := range []int{0, 50} {
+		s := NewPCTScheduler(3).(*pctScheduler)
+		s.SetLengthHint(hint)
+		s.Prepare(1, maxSteps)
+		// Simulate a short execution of 50 steps.
+		enabled := []MachineID{0, 1}
+		for i := 0; i < 50; i++ {
+			s.NextMachine(enabled, NoMachine)
+		}
+		s.Prepare(2, maxSteps)
+		bound, beyond := hint, false
+		if hint == 0 {
+			bound = maxSteps
+		}
+		for _, cp := range s.points {
+			if cp > bound {
+				t.Fatalf("hint %d: change point %d beyond %d", hint, cp, bound)
+			}
+			beyond = beyond || cp > 50
+		}
+		if beyond != (hint == 0) {
+			t.Fatalf("hint %d: change points %v, want some beyond the 50 steps run before iff there is no hint", hint, s.points)
 		}
 	}
 }

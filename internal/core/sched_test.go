@@ -133,7 +133,7 @@ func TestPCTChangePointsRespectBudget(t *testing.T) {
 // TestProbeCursorMatchesContains holds probe's cursor over the sorted points
 // to the membership test over the points in draw order that it replaced, for
 // both adaptive schedulers: depths 1–4 over bounds of 6 to 13 steps force
-// duplicate points, a zero hint takes the previous execution's length, and
+// duplicate points, a zero hint places them within the step bound, and
 // every third choice point is a fault point, which shares the step counter
 // with the scheduling points (probe, as NextMachine calls it). The reference
 // mirrors the scheduler's generator, so a fault answer also says whether the
@@ -158,12 +158,8 @@ func TestProbeCursorMatchesContains(t *testing.T) {
 					p = &s.probes
 				}
 				p.SetLengthHint(hint)
-				last := 0
 				for seed := int64(0); seed < 200; seed++ {
 					bound := hint
-					if bound <= 0 {
-						bound = last
-					}
 					if bound < 10 {
 						bound = maxSteps
 					}
@@ -176,7 +172,7 @@ func TestProbeCursorMatchesContains(t *testing.T) {
 						duplicates++
 					}
 					s.Prepare(seed, maxSteps)
-					last = 7 + int(seed%7) // some points lie beyond the end
+					last := 7 + int(seed%7) // some points lie beyond the end
 					for step := 1; step <= last; step++ {
 						fires := slices.Contains(points, step)
 						at := func() string {
@@ -207,6 +203,69 @@ func TestProbeCursorMatchesContains(t *testing.T) {
 	}
 }
 
+// TestRePrepareForgetsEarlierExecutions holds both adaptive schedulers, at
+// depths 1–4, with and without a length hint, to answers that depend only on
+// (seed, hint, step bound) and the call sequence: an instance that has run
+// executions of different lengths and is then prepared with a seed answers
+// exactly as a fresh instance prepared with it.
+func TestRePrepareForgetsEarlierExecutions(t *testing.T) {
+	const maxSteps = 300
+	sets := [][]MachineID{{0, 1, 2}, {1, 3}, {0, 2, 4, 5}, {5}, {2, 3, 4}, {0, 5}}
+	crash := FaultChoice{Kind: FaultCrash, N: 4, Machine: NoMachine, Candidates: []MachineID{1, 2, 3}}
+	// drive answers n choices, a mix of every kind, and returns the answers.
+	drive := func(s FaultScheduler, n int) []int {
+		var got []int
+		for i := 0; i < n; i++ {
+			switch {
+			case i%5 == 4:
+				got = append(got, s.NextFault(crash))
+			case i%7 == 6:
+				got = append(got, s.NextInt(5))
+			case i%11 == 10:
+				b := 0
+				if s.NextBool() {
+					b = 1
+				}
+				got = append(got, b)
+			default:
+				got = append(got, int(s.NextMachine(sets[i%len(sets)], NoMachine)))
+			}
+		}
+		return got
+	}
+	for _, name := range []string{"pct", "delay"} {
+		for depth := 1; depth <= 4; depth++ {
+			for _, hint := range []int{0, 40} {
+				f, err := NewSchedulerFactory(name, depth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hint > 0 {
+					f = f.WithLengthHint(hint)
+				}
+				used := f.New()
+				for i, n := range []int{17, 250, 40, 3, 120} {
+					used.Prepare(int64(100+i), maxSteps)
+					drive(used, n)
+				}
+				for seed := int64(0); seed < 20; seed++ {
+					fresh := f.New()
+					used.Prepare(seed, maxSteps)
+					fresh.Prepare(seed, maxSteps)
+					if got, want := drive(used, maxSteps), drive(fresh, maxSteps); !slices.Equal(got, want) {
+						i := 0
+						for got[i] == want[i] {
+							i++
+						}
+						t.Fatalf("%s depth %d hint %d seed %d: answer %d is %d after earlier executions, %d on a fresh instance",
+							name, depth, hint, seed, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // spinTest is the pattern that dominates pct's Table 2 cells: a machine that
 // keeps sending itself an event stays enabled and, at top priority, is picked
 // again at every Send, beside two machines parked in Receive on an event
@@ -233,7 +292,7 @@ func spinTest() Test {
 // BenchmarkPCTSpin measures pct's step on spinTest: one pooled runtime, one
 // 4096-step execution per op, at the engine's calibrated length. Run it at
 // GOMAXPROCS=1. Invariant: 0 allocs/op; ns/step is the cost of a re-pick of
-// the spinning machine, which reuses the pick while the enabled set stands.
+// the spinning machine, a priority scan of the three-machine enabled set.
 func BenchmarkPCTSpin(b *testing.B) {
 	const steps = 4096
 	test := spinTest()

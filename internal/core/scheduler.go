@@ -88,17 +88,16 @@ func (f SchedulerFactory) Sequential() bool { return f.spec.Sequential }
 
 // Adaptive reports that the scheduler places its probes (priority change
 // points, delay points) within an estimate of the program length. Without
-// a shared estimate each instance adapts to the previous execution it
-// itself ran, which makes the discovering iteration depend on how the
-// engine's workers interleave. The engine therefore calibrates adaptive
-// factories: it measures iteration 0 once and pins the estimate on every
-// instance via WithLengthHint, restoring worker-count independence.
+// one, pct and delay place them within the step bound, where most fall
+// beyond the end of a short execution. The engine therefore calibrates
+// adaptive factories: it measures iteration 0 once and pins the estimate on
+// every instance via WithLengthHint.
 func (f SchedulerFactory) Adaptive() bool { return f.spec.Adaptive }
 
-// WithLengthHint returns a copy of the factory whose instances all use the
-// given program-length estimate (in scheduling steps) instead of adapting
-// to their own previous execution. The hint is what makes the adaptive
-// schedulers' decision streams a pure function of the per-execution seed.
+// WithLengthHint returns a copy of the factory whose instances all place
+// their probes within the given program-length estimate (in scheduling
+// steps) instead of the step bound. An instance's answers are a pure
+// function of the per-execution seed, the hint and the step bound.
 func (f SchedulerFactory) WithLengthHint(steps int) SchedulerFactory {
 	f.lengthHint = steps
 	return f
@@ -339,30 +338,26 @@ type probes struct {
 	depth int
 	// points holds the distinct step numbers probed this execution, sorted,
 	// and next indexes the first not yet reached; step counts the choices
-	// answered so far, and between executions is the length of the previous
-	// one.
+	// answered so far in this execution.
 	points []int
 	next   int
 	step   int
-	// lengthHint, when positive, is the engine-shared length estimate that
-	// makes place a pure function of (seed, maxSteps) — the property the
-	// parallel engine and portfolio attribution rely on.
+	// lengthHint, when positive, is the engine-shared length estimate the
+	// points are drawn within.
 	lengthHint int
 }
 
-// place reseeds and draws the execution's probe points. The program length
-// is estimated by the engine-shared hint, else by the previous execution on
-// this instance; sampling over the (often much larger) step bound would push
-// most points beyond the end of the execution and waste the budget, so the
-// bound is only the fallback for a first or degenerately short estimate. The
-// points are drawn first and sorted after, so the draws do not depend on how
-// probe walks them, and points drawn twice probe their step once.
+// place reseeds and draws the execution's probe points within the
+// engine-shared length estimate; sampling over the (often much larger) step
+// bound would push most points beyond the end of the execution and waste the
+// budget, so the bound is only the fallback for an instance with no hint or a
+// degenerately short one. Nothing carries over from an earlier execution, so
+// the points are a pure function of (seed, hint, maxSteps). They are drawn
+// first and sorted after, so the draws do not depend on how probe walks them,
+// and points drawn twice probe their step once.
 func (p *probes) place(seed int64, maxSteps int) {
 	p.reseed(seed)
 	bound := p.lengthHint
-	if bound <= 0 {
-		bound = p.step
-	}
 	if bound < minEstimate {
 		bound = maxSteps
 	}
@@ -379,8 +374,7 @@ func (p *probes) place(seed int64, maxSteps int) {
 // fair tail.
 const minEstimate = 10
 
-// SetLengthHint implements LengthHinted: it pins the program-length estimate,
-// detaching the scheduler from its own execution history.
+// SetLengthHint implements LengthHinted: it pins the program-length estimate.
 func (p *probes) SetLengthHint(steps int) { p.lengthHint = steps }
 
 // probe counts one choice point and reports whether a probe landed on it.
@@ -434,28 +428,11 @@ type pctScheduler struct {
 	// pctUnset marks a machine not seen yet.
 	prio   []int
 	lowest int
-
-	// watch is the enabled-set change counter of the runtime driving this
-	// execution (nil when none is: a direct caller), and pick the last
-	// answer, computed when the counter read seen. A priority changes only
-	// on first sight, which takes a change of the set, or on a probe, so an
-	// unchanged counter and no probe mean pick is still the maximum.
-	watch *uint64
-	seen  uint64
-	pick  MachineID
 }
 
 // pctUnset is the prio entry of a machine not seen yet; real priorities are
 // draws from [0, 1<<20) or small negative demotion ranks.
 const pctUnset = math.MinInt
-
-// enabledWatcher is implemented by a scheduler that reuses its pick while the
-// enabled set is unchanged. Runtime.reset hands it the runtime's change
-// counter for the execution; its Prepare must drop it, so an instance driven
-// by anything but a runtime sees every change.
-type enabledWatcher interface {
-	watchEnabled(changes *uint64)
-}
 
 // NewPCTScheduler returns a PCT scheduler with the given number of priority
 // change points per execution.
@@ -467,39 +444,22 @@ func (s *pctScheduler) Prepare(seed int64, maxSteps int) bool {
 	s.place(seed, maxSteps)
 	s.prio = s.prio[:0]
 	s.lowest = 0
-	s.watch = nil
 	return true
-}
-
-// watchEnabled implements enabledWatcher. seen starts at a count the
-// counter has already passed, so the first step scans.
-func (s *pctScheduler) watchEnabled(changes *uint64) {
-	s.watch, s.seen = changes, *changes-1
 }
 
 // NextMachine runs the enabled machine of highest priority, the lowest ID
 // winning a tie; on a probe it first demotes that machine below every other
 // and selects again. A machine seen for the first time draws its priority,
-// in enabled order, and so ranks at random among those seen before it. With
-// the enabledcheck tag every reused pick is checked against the scan, which
-// on an unchanged set must draw nothing.
+// in enabled order, and so ranks at random among those seen before it.
 func (s *pctScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
-	demote := s.probe()
-	reuse := !demote && s.watch != nil && *s.watch == s.seen
-	if reuse && !enabledCrossCheckBuild {
-		return s.pick
-	}
 	for top := int(enabled[len(enabled)-1]); top >= len(s.prio); {
 		s.prio = append(s.prio, pctUnset)
 	}
-	for ; ; demote = false {
+	for demote := s.probe(); ; demote = false {
 		best, bestP := NoMachine, pctUnset
 		for _, id := range enabled {
 			p := s.prio[id]
 			if p == pctUnset {
-				if enabledCrossCheckBuild && reuse {
-					panic(fmt.Sprintf("core: pct scheduler: machine %d enabled without a change to the enabled set", id))
-				}
 				p = s.firstSight(id)
 			}
 			if p > bestP {
@@ -507,13 +467,6 @@ func (s *pctScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
 			}
 		}
 		if !demote {
-			if enabledCrossCheckBuild && reuse && best != s.pick {
-				panic(fmt.Sprintf("core: pct scheduler: reused pick %d, but the scan of %v picks %d", s.pick, enabled, best))
-			}
-			s.pick = best
-			if s.watch != nil {
-				s.seen = *s.watch
-			}
 			return best
 		}
 		s.lowest--

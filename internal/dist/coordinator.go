@@ -10,6 +10,10 @@ import (
 	"github.com/gostorm/gostorm/internal/core"
 )
 
+// retryMs is the backoff, in milliseconds, agents are told when no lease is
+// pending.
+const retryMs = 200
+
 // Config configures a Coordinator.
 type Config struct {
 	// Scenario is the catalog name agents build the test from. The
@@ -23,9 +27,6 @@ type Config struct {
 	// LeaseTTL is how long an agent may sit on a lease before it is
 	// re-issued to someone else (default 10s).
 	LeaseTTL time.Duration
-	// RetryMs is the backoff agents are told when no lease is pending
-	// (default 200).
-	RetryMs int
 	// Log, when non-nil, receives one line per control-plane event.
 	Log func(format string, args ...any)
 }
@@ -99,9 +100,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 10 * time.Second
-	}
-	if cfg.RetryMs <= 0 {
-		cfg.RetryMs = 200
 	}
 	total := core.PlanSize(o)
 	return &Coordinator{
@@ -206,7 +204,7 @@ func (co *Coordinator) lease(now time.Time, req LeaseRequest) (LeaseResponse, er
 	}
 	l, ok := co.lt.grant(req.Agent, now)
 	if !ok {
-		return LeaseResponse{None: true, RetryMs: co.cfg.RetryMs, Stop: co.lt.limit}, nil
+		return LeaseResponse{None: true, RetryMs: retryMs, Stop: co.lt.limit}, nil
 	}
 	return LeaseResponse{Lease: l.id, From: l.span.from, To: l.span.to, Stop: co.lt.limit}, nil
 }

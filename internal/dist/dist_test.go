@@ -197,7 +197,6 @@ func TestChaosDeterministicAttribution(t *testing.T) {
 				Options:   opts,
 				LeaseSize: 64,
 				LeaseTTL:  300 * time.Millisecond,
-				RetryMs:   10,
 			}, wrap)
 			wg := runAgents(t, srv.URL, test, tc.agents, tc.kill)
 			res := waitDone(t, co, wg)
@@ -256,7 +255,6 @@ func TestPortfolioDistributedMatchesExplore(t *testing.T) {
 		Options:   opts,
 		LeaseSize: 32,
 		LeaseTTL:  time.Second,
-		RetryMs:   10,
 	}, nil)
 	wg := runAgents(t, srv.URL, test, []string{"a1", "a2"})
 	res := waitDone(t, co, wg)
@@ -302,7 +300,6 @@ func TestCleanRunCompletes(t *testing.T) {
 					Options:   opts,
 					LeaseSize: 32,
 					LeaseTTL:  time.Second,
-					RetryMs:   10,
 				}, nil)
 				res := waitDone(t, co, runAgents(t, srv.URL, test, agents))
 				if res.BugFound {
@@ -420,7 +417,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 	co, srv := startCoordinator(t, Config{
 		Scenario: "choices",
 		Options:  opts,
-		RetryMs:  10,
 	}, nil)
 
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -670,7 +666,7 @@ func TestReportsOffThePlanAreRejected(t *testing.T) {
 // a plan, not what the plan is; they stay off the wire and each agent sets
 // its own (localOptions).
 var machineLocal = map[string]bool{
-	"Workers": true, "NoReplayLog": true, "LogCap": true, "NoReuse": true,
+	"Workers": true, "NoReplayLog": true, "NoReuse": true,
 }
 
 // fill sets v — a field of core.Options or of a struct inside it — to a
@@ -728,7 +724,7 @@ func TestPlanOnTheWireIsOptions(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	sent.Workers, sent.LogCap, sent.NoReuse = 9, 9, true
+	sent.Workers, sent.NoReuse = 9, true
 	data, err := json.Marshal(JoinResponse{Plan: PlanConfig{Scenario: "s", Options: sent, Total: 1}})
 	if err != nil {
 		t.Fatalf("encoding the join response: %v", err)
@@ -738,7 +734,7 @@ func TestPlanOnTheWireIsOptions(t *testing.T) {
 		t.Fatalf("decoding %s: %v", data, err)
 	}
 	want := sent
-	want.Workers, want.NoReplayLog, want.LogCap, want.NoReuse = 3, true, 0, false
+	want.Workers, want.NoReplayLog, want.NoReuse = 3, true, false
 	if got := localOptions(jr.Plan, 3); !reflect.DeepEqual(got, want) {
 		t.Errorf("options after the wire:\n got %+v\nwant %+v\nwire %s", got, want, data)
 	}
@@ -751,7 +747,7 @@ func TestPlanOnTheWireIsOptions(t *testing.T) {
 			Portfolio: []string{"pct", "random", "delay"}, PCTDepth: 3, Seed: -42, Iterations: 1234, MaxSteps: 567,
 			Temperature: 77, NoLivenessBoundCheck: true, NoFaults: true,
 			Faults:  core.Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3, MaxTornCrashes: 4},
-			Workers: 5, NoReplayLog: true, LogCap: 11, NoReuse: true,
+			Workers: 5, NoReplayLog: true, NoReuse: true,
 		},
 		"defaults": {},
 	} {
@@ -784,7 +780,6 @@ func TestAgentRunReturnsTheBareCancellation(t *testing.T) {
 		Scenario:  "choices",
 		Options:   core.Options{Iterations: 10},
 		LeaseSize: 10,
-		RetryMs:   5,
 	}, nil)
 	a, err := NewAgent(AgentConfig{
 		Coordinator: srv.URL,

@@ -54,20 +54,7 @@ func findBug(t *testing.T, bug mtable.Bugs, scheduler string, iterations int) co
 		Iterations: iterations,
 		MaxSteps:   30000,
 		Seed:       1,
-		Workers:    calibratedWorkers(scheduler),
 	})
-}
-
-// calibratedWorkers pins adaptive schedulers to one worker: pct and delay
-// adapt to the previous execution on the same worker, so the iteration
-// budgets these tests were calibrated with are only machine-independent
-// sequentially. The per-iteration-deterministic schedulers explore the
-// identical schedule set at any worker count.
-func calibratedWorkers(scheduler string) int {
-	if scheduler == "pct" || scheduler == "delay" {
-		return 1
-	}
-	return 0
 }
 
 // The organic bugs that the default workload is expected to catch (the
@@ -141,7 +128,6 @@ func TestCustomCaseBugs(t *testing.T) {
 				Iterations: 6000,
 				MaxSteps:   30000,
 				Seed:       1,
-				Workers:    calibratedWorkers("pct"),
 			})
 			if !res.BugFound {
 				res = core.MustExplore(CustomTest(bug), core.Options{

@@ -186,13 +186,6 @@ func WithNoFaults() Option {
 	}
 }
 
-// WithLogCap bounds the number of lines the replay log may collect per
-// execution (default 100,000). Exploration executions collect no log, so
-// the cap only shapes replays and confirmation replays.
-func WithLogCap(lines int) Option {
-	return positive("WithLogCap", lines, func(o *core.Options) { o.LogCap = lines })
-}
-
 // WithNoReuse disables the pooled execution engine: every execution gets
 // a freshly allocated runtime with fresh machine goroutines, inboxes and
 // buffers. Pooling is semantically invisible — for a fixed seed, results,

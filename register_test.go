@@ -286,12 +286,12 @@ func TestConfigErrors(t *testing.T) {
 	}{
 		{"zero iterations", []gostorm.Option{gostorm.WithIterations(0)}, "WithIterations"},
 		{"negative max steps", []gostorm.Option{gostorm.WithMaxSteps(-1)}, "WithMaxSteps"},
+		{"zero max steps", []gostorm.Option{gostorm.WithMaxSteps(0)}, "WithMaxSteps"},
 		{"zero workers", []gostorm.Option{gostorm.WithWorkers(0)}, "WithWorkers"},
 		{"unknown scheduler", []gostorm.Option{gostorm.WithScheduler("quantum")}, "Options.Scheduler"},
 		{"empty portfolio", []gostorm.Option{gostorm.WithPortfolio()}, "WithPortfolio"},
 		{"unknown member", []gostorm.Option{gostorm.WithPortfolio("random", "quantum")}, "Options.Portfolio[1]"},
 		{"negative fault budget", []gostorm.Option{gostorm.WithFaults(gostorm.Faults{MaxCrashes: -1})}, "WithFaults"},
-		{"zero log cap", []gostorm.Option{gostorm.WithLogCap(0)}, "WithLogCap"},
 		{"zero temperature", []gostorm.Option{gostorm.WithTemperature(0)}, "WithTemperature"},
 		{"zero pct depth", []gostorm.Option{gostorm.WithPCTDepth(0)}, "WithPCTDepth"},
 		{"empty scheduler name", []gostorm.Option{gostorm.WithScheduler("")}, "WithScheduler"},
