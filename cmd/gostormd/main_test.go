@@ -214,7 +214,8 @@ func TestAllZeroFaultsSpecDisablesTheFaultPlane(t *testing.T) {
 // it publishes.
 func join(t *testing.T, url string) dist.JoinResponse {
 	t.Helper()
-	resp, err := http.Post(url+"/v1/join", "application/json", strings.NewReader(`{"protocol":1,"agent":"t"}`))
+	body := fmt.Sprintf(`{"protocol":%d,"agent":"t"}`, dist.ProtocolVersion)
+	resp, err := http.Post(url+"/v1/join", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
@@ -238,7 +239,7 @@ func TestFleetPlanIsASystestPlan(t *testing.T) {
 	for _, args := range [][]string{
 		{"-test", "wal-torn-tail", "-seed", "7", "-iterations", "300", "-max-steps", "900"},
 		{"-test", "vnext-repair-lossy", "-max-crashes", "2"},
-		{"-test", "wal-torn-tail", "-max-torn-crashes", "1", "-temperature", "50"},
+		{"-test", "wal-torn-tail", "-max-torn-crashes", "1"},
 		{"-test", "ExtentNodeLivenessViolation", "-faults", "crashes=0"},
 		{"-test", "replsys-safety", "-portfolio", "random,pct"},
 		{"-test", "replsys-safety", "-scheduler", "portfolio", "-portfolio", "pct,delay", "-pct-depth", "3"},
@@ -308,6 +309,7 @@ func TestCoordinatorConfigErrors(t *testing.T) {
 		want string
 	}{
 		{"plan flag", coordBin, []string{"-test", "wal-torn-tail", "-iterations", "-5"}, "gostormd: gostorm: WithIterations: must be positive, got -5"},
+		{"removed liveness threshold", coordBin, []string{"-test", "wal-torn-tail", "-temperature", "50"}, "flag provided but not defined: -temperature"},
 		{"sequential scheduler", coordBin, []string{"-test", "wal-torn-tail", "-scheduler", "dfs"}, "cannot explore a sub-range"},
 		{"feedback scheduler", coordBin, []string{"-test", "wal-torn-tail", "-portfolio", "random,mutational"}, "cannot explore a sub-range"},
 		{"negative lease", coordBin, []string{"-test", "wal-torn-tail", "-lease", "-1"}, "-lease must be non-negative"},

@@ -24,10 +24,10 @@ type Flags struct {
 	// List is -list: print the scenario catalog instead of running.
 	List bool
 
-	test, scheduler, portfolio, faults      string
-	pctDepth, iterations, maxSteps          int
-	temperature, maxCrashes, maxTornCrashes int
-	seed                                    int64
+	test, scheduler, portfolio, faults string
+	pctDepth, iterations, maxSteps     int
+	maxCrashes, maxTornCrashes         int
+	seed                               int64
 }
 
 // Register declares the plan flags on fs.
@@ -41,7 +41,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.Int64Var(&f.seed, "seed", 0, "base random seed")
 	fs.IntVar(&f.iterations, "iterations", 0, "maximum executions (0 = scenario default); per member for a portfolio")
 	fs.IntVar(&f.maxSteps, "max-steps", 0, "scheduling steps per execution (0 = scenario default); one that reaches it with a monitor hot runs on in a fair tail, to at most twice it")
-	fs.IntVar(&f.temperature, "temperature", 0, "liveness temperature threshold (0 = bound check only)")
 	fs.StringVar(&f.faults, "faults", "", "fault budget override, e.g. crashes=1,drops=2,dups=1 (empty = scenario default; all zeros = disable)")
 	fs.IntVar(&f.maxCrashes, "max-crashes", 0, "adjust the crashes component of the fault budget, keeping the scenario's other allowances (0 = scenario default)")
 	fs.IntVar(&f.maxTornCrashes, "max-torn-crashes", 0, "adjust the torn-crash component of the fault budget: crashes that may keep un-synced persisted writes (0 = scenario default)")
@@ -95,9 +94,6 @@ func (f *Flags) Plan() (gostorm.Scenario, []gostorm.Option, error) {
 	}
 	if f.maxSteps != 0 {
 		opts = append(opts, gostorm.WithMaxSteps(f.maxSteps))
-	}
-	if f.temperature != 0 {
-		opts = append(opts, gostorm.WithTemperature(f.temperature))
 	}
 	// A -faults spec replaces the scenario's budget wholesale (all zeros
 	// disables the fault plane); without one, -max-crashes and

@@ -52,7 +52,6 @@ func TestPlanFlagsFailUpFront(t *testing.T) {
 		{"negative max-torn-crashes", []string{"-test", "replsys", "-max-torn-crashes", "-1"}, "-max-torn-crashes must be non-negative, got -1"},
 		{"negative iterations", []string{"-test", "wal-fixed", "-iterations", "-5"}, "WithIterations: must be positive, got -5"},
 		{"negative max-steps", []string{"-test", "wal-fixed", "-max-steps", "-3"}, "WithMaxSteps: must be positive, got -3"},
-		{"negative temperature", []string{"-test", "wal-fixed", "-temperature", "-1"}, "WithTemperature: must be positive, got -1"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := resolve(t, c.args...)

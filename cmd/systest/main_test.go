@@ -227,6 +227,7 @@ func TestCLIValidatesFlagsUpFront(t *testing.T) {
 	}{
 		{"portfolio without members", []string{"-test", "replsys", "-scheduler", "portfolio"}, "systest: -scheduler portfolio needs -portfolio"},
 		{"negative workers", []string{"-test", "wal-fixed", "-workers", "-2"}, "WithWorkers: must be positive"},
+		{"removed liveness threshold", []string{"-test", "wal-fixed", "-temperature", "50"}, "flag provided but not defined: -temperature"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -35,8 +35,9 @@ type Test struct {
 // dist's TestPlanOnTheWireIsOptions fails on an untagged one.
 type Options struct {
 	// Scheduler names the exploration strategy: any registered scheduler
-	// ("random" — the default —, "pct", "rr", "delay", "dfs", or a name
-	// added via RegisterScheduler). Ignored when Portfolio is non-empty.
+	// ("random" — the default —, "pct", "rr", "delay", "dfs",
+	// "mutational", or a name added via RegisterScheduler). Ignored when
+	// Portfolio is non-empty.
 	Scheduler string `json:"scheduler,omitempty"`
 	// Portfolio, when non-empty, races the named schedulers against the
 	// test instead of running the single Scheduler: the members'
@@ -79,10 +80,6 @@ type Options struct {
 	// their decision streams become pure functions of the iteration seed
 	// too (see SchedulerFactory.WithLengthHint).
 	Workers int `json:"-"`
-	// Temperature, when positive, reports a liveness violation as soon as
-	// a monitor stays hot for that many consecutive steps, instead of
-	// waiting for the full bound.
-	Temperature int `json:"temperature,omitempty"`
 	// NoLivenessBoundCheck disables the treat-bound-as-infinite liveness
 	// heuristic: an execution ends clean at MaxSteps, with no tail past it
 	// (hot-at-termination is still checked).
@@ -129,8 +126,8 @@ const (
 // it validates o (negative bounds, the scheduler and every portfolio member
 // against the registry, the fault budgets of o and of t), applies the engine
 // defaults (scheduler "random", 10,000 iterations of 10,000 steps, depth 2,
-// one worker per CPU, the default log cap) and clamps Workers to 1 when any
-// member is sequential. Explore, ExploreShard and Replay start with it; the
+// one worker per CPU) and clamps Workers to 1 when any member is
+// sequential. Explore, ExploreShard and Replay start with it; the
 // public package's Resolve and PlanSize and the distributed coordinator
 // call it too, so what a viewer reports is what a run uses. A caller with no test at hand passes the zero Test. Errors are
 // *ConfigError values naming the field at fault; the result of a successful
@@ -144,7 +141,6 @@ func (o Options) Resolve(t Test) (Options, error) {
 		{"MaxSteps", o.MaxSteps},
 		{"Workers", o.Workers},
 		{"PCTDepth", o.PCTDepth},
-		{"Temperature", o.Temperature},
 	} {
 		if c.v < 0 {
 			return o, &ConfigError{
@@ -227,7 +223,6 @@ func execSeed(seed int64, i int) int64 {
 func (o Options) runtimeConfig(t Test, collectLog bool) runtimeConfig {
 	return runtimeConfig{
 		maxSteps:        o.MaxSteps,
-		temperature:     o.Temperature,
 		livenessAtBound: !o.NoLivenessBoundCheck,
 		collectLog:      collectLog,
 		logCap:          defaultLogCap,

@@ -51,7 +51,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative max steps", Options{MaxSteps: -5}, "Options.MaxSteps", "must be non-negative, got -5"},
 		{"negative workers", Options{Workers: -2}, "Options.Workers", "must be non-negative, got -2"},
 		{"negative pct depth", Options{PCTDepth: -3}, "Options.PCTDepth", "must be non-negative, got -3"},
-		{"negative temperature", Options{Temperature: -7}, "Options.Temperature", "must be non-negative, got -7"},
 		{"negative crash budget", Options{Faults: Faults{MaxCrashes: -1}}, "Options.Faults.MaxCrashes", "must be non-negative, got -1"},
 		{"negative drop budget", Options{Faults: Faults{MaxDrops: -4}}, "Options.Faults.MaxDrops", "must be non-negative, got -4"},
 		{"negative duplicate budget", Options{Faults: Faults{MaxDuplicates: -9}}, "Options.Faults.MaxDuplicates", "must be non-negative, got -9"},
@@ -155,7 +154,7 @@ func TestMustExplorePanicsOnConfigError(t *testing.T) {
 func TestResolveAcceptsZeroAndPositive(t *testing.T) {
 	for _, o := range []Options{
 		{},
-		{Iterations: 5, MaxSteps: 100, Workers: 2, PCTDepth: 3, Temperature: 50,
+		{Iterations: 5, MaxSteps: 100, Workers: 2, PCTDepth: 3,
 			Faults: Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3}},
 		{Portfolio: []string{"random", "pct", "random"}},
 		{Scheduler: "dfs", Workers: 8},

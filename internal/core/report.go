@@ -12,9 +12,9 @@ const (
 	// SafetyBug: an assertion failed (machine-local assert, monitor
 	// assert, unhandled event, or a panic in system-under-test code).
 	SafetyBug BugKind = iota
-	// LivenessBug: a liveness monitor was hot when the execution ended or
-	// exceeded the step bound (treated as an infinite execution), or
-	// stayed hot beyond the temperature threshold.
+	// LivenessBug: a liveness monitor was hot when the execution ended,
+	// or still hot at twice the step bound after the fair tail (the
+	// execution is treated as infinite).
 	LivenessBug
 	// DeadlockBug: no machine is enabled but at least one machine is
 	// blocked in Receive waiting for an event that can no longer arrive.

@@ -163,9 +163,6 @@ type Runtime struct {
 // installs a configuration with one assignment.
 type runtimeConfig struct {
 	maxSteps int
-	// temperature, when positive, flags a liveness violation as soon as a
-	// monitor has been hot for that many consecutive scheduling steps.
-	temperature int
 	// abort, when non-nil, is polled at every scheduling step; a true
 	// return cancels the execution (parallel exploration uses it to stop
 	// executions superseded by a bug at a lower position).
@@ -271,14 +268,11 @@ const (
 // advance runs one scheduling-loop iteration on the calling stack: finish
 // the bookkeeping of the step that just ended, then pick the next machine.
 // from is the caller's machine (nil when called from the hub at loop start
-// or from a worker between handlers). The check order — temperature,
-// loop condition, crash reaping, abort, step bound, quiescence,
-// scheduling — is exactly the old engine loop's and is observable through
-// traces, so don't reorder it.
+// or from a worker between handlers). The check order — loop condition
+// (a bug or a divergence ends the execution before anything else runs),
+// crash reaping, abort, step bound, quiescence, scheduling — is exactly the
+// old engine loop's and is observable through traces, so don't reorder it.
 func (r *Runtime) advance(from *machine) advAction {
-	if r.temperature > 0 && r.steps > 0 && r.bug == nil {
-		r.checkTemperature()
-	}
 	if r.bug != nil || r.divergence != nil {
 		return advDone
 	}
@@ -426,9 +420,8 @@ func (r *Runtime) trampoline(w, nw *machineWorker) {
 // after a reaper's killSignal w goes idle and yields straight back to the
 // reaper's nested next(); every other death is followed by a scheduling
 // iteration on the now free stack. With none, the scheduler raised p
-// between handlers: a replay divergence ends the execution right there — no
-// further iteration, whose temperature check could add a liveness bug at the
-// step the diverging decision had already counted — and anything else is
+// between handlers: a replay divergence ends the execution right there, at
+// the step the diverging decision had already counted, and anything else is
 // re-raised to the stack that resumed w (through a trampoline, on to the
 // hub), as if the hub's own iteration had panicked.
 func (r *Runtime) unwound(w *machineWorker, p any) (again bool) {
@@ -857,21 +850,6 @@ func (r *Runtime) atLimit() bool {
 		r.tail.draws, r.sched = r.own, &r.tail
 	}
 	return false
-}
-
-// checkTemperature flags monitors that stayed hot beyond the threshold.
-func (r *Runtime) checkTemperature() {
-	for _, e := range r.monitors {
-		if e.mc.hot && r.steps-e.mc.hotStep >= r.temperature {
-			r.setBug(&BugReport{
-				Kind: LivenessBug,
-				Message: fmt.Sprintf("monitor %s hot in state %q for %d steps (temperature threshold %d)",
-					e.mon.Name(), e.mc.hotName, r.steps-e.mc.hotStep, r.temperature),
-				Step: r.steps,
-			})
-			return
-		}
-	}
 }
 
 // logging reports whether logf would record a line right now. Every logf

@@ -270,16 +270,6 @@ func TestLivenessAtBound(t *testing.T) {
 	}
 }
 
-func TestLivenessTemperature(t *testing.T) {
-	res := MustExplore(hotLooperTest(), Options{Iterations: 1, Seed: 1, MaxSteps: 100000, Temperature: 50})
-	if !res.BugFound || res.Report.Kind != LivenessBug {
-		t.Fatalf("want liveness bug via temperature, got %+v", res)
-	}
-	if res.Report.Step > 200 {
-		t.Fatalf("temperature should fire early, fired at step %d", res.Report.Step)
-	}
-}
-
 func TestMonitorSafetyViolation(t *testing.T) {
 	mon := func() Monitor {
 		m := &MonitorSM{}

@@ -299,3 +299,52 @@ func TestTailContinuesTheMembersStream(t *testing.T) {
 		}
 	}
 }
+
+// lateCoolerTest keeps the progress monitor hot while two machines ping
+// themselves n times each, and cools it once both have finished. The step
+// count is the same under every schedule, so n sets how long the hot prefix
+// runs before the system cools and quiesces.
+func lateCoolerTest(n int) Test {
+	return Test{
+		Name: "late-cooler",
+		Entry: func(ctx *Context) {
+			ctx.Monitor("progress", Signal("start"))
+			finished := 0
+			for _, name := range []string{"a", "b"} {
+				pings := 0
+				ctx.CreateMachine(&FuncMachine{
+					OnInit: func(ctx *Context) { ctx.Send(ctx.ID(), Signal("ping")) },
+					OnEvent: func(ctx *Context, ev Event) {
+						if pings++; pings < n {
+							ctx.Send(ctx.ID(), Signal("ping"))
+						} else if finished++; finished == 2 {
+							ctx.Monitor("progress", Signal("done"))
+						}
+					},
+				}, name)
+			}
+		},
+		Monitors: []func() Monitor{newProgressMonitor},
+	}
+}
+
+// TestLongHotPrefixIsNoLivenessBug: a monitor hot for nine tenths of the
+// bound and then cooled before quiescence is no liveness bug under any
+// registered scheduler. A verdict comes only from a monitor hot at
+// quiescence or still hot at twice the bound, never from the length of a
+// hot prefix.
+func TestLongHotPrefixIsNoLivenessBug(t *testing.T) {
+	const maxSteps, pings = 200, 44 // 4·pings+5 = 181 steps an execution
+	for _, name := range SchedulerNames() {
+		t.Run(name, func(t *testing.T) {
+			o := Options{Scheduler: name, Iterations: 20, MaxSteps: maxSteps, Seed: 1, Workers: 1}
+			res := MustExplore(lateCoolerTest(pings), o)
+			if res.BugFound {
+				t.Fatalf("reported: %v", res.Report.Error())
+			}
+			if n := int64(res.Executions); res.TotalSteps < n*maxSteps*9/10 || res.TotalSteps >= n*maxSteps {
+				t.Fatalf("%d steps in %d executions, want each to quiesce within the last tenth of the bound", res.TotalSteps, n)
+			}
+		})
+	}
+}

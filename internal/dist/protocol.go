@@ -58,8 +58,10 @@ import (
 
 // ProtocolVersion is the control-plane wire version. Join requests carry
 // it; a coordinator rejects agents it does not match, so a mixed fleet
-// fails loudly instead of diverging.
-const ProtocolVersion = 1
+// fails loudly instead of diverging. Version 2 removed a plan field that a
+// version-1 coordinator could publish and an agent of this build would
+// silently ignore.
+const ProtocolVersion = 2
 
 // PlanConfig is the exploration plan, published by the coordinator at join
 // time so every agent derives the identical schedule space. The plan on

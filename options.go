@@ -141,13 +141,6 @@ func WithWorkers(n int) Option {
 	return positive("WithWorkers", n, func(o *core.Options) { o.Workers = n })
 }
 
-// WithTemperature reports a liveness violation as soon as a monitor stays
-// hot for the given number of consecutive steps, instead of waiting for
-// the full step bound.
-func WithTemperature(steps int) Option {
-	return positive("WithTemperature", steps, func(o *core.Options) { o.Temperature = steps })
-}
-
 // WithFaults overrides the test's declared fault budget wholesale for
 // this run. The zero budget disables the fault plane entirely (equivalent
 // to WithNoFaults): CrashPoint declines, SendUnreliable behaves like

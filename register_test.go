@@ -292,7 +292,6 @@ func TestConfigErrors(t *testing.T) {
 		{"empty portfolio", []gostorm.Option{gostorm.WithPortfolio()}, "WithPortfolio"},
 		{"unknown member", []gostorm.Option{gostorm.WithPortfolio("random", "quantum")}, "Options.Portfolio[1]"},
 		{"negative fault budget", []gostorm.Option{gostorm.WithFaults(gostorm.Faults{MaxCrashes: -1})}, "WithFaults"},
-		{"zero temperature", []gostorm.Option{gostorm.WithTemperature(0)}, "WithTemperature"},
 		{"zero pct depth", []gostorm.Option{gostorm.WithPCTDepth(0)}, "WithPCTDepth"},
 		{"empty scheduler name", []gostorm.Option{gostorm.WithScheduler("")}, "WithScheduler"},
 	}
