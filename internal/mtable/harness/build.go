@@ -100,17 +100,12 @@ func serviceNames(n int) []string {
 	return names
 }
 
-// startTables builds this execution's tables — initialized for migration
-// and seeded with the first seedRows rows of the pre-migration data set —
-// and creates the Tables machine that owns them. It returns the machine,
-// a fresh stream guard, and the etag pairs services start from.
+// startTables creates the Tables machine that owns this execution's
+// tables: clones of the image seeded with seedRows rows. It returns the
+// machine, a fresh stream guard, and the etag pairs services start from.
 func startTables(ctx *core.Context, seedRows int) (core.MachineID, *mtable.StreamGuard, etagTable) {
-	tables := newTablesMachine()
-	if err := mtable.InitializeMigration(tables.old, tables.new, Partition); err != nil {
-		ctx.Assert(false, "initializing migration: %v", err)
-	}
-	seeded := seedData(ctx, tables, seedRows)
-	return ctx.CreateMachine(tables, "Tables"), mtable.NewStreamGuard(), seeded
+	img := &images[seedRows-1]
+	return ctx.CreateMachine(newTablesMachine(img), "Tables"), mtable.NewStreamGuard(), img.etags
 }
 
 // seedRow is one row of the pre-migration data set: rowPool[i] holding
@@ -136,23 +131,47 @@ var seedRows = func() (out [len(rowPool)]seedRow) {
 	return out
 }()
 
-// seedData populates the old table (with virtual etags), the reference
-// table, and the history with the first n seed rows, and returns the
-// initial etag pairs services start from.
-func seedData(ctx *core.Context, tables *tablesMachine, n int) etagTable {
-	var seeded etagTable
-	for i, r := range seedRows[:n] {
-		if _, err := tables.old.ExecuteBatch([]mtable.Operation{{Kind: mtable.OpInsert, Key: r.key, Props: r.backend}}); err != nil {
-			ctx.Assert(false, "seeding old table: %v", err)
-		}
-		res, err := tables.rt.ExecuteBatch([]mtable.Operation{{Kind: mtable.OpInsert, Key: r.key, Props: r.props}})
-		if err != nil {
-			ctx.Assert(false, "seeding reference table: %v", err)
-		}
-		tables.hist.Record(0, r.key, r.props)
-		seeded[i].etagPair, seeded[i].ok = etagPair{vt: r.vetag, rt: res[0].ETag}, true
+// seededImage is the state an execution starts from: the backend tables
+// initialized for migration, the first n seed rows in the old table (with
+// virtual etags), the reference table and the history, and the etag pairs
+// services start from. An image is never written: every execution's
+// Tables machine works on clones of it.
+type seededImage struct {
+	old, new, rt *mtable.RefTable
+	hist         *mtable.History
+	etags        etagTable
+}
+
+// images[n-1] is the image seeded with n rows.
+var images = func() (out [len(rowPool)]seededImage) {
+	for n := range out {
+		out[n] = seedImage(n + 1)
 	}
-	return seeded
+	return out
+}()
+
+func seedImage(n int) seededImage {
+	img := seededImage{
+		old:  mtable.NewRefTable(),
+		new:  mtable.NewRefTable(),
+		rt:   mtable.NewRefTable(),
+		hist: mtable.NewHistory(),
+	}
+	if err := mtable.InitializeMigration(img.old, img.new, Partition); err != nil {
+		panic("harness: initializing migration: " + err.Error())
+	}
+	for i, r := range seedRows[:n] {
+		if _, err := img.old.ExecuteBatch([]mtable.Operation{{Kind: mtable.OpInsert, Key: r.key, Props: r.backend}}); err != nil {
+			panic("harness: seeding old table: " + err.Error())
+		}
+		res, err := img.rt.ExecuteBatch([]mtable.Operation{{Kind: mtable.OpInsert, Key: r.key, Props: r.props}})
+		if err != nil {
+			panic("harness: seeding reference table: " + err.Error())
+		}
+		img.hist.Record(0, r.key, r.props)
+		img.etags[i].etagPair, img.etags[i].ok = etagPair{vt: r.vetag, rt: res[0].ETag}, true
+	}
+	return img
 }
 
 // Metadata reports the harness's machine shape for Table 1 accounting:
@@ -161,7 +180,7 @@ func seedData(ctx *core.Context, tables *tablesMachine, n int) etagTable {
 // machines, so states and handlers are counted from their dispatch tables.
 func Metadata() []core.MachineStats {
 	return []core.MachineStats{
-		{Machine: "Tables", States: 2, Transitions: 1, Handlers: 3},   // serving + blocked-awaiting-LP-decision
+		{Machine: "Tables", States: 2, Transitions: 2, Handlers: 4},   // serving + awaiting-LP-decision (defers the rest); request/decision/stream-open/stream-validate
 		{Machine: "Service", States: 1, Transitions: 0, Handlers: 4},  // write/query/stream/start
 		{Machine: "Migrator", States: 2, Transitions: 1, Handlers: 2}, // stepping + awaiting-streams
 	}

@@ -5,21 +5,24 @@
 // through their own MigratingTable instances; a Migrator machine performs
 // the background migration.
 //
-// After processing each backend operation, the Tables machine blocks until
-// the requesting MigratingTable reports whether that operation was the
-// linearization point of the logical operation in progress; if it was, the
-// logical operation is applied to the RT at exactly that moment and its
-// result is handed back for comparison. Streamed reads are validated
-// against the RT's recorded history over the stream's window. Any output
-// divergence is a safety violation.
+// After processing each backend operation, the Tables machine serves
+// nothing else until the requesting MigratingTable reports whether that
+// operation was the linearization point of the logical operation in
+// progress: it waits at its event-loop top, deferring every other event.
+// If it was, the logical operation is applied to the RT at exactly that
+// moment and its result is handed back for comparison. A client that ends
+// its turn with a decision still owed fails the execution. Streamed reads
+// are validated against the RT's recorded history over the stream's
+// window. Any output divergence is a safety violation.
 //
 // The harness is built to be cheap per execution, because executions per
 // second is the bug-finding budget: rows are immutable values shared
 // between the three tables (package mtable), the protocol's events are
 // recycled records governed by one ownership rule (see "events" below),
 // and diagnostics are formatted only when an assertion fails. No state
-// crosses executions: every Entry builds its machines and tables afresh;
-// only immutable values (seed payloads, service names) are built once.
+// crosses executions: every Entry builds its machines afresh; only
+// immutable values (seed payloads, service names, the seeded image every
+// execution's tables are cloned from) are built once.
 package harness
 
 import (
@@ -42,14 +45,14 @@ const (
 //
 // The request/response/decision protocol runs on every backend operation
 // (about a hundred round trips per execution), so its events are records
-// that are recycled, sent by pointer:
-// every stubClient owns one backendReq and one lpDecision, the Tables
-// machine owns one backendResp. Exactly one of each is live at a time — a
-// client is synchronous (it waits for the response before it can decide or
-// ask again) and the Tables machine serves one request at a time, blocked
-// on that request's decision — and the engine runs one machine at a time,
-// so a record is only rewritten after its one reader is done with it,
-// PROVIDED the reader obeys the ownership rule:
+// that are recycled, sent by pointer: every stubClient owns one backendReq
+// and one lpDecision, the Tables machine owns one backendResp. Exactly one
+// of each is live at a time — a client is synchronous (it waits for the
+// response before it can decide or ask again) and the Tables machine
+// serves one request at a time, deferring every other event until that
+// request's decision — and the engine runs one machine at a time, so a
+// record is only rewritten after its one reader is done with it, PROVIDED
+// the reader obeys the ownership rule:
 //
 //	A receiver copies what it needs from a peer-owned record before its
 //	next scheduling point (Send, Receive, a random choice).
@@ -57,8 +60,8 @@ const (
 // The Tables machine reads a request's ID and From before it sends the
 // response: once that Send yields, the client may run, settle, and refill
 // the same record for its next request. TestStubRecordsSurviveReuse holds
-// the rule under two clients queued behind a blocked Tables machine.
-// Everything else (rtResult, the stream events) is sent fresh.
+// the rule under two clients queued behind a Tables machine that awaits a
+// decision. Everything else (rtResult, the stream events) is sent fresh.
 
 // reqKind selects a backendReq's payload.
 type reqKind uint8
@@ -169,7 +172,9 @@ func (stepEvent) Name() string { return "step" }
 
 // tablesMachine owns the backend tables, the reference table, and the
 // history; it serializes every backend operation and applies logical
-// operations to the RT at their linearization points.
+// operations to the RT at their linearization points. Between a backend
+// operation and its decision it defers every other event, so the
+// operation's sequence number is still t.seq when the decision arrives.
 type tablesMachine struct {
 	old  *mtable.RefTable
 	new  *mtable.RefTable
@@ -179,32 +184,43 @@ type tablesMachine struct {
 
 	// resp is the one response record (see the ownership rule above).
 	resp backendResp
-	// awaitID/awaitFrom identify the decision isDecision accepts.
-	awaitID    int64
-	awaitFrom  core.MachineID
-	isDecision func(core.Event) bool
+	// awaitID/awaitFrom identify the decision awaited (awaitID 0: none).
+	awaitID   int64
+	awaitFrom core.MachineID
 }
 
-func newTablesMachine() *tablesMachine {
-	t := &tablesMachine{
-		old:  mtable.NewRefTable(),
-		new:  mtable.NewRefTable(),
-		rt:   mtable.NewRefTable(),
-		hist: mtable.NewHistory(),
+// newTablesMachine returns a Tables machine owning clones of img.
+func newTablesMachine(img *seededImage) *tablesMachine {
+	return &tablesMachine{
+		old:  img.old.Clone(),
+		new:  img.new.Clone(),
+		rt:   img.rt.Clone(),
+		hist: img.hist.Clone(),
 	}
-	t.isDecision = func(ev core.Event) bool {
-		d, ok := ev.(*lpDecision)
-		return ok && d.ID == t.awaitID && d.From == t.awaitFrom
-	}
-	return t
 }
 
 func (t *tablesMachine) Init(*core.Context) {}
+
+// awaited reports whether ev is the decision the machine awaits.
+func (t *tablesMachine) awaited(ev core.Event) bool {
+	d, ok := ev.(*lpDecision)
+	return ok && d.ID == t.awaitID && d.From == t.awaitFrom
+}
+
+// Deferred implements core.Deferrer: while a decision is awaited, every
+// other event waits behind it.
+func (t *tablesMachine) Deferred(ev core.Event) bool {
+	return t.awaitID != 0 && !t.awaited(ev)
+}
 
 func (t *tablesMachine) Handle(ctx *core.Context, ev core.Event) {
 	switch e := ev.(type) {
 	case *backendReq:
 		t.handleBackendReq(ctx, e)
+	case *lpDecision:
+		if t.awaited(e) {
+			t.handleDecision(ctx, e)
+		}
 	case streamOpenReq:
 		ctx.Send(e.From, streamOpenResp{Seq: t.seq})
 	case *streamValidate:
@@ -214,9 +230,9 @@ func (t *tablesMachine) Handle(ctx *core.Context, ev core.Event) {
 	}
 }
 
-// handleBackendReq executes the backend operation, then blocks until the
-// caller reports the linearization-point decision — the serialization
-// protocol of §4.
+// handleBackendReq executes the backend operation, sends the response and
+// awaits the caller's linearization-point decision (handleDecision) — the
+// serialization protocol of §4.
 func (t *tablesMachine) handleBackendReq(ctx *core.Context, req *backendReq) {
 	// req is the client's record: once the response is sent the client may
 	// refill it, so the identity of the request is copied out first.
@@ -238,19 +254,20 @@ func (t *tablesMachine) handleBackendReq(ctx *core.Context, req *backendReq) {
 		ctx.Assert(false, "malformed backend request %+v", *req)
 	}
 	t.seq++
-	seq := t.seq
-	ctx.Send(from, resp)
-
-	desc := ""
-	if ctx.Logging() {
-		desc = fmt.Sprintf("LPDecision(%d)", id)
-	}
 	t.awaitID, t.awaitFrom = id, from
-	dec := ctx.ReceiveWhere(desc, t.isDecision).(*lpDecision)
+	ctx.Send(from, resp)
+}
+
+// handleDecision applies the logical operation to the RT if the awaited
+// backend operation was its linearization point, recording the change in
+// the history at that operation's sequence number, and hands the RT's
+// outcome back to the caller.
+func (t *tablesMachine) handleDecision(ctx *core.Context, dec *lpDecision) {
+	t.awaitID = 0
 	if !dec.IsLP {
 		return
 	}
-	out := &rtResult{ID: id}
+	out := &rtResult{ID: dec.ID}
 	if dec.Logical.IsQuery {
 		rows, err := t.rt.QueryAtomic(dec.Logical.Query)
 		out.Rows, out.ErrCode = rows, mtable.ErrorCode(err)
@@ -263,14 +280,14 @@ func (t *tablesMachine) handleBackendReq(ctx *core.Context, req *backendReq) {
 					continue
 				}
 				if row, ok := t.rt.Get(op.Key); ok {
-					t.hist.Record(seq, op.Key, row.Props)
+					t.hist.Record(t.seq, op.Key, row.Props)
 				} else {
-					t.hist.RecordAbsent(seq, op.Key)
+					t.hist.RecordAbsent(t.seq, op.Key)
 				}
 			}
 		}
 	}
-	ctx.Send(from, out)
+	ctx.Send(dec.From, out)
 }
 
 // --- stub backends ---
@@ -285,7 +302,7 @@ type stubClient struct {
 	tablesID core.MachineID
 	nextID   int64
 	// pending is the request id awaiting a linearization-point decision
-	// (0 = none): the Tables machine is blocked until we send it.
+	// (0 = none): the Tables machine serves no one else until we send it.
 	pending int64
 	// logical describes the in-flight logical operation in RT terms;
 	// inLogical says there is one.
@@ -357,7 +374,7 @@ func (c *stubClient) decide(id int64, isLP bool) {
 }
 
 // settle resolves an outstanding decision as "not the linearization
-// point", unblocking the Tables machine.
+// point", releasing the Tables machine.
 func (c *stubClient) settle() {
 	if c.pending != 0 {
 		c.decide(c.pending, false)
@@ -513,7 +530,7 @@ const migDoneKey = "migration/done"
 // migratorCrashInjector crashes the migrator after it has durably
 // checkpointed completion. It stays passive until the migrator's wake
 // signal — crashing the migrator mid-protocol would leave the Tables
-// machine blocked on a linearization-point decision that never comes —
+// machine awaiting a linearization-point decision that never comes —
 // then offers the scheduler a bounded number of crash points, restarting
 // the victim with the checkpoint-recovery incarnation.
 type migratorCrashInjector struct {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/gostorm/gostorm/internal/core"
@@ -167,5 +168,49 @@ func TestMetadataShape(t *testing.T) {
 	meta := Metadata()
 	if len(meta) != 3 {
 		t.Fatalf("machine types = %d, want 3 (Tables, Service, Migrator)", len(meta))
+	}
+}
+
+// TestExecutionsStartFromTheSeededImage holds every execution's tables to
+// a freshly seeded image, whatever the executions before it or beside it
+// did to theirs: each execution checks the clones its Tables machine
+// would own and the etag pairs its services would start from, for every
+// seed-row count, and then rewrites every row of its clones. Three pooled
+// executions on one worker, then eight on four workers, so that under
+// -race a write to the shared image is a reported race.
+func TestExecutionsStartFromTheSeededImage(t *testing.T) {
+	fresh := make([]seededImage, len(rowPool))
+	for n := range fresh {
+		fresh[n] = seedImage(n + 1)
+	}
+	test := core.Test{
+		Name: "mtable-seeded-image",
+		Entry: func(ctx *core.Context) {
+			for n, want := range fresh {
+				tables := newTablesMachine(&images[n])
+				got := seededImage{old: tables.old, new: tables.new, rt: tables.rt, hist: tables.hist, etags: images[n].etags}
+				if !reflect.DeepEqual(got, want) {
+					ctx.Assert(false, "execution's tables with %d seed rows differ from a freshly seeded image", n+1)
+				}
+				for _, tbl := range []*mtable.RefTable{tables.old, tables.new, tables.rt} {
+					rows, _ := tbl.QueryAtomic(mtable.Query{Partition: Partition})
+					for _, r := range rows {
+						if _, err := tbl.ExecuteBatch([]mtable.Operation{{Kind: mtable.OpReplace, Key: r.Key, Props: vProps(99), ETag: mtable.ETagAny}}); err != nil {
+							ctx.Assert(false, "rewriting %v: %v", r.Key, err)
+						}
+						tables.hist.Record(1, r.Key, vProps(99))
+					}
+				}
+			}
+		},
+	}
+	for _, run := range []struct{ workers, iterations int }{{1, 3}, {4, 8}} {
+		res := core.MustExplore(test, core.Options{Scheduler: "random", Workers: run.workers, Iterations: run.iterations, Seed: 1})
+		if res.BugFound {
+			t.Fatalf("%d workers: %v", run.workers, res.Report.Error())
+		}
+		if res.Executions != run.iterations {
+			t.Fatalf("%d workers: %d executions, want %d", run.workers, res.Executions, run.iterations)
+		}
 	}
 }

@@ -77,10 +77,15 @@ func (s *serviceMachine) Handle(ctx *core.Context, ev core.Event) {
 		for _, step := range s.script {
 			s.runStep(ctx, step)
 		}
-		return
+	} else {
+		for i := 0; i < s.ops; i++ {
+			s.runOne(ctx)
+		}
 	}
-	for i := 0; i < s.ops; i++ {
-		s.runOne(ctx)
+	if s.stub.pending != 0 {
+		// The Tables machine defers everyone else until this decision
+		// comes, so without this the execution would quiesce as if clean.
+		ctx.Assert(false, "%s finished with request %d awaiting its linearization-point decision", s.name, s.stub.pending)
 	}
 }
 

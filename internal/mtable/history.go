@@ -31,6 +31,18 @@ type version struct {
 // NewHistory returns an empty history.
 func NewHistory() *History { return &History{} }
 
+// Clone returns an independent copy of the history: records made in
+// either leave the other unchanged. A key's versions are only ever
+// appended to, so the copy shares them clipped to their length, and its
+// first append to one copies that one.
+func (h *History) Clone() *History {
+	c := &History{keys: slices.Clone(h.keys)}
+	for i := range c.keys {
+		c.keys[i].versions = slices.Clip(c.keys[i].versions)
+	}
+	return c
+}
+
 func (h *History) find(key Key) (int, bool) {
 	return slices.BinarySearchFunc(h.keys, key, func(e keyHistory, key Key) int { return e.key.Compare(key) })
 }

@@ -6,8 +6,8 @@ package mtable
 // at which the logical operation took effect on the virtual table.
 //
 // The systematic-test harness implements Reporter on its backend stub: the
-// Tables machine blocks after every backend operation until the stub
-// reports whether it was a linearization point, and if so applies the
+// Tables machine serves nothing else after a backend operation until the
+// stub reports whether it was a linearization point, and if so applies the
 // logical operation to the reference table at exactly that moment (§4).
 // Production code uses NopReporter.
 type Reporter interface {

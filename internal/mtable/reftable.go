@@ -3,8 +3,6 @@ package mtable
 import (
 	"fmt"
 	"slices"
-	"strings"
-	"sync"
 )
 
 // RefTable is an in-memory chain table: the reference implementation of
@@ -17,8 +15,11 @@ import (
 // handful of rows, reads hand them out in row-key order without sorting,
 // and nothing about the table depends on a map's iteration order. Rows are
 // stored as given and handed out as stored (see the package comment).
+//
+// A RefTable has one owner and no lock: it must not be used from two
+// goroutines at once. The harness's Tables machine owns all three of an
+// execution's tables, and the engine runs one machine at a time.
 type RefTable struct {
-	mu    sync.Mutex
 	parts []partition // ascending name
 	etag  int64
 }
@@ -31,6 +32,17 @@ type partition struct {
 
 // NewRefTable returns an empty table.
 func NewRefTable() *RefTable { return &RefTable{} }
+
+// Clone returns an independent copy of the table: writes to either leave
+// the other unchanged. Rows are immutable values, so only the slices that
+// hold them are copied.
+func (t *RefTable) Clone() *RefTable {
+	c := &RefTable{parts: make([]partition, len(t.parts)), etag: t.etag}
+	for i, p := range t.parts {
+		c.parts[i] = partition{name: p.name, rows: slices.Clone(p.rows)}
+	}
+	return c
+}
 
 var _ Backend = (*RefTable)(nil)
 
@@ -48,14 +60,28 @@ func (t *RefTable) rows(name string) []Row {
 	return nil
 }
 
+// findPartition returns the position of the named partition, or where it
+// would be inserted. A table holds a handful of partitions, so the scan is
+// linear.
 func (t *RefTable) findPartition(name string) (int, bool) {
-	return slices.BinarySearchFunc(t.parts, name, func(p partition, name string) int { return strings.Compare(p.name, name) })
+	for i, p := range t.parts {
+		if p.name >= name {
+			return i, p.name == name
+		}
+	}
+	return len(t.parts), false
 }
 
 // findRow returns the position of the row key in rows (ascending by row
-// key), or where it would be inserted.
+// key), or where it would be inserted. A partition holds a handful of
+// rows, so the scan is linear.
 func findRow(rows []Row, rowKey string) (int, bool) {
-	return slices.BinarySearchFunc(rows, rowKey, func(r Row, rowKey string) int { return strings.Compare(r.Key.Row, rowKey) })
+	for i, r := range rows {
+		if r.Key.Row >= rowKey {
+			return i, r.Key.Row == rowKey
+		}
+	}
+	return len(rows), false
 }
 
 // validateBatch enforces the chain-table batch rules: 1..100 operations,
@@ -116,8 +142,6 @@ func check(op Operation, cur Row, exists bool) error {
 // against the pre-batch state; on any failure nothing is applied and a
 // BatchError identifies the first failing operation.
 func (t *RefTable) ExecuteBatch(batch []Operation) ([]OpResult, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if err := t.validateBatch(batch); err != nil {
 		return nil, err
 	}
@@ -172,8 +196,6 @@ func (t *RefTable) ExecuteBatch(batch []Operation) ([]OpResult, error) {
 // QueryAtomic returns a snapshot of the partition, sorted by row key, with
 // range and filter applied.
 func (t *RefTable) QueryAtomic(q Query) ([]Row, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	rows := t.rows(q.Partition)
 	var out []Row
 	for i, row := range rows {
@@ -195,8 +217,6 @@ func (t *RefTable) FetchPage(partition, after string, filter *Filter, limit int)
 	if limit <= 0 {
 		return nil, fmt.Errorf("%w: page limit must be positive", ErrBadRequest)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	rows := t.rows(partition)
 	from, found := findRow(rows, after)
 	if found {
@@ -272,8 +292,6 @@ func (s *refStream) Close() { s.closed = true }
 
 // Get returns the row at key, if present (test/tooling convenience).
 func (t *RefTable) Get(key Key) (Row, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	rows := t.rows(key.Partition)
 	if i, ok := findRow(rows, key.Row); ok {
 		return rows[i], true
@@ -283,15 +301,11 @@ func (t *RefTable) Get(key Key) (Row, bool) {
 
 // Len returns the number of rows in the partition.
 func (t *RefTable) Len(partition string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.rows(partition))
 }
 
 // Partitions returns the partition keys in sorted order.
 func (t *RefTable) Partitions() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var out []string
 	for _, p := range t.parts {
 		out = append(out, p.name)

@@ -312,3 +312,99 @@ func TestHistoryCheckStream(t *testing.T) {
 		t.Fatalf("filtered stream rejected: %v", err)
 	}
 }
+
+// tableState reads every row of the table through Partitions, Len and Get.
+func tableState(tbl *RefTable) map[Key]Row {
+	out := map[Key]Row{}
+	for _, p := range tbl.Partitions() {
+		rows, _ := tbl.QueryAtomic(Query{Partition: p})
+		if len(rows) != tbl.Len(p) {
+			panic("QueryAtomic and Len disagree")
+		}
+		for _, r := range rows {
+			got, ok := tbl.Get(r.Key)
+			if !ok || got.ETag != r.ETag {
+				panic("QueryAtomic and Get disagree")
+			}
+			out[r.Key] = r
+		}
+	}
+	return out
+}
+
+// TestRefTableCloneIsIndependent holds Clone to a copy: writes to either
+// side (insert before a stored row, replace, delete, open a partition)
+// leave the other as it was. The source's partition has spare capacity,
+// so a clone sharing it would see an in-place insert or delete.
+func TestRefTableCloneIsIndependent(t *testing.T) {
+	for _, writeClone := range []bool{true, false} {
+		src := NewRefTable()
+		for _, r := range []string{"r1", "r2", "r3"} {
+			mustBatch(t, src, Operation{Kind: OpInsert, Key: key(r), Props: props(1)})
+		}
+		clone := src.Clone()
+		if !reflect.DeepEqual(tableState(clone), tableState(src)) {
+			t.Fatalf("clone %v differs from its source %v", tableState(clone), tableState(src))
+		}
+		written, other := clone, src
+		if !writeClone {
+			written, other = src, clone
+		}
+		before := tableState(other)
+		mustBatch(t, written,
+			Operation{Kind: OpInsert, Key: key("r0"), Props: props(2)},
+			Operation{Kind: OpReplace, Key: key("r2"), Props: props(3), ETag: ETagAny},
+			Operation{Kind: OpDelete, Key: key("r3"), ETag: ETagAny})
+		mustBatch(t, written, Operation{Kind: OpInsert, Key: Key{Partition: "Q", Row: "r1"}, Props: props(4)})
+		if after := tableState(other); !reflect.DeepEqual(after, before) {
+			t.Errorf("writing the clone=%v side changed the other from %v to %v", writeClone, before, after)
+		}
+		if got := other.Len("P"); got != 3 {
+			t.Errorf("writing the clone=%v side: the other's partition holds %d rows, want 3", writeClone, got)
+		}
+		// The two continue the same etag sequence.
+		a := mustBatch(t, other, Operation{Kind: OpInsert, Key: key("r8")})
+		b := mustBatch(t, other.Clone(), Operation{Kind: OpInsert, Key: key("r9")})
+		if a[0].ETag+1 != b[0].ETag {
+			t.Errorf("a clone's next etag is %d after its source's %d", b[0].ETag, a[0].ETag)
+		}
+	}
+}
+
+// TestHistoryCloneIsIndependent holds History.Clone to a copy: records
+// made on either side leave the other's At unchanged, also when both sides
+// then record. The source's versions have spare capacity, so a clone
+// appending into them in place would collide with the source's next
+// append.
+func TestHistoryCloneIsIndependent(t *testing.T) {
+	k1, k2 := key("r1"), key("r2")
+	for _, writeClone := range []bool{true, false} {
+		src := NewHistory()
+		for seq := int64(0); seq < 3; seq++ {
+			src.Record(seq, k1, props(seq))
+		}
+		clone := src.Clone()
+		first, second := clone, src
+		if !writeClone {
+			first, second = src, clone
+		}
+		first.Record(3, k1, props(30))
+		first.Record(4, k2, props(40))
+		for seq := int64(0); seq <= 4; seq++ {
+			p, ok := second.At(k1, seq)
+			if want := min(seq, 2); !ok || val(p, "a") != want {
+				t.Errorf("writing the clone=%v side: the other's %v at %d is %v (present %v), want a=%d", writeClone, k1, seq, p, ok, want)
+			}
+			if _, ok := second.At(k2, seq); ok {
+				t.Errorf("writing the clone=%v side: the other holds %v at %d", writeClone, k2, seq)
+			}
+		}
+		second.RecordAbsent(3, k1)
+		if p, ok := first.At(k1, 3); !ok || val(p, "a") != 30 {
+			t.Errorf("writing the clone=%v side, then the other: its %v at 3 is %v (present %v), want a=30", writeClone, k1, p, ok)
+		}
+		if _, ok := second.At(k1, 3); ok {
+			t.Errorf("writing the clone=%v side, then the other: the other's %v is present at 3, want absent", writeClone, k1)
+		}
+	}
+}
