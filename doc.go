@@ -400,10 +400,16 @@
 // a channel wake + park; BenchmarkSenderLoop counts them per step), and a
 // handoff costs at most one. Only a machine
 // mid-handler has frames to unwind when it is crashed or the execution
-// ends (its defers run); the others are scrubbed in place. The
-// fault-plane timer is the special case whose handlers are engine code
-// cut into phases: it never holds a frame, so it never gets a coroutine,
-// and its step runs inline on whichever stack picked it. Coroutine
+// ends (its defers run); the others are scrubbed in place. Two kinds of
+// machine are stepped inline, on whichever stack picked them, and never
+// get a coroutine for it. The fault-plane timer's handlers are engine
+// code cut into phases, so it never holds a frame. A handler that ends
+// in Context.SendLast takes its last scheduling point after it has
+// returned: the machine is parked, enabled and holding no stack, and the
+// step that picks it moves it to the top of its event loop, at no
+// coroutine resume and with every decision a Send there would make
+// (BenchmarkTailSendLoop is BenchmarkSenderLoop with every send a
+// SendLast: no resume at all). Coroutine
 // switches are synchronous calls, so exactly one stack of a runtime runs
 // at any instant and the worker free list, crash reaping and shutdown
 // need no ordering argument. One side effect: handoffs do not yield to

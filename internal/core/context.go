@@ -25,6 +25,7 @@ func (c *Context) Step() int { return c.r.steps }
 // never blocks; events sent to halted machines are dropped, which is how
 // messages to failed nodes disappear.
 func (c *Context) Send(target MachineID, ev Event) {
+	c.notParked("Send")
 	r := c.r
 	if target < 0 || int(target) >= len(r.machines) {
 		c.Assert(false, "send of %s to unknown machine %d", ev.Name(), target)
@@ -33,9 +34,44 @@ func (c *Context) Send(target MachineID, ev Event) {
 	r.schedulingPoint(c.m)
 }
 
+// SendLast is Send as the handler's last action. It enqueues ev into
+// target's inbox exactly as Send does, but Send's scheduling point is taken
+// after the handler has returned: the machine waits for that step holding
+// no stack, and the step that picks it moves it to the top of its event
+// loop inline, on whichever stack ran the scheduling iteration, the way a
+// timer is stepped. Decisions, enabled sets, fingerprints, log lines and
+// traces are exactly those of Send as the handler's last statement; only
+// the coroutine resume that returns from Send is saved.
+//
+// The one difference: plain Go code after SendLast, and the handler's
+// deferred calls, run before the machines scheduled next rather than after
+// them — which no other machine may observe (see Machine). Misuse is a bug,
+// not a silent schedule change: a Context call after SendLast in the same
+// handler, other than ID, MachineName, Step, Logging or an Assert that
+// holds, ends the execution with a SafetyBug that names SendLast.
+func (c *Context) SendLast(target MachineID, ev Event) {
+	c.notParked("SendLast")
+	r := c.r
+	if target < 0 || int(target) >= len(r.machines) {
+		c.Assert(false, "send of %s to unknown machine %d", ev.Name(), target)
+	}
+	r.enqueue(c.m, r.machines[target], ev)
+	c.m.parked = true
+}
+
+// notParked ends the execution with a safety violation when the handler
+// already called SendLast: op, a Context call with an effect, would have
+// run after the scheduling point SendLast took past the handler's end.
+func (c *Context) notParked(op string) {
+	if c.m.parked {
+		c.r.failSafety(op + " after SendLast in the same handler: SendLast must be its last Context call")
+	}
+}
+
 // CreateMachine registers a new machine and yields. The machine's Init
 // runs when the scheduler first picks it.
 func (c *Context) CreateMachine(impl Machine, name string) MachineID {
+	c.notParked("CreateMachine")
 	id := c.r.createMachine(impl, name)
 	if c.r.logging() {
 		c.r.logf("%s created %s(%d)", c.m.label(), name, id)
@@ -48,6 +84,7 @@ func (c *Context) CreateMachine(impl Machine, name string) MachineID {
 // Harnesses use it to model timeouts firing or not, messages dropping or
 // not, and workload choices. Every outcome is recorded in the trace.
 func (c *Context) RandomBool() bool {
+	c.notParked("RandomBool")
 	b := c.r.sched.NextBool()
 	c.r.dec.add(DecisionBool, 0, b, 0, 0)
 	return b
@@ -55,6 +92,7 @@ func (c *Context) RandomBool() bool {
 
 // RandomInt returns a scheduler-controlled value in [0, n).
 func (c *Context) RandomInt(n int) int {
+	c.notParked("RandomInt")
 	if n <= 0 {
 		c.Assert(false, "RandomInt bound must be positive, got %d", n)
 	}
@@ -99,6 +137,7 @@ func (c *Context) Logging() bool { return c.r.logging() }
 // pass "" during exploration — deadlock reports identify machines by
 // label and never read desc.
 func (c *Context) ReceiveWhere(desc string, pred func(Event) bool) Event {
+	c.notParked("ReceiveWhere")
 	m := c.m
 	m.recvPred = pred
 	m.status = statusWaitReceive
@@ -118,6 +157,7 @@ func (c *Context) ReceiveWhere(desc string, pred func(Event) bool) Event {
 // Halt terminates the executing machine: its queue is discarded and future
 // events to it are dropped. Harnesses use it to model node failures.
 func (c *Context) Halt() {
+	c.notParked("Halt")
 	if c.r.logging() {
 		c.r.logf("%s halt", c.m.label())
 	}
@@ -127,6 +167,7 @@ func (c *Context) Halt() {
 // Monitor delivers a notification event to the named specification
 // monitor, synchronously. Monitors are registered on the Test.
 func (c *Context) Monitor(name string, ev Event) {
+	c.notParked("Monitor")
 	e := c.r.findMonitor(name)
 	if e == nil {
 		c.Assert(false, "notify of unknown monitor %q", name)
@@ -141,6 +182,7 @@ func (c *Context) Monitor(name string, ev Event) {
 // Assert flags a safety violation if cond is false.
 func (c *Context) Assert(cond bool, format string, args ...any) {
 	if !cond {
+		c.notParked("Assert")
 		c.r.failSafety(fmt.Sprintf(format, args...))
 	}
 }
@@ -150,6 +192,7 @@ func (c *Context) Assert(cond bool, format string, args ...any) {
 // harnesses can log liberally — exactly the paper's workflow of iterating
 // on a buggy trace with richer debug output.
 func (c *Context) Logf(format string, args ...any) {
+	c.notParked("Logf")
 	if c.r.logging() {
 		c.r.logf("%s: %s", c.m.label(), fmt.Sprintf(format, args...))
 	}
@@ -170,6 +213,7 @@ func (c *Context) Logf(format string, args ...any) {
 // fires, and the timer re-arms either way until StopTimer halts it. It
 // costs scheduling steps, not a stack (see timerMachine).
 func (c *Context) StartTimer(name string, target MachineID, tick Event) TimerID {
+	c.notParked("StartTimer")
 	r := c.r
 	if target < 0 || int(target) >= len(r.machines) {
 		c.Assert(false, "StartTimer targeting unknown machine %d", target)
@@ -185,6 +229,7 @@ func (c *Context) StartTimer(name string, target MachineID, tick Event) TimerID 
 // StopTimer halts a timer started with StartTimer: pending ticks are
 // discarded and no further firing choices are presented.
 func (c *Context) StopTimer(id TimerID) {
+	c.notParked("StopTimer")
 	r := c.r
 	if id < 0 || int(id) >= len(r.machines) {
 		c.Assert(false, "StopTimer of unknown timer %d", id)
@@ -207,6 +252,7 @@ func (c *Context) StopTimer(id TimerID) {
 // charged against it. The outcome is recorded as DecisionCrash. Returns
 // the crashed machine, or NoMachine when nothing crashed.
 func (c *Context) CrashPoint(candidates ...MachineID) MachineID {
+	c.notParked("CrashPoint")
 	r := c.r
 	if r.crashes >= r.faults.MaxCrashes {
 		return NoMachine
@@ -245,6 +291,7 @@ func (c *Context) CrashPoint(candidates ...MachineID) MachineID {
 // command (no decision is recorded); the nondeterministic form is
 // CrashPoint.
 func (c *Context) Crash(target MachineID) {
+	c.notParked("Crash")
 	r := c.r
 	if target < 0 || int(target) >= len(r.machines) {
 		c.Assert(false, "Crash of unknown machine %d", target)
@@ -270,6 +317,7 @@ func (c *Context) Crash(target MachineID) {
 // the new incarnation reads it back through Recover, typically in Init —
 // the recovery path the crash-consistency plane exists to test.
 func (c *Context) Restart(id MachineID, impl Machine) {
+	c.notParked("Restart")
 	r := c.r
 	if id < 0 || int(id) >= len(r.machines) {
 		c.Assert(false, "Restart of unknown machine %d", id)
@@ -333,6 +381,7 @@ func (c *Context) Restart(id MachineID, impl Machine) {
 // self-Crash, which is equivalent) discards staged writes deterministically,
 // like a process exiting without fsync.
 func (c *Context) Persist(key string, value []byte) {
+	c.notParked("Persist")
 	m, r := c.m, c.r
 	// The copy lands in the runtime's persist arena, which reset rewinds.
 	r.persistArena = append(r.persistArena, value...)
@@ -350,6 +399,7 @@ func (c *Context) Persist(key string, value []byte) {
 // scheduling point; it resolves no scheduler choice and records no
 // decision.
 func (c *Context) Sync() {
+	c.notParked("Sync")
 	m := c.m
 	if c.r.logging() {
 		c.r.logf("%s sync (%d staged writes made durable)", m.label(), len(m.staged))
@@ -367,6 +417,7 @@ func (c *Context) Sync() {
 // a known key scheme) — ranging over the map directly is hidden
 // nondeterminism that breaks replay.
 func (c *Context) Recover() map[string][]byte {
+	c.notParked("Recover")
 	m := c.m
 	if len(m.durable) == 0 {
 		return nil
@@ -398,6 +449,7 @@ func (c *Context) Recover() map[string][]byte {
 // may still take in this execution. Injector machines halt themselves
 // when it reaches zero.
 func (c *Context) CrashBudget() int {
+	c.notParked("CrashBudget")
 	if left := c.r.faults.MaxCrashes - c.r.crashes; left > 0 {
 		return left
 	}
@@ -412,6 +464,7 @@ func (c *Context) CrashBudget() int {
 // the system under test and plain Send for their own scaffolding, which
 // keeps harness control flow outside the fault plane.
 func (c *Context) SendUnreliable(target MachineID, ev Event) {
+	c.notParked("SendUnreliable")
 	r := c.r
 	if target < 0 || int(target) >= len(r.machines) {
 		c.Assert(false, "unreliable send of %s to unknown machine %d", ev.Name(), target)

@@ -146,10 +146,11 @@ func (r *Runtime) rebuildEnabled() []MachineID {
 // verifyEnabledSet panics unless the incrementally maintained enabled set
 // is exactly the from-scratch rebuild, the epos back-pointers are
 // consistent, and stacks belong to live handlers only: a machine has a
-// worker iff it is mid-handler (statusRunning or statusWaitReceive, and not a
-// timer), and that worker is bound to it alone (w.m points back, so no two
-// machines can share one). Enabled with the `enabledcheck` build tag (whole suite) or
-// the unexported debugCheckEnabled option (targeted tests). Besides engine
+// worker iff it is mid-handler (statusRunning or statusWaitReceive, and
+// neither a timer nor parked by SendLast), and that worker is bound to it
+// alone (w.m points back, so no two machines can share one). Enabled with
+// the `enabledcheck` build tag (whole suite) or the unexported
+// debugCheckEnabled option (targeted tests). Besides engine
 // bugs, it catches user-code violations of the model the incremental set
 // relies on: impure receive predicates, deferral sets mutated from outside
 // the machine, and schedulers that mutate the enabled slice they were
@@ -177,7 +178,7 @@ func (r *Runtime) verifyEnabledSet() {
 		}
 	}
 	for _, m := range r.machines {
-		midHandler := !m.timer && (m.status == statusRunning || m.status == statusWaitReceive)
+		midHandler := !m.stackless() && (m.status == statusRunning || m.status == statusWaitReceive)
 		if (m.w != nil) != midHandler || midHandler && m.w.m != m {
 			panic(fmt.Sprintf("core: stack ownership broken at step %d: machine %s in status %d has worker %p (bound to it: %v)",
 				r.steps, m.label(), m.status, m.w, m.w != nil && m.w.m == m))

@@ -5,7 +5,9 @@
 // A system under test is expressed as a set of Machines that exchange
 // Events through FIFO inboxes. During testing the runtime serializes the
 // whole system: exactly one machine runs at any instant, and control
-// passes only at scheduling points — every Context operation. A machine
+// passes only at scheduling points — the Context operations that send,
+// create a machine, receive, crash, restart, start or stop a timer, persist
+// or sync (see Machine). A machine
 // holds a coroutine only while one of its handlers is live; between
 // handlers it owns no stack (see Runtime). Every source of nondeterminism
 // — which machine runs next, the outcome of RandomBool/RandomInt choices,

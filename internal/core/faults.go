@@ -281,7 +281,7 @@ type timerMachine struct {
 	tick   Event
 }
 
-// timerPhase names the scheduling point a timer is parked at — where its
+// timerPhase names the scheduling point a timer waits at — where its
 // coroutine would be suspended if it had one.
 type timerPhase int8
 
@@ -327,7 +327,7 @@ func (r *Runtime) createTimer(name string, target MachineID, tick Event) Machine
 
 // stepTimer runs one scheduling step of timer m on the calling stack: what
 // the timer's coroutine would do between being resumed at the scheduling
-// point it is parked at (m.tm.phase) and reaching the next one — status
+// point it waits at (m.tm.phase) and reaching the next one — status
 // writes, enabled-set maintenance, fingerprint mix, decision and log lines
 // included, in the same order. The caller has just recorded the step that
 // picked m (advance) and runs the next scheduling iteration right after,
@@ -399,7 +399,7 @@ type FaultInjector struct {
 
 // Init implements Machine.
 func (in *FaultInjector) Init(ctx *Context) {
-	ctx.Send(ctx.ID(), Signal("core.inject"))
+	ctx.SendLast(ctx.ID(), Signal("core.inject"))
 }
 
 // Handle implements Machine: one crash offer per scheduling of the
@@ -415,5 +415,5 @@ func (in *FaultInjector) Handle(ctx *Context, ev Event) {
 	if ctx.CrashBudget() <= 0 {
 		ctx.Halt()
 	}
-	ctx.Send(ctx.ID(), Signal("core.inject"))
+	ctx.SendLast(ctx.ID(), Signal("core.inject"))
 }

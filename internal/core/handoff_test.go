@@ -508,6 +508,106 @@ func TestTimersOwnNoCoroutine(t *testing.T) {
 	}
 }
 
+// relayRingTest is n relays passing tokens around a ring, every hop a
+// handler that ends in send: the entry machine creates the relays and
+// launches the tokens, the last with send too, and from then on every step
+// is a relay's. Tests with no end run to the step bound.
+func relayRingTest(n, tokens int, send tailSend) Test {
+	hop := Signal("hop")
+	relay := &FuncMachine{OnEvent: func(ctx *Context, ev Event) {
+		send(ctx, ctx.ID()%MachineID(n)+1, hop)
+	}}
+	return Test{
+		Name: "relay-ring",
+		Entry: func(ctx *Context) {
+			for i := 0; i < n; i++ {
+				ctx.CreateMachine(relay, "relay")
+			}
+			for i := 1; i < tokens; i++ {
+				ctx.Send(MachineID(i%n+1), hop)
+			}
+			send(ctx, 1, hop)
+		},
+	}
+}
+
+// TestParkedMachinesOwnNoCoroutine makes the parked machine's saving
+// structural: on a ring of relays whose handlers end in SendLast, no
+// scheduling step finds a parked machine holding a worker (the per-step
+// cross-check, verifyEnabledSet, is on), a pooled runtime never needs more
+// than the two workers of the entry machine's set-up, nothing past that
+// set-up resumes a coroutine — an execution makes exactly the resumes at a
+// bound of 2000 steps it makes at 200 — and the goroutine count is back at
+// the baseline after an unpooled execution and after release. The same
+// ring with Send needs more workers and resumes one every hop.
+func TestParkedMachinesOwnNoCoroutine(t *testing.T) {
+	const relays, tokens = 4, 3
+	base := runtime.NumGoroutine()
+	for _, last := range []bool{true, false} {
+		send := tailSend((*Context).Send)
+		if last {
+			send = (*Context).SendLast
+		}
+		test := relayRingTest(relays, tokens, send)
+		// resumes counts the resumes of seed's execution at bound on a warm
+		// pooled runtime, and the workers it has.
+		resumes := func(seed int64, bound int) (total, workers int) {
+			o := resolved(Options{MaxSteps: bound})
+			cfg := o.runtimeConfig(test, false)
+			cfg.checkEnabled = true
+			sched := NewRandomScheduler()
+			pool := newExecPool(o)
+			defer pool.release()
+			var counts ResumeCounts
+			for _, measured := range []bool{false, true} {
+				sched.Prepare(seed, bound)
+				r := pool.runtime(sched, cfg)
+				workers = len(r.freeWorkers)
+				if measured {
+					countResumes(r, &counts)
+				}
+				if rep := r.execute(test); rep != nil || r.steps != bound {
+					t.Fatalf("last=%v seed %d: execution ended after %d of %d steps: %v", last, seed, r.steps, bound, rep)
+				}
+				if measured && len(r.freeWorkers) != workers {
+					t.Fatalf("last=%v seed %d: %d workers after the measured execution, %d before: some were not counted", last, seed, len(r.freeWorkers), workers)
+				}
+			}
+			return counts.Total(), workers
+		}
+		most := 0
+		for seed := int64(1); seed <= 20; seed++ {
+			short, _ := resumes(seed, 200)
+			long, workers := resumes(seed, 2000)
+			most = max(most, workers)
+			if last && (long != short || workers > 2) {
+				t.Fatalf("SendLast seed %d: %d resumes at the bound of 2000 steps, %d at 200; %d workers, want the same and at most 2", seed, long, short, workers)
+			}
+			if !last && long <= short {
+				t.Fatalf("Send seed %d: %d resumes at the bound of 2000 steps, %d at 200: want more", seed, long, short)
+			}
+		}
+		if !last && most <= 2 {
+			t.Fatalf("Send: at most %d workers in 20 executions, want a stack held at a relay's Send", most)
+		}
+		if g := runtime.NumGoroutine(); g > base {
+			t.Fatalf("last=%v: %d goroutines after release, %d before", last, g, base)
+		}
+	}
+	test := relayRingTest(relays, tokens, (*Context).SendLast)
+	o := resolved(Options{MaxSteps: 500, NoReuse: true})
+	sched := NewRandomScheduler()
+	for seed := int64(1); seed <= 20; seed++ {
+		sched.Prepare(seed, o.MaxSteps)
+		if rep := newRuntime(sched, o.runtimeConfig(test, false)).execute(test); rep != nil {
+			t.Fatalf("seed %d: unexpected bug: %v", seed, rep.Error())
+		}
+		if g := runtime.NumGoroutine(); g > base {
+			t.Fatalf("seed %d: %d goroutines after an unpooled execution, %d before", seed, g, base)
+		}
+	}
+}
+
 // TestDyingMachineReapsThenSuccessorStarts: one handler crashes a live
 // peer, creates a machine and halts, so the iteration after its death, on
 // the stack it died on, picks a successor that never started and runs its
@@ -782,35 +882,78 @@ func (alternateScheduler) NextMachine(enabled []MachineID, current MachineID) Ma
 
 // BenchmarkSenderLoop is the replsys pattern: a sender loops Send
 // mid-handler over four sinks whose handlers return at once, alternating
-// with the sink it just sent to. One op is one 8000-step execution on a
-// pooled runtime, like steps-replsys; ns/step and resumes/step are per
-// scheduling step. Invariant: resumes/step 0.5 — the stack a sink's handler
-// returned on resumes the sender itself, one resume per two-step visit,
-// where relaying through the hub reads 1.0 — and 0 allocs/op.
-func BenchmarkSenderLoop(b *testing.B) {
+// with the sink it just sent to. Invariant (see benchSendLoop): resumes/step
+// 0.5 — the stack a sink's handler returned on resumes the sender itself,
+// one resume per two-step visit, where relaying through the hub reads 1.0 —
+// and 0 allocs/op.
+func BenchmarkSenderLoop(b *testing.B) { benchSendLoop(b, fanOutTest(4, -1)) }
+
+// tailSendLoopTest is fanOutTest's twin in which no handler is ever
+// suspended: a sender answers every ack by sending the next of n sinks a go
+// with SendLast, and each sink acks with SendLast. The entry machine creates
+// the sender and the sinks and starts the sender with SendLast. The
+// machines, events and IDs are hoisted, so an execution allocates nothing of
+// its own; the test runs one execution at a time.
+func tailSendLoopTest(n int) Test {
+	sinks := make([]MachineID, n)
+	var sender MachineID
+	next := 0
+	goEv, ackEv := Event(Signal("go")), Event(Signal("ack"))
+	senderM := &FuncMachine{OnEvent: func(ctx *Context, _ Event) {
+		next = (next + 1) % n
+		ctx.SendLast(sinks[next], goEv)
+	}}
+	sink := &FuncMachine{OnEvent: func(ctx *Context, _ Event) { ctx.SendLast(sender, ackEv) }}
+	return Test{
+		Name: "tail-send-loop",
+		Entry: func(ctx *Context) {
+			next = 0
+			sender = ctx.CreateMachine(senderM, "sender")
+			for i := range sinks {
+				sinks[i] = ctx.CreateMachine(sink, "sink")
+			}
+			ctx.SendLast(sender, goEv)
+		},
+	}
+}
+
+// BenchmarkTailSendLoop is BenchmarkSenderLoop's twin with every send a
+// SendLast (tailSendLoopTest): each step after the set-up is hosted or
+// stepped inline on the stack the previous handler returned on. Invariant:
+// resumes/step 0 and 0 allocs/op, at an ns/step below SenderLoop's.
+func BenchmarkTailSendLoop(b *testing.B) { benchSendLoop(b, tailSendLoopTest(4)) }
+
+// benchSendLoop runs test, a sender and its sinks under alternateScheduler,
+// one 8000-step execution an op on a pooled runtime, like steps-replsys.
+// ns/step is per scheduling step; resumes/step is what a warm 8000-step
+// execution resumes beyond a 4000-step one, per step of the difference, so
+// the set-up's resumes, the same in both, cancel out.
+func benchSendLoop(b *testing.B, test Test) {
 	const steps = 8000
-	test := fanOutTest(4, -1)
-	cfg := resolved(Options{MaxSteps: steps, NoLivenessBoundCheck: true}).runtimeConfig(test, false)
 	pool := newExecPool(Options{})
 	defer pool.release()
-	run := func() *Runtime {
+	run := func(bound int) {
+		cfg := resolved(Options{MaxSteps: bound, NoLivenessBoundCheck: true}).runtimeConfig(test, false)
 		r := pool.runtime(alternateScheduler{}, cfg)
-		if rep := r.execute(test); rep != nil || r.steps != steps {
-			b.Fatalf("execution ended after %d of %d steps: %v", r.steps, steps, rep)
+		if rep := r.execute(test); rep != nil || r.steps != bound {
+			b.Fatalf("execution ended after %d of %d steps: %v", r.steps, bound, rep)
 		}
-		return r
 	}
 	// The first execution spawns the coroutines and sizes the arena; the
-	// second, identical, counts its resumes through wrapped workers.
+	// next two count their resumes through wrapped workers.
+	run(steps)
 	var counts ResumeCounts
-	restore := countResumes(run(), &counts)
-	run()
+	restore := countResumes(pool.rt, &counts)
+	run(steps / 2)
+	short := counts.Total()
+	run(steps)
 	restore()
+	long := counts.Total() - short
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run()
+		run(steps)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
-	b.ReportMetric(float64(counts.Total())/steps, "resumes/step")
+	b.ReportMetric(float64(long-short)/(steps-steps/2), "resumes/step")
 }

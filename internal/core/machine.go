@@ -18,9 +18,13 @@ func (id MachineID) String() string { return fmt.Sprintf("#%d", int32(id)) }
 // Receive, RandomBool, Halt, ...). Calling into another machine directly
 // bypasses the scheduler and breaks systematic exploration; don't do it.
 //
-// A machine's inbox is FIFO. Handlers run to completion, but every Context
-// operation inside a handler is a scheduling point where other machines may
-// be interleaved.
+// A machine's inbox is FIFO. Handlers run to completion, but the Context
+// operations that send, create a machine, receive, crash, restart, start or
+// stop a timer, persist or sync are scheduling points where other machines
+// may be interleaved. SendLast's is taken after the handler has returned, so
+// Go code after it and the handler's deferred calls run before the machines
+// scheduled next; only the machine's own state can tell, and no other
+// machine may look at that.
 type Machine interface {
 	Init(ctx *Context)
 	Handle(ctx *Context, ev Event)
@@ -53,9 +57,11 @@ const (
 	// scheduled yet. Between handlers: it owns no stack. Always enabled
 	// (its first step runs Init).
 	statusCreated machineStatus = iota
-	// statusRunning: mid-handler, parked at a scheduling point on its
-	// worker's stack (a timer: between two phases of its step, on no stack
-	// at all, see stepTimer). Always enabled (the continuation can run).
+	// statusRunning: mid-handler, suspended at a scheduling point on its
+	// worker's stack — or on no stack at all: a timer between two phases of
+	// its step (see stepTimer), or a machine whose handler ended in
+	// SendLast and returned, waiting for the step that takes it to its
+	// loop top (machine.parked). Always enabled (the continuation can run).
 	statusRunning
 	// statusWaitDequeue: the event loop is waiting for the next event.
 	// Between handlers: it owns no stack. Enabled iff the inbox holds a
@@ -157,6 +163,13 @@ type machine struct {
 	// so StopTimer can keep validating its target after the timer halted;
 	// a *live* stackless timer is timer && status != statusHalted.
 	timer bool
+	// parked records that the machine's handler called SendLast: from then
+	// until the handler returns, every Context call but a pure read is
+	// reported as misuse, and once it has returned the machine is
+	// statusRunning on no stack until a scheduling step takes it to its
+	// loop top, inline on whichever stack ran that step (stepStackless).
+	// Cleared by that step and by scrub.
+	parked bool
 	// epos is the machine's index in the runtime's incrementally
 	// maintained enabled slice, or -1 while the machine is not enabled.
 	// Owned by the insert/remove helpers in enabled.go; nobody else
@@ -168,8 +181,9 @@ type machine struct {
 	// halts or is unwound: the machine yields through it to whichever stack
 	// resumed it — the hub, the trampoline (a free worker the hub resumed)
 	// or a reaper, the three that resume it. Nil whenever the machine
-	// holds no frame — statusCreated, statusWaitDequeue, statusHalted — and
-	// always on a timer; no two machines share one (w.m points back).
+	// holds no frame — statusCreated, statusWaitDequeue, statusHalted, or
+	// parked with its handler returned — and always on a timer; no two
+	// machines share one (w.m points back).
 	w     *machineWorker
 	defr  Deferrer // impl.(Deferrer), or nil
 	queue inbox
@@ -259,6 +273,7 @@ func (r *Runtime) scrub(m *machine) {
 	m.queue.clear()
 	m.recvPred = nil
 	m.crashed = false
+	m.parked = false
 	m.impl = nil
 	m.defr = nil
 	m.tm.tick = nil

@@ -10,18 +10,14 @@ import (
 // TestResumeCountCatalog holds catalog entries to a ceiling on the resumes
 // of a machine coroutine their first n executions make, per execution or,
 // for replsys-fixed (8 000 steps an execution), per scheduling step: seed 1,
-// one worker. A free stack the hub resumed resumes a suspended pick itself
-// instead of yielding to the hub to have it do so, which is what keeps them
-// under; relaying through the hub they read 12.23, 0.1469, 233.75 and
-// 138.35. What is left is mostly one resume per handoff between two
-// machines suspended mid-handler. The pct row's executions that spin (the
-// migrator re-picking itself, hardly a resume a step) end in pct's fair
-// tail, so the mean per execution rose from 120.25 to 132.92 while its
-// steps fell from 656 585 to 73 266. The MigratingTable Tables machine
-// used to await each decision suspended mid-handler, in ReceiveWhere; it
-// now waits at its event-loop top, which took the two mtable rows from
-// 205.01 and 132.92 to 170.86 and 114.53 at the same 37 100 and 73 266
-// steps.
+// one worker. Each ceiling is the measured figure rounded up, so a handoff
+// that comes back fails here: one relayed through the hub while a free
+// stack the hub resumed could resume the pick itself, or a SendLast turned
+// back into a Send, whose machine would wait for its last step on a stack.
+// What is left is mostly one resume per handoff to a machine suspended
+// mid-handler in a send owned by the system under test, a Receive, a
+// Persist or a Sync, and the reaper unwinding a crash victim caught
+// mid-handler.
 func TestResumeCountCatalog(t *testing.T) {
 	for _, c := range []struct {
 		name, scheduler string
@@ -29,10 +25,12 @@ func TestResumeCountCatalog(t *testing.T) {
 		perStep         bool
 		ceiling         float64
 	}{
-		{"wal-fixed", "random", 1000, false, 10.4},
-		{"replsys-fixed", "random", 90, true, 0.097},
-		{"mtable", "random", 100, false, 171},
-		{"TombstoneOutputETag", "pct", 100, false, 115},
+		{"wal-fixed", "random", 1000, false, 8.23},
+		{"replsys-fixed", "random", 90, true, 0.0024},
+		{"mtable", "random", 100, false, 118},
+		{"TombstoneOutputETag", "pct", 100, false, 78},
+		{"vnext-repair", "random", 100, false, 41.2},
+		{"fabric-failover", "random", 100, false, 30.3},
 	} {
 		e, err := catalog.Get(c.name)
 		if err != nil {

@@ -22,18 +22,24 @@ const defaultLogCap = 100000
 // that is bound to the machine from the scheduling step that starts the
 // handler until it returns, halts or is unwound. Between handlers — never
 // started, or waiting at the top of its event loop — a machine holds no
-// frame and owns no stack (m.w == nil). The fault plane's timer
-// (timerMachine, faults.go) is the special case whose handlers are engine
-// code cut into phases: it never holds a frame and never gets a worker.
+// frame and owns no stack (m.w == nil). Two kinds of machine are stackless
+// while enabled, and whoever picks one steps it inline (stepStackless): the
+// fault plane's timer (timerMachine, faults.go), whose handlers are engine
+// code cut into phases, never holds a frame and never gets a worker; and a
+// machine whose handler ended in SendLast is parked — its handler has
+// returned, but the scheduling step that takes it to its loop top is still
+// to come, and it waits for that step with no stack.
 //
 // The goroutine that called execute is the hub. A coroutine switch is a
 // synchronous call — next() returns when the callee yields — so exactly one
 // stack runs at any instant and no runtime state needs synchronization.
 // Whoever reaches a scheduling point runs the next scheduling-loop iteration
-// on its own stack (advance) and steps a picked timer right there. A machine
+// on its own stack (advance) and steps a picked stackless machine right
+// there. A machine
 // mid-handler (yieldPoint) that is picked again simply carries on; otherwise
 // it yields to the stack that resumed it. A worker whose handler just
-// returned or whose machine just died (host) has a free stack: a pick that
+// returned, parked or not, or whose machine just died (host) has a free
+// stack: a pick that
 // is between handlers it binds and runs inline — no switch at all. A pick
 // suspended mid-handler it resumes itself with a nested next() if the hub
 // resumed it (w.top): it is then the trampoline, the pick yields back to it,
@@ -46,9 +52,9 @@ const defaultLogCap = 100000
 // worker, and it never hosts a handler. A suspended machine is resumed to
 // carry on by the hub or the trampoline, and to unwind by a reaper's nested
 // next() (reapCrashes, shutdown). Only a machine mid-handler has frames to
-// unwind when it dies. Every Context operation is a deterministic
-// scheduling point, and nothing observable depends on which stack ran a
-// step.
+// unwind when it dies; a parked one is scrubbed in place like a timer.
+// Every scheduling point is deterministic, and nothing observable depends
+// on which stack ran a step.
 type Runtime struct {
 	// The leading fields are the per-step hot set — everything advance
 	// reads on its way to the next scheduling decision — clustered so a
@@ -235,16 +241,36 @@ func (r *Runtime) runLoop() {
 }
 
 // pick runs scheduling-loop iterations on a stack that hosts no handler —
-// the hub's, or a worker's between handlers — until the verdict concerns an
-// ordinary machine or ends the execution: a picked timer is stepped right
-// here (stepTimer) and the next iteration follows.
+// the hub's, or a worker's between handlers — until the verdict concerns a
+// machine that needs a stack or ends the execution: a picked stackless
+// machine is stepped right here (stepStackless) and the next iteration
+// follows.
 func (r *Runtime) pick() advAction {
 	act := r.advance(nil)
-	for act == advHandoff && r.machines[r.current].timer {
-		r.stepTimer(r.machines[r.current])
+	for act == advHandoff && r.machines[r.current].stackless() {
+		r.stepStackless(r.machines[r.current])
 		act = r.advance(nil)
 	}
 	return act
+}
+
+// stackless reports whether a step of m, when the scheduler picks it, is
+// engine code run on the picking stack rather than a handler's: m is a
+// timer, or parked by SendLast with its handler returned.
+func (m *machine) stackless() bool { return m.timer || m.parked }
+
+// stepStackless runs one scheduling step of m, picked while stackless, on
+// the calling stack: a timer's next phase (stepTimer), or the return of a
+// parked machine to the top of its event loop — what host does once a
+// handler returns, which a tail Send's step would have reached.
+func (r *Runtime) stepStackless(m *machine) {
+	if !m.parked {
+		r.stepTimer(m)
+		return
+	}
+	m.parked = false
+	m.status = statusWaitDequeue
+	r.blockDequeue(m)
 }
 
 // advAction is advance's verdict on who runs next.
@@ -254,8 +280,8 @@ const (
 	// advContinue: the caller's own machine was scheduled again — keep
 	// running, no handoff needed.
 	advContinue advAction = iota
-	// advHandoff: machines[current] runs next. A timer is stepped inline by
-	// the caller (pick); a machine between handlers is hosted by a caller
+	// advHandoff: machines[current] runs next. A stackless machine is
+	// stepped inline by the caller (pick); a machine between handlers is hosted by a caller
 	// whose stack is free (host), and one suspended mid-handler is resumed
 	// by such a caller if it is the trampoline; everything else goes up to
 	// the stack that resumed the caller.
@@ -321,7 +347,7 @@ func (r *Runtime) advance(from *machine) advAction {
 // free list, or a fresh coroutine); only the hub arms, and a worker enters
 // the free list only on its way to yielding, so the list never hands out a
 // live stack. The worker is marked top: once its stack is free it may
-// trampoline. Never called for a timer.
+// trampoline. Never called for a stackless machine.
 func (r *Runtime) switchTo(m *machine) {
 	w := m.w
 	if w == nil {
@@ -366,9 +392,11 @@ hosting:
 				}
 				m.impl.Handle(&m.ctx, ev)
 			}
-			m.status = statusWaitDequeue
-			r.blockDequeue(m)
 			m.w, w.m = nil, nil
+			if !m.parked {
+				m.status = statusWaitDequeue
+				r.blockDequeue(m)
+			}
 		}
 		act := r.pick()
 		if act == advHandoff {
@@ -498,18 +526,18 @@ func (r *Runtime) Fingerprint() uint64 { return r.cov }
 // iteration right here and, unless the scheduler picked m again — the free
 // advContinue path: no switch at all — yield to the stack that resumed m,
 // the hub or a trampoline, until either resumes it again.
-// A picked timer is stepped right here too (pick's loop, inline: a machine
-// the scheduler keeps re-picking spends most of its step here), m lending
-// its stack, and the iteration after it is m's again: a run of timer steps
-// that ends with m being picked is all advContinue. m keeps the status it
-// entered with throughout, exactly as if it were parked, so a tick a hosted
-// timer sends it is accounted like any other enqueue. A replay divergence
+// A picked stackless machine is stepped right here too (pick's loop,
+// inline: a machine the scheduler keeps re-picking spends most of its step
+// here), m lending its stack, and the iteration after it is m's again: a run
+// of such steps that ends with m being picked is all advContinue. m keeps
+// the status it entered with throughout, exactly as if it were suspended,
+// so a tick a hosted timer sends it is accounted like any other enqueue. A replay divergence
 // raised inside the iteration unwinds through m's handler into host's
 // recover. Must be called on m's own stack.
 func (r *Runtime) yieldPoint(m *machine) {
 	act := r.advance(m)
-	for act == advHandoff && r.machines[r.current].timer {
-		r.stepTimer(r.machines[r.current])
+	for act == advHandoff && r.machines[r.current].stackless() {
+		r.stepStackless(r.machines[r.current])
 		act = r.advance(m)
 	}
 	if act != advContinue {
@@ -527,8 +555,8 @@ func (r *Runtime) yieldPoint(m *machine) {
 // runs on — usually the machine whose Crash call queued the victim. A
 // victim mid-handler is resumed with a nested next(): it wakes in
 // yieldPoint, sees crashed, panics out of its handler, cleans up in unwound
-// and yields back here. Any other — never started, between handlers, a
-// timer in whatever phase — has no stack and gets the same cleanup right
+// and yields back here. Any other — never started, between handlers,
+// parked, a timer in whatever phase — has no stack and gets the same cleanup right
 // here. Its staged writes meet their crash state next. The list is walked
 // by index and truncated once: slicing the head off per victim would walk
 // the header forward and leave a pooled runtime re-allocating it every
@@ -671,7 +699,7 @@ func (r *Runtime) createMachine(impl Machine, name string) MachineID {
 	} else {
 		m.defr = nil
 	}
-	m.timer, m.tm = false, timerMachine{}
+	m.timer, m.parked, m.tm = false, false, timerMachine{}
 	r.machines = append(r.machines, m)
 	// A Created machine is always enabled, and its ID is the largest so
 	// far, so the sorted insert is a plain append.

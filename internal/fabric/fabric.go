@@ -257,7 +257,7 @@ func (fm *fmMachine) Handle(ctx *core.Context, ev core.Event) {
 	switch e := ev.(type) {
 	case registerClient:
 		fm.clients = append(fm.clients, e.Client)
-		ctx.Send(e.Client, viewChange{Epoch: fm.epoch, Primary: fm.primary})
+		ctx.SendLast(e.Client, viewChange{Epoch: fm.epoch, Primary: fm.primary})
 	case caughtUp:
 		fm.promote(ctx, e)
 	case replicaFailed:
@@ -283,7 +283,7 @@ func (fm *fmMachine) promote(ctx *core.Context, e caughtUp) {
 		"only a secondary can be promoted to an active secondary (replica %d is %v)",
 		e.From, fm.roles[e.From])
 	fm.roles[e.From] = RoleActive
-	ctx.Send(fm.primary, updateActives{Epoch: fm.epoch, Actives: fm.actives()})
+	ctx.SendLast(fm.primary, updateActives{Epoch: fm.epoch, Actives: fm.actives()})
 }
 
 // actives returns the current active secondaries in deterministic order.
@@ -313,7 +313,7 @@ func (fm *fmMachine) handleFailure(ctx *core.Context, dead core.MachineID) {
 		replacement := fm.launchReplica(ctx)
 		ctx.Send(fm.primary, updateActives{Epoch: fm.epoch, Actives: fm.actives()})
 		ctx.Send(replacement, becomeIdle{Epoch: fm.epoch})
-		ctx.Send(fm.primary, sendCopy{Epoch: fm.epoch, To: replacement})
+		ctx.SendLast(fm.primary, sendCopy{Epoch: fm.epoch, To: replacement})
 		return
 	}
 

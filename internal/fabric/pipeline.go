@@ -83,7 +83,7 @@ func (s *sourceMachine) Handle(ctx *core.Context, ev core.Event) {
 		total += v
 		ctx.Send(s.transform, dataEvent{Key: keys[ctx.RandomInt(len(keys))], Value: v})
 	}
-	ctx.Send(s.transform, flushEvent{Total: total})
+	ctx.SendLast(s.transform, flushEvent{Total: total})
 }
 
 // transformMachine aggregates records per key and emits totals on flush.
@@ -129,7 +129,7 @@ func (t *transformMachine) Handle(ctx *core.Context, ev core.Event) {
 		if !t.opened {
 			// The stream cannot end before the channel opened; re-queue
 			// the flush behind the pending Open.
-			ctx.Send(ctx.ID(), e)
+			ctx.SendLast(ctx.ID(), e)
 			return
 		}
 		for _, k := range []string{"x", "y"} {
@@ -137,7 +137,7 @@ func (t *transformMachine) Handle(ctx *core.Context, ev core.Event) {
 				ctx.Send(t.sink, outputEvent{Key: k, Total: v})
 			}
 		}
-		ctx.Send(t.sink, e)
+		ctx.SendLast(t.sink, e)
 	}
 }
 
@@ -187,7 +187,7 @@ func (c *controllerMachine) Init(*core.Context) {}
 
 func (c *controllerMachine) Handle(ctx *core.Context, ev core.Event) {
 	if ev.Name() == "start" {
-		ctx.Send(c.transform, openEvent{})
+		ctx.SendLast(c.transform, openEvent{})
 	}
 }
 
@@ -203,7 +203,7 @@ func PipelineScenario(pc PipelineConfig) core.Test {
 			srcID := ctx.CreateMachine(&sourceMachine{transform: trID, items: pc.items()}, "Source")
 			ctrlID := ctx.CreateMachine(&controllerMachine{transform: trID}, "Controller")
 			ctx.Send(ctrlID, core.Signal("start"))
-			ctx.Send(srcID, core.Signal("start"))
+			ctx.SendLast(srcID, core.Signal("start"))
 		},
 		Monitors: []func() core.Monitor{newPipelineMonitor},
 	}

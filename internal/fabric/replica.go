@@ -125,7 +125,7 @@ func (r *replicaMachine) handleSendCopy(ctx *core.Context, e sendCopy) {
 	}
 	dedup := make(map[core.MachineID]dedupEntry, len(r.dedup))
 	det.Each(r.dedup, func(k core.MachineID, v dedupEntry) { dedup[k] = v })
-	ctx.Send(e.To, copyState{
+	ctx.SendLast(e.To, copyState{
 		Epoch:    r.epoch,
 		Snapshot: r.svc.Snapshot(),
 		Applied:  r.applied,
@@ -168,7 +168,7 @@ func (r *replicaMachine) handleCopyState(ctx *core.Context, e copyState) {
 	// whose promote step updates the placement view (and carries the
 	// model's promotion assertion).
 	r.role = RoleActive
-	ctx.Send(r.fm, caughtUp{From: ctx.ID(), Epoch: r.epoch})
+	ctx.SendLast(r.fm, caughtUp{From: ctx.ID(), Epoch: r.epoch})
 }
 
 // handleClientReq (primary) deduplicates, assigns a sequence number, and
@@ -244,7 +244,7 @@ func (r *replicaMachine) handleReplicate(ctx *core.Context, e replicate) {
 		if e.Seq > r.applied {
 			r.applyReplicated(e)
 		}
-		ctx.Send(r.primaryOf(e), replicateAck{From: ctx.ID(), Epoch: e.Epoch, Seq: e.Seq})
+		ctx.SendLast(r.primaryOf(e), replicateAck{From: ctx.ID(), Epoch: e.Epoch, Seq: e.Seq})
 	case RoleIdle:
 		// Buffer until the state copy arrives.
 		r.stashRep = append(r.stashRep, e)

@@ -45,7 +45,7 @@ func FailoverScenario(fc FailoverConfig) core.Test {
 			if !fc.NoFailure {
 				ctx.CreateMachine(newReplicaInjector(fmID, fmm, fc.FailPrimary), "Injector")
 			}
-			ctx.Send(clientID, core.Signal("start"))
+			ctx.SendLast(clientID, core.Signal("start"))
 		},
 		Monitors: []func() core.Monitor{
 			func() core.Monitor { return &counterSafetyMonitor{} },

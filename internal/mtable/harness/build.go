@@ -82,7 +82,7 @@ func Test(hc HarnessConfig) core.Test {
 			for _, id := range serviceIDs {
 				ctx.Send(id, startEvent{})
 			}
-			ctx.Send(migID, startEvent{})
+			ctx.SendLast(migID, startEvent{})
 		},
 	}
 	if hc.CrashMigrator {

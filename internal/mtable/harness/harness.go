@@ -222,7 +222,7 @@ func (t *tablesMachine) Handle(ctx *core.Context, ev core.Event) {
 			t.handleDecision(ctx, e)
 		}
 	case streamOpenReq:
-		ctx.Send(e.From, streamOpenResp{Seq: t.seq})
+		ctx.SendLast(e.From, streamOpenResp{Seq: t.seq})
 	case *streamValidate:
 		if err := t.hist.CheckStream(e.Partition, e.Filter, e.FromSeq, t.seq, e.Rows); err != nil {
 			ctx.Assert(false, "stream output of %s violates the chain-table specification: %v", e.Service, err)
@@ -255,7 +255,7 @@ func (t *tablesMachine) handleBackendReq(ctx *core.Context, req *backendReq) {
 	}
 	t.seq++
 	t.awaitID, t.awaitFrom = id, from
-	ctx.Send(from, resp)
+	ctx.SendLast(from, resp)
 }
 
 // handleDecision applies the logical operation to the RT if the awaited
@@ -287,7 +287,7 @@ func (t *tablesMachine) handleDecision(ctx *core.Context, dec *lpDecision) {
 			}
 		}
 	}
-	ctx.Send(dec.From, out)
+	ctx.SendLast(dec.From, out)
 }
 
 // --- stub backends ---
@@ -515,12 +515,12 @@ func (m *migratorMachine) step(ctx *core.Context) {
 			ctx.StopTimer(m.timer)
 		}
 		if m.crashable {
-			ctx.Send(m.wake, core.Signal("offer"))
+			ctx.SendLast(m.wake, core.Signal("offer"))
 		}
 		return
 	}
 	if !m.paced {
-		ctx.Send(ctx.ID(), stepEvent{})
+		ctx.SendLast(ctx.ID(), stepEvent{})
 	}
 }
 
@@ -548,7 +548,7 @@ func (in *migratorCrashInjector) Handle(ctx *core.Context, ev core.Event) {
 	if victim := ctx.CrashPoint(in.mig); victim != core.NoMachine {
 		ctx.Restart(victim, &recoveredMigrator{})
 	}
-	ctx.Send(ctx.ID(), core.Signal("offer"))
+	ctx.SendLast(ctx.ID(), core.Signal("offer"))
 }
 
 // recoveredMigrator is the crashed migrator's next incarnation. The

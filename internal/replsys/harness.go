@@ -186,7 +186,7 @@ func (sn *storageNodeMachine) Handle(ctx *core.Context, ev core.Event) {
 		n := len(sn.log)
 		r := sn.reports.get()
 		r.Sync = Sync{Node: sn.node, Log: sn.log[:n:n]}
-		ctx.Send(sn.serverID, r)
+		ctx.SendLast(sn.serverID, r)
 	}
 }
 
@@ -268,7 +268,7 @@ type nodeCrashInjector struct {
 }
 
 func (in *nodeCrashInjector) Init(ctx *core.Context) {
-	ctx.Send(ctx.ID(), core.Signal("offer"))
+	ctx.SendLast(ctx.ID(), core.Signal("offer"))
 }
 
 func (in *nodeCrashInjector) Handle(ctx *core.Context, ev core.Event) {
@@ -282,7 +282,7 @@ func (in *nodeCrashInjector) Handle(ctx *core.Context, ev core.Event) {
 			node: tmpl.node, serverID: tmpl.serverID, mons: tmpl.mons, durable: true, reports: tmpl.reports,
 		}})
 	}
-	ctx.Send(ctx.ID(), core.Signal("offer"))
+	ctx.SendLast(ctx.ID(), core.Signal("offer"))
 }
 
 // durabilityMonitor is the per-node recovery oracle: every synced slot
@@ -489,7 +489,7 @@ func Scenario(sc ScenarioConfig) core.Test {
 			client.node = NodeID(clientID)
 			srv.route[NodeID(clientID)] = clientID
 			// All routes are wired; release the client.
-			ctx.Send(clientID, core.Signal("start"))
+			ctx.SendLast(clientID, core.Signal("start"))
 		},
 	}
 	if sc.DurableNodes {

@@ -129,11 +129,11 @@ func newENMachine(node vnext.NodeID, mgrID, driverID core.MachineID, initial []v
 				"CopyRequest":   en.onCopyRequest,
 				"CopyResponse":  en.onCopyResponse,
 				tickHeartbeat: func(ctx *core.Context, _ core.Event) {
-					ctx.Send(en.mgrID, msgEvent{Msg: vnext.Heartbeat{Node: en.node}})
+					ctx.SendLast(en.mgrID, msgEvent{Msg: vnext.Heartbeat{Node: en.node}})
 				},
 				tickSync: func(ctx *core.Context, _ core.Event) {
 					report := vnext.SyncReport{Node: en.node, Extents: en.store.ExtentsOf(en.node)}
-					ctx.Send(en.mgrID, msgEvent{Msg: report})
+					ctx.SendLast(en.mgrID, msgEvent{Msg: report})
 				},
 			},
 		},
@@ -149,14 +149,14 @@ func (en *enMachine) onRepairRequest(ctx *core.Context, ev core.Event) {
 		return // already repaired, or nothing to copy from
 	}
 	src := req.Sources[ctx.RandomInt(len(req.Sources))]
-	ctx.Send(en.driverID, routeEvent{Dst: src, Msg: vnext.CopyRequest{Extent: req.Extent, Requester: en.node}})
+	ctx.SendLast(en.driverID, routeEvent{Dst: src, Msg: vnext.CopyRequest{Extent: req.Extent, Requester: en.node}})
 }
 
 // onCopyRequest answers with a copy success iff this EN holds a replica.
 func (en *enMachine) onCopyRequest(ctx *core.Context, ev core.Event) {
 	req := ev.(msgEvent).Msg.(vnext.CopyRequest)
 	resp := vnext.CopyResponse{Extent: req.Extent, Source: en.node, OK: en.store.Has(req.Extent, en.node)}
-	ctx.Send(en.driverID, routeEvent{Dst: req.Requester, Msg: resp})
+	ctx.SendLast(en.driverID, routeEvent{Dst: req.Requester, Msg: resp})
 }
 
 // onCopyResponse records the repaired replica and notifies the monitor;

@@ -125,7 +125,7 @@ type injectorMachine struct {
 }
 
 func (in *injectorMachine) Init(ctx *core.Context) {
-	ctx.Send(ctx.ID(), core.Signal("offer"))
+	ctx.SendLast(ctx.ID(), core.Signal("offer"))
 }
 
 func (in *injectorMachine) Handle(ctx *core.Context, ev core.Event) {
@@ -136,7 +136,7 @@ func (in *injectorMachine) Handle(ctx *core.Context, ev core.Event) {
 	if victim := ctx.CrashPoint(in.node); victim != core.NoMachine {
 		ctx.Restart(victim, &recoveredNode{cfg: in.cfg})
 	}
-	ctx.Send(ctx.ID(), core.Signal("offer"))
+	ctx.SendLast(ctx.ID(), core.Signal("offer"))
 }
 
 // durabilityMonitor is the recovery oracle. It tracks the node's write
