@@ -242,7 +242,7 @@ func TestFleetPlanIsASystestPlan(t *testing.T) {
 		{"-test", "wal-torn-tail", "-max-torn-crashes", "1"},
 		{"-test", "ExtentNodeLivenessViolation", "-faults", "crashes=0"},
 		{"-test", "replsys-safety", "-portfolio", "random,pct"},
-		{"-test", "replsys-safety", "-scheduler", "portfolio", "-portfolio", "pct,delay", "-pct-depth", "3"},
+		{"-test", "replsys-safety", "-scheduler", "portfolio", "-portfolio", "pct,delay"},
 		{"-test", "mtable", "-scheduler", "delay"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {

@@ -25,7 +25,7 @@ type Flags struct {
 	List bool
 
 	test, scheduler, portfolio, faults string
-	pctDepth, iterations, maxSteps     int
+	iterations, maxSteps               int
 	maxCrashes, maxTornCrashes         int
 	seed                               int64
 }
@@ -37,7 +37,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.test, "test", "", "scenario name (see -list)")
 	fs.StringVar(&f.scheduler, "scheduler", "", "scheduler: "+strings.Join(gostorm.SchedulerNames(), ", ")+", or portfolio (see -portfolio); empty = random")
 	fs.StringVar(&f.portfolio, "portfolio", "", "comma-separated scheduler portfolio to race (implies -scheduler portfolio)")
-	fs.IntVar(&f.pctDepth, "pct-depth", 2, "priority change points for the pct/delay schedulers")
 	fs.Int64Var(&f.seed, "seed", 0, "base random seed")
 	fs.IntVar(&f.iterations, "iterations", 0, "maximum executions (0 = scenario default); per member for a portfolio")
 	fs.IntVar(&f.maxSteps, "max-steps", 0, "scheduling steps per execution (0 = scenario default); one that reaches it with a monitor hot runs on in a fair tail, to at most twice it")
@@ -54,9 +53,6 @@ func Register(fs *flag.FlagSet) *Flags {
 // the option set cannot see.
 func (f *Flags) Plan() (gostorm.Scenario, []gostorm.Option, error) {
 	var sc gostorm.Scenario
-	if f.pctDepth <= 0 {
-		return sc, nil, fmt.Errorf("-pct-depth must be positive, got %d", f.pctDepth)
-	}
 	members, err := f.members()
 	if err != nil {
 		return sc, nil, err
@@ -82,7 +78,7 @@ func (f *Flags) Plan() (gostorm.Scenario, []gostorm.Option, error) {
 		return sc, nil, fmt.Errorf("unknown scenario %s (use -list)", f.test)
 	}
 
-	opts := append(sc.Options(), gostorm.WithPCTDepth(f.pctDepth), gostorm.WithSeed(f.seed))
+	opts := append(sc.Options(), gostorm.WithSeed(f.seed))
 	switch {
 	case len(members) > 0:
 		opts = append(opts, gostorm.WithPortfolio(members...))

@@ -36,8 +36,6 @@ func TestPlanFlagsFailUpFront(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"negative pct-depth", []string{"-test", "replsys", "-pct-depth", "-1"}, "-pct-depth must be positive, got -1"},
-		{"zero pct-depth", []string{"-test", "wal-torn-tail", "-pct-depth", "0"}, "-pct-depth must be positive, got 0"},
 		{"unknown scheduler", []string{"-test", "replsys", "-scheduler", "quantum"}, "unknown scheduler"},
 		{"unknown portfolio member", []string{"-test", "replsys", "-portfolio", "random,quantum"}, "unknown scheduler"},
 		{"empty portfolio member", []string{"-test", "replsys", "-portfolio", "random,,pct"}, "empty member"},
@@ -48,6 +46,7 @@ func TestPlanFlagsFailUpFront(t *testing.T) {
 		{"unknown scenario", []string{"-test", "nope"}, "unknown scenario nope"},
 		{"bad faults key", []string{"-test", "replsys", "-faults", "bogus=1"}, "unknown key"},
 		{"bad faults value", []string{"-test", "replsys", "-faults", "crashes=x"}, "non-negative integer"},
+		{"repeated faults key", []string{"-test", "replsys", "-faults", "dups=1,crashes=1,duplicates=0"}, "-faults: core: fault spec \"dups=1,crashes=1,duplicates=0\": \"duplicates=0\" repeats the dups key"},
 		{"negative max-crashes", []string{"-test", "replsys", "-max-crashes", "-3"}, "-max-crashes must be non-negative, got -3"},
 		{"negative max-torn-crashes", []string{"-test", "replsys", "-max-torn-crashes", "-1"}, "-max-torn-crashes must be non-negative, got -1"},
 		{"negative iterations", []string{"-test", "wal-fixed", "-iterations", "-5"}, "WithIterations: must be positive, got -5"},

@@ -50,7 +50,6 @@ func main() {
 	var (
 		iterations = flag.Int("iterations", 20000, "execution budget per cell (paper: 100000); per member for the portfolio column")
 		seed       = flag.Int64("seed", 1, "base random seed")
-		pctDepth   = flag.Int("pct-depth", 2, "priority change points per execution (paper: 2)")
 		workers    = flag.Int("workers", 0, "parallel exploration workers per cell (0 = one per CPU)")
 		portfolio  = flag.String("portfolio", "random,pct,delay", "comma-separated members of the portfolio column (empty = omit the column)")
 	)
@@ -70,7 +69,7 @@ func main() {
 
 	// What every cell shares, layered over each scenario's own options the
 	// way systest layers its flags.
-	shared := []gostorm.Option{gostorm.WithPCTDepth(*pctDepth), gostorm.WithIterations(*iterations), gostorm.WithSeed(*seed), gostorm.WithNoReplayLog()}
+	shared := []gostorm.Option{gostorm.WithIterations(*iterations), gostorm.WithSeed(*seed), gostorm.WithNoReplayLog()}
 	if *workers > 0 {
 		shared = append(shared, gostorm.WithWorkers(*workers))
 	}

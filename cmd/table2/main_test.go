@@ -137,7 +137,6 @@ func TestCLIValidatesFlags(t *testing.T) {
 		{[]string{"-portfolio", "random,quantum"}, "unknown scheduler"},
 		{[]string{"-workers", "-4"}, "-workers must be non-negative"},
 		{[]string{"-iterations", "0"}, "WithIterations: must be positive"},
-		{[]string{"-pct-depth", "0"}, "WithPCTDepth: must be positive"},
 	} {
 		out, errOut, code := runTable2(t, tc.args...)
 		if code != 2 || !strings.Contains(errOut, tc.want) {

@@ -51,7 +51,7 @@
 // and all there is to Resolve and PlanSize — checks the bounds, the fault
 // budgets and every scheduler name against the registry, and fills in the
 // defaults (random scheduler, 10,000 executions of up to 10,000 steps,
-// depth 2, one worker per CPU; one worker when any scheduler of the plan
+// one worker per CPU; one worker when any scheduler of the plan
 // is sequential; a hot execution may run to twice the bound, see
 // Liveness). Resolve returns the result without running anything, so a
 // banner or a dashboard shows what Explore will do by construction. The
@@ -81,8 +81,10 @@
 //     or beyond it and always finish lower ones, so the reported bug is
 //     the first in plan order — lowest iteration, ties broken by member
 //     order — at any worker count.
-//   - Calibration. Adaptive schedulers (pct, delay) place their probes
-//     within an estimate of the program length. Their iteration 0 runs
+//   - Calibration. Adaptive schedulers — pct, delay, and any whose
+//     instances implement LengthHinted — place their probes (two per
+//     execution for pct and delay, the paper's configuration) within an
+//     estimate of the program length. Their iteration 0 runs
 //     first, alone, and its observed step count is pinned on every
 //     instance of the member; an instance carries nothing from one
 //     execution to the next, so its decisions are pure functions of the
@@ -151,14 +153,16 @@
 // makes it valid for WithScheduler, eligible as a portfolio member with
 // its own deterministic seeding, covered by the conformance matrix
 // (VerifyScheduler runs the same checks the repository's tests apply to
-// the built-ins), and — when its SchedulerSpec declares Adaptive and the
-// implementation accepts LengthHinted — calibrated by the engine exactly
-// like pct and delay. Implement FaultScheduler to resolve fault choice
-// points with strategy; a scheduler that does not is wrapped, once, where
-// its instance is built, in an adapter that answers them uniformly
-// through its NextInt stream, so the runtime holds one scheduler. A
-// scheduler that draws from a seeded generator should build it once with
-// NewRand and call Seed in Prepare, which runs before every execution.
+// the built-ins), and — when its instances implement LengthHinted —
+// calibrated by the engine exactly like pct and delay, with nothing to
+// declare: a SchedulerSpec holds only a constructor and whether the
+// scheduler is sequential, the one fact an instance cannot state.
+// Implement FaultScheduler to resolve fault choice points with strategy;
+// a scheduler that does not is wrapped, once, where its instance is
+// built, in an adapter that answers them uniformly through its NextInt
+// stream, so the runtime holds one scheduler. A scheduler that draws from
+// a seeded generator should build it once with NewRand and call Seed in
+// Prepare, which runs before every execution.
 //
 // The contract of a choice is the same for every kind. The runtime asks
 // — NextMachine over the enabled set, NextBool, NextInt below n,
@@ -210,9 +214,9 @@
 // scheduler. In a portfolio, one feedback member gives the whole run
 // generation windows and all members share one corpus: a random member
 // that stumbles into a novel behavior seeds the prefixes the mutational
-// member splices. Custom schedulers opt in by declaring Feedback in their
-// SchedulerSpec and implementing FeedbackScheduler; the conformance
-// matrix then also checks them with a synthetic corpus attached.
+// member splices. A custom scheduler opts in by implementing
+// FeedbackScheduler; the conformance matrix then also checks it with a
+// synthetic corpus attached.
 //
 // # Fault plane
 //

@@ -139,7 +139,7 @@ func (s *newestFirst) NextInt(n int) int { return s.rng.Intn(n) }
 // the built-ins — no engine changes required.
 func ExampleRegisterScheduler() {
 	err := gostorm.RegisterScheduler("newest-first", gostorm.SchedulerSpec{
-		New: func(depth int) gostorm.Scheduler { return &newestFirst{rng: gostorm.NewRand()} },
+		New: func() gostorm.Scheduler { return &newestFirst{rng: gostorm.NewRand()} },
 	})
 	fmt.Println("registered:", err == nil)
 	fmt.Println("conformant:", gostorm.VerifyScheduler("newest-first") == nil)

@@ -112,8 +112,10 @@ type (
 	// resolution; schedulers that do not implement it have fault choices
 	// answered uniformly through their NextInt stream.
 	FaultScheduler = core.FaultScheduler
-	// SchedulerSpec describes one registered scheduler: contract bits
-	// (Sequential, Adaptive, Feedback) and a constructor.
+	// SchedulerSpec describes one registered scheduler: whether it is
+	// Sequential, and a constructor. Whether it is adaptive or
+	// feedback-driven its instances say by implementing LengthHinted or
+	// FeedbackScheduler.
 	SchedulerSpec = core.SchedulerSpec
 	// LengthHinted is implemented by adaptive schedulers that accept the
 	// engine's shared program-length estimate.

@@ -95,23 +95,21 @@ func compareStreams(name, what string, a, b []string) error {
 //   - Prepare reseeding is total for non-sequential schedulers:
 //     re-preparing the same instance with the same seed reproduces the
 //     identical decision stream, with no state leaking across executions.
-//     Adaptive schedulers are checked under a pinned length estimate,
-//     which is exactly how the engine runs them. Sequential schedulers
-//     (dfs) are exempt by contract — their Prepare deliberately advances
-//     to the next branch of their enumeration — and are checked for
-//     fresh-instance determinism only;
+//     Adaptive schedulers (LengthHinted) are checked under a pinned length
+//     estimate, which is exactly how the engine runs them. Sequential
+//     schedulers (dfs) are exempt by contract — their Prepare deliberately
+//     advances to the next branch of their enumeration — and are checked
+//     for fresh-instance determinism only;
 //   - with exactly one enabled machine the scheduler picks it, whatever
 //     its internal state;
-//   - a scheduler whose spec declares Feedback is additionally checked
+//   - a scheduler that implements FeedbackScheduler is additionally checked
 //     with a fixed synthetic corpus attached: fresh instances sharing
 //     the corpus must still make identical in-range decisions for the
 //     same seed, and re-preparing must still reseed totally. (The first
 //     pass runs it corpus-less, pinning the required degenerate-to-
 //     ordinary behavior.)
-//
-// Pass depth <= 0 for the default exploration depth.
-func VerifySchedulerConformance(name string, depth int) error {
-	f, err := NewSchedulerFactory(name, depth)
+func VerifySchedulerConformance(name string) error {
+	f, err := NewSchedulerFactory(name)
 	if err != nil {
 		return err
 	}

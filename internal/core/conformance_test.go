@@ -13,7 +13,7 @@ func TestSchedulerConformance(t *testing.T) {
 	for _, name := range SchedulerNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			if err := VerifySchedulerConformance(name, 2); err != nil {
+			if err := VerifySchedulerConformance(name); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -84,7 +84,7 @@ func TestSchedulerConformanceFaultPlane(t *testing.T) {
 	for _, name := range SchedulerNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			f, err := NewSchedulerFactory(name, 2)
+			f, err := NewSchedulerFactory(name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,10 +145,11 @@ func TestSchedulerConformanceSingletonEnabled(t *testing.T) {
 	for _, name := range SchedulerNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			s, err := NewScheduler(name, 2)
+			f, err := NewSchedulerFactory(name)
 			if err != nil {
 				t.Fatal(err)
 			}
+			s := f.New()
 			s.Prepare(3, 1000)
 			for step := 0; step < 50; step++ {
 				only := MachineID(step % 11)
@@ -160,8 +161,8 @@ func TestSchedulerConformanceSingletonEnabled(t *testing.T) {
 	}
 }
 
-// TestSchedulerNamesCoverRegistry: SchedulerNames, NewSchedulerFactory and
-// NewScheduler agree on the set of valid names, and the portfolio accepts
+// TestSchedulerNamesCoverRegistry: SchedulerNames and NewSchedulerFactory
+// agree on the set of valid names, and the portfolio accepts
 // every one of them as a member.
 func TestSchedulerNamesCoverRegistry(t *testing.T) {
 	names := SchedulerNames()
@@ -169,11 +170,8 @@ func TestSchedulerNamesCoverRegistry(t *testing.T) {
 		t.Fatal("no registered schedulers")
 	}
 	for _, name := range names {
-		if _, err := NewSchedulerFactory(name, 0); err != nil {
+		if _, err := NewSchedulerFactory(name); err != nil {
 			t.Fatalf("registered name %q rejected by the factory: %v", name, err)
-		}
-		if _, err := NewScheduler(name, 0); err != nil {
-			t.Fatalf("registered name %q rejected by NewScheduler: %v", name, err)
 		}
 	}
 	// Every registered scheduler is a valid portfolio member: an

@@ -46,7 +46,7 @@ type corpusEntry struct {
 }
 
 // Corpus is the bounded, deterministically evolved set of interesting
-// trace prefixes a feedback scheduler (see SchedulerSpec.Feedback)
+// trace prefixes a feedback scheduler (see SchedulerFactory.Feedback)
 // mutates. The engine owns the corpus and merges new entries only at
 // generation barriers; schedulers receive it via
 // FeedbackScheduler.AttachCorpus and must treat it as read-only.

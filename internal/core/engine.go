@@ -49,9 +49,6 @@ type Options struct {
 	// so two "random" members explore disjoint pseudo-random schedule
 	// spaces.
 	Portfolio []string `json:"portfolio,omitempty"`
-	// PCTDepth is the number of priority change points for "pct"
-	// (default 2, the paper's configuration).
-	PCTDepth int `json:"pct_depth,omitempty"`
 	// Seed selects the pseudo-random schedule sequence. Each execution i
 	// derives its own sub-seed purely from (Seed, i), so runs are
 	// reproducible end to end and independent of worker count.
@@ -119,14 +116,13 @@ const (
 	defaultScheduler  = "random"
 	defaultIterations = 10000
 	defaultMaxSteps   = 10000
-	defaultPCTDepth   = 2 // the paper's configuration
 )
 
 // Resolve is the one place a run's configuration is checked and completed:
 // it validates o (negative bounds, the scheduler and every portfolio member
 // against the registry, the fault budgets of o and of t), applies the engine
-// defaults (scheduler "random", 10,000 iterations of 10,000 steps, depth 2,
-// one worker per CPU) and clamps Workers to 1 when any member is
+// defaults (scheduler "random", 10,000 iterations of 10,000 steps, one
+// worker per CPU) and clamps Workers to 1 when any member is
 // sequential. Explore, ExploreShard and Replay start with it; the
 // public package's Resolve and PlanSize and the distributed coordinator
 // call it too, so what a viewer reports is what a run uses. A caller with no test at hand passes the zero Test. Errors are
@@ -140,7 +136,6 @@ func (o Options) Resolve(t Test) (Options, error) {
 		{"Iterations", o.Iterations},
 		{"MaxSteps", o.MaxSteps},
 		{"Workers", o.Workers},
-		{"PCTDepth", o.PCTDepth},
 	} {
 		if c.v < 0 {
 			return o, &ConfigError{
@@ -164,9 +159,6 @@ func (o Options) Resolve(t Test) (Options, error) {
 	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = defaultMaxSteps
-	}
-	if o.PCTDepth == 0 {
-		o.PCTDepth = defaultPCTDepth
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.NumCPU()

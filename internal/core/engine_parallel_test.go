@@ -107,10 +107,11 @@ func TestSchedulerNextIntBoundGuard(t *testing.T) {
 	for _, name := range []string{"random", "pct", "rr", "delay", "dfs"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			s, err := NewScheduler(name, 2)
+			f, err := NewSchedulerFactory(name)
 			if err != nil {
 				t.Fatal(err)
 			}
+			s := f.New()
 			s.Prepare(1, 100)
 			defer func() {
 				p := recover()
@@ -131,7 +132,7 @@ func TestSchedulerNextIntBoundGuard(t *testing.T) {
 // factory, prepared with the same seed, make identical choices without
 // sharing state — the property the worker pool rests on.
 func TestSchedulerFactoryInstancesAreIndependent(t *testing.T) {
-	f, err := NewSchedulerFactory("pct", 2)
+	f, err := NewSchedulerFactory("pct")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,12 +50,12 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative iterations", Options{Iterations: -1}, "Options.Iterations", "must be non-negative, got -1"},
 		{"negative max steps", Options{MaxSteps: -5}, "Options.MaxSteps", "must be non-negative, got -5"},
 		{"negative workers", Options{Workers: -2}, "Options.Workers", "must be non-negative, got -2"},
-		{"negative pct depth", Options{PCTDepth: -3}, "Options.PCTDepth", "must be non-negative, got -3"},
 		{"negative crash budget", Options{Faults: Faults{MaxCrashes: -1}}, "Options.Faults.MaxCrashes", "must be non-negative, got -1"},
 		{"negative drop budget", Options{Faults: Faults{MaxDrops: -4}}, "Options.Faults.MaxDrops", "must be non-negative, got -4"},
 		{"negative duplicate budget", Options{Faults: Faults{MaxDuplicates: -9}}, "Options.Faults.MaxDuplicates", "must be non-negative, got -9"},
 		{"negative torn crash budget", Options{Faults: Faults{MaxTornCrashes: -2}}, "Options.Faults.MaxTornCrashes", "must be non-negative, got -2"},
 		{"unknown portfolio member", Options{Portfolio: []string{"random", "quantum"}}, "Options.Portfolio[1]", `unknown scheduler "quantum"`},
+		{"empty portfolio member", Options{Portfolio: []string{"random", ""}}, "Options.Portfolio[1]", `unknown scheduler ""`},
 		{"unknown scheduler", Options{Scheduler: "quantum"}, "Options.Scheduler", `unknown scheduler "quantum"`},
 	}
 	for _, c := range cases {
@@ -154,7 +154,7 @@ func TestMustExplorePanicsOnConfigError(t *testing.T) {
 func TestResolveAcceptsZeroAndPositive(t *testing.T) {
 	for _, o := range []Options{
 		{},
-		{Iterations: 5, MaxSteps: 100, Workers: 2, PCTDepth: 3,
+		{Iterations: 5, MaxSteps: 100, Workers: 2,
 			Faults: Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3}},
 		{Portfolio: []string{"random", "pct", "random"}},
 		{Scheduler: "dfs", Workers: 8},
@@ -164,8 +164,7 @@ func TestResolveAcceptsZeroAndPositive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("valid options rejected: %v", err)
 		}
-		if r.Scheduler == "" || r.Iterations <= 0 || r.MaxSteps <= 0 || r.PCTDepth <= 0 ||
-			r.Workers <= 0 {
+		if r.Scheduler == "" || r.Iterations <= 0 || r.MaxSteps <= 0 || r.Workers <= 0 {
 			t.Fatalf("Resolve(%+v) left a default unapplied: %+v", o, r)
 		}
 		want := o.Workers
@@ -198,12 +197,24 @@ func TestParseFaultsSpec(t *testing.T) {
 			t.Fatalf("spec %q accepted", bad)
 		}
 	}
+	// A key given twice is rejected, naming it, rather than the last value
+	// silently winning; dups and duplicates are one key.
+	for _, c := range []struct{ spec, want string }{
+		{"crashes=1,crashes=0", `"crashes=0" repeats the crashes key`},
+		{"torn=1, drops=2, torn=1", `"torn=1" repeats the torn key`},
+		{"dups=1,duplicates=2", `"duplicates=2" repeats the dups key`},
+		{"duplicates=2,dups=2", `"dups=2" repeats the dups key`},
+	} {
+		if _, err := ParseFaultsSpec(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("spec %q: error = %v, want one containing %s", c.spec, err, c.want)
+		}
+	}
 }
 
 // TestRegisterSchedulerValidation: registration rejects names the rest of
 // the surface cannot represent, nil constructors, and duplicates.
 func TestRegisterSchedulerValidation(t *testing.T) {
-	dummy := func(int) Scheduler { return NewRandomScheduler() }
+	dummy := func() Scheduler { return NewRandomScheduler() }
 	for _, c := range []struct {
 		name string
 		spec SchedulerSpec

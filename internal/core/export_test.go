@@ -5,6 +5,9 @@ import "fmt"
 // Doors for the external tests of this package (package core_test), which
 // drive the catalog — a package core itself cannot import.
 
+// ProbeDepth is the depth the registered pct and delay schedulers run at.
+const ProbeDepth = probeDepth
+
 // ExploreWithoutFairTail runs the one-worker plan of o's single scheduler
 // as Explore does — seeded per position, calibrated if adaptive, stopping at
 // the first bug — except that no runtime is told the length estimate, so no
@@ -12,7 +15,7 @@ import "fmt"
 // tail is held to.
 func ExploreWithoutFairTail(t Test, o Options) error {
 	o = resolved(o)
-	f, err := NewSchedulerFactory(o.Scheduler, o.PCTDepth)
+	f, err := NewSchedulerFactory(o.Scheduler)
 	if err != nil {
 		return err
 	}
@@ -52,7 +55,7 @@ func replayLog(pool *execPool, t Test, tr *Trace, o Options, logCap int) []strin
 // steps. An execution that finds a bug is counted like any other.
 func CountResumes(t Test, o Options, n int) (counts ResumeCounts, steps int, err error) {
 	o = resolved(o)
-	f, err := NewSchedulerFactory(o.Scheduler, o.PCTDepth)
+	f, err := NewSchedulerFactory(o.Scheduler)
 	if err != nil {
 		return counts, 0, err
 	}

@@ -78,13 +78,15 @@ func (f Faults) String() string {
 }
 
 // ParseFaultsSpec parses a CLI fault-budget spec of the form
-// "crashes=1,drops=2,dups=1,torn=1" (any subset of the keys, whitespace
-// tolerated) into a Faults budget. An empty spec is the zero budget.
+// "crashes=1,drops=2,dups=1,torn=1" (any subset of the keys, each at most
+// once, whitespace tolerated; dups and duplicates are one key) into a
+// Faults budget. An empty spec is the zero budget.
 func ParseFaultsSpec(spec string) (Faults, error) {
 	var f Faults
 	if strings.TrimSpace(spec) == "" {
 		return f, nil
 	}
+	given := map[string]bool{}
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		key, val, ok := strings.Cut(part, "=")
@@ -95,18 +97,23 @@ func ParseFaultsSpec(spec string) (Faults, error) {
 		if err != nil || n < 0 {
 			return Faults{}, fmt.Errorf("core: fault spec %q: %q needs a non-negative integer", spec, part)
 		}
-		switch strings.TrimSpace(key) {
+		k := strings.TrimSpace(key)
+		switch k {
 		case "crashes":
 			f.MaxCrashes = n
 		case "drops":
 			f.MaxDrops = n
 		case "dups", "duplicates":
-			f.MaxDuplicates = n
+			k, f.MaxDuplicates = "dups", n
 		case "torn":
 			f.MaxTornCrashes = n
 		default:
 			return Faults{}, fmt.Errorf("core: fault spec %q: unknown key %q (keys: crashes, drops, dups, torn)", spec, key)
 		}
+		if given[k] {
+			return Faults{}, fmt.Errorf("core: fault spec %q: %q repeats the %s key", spec, part, k)
+		}
+		given[k] = true
 	}
 	return f, nil
 }
@@ -269,40 +276,23 @@ type TimerID = MachineID
 // enabled set, and every Send above is a scheduling point. But it is always
 // enabled — on the timer-driven harnesses most scheduling steps pick a
 // timer — and its body is engine code that can never block mid-handler, so
-// it owns no stack. The body is cut at its scheduling points into five
-// phases, and a scheduling step that picks the timer runs the one piece
-// between two of them (stepTimer) on whatever stack reached the scheduling
-// point: the hub, the machine whose yieldPoint picked it, or a worker whose
-// handler just returned. A timer step therefore costs no coroutine switch
-// at all.
+// it owns no stack. The body is cut at its scheduling points, and a
+// scheduling step that picks the timer runs the one piece between two of
+// them on whatever stack reached the scheduling point: the hub, the machine
+// whose yieldPoint picked it, or a worker whose handler just returned. A
+// timer step therefore costs no coroutine switch at all.
+//
+// Each self-send ends Init or Handle, so after it the timer is a parked
+// machine (machine.parked, as after SendLast), which stepStackless takes to
+// its loop top. Every other step is stepTimer's: Init's send (statusCreated),
+// the re-arm after a delivered tick (fired), or a dequeue at the loop top.
 type timerMachine struct {
-	phase  timerPhase
 	target MachineID
 	tick   Event
+	// fired: the tick is queued at the target and the re-arming self-send
+	// is the next step.
+	fired bool
 }
-
-// timerPhase names the scheduling point a timer waits at — where its
-// coroutine would be suspended if it had one.
-type timerPhase int8
-
-const (
-	// timerCreated: never scheduled (statusCreated). The first step runs
-	// Init up to its Send's scheduling point.
-	timerCreated timerPhase = iota
-	// timerInitSent: Init's self-send is queued; the next step returns from
-	// Init to the top of the event loop.
-	timerInitSent
-	// timerLoopTop: waiting to dequeue (statusWaitDequeue, an armed event
-	// queued). The next step dequeues, resolves the fire choice and performs
-	// the first Send of Handle.
-	timerLoopTop
-	// timerTickSent: fired, tick queued at the target; the next step
-	// performs the re-arming self-send.
-	timerTickSent
-	// timerRearmed: the re-arming self-send is queued; the next step
-	// returns from Handle to the top of the event loop.
-	timerRearmed
-)
 
 // timerArmed is the event a timer sends itself to keep its loop going: a
 // type of its own, so a timer's dequeue recognises it by type and mixes its
@@ -325,25 +315,25 @@ func (r *Runtime) createTimer(name string, target MachineID, tick Event) Machine
 	return id
 }
 
-// stepTimer runs one scheduling step of timer m on the calling stack: what
-// the timer's coroutine would do between being resumed at the scheduling
-// point it waits at (m.tm.phase) and reaching the next one — status
+// stepTimer runs one scheduling step of timer m, not parked, on the calling
+// stack: what the timer's coroutine would do between being resumed at the
+// scheduling point it waits at and reaching the next one — status
 // writes, enabled-set maintenance, fingerprint mix, decision and log lines
 // included, in the same order. The caller has just recorded the step that
 // picked m (advance) and runs the next scheduling iteration right after,
 // exactly as the timer's own yieldPoint would have.
 func (r *Runtime) stepTimer(m *machine) {
 	t := &m.tm
-	switch t.phase {
-	case timerCreated:
+	switch {
+	case m.status == statusCreated:
 		m.status = statusRunning
 		r.enqueue(m, m, timerArmed)
-		t.phase = timerInitSent
-	case timerInitSent, timerRearmed:
-		m.status = statusWaitDequeue
-		r.blockDequeue(m)
-		t.phase = timerLoopTop
-	case timerLoopTop:
+		m.parked = true
+	case t.fired:
+		t.fired = false
+		r.enqueue(m, m, timerArmed)
+		m.parked = true
+	default:
 		m.status = statusRunning
 		// The timer never looks at what it dequeues, so an event a user
 		// machine sent to its ID costs one fire choice like an armed one.
@@ -368,14 +358,11 @@ func (r *Runtime) stepTimer(m *machine) {
 				r.logf("%s fired", m.label())
 			}
 			r.enqueue(m, r.machines[t.target], t.tick)
-			t.phase = timerTickSent
+			t.fired = true
 		} else {
 			r.enqueue(m, m, timerArmed)
-			t.phase = timerRearmed
+			m.parked = true
 		}
-	case timerTickSent:
-		r.enqueue(m, m, timerArmed)
-		t.phase = timerRearmed
 	}
 }
 

@@ -458,7 +458,7 @@ func TestReaperAllocatesNothingInSteadyState(t *testing.T) {
 		t.Fatalf("a steady-state crash-per-execution run allocates %.1f objects, want 0", allocs)
 	}
 	sched = SchedulerFactory{spec: SchedulerSpec{
-		New: func(int) Scheduler { return plainScheduler{NewRandomScheduler()} },
+		New: func() Scheduler { return plainScheduler{NewRandomScheduler()} },
 	}}.New()
 	if _, adapted := sched.(defaultFaults); !adapted {
 		t.Fatalf("the factory handed out a %T for a scheduler without NextFault", sched)

@@ -89,7 +89,7 @@ func stagedBugTest() Test {
 // mutational scheduler declares feedback, the classic strategies do not,
 // and the factory reports the bit.
 func TestMutationalDeclaresFeedback(t *testing.T) {
-	f, err := NewSchedulerFactory("mutational", 0)
+	f, err := NewSchedulerFactory("mutational")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMutationalDeclaresFeedback(t *testing.T) {
 		t.Fatal("mutational must be neither sequential nor adaptive")
 	}
 	for _, name := range []string{"random", "pct", "rr", "delay", "dfs"} {
-		g, err := NewSchedulerFactory(name, 0)
+		g, err := NewSchedulerFactory(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +376,7 @@ func FuzzSpliceAnyCorpus(f *testing.F) {
 		if err != nil {
 			return
 		}
-		fac, err := NewSchedulerFactory("mutational", 0)
+		fac, err := NewSchedulerFactory("mutational")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,7 +136,7 @@ func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
 	}
 	ex.bugPos.Store(total)
 	for m, name := range members {
-		f, err := NewSchedulerFactory(name, o.PCTDepth)
+		f, err := NewSchedulerFactory(name)
 		if err != nil {
 			return nil, err
 		}

@@ -58,8 +58,8 @@ const (
 	// (its first step runs Init).
 	statusCreated machineStatus = iota
 	// statusRunning: mid-handler, suspended at a scheduling point on its
-	// worker's stack — or on no stack at all: a timer between two phases of
-	// its step (see stepTimer), or a machine whose handler ended in
+	// worker's stack — or on no stack at all: a timer between two steps of
+	// its handler (see timerMachine), or a machine whose handler ended in
 	// SendLast and returned, waiting for the step that takes it to its
 	// loop top (machine.parked). Always enabled (the continuation can run).
 	statusRunning
@@ -163,8 +163,9 @@ type machine struct {
 	// so StopTimer can keep validating its target after the timer halted;
 	// a *live* stackless timer is timer && status != statusHalted.
 	timer bool
-	// parked records that the machine's handler called SendLast: from then
-	// until the handler returns, every Context call but a pure read is
+	// parked records that the machine's handler called SendLast, or that
+	// a timer has made the self-send that ends its Init or Handle: from
+	// then until the handler returns, every Context call but a pure read is
 	// reported as misuse, and once it has returned the machine is
 	// statusRunning on no stack until a scheduling step takes it to its
 	// loop top, inline on whichever stack ran that step (stepStackless).

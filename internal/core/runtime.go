@@ -260,9 +260,10 @@ func (r *Runtime) pick() advAction {
 func (m *machine) stackless() bool { return m.timer || m.parked }
 
 // stepStackless runs one scheduling step of m, picked while stackless, on
-// the calling stack: a timer's next phase (stepTimer), or the return of a
-// parked machine to the top of its event loop — what host does once a
-// handler returns, which a tail Send's step would have reached.
+// the calling stack: the return of a parked machine — a timer after its
+// self-send, or a machine whose handler ended in SendLast — to the top of
+// its event loop, what host does once a handler returns, which a tail
+// Send's step would have reached; or a timer's other steps (stepTimer).
 func (r *Runtime) stepStackless(m *machine) {
 	if !m.parked {
 		r.stepTimer(m)
@@ -556,7 +557,7 @@ func (r *Runtime) yieldPoint(m *machine) {
 // victim mid-handler is resumed with a nested next(): it wakes in
 // yieldPoint, sees crashed, panics out of its handler, cleans up in unwound
 // and yields back here. Any other — never started, between handlers,
-// parked, a timer in whatever phase — has no stack and gets the same cleanup right
+// parked, a timer at whatever step — has no stack and gets the same cleanup right
 // here. Its staged writes meet their crash state next. The list is walked
 // by index and truncated once: slicing the head off per victim would walk
 // the header forward and leave a pooled runtime re-allocating it every

@@ -55,9 +55,9 @@ func TestDelaySchedulerRespectsEnabledSet(t *testing.T) {
 }
 
 func TestNewSchedulerKnowsDelay(t *testing.T) {
-	s, err := NewScheduler("delay", 0)
-	if err != nil || s.Name() != "delay" {
-		t.Fatalf("delay scheduler not registered: %v %v", s, err)
+	f, err := NewSchedulerFactory("delay")
+	if err != nil || f.New().Name() != "delay" {
+		t.Fatalf("delay scheduler not registered: %v", err)
 	}
 }
 

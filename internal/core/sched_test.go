@@ -106,7 +106,7 @@ func TestRoundRobinIsDeterministic(t *testing.T) {
 }
 
 func TestNewSchedulerUnknown(t *testing.T) {
-	if _, err := NewScheduler("quantum", 0); err == nil {
+	if _, err := NewSchedulerFactory("quantum"); err == nil {
 		t.Fatal("expected error for unknown scheduler")
 	}
 }
@@ -142,14 +142,11 @@ func TestProbeCursorMatchesContains(t *testing.T) {
 	const maxSteps = 6
 	faultAt := FaultChoice{Kind: FaultCrash, N: 4, Machine: NoMachine, Candidates: []MachineID{1, 2, 3}}
 	duplicates := 0
-	for _, name := range []string{"pct", "delay"} {
+	for _, build := range []func(int) FaultScheduler{NewPCTScheduler, NewDelayScheduler} {
 		for depth := 1; depth <= 4; depth++ {
 			for _, hint := range []int{0, 10, 13} {
-				f, err := NewSchedulerFactory(name, depth)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s := f.New()
+				s := build(depth)
+				name := s.Name()
 				var p *probes
 				switch s := s.(type) {
 				case *pctScheduler:
@@ -233,23 +230,24 @@ func TestRePrepareForgetsEarlierExecutions(t *testing.T) {
 		}
 		return got
 	}
-	for _, name := range []string{"pct", "delay"} {
+	for _, build := range []func(int) FaultScheduler{NewPCTScheduler, NewDelayScheduler} {
 		for depth := 1; depth <= 4; depth++ {
 			for _, hint := range []int{0, 40} {
-				f, err := NewSchedulerFactory(name, depth)
-				if err != nil {
-					t.Fatal(err)
+				instance := func() FaultScheduler {
+					s := build(depth)
+					if hint > 0 {
+						s.(LengthHinted).SetLengthHint(hint)
+					}
+					return s
 				}
-				if hint > 0 {
-					f = f.WithLengthHint(hint)
-				}
-				used := f.New()
+				used := instance()
+				name := used.Name()
 				for i, n := range []int{17, 250, 40, 3, 120} {
 					used.Prepare(int64(100+i), maxSteps)
 					drive(used, n)
 				}
 				for seed := int64(0); seed < 20; seed++ {
-					fresh := f.New()
+					fresh := instance()
 					used.Prepare(seed, maxSteps)
 					fresh.Prepare(seed, maxSteps)
 					if got, want := drive(used, maxSteps), drive(fresh, maxSteps); !slices.Equal(got, want) {
@@ -296,7 +294,7 @@ func spinTest() Test {
 func BenchmarkPCTSpin(b *testing.B) {
 	const steps = 4096
 	test := spinTest()
-	s := NewPCTScheduler(defaultPCTDepth)
+	s := NewPCTScheduler(probeDepth)
 	s.(LengthHinted).SetLengthHint(steps)
 	pool := newExecPool(Options{})
 	defer pool.release()
@@ -323,7 +321,7 @@ func BenchmarkPCTSpin(b *testing.B) {
 func BenchmarkSchedulerPrepare(b *testing.B) {
 	enabled := []MachineID{0, 1, 2, 3}
 	for _, name := range SchedulerNames() {
-		f, err := NewSchedulerFactory(name, 0)
+		f, err := NewSchedulerFactory(name)
 		if err != nil {
 			b.Fatal(err)
 		}

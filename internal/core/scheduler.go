@@ -46,7 +46,8 @@ type Scheduler interface {
 type SchedulerFactory struct {
 	name       string
 	spec       SchedulerSpec
-	depth      int
+	adaptive   bool
+	feedback   bool
 	lengthHint int
 	corpus     *Corpus
 }
@@ -60,7 +61,7 @@ func (f SchedulerFactory) Name() string { return f.name }
 // out. A scheduler that does not resolve fault choices itself is adapted
 // here, once, so the runtime holds a single scheduler.
 func (f SchedulerFactory) New() FaultScheduler {
-	s := f.spec.New(f.depth)
+	s := f.spec.New()
 	if f.lengthHint > 0 {
 		if h, ok := s.(LengthHinted); ok {
 			h.SetLengthHint(f.lengthHint)
@@ -86,13 +87,14 @@ func (f SchedulerFactory) New() FaultScheduler {
 // instance.
 func (f SchedulerFactory) Sequential() bool { return f.spec.Sequential }
 
-// Adaptive reports that the scheduler places its probes (priority change
-// points, delay points) within an estimate of the program length. Without
-// one, pct and delay place them within the step bound, where most fall
-// beyond the end of a short execution. The engine therefore calibrates
-// adaptive factories: it measures iteration 0 once and pins the estimate on
-// every instance via WithLengthHint.
-func (f SchedulerFactory) Adaptive() bool { return f.spec.Adaptive }
+// Adaptive reports that the scheduler's instances implement LengthHinted:
+// they place their probes (priority change points, delay points) within an
+// estimate of the program length. Without one, pct and delay place them
+// within the step bound, where most fall beyond the end of a short
+// execution. The engine therefore calibrates adaptive factories: it measures
+// iteration 0 once and pins the estimate on every instance via
+// WithLengthHint.
+func (f SchedulerFactory) Adaptive() bool { return f.adaptive }
 
 // WithLengthHint returns a copy of the factory whose instances all place
 // their probes within the given program-length estimate (in scheduling
@@ -103,13 +105,14 @@ func (f SchedulerFactory) WithLengthHint(steps int) SchedulerFactory {
 	return f
 }
 
-// Feedback reports that the scheduler consumes execution feedback — a
-// corpus of coverage-novel trace prefixes — and therefore makes the
+// Feedback reports that the scheduler's instances implement
+// FeedbackScheduler: they consume execution feedback — a corpus of
+// coverage-novel trace prefixes — and therefore make the
 // exploration loop drain its range in generation windows: the corpus must
 // be attached to every instance (WithCorpus) and may only grow at the
 // barriers between windows, or results would depend on worker
 // interleaving.
-func (f SchedulerFactory) Feedback() bool { return f.spec.Feedback }
+func (f SchedulerFactory) Feedback() bool { return f.feedback }
 
 // WithCorpus returns a copy of the factory whose instances all share the
 // given corpus (attached via FeedbackScheduler.AttachCorpus when the
@@ -120,52 +123,43 @@ func (f SchedulerFactory) WithCorpus(c *Corpus) SchedulerFactory {
 	return f
 }
 
-// FeedbackScheduler is implemented by schedulers whose SchedulerSpec
-// declares Feedback: the engine attaches the run's shared corpus before
-// exploration starts, and keeps it deterministic by only merging new
-// entries at generation barriers. The scheduler must treat the corpus as
-// read-only and keep every decision a pure function of (Prepare seed,
-// corpus contents, call sequence).
+// FeedbackScheduler is implemented by coverage-guided schedulers: the
+// engine attaches a shared corpus of interesting trace prefixes to every
+// instance before exploration starts, and runs the exploration in
+// fixed-size generations, merging new entries only at the barriers between
+// them, so the corpus state each iteration observes is worker-count
+// independent. The scheduler must treat the corpus as read-only, keep every
+// decision a pure function of (Prepare seed, corpus contents, call
+// sequence), and behave like an ordinary scheduler when the corpus is
+// absent or empty (that is also how the conformance checker first exercises
+// it).
 type FeedbackScheduler interface {
 	Scheduler
 	AttachCorpus(c *Corpus)
 }
 
-// LengthHinted is implemented by adaptive schedulers that can pin their
-// program-length estimate to an engine-provided value. A registered
-// scheduler whose SchedulerSpec declares Adaptive should implement it:
-// the engine calibrates adaptive schedulers by measuring iteration 0 and
-// pinning the observed step count on every instance, which is what makes
-// their decision streams pure functions of the per-execution seed (and
-// results worker-count-independent).
+// LengthHinted is implemented by adaptive schedulers, which place probes
+// within an estimate of the program length. The engine calibrates every
+// scheduler that implements it by measuring iteration 0 and pinning the
+// observed step count on every instance, which is what makes their
+// decision streams pure functions of the per-execution seed (and results
+// worker-count-independent).
 type LengthHinted interface {
 	SetLengthHint(steps int)
 }
 
-// SchedulerSpec describes one registered scheduler: its contract bits and
-// a constructor. depth is the exploration-depth knob (priority change
-// points for pct, delay points for delay — Options.PCTDepth); schedulers
-// without a depth notion ignore it.
+// SchedulerSpec describes one registered scheduler: what an instance cannot
+// say about itself, and a constructor. What an instance implements it says
+// itself: LengthHinted makes it adaptive, FeedbackScheduler makes it
+// feedback-driven (see SchedulerFactory.Adaptive and Feedback).
 type SchedulerSpec struct {
 	// Sequential marks a scheduler whose correctness depends on seeing
 	// every execution of a run in order on a single instance (see
 	// SchedulerFactory.Sequential). The engine runs it on one worker.
 	Sequential bool
-	// Adaptive marks a scheduler that places probes within an estimate of
-	// the program length; it should implement LengthHinted (see
-	// SchedulerFactory.Adaptive).
-	Adaptive bool
-	// Feedback marks a coverage-guided scheduler: the engine attaches a
-	// shared corpus of interesting trace prefixes to every instance and
-	// runs the exploration in fixed-size generations so the corpus state
-	// each iteration observes is worker-count independent. The scheduler
-	// should implement FeedbackScheduler; it must behave like an ordinary
-	// scheduler when the corpus is absent or empty (that is also how the
-	// conformance checker first exercises it).
-	Feedback bool
 	// New constructs a fresh, independent instance. It must never return
 	// nil or share mutable state between instances.
-	New func(depth int) Scheduler
+	New func() Scheduler
 }
 
 // schedulerRegistry is the single source of truth for scheduler names,
@@ -177,23 +171,27 @@ type SchedulerSpec struct {
 var (
 	registryMu        sync.RWMutex
 	schedulerRegistry = map[string]SchedulerSpec{
-		"random": {New: func(int) Scheduler { return NewRandomScheduler() }},
-		"pct":    {Adaptive: true, New: func(d int) Scheduler { return NewPCTScheduler(d) }},
-		"rr":     {New: func(int) Scheduler { return NewRoundRobinScheduler() }},
-		"dfs":    {Sequential: true, New: func(int) Scheduler { return NewDFSScheduler() }},
-		"delay":  {Adaptive: true, New: func(d int) Scheduler { return NewDelayScheduler(d) }},
-		"mutational": {Feedback: true,
-			New: func(int) Scheduler { return NewMutationalScheduler() }},
+		"random":     {New: func() Scheduler { return NewRandomScheduler() }},
+		"pct":        {New: func() Scheduler { return NewPCTScheduler(probeDepth) }},
+		"rr":         {New: func() Scheduler { return NewRoundRobinScheduler() }},
+		"dfs":        {Sequential: true, New: func() Scheduler { return NewDFSScheduler() }},
+		"delay":      {New: func() Scheduler { return NewDelayScheduler(probeDepth) }},
+		"mutational": {New: func() Scheduler { return NewMutationalScheduler() }},
 	}
 )
+
+// probeDepth is the number of probes pct and delay place per execution:
+// priority change points for pct, delay points for delay (the paper's
+// configuration).
+const probeDepth = 2
 
 // RegisterScheduler adds a user-defined exploration strategy under name,
 // making it a first-class citizen of the engine: valid for
 // Options.Scheduler, eligible as a portfolio member (with its own
 // deterministic member seeding), covered by the scheduler conformance
-// matrix, and — when spec.Adaptive is set and the scheduler implements
-// LengthHinted — calibrated by the engine's shared length-hint mechanism
-// exactly like the built-in pct/delay schedulers.
+// matrix, and — when its instances implement LengthHinted — calibrated by
+// the engine's shared length-hint mechanism exactly like the built-in
+// pct/delay schedulers, with nothing to declare.
 //
 // Registration is typically done from an init function or at the top of a
 // test. The name must be non-empty, must not contain commas or whitespace
@@ -253,29 +251,19 @@ func lookupScheduler(name string) (SchedulerSpec, *ConfigError) {
 
 // NewSchedulerFactory constructs a factory by scheduler name: "random",
 // "pct", "rr" (round-robin), "delay" (delay-bounded), "dfs" (exhaustive
-// depth-first enumeration), or any name added via RegisterScheduler. The
-// pct and delay schedulers use depth change points per execution (the
-// paper uses 2); pass depth <= 0 for the default. An unknown name is
-// reported as a *ConfigError.
-func NewSchedulerFactory(name string, depth int) (SchedulerFactory, error) {
-	if depth <= 0 {
-		depth = defaultPCTDepth
-	}
+// depth-first enumeration), "mutational", or any name added via
+// RegisterScheduler. It builds one instance to learn what the scheduler
+// implements (LengthHinted, FeedbackScheduler). An unknown name is reported
+// as a *ConfigError.
+func NewSchedulerFactory(name string) (SchedulerFactory, error) {
 	spec, cerr := lookupScheduler(name)
 	if cerr != nil {
 		return SchedulerFactory{}, cerr
 	}
-	return SchedulerFactory{name: name, spec: spec, depth: depth}, nil
-}
-
-// NewScheduler constructs a single scheduler instance by name; see
-// NewSchedulerFactory for the recognized names and the depth parameter.
-func NewScheduler(name string, depth int) (Scheduler, error) {
-	f, err := NewSchedulerFactory(name, depth)
-	if err != nil {
-		return nil, err
-	}
-	return f.New(), nil
+	s := spec.New()
+	_, adaptive := s.(LengthHinted)
+	_, feedback := s.(FeedbackScheduler)
+	return SchedulerFactory{name: name, spec: spec, adaptive: adaptive, feedback: feedback}, nil
 }
 
 // checkIntBound validates a NextInt bound on behalf of every scheduler:

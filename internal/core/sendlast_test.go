@@ -176,7 +176,7 @@ func TestSendLastIsATailSend(t *testing.T) {
 			var runs [2][]tailRun
 			for v, last := range []bool{false, true} {
 				test := tailSendTest(last, &parked)
-				f, err := NewSchedulerFactory(name, 0)
+				f, err := NewSchedulerFactory(name)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -110,14 +110,14 @@ func PlanSize(o Options) int64 {
 // coordinator, which hands out nothing else, to its plan.
 func CheckSubRange(o Options) error {
 	for m, name := range o.Members() {
-		spec, err := lookupScheduler(name)
+		f, err := NewSchedulerFactory(name)
 		var why string
 		switch {
 		case err != nil:
 			return err
-		case spec.Sequential:
+		case f.Sequential():
 			why = "enumerates its schedule space statefully"
-		case spec.Feedback:
+		case f.Feedback():
 			why = "splices the corpus the plan's earlier positions built"
 		default:
 			continue

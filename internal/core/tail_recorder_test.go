@@ -151,19 +151,21 @@ var (
 	recorderLogs = map[string]*answerLog{}
 )
 
-// recordingPlan registers the recorders once, Adaptive so the engine
-// calibrates each like the instance it wraps, and empties their logs.
+// recordingPlan registers the recorders once, at the depth the registered
+// pct and delay run at, and empties their logs. A recorder embeds the
+// LengthHinted of the instance it wraps, so the engine calibrates it like
+// that instance.
 func recordingPlan(t *testing.T) {
 	t.Helper()
 	registerRecorders.Do(func() {
 		for name, rec := range recordings {
 			log := &answerLog{}
 			recorderLogs[name] = log
-			err := core.RegisterScheduler(name, core.SchedulerSpec{Adaptive: true, New: func(depth int) core.Scheduler {
-				s := rec.base(depth)
+			err := core.RegisterScheduler(name, core.SchedulerSpec{New: func() core.Scheduler {
+				s := rec.base(core.ProbeDepth)
 				r := &recorder{FaultScheduler: s, LengthHinted: s.(core.LengthHinted), log: log}
 				if rec.fresh {
-					r.renew = func() core.FaultScheduler { return rec.base(depth) }
+					r.renew = func() core.FaultScheduler { return rec.base(core.ProbeDepth) }
 				}
 				return r
 			}})

@@ -102,7 +102,7 @@ func TestNoExecutionRunsPastTwiceTheBound(t *testing.T) {
 	test := hotLooperTest()
 	for _, name := range tailSchedulers {
 		for _, hint := range []int{0, 10} {
-			f, err := NewSchedulerFactory(name, 0)
+			f, err := NewSchedulerFactory(name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +269,7 @@ func TestTailContinuesTheMembersStream(t *testing.T) {
 	const maxSteps, hint = 200, 10
 	test := spinnersTest()
 	for _, name := range []string{"pct", "delay"} {
-		f, err := NewSchedulerFactory(name, 0)
+		f, err := NewSchedulerFactory(name)
 		if err != nil {
 			t.Fatal(err)
 		}

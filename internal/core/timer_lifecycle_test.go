@@ -505,7 +505,7 @@ func runExplorations(t *testing.T, c lifecycleCase, workers int, noReuse bool) [
 			assertFaultTraceReplays(t, c.test, res, o)
 		}
 
-		f, err := NewSchedulerFactory(name, 0)
+		f, err := NewSchedulerFactory(name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -370,15 +370,16 @@ func TestLeaseExpiryOverHTTP(t *testing.T) {
 }
 
 // TestProtocolVersionMismatch: a join with the wrong protocol version — a
-// later one, or protocol 1, whose plans could carry a liveness threshold
-// this build would ignore — is rejected with a loud 400, and the agent
-// gives up rather than retrying.
+// later one, protocol 1, whose plans could carry a liveness threshold this
+// build would ignore, or protocol 2, whose plans could carry a pct/delay
+// depth it would ignore — is rejected with a loud 400, and the agent gives
+// up rather than retrying.
 func TestProtocolVersionMismatch(t *testing.T) {
 	_, srv := startCoordinator(t, Config{
 		Scenario: "choices",
 		Options:  core.Options{Scheduler: "random", Iterations: 10, NoReplayLog: true},
 	}, nil)
-	for _, req := range []JoinRequest{{Protocol: 99, Agent: "future"}, {Protocol: 1, Agent: "v1"}} {
+	for _, req := range []JoinRequest{{Protocol: 99, Agent: "future"}, {Protocol: 1, Agent: "v1"}, {Protocol: 2, Agent: "v2"}} {
 		t.Run(req.Agent, func(t *testing.T) {
 			body, _ := json.Marshal(req)
 			resp, err := http.Post(srv.URL+"/v1/join", "application/json", bytes.NewReader(body))
@@ -705,12 +706,13 @@ func fill(t *testing.T, name string, v reflect.Value) {
 // machine-local and tagged off the wire — so a field added to core.Options
 // without that decision fails here instead of silently diverging a fleet.
 // The goldens are join bodies recorded before PlanConfig embedded
-// core.Options, less corpus_size, no_deadlock_detection and the liveness
-// threshold. Dropping the first two needed no ProtocolVersion bump: every
-// plan gostormd can publish carries 64 and false, which is what the other
-// end resolves when the key is absent or ignored. Dropping the threshold
-// did (protocol 2): gostormd could publish any value, and an agent that
-// ignores the key would explore a different plan.
+// core.Options, less corpus_size, no_deadlock_detection, the liveness
+// threshold and pct_depth. Dropping the first two needed no
+// ProtocolVersion bump: every plan gostormd can publish carries 64 and
+// false, which is what the other end resolves when the key is absent or
+// ignored. Dropping the threshold did (protocol 2), and so did dropping
+// pct_depth (protocol 3): gostormd could publish any value, and an agent
+// that ignores the key would explore a different plan.
 func TestPlanOnTheWireIsOptions(t *testing.T) {
 	var sent core.Options
 	typ := reflect.TypeOf(sent)
@@ -747,12 +749,12 @@ func TestPlanOnTheWireIsOptions(t *testing.T) {
 		t.Errorf("options after the wire:\n got %+v\nwant %+v\nwire %s", got, want, data)
 	}
 
-	if ProtocolVersion != 2 {
-		t.Fatalf("ProtocolVersion = %d, but the goldens are protocol 2's join bodies", ProtocolVersion)
+	if ProtocolVersion != 3 {
+		t.Fatalf("ProtocolVersion = %d, but the goldens are protocol 3's join bodies", ProtocolVersion)
 	}
 	for name, o := range map[string]core.Options{
 		"full": {
-			Portfolio: []string{"pct", "random", "delay"}, PCTDepth: 3, Seed: -42, Iterations: 1234, MaxSteps: 567,
+			Portfolio: []string{"pct", "random", "delay"}, Seed: -42, Iterations: 1234, MaxSteps: 567,
 			NoLivenessBoundCheck: true, NoFaults: true,
 			Faults:  core.Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3, MaxTornCrashes: 4},
 			Workers: 5, NoReplayLog: true, NoReuse: true,
@@ -766,7 +768,7 @@ func TestPlanOnTheWireIsOptions(t *testing.T) {
 		var w wire
 		var got, want any
 		w.post(t, co.Handler(), "/v1/join", JoinRequest{Protocol: ProtocolVersion, Agent: "golden"}, &got)
-		golden, err := os.ReadFile("testdata/join_v2_" + name + ".json")
+		golden, err := os.ReadFile("testdata/join_v3_" + name + ".json")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -774,7 +776,7 @@ func TestPlanOnTheWireIsOptions(t *testing.T) {
 			t.Fatalf("%s: decoding the golden: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: join body differs from the one recorded under protocol 2:\n got %s want %s", name, w.body.Bytes(), golden)
+			t.Errorf("%s: join body differs from the one recorded under protocol 3:\n got %s want %s", name, w.body.Bytes(), golden)
 		}
 	}
 }

@@ -58,10 +58,11 @@ import (
 
 // ProtocolVersion is the control-plane wire version. Join requests carry
 // it; a coordinator rejects agents it does not match, so a mixed fleet
-// fails loudly instead of diverging. Version 2 removed a plan field that a
-// version-1 coordinator could publish and an agent of this build would
-// silently ignore.
-const ProtocolVersion = 2
+// fails loudly instead of diverging. Version 2 removed the liveness
+// threshold and version 3 the pct/delay depth: plan fields that a coordinator
+// of the version before could publish with any value and an agent of this
+// build would silently ignore.
+const ProtocolVersion = 3
 
 // PlanConfig is the exploration plan, published by the coordinator at join
 // time so every agent derives the identical schedule space. The plan on

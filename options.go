@@ -99,15 +99,6 @@ func WithPortfolio(members ...string) Option {
 	}
 }
 
-// WithPCTDepth sets the exploration depth of the depth-budgeted
-// schedulers: priority change points per execution for "pct", delay
-// points for "delay" (the paper uses 2, the default). The value is passed
-// to every registered scheduler's constructor; schedulers without a depth
-// notion ignore it.
-func WithPCTDepth(depth int) Option {
-	return positive("WithPCTDepth", depth, func(o *core.Options) { o.PCTDepth = depth })
-}
-
 // WithSeed selects the pseudo-random schedule sequence. Each execution i
 // derives its own sub-seed purely from (Seed, i) — and, in a portfolio,
 // member m's execution i purely from (Seed, m, i) — so runs are

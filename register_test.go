@@ -3,6 +3,7 @@ package gostorm_test
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/gostorm/gostorm"
@@ -37,7 +38,7 @@ func (s *lifoScheduler) NextInt(n int) int { return s.rng.Intn(n) }
 // registerLIFO registers the scheduler once for this test binary.
 var registerLIFO = func() error {
 	return gostorm.RegisterScheduler("lifo", gostorm.SchedulerSpec{
-		New: func(int) gostorm.Scheduler { return &lifoScheduler{rng: gostorm.NewRand()} },
+		New: func() gostorm.Scheduler { return &lifoScheduler{rng: gostorm.NewRand()} },
 	})
 }()
 
@@ -118,6 +119,107 @@ func TestRegisteredSchedulerIsFirstClass(t *testing.T) {
 	}
 }
 
+// hintedScheduler is a user-defined adaptive scheduler: it picks uniformly,
+// except at one step per execution, drawn within its length hint (the step
+// bound without one), where it picks the newest enabled machine. Its spec
+// declares nothing: implementing LengthHinted is what gets it calibrated.
+// Every Prepare records the hint it sees in log.
+type hintedScheduler struct {
+	rng            *rand.Rand
+	hint, at, step int
+	log            *hintLog
+}
+
+type hintLog struct {
+	mu    sync.Mutex
+	hints []int
+}
+
+func (s *hintedScheduler) Name() string { return "hinted" }
+
+func (s *hintedScheduler) SetLengthHint(steps int) { s.hint = steps }
+
+func (s *hintedScheduler) Prepare(seed int64, maxSteps int) bool {
+	s.rng.Seed(seed)
+	bound := s.hint
+	if bound == 0 {
+		bound = maxSteps
+	}
+	s.at, s.step = 1+s.rng.Intn(bound), 0
+	s.log.mu.Lock()
+	s.log.hints = append(s.log.hints, s.hint)
+	s.log.mu.Unlock()
+	return true
+}
+
+func (s *hintedScheduler) NextMachine(enabled []gostorm.MachineID, _ gostorm.MachineID) gostorm.MachineID {
+	if s.step++; s.step == s.at {
+		return enabled[len(enabled)-1]
+	}
+	return enabled[s.rng.Intn(len(enabled))]
+}
+
+func (s *hintedScheduler) NextBool() bool    { return s.rng.Intn(2) == 0 }
+func (s *hintedScheduler) NextInt(n int) int { return s.rng.Intn(n) }
+
+var hints = &hintLog{}
+
+var registerHinted = gostorm.RegisterScheduler("hinted", gostorm.SchedulerSpec{
+	New: func() gostorm.Scheduler { return &hintedScheduler{rng: gostorm.NewRand(), log: hints} },
+})
+
+// TestLengthHintedSchedulerIsCalibrated: a scheduler registered with only a
+// constructor, whose instances implement LengthHinted, is calibrated like
+// pct — one unhinted execution measures the program, every other execution
+// runs under that one pinned estimate — so its result is the same at every
+// worker count.
+func TestLengthHintedSchedulerIsCalibrated(t *testing.T) {
+	if registerHinted != nil {
+		t.Fatalf("RegisterScheduler: %v", registerHinted)
+	}
+	if err := gostorm.VerifyScheduler("hinted"); err != nil {
+		t.Fatalf("conformance: %v", err)
+	}
+	const maxSteps = 2000
+	var prev gostorm.Result
+	for i, workers := range []int{1, 4} {
+		hints.hints = nil
+		res, err := gostorm.Explore(replsys.Scenario(replsys.ScenarioConfig{Monitors: replsys.WithSafety}),
+			gostorm.WithScheduler("hinted"),
+			gostorm.WithIterations(300),
+			gostorm.WithMaxSteps(maxSteps),
+			gostorm.WithSeed(1),
+			gostorm.WithWorkers(workers),
+			gostorm.WithNoReplayLog(),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hints.hints) < 2 {
+			t.Fatalf("%d workers: %d executions prepared, want at least 2", workers, len(hints.hints))
+		}
+		unhinted, pinned := 0, 0
+		for _, h := range hints.hints {
+			switch {
+			case h == 0:
+				unhinted++
+			case pinned == 0:
+				pinned = h
+			case h != pinned:
+				t.Fatalf("%d workers: instances prepared under hints %d and %d, want one pinned estimate", workers, pinned, h)
+			}
+		}
+		if unhinted != 1 || pinned <= 0 || pinned > maxSteps {
+			t.Fatalf("%d workers: %d unhinted executions and estimate %d, want exactly one calibration execution and an estimate in (0, %d]",
+				workers, unhinted, pinned, maxSteps)
+		}
+		if i > 0 && (res.BugFound != prev.BugFound || res.Executions != prev.Executions || res.TotalSteps != prev.TotalSteps) {
+			t.Fatalf("hinted scheduler is worker-count-dependent:\n1 worker:  %+v\n%d workers: %+v", prev, workers, res)
+		}
+		prev = res
+	}
+}
+
 // liar is a misbehaving user scheduler: it always runs the oldest enabled
 // machine and answers one kind of choice out of range — a fault choice of
 // kind fault with c.N+over, NextInt with n+5, or its at-th NextMachine call
@@ -180,7 +282,7 @@ var liars = []liar{
 var registerLiars = func() error {
 	for _, l := range liars {
 		err := gostorm.RegisterScheduler(l.name, gostorm.SchedulerSpec{
-			New: func(int) gostorm.Scheduler { s := l; return &s },
+			New: func() gostorm.Scheduler { s := l; return &s },
 		})
 		if err != nil {
 			return err
@@ -291,8 +393,8 @@ func TestConfigErrors(t *testing.T) {
 		{"unknown scheduler", []gostorm.Option{gostorm.WithScheduler("quantum")}, "Options.Scheduler"},
 		{"empty portfolio", []gostorm.Option{gostorm.WithPortfolio()}, "WithPortfolio"},
 		{"unknown member", []gostorm.Option{gostorm.WithPortfolio("random", "quantum")}, "Options.Portfolio[1]"},
+		{"empty member", []gostorm.Option{gostorm.WithPortfolio("random", "")}, "Options.Portfolio[1]"},
 		{"negative fault budget", []gostorm.Option{gostorm.WithFaults(gostorm.Faults{MaxCrashes: -1})}, "WithFaults"},
-		{"zero pct depth", []gostorm.Option{gostorm.WithPCTDepth(0)}, "WithPCTDepth"},
 		{"empty scheduler name", []gostorm.Option{gostorm.WithScheduler("")}, "WithScheduler"},
 	}
 	for _, c := range cases {
@@ -324,7 +426,7 @@ func TestResolveReportsEffectiveConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Scheduler != "random" || cfg.Iterations != 10000 || cfg.MaxSteps != 10000 ||
-		cfg.PCTDepth != 2 || cfg.Workers < 1 {
+		cfg.Workers < 1 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	if cfg.Faults != (gostorm.Faults{MaxCrashes: 2}) {

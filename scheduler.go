@@ -11,9 +11,11 @@ import (
 // eligible as a WithPortfolio member (with its own deterministic member
 // seeding), covered by the scheduler conformance matrix (VerifyScheduler
 // and the repository's conformance tests iterate the registry), and —
-// when spec.Adaptive is set and the scheduler implements LengthHinted —
-// calibrated by the engine's shared program-length estimate exactly like
-// the built-in pct and delay schedulers.
+// when its instances implement LengthHinted — calibrated by the engine's
+// shared program-length estimate exactly like the built-in pct and delay
+// schedulers, with nothing to declare. Likewise a scheduler whose
+// instances implement FeedbackScheduler is handed the run's corpus.
+// spec.Sequential is the one thing an instance cannot say about itself.
 //
 // A registered Scheduler must be a deterministic function of its Prepare
 // seed and the call sequence — exact replay, and with it bug
@@ -58,5 +60,5 @@ func SchedulerNames() []string { return core.SchedulerNames() }
 // portfolios — the same checks back the repository's cross-scheduler
 // conformance matrix.
 func VerifyScheduler(name string) error {
-	return core.VerifySchedulerConformance(name, 0)
+	return core.VerifySchedulerConformance(name)
 }
