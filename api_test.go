@@ -24,14 +24,15 @@ var updateAPI = flag.Bool("update", false, "rewrite api.txt with the current pub
 
 // publicAPISurface renders every exported top-level identifier of the
 // root package (non-test files), one canonical line each, sorted. Struct
-// types include their exported field lists, and an alias of an
-// internal/core struct adds one "field" line per exported field of the
-// aliased type, so a changed field breaks the lock exactly like a changed
-// function signature.
+// types include their exported field lists; an alias of an internal/core
+// struct adds one "field" line per exported field of the aliased type, and
+// an alias of an internal/core interface one "method" line per method and
+// one "embed" line per embedded interface, so a changed field or method
+// breaks the lock exactly like a changed function signature.
 func publicAPISurface(t *testing.T) []string {
 	t.Helper()
 	fset := token.NewFileSet()
-	structs := coreStructs(t, fset)
+	types := coreTypes(t, fset)
 	entries, err := os.ReadDir(".")
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +84,12 @@ func publicAPISurface(t *testing.T) []string {
 							ts.Type = exportedFieldsOnly(st)
 						}
 						lines = append(lines, "type "+render(&ts))
-						if st := structs[coreAliasTarget(ts.Type)]; ts.Assign.IsValid() && st != nil {
-							for _, f := range st.Fields.List {
+						if !ts.Assign.IsValid() {
+							continue
+						}
+						switch ct := types[coreAliasTarget(ts.Type)].(type) {
+						case *ast.StructType:
+							for _, f := range ct.Fields.List {
 								field := render(f.Type)
 								if f.Tag != nil {
 									field += " " + f.Tag.Value
@@ -94,6 +99,16 @@ func publicAPISurface(t *testing.T) []string {
 								}
 								for _, n := range f.Names {
 									lines = append(lines, "field "+sp.Name.Name+"."+n.Name+" "+field)
+								}
+							}
+						case *ast.InterfaceType:
+							for _, m := range ct.Methods.List {
+								if len(m.Names) == 0 {
+									lines = append(lines, "embed "+sp.Name.Name+"."+render(m.Type))
+								}
+								for _, n := range m.Names {
+									sig := strings.TrimPrefix(render(m.Type), "func")
+									lines = append(lines, "method "+sp.Name.Name+"."+n.Name+sig)
 								}
 							}
 						}
@@ -120,16 +135,17 @@ func publicAPISurface(t *testing.T) []string {
 	return lines
 }
 
-// coreStructs parses internal/core's non-test files and returns its
-// exported struct types by name, reduced to their exported fields.
-func coreStructs(t *testing.T, fset *token.FileSet) map[string]*ast.StructType {
+// coreTypes parses internal/core's non-test files and returns its exported
+// struct types by name, reduced to their exported fields, and its exported
+// interface types.
+func coreTypes(t *testing.T, fset *token.FileSet) map[string]ast.Expr {
 	t.Helper()
 	dir := filepath.Join("internal", "core")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	structs := map[string]*ast.StructType{}
+	types := map[string]ast.Expr{}
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -146,13 +162,19 @@ func coreStructs(t *testing.T, fset *token.FileSet) map[string]*ast.StructType {
 			}
 			for _, spec := range d.Specs {
 				ts := spec.(*ast.TypeSpec)
-				if st, ok := ts.Type.(*ast.StructType); ok && ts.Name.IsExported() {
-					structs[ts.Name.Name] = exportedFieldsOnly(st)
+				if !ts.Name.IsExported() {
+					continue
+				}
+				switch tt := ts.Type.(type) {
+				case *ast.StructType:
+					types[ts.Name.Name] = exportedFieldsOnly(tt)
+				case *ast.InterfaceType:
+					types[ts.Name.Name] = tt
 				}
 			}
 		}
 	}
-	return structs
+	return types
 }
 
 // coreAliasTarget returns the internal/core type name an alias's right-hand

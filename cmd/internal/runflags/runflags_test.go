@@ -46,7 +46,7 @@ func TestPlanFlagsFailUpFront(t *testing.T) {
 		{"unknown scenario", []string{"-test", "nope"}, "unknown scenario nope"},
 		{"bad faults key", []string{"-test", "replsys", "-faults", "bogus=1"}, "unknown key"},
 		{"bad faults value", []string{"-test", "replsys", "-faults", "crashes=x"}, "non-negative integer"},
-		{"repeated faults key", []string{"-test", "replsys", "-faults", "dups=1,crashes=1,duplicates=0"}, "-faults: core: fault spec \"dups=1,crashes=1,duplicates=0\": \"duplicates=0\" repeats the dups key"},
+		{"repeated faults key", []string{"-test", "replsys", "-faults", "dups=1,crashes=1,dups=0"}, "-faults: core: fault spec \"dups=1,crashes=1,dups=0\": \"dups=0\" repeats the dups key"},
 		{"negative max-crashes", []string{"-test", "replsys", "-max-crashes", "-3"}, "-max-crashes must be non-negative, got -3"},
 		{"negative max-torn-crashes", []string{"-test", "replsys", "-max-torn-crashes", "-1"}, "-max-torn-crashes must be non-negative, got -1"},
 		{"negative iterations", []string{"-test", "wal-fixed", "-iterations", "-5"}, "WithIterations: must be positive, got -5"},

@@ -157,12 +157,12 @@
 // calibrated by the engine exactly like pct and delay, with nothing to
 // declare: a SchedulerSpec holds only a constructor and whether the
 // scheduler is sequential, the one fact an instance cannot state.
-// Implement FaultScheduler to resolve fault choice points with strategy;
-// a scheduler that does not is wrapped, once, where its instance is
-// built, in an adapter that answers them uniformly through its NextInt
-// stream, so the runtime holds one scheduler. A scheduler that draws from
-// a seeded generator should build it once with NewRand and call Seed in
-// Prepare, which runs before every execution.
+// One interface resolves every kind of choice: a Scheduler answers a
+// fault choice point through NextFault as it answers the others. There is
+// no uniform fallback; a scheduler with no strategy for faults draws their
+// outcomes uniformly itself. A scheduler that draws from a seeded
+// generator should build it once with NewRand and call Seed in Prepare,
+// which runs before every execution.
 //
 // The contract of a choice is the same for every kind. The runtime asks
 // — NextMachine over the enabled set, NextBool, NextInt below n,
@@ -288,7 +288,7 @@
 // chooses the crash state of the disk: outcome k keeps the first k
 // staged writes in Persist order — a bounded, prefix-based enumeration
 // of crash states rather than the exponential subset space. The choice
-// is a FaultPersist fault (FaultScheduler.NextFault), recorded as
+// is a FaultPersist fault (Scheduler.NextFault), recorded as
 // DecisionPersist so torn crash states replay bit-exactly; a trace that
 // carries one is version 2. Outcome 0 (all staged writes lost) is always
 // free; outcomes keeping a torn suffix are budgeted by

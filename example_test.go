@@ -115,8 +115,8 @@ func ExampleExplore() {
 // first-class registry member. ---
 
 // newestFirst is a user-defined scheduler: it always runs the most
-// recently created enabled machine, with data choices drawn from the
-// seed's generator. Determinism per (seed, call sequence) is the one
+// recently created enabled machine, with data choices and fault outcomes
+// drawn from the seed's generator. Determinism per (seed, call sequence) is the one
 // hard requirement — replay depends on it.
 type newestFirst struct{ rng *rand.Rand }
 
@@ -127,12 +127,13 @@ func (s *newestFirst) Prepare(seed int64, _ int) bool {
 	return true
 }
 
-func (s *newestFirst) NextMachine(enabled []gostorm.MachineID, _ gostorm.MachineID) gostorm.MachineID {
+func (s *newestFirst) NextMachine(enabled []gostorm.MachineID) gostorm.MachineID {
 	return enabled[len(enabled)-1]
 }
 
-func (s *newestFirst) NextBool() bool    { return s.rng.Intn(2) == 0 }
-func (s *newestFirst) NextInt(n int) int { return s.rng.Intn(n) }
+func (s *newestFirst) NextBool() bool                      { return s.rng.Intn(2) == 0 }
+func (s *newestFirst) NextInt(n int) int                   { return s.rng.Intn(n) }
+func (s *newestFirst) NextFault(c gostorm.FaultChoice) int { return s.rng.Intn(c.N) }
 
 // ExampleRegisterScheduler registers a custom strategy, holds it to the
 // engine's conformance contract, and races it in a portfolio alongside

@@ -106,16 +106,13 @@ type (
 // Scheduler extension surface: the types needed to register a custom
 // exploration strategy (see RegisterScheduler).
 type (
-	// Scheduler resolves every nondeterministic choice of an execution.
+	// Scheduler resolves every nondeterministic choice of an execution:
+	// which enabled machine runs, RandomBool/RandomInt, and every fault.
 	Scheduler = core.Scheduler
-	// FaultScheduler extends Scheduler with typed fault-choice
-	// resolution; schedulers that do not implement it have fault choices
-	// answered uniformly through their NextInt stream.
-	FaultScheduler = core.FaultScheduler
 	// SchedulerSpec describes one registered scheduler: whether it is
-	// Sequential, and a constructor. Whether it is adaptive or
-	// feedback-driven its instances say by implementing LengthHinted or
-	// FeedbackScheduler.
+	// Sequential, and a constructor, which must build a non-nil instance.
+	// Whether it is adaptive or feedback-driven its instances say by
+	// implementing LengthHinted or FeedbackScheduler.
 	SchedulerSpec = core.SchedulerSpec
 	// LengthHinted is implemented by adaptive schedulers that accept the
 	// engine's shared program-length estimate.

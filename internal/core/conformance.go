@@ -30,7 +30,7 @@ var conformanceChoices = []FaultChoice{
 // enabled sets, NextBool, NextInt over several bounds, and NextFault over
 // every fault kind — validating every answer and returning the decision
 // stream as comparable strings.
-func conformanceDrive(name string, s FaultScheduler) ([]string, error) {
+func conformanceDrive(name string, s Scheduler) ([]string, error) {
 	enabledSets := [][]MachineID{
 		{0},
 		{0, 1},
@@ -42,14 +42,12 @@ func conformanceDrive(name string, s FaultScheduler) ([]string, error) {
 		{3, 9},
 	}
 	var stream []string
-	current := NoMachine
 	for step := 0; step < 64; step++ {
 		enabled := enabledSets[step%len(enabledSets)]
-		got := s.NextMachine(enabled, current)
+		got := s.NextMachine(enabled)
 		if !slices.Contains(enabled, got) {
 			return nil, fmt.Errorf("%s: NextMachine(%v) = %d, not a member of the enabled set", name, enabled, got)
 		}
-		current = got
 		stream = append(stream, fmt.Sprintf("m%d", got))
 		stream = append(stream, fmt.Sprintf("b%t", s.NextBool()))
 		for _, n := range []int{1, 2, 3, 10, 1000} {
@@ -113,9 +111,6 @@ func VerifySchedulerConformance(name string) error {
 	if err != nil {
 		return err
 	}
-	if f.Name() != name {
-		return fmt.Errorf("%s: factory reports name %q", name, f.Name())
-	}
 	if f.Adaptive() {
 		f = f.WithLengthHint(64)
 	}
@@ -153,7 +148,7 @@ func VerifySchedulerConformance(name string) error {
 	}
 	for step := 0; step < 50; step++ {
 		only := MachineID(step % 11)
-		if got := s.NextMachine([]MachineID{only}, NoMachine); got != only {
+		if got := s.NextMachine([]MachineID{only}); got != only {
 			return fmt.Errorf("%s: step %d: NextMachine([%d]) = %d", name, step, only, got)
 		}
 	}

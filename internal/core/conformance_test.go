@@ -153,7 +153,7 @@ func TestSchedulerConformanceSingletonEnabled(t *testing.T) {
 			s.Prepare(3, 1000)
 			for step := 0; step < 50; step++ {
 				only := MachineID(step % 11)
-				if got := s.NextMachine([]MachineID{only}, NoMachine); got != only {
+				if got := s.NextMachine([]MachineID{only}); got != only {
 					t.Fatalf("step %d: NextMachine([%d]) = %d", step, only, got)
 				}
 			}

@@ -4,7 +4,7 @@ import "testing"
 
 // replayed asks a replay scheduler holding the single decision d one choice
 // and returns its answer, or the divergence it raised.
-func replayed(d Decision, ask func(FaultScheduler) int) (out int, err error) {
+func replayed(d Decision, ask func(Scheduler) int) (out int, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = p.(replayDivergence)
@@ -16,7 +16,7 @@ func replayed(d Decision, ask func(FaultScheduler) int) (out int, err error) {
 // spliced asks a mutational scheduler splicing the single decision d the
 // same choice, and a bare generator under the same seed: its answer, whether
 // it came from d, and what the generator alone answers.
-func spliced(d Decision, ask func(FaultScheduler) int) (out int, fromPrefix bool, drawn int) {
+func spliced(d Decision, ask func(Scheduler) int) (out int, fromPrefix bool, drawn int) {
 	s := NewMutationalScheduler().(*mutationalScheduler)
 	s.Prepare(7, 100)
 	s.prefix = []Decision{d}
@@ -35,7 +35,7 @@ func spliced(d Decision, ask func(FaultScheduler) int) (out int, fromPrefix bool
 // in-range draw from the generator under the splice.
 func TestRecordAndReplayAreInverses(t *testing.T) {
 	for _, c := range conformanceChoices {
-		ask := func(s FaultScheduler) int { return s.NextFault(c) }
+		ask := func(s Scheduler) int { return s.NextFault(c) }
 		for out := 0; out < c.N; out++ {
 			var d Decision
 			d.Kind, d.Machine, d.Bool, d.Int, d.N = c.decision(out)
@@ -52,14 +52,14 @@ func TestRecordAndReplayAreInverses(t *testing.T) {
 	}
 
 	timer, crash, deliver, persist := conformanceChoices[0], conformanceChoices[1], conformanceChoices[4], conformanceChoices[6]
-	fault := func(c FaultChoice) (func(FaultScheduler) int, int) {
-		return func(s FaultScheduler) int { return s.NextFault(c) }, c.N
+	fault := func(c FaultChoice) (func(Scheduler) int, int) {
+		return func(s Scheduler) int { return s.NextFault(c) }, c.N
 	}
 	for _, p := range []struct {
 		name string
 		d    Decision
 		c    *FaultChoice // nil: a data choice, asked by ask below n
-		ask  func(FaultScheduler) int
+		ask  func(Scheduler) int
 		n    int
 		want string
 	}{
@@ -82,16 +82,16 @@ func TestRecordAndReplayAreInverses(t *testing.T) {
 		{name: "fault, wrong kind", c: &timer, d: Decision{Kind: DecisionBool},
 			want: "program asked for 't', trace holds bool(false)"},
 		{name: "machine, not enabled", d: Decision{Kind: DecisionSchedule, Machine: 103},
-			ask: func(s FaultScheduler) int { return int(s.NextMachine([]MachineID{3}, NoMachine)) - 3 }, n: 1,
+			ask: func(s Scheduler) int { return int(s.NextMachine([]MachineID{3})) - 3 }, n: 1,
 			want: "machine 103 not enabled (enabled: [#3])"},
 		{name: "int, beyond the bound", d: Decision{Kind: DecisionInt, Int: 9, N: 10},
-			ask: func(s FaultScheduler) int { return s.NextInt(4) }, n: 4,
+			ask: func(s Scheduler) int { return s.NextInt(4) }, n: 4,
 			want: "int choice 9 out of range 4"},
 		{name: "int, negative", d: Decision{Kind: DecisionInt, Int: -1, N: 3},
-			ask: func(s FaultScheduler) int { return s.NextInt(3) }, n: 3,
+			ask: func(s Scheduler) int { return s.NextInt(3) }, n: 3,
 			want: "int choice -1 out of range 3"},
 		{name: "int, wrong kind", d: Decision{Kind: DecisionSchedule, Machine: 2},
-			ask: func(s FaultScheduler) int { return s.NextInt(3) }, n: 3,
+			ask: func(s Scheduler) int { return s.NextInt(3) }, n: 3,
 			want: "program asked for 'i', trace holds sched(2)"},
 	} {
 		if p.c != nil {

@@ -144,7 +144,7 @@ func TestSchedulerFactoryInstancesAreIndependent(t *testing.T) {
 	b.Prepare(42, 1000)
 	enabled := []MachineID{0, 1, 2}
 	for i := 0; i < 50; i++ {
-		if am, bm := a.NextMachine(enabled, NoMachine), b.NextMachine(enabled, NoMachine); am != bm {
+		if am, bm := a.NextMachine(enabled), b.NextMachine(enabled); am != bm {
 			t.Fatalf("step %d: instances diverged: %d vs %d", i, am, bm)
 		}
 		if ai, bi := a.NextInt(10), b.NextInt(10); ai != bi {

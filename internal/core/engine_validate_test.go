@@ -182,7 +182,7 @@ func TestResolveAcceptsZeroAndPositive(t *testing.T) {
 
 // TestParseFaultsSpec covers the CLI budget spec parser.
 func TestParseFaultsSpec(t *testing.T) {
-	got, err := ParseFaultsSpec(" crashes=1, drops=2 , duplicates=3 ")
+	got, err := ParseFaultsSpec(" crashes=1, drops=2 , dups=3 ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +198,13 @@ func TestParseFaultsSpec(t *testing.T) {
 		}
 	}
 	// A key given twice is rejected, naming it, rather than the last value
-	// silently winning; dups and duplicates are one key.
+	// silently winning; each key has one spelling, the one Faults.String
+	// prints.
 	for _, c := range []struct{ spec, want string }{
 		{"crashes=1,crashes=0", `"crashes=0" repeats the crashes key`},
 		{"torn=1, drops=2, torn=1", `"torn=1" repeats the torn key`},
-		{"dups=1,duplicates=2", `"duplicates=2" repeats the dups key`},
-		{"duplicates=2,dups=2", `"dups=2" repeats the dups key`},
+		{"dups=1,dups=2", `"dups=2" repeats the dups key`},
+		{"duplicates=2", `unknown key "duplicates" (keys: crashes, drops, dups, torn)`},
 	} {
 		if _, err := ParseFaultsSpec(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("spec %q: error = %v, want one containing %s", c.spec, err, c.want)

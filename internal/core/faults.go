@@ -79,7 +79,7 @@ func (f Faults) String() string {
 
 // ParseFaultsSpec parses a CLI fault-budget spec of the form
 // "crashes=1,drops=2,dups=1,torn=1" (any subset of the keys, each at most
-// once, whitespace tolerated; dups and duplicates are one key) into a
+// once, whitespace tolerated) into a
 // Faults budget. An empty spec is the zero budget.
 func ParseFaultsSpec(spec string) (Faults, error) {
 	var f Faults
@@ -103,8 +103,8 @@ func ParseFaultsSpec(spec string) (Faults, error) {
 			f.MaxCrashes = n
 		case "drops":
 			f.MaxDrops = n
-		case "dups", "duplicates":
-			k, f.MaxDuplicates = "dups", n
+		case "dups":
+			f.MaxDuplicates = n
 		case "torn":
 			f.MaxTornCrashes = n
 		default:
@@ -235,26 +235,6 @@ func (o DeliveryOutcome) String() string {
 	}
 	return fmt.Sprintf("DeliveryOutcome(%d)", int(o))
 }
-
-// FaultScheduler extends Scheduler with typed fault-choice resolution.
-// Every registry scheduler implements it natively (the adaptive ones treat
-// fault points as probe-point candidates); a foreign Scheduler is adapted
-// once, where its instance is built, with a default that answers uniformly
-// through NextInt, so existing scheduler implementations keep working
-// unchanged.
-type FaultScheduler interface {
-	Scheduler
-	// NextFault resolves one fault choice point, returning an outcome in
-	// [0, c.N). Outcome 0 is the benign choice.
-	NextFault(c FaultChoice) int
-}
-
-// defaultFaults adapts a plain Scheduler to FaultScheduler by answering
-// fault choices uniformly through the scheduler's own NextInt stream
-// (SchedulerFactory.New wraps a foreign scheduler in it).
-type defaultFaults struct{ Scheduler }
-
-func (s defaultFaults) NextFault(c FaultChoice) int { return s.NextInt(c.N) }
 
 // TimerID identifies a timer started with Context.StartTimer. Timers are
 // runtime machines, so the ID doubles as the timer's MachineID (which is

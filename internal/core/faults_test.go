@@ -400,9 +400,7 @@ func TestReplayCrashResolvesRecordedVictim(t *testing.T) {
 // same backing array every time — a reaper that slices the head off per
 // victim walks the capacity away and re-allocates it every execution — and
 // with a workload that allocates nothing itself, a steady-state execution
-// must not allocate at all — under a built-in scheduler, and under a foreign
-// one, whose fault adapter is built once with the instance rather than boxed
-// again by every reset.
+// must not allocate at all.
 func TestReaperAllocatesNothingInSteadyState(t *testing.T) {
 	idle := &FuncMachine{}
 	test := Test{
@@ -457,19 +455,7 @@ func TestReaperAllocatesNothingInSteadyState(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, exec); allocs != 0 {
 		t.Fatalf("a steady-state crash-per-execution run allocates %.1f objects, want 0", allocs)
 	}
-	sched = SchedulerFactory{spec: SchedulerSpec{
-		New: func() Scheduler { return plainScheduler{NewRandomScheduler()} },
-	}}.New()
-	if _, adapted := sched.(defaultFaults); !adapted {
-		t.Fatalf("the factory handed out a %T for a scheduler without NextFault", sched)
-	}
-	if allocs := testing.AllocsPerRun(100, exec); allocs != 0 {
-		t.Fatalf("under a foreign scheduler the same run allocates %.1f objects, want 0", allocs)
-	}
 }
-
-// plainScheduler hides its scheduler's NextFault: a foreign Scheduler.
-type plainScheduler struct{ Scheduler }
 
 // stackSpy wraps a scheduler and records, for every timer fire choice, the
 // decision index it resolves and whether the step asking ran under a live

@@ -818,7 +818,7 @@ func (s *idleTimerScheduler) Prepare(int64, int) bool   { s.i = 0; return true }
 func (s *idleTimerScheduler) NextBool() bool            { return false }
 func (s *idleTimerScheduler) NextInt(int) int           { return 0 }
 func (s *idleTimerScheduler) NextFault(FaultChoice) int { return 0 }
-func (s *idleTimerScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
+func (s *idleTimerScheduler) NextMachine(enabled []MachineID) MachineID {
 	s.i++
 	return enabled[s.i%len(enabled)]
 }
@@ -866,18 +866,25 @@ func BenchmarkTimerStep(b *testing.B) {
 // alternateScheduler picks the lowest enabled machine other than the one it
 // just picked, if there is one: under it a sender (machine 0) looping Send
 // alternates with the sink it just sent to.
-type alternateScheduler struct{}
+type alternateScheduler struct{ last MachineID }
 
-func (alternateScheduler) Name() string              { return "alternate" }
-func (alternateScheduler) Prepare(int64, int) bool   { return true }
-func (alternateScheduler) NextBool() bool            { return false }
-func (alternateScheduler) NextInt(int) int           { return 0 }
-func (alternateScheduler) NextFault(FaultChoice) int { return 0 }
-func (alternateScheduler) NextMachine(enabled []MachineID, current MachineID) MachineID {
-	if enabled[0] == current && len(enabled) > 1 {
-		return enabled[1]
+func (*alternateScheduler) Name() string              { return "alternate" }
+func (*alternateScheduler) NextBool() bool            { return false }
+func (*alternateScheduler) NextInt(int) int           { return 0 }
+func (*alternateScheduler) NextFault(FaultChoice) int { return 0 }
+
+func (s *alternateScheduler) Prepare(int64, int) bool {
+	s.last = NoMachine
+	return true
+}
+
+func (s *alternateScheduler) NextMachine(enabled []MachineID) MachineID {
+	next := enabled[0]
+	if next == s.last && len(enabled) > 1 {
+		next = enabled[1]
 	}
-	return enabled[0]
+	s.last = next
+	return next
 }
 
 // BenchmarkSenderLoop is the replsys pattern: a sender loops Send
@@ -932,9 +939,11 @@ func benchSendLoop(b *testing.B, test Test) {
 	const steps = 8000
 	pool := newExecPool(Options{})
 	defer pool.release()
+	sched := &alternateScheduler{}
 	run := func(bound int) {
 		cfg := resolved(Options{MaxSteps: bound, NoLivenessBoundCheck: true}).runtimeConfig(test, false)
-		r := pool.runtime(alternateScheduler{}, cfg)
+		sched.Prepare(0, bound)
+		r := pool.runtime(sched, cfg)
 		if rep := r.execute(test); rep != nil || r.steps != bound {
 			b.Fatalf("execution ended after %d of %d steps: %v", r.steps, bound, rep)
 		}

@@ -79,7 +79,7 @@ type candidate struct {
 // member's scheduler and an execution pool. Nothing here is shared, so it
 // needs no lock.
 type claimer struct {
-	scheds []FaultScheduler // by member
+	scheds []Scheduler // by member
 	pool   *execPool
 	cfg    runtimeConfig
 	cur    int64 // position in flight, read by cfg.abort
@@ -173,7 +173,7 @@ func (ex *explored) bound() int64 {
 // newClaimer builds a claimer on pool; its instances are the caller's to
 // fill in.
 func (ex *explored) newClaimer(pool *execPool) *claimer {
-	c := &claimer{pool: pool, scheds: make([]FaultScheduler, ex.nm)}
+	c := &claimer{pool: pool, scheds: make([]Scheduler, ex.nm)}
 	c.cfg = ex.o.runtimeConfig(ex.t, false)
 	// With one claimer and no external Stop, positions are visited in
 	// increasing order and nothing can lower the bound below the one in
@@ -190,7 +190,7 @@ func (ex *explored) newClaimer(pool *execPool) *claimer {
 // cand, when non-nil, receives the execution's decisions if its coverage
 // is novel against the window's frozen corpus. An execution aborted in
 // flight was superseded by a lower bound and contributes nothing.
-func (ex *explored) run(c *claimer, sched FaultScheduler, g int64, cand *candidate) (int64, bool) {
+func (ex *explored) run(c *claimer, sched Scheduler, g int64, cand *candidate) (int64, bool) {
 	m, i := int(g%ex.nm), int(g/ex.nm)
 	seed := execSeed(ex.seeds[m], i)
 	if !sched.Prepare(seed, ex.o.MaxSteps) {

@@ -55,7 +55,7 @@ func newExecPool(o Options) *execPool {
 
 // runtime returns a Runtime ready to execute under sched/cfg: the pool's
 // recycled one when available, a fresh one otherwise.
-func (p *execPool) runtime(sched FaultScheduler, cfg runtimeConfig) *Runtime {
+func (p *execPool) runtime(sched Scheduler, cfg runtimeConfig) *Runtime {
 	if p == nil {
 		return newRuntime(sched, cfg)
 	}
@@ -146,7 +146,7 @@ func (r *Runtime) stopWorkers() {
 // execute returned: at that point shutdown has reaped every machine and
 // every worker is idle on the free list, so no stack of the previous
 // execution can observe the rewind.
-func (r *Runtime) reset(sched FaultScheduler, cfg runtimeConfig) {
+func (r *Runtime) reset(sched Scheduler, cfg runtimeConfig) {
 	r.sched = sched
 	// No per-machine rewind: every machine is already clean — a machine
 	// dying mid-handler is scrubbed as it unwinds (unwound), reapCrashes

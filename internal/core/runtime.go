@@ -64,7 +64,7 @@ type Runtime struct {
 	// departed from the recorded trace; it aborts the execution. advance
 	// tests it every step.
 	divergence error
-	sched      FaultScheduler
+	sched      Scheduler
 	machines   []*machine
 	// enabled is the incrementally maintained schedulable set, sorted by
 	// MachineID; machine.epos back-points into it. Patched at the status
@@ -190,7 +190,7 @@ type runtimeConfig struct {
 }
 
 // newRuntime returns a fresh Runtime ready to execute under sched/cfg.
-func newRuntime(sched FaultScheduler, cfg runtimeConfig) *Runtime {
+func newRuntime(sched Scheduler, cfg runtimeConfig) *Runtime {
 	r := &Runtime{}
 	r.dec.presize(cfg.maxSteps)
 	r.reset(sched, cfg)
@@ -324,7 +324,7 @@ func (r *Runtime) advance(from *machine) advAction {
 		r.checkTermination()
 		return advDone
 	}
-	next := r.sched.NextMachine(enabled, r.current)
+	next := r.sched.NextMachine(enabled)
 	if uint(next) >= uint(len(r.machines)) {
 		r.lied(nil, "machine", int(next), len(r.machines))
 		return advDone

@@ -17,7 +17,7 @@ type delayScheduler struct {
 
 // NewDelayScheduler returns a delay-bounded scheduler with the given
 // number of delay points per execution (a typical budget is 2).
-func NewDelayScheduler(budget int) FaultScheduler {
+func NewDelayScheduler(budget int) Scheduler {
 	return &delayScheduler{probes: probes{draws: draws{name: "delay"}, depth: budget}}
 }
 
@@ -50,7 +50,7 @@ func (s *delayScheduler) pickBaseline(enabled []MachineID) MachineID {
 	return candidate
 }
 
-func (s *delayScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
+func (s *delayScheduler) NextMachine(enabled []MachineID) MachineID {
 	choice := s.pickBaseline(enabled)
 	if s.probe() {
 		// Delay the machine that would have run and advance past it.

@@ -28,8 +28,8 @@ func TestDelaySchedulerZeroBudgetIsDeterministicBaseline(t *testing.T) {
 	s2.Prepare(999, 100)
 	enabled := []MachineID{0, 1, 2}
 	for i := 0; i < 20; i++ {
-		a := s1.NextMachine(enabled, NoMachine)
-		b := s2.NextMachine(enabled, NoMachine)
+		a := s1.NextMachine(enabled)
+		b := s2.NextMachine(enabled)
 		if a != b {
 			t.Fatalf("step %d: baseline diverged: %v vs %v", i, a, b)
 		}
@@ -41,7 +41,7 @@ func TestDelaySchedulerRespectsEnabledSet(t *testing.T) {
 	s.Prepare(5, 100)
 	for i := 0; i < 200; i++ {
 		enabled := []MachineID{MachineID(1 + i%3), MachineID(5 + i%2)}
-		got := s.NextMachine(enabled, NoMachine)
+		got := s.NextMachine(enabled)
 		found := false
 		for _, id := range enabled {
 			if id == got {
@@ -73,7 +73,7 @@ func TestPCTAdaptiveChangePoints(t *testing.T) {
 		// Simulate a short execution of 50 steps.
 		enabled := []MachineID{0, 1}
 		for i := 0; i < 50; i++ {
-			s.NextMachine(enabled, NoMachine)
+			s.NextMachine(enabled)
 		}
 		s.Prepare(2, maxSteps)
 		bound, beyond := hint, false

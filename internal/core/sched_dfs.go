@@ -26,7 +26,7 @@ type dfsNode struct {
 }
 
 // NewDFSScheduler returns the exhaustive depth-first scheduler.
-func NewDFSScheduler() FaultScheduler { return &dfsScheduler{} }
+func NewDFSScheduler() Scheduler { return &dfsScheduler{} }
 
 func (s *dfsScheduler) Name() string { return "dfs" }
 
@@ -73,7 +73,7 @@ func (s *dfsScheduler) pick(n int) int {
 	return 0
 }
 
-func (s *dfsScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
+func (s *dfsScheduler) NextMachine(enabled []MachineID) MachineID {
 	if !sort.SliceIsSorted(enabled, func(i, j int) bool { return enabled[i] < enabled[j] }) {
 		panic("core: dfs scheduler requires sorted enabled set")
 	}
@@ -87,10 +87,7 @@ func (s *dfsScheduler) NextInt(n int) int {
 	return s.pick(n)
 }
 
-// NextFault implements FaultScheduler: fault choice points are ordinary
+// NextFault implements Scheduler: fault choice points are ordinary
 // branch points of the enumeration, so dfs exhaustively covers every
 // affordable fault outcome (benign branch first).
 func (s *dfsScheduler) NextFault(c FaultChoice) int { return s.pick(c.N) }
-
-// Exhausted reports whether the entire schedule space has been explored.
-func (s *dfsScheduler) Exhausted() bool { return s.done }

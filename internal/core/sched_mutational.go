@@ -34,7 +34,7 @@ type mutationalScheduler struct {
 // scheduler. It only becomes more than a random scheduler when the
 // engine attaches a corpus (which it does for every factory whose spec
 // declares Feedback).
-func NewMutationalScheduler() FaultScheduler {
+func NewMutationalScheduler() Scheduler {
 	return &mutationalScheduler{draws: draws{name: "mutational"}}
 }
 
@@ -85,7 +85,7 @@ func (s *mutationalScheduler) fits(misfit string) bool {
 	return misfit == ""
 }
 
-func (s *mutationalScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
+func (s *mutationalScheduler) NextMachine(enabled []MachineID) MachineID {
 	if d, ok := s.next(); ok {
 		if id, misfit := d.machine(enabled); s.fits(misfit) {
 			return id
@@ -112,7 +112,7 @@ func (s *mutationalScheduler) NextInt(n int) int {
 	return s.draws.NextInt(n)
 }
 
-// NextFault implements FaultScheduler by splicing the recorded fault
+// NextFault implements Scheduler by splicing the recorded fault
 // decisions with the same leniency as the data kinds.
 func (s *mutationalScheduler) NextFault(c FaultChoice) int {
 	if d, ok := s.next(); ok {

@@ -45,7 +45,7 @@ func (s *replayScheduler) fits(misfit string) {
 	}
 }
 
-func (s *replayScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
+func (s *replayScheduler) NextMachine(enabled []MachineID) MachineID {
 	id, misfit := s.next(DecisionSchedule).machine(enabled)
 	s.fits(misfit)
 	return id
@@ -64,7 +64,7 @@ func (s *replayScheduler) NextInt(n int) int {
 	return v
 }
 
-// NextFault implements FaultScheduler by feeding back the recorded fault
+// NextFault implements Scheduler by feeding back the recorded fault
 // decisions, with the same strictness as the data kinds: a fault choice
 // the program presents must match the recorded kind, subject and outcome
 // space, or the replay diverges.

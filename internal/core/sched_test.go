@@ -142,7 +142,7 @@ func TestProbeCursorMatchesContains(t *testing.T) {
 	const maxSteps = 6
 	faultAt := FaultChoice{Kind: FaultCrash, N: 4, Machine: NoMachine, Candidates: []MachineID{1, 2, 3}}
 	duplicates := 0
-	for _, build := range []func(int) FaultScheduler{NewPCTScheduler, NewDelayScheduler} {
+	for _, build := range []func(int) Scheduler{NewPCTScheduler, NewDelayScheduler} {
 		for depth := 1; depth <= 4; depth++ {
 			for _, hint := range []int{0, 10, 13} {
 				s := build(depth)
@@ -210,7 +210,7 @@ func TestRePrepareForgetsEarlierExecutions(t *testing.T) {
 	sets := [][]MachineID{{0, 1, 2}, {1, 3}, {0, 2, 4, 5}, {5}, {2, 3, 4}, {0, 5}}
 	crash := FaultChoice{Kind: FaultCrash, N: 4, Machine: NoMachine, Candidates: []MachineID{1, 2, 3}}
 	// drive answers n choices, a mix of every kind, and returns the answers.
-	drive := func(s FaultScheduler, n int) []int {
+	drive := func(s Scheduler, n int) []int {
 		var got []int
 		for i := 0; i < n; i++ {
 			switch {
@@ -225,15 +225,15 @@ func TestRePrepareForgetsEarlierExecutions(t *testing.T) {
 				}
 				got = append(got, b)
 			default:
-				got = append(got, int(s.NextMachine(sets[i%len(sets)], NoMachine)))
+				got = append(got, int(s.NextMachine(sets[i%len(sets)])))
 			}
 		}
 		return got
 	}
-	for _, build := range []func(int) FaultScheduler{NewPCTScheduler, NewDelayScheduler} {
+	for _, build := range []func(int) Scheduler{NewPCTScheduler, NewDelayScheduler} {
 		for depth := 1; depth <= 4; depth++ {
 			for _, hint := range []int{0, 40} {
-				instance := func() FaultScheduler {
+				instance := func() Scheduler {
 					s := build(depth)
 					if hint > 0 {
 						s.(LengthHinted).SetLengthHint(hint)
@@ -335,11 +335,10 @@ func BenchmarkSchedulerPrepare(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Prepare(int64(i), 1000)
-				cur := NoMachine
 				for k := 0; k < 8; k++ {
-					cur = s.NextMachine(enabled, cur)
-					cur = s.NextMachine(enabled, cur)
-					cur = s.NextMachine(enabled, cur)
+					s.NextMachine(enabled)
+					s.NextMachine(enabled)
+					s.NextMachine(enabled)
 					s.NextInt(5)
 				}
 			}

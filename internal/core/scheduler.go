@@ -11,12 +11,13 @@ import (
 )
 
 // Scheduler resolves every nondeterministic choice of an execution: which
-// enabled machine runs at each scheduling point, and the outcomes of
-// RandomBool/RandomInt. A Scheduler instance is owned by exactly one
-// exploration worker and is reused across the executions that worker
-// performs; Prepare is called before each execution. Instances are never
-// shared between goroutines — parallel runs construct one per worker via
-// a SchedulerFactory.
+// enabled machine runs at each scheduling point, the outcomes of
+// RandomBool/RandomInt, and the outcome of every fault the harness may
+// inject. A Scheduler instance is owned by exactly one exploration worker
+// and is reused across the executions that worker performs; Prepare is
+// called before each execution. Instances are never shared between
+// goroutines — parallel runs construct one per worker via a
+// SchedulerFactory.
 //
 // Schedulers must be deterministic functions of their seed and the call
 // sequence, because exact replay (and thus bug reproduction) depends on it.
@@ -27,24 +28,25 @@ type Scheduler interface {
 	// exhaustive scheduler ever does).
 	Prepare(seed int64, maxSteps int) bool
 	// NextMachine picks one of the enabled machines. enabled is sorted by
-	// MachineID and never empty; current is the machine scheduled at the
-	// previous step (NoMachine at the first). The engine maintains the
-	// enabled set incrementally and passes the same backing array every
-	// step: implementations must treat it as read-only and must not
-	// retain it across calls (copy if needed).
-	NextMachine(enabled []MachineID, current MachineID) MachineID
+	// MachineID and never empty. The engine maintains the enabled set
+	// incrementally and passes the same backing array every step:
+	// implementations must treat it as read-only and must not retain it
+	// across calls (copy if needed).
+	NextMachine(enabled []MachineID) MachineID
 	NextBool() bool
 	// NextInt returns a value in [0, n). Implementations must reject
 	// n <= 0 via checkIntBound so misuse fails with an engine-attributed
 	// message rather than an opaque rand.Intn panic.
 	NextInt(n int) int
+	// NextFault resolves one fault choice point, returning an outcome in
+	// [0, c.N). Outcome 0 is the benign choice.
+	NextFault(c FaultChoice) int
 }
 
 // SchedulerFactory constructs fresh, independent Scheduler instances. The
 // engine builds one scheduler per exploration worker, which is what lets
 // executions fan out across goroutines without sharing mutable state.
 type SchedulerFactory struct {
-	name       string
 	spec       SchedulerSpec
 	adaptive   bool
 	feedback   bool
@@ -52,15 +54,11 @@ type SchedulerFactory struct {
 	corpus     *Corpus
 }
 
-// Name returns the scheduler name the factory builds ("random", "pct", ...).
-func (f SchedulerFactory) Name() string { return f.name }
-
 // New returns a fresh Scheduler instance owned by the caller. If the
 // factory carries a program-length hint (WithLengthHint) or a corpus
 // (WithCorpus), the instance is pre-seeded with them before it is handed
-// out. A scheduler that does not resolve fault choices itself is adapted
-// here, once, so the runtime holds a single scheduler.
-func (f SchedulerFactory) New() FaultScheduler {
+// out.
+func (f SchedulerFactory) New() Scheduler {
 	s := f.spec.New()
 	if f.lengthHint > 0 {
 		if h, ok := s.(LengthHinted); ok {
@@ -72,10 +70,7 @@ func (f SchedulerFactory) New() FaultScheduler {
 			fs.AttachCorpus(f.corpus)
 		}
 	}
-	if fs, ok := s.(FaultScheduler); ok {
-		return fs
-	}
-	return defaultFaults{s}
+	return s
 }
 
 // Sequential reports that the scheduler's correctness depends on seeing
@@ -197,6 +192,8 @@ const probeDepth = 2
 // test. The name must be non-empty, must not contain commas or whitespace
 // (portfolio specs are comma-separated), must not be "portfolio" (the
 // CLIs' sentinel for portfolio mode), and must not already be registered.
+// spec.New is called once here: an instance it builds nil is refused now
+// rather than handed to an exploration worker.
 func RegisterScheduler(name string, spec SchedulerSpec) error {
 	if name == "" {
 		return fmt.Errorf("gostorm: RegisterScheduler: name must be non-empty")
@@ -209,6 +206,9 @@ func RegisterScheduler(name string, spec SchedulerSpec) error {
 	}
 	if spec.New == nil {
 		return fmt.Errorf("gostorm: RegisterScheduler(%q): spec.New must be non-nil", name)
+	}
+	if spec.New() == nil {
+		return fmt.Errorf("gostorm: RegisterScheduler(%q): spec.New returned a nil scheduler", name)
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()
@@ -263,7 +263,7 @@ func NewSchedulerFactory(name string) (SchedulerFactory, error) {
 	s := spec.New()
 	_, adaptive := s.(LengthHinted)
 	_, feedback := s.(FeedbackScheduler)
-	return SchedulerFactory{name: name, spec: spec, adaptive: adaptive, feedback: feedback}, nil
+	return SchedulerFactory{spec: spec, adaptive: adaptive, feedback: feedback}, nil
 }
 
 // checkIntBound validates a NextInt bound on behalf of every scheduler:
@@ -376,7 +376,7 @@ func (p *probes) probe() bool {
 	return false
 }
 
-// NextFault implements FaultScheduler.
+// NextFault implements Scheduler.
 func (p *probes) NextFault(c FaultChoice) int {
 	if p.probe() {
 		return 1 + p.rng.Intn(c.N-1)
@@ -391,14 +391,14 @@ func (p *probes) NextFault(c FaultChoice) int {
 type randomScheduler struct{ draws }
 
 // NewRandomScheduler returns the uniform random scheduler.
-func NewRandomScheduler() FaultScheduler { return &randomScheduler{draws{name: "random"}} }
+func NewRandomScheduler() Scheduler { return &randomScheduler{draws{name: "random"}} }
 
 func (s *randomScheduler) Prepare(seed int64, _ int) bool {
 	s.reseed(seed)
 	return true
 }
 
-func (s *randomScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
+func (s *randomScheduler) NextMachine(enabled []MachineID) MachineID {
 	return enabled[s.rng.Intn(len(enabled))]
 }
 
@@ -424,7 +424,7 @@ const pctUnset = math.MinInt
 
 // NewPCTScheduler returns a PCT scheduler with the given number of priority
 // change points per execution.
-func NewPCTScheduler(depth int) FaultScheduler {
+func NewPCTScheduler(depth int) Scheduler {
 	return &pctScheduler{probes: probes{draws: draws{name: "pct"}, depth: depth}}
 }
 
@@ -439,7 +439,7 @@ func (s *pctScheduler) Prepare(seed int64, maxSteps int) bool {
 // winning a tie; on a probe it first demotes that machine below every other
 // and selects again. A machine seen for the first time draws its priority,
 // in enabled order, and so ranks at random among those seen before it.
-func (s *pctScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
+func (s *pctScheduler) NextMachine(enabled []MachineID) MachineID {
 	for top := int(enabled[len(enabled)-1]); top >= len(s.prio); {
 		s.prio = append(s.prio, pctUnset)
 	}
@@ -483,7 +483,7 @@ type rrScheduler struct {
 // NewRoundRobinScheduler returns the round-robin baseline scheduler.
 // RandomBool/RandomInt and fault outcomes still come uniformly from the
 // seed's RNG so harnesses that use choices remain runnable.
-func NewRoundRobinScheduler() FaultScheduler { return &rrScheduler{draws: draws{name: "rr"}} }
+func NewRoundRobinScheduler() Scheduler { return &rrScheduler{draws: draws{name: "rr"}} }
 
 func (s *rrScheduler) Prepare(seed int64, _ int) bool {
 	s.reseed(seed)
@@ -491,7 +491,7 @@ func (s *rrScheduler) Prepare(seed int64, _ int) bool {
 	return true
 }
 
-func (s *rrScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
+func (s *rrScheduler) NextMachine(enabled []MachineID) MachineID {
 	// Pick the smallest ID strictly greater than last, wrapping around.
 	// enabled is sorted, so a forward scan finds it; for the small
 	// enabled sets every step hands us, the scan beats sort.Search's

@@ -81,12 +81,12 @@ func (l *answerLog) start(seed int64, cut int) *answers {
 // renew set, every Prepare first replaces the instance by a new one told the
 // same length hint.
 type recorder struct {
-	core.FaultScheduler
+	core.Scheduler
 	core.LengthHinted
 	log   *answerLog
 	cur   *answers
 	hint  int
-	renew func() core.FaultScheduler
+	renew func() core.Scheduler
 }
 
 func (r *recorder) SetLengthHint(steps int) {
@@ -98,21 +98,21 @@ func (r *recorder) Prepare(seed int64, maxSteps int) bool {
 	r.cur = r.log.start(seed, tailCut(r.hint))
 	if r.renew != nil {
 		s := r.renew()
-		r.FaultScheduler, r.LengthHinted = s, s.(core.LengthHinted)
+		r.Scheduler, r.LengthHinted = s, s.(core.LengthHinted)
 		r.LengthHinted.SetLengthHint(r.hint)
 	}
-	return r.FaultScheduler.Prepare(seed, maxSteps)
+	return r.Scheduler.Prepare(seed, maxSteps)
 }
 
-func (r *recorder) NextMachine(enabled []core.MachineID, current core.MachineID) core.MachineID {
-	m := r.FaultScheduler.NextMachine(enabled, current)
+func (r *recorder) NextMachine(enabled []core.MachineID) core.MachineID {
+	m := r.Scheduler.NextMachine(enabled)
 	r.cur.step(int(m))
 	r.cur.picked = r.cur.steps
 	return m
 }
 
 func (r *recorder) NextBool() bool {
-	b := r.FaultScheduler.NextBool()
+	b := r.Scheduler.NextBool()
 	v := -2
 	if b {
 		v = -3
@@ -122,19 +122,19 @@ func (r *recorder) NextBool() bool {
 }
 
 func (r *recorder) NextInt(n int) int {
-	v := r.FaultScheduler.NextInt(n)
+	v := r.Scheduler.NextInt(n)
 	r.cur.add(v)
 	return v
 }
 
 func (r *recorder) NextFault(c core.FaultChoice) int {
-	v := r.FaultScheduler.NextFault(c)
+	v := r.Scheduler.NextFault(c)
 	r.cur.step(v)
 	return v
 }
 
 type recording struct {
-	base  func(depth int) core.FaultScheduler
+	base  func(depth int) core.Scheduler
 	fresh bool
 }
 
@@ -163,9 +163,9 @@ func recordingPlan(t *testing.T) {
 			recorderLogs[name] = log
 			err := core.RegisterScheduler(name, core.SchedulerSpec{New: func() core.Scheduler {
 				s := rec.base(core.ProbeDepth)
-				r := &recorder{FaultScheduler: s, LengthHinted: s.(core.LengthHinted), log: log}
+				r := &recorder{Scheduler: s, LengthHinted: s.(core.LengthHinted), log: log}
 				if rec.fresh {
-					r.renew = func() core.FaultScheduler { return rec.base(core.ProbeDepth) }
+					r.renew = func() core.Scheduler { return rec.base(core.ProbeDepth) }
 				}
 				return r
 			}})

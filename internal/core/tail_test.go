@@ -224,20 +224,20 @@ func TestCalibrationPinsAtMostTheBound(t *testing.T) {
 // and then like a random scheduler continuing that scheduler's stream: the
 // reference the runtime's tail is held to, built outside the runtime.
 type switchAt struct {
-	FaultScheduler
+	Scheduler
 	n    int
 	tail *randomScheduler
 }
 
-func (w *switchAt) NextMachine(enabled []MachineID, cur MachineID) MachineID {
+func (w *switchAt) NextMachine(enabled []MachineID) MachineID {
 	if w.n > 0 {
 		w.n--
-		return w.FaultScheduler.NextMachine(enabled, cur)
+		return w.Scheduler.NextMachine(enabled)
 	}
 	if w.tail == nil {
-		w.tail = &randomScheduler{*w.FaultScheduler.(interface{ stream() *draws }).stream()}
+		w.tail = &randomScheduler{*w.Scheduler.(interface{ stream() *draws }).stream()}
 	}
-	return w.tail.NextMachine(enabled, cur)
+	return w.tail.NextMachine(enabled)
 }
 
 // spinnersTest runs three machines that send themselves ticks forever with
@@ -277,7 +277,7 @@ func TestTailContinuesTheMembersStream(t *testing.T) {
 		o := resolved(Options{MaxSteps: maxSteps, NoLivenessBoundCheck: true})
 		for i := 0; i < 5; i++ {
 			seed := execSeed(1, i)
-			run := func(s FaultScheduler, lengthHint int) []Decision {
+			run := func(s Scheduler, lengthHint int) []Decision {
 				cfg := o.runtimeConfig(test, false)
 				cfg.seed, cfg.lengthHint = seed, lengthHint
 				s.Prepare(seed, maxSteps)
@@ -288,7 +288,7 @@ func TestTailContinuesTheMembersStream(t *testing.T) {
 				return r.dec.decode()
 			}
 			got := run(f.New(), hint)
-			want := run(&switchAt{FaultScheduler: f.New(), n: fairTailFactor * hint}, 0)
+			want := run(&switchAt{Scheduler: f.New(), n: fairTailFactor * hint}, 0)
 			plain := run(f.New(), 0)
 			if len(got) != maxSteps || !slices.Equal(got, want) {
 				t.Fatalf("%s, execution %d: the runtime's tail decided\n%v\nthe member's stream continued decides\n%v", name, i, got, want)

@@ -51,7 +51,7 @@ func (s *scriptScheduler) Prepare(int64, int) bool {
 func (s *scriptScheduler) NextBool() bool  { return false }
 func (s *scriptScheduler) NextInt(int) int { return 0 }
 
-func (s *scriptScheduler) NextMachine(enabled []MachineID, _ MachineID) MachineID {
+func (s *scriptScheduler) NextMachine(enabled []MachineID) MachineID {
 	if s.pi < len(s.picks) {
 		want := s.picks[s.pi]
 		s.pi++

@@ -240,7 +240,7 @@ func TestRecordedNegativeValueNeverReachesTheHarness(t *testing.T) {
 		if len(s.prefix) == len(tr.Decisions) {
 			whole++
 		}
-		s.NextMachine([]MachineID{0}, NoMachine)
+		s.NextMachine([]MachineID{0})
 		if v := s.NextInt(3); v < 0 || v >= 3 {
 			t.Fatalf("seed %d: the splice answered NextInt(3) with %d", seed, v)
 		}

@@ -17,9 +17,10 @@ package fabric
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"github.com/gostorm/gostorm/internal/core"
-	"github.com/gostorm/gostorm/internal/det"
 )
 
 // Role is a replica's current role.
@@ -289,11 +290,11 @@ func (fm *fmMachine) promote(ctx *core.Context, e caughtUp) {
 // actives returns the current active secondaries in deterministic order.
 func (fm *fmMachine) actives() []core.MachineID {
 	var out []core.MachineID
-	det.Each(fm.roles, func(id core.MachineID, r Role) {
-		if r == RoleActive {
+	for _, id := range slices.Sorted(maps.Keys(fm.roles)) {
+		if fm.roles[id] == RoleActive {
 			out = append(out, id)
 		}
-	})
+	}
 	return out
 }
 

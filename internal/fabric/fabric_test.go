@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -163,5 +164,29 @@ func TestRoleString(t *testing.T) {
 	}
 	if Role(99).String() == "" {
 		t.Fatal("unknown role should render")
+	}
+}
+
+// The failover manager tells the primary its active secondaries in
+// ascending order, never in map order, so the update it sends is the same
+// on every run of a schedule. Only RoleActive replicas are listed.
+func TestActivesAreAscending(t *testing.T) {
+	fm := newFMMachine(Config{}, NewCounterService)
+	var want []core.MachineID
+	for id := core.MachineID(60); id >= 1; id-- {
+		switch id % 3 {
+		case 0:
+			fm.roles[id] = RoleActive
+			want = append([]core.MachineID{id}, want...)
+		case 1:
+			fm.roles[id] = RoleIdle
+		default:
+			fm.roles[id] = RolePrimary
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if got := fm.actives(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("actives = %v, want %v", got, want)
+		}
 	}
 }

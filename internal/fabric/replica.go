@@ -1,10 +1,10 @@
 package fabric
 
 import (
+	"maps"
 	"sort"
 
 	"github.com/gostorm/gostorm/internal/core"
-	"github.com/gostorm/gostorm/internal/det"
 )
 
 // replicaMachine hosts one Service replica. The replica layer implements:
@@ -123,13 +123,13 @@ func (r *replicaMachine) handleSendCopy(ctx *core.Context, e sendCopy) {
 	if e.Epoch != r.epoch || r.role != RolePrimary {
 		return
 	}
-	dedup := make(map[core.MachineID]dedupEntry, len(r.dedup))
-	det.Each(r.dedup, func(k core.MachineID, v dedupEntry) { dedup[k] = v })
+	// A copy, so the message does not alias live state; the order a map is
+	// built in cannot show.
 	ctx.SendLast(e.To, copyState{
 		Epoch:    r.epoch,
 		Snapshot: r.svc.Snapshot(),
 		Applied:  r.applied,
-		Dedup:    dedup,
+		Dedup:    maps.Clone(r.dedup),
 	})
 	r.copying = append(r.copying, e.To)
 	if r.copySent == nil {
@@ -149,8 +149,10 @@ func (r *replicaMachine) handleCopyState(ctx *core.Context, e copyState) {
 	}
 	r.svc.Restore(e.Snapshot)
 	r.applied = e.Applied
+	// Made, not cloned, so it is non-nil for the writes to come; the order
+	// a map is built in cannot show.
 	r.dedup = make(map[core.MachineID]dedupEntry, len(e.Dedup))
-	det.Each(e.Dedup, func(k core.MachineID, v dedupEntry) { r.dedup[k] = v })
+	maps.Copy(r.dedup, e.Dedup)
 	// Apply buffered live replication beyond the snapshot.
 	sort.Slice(r.stashRep, func(i, j int) bool { return r.stashRep[i].Seq < r.stashRep[j].Seq })
 	for _, rep := range r.stashRep {

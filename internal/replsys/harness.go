@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"github.com/gostorm/gostorm/internal/core"
-	"github.com/gostorm/gostorm/internal/det"
 )
 
 // This file is the P# test harness of Figure 2, translated to the Go
@@ -379,12 +378,13 @@ func (m *safetyMonitor) Handle(mc *core.MonitorContext, ev core.Event) {
 	case notifyStored:
 		m.stored[e.Node] = e.Val
 	case notifyAck:
+		// A count: the map's iteration order cannot show in it.
 		count := 0
-		det.Each(m.stored, func(_ NodeID, v int) {
+		for _, v := range m.stored {
 			if v == e.Val {
 				count++
 			}
-		})
+		}
 		mc.Assert(count >= m.target,
 			"Ack sent for value %d with only %d of %d replicas stored", e.Val, count, m.target)
 	}

@@ -18,7 +18,10 @@
 // timers are modeled in the harness (harness.go), mirroring Figure 2.
 package replsys
 
-import "github.com/gostorm/gostorm/internal/det"
+import (
+	"maps"
+	"slices"
+)
 
 // NodeID identifies a node (server, client or storage node) on the
 // system's network.
@@ -178,7 +181,7 @@ func (s *Server) isUpToDate(log []int) bool {
 
 // Replicas returns the distinct nodes currently considered replicas (only
 // meaningful with FixUniqueReplicas; used by unit tests).
-func (s *Server) Replicas() []NodeID { return det.Keys(s.replicas) }
+func (s *Server) Replicas() []NodeID { return slices.Sorted(maps.Keys(s.replicas)) }
 
 // Count returns the server's current replica count (for unit tests).
 func (s *Server) Count() int { return s.count }

@@ -163,3 +163,20 @@ func TestBuggyServerNeverAcksSecondRequest(t *testing.T) {
 		t.Fatalf("second request was acked despite the liveness bug (acks = %d)", net.acks())
 	}
 }
+
+// Replicas lists each distinct reporting node once, ascending, whatever
+// order the syncs arrived in.
+func TestReplicasAreAscending(t *testing.T) {
+	net := &fakeNet{}
+	s := NewServer(Config{FixUniqueReplicas: true, FixCounterReset: true, ReplicaTarget: 100}, net, testNodes)
+	s.HandleMessage(ClientReq{Client: 1, Val: 7})
+	var want []NodeID
+	for n := NodeID(40); n >= 10; n-- {
+		want = append([]NodeID{n}, want...)
+		s.HandleMessage(Sync{Node: n, Log: []int{7}})
+		s.HandleMessage(Sync{Node: n, Log: []int{7}})
+	}
+	if got := s.Replicas(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replicas = %v, want %v", got, want)
+	}
+}

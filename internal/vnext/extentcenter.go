@@ -1,9 +1,8 @@
 package vnext
 
 import (
-	"sort"
-
-	"github.com/gostorm/gostorm/internal/det"
+	"maps"
+	"slices"
 )
 
 // ExtentCenter maps extents to the extent nodes believed to hold replicas.
@@ -55,7 +54,7 @@ func (c *ExtentCenter) Remove(extent ExtentID, node NodeID) {
 // RemoveNode forgets every replica record of node (used when the
 // expiration loop expires an EN).
 func (c *ExtentCenter) RemoveNode(node NodeID) {
-	for _, extent := range det.Keys(c.byNode[node]) {
+	for _, extent := range slices.Sorted(maps.Keys(c.byNode[node])) {
 		c.Remove(extent, node)
 	}
 }
@@ -68,7 +67,7 @@ func (c *ExtentCenter) UpdateFromSync(node NodeID, extents []ExtentID) {
 	for _, e := range extents {
 		listed[e] = true
 	}
-	for _, e := range det.Keys(c.byNode[node]) {
+	for _, e := range slices.Sorted(maps.Keys(c.byNode[node])) {
 		if !listed[e] {
 			c.Remove(e, node)
 		}
@@ -80,7 +79,7 @@ func (c *ExtentCenter) UpdateFromSync(node NodeID, extents []ExtentID) {
 
 // Locations returns the nodes believed to hold extent, in ascending order.
 func (c *ExtentCenter) Locations(extent ExtentID) []NodeID {
-	return det.Keys(c.locations[extent])
+	return slices.Sorted(maps.Keys(c.locations[extent]))
 }
 
 // Count returns the number of recorded replicas of extent.
@@ -95,14 +94,14 @@ func (c *ExtentCenter) Has(extent ExtentID, node NodeID) bool {
 
 // Extents returns all tracked extents in ascending order.
 func (c *ExtentCenter) Extents() []ExtentID {
-	return det.Keys(c.locations)
+	return slices.Sorted(maps.Keys(c.locations))
 }
 
 // ExtentsOf returns the extents recorded for node, ascending. An EN uses
 // this on its own center to assemble its sync report (GetSyncReport in
 // Figure 8).
 func (c *ExtentCenter) ExtentsOf(node NodeID) []ExtentID {
-	return det.Keys(c.byNode[node])
+	return slices.Sorted(maps.Keys(c.byNode[node]))
 }
 
 // Len returns the number of tracked extents.
@@ -144,9 +143,7 @@ func (m *ExtentNodeMap) LastSeen(node NodeID) (int64, bool) {
 
 // Nodes returns all registered nodes in ascending order.
 func (m *ExtentNodeMap) Nodes() []NodeID {
-	nodes := det.Keys(m.lastSeen)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return nodes
+	return slices.Sorted(maps.Keys(m.lastSeen))
 }
 
 // Len returns the number of registered nodes.

@@ -1,6 +1,7 @@
 package vnext
 
 import (
+	"cmp"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -113,5 +114,80 @@ func TestExtentNodeMap(t *testing.T) {
 	m.Remove(10)
 	if m.Contains(10) || m.Len() != 1 {
 		t.Fatal("remove failed")
+	}
+}
+
+// ascending reports whether s is strictly increasing: sorted, no repeats.
+func ascending[T cmp.Ordered](s []T) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i-1] >= s[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: whatever order replicas are recorded in, every listing of the
+// center is ascending and names each recorded key once, so a harness that
+// walks a listing makes the same choices on every run.
+func TestExtentCenterListingsAreAscending(t *testing.T) {
+	f := func(extents, nodes []uint8) bool {
+		c := NewExtentCenter()
+		wantExtents := make(map[ExtentID]bool)
+		wantOf := make(map[NodeID]map[ExtentID]bool)
+		for i := 0; i < len(extents) && i < len(nodes); i++ {
+			e, n := ExtentID(extents[i]), NodeID(nodes[i])
+			c.Add(e, n)
+			wantExtents[e] = true
+			if wantOf[n] == nil {
+				wantOf[n] = make(map[ExtentID]bool)
+			}
+			wantOf[n][e] = true
+		}
+		got := c.Extents()
+		if !ascending(got) || len(got) != len(wantExtents) {
+			return false
+		}
+		for _, e := range got {
+			if !wantExtents[e] || !ascending(c.Locations(e)) || len(c.Locations(e)) != c.Count(e) {
+				return false
+			}
+		}
+		for n, want := range wantOf {
+			of := c.ExtentsOf(n)
+			if !ascending(of) || len(of) != len(want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: Nodes lists every touched node once, ascending, whatever order
+// the heartbeats arrived in.
+func TestExtentNodeMapNodesAreAscending(t *testing.T) {
+	f := func(touched []uint8) bool {
+		m := NewExtentNodeMap()
+		want := make(map[NodeID]bool)
+		for i, n := range touched {
+			m.Touch(NodeID(n), int64(i))
+			want[NodeID(n)] = true
+		}
+		got := m.Nodes()
+		if !ascending(got) || len(got) != len(want) || m.Len() != len(want) {
+			return false
+		}
+		for _, n := range got {
+			if !want[n] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

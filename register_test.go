@@ -3,6 +3,7 @@ package gostorm_test
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 
 // lifoScheduler is a user-defined exploration strategy living entirely
 // outside internal/: at every scheduling point it picks the most recently
-// created enabled machine (highest MachineID), with data choices drawn
-// from the seed's generator. It exists to prove the extension surface —
+// created enabled machine (highest MachineID), with data choices and fault
+// outcomes drawn from the seed's generator. It exists to prove the extension surface —
 // registration, conformance, portfolio membership — works without
 // touching core.
 type lifoScheduler struct {
@@ -27,13 +28,15 @@ func (s *lifoScheduler) Prepare(seed int64, _ int) bool {
 	return true
 }
 
-func (s *lifoScheduler) NextMachine(enabled []gostorm.MachineID, _ gostorm.MachineID) gostorm.MachineID {
+func (s *lifoScheduler) NextMachine(enabled []gostorm.MachineID) gostorm.MachineID {
 	return enabled[len(enabled)-1]
 }
 
 func (s *lifoScheduler) NextBool() bool { return s.rng.Intn(2) == 0 }
 
 func (s *lifoScheduler) NextInt(n int) int { return s.rng.Intn(n) }
+
+func (s *lifoScheduler) NextFault(c gostorm.FaultChoice) int { return s.rng.Intn(c.N) }
 
 // registerLIFO registers the scheduler once for this test binary.
 var registerLIFO = func() error {
@@ -152,15 +155,16 @@ func (s *hintedScheduler) Prepare(seed int64, maxSteps int) bool {
 	return true
 }
 
-func (s *hintedScheduler) NextMachine(enabled []gostorm.MachineID, _ gostorm.MachineID) gostorm.MachineID {
+func (s *hintedScheduler) NextMachine(enabled []gostorm.MachineID) gostorm.MachineID {
 	if s.step++; s.step == s.at {
 		return enabled[len(enabled)-1]
 	}
 	return enabled[s.rng.Intn(len(enabled))]
 }
 
-func (s *hintedScheduler) NextBool() bool    { return s.rng.Intn(2) == 0 }
-func (s *hintedScheduler) NextInt(n int) int { return s.rng.Intn(n) }
+func (s *hintedScheduler) NextBool() bool                      { return s.rng.Intn(2) == 0 }
+func (s *hintedScheduler) NextInt(n int) int                   { return s.rng.Intn(n) }
+func (s *hintedScheduler) NextFault(c gostorm.FaultChoice) int { return s.rng.Intn(c.N) }
 
 var hints = &hintLog{}
 
@@ -250,7 +254,7 @@ func (s *liar) NextInt(n int) int {
 	return 0
 }
 
-func (s *liar) NextMachine(enabled []gostorm.MachineID, _ gostorm.MachineID) gostorm.MachineID {
+func (s *liar) NextMachine(enabled []gostorm.MachineID) gostorm.MachineID {
 	s.calls++
 	if s.calls-1 == s.at {
 		return s.machine
@@ -372,6 +376,23 @@ func TestOutOfRangeTimerAnswerIsAttributedToTheTimer(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNilSchedulerIsRejectedAtRegistration: a constructor that builds a nil
+// scheduler is refused by RegisterScheduler, with an error naming it, so
+// Explore never gets to hand the nil to a worker; the name stays unknown.
+func TestNilSchedulerIsRejectedAtRegistration(t *testing.T) {
+	err := gostorm.RegisterScheduler("nil-sched", gostorm.SchedulerSpec{
+		New: func() gostorm.Scheduler { return nil },
+	})
+	if err == nil || !strings.Contains(err.Error(), `"nil-sched"`) {
+		t.Fatalf("RegisterScheduler(nil-sched) = %v, want an error naming the scheduler", err)
+	}
+	_, err = gostorm.Explore(replsys.Scenario(replsys.ScenarioConfig{}),
+		gostorm.WithScheduler("nil-sched"), gostorm.WithWorkers(1), gostorm.WithIterations(1))
+	if ce, ok := err.(*gostorm.ConfigError); !ok || ce.Field != "Options.Scheduler" {
+		t.Fatalf("Explore under the refused scheduler = %v, want an unknown-scheduler *ConfigError", err)
 	}
 }
 

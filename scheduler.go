@@ -19,10 +19,11 @@ import (
 //
 // A registered Scheduler must be a deterministic function of its Prepare
 // seed and the call sequence — exact replay, and with it bug
-// reproduction, depends on it. Implement FaultScheduler as well to
-// resolve fault choice points with strategy (otherwise they are answered
-// uniformly through the scheduler's NextInt stream). Run VerifyScheduler
-// after registering to hold the implementation to the contract.
+// reproduction, depends on it. It answers a fault choice point through
+// NextFault like every other choice. There is no uniform fallback; a
+// scheduler with no strategy for faults draws their outcomes uniformly
+// itself. Run VerifyScheduler after registering to hold the implementation
+// to the contract.
 //
 // Prepare runs before every execution, so a scheduler that draws from a
 // seeded generator should build it once with NewRand and call its Seed in
@@ -32,7 +33,7 @@ import (
 // Registration is typically done from an init function or at the top of
 // a test. The name must be non-empty, must not contain commas or
 // whitespace, must not be "portfolio", and must not already be
-// registered.
+// registered; spec.New must build a non-nil instance.
 func RegisterScheduler(name string, spec SchedulerSpec) error {
 	return core.RegisterScheduler(name, spec)
 }
