@@ -191,8 +191,8 @@ func TestDistributedSmoke(t *testing.T) {
 
 // TestAllZeroFaultsSpecDisablesTheFaultPlane: -faults crashes=0 means on a
 // fleet what it means to systest — no faults — and not "the scenario's own
-// budget", which is what an all-zero Options.Faults says. The plan agents
-// are handed must carry it.
+// budget", which is what an unset Options.Faults says. The plan agents are
+// handed must carry it.
 func TestAllZeroFaultsSpecDisablesTheFaultPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the real binary")
@@ -204,9 +204,9 @@ func TestAllZeroFaultsSpecDisablesTheFaultPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := jr.Plan.EffectiveFaults(entry.Build()); !jr.Plan.NoFaults || got != (core.Faults{}) {
-		t.Fatalf("published plan has no_faults %v and runs %s under budget %v, want the fault plane off",
-			jr.Plan.NoFaults, jr.Plan.Scenario, got)
+	if got := jr.Plan.EffectiveFaults(entry.Build()); jr.Plan.Faults == nil || got != (core.Faults{}) {
+		t.Fatalf("published plan has faults %v and runs %s under budget %v, want the fault plane off",
+			jr.Plan.Faults, jr.Plan.Scenario, got)
 	}
 }
 
@@ -238,11 +238,11 @@ func TestFleetPlanIsASystestPlan(t *testing.T) {
 	coordBin, _ := buildBinaries(t)
 	for _, args := range [][]string{
 		{"-test", "wal-torn-tail", "-seed", "7", "-iterations", "300", "-max-steps", "900"},
-		{"-test", "vnext-repair-lossy", "-max-crashes", "2"},
-		{"-test", "wal-torn-tail", "-max-torn-crashes", "1"},
+		{"-test", "vnext-repair-lossy", "-faults", "crashes=2,drops=3,dups=2"},
+		{"-test", "wal-torn-tail", "-faults", "crashes=1,torn=1"},
 		{"-test", "ExtentNodeLivenessViolation", "-faults", "crashes=0"},
 		{"-test", "replsys-safety", "-portfolio", "random,pct"},
-		{"-test", "replsys-safety", "-scheduler", "portfolio", "-portfolio", "pct,delay"},
+		{"-test", "replsys-safety", "-portfolio", "pct,delay"},
 		{"-test", "mtable", "-scheduler", "delay"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {

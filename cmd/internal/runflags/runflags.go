@@ -26,7 +26,6 @@ type Flags struct {
 
 	test, scheduler, portfolio, faults string
 	iterations, maxSteps               int
-	maxCrashes, maxTornCrashes         int
 	seed                               int64
 }
 
@@ -35,21 +34,19 @@ func Register(fs *flag.FlagSet) *Flags {
 	f := new(Flags)
 	fs.BoolVar(&f.List, "list", false, "list registered scenarios and exit")
 	fs.StringVar(&f.test, "test", "", "scenario name (see -list)")
-	fs.StringVar(&f.scheduler, "scheduler", "", "scheduler: "+strings.Join(gostorm.SchedulerNames(), ", ")+", or portfolio (see -portfolio); empty = random")
-	fs.StringVar(&f.portfolio, "portfolio", "", "comma-separated scheduler portfolio to race (implies -scheduler portfolio)")
+	fs.StringVar(&f.scheduler, "scheduler", "", "scheduler: "+strings.Join(gostorm.SchedulerNames(), ", ")+"; empty = random")
+	fs.StringVar(&f.portfolio, "portfolio", "", "comma-separated scheduler portfolio to race, in place of -scheduler")
 	fs.Int64Var(&f.seed, "seed", 0, "base random seed")
 	fs.IntVar(&f.iterations, "iterations", 0, "maximum executions (0 = scenario default); per member for a portfolio")
 	fs.IntVar(&f.maxSteps, "max-steps", 0, "scheduling steps per execution (0 = scenario default); one that reaches it with a monitor hot runs on in a fair tail, to at most twice it")
-	fs.StringVar(&f.faults, "faults", "", "fault budget override, e.g. crashes=1,drops=2,dups=1 (empty = scenario default; all zeros = disable)")
-	fs.IntVar(&f.maxCrashes, "max-crashes", 0, "adjust the crashes component of the fault budget, keeping the scenario's other allowances (0 = scenario default)")
-	fs.IntVar(&f.maxTornCrashes, "max-torn-crashes", 0, "adjust the torn-crash component of the fault budget: crashes that may keep un-synced persisted writes (0 = scenario default)")
+	fs.StringVar(&f.faults, "faults", "", "fault budget replacing the scenario's, e.g. crashes=1,drops=2,dups=1,torn=1 (empty = scenario default; all zeros = no faults)")
 	return f
 }
 
 // Plan checks the flags and returns the scenario they name with the options
 // they state, layered over the scenario's recommended ones. Only a set flag
-// adds an option; 0 means "scenario default", and a negative budget is
-// passed on for gostorm.Resolve to reject. The checks here are the rules
+// adds an option; 0 or empty means "scenario default", and a negative bound
+// is passed on for gostorm.Resolve to reject. The checks here are the rules
 // the option set cannot see.
 func (f *Flags) Plan() (gostorm.Scenario, []gostorm.Option, error) {
 	var sc gostorm.Scenario
@@ -57,19 +54,13 @@ func (f *Flags) Plan() (gostorm.Scenario, []gostorm.Option, error) {
 	if err != nil {
 		return sc, nil, err
 	}
-	if f.maxCrashes < 0 {
-		return sc, nil, fmt.Errorf("-max-crashes must be non-negative, got %d", f.maxCrashes)
-	}
-	if f.maxTornCrashes < 0 {
-		return sc, nil, fmt.Errorf("-max-torn-crashes must be non-negative, got %d", f.maxTornCrashes)
-	}
-	var budget *gostorm.Faults
+	var faults []gostorm.Option
 	if strings.TrimSpace(f.faults) != "" {
 		b, err := gostorm.ParseFaultsSpec(f.faults)
 		if err != nil {
 			return sc, nil, fmt.Errorf("-faults: %w", err)
 		}
-		budget = &b
+		faults = append(faults, gostorm.WithFaults(b))
 	}
 	if f.test == "" {
 		return sc, nil, errors.New("-test is required (use -list to see scenarios)")
@@ -91,38 +82,18 @@ func (f *Flags) Plan() (gostorm.Scenario, []gostorm.Option, error) {
 	if f.maxSteps != 0 {
 		opts = append(opts, gostorm.WithMaxSteps(f.maxSteps))
 	}
-	// A -faults spec replaces the scenario's budget wholesale (all zeros
-	// disables the fault plane); without one, -max-crashes and
-	// -max-torn-crashes adjust only their own component of the scenario's
-	// budget. Either way an explicit -max-* wins over its component.
-	if budget == nil && (f.maxCrashes > 0 || f.maxTornCrashes > 0) {
-		b := sc.Test().Faults
-		budget = &b
-	}
-	if budget != nil {
-		if f.maxCrashes > 0 {
-			budget.MaxCrashes = f.maxCrashes
-		}
-		if f.maxTornCrashes > 0 {
-			budget.MaxTornCrashes = f.maxTornCrashes
-		}
-		opts = append(opts, gostorm.WithFaults(*budget))
-	}
-	return sc, opts, nil
+	return sc, append(opts, faults...), nil
 }
 
 // members resolves the -portfolio/-scheduler pair into a validated member
-// list (nil for a single-scheduler run). Any set -scheduler other than
-// "portfolio" conflicts with -portfolio — even "random", the default — so a
-// member the user meant to add is never silently dropped.
+// list (nil for a single-scheduler run). A set -scheduler conflicts with
+// -portfolio — even "random", the default — so a member the user meant to
+// add is never silently dropped.
 func (f *Flags) members() ([]string, error) {
 	if f.portfolio == "" {
-		if f.scheduler == "portfolio" {
-			return nil, errors.New("-scheduler portfolio needs -portfolio with a comma-separated member list (e.g. -portfolio random,pct,delay)")
-		}
 		return nil, nil
 	}
-	if f.scheduler != "" && f.scheduler != "portfolio" {
+	if f.scheduler != "" {
 		return nil, fmt.Errorf("-portfolio conflicts with -scheduler %s (drop one, or add %s to the member list)", f.scheduler, f.scheduler)
 	}
 	members, err := gostorm.ParsePortfolioSpec(f.portfolio)

@@ -39,7 +39,8 @@ func TestPlanFlagsFailUpFront(t *testing.T) {
 		{"unknown scheduler", []string{"-test", "replsys", "-scheduler", "quantum"}, "unknown scheduler"},
 		{"unknown portfolio member", []string{"-test", "replsys", "-portfolio", "random,quantum"}, "unknown scheduler"},
 		{"empty portfolio member", []string{"-test", "replsys", "-portfolio", "random,,pct"}, "empty member"},
-		{"portfolio without members", []string{"-test", "replsys", "-scheduler", "portfolio"}, "needs -portfolio"},
+		{"portfolio is not a scheduler", []string{"-test", "replsys", "-scheduler", "portfolio"}, "unknown scheduler"},
+		{"portfolio is spelled only -portfolio", []string{"-test", "replsys", "-scheduler", "portfolio", "-portfolio", "pct,delay"}, "-portfolio conflicts with -scheduler portfolio"},
 		{"portfolio vs scheduler conflict", []string{"-test", "replsys", "-scheduler", "dfs", "-portfolio", "random"}, "-portfolio conflicts with -scheduler dfs"},
 		{"explicit default scheduler still conflicts", []string{"-test", "replsys", "-scheduler", "random", "-portfolio", "pct,delay"}, "-portfolio conflicts with -scheduler random"},
 		{"missing test", []string{"-scheduler", "random"}, "-test is required"},
@@ -47,8 +48,6 @@ func TestPlanFlagsFailUpFront(t *testing.T) {
 		{"bad faults key", []string{"-test", "replsys", "-faults", "bogus=1"}, "unknown key"},
 		{"bad faults value", []string{"-test", "replsys", "-faults", "crashes=x"}, "non-negative integer"},
 		{"repeated faults key", []string{"-test", "replsys", "-faults", "dups=1,crashes=1,dups=0"}, "-faults: core: fault spec \"dups=1,crashes=1,dups=0\": \"dups=0\" repeats the dups key"},
-		{"negative max-crashes", []string{"-test", "replsys", "-max-crashes", "-3"}, "-max-crashes must be non-negative, got -3"},
-		{"negative max-torn-crashes", []string{"-test", "replsys", "-max-torn-crashes", "-1"}, "-max-torn-crashes must be non-negative, got -1"},
 		{"negative iterations", []string{"-test", "wal-fixed", "-iterations", "-5"}, "WithIterations: must be positive, got -5"},
 		{"negative max-steps", []string{"-test", "wal-fixed", "-max-steps", "-3"}, "WithMaxSteps: must be positive, got -3"},
 	} {
@@ -62,9 +61,9 @@ func TestPlanFlagsFailUpFront(t *testing.T) {
 }
 
 // TestPlanFlagsLayerOverTheScenario: an unset flag keeps the scenario's
-// default, an explicit -max-* wins over its component of a -faults spec, and
-// -scheduler portfolio is only a spelling of -portfolio. systest's
-// TestCLIFaultPlaneRoundTrip holds the other fault-flag rules to its banner.
+// default, and a -faults spec replaces the scenario's budget wholesale.
+// systest's TestCLIFaultPlaneRoundTrip holds the other fault-flag rules to
+// its banner.
 func TestPlanFlagsLayerOverTheScenario(t *testing.T) {
 	for _, c := range []struct {
 		args      []string
@@ -73,9 +72,8 @@ func TestPlanFlagsLayerOverTheScenario(t *testing.T) {
 		faults    string
 	}{
 		{[]string{"-test", "vnext-repair-lossy"}, "random", nil, "crashes=1 drops=3 dups=2"},
-		{[]string{"-test", "vnext-repair", "-faults", "drops=2", "-max-crashes", "3"}, "random", nil, "crashes=3 drops=2"},
+		{[]string{"-test", "vnext-repair-lossy", "-faults", "crashes=3,drops=2"}, "random", nil, "crashes=3 drops=2"},
 		{[]string{"-test", "replsys", "-portfolio", "random,pct"}, "", []string{"random", "pct"}, "-"},
-		{[]string{"-test", "replsys", "-scheduler", "portfolio", "-portfolio", "pct,delay"}, "", []string{"pct", "delay"}, "-"},
 	} {
 		cfg, err := resolve(t, c.args...)
 		if err != nil {

@@ -26,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"github.com/gostorm/gostorm"
@@ -207,7 +208,10 @@ func parseShard(spec string) (i, n int64, err error) {
 	if strings.TrimSpace(spec) == "" {
 		return 0, 0, nil
 	}
-	if _, err := fmt.Sscanf(spec, "%d/%d", &i, &n); err != nil {
+	is, ns, ok := strings.Cut(spec, "/")
+	i, errI := strconv.ParseInt(is, 10, 64)
+	n, errN := strconv.ParseInt(ns, 10, 64)
+	if !ok || errI != nil || errN != nil {
 		return 0, 0, fmt.Errorf("-shard must be i/n (e.g. 0/4), got %q", spec)
 	}
 	if n <= 0 {

@@ -139,28 +139,16 @@ func TestCLIFaultPlaneRoundTrip(t *testing.T) {
 		t.Fatalf("banner does not report the override:\n%s", out)
 	}
 
-	// -max-crashes alone adjusts only the crashes component, keeping the
-	// lossy scenario's declared drop/duplicate allowances.
+	// A -faults spec replaces the scenario's declared budget wholesale,
+	// torn crashes included.
 	out, code = runSystest(t,
-		"-test", "vnext-repair-lossy", "-max-crashes", "2",
+		"-test", "vnext-repair-lossy", "-faults", "crashes=2,drops=3,dups=2,torn=1",
 		"-iterations", "5", "-seed", "3")
 	if code != 0 {
-		t.Fatalf("max-crashes run exit = %d:\n%s", code, out)
+		t.Fatalf("torn override run exit = %d:\n%s", code, out)
 	}
-	if !strings.Contains(out, "faults crashes=2 drops=3 dups=2") {
-		t.Fatalf("-max-crashes did not merge into the scenario budget:\n%s", out)
-	}
-
-	// -max-torn-crashes merges the same way: only the torn component of
-	// the scenario's declared budget changes.
-	out, code = runSystest(t,
-		"-test", "vnext-repair-lossy", "-max-torn-crashes", "1",
-		"-iterations", "5", "-seed", "3")
-	if code != 0 {
-		t.Fatalf("max-torn-crashes run exit = %d:\n%s", code, out)
-	}
-	if !strings.Contains(out, "faults crashes=1 drops=3 dups=2 torn=1") {
-		t.Fatalf("-max-torn-crashes did not merge into the scenario budget:\n%s", out)
+	if !strings.Contains(out, "faults crashes=2 drops=3 dups=2 torn=1") {
+		t.Fatalf("banner does not report the torn override:\n%s", out)
 	}
 
 	// An explicit all-zero budget disables the scenario's declared
@@ -225,7 +213,7 @@ func TestCLIValidatesFlagsUpFront(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"portfolio without members", []string{"-test", "replsys", "-scheduler", "portfolio"}, "systest: -scheduler portfolio needs -portfolio"},
+		{"portfolio is not a scheduler", []string{"-test", "replsys", "-scheduler", "portfolio"}, "unknown scheduler"},
 		{"negative workers", []string{"-test", "wal-fixed", "-workers", "-2"}, "WithWorkers: must be positive"},
 		{"removed liveness threshold", []string{"-test", "wal-fixed", "-temperature", "50"}, "flag provided but not defined: -temperature"},
 	}
@@ -315,6 +303,9 @@ func TestCLIShardFlagValidation(t *testing.T) {
 		want string
 	}{
 		{[]string{"-test", "wal-torn-tail", "-shard", "banana"}, "-shard must be i/n"},
+		{[]string{"-test", "wal-torn-tail", "-shard", "0/4junk"}, "-shard must be i/n"},
+		{[]string{"-test", "wal-torn-tail", "-shard", "1/2/8"}, "-shard must be i/n"},
+		{[]string{"-test", "wal-torn-tail", "-shard", "1/4.5"}, "-shard must be i/n"},
 		{[]string{"-test", "wal-torn-tail", "-shard", "3/3"}, "shard index must be in [0, 3)"},
 		{[]string{"-test", "wal-torn-tail", "-shard", "-1/3"}, "shard index must be in [0, 3)"},
 		{[]string{"-test", "wal-torn-tail", "-shard", "0/0"}, "shard count must be positive"},

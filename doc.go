@@ -53,8 +53,10 @@
 // defaults (random scheduler, 10,000 executions of up to 10,000 steps,
 // one worker per CPU; one worker when any scheduler of the plan
 // is sequential; a hot execution may run to twice the bound, see
-// Liveness). Resolve returns the result without running anything, so a
-// banner or a dashboard shows what Explore will do by construction. The
+// Liveness). A run states its fault budget once, or not at all: unset,
+// it is the test's declared one. Resolve returns the result without
+// running anything, so a banner or a dashboard shows what Explore will do
+// by construction. The
 // same struct, through its JSON tags, is the plan a distributed
 // coordinator publishes to its agents.
 //
@@ -247,10 +249,9 @@
 //
 // Budgets and determinism: faults are budgeted per execution by Faults
 // {MaxCrashes, MaxDrops, MaxDuplicates, MaxTornCrashes} — a Test
-// declares the budget its scenario is built for, WithFaults overrides it
-// wholesale, and WithNoFaults (or the zero budget) disables the fault
-// plane entirely (SendUnreliable becomes Send, CrashPoint declines,
-// injectors halt). Every fault choice point builds a FaultChoice and
+// declares the budget its scenario is built for and WithFaults replaces it
+// wholesale; the zero budget (WithNoFaults) turns the fault plane off
+// (SendUnreliable becomes Send, CrashPoint declines, injectors halt). Every fault choice point builds a FaultChoice and
 // passes it through one door of the runtime, which asks the scheduler,
 // checks the answer and records a typed Decision (the contract under
 // "Scheduler extension surface"), so buggy executions replay bit-exactly.

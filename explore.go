@@ -63,7 +63,8 @@ type Config = core.Options
 // dashboards — report exactly what Explore will do: the engine's own
 // validation and defaults (Workers is 1 when any scheduler of the plan is
 // sequential), Scheduler "" for a portfolio run, and Faults the effective
-// budget (WithNoFaults over WithFaults over the test's declared one).
+// budget, never nil (the last WithFaults or WithNoFaults, else the test's
+// declared one).
 // Invalid options are reported as the same *ConfigError Explore would
 // return.
 func Resolve(t Test, opts ...Option) (Config, error) {
@@ -75,7 +76,8 @@ func Resolve(t Test, opts ...Option) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	o.Faults = o.EffectiveFaults(t)
+	f := o.EffectiveFaults(t)
+	o.Faults = &f
 	if len(o.Portfolio) > 0 {
 		o.Scheduler = ""
 	}

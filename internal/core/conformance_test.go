@@ -122,7 +122,7 @@ func TestSchedulerConformanceFaultPlane(t *testing.T) {
 				t.Fatal(err)
 			}
 			confirm, err := Replay(faultProbeTest(), decoded, Options{
-				MaxSteps: 300, Faults: probeFaults, NoReplayLog: true,
+				MaxSteps: 300, Faults: &probeFaults, NoReplayLog: true,
 			})
 			if err != nil {
 				t.Fatalf("fault trace did not replay: %v", err)

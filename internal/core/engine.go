@@ -18,9 +18,9 @@ type Test struct {
 	Monitors []func() Monitor
 	// Faults is the fault budget the scenario is built for — e.g. a
 	// fail-and-repair scenario declares the one crash its repair story
-	// revolves around. Options.Faults, when any field is set, overrides
-	// it wholesale; the zero value here and there disables the fault
-	// plane (see Faults).
+	// revolves around. Options.Faults, when set, replaces it wholesale;
+	// the zero budget, here or there, disables the fault plane (see
+	// Faults).
 	Faults Faults
 }
 
@@ -92,16 +92,12 @@ type Options struct {
 	// enforce it) — so this is an escape hatch for debugging and for
 	// benchmarking the pool itself, not a correctness knob.
 	NoReuse bool `json:"-"`
-	// Faults overrides the test's fault budget (Test.Faults) when any
-	// field is set; the zero value defers to the test. Budgets bound the
-	// faults the scheduler may inject per execution — see Faults and the
-	// Context fault primitives (CrashPoint, SendUnreliable).
-	Faults Faults `json:"faults,omitempty"`
-	// NoFaults disables the fault plane outright, overriding both Faults
-	// and the test's declared budget — the way to run a fault-budgeted
-	// scenario crash-free (an all-zero Faults cannot express this, since
-	// the zero value defers to the test).
-	NoFaults bool `json:"no_faults,omitempty"`
+	// Faults is the run's fault budget: nil runs the test's declared one
+	// (Test.Faults), a set value replaces it wholesale, and the zero
+	// budget turns the fault plane off. Budgets bound the faults the
+	// scheduler may inject per execution — see Faults and the Context
+	// fault primitives (CrashPoint, SendUnreliable).
+	Faults *Faults `json:"faults,omitempty"`
 
 	// debugCheckEnabled turns on the per-step enabled-set cross-check for
 	// every runtime of the run: the incrementally maintained set is
@@ -144,8 +140,10 @@ func (o Options) Resolve(t Test) (Options, error) {
 			}
 		}
 	}
-	if err := o.Faults.validate("Options.Faults"); err != nil {
-		return o, err
+	if o.Faults != nil {
+		if err := o.Faults.validate("Options.Faults"); err != nil {
+			return o, err
+		}
 	}
 	if err := t.Faults.validate("Test.Faults"); err != nil {
 		return o, err
@@ -190,16 +188,12 @@ func (o Options) Members() []string {
 }
 
 // EffectiveFaults reports the fault budget a run of t under these options
-// uses: disabled when NoFaults is set, else Options.Faults when any field
-// is set, else the test's own declared budget. It is the single resolution
-// the engine applies, exported so callers surfacing the budget (CLI
-// banners, reports) cannot drift from it.
+// uses: Options.Faults when set, else the test's own declared budget. It is
+// the single resolution the engine applies, exported so callers surfacing
+// the budget (CLI banners, reports) cannot drift from it.
 func (o Options) EffectiveFaults(t Test) Faults {
-	if o.NoFaults {
-		return Faults{}
-	}
-	if o.Faults != (Faults{}) {
-		return o.Faults
+	if o.Faults != nil {
+		return *o.Faults
 	}
 	return t.Faults
 }

@@ -50,10 +50,10 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative iterations", Options{Iterations: -1}, "Options.Iterations", "must be non-negative, got -1"},
 		{"negative max steps", Options{MaxSteps: -5}, "Options.MaxSteps", "must be non-negative, got -5"},
 		{"negative workers", Options{Workers: -2}, "Options.Workers", "must be non-negative, got -2"},
-		{"negative crash budget", Options{Faults: Faults{MaxCrashes: -1}}, "Options.Faults.MaxCrashes", "must be non-negative, got -1"},
-		{"negative drop budget", Options{Faults: Faults{MaxDrops: -4}}, "Options.Faults.MaxDrops", "must be non-negative, got -4"},
-		{"negative duplicate budget", Options{Faults: Faults{MaxDuplicates: -9}}, "Options.Faults.MaxDuplicates", "must be non-negative, got -9"},
-		{"negative torn crash budget", Options{Faults: Faults{MaxTornCrashes: -2}}, "Options.Faults.MaxTornCrashes", "must be non-negative, got -2"},
+		{"negative crash budget", Options{Faults: &Faults{MaxCrashes: -1}}, "Options.Faults.MaxCrashes", "must be non-negative, got -1"},
+		{"negative drop budget", Options{Faults: &Faults{MaxDrops: -4}}, "Options.Faults.MaxDrops", "must be non-negative, got -4"},
+		{"negative duplicate budget", Options{Faults: &Faults{MaxDuplicates: -9}}, "Options.Faults.MaxDuplicates", "must be non-negative, got -9"},
+		{"negative torn crash budget", Options{Faults: &Faults{MaxTornCrashes: -2}}, "Options.Faults.MaxTornCrashes", "must be non-negative, got -2"},
 		{"unknown portfolio member", Options{Portfolio: []string{"random", "quantum"}}, "Options.Portfolio[1]", `unknown scheduler "quantum"`},
 		{"empty portfolio member", Options{Portfolio: []string{"random", ""}}, "Options.Portfolio[1]", `unknown scheduler ""`},
 		{"unknown scheduler", Options{Scheduler: "quantum"}, "Options.Scheduler", `unknown scheduler "quantum"`},
@@ -155,7 +155,7 @@ func TestResolveAcceptsZeroAndPositive(t *testing.T) {
 	for _, o := range []Options{
 		{},
 		{Iterations: 5, MaxSteps: 100, Workers: 2,
-			Faults: Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3}},
+			Faults: &Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3}},
 		{Portfolio: []string{"random", "pct", "random"}},
 		{Scheduler: "dfs", Workers: 8},
 		{Portfolio: []string{"dfs", "random"}, Workers: 8},
@@ -224,7 +224,6 @@ func TestRegisterSchedulerValidation(t *testing.T) {
 		{"", SchedulerSpec{New: dummy}, "non-empty"},
 		{"has space", SchedulerSpec{New: dummy}, "whitespace"},
 		{"has,comma", SchedulerSpec{New: dummy}, "commas"},
-		{"portfolio", SchedulerSpec{New: dummy}, "reserved"},
 		{"nil-new", SchedulerSpec{}, "non-nil"},
 		{"random", SchedulerSpec{New: dummy}, "already registered"},
 	} {

@@ -18,8 +18,8 @@ import (
 // Faults budgets the scheduler-injected faults of one execution. The zero
 // value disables every fault class: CrashPoint never crashes, and
 // SendUnreliable behaves exactly like Send. A Test may declare the budget
-// its scenario needs (Test.Faults); Options.Faults, when any field is set,
-// overrides it wholesale.
+// its scenario needs (Test.Faults); Options.Faults, when set, replaces it
+// wholesale.
 //
 // Budgets are strictly per execution: the runtime counts the crashes,
 // drops and duplicates charged so far, and the pooled engine rewinds those

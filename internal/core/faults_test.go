@@ -170,7 +170,7 @@ func TestDeliveryFaultsDropAndDuplicate(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			o := Options{Scheduler: "random", Iterations: 50, MaxSteps: 300, Seed: 1,
-				Faults: tc.faults, NoReplayLog: true}
+				Faults: &tc.faults, NoReplayLog: true}
 			res := MustExplore(deliveryBugTest(3), o)
 			if !res.BugFound {
 				t.Fatal("no delivery fault was injected in 50 executions")
@@ -198,7 +198,7 @@ func TestDeliveryFaultsDisabledByZeroBudget(t *testing.T) {
 
 func TestCrashPointCrashesWithinBudget(t *testing.T) {
 	o := Options{Scheduler: "random", Iterations: 20, MaxSteps: 300, Seed: 1,
-		Faults: Faults{MaxCrashes: 1}, NoReplayLog: true}
+		Faults: &Faults{MaxCrashes: 1}, NoReplayLog: true}
 	res := MustExplore(crashBugTest(), o)
 	if !res.BugFound {
 		t.Fatal("crash never taken in 20 executions")
@@ -276,7 +276,7 @@ func TestFaultInjectorLifecycle(t *testing.T) {
 		}
 	}
 	o := Options{Scheduler: "random", Iterations: 20, MaxSteps: 300, Seed: 1,
-		Faults: Faults{MaxCrashes: 1}, NoReplayLog: true}
+		Faults: &Faults{MaxCrashes: 1}, NoReplayLog: true}
 	res := MustExplore(build(), o)
 	if !res.BugFound {
 		t.Fatal("injector never crashed anything in 20 executions")
@@ -307,7 +307,7 @@ func TestFaultBudgetsAreCaps(t *testing.T) {
 		},
 	}
 	res := MustExplore(test, Options{Scheduler: "random", Iterations: 300, MaxSteps: 300, Seed: 1,
-		Faults: Faults{MaxDrops: 2}})
+		Faults: &Faults{MaxDrops: 2}})
 	if res.BugFound {
 		t.Fatalf("budget exceeded: %v", res.Report.Error())
 	}
@@ -330,8 +330,8 @@ func (s *minSink) Handle(ctx *Context, ev Event) {
 }
 
 // TestTestFaultsDefaultAndOverride: a Test's declared budget applies when
-// Options.Faults is zero, Options.Faults overrides it wholesale, and
-// NoFaults disables the plane regardless of either.
+// Options.Faults is nil, a set Options.Faults replaces it wholesale, and the
+// zero budget turns the plane off.
 func TestTestFaultsDefaultAndOverride(t *testing.T) {
 	test := crashBugTest()
 	test.Faults = Faults{MaxCrashes: 1}
@@ -342,21 +342,15 @@ func TestTestFaultsDefaultAndOverride(t *testing.T) {
 	// Overriding with a different class replaces the whole budget —
 	// crashes included.
 	res = MustExplore(test, Options{Scheduler: "random", Iterations: 50, MaxSteps: 300, Seed: 1,
-		Faults: Faults{MaxDrops: 1}, NoReplayLog: true})
+		Faults: &Faults{MaxDrops: 1}, NoReplayLog: true})
 	if res.BugFound {
 		t.Fatalf("Options.Faults did not override Test.Faults: %v", res.Report.Error())
 	}
-	// NoFaults disables the scenario's declared budget outright.
+	// The zero budget turns the scenario's declared budget off.
 	res = MustExplore(test, Options{Scheduler: "random", Iterations: 50, MaxSteps: 300, Seed: 1,
-		NoFaults: true, NoReplayLog: true})
+		Faults: &Faults{}, NoReplayLog: true})
 	if res.BugFound {
-		t.Fatalf("NoFaults did not disable the fault plane: %v", res.Report.Error())
-	}
-	// ...and wins over an explicit budget too.
-	res = MustExplore(test, Options{Scheduler: "random", Iterations: 50, MaxSteps: 300, Seed: 1,
-		NoFaults: true, Faults: Faults{MaxCrashes: 3}, NoReplayLog: true})
-	if res.BugFound {
-		t.Fatalf("NoFaults did not win over Options.Faults: %v", res.Report.Error())
+		t.Fatalf("the zero budget did not turn the fault plane off: %v", res.Report.Error())
 	}
 }
 

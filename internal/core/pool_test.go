@@ -130,7 +130,7 @@ func TestPoolingDeterminism(t *testing.T) {
 		{"race-pct", raceTest, Options{Scheduler: "pct", Iterations: 1000, Seed: 42, NoReplayLog: true}},
 		{"fault-heavy", faultHeavyTest, Options{Scheduler: "random", Iterations: 500, Seed: 3, NoReplayLog: true}},
 		{"persist-torn", func() Test { return tornCrashTest(true) }, Options{Scheduler: "random", Iterations: 500, Seed: 3, NoReplayLog: true}},
-		{"fault-heavy-clean", faultHeavyTest, Options{Scheduler: "rr", Iterations: 50, Seed: 1, NoReplayLog: true, NoFaults: true}},
+		{"fault-heavy-clean", faultHeavyTest, Options{Scheduler: "rr", Iterations: 50, Seed: 1, NoReplayLog: true, Faults: &Faults{}}},
 		{"clean-choices", cleanChoiceTest, Options{Scheduler: "random", Iterations: 300, Seed: 9, NoReplayLog: true}},
 	}
 	for _, c := range cases {

@@ -28,26 +28,27 @@ func (s *delayScheduler) Prepare(seed int64, maxSteps int) bool {
 	return true
 }
 
-// pickBaseline returns the round-robin choice among enabled machines that
-// are not currently delayed; if all are delayed, the delay set is cleared
-// (the delayed machines have "caught up to the front").
+// pickBaseline returns rr's choice among the enabled machines that are not
+// delayed: the first above last, else the first. If all are delayed, the
+// delay set is cleared (the delayed machines have "caught up to the front").
 func (s *delayScheduler) pickBaseline(enabled []MachineID) MachineID {
-	candidate := NoMachine
+	first := NoMachine
 	for _, id := range enabled {
-		if int(id) >= len(s.delayed) || !s.delayed[id] {
-			if id > s.last && (candidate == NoMachine || candidate <= s.last) {
-				candidate = id
-			} else if candidate == NoMachine || (candidate <= s.last && id < candidate) ||
-				(candidate > s.last && id > s.last && id < candidate) {
-				candidate = id
-			}
+		if int(id) < len(s.delayed) && s.delayed[id] {
+			continue
+		}
+		if id > s.last {
+			return id
+		}
+		if first == NoMachine {
+			first = id
 		}
 	}
-	if candidate == NoMachine {
+	if first == NoMachine {
 		s.delayed = s.delayed[:0]
 		return s.pickBaseline(enabled)
 	}
-	return candidate
+	return first
 }
 
 func (s *delayScheduler) NextMachine(enabled []MachineID) MachineID {

@@ -190,19 +190,15 @@ const probeDepth = 2
 //
 // Registration is typically done from an init function or at the top of a
 // test. The name must be non-empty, must not contain commas or whitespace
-// (portfolio specs are comma-separated), must not be "portfolio" (the
-// CLIs' sentinel for portfolio mode), and must not already be registered.
-// spec.New is called once here: an instance it builds nil is refused now
-// rather than handed to an exploration worker.
+// (portfolio specs are comma-separated), and must not already be
+// registered. spec.New is called once here: an instance it builds nil is
+// refused now rather than handed to an exploration worker.
 func RegisterScheduler(name string, spec SchedulerSpec) error {
 	if name == "" {
 		return fmt.Errorf("gostorm: RegisterScheduler: name must be non-empty")
 	}
 	if strings.ContainsAny(name, ", \t\n") {
 		return fmt.Errorf("gostorm: RegisterScheduler: name %q must not contain commas or whitespace", name)
-	}
-	if name == "portfolio" {
-		return fmt.Errorf("gostorm: RegisterScheduler: name %q is reserved", name)
 	}
 	if spec.New == nil {
 		return fmt.Errorf("gostorm: RegisterScheduler(%q): spec.New must be non-nil", name)

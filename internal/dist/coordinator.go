@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"sync"
 	"time"
@@ -212,12 +213,21 @@ func (co *Coordinator) lease(now time.Time, req LeaseRequest) (LeaseResponse, er
 // validate rejects a report the plan cannot have produced. Reports arrive
 // from the network, and an accepted one decides the verdict: a span beyond
 // the plan would resolve work nobody ran, a bug off the plan would win it.
-// A bug may lie below From — a calibration execution for an unowned member
-// iteration 0 reports there.
+// The statistics count at most one execution per resolved position, none
+// of which runs past twice the step bound. A bug may lie below From — a
+// calibration execution for an unowned member iteration 0 reports there.
 func (co *Coordinator) validate(req *ReportRequest) error {
 	if !(0 <= req.From && req.From <= req.ResolvedTo && req.ResolvedTo <= req.To && req.To <= co.plan.Total) {
 		return fmt.Errorf("report [%d, %d) resolved to %d is not a prefix of a span of the plan [0, %d)",
 			req.From, req.To, req.ResolvedTo, co.plan.Total)
+	}
+	n, steps, m := int64(req.Executions), req.TotalSteps, int64(co.plan.MaxSteps)
+	if n < 0 || n > req.ResolvedTo-req.From {
+		return fmt.Errorf("report of %d executions on %d resolved positions", n, req.ResolvedTo-req.From)
+	}
+	// steps <= 2*m*n ⇔ ⌈steps/2⌉ <= m*n, the product taken in 128 bits.
+	if hi, lo := bits.Mul64(uint64(m), uint64(n)); steps < 0 || hi == 0 && uint64(steps-steps/2) > lo {
+		return fmt.Errorf("report of %d steps in %d executions of at most %d steps each", steps, n, 2*m)
 	}
 	b := req.Bug
 	if b == nil {

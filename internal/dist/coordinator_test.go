@@ -284,7 +284,7 @@ func TestCoordinatorMatchesModel(t *testing.T) {
 // FuzzReportRequest: the report decoder and validate decide the verdict
 // from bytes off the network. Whatever arrives, the endpoint answers 200 or
 // 400 without panicking, and what an accepted report leaves behind is still
-// a state of the plan.
+// a state of the plan, with no more executions than resolved positions.
 func FuzzReportRequest(f *testing.F) {
 	test := rareOrderTest(3)
 	opts := core.Options{Scheduler: "random", Iterations: 600, Seed: 7, MaxSteps: 500, NoReplayLog: true}
@@ -326,6 +326,8 @@ func FuzzReportRequest(f *testing.F) {
 	seed(400, ReportRequest{Bug: &WireBug{Pos: -3, Iteration: -3, Trace: []byte(`{}`)}})
 	seed(400, ReportRequest{Bug: &WireBug{Pos: 101, Member: 1, Iteration: 50, Trace: []byte(`{}`)}})
 	seed(400, ReportRequest{Bug: &WireBug{Pos: 101, Iteration: 101, Trace: []byte(`{"version":99}`)}})
+	seed(400, ReportRequest{From: 0, To: 256, ResolvedTo: 256, Executions: -1000, TotalSteps: -7})
+	seed(400, ReportRequest{From: 5, To: 6, ResolvedTo: 6, Executions: 1 << 40})
 	f.Add([]byte(`{"candidates":[{"fp":1,"pos":-1,"d":[{"k":"i","v":-1,"n":3}]}]}`))
 	f.Add([]byte(`{"from":0,`))
 
@@ -338,7 +340,8 @@ func FuzzReportRequest(f *testing.F) {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 		st, _ := co.status(time.Now(), struct{}{})
-		if !(0 <= st.Stop && st.Stop <= st.Total && 0 <= st.Frontier && st.Frontier <= st.Resolved && st.Resolved <= st.Total) {
+		if !(0 <= st.Stop && st.Stop <= st.Total && 0 <= st.Frontier && st.Frontier <= st.Resolved && st.Resolved <= st.Total &&
+			0 <= st.Executions && st.Executions <= st.Resolved) {
 			t.Fatalf("accepted %q, and the coordinator says %+v", body, st)
 		}
 	})

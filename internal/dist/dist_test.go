@@ -371,15 +371,16 @@ func TestLeaseExpiryOverHTTP(t *testing.T) {
 
 // TestProtocolVersionMismatch: a join with the wrong protocol version — a
 // later one, protocol 1, whose plans could carry a liveness threshold this
-// build would ignore, or protocol 2, whose plans could carry a pct/delay
-// depth it would ignore — is rejected with a loud 400, and the agent gives
+// build would ignore, protocol 2, whose plans could carry a pct/delay depth
+// it would ignore, or protocol 3, which would read this build's "faults":{}
+// as the test's budget — is rejected with a loud 400, and the agent gives
 // up rather than retrying.
 func TestProtocolVersionMismatch(t *testing.T) {
 	_, srv := startCoordinator(t, Config{
 		Scenario: "choices",
 		Options:  core.Options{Scheduler: "random", Iterations: 10, NoReplayLog: true},
 	}, nil)
-	for _, req := range []JoinRequest{{Protocol: 99, Agent: "future"}, {Protocol: 1, Agent: "v1"}, {Protocol: 2, Agent: "v2"}} {
+	for _, req := range []JoinRequest{{Protocol: 99, Agent: "future"}, {Protocol: 1, Agent: "v1"}, {Protocol: 2, Agent: "v2"}, {Protocol: 3, Agent: "v3"}} {
 		t.Run(req.Agent, func(t *testing.T) {
 			body, _ := json.Marshal(req)
 			resp, err := http.Post(srv.URL+"/v1/join", "application/json", bytes.NewReader(body))
@@ -644,6 +645,11 @@ func TestReportsOffThePlanAreRejected(t *testing.T) {
 		{"bug on the wrong iteration", ReportRequest{Bug: bug(101, 1, 7, trace)}, 400},
 		{"bug without a trace", ReportRequest{Bug: bug(101, 1, 50, nil)}, 400},
 		{"bug with an undecodable trace", ReportRequest{Bug: bug(101, 1, 50, []byte(`{"version":99}`))}, 400},
+		{"negative statistics", ReportRequest{From: 256, To: 512, ResolvedTo: 300, Executions: -1000, TotalSteps: -7}, 400},
+		{"negative steps", ReportRequest{From: 256, To: 512, ResolvedTo: 300, Executions: 10, TotalSteps: -7}, 400},
+		{"more executions than positions", ReportRequest{From: 5, To: 6, ResolvedTo: 6, Executions: 1 << 40}, 400},
+		{"steps without an execution", ReportRequest{From: 256, To: 512, ResolvedTo: 300, TotalSteps: 1}, 400},
+		{"an execution past twice the bound", ReportRequest{From: 256, To: 512, ResolvedTo: 300, Executions: 2, TotalSteps: 4*10000 + 1}, 400},
 		// What honest agents send must keep passing: nothing resolved, a
 		// bug from a calibration execution below From, exactly the lease,
 		// and the same report again.
@@ -686,6 +692,9 @@ func fill(t *testing.T, name string, v reflect.Value) {
 		v.SetInt(int64(7 + len(name)))
 	case reflect.Bool:
 		v.SetBool(true)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(t, name, v.Elem())
 	case reflect.Slice:
 		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
 		for i := 0; i < v.Len(); i++ {
@@ -712,7 +721,10 @@ func fill(t *testing.T, name string, v reflect.Value) {
 // false, which is what the other end resolves when the key is absent or
 // ignored. Dropping the threshold did (protocol 2), and so did dropping
 // pct_depth (protocol 3): gostormd could publish any value, and an agent
-// that ignores the key would explore a different plan.
+// that ignores the key would explore a different plan. Protocol 4 dropped
+// no_faults and made faults a pointer, omitted when unset: a protocol-3
+// agent would read the zero budget "faults":{} — now "no faults" — as "the
+// test's budget".
 func TestPlanOnTheWireIsOptions(t *testing.T) {
 	var sent core.Options
 	typ := reflect.TypeOf(sent)
@@ -749,15 +761,15 @@ func TestPlanOnTheWireIsOptions(t *testing.T) {
 		t.Errorf("options after the wire:\n got %+v\nwant %+v\nwire %s", got, want, data)
 	}
 
-	if ProtocolVersion != 3 {
-		t.Fatalf("ProtocolVersion = %d, but the goldens are protocol 3's join bodies", ProtocolVersion)
+	if ProtocolVersion != 4 {
+		t.Fatalf("ProtocolVersion = %d, but the goldens are protocol 4's join bodies", ProtocolVersion)
 	}
 	for name, o := range map[string]core.Options{
 		"full": {
 			Portfolio: []string{"pct", "random", "delay"}, Seed: -42, Iterations: 1234, MaxSteps: 567,
-			NoLivenessBoundCheck: true, NoFaults: true,
-			Faults:  core.Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3, MaxTornCrashes: 4},
-			Workers: 5, NoReplayLog: true, NoReuse: true,
+			NoLivenessBoundCheck: true,
+			Faults:               &core.Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3, MaxTornCrashes: 4},
+			Workers:              5, NoReplayLog: true, NoReuse: true,
 		},
 		"defaults": {},
 	} {
@@ -768,7 +780,7 @@ func TestPlanOnTheWireIsOptions(t *testing.T) {
 		var w wire
 		var got, want any
 		w.post(t, co.Handler(), "/v1/join", JoinRequest{Protocol: ProtocolVersion, Agent: "golden"}, &got)
-		golden, err := os.ReadFile("testdata/join_v3_" + name + ".json")
+		golden, err := os.ReadFile("testdata/join_v4_" + name + ".json")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -776,7 +788,7 @@ func TestPlanOnTheWireIsOptions(t *testing.T) {
 			t.Fatalf("%s: decoding the golden: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: join body differs from the one recorded under protocol 3:\n got %s want %s", name, w.body.Bytes(), golden)
+			t.Errorf("%s: join body differs from the one recorded under protocol 4:\n got %s want %s", name, w.body.Bytes(), golden)
 		}
 	}
 }

@@ -61,8 +61,10 @@ import (
 // fails loudly instead of diverging. Version 2 removed the liveness
 // threshold and version 3 the pct/delay depth: plan fields that a coordinator
 // of the version before could publish with any value and an agent of this
-// build would silently ignore.
-const ProtocolVersion = 3
+// build would silently ignore. Version 4 removed no_faults and made faults
+// optional: a version-3 agent reads "faults":{} as "the test's budget",
+// where this build's plan means "no faults".
+const ProtocolVersion = 4
 
 // PlanConfig is the exploration plan, published by the coordinator at join
 // time so every agent derives the identical schedule space. The plan on

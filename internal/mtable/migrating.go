@@ -733,9 +733,3 @@ func (mt *MigratingTable) Phase(partition string) (Phase, error) {
 	}
 	return c.phase, nil
 }
-
-// Invalidate drops the cached migration state of a partition, forcing the
-// next operation to re-read it (tests/tooling).
-func (mt *MigratingTable) Invalidate(partition string) {
-	mt.cacheFor(partition).valid = false
-}

@@ -132,10 +132,10 @@ func WithWorkers(n int) Option {
 	return positive("WithWorkers", n, func(o *core.Options) { o.Workers = n })
 }
 
-// WithFaults overrides the test's declared fault budget wholesale for
-// this run. The zero budget disables the fault plane entirely (equivalent
-// to WithNoFaults): CrashPoint declines, SendUnreliable behaves like
-// Send, injector machines halt.
+// WithFaults replaces the test's declared fault budget wholesale for this
+// run. The zero budget turns the fault plane off, as WithNoFaults does:
+// CrashPoint declines, SendUnreliable behaves like Send, injector machines
+// halt.
 func WithFaults(f Faults) Option {
 	return func(c *config) {
 		if err := f.Validate(); err != nil {
@@ -150,25 +150,14 @@ func WithFaults(f Faults) Option {
 			}
 			return
 		}
-		if f == (Faults{}) {
-			c.opts.NoFaults = true
-			c.opts.Faults = Faults{}
-			return
-		}
-		c.opts.NoFaults = false
-		c.opts.Faults = f
+		c.opts.Faults = &f
 	}
 }
 
-// WithNoFaults disables the fault plane outright, overriding both a
-// WithFaults option and the test's declared budget — the way to run a
-// fault-budgeted scenario crash-free.
-func WithNoFaults() Option {
-	return func(c *config) {
-		c.opts.NoFaults = true
-		c.opts.Faults = Faults{}
-	}
-}
+// WithNoFaults turns the fault plane off, whatever the test declares — the
+// way to run a fault-budgeted scenario crash-free. It is WithFaults of the
+// zero budget.
+func WithNoFaults() Option { return WithFaults(Faults{}) }
 
 // WithNoReuse disables the pooled execution engine: every execution gets
 // a freshly allocated runtime with fresh machine goroutines, inboxes and

@@ -450,8 +450,8 @@ func TestResolveReportsEffectiveConfig(t *testing.T) {
 		cfg.Workers < 1 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if cfg.Faults != (gostorm.Faults{MaxCrashes: 2}) {
-		t.Fatalf("declared budget not reported: %+v", cfg.Faults)
+	if *cfg.Faults != (gostorm.Faults{MaxCrashes: 2}) {
+		t.Fatalf("declared budget not reported: %+v", *cfg.Faults)
 	}
 
 	cfg, err = gostorm.Resolve(test, gostorm.WithNoFaults(), gostorm.WithScheduler("dfs"),
@@ -459,8 +459,8 @@ func TestResolveReportsEffectiveConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Faults != (gostorm.Faults{}) {
-		t.Fatalf("WithNoFaults not resolved: %+v", cfg.Faults)
+	if *cfg.Faults != (gostorm.Faults{}) {
+		t.Fatalf("WithNoFaults not resolved: %+v", *cfg.Faults)
 	}
 	if cfg.Workers != 1 {
 		t.Fatalf("sequential scheduler not clamped to one worker: %+v", cfg)
@@ -477,8 +477,8 @@ func TestResolveReportsEffectiveConfig(t *testing.T) {
 	if cfg.Scheduler != "" || len(cfg.Portfolio) != 2 {
 		t.Fatalf("portfolio not reported: %+v", cfg)
 	}
-	if cfg.Faults != (gostorm.Faults{MaxDrops: 3}) {
-		t.Fatalf("WithFaults override not resolved: %+v", cfg.Faults)
+	if *cfg.Faults != (gostorm.Faults{MaxDrops: 3}) {
+		t.Fatalf("WithFaults override not resolved: %+v", *cfg.Faults)
 	}
 
 	// The strategy axis is last-wins, like every other option: layering

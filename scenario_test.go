@@ -41,7 +41,8 @@ func TestScenarioOptionsCoverCatalog(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: the catalog entry's options do not resolve: %v", sc.Name, err)
 		}
-		want.Faults = want.EffectiveFaults(test)
+		f := want.EffectiveFaults(test)
+		want.Faults = &f
 		if !reflect.DeepEqual(cfg, want) {
 			t.Fatalf("%s: resolved config diverges from catalog recommendation:\nresolved: %+v\ncatalog:  %+v",
 				sc.Name, cfg, want)

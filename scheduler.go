@@ -32,8 +32,8 @@ import (
 //
 // Registration is typically done from an init function or at the top of
 // a test. The name must be non-empty, must not contain commas or
-// whitespace, must not be "portfolio", and must not already be
-// registered; spec.New must build a non-nil instance.
+// whitespace, and must not already be registered; spec.New must build a
+// non-nil instance.
 func RegisterScheduler(name string, spec SchedulerSpec) error {
 	return core.RegisterScheduler(name, spec)
 }
