@@ -48,16 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	// Checked before the join: a bad value must not take a lease it would
-	// then strand until the lease expires.
-	switch {
-	case *workers < 0:
-		fmt.Fprintf(stderr, "gostorm-agent: -workers must be non-negative, got %d\n", *workers)
-		return 2
-	case *poll < 0:
-		fmt.Fprintf(stderr, "gostorm-agent: -poll must be non-negative, got %v\n", *poll)
-		return 2
-	}
 	if *name == "" {
 		host, err := os.Hostname()
 		if err != nil {

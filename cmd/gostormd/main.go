@@ -9,9 +9,8 @@
 // fixed -seed and plan, the winning bug (member, iteration, trace bytes)
 // is bit-identical whatever the fleet size or agent churn. The plan flags
 // are systest's own (cmd/internal/runflags), so `systest` with the same
-// flags explores the same plan in one process. A plan with a dfs or
-// mutational member runs whole and is refused here, as `systest -shard`
-// refuses it.
+// flags explores the same plan in one process. A plan with a mutational
+// member runs whole and is refused here, as `systest -shard` refuses it.
 //
 // Usage:
 //
@@ -61,16 +60,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, gostorm.DescribeScenarios())
 		return 0
 	}
-	// dist.New reads a non-positive lease size or TTL as its default, so a
-	// negative one is rejected here rather than silently replaced.
-	switch {
-	case *leaseSize < 0:
-		fmt.Fprintf(stderr, "gostormd: -lease must be non-negative, got %d\n", *leaseSize)
-		return 2
-	case *leaseTTL < 0:
-		fmt.Fprintf(stderr, "gostormd: -lease-ttl must be non-negative, got %v\n", *leaseTTL)
-		return 2
-	case *linger < 0:
+	// dist.New checks -lease and -lease-ttl; -linger is this binary's own.
+	if *linger < 0 {
 		fmt.Fprintf(stderr, "gostormd: -linger must be non-negative, got %v\n", *linger)
 		return 2
 	}

@@ -41,7 +41,7 @@ func TestPlanFlagsFailUpFront(t *testing.T) {
 		{"empty portfolio member", []string{"-test", "replsys", "-portfolio", "random,,pct"}, "empty member"},
 		{"portfolio is not a scheduler", []string{"-test", "replsys", "-scheduler", "portfolio"}, "unknown scheduler"},
 		{"portfolio is spelled only -portfolio", []string{"-test", "replsys", "-scheduler", "portfolio", "-portfolio", "pct,delay"}, "-portfolio conflicts with -scheduler portfolio"},
-		{"portfolio vs scheduler conflict", []string{"-test", "replsys", "-scheduler", "dfs", "-portfolio", "random"}, "-portfolio conflicts with -scheduler dfs"},
+		{"portfolio vs scheduler conflict", []string{"-test", "replsys", "-scheduler", "rr", "-portfolio", "random"}, "-portfolio conflicts with -scheduler rr"},
 		{"explicit default scheduler still conflicts", []string{"-test", "replsys", "-scheduler", "random", "-portfolio", "pct,delay"}, "-portfolio conflicts with -scheduler random"},
 		{"missing test", []string{"-scheduler", "random"}, "-test is required"},
 		{"unknown scenario", []string{"-test", "nope"}, "unknown scenario nope"},

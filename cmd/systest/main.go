@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	planFlags := runflags.Register(fs)
 	var (
-		workers    = fs.Int("workers", 0, "size of the one pool of exploration workers, shared by all portfolio members (0 = one per CPU; dfs and replay always use 1)")
+		workers    = fs.Int("workers", 0, "size of the one pool of exploration workers, shared by all portfolio members (0 = one per CPU; replay always uses 1)")
 		shard      = fs.String("shard", "", "explore only shard i/n of the schedule plan (e.g. 0/4); the union of all n shards covers the full run")
 		traceOut   = fs.String("trace-out", "", "write the buggy trace to this file")
 		replay     = fs.String("replay", "", "replay a trace file instead of exploring")
@@ -260,8 +260,7 @@ func runShard(stdout, stderr io.Writer, target gostorm.Test, scenario string, cf
 	return reportBug(stdout, stderr, res.Report, traceOut, verbose)
 }
 
-// describeWorkers renders the resolved worker count, which Resolve has
-// already clamped to 1 for a plan with a sequential scheduler.
+// describeWorkers renders the resolved worker count.
 func describeWorkers(cfg gostorm.Config) string {
 	if cfg.Workers == 1 {
 		return "1 worker"

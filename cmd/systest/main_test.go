@@ -310,8 +310,8 @@ func TestCLIShardFlagValidation(t *testing.T) {
 		{[]string{"-test", "wal-torn-tail", "-shard", "-1/3"}, "shard index must be in [0, 3)"},
 		{[]string{"-test", "wal-torn-tail", "-shard", "0/0"}, "shard count must be positive"},
 		{[]string{"-test", "wal-torn-tail", "-shard", "0/2", "-replay", "x.trace"}, "conflicts with -replay"},
-		{[]string{"-test", "wal-torn-tail", "-shard", "0/2", "-scheduler", "dfs"}, "cannot explore a sub-range"},
 		{[]string{"-test", "wal-torn-tail", "-shard", "0/2", "-scheduler", "mutational"}, "cannot explore a sub-range"},
+		{[]string{"-test", "wal-torn-tail", "-shard", "0/2", "-scheduler", "dfs"}, `unknown scheduler "dfs"`},
 	} {
 		out, code := runSystest(t, tc.args...)
 		if code != 2 {

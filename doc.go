@@ -28,11 +28,11 @@
 //
 // Explore is the single entry point: it repeatedly executes the harness,
 // each time under a different schedule, until a safety or liveness
-// violation is found or the budget is exhausted — fully automatic, no
+// violation is found or the budget is spent — fully automatic, no
 // false positives, every bug witnessed by a Trace that Replay reproduces
 // decision for decision. Functional options configure the run:
 // WithScheduler picks a strategy ("random", "pct", "rr", "delay",
-// "dfs"), WithPortfolio races several at once, WithFaults sets the
+// "mutational"), WithPortfolio races several at once, WithFaults sets the
 // fault-injection budget, WithWorkers the parallelism, and so on; a bad
 // value comes back as a typed *ConfigError, never a panic.
 //
@@ -51,8 +51,7 @@
 // and all there is to Resolve and PlanSize — checks the bounds, the fault
 // budgets and every scheduler name against the registry, and fills in the
 // defaults (random scheduler, 10,000 executions of up to 10,000 steps,
-// one worker per CPU; one worker when any scheduler of the plan
-// is sequential; a hot execution may run to twice the bound, see
+// one worker per CPU; a hot execution may run to twice the bound, see
 // Liveness). A run states its fault budget once, or not at all: unset,
 // it is the test's declared one. Resolve returns the result without
 // running anything, so a banner or a dashboard shows what Explore will do
@@ -73,11 +72,7 @@
 //
 //   - Claiming. One pool of WithWorkers goroutines claims positions from
 //     one counter; every worker serves every member, with its own
-//     scheduler instance per member and its own execution pool. A
-//     sequential scheduler (dfs) backtracks through its previous
-//     execution, so a plan with one runs on a single worker, which visits
-//     the positions in order — whether dfs is the whole run or one member
-//     of a portfolio.
+//     scheduler instance per member and its own execution pool.
 //   - First bug wins. The pruning bound is the lowest buggy position seen
 //     so far. Workers refuse to start, and abort in flight, positions at
 //     or beyond it and always finish lower ones, so the reported bug is
@@ -96,15 +91,14 @@
 //     in fixed-size generation windows with the corpus frozen inside a
 //     window and merged, in position order, at the barrier between two;
 //     without one the whole range is a single window.
-//   - Whole plans. A sequential member ties each position to the
-//     execution before it, and a feedback member to the corpus every
-//     earlier position built, so a plan with either runs whole:
+//   - Whole plans. A feedback member ties each position to the corpus
+//     every earlier position built, so a plan with one runs whole:
 //     ExploreShard refuses a proper sub-range of it, and the distributed
 //     coordinator refuses the plan.
-//   - Statistics. Executions, TotalSteps, the per-member Portfolio
-//     statistics and exhaustion are folded in position order as positions
-//     resolve, over the contiguous resolved prefix up to the winning
-//     position: exactly what a one-worker run performs before it stops.
+//   - Statistics. Executions, TotalSteps and the per-member Portfolio
+//     statistics are folded in position order as positions resolve, over
+//     the contiguous resolved prefix up to the winning position: exactly
+//     what a one-worker run performs before it stops.
 //     A position resolved ahead of the prefix waits until the gap below it
 //     closes, so bookkeeping grows with that out-of-order span, not with
 //     the executions done: nothing on one worker, a few positions per
@@ -115,13 +109,14 @@
 //
 // An execution that ends with a monitor hot is a liveness bug, and so, by
 // the paper's heuristic, is one still hot after the step bound: it is
-// treated as infinite. That holds only under a fair schedule, which pct,
-// delay and dfs are not. So the runtime, whatever the scheduler, ends an
+// treated as infinite. That holds only under a fair schedule, which pct
+// and delay are not. So the runtime, whatever the scheduler, ends an
 // execution in a uniform tail (P#'s unfair prefix, fair suffix) once it
 // outlives eight pinned length estimates, fault choices counted as steps,
 // or reaches the bound with a monitor hot. Tail choices are recorded like
 // any other and drawn from the member's own seeded stream, else from one
-// seeded by the execution (so dfs takes the tail for a leaf). Past the
+// seeded by the execution (so a scheduler with no stream, like the test
+// suite's exhaustive dfs oracle, takes the tail for a leaf). Past the
 // bound the execution ends clean the first step no monitor is hot and
 // reports if one still is at twice the bound, which none runs past.
 //
@@ -131,7 +126,7 @@
 // seed and option set. The loop above is why: which goroutine runs a
 // position is irrelevant to what it explores, the winning (member,
 // iteration, trace) is decided by plan order, and the statistics count
-// only positions a sequential run would have reached. The loop reads the
+// only positions a one-worker run would have reached. The loop reads the
 // wall clock only to report elapsed time and takes no callback, so the
 // outcome is a function of the plan, the range and a shard's Stop bound
 // alone; a caller that must cut a run short lowers Stop. Pooling (see
@@ -157,8 +152,7 @@
 // (VerifyScheduler runs the same checks the repository's tests apply to
 // the built-ins), and — when its instances implement LengthHinted —
 // calibrated by the engine exactly like pct and delay, with nothing to
-// declare: a SchedulerSpec holds only a constructor and whether the
-// scheduler is sequential, the one fact an instance cannot state.
+// declare: registering takes only a name and a constructor.
 // One interface resolves every kind of choice: a Scheduler answers a
 // fault choice point through NextFault as it answers the others. There is
 // no uniform fallback; a scheduler with no strategy for faults draws their
@@ -368,9 +362,9 @@
 // exception: for a fixed seed and plan, the winning (member, iteration,
 // trace bytes) — and, on clean runs, the canonical execution statistics —
 // are bit-identical whatever the fleet size, lease size, agent arrival
-// order, or agent churn. A plan with a sequential or feedback member is
-// refused, by the rule ExploreShard applies to a sub-range, because its
-// positions cannot be explored a lease at a time.
+// order, or agent churn. A plan with a feedback member is refused, by the
+// rule ExploreShard applies to a sub-range, because its positions cannot be
+// explored a lease at a time.
 //
 // # Performance and pooling
 //

@@ -42,7 +42,6 @@ type equivalenceFixture struct {
 	Executions int      `json:"executions"`
 	TotalSteps int64    `json:"totalSteps"`
 	Choices    int      `json:"choices"`
-	Exhausted  bool     `json:"exhausted"`
 	Winner     int      `json:"winner"`
 	Iteration  int      `json:"iteration"`
 	Kind       string   `json:"kind"`
@@ -55,7 +54,6 @@ type equivalenceFixture struct {
 		Executions int    `json:"executions"`
 		TotalSteps int64  `json:"totalSteps"`
 		Winner     bool   `json:"winner"`
-		Exhausted  bool   `json:"exhausted"`
 	} `json:"members"`
 	Trace json.RawMessage `json:"trace"`
 }
@@ -123,9 +121,8 @@ func assertMatchesFixture(t *testing.T, f equivalenceFixture, workers int) {
 		t.Fatalf("%s/workers=%d: statistics diverge from the pre-redesign engine:\nexplore: execs=%d steps=%d choices=%d\nfixture: execs=%d steps=%d choices=%d",
 			f.Name, workers, res.Executions, res.TotalSteps, res.Choices, f.Executions, f.TotalSteps, f.Choices)
 	}
-	if res.Exhausted != f.Exhausted || res.Winner != f.Winner {
-		t.Fatalf("%s/workers=%d: Exhausted/Winner = %v/%d, fixture %v/%d",
-			f.Name, workers, res.Exhausted, res.Winner, f.Exhausted, f.Winner)
+	if res.Winner != f.Winner {
+		t.Fatalf("%s/workers=%d: Winner = %d, fixture %d", f.Name, workers, res.Winner, f.Winner)
 	}
 	if len(res.Portfolio) != len(f.Members) {
 		t.Fatalf("%s/workers=%d: %d member stats, fixture %d", f.Name, workers, len(res.Portfolio), len(f.Members))
@@ -136,7 +133,7 @@ func assertMatchesFixture(t *testing.T, f equivalenceFixture, workers int) {
 		// only compared at the fixture's own budget (handled below); the
 		// canonical fields must match at every worker count.
 		if ms.Scheduler != fm.Scheduler || ms.Executions != fm.Executions ||
-			ms.TotalSteps != fm.TotalSteps || ms.Winner != fm.Winner || ms.Exhausted != fm.Exhausted {
+			ms.TotalSteps != fm.TotalSteps || ms.Winner != fm.Winner {
 			t.Fatalf("%s/workers=%d: member %d diverges:\nexplore: %+v\nfixture: %+v", f.Name, workers, m, ms, fm)
 		}
 	}

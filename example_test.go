@@ -122,10 +122,7 @@ type newestFirst struct{ rng *rand.Rand }
 
 func (s *newestFirst) Name() string { return "newest-first" }
 
-func (s *newestFirst) Prepare(seed int64, _ int) bool {
-	s.rng.Seed(seed)
-	return true
-}
+func (s *newestFirst) Prepare(seed int64, _ int) { s.rng.Seed(seed) }
 
 func (s *newestFirst) NextMachine(enabled []gostorm.MachineID) gostorm.MachineID {
 	return enabled[len(enabled)-1]
@@ -139,8 +136,8 @@ func (s *newestFirst) NextFault(c gostorm.FaultChoice) int { return s.rng.Intn(c
 // engine's conformance contract, and races it in a portfolio alongside
 // the built-ins — no engine changes required.
 func ExampleRegisterScheduler() {
-	err := gostorm.RegisterScheduler("newest-first", gostorm.SchedulerSpec{
-		New: func() gostorm.Scheduler { return &newestFirst{rng: gostorm.NewRand()} },
+	err := gostorm.RegisterScheduler("newest-first", func() gostorm.Scheduler {
+		return &newestFirst{rng: gostorm.NewRand()}
 	})
 	fmt.Println("registered:", err == nil)
 	fmt.Println("conformant:", gostorm.VerifyScheduler("newest-first") == nil)

@@ -6,9 +6,9 @@ import (
 
 // Explore systematically tests t: it executes the harness repeatedly,
 // each time under a different schedule, until a safety or liveness
-// violation is found, the iteration/time budget is exhausted, or the
-// schedule space is fully covered — the paper's testing process, fully
-// automatic, with every bug witnessed by a replayable trace.
+// violation is found or the iteration budget is spent — the paper's
+// testing process, fully automatic, with every bug witnessed by a
+// replayable trace.
 //
 // Explore is the package's single entry point: WithScheduler selects one
 // exploration strategy, WithPortfolio races several, and both report the
@@ -61,12 +61,10 @@ type Config = core.Options
 // Resolve reports the configuration a run of t under the given options
 // would use, without executing anything, so tools — CLI banners,
 // dashboards — report exactly what Explore will do: the engine's own
-// validation and defaults (Workers is 1 when any scheduler of the plan is
-// sequential), Scheduler "" for a portfolio run, and Faults the effective
-// budget, never nil (the last WithFaults or WithNoFaults, else the test's
-// declared one).
-// Invalid options are reported as the same *ConfigError Explore would
-// return.
+// validation and defaults, Scheduler "" for a portfolio run, and Faults
+// the effective budget, never nil (the last WithFaults or WithNoFaults,
+// else the test's declared one). Invalid options are reported as the same
+// *ConfigError Explore would return.
 func Resolve(t Test, opts ...Option) (Config, error) {
 	c, err := resolve(opts)
 	if err != nil {

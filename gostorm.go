@@ -109,11 +109,6 @@ type (
 	// Scheduler resolves every nondeterministic choice of an execution:
 	// which enabled machine runs, RandomBool/RandomInt, and every fault.
 	Scheduler = core.Scheduler
-	// SchedulerSpec describes one registered scheduler: whether it is
-	// Sequential, and a constructor, which must build a non-nil instance.
-	// Whether it is adaptive or feedback-driven its instances say by
-	// implementing LengthHinted or FeedbackScheduler.
-	SchedulerSpec = core.SchedulerSpec
 	// LengthHinted is implemented by adaptive schedulers that accept the
 	// engine's shared program-length estimate.
 	LengthHinted = core.LengthHinted

@@ -90,14 +90,11 @@ func compareStreams(name, what string, a, b []string) error {
 //     NextBool/NextInt/NextFault stay in range on valid input;
 //   - two fresh instances from one factory make identical decisions for
 //     the same seed (the property the parallel worker pool rests on);
-//   - Prepare reseeding is total for non-sequential schedulers:
-//     re-preparing the same instance with the same seed reproduces the
-//     identical decision stream, with no state leaking across executions.
-//     Adaptive schedulers (LengthHinted) are checked under a pinned length
-//     estimate, which is exactly how the engine runs them. Sequential
-//     schedulers (dfs) are exempt by contract — their Prepare deliberately
-//     advances to the next branch of their enumeration — and are checked
-//     for fresh-instance determinism only;
+//   - Prepare reseeding is total: re-preparing the same instance with the
+//     same seed reproduces the identical decision stream, with no state
+//     leaking across executions. Adaptive schedulers (LengthHinted) are
+//     checked under a pinned length estimate, which is exactly how the
+//     engine runs them;
 //   - with exactly one enabled machine the scheduler picks it, whatever
 //     its internal state;
 //   - a scheduler that implements FeedbackScheduler is additionally checked
@@ -143,9 +140,7 @@ func VerifySchedulerConformance(name string) error {
 
 	// Singleton enabled set: with one choice there is no choice.
 	s := f.New()
-	if !s.Prepare(3, 1000) {
-		return fmt.Errorf("%s: Prepare(3) refused the first execution", name)
-	}
+	s.Prepare(3, 1000)
 	for step := 0; step < 50; step++ {
 		only := MachineID(step % 11)
 		if got := s.NextMachine([]MachineID{only}); got != only {
@@ -166,9 +161,8 @@ func verifyFactoryDeterminism(name string, f SchedulerFactory) error {
 		if a == b {
 			return fmt.Errorf("%s: factory handed out the same instance twice", name)
 		}
-		if !a.Prepare(seed, 1000) || !b.Prepare(seed, 1000) {
-			return fmt.Errorf("%s: Prepare(%d) refused the first execution", name, seed)
-		}
+		a.Prepare(seed, 1000)
+		b.Prepare(seed, 1000)
 		sa, err := conformanceDrive(name, a)
 		if err != nil {
 			return err
@@ -181,12 +175,7 @@ func verifyFactoryDeterminism(name string, f SchedulerFactory) error {
 			return err
 		}
 
-		if f.Sequential() {
-			continue
-		}
-		if !a.Prepare(seed, 1000) {
-			return fmt.Errorf("%s: re-Prepare(%d) refused (reseeding must be total)", name, seed)
-		}
+		a.Prepare(seed, 1000)
 		sc, err := conformanceDrive(name, a)
 		if err != nil {
 			return err

@@ -79,22 +79,13 @@ var probeFaults = Faults{MaxCrashes: 1, MaxDrops: 1, MaxDuplicates: 1, MaxTornCr
 // automatically, every future one) to the fault-plane contract: an
 // execution of the fault probe records timer, crash and deliver decision
 // kinds, and the recorded trace round-trips through encode → decode →
-// replay, reproducing the same outcome decision for decision.
+// replay, reproducing the same outcome decision for decision. The oracle's
+// dfs is held to it too, on its first leaf.
 func TestSchedulerConformanceFaultPlane(t *testing.T) {
-	for _, name := range SchedulerNames() {
-		name := name
+	for _, name := range append(SchedulerNames(), "dfs") {
 		t.Run(name, func(t *testing.T) {
-			f, err := NewSchedulerFactory(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.Adaptive() {
-				f = f.WithLengthHint(100)
-			}
-			sched := f.New()
-			if !sched.Prepare(11, 300) {
-				t.Fatal("Prepare refused the first execution")
-			}
+			sched := newScheduler(t, name, 100)
+			sched.Prepare(11, 300)
 			r := newRuntime(sched, runtimeConfig{
 				maxSteps: 300, faults: probeFaults,
 			})
@@ -140,16 +131,12 @@ func TestSchedulerConformanceFaultPlane(t *testing.T) {
 }
 
 // TestSchedulerConformanceSingletonEnabled: with exactly one enabled
-// machine every scheduler must pick it, whatever its internal state.
+// machine every scheduler must pick it, whatever its internal state; the
+// oracle's dfs too.
 func TestSchedulerConformanceSingletonEnabled(t *testing.T) {
-	for _, name := range SchedulerNames() {
-		name := name
+	for _, name := range append(SchedulerNames(), "dfs") {
 		t.Run(name, func(t *testing.T) {
-			f, err := NewSchedulerFactory(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := f.New()
+			s := newScheduler(t, name, 0)
 			s.Prepare(3, 1000)
 			for step := 0; step < 50; step++ {
 				only := MachineID(step % 11)

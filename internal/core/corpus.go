@@ -35,13 +35,14 @@ const defaultCorpusSize = 64
 // generation i/feedbackRoundSize, whatever the parallelism.
 const feedbackRoundSize = 64
 
-// corpusEntry is one recorded execution: its fingerprint, the canonical
-// iteration that produced it, and its full decision sequence in the
-// versioned trace format (the same []Decision a Trace carries), ready for
-// prefix splicing.
+// corpusEntry is one recorded execution: its fingerprint, the global plan
+// position that produced it (iteration i of member m sits at i*nm + m, so
+// in a portfolio the position is not the iteration), and its full decision
+// sequence in the versioned trace format (the same []Decision a Trace
+// carries), ready for prefix splicing.
 type corpusEntry struct {
 	fingerprint uint64
-	iteration   int
+	position    int
 	decisions   []Decision
 }
 
@@ -99,12 +100,12 @@ func (c *Corpus) full() bool { return len(c.entries) >= c.cap }
 // Add records an entry, refusing duplicates, empty decision sequences and
 // capacity overflow, and reports whether it was admitted. Within the engine
 // only generation barriers call it.
-func (c *Corpus) Add(fp uint64, iteration int, decisions []Decision) bool {
+func (c *Corpus) Add(fp uint64, position int, decisions []Decision) bool {
 	if c.full() || c.seen[fp] || len(decisions) == 0 {
 		return false
 	}
 	c.seen[fp] = true
-	c.entries = append(c.entries, corpusEntry{fingerprint: fp, iteration: iteration, decisions: decisions})
+	c.entries = append(c.entries, corpusEntry{fingerprint: fp, position: position, decisions: decisions})
 	return true
 }
 
@@ -121,19 +122,21 @@ type corpusJSON struct {
 	Entries []corpusEntryJSON `json:"entries"`
 }
 
+// corpusEntryJSON keeps the "it" key the format was first written with;
+// it holds the entry's global plan position.
 type corpusEntryJSON struct {
 	Fingerprint uint64     `json:"fp"`
-	Iteration   int        `json:"it"`
+	Position    int        `json:"it"`
 	Decisions   []Decision `json:"d"`
 }
 
 // Encode serializes the corpus — capacity, entries in canonical insertion
-// order, each with its fingerprint, recording iteration, and full decision
-// sequence.
+// order, each with its fingerprint, the global plan position that recorded
+// it, and full decision sequence.
 func (c *Corpus) Encode() ([]byte, error) {
 	out := corpusJSON{Version: CorpusVersion, Cap: c.cap, Entries: make([]corpusEntryJSON, len(c.entries))}
 	for i, e := range c.entries {
-		out.Entries[i] = corpusEntryJSON{Fingerprint: e.fingerprint, Iteration: e.iteration, Decisions: e.decisions}
+		out.Entries[i] = corpusEntryJSON{Fingerprint: e.fingerprint, Position: e.position, Decisions: e.decisions}
 	}
 	return json.Marshal(&out)
 }
@@ -167,7 +170,7 @@ func DecodeCorpus(data []byte) (*Corpus, error) {
 		if c.seen[e.Fingerprint] {
 			return nil, fmt.Errorf("core: decoding corpus: duplicate fingerprint %#x at entry %d", e.Fingerprint, i)
 		}
-		c.Add(e.Fingerprint, e.Iteration, e.Decisions)
+		c.Add(e.Fingerprint, e.Position, e.Decisions)
 	}
 	return c, nil
 }

@@ -9,11 +9,11 @@ import "testing"
 // number of distinct executions explored.
 func countSchedules(t *testing.T, test Test) int {
 	t.Helper()
-	res := MustExplore(test, Options{Scheduler: "dfs", Iterations: 1 << 20, NoReplayLog: true})
+	res, exhausted := exploreDFS(test, Options{Iterations: 1 << 20, NoReplayLog: true})
 	if res.BugFound {
 		t.Fatalf("unexpected bug: %v", res.Report.Error())
 	}
-	if !res.Exhausted {
+	if !exhausted {
 		t.Fatal("dfs did not exhaust the schedule space")
 	}
 	return res.Executions

@@ -115,9 +115,7 @@ func TestEnabledSetCrossCheck(t *testing.T) {
 					NoReuse:           noReuse,
 					debugCheckEnabled: true,
 				}
-				if _, err := Explore(test, o); err != nil {
-					t.Fatalf("%s/%s noReuse=%v: %v", test.Name, sched, noReuse, err)
-				}
+				exploreWith(test, o)
 			}
 		}
 	}

@@ -35,8 +35,8 @@ type Test struct {
 // dist's TestPlanOnTheWireIsOptions fails on an untagged one.
 type Options struct {
 	// Scheduler names the exploration strategy: any registered scheduler
-	// ("random" — the default —, "pct", "rr", "delay", "dfs",
-	// "mutational", or a name added via RegisterScheduler). Ignored when
+	// ("random" — the default —, "pct", "rr", "delay", "mutational", or a
+	// name added via RegisterScheduler). Ignored when
 	// Portfolio is non-empty.
 	Scheduler string `json:"scheduler,omitempty"`
 	// Portfolio, when non-empty, races the named schedulers against the
@@ -63,19 +63,17 @@ type Options struct {
 	// (default runtime.NumCPU()). Every worker serves every member of a
 	// portfolio — a three-member portfolio at Workers: 1 runs on one
 	// worker — and owns an independent Scheduler instance per member, so
-	// no mutable scheduler state is shared. A plan with a sequential
-	// member (dfs) runs on one worker, which visits the positions in
-	// order, and trace replay is single-threaded, whatever this setting.
+	// no mutable scheduler state is shared. Trace replay is
+	// single-threaded, whatever this setting.
 	//
-	// For every non-sequential scheduler the Result — including which bug
-	// is found, its trace, Executions and TotalSteps — is identical for
-	// every worker count. Schedulers whose executions are pure functions
-	// of the per-iteration seed (random, rr) have this property natively;
-	// for the adaptive schedulers (pct, delay) the engine runs iteration 0
-	// first as a calibration execution and pins the observed step count as
-	// a shared program-length estimate on every scheduler instance, so
-	// their decision streams become pure functions of the iteration seed
-	// too (see SchedulerFactory.WithLengthHint).
+	// The Result — including which bug is found, its trace, Executions and
+	// TotalSteps — is identical for every worker count. Schedulers whose
+	// executions are pure functions of the per-iteration seed (random, rr)
+	// have this property natively; for the adaptive schedulers (pct, delay)
+	// the engine runs iteration 0 first as a calibration execution and pins
+	// the observed step count as a shared program-length estimate on every
+	// scheduler instance, so their decision streams become pure functions
+	// of the iteration seed too (see SchedulerFactory.WithLengthHint).
 	Workers int `json:"-"`
 	// NoLivenessBoundCheck disables the treat-bound-as-infinite liveness
 	// heuristic: an execution ends clean at MaxSteps, with no tail past it
@@ -118,10 +116,10 @@ const (
 // it validates o (negative bounds, the scheduler and every portfolio member
 // against the registry, the fault budgets of o and of t), applies the engine
 // defaults (scheduler "random", 10,000 iterations of 10,000 steps, one
-// worker per CPU) and clamps Workers to 1 when any member is
-// sequential. Explore, ExploreShard and Replay start with it; the
+// worker per CPU). Explore, ExploreShard and Replay start with it; the
 // public package's Resolve and PlanSize and the distributed coordinator
-// call it too, so what a viewer reports is what a run uses. A caller with no test at hand passes the zero Test. Errors are
+// call it too, so what a viewer reports is what a run uses. A caller with
+// no test at hand passes the zero Test. Errors are
 // *ConfigError values naming the field at fault; the result of a successful
 // call resolves to itself.
 func (o Options) Resolve(t Test) (Options, error) {
@@ -163,15 +161,11 @@ func (o Options) Resolve(t Test) (Options, error) {
 	}
 
 	for m, name := range o.Members() {
-		spec, err := lookupScheduler(name)
-		if err != nil {
+		if _, err := lookupScheduler(name); err != nil {
 			if len(o.Portfolio) > 0 {
 				err.Field = fmt.Sprintf("Options.Portfolio[%d]", m)
 			}
 			return o, err
-		}
-		if spec.Sequential {
-			o.Workers = 1
 		}
 	}
 	return o, nil
@@ -235,10 +229,6 @@ type Result struct {
 	Choices int
 	// Elapsed is the wall-clock time of the run.
 	Elapsed time.Duration
-	// Exhausted reports that the scheduler covered its entire schedule
-	// space (only the dfs scheduler does). A portfolio run reports
-	// exhaustion only when every member exhausted its space.
-	Exhausted bool
 	// Portfolio holds per-member statistics when the run raced a scheduler
 	// portfolio (Options.Portfolio); nil for single-scheduler runs.
 	Portfolio []MemberStats
@@ -264,21 +254,16 @@ func (res Result) String() string {
 		return fmt.Sprintf("bug found after %d execution(s), %.2fs, %d choices: %s",
 			res.Executions, res.Elapsed.Seconds(), res.Choices, res.Report.Error())
 	}
-	suffix := ""
-	if res.Exhausted {
-		suffix = " (schedule space exhausted)"
-	}
-	return fmt.Sprintf("no bug in %d execution(s), %.2fs%s", res.Executions, res.Elapsed.Seconds(), suffix)
+	return fmt.Sprintf("no bug in %d execution(s), %.2fs", res.Executions, res.Elapsed.Seconds())
 }
 
 // Explore systematically tests t: it executes the harness repeatedly, each
 // time under a different schedule, until a safety or liveness violation is
-// found, the iteration budget is exhausted, or the schedule space is
-// fully covered. This is the testing process of the paper's §2: fully
-// automatic, no false positives (assuming an accurate harness), every bug
-// witnessed by a replayable trace. It is the engine's single entry point:
-// Options.Scheduler selects a single strategy, Options.Portfolio races
-// several, and both report the one Result shape.
+// found or the iteration budget is spent. This is the testing process of
+// the paper's §2: fully automatic, no false positives (assuming an accurate
+// harness), every bug witnessed by a replayable trace. It is the engine's
+// single entry point: Options.Scheduler selects a single strategy,
+// Options.Portfolio races several, and both report the one Result shape.
 //
 // A configuration error — a negative bound, an unknown scheduler or
 // portfolio member, an invalid fault budget — is returned as a typed
@@ -306,11 +291,10 @@ func Explore(t Test, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{BugFound: ex.bug != nil, Report: ex.bug, Exhausted: true}
+	res := Result{BugFound: ex.bug != nil, Report: ex.bug}
 	for _, ms := range ex.stats {
 		res.Executions += ms.Executions
 		res.TotalSteps += ms.TotalSteps
-		res.Exhausted = res.Exhausted && ms.Exhausted
 	}
 	if portfolio {
 		res.Portfolio, res.Winner = ex.stats, -1
@@ -385,7 +369,6 @@ func Replay(t Test, tr *Trace, o Options) (*BugReport, error) {
 		return nil, err
 	}
 	sched := newReplayScheduler(tr)
-	sched.Prepare(0, o.MaxSteps)
 	cfg := o.runtimeConfig(t, true)
 	cfg.faults = tr.Faults
 	r := newRuntime(sched, cfg)

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -157,8 +156,6 @@ func TestResolveAcceptsZeroAndPositive(t *testing.T) {
 		{Iterations: 5, MaxSteps: 100, Workers: 2,
 			Faults: &Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3}},
 		{Portfolio: []string{"random", "pct", "random"}},
-		{Scheduler: "dfs", Workers: 8},
-		{Portfolio: []string{"dfs", "random"}, Workers: 8},
 	} {
 		r, err := o.Resolve(Test{})
 		if err != nil {
@@ -167,12 +164,8 @@ func TestResolveAcceptsZeroAndPositive(t *testing.T) {
 		if r.Scheduler == "" || r.Iterations <= 0 || r.MaxSteps <= 0 || r.Workers <= 0 {
 			t.Fatalf("Resolve(%+v) left a default unapplied: %+v", o, r)
 		}
-		want := o.Workers
-		if slices.Contains(o.Members(), "dfs") {
-			want = 1
-		}
-		if o.Workers > 0 && r.Workers != want {
-			t.Fatalf("Resolve(%+v).Workers = %d, want %d: any sequential member clamps Workers to 1", o, r.Workers, want)
+		if o.Workers > 0 && r.Workers != o.Workers {
+			t.Fatalf("Resolve(%+v).Workers = %d, want %d", o, r.Workers, o.Workers)
 		}
 		if again, err := r.Resolve(Test{}); err != nil || !reflect.DeepEqual(again, r) {
 			t.Fatalf("resolved options do not resolve to themselves: %+v -> %+v, %v", r, again, err)
@@ -217,17 +210,17 @@ func TestParseFaultsSpec(t *testing.T) {
 func TestRegisterSchedulerValidation(t *testing.T) {
 	dummy := func() Scheduler { return NewRandomScheduler() }
 	for _, c := range []struct {
-		name string
-		spec SchedulerSpec
-		want string
+		name     string
+		newSched func() Scheduler
+		want     string
 	}{
-		{"", SchedulerSpec{New: dummy}, "non-empty"},
-		{"has space", SchedulerSpec{New: dummy}, "whitespace"},
-		{"has,comma", SchedulerSpec{New: dummy}, "commas"},
-		{"nil-new", SchedulerSpec{}, "non-nil"},
-		{"random", SchedulerSpec{New: dummy}, "already registered"},
+		{"", dummy, "non-empty"},
+		{"has space", dummy, "whitespace"},
+		{"has,comma", dummy, "commas"},
+		{"nil-new", nil, "non-nil"},
+		{"random", dummy, "already registered"},
 	} {
-		err := RegisterScheduler(c.name, c.spec)
+		err := RegisterScheduler(c.name, c.newSched)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("RegisterScheduler(%q) = %v, want error mentioning %q", c.name, err, c.want)
 		}

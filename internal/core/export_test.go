@@ -39,7 +39,6 @@ func ExploreWithoutFairTail(t Test, o Options) error {
 // unpooled) whose replay log is capped at logCap lines, and returns the log.
 func replayLog(pool *execPool, t Test, tr *Trace, o Options, logCap int) []string {
 	sched := newReplayScheduler(tr)
-	sched.Prepare(0, o.MaxSteps)
 	cfg := o.runtimeConfig(t, true)
 	cfg.faults, cfg.logCap = tr.Faults, logCap
 	r := pool.runtime(sched, cfg)
@@ -93,3 +92,7 @@ func CountResumes(t Test, o Options, n int) (counts ResumeCounts, steps int, err
 	}
 	return counts, steps, nil
 }
+
+// ExploreDFS enumerates t's schedule tree under o (exploreDFS) and reports
+// the outcome and whether the tree was spent.
+func ExploreDFS(t Test, o Options) (Result, bool) { return exploreDFS(t, o) }

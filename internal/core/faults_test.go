@@ -109,6 +109,9 @@ func assertFaultTraceReplays(t *testing.T, test Test, res Result, o Options) {
 	if tr.Version != TraceVersion {
 		t.Fatalf("trace version %d, want %d", tr.Version, TraceVersion)
 	}
+	// Replay reads only o's bounds: the strategy is the trace's, which may
+	// be the dfs oracle's, a name no registry knows.
+	o.Scheduler, o.Portfolio = "", nil
 	rep, err := Replay(test, tr, o)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
@@ -249,7 +252,7 @@ func TestCrashAndRestartSemantics(t *testing.T) {
 		t.Fatalf("crash/restart semantics violated: %v\n%s", res.Report.Error(), res.Report.FormatLog())
 	}
 	// And the dfs scheduler agrees on every interleaving.
-	res = MustExplore(test, Options{Scheduler: "dfs", Iterations: 5000, MaxSteps: 400})
+	res, _ = exploreDFS(test, Options{Iterations: 5000, MaxSteps: 400})
 	if res.BugFound {
 		t.Fatalf("dfs found a crash/restart violation: %v", res.Report.Error())
 	}

@@ -96,10 +96,10 @@ func TestMutationalDeclaresFeedback(t *testing.T) {
 	if !f.Feedback() {
 		t.Fatal("mutational factory does not report Feedback")
 	}
-	if f.Sequential() || f.Adaptive() {
-		t.Fatal("mutational must be neither sequential nor adaptive")
+	if f.Adaptive() {
+		t.Fatal("mutational must not be adaptive")
 	}
-	for _, name := range []string{"random", "pct", "rr", "delay", "dfs"} {
+	for _, name := range []string{"random", "pct", "rr", "delay"} {
 		g, err := NewSchedulerFactory(name)
 		if err != nil {
 			t.Fatal(err)
@@ -303,7 +303,7 @@ func TestPortfolioWithFeedbackMemberDeterministic(t *testing.T) {
 		}
 		for m := range ref.Portfolio {
 			am, bm := ref.Portfolio[m], res.Portfolio[m]
-			if am.Executions != bm.Executions || am.TotalSteps != bm.TotalSteps || am.Exhausted != bm.Exhausted {
+			if am.Executions != bm.Executions || am.TotalSteps != bm.TotalSteps {
 				t.Fatalf("%s: member %d statistics diverge:\nref: %+v\ngot: %+v", label, m, am, bm)
 			}
 		}

@@ -89,7 +89,7 @@ func TestInterleavedSendersPreservePerSenderOrder(t *testing.T) {
 // (the runtime would panic on an invalid pick).
 func TestAllSchedulersProduceValidExecutions(t *testing.T) {
 	for _, sched := range []string{"random", "pct", "rr", "dfs", "delay"} {
-		res := MustExplore(pingPongTest(8, false), Options{Scheduler: sched, Iterations: 30, Seed: 3, NoReplayLog: true})
+		res := exploreWith(pingPongTest(8, false), Options{Scheduler: sched, Iterations: 30, Seed: 3, NoReplayLog: true})
 		if res.BugFound {
 			t.Fatalf("%s: unexpected bug: %v", sched, res.Report.Error())
 		}

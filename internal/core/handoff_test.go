@@ -78,10 +78,7 @@ func TestParkingStressCrashRestartRelease(t *testing.T) {
 					pool.release()
 					pool = newExecPool(o)
 				}
-				if !sched.Prepare(int64(i+1), o.MaxSteps) {
-					t.Errorf("worker %d: Prepare refused execution %d", w, i)
-					return
-				}
+				sched.Prepare(int64(i+1), o.MaxSteps)
 				r := pool.runtime(sched, cfg)
 				if rep := r.execute(test); rep != nil {
 					t.Errorf("worker %d: unexpected bug at seed %d: %v", w, i+1, rep.Error())
@@ -814,7 +811,7 @@ func BenchmarkHandoffPrimitives(b *testing.B) {
 type idleTimerScheduler struct{ i int }
 
 func (s *idleTimerScheduler) Name() string              { return "idle-timers" }
-func (s *idleTimerScheduler) Prepare(int64, int) bool   { s.i = 0; return true }
+func (s *idleTimerScheduler) Prepare(int64, int)        { s.i = 0 }
 func (s *idleTimerScheduler) NextBool() bool            { return false }
 func (s *idleTimerScheduler) NextInt(int) int           { return 0 }
 func (s *idleTimerScheduler) NextFault(FaultChoice) int { return 0 }
@@ -873,10 +870,7 @@ func (*alternateScheduler) NextBool() bool            { return false }
 func (*alternateScheduler) NextInt(int) int           { return 0 }
 func (*alternateScheduler) NextFault(FaultChoice) int { return 0 }
 
-func (s *alternateScheduler) Prepare(int64, int) bool {
-	s.last = NoMachine
-	return true
-}
+func (s *alternateScheduler) Prepare(int64, int) { s.last = NoMachine }
 
 func (s *alternateScheduler) NextMachine(enabled []MachineID) MachineID {
 	next := enabled[0]

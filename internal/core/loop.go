@@ -17,9 +17,7 @@ package core
 //
 // Claiming. One pool of Options.Workers goroutines claims positions from
 // one shared counter; each worker owns a scheduler instance per member and
-// one execution pool. A sequential member (dfs) backtracks through its own
-// previous execution, so a plan with one runs on a single worker
-// (Options.Resolve clamps Workers), which claims the positions in order.
+// one execution pool.
 //
 // Pruning. The bound is the lowest buggy position seen so far (and the
 // shard's external Stop bound). Claimers refuse to start — and abort in
@@ -39,32 +37,26 @@ package core
 // positions, aligned to the plan): the corpus is frozen within a window
 // and grows only at the barrier, in position order, so the corpus a
 // position observes is a function of its generation alone — that is, of
-// every position in the generations before it. Such a plan, like one with
-// a sequential member, is therefore only ever drained whole
-// (CheckSubRange). Without one the whole range is a single window.
+// every position in the generations before it. Such a plan is therefore
+// only ever drained whole (CheckSubRange). Without one the whole range is a
+// single window.
 //
-// Statistics. Every resolution of a position — an execution, or the
-// member's scheduler refusing it — passes through one critical section,
-// which folds the range's contiguous resolved prefix in position order:
-// each position the frontier passes is added to its member's Executions,
-// TotalSteps and Exhausted, up to and including the lowest buggy position.
-// Once every member is sequential and has refused, the rest of the range
-// counts as resolved with nothing run. A resolution ahead of the frontier
-// waits in a pending set until the gap below it closes, so the bookkeeping
-// is proportional to the out-of-order span, not to the executions done:
-// empty on one worker, bounded by the workers' executions in flight, and
-// by the window with a feedback member. Every statistic the adapters
-// report, a shard's ResolvedTo included, is the fold after the drain.
+// Statistics. Every execution that completes passes through one critical
+// section, which folds the range's contiguous resolved prefix in position
+// order: each position the frontier passes is added to its member's
+// Executions and TotalSteps, up to and including the lowest buggy position.
+// A resolution ahead of the frontier waits in a pending set until the gap
+// below it closes, so the bookkeeping is proportional to the out-of-order
+// span, not to the executions done: empty on one worker, bounded by the
+// workers' executions in flight, and by the window with a feedback member.
+// Every statistic the adapters report, a shard's ResolvedTo included, is
+// the fold after the drain.
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// refused is the step count a position resolves with when its member's
-// scheduler declines it because its schedule space ran out.
-const refused = -1
 
 // candidate is one window-local novel-fingerprint recording, indexed by
 // position offset within the window so the barrier merge runs in plan
@@ -106,8 +98,7 @@ type explored struct {
 	bug      *BugReport
 	stats    []MemberStats   // by member, folded over [sh.From, frontier)
 	frontier int64           // end of the range's contiguous resolved prefix
-	pending  map[int64]int64 // positions resolved above the frontier: steps, or refused
-	spent    int64           // sequential members whose refusal the fold has passed
+	pending  map[int64]int64 // positions resolved above the frontier: their steps
 
 	start time.Time
 	// corpus is the final exploration corpus and candidates the entries
@@ -185,20 +176,15 @@ func (ex *explored) newClaimer(pool *execPool) *claimer {
 	return c
 }
 
-// run resolves position g on c with sched and returns its step count —
-// or refused — and whether the execution completed without a violation.
+// run resolves position g on c with sched and returns its step count and
+// whether the execution completed without a violation.
 // cand, when non-nil, receives the execution's decisions if its coverage
 // is novel against the window's frozen corpus. An execution aborted in
 // flight was superseded by a lower bound and contributes nothing.
 func (ex *explored) run(c *claimer, sched Scheduler, g int64, cand *candidate) (int64, bool) {
 	m, i := int(g%ex.nm), int(g/ex.nm)
 	seed := execSeed(ex.seeds[m], i)
-	if !sched.Prepare(seed, ex.o.MaxSteps) {
-		ex.mu.Lock()
-		ex.fold(g, refused)
-		ex.mu.Unlock()
-		return refused, false
-	}
+	sched.Prepare(seed, ex.o.MaxSteps)
 	c.cur = g
 	cfg := c.cfg
 	cfg.seed, cfg.lengthHint = seed, ex.factories[m].lengthHint
@@ -240,7 +226,7 @@ func (ex *explored) run(c *claimer, sched Scheduler, g int64, cand *candidate) (
 	return steps, true
 }
 
-// fold records that position g resolved with steps (or refused) and
+// fold records that position g resolved with steps and
 // advances the frontier over the contiguous resolved prefix of the range,
 // adding each position it passes to its member's statistics. It never
 // passes the lowest buggy position; what lies beyond it, or below the
@@ -259,20 +245,10 @@ func (ex *explored) fold(g, steps int64) {
 		return
 	}
 	for {
-		m := g % ex.nm
-		if ms := &ex.stats[m]; steps != refused {
-			ms.Executions++
-			ms.TotalSteps += steps
-		} else if !ms.Exhausted {
-			ms.Exhausted = true
-			if ex.factories[m].Sequential() {
-				ex.spent++
-			}
-		}
+		ms := &ex.stats[g%ex.nm]
+		ms.Executions++
+		ms.TotalSteps += steps
 		g++
-		if ex.spent == ex.nm {
-			g = end // every member is sequential and refused: nothing is left to run
-		}
 		ex.frontier = g
 		if g >= end {
 			return
@@ -396,18 +372,8 @@ func (ex *explored) claim(c *claimer, wf, wt int64, cands []candidate) {
 		if ex.feedback {
 			cand = &cands[g-wf]
 		}
-		if steps, _ := ex.run(c, c.scheds[m], g, cand); steps == refused && ex.allSpent() {
-			return
-		}
+		ex.run(c, c.scheds[m], g, cand)
 	}
-}
-
-// allSpent reports that every member is sequential and has refused, so
-// nothing is left to run.
-func (ex *explored) allSpent() bool {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	return ex.spent == ex.nm
 }
 
 // firstPosOfMember returns the lowest global position >= from that belongs

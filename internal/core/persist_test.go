@@ -57,7 +57,7 @@ func TestSyncedWritesSurviveCrash(t *testing.T) {
 	for _, sched := range []string{"random", "rr", "pct", "dfs", "mutational"} {
 		for _, reuse := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/noreuse=%v", sched, reuse), func(t *testing.T) {
-				res := MustExplore(syncedSurvivalTest(false), Options{
+				res := exploreWith(syncedSurvivalTest(false), Options{
 					Scheduler: sched, Iterations: 200, Seed: 5,
 					NoReuse: reuse, NoReplayLog: true,
 				})
@@ -76,9 +76,7 @@ func TestSyncedWritesSurviveCrash(t *testing.T) {
 func TestZeroTornBudgetRecordsNoPersistDecisions(t *testing.T) {
 	sched := NewRandomScheduler()
 	for seed := int64(0); seed < 20; seed++ {
-		if !sched.Prepare(seed, 200) {
-			t.Fatal("Prepare refused")
-		}
+		sched.Prepare(seed, 200)
 		r := newRuntime(sched, runtimeConfig{maxSteps: 200})
 		if rep := r.execute(syncedSurvivalTest(true)); rep != nil {
 			t.Fatalf("seed %d: unexpected bug: %v", seed, rep.Error())
@@ -201,9 +199,7 @@ func TestTornBudgetCharged(t *testing.T) {
 	sched := NewRandomScheduler()
 	spent := false
 	for seed := int64(0); seed < 40; seed++ {
-		if !sched.Prepare(seed, 300) {
-			t.Fatal("Prepare refused")
-		}
+		sched.Prepare(seed, 300)
 		r := newRuntime(sched, runtimeConfig{
 			maxSteps: 300, faults: Faults{MaxTornCrashes: 1},
 		})

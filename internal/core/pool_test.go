@@ -90,8 +90,7 @@ func assertIdenticalResults(t *testing.T, label string, a, b Result) {
 	if a.BugFound != b.BugFound {
 		t.Fatalf("%s: BugFound %v vs %v", label, a.BugFound, b.BugFound)
 	}
-	if a.Executions != b.Executions || a.TotalSteps != b.TotalSteps ||
-		a.Choices != b.Choices || a.Exhausted != b.Exhausted {
+	if a.Executions != b.Executions || a.TotalSteps != b.TotalSteps || a.Choices != b.Choices {
 		t.Fatalf("%s: statistics diverge:\na: %+v\nb: %+v", label, a, b)
 	}
 	if !a.BugFound {
@@ -165,7 +164,7 @@ func TestPoolingDeterminismPortfolio(t *testing.T) {
 	for m := range a.Portfolio {
 		pa, pb := a.Portfolio[m], b.Portfolio[m]
 		if pa.Executions != pb.Executions || pa.TotalSteps != pb.TotalSteps ||
-			pa.Winner != pb.Winner || pa.Exhausted != pb.Exhausted {
+			pa.Winner != pb.Winner {
 			t.Fatalf("member %d stats diverge:\npooled: %+v\nfresh: %+v", m, pa, pb)
 		}
 	}

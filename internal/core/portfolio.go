@@ -29,12 +29,6 @@ type MemberStats struct {
 	Elapsed time.Duration
 	// Winner reports that this member found the winning bug.
 	Winner bool
-	// Exhausted reports that the member covered its entire schedule space
-	// within the counted window. Like Executions it is canonical: when a
-	// bug wins the race, a member whose exhaustion point lies beyond the
-	// winning cutoff reports false whether or not it happened to get there
-	// before the fleet stopped.
-	Exhausted bool
 }
 
 // ParsePortfolioSpec parses a comma-separated portfolio member list (the

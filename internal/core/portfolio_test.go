@@ -3,7 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // portfolioMembers is the portfolio raced throughout these tests: the
@@ -43,7 +42,7 @@ func assertSameWin(t *testing.T, a, b Result) {
 	for m := range a.Portfolio {
 		am, bm := a.Portfolio[m], b.Portfolio[m]
 		if am.Scheduler != bm.Scheduler || am.Executions != bm.Executions ||
-			am.TotalSteps != bm.TotalSteps || am.Winner != bm.Winner || am.Exhausted != bm.Exhausted {
+			am.TotalSteps != bm.TotalSteps || am.Winner != bm.Winner {
 			t.Fatalf("member %d statistics diverge:\na: %+v\nb: %+v", m, am, bm)
 		}
 	}
@@ -240,72 +239,6 @@ func TestPortfolioMemberSeedsAreIndependent(t *testing.T) {
 func TestPortfolioRejectsBadSpecs(t *testing.T) {
 	_, err := Explore(raceTest(), withMembers(Options{Iterations: 1}, "random", "quantum"))
 	assertConfigError(t, err, "Options.Portfolio[1]", `unknown scheduler "quantum"`)
-}
-
-// TestPortfolioExhaustionIsCanonical: a dfs member that covers its whole
-// schedule space reports Exhausted, and the member's executions stop at
-// the space's size — deterministically, with a non-exhausting member
-// racing alongside. A full-range shard resolves the positions the
-// exhausted dfs member refuses, so it resolves the whole plan and counts
-// what Explore counts, at any worker count.
-func TestPortfolioExhaustionIsCanonical(t *testing.T) {
-	clean := Test{
-		Name: "bools-clean",
-		Entry: func(ctx *Context) {
-			ctx.RandomBool()
-			ctx.RandomBool()
-		},
-	}
-	o := withMembers(Options{Iterations: 50, Seed: 1, Workers: 4, NoReplayLog: true}, "dfs", "random")
-	res := MustExplore(clean, o)
-	if res.BugFound {
-		t.Fatalf("unexpected bug: %v", res.Report.Error())
-	}
-	dfs, random := res.Portfolio[0], res.Portfolio[1]
-	if !dfs.Exhausted {
-		t.Fatal("dfs member did not report exhaustion")
-	}
-	if dfs.Executions != 4 {
-		t.Fatalf("dfs executions = %d, want 4 (2^2 schedules)", dfs.Executions)
-	}
-	if random.Exhausted || random.Executions != 50 {
-		t.Fatalf("random member: Exhausted %v after %d executions, want false after 50", random.Exhausted, random.Executions)
-	}
-	if res.Exhausted {
-		t.Fatal("run reported exhaustion with a non-exhausted member")
-	}
-	for _, workers := range []int{1, 4} {
-		o.Workers = workers
-		sr, err := ExploreShard(clean, o, Shard{To: PlanSize(o)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sr.Exhausted || sr.ResolvedTo != PlanSize(o) {
-			t.Errorf("%d workers: shard Exhausted %v, ResolvedTo %d, want true and %d",
-				workers, sr.Exhausted, sr.ResolvedTo, PlanSize(o))
-		}
-		if sr.Executions != res.Executions || sr.TotalSteps != res.TotalSteps {
-			t.Errorf("%d workers: shard counted %d executions / %d steps, Explore %d / %d",
-				workers, sr.Executions, sr.TotalSteps, res.Executions, res.TotalSteps)
-		}
-	}
-
-	// Once every member is sequential and has refused, the rest of the plan
-	// resolves at once: the cost is the executions run, not the budget asked
-	// for.
-	start := time.Now()
-	o = Options{Scheduler: "dfs", Iterations: 1 << 30, NoReplayLog: true}
-	sr, err := ExploreShard(clean, o, Shard{To: PlanSize(o)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sr.Exhausted || sr.Executions != 4 || sr.ResolvedTo != PlanSize(o) {
-		t.Errorf("dfs alone: Exhausted %v, %d executions, ResolvedTo %d; want true, 4, %d",
-			sr.Exhausted, sr.Executions, sr.ResolvedTo, PlanSize(o))
-	}
-	if wall := time.Since(start); wall > time.Second {
-		t.Errorf("dfs alone: an exhausted 2^30 budget took %v", wall)
-	}
 }
 
 // TestParsePortfolioSpec: the shared CLI spec parser validates members and

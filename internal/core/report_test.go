@@ -54,18 +54,13 @@ func TestDecisionStrings(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	res := MustExplore(boolComboTest(), Options{Scheduler: "dfs", Iterations: 100})
+	res, _ := exploreDFS(boolComboTest(), Options{Iterations: 100})
 	if !strings.Contains(res.String(), "bug found") {
 		t.Fatalf("result string: %q", res.String())
 	}
 	clean := MustExplore(pingPongTest(3, false), Options{Iterations: 3, Seed: 1})
 	if !strings.Contains(clean.String(), "no bug in 3 execution(s)") {
 		t.Fatalf("clean result string: %q", clean.String())
-	}
-	exhausted := MustExplore(Test{Name: "t", Entry: func(ctx *Context) { ctx.RandomBool() }},
-		Options{Scheduler: "dfs", Iterations: 100})
-	if !strings.Contains(exhausted.String(), "exhausted") {
-		t.Fatalf("exhausted result string: %q", exhausted.String())
 	}
 }
 

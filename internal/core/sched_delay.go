@@ -21,11 +21,10 @@ func NewDelayScheduler(budget int) Scheduler {
 	return &delayScheduler{probes: probes{draws: draws{name: "delay"}, depth: budget}}
 }
 
-func (s *delayScheduler) Prepare(seed int64, maxSteps int) bool {
+func (s *delayScheduler) Prepare(seed int64, maxSteps int) {
 	s.place(seed, maxSteps)
 	s.last = NoMachine
 	s.delayed = s.delayed[:0]
-	return true
 }
 
 // pickBaseline returns rr's choice among the enabled machines that are not

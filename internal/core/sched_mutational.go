@@ -41,28 +41,27 @@ func NewMutationalScheduler() Scheduler {
 // AttachCorpus implements FeedbackScheduler.
 func (s *mutationalScheduler) AttachCorpus(c *Corpus) { s.corpus = c }
 
-func (s *mutationalScheduler) Prepare(seed int64, _ int) bool {
+func (s *mutationalScheduler) Prepare(seed int64, _ int) {
 	s.reseed(seed)
 	s.prefix = nil
 	s.pos = 0
 	if s.corpus == nil || s.corpus.Len() == 0 {
-		return true
+		return
 	}
 	// One execution in four explores from scratch even with a corpus
 	// available: pure mutation would only ever refine behaviors already
 	// seen, never discover ones no recorded prefix reaches.
 	if s.rng.Intn(4) == 0 {
-		return true
+		return
 	}
 	_, decisions := s.corpus.Entry(s.rng.Intn(s.corpus.Len()))
 	if len(decisions) == 0 {
-		return true
+		return
 	}
 	// Cut uniformly: short prefixes barely constrain the execution, long
 	// ones replay almost all of it and perturb only the tail; both ends
 	// are useful and neither dominates.
 	s.prefix = decisions[:1+s.rng.Intn(len(decisions))]
-	return true
 }
 
 // next consumes the prefix's next decision; ok is false once the prefix is

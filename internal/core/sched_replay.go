@@ -24,8 +24,9 @@ func newReplayScheduler(t *Trace) *replayScheduler {
 
 func (s *replayScheduler) Name() string { return "replay" }
 
-// Prepare accepts exactly one execution.
-func (s *replayScheduler) Prepare(_ int64, _ int) bool { return s.pos == 0 }
+// Prepare does nothing: a replay scheduler serves exactly one execution,
+// from its first recorded decision.
+func (s *replayScheduler) Prepare(_ int64, _ int) {}
 
 // next consumes the recorded decision that answers the choice the program
 // presents now, a want-kind one.
@@ -58,7 +59,6 @@ func (s *replayScheduler) NextBool() bool {
 }
 
 func (s *replayScheduler) NextInt(n int) int {
-	checkIntBound("replay", n)
 	v, misfit := s.next(DecisionInt).integer(n)
 	s.fits(misfit)
 	return v

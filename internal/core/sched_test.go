@@ -21,7 +21,7 @@ func boolComboTest() Test {
 }
 
 func TestDFSEnumeratesChoiceTree(t *testing.T) {
-	res := MustExplore(boolComboTest(), Options{Scheduler: "dfs", Iterations: 100})
+	res, _ := exploreDFS(boolComboTest(), Options{Iterations: 100})
 	if !res.BugFound {
 		t.Fatal("dfs did not find the all-true combination")
 	}
@@ -38,11 +38,11 @@ func TestDFSExhaustsCleanProgram(t *testing.T) {
 			ctx.RandomBool()
 		},
 	}
-	res := MustExplore(test, Options{Scheduler: "dfs", Iterations: 100})
+	res, exhausted := exploreDFS(test, Options{Iterations: 100})
 	if res.BugFound {
 		t.Fatalf("unexpected bug: %v", res.Report.Error())
 	}
-	if !res.Exhausted {
+	if !exhausted {
 		t.Fatal("dfs did not report exhaustion")
 	}
 	if res.Executions != 4 {
@@ -73,7 +73,7 @@ func raceTest() Test {
 }
 
 func TestDFSFindsOrderingBug(t *testing.T) {
-	res := MustExplore(raceTest(), Options{Scheduler: "dfs", Iterations: 10000})
+	res, _ := exploreDFS(raceTest(), Options{Iterations: 10000})
 	if !res.BugFound {
 		t.Fatal("dfs did not find the ordering bug")
 	}
@@ -324,9 +324,6 @@ func BenchmarkSchedulerPrepare(b *testing.B) {
 		f, err := NewSchedulerFactory(name)
 		if err != nil {
 			b.Fatal(err)
-		}
-		if f.Sequential() {
-			continue
 		}
 		b.Run(name, func(b *testing.B) {
 			s := f.New()

@@ -23,10 +23,8 @@ import (
 // sequence, because exact replay (and thus bug reproduction) depends on it.
 type Scheduler interface {
 	Name() string
-	// Prepare readies the scheduler for the next execution. It returns
-	// false when the scheduler has exhausted its schedule space (only the
-	// exhaustive scheduler ever does).
-	Prepare(seed int64, maxSteps int) bool
+	// Prepare readies the scheduler for the next execution.
+	Prepare(seed int64, maxSteps int)
 	// NextMachine picks one of the enabled machines. enabled is sorted by
 	// MachineID and never empty. The engine maintains the enabled set
 	// incrementally and passes the same backing array every step:
@@ -34,9 +32,9 @@ type Scheduler interface {
 	// across calls (copy if needed).
 	NextMachine(enabled []MachineID) MachineID
 	NextBool() bool
-	// NextInt returns a value in [0, n). Implementations must reject
-	// n <= 0 via checkIntBound so misuse fails with an engine-attributed
-	// message rather than an opaque rand.Intn panic.
+	// NextInt returns a value in [0, n). The engine only asks with
+	// n > 0: Context.RandomInt reports a non-positive bound as a safety
+	// bug before it reaches the scheduler.
 	NextInt(n int) int
 	// NextFault resolves one fault choice point, returning an outcome in
 	// [0, c.N). Outcome 0 is the benign choice.
@@ -47,7 +45,7 @@ type Scheduler interface {
 // engine builds one scheduler per exploration worker, which is what lets
 // executions fan out across goroutines without sharing mutable state.
 type SchedulerFactory struct {
-	spec       SchedulerSpec
+	newSched   func() Scheduler
 	adaptive   bool
 	feedback   bool
 	lengthHint int
@@ -59,7 +57,7 @@ type SchedulerFactory struct {
 // (WithCorpus), the instance is pre-seeded with them before it is handed
 // out.
 func (f SchedulerFactory) New() Scheduler {
-	s := f.spec.New()
+	s := f.newSched()
 	if f.lengthHint > 0 {
 		if h, ok := s.(LengthHinted); ok {
 			h.SetLengthHint(f.lengthHint)
@@ -72,15 +70,6 @@ func (f SchedulerFactory) New() Scheduler {
 	}
 	return s
 }
-
-// Sequential reports that the scheduler's correctness depends on seeing
-// every execution of a run in order on a single instance — the exhaustive
-// dfs scheduler backtracks through the decision tree of the *previous*
-// execution, so its schedule space cannot be partitioned across workers.
-// A plan with a sequential member runs on one worker (Options.Resolve
-// clamps Workers), which walks the member's iterations in order on one
-// instance.
-func (f SchedulerFactory) Sequential() bool { return f.spec.Sequential }
 
 // Adaptive reports that the scheduler's instances implement LengthHinted:
 // they place their probes (priority change points, delay points) within an
@@ -143,35 +132,23 @@ type LengthHinted interface {
 	SetLengthHint(steps int)
 }
 
-// SchedulerSpec describes one registered scheduler: what an instance cannot
-// say about itself, and a constructor. What an instance implements it says
-// itself: LengthHinted makes it adaptive, FeedbackScheduler makes it
-// feedback-driven (see SchedulerFactory.Adaptive and Feedback).
-type SchedulerSpec struct {
-	// Sequential marks a scheduler whose correctness depends on seeing
-	// every execution of a run in order on a single instance (see
-	// SchedulerFactory.Sequential). The engine runs it on one worker.
-	Sequential bool
-	// New constructs a fresh, independent instance. It must never return
-	// nil or share mutable state between instances.
-	New func() Scheduler
-}
-
 // schedulerRegistry is the single source of truth for scheduler names,
-// guarded by registryMu: RegisterScheduler adds user-defined strategies at
-// runtime. The conformance suite iterates it, so a newly registered
-// scheduler is automatically held to the factory contract (total
-// reseeding, valid NextMachine/NextInt behavior) and becomes a valid
-// Options.Scheduler value and portfolio member.
+// mapping each to its constructor, guarded by registryMu: RegisterScheduler
+// adds user-defined strategies at runtime. What an instance implements it
+// says itself: LengthHinted makes it adaptive, FeedbackScheduler makes it
+// feedback-driven (see SchedulerFactory.Adaptive and Feedback). The
+// conformance suite iterates it, so a newly registered scheduler is
+// automatically held to the factory contract (total reseeding, valid
+// NextMachine/NextInt behavior) and becomes a valid Options.Scheduler
+// value and portfolio member.
 var (
 	registryMu        sync.RWMutex
-	schedulerRegistry = map[string]SchedulerSpec{
-		"random":     {New: func() Scheduler { return NewRandomScheduler() }},
-		"pct":        {New: func() Scheduler { return NewPCTScheduler(probeDepth) }},
-		"rr":         {New: func() Scheduler { return NewRoundRobinScheduler() }},
-		"dfs":        {Sequential: true, New: func() Scheduler { return NewDFSScheduler() }},
-		"delay":      {New: func() Scheduler { return NewDelayScheduler(probeDepth) }},
-		"mutational": {New: func() Scheduler { return NewMutationalScheduler() }},
+	schedulerRegistry = map[string]func() Scheduler{
+		"random":     NewRandomScheduler,
+		"pct":        func() Scheduler { return NewPCTScheduler(probeDepth) },
+		"rr":         NewRoundRobinScheduler,
+		"delay":      func() Scheduler { return NewDelayScheduler(probeDepth) },
+		"mutational": NewMutationalScheduler,
 	}
 )
 
@@ -191,27 +168,28 @@ const probeDepth = 2
 // Registration is typically done from an init function or at the top of a
 // test. The name must be non-empty, must not contain commas or whitespace
 // (portfolio specs are comma-separated), and must not already be
-// registered. spec.New is called once here: an instance it builds nil is
-// refused now rather than handed to an exploration worker.
-func RegisterScheduler(name string, spec SchedulerSpec) error {
+// registered. newScheduler must build a fresh, independent instance each
+// call; it is called once here, and an instance it builds nil is refused
+// now rather than handed to an exploration worker.
+func RegisterScheduler(name string, newScheduler func() Scheduler) error {
 	if name == "" {
 		return fmt.Errorf("gostorm: RegisterScheduler: name must be non-empty")
 	}
 	if strings.ContainsAny(name, ", \t\n") {
 		return fmt.Errorf("gostorm: RegisterScheduler: name %q must not contain commas or whitespace", name)
 	}
-	if spec.New == nil {
-		return fmt.Errorf("gostorm: RegisterScheduler(%q): spec.New must be non-nil", name)
+	if newScheduler == nil {
+		return fmt.Errorf("gostorm: RegisterScheduler(%q): the constructor must be non-nil", name)
 	}
-	if spec.New() == nil {
-		return fmt.Errorf("gostorm: RegisterScheduler(%q): spec.New returned a nil scheduler", name)
+	if newScheduler() == nil {
+		return fmt.Errorf("gostorm: RegisterScheduler(%q): the constructor returned a nil scheduler", name)
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := schedulerRegistry[name]; dup {
 		return fmt.Errorf("gostorm: RegisterScheduler: scheduler %q is already registered", name)
 	}
-	schedulerRegistry[name] = spec
+	schedulerRegistry[name] = newScheduler
 	return nil
 }
 
@@ -231,44 +209,34 @@ func SchedulerNames() []string {
 // lookupScheduler resolves a registered scheduler name, or reports the
 // unknown name as a ConfigError (Field is filled by the caller's context
 // when it differs from Options.Scheduler).
-func lookupScheduler(name string) (SchedulerSpec, *ConfigError) {
+func lookupScheduler(name string) (func() Scheduler, *ConfigError) {
 	registryMu.RLock()
-	spec, ok := schedulerRegistry[name]
+	newSched, ok := schedulerRegistry[name]
 	registryMu.RUnlock()
 	if !ok {
-		return SchedulerSpec{}, &ConfigError{
+		return nil, &ConfigError{
 			Field: "Options.Scheduler",
 			Reason: fmt.Sprintf("unknown scheduler %q (known: %s)",
 				name, strings.Join(SchedulerNames(), ", ")),
 		}
 	}
-	return spec, nil
+	return newSched, nil
 }
 
 // NewSchedulerFactory constructs a factory by scheduler name: "random",
-// "pct", "rr" (round-robin), "delay" (delay-bounded), "dfs" (exhaustive
-// depth-first enumeration), "mutational", or any name added via
-// RegisterScheduler. It builds one instance to learn what the scheduler
+// "pct", "rr" (round-robin), "delay" (delay-bounded), "mutational", or any
+// name added via RegisterScheduler. It builds one instance to learn what the scheduler
 // implements (LengthHinted, FeedbackScheduler). An unknown name is reported
 // as a *ConfigError.
 func NewSchedulerFactory(name string) (SchedulerFactory, error) {
-	spec, cerr := lookupScheduler(name)
+	newSched, cerr := lookupScheduler(name)
 	if cerr != nil {
 		return SchedulerFactory{}, cerr
 	}
-	s := spec.New()
+	s := newSched()
 	_, adaptive := s.(LengthHinted)
 	_, feedback := s.(FeedbackScheduler)
-	return SchedulerFactory{spec: spec, adaptive: adaptive, feedback: feedback}, nil
-}
-
-// checkIntBound validates a NextInt bound on behalf of every scheduler:
-// a non-positive n would otherwise surface as an opaque rand.Intn panic
-// deep inside a harness, with nothing pointing at the actual mistake.
-func checkIntBound(sched string, n int) {
-	if n <= 0 {
-		panic(fmt.Sprintf("core: %s scheduler: NextInt bound must be positive, got %d (the harness passed a non-positive range)", sched, n))
-	}
+	return SchedulerFactory{newSched: newSched, adaptive: adaptive, feedback: feedback}, nil
 }
 
 // draws is the seeded generator every randomized built-in scheduler embeds:
@@ -300,10 +268,7 @@ func (d *draws) reseed(seed int64) {
 
 func (d *draws) NextBool() bool { return d.rng.Intn(2) == 0 }
 
-func (d *draws) NextInt(n int) int {
-	checkIntBound(d.name, n)
-	return d.rng.Intn(n)
-}
+func (d *draws) NextInt(n int) int { return d.rng.Intn(n) }
 
 func (d *draws) NextFault(c FaultChoice) int { return d.rng.Intn(c.N) }
 
@@ -389,10 +354,7 @@ type randomScheduler struct{ draws }
 // NewRandomScheduler returns the uniform random scheduler.
 func NewRandomScheduler() Scheduler { return &randomScheduler{draws{name: "random"}} }
 
-func (s *randomScheduler) Prepare(seed int64, _ int) bool {
-	s.reseed(seed)
-	return true
-}
+func (s *randomScheduler) Prepare(seed int64, _ int) { s.reseed(seed) }
 
 func (s *randomScheduler) NextMachine(enabled []MachineID) MachineID {
 	return enabled[s.rng.Intn(len(enabled))]
@@ -424,11 +386,10 @@ func NewPCTScheduler(depth int) Scheduler {
 	return &pctScheduler{probes: probes{draws: draws{name: "pct"}, depth: depth}}
 }
 
-func (s *pctScheduler) Prepare(seed int64, maxSteps int) bool {
+func (s *pctScheduler) Prepare(seed int64, maxSteps int) {
 	s.place(seed, maxSteps)
 	s.prio = s.prio[:0]
 	s.lowest = 0
-	return true
 }
 
 // NextMachine runs the enabled machine of highest priority, the lowest ID
@@ -469,8 +430,8 @@ func (s *pctScheduler) firstSight(id MachineID) int {
 // rrScheduler is a deterministic round-robin baseline: it cycles through
 // machines in ID order. Useful as a control in scheduler ablations. The
 // machine order is the same in every execution — only RandomBool/RandomInt
-// and fault outcomes vary with the seed — but Prepare never reports
-// exhaustion: a run spends its whole budget on that one machine order.
+// and fault outcomes vary with the seed — so a run spends its whole budget
+// on that one machine order.
 type rrScheduler struct {
 	draws
 	last MachineID
@@ -481,10 +442,9 @@ type rrScheduler struct {
 // seed's RNG so harnesses that use choices remain runnable.
 func NewRoundRobinScheduler() Scheduler { return &rrScheduler{draws: draws{name: "rr"}} }
 
-func (s *rrScheduler) Prepare(seed int64, _ int) bool {
+func (s *rrScheduler) Prepare(seed int64, _ int) {
 	s.reseed(seed)
 	s.last = NoMachine
-	return true
 }
 
 func (s *rrScheduler) NextMachine(enabled []MachineID) MachineID {

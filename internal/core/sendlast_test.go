@@ -163,7 +163,7 @@ type tailRun struct {
 
 // TestSendLastIsATailSend: SendLast decides exactly what Send as the
 // handler's last statement decides. Under every registered scheduler, seeds
-// 1–8, pooled and unpooled, the two versions of tailSendTest make the same
+// 1–8, and the dfs oracle's first eight leaves, pooled and unpooled, the two versions of tailSendTest make the same
 // decisions, fingerprints, steps, bug reports and replay logs, execution by
 // execution — with crashes that catch a node parked, FaultPersist choices,
 // restarts, timer steps, liveness reports, and executions that quiesce and
@@ -171,25 +171,23 @@ type tailRun struct {
 func TestSendLastIsATailSend(t *testing.T) {
 	const maxSteps = 150
 	var parked, persists, quiesced, bounded, bugs int
-	for _, name := range SchedulerNames() {
+	for _, name := range append(SchedulerNames(), "dfs") {
 		for _, noReuse := range []bool{false, true} {
 			var runs [2][]tailRun
 			for v, last := range []bool{false, true} {
 				test := tailSendTest(last, &parked)
-				f, err := NewSchedulerFactory(name)
-				if err != nil {
-					t.Fatal(err)
-				}
 				o := resolved(Options{MaxSteps: maxSteps, NoReuse: noReuse})
 				cfg := o.runtimeConfig(test, true)
 				cfg.checkEnabled = true
-				if f.Adaptive() {
+				s := newScheduler(t, name, 40)
+				if _, adaptive := s.(LengthHinted); adaptive {
 					cfg.lengthHint = 40
-					f = f.WithLengthHint(cfg.lengthHint)
 				}
-				s := f.New()
 				pool := newExecPool(o)
-				for seed := int64(1); seed <= 8 && s.Prepare(seed, maxSteps); seed++ {
+				for seed := int64(1); seed <= 8; seed++ {
+					if s.Prepare(seed, maxSteps); treeSpent(s) {
+						break
+					}
 					cfg.seed = seed
 					r := pool.runtime(s, cfg)
 					run := tailRun{}

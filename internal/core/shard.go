@@ -53,10 +53,9 @@ type ShardResult struct {
 	// From and To echo the shard bounds.
 	From, To int64
 	// ResolvedTo is the end of the contiguous completed prefix: every
-	// position in [From, ResolvedTo) ran to completion (or was refused by
-	// an exhausted scheduler). Positions beyond it were pruned by a bug or
-	// an external Stop bound — a coordinator re-issues [ResolvedTo, To) if
-	// it still needs them.
+	// position in [From, ResolvedTo) ran to completion. Positions beyond it
+	// were pruned by a bug or an external Stop bound — a coordinator
+	// re-issues [ResolvedTo, To) if it still needs them.
 	ResolvedTo int64
 	// BugFound reports a violation at the lowest completed position.
 	BugFound bool
@@ -81,10 +80,6 @@ type ShardResult struct {
 	// position, so the sums over any partition of a plan equal Explore's.
 	Executions int
 	TotalSteps int64
-	// Exhausted reports that some scheduler refused a position in
-	// [From, ResolvedTo) (its schedule space ran out); the position counts
-	// as resolved with no execution.
-	Exhausted bool
 	// Candidates holds the corpus entries the shard merged at its
 	// generation barriers, in canonical position order, when a feedback
 	// member ran; nil otherwise. Such a shard spans the whole plan, so they
@@ -103,30 +98,24 @@ func PlanSize(o Options) int64 {
 
 // CheckSubRange returns a *ConfigError naming the first member of o that
 // ties a position's schedule to the positions before it, so a proper
-// sub-range of the plan cannot be explored on its own: a sequential member
-// (dfs) backtracks through the previous execution, and a feedback member
+// sub-range of the plan cannot be explored on its own: a feedback member
 // (mutational) splices the corpus the plan's earlier positions built.
 // ExploreShard applies it to every proper sub-range, and a distributed
 // coordinator, which hands out nothing else, to its plan.
 func CheckSubRange(o Options) error {
 	for m, name := range o.Members() {
 		f, err := NewSchedulerFactory(name)
-		var why string
-		switch {
-		case err != nil:
+		if err != nil {
 			return err
-		case f.Sequential():
-			why = "enumerates its schedule space statefully"
-		case f.Feedback():
-			why = "splices the corpus the plan's earlier positions built"
-		default:
+		}
+		if !f.Feedback() {
 			continue
 		}
 		field := "Options.Scheduler"
 		if len(o.Portfolio) > 0 {
 			field = fmt.Sprintf("Options.Portfolio[%d]", m)
 		}
-		return &ConfigError{Field: field, Reason: fmt.Sprintf("scheduler %q %s and cannot explore a sub-range", name, why)}
+		return &ConfigError{Field: field, Reason: fmt.Sprintf("scheduler %q splices the corpus the plan's earlier positions built and cannot explore a sub-range", name)}
 	}
 	return nil
 }
@@ -147,9 +136,9 @@ func CheckSubRange(o Options) error {
 // An adaptive member's length hint is pinned by its iteration 0 (see
 // calibrate in loop.go); a shard that holds positions of the member but
 // not that one re-runs it, so every shard of a plan pins the same hint and
-// carries nothing from an earlier one. A plan with a sequential or a
-// feedback member runs whole: a proper sub-range of it is rejected with
-// the ConfigError of CheckSubRange.
+// carries nothing from an earlier one. A plan with a feedback member runs
+// whole: a proper sub-range of it is rejected with the ConfigError of
+// CheckSubRange.
 func ExploreShard(t Test, o Options, sh Shard) (ShardResult, error) {
 	o, err := o.Resolve(t)
 	if err != nil {
@@ -174,7 +163,6 @@ func ExploreShard(t Test, o Options, sh Shard) (ShardResult, error) {
 	for _, ms := range ex.stats {
 		res.Executions += ms.Executions
 		res.TotalSteps += ms.TotalSteps
-		res.Exhausted = res.Exhausted || ms.Exhausted
 	}
 	if ex.bug != nil {
 		res.BugFound = true

@@ -20,8 +20,8 @@ func encodeTrace(t *testing.T, tr *Trace) []byte {
 // TestShardFullRangeMatchesExplore: a single shard covering the whole plan
 // must reproduce Explore bit for bit — winner position, trace bytes, and
 // the canonical statistics — for every scheduler family (pure, adaptive,
-// feedback, sequential) and for portfolios, including those with a member
-// that runs whole.
+// feedback) and for portfolios, including one with a member that runs
+// whole.
 func TestShardFullRangeMatchesExplore(t *testing.T) {
 	cases := []struct {
 		name string
@@ -30,10 +30,8 @@ func TestShardFullRangeMatchesExplore(t *testing.T) {
 		{"random", Options{Scheduler: "random", Iterations: 2000, Seed: 7}},
 		{"pct", Options{Scheduler: "pct", Iterations: 1000, Seed: 42}},
 		{"mutational", Options{Scheduler: "mutational", Iterations: 300, Seed: 13}},
-		{"dfs", Options{Scheduler: "dfs", Iterations: 1000}},
 		{"portfolio", Options{Portfolio: []string{"random", "pct"}, Iterations: 1000, Seed: 42}},
 		{"portfolio-feedback", Options{Portfolio: []string{"random", "mutational"}, Iterations: 300, Seed: 13}},
-		{"portfolio-sequential", Options{Portfolio: []string{"dfs", "random"}, Iterations: 1000, Seed: 42}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -185,8 +183,9 @@ func TestShardStopBoundPrunes(t *testing.T) {
 	}
 }
 
-// TestShardRejectsBadConfig: a proper sub-range of a plan with a sequential
-// or a feedback member, and malformed ranges, fail up front with typed
+// TestShardRejectsBadConfig: a plan naming dfs (the enumeration is a test
+// oracle, no registered scheduler), a proper sub-range of a plan with a
+// feedback member, and malformed ranges, fail up front with typed
 // ConfigErrors.
 func TestShardRejectsBadConfig(t *testing.T) {
 	o := Options{Scheduler: "random", Iterations: 100, Seed: 1}
@@ -196,7 +195,7 @@ func TestShardRejectsBadConfig(t *testing.T) {
 		sh   Shard
 		want string
 	}{
-		{"sequential", Options{Scheduler: "dfs", Iterations: 100}, Shard{From: 0, To: 10}, "cannot explore a sub-range"},
+		{"dfs", Options{Scheduler: "dfs", Iterations: 100}, Shard{From: 0, To: 10}, `unknown scheduler "dfs"`},
 		{"feedback", Options{Scheduler: "mutational", Iterations: 100}, Shard{From: 0, To: 10}, "cannot explore a sub-range"},
 		{"feedback member", withMembers(Options{Iterations: 100}, "random", "mutational"), Shard{From: 10, To: 200}, `Options.Portfolio[1]: scheduler "mutational"`},
 		{"empty range", o, Shard{From: 5, To: 5}, "non-empty sub-range"},
@@ -220,7 +219,7 @@ func TestShardRejectsBadConfig(t *testing.T) {
 }
 
 // TestCheckSubRange: the rule ExploreShard and a coordinator share refuses
-// a plan exactly when one of its members is sequential or feedback, and
+// a plan exactly when one of its members is feedback-driven, and
 // ExploreShard applies it to proper sub-ranges only: the whole plan runs
 // under any member.
 func TestCheckSubRange(t *testing.T) {
@@ -231,10 +230,9 @@ func TestCheckSubRange(t *testing.T) {
 		{[]string{"random"}, false},
 		{[]string{"pct"}, false},
 		{[]string{"delay"}, false},
-		{[]string{"dfs"}, true},
 		{[]string{"mutational"}, true},
 		{[]string{"random", "pct", "delay"}, false},
-		{[]string{"pct", "dfs"}, true},
+		{[]string{"pct", "mutational"}, true},
 		{[]string{"random", "mutational"}, true},
 	} {
 		t.Run(strings.Join(c.members, ","), func(t *testing.T) {
@@ -290,8 +288,8 @@ func TestCorpusCodecRoundTrip(t *testing.T) {
 				t.Fatalf("entry %d decision %d: %v vs %v", i, j, gdec[j], wdec[j])
 			}
 		}
-		if got.entries[i].iteration != c.entries[i].iteration {
-			t.Fatalf("entry %d iteration %d, want %d", i, got.entries[i].iteration, c.entries[i].iteration)
+		if got.entries[i].position != c.entries[i].position {
+			t.Fatalf("entry %d position %d, want %d", i, got.entries[i].position, c.entries[i].position)
 		}
 	}
 	// A decoded corpus keeps deduplicating.

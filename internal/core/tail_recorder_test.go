@@ -94,14 +94,14 @@ func (r *recorder) SetLengthHint(steps int) {
 	r.LengthHinted.SetLengthHint(steps)
 }
 
-func (r *recorder) Prepare(seed int64, maxSteps int) bool {
+func (r *recorder) Prepare(seed int64, maxSteps int) {
 	r.cur = r.log.start(seed, tailCut(r.hint))
 	if r.renew != nil {
 		s := r.renew()
 		r.Scheduler, r.LengthHinted = s, s.(core.LengthHinted)
 		r.LengthHinted.SetLengthHint(r.hint)
 	}
-	return r.Scheduler.Prepare(seed, maxSteps)
+	r.Scheduler.Prepare(seed, maxSteps)
 }
 
 func (r *recorder) NextMachine(enabled []core.MachineID) core.MachineID {
@@ -161,14 +161,14 @@ func recordingPlan(t *testing.T) {
 		for name, rec := range recordings {
 			log := &answerLog{}
 			recorderLogs[name] = log
-			err := core.RegisterScheduler(name, core.SchedulerSpec{New: func() core.Scheduler {
+			err := core.RegisterScheduler(name, func() core.Scheduler {
 				s := rec.base(core.ProbeDepth)
 				r := &recorder{Scheduler: s, LengthHinted: s.(core.LengthHinted), log: log}
 				if rec.fresh {
 					r.renew = func() core.Scheduler { return rec.base(core.ProbeDepth) }
 				}
 				return r
-			}})
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -40,7 +40,8 @@ func starvedWaiterTest() Test {
 }
 
 // tailSchedulers are the strategies the tail is held to: the fair one, the
-// two adaptive ones, and the exhaustive one, which has no stream of its own.
+// two adaptive ones, and the exhaustive one (the dfs oracle, exploreWith),
+// which has no stream of its own.
 var tailSchedulers = []string{"random", "pct", "delay", "dfs"}
 
 // TestFairTailClearsAStarvedWaiter: a clean system that pct and dfs starve
@@ -50,7 +51,7 @@ func TestFairTailClearsAStarvedWaiter(t *testing.T) {
 	const maxSteps = 100
 	for _, name := range tailSchedulers {
 		o := Options{Scheduler: name, Iterations: 40, MaxSteps: maxSteps, Seed: 1, Workers: 1}
-		res := MustExplore(starvedWaiterTest(), o)
+		res := exploreWith(starvedWaiterTest(), o)
 		if res.BugFound {
 			t.Fatalf("%s: starved waiter reported: %v", name, res.Report.Error())
 		}
@@ -67,7 +68,7 @@ func TestFairTailKeepsARealLivenessBug(t *testing.T) {
 	const maxSteps = 200
 	for _, name := range tailSchedulers {
 		o := Options{Scheduler: name, Iterations: 5, MaxSteps: maxSteps, Seed: 1, Workers: 1}
-		res := MustExplore(hotLooperTest(), o)
+		res := exploreWith(hotLooperTest(), o)
 		if !res.BugFound || res.Report.Kind != LivenessBug {
 			t.Fatalf("%s: want a liveness bug, got %v", name, res)
 		}
@@ -82,7 +83,7 @@ func TestFairTailKeepsARealLivenessBug(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Replay(hotLooperTest(), tr, o)
+		rep, err := Replay(hotLooperTest(), tr, Options{MaxSteps: maxSteps})
 		if err != nil {
 			t.Fatalf("%s: replay: %v", name, err)
 		}
@@ -102,16 +103,12 @@ func TestNoExecutionRunsPastTwiceTheBound(t *testing.T) {
 	test := hotLooperTest()
 	for _, name := range tailSchedulers {
 		for _, hint := range []int{0, 10} {
-			f, err := NewSchedulerFactory(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := f.WithLengthHint(hint).New()
+			s := newScheduler(t, name, hint)
 			cfg := o.runtimeConfig(test, false)
 			cfg.lengthHint = hint
 			for i := 0; i < 5; i++ {
 				cfg.seed = execSeed(1, i)
-				if !s.Prepare(cfg.seed, maxSteps) {
+				if s.Prepare(cfg.seed, maxSteps); treeSpent(s) {
 					break
 				}
 				r := newRuntime(s, cfg)
@@ -159,14 +156,14 @@ func pingersTest() Test {
 // off, which ends every leaf at the bound: the tail adds no branch to its
 // tree, and no leaf reports.
 func TestDFSTakesTheTailForALeaf(t *testing.T) {
-	o := Options{Scheduler: "dfs", Iterations: 10000, MaxSteps: 8, Seed: 1}
-	ref := MustExplore(pingersTest(), Options{Scheduler: "dfs", Iterations: 10000, MaxSteps: 8, Seed: 1, NoLivenessBoundCheck: true})
-	res := MustExplore(pingersTest(), o)
+	o := Options{Iterations: 10000, MaxSteps: 8, Seed: 1}
+	ref, refSpent := exploreDFS(pingersTest(), Options{Iterations: 10000, MaxSteps: 8, Seed: 1, NoLivenessBoundCheck: true})
+	res, spent := exploreDFS(pingersTest(), o)
 	if res.BugFound {
 		t.Fatalf("a leaf reported: %v", res.Report.Error())
 	}
-	if !ref.Exhausted || !res.Exhausted || res.Executions != ref.Executions {
-		t.Fatalf("dfs exhausted the tree in %d executions (%v) with the tail, %d (%v) without", res.Executions, res.Exhausted, ref.Executions, ref.Exhausted)
+	if !refSpent || !spent || res.Executions != ref.Executions {
+		t.Fatalf("dfs exhausted the tree in %d executions (%v) with the tail, %d (%v) without", res.Executions, spent, ref.Executions, refSpent)
 	}
 	if res.TotalSteps <= ref.TotalSteps {
 		t.Fatalf("no leaf ran on in the tail: %d steps with it, %d without", res.TotalSteps, ref.TotalSteps)
@@ -330,15 +327,15 @@ func lateCoolerTest(n int) Test {
 
 // TestLongHotPrefixIsNoLivenessBug: a monitor hot for nine tenths of the
 // bound and then cooled before quiescence is no liveness bug under any
-// registered scheduler. A verdict comes only from a monitor hot at
-// quiescence or still hot at twice the bound, never from the length of a
-// hot prefix.
+// registered scheduler or the dfs oracle. A verdict comes only from a
+// monitor hot at quiescence or still hot at twice the bound, never from the
+// length of a hot prefix.
 func TestLongHotPrefixIsNoLivenessBug(t *testing.T) {
 	const maxSteps, pings = 200, 44 // 4·pings+5 = 181 steps an execution
-	for _, name := range SchedulerNames() {
+	for _, name := range append(SchedulerNames(), "dfs") {
 		t.Run(name, func(t *testing.T) {
 			o := Options{Scheduler: name, Iterations: 20, MaxSteps: maxSteps, Seed: 1, Workers: 1}
-			res := MustExplore(lateCoolerTest(pings), o)
+			res := exploreWith(lateCoolerTest(pings), o)
 			if res.BugFound {
 				t.Fatalf("reported: %v", res.Report.Error())
 			}

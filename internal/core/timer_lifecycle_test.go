@@ -44,9 +44,8 @@ type scriptScheduler struct {
 }
 
 func (s *scriptScheduler) Name() string { return "script" }
-func (s *scriptScheduler) Prepare(int64, int) bool {
+func (s *scriptScheduler) Prepare(int64, int) {
 	s.pi, s.fi, s.ci, s.xi, s.bad = 0, 0, 0, 0, ""
-	return true
 }
 func (s *scriptScheduler) NextBool() bool  { return false }
 func (s *scriptScheduler) NextInt(int) int { return 0 }
@@ -400,7 +399,6 @@ func replayWithLog(t *testing.T, test Test, tr *Trace, maxSteps int) *Runtime {
 	t.Helper()
 	o := resolved(Options{MaxSteps: maxSteps})
 	sched := newReplayScheduler(tr)
-	sched.Prepare(0, o.MaxSteps)
 	cfg := o.runtimeConfig(test, true)
 	cfg.faults = tr.Faults
 	r := newRuntime(sched, cfg)
@@ -494,7 +492,7 @@ func runExplorations(t *testing.T, c lifecycleCase, workers int, noReuse bool) [
 			Scheduler: name, Iterations: lifecycleIterations, MaxSteps: c.maxSteps, Seed: lifecycleSeed,
 			Workers: workers, NoReuse: noReuse, NoReplayLog: true, debugCheckEnabled: true,
 		}
-		res := MustExplore(c.test, o)
+		res := exploreWith(c.test, o)
 		p := pinnedExploration{Scheduler: name, Executions: res.Executions, TotalSteps: res.TotalSteps, Found: res.BugFound}
 		if res.BugFound {
 			data, err := res.Report.Trace.Encode()
@@ -505,13 +503,10 @@ func runExplorations(t *testing.T, c lifecycleCase, workers int, noReuse bool) [
 			assertFaultTraceReplays(t, c.test, res, o)
 		}
 
-		f, err := NewSchedulerFactory(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		o.Scheduler = "" // the instance is built by name below, the dfs oracle's included
 		o = resolved(o)
 		cfg := o.runtimeConfig(c.test, false)
-		sched := f.New()
+		sched := newScheduler(t, name, 0)
 		pool := newExecPool(o)
 		h := sha256.New()
 		var buf [8]byte
@@ -520,7 +515,7 @@ func runExplorations(t *testing.T, c lifecycleCase, workers int, noReuse bool) [
 			h.Write(buf[:])
 		}
 		for i := 0; i < lifecycleDigestExecs; i++ {
-			if !sched.Prepare(execSeed(lifecycleSeed, i), o.MaxSteps) {
+			if sched.Prepare(execSeed(lifecycleSeed, i), o.MaxSteps); treeSpent(sched) {
 				break
 			}
 			r := pool.runtime(sched, cfg)

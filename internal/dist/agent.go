@@ -18,11 +18,11 @@ type AgentConfig struct {
 	// Name identifies the agent in leases, logs and metrics.
 	Name string
 	// Workers is the agent's local exploration parallelism (0 = one per
-	// CPU, the engine default).
+	// CPU, the engine default; negative is an error).
 	Workers int
 	// Poll is the status-poll cadence while a lease is running; the poll
 	// lowers the local stop bound as the fleet's best bug improves
-	// (default 250ms).
+	// (0 = 250ms; negative is an error).
 	Poll time.Duration
 	// BuildTest maps the plan's scenario name to a runnable test. The
 	// binaries wire the catalog here; tests wire fixtures.
@@ -43,7 +43,8 @@ type Agent struct {
 	opts core.Options
 }
 
-// NewAgent validates the configuration.
+// NewAgent validates the configuration, so a bad one fails before Run
+// takes a lease it could not run.
 func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Coordinator == "" {
 		return nil, fmt.Errorf("dist: AgentConfig.Coordinator is required")
@@ -54,7 +55,13 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.BuildTest == nil {
 		return nil, fmt.Errorf("dist: AgentConfig.BuildTest is required")
 	}
-	if cfg.Poll <= 0 {
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("dist: AgentConfig.Workers must be non-negative, got %d", cfg.Workers)
+	}
+	if cfg.Poll < 0 {
+		return nil, fmt.Errorf("dist: AgentConfig.Poll must be non-negative, got %v", cfg.Poll)
+	}
+	if cfg.Poll == 0 {
 		cfg.Poll = 250 * time.Millisecond
 	}
 	return &Agent{cfg: cfg, hc: &http.Client{Timeout: 30 * time.Second}}, nil

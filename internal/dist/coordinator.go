@@ -23,10 +23,11 @@ type Config struct {
 	// Options is the exploration plan (seed, budget, scheduler/portfolio,
 	// bounds). Resolved (core.Options.Resolve) by New.
 	Options core.Options
-	// LeaseSize is the number of global positions per lease (default 256).
+	// LeaseSize is the number of global positions per lease (0 = 256;
+	// negative is an error).
 	LeaseSize int64
 	// LeaseTTL is how long an agent may sit on a lease before it is
-	// re-issued to someone else (default 10s).
+	// re-issued to someone else (0 = 10s; negative is an error).
 	LeaseTTL time.Duration
 	// Log, when non-nil, receives one line per control-plane event.
 	Log func(format string, args ...any)
@@ -83,11 +84,16 @@ type Coordinator struct {
 
 // New validates the plan and builds a coordinator. The plan is only ever
 // explored a lease at a time, so it must be one whose every sub-range can
-// be (core.CheckSubRange): no member may be sequential (dfs) or feedback
-// (mutational).
+// be (core.CheckSubRange): no member may be feedback-driven (mutational).
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Scenario == "" {
 		return nil, fmt.Errorf("dist: Config.Scenario is required")
+	}
+	if cfg.LeaseSize < 0 {
+		return nil, fmt.Errorf("dist: Config.LeaseSize must be non-negative, got %d", cfg.LeaseSize)
+	}
+	if cfg.LeaseTTL < 0 {
+		return nil, fmt.Errorf("dist: Config.LeaseTTL must be non-negative, got %v", cfg.LeaseTTL)
 	}
 	o, err := cfg.Options.Resolve(core.Test{})
 	if err != nil {
@@ -96,10 +102,10 @@ func New(cfg Config) (*Coordinator, error) {
 	if err := core.CheckSubRange(o); err != nil {
 		return nil, err
 	}
-	if cfg.LeaseSize <= 0 {
+	if cfg.LeaseSize == 0 {
 		cfg.LeaseSize = 256
 	}
-	if cfg.LeaseTTL <= 0 {
+	if cfg.LeaseTTL == 0 {
 		cfg.LeaseTTL = 10 * time.Second
 	}
 	total := core.PlanSize(o)

@@ -401,12 +401,11 @@ func TestProtocolVersionMismatch(t *testing.T) {
 }
 
 // TestWholePlanSchedulersRejected: a fleet explores nothing but sub-ranges,
-// so a plan with a member that cannot explore one — dfs enumerates
-// statefully, mutational splices the corpus of the positions before — is
-// refused up front, by the rule ExploreShard applies.
+// so a plan with a member that cannot explore one — mutational splices the
+// corpus of the positions before — is refused up front, by the rule
+// ExploreShard applies.
 func TestWholePlanSchedulersRejected(t *testing.T) {
 	for _, o := range []core.Options{
-		{Scheduler: "dfs"},
 		{Scheduler: "mutational"},
 		{Portfolio: []string{"random", "mutational"}},
 	} {
@@ -415,6 +414,54 @@ func TestWholePlanSchedulersRejected(t *testing.T) {
 			t.Errorf("New(%v) error = %v, want a *core.ConfigError refusing the sub-ranges", o.Members(), err)
 		}
 	}
+}
+
+// TestNegativeSettingsAreRejected: a negative agent parallelism or poll
+// cadence fails at NewAgent, before Run can take a lease it would strand
+// until the lease expires, and a negative lease size or TTL fails at New
+// instead of turning into the default. Zero still means the default.
+func TestNegativeSettingsAreRejected(t *testing.T) {
+	build := func(string) (core.Test, error) { return choiceTest(), nil }
+	for _, c := range []struct {
+		cfg  AgentConfig
+		want string
+	}{
+		{AgentConfig{Workers: -1}, "AgentConfig.Workers must be non-negative, got -1"},
+		{AgentConfig{Poll: -time.Second}, "AgentConfig.Poll must be non-negative, got -1s"},
+	} {
+		field, _, _ := strings.Cut(c.want, " ")
+		t.Run(field, func(t *testing.T) {
+			c.cfg.Coordinator, c.cfg.Name, c.cfg.BuildTest = "http://127.0.0.1:1", "a", build
+			if _, err := NewAgent(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("NewAgent(%+v) error = %v, want %q", c.cfg, err, c.want)
+			}
+		})
+	}
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{LeaseSize: -5}, "Config.LeaseSize must be non-negative, got -5"},
+		{Config{LeaseTTL: -time.Second}, "Config.LeaseTTL must be non-negative, got -1s"},
+	} {
+		field, _, _ := strings.Cut(c.want, " ")
+		t.Run(field, func(t *testing.T) {
+			c.cfg.Scenario = "choices"
+			if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("New(%+v) error = %v, want %q", c.cfg, err, c.want)
+			}
+		})
+	}
+	t.Run("zero means the default", func(t *testing.T) {
+		a, err := NewAgent(AgentConfig{Coordinator: "http://127.0.0.1:1", Name: "a", BuildTest: build})
+		if err != nil || a.cfg.Poll != 250*time.Millisecond {
+			t.Fatalf("zero Poll: agent %+v, error %v; want the 250ms default", a, err)
+		}
+		co, err := New(Config{Scenario: "choices"})
+		if err != nil || co.cfg.LeaseSize != 256 || co.cfg.LeaseTTL != 10*time.Second {
+			t.Fatalf("zero lease settings: error %v; want the 256-position, 10s defaults", err)
+		}
+	})
 }
 
 // TestHealthzAndMetrics: the operational endpoints answer in their

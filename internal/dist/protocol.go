@@ -29,9 +29,9 @@
 // the best bug.
 //
 // The coordinator accepts only a plan whose every sub-range an agent can
-// explore on its own (core.CheckSubRange): a sequential (dfs) or feedback
-// (mutational) member ties each position to the ones before it, so a plan
-// with one runs whole, in one process.
+// explore on its own (core.CheckSubRange): a feedback (mutational) member
+// ties each position to the ones before it, so a plan with one runs whole,
+// in one process.
 //
 // Three files, three jobs. coordinator.go is the state machine: join, lease,
 // report and status take the time and a request and return a response or an

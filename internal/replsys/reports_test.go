@@ -13,9 +13,12 @@ import (
 // growing in between, before the server gets to run, so three reports sit
 // in the server's inbox at once — three records, each with the log as it was
 // when its tick was answered. Once the server has handed them back, the
-// next tick reuses one. The first dfs execution always runs the lowest
+// next tick reuses one. The lowest-first scheduler always runs the lowest
 // enabled machine, which keeps the server (the highest ID) waiting.
 func TestQueuedSyncReportsKeepTheirLogs(t *testing.T) {
+	if registerLowestFirst != nil {
+		t.Fatal(registerLowestFirst)
+	}
 	reports := &syncReports{}
 	var got [][]int
 	var records []*syncReport
@@ -43,7 +46,7 @@ func TestQueuedSyncReportsKeepTheirLogs(t *testing.T) {
 			}
 		},
 	}
-	res := core.MustExplore(test, core.Options{Scheduler: "dfs", Iterations: 1, MaxSteps: 100})
+	res := core.MustExplore(test, core.Options{Scheduler: "lowest-first", Iterations: 1, MaxSteps: 100})
 	if res.BugFound {
 		t.Fatalf("unexpected bug: %v", res.Report.Error())
 	}
@@ -57,6 +60,19 @@ func TestQueuedSyncReportsKeepTheirLogs(t *testing.T) {
 		t.Fatal("the tick after the server returned its records allocated a new one")
 	}
 }
+
+// lowestFirst runs the lowest enabled machine and answers every other
+// choice with its first outcome.
+type lowestFirst struct{}
+
+func (lowestFirst) Name() string                                        { return "lowest-first" }
+func (lowestFirst) Prepare(int64, int)                                  {}
+func (lowestFirst) NextMachine(enabled []core.MachineID) core.MachineID { return enabled[0] }
+func (lowestFirst) NextBool() bool                                      { return false }
+func (lowestFirst) NextInt(int) int                                     { return 0 }
+func (lowestFirst) NextFault(core.FaultChoice) int                      { return 0 }
+
+var registerLowestFirst = core.RegisterScheduler("lowest-first", func() core.Scheduler { return lowestFirst{} })
 
 // maxMallocsPerExecution is the allocation budget of one clean replsys-fixed
 // execution of 8 000 steps (pooled, one worker, random scheduler): wiring the

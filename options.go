@@ -65,8 +65,8 @@ func positive(option string, v int, set func(*core.Options)) Option {
 }
 
 // WithScheduler selects the exploration strategy by registered name:
-// "random" (the default), "pct", "rr", "delay", "dfs", or any name added
-// via RegisterScheduler. It overrides an earlier WithPortfolio: the run
+// "random" (the default), "pct", "rr", "delay", "mutational", or any name
+// added via RegisterScheduler. It overrides an earlier WithPortfolio: the run
 // explores the single named scheduler.
 func WithScheduler(name string) Option {
 	return func(c *config) {
@@ -125,9 +125,7 @@ func WithMaxSteps(n int) Option {
 // (default: one per CPU). In a portfolio every worker serves every member,
 // so WithWorkers(1) really is one worker. Results are bit-identical at
 // every worker count — the engine's determinism contract — so this is
-// purely a throughput knob. A plan with a sequential scheduler (dfs) runs
-// on one worker, which visits its positions in order, and replay is
-// single-threaded, regardless.
+// purely a throughput knob. Replay is single-threaded regardless.
 func WithWorkers(n int) Option {
 	return positive("WithWorkers", n, func(o *core.Options) { o.Workers = n })
 }

@@ -23,10 +23,7 @@ type lifoScheduler struct {
 
 func (s *lifoScheduler) Name() string { return "lifo" }
 
-func (s *lifoScheduler) Prepare(seed int64, _ int) bool {
-	s.rng.Seed(seed)
-	return true
-}
+func (s *lifoScheduler) Prepare(seed int64, _ int) { s.rng.Seed(seed) }
 
 func (s *lifoScheduler) NextMachine(enabled []gostorm.MachineID) gostorm.MachineID {
 	return enabled[len(enabled)-1]
@@ -40,8 +37,8 @@ func (s *lifoScheduler) NextFault(c gostorm.FaultChoice) int { return s.rng.Intn
 
 // registerLIFO registers the scheduler once for this test binary.
 var registerLIFO = func() error {
-	return gostorm.RegisterScheduler("lifo", gostorm.SchedulerSpec{
-		New: func() gostorm.Scheduler { return &lifoScheduler{rng: gostorm.NewRand()} },
+	return gostorm.RegisterScheduler("lifo", func() gostorm.Scheduler {
+		return &lifoScheduler{rng: gostorm.NewRand()}
 	})
 }()
 
@@ -142,7 +139,7 @@ func (s *hintedScheduler) Name() string { return "hinted" }
 
 func (s *hintedScheduler) SetLengthHint(steps int) { s.hint = steps }
 
-func (s *hintedScheduler) Prepare(seed int64, maxSteps int) bool {
+func (s *hintedScheduler) Prepare(seed int64, maxSteps int) {
 	s.rng.Seed(seed)
 	bound := s.hint
 	if bound == 0 {
@@ -152,7 +149,6 @@ func (s *hintedScheduler) Prepare(seed int64, maxSteps int) bool {
 	s.log.mu.Lock()
 	s.log.hints = append(s.log.hints, s.hint)
 	s.log.mu.Unlock()
-	return true
 }
 
 func (s *hintedScheduler) NextMachine(enabled []gostorm.MachineID) gostorm.MachineID {
@@ -168,8 +164,8 @@ func (s *hintedScheduler) NextFault(c gostorm.FaultChoice) int { return s.rng.In
 
 var hints = &hintLog{}
 
-var registerHinted = gostorm.RegisterScheduler("hinted", gostorm.SchedulerSpec{
-	New: func() gostorm.Scheduler { return &hintedScheduler{rng: gostorm.NewRand(), log: hints} },
+var registerHinted = gostorm.RegisterScheduler("hinted", func() gostorm.Scheduler {
+	return &hintedScheduler{rng: gostorm.NewRand(), log: hints}
 })
 
 // TestLengthHintedSchedulerIsCalibrated: a scheduler registered with only a
@@ -242,10 +238,7 @@ type liar struct {
 func (s *liar) Name() string   { return s.name }
 func (s *liar) NextBool() bool { return false }
 
-func (s *liar) Prepare(int64, int) bool {
-	s.calls = 0
-	return true
-}
+func (s *liar) Prepare(int64, int) { s.calls = 0 }
 
 func (s *liar) NextInt(n int) int {
 	if s.ints {
@@ -285,9 +278,7 @@ var liars = []liar{
 
 var registerLiars = func() error {
 	for _, l := range liars {
-		err := gostorm.RegisterScheduler(l.name, gostorm.SchedulerSpec{
-			New: func() gostorm.Scheduler { s := l; return &s },
-		})
+		err := gostorm.RegisterScheduler(l.name, func() gostorm.Scheduler { s := l; return &s })
 		if err != nil {
 			return err
 		}
@@ -383,9 +374,7 @@ func TestOutOfRangeTimerAnswerIsAttributedToTheTimer(t *testing.T) {
 // scheduler is refused by RegisterScheduler, with an error naming it, so
 // Explore never gets to hand the nil to a worker; the name stays unknown.
 func TestNilSchedulerIsRejectedAtRegistration(t *testing.T) {
-	err := gostorm.RegisterScheduler("nil-sched", gostorm.SchedulerSpec{
-		New: func() gostorm.Scheduler { return nil },
-	})
+	err := gostorm.RegisterScheduler("nil-sched", func() gostorm.Scheduler { return nil })
 	if err == nil || !strings.Contains(err.Error(), `"nil-sched"`) {
 		t.Fatalf("RegisterScheduler(nil-sched) = %v, want an error naming the scheduler", err)
 	}
@@ -454,7 +443,7 @@ func TestResolveReportsEffectiveConfig(t *testing.T) {
 		t.Fatalf("declared budget not reported: %+v", *cfg.Faults)
 	}
 
-	cfg, err = gostorm.Resolve(test, gostorm.WithNoFaults(), gostorm.WithScheduler("dfs"),
+	cfg, err = gostorm.Resolve(test, gostorm.WithNoFaults(), gostorm.WithScheduler("rr"),
 		gostorm.WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
@@ -462,11 +451,8 @@ func TestResolveReportsEffectiveConfig(t *testing.T) {
 	if *cfg.Faults != (gostorm.Faults{}) {
 		t.Fatalf("WithNoFaults not resolved: %+v", *cfg.Faults)
 	}
-	if cfg.Workers != 1 {
-		t.Fatalf("sequential scheduler not clamped to one worker: %+v", cfg)
-	}
-	if cfg, err = gostorm.Resolve(test, gostorm.WithPortfolio("dfs", "random"), gostorm.WithWorkers(8)); err != nil || cfg.Workers != 1 {
-		t.Fatalf("any sequential member clamps the pool to one worker: %+v, %v", cfg, err)
+	if cfg.Scheduler != "rr" || cfg.Workers != 8 {
+		t.Fatalf("scheduler or workers not reported as set: %+v", cfg)
 	}
 
 	cfg, err = gostorm.Resolve(test, gostorm.WithPortfolio("random", "pct"),

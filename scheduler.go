@@ -15,7 +15,6 @@ import (
 // shared program-length estimate exactly like the built-in pct and delay
 // schedulers, with nothing to declare. Likewise a scheduler whose
 // instances implement FeedbackScheduler is handed the run's corpus.
-// spec.Sequential is the one thing an instance cannot say about itself.
 //
 // A registered Scheduler must be a deterministic function of its Prepare
 // seed and the call sequence — exact replay, and with it bug
@@ -32,10 +31,10 @@ import (
 //
 // Registration is typically done from an init function or at the top of
 // a test. The name must be non-empty, must not contain commas or
-// whitespace, and must not already be registered; spec.New must build a
-// non-nil instance.
-func RegisterScheduler(name string, spec SchedulerSpec) error {
-	return core.RegisterScheduler(name, spec)
+// whitespace, and must not already be registered; newScheduler must build
+// a fresh, non-nil instance on every call.
+func RegisterScheduler(name string, newScheduler func() Scheduler) error {
+	return core.RegisterScheduler(name, newScheduler)
 }
 
 // NewRand returns the generator the built-in schedulers draw from, for

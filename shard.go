@@ -63,10 +63,9 @@ func PlanSize(opts ...Option) (int64, error) {
 // A shard that holds positions of an adaptive member (pct, delay) but not
 // its iteration 0 re-runs that execution first, for the member's length
 // estimate; the execution counts in the statistics of the shard that owns
-// it, so the sums over a partition are Explore's. A sequential scheduler
-// (dfs) enumerates its space statefully, and a feedback scheduler
+// it, so the sums over a partition are Explore's. A feedback scheduler
 // (mutational) splices the corpus the plan's earlier positions built, so a
-// plan with either runs whole: a proper sub-range of it is rejected with a
+// plan with one runs whole: a proper sub-range of it is rejected with a
 // *ConfigError.
 func ExploreShard(t Test, sh Shard, opts ...Option) (ShardResult, error) {
 	c, err := resolve(opts)
