@@ -328,8 +328,9 @@ func TestDocsStateTheDesignOnce(t *testing.T) {
 // program must compile against nothing but the public package, the
 // standard library and the module packages listed for it — which is what
 // makes them proof that the API boundary is real. The plan flags systest
-// and gostormd share (cmd/internal/runflags) obey the rule themselves, and
-// the fleet binaries add only the control plane, internal/dist.
+// and gostormd share (cmd/internal/runflags) obey the rule themselves, the
+// agent prints its errors through them too, and the fleet binaries add only
+// the control plane, internal/dist.
 func TestExamplesUsePublicAPIOnly(t *testing.T) {
 	const (
 		module   = "github.com/gostorm/gostorm"
@@ -344,7 +345,7 @@ func TestExamplesUsePublicAPIOnly(t *testing.T) {
 		"cmd/internal/runflags": nil,
 		"cmd/systest":           {runflags},
 		"cmd/gostormd":          {runflags, dist},
-		"cmd/gostorm-agent":     {dist},
+		"cmd/gostorm-agent":     {runflags, dist},
 	} {
 		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

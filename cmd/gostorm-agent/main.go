@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"github.com/gostorm/gostorm"
+	"github.com/gostorm/gostorm/cmd/internal/runflags"
 	"github.com/gostorm/gostorm/internal/dist"
 )
 
@@ -76,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	agent, err := dist.NewAgent(cfg)
 	if err != nil {
-		fmt.Fprintln(stderr, "gostorm-agent:", err)
+		fmt.Fprintln(stderr, "gostorm-agent:", runflags.Message(err))
 		return 2
 	}
 
@@ -87,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "gostorm-agent: interrupted")
 			return 1
 		}
-		fmt.Fprintln(stderr, "gostorm-agent:", err)
+		fmt.Fprintln(stderr, "gostorm-agent:", runflags.Message(err))
 		return 1
 	}
 	fmt.Fprintln(stdout, "gostorm-agent: run complete")

@@ -70,12 +70,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// dist.New publishes (Workers is machine-local and stays off the wire).
 	sc, opts, err := planFlags.Plan()
 	if err != nil {
-		fmt.Fprintln(stderr, "gostormd:", err)
+		fmt.Fprintln(stderr, "gostormd:", runflags.Message(err))
 		return 2
 	}
 	resolved, err := gostorm.Resolve(sc.Test(), opts...)
 	if err != nil {
-		fmt.Fprintln(stderr, "gostormd:", err)
+		fmt.Fprintln(stderr, "gostormd:", runflags.Message(err))
 		return 2
 	}
 
@@ -92,13 +92,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	co, err := dist.New(cfg)
 	if err != nil {
-		fmt.Fprintln(stderr, "gostormd:", err)
+		fmt.Fprintln(stderr, "gostormd:", runflags.Message(err))
 		return 2
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(stderr, "gostormd:", err)
+		fmt.Fprintln(stderr, "gostormd:", runflags.Message(err))
 		return 2
 	}
 	srv := &http.Server{Handler: co.Handler()}

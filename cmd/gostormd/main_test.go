@@ -308,18 +308,18 @@ func TestCoordinatorConfigErrors(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"plan flag", coordBin, []string{"-test", "wal-torn-tail", "-iterations", "-5"}, "gostormd: gostorm: WithIterations: must be positive, got -5"},
+		{"plan flag", coordBin, []string{"-test", "wal-torn-tail", "-iterations", "-5"}, "gostormd: -iterations: must be positive, got -5"},
 		{"removed liveness threshold", coordBin, []string{"-test", "wal-torn-tail", "-temperature", "50"}, "flag provided but not defined: -temperature"},
 		{"dfs scheduler", coordBin, []string{"-test", "wal-torn-tail", "-scheduler", "dfs"}, `unknown scheduler "dfs"`},
 		{"feedback scheduler", coordBin, []string{"-test", "wal-torn-tail", "-portfolio", "random,mutational"}, "cannot explore a sub-range"},
-		{"negative lease", coordBin, []string{"-test", "wal-torn-tail", "-lease", "-1"}, "Config.LeaseSize must be non-negative, got -1"},
-		{"negative lease-ttl", coordBin, []string{"-test", "wal-torn-tail", "-lease-ttl", "-1s"}, "Config.LeaseTTL must be non-negative, got -1s"},
+		{"negative lease", coordBin, []string{"-test", "wal-torn-tail", "-lease", "-1"}, "gostormd: -lease: must be non-negative, got -1"},
+		{"negative lease-ttl", coordBin, []string{"-test", "wal-torn-tail", "-lease-ttl", "-1s"}, "gostormd: -lease-ttl: must be non-negative, got -1s"},
 		{"negative linger", coordBin, []string{"-test", "wal-torn-tail", "-linger", "-2s"}, "-linger must be non-negative, got -2s"},
 		{"agent without coordinator", agentBin, []string{"-coordinator", ""}, "Coordinator is required"},
 		// An unreachable coordinator: a check that passed would fail on the
 		// join instead, with exit 1.
-		{"agent negative workers", agentBin, []string{"-coordinator", "http://127.0.0.1:1", "-workers", "-2"}, "AgentConfig.Workers must be non-negative, got -2"},
-		{"agent negative poll", agentBin, []string{"-coordinator", "http://127.0.0.1:1", "-poll", "-1s"}, "AgentConfig.Poll must be non-negative, got -1s"},
+		{"agent negative workers", agentBin, []string{"-coordinator", "http://127.0.0.1:1", "-workers", "-2"}, "gostorm-agent: -workers: must be non-negative, got -2"},
+		{"agent negative poll", agentBin, []string{"-coordinator", "http://127.0.0.1:1", "-poll", "-1s"}, "gostorm-agent: -poll: must be non-negative, got -1s"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := exec.Command(tc.bin, tc.args...).CombinedOutput()

@@ -7,7 +7,8 @@
 // The flags here are the ones that shape the schedule space or a verdict —
 // scenario, schedulers, seed, budgets, fault plane. Flags that only say how
 // one machine runs the plan (-workers, -shard, -trace-out, -addr, ...) stay
-// with each command.
+// with each command; Message names them all in the errors the commands
+// print.
 package runflags
 
 import (
@@ -83,6 +84,40 @@ func (f *Flags) Plan() (gostorm.Scenario, []gostorm.Option, error) {
 		opts = append(opts, gostorm.WithMaxSteps(f.maxSteps))
 	}
 	return sc, append(opts, faults...), nil
+}
+
+// fieldFlags maps the Field of a *gostorm.ConfigError to the flag that sets
+// it, in each spelling a layer reports: the option, the engine's Options
+// field, and the fleet's Config and AgentConfig fields.
+var fieldFlags = map[string]string{
+	"WithIterations":      "-iterations",
+	"Options.Iterations":  "-iterations",
+	"WithMaxSteps":        "-max-steps",
+	"Options.MaxSteps":    "-max-steps",
+	"WithWorkers":         "-workers",
+	"Options.Workers":     "-workers",
+	"AgentConfig.Workers": "-workers",
+	"WithScheduler":       "-scheduler",
+	"Options.Scheduler":   "-scheduler",
+	"WithPortfolio":       "-portfolio",
+	"Options.Portfolio":   "-portfolio",
+	"Config.LeaseSize":    "-lease",
+	"Config.LeaseTTL":     "-lease-ttl",
+	"AgentConfig.Poll":    "-poll",
+}
+
+// Message renders err as a command prints it: a *gostorm.ConfigError on a
+// field a flag sets names the flag the user typed ("-lease: must be
+// non-negative, got -1"); any other error, a wrapped one included, reads as
+// it is.
+func Message(err error) string {
+	if ce, ok := err.(*gostorm.ConfigError); ok {
+		field, _, _ := strings.Cut(ce.Field, "[") // Options.Portfolio[i]
+		if flag, ok := fieldFlags[field]; ok {
+			return flag + ": " + ce.Reason
+		}
+	}
+	return err.Error()
 }
 
 // members resolves the -portfolio/-scheduler pair into a validated member

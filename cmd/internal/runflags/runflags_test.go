@@ -48,13 +48,14 @@ func TestPlanFlagsFailUpFront(t *testing.T) {
 		{"bad faults key", []string{"-test", "replsys", "-faults", "bogus=1"}, "unknown key"},
 		{"bad faults value", []string{"-test", "replsys", "-faults", "crashes=x"}, "non-negative integer"},
 		{"repeated faults key", []string{"-test", "replsys", "-faults", "dups=1,crashes=1,dups=0"}, "-faults: core: fault spec \"dups=1,crashes=1,dups=0\": \"dups=0\" repeats the dups key"},
-		{"negative iterations", []string{"-test", "wal-fixed", "-iterations", "-5"}, "WithIterations: must be positive, got -5"},
-		{"negative max-steps", []string{"-test", "wal-fixed", "-max-steps", "-3"}, "WithMaxSteps: must be positive, got -3"},
+		{"negative iterations", []string{"-test", "wal-fixed", "-iterations", "-5"}, "-iterations: must be positive, got -5"},
+		{"negative max-steps", []string{"-test", "wal-fixed", "-max-steps", "-3"}, "-max-steps: must be positive, got -3"},
+		{"plan too large to number", []string{"-test", "wal-fixed", "-portfolio", "random,pct", "-iterations", "4611686018427387904"}, "-iterations: must be at most 4611686018427387903"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := resolve(t, c.args...)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("error = %v, want one containing %q", err, c.want)
+			if err == nil || !strings.Contains(Message(err), c.want) {
+				t.Fatalf("error = %v, want one printed containing %q", err, c.want)
 			}
 		})
 	}
@@ -83,5 +84,35 @@ func TestPlanFlagsLayerOverTheScenario(t *testing.T) {
 			t.Errorf("%v resolves to scheduler %q portfolio %v faults %s, want %q %v %s",
 				c.args, cfg.Scheduler, cfg.Portfolio, cfg.Faults, c.scheduler, c.portfolio, c.faults)
 		}
+	}
+}
+
+// TestMessageNamesTheFlag: every field the table maps is printed as its
+// flag, a portfolio member's index included; a field no flag sets, and any
+// other error, reads as it is.
+func TestMessageNamesTheFlag(t *testing.T) {
+	for field, want := range map[string]string{
+		"WithIterations":       "-iterations: bad",
+		"Options.Iterations":   "-iterations: bad",
+		"WithMaxSteps":         "-max-steps: bad",
+		"Options.MaxSteps":     "-max-steps: bad",
+		"WithWorkers":          "-workers: bad",
+		"Options.Workers":      "-workers: bad",
+		"AgentConfig.Workers":  "-workers: bad",
+		"WithScheduler":        "-scheduler: bad",
+		"Options.Scheduler":    "-scheduler: bad",
+		"WithPortfolio":        "-portfolio: bad",
+		"Options.Portfolio[2]": "-portfolio: bad",
+		"Config.LeaseSize":     "-lease: bad",
+		"Config.LeaseTTL":      "-lease-ttl: bad",
+		"AgentConfig.Poll":     "-poll: bad",
+		"Shard":                "gostorm: Shard: bad",
+	} {
+		if got := Message(&gostorm.ConfigError{Field: field, Reason: "bad"}); got != want {
+			t.Errorf("%s: printed %q, want %q", field, got, want)
+		}
+	}
+	if got := Message(io.EOF); got != "EOF" {
+		t.Errorf("a plain error printed %q", got)
 	}
 }

@@ -63,12 +63,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// message, not thousands of executions in.
 	sc, opts, err := planFlags.Plan()
 	if err != nil {
-		fmt.Fprintln(stderr, "systest:", err)
+		fmt.Fprintln(stderr, "systest:", runflags.Message(err))
 		return 2
 	}
 	shardIdx, shardN, err := parseShard(*shard)
 	if err != nil {
-		fmt.Fprintln(stderr, "systest:", err)
+		fmt.Fprintln(stderr, "systest:", runflags.Message(err))
 		return 2
 	}
 	if shardN > 0 && *replay != "" {
@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	target := sc.Test()
 	cfg, err := gostorm.Resolve(target, opts...)
 	if err != nil {
-		fmt.Fprintln(stderr, "systest:", err)
+		fmt.Fprintln(stderr, "systest:", runflags.Message(err))
 		return 2
 	}
 
@@ -124,12 +124,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *replay != "" {
 		data, err := os.ReadFile(*replay)
 		if err != nil {
-			fmt.Fprintln(stderr, "systest:", err)
+			fmt.Fprintln(stderr, "systest:", runflags.Message(err))
 			return 1
 		}
 		tr, err := gostorm.DecodeTrace(data)
 		if err != nil {
-			fmt.Fprintln(stderr, "systest:", err)
+			fmt.Fprintln(stderr, "systest:", runflags.Message(err))
 			return 1
 		}
 		rep, err := gostorm.Replay(target, tr, opts...)
@@ -163,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	res, err := gostorm.Explore(target, opts...)
 	if err != nil {
-		fmt.Fprintln(stderr, "systest:", err)
+		fmt.Fprintln(stderr, "systest:", runflags.Message(err))
 		return 2
 	}
 	for m, ms := range res.Portfolio {
@@ -230,7 +230,7 @@ func parseShard(spec string) (i, n int64, err error) {
 func runShard(stdout, stderr io.Writer, target gostorm.Test, scenario string, cfg gostorm.Config, opts []gostorm.Option, idx, n int64, traceOut string, verbose bool) int {
 	total, err := gostorm.PlanSize(opts...)
 	if err != nil {
-		fmt.Fprintln(stderr, "systest:", err)
+		fmt.Fprintln(stderr, "systest:", runflags.Message(err))
 		return 2
 	}
 	from := idx * total / n
@@ -247,7 +247,7 @@ func runShard(stdout, stderr io.Writer, target gostorm.Test, scenario string, cf
 		idx, n, scenario, from, to, total, sched, cfg.Seed, cfg.Faults)
 	res, err := gostorm.ExploreShard(target, gostorm.Shard{From: from, To: to}, opts...)
 	if err != nil {
-		fmt.Fprintln(stderr, "systest:", err)
+		fmt.Fprintln(stderr, "systest:", runflags.Message(err))
 		return 2
 	}
 	if !res.BugFound {

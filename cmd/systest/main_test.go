@@ -214,7 +214,7 @@ func TestCLIValidatesFlagsUpFront(t *testing.T) {
 		want string
 	}{
 		{"portfolio is not a scheduler", []string{"-test", "replsys", "-scheduler", "portfolio"}, "unknown scheduler"},
-		{"negative workers", []string{"-test", "wal-fixed", "-workers", "-2"}, "WithWorkers: must be positive"},
+		{"negative workers", []string{"-test", "wal-fixed", "-workers", "-2"}, "systest: -workers: must be positive, got -2"},
 		{"removed liveness threshold", []string{"-test", "wal-fixed", "-temperature", "50"}, "flag provided but not defined: -temperature"},
 	}
 	for _, c := range cases {

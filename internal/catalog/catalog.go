@@ -259,16 +259,6 @@ func All() []Entry {
 	return entries
 }
 
-// Names returns every scenario name.
-func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, e := range all {
-		names[i] = e.Name
-	}
-	return names
-}
-
 // Describe renders the catalog as a listing.
 func Describe() string {
 	var sb strings.Builder

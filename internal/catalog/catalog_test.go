@@ -31,9 +31,6 @@ func TestCatalogGet(t *testing.T) {
 	if _, err := Get("nope"); err == nil {
 		t.Fatal("unknown scenario resolved")
 	}
-	if len(Names()) != len(All()) {
-		t.Fatal("Names / All mismatch")
-	}
 	if !strings.Contains(Describe(), "mtable") {
 		t.Fatal("Describe lacks scenarios")
 	}

@@ -68,7 +68,7 @@ func conformanceDrive(name string, s Scheduler) ([]string, error) {
 }
 
 // compareStreams reports the first divergence between two decision
-// streams from the same factory and seed.
+// streams from the same constructor and seed.
 func compareStreams(name, what string, a, b []string) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("%s: %s: stream lengths diverge: %d vs %d", name, what, len(a), len(b))
@@ -82,14 +82,14 @@ func compareStreams(name, what string, a, b []string) error {
 }
 
 // VerifySchedulerConformance holds the named registered scheduler to the
-// factory contract the exploration engine and portfolio attribution rest
-// on, returning the first violation found (nil when the scheduler
-// conforms):
+// contract the exploration engine and portfolio attribution rest on,
+// returning the first violation found (nil when the scheduler conforms):
 //
 //   - NextMachine always returns a member of the enabled set, and
 //     NextBool/NextInt/NextFault stay in range on valid input;
-//   - two fresh instances from one factory make identical decisions for
-//     the same seed (the property the parallel worker pool rests on);
+//   - the constructor never builds nil or the same instance twice, and two
+//     fresh instances make identical decisions for the same seed (the
+//     property the parallel worker pool rests on);
 //   - Prepare reseeding is total: re-preparing the same instance with the
 //     same seed reproduces the identical decision stream, with no state
 //     leaking across executions. Adaptive schedulers (LengthHinted) are
@@ -104,17 +104,29 @@ func compareStreams(name, what string, a, b []string) error {
 //     pass runs it corpus-less, pinning the required degenerate-to-
 //     ordinary behavior.)
 func VerifySchedulerConformance(name string) error {
-	f, err := NewSchedulerFactory(name)
-	if err != nil {
+	newSched, cerr := lookupScheduler(name)
+	if cerr != nil {
+		return cerr
+	}
+	// pinned builds fresh instances as the exploration loop runs them: an
+	// adaptive one under a pinned length estimate, a feedback one reading
+	// corpus when it is non-nil.
+	pinned := func(corpus *Corpus) func() Scheduler {
+		return func() Scheduler {
+			s := newSched()
+			if h, ok := s.(LengthHinted); ok {
+				h.SetLengthHint(64)
+			}
+			if fs, ok := s.(FeedbackScheduler); ok && corpus != nil {
+				fs.AttachCorpus(corpus)
+			}
+			return s
+		}
+	}
+	if err := verifyFactoryDeterminism(name, pinned(nil)); err != nil {
 		return err
 	}
-	if f.Adaptive() {
-		f = f.WithLengthHint(64)
-	}
-	if err := verifyFactoryDeterminism(name, f); err != nil {
-		return err
-	}
-	if f.Feedback() {
+	if _, feedback := newSched().(FeedbackScheduler); feedback {
 		// The corpus deliberately mixes prefixes that splice cleanly into
 		// the synthetic workload with ones that diverge immediately, so
 		// both the replay path and the abandon-and-randomize path are
@@ -133,13 +145,13 @@ func VerifySchedulerConformance(name string) error {
 		synth.Add(0x1003, 2, []Decision{
 			{Kind: DecisionBool, Bool: false}, // wrong kind at the first call
 		})
-		if err := verifyFactoryDeterminism(name+" (with corpus)", f.WithCorpus(synth)); err != nil {
+		if err := verifyFactoryDeterminism(name+" (with corpus)", pinned(synth)); err != nil {
 			return err
 		}
 	}
 
 	// Singleton enabled set: with one choice there is no choice.
-	s := f.New()
+	s := pinned(nil)()
 	s.Prepare(3, 1000)
 	for step := 0; step < 50; step++ {
 		only := MachineID(step % 11)
@@ -151,15 +163,15 @@ func VerifySchedulerConformance(name string) error {
 }
 
 // verifyFactoryDeterminism drives the fresh-instance and re-Prepare
-// determinism checks for one factory configuration.
-func verifyFactoryDeterminism(name string, f SchedulerFactory) error {
+// determinism checks for the instances newSched builds.
+func verifyFactoryDeterminism(name string, newSched func() Scheduler) error {
 	for _, seed := range []int64{0, 1, 42, -7} {
-		a, b := f.New(), f.New()
+		a, b := newSched(), newSched()
 		if a == nil || b == nil {
-			return fmt.Errorf("%s: factory handed out a nil scheduler", name)
+			return fmt.Errorf("%s: constructor built a nil scheduler", name)
 		}
 		if a == b {
-			return fmt.Errorf("%s: factory handed out the same instance twice", name)
+			return fmt.Errorf("%s: constructor built the same instance twice", name)
 		}
 		a.Prepare(seed, 1000)
 		b.Prepare(seed, 1000)

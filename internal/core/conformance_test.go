@@ -5,7 +5,7 @@ import "testing"
 // TestSchedulerConformance is the cross-scheduler conformance matrix: it
 // is table-driven over every registered scheduler name — including any
 // registered by other tests in this binary via RegisterScheduler — so a
-// new portfolio member is automatically held to the factory contract.
+// new portfolio member is automatically held to the conformance contract.
 // The contract itself lives in VerifySchedulerConformance (exported to
 // the public package as gostorm.VerifyScheduler), so user-defined
 // schedulers outside this repository are held to the identical checks.
@@ -148,7 +148,7 @@ func TestSchedulerConformanceSingletonEnabled(t *testing.T) {
 	}
 }
 
-// TestSchedulerNamesCoverRegistry: SchedulerNames and NewSchedulerFactory
+// TestSchedulerNamesCoverRegistry: SchedulerNames and lookupScheduler
 // agree on the set of valid names, and the portfolio accepts
 // every one of them as a member.
 func TestSchedulerNamesCoverRegistry(t *testing.T) {
@@ -157,8 +157,8 @@ func TestSchedulerNamesCoverRegistry(t *testing.T) {
 		t.Fatal("no registered schedulers")
 	}
 	for _, name := range names {
-		if _, err := NewSchedulerFactory(name); err != nil {
-			t.Fatalf("registered name %q rejected by the factory: %v", name, err)
+		if _, err := lookupScheduler(name); err != nil {
+			t.Fatalf("registered name %q rejected by the registry: %v", name, err)
 		}
 	}
 	// Every registered scheduler is a valid portfolio member: an

@@ -35,25 +35,30 @@ const defaultCorpusSize = 64
 // generation i/feedbackRoundSize, whatever the parallelism.
 const feedbackRoundSize = 64
 
-// corpusEntry is one recorded execution: its fingerprint, the global plan
-// position that produced it (iteration i of member m sits at i*nm + m, so
-// in a portfolio the position is not the iteration), and its full decision
-// sequence in the versioned trace format (the same []Decision a Trace
-// carries), ready for prefix splicing.
-type corpusEntry struct {
-	fingerprint uint64
-	position    int
-	decisions   []Decision
+// CorpusCandidate is one corpus entry: a recorded execution's coverage
+// fingerprint, the global plan position that produced it (iteration i of
+// member m sits at i*nm + m, so in a portfolio the position is not the
+// iteration), and its full decision sequence in the versioned trace format
+// (the same []Decision a Trace carries), ready for prefix splicing. A shard
+// reports its corpus as these (ShardResult.Candidates), in insertion order;
+// Corpus.Add of them in order rebuilds it. Its JSON form uses the trace's
+// decision encoding.
+type CorpusCandidate struct {
+	Fingerprint uint64 `json:"fp"`
+	// Position is the global position of the execution that recorded the
+	// entry.
+	Position int64 `json:"pos"`
+	// Decisions is the execution's decision sequence.
+	Decisions []Decision `json:"d"`
 }
 
 // Corpus is the bounded, deterministically evolved set of interesting
-// trace prefixes a feedback scheduler (see SchedulerFactory.Feedback)
-// mutates. The engine owns the corpus and merges new entries only at
+// trace prefixes a feedback scheduler (see FeedbackScheduler) mutates. The engine owns the corpus and merges new entries only at
 // generation barriers; schedulers receive it via
 // FeedbackScheduler.AttachCorpus and must treat it as read-only.
 type Corpus struct {
 	cap     int
-	entries []corpusEntry
+	entries []CorpusCandidate
 	seen    map[uint64]bool
 }
 
@@ -75,7 +80,7 @@ func (c *Corpus) Len() int { return len(c.entries) }
 // it — replay a prefix of it and diverge from there.
 func (c *Corpus) Entry(i int) (fingerprint uint64, decisions []Decision) {
 	e := c.entries[i]
-	return e.fingerprint, e.decisions
+	return e.Fingerprint, e.Decisions
 }
 
 // Fingerprints returns the recorded fingerprints in insertion order —
@@ -84,7 +89,7 @@ func (c *Corpus) Entry(i int) (fingerprint uint64, decisions []Decision) {
 func (c *Corpus) Fingerprints() []uint64 {
 	fps := make([]uint64, len(c.entries))
 	for i, e := range c.entries {
-		fps[i] = e.fingerprint
+		fps[i] = e.Fingerprint
 	}
 	return fps
 }
@@ -105,7 +110,7 @@ func (c *Corpus) Add(fp uint64, position int, decisions []Decision) bool {
 		return false
 	}
 	c.seen[fp] = true
-	c.entries = append(c.entries, corpusEntry{fingerprint: fp, position: position, decisions: decisions})
+	c.entries = append(c.entries, CorpusCandidate{Fingerprint: fp, Position: int64(position), Decisions: decisions})
 	return true
 }
 
@@ -126,7 +131,7 @@ type corpusJSON struct {
 // it holds the entry's global plan position.
 type corpusEntryJSON struct {
 	Fingerprint uint64     `json:"fp"`
-	Position    int        `json:"it"`
+	Position    int64      `json:"it"`
 	Decisions   []Decision `json:"d"`
 }
 
@@ -136,7 +141,7 @@ type corpusEntryJSON struct {
 func (c *Corpus) Encode() ([]byte, error) {
 	out := corpusJSON{Version: CorpusVersion, Cap: c.cap, Entries: make([]corpusEntryJSON, len(c.entries))}
 	for i, e := range c.entries {
-		out.Entries[i] = corpusEntryJSON{Fingerprint: e.fingerprint, Position: e.position, Decisions: e.decisions}
+		out.Entries[i] = corpusEntryJSON{Fingerprint: e.Fingerprint, Position: e.Position, Decisions: e.Decisions}
 	}
 	return json.Marshal(&out)
 }
@@ -170,7 +175,7 @@ func DecodeCorpus(data []byte) (*Corpus, error) {
 		if c.seen[e.Fingerprint] {
 			return nil, fmt.Errorf("core: decoding corpus: duplicate fingerprint %#x at entry %d", e.Fingerprint, i)
 		}
-		c.Add(e.Fingerprint, e.Position, e.Decisions)
+		c.Add(e.Fingerprint, int(e.Position), e.Decisions)
 	}
 	return c, nil
 }

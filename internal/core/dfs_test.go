@@ -140,18 +140,23 @@ func exploreWith(t Test, o Options) Result {
 }
 
 // newScheduler builds a fresh instance of the named scheduler, pinned to
-// hint when it is adaptive: a registered one from its factory, or "dfs",
-// the oracle's enumeration.
-func newScheduler(t *testing.T, name string, hint int) Scheduler {
-	t.Helper()
+// hint when it is adaptive and hint is positive, as the loop builds a
+// calibrated member's: a registered one, or "dfs", the oracle's
+// enumeration. It is the tests' one door to such an instance.
+func newScheduler(tb testing.TB, name string, hint int) Scheduler {
+	tb.Helper()
 	if name == "dfs" {
 		return &dfsScheduler{}
 	}
-	f, err := NewSchedulerFactory(name)
+	newSched, err := lookupScheduler(name)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return f.WithLengthHint(hint).New()
+	s := newSched()
+	if h, ok := s.(LengthHinted); ok && hint > 0 {
+		h.SetLengthHint(hint)
+	}
+	return s
 }
 
 // treeSpent reports that s is the oracle's dfs scheduler and its last

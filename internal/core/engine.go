@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 )
@@ -72,8 +73,8 @@ type Options struct {
 	// have this property natively; for the adaptive schedulers (pct, delay)
 	// the engine runs iteration 0 first as a calibration execution and pins
 	// the observed step count as a shared program-length estimate on every
-	// scheduler instance, so their decision streams become pure functions
-	// of the iteration seed too (see SchedulerFactory.WithLengthHint).
+	// scheduler instance (LengthHinted), so their decision streams become
+	// pure functions of the iteration seed too.
 	Workers int `json:"-"`
 	// NoLivenessBoundCheck disables the treat-bound-as-infinite liveness
 	// heuristic: an execution ends clean at MaxSteps, with no tail past it
@@ -114,9 +115,9 @@ const (
 
 // Resolve is the one place a run's configuration is checked and completed:
 // it validates o (negative bounds, the scheduler and every portfolio member
-// against the registry, the fault budgets of o and of t), applies the engine
-// defaults (scheduler "random", 10,000 iterations of 10,000 steps, one
-// worker per CPU). Explore, ExploreShard and Replay start with it; the
+// against the registry, a plan too large to number, the fault budgets of o
+// and of t), applies the engine defaults (scheduler "random", 10,000
+// iterations of 10,000 steps, one worker per CPU). Explore, ExploreShard and Replay start with it; the
 // public package's Resolve and PlanSize and the distributed coordinator
 // call it too, so what a viewer reports is what a run uses. A caller with
 // no test at hand passes the zero Test. Errors are
@@ -166,6 +167,14 @@ func (o Options) Resolve(t Test) (Options, error) {
 				err.Field = fmt.Sprintf("Options.Portfolio[%d]", m)
 			}
 			return o, err
+		}
+	}
+	// The loop numbers the plan's positions, and the one past its last, in
+	// an int64.
+	if nm := int64(len(o.Members())); int64(o.Iterations) > (math.MaxInt64-1)/nm {
+		return o, &ConfigError{
+			Field:  "Options.Iterations",
+			Reason: fmt.Sprintf("must be at most %d for a plan of %d member(s), got %d", (math.MaxInt64-1)/nm, nm, o.Iterations),
 		}
 	}
 	return o, nil

@@ -106,15 +106,11 @@ func TestRandomIntBoundIsASafetyBug(t *testing.T) {
 	}
 }
 
-// TestSchedulerFactoryInstancesAreIndependent: two instances from one
-// factory, prepared with the same seed, make identical choices without
-// sharing state — the property the worker pool rests on.
-func TestSchedulerFactoryInstancesAreIndependent(t *testing.T) {
-	f, err := NewSchedulerFactory("pct")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := f.New(), f.New()
+// TestSchedulerInstancesAreIndependent: two instances of one scheduler,
+// prepared with the same seed, make identical choices without sharing
+// state — the property the worker pool rests on.
+func TestSchedulerInstancesAreIndependent(t *testing.T) {
+	a, b := newScheduler(t, "pct", 0), newScheduler(t, "pct", 0)
 	a.Prepare(42, 1000)
 	b.Prepare(42, 1000)
 	enabled := []MachineID{0, 1, 2}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,6 +57,9 @@ func TestOptionsValidation(t *testing.T) {
 		{"unknown portfolio member", Options{Portfolio: []string{"random", "quantum"}}, "Options.Portfolio[1]", `unknown scheduler "quantum"`},
 		{"empty portfolio member", Options{Portfolio: []string{"random", ""}}, "Options.Portfolio[1]", `unknown scheduler ""`},
 		{"unknown scheduler", Options{Scheduler: "quantum"}, "Options.Scheduler", `unknown scheduler "quantum"`},
+		// The plan's positions and the one past its last must fit an int64.
+		{"plan of 2^63-1 positions", Options{Iterations: math.MaxInt64}, "Options.Iterations", "must be at most 9223372036854775806 for a plan of 1 member(s)"},
+		{"portfolio plan of 2^63 positions", Options{Portfolio: []string{"random", "pct"}, Iterations: 1 << 62}, "Options.Iterations", "must be at most 4611686018427387903 for a plan of 2 member(s)"},
 	}
 	for _, c := range cases {
 		c := c
@@ -73,6 +77,10 @@ func TestOptionsValidation(t *testing.T) {
 					o.Portfolio = []string{"random"}
 				}
 				_, err := Explore(fixtureTest(), o)
+				assertConfigError(t, err, c.field, c.want)
+			})
+			t.Run("ExploreShard", func(t *testing.T) {
+				_, err := ExploreShard(fixtureTest(), c.o, Shard{To: 1})
 				assertConfigError(t, err, c.field, c.want)
 			})
 			t.Run("Resolve", func(t *testing.T) {

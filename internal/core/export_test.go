@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"testing"
+)
 
 // Doors for the external tests of this package (package core_test), which
 // drive the catalog — a package core itself cannot import.
@@ -13,26 +16,22 @@ const ProbeDepth = probeDepth
 // the first bug — except that no runtime is told the length estimate, so no
 // execution enters the fair tail before the step bound: the reference that
 // tail is held to.
-func ExploreWithoutFairTail(t Test, o Options) error {
+func ExploreWithoutFairTail(tb testing.TB, t Test, o Options) {
 	o = resolved(o)
-	f, err := NewSchedulerFactory(o.Scheduler)
-	if err != nil {
-		return err
-	}
 	cfg := o.runtimeConfig(t, false)
-	s := f.New()
+	s := newScheduler(tb, o.Scheduler, 0)
+	_, adaptive := s.(LengthHinted)
 	for i := 0; i < o.Iterations; i++ {
 		cfg.seed = execSeed(o.Seed, i)
 		s.Prepare(cfg.seed, o.MaxSteps)
 		r := newRuntime(s, cfg)
 		if r.execute(t) != nil {
-			return nil
+			return
 		}
-		if i == 0 && f.Adaptive() {
-			s = f.WithLengthHint(min(r.steps, o.MaxSteps)).New()
+		if i == 0 && adaptive {
+			s = newScheduler(tb, o.Scheduler, min(r.steps, o.MaxSteps))
 		}
 	}
-	return nil
 }
 
 // replayLog replays tr as Replay does, on a runtime from pool (nil:
@@ -52,23 +51,18 @@ func replayLog(pool *execPool, t Test, tr *Trace, o Options, logCap int) []strin
 // worker the second will use, and the second counts their resumes by
 // caller (countResumes). It returns them with the second pass's scheduling
 // steps. An execution that finds a bug is counted like any other.
-func CountResumes(t Test, o Options, n int) (counts ResumeCounts, steps int, err error) {
+func CountResumes(tb testing.TB, t Test, o Options, n int) (counts ResumeCounts, steps int, err error) {
 	o = resolved(o)
-	f, err := NewSchedulerFactory(o.Scheduler)
-	if err != nil {
-		return counts, 0, err
-	}
 	cfg := o.runtimeConfig(t, false)
-	if f.Adaptive() {
-		s := f.New()
+	s := newScheduler(tb, o.Scheduler, 0)
+	if _, adaptive := s.(LengthHinted); adaptive {
 		s.Prepare(execSeed(o.Seed, 0), o.MaxSteps)
 		r := newRuntime(s, cfg)
 		if r.execute(t) == nil {
 			cfg.lengthHint = min(r.steps, o.MaxSteps)
-			f = f.WithLengthHint(cfg.lengthHint)
 		}
+		s = newScheduler(tb, o.Scheduler, cfg.lengthHint)
 	}
-	s := f.New()
 	pool := newExecPool(o)
 	defer pool.release()
 	workers := 0

@@ -85,27 +85,19 @@ func stagedBugTest() Test {
 	}
 }
 
-// TestMutationalDeclaresFeedback pins the registry contract bits: the
-// mutational scheduler declares feedback, the classic strategies do not,
-// and the factory reports the bit.
+// TestMutationalDeclaresFeedback pins what the loop reads off each member's
+// instances: mutational is feedback-driven and not adaptive, pct and delay
+// are adaptive, and no classic strategy is feedback-driven.
 func TestMutationalDeclaresFeedback(t *testing.T) {
-	f, err := NewSchedulerFactory("mutational")
+	o := resolved(withMembers(Options{Iterations: 1, Workers: 1}, "mutational", "random", "pct", "rr", "delay"))
+	ex, err := exploreRange(fixtureTest(), o, Shard{To: PlanSize(o)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Feedback() {
-		t.Fatal("mutational factory does not report Feedback")
-	}
-	if f.Adaptive() {
-		t.Fatal("mutational must not be adaptive")
-	}
-	for _, name := range []string{"random", "pct", "rr", "delay"} {
-		g, err := NewSchedulerFactory(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.Feedback() {
-			t.Fatalf("%s factory reports Feedback", name)
+	for m, mb := range ex.members {
+		name := o.Portfolio[m]
+		if wantFeedback, wantAdaptive := name == "mutational", name == "pct" || name == "delay"; mb.feedback != wantFeedback || mb.adaptive != wantAdaptive {
+			t.Errorf("%s: feedback %t adaptive %t, want %t %t", name, mb.feedback, mb.adaptive, wantFeedback, wantAdaptive)
 		}
 	}
 }
@@ -376,11 +368,8 @@ func FuzzSpliceAnyCorpus(f *testing.F) {
 		if err != nil {
 			return
 		}
-		fac, err := NewSchedulerFactory("mutational")
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := fac.WithCorpus(c).New()
+		s := newScheduler(t, "mutational", 0)
+		s.(FeedbackScheduler).AttachCorpus(c)
 		for seed := int64(0); seed < 16; seed++ {
 			s.Prepare(seed, 1000)
 			if _, err := conformanceDrive("mutational", s); err != nil {

@@ -28,18 +28,20 @@ package core
 //
 // Calibration. An adaptive member's iteration 0 runs alone on a fresh,
 // un-hinted instance before any claimer is built, and its step count is
-// pinned on the member's factory as the shared program-length estimate
-// (SchedulerFactory.WithLengthHint) — that is what makes every later
-// position of the member a pure function of its seed.
+// pinned on the member as the shared program-length estimate; every
+// claimer's instance of the member is built with it (SetLengthHint) — that
+// is what makes every later position of the member a pure function of its
+// seed.
 //
 // Windows. With a feedback member the range is drained in generation
 // windows of feedbackRoundSize iterations (feedbackRoundSize*nm
-// positions, aligned to the plan): the corpus is frozen within a window
-// and grows only at the barrier, in position order, so the corpus a
-// position observes is a function of its generation alone — that is, of
-// every position in the generations before it. Such a plan is therefore
-// only ever drained whole (CheckSubRange). Without one the whole range is a
-// single window.
+// positions, aligned to the plan): every claimer's instance of the member
+// reads one corpus (AttachCorpus), which is frozen within a window and
+// grows only at the barrier, in position order, so the corpus a position
+// observes is a function of its generation alone — that is, of every
+// position in the generations before it. Such a plan is therefore only ever
+// drained whole (CheckSubRange), from an empty corpus. Without one the
+// whole range is a single window.
 //
 // Statistics. Every execution that completes passes through one critical
 // section, which folds the range's contiguous resolved prefix in position
@@ -58,13 +60,16 @@ import (
 	"time"
 )
 
-// candidate is one window-local novel-fingerprint recording, indexed by
-// position offset within the window so the barrier merge runs in plan
-// order.
-type candidate struct {
-	fp        uint64
-	decisions []Decision
-	ok        bool
+// member is one portfolio slot of the plan (a single-scheduler plan has
+// one): its scheduler's constructor and the base seed its positions derive
+// from; what its instances implement, asked of one of them; and the length
+// estimate calibration pins on it.
+type member struct {
+	newSched   func() Scheduler
+	seed       int64
+	adaptive   bool // instances implement LengthHinted
+	feedback   bool // instances implement FeedbackScheduler
+	lengthHint int  // 0 until calibrated, and for a member that is not adaptive
 }
 
 // claimer is the private state of one pool worker: an instance of every
@@ -81,15 +86,13 @@ type claimer struct {
 // its claimers share, and the outcome its adapters shape into a Result or a
 // ShardResult.
 type explored struct {
-	t         Test
-	o         Options // resolved
-	sh        Shard
-	timed     bool // measure per-member execution time
-	nm        int64
-	factories []SchedulerFactory // by member
-	seeds     []int64            // by member
-	feedback  bool
-	workers   int
+	t       Test
+	o       Options // resolved
+	sh      Shard
+	timed   bool // measure per-member execution time
+	nm      int64
+	members []member
+	workers int
 
 	next   atomic.Int64 // the window's next unclaimed position
 	bugPos atomic.Int64 // lowest buggy position so far (the plan size when none); lowered under mu
@@ -101,11 +104,8 @@ type explored struct {
 	pending  map[int64]int64 // positions resolved above the frontier: their steps
 
 	start time.Time
-	// corpus is the final exploration corpus and candidates the entries
-	// this call merged into it, in position order; nil without a feedback
-	// member.
-	corpus     *Corpus
-	candidates []CorpusCandidate
+	// corpus is the exploration corpus, nil without a feedback member.
+	corpus *Corpus
 }
 
 // exploreRange drains the positions [sh.From, sh.To) of the plan of o and
@@ -121,28 +121,29 @@ func exploreRange(t Test, o Options, sh Shard, timed bool) (*explored, error) {
 	members := o.Members()
 	ex := &explored{
 		t: t, o: o, sh: sh, timed: timed, nm: int64(len(members)),
-		factories: make([]SchedulerFactory, len(members)), seeds: make([]int64, len(members)),
-		stats: make([]MemberStats, len(members)), frontier: sh.From,
-		start: time.Now(),
+		members: make([]member, len(members)), stats: make([]MemberStats, len(members)),
+		frontier: sh.From, start: time.Now(),
 	}
 	ex.bugPos.Store(total)
 	for m, name := range members {
-		f, err := NewSchedulerFactory(name)
+		newSched, err := lookupScheduler(name)
 		if err != nil {
 			return nil, err
 		}
-		ex.feedback = ex.feedback || f.Feedback()
-		ex.factories[m] = f
-		ex.stats[m].Scheduler = name
+		s := newSched()
+		_, adaptive := s.(LengthHinted)
+		_, feedback := s.(FeedbackScheduler)
 		// A single-scheduler plan uses the run seed directly; portfolio
 		// members derive independent base seeds from their index.
-		ex.seeds[m] = o.Seed
+		seed := o.Seed
 		if len(o.Portfolio) > 0 {
-			ex.seeds[m] = memberSeed(o.Seed, m)
+			seed = memberSeed(o.Seed, m)
 		}
-	}
-	if ex.feedback {
-		ex.corpus = NewCorpus(0)
+		ex.members[m] = member{newSched: newSched, seed: seed, adaptive: adaptive, feedback: feedback}
+		ex.stats[m].Scheduler = name
+		if feedback && ex.corpus == nil {
+			ex.corpus = NewCorpus(0)
+		}
 	}
 	ex.workers = int(min(int64(o.Workers), sh.To-sh.From))
 
@@ -178,16 +179,16 @@ func (ex *explored) newClaimer(pool *execPool) *claimer {
 
 // run resolves position g on c with sched and returns its step count and
 // whether the execution completed without a violation.
-// cand, when non-nil, receives the execution's decisions if its coverage
-// is novel against the window's frozen corpus. An execution aborted in
-// flight was superseded by a lower bound and contributes nothing.
-func (ex *explored) run(c *claimer, sched Scheduler, g int64, cand *candidate) (int64, bool) {
+// cand, when non-nil, receives the execution as a corpus entry if its
+// coverage is novel against the window's frozen corpus. An execution
+// aborted in flight was superseded by a lower bound and contributes nothing.
+func (ex *explored) run(c *claimer, sched Scheduler, g int64, cand *CorpusCandidate) (int64, bool) {
 	m, i := int(g%ex.nm), int(g/ex.nm)
-	seed := execSeed(ex.seeds[m], i)
+	seed := execSeed(ex.members[m].seed, i)
 	sched.Prepare(seed, ex.o.MaxSteps)
 	c.cur = g
 	cfg := c.cfg
-	cfg.seed, cfg.lengthHint = seed, ex.factories[m].lengthHint
+	cfg.seed, cfg.lengthHint = seed, ex.members[m].lengthHint
 	r := c.pool.runtime(sched, cfg)
 	var t0 time.Time
 	if ex.timed {
@@ -220,7 +221,7 @@ func (ex *explored) run(c *claimer, sched Scheduler, g int64, cand *candidate) (
 	// cheap pre-filter — the merge re-checks capacity.
 	if cand != nil {
 		if fp := r.Fingerprint(); !ex.corpus.has(fp) && !ex.corpus.full() {
-			*cand = candidate{fp: fp, decisions: r.dec.decode(), ok: true}
+			*cand = CorpusCandidate{Fingerprint: fp, Position: g, Decisions: r.dec.decode()}
 		}
 	}
 	return steps, true
@@ -269,36 +270,38 @@ func (ex *explored) fold(g, steps int64) {
 // so every shard pins the same one.
 func (ex *explored) calibrate() {
 	cal := ex.newClaimer(nil)
-	for m := range ex.factories {
-		g := int64(m)
-		if !ex.factories[m].Adaptive() || g >= ex.bound() {
+	for m := range ex.members {
+		mb, g := &ex.members[m], int64(m)
+		if !mb.adaptive || g >= ex.bound() {
 			continue
 		}
 		if (g < ex.sh.From || g >= ex.sh.To) && firstPosOfMember(m, ex.nm, ex.sh.From) >= ex.sh.To {
 			continue // the range holds no position of this member
 		}
-		if steps, ok := ex.run(cal, ex.factories[m].New(), g, nil); ok {
+		if steps, ok := ex.run(cal, mb.newSched(), g, nil); ok {
 			// A run that cooled in the tail past the bound estimates the bound.
-			ex.factories[m] = ex.factories[m].WithLengthHint(min(int(steps), ex.o.MaxSteps))
+			mb.lengthHint = min(int(steps), ex.o.MaxSteps)
 		}
 	}
 }
 
 // drain builds the claimers and runs them over the range, one generation
-// window at a time. Claimers are built after the hints are pinned (and the
-// corpus attached) so their instances come fully configured; instances and
-// execution pools persist across windows.
+// window at a time. Claimers are built after the hints are pinned, and each
+// of their instances gets its member's hint and the corpus before its first
+// execution; instances and execution pools persist across windows.
 func (ex *explored) drain() {
-	for m := range ex.factories {
-		if ex.factories[m].Feedback() {
-			ex.factories[m] = ex.factories[m].WithCorpus(ex.corpus)
-		}
-	}
 	claimers := make([]*claimer, ex.workers)
 	for w := range claimers {
 		c := ex.newClaimer(newExecPool(ex.o))
-		for m := range ex.factories {
-			c.scheds[m] = ex.factories[m].New()
+		for m, mb := range ex.members {
+			s := mb.newSched()
+			if mb.lengthHint > 0 {
+				s.(LengthHinted).SetLengthHint(mb.lengthHint)
+			}
+			if mb.feedback {
+				s.(FeedbackScheduler).AttachCorpus(ex.corpus)
+			}
+			c.scheds[m] = s
 		}
 		claimers[w] = c
 	}
@@ -308,14 +311,16 @@ func (ex *explored) drain() {
 		}
 	}()
 
+	// cands holds the window's novel executions by position offset, so the
+	// barrier merge runs in plan order; a slot with no decisions holds none.
 	gen := int64(feedbackRoundSize) * ex.nm
-	var cands []candidate
-	if ex.feedback {
-		cands = make([]candidate, gen)
+	var cands []CorpusCandidate
+	if ex.corpus != nil {
+		cands = make([]CorpusCandidate, gen)
 	}
 	for wf := ex.sh.From; wf < ex.sh.To && wf < ex.bound(); {
 		wt := ex.sh.To
-		if ex.feedback {
+		if ex.corpus != nil {
 			wt = min(wt, (wf/gen+1)*gen)
 			clear(cands)
 		}
@@ -342,34 +347,26 @@ func (ex *explored) drain() {
 		if ex.bug != nil {
 			return
 		}
-		if ex.feedback {
-			for j, cd := range cands[:wt-wf] {
-				if cd.ok && ex.corpus.Add(cd.fp, int(wf)+j, cd.decisions) {
-					ex.candidates = append(ex.candidates, CorpusCandidate{
-						Fingerprint: cd.fp,
-						Position:    wf + int64(j),
-						Decisions:   cd.decisions,
-					})
-				}
-			}
+		for _, cd := range cands {
+			ex.corpus.Add(cd.Fingerprint, int(cd.Position), cd.Decisions)
 		}
 		wf = wt
 	}
 }
 
 // claim drains the window [wf, wt) on c. This is the loop.
-func (ex *explored) claim(c *claimer, wf, wt int64, cands []candidate) {
+func (ex *explored) claim(c *claimer, wf, wt int64, cands []CorpusCandidate) {
 	for {
 		g := ex.next.Add(1) - 1
 		if g >= wt || g >= ex.bound() {
 			return
 		}
 		m := g % ex.nm
-		if g < ex.nm && ex.factories[m].Adaptive() {
+		if g < ex.nm && ex.members[m].adaptive {
 			continue // resolved by calibration
 		}
-		var cand *candidate
-		if ex.feedback {
+		var cand *CorpusCandidate
+		if cands != nil {
 			cand = &cands[g-wf]
 		}
 		ex.run(c, c.scheds[m], g, cand)

@@ -38,7 +38,7 @@ func TestResumeCountCatalog(t *testing.T) {
 		}
 		o := e.Options
 		o.Seed, o.Workers, o.Scheduler, o.Portfolio = 1, 1, c.scheduler, nil
-		counts, steps, err := core.CountResumes(e.Build(), o, c.n)
+		counts, steps, err := core.CountResumes(t, e.Build(), o, c.n)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -55,9 +55,8 @@ func TestDelaySchedulerRespectsEnabledSet(t *testing.T) {
 }
 
 func TestNewSchedulerKnowsDelay(t *testing.T) {
-	f, err := NewSchedulerFactory("delay")
-	if err != nil || f.New().Name() != "delay" {
-		t.Fatalf("delay scheduler not registered: %v", err)
+	if name := newScheduler(t, "delay", 0).Name(); name != "delay" {
+		t.Fatalf("the delay scheduler is named %q", name)
 	}
 }
 

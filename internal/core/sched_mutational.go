@@ -32,8 +32,8 @@ type mutationalScheduler struct {
 
 // NewMutationalScheduler returns the coverage-guided mutational
 // scheduler. It only becomes more than a random scheduler when the
-// engine attaches a corpus (which it does for every factory whose spec
-// declares Feedback).
+// engine attaches a corpus, which it does to every instance of a
+// FeedbackScheduler member.
 func NewMutationalScheduler() Scheduler {
 	return &mutationalScheduler{draws: draws{name: "mutational"}}
 }

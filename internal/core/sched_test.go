@@ -106,7 +106,7 @@ func TestRoundRobinIsDeterministic(t *testing.T) {
 }
 
 func TestNewSchedulerUnknown(t *testing.T) {
-	if _, err := NewSchedulerFactory("quantum"); err == nil {
+	if _, err := lookupScheduler("quantum"); err == nil {
 		t.Fatal("expected error for unknown scheduler")
 	}
 }
@@ -321,12 +321,8 @@ func BenchmarkPCTSpin(b *testing.B) {
 func BenchmarkSchedulerPrepare(b *testing.B) {
 	enabled := []MachineID{0, 1, 2, 3}
 	for _, name := range SchedulerNames() {
-		f, err := NewSchedulerFactory(name)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.Run(name, func(b *testing.B) {
-			s := f.New()
+			s := newScheduler(b, name, 0)
 			s.Prepare(0, 1000) // first Prepare builds the generator
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -16,8 +16,8 @@ import (
 // inject. A Scheduler instance is owned by exactly one exploration worker
 // and is reused across the executions that worker performs; Prepare is
 // called before each execution. Instances are never shared between
-// goroutines — parallel runs construct one per worker via a
-// SchedulerFactory.
+// goroutines — parallel runs construct one per worker from the
+// scheduler's registered constructor.
 //
 // Schedulers must be deterministic functions of their seed and the call
 // sequence, because exact replay (and thus bug reproduction) depends on it.
@@ -41,72 +41,6 @@ type Scheduler interface {
 	NextFault(c FaultChoice) int
 }
 
-// SchedulerFactory constructs fresh, independent Scheduler instances. The
-// engine builds one scheduler per exploration worker, which is what lets
-// executions fan out across goroutines without sharing mutable state.
-type SchedulerFactory struct {
-	newSched   func() Scheduler
-	adaptive   bool
-	feedback   bool
-	lengthHint int
-	corpus     *Corpus
-}
-
-// New returns a fresh Scheduler instance owned by the caller. If the
-// factory carries a program-length hint (WithLengthHint) or a corpus
-// (WithCorpus), the instance is pre-seeded with them before it is handed
-// out.
-func (f SchedulerFactory) New() Scheduler {
-	s := f.newSched()
-	if f.lengthHint > 0 {
-		if h, ok := s.(LengthHinted); ok {
-			h.SetLengthHint(f.lengthHint)
-		}
-	}
-	if f.corpus != nil {
-		if fs, ok := s.(FeedbackScheduler); ok {
-			fs.AttachCorpus(f.corpus)
-		}
-	}
-	return s
-}
-
-// Adaptive reports that the scheduler's instances implement LengthHinted:
-// they place their probes (priority change points, delay points) within an
-// estimate of the program length. Without one, pct and delay place them
-// within the step bound, where most fall beyond the end of a short
-// execution. The engine therefore calibrates adaptive factories: it measures
-// iteration 0 once and pins the estimate on every instance via
-// WithLengthHint.
-func (f SchedulerFactory) Adaptive() bool { return f.adaptive }
-
-// WithLengthHint returns a copy of the factory whose instances all place
-// their probes within the given program-length estimate (in scheduling
-// steps) instead of the step bound. An instance's answers are a pure
-// function of the per-execution seed, the hint and the step bound.
-func (f SchedulerFactory) WithLengthHint(steps int) SchedulerFactory {
-	f.lengthHint = steps
-	return f
-}
-
-// Feedback reports that the scheduler's instances implement
-// FeedbackScheduler: they consume execution feedback — a corpus of
-// coverage-novel trace prefixes — and therefore make the
-// exploration loop drain its range in generation windows: the corpus must
-// be attached to every instance (WithCorpus) and may only grow at the
-// barriers between windows, or results would depend on worker
-// interleaving.
-func (f SchedulerFactory) Feedback() bool { return f.feedback }
-
-// WithCorpus returns a copy of the factory whose instances all share the
-// given corpus (attached via FeedbackScheduler.AttachCorpus when the
-// scheduler implements it). The engine owns the corpus lifecycle; the
-// instances must treat it as read-only.
-func (f SchedulerFactory) WithCorpus(c *Corpus) SchedulerFactory {
-	f.corpus = c
-	return f
-}
-
 // FeedbackScheduler is implemented by coverage-guided schedulers: the
 // engine attaches a shared corpus of interesting trace prefixes to every
 // instance before exploration starts, and runs the exploration in
@@ -123,11 +57,13 @@ type FeedbackScheduler interface {
 }
 
 // LengthHinted is implemented by adaptive schedulers, which place probes
-// within an estimate of the program length. The engine calibrates every
-// scheduler that implements it by measuring iteration 0 and pinning the
-// observed step count on every instance, which is what makes their
-// decision streams pure functions of the per-execution seed (and results
-// worker-count-independent).
+// within an estimate of the program length; without one, pct and delay place
+// them within the step bound, where most fall beyond the end of a short
+// execution. The exploration loop calibrates every member whose instances
+// implement it: it measures the member's iteration 0 on an un-hinted instance
+// and pins the observed step count on every later one, which is what makes
+// their decision streams pure functions of the per-execution seed (and
+// results worker-count-independent).
 type LengthHinted interface {
 	SetLengthHint(steps int)
 }
@@ -136,9 +72,9 @@ type LengthHinted interface {
 // mapping each to its constructor, guarded by registryMu: RegisterScheduler
 // adds user-defined strategies at runtime. What an instance implements it
 // says itself: LengthHinted makes it adaptive, FeedbackScheduler makes it
-// feedback-driven (see SchedulerFactory.Adaptive and Feedback). The
-// conformance suite iterates it, so a newly registered scheduler is
-// automatically held to the factory contract (total reseeding, valid
+// feedback-driven, and the exploration loop asks one instance per member.
+// The conformance suite iterates it, so a newly registered scheduler is
+// automatically held to the conformance contract (total reseeding, valid
 // NextMachine/NextInt behavior) and becomes a valid Options.Scheduler
 // value and portfolio member.
 var (
@@ -162,8 +98,8 @@ const probeDepth = 2
 // Options.Scheduler, eligible as a portfolio member (with its own
 // deterministic member seeding), covered by the scheduler conformance
 // matrix, and — when its instances implement LengthHinted — calibrated by
-// the engine's shared length-hint mechanism exactly like the built-in
-// pct/delay schedulers, with nothing to declare.
+// the exploration loop exactly like the built-in pct/delay schedulers, with
+// nothing to declare.
 //
 // Registration is typically done from an init function or at the top of a
 // test. The name must be non-empty, must not contain commas or whitespace
@@ -221,22 +157,6 @@ func lookupScheduler(name string) (func() Scheduler, *ConfigError) {
 		}
 	}
 	return newSched, nil
-}
-
-// NewSchedulerFactory constructs a factory by scheduler name: "random",
-// "pct", "rr" (round-robin), "delay" (delay-bounded), "mutational", or any
-// name added via RegisterScheduler. It builds one instance to learn what the scheduler
-// implements (LengthHinted, FeedbackScheduler). An unknown name is reported
-// as a *ConfigError.
-func NewSchedulerFactory(name string) (SchedulerFactory, error) {
-	newSched, cerr := lookupScheduler(name)
-	if cerr != nil {
-		return SchedulerFactory{}, cerr
-	}
-	s := newSched()
-	_, adaptive := s.(LengthHinted)
-	_, feedback := s.(FeedbackScheduler)
-	return SchedulerFactory{newSched: newSched, adaptive: adaptive, feedback: feedback}, nil
 }
 
 // draws is the seeded generator every randomized built-in scheduler embeds:

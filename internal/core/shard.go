@@ -35,19 +35,6 @@ type Shard struct {
 	Stop func() int64
 }
 
-// CorpusCandidate is one corpus entry a shard merged at a generation
-// barrier, in canonical global-position order; Corpus.Add of the candidates
-// in order rebuilds the shard's corpus. Its JSON form uses the trace's
-// decision encoding.
-type CorpusCandidate struct {
-	Fingerprint uint64 `json:"fp"`
-	// Position is the global position of the execution that recorded the
-	// candidate.
-	Position int64 `json:"pos"`
-	// Decisions is the execution's decision sequence.
-	Decisions []Decision `json:"d"`
-}
-
 // ShardResult summarizes an ExploreShard call.
 type ShardResult struct {
 	// From and To echo the shard bounds.
@@ -80,10 +67,9 @@ type ShardResult struct {
 	// position, so the sums over any partition of a plan equal Explore's.
 	Executions int
 	TotalSteps int64
-	// Candidates holds the corpus entries the shard merged at its
-	// generation barriers, in canonical position order, when a feedback
-	// member ran; nil otherwise. Such a shard spans the whole plan, so they
-	// are Result.Corpus with the decisions attached.
+	// Candidates holds the entries of the corpus a feedback member built,
+	// in canonical position order; nil without one. Such a shard spans the
+	// whole plan, so they are Result.Corpus with the decisions attached.
 	Candidates []CorpusCandidate
 	// Elapsed is the wall-clock time of the call.
 	Elapsed time.Duration
@@ -104,11 +90,11 @@ func PlanSize(o Options) int64 {
 // coordinator, which hands out nothing else, to its plan.
 func CheckSubRange(o Options) error {
 	for m, name := range o.Members() {
-		f, err := NewSchedulerFactory(name)
+		newSched, err := lookupScheduler(name)
 		if err != nil {
 			return err
 		}
-		if !f.Feedback() {
+		if _, ok := newSched().(FeedbackScheduler); !ok {
 			continue
 		}
 		field := "Options.Scheduler"
@@ -154,11 +140,9 @@ func ExploreShard(t Test, o Options, sh Shard) (ShardResult, error) {
 	if err != nil {
 		return ShardResult{}, err
 	}
-	res := ShardResult{
-		From:       sh.From,
-		To:         sh.To,
-		ResolvedTo: ex.frontier,
-		Candidates: ex.candidates,
+	res := ShardResult{From: sh.From, To: sh.To, ResolvedTo: ex.frontier}
+	if ex.corpus != nil {
+		res.Candidates = ex.corpus.entries
 	}
 	for _, ms := range ex.stats {
 		res.Executions += ms.Executions

@@ -288,8 +288,8 @@ func TestCorpusCodecRoundTrip(t *testing.T) {
 				t.Fatalf("entry %d decision %d: %v vs %v", i, j, gdec[j], wdec[j])
 			}
 		}
-		if got.entries[i].position != c.entries[i].position {
-			t.Fatalf("entry %d position %d, want %d", i, got.entries[i].position, c.entries[i].position)
+		if got.entries[i].Position != c.entries[i].Position {
+			t.Fatalf("entry %d position %d, want %d", i, got.entries[i].Position, c.entries[i].Position)
 		}
 	}
 	// A decoded corpus keeps deduplicating.

@@ -208,9 +208,7 @@ func TestFairTailKeepsNaturalExecutions(t *testing.T) {
 				o.Workers, o.Portfolio = 1, nil
 				o.Scheduler = sched
 				recordingPlan(t)
-				if err := core.ExploreWithoutFairTail(e.Build(), o); err != nil {
-					t.Fatal(err)
-				}
+				core.ExploreWithoutFairTail(t, e.Build(), o)
 				ref := recorderLogs[sched].execs
 				got := explore(t, e.Build(), o)
 				for seed, r := range ref {

@@ -211,7 +211,7 @@ func TestCalibrationPinsAtMostTheBound(t *testing.T) {
 		if ex.stats[0].TotalSteps <= 3*maxSteps {
 			t.Fatalf("%s: %d steps in 3 executions, want every one past the bound", name, ex.stats[0].TotalSteps)
 		}
-		if h := ex.factories[0].lengthHint; h != maxSteps {
+		if h := ex.members[0].lengthHint; h != maxSteps {
 			t.Fatalf("%s: calibration pinned a length estimate of %d, want the bound, %d", name, h, maxSteps)
 		}
 	}
@@ -266,11 +266,6 @@ func TestTailContinuesTheMembersStream(t *testing.T) {
 	const maxSteps, hint = 200, 10
 	test := spinnersTest()
 	for _, name := range []string{"pct", "delay"} {
-		f, err := NewSchedulerFactory(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f = f.WithLengthHint(hint)
 		o := resolved(Options{MaxSteps: maxSteps, NoLivenessBoundCheck: true})
 		for i := 0; i < 5; i++ {
 			seed := execSeed(1, i)
@@ -284,9 +279,9 @@ func TestTailContinuesTheMembersStream(t *testing.T) {
 				}
 				return r.dec.decode()
 			}
-			got := run(f.New(), hint)
-			want := run(&switchAt{Scheduler: f.New(), n: fairTailFactor * hint}, 0)
-			plain := run(f.New(), 0)
+			got := run(newScheduler(t, name, hint), hint)
+			want := run(&switchAt{Scheduler: newScheduler(t, name, hint), n: fairTailFactor * hint}, 0)
+			plain := run(newScheduler(t, name, hint), 0)
 			if len(got) != maxSteps || !slices.Equal(got, want) {
 				t.Fatalf("%s, execution %d: the runtime's tail decided\n%v\nthe member's stream continued decides\n%v", name, i, got, want)
 			}

@@ -56,10 +56,10 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		return nil, fmt.Errorf("dist: AgentConfig.BuildTest is required")
 	}
 	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("dist: AgentConfig.Workers must be non-negative, got %d", cfg.Workers)
+		return nil, &core.ConfigError{Field: "AgentConfig.Workers", Reason: fmt.Sprintf("must be non-negative, got %d", cfg.Workers)}
 	}
 	if cfg.Poll < 0 {
-		return nil, fmt.Errorf("dist: AgentConfig.Poll must be non-negative, got %v", cfg.Poll)
+		return nil, &core.ConfigError{Field: "AgentConfig.Poll", Reason: fmt.Sprintf("must be non-negative, got %v", cfg.Poll)}
 	}
 	if cfg.Poll == 0 {
 		cfg.Poll = 250 * time.Millisecond

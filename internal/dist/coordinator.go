@@ -90,10 +90,10 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("dist: Config.Scenario is required")
 	}
 	if cfg.LeaseSize < 0 {
-		return nil, fmt.Errorf("dist: Config.LeaseSize must be non-negative, got %d", cfg.LeaseSize)
+		return nil, &core.ConfigError{Field: "Config.LeaseSize", Reason: fmt.Sprintf("must be non-negative, got %d", cfg.LeaseSize)}
 	}
 	if cfg.LeaseTTL < 0 {
-		return nil, fmt.Errorf("dist: Config.LeaseTTL must be non-negative, got %v", cfg.LeaseTTL)
+		return nil, &core.ConfigError{Field: "Config.LeaseTTL", Reason: fmt.Sprintf("must be non-negative, got %v", cfg.LeaseTTL)}
 	}
 	o, err := cfg.Options.Resolve(core.Test{})
 	if err != nil {

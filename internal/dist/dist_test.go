@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -419,37 +421,43 @@ func TestWholePlanSchedulersRejected(t *testing.T) {
 // TestNegativeSettingsAreRejected: a negative agent parallelism or poll
 // cadence fails at NewAgent, before Run can take a lease it would strand
 // until the lease expires, and a negative lease size or TTL fails at New
-// instead of turning into the default. Zero still means the default.
+// instead of turning into the default, each as a *core.ConfigError naming
+// the field; so does a plan too large to number. Zero still means the
+// default.
 func TestNegativeSettingsAreRejected(t *testing.T) {
+	configError := func(t *testing.T, err error, field, reason string) {
+		t.Helper()
+		var ce *core.ConfigError
+		if !errors.As(err, &ce) || ce.Field != field || !strings.Contains(ce.Reason, reason) {
+			t.Errorf("error = %v, want a *core.ConfigError on %s: %s", err, field, reason)
+		}
+	}
 	build := func(string) (core.Test, error) { return choiceTest(), nil }
 	for _, c := range []struct {
-		cfg  AgentConfig
-		want string
+		cfg           AgentConfig
+		field, reason string
 	}{
-		{AgentConfig{Workers: -1}, "AgentConfig.Workers must be non-negative, got -1"},
-		{AgentConfig{Poll: -time.Second}, "AgentConfig.Poll must be non-negative, got -1s"},
+		{AgentConfig{Workers: -1}, "AgentConfig.Workers", "must be non-negative, got -1"},
+		{AgentConfig{Poll: -time.Second}, "AgentConfig.Poll", "must be non-negative, got -1s"},
 	} {
-		field, _, _ := strings.Cut(c.want, " ")
-		t.Run(field, func(t *testing.T) {
+		t.Run(c.field, func(t *testing.T) {
 			c.cfg.Coordinator, c.cfg.Name, c.cfg.BuildTest = "http://127.0.0.1:1", "a", build
-			if _, err := NewAgent(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("NewAgent(%+v) error = %v, want %q", c.cfg, err, c.want)
-			}
+			_, err := NewAgent(c.cfg)
+			configError(t, err, c.field, c.reason)
 		})
 	}
 	for _, c := range []struct {
-		cfg  Config
-		want string
+		cfg           Config
+		field, reason string
 	}{
-		{Config{LeaseSize: -5}, "Config.LeaseSize must be non-negative, got -5"},
-		{Config{LeaseTTL: -time.Second}, "Config.LeaseTTL must be non-negative, got -1s"},
+		{Config{LeaseSize: -5}, "Config.LeaseSize", "must be non-negative, got -5"},
+		{Config{LeaseTTL: -time.Second}, "Config.LeaseTTL", "must be non-negative, got -1s"},
+		{Config{Options: core.Options{Iterations: math.MaxInt64}}, "Options.Iterations", "must be at most 9223372036854775806"},
 	} {
-		field, _, _ := strings.Cut(c.want, " ")
-		t.Run(field, func(t *testing.T) {
+		t.Run(c.field, func(t *testing.T) {
 			c.cfg.Scenario = "choices"
-			if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("New(%+v) error = %v, want %q", c.cfg, err, c.want)
-			}
+			_, err := New(c.cfg)
+			configError(t, err, c.field, c.reason)
 		})
 	}
 	t.Run("zero means the default", func(t *testing.T) {
