@@ -328,9 +328,9 @@ func TestDocsStateTheDesignOnce(t *testing.T) {
 // program must compile against nothing but the public package, the
 // standard library and the module packages listed for it — which is what
 // makes them proof that the API boundary is real. The plan flags systest
-// and gostormd share (cmd/internal/runflags) obey the rule themselves, the
-// agent prints its errors through them too, and the fleet binaries add only
-// the control plane, internal/dist.
+// and gostormd share (cmd/internal/runflags) obey the rule themselves,
+// table2 and the agent print their errors through them too, and the fleet
+// binaries add only the control plane, internal/dist.
 func TestExamplesUsePublicAPIOnly(t *testing.T) {
 	const (
 		module   = "github.com/gostorm/gostorm"
@@ -341,7 +341,7 @@ func TestExamplesUsePublicAPIOnly(t *testing.T) {
 	found := 0
 	for root, allowed := range map[string][]string{
 		"examples":              nil,
-		"cmd/table2":            nil,
+		"cmd/table2":            {runflags},
 		"cmd/internal/runflags": nil,
 		"cmd/systest":           {runflags},
 		"cmd/gostormd":          {runflags, dist},

@@ -25,7 +25,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"github.com/gostorm/gostorm"
 	"github.com/gostorm/gostorm/cmd/internal/runflags"
@@ -43,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		coordinator = fs.String("coordinator", "http://127.0.0.1:7077", "coordinator base URL")
 		name        = fs.String("name", "", "agent name (default: hostname-pid)")
 		workers     = fs.Int("workers", 0, "local exploration workers (0 = one per CPU)")
-		poll        = fs.Duration("poll", 250*time.Millisecond, "status poll cadence while a lease runs (picks up fleet-wide stop bounds)")
+		poll        = fs.Duration("poll", dist.DefaultPoll, "status poll cadence while a lease runs (picks up fleet-wide stop bounds)")
 		verbose     = fs.Bool("v", false, "log agent events to stderr")
 	)
 	if err := fs.Parse(args); err != nil {

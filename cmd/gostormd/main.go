@@ -47,8 +47,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	planFlags := runflags.Register(fs)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:7077", "control-plane listen address (use :0 for an ephemeral port)")
-		leaseSize = fs.Int64("lease", 256, "global positions per lease (0 = default)")
-		leaseTTL  = fs.Duration("lease-ttl", 10*time.Second, "lease expiry; an unreported lease is re-issued after this (0 = default)")
+		leaseSize = fs.Int64("lease", dist.DefaultLeaseSize, "global positions per lease (0 = default)")
+		leaseTTL  = fs.Duration("lease-ttl", dist.DefaultLeaseTTL, "lease expiry; an unreported lease is re-issued after this (0 = default)")
 		linger    = fs.Duration("linger", 2*time.Second, "how long to keep serving after the verdict so agents learn the run is done")
 		traceOut  = fs.String("trace-out", "", "write the winning bug's trace to this file")
 		verbose   = fs.Bool("v", false, "log control-plane events to stderr")
@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// dist.New checks -lease and -lease-ttl; -linger is this binary's own.
 	if *linger < 0 {
-		fmt.Fprintf(stderr, "gostormd: -linger must be non-negative, got %v\n", *linger)
+		fmt.Fprintf(stderr, "gostormd: -linger: must be non-negative, got %v\n", *linger)
 		return 2
 	}
 	// The plan is resolved exactly as systest resolves it; the resolved

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/gostorm/gostorm"
@@ -57,9 +58,9 @@ func (f *Flags) Plan() (gostorm.Scenario, []gostorm.Option, error) {
 	}
 	var faults []gostorm.Option
 	if strings.TrimSpace(f.faults) != "" {
-		b, err := gostorm.ParseFaultsSpec(f.faults)
+		b, err := parseFaultsSpec(f.faults)
 		if err != nil {
-			return sc, nil, fmt.Errorf("-faults: %w", err)
+			return sc, nil, err
 		}
 		faults = append(faults, gostorm.WithFaults(b))
 	}
@@ -87,23 +88,19 @@ func (f *Flags) Plan() (gostorm.Scenario, []gostorm.Option, error) {
 }
 
 // fieldFlags maps the Field of a *gostorm.ConfigError to the flag that sets
-// it, in each spelling a layer reports: the option, the engine's Options
-// field, and the fleet's Config and AgentConfig fields.
+// it: the engine's Options fields, and the fleet's Config and AgentConfig
+// fields.
 var fieldFlags = map[string]string{
-	"WithIterations":      "-iterations",
-	"Options.Iterations":  "-iterations",
-	"WithMaxSteps":        "-max-steps",
-	"Options.MaxSteps":    "-max-steps",
-	"WithWorkers":         "-workers",
-	"Options.Workers":     "-workers",
-	"AgentConfig.Workers": "-workers",
-	"WithScheduler":       "-scheduler",
-	"Options.Scheduler":   "-scheduler",
-	"WithPortfolio":       "-portfolio",
-	"Options.Portfolio":   "-portfolio",
-	"Config.LeaseSize":    "-lease",
-	"Config.LeaseTTL":     "-lease-ttl",
-	"AgentConfig.Poll":    "-poll",
+	"Options.Iterations":      "-iterations",
+	"Options.MaxSteps":        "-max-steps",
+	"Options.Workers":         "-workers",
+	"AgentConfig.Workers":     "-workers",
+	"Options.Scheduler":       "-scheduler",
+	"Options.Portfolio":       "-portfolio",
+	"Config.LeaseSize":        "-lease",
+	"Config.LeaseTTL":         "-lease-ttl",
+	"AgentConfig.Coordinator": "-coordinator",
+	"AgentConfig.Poll":        "-poll",
 }
 
 // Message renders err as a command prints it: a *gostorm.ConfigError on a
@@ -120,10 +117,10 @@ func Message(err error) string {
 	return err.Error()
 }
 
-// members resolves the -portfolio/-scheduler pair into a validated member
-// list (nil for a single-scheduler run). A set -scheduler conflicts with
-// -portfolio — even "random", the default — so a member the user meant to
-// add is never silently dropped.
+// members resolves the -portfolio/-scheduler pair into a member list (nil
+// for a single-scheduler run). A set -scheduler conflicts with -portfolio —
+// even "random", the default — so a member the user meant to add is never
+// silently dropped.
 func (f *Flags) members() ([]string, error) {
 	if f.portfolio == "" {
 		return nil, nil
@@ -131,9 +128,63 @@ func (f *Flags) members() ([]string, error) {
 	if f.scheduler != "" {
 		return nil, fmt.Errorf("-portfolio conflicts with -scheduler %s (drop one, or add %s to the member list)", f.scheduler, f.scheduler)
 	}
-	members, err := gostorm.ParsePortfolioSpec(f.portfolio)
-	if err != nil {
-		return nil, fmt.Errorf("-portfolio: %w", err)
+	return ParsePortfolioSpec(f.portfolio)
+}
+
+// ParsePortfolioSpec parses a -portfolio value, a comma-separated member
+// list ("random,pct,delay"), into scheduler names. Whitespace around members
+// is ignored and an empty member is an error; the names themselves are
+// checked by gostorm.Resolve, as Options.Portfolio[i].
+func ParsePortfolioSpec(spec string) ([]string, error) {
+	var members []string
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			return nil, fmt.Errorf("-portfolio: %q has an empty member (known schedulers: %s)",
+				spec, strings.Join(gostorm.SchedulerNames(), ", "))
+		}
+		members = append(members, name)
 	}
 	return members, nil
+}
+
+// parseFaultsSpec parses a -faults value of the form
+// "crashes=1,drops=2,dups=1,torn=1" (any subset of the keys, each at most
+// once, whitespace tolerated) into a fault budget. An empty spec is the zero
+// budget.
+func parseFaultsSpec(spec string) (gostorm.Faults, error) {
+	var f gostorm.Faults
+	if strings.TrimSpace(spec) == "" {
+		return f, nil
+	}
+	given := map[string]bool{}
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		key, val, ok := strings.Cut(part, "=")
+		if !ok {
+			return gostorm.Faults{}, fmt.Errorf("-faults: %q is not key=value (keys: crashes, drops, dups, torn)", part)
+		}
+		n, err := strconv.Atoi(strings.TrimSpace(val))
+		if err != nil || n < 0 {
+			return gostorm.Faults{}, fmt.Errorf("-faults: %q needs a non-negative integer", part)
+		}
+		k := strings.TrimSpace(key)
+		switch k {
+		case "crashes":
+			f.MaxCrashes = n
+		case "drops":
+			f.MaxDrops = n
+		case "dups":
+			f.MaxDuplicates = n
+		case "torn":
+			f.MaxTornCrashes = n
+		default:
+			return gostorm.Faults{}, fmt.Errorf("-faults: unknown key %q (keys: crashes, drops, dups, torn)", key)
+		}
+		if given[k] {
+			return gostorm.Faults{}, fmt.Errorf("-faults: %q repeats the %s key", part, k)
+		}
+		given[k] = true
+	}
+	return f, nil
 }

@@ -27,35 +27,36 @@ func resolve(t *testing.T, args ...string) (gostorm.Config, error) {
 	return gostorm.Resolve(sc.Test(), opts...)
 }
 
-// TestPlanFlagsFailUpFront pins every plan-flag error both CLIs print: a bad
-// flag fails before anything runs, with a message naming the flag or the
-// option it became.
+// TestPlanFlagsFailUpFront pins every plan-flag error both CLIs print,
+// whole: a bad flag fails before anything runs, with one message naming the
+// flag once.
 func TestPlanFlagsFailUpFront(t *testing.T) {
+	const known = "(known: delay, mutational, pct, random, rr)"
 	for _, c := range []struct {
 		name string
 		args []string
 		want string
 	}{
-		{"unknown scheduler", []string{"-test", "replsys", "-scheduler", "quantum"}, "unknown scheduler"},
-		{"unknown portfolio member", []string{"-test", "replsys", "-portfolio", "random,quantum"}, "unknown scheduler"},
-		{"empty portfolio member", []string{"-test", "replsys", "-portfolio", "random,,pct"}, "empty member"},
-		{"portfolio is not a scheduler", []string{"-test", "replsys", "-scheduler", "portfolio"}, "unknown scheduler"},
-		{"portfolio is spelled only -portfolio", []string{"-test", "replsys", "-scheduler", "portfolio", "-portfolio", "pct,delay"}, "-portfolio conflicts with -scheduler portfolio"},
-		{"portfolio vs scheduler conflict", []string{"-test", "replsys", "-scheduler", "rr", "-portfolio", "random"}, "-portfolio conflicts with -scheduler rr"},
-		{"explicit default scheduler still conflicts", []string{"-test", "replsys", "-scheduler", "random", "-portfolio", "pct,delay"}, "-portfolio conflicts with -scheduler random"},
-		{"missing test", []string{"-scheduler", "random"}, "-test is required"},
-		{"unknown scenario", []string{"-test", "nope"}, "unknown scenario nope"},
-		{"bad faults key", []string{"-test", "replsys", "-faults", "bogus=1"}, "unknown key"},
-		{"bad faults value", []string{"-test", "replsys", "-faults", "crashes=x"}, "non-negative integer"},
-		{"repeated faults key", []string{"-test", "replsys", "-faults", "dups=1,crashes=1,dups=0"}, "-faults: core: fault spec \"dups=1,crashes=1,dups=0\": \"dups=0\" repeats the dups key"},
+		{"unknown scheduler", []string{"-test", "replsys", "-scheduler", "quantum"}, `-scheduler: unknown scheduler "quantum" ` + known},
+		{"unknown portfolio member", []string{"-test", "replsys", "-portfolio", "random,quantum"}, `-portfolio: unknown scheduler "quantum" ` + known},
+		{"empty portfolio member", []string{"-test", "replsys", "-portfolio", "random,,pct"}, `-portfolio: "random,,pct" has an empty member (known schedulers: delay, mutational, pct, random, rr)`},
+		{"portfolio is not a scheduler", []string{"-test", "replsys", "-scheduler", "portfolio"}, `-scheduler: unknown scheduler "portfolio" ` + known},
+		{"portfolio is spelled only -portfolio", []string{"-test", "replsys", "-scheduler", "portfolio", "-portfolio", "pct,delay"}, "-portfolio conflicts with -scheduler portfolio (drop one, or add portfolio to the member list)"},
+		{"portfolio vs scheduler conflict", []string{"-test", "replsys", "-scheduler", "rr", "-portfolio", "random"}, "-portfolio conflicts with -scheduler rr (drop one, or add rr to the member list)"},
+		{"explicit default scheduler still conflicts", []string{"-test", "replsys", "-scheduler", "random", "-portfolio", "pct,delay"}, "-portfolio conflicts with -scheduler random (drop one, or add random to the member list)"},
+		{"missing test", []string{"-scheduler", "random"}, "-test is required (use -list to see scenarios)"},
+		{"unknown scenario", []string{"-test", "nope"}, "unknown scenario nope (use -list)"},
+		{"bad faults key", []string{"-test", "replsys", "-faults", "bogus=1"}, `-faults: unknown key "bogus" (keys: crashes, drops, dups, torn)`},
+		{"bad faults value", []string{"-test", "replsys", "-faults", "crashes=x"}, `-faults: "crashes=x" needs a non-negative integer`},
+		{"repeated faults key", []string{"-test", "replsys", "-faults", "dups=1,crashes=1,dups=0"}, `-faults: "dups=0" repeats the dups key`},
 		{"negative iterations", []string{"-test", "wal-fixed", "-iterations", "-5"}, "-iterations: must be positive, got -5"},
 		{"negative max-steps", []string{"-test", "wal-fixed", "-max-steps", "-3"}, "-max-steps: must be positive, got -3"},
-		{"plan too large to number", []string{"-test", "wal-fixed", "-portfolio", "random,pct", "-iterations", "4611686018427387904"}, "-iterations: must be at most 4611686018427387903"},
+		{"plan too large to number", []string{"-test", "wal-fixed", "-portfolio", "random,pct", "-iterations", "4611686018427387904"}, "-iterations: must be at most 4611686018427387903 for a plan of 2 member(s), got 4611686018427387904"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := resolve(t, c.args...)
-			if err == nil || !strings.Contains(Message(err), c.want) {
-				t.Fatalf("error = %v, want one printed containing %q", err, c.want)
+			if err == nil || Message(err) != c.want {
+				t.Fatalf("error = %v, want one printed as %q", err, c.want)
 			}
 		})
 	}
@@ -92,21 +93,19 @@ func TestPlanFlagsLayerOverTheScenario(t *testing.T) {
 // other error, reads as it is.
 func TestMessageNamesTheFlag(t *testing.T) {
 	for field, want := range map[string]string{
-		"WithIterations":       "-iterations: bad",
-		"Options.Iterations":   "-iterations: bad",
-		"WithMaxSteps":         "-max-steps: bad",
-		"Options.MaxSteps":     "-max-steps: bad",
-		"WithWorkers":          "-workers: bad",
-		"Options.Workers":      "-workers: bad",
-		"AgentConfig.Workers":  "-workers: bad",
-		"WithScheduler":        "-scheduler: bad",
-		"Options.Scheduler":    "-scheduler: bad",
-		"WithPortfolio":        "-portfolio: bad",
-		"Options.Portfolio[2]": "-portfolio: bad",
-		"Config.LeaseSize":     "-lease: bad",
-		"Config.LeaseTTL":      "-lease-ttl: bad",
-		"AgentConfig.Poll":     "-poll: bad",
-		"Shard":                "gostorm: Shard: bad",
+		"Options.Iterations":      "-iterations: bad",
+		"Options.MaxSteps":        "-max-steps: bad",
+		"Options.Workers":         "-workers: bad",
+		"AgentConfig.Workers":     "-workers: bad",
+		"Options.Scheduler":       "-scheduler: bad",
+		"Options.Portfolio":       "-portfolio: bad",
+		"Options.Portfolio[2]":    "-portfolio: bad",
+		"Config.LeaseSize":        "-lease: bad",
+		"Config.LeaseTTL":         "-lease-ttl: bad",
+		"AgentConfig.Coordinator": "-coordinator: bad",
+		"AgentConfig.Poll":        "-poll: bad",
+		"WithIterations":          "gostorm: WithIterations: bad",
+		"Shard":                   "gostorm: Shard: bad",
 	} {
 		if got := Message(&gostorm.ConfigError{Field: field, Reason: "bad"}); got != want {
 			t.Errorf("%s: printed %q, want %q", field, got, want)
@@ -114,5 +113,53 @@ func TestMessageNamesTheFlag(t *testing.T) {
 	}
 	if got := Message(io.EOF); got != "EOF" {
 		t.Errorf("a plain error printed %q", got)
+	}
+}
+
+// TestParseFaultsSpec covers the -faults spec parser.
+func TestParseFaultsSpec(t *testing.T) {
+	got, err := parseFaultsSpec(" crashes=1, drops=2 , dups=3 ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != (gostorm.Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3}) {
+		t.Fatalf("parsed %+v", got)
+	}
+	if got, err := parseFaultsSpec(""); err != nil || got != (gostorm.Faults{}) {
+		t.Fatalf("empty spec: %+v, %v", got, err)
+	}
+	for _, bad := range []string{"crashes", "crashes=-1", "crashes=x", "warp=3"} {
+		if _, err := parseFaultsSpec(bad); err == nil {
+			t.Fatalf("spec %q accepted", bad)
+		}
+	}
+	// A key given twice is rejected, naming it, rather than the last value
+	// silently winning; each key has one spelling, the one Faults.String
+	// prints.
+	for _, c := range []struct{ spec, want string }{
+		{"crashes=1,crashes=0", `"crashes=0" repeats the crashes key`},
+		{"torn=1, drops=2, torn=1", `"torn=1" repeats the torn key`},
+		{"dups=1,dups=2", `"dups=2" repeats the dups key`},
+		{"duplicates=2", `unknown key "duplicates" (keys: crashes, drops, dups, torn)`},
+	} {
+		if _, err := parseFaultsSpec(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("spec %q: error = %v, want one containing %s", c.spec, err, c.want)
+		}
+	}
+}
+
+// TestParsePortfolioSpec: the -portfolio parser trims members and rejects
+// an empty one; an unknown name is Resolve's to report (the "unknown
+// portfolio member" row of TestPlanFlagsFailUpFront).
+func TestParsePortfolioSpec(t *testing.T) {
+	members, err := ParsePortfolioSpec(" random, pct ,delay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(members, []string{"random", "pct", "delay"}) {
+		t.Fatalf("members = %v", members)
+	}
+	if _, err := ParsePortfolioSpec("random,,pct"); err == nil || !strings.Contains(err.Error(), "empty member") {
+		t.Fatalf("empty member not rejected: %v", err)
 	}
 }

@@ -200,10 +200,12 @@ func TestCLIProfileFlags(t *testing.T) {
 	}
 }
 
-// TestCLIValidatesFlagsUpFront: bad flags fail immediately with a pointed
-// message and exit code 2, never as an engine panic mid-run. The plan flags'
-// whole table is runflags' TestPlanFlagsFailUpFront; here one of them shows
-// the wiring, next to the machine-local -workers.
+// TestCLIValidatesFlagsUpFront: bad flags fail immediately with one pointed
+// line and exit code 2, never as an engine panic mid-run. The plan flags'
+// whole table is runflags' TestPlanFlagsFailUpFront; here some of them show
+// the wiring, next to the machine-local -workers. A line systest prints
+// itself is the whole of its output; the flag package follows its own with
+// the usage.
 func TestCLIValidatesFlagsUpFront(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the real binary")
@@ -213,7 +215,8 @@ func TestCLIValidatesFlagsUpFront(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"portfolio is not a scheduler", []string{"-test", "replsys", "-scheduler", "portfolio"}, "unknown scheduler"},
+		{"portfolio is not a scheduler", []string{"-test", "replsys", "-scheduler", "portfolio"}, `systest: -scheduler: unknown scheduler "portfolio" (known: delay, mutational, pct, random, rr)`},
+		{"unknown portfolio member", []string{"-test", "mtable", "-portfolio", "random,quantum"}, `systest: -portfolio: unknown scheduler "quantum" (known: delay, mutational, pct, random, rr)`},
 		{"negative workers", []string{"-test", "wal-fixed", "-workers", "-2"}, "systest: -workers: must be positive, got -2"},
 		{"removed liveness threshold", []string{"-test", "wal-fixed", "-temperature", "50"}, "flag provided but not defined: -temperature"},
 	}
@@ -223,8 +226,12 @@ func TestCLIValidatesFlagsUpFront(t *testing.T) {
 			if code != 2 {
 				t.Fatalf("exit = %d, want 2:\n%s", code, out)
 			}
-			if !strings.Contains(out, c.want) {
-				t.Fatalf("error output lacks %q:\n%s", c.want, out)
+			got := strings.TrimSuffix(out, "\n")
+			if !strings.HasPrefix(c.want, "systest: ") {
+				got, _, _ = strings.Cut(out, "\n")
+			}
+			if got != c.want {
+				t.Fatalf("output %q, want %q", out, c.want)
 			}
 		})
 	}

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"github.com/gostorm/gostorm"
+	"github.com/gostorm/gostorm/cmd/internal/runflags"
 )
 
 // rows are the table's lines in the paper's order, each a scenario of the
@@ -55,14 +56,10 @@ func main() {
 	)
 	flag.Parse()
 
-	if *workers < 0 {
-		fail(fmt.Errorf("-workers must be non-negative, got %d", *workers))
-	}
-
 	var members []string
 	if *portfolio != "" {
 		var err error
-		if members, err = gostorm.ParsePortfolioSpec(*portfolio); err != nil {
+		if members, err = runflags.ParsePortfolioSpec(*portfolio); err != nil {
 			fail(err)
 		}
 	}
@@ -70,12 +67,13 @@ func main() {
 	// What every cell shares, layered over each scenario's own options the
 	// way systest layers its flags.
 	shared := []gostorm.Option{gostorm.WithIterations(*iterations), gostorm.WithSeed(*seed), gostorm.WithNoReplayLog()}
-	if *workers > 0 {
+	if *workers != 0 {
 		shared = append(shared, gostorm.WithWorkers(*workers))
 	}
 
-	// Resolve every row before the first byte of output: a bad flag fails
-	// here, not from inside the first cell with the header already printed.
+	// Resolve every row, under the portfolio column's members too, before
+	// the first byte of output: a bad flag fails here, not from inside the
+	// first cell with the header already printed.
 	lines := make([]line, len(rows))
 	for i, r := range rows {
 		sc, err := gostorm.ScenarioByName(r.scenario)
@@ -84,7 +82,11 @@ func main() {
 		}
 		// Clipped, so each column's append copies instead of sharing.
 		opts := slices.Clip(append(sc.Options(), shared...))
-		cfg, err := gostorm.Resolve(sc.Test(), opts...)
+		check := opts
+		if members != nil {
+			check = append(opts, gostorm.WithPortfolio(members...))
+		}
+		cfg, err := gostorm.Resolve(sc.Test(), check...)
 		if err != nil {
 			fail(err)
 		}
@@ -123,7 +125,7 @@ func main() {
 }
 
 func fail(err error) {
-	fmt.Fprintln(os.Stderr, "table2:", err)
+	fmt.Fprintln(os.Stderr, "table2:", runflags.Message(err))
 	os.Exit(2)
 }
 

@@ -134,13 +134,13 @@ func TestCLIValidatesFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-portfolio", "random,quantum"}, "unknown scheduler"},
-		{[]string{"-workers", "-4"}, "-workers must be non-negative"},
-		{[]string{"-iterations", "0"}, "WithIterations: must be positive"},
+		{[]string{"-portfolio", "random,quantum"}, `table2: -portfolio: unknown scheduler "quantum" (known: delay, mutational, pct, random, rr)`},
+		{[]string{"-workers", "-4"}, "table2: -workers: must be positive, got -4"},
+		{[]string{"-iterations", "0"}, "table2: -iterations: must be positive, got 0"},
 	} {
 		out, errOut, code := runTable2(t, tc.args...)
-		if code != 2 || !strings.Contains(errOut, tc.want) {
-			t.Errorf("%v: exit = %d, want 2 and %q on stderr:\n%s", tc.args, code, tc.want, errOut)
+		if code != 2 || errOut != tc.want+"\n" {
+			t.Errorf("%v: exit = %d, want 2 and stderr %q, got:\n%s", tc.args, code, tc.want, errOut)
 		}
 		if out != "" {
 			t.Errorf("%v: wrote to stdout before failing:\n%s", tc.args, out)

@@ -24,9 +24,9 @@ import (
 // (seed, i); portfolio member m's execution i purely from (seed, m, i).
 //
 // A configuration error — an invalid option value, an unknown scheduler
-// or portfolio member, conflicting options — is returned as a typed
-// *ConfigError before any execution starts; Explore never panics on
-// configuration.
+// or portfolio member, a negative fault budget — is returned as a typed
+// *ConfigError naming the Options field at fault before any execution
+// starts; Explore never panics on configuration.
 func Explore(t Test, opts ...Option) (Result, error) {
 	c, err := resolve(opts)
 	if err != nil {
@@ -64,7 +64,7 @@ type Config = core.Options
 // validation and defaults, Scheduler "" for a portfolio run, and Faults
 // the effective budget, never nil (the last WithFaults or WithNoFaults,
 // else the test's declared one). Invalid options are reported as the same
-// *ConfigError Explore would return.
+// *ConfigError, on the same Options field, Explore would return.
 func Resolve(t Test, opts ...Option) (Config, error) {
 	c, err := resolve(opts)
 	if err != nil {

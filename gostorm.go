@@ -98,8 +98,9 @@ type (
 	// DecisionKind distinguishes the kinds of nondeterministic choices.
 	DecisionKind = core.DecisionKind
 	// ConfigError is the typed configuration error returned by Explore,
-	// Replay and Resolve: Field names the option or field at fault,
-	// Reason what is wrong with it.
+	// Replay and Resolve: Field names the Options field at fault
+	// ("Options.Iterations", whichever option set it), Reason what is
+	// wrong with it.
 	ConfigError = core.ConfigError
 )
 
@@ -172,13 +173,3 @@ func NewStateMachine[C any](name, initial string, states ...*State[C]) *StateMac
 // Decoding is strict: an unknown version or decision kind is an error — a
 // trace that cannot be fully understood cannot be faithfully replayed.
 func DecodeTrace(data []byte) (*Trace, error) { return core.DecodeTrace(data) }
-
-// ParseFaultsSpec parses a fault-budget spec of the form
-// "crashes=1,drops=2,dups=1" (any subset of the keys) into a Faults
-// budget — the format the repository's CLIs accept.
-func ParseFaultsSpec(spec string) (Faults, error) { return core.ParseFaultsSpec(spec) }
-
-// ParsePortfolioSpec parses a comma-separated portfolio member list
-// ("random,pct,delay") into validated scheduler names. Whitespace around
-// members is ignored; empty members and unknown schedulers are errors.
-func ParsePortfolioSpec(spec string) ([]string, error) { return core.ParsePortfolioSpec(spec) }

@@ -181,38 +181,6 @@ func TestResolveAcceptsZeroAndPositive(t *testing.T) {
 	}
 }
 
-// TestParseFaultsSpec covers the CLI budget spec parser.
-func TestParseFaultsSpec(t *testing.T) {
-	got, err := ParseFaultsSpec(" crashes=1, drops=2 , dups=3 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != (Faults{MaxCrashes: 1, MaxDrops: 2, MaxDuplicates: 3}) {
-		t.Fatalf("parsed %+v", got)
-	}
-	if got, err := ParseFaultsSpec(""); err != nil || got != (Faults{}) {
-		t.Fatalf("empty spec: %+v, %v", got, err)
-	}
-	for _, bad := range []string{"crashes", "crashes=-1", "crashes=x", "warp=3"} {
-		if _, err := ParseFaultsSpec(bad); err == nil {
-			t.Fatalf("spec %q accepted", bad)
-		}
-	}
-	// A key given twice is rejected, naming it, rather than the last value
-	// silently winning; each key has one spelling, the one Faults.String
-	// prints.
-	for _, c := range []struct{ spec, want string }{
-		{"crashes=1,crashes=0", `"crashes=0" repeats the crashes key`},
-		{"torn=1, drops=2, torn=1", `"torn=1" repeats the torn key`},
-		{"dups=1,dups=2", `"dups=2" repeats the dups key`},
-		{"duplicates=2", `unknown key "duplicates" (keys: crashes, drops, dups, torn)`},
-	} {
-		if _, err := ParseFaultsSpec(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("spec %q: error = %v, want one containing %s", c.spec, err, c.want)
-		}
-	}
-}
-
 // TestRegisterSchedulerValidation: registration rejects names the rest of
 // the surface cannot represent, nil constructors, and duplicates.
 func TestRegisterSchedulerValidation(t *testing.T) {

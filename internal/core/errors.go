@@ -5,16 +5,13 @@ package core
 // returns it from Explore and Replay instead of panicking, so callers —
 // CLIs validating flags, services building runs from requests — can
 // attribute the mistake to the exact field and present it without
-// recovering from a panic.
-//
-// The public gostorm package aliases this type: errors reported through
-// gostorm.Explore carry the functional option's name in Field
-// ("WithIterations"), errors detected inside the engine carry the
-// Options field path ("Options.Iterations").
+// recovering from a panic. The public gostorm package aliases this type,
+// and its options report the Options field they set, so a mistake has one
+// name whichever layer catches it.
 type ConfigError struct {
-	// Field names the configuration field or option at fault, as the
-	// caller spelled it: "Options.Iterations", "Test.Faults.MaxCrashes",
-	// "WithScheduler".
+	// Field is the path of the configuration field at fault:
+	// "Options.Iterations", "Options.Portfolio[1]",
+	// "Test.Faults.MaxCrashes", "AgentConfig.Poll".
 	Field string
 	// Reason describes what is wrong with the value.
 	Reason string

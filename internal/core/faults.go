@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // This file is the fault plane: the runtime primitives that turn every
 // classic fault of a distributed storage system — a timeout firing, a node
@@ -76,53 +72,6 @@ func (f Faults) String() string {
 	add("torn", f.MaxTornCrashes)
 	return out
 }
-
-// ParseFaultsSpec parses a CLI fault-budget spec of the form
-// "crashes=1,drops=2,dups=1,torn=1" (any subset of the keys, each at most
-// once, whitespace tolerated) into a
-// Faults budget. An empty spec is the zero budget.
-func ParseFaultsSpec(spec string) (Faults, error) {
-	var f Faults
-	if strings.TrimSpace(spec) == "" {
-		return f, nil
-	}
-	given := map[string]bool{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Faults{}, fmt.Errorf("core: fault spec %q: %q is not key=value (keys: crashes, drops, dups, torn)", spec, part)
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil || n < 0 {
-			return Faults{}, fmt.Errorf("core: fault spec %q: %q needs a non-negative integer", spec, part)
-		}
-		k := strings.TrimSpace(key)
-		switch k {
-		case "crashes":
-			f.MaxCrashes = n
-		case "drops":
-			f.MaxDrops = n
-		case "dups":
-			f.MaxDuplicates = n
-		case "torn":
-			f.MaxTornCrashes = n
-		default:
-			return Faults{}, fmt.Errorf("core: fault spec %q: unknown key %q (keys: crashes, drops, dups, torn)", spec, key)
-		}
-		if given[k] {
-			return Faults{}, fmt.Errorf("core: fault spec %q: %q repeats the %s key", spec, part, k)
-		}
-		given[k] = true
-	}
-	return f, nil
-}
-
-// Validate rejects negative budgets with a typed *ConfigError whose
-// Field carries the offending sub-field ("Faults.MaxCrashes"). The
-// public package's WithFaults pre-validates through it, so the checked
-// field set can never drift from the engine's own validation.
-func (f Faults) Validate() error { return f.validate("Faults") }
 
 // validate rejects negative budgets with typed ConfigErrors; what names
 // the budget's origin ("Options.Faults" or "Test.Faults"). It returns

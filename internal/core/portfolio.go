@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
+import "time"
 
 // MemberStats describes one portfolio member's share of a portfolio run —
 // the paper's observation operationalized: no single exploration strategy
@@ -29,25 +25,6 @@ type MemberStats struct {
 	Elapsed time.Duration
 	// Winner reports that this member found the winning bug.
 	Winner bool
-}
-
-// ParsePortfolioSpec parses a comma-separated portfolio member list (the
-// CLIs' -portfolio flag) into validated scheduler names. Whitespace around
-// members is ignored; empty members and unknown schedulers are errors.
-func ParsePortfolioSpec(spec string) ([]string, error) {
-	var members []string
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			return nil, fmt.Errorf("core: portfolio spec %q has an empty member (known schedulers: %s)",
-				spec, strings.Join(SchedulerNames(), ", "))
-		}
-		if _, err := lookupScheduler(name); err != nil {
-			return nil, fmt.Errorf("core: portfolio member %q: %v", name, err)
-		}
-		members = append(members, name)
-	}
-	return members, nil
 }
 
 // memberSeed derives portfolio member m's base seed from the run seed.

@@ -241,24 +241,6 @@ func TestPortfolioRejectsBadSpecs(t *testing.T) {
 	assertConfigError(t, err, "Options.Portfolio[1]", `unknown scheduler "quantum"`)
 }
 
-// TestParsePortfolioSpec: the shared CLI spec parser validates members and
-// rejects empties and unknowns with pointed errors.
-func TestParsePortfolioSpec(t *testing.T) {
-	members, err := ParsePortfolioSpec(" random, pct ,delay")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(members) != 3 || members[0] != "random" || members[1] != "pct" || members[2] != "delay" {
-		t.Fatalf("members = %v", members)
-	}
-	if _, err := ParsePortfolioSpec("random,,pct"); err == nil || !strings.Contains(err.Error(), "empty member") {
-		t.Fatalf("empty member not rejected: %v", err)
-	}
-	if _, err := ParsePortfolioSpec("random,quantum"); err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
-		t.Fatalf("unknown member not rejected: %v", err)
-	}
-}
-
 // TestPortfolioSingleMemberMatchesRun: a one-member portfolio degenerates
 // to a plain run of that scheduler under the member's derived seed — the
 // same discovering iteration and trace as Run with that seed.

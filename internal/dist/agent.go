@@ -11,6 +11,9 @@ import (
 	"github.com/gostorm/gostorm/internal/core"
 )
 
+// DefaultPoll is the status-poll cadence a zero AgentConfig.Poll stands for.
+const DefaultPoll = 250 * time.Millisecond
+
 // AgentConfig configures an exploration agent.
 type AgentConfig struct {
 	// Coordinator is the control-plane base URL (e.g. "http://host:7077").
@@ -22,7 +25,7 @@ type AgentConfig struct {
 	Workers int
 	// Poll is the status-poll cadence while a lease is running; the poll
 	// lowers the local stop bound as the fleet's best bug improves
-	// (0 = 250ms; negative is an error).
+	// (0 = DefaultPoll; negative is an error).
 	Poll time.Duration
 	// BuildTest maps the plan's scenario name to a runnable test. The
 	// binaries wire the catalog here; tests wire fixtures.
@@ -47,13 +50,13 @@ type Agent struct {
 // takes a lease it could not run.
 func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Coordinator == "" {
-		return nil, fmt.Errorf("dist: AgentConfig.Coordinator is required")
+		return nil, &core.ConfigError{Field: "AgentConfig.Coordinator", Reason: "is required"}
 	}
 	if cfg.Name == "" {
-		return nil, fmt.Errorf("dist: AgentConfig.Name is required")
+		return nil, &core.ConfigError{Field: "AgentConfig.Name", Reason: "is required"}
 	}
 	if cfg.BuildTest == nil {
-		return nil, fmt.Errorf("dist: AgentConfig.BuildTest is required")
+		return nil, &core.ConfigError{Field: "AgentConfig.BuildTest", Reason: "is required"}
 	}
 	if cfg.Workers < 0 {
 		return nil, &core.ConfigError{Field: "AgentConfig.Workers", Reason: fmt.Sprintf("must be non-negative, got %d", cfg.Workers)}
@@ -62,7 +65,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		return nil, &core.ConfigError{Field: "AgentConfig.Poll", Reason: fmt.Sprintf("must be non-negative, got %v", cfg.Poll)}
 	}
 	if cfg.Poll == 0 {
-		cfg.Poll = 250 * time.Millisecond
+		cfg.Poll = DefaultPoll
 	}
 	return &Agent{cfg: cfg, hc: &http.Client{Timeout: 30 * time.Second}}, nil
 }

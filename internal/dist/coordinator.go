@@ -15,6 +15,12 @@ import (
 // pending.
 const retryMs = 200
 
+// The lease settings a zero Config field stands for.
+const (
+	DefaultLeaseSize = 256
+	DefaultLeaseTTL  = 10 * time.Second
+)
+
 // Config configures a Coordinator.
 type Config struct {
 	// Scenario is the catalog name agents build the test from. The
@@ -23,11 +29,12 @@ type Config struct {
 	// Options is the exploration plan (seed, budget, scheduler/portfolio,
 	// bounds). Resolved (core.Options.Resolve) by New.
 	Options core.Options
-	// LeaseSize is the number of global positions per lease (0 = 256;
-	// negative is an error).
+	// LeaseSize is the number of global positions per lease
+	// (0 = DefaultLeaseSize; negative is an error).
 	LeaseSize int64
 	// LeaseTTL is how long an agent may sit on a lease before it is
-	// re-issued to someone else (0 = 10s; negative is an error).
+	// re-issued to someone else (0 = DefaultLeaseTTL; negative is an
+	// error).
 	LeaseTTL time.Duration
 	// Log, when non-nil, receives one line per control-plane event.
 	Log func(format string, args ...any)
@@ -103,10 +110,10 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	if cfg.LeaseSize == 0 {
-		cfg.LeaseSize = 256
+		cfg.LeaseSize = DefaultLeaseSize
 	}
 	if cfg.LeaseTTL == 0 {
-		cfg.LeaseTTL = 10 * time.Second
+		cfg.LeaseTTL = DefaultLeaseTTL
 	}
 	total := core.PlanSize(o)
 	return &Coordinator{

@@ -422,8 +422,8 @@ func TestWholePlanSchedulersRejected(t *testing.T) {
 // cadence fails at NewAgent, before Run can take a lease it would strand
 // until the lease expires, and a negative lease size or TTL fails at New
 // instead of turning into the default, each as a *core.ConfigError naming
-// the field; so does a plan too large to number. Zero still means the
-// default.
+// the field; so do a plan too large to number and a missing required agent
+// field. Zero still means the default.
 func TestNegativeSettingsAreRejected(t *testing.T) {
 	configError := func(t *testing.T, err error, field, reason string) {
 		t.Helper()
@@ -446,6 +446,16 @@ func TestNegativeSettingsAreRejected(t *testing.T) {
 			configError(t, err, c.field, c.reason)
 		})
 	}
+	for field, cfg := range map[string]AgentConfig{
+		"AgentConfig.Coordinator": {Name: "a", BuildTest: build},
+		"AgentConfig.Name":        {Coordinator: "http://127.0.0.1:1", BuildTest: build},
+		"AgentConfig.BuildTest":   {Coordinator: "http://127.0.0.1:1", Name: "a"},
+	} {
+		t.Run(field, func(t *testing.T) {
+			_, err := NewAgent(cfg)
+			configError(t, err, field, "is required")
+		})
+	}
 	for _, c := range []struct {
 		cfg           Config
 		field, reason string
@@ -462,12 +472,12 @@ func TestNegativeSettingsAreRejected(t *testing.T) {
 	}
 	t.Run("zero means the default", func(t *testing.T) {
 		a, err := NewAgent(AgentConfig{Coordinator: "http://127.0.0.1:1", Name: "a", BuildTest: build})
-		if err != nil || a.cfg.Poll != 250*time.Millisecond {
-			t.Fatalf("zero Poll: agent %+v, error %v; want the 250ms default", a, err)
+		if err != nil || a.cfg.Poll != DefaultPoll {
+			t.Fatalf("zero Poll: agent %+v, error %v; want the %v default", a, err, DefaultPoll)
 		}
 		co, err := New(Config{Scenario: "choices"})
-		if err != nil || co.cfg.LeaseSize != 256 || co.cfg.LeaseTTL != 10*time.Second {
-			t.Fatalf("zero lease settings: error %v; want the 256-position, 10s defaults", err)
+		if err != nil || co.cfg.LeaseSize != DefaultLeaseSize || co.cfg.LeaseTTL != DefaultLeaseTTL {
+			t.Fatalf("zero lease settings: error %v; want the %d-position, %v defaults", err, DefaultLeaseSize, DefaultLeaseTTL)
 		}
 	})
 }

@@ -1,9 +1,7 @@
 package gostorm
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 
 	"github.com/gostorm/gostorm/internal/core"
 )
@@ -17,8 +15,8 @@ import (
 //
 // An invalid value — WithIterations(0), an unknown scheduler name, a
 // negative fault budget — is reported by the call the option is passed
-// to, as a *ConfigError naming the option; options themselves never
-// panic.
+// to, as a *ConfigError naming the Options field it sets
+// ("Options.Iterations"); options themselves never panic.
 type Option func(*config)
 
 // config accumulates applied options. The first configuration error
@@ -30,9 +28,9 @@ type config struct {
 }
 
 // fail records the first configuration error.
-func (c *config) fail(option, reason string) {
+func (c *config) fail(field, reason string) {
 	if c.err == nil {
-		c.err = &ConfigError{Field: option, Reason: reason}
+		c.err = &ConfigError{Field: field, Reason: reason}
 	}
 }
 
@@ -53,11 +51,12 @@ func resolve(opts []Option) (*config, error) {
 }
 
 // positive is the body the must-be-positive options share: it stores the
-// value with set, or records that option was handed a non-positive one.
-func positive(option string, v int, set func(*core.Options)) Option {
+// value with set, or records that field was handed a non-positive one.
+// Options.Resolve reads zero as "default" and cannot see an explicit one.
+func positive(field string, v int, set func(*core.Options)) Option {
 	return func(c *config) {
 		if v <= 0 {
-			c.fail(option, fmt.Sprintf("must be positive, got %d", v))
+			c.fail(field, fmt.Sprintf("must be positive, got %d", v))
 			return
 		}
 		set(&c.opts)
@@ -71,7 +70,7 @@ func positive(option string, v int, set func(*core.Options)) Option {
 func WithScheduler(name string) Option {
 	return func(c *config) {
 		if name == "" {
-			c.fail("WithScheduler", "scheduler name must be non-empty")
+			c.fail("Options.Scheduler", "scheduler name must be non-empty")
 			return
 		}
 		c.opts.Scheduler = name
@@ -91,7 +90,7 @@ func WithScheduler(name string) Option {
 func WithPortfolio(members ...string) Option {
 	return func(c *config) {
 		if len(members) == 0 {
-			c.fail("WithPortfolio", "needs at least one member (see SchedulerNames)")
+			c.fail("Options.Portfolio", "needs at least one member (see SchedulerNames)")
 			return
 		}
 		c.opts.Portfolio = append([]string(nil), members...)
@@ -111,14 +110,14 @@ func WithSeed(seed int64) Option {
 // WithIterations bounds the number of executions (default 10,000); in a
 // portfolio run the budget applies to each member individually.
 func WithIterations(n int) Option {
-	return positive("WithIterations", n, func(o *core.Options) { o.Iterations = n })
+	return positive("Options.Iterations", n, func(o *core.Options) { o.Iterations = n })
 }
 
 // WithMaxSteps bounds each execution's scheduling steps (default 10,000).
 // A monitor hot at the bound gets a uniform tail, and is a liveness bug if
 // still hot at 2 × n steps, which no execution runs past.
 func WithMaxSteps(n int) Option {
-	return positive("WithMaxSteps", n, func(o *core.Options) { o.MaxSteps = n })
+	return positive("Options.MaxSteps", n, func(o *core.Options) { o.MaxSteps = n })
 }
 
 // WithWorkers sets the size of the run's one pool of exploration workers
@@ -127,29 +126,15 @@ func WithMaxSteps(n int) Option {
 // every worker count — the engine's determinism contract — so this is
 // purely a throughput knob. Replay is single-threaded regardless.
 func WithWorkers(n int) Option {
-	return positive("WithWorkers", n, func(o *core.Options) { o.Workers = n })
+	return positive("Options.Workers", n, func(o *core.Options) { o.Workers = n })
 }
 
 // WithFaults replaces the test's declared fault budget wholesale for this
 // run. The zero budget turns the fault plane off, as WithNoFaults does:
 // CrashPoint declines, SendUnreliable behaves like Send, injector machines
-// halt.
+// halt. A negative budget is reported on its Options.Faults field.
 func WithFaults(f Faults) Option {
-	return func(c *config) {
-		if err := f.Validate(); err != nil {
-			// Re-attribute the engine's own budget validation to this
-			// option: Field "Faults.MaxCrashes" becomes reason
-			// "MaxCrashes must be non-negative, ...".
-			var ce *ConfigError
-			if errors.As(err, &ce) {
-				c.fail("WithFaults", strings.TrimPrefix(ce.Field, "Faults.")+" "+ce.Reason)
-			} else {
-				c.fail("WithFaults", err.Error())
-			}
-			return
-		}
-		c.opts.Faults = &f
-	}
+	return func(c *config) { c.opts.Faults = &f }
 }
 
 // WithNoFaults turns the fault plane off, whatever the test declares — the

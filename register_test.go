@@ -2,6 +2,7 @@ package gostorm_test
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -386,7 +387,8 @@ func TestNilSchedulerIsRejectedAtRegistration(t *testing.T) {
 }
 
 // TestConfigErrors: the public entry points report configuration
-// mistakes as typed *ConfigError values naming the option at fault.
+// mistakes as typed *ConfigError values naming the Options field at fault,
+// whether an option or Resolve catches them.
 func TestConfigErrors(t *testing.T) {
 	build := func() gostorm.Test {
 		return replsys.Scenario(replsys.ScenarioConfig{})
@@ -396,16 +398,16 @@ func TestConfigErrors(t *testing.T) {
 		opts  []gostorm.Option
 		field string
 	}{
-		{"zero iterations", []gostorm.Option{gostorm.WithIterations(0)}, "WithIterations"},
-		{"negative max steps", []gostorm.Option{gostorm.WithMaxSteps(-1)}, "WithMaxSteps"},
-		{"zero max steps", []gostorm.Option{gostorm.WithMaxSteps(0)}, "WithMaxSteps"},
-		{"zero workers", []gostorm.Option{gostorm.WithWorkers(0)}, "WithWorkers"},
+		{"zero iterations", []gostorm.Option{gostorm.WithIterations(0)}, "Options.Iterations"},
+		{"negative max steps", []gostorm.Option{gostorm.WithMaxSteps(-1)}, "Options.MaxSteps"},
+		{"zero max steps", []gostorm.Option{gostorm.WithMaxSteps(0)}, "Options.MaxSteps"},
+		{"zero workers", []gostorm.Option{gostorm.WithWorkers(0)}, "Options.Workers"},
 		{"unknown scheduler", []gostorm.Option{gostorm.WithScheduler("quantum")}, "Options.Scheduler"},
-		{"empty portfolio", []gostorm.Option{gostorm.WithPortfolio()}, "WithPortfolio"},
+		{"empty portfolio", []gostorm.Option{gostorm.WithPortfolio()}, "Options.Portfolio"},
 		{"unknown member", []gostorm.Option{gostorm.WithPortfolio("random", "quantum")}, "Options.Portfolio[1]"},
 		{"empty member", []gostorm.Option{gostorm.WithPortfolio("random", "")}, "Options.Portfolio[1]"},
-		{"negative fault budget", []gostorm.Option{gostorm.WithFaults(gostorm.Faults{MaxCrashes: -1})}, "WithFaults"},
-		{"empty scheduler name", []gostorm.Option{gostorm.WithScheduler("")}, "WithScheduler"},
+		{"negative fault budget", []gostorm.Option{gostorm.WithFaults(gostorm.Faults{MaxCrashes: -1})}, "Options.Faults.MaxCrashes"},
+		{"empty scheduler name", []gostorm.Option{gostorm.WithScheduler("")}, "Options.Scheduler"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -417,9 +419,16 @@ func TestConfigErrors(t *testing.T) {
 			if ce.Field != c.field {
 				t.Fatalf("ConfigError.Field = %q, want %q (reason: %s)", ce.Field, c.field, ce.Reason)
 			}
-			// Resolve reports the identical error without running anything.
-			if _, rerr := gostorm.Resolve(build(), c.opts...); rerr == nil {
-				t.Fatal("Resolve accepted the invalid options")
+			// Every other entry point reports the identical error without
+			// running anything.
+			_, rerr := gostorm.Resolve(build(), c.opts...)
+			_, perr := gostorm.PlanSize(c.opts...)
+			_, serr := gostorm.ExploreShard(build(), gostorm.Shard{From: 0, To: 1}, c.opts...)
+			_, lerr := gostorm.Replay(build(), &gostorm.Trace{}, c.opts...)
+			for name, other := range map[string]error{"Resolve": rerr, "PlanSize": perr, "ExploreShard": serr, "Replay": lerr} {
+				if !reflect.DeepEqual(other, err) {
+					t.Errorf("%s error = %v, want Explore's %v", name, other, err)
+				}
 			}
 		})
 	}
