@@ -1,10 +1,46 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// TestRowsMatchGolden pins Table 1 apart from its line counts, which every
+// edit moves: each row's name, #B, #M, #ST and #AH, tab-separated, must
+// match its line of testdata/table1.golden, every machine must report a
+// state, and every source path the row names must still be there to count.
+func TestRowsMatchGolden(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "table1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	rs := rows()
+	if len(rs) != len(want) {
+		t.Fatalf("%d rows, the golden has %d", len(rs), len(want))
+	}
+	for i, r := range rs {
+		t.Run(r.name, func(t *testing.T) {
+			machines, states, handlers := r.machines()
+			if got := fmt.Sprintf("%s\t%d\t%d\t%d\t%d", r.name, r.bugs, machines, states, handlers); got != want[i] {
+				t.Errorf("row %q, golden %q", got, want[i])
+			}
+			for _, m := range r.meta {
+				if m.States == 0 {
+					t.Errorf("machine %s reports no states", m.Machine)
+				}
+			}
+			for _, paths := range [][]string{r.system, r.harness} {
+				if n, err := countLoC("../..", paths); err != nil || n == 0 {
+					t.Errorf("counting %v: %d lines, %v", paths, n, err)
+				}
+			}
+		})
+	}
+}
 
 func TestCountLoC(t *testing.T) {
 	dir := t.TempDir()

@@ -58,9 +58,6 @@ type ShardResult struct {
 	// Report describes the violation; Report.Iteration is the member-local
 	// iteration (BugPos / nm).
 	Report *BugReport
-	// Choices is the number of nondeterministic choices in the winning
-	// execution.
-	Choices int
 	// Executions and TotalSteps count the shard's own range: the executions
 	// at positions in [From, ResolvedTo). A calibration execution re-run for
 	// an unowned position below From belongs to the shard that owns the
@@ -153,7 +150,6 @@ func ExploreShard(t Test, o Options, sh Shard) (ShardResult, error) {
 		res.BugPos = ex.bugPos.Load()
 		res.Member = int(res.BugPos % ex.nm)
 		res.Report = ex.bug
-		res.Choices = len(ex.bug.Trace.Decisions)
 		if !o.NoReplayLog {
 			attachReplayLog(t, o, ex.bug)
 		}

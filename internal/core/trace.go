@@ -77,10 +77,6 @@ func decHeader(kind DecisionKind, m MachineID, b bool) uint64 {
 	return h
 }
 
-// len returns the number of decisions recorded so far (the paper's #NDC
-// for the execution).
-func (a *decArena) len() int { return a.n }
-
 // reset rewinds the arena, keeping its storage for the next execution.
 func (a *decArena) reset() {
 	a.words = a.words[:0]

@@ -67,8 +67,8 @@ func TestDecArenaRoundTrip(t *testing.T) {
 		{Kind: DecisionDeliver, Machine: 1, Int: 2, N: 3},
 		{Kind: DecisionInt, Int: -9, N: 1 << 40},
 	}
-	if a.len() != len(want) {
-		t.Fatalf("len = %d, want %d", a.len(), len(want))
+	if a.n != len(want) {
+		t.Fatalf("len = %d, want %d", a.n, len(want))
 	}
 	got := a.decode()
 	if !reflect.DeepEqual(got, want) {
@@ -81,8 +81,8 @@ func TestDecArenaRoundTrip(t *testing.T) {
 		t.Fatal("decode results alias each other")
 	}
 	a.reset()
-	if a.len() != 0 || a.decode() != nil {
-		t.Fatalf("reset arena not empty: len=%d", a.len())
+	if a.n != 0 || a.decode() != nil {
+		t.Fatalf("reset arena not empty: len=%d", a.n)
 	}
 	a.add(DecisionSchedule, 1, false, 0, 0)
 	if d := a.decode(); len(d) != 1 || d[0] != (Decision{Kind: DecisionSchedule, Machine: 1}) {

@@ -227,7 +227,8 @@ func (co *Coordinator) lease(now time.Time, req LeaseRequest) (LeaseResponse, er
 // from the network, and an accepted one decides the verdict: a span beyond
 // the plan would resolve work nobody ran, a bug off the plan would win it.
 // The statistics count at most one execution per resolved position, none
-// of which runs past twice the step bound. A bug may lie below From — a
+// of which runs past twice the step bound. A bug is of a BugKind and lies
+// inside the report's span [From, To), or below the member count: a
 // calibration execution for an unowned member iteration 0 reports there.
 func (co *Coordinator) validate(req *ReportRequest) error {
 	if !(0 <= req.From && req.From <= req.ResolvedTo && req.ResolvedTo <= req.To && req.To <= co.plan.Total) {
@@ -253,8 +254,15 @@ func (co *Coordinator) validate(req *ReportRequest) error {
 		return fmt.Errorf("bug at position %d of a %d-member plan attributed to member %d, iteration %d",
 			b.Pos, nm, b.Member, b.Iteration)
 	}
+	if k := core.BugKind(b.Kind); k < core.SafetyBug || k > core.DeadlockBug {
+		return fmt.Errorf("bug of unknown kind %d", b.Kind)
+	}
 	if _, err := core.DecodeTrace(b.Trace); err != nil {
 		return fmt.Errorf("bug trace: %v", err)
+	}
+	if nm := int64(len(co.plan.Members())); (b.Pos < req.From || b.Pos >= req.To) && b.Pos >= nm {
+		return fmt.Errorf("bug at position %d lies outside the report's span [%d, %d) and past the %d calibration positions",
+			b.Pos, req.From, req.To, nm)
 	}
 	return nil
 }

@@ -328,6 +328,8 @@ func FuzzReportRequest(f *testing.F) {
 	seed(400, ReportRequest{Bug: &WireBug{Pos: 101, Iteration: 101, Trace: []byte(`{"version":99}`)}})
 	seed(400, ReportRequest{From: 0, To: 256, ResolvedTo: 256, Executions: -1000, TotalSteps: -7})
 	seed(400, ReportRequest{From: 5, To: 6, ResolvedTo: 6, Executions: 1 << 40})
+	seed(400, ReportRequest{Agent: "a", Lease: 1, From: 0, To: bugAt, ResolvedTo: bugAt, Executions: int(bugAt),
+		Bug: &WireBug{Pos: bugAt, Iteration: int(bugAt), Kind: int(ref.Report.Kind), Message: ref.Report.Message, Step: ref.Report.Step, Trace: trace}})
 	f.Add([]byte(`{"candidates":[{"fp":1,"pos":-1,"d":[{"k":"i","v":-1,"n":3}]}]}`))
 	f.Add([]byte(`{"from":0,`))
 
@@ -338,6 +340,13 @@ func FuzzReportRequest(f *testing.F) {
 		}
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var req ReportRequest // decoded as the endpoint decodes it
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("accepted %q, which does not decode: %v", body, err)
+		}
+		if b := req.Bug; b != nil && (b.Pos < req.From || b.Pos >= req.To) && b.Pos >= int64(len(co.plan.Members())) {
+			t.Fatalf("accepted %q: a bug outside its span [%d, %d) and past the calibration positions", body, req.From, req.To)
 		}
 		st, _ := co.status(time.Now(), struct{}{})
 		if !(0 <= st.Stop && st.Stop <= st.Total && 0 <= st.Frontier && st.Frontier <= st.Resolved && st.Resolved <= st.Total &&

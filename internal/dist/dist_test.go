@@ -715,6 +715,8 @@ func TestReportsOffThePlanAreRejected(t *testing.T) {
 		{"more executions than positions", ReportRequest{From: 5, To: 6, ResolvedTo: 6, Executions: 1 << 40}, 400},
 		{"steps without an execution", ReportRequest{From: 256, To: 512, ResolvedTo: 300, TotalSteps: 1}, 400},
 		{"an execution past twice the bound", ReportRequest{From: 256, To: 512, ResolvedTo: 300, Executions: 2, TotalSteps: 4*10000 + 1}, 400},
+		{"bug off the span", ReportRequest{From: 256, To: 512, ResolvedTo: 300, Bug: bug(4001, 1, 2000, trace)}, 400},
+		{"bug of no kind", ReportRequest{From: 256, To: 512, ResolvedTo: 300, Bug: &WireBug{Pos: 257, Member: 1, Iteration: 128, Kind: 3, Trace: trace}}, 400},
 		// What honest agents send must keep passing: nothing resolved, a
 		// bug from a calibration execution below From, exactly the lease,
 		// and the same report again.

@@ -152,12 +152,6 @@ func TestPipelineNilStateBugFound(t *testing.T) {
 	}
 }
 
-func TestMetadataShape(t *testing.T) {
-	if len(Metadata()) != 7 {
-		t.Fatalf("machine types = %d, want 7", len(Metadata()))
-	}
-}
-
 func TestRoleString(t *testing.T) {
 	if RolePrimary.String() != "primary" || RoleIdle.String() != "idle-secondary" || RoleActive.String() != "active-secondary" {
 		t.Fatal("role strings wrong")

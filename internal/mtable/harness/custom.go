@@ -18,12 +18,6 @@ func CustomTest(bug mtable.Bugs) core.Test {
 	return customTest(bug, bug)
 }
 
-// CustomTestFixed builds the same custom case against the fixed system —
-// the control run that shows the case itself is sound.
-func CustomTestFixed(bug mtable.Bugs) core.Test {
-	return customTest(bug, 0)
-}
-
 // customTest wires the scripted services for the scenario keyed by
 // `scenario`, seeding `bugs` into the system under test.
 func customTest(scenario, bugs mtable.Bugs) core.Test {

@@ -152,7 +152,7 @@ func TestCustomCasesCleanOnFixedSystem(t *testing.T) {
 		mtable.BugMigrateSkipPreferOld,
 		mtable.BugInsertBehindMigrator,
 	} {
-		res := core.MustExplore(CustomTestFixed(bug), core.Options{
+		res := core.MustExplore(customTest(bug, 0), core.Options{
 			Scheduler:  "random",
 			Iterations: 150,
 			MaxSteps:   30000,
@@ -161,13 +161,6 @@ func TestCustomCasesCleanOnFixedSystem(t *testing.T) {
 		if res.BugFound {
 			t.Fatalf("custom case (fixed code) diverged: %v\n%s", res.Report.Error(), res.Report.FormatLog())
 		}
-	}
-}
-
-func TestMetadataShape(t *testing.T) {
-	meta := Metadata()
-	if len(meta) != 3 {
-		t.Fatalf("machine types = %d, want 3 (Tables, Service, Migrator)", len(meta))
 	}
 }
 

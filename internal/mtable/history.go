@@ -74,12 +74,6 @@ func (h *History) RecordAbsent(seq int64, key Key) {
 	h.record(key, version{seq: seq})
 }
 
-// At returns key's properties as of seq (ok is false if it was absent).
-func (h *History) At(key Key, seq int64) (props Properties, ok bool) {
-	base, _ := window(h.versions(key), seq, seq)
-	return base.props, base.present
-}
-
 // window returns the state vs held at `from` and every change recorded in
 // (from, to] — together, every state the key held inside the window.
 func window(vs []version, from, to int64) (base version, changes []version) {

@@ -723,13 +723,3 @@ func assembleRows(newRows, oldRows []Row, q Query, pushdown bool) []Row {
 	}
 	return out
 }
-
-// Phase exposes the cached phase of a partition (tests/tooling; refreshes
-// if needed).
-func (mt *MigratingTable) Phase(partition string) (Phase, error) {
-	c, err := mt.ensureCache(partition)
-	if err != nil {
-		return 0, err
-	}
-	return c.phase, nil
-}

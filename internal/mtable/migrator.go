@@ -46,9 +46,6 @@ func NewMigrator(old, new Backend, guard *StreamGuard, partition string, bugs Bu
 	return &Migrator{old: old, new: new, guard: guard, partition: partition, bugs: bugs}
 }
 
-// Done reports whether the migration has completed.
-func (m *Migrator) Done() bool { return m.state == msDone }
-
 // Step advances the migration by one action. It returns done=true when
 // the migration has finished. A false return with nil error means more
 // steps are needed (including the wait-for-streams step, which simply
@@ -189,20 +186,4 @@ func (m *Migrator) setPhase(backend Backend, phase Phase, version int64) error {
 		Kind: OpReplace, Key: metaKey, Props: metaProps(phase, version), ETag: rows[0].ETag,
 	}})
 	return err
-}
-
-// Run drives the migration to completion (production convenience; the
-// systematic-test harness steps instead).
-func (m *Migrator) Run() error {
-	for {
-		done, err := m.Step()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		// The only non-advancing state is the stream wait; in production
-		// use the caller is responsible for eventually closing streams.
-	}
 }

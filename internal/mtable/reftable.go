@@ -238,77 +238,11 @@ func (t *RefTable) FetchPage(partition, after string, filter *Filter, limit int)
 	return out, nil
 }
 
-// QueryStream returns a live paged scan of the partition: each page
-// reflects the state at its fetch time, satisfying the chain-table stream
-// contract. (The virtual table builds its own merged stream from
-// FetchPage; this method completes RefTable's chain-table API for direct
-// users.)
-func (t *RefTable) QueryStream(q Query) (RowStream, error) {
-	return &refStream{t: t, q: q}, nil
-}
-
-// refStream pages through the table with a small prefetch buffer.
-type refStream struct {
-	t      *RefTable
-	q      Query
-	buf    []Row
-	after  string
-	done   bool
-	closed bool
-}
-
-const refStreamPage = 3
-
-func (s *refStream) Next() (Row, bool, error) {
-	if s.closed {
-		return Row{}, false, fmt.Errorf("%w: stream closed", ErrBadRequest)
-	}
-	for {
-		if len(s.buf) > 0 {
-			row := s.buf[0]
-			s.buf = s.buf[1:]
-			if !s.q.inRange(row.Key.Row) || !s.q.Filter.Matches(row.Props) {
-				continue
-			}
-			return row, true, nil
-		}
-		if s.done {
-			return Row{}, false, nil
-		}
-		page, err := s.t.FetchPage(s.q.Partition, s.after, nil, refStreamPage)
-		if err != nil {
-			return Row{}, false, err
-		}
-		if len(page) == 0 {
-			s.done = true
-			return Row{}, false, nil
-		}
-		s.after = page[len(page)-1].Key.Row
-		s.buf = page
-	}
-}
-
-func (s *refStream) Close() { s.closed = true }
-
-// Get returns the row at key, if present (test/tooling convenience).
+// Get returns the row at key, if present.
 func (t *RefTable) Get(key Key) (Row, bool) {
 	rows := t.rows(key.Partition)
 	if i, ok := findRow(rows, key.Row); ok {
 		return rows[i], true
 	}
 	return Row{}, false
-}
-
-// Len returns the number of rows in the partition.
-func (t *RefTable) Len(partition string) int {
-	return len(t.rows(partition))
-}
-
-// Partitions returns the partition keys in sorted order.
-func (t *RefTable) Partitions() []string {
-	var out []string
-	for _, p := range t.parts {
-		out = append(out, p.name)
-	}
-	return out
 }

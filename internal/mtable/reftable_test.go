@@ -178,42 +178,6 @@ func TestRefTableFetchPage(t *testing.T) {
 	}
 }
 
-func TestRefTableQueryStreamLiveScan(t *testing.T) {
-	tbl := NewRefTable()
-	for _, r := range []string{"a", "c", "e", "g"} {
-		mustBatch(t, tbl, Operation{Kind: OpInsert, Key: key(r), Props: props(1)})
-	}
-	s, err := tbl.QueryStream(Query{Partition: "P"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	row, ok, err := s.Next()
-	if err != nil || !ok || row.Key.Row != "a" {
-		t.Fatalf("first: %v %v %v", row, ok, err)
-	}
-	// "d" lands inside the already-prefetched page [a,c,e]: the stream may
-	// legally miss it. "f" lands beyond it: the next page fetch (current
-	// state) must include it.
-	mustBatch(t, tbl, Operation{Kind: OpInsert, Key: key("d"), Props: props(2)})
-	mustBatch(t, tbl, Operation{Kind: OpInsert, Key: key("f"), Props: props(2)})
-	var got []string
-	for {
-		row, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, row.Key.Row)
-	}
-	want := []string{"c", "e", "f", "g"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("stream: %v want %v", got, want)
-	}
-}
-
 // Property: a batch either fully applies or leaves the table unchanged.
 func TestRefTableBatchAtomicityProperty(t *testing.T) {
 	f := func(rows [6]uint8, failAt uint8) bool {

@@ -35,7 +35,6 @@ package mtable
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"slices"
 	"strconv"
 	"strings"
@@ -99,19 +98,6 @@ func Props(pairs ...Prop) Properties {
 	return Properties{ps: out}
 }
 
-// PropsFromMap builds a payload from a map (copied).
-func PropsFromMap(m map[string]int64) Properties {
-	if len(m) == 0 {
-		return Properties{}
-	}
-	ps := make([]Prop, 0, len(m))
-	for name, v := range m {
-		ps = append(ps, Prop{name, v})
-	}
-	slices.SortFunc(ps, func(a, b Prop) int { return strings.Compare(a.Name, b.Name) })
-	return Properties{ps: ps}
-}
-
 // search returns the position of name, or where it would be inserted. A
 // row holds a handful of columns, so the scan is linear.
 func (p Properties) search(name string) (int, bool) {
@@ -123,26 +109,12 @@ func (p Properties) search(name string) (int, bool) {
 	return len(p.ps), false
 }
 
-// Len returns the number of columns.
-func (p Properties) Len() int { return len(p.ps) }
-
 // Get returns the named column.
 func (p Properties) Get(name string) (int64, bool) {
 	if i, ok := p.search(name); ok {
 		return p.ps[i].Value, true
 	}
 	return 0, false
-}
-
-// All iterates the columns in name order.
-func (p Properties) All() iter.Seq2[string, int64] {
-	return func(yield func(string, int64) bool) {
-		for _, e := range p.ps {
-			if !yield(e.Name, e.Value) {
-				return
-			}
-		}
-	}
 }
 
 // With returns the payload with the named column set to value.

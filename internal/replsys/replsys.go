@@ -18,11 +18,6 @@
 // timers are modeled in the harness (harness.go), mirroring Figure 2.
 package replsys
 
-import (
-	"maps"
-	"slices"
-)
-
 // NodeID identifies a node (server, client or storage node) on the
 // system's network.
 type NodeID int32
@@ -178,10 +173,3 @@ func (s *Server) handleSync(m Sync) {
 func (s *Server) isUpToDate(log []int) bool {
 	return len(log) > 0 && log[len(log)-1] == s.data
 }
-
-// Replicas returns the distinct nodes currently considered replicas (only
-// meaningful with FixUniqueReplicas; used by unit tests).
-func (s *Server) Replicas() []NodeID { return slices.Sorted(maps.Keys(s.replicas)) }
-
-// Count returns the server's current replica count (for unit tests).
-func (s *Server) Count() int { return s.count }

@@ -1,9 +1,15 @@
 package replsys
 
 import (
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 )
+
+// Replicas returns the distinct nodes the server currently considers
+// replicas (only meaningful with FixUniqueReplicas).
+func (s *Server) Replicas() []NodeID { return slices.Sorted(maps.Keys(s.replicas)) }
 
 // fakeNet records messages the server sends, for runtime-free unit tests.
 type fakeNet struct {

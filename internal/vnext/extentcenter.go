@@ -82,11 +82,6 @@ func (c *ExtentCenter) Locations(extent ExtentID) []NodeID {
 	return slices.Sorted(maps.Keys(c.locations[extent]))
 }
 
-// Count returns the number of recorded replicas of extent.
-func (c *ExtentCenter) Count(extent ExtentID) int {
-	return len(c.locations[extent])
-}
-
 // Has reports whether node is recorded as holding extent.
 func (c *ExtentCenter) Has(extent ExtentID, node NodeID) bool {
 	return c.locations[extent][node]
@@ -103,9 +98,6 @@ func (c *ExtentCenter) Extents() []ExtentID {
 func (c *ExtentCenter) ExtentsOf(node NodeID) []ExtentID {
 	return slices.Sorted(maps.Keys(c.byNode[node]))
 }
-
-// Len returns the number of tracked extents.
-func (c *ExtentCenter) Len() int { return len(c.locations) }
 
 // ExtentNodeMap maps extent nodes to the logical time of their latest
 // heartbeat (Figure 6).
@@ -145,6 +137,3 @@ func (m *ExtentNodeMap) LastSeen(node NodeID) (int64, bool) {
 func (m *ExtentNodeMap) Nodes() []NodeID {
 	return slices.Sorted(maps.Keys(m.lastSeen))
 }
-
-// Len returns the number of registered nodes.
-func (m *ExtentNodeMap) Len() int { return len(m.lastSeen) }

@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// Count returns the number of recorded replicas of extent.
+func (c *ExtentCenter) Count(extent ExtentID) int {
+	return len(c.locations[extent])
+}
+
+// Len returns the number of tracked extents.
+func (c *ExtentCenter) Len() int { return len(c.locations) }
+
+// Len returns the number of registered nodes.
+func (m *ExtentNodeMap) Len() int { return len(m.lastSeen) }
+
 func TestExtentCenterAddRemove(t *testing.T) {
 	c := NewExtentCenter()
 	c.Add(1, 10)

@@ -7,6 +7,29 @@ import (
 	"time"
 )
 
+// Snapshot accessors: they copy under the lock.
+
+// ReplicaCount returns the manager's view of extent's replica count.
+func (m *ExtentManager) ReplicaCount(extent ExtentID) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.center.Count(extent)
+}
+
+// ReplicaLocations returns the manager's view of extent's replica holders.
+func (m *ExtentManager) ReplicaLocations(extent ExtentID) []NodeID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.center.Locations(extent)
+}
+
+// RegisteredNodes returns the ENs currently in the node map.
+func (m *ExtentManager) RegisteredNodes() []NodeID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.nodeMap.Nodes()
+}
+
 // captureNet records outbound manager messages.
 type captureNet struct {
 	mu   sync.Mutex

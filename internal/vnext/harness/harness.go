@@ -101,9 +101,6 @@ func newManagerMachine(cfg vnext.Config, driverID core.MachineID) *managerMachin
 	return m
 }
 
-// Manager exposes the wrapped ExtentManager for assertions in tests.
-func (m *managerMachine) Manager() *vnext.ExtentManager { return m.mgr }
-
 // enMachine is the modeled extent node (Figure 8): it reuses the real
 // ExtentCenter for bookkeeping, repairs extents from replicas, and sends
 // heartbeats and sync reports when its timers fire.

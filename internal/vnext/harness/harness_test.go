@@ -110,20 +110,3 @@ func TestDropMessagesStillConvergesWhenFixed(t *testing.T) {
 			res.Report.Error(), res.Report.FormatLog())
 	}
 }
-
-func TestMetadataShape(t *testing.T) {
-	meta := Metadata()
-	if len(meta) != 5 {
-		t.Fatalf("machine types = %d, want 5 (as in Table 1)", len(meta))
-	}
-	totalHandlers := 0
-	for _, m := range meta {
-		if m.States == 0 {
-			t.Fatalf("machine %s reports zero states", m.Machine)
-		}
-		totalHandlers += m.Handlers
-	}
-	if totalHandlers == 0 {
-		t.Fatal("no handlers counted")
-	}
-}
