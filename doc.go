@@ -233,8 +233,11 @@
 //     Context.Restart are the deterministic commands — an abrupt halt
 //     that discards the inbox, and an in-place re-creation with fresh
 //     state under the same MachineID. The shared FaultInjector machine
-//     packages the common "crash one node at a scheduler-chosen moment"
-//     scenario.
+//     is every harness's crash injector: it offers a crash over its
+//     candidates at each of its steps, runs the harness's OnCrash hook
+//     (a restart, a monitor notice), and halts once the crash budget is
+//     spent or, with Offers set, after that many offers, so a clean
+//     execution quiesces.
 //   - Message faults: Context.SendUnreliable lets the scheduler drop or
 //     duplicate a delivery (DecisionDeliver) on the modeled network.
 //   - Durable storage: Context.Persist stages a durable write and

@@ -73,7 +73,9 @@ type (
 	FaultChoice = core.FaultChoice
 	// DeliveryOutcome is the semantic outcome of a FaultDeliver choice.
 	DeliveryOutcome = core.DeliveryOutcome
-	// FaultInjector is the shared crash-injection machine.
+	// FaultInjector is the shared crash-injection machine: it offers
+	// crashes until the budget is spent or, with Offers set, until that
+	// many offers are made.
 	FaultInjector = core.FaultInjector
 )
 

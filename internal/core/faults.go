@@ -298,19 +298,27 @@ func (r *Runtime) stepTimer(m *machine) {
 // FaultInjector is the shared crash-injection machine (the paper's
 // TestingDriver failure logic, hoisted out of the harnesses): at every
 // scheduling opportunity it offers the scheduler a CrashPoint over the
-// current candidate set, invokes OnCrash when an injection is taken, and
-// halts itself once the crash budget is spent — so a run with a zero
-// budget quiesces exactly like a run with no injector at all.
+// current candidate set and invokes OnCrash when an injection is taken.
+// It halts right after the crash that spends the budget — so a run with a
+// zero budget quiesces exactly like a run with no injector at all — or,
+// with Offers set, after its last offer even with budget left, so a clean
+// execution quiesces instead of running to the step bound.
 type FaultInjector struct {
 	// Candidates returns the machines currently eligible to crash. It is
 	// consulted at every injection opportunity, so it may track a system
 	// whose membership evolves (replica sets, extent-node fleets). Halted
-	// machines are filtered out by CrashPoint; an empty set simply defers
-	// the offer.
+	// machines are filtered out by CrashPoint, which copies the rest
+	// before its first scheduling point, so the slice may be the
+	// harness's own; an empty set simply defers the offer.
 	Candidates func() []MachineID
 	// OnCrash runs right after a machine crashed — the harness's hook to
 	// notify monitors, inform managers, or launch replacements.
 	OnCrash func(ctx *Context, victim MachineID)
+	// Offers, when positive, bounds the crash offers: each offer counts
+	// it down, and the injector halts after the offer that brings it to
+	// zero. Zero leaves only the budget to stop it: counted down from
+	// zero, Offers never comes back to it.
+	Offers int
 }
 
 // Init implements Machine.
@@ -319,16 +327,17 @@ func (in *FaultInjector) Init(ctx *Context) {
 }
 
 // Handle implements Machine: one crash offer per scheduling of the
-// injector, until the budget is gone.
+// injector, until the budget or the offers are gone.
 func (in *FaultInjector) Handle(ctx *Context, ev Event) {
 	if ctx.CrashBudget() <= 0 {
 		ctx.Halt()
 	}
+	in.Offers--
 	victim := ctx.CrashPoint(in.Candidates()...)
 	if victim != NoMachine && in.OnCrash != nil {
 		in.OnCrash(ctx, victim)
 	}
-	if ctx.CrashBudget() <= 0 {
+	if in.Offers == 0 || ctx.CrashBudget() <= 0 {
 		ctx.Halt()
 	}
 	ctx.SendLast(ctx.ID(), Signal("core.inject"))

@@ -294,7 +294,43 @@ func TestFaultInjectorLifecycle(t *testing.T) {
 	if res.BugFound {
 		t.Fatalf("injector acted on a zero budget: %v", res.Report.Error())
 	}
+
+	// Every offer declined, so the budget is never spent: Offers 2 halts
+	// the injector after its second offer and the execution quiesces
+	// clean; Offers 0 keeps offering until the step bound ends it.
+	const maxSteps = 300
+	declined := func(offers int) (offered, steps int) {
+		test := Test{Name: "bounded-injector", Entry: func(ctx *Context) {
+			a := ctx.CreateMachine(&echoMachine{}, "a")
+			ctx.CreateMachine(&FaultInjector{
+				Candidates: func() []MachineID { offered++; return []MachineID{a} },
+				OnCrash: func(ctx *Context, victim MachineID) {
+					ctx.Assert(false, "a declined offer crashed machine %d", victim)
+				},
+				Offers: offers,
+			}, "Injector")
+		}}
+		o := resolved(Options{MaxSteps: maxSteps, Faults: &Faults{MaxCrashes: 1}})
+		sched := declineFaults{newScheduler(t, "random", 0)}
+		sched.Prepare(1, maxSteps)
+		r := newRuntime(sched, o.runtimeConfig(test, false))
+		if rep := r.execute(test); rep != nil {
+			t.Fatalf("Offers %d: %v", offers, rep.Error())
+		}
+		return offered, r.steps
+	}
+	if offered, steps := declined(2); offered != 2 || steps >= maxSteps {
+		t.Errorf("Offers 2: %d offers in %d steps, want 2 and a quiesced execution", offered, steps)
+	}
+	if offered, steps := declined(0); offered <= 2 || steps < maxSteps {
+		t.Errorf("Offers 0: %d offers in %d steps, want offers until the step bound %d", offered, steps, maxSteps)
+	}
 }
+
+// declineFaults is a scheduler that declines every fault choice.
+type declineFaults struct{ Scheduler }
+
+func (declineFaults) NextFault(FaultChoice) int { return 0 }
 
 // TestFaultBudgetsAreCaps: with MaxDrops = 2 no schedule can drop three
 // messages — the sink's lower bound on received pings cannot be violated.

@@ -283,8 +283,9 @@ func TestCoordinatorMatchesModel(t *testing.T) {
 
 // FuzzReportRequest: the report decoder and validate decide the verdict
 // from bytes off the network. Whatever arrives, the endpoint answers 200 or
-// 400 without panicking, and what an accepted report leaves behind is still
-// a state of the plan, with no more executions than resolved positions.
+// 400 without panicking, an accepted body is exactly one JSON value, and
+// what an accepted report leaves behind is still a state of the plan, with
+// no more executions than resolved positions.
 func FuzzReportRequest(f *testing.F) {
 	test := rareOrderTest(3)
 	opts := core.Options{Scheduler: "random", Iterations: 600, Seed: 7, MaxSteps: 500, NoReplayLog: true}
@@ -332,6 +333,7 @@ func FuzzReportRequest(f *testing.F) {
 		Bug: &WireBug{Pos: bugAt, Iteration: int(bugAt), Kind: int(ref.Report.Kind), Message: ref.Report.Message, Step: ref.Report.Step, Trace: trace}})
 	f.Add([]byte(`{"candidates":[{"fp":1,"pos":-1,"d":[{"k":"i","v":-1,"n":3}]}]}`))
 	f.Add([]byte(`{"from":0,`))
+	f.Add([]byte(`{}0`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		co, rec := post(t, body)
@@ -341,8 +343,8 @@ func FuzzReportRequest(f *testing.F) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
-		var req ReportRequest // decoded as the endpoint decodes it
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		var req ReportRequest // decoded as the endpoint decodes it: one JSON value, nothing after it
+		if err := json.Unmarshal(body, &req); err != nil {
 			t.Fatalf("accepted %q, which does not decode: %v", body, err)
 		}
 		if b := req.Bug; b != nil && (b.Pos < req.From || b.Pos >= req.To) && b.Pos >= int64(len(co.plan.Members())) {

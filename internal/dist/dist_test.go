@@ -587,20 +587,24 @@ func (w *wire) Header() http.Header         { return w.header }
 func (w *wire) WriteHeader(code int)        { w.code = code }
 func (w *wire) Write(p []byte) (int, error) { return w.body.Write(p) }
 
-// post sends one JSON request straight into a handler and decodes a 200
-// answer into resp; it returns the status code and, for anything else, the
-// body.
+// post sends one JSON request — or, given a []byte, that body as it is —
+// straight into a handler and decodes a 200 answer into resp; it returns
+// the status code and, for anything else, the body.
 func (w *wire) post(t *testing.T, h http.Handler, path string, req, resp any) (int, string) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatalf("%s: %v", path, err)
+	body, raw := req.([]byte)
+	if !raw {
+		var err error
+		if body, err = json.Marshal(req); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
 	}
 	if w.header == nil {
 		w.header, w.reqs = make(http.Header), make(map[string]*http.Request)
 	}
 	r := w.reqs[path]
 	if r == nil {
+		var err error
 		if r, err = http.NewRequest(http.MethodPost, path, nil); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -621,15 +625,15 @@ func (w *wire) post(t *testing.T, h http.Handler, path string, req, resp any) (i
 
 // TestHugePlanCostsWhatItResolves is the fleet's twin of core's
 // TestHugeBudgetMemoryIsProportionalToWork: a coordinator for "run until I
-// say stop", written as an enormous iteration count, must cost time and
-// memory in proportion to the leases it has handed out. The lease table
-// used to hold a span per lease slot of the whole plan — 4 194 304 of them
-// here, 322 MiB to build — and copy the list under the coordinator's mutex
-// on every report.
+// say stop", written as an enormous iteration count, must cost memory in
+// proportion to the leases it has handed out, and a round trip must cost
+// the same however many came before it. The lease table used to hold a
+// span per lease slot of the whole plan — 4 194 304 of them here, 322 MiB
+// to build — and copy the list under the coordinator's mutex on every
+// report.
 func TestHugePlanCostsWhatItResolves(t *testing.T) {
-	var before, after runtime.MemStats
+	var before, half, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := time.Now()
 	co, err := New(Config{Scenario: "choices", Options: core.Options{Iterations: 1 << 30}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -638,6 +642,9 @@ func TestHugePlanCostsWhatItResolves(t *testing.T) {
 	var w wire
 	const rounds = 2000
 	for i := int64(0); i < rounds; i++ {
+		if i == rounds/2 {
+			runtime.ReadMemStats(&half)
+		}
 		var lr LeaseResponse
 		w.post(t, h, "/v1/lease", LeaseRequest{Agent: "a"}, &lr)
 		if lr.From != i*256 || lr.To != lr.From+256 {
@@ -650,18 +657,24 @@ func TestHugePlanCostsWhatItResolves(t *testing.T) {
 			t.Fatalf("report %d: status %d: %s", i, code, body)
 		}
 	}
-	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if res := co.Result(); res.Executions != rounds*256 {
 		t.Fatalf("coordinator counted %d executions, want %d", res.Executions, rounds*256)
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d lease/report round trips on a %d-position plan: %v, %d KiB allocated", rounds, co.Plan().Total, wall, alloc>>10)
-	if wall > time.Second {
-		t.Errorf("%d round trips took %v", rounds, wall)
-	}
+	first, second := half.TotalAlloc-before.TotalAlloc, after.TotalAlloc-half.TotalAlloc
+	t.Logf("%d lease/report round trips on a %d-position plan: %d KiB allocated, %d then %d B", rounds, co.Plan().Total, alloc>>10, first, second)
 	if alloc > 8<<20 {
 		t.Errorf("allocated %d MiB for %d round trips", alloc>>20, rounds)
+	}
+	// A round trip costs what the first ones did: a table that grew with
+	// the leases, copied on every report, would make the second half of
+	// the round trips allocate many times what the first did.
+	if second > first+first/8 {
+		t.Errorf("round trips %d to %d allocated %d B, the first %d allocated %d B", rounds/2, rounds, second, rounds/2, first)
+	}
+	if lt := co.lt; len(lt.out) != 0 || len(lt.resolved.spans) != 1 {
+		t.Errorf("lease table holds %d leases and %d resolved spans, want none and one", len(lt.out), len(lt.resolved.spans))
 	}
 }
 
@@ -739,6 +752,32 @@ func TestReportsOffThePlanAreRejected(t *testing.T) {
 	res := co.Result()
 	if !res.BugFound || res.BugPos != 1 || res.Executions != 256 {
 		t.Fatalf("result = bug %v at %d after %d executions, want the bug at 1 after 256", res.BugFound, res.BugPos, res.Executions)
+	}
+	// A body is exactly one JSON value: every POST endpoint refuses bytes
+	// after it, and the refusal changes nothing. Each body below is one
+	// its endpoint would accept, and then some.
+	mustMarshal := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	honest := mustMarshal(ReportRequest{Agent: "a-doubled", From: 512, To: 768, ResolvedTo: 768, Executions: 256})
+	for _, tc := range []struct{ path, body string }{
+		{reportEndpoint.path, `{}0`},
+		{reportEndpoint.path, string(honest) + string(honest)},
+		{reportEndpoint.path, string(honest) + "0"},
+		{joinEndpoint.path, string(mustMarshal(JoinRequest{Protocol: ProtocolVersion, Agent: "trailing"})) + "0"},
+		{leaseEndpoint.path, string(mustMarshal(LeaseRequest{Agent: "trailing"})) + "0"},
+	} {
+		before := state()
+		if code, _ := w.post(t, h, tc.path, []byte(tc.body), new(json.RawMessage)); code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", tc.path, tc.body, code)
+		}
+		if after := state(); after != before {
+			t.Errorf("%s %s: a refused body changed the coordinator:\n before %+v\n after  %+v", tc.path, tc.body, before, after)
+		}
 	}
 }
 

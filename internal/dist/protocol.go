@@ -182,14 +182,19 @@ const (
 	maxBody = 64 << 20
 )
 
-// serve mounts the exchange on mux: the body decoded into a Req, handled at
-// the time clock reads, and the Resp written as JSON. A body that does not
-// decode, or an error from handle, is a 400 carrying the text.
+// serve mounts the exchange on mux: the body read whole and decoded into a
+// Req exactly as call decodes an answer, handled at the time clock reads,
+// and the Resp written as JSON. A body that is not one JSON value, or an
+// error from handle, is a 400 carrying the text.
 func (e endpoint[Req, Resp]) serve(mux *http.ServeMux, clock func() time.Time, handle func(time.Time, Req) (Resp, error)) {
 	mux.HandleFunc(e.method+" "+e.path, func(w http.ResponseWriter, r *http.Request) {
 		var req Req
 		if e.method == http.MethodPost {
-			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+			data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+			if err == nil {
+				err = json.Unmarshal(data, &req)
+			}
+			if err != nil {
 				http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 				return
 			}

@@ -190,7 +190,7 @@ func newReplicaInjector(fm core.MachineID, fmm *fmMachine, primaryOnly bool) *co
 			if primaryOnly {
 				return []core.MachineID{fmm.primary}
 			}
-			return append([]core.MachineID(nil), fmm.replicas...)
+			return fmm.replicas
 		},
 		OnCrash: func(ctx *core.Context, victim core.MachineID) {
 			ctx.Logf("injected failure of replica %d", victim)

@@ -72,11 +72,8 @@ func Test(hc HarnessConfig) core.Test {
 				serviceIDs[i] = ctx.CreateMachine(svc, name)
 			}
 			migM := newMigratorMachine(tablesID, guard, hc.Bugs, hc.TimerPacedMigrator)
+			migM.crashable = hc.CrashMigrator
 			migID := ctx.CreateMachine(migM, "Migrator")
-			if hc.CrashMigrator {
-				migM.crashable = true
-				migM.wake = ctx.CreateMachine(&migratorCrashInjector{mig: migID, offers: 4}, "Injector")
-			}
 
 			// Release everyone; the scheduler decides who moves first.
 			for _, id := range serviceIDs {

@@ -459,10 +459,9 @@ type migratorMachine struct {
 	timer core.TimerID
 	done  bool
 	// crashable (HarnessConfig.CrashMigrator): durably checkpoint
-	// completion through the crash-consistency plane, then wake the crash
-	// injector at wake so the scheduler may crash this machine.
+	// completion through the crash-consistency plane, then start a crash
+	// injector so the scheduler may crash this machine.
 	crashable bool
-	wake      core.MachineID
 }
 
 func newMigratorMachine(tablesID core.MachineID, guard *mtable.StreamGuard, bugs mtable.Bugs, paced bool) *migratorMachine {
@@ -515,7 +514,18 @@ func (m *migratorMachine) step(ctx *core.Context) {
 			ctx.StopTimer(m.timer)
 		}
 		if m.crashable {
-			ctx.SendLast(m.wake, core.Signal("offer"))
+			// Only now may the migrator crash: crashing it mid-protocol
+			// would leave the Tables machine awaiting a
+			// linearization-point decision that never comes. A crash
+			// restarts it as the checkpoint-recovery incarnation.
+			self := []core.MachineID{ctx.ID()}
+			ctx.CreateMachine(&core.FaultInjector{
+				Candidates: func() []core.MachineID { return self },
+				OnCrash: func(ctx *core.Context, victim core.MachineID) {
+					ctx.Restart(victim, &recoveredMigrator{})
+				},
+				Offers: 4,
+			}, "Injector")
 		}
 		return
 	}
@@ -526,30 +536,6 @@ func (m *migratorMachine) step(ctx *core.Context) {
 
 // migDoneKey is the migrator's durable completion marker.
 const migDoneKey = "migration/done"
-
-// migratorCrashInjector crashes the migrator after it has durably
-// checkpointed completion. It stays passive until the migrator's wake
-// signal — crashing the migrator mid-protocol would leave the Tables
-// machine awaiting a linearization-point decision that never comes —
-// then offers the scheduler a bounded number of crash points, restarting
-// the victim with the checkpoint-recovery incarnation.
-type migratorCrashInjector struct {
-	mig    core.MachineID
-	offers int
-}
-
-func (in *migratorCrashInjector) Init(*core.Context) {}
-
-func (in *migratorCrashInjector) Handle(ctx *core.Context, ev core.Event) {
-	if in.offers <= 0 || ctx.CrashBudget() <= 0 {
-		ctx.Halt()
-	}
-	in.offers--
-	if victim := ctx.CrashPoint(in.mig); victim != core.NoMachine {
-		ctx.Restart(victim, &recoveredMigrator{})
-	}
-	ctx.SendLast(ctx.ID(), core.Signal("offer"))
-}
 
 // recoveredMigrator is the crashed migrator's next incarnation. The
 // migration completed and was durably checkpointed before the crash was

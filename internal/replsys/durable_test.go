@@ -75,12 +75,12 @@ func TestDurabilityOracleCatchesUnsyncedLoss(t *testing.T) {
 			ln := &lossyNode{}
 			id := ctx.CreateMachine(ln, "Lossy")
 			ln.node = NodeID(id)
-			ctx.CreateMachine(&nodeCrashInjector{
-				victims: []core.MachineID{id},
-				nodes: map[core.MachineID]*storageNodeMachine{
+			ctx.CreateMachine(&core.FaultInjector{
+				Candidates: func() []core.MachineID { return []core.MachineID{id} },
+				OnCrash: restartRecovered(map[core.MachineID]*storageNodeMachine{
 					id: {node: ln.node, durable: true},
-				},
-				offers: 8,
+				}),
+				Offers: 8,
 			}, "Injector")
 			for i := 0; i < 3; i++ {
 				ctx.Send(id, core.Signal("put"))

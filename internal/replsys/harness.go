@@ -256,32 +256,15 @@ func (r *recoveredStorageNode) Handle(ctx *core.Context, ev core.Event) {
 	r.inner.Handle(ctx, ev)
 }
 
-// nodeCrashInjector offers the scheduler a bounded number of chances to
-// crash a storage node, restarting the victim with the recovery
-// incarnation. Bounded offers (rather than core.FaultInjector's
-// budget-only cutoff) let clean executions quiesce.
-type nodeCrashInjector struct {
-	victims []core.MachineID
-	nodes   map[core.MachineID]*storageNodeMachine
-	offers  int
-}
-
-func (in *nodeCrashInjector) Init(ctx *core.Context) {
-	ctx.SendLast(ctx.ID(), core.Signal("offer"))
-}
-
-func (in *nodeCrashInjector) Handle(ctx *core.Context, ev core.Event) {
-	if in.offers <= 0 || ctx.CrashBudget() <= 0 {
-		ctx.Halt()
-	}
-	in.offers--
-	if victim := ctx.CrashPoint(in.victims...); victim != core.NoMachine {
-		tmpl := in.nodes[victim]
+// restartRecovered is the durable scenario's OnCrash: it restarts the
+// victim as the recovery incarnation of its template in nodes.
+func restartRecovered(nodes map[core.MachineID]*storageNodeMachine) func(*core.Context, core.MachineID) {
+	return func(ctx *core.Context, victim core.MachineID) {
+		tmpl := nodes[victim]
 		ctx.Restart(victim, &recoveredStorageNode{inner: storageNodeMachine{
 			node: tmpl.node, serverID: tmpl.serverID, mons: tmpl.mons, durable: true, reports: tmpl.reports,
 		}})
 	}
-	ctx.SendLast(ctx.ID(), core.Signal("offer"))
 }
 
 // durabilityMonitor is the per-node recovery oracle: every synced slot
@@ -479,8 +462,10 @@ func Scenario(sc ScenarioConfig) core.Test {
 			}
 
 			if sc.DurableNodes {
-				ctx.CreateMachine(&nodeCrashInjector{
-					victims: snIDs, nodes: snByID, offers: 4 * sc.Requests * sc.Nodes,
+				ctx.CreateMachine(&core.FaultInjector{
+					Candidates: func() []core.MachineID { return snIDs },
+					OnCrash:    restartRecovered(snByID),
+					Offers:     4 * sc.Requests * sc.Nodes,
 				}, "Injector")
 			}
 

@@ -293,9 +293,7 @@ func (d *driverMachine) setup(ctx *core.Context) {
 		// crash the monitor learns the node's replicas are gone and a
 		// fresh EN joins, exactly Figure 10's failure logic.
 		ctx.CreateMachine(&core.FaultInjector{
-			Candidates: func() []core.MachineID {
-				return append([]core.MachineID(nil), d.enIDs...)
-			},
+			Candidates: func() []core.MachineID { return d.enIDs },
 			OnCrash: func(ctx *core.Context, victim core.MachineID) {
 				ctx.Monitor(RepairMonitorName, enFailedEvent{Node: d.nodeOf[victim]})
 				d.nextNode++

@@ -113,32 +113,6 @@ func (r *recoveredNode) Handle(ctx *core.Context, ev core.Event) {
 	r.node.Handle(ctx, ev)
 }
 
-// injectorMachine offers the scheduler a bounded number of chances to
-// crash the node, restarting it with the recovery incarnation when a
-// crash is taken. Unlike core.FaultInjector it halts once its offers run
-// out even with budget left, so clean executions quiesce instead of
-// running to the step bound.
-type injectorMachine struct {
-	node   core.MachineID
-	cfg    Config
-	offers int
-}
-
-func (in *injectorMachine) Init(ctx *core.Context) {
-	ctx.SendLast(ctx.ID(), core.Signal("offer"))
-}
-
-func (in *injectorMachine) Handle(ctx *core.Context, ev core.Event) {
-	if in.offers <= 0 || ctx.CrashBudget() <= 0 {
-		ctx.Halt()
-	}
-	in.offers--
-	if victim := ctx.CrashPoint(in.node); victim != core.NoMachine {
-		ctx.Restart(victim, &recoveredNode{cfg: in.cfg})
-	}
-	ctx.SendLast(ctx.ID(), core.Signal("offer"))
-}
-
 // durabilityMonitor is the recovery oracle. It tracks the node's write
 // intents (in sequence order) and how many of them committed; at every
 // recovery it checks the two halves of the crash-consistency contract:
@@ -197,15 +171,21 @@ func Scenario(cfg Config) core.Test {
 	if cfg.FixTornTail {
 		name = "wal-fixed"
 	}
+	// A crash restarts the node as its recovery incarnation.
+	restart := func(ctx *core.Context, victim core.MachineID) {
+		ctx.Restart(victim, &recoveredNode{cfg: cfg})
+	}
 	return core.Test{
 		Name: name,
 		Entry: func(ctx *core.Context) {
-			node := ctx.CreateMachine(&nodeMachine{cfg: cfg}, "Node")
-			ctx.CreateMachine(&injectorMachine{
-				node: node, cfg: cfg, offers: 4*cfg.Appends + 4,
+			node := []core.MachineID{ctx.CreateMachine(&nodeMachine{cfg: cfg}, "Node")}
+			ctx.CreateMachine(&core.FaultInjector{
+				Candidates: func() []core.MachineID { return node },
+				OnCrash:    restart,
+				Offers:     4*cfg.Appends + 4,
 			}, "Injector")
 			for i := 0; i < cfg.Appends; i++ {
-				ctx.Send(node, appendEvent{Val: i + 1})
+				ctx.Send(node[0], appendEvent{Val: i + 1})
 			}
 		},
 		Faults: core.Faults{MaxCrashes: 1, MaxTornCrashes: 1},
