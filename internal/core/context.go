@@ -157,11 +157,20 @@ func (c *Context) ReceiveWhere(desc string, pred func(Event) bool) Event {
 // Halt terminates the executing machine: its queue is discarded and future
 // events to it are dropped. Harnesses use it to model node failures.
 func (c *Context) Halt() {
+	c.haltOnReturn()
+	panic(haltSignal{})
+}
+
+// haltOnReturn is Halt for a handler that returns right after it, which
+// only engine code can promise (FaultInjector.Handle): it logs the same
+// halt line at the same point, and host finishes the machine once the
+// handler has returned, as unwound finishes a Halt, without a panic.
+func (c *Context) haltOnReturn() {
 	c.notParked("Halt")
 	if c.r.logging() {
 		c.r.logf("%s halt", c.m.label())
 	}
-	panic(haltSignal{})
+	c.m.halting = true
 }
 
 // Monitor delivers a notification event to the named specification
@@ -386,7 +395,7 @@ func (c *Context) Persist(key string, value []byte) {
 	// The copy lands in the runtime's persist arena, which reset rewinds.
 	r.persistArena = append(r.persistArena, value...)
 	end := len(r.persistArena)
-	m.staged = append(m.staged, stagedWrite{key: key, val: r.persistArena[end-len(value) : end : end]})
+	m.staged = append(m.staged, keyValue{key: key, val: r.persistArena[end-len(value) : end : end]})
 	if c.r.logging() {
 		c.r.logf("%s persist %q (%d bytes staged)", m.label(), key, len(value))
 	}
@@ -412,9 +421,11 @@ func (c *Context) Sync() {
 // every synced write plus whatever staged prefix past crashes let
 // survive, nil when the store is empty. A restarted machine calls it
 // (typically in Init) to rebuild its state — the hand-over from the
-// crashed incarnation. The snapshot is the caller's to keep; mutating it
-// does not touch the store. Iterate it deterministically (sorted keys, or
-// a known key scheme) — ranging over the map directly is hidden
+// crashed incarnation. The snapshot is built by one in-order walk of the
+// store, which keeps each key once, at its last durable value; it is the
+// caller's to keep — a map of copies, so mutating it does not touch the
+// store or the next snapshot. Iterate it deterministically (sorted keys,
+// or a known key scheme) — ranging over the map directly is hidden
 // nondeterminism that breaks replay.
 func (c *Context) Recover() map[string][]byte {
 	c.notParked("Recover")
@@ -426,18 +437,18 @@ func (c *Context) Recover() map[string][]byte {
 	// of the buffer, so writing or appending to one reaches neither the
 	// store nor a neighbour. An empty value recovers as nil.
 	size := 0
-	for _, v := range m.durable {
-		size += len(v)
+	for i := range m.durable {
+		size += len(m.durable[i].val)
 	}
 	buf := make([]byte, 0, size)
 	out := make(map[string][]byte, len(m.durable))
-	for k, v := range m.durable {
+	for _, kv := range m.durable {
 		var cp []byte
-		if len(v) > 0 {
-			buf = append(buf, v...)
-			cp = buf[len(buf)-len(v) : len(buf) : len(buf)]
+		if len(kv.val) > 0 {
+			buf = append(buf, kv.val...)
+			cp = buf[len(buf)-len(kv.val) : len(buf) : len(buf)]
 		}
-		out[k] = cp
+		out[kv.key] = cp
 	}
 	if c.r.logging() {
 		c.r.logf("%s recovered %d durable keys", m.label(), len(out))

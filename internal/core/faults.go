@@ -302,7 +302,10 @@ func (r *Runtime) stepTimer(m *machine) {
 // It halts right after the crash that spends the budget — so a run with a
 // zero budget quiesces exactly like a run with no injector at all — or,
 // with Offers set, after its last offer even with budget left, so a clean
-// execution quiesces instead of running to the step bound.
+// execution quiesces instead of running to the step bound. The halt is
+// observably Context.Halt's — the same log line, the same death, the same
+// next step — but it is a return: the engine finishes the injector once
+// its handler has returned, so no panic unwinds its stack.
 type FaultInjector struct {
 	// Candidates returns the machines currently eligible to crash. It is
 	// consulted at every injection opportunity, so it may track a system
@@ -330,7 +333,8 @@ func (in *FaultInjector) Init(ctx *Context) {
 // injector, until the budget or the offers are gone.
 func (in *FaultInjector) Handle(ctx *Context, ev Event) {
 	if ctx.CrashBudget() <= 0 {
-		ctx.Halt()
+		ctx.haltOnReturn()
+		return
 	}
 	in.Offers--
 	victim := ctx.CrashPoint(in.Candidates()...)
@@ -338,7 +342,8 @@ func (in *FaultInjector) Handle(ctx *Context, ev Event) {
 		in.OnCrash(ctx, victim)
 	}
 	if in.Offers == 0 || ctx.CrashBudget() <= 0 {
-		ctx.Halt()
+		ctx.haltOnReturn()
+		return
 	}
 	ctx.SendLast(ctx.ID(), Signal("core.inject"))
 }

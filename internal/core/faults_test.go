@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"maps"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -324,6 +328,137 @@ func TestFaultInjectorLifecycle(t *testing.T) {
 	}
 	if offered, steps := declined(0); offered <= 2 || steps < maxSteps {
 		t.Errorf("Offers 0: %d offers in %d steps, want offers until the step bound %d", offered, steps, maxSteps)
+	}
+}
+
+// haltingInjector is a copy of FaultInjector.Handle that halts the way a
+// user machine does, with Context.Halt, which unwinds the handler.
+func haltingInjector(in *FaultInjector) Machine {
+	return &FuncMachine{
+		OnInit: in.Init,
+		OnEvent: func(ctx *Context, ev Event) {
+			if ctx.CrashBudget() <= 0 {
+				ctx.Halt()
+			}
+			in.Offers--
+			victim := ctx.CrashPoint(in.Candidates()...)
+			if victim != NoMachine && in.OnCrash != nil {
+				in.OnCrash(ctx, victim)
+			}
+			if in.Offers == 0 || ctx.CrashBudget() <= 0 {
+				ctx.Halt()
+			}
+			ctx.SendLast(ctx.ID(), Signal("core.inject"))
+		},
+	}
+}
+
+// putStore makes every "put" it handles durable under a key of its own.
+type putStore struct{ n int }
+
+func (s *putStore) Init(*Context) {}
+func (s *putStore) Handle(ctx *Context, ev Event) {
+	ctx.Persist(fmt.Sprintf("k%d", s.n), []byte{byte(s.n)})
+	s.n++
+	ctx.Sync()
+}
+
+// injectorHaltTest: an injector built by inject offers crashes of two
+// stores fed puts, and a crash restarts its victim as an incarnation that
+// logs the keys it recovered. A prober polls until the injector has
+// halted, then sends it an event and checks that the event was dropped
+// and that the injector is out of the enabled set; probed counts the
+// executions that got that far.
+func injectorHaltTest(inject func(*FaultInjector) Machine, probed *int) Test {
+	recovered := func(ctx *Context) {
+		ctx.Logf("recovered keys %v", slices.Sorted(maps.Keys(ctx.Recover())))
+	}
+	return Test{Name: "injector-halt", Entry: func(ctx *Context) {
+		stores := []MachineID{ctx.CreateMachine(&putStore{}, "s0"), ctx.CreateMachine(&putStore{}, "s1")}
+		inj := ctx.CreateMachine(inject(&FaultInjector{
+			Candidates: func() []MachineID { return stores },
+			OnCrash: func(ctx *Context, victim MachineID) {
+				ctx.Restart(victim, &FuncMachine{OnInit: recovered})
+			},
+			Offers: 3,
+		}), "Injector")
+		poll := func(ctx *Context) { ctx.SendLast(ctx.ID(), Signal("poll")) }
+		ctx.CreateMachine(&FuncMachine{OnInit: poll, OnEvent: func(ctx *Context, ev Event) {
+			m := ctx.r.machines[inj]
+			if m.status != statusHalted {
+				poll(ctx)
+				return
+			}
+			ctx.Send(inj, Signal("late"))
+			ctx.Assert(m.queue.size() == 0, "an event sent to the halted injector was queued")
+			ctx.Assert(m.epos == -1 && !slices.Contains(ctx.r.enabled, inj), "the halted injector is in the enabled set")
+			*probed++
+		}}, "prober")
+		for range 2 {
+			ctx.Send(stores[0], Signal("put"))
+			ctx.Send(stores[1], Signal("put"))
+		}
+	}}
+}
+
+// TestInjectorHaltByReturnMatchesHalt holds FaultInjector, which halts by
+// returning from its handler, to a copy of its Handle that halts with
+// Context.Halt, which unwinds. On one harness under random and pct, seeds
+// 1–20, with a crash budget of 0 and 1, pooled and unpooled, both give the
+// same decisions, replay log, steps, fingerprint and verdict, and Explore
+// the same statistics.
+func TestInjectorHaltByReturnMatchesHalt(t *testing.T) {
+	type execution struct {
+		decisions []Decision
+		log       []string
+		steps     int
+		cov       uint64
+		bug       string
+	}
+	const maxSteps = 300
+	builds := []func(*FaultInjector) Machine{
+		func(in *FaultInjector) Machine { return in },
+		haltingInjector,
+	}
+	for _, name := range []string{"random", "pct"} {
+		for _, crashes := range []int{0, 1} {
+			for _, noReuse := range []bool{false, true} {
+				o := resolved(Options{MaxSteps: maxSteps, Faults: &Faults{MaxCrashes: crashes, MaxTornCrashes: 1}, NoReuse: noReuse})
+				var runs [2][]execution
+				var probed [2]int
+				for v, build := range builds {
+					pool := newExecPool(o)
+					sched := newScheduler(t, name, 0)
+					for seed := int64(1); seed <= 20; seed++ {
+						test := injectorHaltTest(build, &probed[v])
+						sched.Prepare(seed, maxSteps)
+						r := pool.runtime(sched, o.runtimeConfig(test, true))
+						var e execution
+						if rep := r.execute(test); rep != nil {
+							e.bug = rep.Error()
+						}
+						e.decisions, e.log, e.steps, e.cov = r.dec.decode(), slices.Clone(r.log), r.steps, r.cov
+						runs[v] = append(runs[v], e)
+					}
+					pool.release()
+				}
+				label := fmt.Sprintf("%s/crashes=%d/noreuse=%v", name, crashes, noReuse)
+				for i := range runs[0] {
+					if a, b := runs[0][i], runs[1][i]; !reflect.DeepEqual(a, b) {
+						t.Fatalf("%s seed %d: halting by return differs from Halt:\nreturn: %+v\nHalt:   %+v", label, i+1, a, b)
+					}
+					if e := runs[0][i]; e.bug != "" {
+						t.Fatalf("%s seed %d: %s", label, i+1, e.bug)
+					}
+				}
+				if probed[0] == 0 || probed[0] != probed[1] {
+					t.Fatalf("%s: the prober saw the injector halted in %d and %d of 20 executions", label, probed[0], probed[1])
+				}
+				explore := Options{Scheduler: name, Iterations: 100, MaxSteps: maxSteps, Seed: 1, Workers: 1, Faults: o.Faults, NoReuse: noReuse, NoReplayLog: true}
+				var unused int
+				assertIdenticalResults(t, label, MustExplore(injectorHaltTest(builds[0], &unused), explore), MustExplore(injectorHaltTest(builds[1], &unused), explore))
+			}
+		}
 	}
 }
 

@@ -171,6 +171,10 @@ type machine struct {
 	// loop top, inline on whichever stack ran that step (stepStackless).
 	// Cleared by that step and by scrub.
 	parked bool
+	// halting records that the handler halted (Context.haltOnReturn): host
+	// finishes the machine once the handler has returned, as unwound
+	// finishes a Halt, whose panic sets it too. Cleared by scrub.
+	halting bool
 	// epos is the machine's index in the runtime's incrementally
 	// maintained enabled slice, or -1 while the machine is not enabled.
 	// Owned by the insert/remove helpers in enabled.go; nobody else
@@ -200,14 +204,19 @@ type machine struct {
 	// and a volatile half lives here: everything else on this struct (and
 	// in impl) is volatile — lost at crash — while durable holds the
 	// synced writes that survive a crash and are handed to the restarted
-	// incarnation through Context.Recover. staged holds writes issued with
+	// incarnation through Context.Recover, one entry per key in the order
+	// the keys first became durable. staged holds writes issued with
 	// Persist but not yet covered by Sync, in issue order; on a crash the
 	// scheduler chooses which prefix of them reaches durable anyway (the
-	// FaultPersist choice). Both maps sit in the cold tail: persist-free
-	// workloads never touch them (both stay nil), so the scheduling hot
-	// loop pays nothing for the plane's existence.
-	durable map[string][]byte
-	staged  []stagedWrite
+	// FaultPersist choice). durable is a slice, not a map: a key is found
+	// by a linear scan, which every store in the tree keeps short (wal
+	// writes at most two keys per append, replsys-durable one per request,
+	// mtable-crash one), and Recover walks it in order with no map
+	// iteration. Both slices sit in the cold tail: persist-free workloads
+	// never touch them (both stay nil), so the scheduling hot loop pays
+	// nothing for the plane's existence.
+	durable []keyValue
+	staged  []keyValue
 
 	// tm is a timer's resumable state, the zero value on every other
 	// machine. It sits behind the cold tail, away from every field an
@@ -216,22 +225,28 @@ type machine struct {
 	tm timerMachine
 }
 
-// stagedWrite is one Persist call awaiting Sync: an ordered (key, value)
-// pair, because the crash-state enumeration is over write *order*.
-type stagedWrite struct {
+// keyValue is one (key, value) pair of the crash-consistency plane: a
+// Persist call awaiting Sync, kept in issue order because the crash-state
+// enumeration is over write *order*, or a durable entry.
+type keyValue struct {
 	key string
 	val []byte
 }
 
 // applyStaged makes the first k staged writes durable, in issue order,
 // and drops the rest: Sync applies all of them, a crash applies the
-// scheduler-chosen surviving prefix.
+// scheduler-chosen surviving prefix. A key already durable is overwritten
+// in place; a new one is appended.
 func (m *machine) applyStaged(k int) {
-	if k > 0 && m.durable == nil {
-		m.durable = make(map[string][]byte)
-	}
-	for i := 0; i < k; i++ {
-		m.durable[m.staged[i].key] = m.staged[i].val
+staged:
+	for _, w := range m.staged[:k] {
+		for i := range m.durable {
+			if m.durable[i].key == w.key {
+				m.durable[i].val = w.val
+				continue staged
+			}
+		}
+		m.durable = append(m.durable, w)
 	}
 	m.clearStaged()
 }
@@ -240,16 +255,18 @@ func (m *machine) applyStaged(k int) {
 // data does not outlive the execution but keeping the slice for reuse.
 func (m *machine) clearStaged() {
 	for i := range m.staged {
-		m.staged[i] = stagedWrite{}
+		m.staged[i] = keyValue{}
 	}
 	m.staged = m.staged[:0]
 }
 
-// clearDurable empties the durable map (keeping it allocated for pooled
-// reuse). Only end-of-execution cleanup calls it — durable state must
+// clearDurable empties the durable store, nilling its entries so user
+// data does not outlive the execution but keeping the slice for pooled
+// reuse. Only end-of-execution cleanup calls it — durable state must
 // survive mid-execution crashes; that is the point of the plane.
 func (m *machine) clearDurable() {
 	clear(m.durable)
+	m.durable = m.durable[:0]
 }
 
 // persistState reports whether the machine holds any crash-consistency
@@ -275,6 +292,7 @@ func (r *Runtime) scrub(m *machine) {
 	m.recvPred = nil
 	m.crashed = false
 	m.parked = false
+	m.halting = false
 	m.impl = nil
 	m.defr = nil
 	m.tm.tick = nil

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 )
 
@@ -345,6 +347,139 @@ func TestPersistAndRecoverOwnTheirBytes(t *testing.T) {
 					t.Fatalf("after execution %d, the snapshot of execution %d reads %s = %q, want %q", n, e, k, s[k], want[e][i])
 				}
 			}
+		}
+	}
+}
+
+// --- the durable store: last write wins, in place ---
+
+// persistOp is one step of a scriptStore: a Sync when sync is set, a
+// Persist of key=val otherwise.
+type persistOp struct {
+	key, val string
+	sync     bool
+}
+
+func put(key, val string) persistOp { return persistOp{key: key, val: val} }
+
+var syncOp = persistOp{sync: true}
+
+// scriptStore runs its ops in order and reports readiness.
+type scriptStore struct {
+	parent MachineID
+	ops    []persistOp
+}
+
+func (s *scriptStore) Init(ctx *Context) {
+	for _, op := range s.ops {
+		if op.sync {
+			ctx.Sync()
+		} else {
+			ctx.Persist(op.key, []byte(op.val))
+		}
+	}
+	ctx.Send(s.parent, Signal("ready"))
+}
+
+func (s *scriptStore) Handle(*Context, Event) {}
+
+// recoverTwice reads the store back, checks that it holds one entry per
+// key, changes that snapshot — every value overwritten and grown, its first
+// key deleted, a key added — and reads the store again; both reads go to
+// the test.
+type recoverTwice struct{ got *[2]map[string]string }
+
+func (s *recoverTwice) Init(ctx *Context) {
+	strs := func(m map[string][]byte) map[string]string {
+		out := make(map[string]string, len(m))
+		for k, v := range m {
+			out[k] = string(v)
+		}
+		return out
+	}
+	first := ctx.Recover()
+	ctx.Assert(len(ctx.m.durable) == len(first), "the store holds %d entries for %d keys", len(ctx.m.durable), len(first))
+	s.got[0] = strs(first)
+	keys := slices.Sorted(maps.Keys(first))
+	for _, k := range keys {
+		v := first[k]
+		for i := range v {
+			v[i] = '?'
+		}
+		first[k] = append(v, '?')
+	}
+	delete(first, keys[0])
+	first["added"] = []byte("x")
+	s.got[1] = strs(ctx.Recover())
+}
+
+func (s *recoverTwice) Handle(*Context, Event) {}
+
+// persistAnswer answers every FaultPersist choice with k (and declines
+// every other fault choice).
+type persistAnswer struct {
+	Scheduler
+	k int
+}
+
+func (p persistAnswer) NextFault(c FaultChoice) int {
+	if c.Kind == FaultPersist {
+		return p.k
+	}
+	return 0
+}
+
+// TestDurableStoreKeepsTheLastWrite crashes a store after a script of
+// writes, lets the crash keep the first torn staged writes, and holds what
+// the restarted incarnation recovers to the last value each key was made
+// durable with: a key rewritten after a Sync, a torn prefix that rewrites a
+// synced key, and 100 distinct keys. A second Recover after the first
+// snapshot was changed reads the store unchanged.
+func TestDurableStoreKeepsTheLastWrite(t *testing.T) {
+	many := make([]persistOp, 0, 101)
+	manyWant := map[string]string{}
+	for i := range 100 {
+		k, v := fmt.Sprintf("k%03d", i), fmt.Sprintf("v%d", i)
+		many = append(many, put(k, v))
+		manyWant[k] = v
+	}
+	many = append(many, syncOp)
+	rewrite := []persistOp{put("a", "1"), put("b", "1"), syncOp, put("a", "2"), put("c", "3"), put("b", "4")}
+	for _, c := range []struct {
+		name string
+		ops  []persistOp
+		torn int
+		want map[string]string
+	}{
+		{"rewritten after Sync", []persistOp{put("a", "1"), syncOp, put("a", "2"), syncOp, put("a", "3")}, 0, map[string]string{"a": "2"}},
+		{"torn prefix of 0", rewrite, 0, map[string]string{"a": "1", "b": "1"}},
+		{"torn prefix of 1 rewrites a", rewrite, 1, map[string]string{"a": "2", "b": "1"}},
+		{"torn prefix of 2 adds c", rewrite, 2, map[string]string{"a": "2", "b": "1", "c": "3"}},
+		{"torn prefix of 3 rewrites b", rewrite, 3, map[string]string{"a": "2", "b": "4", "c": "3"}},
+		{"100 distinct keys", many, 0, manyWant},
+	} {
+		var got [2]map[string]string
+		test := Test{
+			Name: "durable-last-write",
+			Entry: func(ctx *Context) {
+				store := ctx.CreateMachine(&scriptStore{parent: ctx.ID(), ops: c.ops}, "store")
+				ctx.Receive("ready")
+				ctx.Crash(store)
+				ctx.Restart(store, &recoverTwice{got: &got})
+			},
+			Faults: Faults{MaxTornCrashes: 1},
+		}
+		o := resolved(Options{MaxSteps: 1000})
+		sched := persistAnswer{newScheduler(t, "random", 0), c.torn}
+		sched.Prepare(1, o.MaxSteps)
+		if rep := newRuntime(sched, o.runtimeConfig(test, false)).execute(test); rep != nil {
+			t.Fatalf("%s: %v", c.name, rep.Error())
+		}
+		if !maps.Equal(got[0], c.want) {
+			t.Errorf("%s: recovered %v, want %v", c.name, got[0], c.want)
+		}
+		if !maps.Equal(got[1], c.want) {
+			t.Errorf("%s: after the first snapshot was changed, recovered %v, want %v", c.name, got[1], c.want)
 		}
 	}
 }

@@ -157,7 +157,7 @@ func (r *Runtime) reset(sched Scheduler, cfg runtimeConfig) {
 	if enabledCrossCheckBuild {
 		for _, m := range r.machines {
 			if m.status != statusHalted || m.queue.size() != 0 ||
-				m.recvPred != nil || m.crashed || m.parked || m.impl != nil || m.w != nil ||
+				m.recvPred != nil || m.crashed || m.parked || m.halting || m.impl != nil || m.w != nil ||
 				m.defr != nil || m.tm.tick != nil || m.epos != -1 || m.persistState() {
 				panic("core: reset found a machine not scrubbed at death: " + m.label())
 			}

@@ -25,7 +25,7 @@ func TestResumeCountCatalog(t *testing.T) {
 		perStep         bool
 		ceiling         float64
 	}{
-		{"wal-fixed", "random", 1000, false, 8.23},
+		{"wal-fixed", "random", 1000, false, 7.14},
 		{"replsys-fixed", "random", 90, true, 0.0024},
 		{"mtable", "random", 100, false, 118},
 		{"TombstoneOutputETag", "pct", 100, false, 78},

@@ -367,9 +367,11 @@ func (r *Runtime) switchTo(m *machine) {
 // carries on with the verdict that pick yields back. The end of the
 // execution, or such a pick on a nested worker, sends w idle to the free
 // list and up to the stack that resumed it with the verdict in pending. A
-// panic (halt, kill, bug, divergence, user panic) ends the activation
-// through unwound; true asks for another, which starts with the iteration
-// that follows the death.
+// handler that halted by returning (Context.haltOnReturn) is finished here
+// as unwound finishes a Halt, and the iteration that follows its death
+// runs right on. A panic (halt, kill, bug, divergence, user panic) ends the
+// activation through unwound; true asks for another, which starts with the
+// iteration that follows the death.
 func (r *Runtime) host(w *machineWorker) (again bool) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -394,7 +396,11 @@ hosting:
 				m.impl.Handle(&m.ctx, ev)
 			}
 			m.w, w.m = nil, nil
-			if !m.parked {
+			if m.halting {
+				// Halted by returning: finished as unwound finishes a Halt.
+				m.clearStaged()
+				r.scrub(m)
+			} else if !m.parked {
 				m.status = statusWaitDequeue
 				r.blockDequeue(m)
 			}
@@ -765,9 +771,9 @@ func (r *Runtime) shutdown() {
 		// persisted state into the next execution. Shutdown-reaped
 		// machines also still hold their staged writes (no FaultPersist
 		// choice is presented during shutdown — the scheduler must not be
-		// consulted after the execution ended). Both maps are nil on
+		// consulted after the execution ended). Both slices are empty on
 		// machines that never persisted, so this costs nothing there.
-		if m.durable != nil {
+		if len(m.durable) > 0 {
 			m.clearDurable()
 		}
 		if m.staged != nil {

@@ -54,7 +54,11 @@ func recordKey(table []string, prefix string, i int) string {
 // value — exactly what a recovery that checks "does the slot exist"
 // instead of "did the record commit" does.
 func Recover(durable map[string][]byte, fixTornTail bool) []int {
-	var vals []int
+	if len(durable) == 0 {
+		return nil
+	}
+	// A record is two keys, and a store holds at most one torn record.
+	vals := make([]int, 0, (len(durable)+1)/2)
 	for i := 0; ; i++ {
 		if _, ok := durable[hdrKey(i)]; !ok {
 			return vals
