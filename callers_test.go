@@ -10,7 +10,10 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,7 +22,8 @@ import (
 const modulePath = "github.com/gostorm/gostorm"
 
 // allowedWithoutCaller names the declarations the production tree keeps
-// although no non-test file uses them. There are exactly two reasons.
+// although no non-test file uses them, and the fields it keeps although no
+// non-test file sets them. There are exactly three reasons.
 var allowedWithoutCaller = map[string]bool{
 	// The tests of eight packages share it, and Go has no cross-package
 	// test files.
@@ -29,6 +33,16 @@ var allowedWithoutCaller = map[string]bool{
 	// the system under test.
 	"internal/vnext.ExtentManager.Start": true,
 	"internal/vnext.ExtentManager.Stop":  true,
+	// A test input that sizes the model past the catalog's configuration.
+	"internal/fabric.Config.Replicas":    true, // TestLargerReplicaSet: five replicas
+	"internal/fabric.Config.WriteQuorum": true, // TestLargerReplicaSet: a quorum of three
+	// TestReplicasAreAscending: a target of 100 keeps the request open
+	// while every sync is counted.
+	"internal/replsys.Config.ReplicaTarget": true,
+	// The stress tests (TestStressManyNodes, TestStressManyExtents*): the
+	// paper's stress runs manage more nodes and extents at once.
+	"internal/vnext/harness.HarnessConfig.Nodes":   true,
+	"internal/vnext/harness.HarnessConfig.Extents": true,
 }
 
 // moduleLoader type-checks the module's packages from their non-test
@@ -56,9 +70,10 @@ func loadModule(t *testing.T) *moduleLoader {
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
 		info: &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -128,7 +143,8 @@ func (l *moduleLoader) Import(path string) (*types.Package, error) {
 // internal/ and cmd/, and every unexported one of the root package, must
 // be used by some non-test file of the module, bench/ or examples/ — a
 // use inside its own declaration does not count. A helper that only a
-// package's tests call belongs in its _test.go files.
+// package's tests call belongs in its _test.go files. Struct fields are
+// held to the same rule by checkFields.
 //
 // Exempt by rule: the root package's exported API and the methods of the
 // internal/core types it aliases (api.txt governs both), and a method that
@@ -226,6 +242,7 @@ func TestProductionCodeHasProductionCallers(t *testing.T) {
 			}
 		}
 	}
+	fields := checkFields(t, l, aliased, seen)
 	for key := range allowedWithoutCaller {
 		if !seen[key] {
 			t.Errorf("%s is allowlisted but not declared: take it off allowedWithoutCaller", key)
@@ -236,7 +253,218 @@ func TestProductionCodeHasProductionCallers(t *testing.T) {
 		t.Errorf("%d declaration(s) have no caller outside tests: delete them, or move them into their package's _test.go files:\n\t%s",
 			len(unused), strings.Join(unused, "\n\t"))
 	}
-	t.Logf("%d packages type-checked, %d declarations checked", len(l.pkgs), checked)
+	t.Logf("%d packages type-checked, %d declarations and %d fields checked", len(l.pkgs), checked, fields)
+}
+
+// checkFields holds struct fields to the rule declarations keep: every
+// non-embedded field of a struct type that a non-test file of internal/ or
+// cmd/ declares must be read by non-test code, and one of basic, func,
+// slice, map, pointer, chan or interface type must also be set by it (see
+// classifyFields). A struct or array field is exempt from the second half:
+// code uses its zero value in place (a sync.Mutex, an arena). Exempt by
+// rule: the fields of the internal/core types the root package aliases
+// (api.txt governs them) and a field with a json tag (the encoder reads
+// it, the decoder sets it). Exempt by name: allowedWithoutCaller, which
+// also fails for an entry that code now both reads and sets. It returns
+// how many fields it checked.
+func checkFields(t *testing.T, l *moduleLoader, aliased map[*types.TypeName]bool, seen map[string]bool) int {
+	t.Helper()
+	uses := map[*types.Var]*fieldUse{}
+	for _, files := range l.files {
+		classifyFields(l.info, files, uses)
+	}
+	var findings []string
+	checked := 0
+	for path := range l.pkgs {
+		rel := strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/")
+		if !strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "cmd/") {
+			continue
+		}
+		for _, f := range l.files[path] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				tn := l.info.Defs[ts.Name].(*types.TypeName)
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				if !ok || aliased[tn] {
+					return true
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					v := st.Field(i)
+					if v.Embedded() {
+						continue
+					}
+					if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+						continue
+					}
+					checked++
+					key := rel + "." + tn.Name() + "." + v.Name()
+					u := uses[v]
+					if u == nil {
+						u = &fieldUse{}
+					}
+					needsSet := true
+					switch v.Type().Underlying().(type) {
+					case *types.Struct, *types.Array:
+						needsSet = false
+					}
+					if allowedWithoutCaller[key] {
+						seen[key] = true
+						if u.read && (u.set || !needsSet) {
+							t.Errorf("%s is allowlisted but non-test code now reads and sets it: take it off allowedWithoutCaller", key)
+						}
+						continue
+					}
+					pos := l.fset.Position(v.Pos())
+					switch {
+					case !u.read:
+						findings = append(findings, fmt.Sprintf("%s is never read (%s:%d)", key, pos.Filename, pos.Line))
+					case needsSet && !u.set:
+						findings = append(findings, fmt.Sprintf("%s is never set (%s:%d)", key, pos.Filename, pos.Line))
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(findings)
+	if len(findings) > 0 {
+		t.Errorf("%d field(s) fail the field rule outside tests: delete a field nothing reads, inline the value of one nothing sets:\n\t%s",
+			len(findings), strings.Join(findings, "\n\t"))
+	}
+	return checked
+}
+
+// fieldUse says how non-test code uses one struct field.
+type fieldUse struct{ read, set bool }
+
+// classifyFields records in uses how files use every struct field they
+// name (a field of a generic type under its origin).
+//
+// Read: any use of the field's value. A composite-literal key and the
+// direct left side of = (or of a range clause's =) are not reads; a
+// method call on the field, &x.f, x.f[i] = v, x.f += v and x.f++ are.
+//
+// Set: a keyed or positional composite-literal element, an assignment's
+// left side at any depth (x.f.g = v and x.f[i] = v set f), ++ or --, &x.f,
+// a pointer-receiver method called on (or taken as a value of) an
+// addressable field, and a range clause's assigned key or value.
+func classifyFields(info *types.Info, files []*ast.File, uses map[*types.Var]*fieldUse) {
+	use := func(obj types.Object) *fieldUse {
+		v, ok := obj.(*types.Var)
+		if !ok || !v.IsField() {
+			return nil
+		}
+		v = v.Origin()
+		if uses[v] == nil {
+			uses[v] = &fieldUse{}
+		}
+		return uses[v]
+	}
+	notRead := map[*ast.Ident]bool{}
+	// setSpine marks every field selected along the path an assignment
+	// stores through: x.f.g[i] sets g and f.
+	setSpine := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.IndexListExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if u := use(info.Uses[x.Sel]); u != nil {
+					u.set = true
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	// assigned marks the targets of a plain =: stored, not read.
+	assigned := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			notRead[sel.Sel] = true
+		}
+		setSpine(e)
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				tv, ok := info.Types[n]
+				if !ok {
+					return true
+				}
+				typ := tv.Type
+				if p, ok := typ.Underlying().(*types.Pointer); ok {
+					typ = p.Elem() // an elided &T{...} inside a literal
+				}
+				st, ok := typ.Underlying().(*types.Struct)
+				if !ok {
+					return true
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						id := kv.Key.(*ast.Ident)
+						notRead[id] = true
+						use(info.Uses[id]).set = true
+					} else {
+						use(st.Field(i)).set = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if n.Tok == token.ASSIGN {
+						assigned(lhs)
+					} else {
+						setSpine(lhs)
+					}
+				}
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					for _, e := range []ast.Expr{n.Key, n.Value} {
+						if e != nil {
+							assigned(e)
+						}
+					}
+				}
+			case *ast.IncDecStmt:
+				setSpine(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					setSpine(n.X)
+				}
+			case *ast.SelectorExpr:
+				sel := info.Selections[n]
+				if sel == nil || sel.Kind() != types.MethodVal {
+					return true
+				}
+				_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				_, ptrX := info.Types[n.X].Type.Underlying().(*types.Pointer)
+				if ptrRecv && !ptrX {
+					setSpine(n.X)
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !notRead[id] {
+				if u := use(info.Uses[id]); u != nil {
+					u.read = true
+				}
+			}
+			return true
+		})
+	}
 }
 
 // receiverType returns the named type (its generic origin) a method is
@@ -340,4 +568,128 @@ func interfaceMethods(t *testing.T, l *moduleLoader) map[types.Object]bool {
 		}
 	}
 	return satisfied
+}
+
+// classifierSource holds one field per use form classifyFields knows;
+// each field's name says how it is used.
+const classifierSource = `package p
+
+type counter int
+
+func (counter) get() int { return 0 }
+func (c *counter) inc()  { *c++ }
+
+type inner struct{ v int }
+
+type T struct {
+	keyed                      int
+	assigned, read, unused     int
+	valueMethod, pointerMethod counter
+	pointerMethodValue         counter
+	addressed, indexStored     []int
+	opAssigned, incremented    int
+	deep                       *inner
+	rangeKey, rangeValue       int
+	generic                    G[int]
+}
+
+type P struct{ first, second int }
+
+type G[E any] struct{ elem E }
+
+func use(x *T, s []int) {
+	_ = T{keyed: 1}
+	_ = P{1, 2}
+	x.assigned = 1
+	_ = x.read
+	_ = x.valueMethod.get()
+	x.pointerMethod.inc()
+	_ = x.pointerMethodValue.inc
+	_ = &x.addressed
+	x.indexStored[0] = 1
+	x.opAssigned += 1
+	x.incremented++
+	x.deep.v = 1
+	for x.rangeKey, x.rangeValue = range s {
+	}
+	x.generic.elem = 1
+}
+`
+
+// TestFieldClassifier holds classifyFields to the field rule on an
+// in-memory package: one field per use form, each classified as read,
+// set, both or neither.
+func TestFieldClassifier(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", classifierSource, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	pkg, err := new(types.Config).Check("p", fset, []*ast.File{f}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uses := map[*types.Var]*fieldUse{}
+	classifyFields(info, []*ast.File{f}, uses)
+
+	want := map[string]fieldUse{
+		"T.keyed":              {set: true},
+		"P.first":              {set: true},
+		"P.second":             {set: true},
+		"T.assigned":           {set: true},
+		"T.read":               {read: true},
+		"T.unused":             {},
+		"T.valueMethod":        {read: true},
+		"T.pointerMethod":      {read: true, set: true},
+		"T.pointerMethodValue": {read: true, set: true},
+		"T.addressed":          {read: true, set: true},
+		"T.indexStored":        {read: true, set: true},
+		"T.opAssigned":         {read: true, set: true},
+		"T.incremented":        {read: true, set: true},
+		"T.deep":               {read: true, set: true},
+		"inner.v":              {set: true},
+		"T.rangeKey":           {set: true},
+		"T.rangeValue":         {set: true},
+		"T.generic":            {read: true, set: true},
+		"G.elem":               {set: true},
+	}
+	got := map[string]fieldUse{}
+	for _, name := range pkg.Scope().Names() {
+		st, ok := pkg.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			key := name + "." + st.Field(i).Name()
+			if _, ok := want[key]; !ok {
+				t.Errorf("%s: no expectation", key)
+				continue
+			}
+			var u fieldUse
+			if p := uses[st.Field(i)]; p != nil {
+				u = *p
+			}
+			got[key] = u
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(want)) {
+		t.Run(key, func(t *testing.T) {
+			g, ok := got[key]
+			if !ok {
+				t.Fatalf("%s: not declared in the source", key)
+			}
+			if g != want[key] {
+				t.Errorf("%s classified %+v, want %+v", key, g, want[key])
+			}
+		})
+	}
+	if len(got) != len(want) {
+		t.Errorf("checked %d fields, want %d", len(got), len(want))
+	}
 }

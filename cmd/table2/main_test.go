@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/gostorm/gostorm"
 	"github.com/gostorm/gostorm/internal/mtable"
 )
 
@@ -94,10 +95,14 @@ func TestCLIMatchesGolden(t *testing.T) {
 
 // TestRowsCoverEverySeededBug: the table is the vNext row plus every bug
 // mtable seeds, each exactly once, so a newly seeded bug cannot be left off
-// it silently.
+// it silently; and every row names a registered scenario, so a deleted
+// catalog entry fails here under -short, not only in the golden run.
 func TestRowsCoverEverySeededBug(t *testing.T) {
 	var got []string
 	for _, r := range rows {
+		if _, err := gostorm.ScenarioByName(r.scenario); err != nil {
+			t.Errorf("row %q: %v", r.scenario, err)
+		}
 		got = append(got, strings.TrimSuffix(r.scenario, "-custom"))
 	}
 	want := append([]string{"ExtentNodeLivenessViolation"}, mtable.AllBugs()...)

@@ -241,12 +241,19 @@ func All() []Entry {
 			Build:   func() core.Test { return mharness.Test(mharness.HarnessConfig{Bugs: bug}) },
 			Options: core.Options{MaxSteps: 30000},
 		})
-		// ...and a custom-input variant (the paper's ◐ runs).
+		// ...and, for a bug that has a script, a custom-input variant (the
+		// paper's ◐ runs).
+		if _, ok := mharness.CustomTest(bug); !ok {
+			continue
+		}
 		entries = append(entries, Entry{
-			Name:    name + "-custom",
-			About:   fmt.Sprintf("Table 2 MigratingTable bug %s (custom test case)", name),
-			Expect:  SeededBug,
-			Build:   func() core.Test { return mharness.CustomTest(bug) },
+			Name:   name + "-custom",
+			About:  fmt.Sprintf("Table 2 MigratingTable bug %s (custom test case)", name),
+			Expect: SeededBug,
+			Build: func() core.Test {
+				test, _ := mharness.CustomTest(bug)
+				return test
+			},
 			Options: core.Options{MaxSteps: 30000},
 		})
 	}

@@ -44,16 +44,12 @@ type Config struct {
 type Result struct {
 	BugFound bool
 	// BugPos is the winning global position; Member and Iteration the
-	// deterministic attribution; Trace the decoded winning trace and
-	// TraceBytes its exact wire bytes.
+	// deterministic attribution; TraceBytes the winning trace's exact wire
+	// bytes.
 	BugPos     int64
 	Member     int
 	Iteration  int
-	Kind       core.BugKind
 	Message    string
-	Machine    string
-	Step       int
-	Trace      *core.Trace
 	TraceBytes []byte
 	// Executions / TotalSteps aggregate the work the fleet reported.
 	Executions int64
@@ -156,12 +152,8 @@ func (co *Coordinator) Result() Result {
 		res.BugPos = co.bug.Pos
 		res.Member = co.bug.Member
 		res.Iteration = co.bug.Iteration
-		res.Kind = core.BugKind(co.bug.Kind)
 		res.Message = co.bug.Message
-		res.Machine = co.bug.Machine
-		res.Step = co.bug.Step
 		res.TraceBytes = co.bug.Trace
-		res.Trace, _ = core.DecodeTrace(co.bug.Trace) // validate accepted it
 	}
 	return res
 }
@@ -216,7 +208,7 @@ func (co *Coordinator) lease(now time.Time, req LeaseRequest) (LeaseResponse, er
 	if n := co.lt.expire(now); n > 0 {
 		co.logf("re-issued %d expired lease(s)", n)
 	}
-	l, ok := co.lt.grant(req.Agent, now)
+	l, ok := co.lt.grant(now)
 	if !ok {
 		return LeaseResponse{None: true, RetryMs: retryMs, Stop: co.lt.limit}, nil
 	}

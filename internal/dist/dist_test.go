@@ -219,11 +219,12 @@ func TestChaosDeterministicAttribution(t *testing.T) {
 			if res.Mismatches != 0 {
 				t.Fatalf("determinism violations reported: %d (%s)", res.Mismatches, res.FirstMismatch)
 			}
-			if res.Trace == nil {
-				t.Fatal("winning trace did not decode")
+			trace, err := core.DecodeTrace(res.TraceBytes)
+			if err != nil {
+				t.Fatalf("winning trace did not decode: %v", err)
 			}
 			// The winning trace replays to the same violation.
-			rep, err := core.Replay(test, res.Trace, opts)
+			rep, err := core.Replay(test, trace, opts)
 			if err != nil {
 				t.Fatalf("replaying winning trace: %v", err)
 			}

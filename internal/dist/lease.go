@@ -15,7 +15,6 @@ type span struct {
 type lease struct {
 	id      int64
 	span    span
-	agent   string
 	expires time.Time
 }
 
@@ -50,7 +49,7 @@ func newLeaseTable(total, leaseSize int64, ttl time.Duration) *leaseTable {
 // than the size the TTL was chosen for or reaches the limit, whatever
 // expired or was half-reported before. ok is false when nothing is pending
 // (outstanding leases may still be in flight).
-func (lt *leaseTable) grant(agent string, now time.Time) (lease, bool) {
+func (lt *leaseTable) grant(now time.Time) (lease, bool) {
 	var from int64
 	r, o := lt.resolved.spans, lt.out
 	for {
@@ -72,7 +71,7 @@ func (lt *leaseTable) grant(agent string, now time.Time) (lease, bool) {
 	if len(o) > 0 {
 		to = min(to, o[0].span.from)
 	}
-	l := lease{id: lt.nextID, span: span{from, to}, agent: agent, expires: now.Add(lt.ttl)}
+	l := lease{id: lt.nextID, span: span{from, to}, expires: now.Add(lt.ttl)}
 	lt.nextID++
 	lt.out = slices.Insert(lt.out, len(lt.out)-len(o), l)
 	return l, true

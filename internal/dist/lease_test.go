@@ -14,7 +14,7 @@ func (lt *leaseTable) pendingPositions() int64 {
 	c.out = slices.Clone(lt.out)
 	var n int64
 	for {
-		l, ok := c.grant("", time.Time{})
+		l, ok := c.grant(time.Time{})
 		if !ok {
 			return n
 		}
@@ -42,7 +42,7 @@ func TestLeaseTableGrantLowestFirst(t *testing.T) {
 	lt := newLeaseTable(100, 32, time.Second)
 	var froms []int64
 	for {
-		l, ok := lt.grant("a", now)
+		l, ok := lt.grant(now)
 		if !ok {
 			break
 		}
@@ -68,8 +68,8 @@ func TestLeaseTableGrantLowestFirst(t *testing.T) {
 func TestLeaseTableExpireRequeues(t *testing.T) {
 	now := time.Now()
 	lt := newLeaseTable(64, 32, 100*time.Millisecond)
-	l1, _ := lt.grant("a", now)
-	lt.grant("b", now)
+	l1, _ := lt.grant(now)
+	lt.grant(now)
 	if n := lt.expire(now.Add(50 * time.Millisecond)); n != 0 {
 		t.Fatalf("expired %d leases before TTL, want 0", n)
 	}
@@ -78,7 +78,7 @@ func TestLeaseTableExpireRequeues(t *testing.T) {
 	}
 	// The expired positions are pending again and grant again, lowest
 	// first.
-	l3, ok := lt.grant("c", now.Add(200*time.Millisecond))
+	l3, ok := lt.grant(now.Add(200 * time.Millisecond))
 	if !ok || l3.span.from != l1.span.from {
 		t.Fatalf("re-granted span starts at %d, want %d", l3.span.from, l1.span.from)
 	}
@@ -87,14 +87,14 @@ func TestLeaseTableExpireRequeues(t *testing.T) {
 func TestLeaseTableReportRequeuesTail(t *testing.T) {
 	now := time.Now()
 	lt := newLeaseTable(32, 32, time.Second)
-	l, _ := lt.grant("a", now)
+	l, _ := lt.grant(now)
 	if !lt.report(l.id, 0, 20) { // [20, 32) unresolved
 		t.Fatal("first report of [0, 20) was not fresh")
 	}
 	if lt.outstanding() != 0 {
 		t.Fatalf("outstanding = %d after report, want 0", lt.outstanding())
 	}
-	l2, ok := lt.grant("b", now)
+	l2, ok := lt.grant(now)
 	if !ok || l2.span.from != 20 || l2.span.to != 32 {
 		t.Fatalf("tail lease = [%d, %d), want [20, 32)", l2.span.from, l2.span.to)
 	}
@@ -112,11 +112,11 @@ func TestLeaseTableResolvedSplitsPending(t *testing.T) {
 		t.Fatalf("pendingPositions = %d after resolving [40, 60), want 80", got)
 	}
 	now := time.Now()
-	l1, _ := lt.grant("a", now)
+	l1, _ := lt.grant(now)
 	if l1.span.from != 0 || l1.span.to != 40 {
 		t.Fatalf("first split = [%d, %d), want [0, 40)", l1.span.from, l1.span.to)
 	}
-	l2, _ := lt.grant("a", now)
+	l2, _ := lt.grant(now)
 	if l2.span.from != 60 || l2.span.to != 100 {
 		t.Fatalf("second split = [%d, %d), want [60, 100)", l2.span.from, l2.span.to)
 	}
@@ -132,14 +132,14 @@ func TestNoLeaseOutgrowsItsSizeOrTheLimit(t *testing.T) {
 	now := time.Now()
 	lt := newLeaseTable(1<<14, 256, time.Second)
 	for i := 0; i < 8; i++ {
-		lt.grant("dead", now)
+		lt.grant(now)
 	}
 	lt.prune(100)
 	now = now.Add(2 * time.Second)
 	if n := lt.expire(now); n != 8 {
 		t.Fatalf("expired %d leases, want 8", n)
 	}
-	if l, ok := lt.grant("a", now); !ok || l.span != (span{0, 100}) {
+	if l, ok := lt.grant(now); !ok || l.span != (span{0, 100}) {
 		t.Fatalf("after 8 expired leases and a bug at 100 the grant is %+v, want [0, 100)", l.span)
 	}
 
@@ -152,7 +152,7 @@ func TestNoLeaseOutgrowsItsSizeOrTheLimit(t *testing.T) {
 	for step := 0; step < 4000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 4:
-			l, ok := lt.grant("a", now)
+			l, ok := lt.grant(now)
 			want := lowestPendingRun(lt.limit, size, func(p int64) bool {
 				return resolved[p] || slices.ContainsFunc(lt.out, func(o lease) bool {
 					return o.id != l.id && o.span.from <= p && p < o.span.to
@@ -200,7 +200,7 @@ func TestLeaseTablePrune(t *testing.T) {
 	now := time.Now()
 	var last int64
 	for {
-		l, ok := lt.grant("a", now)
+		l, ok := lt.grant(now)
 		if !ok {
 			break
 		}

@@ -110,7 +110,6 @@ type clientMachine struct {
 	monitors   bool
 
 	primary core.MachineID
-	epoch   int64
 	cseq    int64
 }
 
@@ -122,7 +121,7 @@ func (c *clientMachine) Handle(ctx *core.Context, ev core.Event) {
 	}
 	ctx.Send(c.fm, registerClient{Client: ctx.ID()})
 	vc := ctx.Receive("ViewChange").(viewChange)
-	c.primary, c.epoch = vc.Primary, vc.Epoch
+	c.primary = vc.Primary
 
 	total := int64(0)
 	for i := 0; i < c.increments; i++ {
@@ -167,7 +166,7 @@ func (c *clientMachine) request(ctx *core.Context, op counterOp) int64 {
 			return e.Result.(int64)
 		case viewChange:
 			// New primary: re-send the outstanding request.
-			c.primary, c.epoch = e.Primary, e.Epoch
+			c.primary = e.Primary
 			ctx.Send(c.primary, clientReq{Client: ctx.ID(), CSeq: c.cseq, Op: op})
 		}
 	}

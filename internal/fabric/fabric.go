@@ -95,10 +95,7 @@ func (c Config) quorum() int {
 // --- model events ---
 
 // becomePrimary instructs a replica to take the primary role.
-type becomePrimary struct {
-	Epoch   int64
-	Actives []core.MachineID
-}
+type becomePrimary struct{ Epoch int64 }
 
 func (becomePrimary) Name() string { return "BecomePrimary" }
 
@@ -143,10 +140,7 @@ type updateActives struct {
 func (updateActives) Name() string { return "UpdateActives" }
 
 // viewChange announces the current primary to clients.
-type viewChange struct {
-	Epoch   int64
-	Primary core.MachineID
-}
+type viewChange struct{ Primary core.MachineID }
 
 func (viewChange) Name() string { return "ViewChange" }
 
@@ -258,7 +252,7 @@ func (fm *fmMachine) Handle(ctx *core.Context, ev core.Event) {
 	switch e := ev.(type) {
 	case registerClient:
 		fm.clients = append(fm.clients, e.Client)
-		ctx.SendLast(e.Client, viewChange{Epoch: fm.epoch, Primary: fm.primary})
+		ctx.SendLast(e.Client, viewChange{Primary: fm.primary})
 	case caughtUp:
 		fm.promote(ctx, e)
 	case replicaFailed:
@@ -355,7 +349,7 @@ func (fm *fmMachine) handleFailure(ctx *core.Context, dead core.MachineID) {
 	ctx.Send(replacement, becomeIdle{Epoch: fm.epoch})
 	ctx.Send(fm.primary, sendCopy{Epoch: fm.epoch, To: replacement})
 	for _, c := range fm.clients {
-		ctx.Send(c, viewChange{Epoch: fm.epoch, Primary: fm.primary})
+		ctx.Send(c, viewChange{Primary: fm.primary})
 	}
 }
 

@@ -30,7 +30,8 @@ func TestCounterServiceSemantics(t *testing.T) {
 }
 
 func TestBaselineNoFailureIsClean(t *testing.T) {
-	res := core.MustExplore(FailoverScenario(FailoverConfig{NoFailure: true}), core.Options{
+	res := core.MustExplore(FailoverScenario(FailoverConfig{}), core.Options{
+		Faults:     &core.Faults{},
 		Scheduler:  "random",
 		Iterations: 200,
 		MaxSteps:   20000,

@@ -14,19 +14,10 @@ import (
 
 // PipelineConfig parameterizes the pipeline scenario.
 type PipelineConfig struct {
-	// Items is the number of records pushed through (default 3).
-	Items int
 	// BugNilState re-introduces the crash: the transform stage indexes
 	// its aggregation map without guarding against data arriving before
 	// the Open control message that allocates it.
 	BugNilState bool
-}
-
-func (pc PipelineConfig) items() int {
-	if pc.Items > 0 {
-		return pc.Items
-	}
-	return 3
 }
 
 // PipelineMonitor checks that the pipeline eventually drains: hot until
@@ -52,10 +43,7 @@ type flushEvent struct{ Total int64 }
 
 func (flushEvent) Name() string { return "Flush" }
 
-type outputEvent struct {
-	Key   string
-	Total int64
-}
+type outputEvent struct{ Total int64 }
 
 func (outputEvent) Name() string { return "Output" }
 
@@ -134,7 +122,7 @@ func (t *transformMachine) Handle(ctx *core.Context, ev core.Event) {
 		}
 		for _, k := range []string{"x", "y"} {
 			if v, ok := t.totals[k]; ok {
-				ctx.Send(t.sink, outputEvent{Key: k, Total: v})
+				ctx.Send(t.sink, outputEvent{Total: v})
 			}
 		}
 		ctx.SendLast(t.sink, e)
@@ -200,7 +188,7 @@ func PipelineScenario(pc PipelineConfig) core.Test {
 		Entry: func(ctx *core.Context) {
 			sinkID := ctx.CreateMachine(&sinkMachine{}, "Sink")
 			trID := ctx.CreateMachine(&transformMachine{sink: sinkID, bug: pc.BugNilState}, "Transform")
-			srcID := ctx.CreateMachine(&sourceMachine{transform: trID, items: pc.items()}, "Source")
+			srcID := ctx.CreateMachine(&sourceMachine{transform: trID, items: 3}, "Source")
 			ctrlID := ctx.CreateMachine(&controllerMachine{transform: trID}, "Controller")
 			ctx.Send(ctrlID, core.Signal("start"))
 			ctx.SendLast(srcID, core.Signal("start"))

@@ -65,7 +65,8 @@ func (r *replicaMachine) Handle(ctx *core.Context, ev core.Event) {
 		}
 		r.epoch = e.Epoch
 		r.role = RolePrimary
-		r.actives = append([]core.MachineID(nil), e.Actives...)
+		// Both promotions demote every other replica: none is active yet.
+		r.actives = nil
 		r.copying = nil
 		r.copySent = make(map[core.MachineID]int64)
 		r.pending = nil

@@ -7,51 +7,34 @@ import (
 // FailoverConfig parameterizes the counter-service failover scenario.
 type FailoverConfig struct {
 	Fabric Config
-	// Increments is the number of client increments before the final
-	// read (default 2).
-	Increments int
 	// FailPrimary restricts the failure injection to the current primary
 	// — the §5 scenario ("a scenario where the primary replica fails at
 	// some nondeterministic point"). Otherwise any replica may fail.
 	FailPrimary bool
-	// NoFailure disables failure injection entirely (baseline scenario).
-	NoFailure bool
-}
-
-func (fc FailoverConfig) increments() int {
-	if fc.Increments > 0 {
-		return fc.Increments
-	}
-	return 2
 }
 
 // FailoverScenario builds the counter-on-fabric systematic test: a
-// replicated counter service, a sequential client, the shared fault-plane
-// injector (unless NoFailure), and the counter safety and liveness
-// monitors. The fabric model's own promotion assertion is always armed.
-// The scenario declares a one-crash budget; Options.Faults can override.
+// replicated counter service, a sequential client making two increments
+// and a read, the shared fault-plane injector, and the counter safety and
+// liveness monitors. The fabric model's own promotion assertion is always
+// armed. The scenario declares a one-crash budget; Options.Faults can
+// override it (a zero budget is the failure-free baseline).
 func FailoverScenario(fc FailoverConfig) core.Test {
-	var faults core.Faults
-	if !fc.NoFailure {
-		faults.MaxCrashes = 1
-	}
 	return core.Test{
 		Name: "fabric-failover",
 		Entry: func(ctx *core.Context) {
 			fmm := newFMMachine(fc.Fabric, NewCounterService)
 			fmID := ctx.CreateMachine(fmm, FMName)
-			client := &clientMachine{fm: fmID, increments: fc.increments(), monitors: true}
+			client := &clientMachine{fm: fmID, increments: 2, monitors: true}
 			clientID := ctx.CreateMachine(client, "Client")
-			if !fc.NoFailure {
-				ctx.CreateMachine(newReplicaInjector(fmID, fmm, fc.FailPrimary), "Injector")
-			}
+			ctx.CreateMachine(newReplicaInjector(fmID, fmm, fc.FailPrimary), "Injector")
 			ctx.SendLast(clientID, core.Signal("start"))
 		},
 		Monitors: []func() core.Monitor{
 			func() core.Monitor { return &counterSafetyMonitor{} },
 			newCounterLivenessMonitor,
 		},
-		Faults: faults,
+		Faults: core.Faults{MaxCrashes: 1},
 	}
 }
 

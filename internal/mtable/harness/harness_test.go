@@ -124,14 +124,14 @@ func TestCustomCaseBugs(t *testing.T) {
 	for _, bug := range cases {
 		bug := bug
 		t.Run(bug.String(), func(t *testing.T) {
-			res := core.MustExplore(CustomTest(bug), core.Options{
+			res := core.MustExplore(mustCustomTest(t, bug, bug), core.Options{
 				Scheduler:  "pct",
 				Iterations: 6000,
 				MaxSteps:   30000,
 				Seed:       1,
 			})
 			if !res.BugFound {
-				res = core.MustExplore(CustomTest(bug), core.Options{
+				res = core.MustExplore(mustCustomTest(t, bug, bug), core.Options{
 					Scheduler:  "random",
 					Iterations: 6000,
 					MaxSteps:   30000,
@@ -145,6 +145,53 @@ func TestCustomCaseBugs(t *testing.T) {
 	}
 }
 
+// mustCustomTest is customTest for a scenario that has a script.
+func mustCustomTest(t *testing.T, scenario, bugs mtable.Bugs) core.Test {
+	t.Helper()
+	test, ok := customTest(scenario, bugs)
+	if !ok {
+		t.Fatalf("no custom script for %s", scenario)
+	}
+	return test
+}
+
+// TestCustomTestReportsItsScript pins which bugs have a custom script.
+// The catalog registers a "-custom" entry only where CustomTest says ok,
+// so a bug that loses its script loses its entry; one without a script
+// gets no test, not its default workload under a second name.
+func TestCustomTestReportsItsScript(t *testing.T) {
+	scripted := map[string]bool{
+		"QueryStreamedLock":                    true,
+		"QueryStreamedBackUpNewStream":         true,
+		"EnsurePartitionSwitchedFromPopulated": true,
+		"QueryStreamedFilterShadowing":         true,
+		"MigrateSkipPreferOld":                 true,
+		"MigrateSkipUseNewWithTombstones":      true,
+		"InsertBehindMigrator":                 true,
+	}
+	for _, name := range mtable.AllBugs() {
+		t.Run(name, func(t *testing.T) {
+			bug, ok := mtable.BugByName(name)
+			if !ok {
+				t.Fatalf("BugByName(%q) failed", name)
+			}
+			test, ok := CustomTest(bug)
+			if ok != scripted[name] {
+				t.Fatalf("CustomTest(%s) ok = %v, want %v", name, ok, scripted[name])
+			}
+			if !ok {
+				if test.Name != "" || test.Entry != nil {
+					t.Fatalf("CustomTest(%s) returned a test without a script: %q", name, test.Name)
+				}
+				return
+			}
+			if test.Name != "mtable-custom-"+name || test.Entry == nil {
+				t.Fatalf("CustomTest(%s) = %q, entry set %v", name, test.Name, test.Entry != nil)
+			}
+		})
+	}
+}
+
 // The custom cases must not flag the fixed system.
 func TestCustomCasesCleanOnFixedSystem(t *testing.T) {
 	for _, bug := range []mtable.Bugs{
@@ -152,7 +199,7 @@ func TestCustomCasesCleanOnFixedSystem(t *testing.T) {
 		mtable.BugMigrateSkipPreferOld,
 		mtable.BugInsertBehindMigrator,
 	} {
-		res := core.MustExplore(customTest(bug, 0), core.Options{
+		res := core.MustExplore(mustCustomTest(t, bug, 0), core.Options{
 			Scheduler:  "random",
 			Iterations: 150,
 			MaxSteps:   30000,

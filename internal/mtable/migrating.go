@@ -95,14 +95,13 @@ func (mt *MigratingTable) refreshCache(partition string) error {
 	if err != nil {
 		return err
 	}
-	c.phase, c.version, c.newMetaETag, c.valid = phase, version, metaRows[0].ETag, true
+	c.phase, c.version, c.valid = phase, version, true
 	if phase == PhasePreferOld {
 		oldMeta, err := mt.old.QueryAtomic(Query{Partition: partition, RowFrom: metaRowKey, RowTo: metaRowKey})
 		if err != nil {
 			return err
 		}
 		if len(oldMeta) == 1 {
-			c.oldMetaETag = oldMeta[0].ETag
 			// Hand-over window: the migrator freezes the old table before
 			// announcing in the new one, so a flipped old meta is an
 			// authoritative "migration started" signal even while the new
@@ -419,7 +418,7 @@ func (mt *MigratingTable) executeNew(partition string, batch []Operation, c *par
 		handOver := c.phase == PhasePreferNew && phase == PhasePreferOld &&
 			oldAnnounced != PhasePreferOld
 		if !handOver {
-			c.phase, c.version, c.newMetaETag, c.valid = phase, version, meta.ETag, true
+			c.phase, c.version, c.valid = phase, version, true
 			if phase == PhasePreferOld {
 				c.valid = false // forces a proper refresh including old meta
 			}
@@ -683,7 +682,7 @@ func (mt *MigratingTable) validateMetaForQuery(backend Backend, partition string
 		if c.phase == PhasePreferNew && phase == PhasePreferOld && oldAnnounced != PhasePreferOld {
 			return meta, false, nil
 		}
-		c.phase, c.version, c.newMetaETag, c.valid = phase, version, meta.ETag, true
+		c.phase, c.version, c.valid = phase, version, true
 		if phase == PhasePreferOld {
 			c.valid = false
 		}

@@ -68,11 +68,7 @@ type partitionCache struct {
 	phase Phase
 	// version increases on every phase transition.
 	version int64
-	// newMetaETag / oldMetaETag are the etags of the meta rows at the
-	// time of the refresh; write batches include OpCheck guards on them.
-	newMetaETag int64
-	oldMetaETag int64
-	valid       bool
+	valid   bool
 }
 
 // InitializeMigration seeds the metadata rows of a partition into both

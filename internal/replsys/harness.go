@@ -53,8 +53,8 @@ func (p *syncReports) put(r *syncReport) {
 
 // Monitor notification events.
 
-// notifyReq tells monitors a client request with value Val was issued.
-type notifyReq struct{ Val int }
+// notifyReq tells monitors a client request was issued.
+type notifyReq struct{}
 
 func (notifyReq) Name() string { return "notifyReq" }
 
@@ -133,12 +133,12 @@ func (s *serverMachine) Handle(ctx *core.Context, ev core.Event) {
 		return
 	}
 	msg := ev.(msgEvent).Msg
-	if req, ok := msg.(ClientReq); ok {
+	if _, ok := msg.(ClientReq); ok {
 		if s.mons&WithLiveness != 0 {
-			ctx.Monitor(LivenessMonitorName, notifyReq{Val: req.Val})
+			ctx.Monitor(LivenessMonitorName, notifyReq{})
 		}
 		if s.mons&WithSafety != 0 {
-			ctx.Monitor(SafetyMonitorName, notifyReq{Val: req.Val})
+			ctx.Monitor(SafetyMonitorName, notifyReq{})
 		}
 	}
 	s.server.HandleMessage(msg)
@@ -317,12 +317,11 @@ func (m *durabilityMonitor) Handle(mc *core.MonitorContext, ev core.Event) {
 	}
 }
 
-// clientMachine is the modeled client: it issues `requests` requests with
-// nondeterministically chosen values, awaiting an Ack after each.
+// clientMachine is the modeled client: it issues clientRequests requests
+// with nondeterministically chosen values, awaiting an Ack after each.
 type clientMachine struct {
 	node     NodeID
 	serverID core.MachineID
-	requests int
 }
 
 func (c *clientMachine) Init(*core.Context) {}
@@ -331,7 +330,7 @@ func (c *clientMachine) Handle(ctx *core.Context, ev core.Event) {
 	if ev.Name() != "start" {
 		return
 	}
-	for i := 0; i < c.requests; i++ {
+	for i := 0; i < clientRequests; i++ {
 		val := 1 + ctx.RandomInt(100)
 		ctx.Send(c.serverID, msgEvent{Msg: ClientReq{Client: c.node, Val: val}})
 		ctx.Receive("Ack")
@@ -392,14 +391,16 @@ func newLivenessMonitor() core.Monitor {
 	return &core.MonitorSM{SM: sm}
 }
 
+// The harness's size: the number of sequential client requests (the
+// liveness bug needs at least two) and of storage nodes.
+const (
+	clientRequests = 2
+	storageNodes   = 3
+)
+
 // ScenarioConfig parameterizes the harness.
 type ScenarioConfig struct {
 	Server Config
-	// Requests is the number of sequential client requests (default 2 —
-	// the liveness bug needs at least two).
-	Requests int
-	// Nodes is the number of storage nodes (default 3).
-	Nodes int
 	// Monitors selects the registered specifications (default both).
 	Monitors Monitors
 	// DurableNodes routes every storage-node append through the
@@ -411,12 +412,6 @@ type ScenarioConfig struct {
 }
 
 func (sc ScenarioConfig) withDefaults() ScenarioConfig {
-	if sc.Requests <= 0 {
-		sc.Requests = 2
-	}
-	if sc.Nodes <= 0 {
-		sc.Nodes = 3
-	}
 	if sc.Monitors == 0 {
 		sc.Monitors = WithSafety | WithLiveness
 	}
@@ -442,7 +437,7 @@ func Scenario(sc ScenarioConfig) core.Test {
 			var snMachines []*storageNodeMachine
 			snByID := make(map[core.MachineID]*storageNodeMachine)
 			var snIDs []core.MachineID
-			for i := 0; i < sc.Nodes; i++ {
+			for i := 0; i < storageNodes; i++ {
 				snm := &storageNodeMachine{serverID: serverID, mons: sc.Monitors, durable: sc.DurableNodes, reports: reports}
 				id := ctx.CreateMachine(snm, fmt.Sprintf("SN%d", i))
 				snm.node = NodeID(id)
@@ -465,11 +460,11 @@ func Scenario(sc ScenarioConfig) core.Test {
 				ctx.CreateMachine(&core.FaultInjector{
 					Candidates: func() []core.MachineID { return snIDs },
 					OnCrash:    restartRecovered(snByID),
-					Offers:     4 * sc.Requests * sc.Nodes,
+					Offers:     4 * clientRequests * storageNodes,
 				}, "Injector")
 			}
 
-			client := &clientMachine{serverID: serverID, requests: sc.Requests}
+			client := &clientMachine{serverID: serverID}
 			clientID := ctx.CreateMachine(client, "Client")
 			client.node = NodeID(clientID)
 			srv.route[NodeID(clientID)] = clientID

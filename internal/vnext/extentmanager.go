@@ -5,34 +5,22 @@ import (
 	"time"
 )
 
+// The manager's repair and expiry parameters: every extent wants
+// replicaTarget replicas, and an EN that goes heartbeatExpiry
+// expiration-loop ticks without a heartbeat is expired.
+const (
+	replicaTarget   = 3
+	heartbeatExpiry = 2
+)
+
 // Config parameterizes the extent manager.
 type Config struct {
-	// ReplicaTarget is the required number of replicas per extent
-	// (default 3).
-	ReplicaTarget int
-	// HeartbeatExpiry is how many expiration-loop ticks an EN may go
-	// without a heartbeat before it is expired (default 2).
-	HeartbeatExpiry int64
 	// IgnoreSyncFromUnknownNodes is the fix for the §3.6 liveness bug:
 	// when set, sync reports from ENs absent from the node map (never
 	// registered, or already expired) are discarded. When unset — the
 	// shipped vNext behavior that caused the bug — a stale sync report
 	// from an expired EN resurrects its replica records.
 	IgnoreSyncFromUnknownNodes bool
-}
-
-func (c Config) target() int {
-	if c.ReplicaTarget > 0 {
-		return c.ReplicaTarget
-	}
-	return 3
-}
-
-func (c Config) expiry() int64 {
-	if c.HeartbeatExpiry > 0 {
-		return c.HeartbeatExpiry
-	}
-	return 2
 }
 
 // ExtentManager is the lightweight manager of one extent partition
@@ -97,7 +85,7 @@ func (m *ExtentManager) ProcessExpirationTick() {
 	m.now++
 	for _, node := range m.nodeMap.Nodes() {
 		last, _ := m.nodeMap.LastSeen(node)
-		if m.now-last > m.cfg.expiry() {
+		if m.now-last > heartbeatExpiry {
 			m.nodeMap.Remove(node)
 			m.center.RemoveNode(node)
 		}
@@ -116,7 +104,7 @@ func (m *ExtentManager) ProcessExtentRepair() {
 	}
 	for _, extent := range m.center.Extents() {
 		locs := m.center.Locations(extent)
-		missing := m.cfg.target() - len(locs)
+		missing := replicaTarget - len(locs)
 		if missing <= 0 {
 			continue
 		}

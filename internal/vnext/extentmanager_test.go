@@ -74,7 +74,7 @@ func (c *captureNet) repairTargets() []NodeID {
 
 func newTestManager(fix bool) (*ExtentManager, *captureNet) {
 	net := &captureNet{}
-	mgr := NewExtentManager(Config{ReplicaTarget: 3, HeartbeatExpiry: 2, IgnoreSyncFromUnknownNodes: fix}, net)
+	mgr := NewExtentManager(Config{IgnoreSyncFromUnknownNodes: fix}, net)
 	return mgr, net
 }
 

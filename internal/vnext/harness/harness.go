@@ -152,7 +152,7 @@ func (en *enMachine) onRepairRequest(ctx *core.Context, ev core.Event) {
 // onCopyRequest answers with a copy success iff this EN holds a replica.
 func (en *enMachine) onCopyRequest(ctx *core.Context, ev core.Event) {
 	req := ev.(msgEvent).Msg.(vnext.CopyRequest)
-	resp := vnext.CopyResponse{Extent: req.Extent, Source: en.node, OK: en.store.Has(req.Extent, en.node)}
+	resp := vnext.CopyResponse{Extent: req.Extent, OK: en.store.Has(req.Extent, en.node)}
 	ctx.SendLast(en.driverID, routeEvent{Dst: req.Requester, Msg: resp})
 }
 
@@ -326,67 +326,69 @@ func (d *driverMachine) onRoute(ctx *core.Context, ev core.Event) {
 	ctx.SendUnreliable(id, msgEvent{Msg: r.Msg})
 }
 
+// replicaTarget is the replica count vNext's extent manager repairs every
+// extent to, which the repair monitor waits for.
+const replicaTarget = 3
+
 // newRepairMonitor builds the RepairMonitor of Figure 11, generalized to
 // many extents: hot while any tracked extent has fewer live replicas than
-// the target.
-func newRepairMonitor(target int) func() core.Monitor {
-	return func() core.Monitor {
-		holders := make(map[vnext.ExtentID]map[vnext.NodeID]bool)
-		atTarget := func() bool {
-			for _, nodes := range holders {
-				if len(nodes) < target {
-					return false
-				}
-			}
-			return true
-		}
-		repaired := func(ev core.Event) {
-			e := ev.(extentRepairedEvent)
-			if holders[e.Extent] == nil {
-				holders[e.Extent] = make(map[vnext.NodeID]bool)
-			}
-			holders[e.Extent][e.Node] = true
-		}
-		failed := func(ev core.Event) {
-			node := ev.(enFailedEvent).Node
-			for _, nodes := range holders {
-				delete(nodes, node)
+// replicaTarget.
+func newRepairMonitor() core.Monitor {
+	holders := make(map[vnext.ExtentID]map[vnext.NodeID]bool)
+	atTarget := func() bool {
+		for _, nodes := range holders {
+			if len(nodes) < replicaTarget {
+				return false
 			}
 		}
-		var sm *core.StateMachine[*core.MonitorContext]
-		sm = core.NewStateMachine[*core.MonitorContext](RepairMonitorName, "Repairing",
-			&core.State[*core.MonitorContext]{
-				Name: "Repairing",
-				Hot:  true,
-				On: map[string]func(*core.MonitorContext, core.Event){
-					"ExtentRepaired": func(mc *core.MonitorContext, ev core.Event) {
-						repaired(ev)
-						if atTarget() {
-							sm.Goto(mc, "Repaired")
-						}
-					},
-					"ENFailed": func(mc *core.MonitorContext, ev core.Event) {
-						failed(ev)
-					},
-				},
-			},
-			&core.State[*core.MonitorContext]{
-				Name: "Repaired",
-				On: map[string]func(*core.MonitorContext, core.Event){
-					"ExtentRepaired": func(mc *core.MonitorContext, ev core.Event) {
-						repaired(ev)
-					},
-					"ENFailed": func(mc *core.MonitorContext, ev core.Event) {
-						failed(ev)
-						if !atTarget() {
-							sm.Goto(mc, "Repairing")
-						}
-					},
-				},
-			},
-		)
-		return &core.MonitorSM{SM: sm}
+		return true
 	}
+	repaired := func(ev core.Event) {
+		e := ev.(extentRepairedEvent)
+		if holders[e.Extent] == nil {
+			holders[e.Extent] = make(map[vnext.NodeID]bool)
+		}
+		holders[e.Extent][e.Node] = true
+	}
+	failed := func(ev core.Event) {
+		node := ev.(enFailedEvent).Node
+		for _, nodes := range holders {
+			delete(nodes, node)
+		}
+	}
+	var sm *core.StateMachine[*core.MonitorContext]
+	sm = core.NewStateMachine[*core.MonitorContext](RepairMonitorName, "Repairing",
+		&core.State[*core.MonitorContext]{
+			Name: "Repairing",
+			Hot:  true,
+			On: map[string]func(*core.MonitorContext, core.Event){
+				"ExtentRepaired": func(mc *core.MonitorContext, ev core.Event) {
+					repaired(ev)
+					if atTarget() {
+						sm.Goto(mc, "Repaired")
+					}
+				},
+				"ENFailed": func(mc *core.MonitorContext, ev core.Event) {
+					failed(ev)
+				},
+			},
+		},
+		&core.State[*core.MonitorContext]{
+			Name: "Repaired",
+			On: map[string]func(*core.MonitorContext, core.Event){
+				"ExtentRepaired": func(mc *core.MonitorContext, ev core.Event) {
+					repaired(ev)
+				},
+				"ENFailed": func(mc *core.MonitorContext, ev core.Event) {
+					failed(ev)
+					if !atTarget() {
+						sm.Goto(mc, "Repairing")
+					}
+				},
+			},
+		},
+	)
+	return &core.MonitorSM{SM: sm}
 }
 
 // Faults returns the fault budget the configured scenario is built for:
@@ -408,16 +410,12 @@ func (hc HarnessConfig) Faults() core.Faults {
 
 // Test builds the systematic test for the configured scenario.
 func Test(hc HarnessConfig) core.Test {
-	target := 3
-	if hc.Manager.ReplicaTarget > 0 {
-		target = hc.Manager.ReplicaTarget
-	}
 	return core.Test{
 		Name: "vnext-extent-repair",
 		Entry: func(ctx *core.Context) {
 			ctx.CreateMachine(newDriverMachine(hc), "TestingDriver")
 		},
-		Monitors: []func() core.Monitor{newRepairMonitor(target)},
+		Monitors: []func() core.Monitor{newRepairMonitor},
 		Faults:   hc.Faults(),
 	}
 }
@@ -430,7 +428,7 @@ func Metadata() []core.MachineStats {
 	mm := newManagerMachine(vnext.Config{}, 0)
 	en := newENMachine(1, 0, 0, nil)
 	dm := newDriverMachine(HarnessConfig{})
-	mon := newRepairMonitor(3)().(*core.MonitorSM)
+	mon := newRepairMonitor().(*core.MonitorSM)
 	return []core.MachineStats{
 		mm.SM.Stats(),
 		en.SM.Stats(),

@@ -73,7 +73,6 @@ func (CopyRequest) Kind() string { return "CopyRequest" }
 // replica to copy from.
 type CopyResponse struct {
 	Extent ExtentID
-	Source NodeID
 	OK     bool
 }
 

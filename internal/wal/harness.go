@@ -43,23 +43,17 @@ func (notifyRecovered) Name() string { return "walRecovered" }
 // MonitorName is the durability/recovery oracle's registered name.
 const MonitorName = "WalDurability"
 
+// appends is the number of records the driver feeds the node (values
+// are 1-based so a zero value always means a torn payload read, never
+// real data).
+const appends = 3
+
 // Config parameterizes the scenario.
 type Config struct {
-	// Appends is the number of records the driver feeds the node
-	// (default 3; values are 1-based so a zero value always means a torn
-	// payload read, never real data).
-	Appends int
 	// FixTornTail applies the recovery fix: truncate the log at the
 	// first record whose payload is missing instead of trusting the
 	// header (see Recover).
 	FixTornTail bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Appends <= 0 {
-		c.Appends = 3
-	}
-	return c
 }
 
 // nodeMachine is the log node: one record per append — intent, header,
@@ -67,7 +61,6 @@ func (c Config) withDefaults() Config {
 // injector gets a shot at every boundary inside the append, which is
 // where the torn states live.
 type nodeMachine struct {
-	cfg Config
 	// next is the next record index — volatile, rebuilt by recovery.
 	next int
 	// intent and commit are the node's notification records.
@@ -106,7 +99,7 @@ type recoveredNode struct {
 func (r *recoveredNode) Init(ctx *core.Context) {
 	r.recovered.Vals = Recover(ctx.Recover(), r.cfg.FixTornTail)
 	ctx.Monitor(MonitorName, &r.recovered)
-	r.node = nodeMachine{cfg: r.cfg, next: len(r.recovered.Vals)}
+	r.node = nodeMachine{next: len(r.recovered.Vals)}
 }
 
 func (r *recoveredNode) Handle(ctx *core.Context, ev core.Event) {
@@ -176,7 +169,6 @@ func (in *injector) candidates() []core.MachineID { return in.node[:] }
 // Scenario builds the WAL torn-tail systematic test: a seeded recovery
 // bug with FixTornTail unset, a clean system with it applied.
 func Scenario(cfg Config) core.Test {
-	cfg = cfg.withDefaults()
 	name := "wal-torn-tail"
 	if cfg.FixTornTail {
 		name = "wal-fixed"
@@ -188,20 +180,20 @@ func Scenario(cfg Config) core.Test {
 	return core.Test{
 		Name: name,
 		Entry: func(ctx *core.Context) {
-			in := &injector{FaultInjector: core.FaultInjector{OnCrash: restart, Offers: 4*cfg.Appends + 4}}
+			in := &injector{FaultInjector: core.FaultInjector{OnCrash: restart, Offers: 4*appends + 4}}
 			in.Candidates = in.candidates
-			in.node[0] = ctx.CreateMachine(&nodeMachine{cfg: cfg}, "Node")
+			in.node[0] = ctx.CreateMachine(&nodeMachine{}, "Node")
 			ctx.CreateMachine(in, "Injector")
-			for i := 1; i < cfg.Appends; i++ {
+			for i := 1; i < appends; i++ {
 				ctx.Send(in.node[0], appendEvent{Val: i})
 			}
-			ctx.SendLast(in.node[0], appendEvent{Val: cfg.Appends})
+			ctx.SendLast(in.node[0], appendEvent{Val: appends})
 		},
 		Faults: core.Faults{MaxCrashes: 1, MaxTornCrashes: 1},
 		Monitors: []func() core.Monitor{
 			// The intent log is presized: a node never writes more than
-			// cfg.Appends records.
-			func() core.Monitor { return &durabilityMonitor{intents: make([]int, 0, cfg.Appends)} },
+			// appends records.
+			func() core.Monitor { return &durabilityMonitor{intents: make([]int, 0, appends)} },
 		},
 	}
 }

@@ -14,7 +14,7 @@ import (
 // examples and CLIs build them by name and pass the result to Explore.
 type Scenario struct {
 	// Name is the stable scenario name ("replsys-safety",
-	// "ExtentNodeLivenessViolation", "DeletePrimaryKey-custom", ...).
+	// "ExtentNodeLivenessViolation", "MigrateSkipPreferOld-custom", ...).
 	Name string
 	// About is a one-line description.
 	About string

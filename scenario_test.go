@@ -1,7 +1,12 @@
 package gostorm_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -65,4 +70,70 @@ func TestScenarioByName(t *testing.T) {
 	if !strings.Contains(gostorm.DescribeScenarios(), "replsys-safety") {
 		t.Fatal("DescribeScenarios lacks scenarios")
 	}
+}
+
+// TestExamplesNameRegisteredScenarios resolves every scenario name an
+// example spells: the string literal passed to a function of the example
+// that hands its first parameter to gostorm.ScenarioByName (explore,
+// scenario). go build cannot see a deleted catalog entry, and the
+// examples only run by hand.
+func TestExamplesNameRegisteredScenarios(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("examples", "*", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolved := 0
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolvers := map[string]bool{}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || len(fd.Type.Params.List) == 0 || len(fd.Type.Params.List[0].Names) == 0 {
+				continue
+			}
+			param := fd.Type.Params.List[0].Names[0].Name
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 {
+					sel, isSel := call.Fun.(*ast.SelectorExpr)
+					arg, isIdent := call.Args[0].(*ast.Ident)
+					if isSel && sel.Sel.Name == "ScenarioByName" && isIdent && arg.Name == param {
+						resolvers[fd.Name.Name] = true
+					}
+				}
+				return true
+			})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			fn, ok := call.Fun.(*ast.Ident)
+			lit, isLit := call.Args[0].(*ast.BasicLit)
+			if !ok || !resolvers[fn.Name] || !isLit || lit.Kind != token.STRING {
+				return true
+			}
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(name, func(t *testing.T) {
+				if _, err := gostorm.ScenarioByName(name); err != nil {
+					t.Errorf("%s: %v", path, err)
+				}
+			})
+			resolved++
+			return true
+		})
+	}
+	if resolved < 10 {
+		t.Fatalf("only %d scenario names found in the examples", resolved)
+	}
+	t.Logf("%d scenario names resolved", resolved)
 }
