@@ -5,6 +5,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,18 +43,26 @@ type Entry struct {
 	Options core.Options
 }
 
-// Get returns the named entry.
+// Get returns the named entry. An Entry is a value — no entry's Options
+// holds a slice or a pointer (TestGetHandsOutCopies) — so the caller may
+// change what it gets.
 func Get(name string) (Entry, error) {
-	for _, e := range All() {
-		if e.Name == name {
-			return e, nil
-		}
+	i := sort.Search(len(entries), func(i int) bool { return entries[i].Name >= name })
+	if i < len(entries) && entries[i].Name == name {
+		return entries[i], nil
 	}
 	return Entry{}, fmt.Errorf("catalog: unknown scenario %q (use -list)", name)
 }
 
-// All returns every registered scenario, sorted by name.
-func All() []Entry {
+// All returns every registered scenario, sorted by name, in a slice the
+// caller owns.
+func All() []Entry { return slices.Clone(entries) }
+
+// entries is the catalog, sorted by name, built once: Get looks one entry
+// up instead of building all of them, and All copies the table.
+var entries = build()
+
+func build() []Entry {
 	entries := []Entry{
 		{
 			Name:    "replsys",

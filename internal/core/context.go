@@ -74,7 +74,7 @@ func (c *Context) CreateMachine(impl Machine, name string) MachineID {
 	c.notParked("CreateMachine")
 	id := c.r.createMachine(impl, name)
 	if c.r.logging() {
-		c.r.logf("%s created %s(%d)", c.m.label(), name, id)
+		c.r.logf(c.m, " created %s(%d)", name, id)
 	}
 	c.r.schedulingPoint(c.m)
 	return id
@@ -143,13 +143,13 @@ func (c *Context) ReceiveWhere(desc string, pred func(Event) bool) Event {
 	m.status = statusWaitReceive
 	c.r.blockReceive(m)
 	if c.r.logging() {
-		c.r.logf("%s waiting to receive %s", m.label(), desc)
+		c.r.logWords(m, " waiting to receive ", desc)
 	}
 	c.r.yieldPoint(m)
 	ev := m.popMatch(pred)
 	m.recvPred = nil
 	if c.r.logging() {
-		c.r.logf("%s received %s", m.label(), ev.Name())
+		c.r.logWords(m, " received ", ev.Name())
 	}
 	return ev
 }
@@ -168,7 +168,7 @@ func (c *Context) Halt() {
 func (c *Context) haltOnReturn() {
 	c.notParked("Halt")
 	if c.r.logging() {
-		c.r.logf("%s halt", c.m.label())
+		c.r.logWords(c.m, " halt")
 	}
 	c.m.halting = true
 }
@@ -183,7 +183,7 @@ func (c *Context) Monitor(name string, ev Event) {
 	}
 	c.r.covMix(e.nameHash ^ covString(ev.Name()))
 	if c.r.logging() {
-		c.r.logf("%s notify %s: %s", c.m.label(), name, ev.Name())
+		c.r.logWords(c.m, " notify ", name, ": ", ev.Name())
 	}
 	e.mon.Handle(e.mc, ev)
 }
@@ -203,7 +203,8 @@ func (c *Context) Assert(cond bool, format string, args ...any) {
 func (c *Context) Logf(format string, args ...any) {
 	c.notParked("Logf")
 	if c.r.logging() {
-		c.r.logf("%s: %s", c.m.label(), fmt.Sprintf(format, args...))
+		b := append(c.m.appendLabel(c.r.logLine()), ':', ' ')
+		c.r.logEnd(fmt.Appendf(b, format, args...))
 	}
 }
 
@@ -229,7 +230,7 @@ func (c *Context) StartTimer(name string, target MachineID, tick Event) TimerID 
 	}
 	id := r.createTimer(name, target, tick)
 	if r.logging() {
-		r.logf("%s started timer %s(%d) -> %s", c.m.label(), name, id, r.machines[target].label())
+		r.logf(c.m, " started timer %s(%d) -> %s", name, id, r.machines[target].label())
 	}
 	r.schedulingPoint(c.m)
 	return id
@@ -248,7 +249,7 @@ func (c *Context) StopTimer(id TimerID) {
 		c.Assert(false, "StopTimer of machine %d (%s), which is not a timer", id, m.label())
 	}
 	if r.logging() {
-		r.logf("%s stopped timer %s", c.m.label(), m.label())
+		r.logf(c.m, " stopped timer %s", m.label())
 	}
 	r.pendingCrash = append(r.pendingCrash, id)
 	r.schedulingPoint(c.m)
@@ -309,7 +310,7 @@ func (c *Context) Crash(target MachineID) {
 		c.Halt()
 	}
 	if r.logging() {
-		r.logf("%s crashed %s", c.m.label(), r.machines[target].label())
+		r.logf(c.m, " crashed %s", r.machines[target].label())
 	}
 	r.pendingCrash = append(r.pendingCrash, target)
 	// Yield so the crash is reaped before the caller's next action: after
@@ -358,7 +359,7 @@ func (c *Context) Restart(id MachineID, impl Machine) {
 	// enabled. id sits mid-range, so this is a real sorted insert.
 	r.insertEnabled(m)
 	if r.logging() {
-		r.logf("%s restarted %s", c.m.label(), m.label())
+		r.logf(c.m, " restarted %s", m.label())
 	}
 	r.schedulingPoint(c.m)
 }
@@ -397,7 +398,7 @@ func (c *Context) Persist(key string, value []byte) {
 	end := len(r.persistArena)
 	m.staged = append(m.staged, keyValue{key: key, val: r.persistArena[end-len(value) : end : end]})
 	if c.r.logging() {
-		c.r.logf("%s persist %q (%d bytes staged)", m.label(), key, len(value))
+		c.r.logf(m, " persist %q (%d bytes staged)", key, len(value))
 	}
 	c.r.schedulingPoint(m)
 }
@@ -411,7 +412,7 @@ func (c *Context) Sync() {
 	c.notParked("Sync")
 	m := c.m
 	if c.r.logging() {
-		c.r.logf("%s sync (%d staged writes made durable)", m.label(), len(m.staged))
+		c.r.logf(m, " sync (%d staged writes made durable)", len(m.staged))
 	}
 	m.applyStaged(len(m.staged))
 	c.r.schedulingPoint(m)
@@ -451,7 +452,7 @@ func (c *Context) Recover() map[string][]byte {
 		out[kv.key] = cp
 	}
 	if c.r.logging() {
-		c.r.logf("%s recovered %d durable keys", m.label(), len(out))
+		c.r.logf(m, " recovered %d durable keys", len(out))
 	}
 	return out
 }
@@ -507,14 +508,14 @@ func (c *Context) SendUnreliable(target MachineID, ev Event) {
 	case Drop:
 		r.drops++
 		if r.logging() {
-			r.logf("%s send %s -> %s (dropped: fault plane)", c.m.label(), ev.Name(), t.label())
+			r.logSend(c.m, ev, t, " (dropped: fault plane)")
 		}
 	case Duplicate:
 		r.dups++
 		r.enqueue(c.m, t, ev)
 		r.enqueue(c.m, t, ev)
 		if r.logging() {
-			r.logf("%s send %s -> %s (duplicated: fault plane)", c.m.label(), ev.Name(), t.label())
+			r.logSend(c.m, ev, t, " (duplicated: fault plane)")
 		}
 	default:
 		r.enqueue(c.m, t, ev)

@@ -159,13 +159,23 @@ func (d *Decision) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &j); err != nil {
 		return err
 	}
+	c, err := j.decision()
+	if err != nil {
+		return err
+	}
+	*d = c
+	return nil
+}
+
+// decision is the Decision the wire record j stands for, with the fields
+// its kind does not carry dropped, or an error naming a kind that is none.
+func (j traceDecisionJSON) decision() (Decision, error) {
 	if len(j.K) == 1 {
-		if c, ok := (Decision{Kind: DecisionKind(j.K[0]), Machine: MachineID(j.M), Bool: j.B, Int: j.V, N: j.N}).carried(); ok {
-			*d = c
-			return nil
+		if d, ok := (Decision{Kind: DecisionKind(j.K[0]), Machine: MachineID(j.M), Bool: j.B, Int: j.V, N: j.N}).carried(); ok {
+			return d, nil
 		}
 	}
-	return fmt.Errorf("core: bad decision kind %q", j.K)
+	return Decision{}, fmt.Errorf("core: bad decision kind %q", j.K)
 }
 
 // decision is what the trace records when live choice c is answered with

@@ -391,7 +391,7 @@ func Replay(t Test, tr *Trace, o Options) (*BugReport, error) {
 		}
 		return nil, nil
 	}
-	rep.Log = r.log
+	rep.Log = r.logLines()
 	rep.Trace = tr
 	return rep, nil
 }

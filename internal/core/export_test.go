@@ -42,7 +42,7 @@ func replayLog(pool *execPool, t Test, tr *Trace, o Options, logCap int) []strin
 	cfg.faults, cfg.logCap = tr.Faults, logCap
 	r := pool.runtime(sched, cfg)
 	r.execute(t)
-	return r.log
+	return r.logLines()
 }
 
 // CountResumes runs the first n executions of the one-worker plan of o —

@@ -273,7 +273,7 @@ func (r *Runtime) stepTimer(m *machine) {
 		}
 		r.covMix(uint64(m.id)<<32 ^ h)
 		if r.logging() {
-			r.logf("%s dequeued %s", m.label(), ev.Name())
+			r.logWords(m, " dequeued ", ev.Name())
 		}
 		// The step runs on a borrowed stack: on an out-of-range answer
 		// choose has named the timer and the scheduler, and the next
@@ -284,7 +284,7 @@ func (r *Runtime) stepTimer(m *machine) {
 		}
 		if out == 1 {
 			if r.logging() {
-				r.logf("%s fired", m.label())
+				r.logWords(m, " fired")
 			}
 			r.enqueue(m, r.machines[t.target], t.tick)
 			t.fired = true

@@ -437,7 +437,7 @@ func TestInjectorHaltByReturnMatchesHalt(t *testing.T) {
 						if rep := r.execute(test); rep != nil {
 							e.bug = rep.Error()
 						}
-						e.decisions, e.log, e.steps, e.cov = r.dec.decode(), slices.Clone(r.log), r.steps, r.cov
+						e.decisions, e.log, e.steps, e.cov = r.dec.decode(), r.logLines(), r.steps, r.cov
 						runs[v] = append(runs[v], e)
 					}
 					pool.release()

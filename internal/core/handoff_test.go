@@ -323,7 +323,7 @@ func resumeCount(t *testing.T, c lifecycleCase) (ResumeCounts, []string) {
 			t.Fatalf("%s: %d workers after the measured execution, %d before: some were not counted", c.name, len(r.freeWorkers), workers)
 		}
 	}
-	return counts, r.log
+	return counts, r.logLines()
 }
 
 // TestLoopTopDeathUnwindsNothing: a machine waiting at the top of its event

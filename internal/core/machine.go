@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // MachineID identifies a machine within one execution. IDs are assigned in
 // creation order, so they are deterministic for a fixed schedule.
@@ -300,7 +303,14 @@ func (r *Runtime) scrub(m *machine) {
 }
 
 func (m *machine) label() string {
-	return fmt.Sprintf("%s(%d)", m.name, m.id)
+	return string(m.appendLabel(nil))
+}
+
+// appendLabel appends the machine's label, "name(id)".
+func (m *machine) appendLabel(b []byte) []byte {
+	b = append(append(b, m.name...), '(')
+	b = strconv.AppendInt(b, int64(m.id), 10)
+	return append(b, ')')
 }
 
 // hasDequeuable reports whether the inbox holds an event the machine's

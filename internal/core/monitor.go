@@ -66,7 +66,9 @@ func (mc *MonitorContext) IsHot() bool { return mc.hot }
 // enabled for this execution).
 func (mc *MonitorContext) Logf(format string, args ...any) {
 	if mc.r.logging() {
-		mc.r.logf("monitor %s: %s", mc.mon.Name(), fmt.Sprintf(format, args...))
+		b := append(mc.r.logLine(), "monitor "...)
+		b = append(append(b, mc.mon.Name()...), ':', ' ')
+		mc.r.logEnd(fmt.Appendf(b, format, args...))
 	}
 }
 

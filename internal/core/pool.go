@@ -187,6 +187,6 @@ func (r *Runtime) reset(sched Scheduler, cfg runtimeConfig) {
 	r.pendingCrash = r.pendingCrash[:0]
 	r.persistArena = r.persistArena[:0]
 	r.divergence = nil
-	r.log = r.log[:0]
+	r.logBuf, r.logEnds = r.logBuf[:0], r.logEnds[:0]
 	r.aborted = false
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
+	"strconv"
 )
 
 // defaultLogCap bounds the lines the replay log collects per execution.
@@ -122,7 +124,7 @@ type Runtime struct {
 	tornCrashes  int
 	pendingCrash []MachineID
 
-	log []string
+	logBuf []byte // the execution log; see logLine
 
 	// enabledScratch is the rebuild buffer of the enabled-set cross-check
 	// (checkEnabled; see verifyEnabledSet).
@@ -162,6 +164,9 @@ type Runtime struct {
 	tailAt int
 	tail   randomScheduler
 	own    draws
+
+	// logEnds is where each line of logBuf ends.
+	logEnds []int
 }
 
 // runtimeConfig is the per-execution knobs of a Runtime, derived from the
@@ -391,7 +396,7 @@ hosting:
 				ev := m.popDequeuable()
 				r.covMix(uint64(m.id)<<32 ^ covString(ev.Name()))
 				if r.logging() {
-					r.logf("%s dequeued %s", m.label(), ev.Name())
+					r.logWords(m, " dequeued ", ev.Name())
 				}
 				m.impl.Handle(&m.ctx, ev)
 			}
@@ -621,7 +626,7 @@ func (r *Runtime) settleCrashedStorage(m *machine) {
 			}
 			k = out
 			if r.logging() {
-				r.logf("%s crash persisted %d of %d staged writes", m.label(), out, n)
+				r.logf(m, " crash persisted %d of %d staged writes", out, n)
 			}
 		}
 	}
@@ -676,10 +681,10 @@ func (r *Runtime) enqueue(from, t *machine, ev Event) {
 		t.queue.push(ev)
 		r.noteEnqueue(t, ev)
 		if r.logging() {
-			r.logf("%s send %s -> %s", from.label(), ev.Name(), t.label())
+			r.logSend(from, ev, t, "")
 		}
 	} else if r.logging() {
-		r.logf("%s send %s -> %s (dropped: target halted)", from.label(), ev.Name(), t.label())
+		r.logSend(from, ev, t, " (dropped: target halted)")
 	}
 }
 
@@ -894,15 +899,79 @@ func (r *Runtime) atLimit() bool {
 // label() Sprintfs at logf call sites were the single largest source of
 // per-step allocations in the engine.
 func (r *Runtime) logging() bool {
-	return r.collectLog && len(r.log) < r.logCap
+	return r.collectLog && len(r.logEnds) < r.logCap
 }
 
-// logf appends to the execution log when collection is enabled.
-func (r *Runtime) logf(format string, args ...any) {
-	if !r.logging() {
-		return
+// The execution log is one byte buffer, logBuf, with line i ending at
+// logEnds[i]: a line is appended in place — its "[%6d] " step prefix, the
+// machine's label and, on the lines every logged step writes (send,
+// dequeued, received), its words — and logLines cuts the whole log into a
+// report's []string out of one string. Every writer below is reached only
+// under a logging() guard.
+
+// logLine starts a line: the step prefix, as fmt's "[%6d] " writes it.
+// The log's buffers double when they grow (append's own growth slows to
+// 1.25× past a few hundred elements), so a long log costs a few dozen
+// allocations, not one a few lines.
+func (r *Runtime) logLine() []byte {
+	b := r.logBuf
+	if cap(b)-len(b) < 256 {
+		b = slices.Grow(b, len(b)+1024)
 	}
-	r.log = append(r.log, fmt.Sprintf("[%6d] ", r.steps)+fmt.Sprintf(format, args...))
+	b = append(b, '[')
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(r.steps), 10)
+	for i := len(d); i < 6; i++ {
+		b = append(b, ' ')
+	}
+	b = append(b, d...)
+	return append(b, ']', ' ')
+}
+
+// logEnd ends the line b, which logLine began.
+func (r *Runtime) logEnd(b []byte) {
+	r.logBuf = b
+	if len(r.logEnds) == cap(r.logEnds) {
+		r.logEnds = slices.Grow(r.logEnds, len(r.logEnds)+64)
+	}
+	r.logEnds = append(r.logEnds, len(b))
+}
+
+// logf appends the line of m's label followed by format applied to args.
+func (r *Runtime) logf(m *machine, format string, args ...any) {
+	r.logEnd(fmt.Appendf(m.appendLabel(r.logLine()), format, args...))
+}
+
+// logWords appends the line of m's label followed by words.
+func (r *Runtime) logWords(m *machine, words ...string) {
+	b := m.appendLabel(r.logLine())
+	for _, w := range words {
+		b = append(b, w...)
+	}
+	r.logEnd(b)
+}
+
+// logSend appends the line "<from> send <ev> -> <to><note>".
+func (r *Runtime) logSend(from *machine, ev Event, to *machine, note string) {
+	b := append(from.appendLabel(r.logLine()), " send "...)
+	b = append(append(b, ev.Name()...), " -> "...)
+	r.logEnd(append(to.appendLabel(b), note...))
+}
+
+// logLines returns the collected log, a line an element: slices of one
+// string, so a report's log costs two allocations however long it is. It
+// returns nil when nothing was logged.
+func (r *Runtime) logLines() []string {
+	if len(r.logEnds) == 0 {
+		return nil
+	}
+	s := string(r.logBuf)
+	out := make([]string, len(r.logEnds))
+	start := 0
+	for i, end := range r.logEnds {
+		out[i], start = s[start:end], end
+	}
+	return out
 }
 
 // entryMachine runs the test's entry function as machine 0 and silently

@@ -195,7 +195,7 @@ func TestSendLastIsATailSend(t *testing.T) {
 						run.bug = fmt.Sprintf("%v at step %d by %q: %s", rep.Kind, rep.Step, rep.Machine, rep.Message)
 					}
 					run.decisions, run.cov, run.steps = r.dec.decode(), r.Fingerprint(), r.steps
-					run.log = append([]string(nil), r.log...)
+					run.log = r.logLines()
 					runs[v] = append(runs[v], run)
 				}
 				pool.release()

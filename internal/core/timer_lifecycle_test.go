@@ -460,7 +460,7 @@ func runScripted(t *testing.T, c lifecycleCase, pool *execPool, warm int) pinned
 		t.Fatalf("%s: replay took %d steps to fingerprint %016x (bug %v), the recording %d to %016x (bug %v)",
 			c.name, rr.steps, rr.Fingerprint(), rr.bug != nil, r.steps, r.Fingerprint(), rep != nil)
 	}
-	p.Log = append([]string{}, rr.log...)
+	p.Log = append([]string{}, rr.logLines()...)
 
 	bends := c.bends
 	if bends == nil {

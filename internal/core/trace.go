@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"unicode/utf8"
 )
 
 // TraceVersion is the trace format version this build writes. Version 0
@@ -139,16 +142,156 @@ func (a *decArena) decode() []Decision {
 	return out
 }
 
-// Encode serializes the trace to JSON.
+// Encode serializes the trace to JSON: the bytes json.MarshalIndent(t, "",
+// " ") writes for it (referenceEncode in the tests, which FuzzDecodeTrace
+// holds it to), appended into one buffer without reflection, where
+// encoding/json cost three allocations a decision.
 func (t *Trace) Encode() ([]byte, error) {
 	// The written bytes always declare the current format version, even
 	// for a trace decoded from an older one: this build's encoder writes
 	// this build's format, which is a superset of every version it can
 	// decode. Version gating (which decision kinds are admissible) applies
 	// to the *decoded* version, before any re-encode.
-	out := *t
-	out.Version = TraceVersion
-	return json.MarshalIndent(&out, "", " ")
+	b := make([]byte, 0, 160+len(t.Test)+len(t.Scheduler)+40*len(t.Decisions))
+	b = append(b, "{\n \"version\": "...)
+	b = strconv.AppendInt(b, TraceVersion, 10)
+	b = append(b, ",\n \"test\": "...)
+	b = appendJSONString(b, t.Test)
+	b = append(b, ",\n \"scheduler\": "...)
+	b = appendJSONString(b, t.Scheduler)
+	b = append(b, ",\n \"seed\": "...)
+	b = strconv.AppendInt(b, t.Seed, 10)
+	b = append(b, ",\n \"faults\": "...)
+	b = appendFaults(b, t.Faults)
+	b = append(b, ",\n \"decisions\": "...)
+	switch {
+	case t.Decisions == nil:
+		b = append(b, "null"...)
+	case len(t.Decisions) == 0:
+		b = append(b, "[]"...)
+	default:
+		for i, d := range t.Decisions {
+			d, ok := d.carried()
+			if !ok {
+				return nil, fmt.Errorf("core: encoding trace: decision %d: cannot marshal decision kind %q", i, byte(d.Kind))
+			}
+			if i == 0 {
+				b = append(b, "[\n  {\n   \"k\": \""...)
+			} else {
+				b = append(b, ",\n  {\n   \"k\": \""...)
+			}
+			b = append(b, byte(d.Kind), '"')
+			if d.Machine != 0 {
+				b = append(b, ",\n   \"m\": "...)
+				b = strconv.AppendInt(b, int64(int32(d.Machine)), 10)
+			}
+			if d.Bool {
+				b = append(b, ",\n   \"b\": true"...)
+			}
+			if d.Int != 0 {
+				b = append(b, ",\n   \"v\": "...)
+				b = strconv.AppendInt(b, int64(d.Int), 10)
+			}
+			if d.N != 0 {
+				b = append(b, ",\n   \"n\": "...)
+				b = strconv.AppendInt(b, int64(d.N), 10)
+			}
+			b = append(b, "\n  }"...)
+		}
+		b = append(b, "\n ]"...)
+	}
+	return append(b, "\n}"...), nil
+}
+
+// appendFaults appends the budget as MarshalIndent lays out the omitempty
+// Faults struct one level deep: its nonzero members, or "{}" for none.
+func appendFaults(b []byte, f Faults) []byte {
+	members := [...]struct {
+		name string
+		v    int
+	}{{"crashes", f.MaxCrashes}, {"drops", f.MaxDrops}, {"dups", f.MaxDuplicates}, {"torn", f.MaxTornCrashes}}
+	sep := byte('{')
+	for _, m := range members {
+		if m.v == 0 {
+			continue
+		}
+		b = append(b, sep, '\n', ' ', ' ', '"')
+		b = append(b, m.name...)
+		b = append(b, "\": "...)
+		b = strconv.AppendInt(b, int64(m.v), 10)
+		sep = ','
+	}
+	if sep == '{' {
+		return append(b, "{}"...)
+	}
+	return append(b, "\n }"...)
+}
+
+// appendJSONString appends s as a JSON string exactly as encoding/json
+// writes it: HTML-escaped (<, > and & as \u00XX), control characters as
+// their short escapes or \u00XX, invalid UTF-8 as \ufffd, and U+2028 and
+// U+2029 escaped.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
+
+// traceWire is the wire form DecodeTrace fills with one json.Unmarshal:
+// Trace's members under the same names, and each decision as its compact
+// wire record rather than through Decision.UnmarshalJSON, which re-entered
+// encoding/json once per decision.
+type traceWire struct {
+	Version   int                 `json:"version"`
+	Test      string              `json:"test"`
+	Scheduler string              `json:"scheduler"`
+	Seed      int64               `json:"seed"`
+	Faults    Faults              `json:"faults"`
+	Decisions []traceDecisionJSON `json:"decisions"`
 }
 
 // DecodeTrace parses a trace previously produced by Encode. Decoding is
@@ -156,21 +299,44 @@ func (t *Trace) Encode() ([]byte, error) {
 // a fault decision kind inside a version-0 trace are all errors — a trace
 // that cannot be fully understood cannot be faithfully replayed.
 func DecodeTrace(data []byte) (*Trace, error) {
-	var t Trace
-	if err := json.Unmarshal(data, &t); err != nil {
+	var w traceWire
+	// Every decision Encode writes carries a "k" member, so counting them
+	// sizes the wire slice once instead of growing it by doubling. The
+	// count is only a capacity — encoding/json fills the slice either way —
+	// bounded by the ten bytes the shortest decision takes.
+	if n := min(bytes.Count(data, []byte(`"k"`)), len(data)/10); n > 0 {
+		w.Decisions = make([]traceDecisionJSON, 0, n)
+	}
+	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("core: decoding trace: %w", err)
+	}
+	if len(w.Decisions) == 0 && cap(w.Decisions) > 0 {
+		// No "decisions" member at all left the presized slice in place;
+		// absent decodes to nil, as null does ("[]" arrives with cap 0).
+		w.Decisions = nil
+	}
+	t := &Trace{Version: w.Version, Test: w.Test, Scheduler: w.Scheduler, Seed: w.Seed, Faults: w.Faults}
+	if w.Decisions != nil {
+		t.Decisions = make([]Decision, len(w.Decisions))
+	}
+	for i, j := range w.Decisions {
+		d, err := j.decision()
+		if err != nil {
+			return nil, fmt.Errorf("core: decoding trace: %w", err)
+		}
+		t.Decisions[i] = d
 	}
 	if t.Version < 0 || t.Version > TraceVersion {
 		return nil, fmt.Errorf("core: decoding trace: unknown trace version %d (this build understands 0..%d)",
 			t.Version, TraceVersion)
 	}
-	// Unknown kinds were already rejected by Decision.UnmarshalJSON; what
-	// remains is version gating: a kind needs the version that introduced it.
+	// What remains is version gating: a kind needs the version that
+	// introduced it.
 	for i, d := range t.Decisions {
 		if need := int(decisionKinds[d.Kind].version); t.Version < need {
 			return nil, fmt.Errorf("core: decoding trace: decision %d kind %q requires trace version >= %d, trace declares %d",
 				i, string(d.Kind), need, t.Version)
 		}
 	}
-	return &t, nil
+	return t, nil
 }

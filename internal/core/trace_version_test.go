@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -222,8 +223,17 @@ func TestFaultDecisionJSONRoundTrip(t *testing.T) {
 // whatever bytes it is handed: it never panics, and a trace it accepts is one
 // this build fully understands — its decision kinds are admissible at the
 // version it declares, and it re-encodes (at the current version) and decodes
-// again to the same trace.
+// again to the same trace. It also holds the hand-rolled encoder to its
+// oracle: whatever trace DecodeTrace accepts, Encode writes referenceEncode's
+// bytes for it.
 func FuzzDecodeTrace(f *testing.F) {
+	for _, tr := range []*Trace{codecTrace(f, 40), escapesTrace()} {
+		seed, err := referenceEncode(tr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
 	f.Add([]byte(legacyTraceFixture))
 	f.Add([]byte(faultEraTraceFixture))
 	fresh, err := newTrace("x", "random", 42, Faults{MaxCrashes: 1, MaxDrops: 1, MaxDuplicates: 1, MaxTornCrashes: 1}, []Decision{
@@ -263,6 +273,9 @@ func FuzzDecodeTrace(f *testing.F) {
 		enc, err := tr.Encode()
 		if err != nil {
 			t.Fatalf("accepted trace does not re-encode: %v\n%s", err, data)
+		}
+		if ref, err := referenceEncode(tr); err != nil || !bytes.Equal(enc, ref) {
+			t.Fatalf("Encode differs from encoding/json (%v):\n got %q\nwant %q", err, enc, ref)
 		}
 		again, err := DecodeTrace(enc)
 		if err != nil {

@@ -18,7 +18,7 @@ func applyBatch(t *testing.T, e *seqEnv, specs []opSpec) {
 		rtOps[i] = buildOp(s, e.rtETags)
 	}
 	vtRes, vtErr := e.mt.ExecuteBatch(vtOps)
-	rtRes, rtErr := e.rt.ExecuteBatch(rtOps)
+	rtRes, rtErr := e.rt.ExecuteBatch(nil, rtOps)
 	if ErrorCode(vtErr) != ErrorCode(rtErr) {
 		t.Fatalf("batch %v diverged: vt=%v rt=%v", specs, vtErr, rtErr)
 	}

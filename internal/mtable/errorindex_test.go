@@ -96,14 +96,14 @@ func TestRefTableReportsLowestFailingIndex(t *testing.T) {
 	rt := NewRefTable()
 	cur := map[string]int64{}
 	for _, row := range []string{"k0", "k1", "k2"} {
-		res, err := rt.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{"P", row}, Props: Props(Prop{"v", int64(1)})}})
+		res, err := rt.ExecuteBatch(nil, []Operation{{Kind: OpInsert, Key: Key{"P", row}, Props: Props(Prop{"v", int64(1)})}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cur[row] = res[0].ETag
 	}
 	for _, tc := range failingBatches(cur) {
-		_, err := rt.ExecuteBatch(tc.batch)
+		_, err := rt.ExecuteBatch(nil, tc.batch)
 		checkBatchError(t, tc.name, err, tc.index, tc.err)
 	}
 }
@@ -163,7 +163,7 @@ func TestVTHandOverWindow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold-cache query in hand-over window: %v", err)
 	}
-	oracle, _ := e.rt.QueryAtomic(Query{Partition: "P"})
+	oracle, _ := e.rt.QueryAtomic(nil, Query{Partition: "P"})
 	if len(rows) != len(oracle) {
 		t.Fatalf("cold-cache query diverged: vt=%d rows, oracle=%d rows", len(rows), len(oracle))
 	}

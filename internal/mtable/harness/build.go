@@ -158,10 +158,10 @@ func seedImage(n int) seededImage {
 		panic("harness: initializing migration: " + err.Error())
 	}
 	for i, r := range seedRows[:n] {
-		if _, err := img.old.ExecuteBatch([]mtable.Operation{{Kind: mtable.OpInsert, Key: r.key, Props: r.backend}}); err != nil {
+		if _, err := img.old.ExecuteBatch(nil, []mtable.Operation{{Kind: mtable.OpInsert, Key: r.key, Props: r.backend}}); err != nil {
 			panic("harness: seeding old table: " + err.Error())
 		}
-		res, err := img.rt.ExecuteBatch([]mtable.Operation{{Kind: mtable.OpInsert, Key: r.key, Props: r.props}})
+		res, err := img.rt.ExecuteBatch(nil, []mtable.Operation{{Kind: mtable.OpInsert, Key: r.key, Props: r.props}})
 		if err != nil {
 			panic("harness: seeding reference table: " + err.Error())
 		}

@@ -28,7 +28,7 @@ type undecidedService struct{ *serviceMachine }
 
 func (u *undecidedService) Handle(ctx *core.Context, ev core.Event) {
 	u.stub.ctx = ctx
-	if _, err := u.stub.old.QueryAtomic(mtable.Query{Partition: Partition}); err != nil {
+	if _, err := u.stub.old.QueryAtomic(nil, mtable.Query{Partition: Partition}); err != nil {
 		ctx.Assert(false, "query failed: %v", err)
 	}
 	u.serviceMachine.Handle(ctx, ev)

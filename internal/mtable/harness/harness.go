@@ -45,14 +45,14 @@ const (
 //
 // The request/response/decision protocol runs on every backend operation
 // (about a hundred round trips per execution), so its events are records
-// that are recycled, sent by pointer: every stubClient owns one backendReq
-// and one lpDecision, the Tables machine owns one backendResp. Exactly one
-// of each is live at a time — a client is synchronous (it waits for the
-// response before it can decide or ask again) and the Tables machine
-// serves one request at a time, deferring every other event until that
-// request's decision — and the engine runs one machine at a time, so a
-// record is only rewritten after its one reader is done with it, PROVIDED
-// the reader obeys the ownership rule:
+// that are recycled, sent by pointer: every stubClient owns one backendReq,
+// one lpDecision and one rtResult, the Tables machine owns one backendResp.
+// Exactly one of each is live at a time — a client is synchronous (it
+// waits for the response before it can decide or ask again) and the Tables
+// machine serves one request at a time, deferring every other event until
+// that request's decision — and the engine runs one machine at a time, so
+// a record is only rewritten after its one reader is done with it,
+// PROVIDED the reader obeys the ownership rule:
 //
 //	A receiver copies what it needs from a peer-owned record before its
 //	next scheduling point (Send, Receive, a random choice).
@@ -61,7 +61,10 @@ const (
 // response: once that Send yields, the client may run, settle, and refill
 // the same record for its next request. TestStubRecordsSurviveReuse holds
 // the rule under two clients queued behind a Tables machine that awaits a
-// decision. Everything else (rtResult, the stream events) is sent fresh.
+// decision. Two records travel the other way: the Tables machine appends an
+// operation's answer to the buffers the request names (Rows, Results) and
+// writes a linearization point's outcome into the client's rtResult, both
+// while the client awaits them. The stream events are sent fresh.
 
 // reqKind selects a backendReq's payload.
 type reqKind uint8
@@ -82,6 +85,10 @@ type backendReq struct {
 	Batch []mtable.Operation
 	Query mtable.Query
 	Page  pageReq
+	// Rows and Results are the caller's buffers the answer is appended to
+	// (see mtable.Backend).
+	Rows    []mtable.Row
+	Results []mtable.OpResult
 }
 
 type pageReq struct {
@@ -107,18 +114,22 @@ func (*backendResp) Name() string { return "BackendResp" }
 // lpDecision reports whether the identified backend operation was the
 // linearization point of the logical operation in progress. Owned by the
 // sending stubClient. Request ids are per-client counters (every client's
-// first request is 1), so a decision is identified by (From, ID).
+// first request is 1), so a decision is identified by (From, ID). At a
+// linearization point, Logical is the logical operation and Out the
+// client's record the Tables machine writes its outcome into.
 type lpDecision struct {
 	ID      int64
 	From    core.MachineID
 	IsLP    bool
 	Logical *logicalOp
+	Out     *rtResult
 }
 
 func (*lpDecision) Name() string { return "LPDecision" }
 
 // rtResult carries the reference table's outcome of a logical operation
-// applied at its linearization point.
+// applied at its linearization point. Owned by the client the outcome is
+// for, which does not touch it while it awaits one.
 type rtResult struct {
 	ID      int64
 	Results []mtable.OpResult
@@ -137,6 +148,8 @@ func (streamOpenReq) Name() string { return "StreamOpenReq" }
 type streamOpenResp struct{ Seq int64 }
 
 func (streamOpenResp) Name() string { return "StreamOpenResp" }
+
+func isStreamOpenResp(ev core.Event) bool { return ev.Name() == "StreamOpenResp" }
 
 // streamValidate submits a finished stream's output for history checking.
 type streamValidate struct {
@@ -245,11 +258,11 @@ func (t *tablesMachine) handleBackendReq(ctx *core.Context, req *backendReq) {
 	*resp = backendResp{ID: id}
 	switch req.Kind {
 	case reqBatch:
-		resp.Results, resp.Err = table.ExecuteBatch(req.Batch)
+		resp.Results, resp.Err = table.ExecuteBatch(req.Results, req.Batch)
 	case reqQuery:
-		resp.Rows, resp.Err = table.QueryAtomic(req.Query)
+		resp.Rows, resp.Err = table.QueryAtomic(req.Rows, req.Query)
 	case reqPage:
-		resp.Rows, resp.Err = table.FetchPage(req.Page.Partition, req.Page.After, req.Page.Filter, req.Page.Limit)
+		resp.Rows, resp.Err = table.FetchPage(req.Rows, req.Page.Partition, req.Page.After, req.Page.Filter, req.Page.Limit)
 	default:
 		ctx.Assert(false, "malformed backend request %+v", *req)
 	}
@@ -267,12 +280,14 @@ func (t *tablesMachine) handleDecision(ctx *core.Context, dec *lpDecision) {
 	if !dec.IsLP {
 		return
 	}
-	out := &rtResult{ID: dec.ID}
+	// The outcome goes into the client's record, its buffers reused.
+	out := dec.Out
+	*out = rtResult{ID: dec.ID, Results: out.Results[:0], Rows: out.Rows[:0]}
 	if dec.Logical.IsQuery {
-		rows, err := t.rt.QueryAtomic(dec.Logical.Query)
+		rows, err := t.rt.QueryAtomic(out.Rows, dec.Logical.Query)
 		out.Rows, out.ErrCode = rows, mtable.ErrorCode(err)
 	} else {
-		results, err := t.rt.ExecuteBatch(dec.Logical.Batch)
+		results, err := t.rt.ExecuteBatch(out.Results, dec.Logical.Batch)
 		out.Results, out.ErrCode = results, mtable.ErrorCode(err)
 		if err == nil {
 			for _, op := range dec.Logical.Batch {
@@ -308,34 +323,39 @@ type stubClient struct {
 	// inLogical says there is one.
 	logical   logicalOp
 	inLogical bool
-	// lastRT is the RT outcome captured at the linearization point.
-	lastRT *rtResult
+	// haveRT says rt holds the RT outcome captured at the linearization
+	// point.
+	haveRT bool
 
-	// req and dec are the client's request and decision records (see the
-	// ownership rule above); old and new are its two table sides.
+	// req, dec and rt are the client's request, decision and outcome
+	// records (see the ownership rule above); old and new are its two
+	// table sides.
 	req      backendReq
 	dec      lpDecision
+	rt       rtResult
 	old, new stubBackend
-	// awaitID is the request id the two reply predicates accept. Replies
-	// arrive in this client's own inbox and only the Tables machine sends
-	// them, so the id alone identifies one.
+	// awaitID is the request id the reply predicate accepts: the response
+	// to request awaitID, or its RT outcome — never both at once, as the
+	// outcome follows a decision sent after the response was read.
+	// Replies arrive in this client's own inbox and only the Tables
+	// machine sends them, so the id alone identifies one.
 	awaitID int64
-	isResp  func(core.Event) bool
-	isRT    func(core.Event) bool
+	awaits  func(core.Event) bool
 }
 
-// init wires the client to the Tables machine and builds its predicates.
+// init wires the client to the Tables machine and builds its predicate.
 func (c *stubClient) init(tablesID core.MachineID) {
 	c.tablesID = tablesID
 	c.old = stubBackend{c: c, table: tableOld}
 	c.new = stubBackend{c: c, table: tableNew}
-	c.isResp = func(ev core.Event) bool {
-		r, ok := ev.(*backendResp)
-		return ok && r.ID == c.awaitID
-	}
-	c.isRT = func(ev core.Event) bool {
-		r, ok := ev.(*rtResult)
-		return ok && r.ID == c.awaitID
+	c.awaits = func(ev core.Event) bool {
+		switch r := ev.(type) {
+		case *backendResp:
+			return r.ID == c.awaitID
+		case *rtResult:
+			return r.ID == c.awaitID
+		}
+		return false
 	}
 }
 
@@ -359,7 +379,7 @@ func (c *stubClient) roundTrip() ([]mtable.OpResult, []mtable.Row, error) {
 		desc = fmt.Sprintf("BackendResp(%d)", id)
 	}
 	c.awaitID = id
-	resp := c.ctx.ReceiveWhere(desc, c.isResp).(*backendResp)
+	resp := c.ctx.ReceiveWhere(desc, c.awaits).(*backendResp)
 	c.pending = id
 	return resp.Results, resp.Rows, resp.Err
 }
@@ -368,7 +388,7 @@ func (c *stubClient) roundTrip() ([]mtable.OpResult, []mtable.Row, error) {
 func (c *stubClient) decide(id int64, isLP bool) {
 	c.dec = lpDecision{ID: id, From: c.ctx.ID(), IsLP: isLP}
 	if isLP {
-		c.dec.Logical = &c.logical
+		c.dec.Logical, c.dec.Out = &c.logical, &c.rt
 	}
 	c.ctx.Send(c.tablesID, &c.dec)
 }
@@ -397,24 +417,28 @@ func (c *stubClient) LP() {
 		desc = fmt.Sprintf("RTResult(%d)", id)
 	}
 	c.awaitID = id
-	c.lastRT = c.ctx.ReceiveWhere(desc, c.isRT).(*rtResult)
+	c.ctx.ReceiveWhere(desc, c.awaits)
+	c.haveRT = true
 }
 
 // begin arms the client for a new logical operation.
 func (c *stubClient) begin(l logicalOp) {
 	c.settle()
 	c.logical, c.inLogical = l, true
-	c.lastRT = nil
+	c.haveRT = false
 }
 
 // finish tears down the logical operation, returning the RT outcome (nil
-// if no linearization point was reported).
+// if no linearization point was reported): the client's own record, good
+// until its next logical operation.
 func (c *stubClient) finish() *rtResult {
 	c.settle()
-	out := c.lastRT
 	c.logical, c.inLogical = logicalOp{}, false
-	c.lastRT = nil
-	return out
+	if !c.haveRT {
+		return nil
+	}
+	c.haveRT = false
+	return &c.rt
 }
 
 // stubBackend adapts one table side of a stubClient to mtable.Backend.
@@ -423,20 +447,23 @@ type stubBackend struct {
 	table int
 }
 
-func (b *stubBackend) ExecuteBatch(batch []mtable.Operation) ([]mtable.OpResult, error) {
-	b.c.request(b.table, reqBatch).Batch = batch
+func (b *stubBackend) ExecuteBatch(dst []mtable.OpResult, batch []mtable.Operation) ([]mtable.OpResult, error) {
+	req := b.c.request(b.table, reqBatch)
+	req.Batch, req.Results = batch, dst
 	results, _, err := b.c.roundTrip()
 	return results, err
 }
 
-func (b *stubBackend) QueryAtomic(q mtable.Query) ([]mtable.Row, error) {
-	b.c.request(b.table, reqQuery).Query = q
+func (b *stubBackend) QueryAtomic(dst []mtable.Row, q mtable.Query) ([]mtable.Row, error) {
+	req := b.c.request(b.table, reqQuery)
+	req.Query, req.Rows = q, dst
 	_, rows, err := b.c.roundTrip()
 	return rows, err
 }
 
-func (b *stubBackend) FetchPage(partition, after string, filter *mtable.Filter, limit int) ([]mtable.Row, error) {
-	b.c.request(b.table, reqPage).Page = pageReq{Partition: partition, After: after, Filter: filter, Limit: limit}
+func (b *stubBackend) FetchPage(dst []mtable.Row, partition, after string, filter *mtable.Filter, limit int) ([]mtable.Row, error) {
+	req := b.c.request(b.table, reqPage)
+	req.Page, req.Rows = pageReq{Partition: partition, After: after, Filter: filter, Limit: limit}, dst
 	_, rows, err := b.c.roundTrip()
 	return rows, err
 }

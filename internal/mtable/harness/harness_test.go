@@ -233,9 +233,9 @@ func TestExecutionsStartFromTheSeededImage(t *testing.T) {
 					ctx.Assert(false, "execution's tables with %d seed rows differ from a freshly seeded image", n+1)
 				}
 				for _, tbl := range []*mtable.RefTable{tables.old, tables.new, tables.rt} {
-					rows, _ := tbl.QueryAtomic(mtable.Query{Partition: Partition})
+					rows, _ := tbl.QueryAtomic(nil, mtable.Query{Partition: Partition})
 					for _, r := range rows {
-						if _, err := tbl.ExecuteBatch([]mtable.Operation{{Kind: mtable.OpReplace, Key: r.Key, Props: vProps(99), ETag: mtable.ETagAny}}); err != nil {
+						if _, err := tbl.ExecuteBatch(nil, []mtable.Operation{{Kind: mtable.OpReplace, Key: r.Key, Props: vProps(99), ETag: mtable.ETagAny}}); err != nil {
 							ctx.Assert(false, "rewriting %v: %v", r.Key, err)
 						}
 						tables.hist.Record(1, r.Key, vProps(99))

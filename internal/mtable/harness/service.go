@@ -48,6 +48,10 @@ type serviceMachine struct {
 	// script, when non-nil, replaces the random workload with a fixed
 	// action sequence (the paper's custom test cases for rare-input bugs).
 	script []scriptStep
+	// vtOps and rtOps hold a write batch, as the virtual and the reference
+	// table see it, for the length of one logical operation: neither table
+	// keeps a batch it executes (TestBuffersAreNotKept).
+	vtOps, rtOps [2]mtable.Operation
 }
 
 // scriptStep is one fixed action of a custom test case.
@@ -95,7 +99,8 @@ func (s *serviceMachine) runStep(ctx *core.Context, step scriptStep) {
 	case step.write != nil:
 		op := *step.write
 		op.Key.Partition = Partition
-		s.runBatch(ctx, []mtable.Operation{op}, []mtable.Operation{op})
+		s.vtOps[0], s.rtOps[0] = op, op
+		s.runBatch(ctx, s.vtOps[:1], s.rtOps[:1])
 	case step.query:
 		s.runQueryWith(ctx, step.filter)
 	case step.stream:
@@ -138,10 +143,11 @@ func (s *serviceMachine) pickETags(ctx *core.Context, row int) (vt, rt int64) {
 	}
 }
 
-// buildWriteOps generates n distinct-row operations of the given kind,
-// rendered for both sides (which share the payloads: they are immutable).
+// buildWriteOps generates n (at most 2) distinct-row operations of the
+// given kind, rendered for both sides (which share the payloads: they are
+// immutable), in the service's batch buffers.
 func (s *serviceMachine) buildWriteOps(ctx *core.Context, kind mtable.OpKind, n int) (vtOps, rtOps []mtable.Operation) {
-	vtOps, rtOps = make([]mtable.Operation, n), make([]mtable.Operation, n)
+	vtOps, rtOps = s.vtOps[:n], s.rtOps[:n]
 	used := 0 // bit i: rowPool[i] already taken by this batch
 	for i := 0; i < n; i++ {
 		row := ctx.RandomInt(len(rowPool))
@@ -282,13 +288,16 @@ func (s *serviceMachine) runStreamWith(ctx *core.Context, filter *mtable.Filter)
 	q := mtable.Query{Partition: Partition, Filter: filter}
 	s.stub.settle()
 	s.stub.ctx.Send(s.stub.tablesID, streamOpenReq{From: ctx.ID()})
-	open := ctx.Receive("StreamOpenResp").(streamOpenResp)
+	// ctx.Receive("StreamOpenResp"), without the predicate it builds per call.
+	open := ctx.ReceiveWhere("[StreamOpenResp]", isStreamOpenResp).(streamOpenResp)
 
 	stream, err := s.mt.QueryStream(q)
 	if err != nil {
 		ctx.Assert(false, "%s: stream open failed: %v", s.name, err)
 	}
-	var rows []mtable.Row
+	// The rows travel to the Tables machine, which checks them later: a
+	// fresh slice, sized for the key space.
+	rows := make([]mtable.Row, 0, len(rowPool))
 	for {
 		row, ok, err := stream.Next()
 		if err != nil {

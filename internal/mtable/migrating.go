@@ -1,8 +1,8 @@
 package mtable
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 )
 
 // MigratingTable is the virtual table (VT): it presents the chain-table
@@ -27,7 +27,21 @@ type MigratingTable struct {
 	instance int64
 	vetagSeq int64
 
-	cache map[string]*partitionCache
+	// caches holds the cached state of each partition the instance has
+	// used, first in cacheBuf: one partition costs no allocation.
+	caches   []partitionCache
+	cacheBuf [1]partitionCache
+
+	// The instance's backend buffers (see Backend): oldRows and newRows
+	// hold one attempt's pre-reads of the old and the new table, which it
+	// uses together; pointRows holds single-row reads (metadata, a stream's
+	// point checks), each done with before the next. ops is the backend
+	// batch an attempt commits (sized for it before it is built), which no
+	// backend keeps, and results its answer, which the instance does not
+	// read.
+	oldRows, newRows, pointRows []Row
+	ops                         []Operation
+	results                     []OpResult
 }
 
 // vetagProp stores the virtual etag on backend rows.
@@ -54,15 +68,16 @@ func NewMigratingTable(old, new Backend, guard *StreamGuard, instance int64, bug
 	if rep == nil {
 		rep = NopReporter
 	}
-	return &MigratingTable{
+	mt := &MigratingTable{
 		old:      old,
 		new:      new,
 		guard:    guard,
 		bugs:     bugs,
 		rep:      rep,
 		instance: instance,
-		cache:    make(map[string]*partitionCache),
 	}
+	mt.caches = mt.cacheBuf[:0]
+	return mt
 }
 
 // freshVETag mints a new virtual etag, unique across instances.
@@ -71,20 +86,44 @@ func (mt *MigratingTable) freshVETag() int64 {
 	return mt.instance<<32 | mt.vetagSeq
 }
 
-// cacheFor returns (creating if needed) the partition's cached state.
+// cacheFor returns (creating if needed) the partition's cached state. The
+// pointer is good until the instance first uses another partition, which
+// no operation on this one does.
 func (mt *MigratingTable) cacheFor(partition string) *partitionCache {
-	c := mt.cache[partition]
-	if c == nil {
-		c = &partitionCache{}
-		mt.cache[partition] = c
+	for i := range mt.caches {
+		if mt.caches[i].partition == partition {
+			return &mt.caches[i]
+		}
 	}
-	return c
+	mt.caches = append(mt.caches, partitionCache{partition: partition})
+	return &mt.caches[len(mt.caches)-1]
+}
+
+// read appends backend's answer to q to the read buffer *buf, which keeps
+// the storage for the next read into it, and returns the rows.
+func read(backend Backend, buf *[]Row, q Query) ([]Row, error) {
+	rows, err := backend.QueryAtomic((*buf)[:0], q)
+	*buf = rows
+	return rows, err
+}
+
+// commit executes a backend batch, whose results the instance does not
+// read.
+func (mt *MigratingTable) commit(backend Backend, ops []Operation) error {
+	var err error
+	mt.results, err = backend.ExecuteBatch(mt.results[:0], ops)
+	return err
+}
+
+// metaQuery is the point read of a partition's metadata row.
+func metaQuery(partition string) Query {
+	return Query{Partition: partition, RowFrom: metaRowKey, RowTo: metaRowKey}
 }
 
 // refreshCache re-reads the partition's migration metadata.
 func (mt *MigratingTable) refreshCache(partition string) error {
 	c := mt.cacheFor(partition)
-	metaRows, err := mt.new.QueryAtomic(Query{Partition: partition, RowFrom: metaRowKey, RowTo: metaRowKey})
+	metaRows, err := read(mt.new, &mt.pointRows, metaQuery(partition))
 	if err != nil {
 		return err
 	}
@@ -97,7 +136,7 @@ func (mt *MigratingTable) refreshCache(partition string) error {
 	}
 	c.phase, c.version, c.valid = phase, version, true
 	if phase == PhasePreferOld {
-		oldMeta, err := mt.old.QueryAtomic(Query{Partition: partition, RowFrom: metaRowKey, RowTo: metaRowKey})
+		oldMeta, err := read(mt.old, &mt.pointRows, metaQuery(partition))
 		if err != nil {
 			return err
 		}
@@ -277,7 +316,7 @@ func metaOf(rows []Row) *Row {
 // check logical conditions, then commit a guarded backend batch to the old
 // table. Returns (results, logicalErr, retry, fatalErr).
 func (mt *MigratingTable) executeOld(partition string, batch []Operation, c *partitionCache) ([]OpResult, error, bool, error) {
-	rows, err := mt.old.QueryAtomic(Query{Partition: partition})
+	rows, err := read(mt.old, &mt.oldRows, Query{Partition: partition})
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -307,7 +346,8 @@ func (mt *MigratingTable) executeOld(partition string, batch []Operation, c *par
 	// Logical condition checks against the snapshot; a failure here is the
 	// logical outcome, linearized at the pre-read.
 	results := make([]OpResult, len(batch))
-	backendOps := make([]Operation, 0, len(batch)+1)
+	mt.ops = slices.Grow(mt.ops[:0], len(batch)+1)
+	backendOps := mt.ops
 	if ensureSwitched {
 		// The old table's meta row etag changes when the migrator
 		// switches the partition, failing this batch so we re-route.
@@ -329,7 +369,7 @@ func (mt *MigratingTable) executeOld(partition string, batch []Operation, c *par
 		}
 		results[i] = OpResult{ETag: vetag}
 	}
-	if _, err := mt.old.ExecuteBatch(backendOps); err != nil {
+	if err := mt.commit(mt.old, backendOps); err != nil {
 		if isBatchError(err) {
 			// Guard failure or a race on a row since the pre-read: retry.
 			return nil, nil, true, nil
@@ -392,12 +432,12 @@ func (mt *MigratingTable) executeNew(partition string, batch []Operation, c *par
 	oldAnnounced := PhasePreferOld
 	if c.phase == PhasePreferNew {
 		var err error
-		if oldRows, err = mt.old.QueryAtomic(Query{Partition: partition}); err != nil {
+		if oldRows, err = read(mt.old, &mt.oldRows, Query{Partition: partition}); err != nil {
 			return nil, nil, false, err
 		}
 		oldAnnounced = announcedPhase(oldRows)
 	}
-	newRows, err := mt.new.QueryAtomic(Query{Partition: partition})
+	newRows, err := read(mt.new, &mt.newRows, Query{Partition: partition})
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -431,8 +471,8 @@ func (mt *MigratingTable) executeNew(partition string, batch []Operation, c *par
 	if mt.bugs.Has(BugTombstoneOutputETag) {
 		tombstoneETags = make(map[int]int64)
 	}
-	backendOps := make([]Operation, 1, len(batch)+1)
-	backendOps[0] = Operation{Kind: OpCheck, Key: metaKeyFor(partition), ETag: meta.ETag}
+	mt.ops = slices.Grow(mt.ops[:0], len(batch)+1)
+	backendOps := append(mt.ops, Operation{Kind: OpCheck, Key: metaKeyFor(partition), ETag: meta.ETag})
 	for i, op := range batch {
 		r := residentOf(op.Key, newRows, oldRows, c.phase)
 		if condErr := checkUserCondition(op, r); condErr != nil {
@@ -448,7 +488,7 @@ func (mt *MigratingTable) executeNew(partition string, batch []Operation, c *par
 			tombstoneETags[i] = r.backend
 		}
 	}
-	if _, err := mt.new.ExecuteBatch(backendOps); err != nil {
+	if err := mt.commit(mt.new, backendOps); err != nil {
 		if isBatchError(err) {
 			return nil, nil, true, nil
 		}
@@ -559,8 +599,8 @@ func (mt *MigratingTable) translateNew(op Operation, r resident, phase Phase) (b
 // isBatchError reports whether err is an atomic batch failure (guard
 // violation or row race) as opposed to an infrastructure error.
 func isBatchError(err error) bool {
-	var be *BatchError
-	return errors.As(err, &be)
+	_, ok := asBatchError(err)
+	return ok
 }
 
 // QueryAtomic returns a consistent snapshot of the virtual partition.
@@ -597,7 +637,7 @@ func (mt *MigratingTable) queryOnce(q Query, c *partitionCache) ([]Row, bool, er
 	}
 
 	if c.phase == PhasePreferOld {
-		rows, err := mt.old.QueryAtomic(backendQuery)
+		rows, err := read(mt.old, &mt.oldRows, backendQuery)
 		if err != nil {
 			return nil, false, err
 		}
@@ -612,12 +652,12 @@ func (mt *MigratingTable) queryOnce(q Query, c *partitionCache) ([]Row, bool, er
 	oldAnnounced := PhasePreferOld
 	if c.phase == PhasePreferNew {
 		var err error
-		if oldRows, err = mt.old.QueryAtomic(backendQuery); err != nil {
+		if oldRows, err = read(mt.old, &mt.oldRows, backendQuery); err != nil {
 			return nil, false, err
 		}
 		oldAnnounced = announcedPhase(oldRows)
 	}
-	newRows, err := mt.new.QueryAtomic(backendQuery)
+	newRows, err := read(mt.new, &mt.newRows, backendQuery)
 	if err != nil {
 		return nil, false, err
 	}
@@ -650,7 +690,7 @@ func announcedPhase(oldRows []Row) Phase {
 func (mt *MigratingTable) validateMetaForQuery(backend Backend, partition string, rows []Row, pushdown bool, c *partitionCache, want, oldAnnounced Phase) (*Row, bool, error) {
 	var meta *Row
 	if pushdown {
-		metaRows, err := backend.QueryAtomic(Query{Partition: partition, RowFrom: metaRowKey, RowTo: metaRowKey})
+		metaRows, err := read(backend, &mt.pointRows, metaQuery(partition))
 		if err != nil {
 			return nil, false, err
 		}

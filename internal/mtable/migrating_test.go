@@ -46,10 +46,10 @@ func newSeqEnv(t *testing.T, bugs Bugs, seed map[string]map[string]int64) *seqEn
 		vetag := int64(7)<<32 | i
 		p := PropsFromMap(cols)
 		backend := SeedBackendRow(p, vetag)
-		if _, err := e.old.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{e.partition, row}, Props: backend}}); err != nil {
+		if _, err := e.old.ExecuteBatch(nil, []Operation{{Kind: OpInsert, Key: Key{e.partition, row}, Props: backend}}); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.rt.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{e.partition, row}, Props: p}})
+		res, err := e.rt.ExecuteBatch(nil, []Operation{{Kind: OpInsert, Key: Key{e.partition, row}, Props: p}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func buildOp(s opSpec, etags map[string]int64) Operation {
 func (e *seqEnv) apply(s opSpec) {
 	e.t.Helper()
 	vtRes, vtErr := e.mt.ExecuteBatch([]Operation{buildOp(s, e.vtETags)})
-	rtRes, rtErr := e.rt.ExecuteBatch([]Operation{buildOp(s, e.rtETags)})
+	rtRes, rtErr := e.rt.ExecuteBatch(nil, []Operation{buildOp(s, e.rtETags)})
 	if ErrorCode(vtErr) != ErrorCode(rtErr) {
 		e.t.Fatalf("op %+v diverged: vt=%v rt=%v", s, vtErr, rtErr)
 	}
@@ -140,7 +140,7 @@ func (e *seqEnv) compareQuery(q Query) {
 	if err != nil {
 		e.t.Fatalf("vt query: %v", err)
 	}
-	rtRows, err := e.rt.QueryAtomic(q)
+	rtRows, err := e.rt.QueryAtomic(nil, q)
 	if err != nil {
 		e.t.Fatalf("rt query: %v", err)
 	}
@@ -246,7 +246,7 @@ func TestVTTwoInstancesStayConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtRows, _ := e.rt.QueryAtomic(Query{Partition: "P"})
+	rtRows, _ := e.rt.QueryAtomic(nil, Query{Partition: "P"})
 	if err := sameRows(rows, rtRows); err != nil {
 		t.Fatalf("instance 2 diverged: %v", err)
 	}
@@ -279,7 +279,7 @@ func TestVTStreamMatchesOracleWhenQuiescent(t *testing.T) {
 			got = append(got, row)
 		}
 		s.Close()
-		rtRows, _ := e.rt.QueryAtomic(Query{Partition: "P"})
+		rtRows, _ := e.rt.QueryAtomic(nil, Query{Partition: "P"})
 		if err := sameRows(got, rtRows); err != nil {
 			t.Fatalf("steps=%d: stream diverged: %v (got %v, want %v)", steps, err, got, rtRows)
 		}
@@ -311,7 +311,7 @@ func TestVTStreamSurvivesConcurrentMigration(t *testing.T) {
 		}
 		s.Close()
 		e.finish()
-		rtRows, _ := e.rt.QueryAtomic(Query{Partition: "P"})
+		rtRows, _ := e.rt.QueryAtomic(nil, Query{Partition: "P"})
 		if err := sameRows(got, rtRows); err != nil {
 			t.Fatalf("lag=%d: stream diverged: %v (got %v)", lag, err, got)
 		}

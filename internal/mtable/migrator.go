@@ -1,6 +1,9 @@
 package mtable
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Migrator is the background job that moves one partition from the old
 // backend table to the new one (§4): it switches the partition's phase,
@@ -19,10 +22,18 @@ type Migrator struct {
 	partition string
 	bugs      Bugs
 
-	state    migratorState
-	copyList []Row
-	tsList   []Row
-	idx      int
+	state migratorState
+	// work is the list the current phase walks — the rows to copy and
+	// delete, then the tombstones to clean up, each read into the first
+	// one's buffer; idx is the walk's position in it.
+	work []Row
+	idx  int
+	// meta is the metadata read's buffer, op the one-operation batch every
+	// step commits and results its answer, which the migrator does not
+	// read: no backend keeps any of them.
+	meta    []Row
+	op      [1]Operation
+	results []OpResult
 }
 
 type migratorState int
@@ -65,56 +76,50 @@ func (m *Migrator) Step() (done bool, err error) {
 			m.state = msAnnounceNew
 			return false, nil
 		}
-		if err := m.setPhase(m.old, PhasePreferNew, 2); err != nil {
+		if err := m.setPhase(m.old, PhasePreferNew); err != nil {
 			return false, err
 		}
 		m.state = msAnnounceNew
 	case msAnnounceNew:
 		// Announce the migration in the new table's metadata: clients
 		// whose cached phase is stale will fail their guards and refresh.
-		if err := m.setPhase(m.new, PhasePreferNew, 2); err != nil {
+		if err := m.setPhase(m.new, PhasePreferNew); err != nil {
 			return false, err
 		}
 		m.state = msSnapshot
 	case msSnapshot:
-		rows, err := m.old.QueryAtomic(Query{Partition: m.partition})
+		rows, err := m.old.QueryAtomic(m.work[:0], Query{Partition: m.partition})
 		if err != nil {
 			return false, err
 		}
-		m.copyList = m.copyList[:0]
-		for _, r := range rows {
-			if r.Key.Row == metaRowKey {
-				continue
-			}
-			m.copyList = append(m.copyList, r)
-		}
+		m.work = slices.DeleteFunc(rows, func(r Row) bool { return r.Key.Row == metaRowKey })
 		m.idx = 0
 		m.state = msCopy
 	case msCopy:
-		if m.idx >= len(m.copyList) {
+		if m.idx >= len(m.work) {
 			m.idx = 0
 			m.state = msDelete
 			return false, nil
 		}
-		row := m.copyList[m.idx]
+		row := m.work[m.idx]
 		m.idx++
 		// Insert-if-not-exists: a newer client write or tombstone in the
 		// new table must win over the copied original.
-		_, err := m.new.ExecuteBatch([]Operation{{Kind: OpInsert, Key: row.Key, Props: row.Props}})
+		err := m.commit(m.new, Operation{Kind: OpInsert, Key: row.Key, Props: row.Props})
 		if err != nil && !isBatchError(err) {
 			return false, err
 		}
 	case msDelete:
-		if m.idx >= len(m.copyList) {
+		if m.idx >= len(m.work) {
 			m.state = msTransition
 			return false, nil
 		}
-		row := m.copyList[m.idx]
+		row := m.work[m.idx]
 		m.idx++
 		// The old table is frozen for correct clients, so the etag
 		// condition always holds; tolerate failures anyway (a seeded bug
 		// may have mutated the old table behind us).
-		_, err := m.old.ExecuteBatch([]Operation{{Kind: OpDelete, Key: row.Key, ETag: row.ETag}})
+		err := m.commit(m.old, Operation{Kind: OpDelete, Key: row.Key, ETag: row.ETag})
 		if err != nil && !isBatchError(err) {
 			return false, err
 		}
@@ -125,7 +130,7 @@ func (m *Migrator) Step() (done bool, err error) {
 			m.state = msCleanupSnapshot
 			return false, nil
 		}
-		if err := m.setPhase(m.new, PhaseUseNewWithTombstones, 3); err != nil {
+		if err := m.setPhase(m.new, PhaseUseNewWithTombstones); err != nil {
 			return false, err
 		}
 		m.state = msAwaitStreams
@@ -137,33 +142,28 @@ func (m *Migrator) Step() (done bool, err error) {
 		}
 		m.state = msCleanupSnapshot
 	case msCleanupSnapshot:
-		rows, err := m.new.QueryAtomic(Query{Partition: m.partition})
+		rows, err := m.new.QueryAtomic(m.work[:0], Query{Partition: m.partition})
 		if err != nil {
 			return false, err
 		}
-		m.tsList = m.tsList[:0]
-		for _, r := range rows {
-			if isTombstone(r.Props) {
-				m.tsList = append(m.tsList, r)
-			}
-		}
+		m.work = slices.DeleteFunc(rows, func(r Row) bool { return !isTombstone(r.Props) })
 		m.idx = 0
 		m.state = msCleanup
 	case msCleanup:
-		if m.idx >= len(m.tsList) {
+		if m.idx >= len(m.work) {
 			m.state = msFinish
 			return false, nil
 		}
-		ts := m.tsList[m.idx]
+		ts := m.work[m.idx]
 		m.idx++
 		// Condition on the tombstone's etag: if a client insert replaced
 		// it meanwhile, the delete must not fire.
-		_, err := m.new.ExecuteBatch([]Operation{{Kind: OpDelete, Key: ts.Key, ETag: ts.ETag}})
+		err := m.commit(m.new, Operation{Kind: OpDelete, Key: ts.Key, ETag: ts.ETag})
 		if err != nil && !isBatchError(err) {
 			return false, err
 		}
 	case msFinish:
-		if err := m.setPhase(m.new, PhaseUseNew, 4); err != nil {
+		if err := m.setPhase(m.new, PhaseUseNew); err != nil {
 			return false, err
 		}
 		m.state = msDone
@@ -172,18 +172,23 @@ func (m *Migrator) Step() (done bool, err error) {
 	return m.state == msDone, nil
 }
 
-// setPhase replaces a table's metadata row with the given phase/version.
-func (m *Migrator) setPhase(backend Backend, phase Phase, version int64) error {
-	metaKey := metaKeyFor(m.partition)
-	rows, err := backend.QueryAtomic(Query{Partition: m.partition, RowFrom: metaRowKey, RowTo: metaRowKey})
+// commit executes the one-operation batch op on backend.
+func (m *Migrator) commit(backend Backend, op Operation) error {
+	m.op[0] = op
+	var err error
+	m.results, err = backend.ExecuteBatch(m.results[:0], m.op[:])
+	return err
+}
+
+// setPhase replaces a table's metadata row with the given phase's.
+func (m *Migrator) setPhase(backend Backend, phase Phase) error {
+	rows, err := read(backend, &m.meta, metaQuery(m.partition))
 	if err != nil {
 		return err
 	}
 	if len(rows) != 1 {
 		return fmt.Errorf("%w: partition %q missing metadata", ErrBadRequest, m.partition)
 	}
-	_, err = backend.ExecuteBatch([]Operation{{
-		Kind: OpReplace, Key: metaKey, Props: metaProps(phase, version), ETag: rows[0].ETag,
-	}})
+	err = m.commit(backend, Operation{Kind: OpReplace, Key: metaKeyFor(m.partition), Props: phaseMeta[phase], ETag: rows[0].ETag})
 	return err
 }

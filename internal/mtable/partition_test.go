@@ -17,7 +17,7 @@ func newTwoPartitionEnv(t *testing.T) (*MigratingTable, *Migrator, *RefTable, *R
 	}
 	for i, part := range []string{"P", "Q"} {
 		props := SeedBackendRow(Props(Prop{"v", int64(i + 1)}), int64(100+i))
-		if _, err := old.ExecuteBatch([]Operation{{Kind: OpInsert, Key: Key{part, "r1"}, Props: props}}); err != nil {
+		if _, err := old.ExecuteBatch(nil, []Operation{{Kind: OpInsert, Key: Key{part, "r1"}, Props: props}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -47,10 +47,15 @@ func metaKeyFor(partition string) Key {
 	return Key{Partition: partition, Row: metaRowKey}
 }
 
-// metaProps encodes a phase into metadata-row properties.
-func metaProps(phase Phase, version int64) Properties {
-	return Props(Prop{phaseProp, int64(phase)}, Prop{versionProp, version})
-}
+// phaseMeta[p] is the metadata row's payload in phase p: the phase and its
+// version, p+1 — every phase the migrator moves to bumps the version by one
+// — built once, as payloads are immutable.
+var phaseMeta = func() (out [PhaseUseNew + 1]Properties) {
+	for p := range out {
+		out[p] = Props(Prop{phaseProp, int64(p)}, Prop{versionProp, int64(p) + 1})
+	}
+	return out
+}()
 
 // parseMeta decodes a metadata row.
 func parseMeta(props Properties) (Phase, int64, error) {
@@ -65,7 +70,8 @@ func parseMeta(props Properties) (Phase, int64, error) {
 // partitionCache is a MigratingTable instance's cached view of one
 // partition's migration state.
 type partitionCache struct {
-	phase Phase
+	partition string
+	phase     Phase
 	// version increases on every phase transition.
 	version int64
 	valid   bool
@@ -76,10 +82,10 @@ type partitionCache struct {
 // partition before any MigratingTable touches it.
 func InitializeMigration(old, new Backend, partition string) error {
 	metaKey := metaKeyFor(partition)
-	if _, err := old.ExecuteBatch([]Operation{{Kind: OpInsert, Key: metaKey, Props: metaProps(PhasePreferOld, 1)}}); err != nil {
+	if _, err := old.ExecuteBatch(nil, []Operation{{Kind: OpInsert, Key: metaKey, Props: phaseMeta[PhasePreferOld]}}); err != nil {
 		return fmt.Errorf("seeding old meta: %w", err)
 	}
-	if _, err := new.ExecuteBatch([]Operation{{Kind: OpInsert, Key: metaKey, Props: metaProps(PhasePreferOld, 1)}}); err != nil {
+	if _, err := new.ExecuteBatch(nil, []Operation{{Kind: OpInsert, Key: metaKey, Props: phaseMeta[PhasePreferOld]}}); err != nil {
 		return fmt.Errorf("seeding new meta: %w", err)
 	}
 	return nil

@@ -35,11 +35,12 @@ func NewRefTable() *RefTable { return &RefTable{} }
 
 // Clone returns an independent copy of the table: writes to either leave
 // the other unchanged. Rows are immutable values, so only the slices that
-// hold them are copied.
+// hold them are copied, each with its original's capacity, so that a clone
+// of a seeded image takes its first inserts without growing.
 func (t *RefTable) Clone() *RefTable {
 	c := &RefTable{parts: make([]partition, len(t.parts)), etag: t.etag}
 	for i, p := range t.parts {
-		c.parts[i] = partition{name: p.name, rows: slices.Clone(p.rows)}
+		c.parts[i] = partition{name: p.name, rows: append(make([]Row, 0, cap(p.rows)), p.rows...)}
 	}
 	return c
 }
@@ -140,10 +141,11 @@ func check(op Operation, cur Row, exists bool) error {
 
 // ExecuteBatch atomically applies the batch: every precondition is checked
 // against the pre-batch state; on any failure nothing is applied and a
-// BatchError identifies the first failing operation.
-func (t *RefTable) ExecuteBatch(batch []Operation) ([]OpResult, error) {
+// BatchError identifies the first failing operation. It appends a result
+// per operation to dst (see Backend).
+func (t *RefTable) ExecuteBatch(dst []OpResult, batch []Operation) ([]OpResult, error) {
 	if err := t.validateBatch(batch); err != nil {
-		return nil, err
+		return dst, err
 	}
 	name := batch[0].Key.Partition
 	pi, havePart := t.findPartition(name)
@@ -157,7 +159,7 @@ func (t *RefTable) ExecuteBatch(batch []Operation) ([]OpResult, error) {
 			cur, exists = rows[ri], true
 		}
 		if err := check(op, cur, exists); err != nil {
-			return nil, &BatchError{Index: i, Err: err}
+			return dst, &BatchError{Index: i, Err: err}
 		}
 	}
 	// All preconditions hold; apply. (Row keys are distinct within a batch,
@@ -166,7 +168,10 @@ func (t *RefTable) ExecuteBatch(batch []Operation) ([]OpResult, error) {
 		t.parts = slices.Insert(t.parts, pi, partition{name: name})
 		rows = make([]Row, 0, 8)
 	}
-	results := make([]OpResult, len(batch))
+	n := len(dst)
+	dst = slices.Grow(dst, len(batch))[:n+len(batch)]
+	results := dst[n:]
+	clear(results)
 	for i, op := range batch {
 		ri, exists := findRow(rows, op.Key.Row)
 		props := op.Props
@@ -190,52 +195,52 @@ func (t *RefTable) ExecuteBatch(batch []Operation) ([]OpResult, error) {
 		results[i] = OpResult{ETag: row.ETag}
 	}
 	t.parts[pi].rows = rows
-	return results, nil
+	return dst, nil
 }
 
-// QueryAtomic returns a snapshot of the partition, sorted by row key, with
-// range and filter applied.
-func (t *RefTable) QueryAtomic(q Query) ([]Row, error) {
+// QueryAtomic appends a snapshot of the partition, sorted by row key, with
+// range and filter applied, to dst (see Backend).
+func (t *RefTable) QueryAtomic(dst []Row, q Query) ([]Row, error) {
 	rows := t.rows(q.Partition)
-	var out []Row
-	for i, row := range rows {
-		if !q.inRange(row.Key.Row) || !q.Filter.Matches(row.Props) {
-			continue
-		}
-		if out == nil {
-			out = make([]Row, 0, len(rows)-i)
-		}
-		out = append(out, row)
-	}
-	return out, nil
+	match := func(row Row) bool { return q.inRange(row.Key.Row) && q.Filter.Matches(row.Props) }
+	return appendRows(dst, rows, len(rows), match), nil
 }
 
-// FetchPage returns up to limit rows with key strictly greater than after,
-// reflecting the table's current state (the paged building block of
-// streamed reads).
-func (t *RefTable) FetchPage(partition, after string, filter *Filter, limit int) ([]Row, error) {
+// FetchPage appends up to limit rows with key strictly greater than after,
+// reflecting the table's current state, to dst (see Backend).
+func (t *RefTable) FetchPage(dst []Row, partition, after string, filter *Filter, limit int) ([]Row, error) {
 	if limit <= 0 {
-		return nil, fmt.Errorf("%w: page limit must be positive", ErrBadRequest)
+		return dst, fmt.Errorf("%w: page limit must be positive", ErrBadRequest)
 	}
 	rows := t.rows(partition)
 	from, found := findRow(rows, after)
 	if found {
 		from++
 	}
-	var out []Row
-	for _, row := range rows[from:] {
-		if !filter.Matches(row.Props) {
-			continue
-		}
-		if out == nil {
-			out = make([]Row, 0, min(limit, len(rows)-from))
-		}
-		out = append(out, row)
-		if len(out) == limit {
-			break
+	return appendRows(dst, rows[from:], limit, func(row Row) bool { return filter.Matches(row.Props) }), nil
+}
+
+// appendRows appends to dst the first limit rows that match, growing dst
+// once, to the size of the answer: a point read is one row, not the
+// partition.
+func appendRows(dst, rows []Row, limit int, match func(Row) bool) []Row {
+	n := 0
+	for _, row := range rows {
+		if n < limit && match(row) {
+			n++
 		}
 	}
-	return out, nil
+	dst = slices.Grow(dst, n)
+	for _, row := range rows {
+		if n == 0 {
+			break
+		}
+		if match(row) {
+			dst = append(dst, row)
+			n--
+		}
+	}
+	return dst
 }
 
 // Get returns the row at key, if present.

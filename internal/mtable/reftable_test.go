@@ -26,7 +26,7 @@ func val(p Properties, name string) int64 {
 
 func mustBatch(t *testing.T, tbl *RefTable, ops ...Operation) []OpResult {
 	t.Helper()
-	res, err := tbl.ExecuteBatch(ops)
+	res, err := tbl.ExecuteBatch(nil, ops)
 	if err != nil {
 		t.Fatalf("batch failed: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestRefTableInsertAndGet(t *testing.T) {
 	if !ok || val(row.Props, "a") != 1 {
 		t.Fatalf("get: %+v %v", row, ok)
 	}
-	_, err := tbl.ExecuteBatch([]Operation{{Kind: OpInsert, Key: key("r1"), Props: props(2)}})
+	_, err := tbl.ExecuteBatch(nil, []Operation{{Kind: OpInsert, Key: key("r1"), Props: props(2)}})
 	if !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate insert: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestRefTableReplaceETagSemantics(t *testing.T) {
 	res := mustBatch(t, tbl, Operation{Kind: OpInsert, Key: key("r1"), Props: props(1)})
 	etag := res[0].ETag
 
-	_, err := tbl.ExecuteBatch([]Operation{{Kind: OpReplace, Key: key("r1"), Props: props(2), ETag: etag + 999}})
+	_, err := tbl.ExecuteBatch(nil, []Operation{{Kind: OpReplace, Key: key("r1"), Props: props(2), ETag: etag + 999}})
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("stale etag: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestRefTableReplaceETagSemantics(t *testing.T) {
 	}
 	// Wildcard works regardless of version.
 	mustBatch(t, tbl, Operation{Kind: OpReplace, Key: key("r1"), Props: props(3), ETag: ETagAny})
-	_, err = tbl.ExecuteBatch([]Operation{{Kind: OpReplace, Key: key("nope"), Props: props(1), ETag: ETagAny}})
+	_, err = tbl.ExecuteBatch(nil, []Operation{{Kind: OpReplace, Key: key("nope"), Props: props(1), ETag: ETagAny}})
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("replace missing: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestRefTableDeleteAndCheck(t *testing.T) {
 	tbl := NewRefTable()
 	res := mustBatch(t, tbl, Operation{Kind: OpInsert, Key: key("r1"), Props: props(1)})
 	mustBatch(t, tbl, Operation{Kind: OpCheck, Key: key("r1"), ETag: res[0].ETag})
-	_, err := tbl.ExecuteBatch([]Operation{{Kind: OpCheck, Key: key("r1"), ETag: res[0].ETag + 1}})
+	_, err := tbl.ExecuteBatch(nil, []Operation{{Kind: OpCheck, Key: key("r1"), ETag: res[0].ETag + 1}})
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("check stale: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestRefTableDeleteAndCheck(t *testing.T) {
 	if _, ok := tbl.Get(key("r1")); ok {
 		t.Fatal("row survived delete")
 	}
-	_, err = tbl.ExecuteBatch([]Operation{{Kind: OpDelete, Key: key("r1"), ETag: ETagAny}})
+	_, err = tbl.ExecuteBatch(nil, []Operation{{Kind: OpDelete, Key: key("r1"), ETag: ETagAny}})
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete missing: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestRefTableBatchAtomicity(t *testing.T) {
 	tbl := NewRefTable()
 	mustBatch(t, tbl, Operation{Kind: OpInsert, Key: key("r1"), Props: props(1)})
 	// Second op fails; the first must not be applied.
-	_, err := tbl.ExecuteBatch([]Operation{
+	_, err := tbl.ExecuteBatch(nil, []Operation{
 		{Kind: OpInsert, Key: key("r2"), Props: props(2)},
 		{Kind: OpInsert, Key: key("r1"), Props: props(3)},
 	})
@@ -135,7 +135,7 @@ func TestRefTableBatchValidation(t *testing.T) {
 		{"empty-key", []Operation{{Kind: OpInsert, Key: Key{"P", ""}, Props: props(1)}}},
 	}
 	for _, c := range cases {
-		if _, err := tbl.ExecuteBatch(c.ops); !errors.Is(err, ErrBadRequest) {
+		if _, err := tbl.ExecuteBatch(nil, c.ops); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("%s: want ErrBadRequest, got %v", c.name, err)
 		}
 	}
@@ -146,15 +146,15 @@ func TestRefTableQueryRangeAndFilter(t *testing.T) {
 	for i, r := range []string{"a", "b", "c", "d"} {
 		mustBatch(t, tbl, Operation{Kind: OpInsert, Key: key(r), Props: Props(Prop{"v", int64(i)})})
 	}
-	rows, err := tbl.QueryAtomic(Query{Partition: "P", RowFrom: "b", RowTo: "c"})
+	rows, err := tbl.QueryAtomic(nil, Query{Partition: "P", RowFrom: "b", RowTo: "c"})
 	if err != nil || len(rows) != 2 || rows[0].Key.Row != "b" || rows[1].Key.Row != "c" {
 		t.Fatalf("range query: %v %v", rows, err)
 	}
-	rows, err = tbl.QueryAtomic(Query{Partition: "P", Filter: &Filter{Prop: "v", Min: 2, Max: 3}})
+	rows, err = tbl.QueryAtomic(nil, Query{Partition: "P", Filter: &Filter{Prop: "v", Min: 2, Max: 3}})
 	if err != nil || len(rows) != 2 || rows[0].Key.Row != "c" {
 		t.Fatalf("filter query: %v %v", rows, err)
 	}
-	rows, err = tbl.QueryAtomic(Query{Partition: "missing"})
+	rows, err = tbl.QueryAtomic(nil, Query{Partition: "missing"})
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("empty partition: %v %v", rows, err)
 	}
@@ -165,15 +165,15 @@ func TestRefTableFetchPage(t *testing.T) {
 	for _, r := range []string{"a", "b", "c", "d", "e"} {
 		mustBatch(t, tbl, Operation{Kind: OpInsert, Key: key(r), Props: props(1)})
 	}
-	page, err := tbl.FetchPage("P", "", nil, 2)
+	page, err := tbl.FetchPage(nil, "P", "", nil, 2)
 	if err != nil || len(page) != 2 || page[0].Key.Row != "a" || page[1].Key.Row != "b" {
 		t.Fatalf("page 1: %v %v", page, err)
 	}
-	page, err = tbl.FetchPage("P", "b", nil, 10)
+	page, err = tbl.FetchPage(nil, "P", "b", nil, 10)
 	if err != nil || len(page) != 3 || page[0].Key.Row != "c" {
 		t.Fatalf("page 2: %v %v", page, err)
 	}
-	if _, err := tbl.FetchPage("P", "", nil, 0); !errors.Is(err, ErrBadRequest) {
+	if _, err := tbl.FetchPage(nil, "P", "", nil, 0); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("zero limit: %v", err)
 	}
 }
@@ -186,10 +186,10 @@ func TestRefTableBatchAtomicityProperty(t *testing.T) {
 			{Kind: OpInsert, Key: key("x"), Props: props(1)},
 			{Kind: OpInsert, Key: key("y"), Props: props(2)},
 		}
-		if _, err := tbl.ExecuteBatch(mustSeed); err != nil {
+		if _, err := tbl.ExecuteBatch(nil, mustSeed); err != nil {
 			return false
 		}
-		before, _ := tbl.QueryAtomic(Query{Partition: "P"})
+		before, _ := tbl.QueryAtomic(nil, Query{Partition: "P"})
 		// Build a batch that fails at some index (insert of existing "x").
 		var ops []Operation
 		for i, r := range rows {
@@ -197,10 +197,10 @@ func TestRefTableBatchAtomicityProperty(t *testing.T) {
 			ops = append(ops, Operation{Kind: OpInsert, Key: key(name + "-n"), Props: props(int64(i))})
 		}
 		ops = append(ops, Operation{Kind: OpInsert, Key: key("x"), Props: props(9)})
-		if _, err := tbl.ExecuteBatch(ops); err == nil {
+		if _, err := tbl.ExecuteBatch(nil, ops); err == nil {
 			return false // must fail (duplicate insert of x, or dup rows)
 		}
-		after, _ := tbl.QueryAtomic(Query{Partition: "P"})
+		after, _ := tbl.QueryAtomic(nil, Query{Partition: "P"})
 		return reflect.DeepEqual(before, after)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -281,7 +281,7 @@ func TestHistoryCheckStream(t *testing.T) {
 func tableState(tbl *RefTable) map[Key]Row {
 	out := map[Key]Row{}
 	for _, p := range tbl.Partitions() {
-		rows, _ := tbl.QueryAtomic(Query{Partition: p})
+		rows, _ := tbl.QueryAtomic(nil, Query{Partition: p})
 		if len(rows) != tbl.Len(p) {
 			panic("QueryAtomic and Len disagree")
 		}

@@ -35,8 +35,8 @@ func (mt *MigratingTable) QueryStream(q Query) (RowStream, error) {
 		// shadowing, exactly as in the atomic-query sibling bug.
 		pushFilter = q.Filter
 	}
-	s.old = &pager{backend: mt.old, partition: q.Partition, filter: pushFilter}
-	s.new = &pager{backend: mt.new, partition: q.Partition, filter: pushFilter}
+	s.old = pager{backend: mt.old, partition: q.Partition, filter: pushFilter}
+	s.new = pager{backend: mt.new, partition: q.Partition, filter: pushFilter}
 	return s, nil
 }
 
@@ -48,7 +48,9 @@ type pager struct {
 	backend   Backend
 	partition string
 	filter    *Filter
-	buf       []Row
+	// buf is what is left of the current page; page is the page's read
+	// buffer, which the next fetch reuses once buf is spent or dropped.
+	buf, page []Row
 	after     string
 	done      bool
 	fetches   int
@@ -61,10 +63,11 @@ func (p *pager) peek() (Row, bool, error) {
 		if p.done {
 			return Row{}, false, nil
 		}
-		page, err := p.backend.FetchPage(p.partition, p.after, p.filter, streamPageSize)
+		page, err := p.backend.FetchPage(p.page[:0], p.partition, p.after, p.filter, streamPageSize)
 		if err != nil {
 			return Row{}, false, err
 		}
+		p.page = page
 		p.fetches++
 		if len(page) == 0 {
 			p.done = true
@@ -96,8 +99,8 @@ func (p *pager) reposition(after string) {
 type vtStream struct {
 	mt  *MigratingTable
 	q   Query
-	old *pager
-	new *pager
+	old pager
+	new pager
 	// cursor is the last row key processed (emitted or skipped); the
 	// merge only moves forward.
 	cursor     string
@@ -154,7 +157,7 @@ func (s *vtStream) Next() (Row, bool, error) {
 		if fromOld && backUp {
 			// Point-check the new table: the old row may have been
 			// shadowed or tombstoned after our pages were fetched.
-			checked, err := s.mt.new.QueryAtomic(Query{
+			checked, err := read(s.mt.new, &s.mt.pointRows, Query{
 				Partition: s.q.Partition, RowFrom: row.Key.Row, RowTo: row.Key.Row,
 			})
 			if err != nil {

@@ -313,34 +313,62 @@ func (e *BatchError) Error() string {
 // Unwrap exposes the underlying error to errors.Is.
 func (e *BatchError) Unwrap() error { return e.Err }
 
+// asBatchError is errors.As for a *BatchError. A batch's own failure is
+// the error itself, so that case is answered without errors.As, whose
+// target would escape to the heap on every call.
+func asBatchError(err error) (*BatchError, bool) {
+	if be, ok := err.(*BatchError); ok {
+		return be, true
+	}
+	var be *BatchError
+	return be, errors.As(err, &be)
+}
+
 // ErrorCode normalizes an error for output comparison between the virtual
 // table and the reference table (etags differ between the two, error
-// shapes must not).
+// shapes must not): "conflict@1" for a batch that failed at operation 1 on
+// an etag mismatch, "notfound" for a failure outside a batch, and so on.
+// Both sides of every logical write in the harness normalize their
+// outcome, so the codes of a batch's first few indices come from a table
+// and a code allocates nothing.
 func ErrorCode(err error) string {
 	if err == nil {
 		return ""
 	}
-	var be *BatchError
 	idx := -1
-	if errors.As(err, &be) {
+	if be, ok := asBatchError(err); ok {
 		idx = be.Index
 	}
-	code := "error"
+	c := 0 // "error"
+	for i, sentinel := range codeErrors {
+		if errors.Is(err, sentinel) {
+			c = i + 1
+			break
+		}
+	}
 	switch {
-	case errors.Is(err, ErrExists):
-		code = "exists"
-	case errors.Is(err, ErrNotFound):
-		code = "notfound"
-	case errors.Is(err, ErrConflict):
-		code = "conflict"
-	case errors.Is(err, ErrBadRequest):
-		code = "badrequest"
+	case idx < 0:
+		return errorCodes[c][0]
+	case idx < len(errorCodes[c])-1:
+		return errorCodes[c][idx+1]
 	}
-	if idx >= 0 {
-		return code + "@" + strconv.Itoa(idx)
-	}
-	return code
+	return errorCodes[c][0] + "@" + strconv.Itoa(idx)
 }
+
+// codeErrors are the errors ErrorCode names, in errorCodes' order after
+// the catch-all "error".
+var codeErrors = [...]error{ErrExists, ErrNotFound, ErrConflict, ErrBadRequest}
+
+// errorCodes[c] is code c alone, then code c at batch indices 0, 1, ...
+var errorCodes = func() (out [1 + len(codeErrors)][9]string) {
+	for c, code := range [...]string{"error", "exists", "notfound", "conflict", "badrequest"} {
+		out[c][0] = code
+		for i := 1; i < len(out[c]); i++ {
+			out[c][i] = code + "@" + strconv.Itoa(i-1)
+		}
+	}
+	return out
+}()
 
 // Filter restricts a query to rows whose named property lies in
 // [Min, Max]. Rows missing the property never match.
@@ -383,16 +411,26 @@ func (q Query) inRange(row string) bool {
 // tables. RefTable implements it directly; the systematic-test harness
 // implements it with a stub that relays every call through the Tables
 // machine, turning each backend operation into a scheduling point.
+//
+// Every method appends its answer to a dst the caller passes, so a caller
+// that is done with one answer before its next call into the same buffer
+// reuses it (buf[:0]) instead of allocating a slice a call; nil asks for a
+// fresh one. The MigratingTable, the Migrator, the stream and the harness's
+// clients each answer into buffers of their own, one per use that overlaps
+// another.
 type Backend interface {
-	// ExecuteBatch atomically applies a batch to one partition.
-	ExecuteBatch(batch []Operation) ([]OpResult, error)
-	// QueryAtomic returns a consistent snapshot of one partition,
-	// sorted by row key.
-	QueryAtomic(q Query) ([]Row, error)
-	// FetchPage returns up to limit live rows of the partition with row
+	// ExecuteBatch atomically applies a batch to one partition, appending
+	// one result per operation to dst, and returns the extended slice
+	// (dst itself on an error).
+	ExecuteBatch(dst []OpResult, batch []Operation) ([]OpResult, error)
+	// QueryAtomic appends a consistent snapshot of one partition, sorted
+	// by row key, to dst and returns the extended slice.
+	QueryAtomic(dst []Row, q Query) ([]Row, error)
+	// FetchPage appends up to limit live rows of the partition with row
 	// key strictly greater than after, sorted ascending — the paged
-	// building block of streamed reads.
-	FetchPage(partition, after string, filter *Filter, limit int) ([]Row, error)
+	// building block of streamed reads — to dst and returns the extended
+	// slice.
+	FetchPage(dst []Row, partition, after string, filter *Filter, limit int) ([]Row, error)
 }
 
 // RowStream is a streamed read of the virtual table: rows arrive in row-key

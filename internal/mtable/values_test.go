@@ -40,19 +40,19 @@ func TestStoredRowsAreIsolated(t *testing.T) {
 	}
 
 	// A query's slice is the caller's own: emptying it changes no table.
-	rows, err := tbl.QueryAtomic(Query{Partition: "P"})
+	rows, err := tbl.QueryAtomic(nil, Query{Partition: "P"})
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("query: %v %v", rows, err)
 	}
 	hist.Record(1, key("r1"), rows[0].Props)
 	rows[0], rows[1] = Row{}, Row{Key: key("r1"), Props: props(5)}
 	scribble()
-	page, err := tbl.FetchPage("P", "", nil, 10)
+	page, err := tbl.FetchPage(nil, "P", "", nil, 10)
 	if err != nil || len(page) != 2 {
 		t.Fatalf("page: %v %v", page, err)
 	}
 	page[0] = Row{}
-	again, _ := tbl.QueryAtomic(Query{Partition: "P"})
+	again, _ := tbl.QueryAtomic(nil, Query{Partition: "P"})
 	if len(again) != 2 || again[0].Key != key("r1") || again[1].Key != key("r2") {
 		t.Fatalf("second read after scribbling on the first: %v", again)
 	}
